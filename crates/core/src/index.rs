@@ -201,7 +201,10 @@ impl ResponseIndex {
         assert!(capacity > 0, "response index capacity must be positive");
         assert!(max_providers > 0, "provider capacity must be positive");
         ResponseIndex {
-            entries: HashMap::with_capacity(capacity),
+            // Allocated on first insert: most peers of a large run never
+            // cache an entry, and a table pre-sized to `capacity` for each of
+            // them is memory the run pays for and never touches.
+            entries: HashMap::new(),
             capacity,
             max_providers,
             clock: 0,

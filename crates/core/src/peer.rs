@@ -6,7 +6,7 @@
 //! and the latest copy of their Bloom filters), and the routing bookkeeping
 //! (duplicate suppression and reverse paths) of the underlying overlay.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use locaware_bloom::{BloomDelta, BloomFilter, BloomParams, CountingBloomFilter, ElementHashes};
@@ -49,8 +49,10 @@ pub struct PeerState {
     exported_bloom: BloomFilter,
     /// True if the response index changed since the last export.
     bloom_dirty: bool,
-    /// Per-neighbour knowledge.
-    pub neighbors: HashMap<PeerId, NeighborInfo>,
+    /// Per-neighbour knowledge, strictly ascending by neighbour id — a
+    /// contiguous row (≈3 entries) that forward decisions walk in the order
+    /// they must answer in.
+    neighbors: Vec<(PeerId, NeighborInfo)>,
     /// Duplicate suppression and reverse paths.
     pub router: QueryRouter,
     /// True while the peer is online (churn can toggle this).
@@ -92,7 +94,7 @@ impl PeerState {
             counting_bloom: CountingBloomFilter::new(bloom_params),
             exported_bloom: BloomFilter::new(bloom_params),
             bloom_dirty: false,
-            neighbors: HashMap::new(),
+            neighbors: Vec::new(),
             router: QueryRouter::new(),
             online: true,
             dht: None,
@@ -225,8 +227,7 @@ impl PeerState {
         self.exported_bloom = BloomFilter::new(self.exported_bloom.params());
         self.bloom_dirty = false;
         self.router.clear();
-        // lint:allow(hash-iter): idempotent per-element write (bloom = None) — visit order cannot matter
-        for info in self.neighbors.values_mut() {
+        for (_, info) in &mut self.neighbors {
             info.bloom = None;
         }
         // The DHT half is volatile too: a rejoining node has lost its stored
@@ -240,20 +241,40 @@ impl PeerState {
 
     // --- neighbour knowledge ----------------------------------------------------
 
+    /// What this peer knows about each direct neighbour, in id order.
+    pub fn neighbors(&self) -> &[(PeerId, NeighborInfo)] {
+        &self.neighbors
+    }
+
+    fn neighbor_position(&self, neighbor: PeerId) -> Result<usize, usize> {
+        self.neighbors.binary_search_by_key(&neighbor, |&(n, _)| n)
+    }
+
+    fn neighbor_mut(&mut self, neighbor: PeerId) -> Option<&mut NeighborInfo> {
+        let pos = self.neighbor_position(neighbor).ok()?;
+        Some(&mut self.neighbors[pos].1)
+    }
+
     /// Records a (new) neighbour and its group id, with an empty filter until
     /// the first Bloom exchange.
     pub fn record_neighbor(&mut self, neighbor: PeerId, gid: GroupId) {
-        self.neighbors.insert(neighbor, NeighborInfo { gid, bloom: None });
+        let info = NeighborInfo { gid, bloom: None };
+        match self.neighbor_position(neighbor) {
+            Ok(pos) => self.neighbors[pos].1 = info,
+            Err(pos) => self.neighbors.insert(pos, (neighbor, info)),
+        }
     }
 
     /// Forgets a neighbour (overlay edge removed).
     pub fn forget_neighbor(&mut self, neighbor: PeerId) {
-        self.neighbors.remove(&neighbor);
+        if let Ok(pos) = self.neighbor_position(neighbor) {
+            self.neighbors.remove(pos);
+        }
     }
 
     /// Replaces the stored copy of a neighbour's filter (full push).
     pub fn set_neighbor_bloom(&mut self, neighbor: PeerId, bloom: BloomFilter) {
-        if let Some(info) = self.neighbors.get_mut(&neighbor) {
+        if let Some(info) = self.neighbor_mut(neighbor) {
             info.bloom = Some(Box::new(bloom));
         }
     }
@@ -264,7 +285,7 @@ impl PeerState {
     /// parameters are the neighbour's too).
     pub fn apply_neighbor_bloom_delta(&mut self, neighbor: PeerId, delta: &BloomDelta) {
         let params = self.exported_bloom.params();
-        if let Some(info) = self.neighbors.get_mut(&neighbor) {
+        if let Some(info) = self.neighbor_mut(neighbor) {
             delta.apply(
                 info.bloom
                     .get_or_insert_with(|| Box::new(BloomFilter::new(params))),
@@ -296,9 +317,7 @@ impl PeerState {
         if query_hashes.is_empty() {
             return;
         }
-        let start = out.len();
-        // lint:allow(hash-iter): every neighbour is visited exactly once and the matched set is sorted to id order below; `keep` is a pure membership test at every call site (protocol forward paths pass `n != exclude && online`)
-        for (&n, info) in &self.neighbors {
+        for &(n, ref info) in &self.neighbors {
             let Some(bloom) = &info.bloom else {
                 continue; // an unexchanged (empty) filter matches nothing
             };
@@ -306,7 +325,6 @@ impl PeerState {
                 out.push(n);
             }
         }
-        out[start..].sort_unstable();
     }
 
     /// Neighbours whose group id satisfies `predicate`, in id order.
@@ -328,14 +346,11 @@ impl PeerState {
         mut keep: impl FnMut(PeerId) -> bool,
         out: &mut Vec<PeerId>,
     ) {
-        let start = out.len();
-        // lint:allow(hash-iter): every neighbour is visited exactly once and the matched set is sorted to id order below; `keep`/`predicate` are pure membership tests at every call site
-        for (&n, info) in &self.neighbors {
+        for &(n, ref info) in &self.neighbors {
             if keep(n) && predicate(info.gid) {
                 out.push(n);
             }
         }
-        out[start..].sort_unstable();
     }
 }
 
@@ -489,6 +504,6 @@ mod tests {
         assert!(p.response_index.is_empty());
         assert!(p.current_bloom().is_empty());
         assert!(!p.bloom_dirty());
-        assert!(p.neighbors.contains_key(&PeerId(2)), "neighbour links survive");
+        assert!(p.neighbor_position(PeerId(2)).is_ok(), "neighbour links survive");
     }
 }

@@ -92,6 +92,13 @@ impl DhtDistance {
         }
         None
     }
+
+    /// Bit `index` of the distance, counted like [`DhtDistance::bucket_index`]
+    /// (`0` = least significant).
+    fn bit(&self, index: u8) -> bool {
+        let index = usize::from(index);
+        self.0[DHT_ID_BYTES - 1 - index / 8] >> (index % 8) & 1 == 1
+    }
 }
 
 /// A Kademlia k-bucket routing table.
@@ -222,15 +229,34 @@ impl RoutingTable {
     /// Appends the `count` contacts closest to `target` (by XOR distance,
     /// ties broken by peer id) to `out`, nearest first. The buffer is
     /// appended to, not cleared.
+    ///
+    /// Buckets are already a coarse ranking. A contact of bucket `i` differs
+    /// from `local` first at bit `i`, so its distance to `target` equals
+    /// `D = local ⊕ target` above bit `i` and has bit `i` flipped — while every
+    /// contact of a lower bucket keeps `D`'s bit `i`. Where `D` has the bit
+    /// set, bucket `i` is therefore strictly closer than all lower buckets;
+    /// where it is clear, strictly farther. Visiting the set-bit buckets high
+    /// to low and then the clear-bit buckets low to high walks the contacts
+    /// in distance order bucket by bucket; only the contacts inside one
+    /// bucket (at most `k`) are ranked against each other, and the walk stops
+    /// once `count` are out.
     pub fn closest_into(&self, target: DhtId, count: usize, out: &mut Vec<PeerId>) {
-        let mut ranked: Vec<(DhtDistance, PeerId)> = self
-            .buckets
-            .iter()
-            .flat_map(|(_, bucket)| bucket.iter())
-            .map(|&(id, peer)| (target.distance(id), peer))
-            .collect();
-        ranked.sort_unstable();
-        out.extend(ranked.into_iter().take(count).map(|(_, peer)| peer));
+        let toward = self.local.distance(target);
+        let nearer = self.buckets.iter().rev().filter(|(i, _)| toward.bit(*i));
+        let farther = self.buckets.iter().filter(|(i, _)| !toward.bit(*i));
+        let mut remaining = count;
+        let mut ranked: Vec<(DhtDistance, PeerId)> = Vec::new();
+        for (_, bucket) in nearer.chain(farther) {
+            if remaining == 0 {
+                break;
+            }
+            ranked.clear();
+            ranked.extend(bucket.iter().map(|&(id, peer)| (target.distance(id), peer)));
+            ranked.sort_unstable();
+            ranked.truncate(remaining);
+            remaining -= ranked.len();
+            out.extend(ranked.iter().map(|&(_, peer)| peer));
+        }
     }
 
     /// Allocating convenience wrapper around [`RoutingTable::closest_into`].

@@ -48,7 +48,7 @@ pub use dht::{DhtDistance, DhtId, DhtNode, DhtRecordStore, RoutingTable, DHT_ID_
 pub use generator::{GeneratorConfig, GraphModel};
 pub use graph::OverlayGraph;
 pub use message::{Message, MessageId, MessageKind, ProviderEntry, QueryId};
-pub use routing::{ForwardDecision, QueryRouter, ReversePathTable, SeenQueries};
+pub use routing::{ForwardDecision, QueryRouter};
 pub use stats::GraphStats;
 
 /// Peers are identified by the same id at the overlay and underlay layers, so

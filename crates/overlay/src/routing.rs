@@ -4,10 +4,11 @@
 //! the reverse path of their corresponding q, back to the requesting peer"*.
 //! Real Gnutella implements this with per-peer duplicate suppression (a query
 //! seen twice is dropped) and a reverse-path table (query id → the neighbour it
-//! was first received from). [`QueryRouter`] bundles both for one peer.
+//! was first received from). [`QueryRouter`] is both for one peer.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -31,106 +32,49 @@ pub enum ForwardDecision {
     NotForwarded,
 }
 
-/// Tracks which queries a peer has already processed.
+/// Fixed-key hasher for [`QueryId`]s: one multiply by the 64-bit golden ratio,
+/// folded so the high half reaches the low bits.
 ///
-/// Gnutella drops duplicate copies of a query that arrive over different paths;
-/// without this, TTL-bounded flooding on a cyclic overlay would multiply
-/// traffic and distort Figure 3.
-#[derive(Debug, Clone, Default)]
-pub struct SeenQueries {
-    seen: HashSet<QueryId>,
-}
+/// `std`'s table takes its bucket index from the low bits of a hash and its
+/// 7-bit control tag from the top bits. The multiply carries every input bit
+/// into the top bits; the fold brings the attempt counter of a retransmit id
+/// (`index | attempt << 32`) down into the bucket index. Query ids are
+/// assigned by the simulator, never chosen by an adversary, so the flooding
+/// protection of `RandomState` (SipHash under a per-process key) buys nothing
+/// here, while costing most of what a sighting costs.
+#[derive(Debug, Clone, Copy, Default)]
+struct QueryIdHasher(u64);
 
-impl SeenQueries {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
+impl Hasher for QueryIdHasher {
+    fn write_u64(&mut self, id: u64) {
+        let h = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
     }
 
-    /// Records `query` as seen. Returns `true` if it was new (i.e. should be
-    /// processed), `false` if it is a duplicate (should be dropped).
-    pub fn first_sighting(&mut self, query: QueryId) -> bool {
-        self.seen.insert(query)
-    }
-
-    /// True if the query has been seen before.
-    pub fn contains(&self, query: QueryId) -> bool {
-        self.seen.contains(&query)
-    }
-
-    /// Number of distinct queries seen.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// True if nothing has been seen yet.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
-
-    /// Forgets everything (used between experiment repetitions).
-    pub fn clear(&mut self) {
-        self.seen.clear();
-    }
-}
-
-/// The reverse-path table: for each query, the neighbour it was first received
-/// from, i.e. the next hop for responses travelling back to the requestor.
-#[derive(Debug, Clone, Default)]
-pub struct ReversePathTable {
-    upstream: HashMap<QueryId, PeerId>,
-}
-
-impl ReversePathTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that `query` was first received from `from`. The first recording
-    /// wins; later copies of the query (via other paths) do not overwrite it,
-    /// matching Gnutella semantics. Returns `true` if this was the first record.
-    pub fn record(&mut self, query: QueryId, from: PeerId) -> bool {
-        match self.upstream.entry(query) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(v) => {
-                v.insert(from);
-                true
-            }
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
         }
     }
 
-    /// The upstream neighbour for `query`, if known.
-    pub fn upstream(&self, query: QueryId) -> Option<PeerId> {
-        self.upstream.get(&query).copied()
-    }
-
-    /// Number of entries in the table.
-    pub fn len(&self) -> usize {
-        self.upstream.len()
-    }
-
-    /// True if the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.upstream.is_empty()
-    }
-
-    /// Drops the entry for `query` (responses delivered, state can go).
-    pub fn forget(&mut self, query: QueryId) {
-        self.upstream.remove(&query);
-    }
-
-    /// Forgets everything.
-    pub fn clear(&mut self) {
-        self.upstream.clear();
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
 /// Per-peer routing state: duplicate suppression plus reverse paths.
+///
+/// Gnutella drops duplicate copies of a query that arrive over different
+/// paths — without that, TTL-bounded flooding on a cyclic overlay would
+/// multiply traffic and distort Figure 3 — and routes responses back through
+/// the neighbour each query was *first* received from. Both are one table,
+/// query id → first upstream (`None` for a query the local user issued; the
+/// entry is no wider for it), so a sighting costs a single probe.
 #[derive(Debug, Clone, Default)]
 pub struct QueryRouter {
-    seen: SeenQueries,
-    reverse: ReversePathTable,
+    upstream: HashMap<QueryId, Option<PeerId>, BuildHasherDefault<QueryIdHasher>>,
 }
 
 impl QueryRouter {
@@ -145,40 +89,29 @@ impl QueryRouter {
     /// Returns `true` if the query is new and should be processed; duplicates
     /// return `false` and leave the original reverse path untouched.
     pub fn on_query(&mut self, query: QueryId, from: Option<PeerId>) -> bool {
-        let new = self.seen.first_sighting(query);
-        if new {
-            if let Some(from) = from {
-                self.reverse.record(query, from);
+        match self.upstream.entry(query) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(from);
+                true
             }
         }
-        new
     }
 
     /// The neighbour to send a response for `query` towards, if this peer is not
     /// the originator.
     pub fn response_next_hop(&self, query: QueryId) -> Option<PeerId> {
-        self.reverse.upstream(query)
+        self.upstream.get(&query).copied().flatten()
     }
 
     /// True if this peer has seen `query`.
     pub fn has_seen(&self, query: QueryId) -> bool {
-        self.seen.contains(query)
+        self.upstream.contains_key(&query)
     }
 
-    /// Access to the duplicate-suppression set (for tests and metrics).
-    pub fn seen(&self) -> &SeenQueries {
-        &self.seen
-    }
-
-    /// Access to the reverse-path table (for tests and metrics).
-    pub fn reverse_paths(&self) -> &ReversePathTable {
-        &self.reverse
-    }
-
-    /// Resets all state.
+    /// Forgets everything (used when a peer rejoins after churn).
     pub fn clear(&mut self) {
-        self.seen.clear();
-        self.reverse.clear();
+        self.upstream.clear();
     }
 }
 
@@ -197,6 +130,7 @@ pub fn decrement_ttl(ttl: u32) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
 
     #[test]
     fn duplicate_queries_are_dropped() {
@@ -214,28 +148,32 @@ mod tests {
         assert_eq!(router.response_next_hop(QueryId(9)), None);
     }
 
+    /// The hasher must fill both halves of what `std`'s table reads — the
+    /// low bits (bucket index) and the top 7 bits (control tag) — for the two
+    /// id shapes the engine produces: dense arrival indices, and retransmit
+    /// ids that differ from them only above bit 32.
     #[test]
-    fn reverse_path_first_record_wins() {
-        let mut table = ReversePathTable::new();
-        assert!(table.record(QueryId(3), PeerId(1)));
-        assert!(!table.record(QueryId(3), PeerId(2)));
-        assert_eq!(table.upstream(QueryId(3)), Some(PeerId(1)));
-        table.forget(QueryId(3));
-        assert_eq!(table.upstream(QueryId(3)), None);
-        assert!(table.is_empty());
-    }
-
-    #[test]
-    fn seen_queries_bookkeeping() {
-        let mut seen = SeenQueries::new();
-        assert!(seen.is_empty());
-        assert!(seen.first_sighting(QueryId(1)));
-        assert!(seen.first_sighting(QueryId(2)));
-        assert!(!seen.first_sighting(QueryId(1)));
-        assert_eq!(seen.len(), 2);
-        assert!(seen.contains(QueryId(2)));
-        seen.clear();
-        assert!(!seen.contains(QueryId(2)));
+    fn hasher_spreads_dense_and_attempt_tagged_ids() {
+        let hash = |id: u64| {
+            let mut hasher = QueryIdHasher::default();
+            QueryId(id).hash(&mut hasher);
+            hasher.finish()
+        };
+        let dense: Vec<u64> = (0..10_000).collect();
+        let tagged: Vec<u64> = (0..10_000).map(|i| i | (1 + i % 3) << 32).collect();
+        for ids in [dense, tagged] {
+            let mut tags = [0u32; 128];
+            let mut buckets = vec![0u32; 1 << 14];
+            for &id in &ids {
+                let h = hash(id);
+                tags[(h >> 57) as usize] += 1;
+                buckets[(h & ((1 << 14) - 1)) as usize] += 1;
+            }
+            let used = tags.iter().filter(|&&n| n > 0).count();
+            assert!(used >= 120, "only {used} of 128 control tags used");
+            let max_load = buckets.iter().copied().max().unwrap_or(0);
+            assert!(max_load <= 8, "a bucket of 2^14 holds {max_load} of 10^4 ids");
+        }
     }
 
     #[test]
@@ -252,7 +190,8 @@ mod tests {
         router.on_query(QueryId(1), Some(PeerId(2)));
         router.clear();
         assert!(!router.has_seen(QueryId(1)));
-        assert!(router.reverse_paths().is_empty());
+        assert_eq!(router.response_next_hop(QueryId(1)), None);
         assert!(router.on_query(QueryId(1), Some(PeerId(3))));
+        assert_eq!(router.response_next_hop(QueryId(1)), Some(PeerId(3)));
     }
 }

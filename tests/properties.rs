@@ -10,18 +10,24 @@
 
 use proptest::prelude::*;
 
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
+
 use locaware::index::naive::NaiveResponseIndex;
-use locaware::{ProtocolKind, ResponseIndex, Scenario, SelectionPolicy, SimulationConfig};
+use locaware::{
+    GroupId, PeerState, ProtocolKind, ResponseIndex, Scenario, SelectionPolicy, SimulationConfig,
+};
 use locaware_bloom::{BloomDelta, BloomFilter, BloomParams};
 use locaware_net::{LandmarkSet, LinkLatencyCache, LocId, NodeId, PhysicalTopology};
 use locaware_net::brite::{BriteConfig, BriteGenerator, PlacementModel};
 use locaware_overlay::{
-    DhtId, DhtRecordStore, GeneratorConfig, GraphModel, PeerId, ProviderEntry, RoutingTable,
+    DhtId, DhtRecordStore, GeneratorConfig, GraphModel, PeerId, ProviderEntry, QueryId,
+    QueryRouter, RoutingTable, DHT_ID_BITS,
 };
 use locaware_sim::{Duration, SimTime};
 use locaware_workload::{
-    Arrival, ArrivalConfig, ArrivalProcess, ArrivalSchedule, FaultConfig, FileId, KeywordId,
-    OutageWindow, RatePhase, TimeoutPolicy, ZipfDistribution,
+    Arrival, ArrivalConfig, ArrivalProcess, ArrivalSchedule, FaultConfig, FileId, KeywordHashes,
+    KeywordId, OutageWindow, RatePhase, TimeoutPolicy, ZipfDistribution,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,6 +50,23 @@ fn legacy_arrivals(peers: usize, rate_per_peer: f64, count: usize, seed: u64) ->
         });
     }
     out
+}
+
+/// The id that agrees with `base` on its `shared_bits` most significant bits,
+/// differs from it at the next one and continues with `tail`'s bits — so its
+/// XOR distance to `base` has its highest set bit exactly there. With all 160
+/// bits shared it is `base` itself.
+fn sharing_prefix(base: DhtId, shared_bits: usize, tail: DhtId) -> DhtId {
+    let mut bytes = tail.0;
+    for bit in 0..shared_bits.min(DHT_ID_BITS) {
+        let mask = 0x80u8 >> (bit % 8);
+        bytes[bit / 8] = bytes[bit / 8] & !mask | base.0[bit / 8] & mask;
+    }
+    if shared_bits < DHT_ID_BITS {
+        let mask = 0x80u8 >> (shared_bits % 8);
+        bytes[shared_bits / 8] = bytes[shared_bits / 8] & !mask | !base.0[shared_bits / 8] & mask;
+    }
+    DhtId(bytes)
 }
 
 proptest! {
@@ -545,8 +568,6 @@ proptest! {
         // op 0..=5 inserts (biased — the common operation), 6..=7 removes.
         ops in proptest::collection::vec((0u32..8, 0u64..400), 1..300),
     ) {
-        use locaware_overlay::dht::DHT_ID_BITS;
-
         let local = DhtId::derive(salt, local);
         let mut table = RoutingTable::new(local, k);
         for (op, value) in ops {
@@ -572,35 +593,199 @@ proptest! {
         }
     }
 
-    /// `closest` agrees with an exhaustive scan of the table's contents —
+    /// `closest_into` agrees with an exhaustive scan of the table's contents —
     /// rank every held contact by `(XOR distance, peer id)` and take the
-    /// prefix — for arbitrary populations, capacities and targets.
+    /// prefix — whatever the bucket walk skips. Contacts share prefixes of
+    /// every length with `local` (so low buckets fill too, some past `k`) and
+    /// repeat ids under distinct peers (distance ties); targets range from
+    /// `local` itself through ids agreeing with it on a long prefix to the far
+    /// half of the key space; `count` runs from 0 past the population.
     #[test]
     fn routing_table_closest_matches_naive_scan(
-        k in 1usize..6,
+        k in prop_oneof![Just(1usize), Just(2usize), Just(8usize), Just(20usize)],
         salt in any::<u64>(),
-        contacts in proptest::collection::vec(0u64..500, 0..200),
-        target in any::<u64>(),
-        count in 0usize..12,
+        contacts in proptest::collection::vec(
+            (prop_oneof![0usize..=DHT_ID_BITS, 0usize..8], 0u64..64),
+            0..=400,
+        ),
+        target in (prop_oneof![0usize..=DHT_ID_BITS, Just(DHT_ID_BITS)], any::<u64>()),
+        count in 0usize..450,
     ) {
         let local = DhtId::derive(salt, u64::MAX);
         let mut table = RoutingTable::new(local, k);
         let mut held: Vec<(DhtId, PeerId)> = Vec::new();
-        for value in contacts {
-            let id = DhtId::derive(salt, value);
-            let peer = PeerId(value as u32);
+        for (index, (shared_bits, tail)) in contacts.into_iter().enumerate() {
+            let id = sharing_prefix(local, shared_bits, DhtId::derive(salt, tail));
+            // Descending, so contacts with equal ids sit in their bucket
+            // against the tie-break order.
+            let peer = PeerId(400 - index as u32);
             if table.insert(id, peer) {
                 held.push((id, peer));
             }
         }
-        let target = DhtId::derive(salt.wrapping_add(1), target);
+        let target = sharing_prefix(local, target.0, DhtId::derive(salt.wrapping_add(1), target.1));
         let mut expected: Vec<(locaware_overlay::DhtDistance, PeerId)> = held
             .iter()
             .map(|&(id, peer)| (target.distance(id), peer))
             .collect();
         expected.sort_unstable();
-        let expected: Vec<PeerId> = expected.into_iter().take(count).map(|(_, p)| p).collect();
-        prop_assert_eq!(table.closest(target, count), expected);
+        let kept = PeerId(u32::MAX);
+        let expected: Vec<PeerId> = std::iter::once(kept)
+            .chain(expected.into_iter().take(count).map(|(_, p)| p))
+            .collect();
+        let mut out = vec![kept];
+        table.closest_into(target, count, &mut out);
+        prop_assert_eq!(out, expected, "the buffer is appended to, nearest first");
+    }
+
+    // ------------------------------------------------------- per-peer routing
+
+    /// The one-table router against the two collections it replaced — a seen
+    /// set plus a first-wins upstream map written only for remote sightings —
+    /// over sightings and clears whose ids mix dense arrival indices,
+    /// attempt-tagged retransmit ids and ids equal modulo 2¹⁶.
+    #[test]
+    fn query_router_matches_the_two_collection_model(
+        ops in proptest::collection::vec(
+            (0u32..40, 0u64..64, 0u64..9, proptest::option::of(0u32..5)),
+            0..600,
+        ),
+    ) {
+        let id = |index: u64, high: u64| QueryId(index | (high % 3) << 16 | (high / 3) << 32);
+        let mut router = QueryRouter::new();
+        let mut seen: HashSet<QueryId> = HashSet::new();
+        let mut upstream: HashMap<QueryId, PeerId> = HashMap::new();
+        for (kind, index, high, from) in ops {
+            if kind == 0 {
+                router.clear();
+                seen.clear();
+                upstream.clear();
+                continue;
+            }
+            let query = id(index, high);
+            let from = from.map(PeerId);
+            let new = seen.insert(query);
+            if let (true, Some(from)) = (new, from) {
+                upstream.insert(query, from);
+            }
+            prop_assert_eq!(router.on_query(query, from), new);
+            prop_assert!(router.has_seen(query));
+            prop_assert_eq!(router.response_next_hop(query), upstream.get(&query).copied());
+        }
+        for index in 0..64u64 {
+            for high in 0..9u64 {
+                let query = id(index, high);
+                prop_assert_eq!(router.has_seen(query), seen.contains(&query));
+                prop_assert_eq!(router.response_next_hop(query), upstream.get(&query).copied());
+            }
+        }
+    }
+
+    /// A peer's neighbour row against a `BTreeMap` model under record,
+    /// forget, re-record, full Bloom pushes, Bloom deltas and volatile resets:
+    /// the row stays strictly id-sorted and equal to the model, the matching
+    /// functions return exactly the model's id-ordered answer, and the
+    /// `_into` forms append to the caller's buffer without clearing it.
+    #[test]
+    fn neighbor_rows_match_the_ordered_map_model(
+        ops in proptest::collection::vec((0u32..12, 0u32..10, 0u32..4, 0u32..6), 1..120),
+    ) {
+        let params = BloomParams::new(256, 3);
+        let mut state = PeerState::new(
+            PeerId(1000),
+            LocId(0),
+            GroupId(0),
+            params,
+            4,
+            3,
+            Arc::new(KeywordHashes::empty()),
+        );
+        let mut model: BTreeMap<PeerId, (GroupId, Option<BloomFilter>)> = BTreeMap::new();
+        for (kind, neighbor, gid, keyword) in ops {
+            let (neighbor, gid, keyword) = (PeerId(neighbor), GroupId(gid), KeywordId(keyword));
+            match kind {
+                0..=3 => {
+                    state.record_neighbor(neighbor, gid);
+                    model.insert(neighbor, (gid, None));
+                }
+                4..=5 => {
+                    state.forget_neighbor(neighbor);
+                    model.remove(&neighbor);
+                }
+                6..=7 => {
+                    let mut bloom = BloomFilter::new(params);
+                    bloom.insert(&keyword.canonical());
+                    state.set_neighbor_bloom(neighbor, bloom.clone());
+                    if let Some((_, held)) = model.get_mut(&neighbor) {
+                        *held = Some(bloom);
+                    }
+                }
+                8..=10 => {
+                    let before = match model.get(&neighbor) {
+                        Some((_, Some(held))) => held.clone(),
+                        _ => BloomFilter::new(params),
+                    };
+                    let mut after = before.clone();
+                    after.insert(&keyword.canonical());
+                    let delta = BloomDelta::between(&before, &after);
+                    state.apply_neighbor_bloom_delta(neighbor, &delta);
+                    if let Some((_, held)) = model.get_mut(&neighbor) {
+                        delta.apply(held.get_or_insert_with(|| BloomFilter::new(params)));
+                    }
+                }
+                _ => {
+                    state.reset_volatile_state();
+                    for (_, held) in model.values_mut() {
+                        *held = None;
+                    }
+                }
+            }
+
+            let row = state.neighbors();
+            prop_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row must be strictly id-sorted");
+            let row: Vec<(PeerId, GroupId, Option<BloomFilter>)> = row
+                .iter()
+                .map(|(n, info)| (*n, info.gid, info.bloom.as_deref().cloned()))
+                .collect();
+            let expected: Vec<(PeerId, GroupId, Option<BloomFilter>)> = model
+                .iter()
+                .map(|(&n, (g, held))| (n, *g, held.clone()))
+                .collect();
+            prop_assert_eq!(row, expected);
+
+            let by_gid = |keep: &dyn Fn(PeerId) -> bool| -> Vec<PeerId> {
+                model
+                    .iter()
+                    .filter(|&(&n, &(g, _))| keep(n) && g == gid)
+                    .map(|(&n, _)| n)
+                    .collect()
+            };
+            let by_bloom = |keep: &dyn Fn(PeerId) -> bool| -> Vec<PeerId> {
+                model
+                    .iter()
+                    .filter(|&(&n, (_, held))| {
+                        keep(n) && held.as_ref().is_some_and(|b| b.contains(&keyword.canonical()))
+                    })
+                    .map(|(&n, _)| n)
+                    .collect()
+            };
+            prop_assert_eq!(state.neighbors_matching_gid(|g| g == gid), by_gid(&|_| true));
+            prop_assert_eq!(state.neighbors_matching_bloom(&[keyword]), by_bloom(&|_| true));
+
+            let kept = PeerId(u32::MAX);
+            let not_this = |n: PeerId| n != neighbor;
+            let mut out = vec![kept];
+            state.neighbors_matching_gid_into(|g| g == gid, not_this, &mut out);
+            let mut expected = vec![kept];
+            expected.extend(by_gid(&not_this));
+            state.neighbors_matching_bloom_into(
+                &[state.keyword_hashes().of(keyword)],
+                not_this,
+                &mut out,
+            );
+            expected.extend(by_bloom(&not_this));
+            prop_assert_eq!(out, expected);
+        }
     }
 
     /// A record's contents are a pure function of the *set* of inserts
