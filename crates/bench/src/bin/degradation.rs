@@ -16,6 +16,7 @@
 //! ```
 
 use locaware::{ProtocolKind, Scenario, SimulationReport};
+use locaware_bench::flags;
 use locaware_metrics::{Figure, SeriesPoint};
 use locaware_workload::{FaultConfig, TimeoutPolicy};
 
@@ -40,29 +41,20 @@ impl Options {
             queries: 300,
             losses_pct: vec![0, 1, 5, 10],
         };
-        let mut args = std::env::args().skip(1);
-        while let Some(flag) = args.next() {
-            let mut value = |name: &str| {
-                args.next().ok_or_else(|| format!("{name} needs a value"))
-            };
+        let known = ["--peers", "--queries", "--losses"];
+        for (flag, value) in flags::pairs(std::env::args().skip(1), &known)? {
             match flag.as_str() {
-                "--peers" => options.peers = parse_number(&value("--peers")?)?,
-                "--queries" => options.queries = parse_number(&value("--queries")?)?,
+                "--peers" => options.peers = flags::number(&value)?,
+                "--queries" => options.queries = flags::number(&value)?,
                 "--losses" => {
-                    options.losses_pct = value("--losses")?
-                        .split(',')
-                        .map(|s| parse_number(s).map(|n| n as u64))
-                        .collect::<Result<_, _>>()?;
+                    options.losses_pct =
+                        flags::list(&value)?.into_iter().map(|n| n as u64).collect();
                 }
-                other => return Err(format!("unknown flag {other}")),
+                other => unreachable!("flags::pairs passed unlisted flag {other}"),
             }
         }
         Ok(options)
     }
-}
-
-fn parse_number(s: &str) -> Result<usize, String> {
-    s.trim().parse().map_err(|_| format!("not a number: {s}"))
 }
 
 /// The armed-resilience fault plan at a given loss rate.

@@ -26,6 +26,7 @@
 use std::time::Instant;
 
 use locaware::{ProtocolKind, Scenario};
+use locaware_bench::flags;
 
 struct Options {
     peers: Vec<usize>,
@@ -44,28 +45,17 @@ impl Options {
             run_max_peers: 10_000,
             protocol: ProtocolKind::Locaware,
         };
-        let mut args = std::env::args().skip(1);
-        while let Some(flag) = args.next() {
-            let mut value = |name: &str| {
-                args.next().ok_or_else(|| format!("{name} needs a value"))
-            };
+        let known = ["--peers", "--queries", "--run-max-peers", "--protocol"];
+        for (flag, value) in flags::pairs(std::env::args().skip(1), &known)? {
             match flag.as_str() {
-                "--peers" => {
-                    options.peers = value("--peers")?
-                        .split(',')
-                        .map(parse_number)
-                        .collect::<Result<_, _>>()?;
-                }
-                "--queries" => options.queries = parse_number(&value("--queries")?)?,
-                "--run-max-peers" => {
-                    options.run_max_peers = parse_number(&value("--run-max-peers")?)?;
-                }
+                "--peers" => options.peers = flags::list(&value)?,
+                "--queries" => options.queries = flags::number(&value)?,
+                "--run-max-peers" => options.run_max_peers = flags::number(&value)?,
                 "--protocol" => {
-                    let label = value("--protocol")?;
-                    options.protocol = ProtocolKind::from_label(&label)
-                        .ok_or_else(|| format!("unknown protocol {label}"))?;
+                    options.protocol = ProtocolKind::from_label(&value)
+                        .ok_or_else(|| format!("unknown protocol {value}"))?;
                 }
-                other => return Err(format!("unknown flag {other}")),
+                other => unreachable!("flags::pairs passed unlisted flag {other}"),
             }
         }
         if options.peers.is_empty() {
@@ -73,10 +63,6 @@ impl Options {
         }
         Ok(options)
     }
-}
-
-fn parse_number(s: &str) -> Result<usize, String> {
-    s.trim().parse().map_err(|_| format!("not a number: {s}"))
 }
 
 /// Peak resident set size in kB (`VmHWM` from `/proc/self/status`), or

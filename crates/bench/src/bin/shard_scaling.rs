@@ -25,6 +25,7 @@
 use std::time::Instant;
 
 use locaware::{ProtocolKind, Scenario, SimulationReport};
+use locaware_bench::flags;
 
 struct Options {
     peers: usize,
@@ -43,31 +44,19 @@ impl Options {
             repeats: 1,
             shard_counts: vec![1, 2, 4, 8],
         };
-        let mut args = std::env::args().skip(1);
-        while let Some(flag) = args.next() {
-            let mut value = |name: &str| {
-                args.next().ok_or_else(|| format!("{name} needs a value"))
-            };
+        let known = ["--peers", "--queries", "--repeats", "--scenario", "--shards"];
+        for (flag, value) in flags::pairs(std::env::args().skip(1), &known)? {
             match flag.as_str() {
-                "--peers" => options.peers = parse_number(&value("--peers")?)?,
-                "--queries" => options.queries = parse_number(&value("--queries")?)?,
-                "--repeats" => options.repeats = parse_number(&value("--repeats")?)?.max(1),
-                "--scenario" => options.scenario = value("--scenario")?,
-                "--shards" => {
-                    options.shard_counts = value("--shards")?
-                        .split(',')
-                        .map(parse_number)
-                        .collect::<Result<_, _>>()?;
-                }
-                other => return Err(format!("unknown flag {other}")),
+                "--peers" => options.peers = flags::number(&value)?,
+                "--queries" => options.queries = flags::number(&value)?,
+                "--repeats" => options.repeats = flags::number(&value)?.max(1),
+                "--scenario" => options.scenario = value,
+                "--shards" => options.shard_counts = flags::list(&value)?,
+                other => unreachable!("flags::pairs passed unlisted flag {other}"),
             }
         }
         Ok(options)
     }
-}
-
-fn parse_number(s: &str) -> Result<usize, String> {
-    s.trim().parse().map_err(|_| format!("not a number: {s}"))
 }
 
 /// The determinism fingerprint ([`SimulationReport::fingerprint`]): a cheap

@@ -22,6 +22,7 @@
 use std::time::Instant;
 
 use locaware::{ProtocolKind, Scenario};
+use locaware_bench::flags;
 
 struct Options {
     peers: usize,
@@ -43,30 +44,20 @@ impl Options {
                 "regional-hotspot".to_string(),
             ],
         };
-        let mut args = std::env::args().skip(1);
-        while let Some(flag) = args.next() {
-            let mut value = |name: &str| {
-                args.next().ok_or_else(|| format!("{name} needs a value"))
-            };
+        let known = ["--peers", "--queries", "--repeats", "--scenarios"];
+        for (flag, value) in flags::pairs(std::env::args().skip(1), &known)? {
             match flag.as_str() {
-                "--peers" => options.peers = parse_number(&value("--peers")?)?,
-                "--queries" => options.queries = parse_number(&value("--queries")?)?,
-                "--repeats" => options.repeats = parse_number(&value("--repeats")?)?.max(1),
+                "--peers" => options.peers = flags::number(&value)?,
+                "--queries" => options.queries = flags::number(&value)?,
+                "--repeats" => options.repeats = flags::number(&value)?.max(1),
                 "--scenarios" => {
-                    options.scenarios = value("--scenarios")?
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .collect();
+                    options.scenarios = value.split(',').map(|s| s.trim().to_string()).collect();
                 }
-                other => return Err(format!("unknown flag {other}")),
+                other => unreachable!("flags::pairs passed unlisted flag {other}"),
             }
         }
         Ok(options)
     }
-}
-
-fn parse_number(s: &str) -> Result<usize, String> {
-    s.trim().parse().map_err(|_| format!("not a number: {s}"))
 }
 
 fn main() {

@@ -30,8 +30,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use locaware::{
     ExperimentPlan, ExperimentPoint, Figure, ProtocolKind, Runner, Scenario, SeriesPoint,
     SimulationConfig, SimulationReport,
@@ -39,7 +37,7 @@ use locaware::{
 use locaware_metrics::Table;
 
 /// Which metric a figure plots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricKind {
     /// Figure 2: average download distance in milliseconds.
     DownloadDistance,
@@ -89,7 +87,7 @@ impl MetricKind {
 }
 
 /// The full experiment grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sweep {
     /// Base configuration (the paper's defaults unless scaled down).
     pub config: SimulationConfig,
@@ -180,7 +178,7 @@ fn default_threads() -> usize {
 }
 
 /// One (protocol, query count, repetition) measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointResult {
     /// The protocol evaluated.
     pub protocol: ProtocolKind,
@@ -201,7 +199,7 @@ pub struct PointResult {
 }
 
 /// The aggregated outcome of a sweep: all three figures plus the raw points.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepOutcome {
     /// Raw per-point measurements (every repetition).
     pub points: Vec<PointResult>,
@@ -360,7 +358,7 @@ fn relative_gain(figure: &Figure, a: &str, b: &str) -> f64 {
 }
 
 /// The headline quantities §5.2 quotes, recomputed from a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperClaims {
     /// Paper: "decreased by about 14% compared to the other approaches"
     /// (computed against the mean of the three baselines).
@@ -513,21 +511,85 @@ fn next_value(args: &[String], i: &mut usize) -> Result<String, String> {
         .ok_or_else(|| format!("missing value after {}", args[*i - 1]))
 }
 
+pub mod flags {
+    //! The argument loop of the bench binaries whose flags all take exactly
+    //! one value (`degradation`, `scale_frontier`, `shard_scaling`,
+    //! `workload_regimes`).
+
+    /// Pairs every flag in `args` with the value that follows it. A flag
+    /// outside `known` and a trailing flag without a value are errors.
+    pub fn pairs(
+        args: impl IntoIterator<Item = String>,
+        known: &[&str],
+    ) -> Result<Vec<(String, String)>, String> {
+        let mut args = args.into_iter();
+        let mut pairs = Vec::new();
+        while let Some(flag) = args.next() {
+            if !known.contains(&flag.as_str()) {
+                return Err(format!("unknown flag {flag}"));
+            }
+            let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            pairs.push((flag, value));
+        }
+        Ok(pairs)
+    }
+
+    /// Parses one non-negative integer value.
+    pub fn number(s: &str) -> Result<usize, String> {
+        s.trim().parse().map_err(|_| format!("not a number: {s}"))
+    }
+
+    /// Parses a comma-separated list of non-negative integers.
+    pub fn list(s: &str) -> Result<Vec<usize>, String> {
+        s.split(',').map(number).collect()
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        fn args(words: &[&str]) -> Vec<String> {
+            words.iter().map(|w| w.to_string()).collect()
+        }
+
+        #[test]
+        fn pairs_values_and_rejects_misuse() {
+            let known = ["--peers", "--shards"];
+            let parsed = pairs(args(&["--shards", "1,4", "--peers", "300"]), &known).unwrap();
+            assert_eq!(parsed, vec![
+                ("--shards".to_string(), "1,4".to_string()),
+                ("--peers".to_string(), "300".to_string()),
+            ]);
+            assert_eq!(pairs(args(&[]), &known), Ok(Vec::new()));
+            assert_eq!(
+                pairs(args(&["--peers"]), &known),
+                Err("--peers needs a value".to_string())
+            );
+            assert_eq!(
+                pairs(args(&["--bogus", "1"]), &known),
+                Err("unknown flag --bogus".to_string())
+            );
+        }
+
+        #[test]
+        fn numbers_and_lists_reject_non_numeric_and_empty_elements() {
+            assert_eq!(number(" 42 "), Ok(42));
+            assert_eq!(number("abc"), Err("not a number: abc".to_string()));
+            assert_eq!(number("-1"), Err("not a number: -1".to_string()));
+            assert_eq!(list("1, 2,8"), Ok(vec![1, 2, 8]));
+            assert_eq!(list("1,,2"), Err("not a number: ".to_string()));
+            assert_eq!(list(""), Err("not a number: ".to_string()));
+        }
+    }
+}
+
 pub mod trajectory {
-    //! Reading the committed `BENCH_prN.json` trajectory points.
+    //! A minimal JSON reader for the benchmark's own output.
     //!
-    //! Every performance PR lands a `BENCH_prN.json` at the repository root.
-    //! Since PR 4 each file carries a standardised `"trajectory"` object —
-    //! flat `name → milliseconds/seconds` pairs for the fixed reference
-    //! workloads — so consecutive files are directly comparable. The
-    //! `bench_diff` binary diffs the last two files' trajectories and fails
-    //! CI on a >10% regression.
-    //!
-    //! The offline build has no `serde_json` (the vendored `serde` shims
-    //! expand derives to nothing), so this module includes a minimal JSON
-    //! reader: objects, arrays, strings (no escapes beyond `\"`, `\\`, `\/`,
-    //! `\n`, `\t`), numbers, booleans and null — ample for the bench files we
-    //! write ourselves.
+    //! The build is offline and has no `serde_json`, so `perfbench` (result
+    //! lines, trace files, `--compare`) reads JSON through this module:
+    //! objects, arrays, strings (no escapes beyond `\"`, `\\`, `\/`, `\n`,
+    //! `\t`), numbers, booleans and null — ample for files we write ourselves.
 
     use std::collections::BTreeMap;
 
@@ -576,20 +638,6 @@ pub mod trajectory {
             return Err(format!("trailing content at offset {pos}"));
         }
         Ok(value)
-    }
-
-    /// The flat `"trajectory"` table of a bench file: metric name → value.
-    /// Non-numeric entries (e.g. a `"note"`) are skipped.
-    pub fn of_bench_file(document: &Value) -> BTreeMap<String, f64> {
-        let mut table = BTreeMap::new();
-        if let Some(Value::Object(entries)) = document.get("trajectory") {
-            for (name, value) in entries {
-                if let Some(number) = value.as_number() {
-                    table.insert(name.clone(), number);
-                }
-            }
-        }
-        table
     }
 
     fn skip_whitespace(chars: &[char], pos: &mut usize) {
@@ -732,11 +780,12 @@ pub mod trajectory {
                 "nested": {"list": [1, -2.5, 3e2, true, null]}
             }"#;
             let document = parse(text).expect("valid JSON");
-            let table = of_bench_file(&document);
-            assert_eq!(table.len(), 3, "non-numeric entries are skipped");
-            assert_eq!(table["locaware_ms"], 67.5);
-            assert_eq!(table["flooding_ms"], 340.4);
-            assert_eq!(table["suite_s"], 0.37);
+            let trajectory = document.get("trajectory").expect("object entry");
+            let number = |key: &str| trajectory.get(key).and_then(Value::as_number);
+            assert_eq!(number("locaware_ms"), Some(67.5));
+            assert_eq!(number("flooding_ms"), Some(340.4));
+            assert_eq!(number("suite_s"), Some(0.37));
+            assert_eq!(number("note"), None, "a string is not a number");
             assert_eq!(
                 document.get("nested").and_then(|n| n.get("list")),
                 Some(&Value::Array(vec![
@@ -747,12 +796,6 @@ pub mod trajectory {
                     Value::Null,
                 ]))
             );
-        }
-
-        #[test]
-        fn files_without_a_trajectory_yield_an_empty_table() {
-            let document = parse(r#"{"pr": 3}"#).unwrap();
-            assert!(of_bench_file(&document).is_empty());
         }
 
         #[test]

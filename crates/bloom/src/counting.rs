@@ -7,13 +7,11 @@
 //! neighbours. This mirrors the Summary-Cache design ([Fan et al. 1998], cited
 //! by the paper) where counting filters stay local and plain bit vectors travel.
 
-use serde::{Deserialize, Serialize};
-
 use crate::filter::{BloomFilter, BloomParams};
 use crate::hashing::ElementHashes;
 
 /// A Bloom filter with per-position counters, supporting element removal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountingBloomFilter {
     params: BloomParams,
     counters: Vec<u16>,

@@ -11,12 +11,10 @@
 //! flipped between two filter snapshots, plus the cost accounting (11 bits per
 //! position for a 1200-bit filter, `ceil(log2 m)` in general).
 
-use serde::{Deserialize, Serialize};
-
 use crate::filter::BloomFilter;
 
 /// The set of bit positions that flipped between two snapshots of a filter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomDelta {
     /// Flipped bit positions, in increasing order.
     positions: Vec<u32>,

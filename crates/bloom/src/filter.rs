@@ -1,12 +1,10 @@
 //! The plain Bloom filter exchanged between neighbours.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hashing::ElementHashes;
 use crate::{DEFAULT_HASHES, PAPER_FILTER_BITS};
 
 /// Size/shape parameters of a Bloom filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BloomParams {
     /// Number of bits in the filter (`m`).
     pub bits: usize,
@@ -54,7 +52,7 @@ impl BloomParams {
 }
 
 /// A fixed-size Bloom filter over string elements (keywords).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BloomFilter {
     params: BloomParams,
     words: Vec<u64>,

@@ -6,8 +6,6 @@
 //! experiment binaries only override the number of queries and the protocol
 //! under test.
 
-use serde::{Deserialize, Serialize};
-
 use locaware_net::brite::PlacementModel;
 use locaware_overlay::{ChurnConfig, GraphModel};
 use locaware_workload::{
@@ -231,7 +229,7 @@ impl std::error::Error for ConfigError {}
 
 /// Which protocol a run evaluates (the four curves of Figures 2–4, plus
 /// ablation variants of Locaware used by the ablation benchmarks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// Gnutella-style blind flooding, no index caching (baseline of Figure 3/4).
     Flooding,
@@ -325,7 +323,7 @@ impl std::fmt::Display for ProtocolKind {
 /// protocols' subsystem). Defaults follow the original Kademlia paper where
 /// it gives values (`alpha = 3`) and common deployments elsewhere, scaled to
 /// the simulated population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DhtConfig {
     /// Replication factor and bucket size `k`: each record lives on the `k`
     /// nodes closest to its key, and each routing-table bucket keeps up to
@@ -373,7 +371,7 @@ impl Default for DhtConfig {
 }
 
 /// Every knob of the simulated system, defaulting to the paper's §5.1 values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationConfig {
     /// Master seed from which every random stream is derived.
     pub seed: u64,

@@ -41,12 +41,12 @@
 //! Peers are partitioned by *locality*: sorted by `(locId, peer id)` and cut
 //! into contiguous, balanced chunks. The partition only affects performance,
 //! never results — but locality-aligned shards push the minimum cross-shard
-//! link latency (the window length, see
-//! [`LinkLatencyCache::min_cross_partition_latency`]) far above the global
-//! minimum link latency, which is what buys long windows and real parallelism.
+//! link latencies (the per-channel lookaheads, see
+//! [`LinkLatencyCache::incoming_channel_mins`]) far above the global minimum
+//! link latency, which is what buys long windows and real parallelism.
 //!
-//! [`LinkLatencyCache::min_cross_partition_latency`]:
-//!   locaware_net::LinkLatencyCache::min_cross_partition_latency
+//! [`LinkLatencyCache::incoming_channel_mins`]:
+//!   locaware_net::LinkLatencyCache::incoming_channel_mins
 
 use locaware_net::LocId;
 use locaware_overlay::{Message, PeerId};

@@ -63,7 +63,7 @@
 //! count produces bit-identical [`SimulationReport`]s** — `shards = 1` is
 //! simply the degenerate case with one queue, an unbounded window and no
 //! threads. `tests/determinism.rs` pins the equality over shards {1, 2, 4, 8}
-//! for all six protocols, with and without churn.
+//! for all eight protocols, with and without churn.
 //!
 //! The one carve-out: if a run trips the `max_events` safety valve (a bound
 //! "well-formed simulations never hit"), sharded runs stop at the next window

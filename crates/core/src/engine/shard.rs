@@ -442,40 +442,16 @@ impl ShardState {
             } else {
                 None
             };
-            shared
-                .keyword_hashes
-                .of_all_into(&query.keywords, &mut self.scratch_hashes);
-            let mut targets = std::mem::take(&mut self.scratch_targets);
-            let decision = {
-                let qctx = QueryContext {
-                    query: query_id,
-                    origin,
-                    origin_loc,
-                    keywords: &query.keywords,
-                    keyword_hashes: &self.scratch_hashes,
-                    target_filename,
-                };
-                let view = self.view(graph, shared, slot);
-                shared
-                    .protocol
-                    .forward_targets_into(&view, &qctx, None, &mut targets)
-            };
-            self.tallies.decision_counts[decision_index(decision)] += 1;
-
-            let message = Message::Query {
-                query: query_id,
+            let sent = self.flood_from_origin(
+                shared,
+                graph,
+                now,
+                index,
                 origin,
-                origin_loc,
-                keywords: query.keywords.iter().map(|k| k.0).collect(),
-                target_filename: target_filename.map(|f| f.0),
-                ttl: shared.config.ttl,
-            };
-            for &target in &targets {
-                self.send(shared, now, origin, target, message.clone(), Some(index));
-            }
-            let sent = !targets.is_empty();
-            targets.clear();
-            self.scratch_targets = targets;
+                query_id,
+                &query.keywords,
+                target_filename,
+            );
             // Arm the retransmit deadline for attempt 0 — only if the issue
             // actually put messages in flight (a query with no forward
             // targets is born complete and retrying it would re-flood into
@@ -502,6 +478,60 @@ impl ShardState {
         if self.outstanding[index] == 0 && !self.escaped[index] {
             self.complete_locally(shared, index, now);
         }
+    }
+
+    /// Floods `query_id` from `origin` at full TTL on behalf of arrival
+    /// `index`: the protocol picks the origin's forward targets (there is no
+    /// upstream), the decision is tallied and every target is sent one copy
+    /// of the query. Returns whether anything was sent.
+    #[allow(clippy::too_many_arguments)]
+    fn flood_from_origin(
+        &mut self,
+        shared: &RunShared<'_>,
+        graph: &OverlayGraph,
+        now: SimTime,
+        index: usize,
+        origin: PeerId,
+        query_id: QueryId,
+        keywords: &[KeywordId],
+        target_filename: Option<FileId>,
+    ) -> bool {
+        let origin_loc = shared.loc_ids[origin.index()];
+        shared
+            .keyword_hashes
+            .of_all_into(keywords, &mut self.scratch_hashes);
+        let mut targets = std::mem::take(&mut self.scratch_targets);
+        let decision = {
+            let qctx = QueryContext {
+                query: query_id,
+                origin,
+                origin_loc,
+                keywords,
+                keyword_hashes: &self.scratch_hashes,
+                target_filename,
+            };
+            let view = self.view(graph, shared, shared.partition.slot(origin));
+            shared
+                .protocol
+                .forward_targets_into(&view, &qctx, None, &mut targets)
+        };
+        self.tallies.decision_counts[decision_index(decision)] += 1;
+
+        let message = Message::Query {
+            query: query_id,
+            origin,
+            origin_loc,
+            keywords: keywords.iter().map(|k| k.0).collect(),
+            target_filename: target_filename.map(|f| f.0),
+            ttl: shared.config.ttl,
+        };
+        for &target in &targets {
+            self.send(shared, now, origin, target, message.clone(), Some(index));
+        }
+        let sent = !targets.is_empty();
+        targets.clear();
+        self.scratch_targets = targets;
+        sent
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -864,12 +894,6 @@ impl ShardState {
             }
             Message::BloomDelta { delta } => {
                 self.peers[slot].apply_neighbor_bloom_delta(from, &delta);
-            }
-            Message::GroupAnnounce { gid } => {
-                self.peers[slot].record_neighbor(from, crate::group::GroupId(gid));
-            }
-            Message::Ping | Message::Pong => {
-                // Keep-alives carry no protocol state.
             }
         }
     }
@@ -1274,7 +1298,7 @@ impl ShardState {
         index: usize,
         attempt: u32,
     ) {
-        let (origin, origin_loc, keywords, target_filename) = {
+        let (origin, keywords, target_filename) = {
             let Some(tracking) = self.tracking.get(&(index as u32)) else {
                 return;
             };
@@ -1287,12 +1311,7 @@ impl ShardState {
             if retry.attempt != attempt {
                 return;
             }
-            (
-                tracking.origin,
-                tracking.origin_loc,
-                retry.keywords.clone(),
-                retry.target_filename,
-            )
+            (tracking.origin, retry.keywords.clone(), retry.target_filename)
         };
         self.tallies.query_timeouts += 1;
         let Some(policy) = shared.faults.as_ref().and_then(|f| f.query_retransmit()) else {
@@ -1311,40 +1330,17 @@ impl ShardState {
         let next = attempt + 1;
         let query_id = attempt_id(index, next);
         self.peers[slot].router.on_query(query_id, None);
-        shared
-            .keyword_hashes
-            .of_all_into(&keywords, &mut self.scratch_hashes);
-        let mut targets = std::mem::take(&mut self.scratch_targets);
-        let decision = {
-            let qctx = QueryContext {
-                query: query_id,
-                origin,
-                origin_loc,
-                keywords: &keywords,
-                keyword_hashes: &self.scratch_hashes,
-                target_filename,
-            };
-            let view = self.view(graph, shared, slot);
-            shared
-                .protocol
-                .forward_targets_into(&view, &qctx, None, &mut targets)
-        };
-        self.tallies.decision_counts[decision_index(decision)] += 1;
-        let message = Message::Query {
-            query: query_id,
-            origin,
-            origin_loc,
-            keywords: keywords.iter().map(|k| k.0).collect(),
-            target_filename: target_filename.map(|f| f.0),
-            ttl: shared.config.ttl,
-        };
         let now = key.time;
-        for &target in &targets {
-            self.send(shared, now, origin, target, message.clone(), Some(index));
-        }
-        let sent = !targets.is_empty();
-        targets.clear();
-        self.scratch_targets = targets;
+        let sent = self.flood_from_origin(
+            shared,
+            graph,
+            now,
+            index,
+            origin,
+            query_id,
+            &keywords,
+            target_filename,
+        );
         if sent {
             self.tallies.query_retransmits += 1;
             if let Some(retry) = self

@@ -15,14 +15,11 @@ use locaware_overlay::{ForwardDecision, MessageKind};
 use locaware_sim::EventKey;
 
 /// Every message kind with its report label, in tally-array index order.
-pub(super) const MESSAGE_KINDS: [(MessageKind, &str); 10] = [
+pub(super) const MESSAGE_KINDS: [(MessageKind, &str); 7] = [
     (MessageKind::Query, "query"),
     (MessageKind::QueryResponse, "query-response"),
     (MessageKind::BloomFull, "bloom-full"),
     (MessageKind::BloomDelta, "bloom-delta"),
-    (MessageKind::GroupAnnounce, "group-announce"),
-    (MessageKind::Ping, "ping"),
-    (MessageKind::Pong, "pong"),
     (MessageKind::DhtLookup, "dht-lookup"),
     (MessageKind::DhtLookupReply, "dht-lookup-reply"),
     (MessageKind::DhtStore, "dht-store"),
@@ -43,12 +40,9 @@ pub(super) fn kind_index(kind: MessageKind) -> usize {
         MessageKind::QueryResponse => 1,
         MessageKind::BloomFull => 2,
         MessageKind::BloomDelta => 3,
-        MessageKind::GroupAnnounce => 4,
-        MessageKind::Ping => 5,
-        MessageKind::Pong => 6,
-        MessageKind::DhtLookup => 7,
-        MessageKind::DhtLookupReply => 8,
-        MessageKind::DhtStore => 9,
+        MessageKind::DhtLookup => 4,
+        MessageKind::DhtLookupReply => 5,
+        MessageKind::DhtStore => 6,
     }
 }
 
@@ -267,11 +261,11 @@ mod tests {
     fn labelled_counters_omit_untouched_labels() {
         let mut counts = [0u64; MESSAGE_KINDS.len()];
         counts[kind_index(MessageKind::Query)] = 3;
-        counts[kind_index(MessageKind::Pong)] = 1;
+        counts[kind_index(MessageKind::DhtStore)] = 1;
         let set = labelled_counters(&MESSAGE_KINDS, &counts);
         assert_eq!(set.len(), 2, "zero counters must not appear in reports");
         assert_eq!(set.get(&"query".to_string()), 3);
-        assert_eq!(set.get(&"pong".to_string()), 1);
+        assert_eq!(set.get(&"dht-store".to_string()), 1);
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //! whole filename, which is what produces its duplicated cache entries.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use locaware_workload::{FileId, KeywordId};
 
 /// A peer's group id in `[0, M)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(pub u32);
 
 impl GroupId {
@@ -32,7 +31,7 @@ impl std::fmt::Display for GroupId {
 }
 
 /// The group-assignment scheme: the modulus `M` plus the hash rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupScheme {
     modulus: u32,
 }

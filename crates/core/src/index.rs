@@ -34,14 +34,12 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use locaware_net::LocId;
 use locaware_overlay::PeerId;
 use locaware_workload::{FileId, KeywordId};
 
 /// One provider entry in the index: address + location id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProviderRecord {
     /// The provider peer.
     pub peer: PeerId,
@@ -52,7 +50,7 @@ pub struct ProviderRecord {
 }
 
 /// A cached filename with its known providers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexEntry {
     /// The file this entry indexes.
     pub file: FileId,
@@ -94,7 +92,7 @@ pub struct Eviction {
 }
 
 /// The bounded, location-aware response index of one peer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResponseIndex {
     entries: HashMap<FileId, IndexEntry>,
     /// Maximum number of distinct filenames (paper: 50).
@@ -123,7 +121,7 @@ pub struct ResponseIndex {
 /// With a 9000-keyword pool and ~50 cached filenames of 3 keywords, almost
 /// every keyword maps to exactly one file; storing that case inline avoids a
 /// heap allocation per keyword on the insert/evict path.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum PostingsList {
     /// A single file (no heap allocation).
     One(FileId),

@@ -27,8 +27,7 @@
 //!   and Locaware (plus ablation variants),
 //! * [`engine`] — the event-driven execution of one run (internal),
 //! * [`simulation`] — substrate construction and the public run API,
-//! * [`results`] — per-run reports feeding the figures,
-//! * [`analysis`] — post-run distributional and warm-up analysis.
+//! * [`results`] — per-run reports feeding the figures.
 //!
 //! ## Quick start
 //!
@@ -66,7 +65,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod analysis;
 pub mod config;
 pub mod engine;
 pub mod experiment;
@@ -78,7 +76,6 @@ pub mod provider;
 pub mod results;
 pub mod simulation;
 
-pub use analysis::{RunAnalysis, WarmupPoint};
 pub use config::{ConfigError, ProtocolKind, SimulationConfig};
 pub use experiment::{
     ExperimentOutcome, ExperimentPlan, ExperimentPoint, PlanError, Runner, Scenario,

@@ -10,14 +10,13 @@
 //! the population average (the flat curves of Figure 2).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use locaware_net::{LinkLatencyCache, LocId, PhysicalTopology};
 use locaware_overlay::{PeerId, ProviderEntry};
 use locaware_sim::Duration;
 
 /// How a requestor chooses among offered providers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectionPolicy {
     /// Uniformly random choice (location-oblivious baselines).
     Random,

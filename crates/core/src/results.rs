@@ -1,13 +1,11 @@
 //! Results of one simulation run.
 
-use serde::{Deserialize, Serialize};
-
 use locaware_metrics::{CounterSet, RunMetrics, Table};
 
 use crate::config::ProtocolKind;
 
 /// End-of-run statistics of the DHT subsystem (structured protocols only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DhtRunStats {
     /// Queries that resolved through the DHT (for the hybrid, only the
     /// tail-rank share of the workload).
@@ -42,7 +40,7 @@ impl DhtRunStats {
 }
 
 /// End-of-run statistics of the fault plan (runs with any fault axis armed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultRunStats {
     /// Messages dropped at send time by the loss coin or an outage window.
     pub messages_lost: u64,
@@ -62,7 +60,7 @@ pub struct FaultRunStats {
 }
 
 /// Everything measured during one run of one protocol.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimulationReport {
     /// The protocol evaluated.
     pub protocol: ProtocolKind,

@@ -1,7 +1,5 @@
 //! Basic statistical aggregation used by the figures and the tests.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -35,7 +33,7 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 }
 
 /// A compact numeric summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,

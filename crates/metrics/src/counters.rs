@@ -8,10 +8,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
-use serde::{Deserialize, Serialize};
-
 /// A set of named `u64` counters keyed by an ordered key type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSet<K: Ord> {
     counts: BTreeMap<K, u64>,
 }

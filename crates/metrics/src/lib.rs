@@ -28,14 +28,12 @@
 
 pub mod aggregate;
 pub mod counters;
-pub mod histogram;
 pub mod query_record;
 pub mod report;
 pub mod series;
 
 pub use aggregate::{mean, percentile, std_dev, Summary};
 pub use counters::CounterSet;
-pub use histogram::Histogram;
 pub use query_record::{QueryOutcome, QueryRecord, RunMetrics};
 pub use report::{format_table, to_csv, Table};
 pub use series::{Figure, SeriesPoint};

@@ -3,12 +3,11 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::aggregate::Summary;
 
 /// How a query ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryOutcome {
     /// At least one response reached the requestor (the file was located).
     Satisfied,
@@ -20,7 +19,7 @@ pub enum QueryOutcome {
 ///
 /// Durations are stored as milliseconds so this crate stays independent of the
 /// simulation-time type; the engine converts when it records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRecord {
     /// Ordinal of the query within the run (0-based issue order).
     pub index: u64,
@@ -58,7 +57,7 @@ impl QueryRecord {
 }
 
 /// Aggregated metrics over a run (or a prefix of one).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunMetrics {
     records: Vec<QueryRecord>,
 }

@@ -5,10 +5,8 @@
 //! is a tiny column-aligned table builder used for anything that is not a
 //! per-figure series (parameter listings, summary comparisons, ablations).
 
-use serde::{Deserialize, Serialize};
-
 /// A simple column-aligned table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,

@@ -9,10 +9,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// One (x, y) point of a curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {
     /// Number of queries issued (the x-axis of every figure).
     pub queries: u64,
@@ -21,7 +19,7 @@ pub struct SeriesPoint {
 }
 
 /// A figure: a named metric with one curve per protocol label.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure {
     /// Figure title, e.g. `"Figure 2: download distance (ms)"`.
     pub title: String,

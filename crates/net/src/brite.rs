@@ -14,13 +14,12 @@
 //! fall in the configured range.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::coordinates::Point;
 use crate::topology::{LatencyModel, PhysicalTopology};
 
 /// How peers are spread over the plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlacementModel {
     /// Uniform i.i.d. placement over the unit square (BRITE "random" mode).
     Uniform,
@@ -37,7 +36,7 @@ pub enum PlacementModel {
 }
 
 /// Configuration of the BRITE-inspired generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BriteConfig {
     /// Number of peers to place.
     pub nodes: usize,

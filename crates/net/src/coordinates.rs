@@ -6,10 +6,8 @@
 //! latency grows monotonically with distance, so peers that are close in the
 //! plane behave like peers in the same region of the Internet.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in the unit square `[0, 1] × [0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// Horizontal coordinate in `[0, 1]`.
     pub x: f64,

@@ -12,7 +12,6 @@
 
 use locaware_sim::Duration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::coordinates::Point;
 use crate::locid::LocId;
@@ -55,7 +54,7 @@ impl RttVector {
 }
 
 /// A set of landmark machines at fixed positions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LandmarkSet {
     positions: Vec<Point>,
 }

@@ -116,62 +116,6 @@ impl LinkLatencyCache {
         })
     }
 
-    /// The smallest cached latency among links whose endpoints fall in
-    /// *different* partition cells under `assignment` (node index → cell).
-    ///
-    /// This is the conservative lookahead of a sharded simulator: a message
-    /// sent over a link at time `t` cannot reach another shard before
-    /// `t + min_cross_partition_latency`, so shards may safely run `W` of
-    /// simulated time ahead of each other between merges. Returns `None` when
-    /// no cached link crosses a cell boundary (e.g. a single-cell partition),
-    /// which callers should read as "unbounded lookahead".
-    ///
-    /// Nodes outside `assignment` (shorter slice than the topology) are
-    /// treated as cell 0.
-    pub fn min_cross_partition_latency(&self, assignment: &[u32]) -> Option<Duration> {
-        let cell = |n: NodeId| assignment.get(n.index()).copied().unwrap_or(0);
-        self.links()
-            .filter(|&(a, b, _)| cell(a) != cell(b))
-            .map(|(_, _, latency)| latency)
-            .min()
-    }
-
-    /// Per-cell latency structure of the cached link set under `assignment`
-    /// (node index → cell in `0..cells`): how many links stay inside each
-    /// cell, how many leave it, and the minimum latency of each kind.
-    ///
-    /// The per-cell `cross_min` values are what a sharded engine consults to
-    /// reason about a partition's quality: the global window length is the
-    /// minimum over all cells (equal to
-    /// [`LinkLatencyCache::min_cross_partition_latency`]), and a cell with a
-    /// much smaller `cross_min` than its peers marks a bad partition boundary.
-    pub fn partition_views(&self, assignment: &[u32], cells: usize) -> Vec<PartitionView> {
-        let mut views: Vec<PartitionView> = (0..cells)
-            .map(|cell| PartitionView {
-                cell: cell as u32,
-                intra_links: 0,
-                cross_links: 0,
-                intra_min: None,
-                cross_min: None,
-            })
-            .collect();
-        let cell_of = |n: NodeId| assignment.get(n.index()).copied().unwrap_or(0);
-        for (from, to, latency) in self.links() {
-            let cell = cell_of(from) as usize;
-            let Some(view) = views.get_mut(cell) else {
-                continue;
-            };
-            if cell_of(from) == cell_of(to) {
-                view.intra_links += 1;
-                view.intra_min = Some(view.intra_min.map_or(latency, |m: Duration| m.min(latency)));
-            } else {
-                view.cross_links += 1;
-                view.cross_min = Some(view.cross_min.map_or(latency, |m: Duration| m.min(latency)));
-            }
-        }
-        views
-    }
-
     /// Per-(src, dst)-cell channel minima of the cached link set under
     /// `assignment` (node index → cell in `0..cells`): `matrix[src][dst]` is
     /// the smallest latency of any cached link from a node in `src` to a node
@@ -183,7 +127,7 @@ impl LinkLatencyCache {
     /// `t` cannot arrive before `t + matrix[j][i]`, so shard `i` may safely
     /// advance to `min over incoming j of (frontier + matrix[j][i])` — a
     /// per-destination bound that is never tighter, and usually much looser,
-    /// than the global [`LinkLatencyCache::min_cross_partition_latency`].
+    /// than the smallest latency of any cell-crossing link.
     pub fn channel_mins(&self, assignment: &[u32], cells: usize) -> Vec<Vec<Option<Duration>>> {
         let mut matrix = vec![vec![None; cells]; cells];
         let cell_of = |n: NodeId| assignment.get(n.index()).copied().unwrap_or(0);
@@ -213,22 +157,6 @@ impl LinkLatencyCache {
             })
             .collect()
     }
-}
-
-/// One partition cell's view of the cached link set; see
-/// [`LinkLatencyCache::partition_views`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionView {
-    /// The cell this view describes.
-    pub cell: u32,
-    /// Directed cached links starting in this cell and staying inside it.
-    pub intra_links: usize,
-    /// Directed cached links starting in this cell and leaving it.
-    pub cross_links: usize,
-    /// Smallest intra-cell link latency, if any such link is cached.
-    pub intra_min: Option<Duration>,
-    /// Smallest latency of a link leaving this cell, if any is cached.
-    pub cross_min: Option<Duration>,
 }
 
 #[cfg(test)]
@@ -271,39 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_views_and_cross_minimum_agree() {
-        let topo = topology();
-        // Links 0-1, 1-2 (within cell 0), 2-20, 3-21 (crossing into cell 1).
-        let edges = [
-            (NodeId(0), NodeId(1)),
-            (NodeId(1), NodeId(2)),
-            (NodeId(2), NodeId(20)),
-            (NodeId(3), NodeId(21)),
-        ];
-        let cache = LinkLatencyCache::build(&topo, edges);
-        let assignment: Vec<u32> = (0..40).map(|i| u32::from(i >= 20)).collect();
-
-        let cross_min = cache
-            .min_cross_partition_latency(&assignment)
-            .expect("two links cross the partition");
-        let expected = topo
-            .latency(NodeId(2), NodeId(20))
-            .min(topo.latency(NodeId(3), NodeId(21)));
-        assert_eq!(cross_min, expected);
-
-        let views = cache.partition_views(&assignment, 2);
-        assert_eq!(views.len(), 2);
-        assert_eq!(views[0].intra_links, 4, "0-1 and 1-2, both directions");
-        assert_eq!(views[0].cross_links, 2, "2->20 and 3->21");
-        assert_eq!(views[1].cross_links, 2, "20->2 and 21->3");
-        assert_eq!(views[1].intra_links, 0);
-        assert_eq!(views[1].intra_min, None);
-        // The global window length is the minimum over all per-cell views.
-        let per_cell_min = views.iter().filter_map(|v| v.cross_min).min();
-        assert_eq!(per_cell_min, Some(cross_min));
-    }
-
-    #[test]
     fn channel_mins_match_per_link_minima() {
         let topo = topology();
         // Cells: [0, 20) = 0, [20, 40) = 1. Two links crossing 0→1, one
@@ -325,13 +220,9 @@ mod tests {
         assert_eq!(matrix[0][0], Some(topo.latency(NodeId(0), NodeId(1))));
         assert_eq!(matrix[1][1], None, "no intra-cell link in cell 1");
 
-        // Incoming mins agree with the matrix and with the global minimum.
+        // Incoming mins agree with the matrix.
         let incoming = cache.incoming_channel_mins(&assignment, 2);
         assert_eq!(incoming, vec![Some(cross), Some(cross)]);
-        assert_eq!(
-            incoming.iter().copied().flatten().min(),
-            cache.min_cross_partition_latency(&assignment)
-        );
     }
 
     #[test]
@@ -350,9 +241,8 @@ mod tests {
         let incoming = cache.incoming_channel_mins(&assignment, 3);
         assert_eq!(incoming[1], Some(l01), "cell 1 only hears from cell 0");
         assert_eq!(incoming[2], Some(l02), "cell 2 only hears from cell 0");
-        assert_eq!(incoming[0], Some(l01.min(l02)));
-        let global = cache.min_cross_partition_latency(&assignment).unwrap();
-        assert_eq!(global, l01.min(l02));
+        let global = l01.min(l02);
+        assert_eq!(incoming[0], Some(global));
         // The looser of the two incoming bounds strictly beats the global
         // floor whenever the two link latencies differ.
         if l01 != l02 {
@@ -365,10 +255,9 @@ mod tests {
         let topo = topology();
         let cache = LinkLatencyCache::build(&topo, [(NodeId(0), NodeId(1))]);
         let assignment = vec![0u32; 40];
-        assert_eq!(cache.min_cross_partition_latency(&assignment), None);
-        let views = cache.partition_views(&assignment, 1);
-        assert_eq!(views[0].cross_links, 0);
-        assert_eq!(views[0].intra_links, 2);
+        assert_eq!(cache.incoming_channel_mins(&assignment, 1), vec![None]);
+        let intra = topo.latency(NodeId(0), NodeId(1));
+        assert_eq!(cache.channel_mins(&assignment, 1), vec![vec![Some(intra)]]);
     }
 
     #[test]

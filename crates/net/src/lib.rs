@@ -47,7 +47,7 @@ pub mod topology;
 pub use brite::{BriteConfig, BriteGenerator};
 pub use coordinates::Point;
 pub use landmark::{LandmarkSet, RttVector};
-pub use latency_cache::{LinkLatencyCache, PartitionView};
+pub use latency_cache::LinkLatencyCache;
 pub use locid::LocId;
 pub use parallel::{build_threads, map_indexed};
 pub use proximity::{closest_by_rtt, ProximityProbe};

@@ -10,10 +10,8 @@
 //! `0..k`) as its **Lehmer code** index in `[0, k!)`, which gives a compact,
 //! stable integer id and an exact inverse for debugging and tests.
 
-use serde::{Deserialize, Serialize};
-
 /// A location identifier: the Lehmer index of a landmark-RTT ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LocId(pub u32);
 
 impl LocId {

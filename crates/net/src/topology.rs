@@ -15,7 +15,6 @@
 //! topology seed, so lookups are reproducible and symmetric.
 
 use locaware_sim::Duration;
-use serde::{Deserialize, Serialize};
 
 use crate::coordinates::Point;
 
@@ -23,7 +22,7 @@ use crate::coordinates::Point;
 ///
 /// The same integer is used as the peer id at the overlay layer, so crossing
 /// layers never needs a translation table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -40,7 +39,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Latency-model parameters shared by every pair of nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// One-way latency of two co-located nodes, in milliseconds.
     pub min_latency_ms: f64,
@@ -91,7 +90,7 @@ impl LatencyModel {
 }
 
 /// Positions of all nodes plus the latency model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PhysicalTopology {
     positions: Vec<Point>,
     model: LatencyModel,

@@ -13,12 +13,11 @@
 
 use locaware_sim::{Duration, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::PeerId;
 
 /// Whether a churn event takes the peer offline or brings it back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnEventKind {
     /// The peer leaves the overlay (its edges disappear, its cache is lost).
     Leave,
@@ -38,7 +37,7 @@ pub struct ChurnEvent {
 }
 
 /// Parameters of the exponential on/off churn model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
     /// Mean online session length.
     pub mean_session_secs: f64,

@@ -13,13 +13,12 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::graph::OverlayGraph;
 use crate::PeerId;
 
 /// Which random-graph family to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GraphModel {
     /// Connected random graph with a target average degree (paper default).
     Random,
@@ -29,7 +28,7 @@ pub enum GraphModel {
 }
 
 /// Configuration of the overlay generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneratorConfig {
     /// Number of peers.
     pub peers: usize,

@@ -17,8 +17,8 @@
 //! * [`generator`] — graph generators: Erdős–Rényi-style random wiring and a
 //!   preferential-attachment variant with a heavier-tailed degree distribution,
 //! * [`message`] — the overlay message vocabulary (queries, query responses,
-//!   Bloom-filter updates, DHT lookups/stores, keep-alives) with wire-size
-//!   estimation used by the traffic metrics,
+//!   Bloom-filter updates, DHT lookups/stores), the message kinds the traffic
+//!   counters key on, and a per-message wire-size model,
 //! * [`dht`] — Kademlia-style structured-overlay primitives (160-bit XOR key
 //!   space, k-bucket routing tables, size-capped keyword→provider records)
 //!   used by the structured `dht-index`/`hybrid` protocol family,
@@ -41,15 +41,13 @@ pub mod generator;
 pub mod graph;
 pub mod message;
 pub mod routing;
-pub mod stats;
 
 pub use churn::{ChurnConfig, ChurnEvent, ChurnEventKind, ChurnModel};
 pub use dht::{DhtDistance, DhtId, DhtNode, DhtRecordStore, RoutingTable, DHT_ID_BITS, DHT_ID_BYTES};
 pub use generator::{GeneratorConfig, GraphModel};
 pub use graph::OverlayGraph;
-pub use message::{Message, MessageId, MessageKind, ProviderEntry, QueryId};
+pub use message::{Message, MessageKind, ProviderEntry, QueryId};
 pub use routing::{ForwardDecision, QueryRouter};
-pub use stats::GraphStats;
 
 /// Peers are identified by the same id at the overlay and underlay layers, so
 /// no translation table is needed when crossing layers.

@@ -1,33 +1,28 @@
 //! Overlay messages.
 //!
-//! The message vocabulary covers everything the four evaluated protocols
-//! exchange: keyword/filename queries, query responses carrying provider
-//! indexes, Bloom-filter announcements (full or incremental), group-id
-//! announcements and keep-alives.
+//! The message vocabulary covers everything the evaluated protocols exchange:
+//! keyword/filename queries, query responses carrying provider indexes,
+//! Bloom-filter announcements (full or incremental) and the structured
+//! family's DHT lookup steps and record stores.
 //!
-//! Each message knows how to estimate its wire size; the traffic metrics of the
-//! evaluation count *messages* (as the paper does for Figure 3) but the
-//! byte-level accounting lets the bandwidth ablation quantify the footnote-1
-//! claim that incremental Bloom updates are negligible.
+//! The evaluation counts *messages* (as the paper does for Figure 3), keyed by
+//! [`MessageKind`]. [`Message::wire_size`] additionally states what each
+//! message would occupy in a compact binary encoding — the size model behind
+//! the footnote-1 claim that incremental Bloom updates are negligible next to
+//! full filters; no run metric reads it.
 
 use std::sync::Arc;
 
-use bytes::{BufMut, BytesMut};
 use locaware_bloom::{BloomDelta, BloomFilter};
 use locaware_net::LocId;
-use serde::{Deserialize, Serialize};
 
 use crate::PeerId;
 
 /// Globally unique identifier of a query (assigned by the simulation when the
 /// query is issued; all forwarded copies share it, which is what duplicate
 /// suppression keys on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueryId(pub u64);
-
-/// Globally unique identifier of an individual message transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct MessageId(pub u64);
 
 /// A keyword is referenced by its id in the global keyword pool; hashing and
 /// Bloom membership operate on the id's canonical byte representation, so the
@@ -39,7 +34,7 @@ pub type FileId = u32;
 
 /// One provider index entry: the address of a peer providing the file plus its
 /// location id (the paper's location-aware index entry, e.g. "(D, 1)").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProviderEntry {
     /// The provider peer.
     pub provider: PeerId,
@@ -48,7 +43,7 @@ pub struct ProviderEntry {
 }
 
 /// The classification of a message, used by the traffic counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageKind {
     /// A query being flooded/forwarded.
     Query,
@@ -58,12 +53,6 @@ pub enum MessageKind {
     BloomFull,
     /// An incremental (changed-bits) Bloom update.
     BloomDelta,
-    /// A group-id announcement exchanged between new neighbours.
-    GroupAnnounce,
-    /// A keep-alive probe.
-    Ping,
-    /// A keep-alive reply.
-    Pong,
     /// An iterative DHT lookup step (structured protocols).
     DhtLookup,
     /// The reply to a DHT lookup step.
@@ -131,15 +120,6 @@ pub enum Message {
         /// The changed-bit positions.
         delta: BloomDelta,
     },
-    /// Group id announcement ("Neighboring peers exchange their group Ids").
-    GroupAnnounce {
-        /// The sender's group id.
-        gid: u32,
-    },
-    /// Keep-alive probe.
-    Ping,
-    /// Keep-alive reply.
-    Pong,
     /// One step of an iterative Kademlia-style lookup: the query's *origin*
     /// asks the receiver for the providers it stores under `keyword`'s record
     /// key, plus the contacts it knows closer to that key. Query-charged
@@ -189,142 +169,53 @@ impl Message {
             Message::QueryResponse { .. } => MessageKind::QueryResponse,
             Message::BloomFull { .. } => MessageKind::BloomFull,
             Message::BloomDelta { .. } => MessageKind::BloomDelta,
-            Message::GroupAnnounce { .. } => MessageKind::GroupAnnounce,
-            Message::Ping => MessageKind::Ping,
-            Message::Pong => MessageKind::Pong,
             Message::DhtLookup { .. } => MessageKind::DhtLookup,
             Message::DhtLookupReply { .. } => MessageKind::DhtLookupReply,
             Message::DhtStore { .. } => MessageKind::DhtStore,
         }
     }
 
-    /// Serialises the message into a compact binary form and returns the bytes.
-    ///
-    /// The encoding is only used for size accounting (the simulation passes
-    /// messages by value); it is nevertheless a complete, deterministic
-    /// encoding so the byte counts are honest.
-    pub fn encode(&self) -> BytesMut {
-        let mut buf = BytesMut::with_capacity(64);
+    /// The message's size in bytes under a compact binary encoding: a one-byte
+    /// tag, fixed-width integers (`u64` query ids, `u32` peer, location, file
+    /// and keyword ids, one-byte TTL/hop) and length-prefixed lists.
+    pub fn wire_size(&self) -> usize {
         match self {
             Message::Query {
-                query,
-                origin,
-                origin_loc,
                 keywords,
                 target_filename,
-                ttl,
+                ..
             } => {
-                buf.put_u8(0x01);
-                buf.put_u64(query.0);
-                buf.put_u32(origin.0);
-                buf.put_u32(origin_loc.value());
-                buf.put_u8(keywords.len() as u8);
-                for kw in keywords.iter() {
-                    buf.put_u32(*kw);
-                }
-                match target_filename {
-                    Some(f) => {
-                        buf.put_u8(1);
-                        buf.put_u32(*f);
-                    }
-                    None => buf.put_u8(0),
-                }
-                buf.put_u8(*ttl as u8);
+                // tag, query, origin, origin_loc, keyword count + keywords,
+                // filename flag (+ filename), ttl.
+                let filename = if target_filename.is_some() { 4 } else { 0 };
+                1 + 8 + 4 + 4 + 1 + 4 * keywords.len() + 1 + filename + 1
             }
             Message::QueryResponse {
-                query,
-                file,
                 file_keywords,
                 query_keywords,
                 providers,
-                requestor,
+                ..
             } => {
-                buf.put_u8(0x02);
-                buf.put_u64(query.0);
-                buf.put_u32(*file);
-                buf.put_u8(file_keywords.len() as u8);
-                for kw in file_keywords.iter() {
-                    buf.put_u32(*kw);
-                }
-                buf.put_u8(query_keywords.len() as u8);
-                for kw in query_keywords.iter() {
-                    buf.put_u32(*kw);
-                }
-                buf.put_u16(providers.len() as u16);
-                for p in providers {
-                    buf.put_u32(p.provider.0);
-                    buf.put_u32(p.loc_id.value());
-                }
-                buf.put_u32(requestor.provider.0);
-                buf.put_u32(requestor.loc_id.value());
+                // tag, query, file, two counted keyword lists, u16-counted
+                // provider entries, requestor entry.
+                let keyword_lists = 1 + 4 * file_keywords.len() + 1 + 4 * query_keywords.len();
+                1 + 8 + 4 + keyword_lists + 2 + 8 * providers.len() + 8
             }
-            Message::BloomFull { filter } => {
-                buf.put_u8(0x03);
-                buf.put_u32(filter.bits() as u32);
-                for w in filter.words() {
-                    buf.put_u64(*w);
-                }
+            // tag, bit count, filter words.
+            Message::BloomFull { filter } => 1 + 4 + 8 * filter.words().len(),
+            // tag, position count, positions packed in ceil(log2(m)) bits each
+            // with the whole payload rounded up to whole bytes.
+            Message::BloomDelta { delta } => 1 + 2 + delta.encoded_bytes() as usize,
+            // tag, query, keyword, hop.
+            Message::DhtLookup { .. } => 1 + 8 + 4 + 1,
+            // tag, query, keyword, hop, u16-counted (file, provider, loc)
+            // entries, u8-counted closer contacts.
+            Message::DhtLookupReply { entries, closer, .. } => {
+                1 + 8 + 4 + 1 + 2 + 12 * entries.len() + 1 + 4 * closer.len()
             }
-            Message::BloomDelta { delta } => {
-                buf.put_u8(0x04);
-                buf.put_u16(delta.len() as u16);
-                // The paper packs positions in ceil(log2(m)) bits each; we
-                // round the whole payload up to whole bytes.
-                let payload_bytes = delta.encoded_bytes() as usize;
-                buf.put_bytes(0, payload_bytes);
-            }
-            Message::GroupAnnounce { gid } => {
-                buf.put_u8(0x05);
-                buf.put_u32(*gid);
-            }
-            Message::Ping => buf.put_u8(0x06),
-            Message::Pong => buf.put_u8(0x07),
-            Message::DhtLookup { query, keyword, hop } => {
-                buf.put_u8(0x08);
-                buf.put_u64(query.0);
-                buf.put_u32(*keyword);
-                buf.put_u8(*hop as u8);
-            }
-            Message::DhtLookupReply {
-                query,
-                keyword,
-                hop,
-                entries,
-                closer,
-            } => {
-                buf.put_u8(0x09);
-                buf.put_u64(query.0);
-                buf.put_u32(*keyword);
-                buf.put_u8(*hop as u8);
-                buf.put_u16(entries.len() as u16);
-                for (file, p) in entries {
-                    buf.put_u32(*file);
-                    buf.put_u32(p.provider.0);
-                    buf.put_u32(p.loc_id.value());
-                }
-                buf.put_u8(closer.len() as u8);
-                for c in closer {
-                    buf.put_u32(c.0);
-                }
-            }
-            Message::DhtStore {
-                keyword,
-                file,
-                provider,
-            } => {
-                buf.put_u8(0x0a);
-                buf.put_u32(*keyword);
-                buf.put_u32(*file);
-                buf.put_u32(provider.provider.0);
-                buf.put_u32(provider.loc_id.value());
-            }
+            // tag, keyword, file, provider entry.
+            Message::DhtStore { .. } => 1 + 4 + 4 + 8,
         }
-        buf
-    }
-
-    /// The message's wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        self.encode().len()
     }
 
     /// For queries: the remaining TTL. `None` for non-query messages.
@@ -366,9 +257,10 @@ mod tests {
     #[test]
     fn kinds_are_classified_correctly() {
         assert_eq!(sample_query().kind(), MessageKind::Query);
-        assert_eq!(Message::Ping.kind(), MessageKind::Ping);
-        assert_eq!(Message::Pong.kind(), MessageKind::Pong);
-        assert_eq!(Message::GroupAnnounce { gid: 1 }.kind(), MessageKind::GroupAnnounce);
+        let filter = BloomFilter::paper_default();
+        let delta = BloomDelta::between(&filter, &filter);
+        assert_eq!(Message::BloomFull { filter }.kind(), MessageKind::BloomFull);
+        assert_eq!(Message::BloomDelta { delta }.kind(), MessageKind::BloomDelta);
     }
 
     #[test]
@@ -376,8 +268,11 @@ mod tests {
         let q = sample_query();
         assert_eq!(q.ttl(), Some(7));
         assert_eq!(q.query_id(), Some(QueryId(42)));
-        assert_eq!(Message::Ping.ttl(), None);
-        assert_eq!(Message::Ping.query_id(), None);
+        let bloom = Message::BloomFull {
+            filter: BloomFilter::paper_default(),
+        };
+        assert_eq!(bloom.ttl(), None);
+        assert_eq!(bloom.query_id(), None);
     }
 
     #[test]
@@ -420,6 +315,46 @@ mod tests {
             },
         };
         assert!(large.wire_size() > small.wire_size());
+    }
+
+    #[test]
+    fn response_size_is_pinned() {
+        let response = Message::QueryResponse {
+            query: QueryId(1),
+            file: 5,
+            file_keywords: vec![1, 2].into(),
+            query_keywords: vec![1].into(),
+            providers: (0..3)
+                .map(|i| ProviderEntry {
+                    provider: PeerId(i),
+                    loc_id: LocId(0),
+                })
+                .collect(),
+            requestor: ProviderEntry {
+                provider: PeerId(1),
+                loc_id: LocId(2),
+            },
+        };
+        // 1 + 8 + 4 + 1 + 2*4 + 1 + 1*4 + 2 + 3*8 + 8.
+        assert_eq!(response.wire_size(), 61);
+    }
+
+    #[test]
+    fn bloom_sizes_are_pinned() {
+        let mut filter = BloomFilter::paper_default();
+        filter.insert("some");
+        let words = filter.words().len();
+        let full = Message::BloomFull {
+            filter: filter.clone(),
+        };
+        assert_eq!(full.wire_size(), 1 + 4 + 8 * words);
+
+        let mut newer = filter.clone();
+        newer.insert("fresh");
+        let delta = BloomDelta::between(&filter, &newer);
+        assert!(!delta.is_empty());
+        let payload = delta.encoded_bytes() as usize;
+        assert_eq!(Message::BloomDelta { delta }.wire_size(), 1 + 2 + payload);
     }
 
     #[test]

@@ -10,15 +10,13 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 use crate::message::QueryId;
 use crate::PeerId;
 
 /// Why a set of forwarding targets was chosen — recorded so that the metrics
 /// can attribute routing decisions to the Bloom-filter match, the Gid fallback
 /// or the last-resort high-degree neighbour (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ForwardDecision {
     /// Plain flooding to all neighbours (minus the one it came from).
     Flood,

@@ -1,64 +1,27 @@
-//! # locaware-sim — deterministic discrete-event simulation engine
+//! # locaware-sim — deterministic scheduling primitives
 //!
-//! The Locaware paper evaluates its protocol on [PeerSim](https://peersim.sourceforge.net),
-//! a Java cycle/event-driven simulator for P2P protocols. This crate is the Rust
-//! substitute used by the reproduction: a small, deterministic discrete-event
-//! engine with
+//! The Locaware paper evaluates its protocol on [PeerSim](https://peersim.sourceforge.net).
+//! This crate holds the scheduling core the reproduction's sharded engine
+//! (`locaware::engine`) is built on:
 //!
-//! * a monotonically increasing simulated clock ([`SimTime`]),
-//! * a time-ordered event queue with stable FIFO tie-breaking ([`EventQueue`]),
-//! * an execution loop that dispatches events to a user-supplied handler
-//!   ([`Engine`]),
-//! * periodic processes (used for Bloom-filter synchronisation rounds)
-//!   ([`process::PeriodicProcess`]), and
+//! * integer simulated time ([`SimTime`], [`Duration`]),
 //! * a hierarchical seed derivation scheme so that every stochastic component of
 //!   the simulation owns an independent, reproducible random stream
-//!   ([`rng::RngFactory`]), and
-//! * shard-aware scheduling for deterministic intra-run parallelism: a
-//!   canonical, layout-independent event ordering and window-bounded queues
-//!   ([`shard::EventKey`], [`shard::ShardQueue`]).
+//!   ([`rng::RngFactory`], [`rng::StreamId`], [`rng::mix`]), and
+//! * a canonical, layout-independent event ordering with window-bounded queues
+//!   for deterministic intra-run parallelism ([`shard::EventKey`],
+//!   [`shard::ShardQueue`]).
 //!
-//! The engine is intentionally generic over the event payload type: the overlay,
-//! workload and protocol crates define their own event enums and reuse the same
-//! scheduling core.
-//!
-//! ## Example
-//!
-//! ```
-//! use locaware_sim::{Engine, SimTime, Duration};
-//!
-//! #[derive(Debug)]
-//! enum Ev { Ping(u32) }
-//!
-//! let mut engine = Engine::new();
-//! engine.schedule(SimTime::ZERO + Duration::from_millis(5), Ev::Ping(1));
-//! engine.schedule(SimTime::ZERO + Duration::from_millis(1), Ev::Ping(0));
-//!
-//! let mut order = Vec::new();
-//! engine.run(|ctx, ev| {
-//!     let Ev::Ping(i) = ev;
-//!     order.push((i, ctx.now()));
-//! });
-//! assert_eq!(order.len(), 2);
-//! assert_eq!(order[0].0, 0);
-//! assert!(order[0].1 < order[1].1);
-//! ```
+//! The queue is generic over the event payload type; the engine defines its own
+//! event enum.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod engine;
-pub mod event;
-pub mod process;
-pub mod queue;
 pub mod rng;
 pub mod shard;
 pub mod time;
 
-pub use engine::{Engine, EngineContext, RunStats, StopCondition};
-pub use event::{EventId, ScheduledEvent};
-pub use process::PeriodicProcess;
-pub use queue::EventQueue;
 pub use rng::{mix, RngFactory, StreamId};
 pub use shard::{EventKey, ShardQueue};
 pub use time::{Duration, SimTime};

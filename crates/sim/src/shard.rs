@@ -3,10 +3,9 @@
 //! A sharded simulation partitions its entities over several event queues and
 //! drains them in parallel over bounded time windows. For the results to be
 //! bit-identical for *every* shard count, event ordering must not depend on
-//! which queue an event happens to sit in — so the plain [`EventQueue`]'s
-//! insertion-order tie-breaking (a global counter that encodes scheduling
-//! history) is replaced by a **canonical key** that is a pure function of the
-//! event itself:
+//! which queue an event happens to sit in — so instead of insertion-order
+//! tie-breaking (a global counter that encodes scheduling history) events are
+//! ordered by a **canonical key** that is a pure function of the event itself:
 //!
 //! * `time` — the firing time (primary, as always),
 //! * `class` — a small rank separating event families at equal times (e.g.
@@ -20,8 +19,6 @@
 //! `pop_before(bound)` only surrenders events strictly below a window bound,
 //! which is what lets a coordinator drain many shards concurrently up to a
 //! common horizon and merge cross-shard traffic at the barrier.
-//!
-//! [`EventQueue`]: crate::queue::EventQueue
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -104,9 +101,8 @@ impl<E> Ord for KeyedEvent<E> {
 
 /// A canonical-key-ordered event queue for one shard.
 ///
-/// Unlike [`EventQueue`](crate::queue::EventQueue), which tie-breaks equal
-/// times by insertion order, every event carries an explicit [`EventKey`];
-/// popping returns events in key order regardless of push order, and
+/// Every event carries an explicit [`EventKey`]; popping returns events in
+/// key order regardless of push order, and
 /// [`ShardQueue::pop_before`] bounds the drain to a window.
 #[derive(Debug, Clone)]
 pub struct ShardQueue<E> {

@@ -36,7 +36,6 @@
 
 use locaware_sim::{Duration, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::placement::ClusterWeights;
 
@@ -50,7 +49,7 @@ pub struct Arrival {
 }
 
 /// One constant-rate segment of an [`ArrivalSchedule::Phases`] schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RatePhase {
     /// Rate multiplier applied to the base rate during this phase.
     pub multiplier: f64,
@@ -66,7 +65,7 @@ pub struct RatePhase {
 /// ([`ArrivalSchedule::validate`]) rejects degenerate profiles — empty phase
 /// lists, non-positive multipliers, zero-length or negative durations — with
 /// a typed [`ScheduleError`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum ArrivalSchedule {
     /// The paper's homogeneous process: the base rate at all times. Omitting
     /// a schedule means `Steady`, and `Steady` reproduces the legacy
@@ -358,7 +357,7 @@ impl Segment {
 }
 
 /// Configuration of the arrival process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalConfig {
     /// Number of peers in the population.
     pub peers: usize,

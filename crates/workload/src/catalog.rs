@@ -13,12 +13,11 @@ use std::sync::Arc;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::keywords::{KeywordHashes, KeywordId, KeywordPool};
 
 /// Identifies a file (and its filename) in the global pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileId(pub u32);
 
 impl FileId {
@@ -35,7 +34,7 @@ impl std::fmt::Display for FileId {
 }
 
 /// A filename: the ordered list of keywords composing it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Filename {
     keywords: Vec<KeywordId>,
 }
@@ -79,7 +78,7 @@ impl Filename {
 }
 
 /// Configuration of catalog generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CatalogConfig {
     /// Number of files (paper: 3000).
     pub files: usize,

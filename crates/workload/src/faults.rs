@@ -15,8 +15,6 @@
 //! `StreamId::Faults` stream so fault patterns are independent of topology,
 //! workload and protocol randomness.
 
-use serde::{Deserialize, Serialize};
-
 use locaware_sim::Duration;
 
 /// A typed retransmit policy: how long to wait for a query to produce a
@@ -26,7 +24,7 @@ use locaware_sim::Duration;
 /// scheduled, which is the default and keeps fault-free runs byte-identical).
 /// When enabled, attempt `n` (0-based) times out after
 /// `initial_secs * backoff.powi(n)` seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeoutPolicy {
     /// Timeout of the first attempt, in seconds of simulated time.
     /// `0` disables timeouts entirely.
@@ -138,7 +136,7 @@ impl std::error::Error for TimeoutPolicyError {}
 /// Which links participate is a pure hash of the fault seed and the link's
 /// endpoint pair, so the affected set is fixed per run and identical for
 /// every shard count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutageWindow {
     /// Window start, in seconds of simulated time.
     pub start_secs: f64,
@@ -161,7 +159,7 @@ impl OutageWindow {
 /// [`FaultConfig::disabled`] (the default) injects nothing and schedules
 /// nothing — runs under it are byte-identical to runs that predate fault
 /// injection, which is what pins the golden fingerprints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Independent per-message loss probability in `[0, 1]`. Applies to every
     /// overlay message (queries, responses, DHT traffic, Bloom sync alike):

@@ -6,10 +6,9 @@
 //! exercised with realistic variable-length strings rather than bare integers.
 
 use locaware_bloom::ElementHashes;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a keyword in the global pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KeywordId(pub u32);
 
 impl KeywordId {
@@ -35,7 +34,7 @@ impl std::fmt::Display for KeywordId {
 }
 
 /// The pool of all keywords in the system.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeywordPool {
     count: u32,
 }

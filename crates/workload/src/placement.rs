@@ -22,7 +22,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::catalog::FileId;
 
@@ -87,7 +86,7 @@ impl std::error::Error for ClusterWeightsError {}
 /// whenever `k ≤ n`. Weights are relative: `[8, 1, 1]` gives the first
 /// cluster 80% of whatever mass is being apportioned (initial file copies,
 /// query origins).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterWeights {
     weights: Vec<f64>,
     /// Sum of `weights`, fixed at construction so per-arrival cluster
@@ -131,9 +130,8 @@ impl ClusterWeights {
 
     /// Checks that the partition fits a population of `peers` — and re-runs
     /// the construction invariants, so a value that bypassed
-    /// [`ClusterWeights::new`] (a hypothetical deserialization path; the
-    /// `Deserialize` derive is a no-op under the offline shims today) cannot
-    /// smuggle a degenerate shape past the configuration layer's validation.
+    /// [`ClusterWeights::new`] cannot smuggle a degenerate shape past the
+    /// configuration layer's validation.
     pub fn validate_for(&self, peers: usize) -> Result<(), ClusterWeightsError> {
         check_weights(&self.weights)?;
         let computed: f64 = self.weights.iter().sum();
@@ -244,7 +242,7 @@ impl ClusterWeights {
 }
 
 /// Configuration of the initial placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementConfig {
     /// Number of peers.
     pub peers: usize,
@@ -271,7 +269,7 @@ impl Default for PlacementConfig {
 }
 
 /// The initial assignment of files to peers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InitialPlacement {
     /// `shared[p]` = the files peer `p` initially shares (sorted, distinct).
     shared: Vec<Vec<FileId>>,

@@ -10,7 +10,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::catalog::{Catalog, FileId};
 use crate::keywords::KeywordId;
@@ -19,7 +18,7 @@ use crate::zipf::ZipfDistribution;
 /// A generated query: the keywords actually sent, plus the ground-truth target
 /// used only by the metrics (never by the protocols, except Dicas' filename
 /// search, which the paper defines as searching for the exact filename).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Query {
     /// The file whose filename the keywords were drawn from.
     pub target: FileId,
@@ -35,7 +34,7 @@ impl Query {
 }
 
 /// Configuration of query generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryWorkloadConfig {
     /// Zipf exponent of file popularity (≈1 for Gnutella-like traces).
     pub zipf_exponent: f64,

@@ -11,10 +11,9 @@
 //! the allowed dependency set anyway).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A Zipf distribution over ranks `0..n` (rank 0 being the most popular).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZipfDistribution {
     /// Cumulative probabilities, `cdf[i]` = P(rank ≤ i). Last entry is 1.0.
     cdf: Vec<f64>,

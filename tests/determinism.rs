@@ -586,7 +586,7 @@ fn structured_protocol_fingerprints_are_pinned() {
 /// The tentpole invariant of the sharded engine: for a fixed seed, **every**
 /// shard count produces byte-identical reports — the canonical event order,
 /// per-arrival RNG streams and barrier merges make the parallel execution
-/// semantically equal to the single-queue one. The matrix covers all six
+/// semantically equal to the single-queue one. The matrix covers all eight
 /// protocols over a static scenario, a churn storm (churn exercises the
 /// serial barrier transitions and the all-pairs latency lookahead) and the
 /// two rebuilt non-homogeneous regimes: flash-crowd (burst schedule — dense
