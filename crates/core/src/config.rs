@@ -101,7 +101,8 @@ pub enum ConfigError {
     ZeroCacheCapacity,
     /// A Bloom filter parameter (bits or hash count) is zero.
     ZeroBloomParameters,
-    /// The neighbour Bloom-filter synchronisation period is not positive.
+    /// The neighbour Bloom-filter synchronisation period is not positive and
+    /// finite on the microsecond simulation clock.
     NonPositiveBloomSyncPeriod {
         /// The configured period in simulated seconds.
         period_secs: f64,
@@ -128,7 +129,7 @@ pub enum ConfigError {
         minimum: usize,
     },
     /// A DHT period (record TTL or republish interval) is not positive and
-    /// finite.
+    /// finite on the microsecond simulation clock.
     NonPositiveDhtPeriod {
         /// The offending period in simulated seconds.
         period_secs: f64,
@@ -202,7 +203,11 @@ impl std::fmt::Display for ConfigError {
                  overflows the microsecond simulation clock"
             ),
             ConfigError::NonPositiveBloomSyncPeriod { period_secs } => {
-                write!(f, "Bloom sync period must be positive: got {period_secs}s")
+                write!(
+                    f,
+                    "Bloom sync period must be finite and at least one microsecond: \
+                     got {period_secs}s"
+                )
             }
             ConfigError::ZeroDhtParameters => {
                 write!(f, "DHT k, alpha and max lookup hops must be positive")
@@ -213,7 +218,10 @@ impl std::fmt::Display for ConfigError {
                  need at least {minimum}"
             ),
             ConfigError::NonPositiveDhtPeriod { period_secs } => {
-                write!(f, "DHT periods must be positive and finite: got {period_secs}s")
+                write!(
+                    f,
+                    "DHT periods must be finite and at least one microsecond: got {period_secs}s"
+                )
             }
             ConfigError::DhtHeadFractionOutOfRange { head_fraction } => write!(
                 f,
@@ -671,7 +679,7 @@ impl SimulationConfig {
         if self.bloom_bits == 0 || self.bloom_hashes == 0 {
             return Err(ConfigError::ZeroBloomParameters);
         }
-        if self.bloom_sync_period_secs <= 0.0 {
+        if !is_schedulable_period(self.bloom_sync_period_secs) {
             return Err(ConfigError::NonPositiveBloomSyncPeriod {
                 period_secs: self.bloom_sync_period_secs,
             });
@@ -688,7 +696,7 @@ impl SimulationConfig {
             });
         }
         for period in [self.dht.record_ttl_secs, self.dht.republish_period_secs] {
-            if period <= 0.0 || !period.is_finite() {
+            if !is_schedulable_period(period) {
                 return Err(ConfigError::NonPositiveDhtPeriod { period_secs: period });
             }
         }
@@ -704,6 +712,15 @@ impl SimulationConfig {
             .map_err(ConfigError::TimeoutPolicy)?;
         Ok(())
     }
+}
+
+/// Whether a period in simulated seconds can drive a periodic schedule: it
+/// must be finite and round to at least one tick of the microsecond clock.
+/// A period that is `NaN` or rounds to zero would never advance the
+/// schedule, and the run would hang generating control events.
+fn is_schedulable_period(period_secs: f64) -> bool {
+    period_secs.is_finite()
+        && locaware_sim::Duration::from_secs_f64(period_secs) > locaware_sim::Duration::ZERO
 }
 
 /// The process-wide `LOCAWARE_SHARDS` default, read once: reading it per call
@@ -1001,6 +1018,39 @@ mod tests {
         c.faults.dht_step_timeout_secs = 3.0;
         assert!(!c.faults.is_disabled());
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn periods_that_cannot_advance_a_schedule_are_rejected() {
+        // NaN slips past a `<= 0.0` test and a sub-microsecond period rounds
+        // to a zero `Duration`; either would hang the engine's schedule loop.
+        let rejected = |set: fn(&mut SimulationConfig, f64), bad: f64| {
+            let mut c = SimulationConfig::paper_defaults();
+            set(&mut c, bad);
+            c.validate()
+        };
+        for bad in [1e-7, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    rejected(|c, bad| c.bloom_sync_period_secs = bad, bad),
+                    Err(ConfigError::NonPositiveBloomSyncPeriod { .. })
+                ),
+                "bloom sync period {bad} accepted"
+            );
+            for set in [
+                (|c, bad| c.dht.republish_period_secs = bad) as fn(&mut SimulationConfig, f64),
+                |c, bad| c.dht.record_ttl_secs = bad,
+            ] {
+                assert!(
+                    matches!(rejected(set, bad), Err(ConfigError::NonPositiveDhtPeriod { .. })),
+                    "DHT period {bad} accepted"
+                );
+            }
+        }
+        let mut c = SimulationConfig::paper_defaults();
+        c.bloom_sync_period_secs = 1e-6;
+        c.dht.republish_period_secs = 1e-6;
+        assert_eq!(c.validate(), Ok(()), "one tick is the smallest schedulable period");
     }
 
     #[test]

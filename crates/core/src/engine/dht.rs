@@ -1,5 +1,11 @@
-//! Engine-side DHT machinery: the identity directory and the origin-side
-//! iterative lookup state.
+//! The structured protocol family: everything the engine knows about the
+//! keyword DHT lives here — the identity directory, the origin-side iterative
+//! lookup state, and the family's handlers, which the rest of the engine
+//! reaches through a handful of entry points: [`bootstrap`] at set-up,
+//! [`issue`], [`deliver`] and [`step_timeout`] from a shard's event loop, and
+//! [`republish`], [`on_leave`] and [`on_join`] from the coordinator's
+//! barriers. The handlers are plain functions over [`ShardState`], so they
+//! run under the same lifecycle and transport as the unstructured family.
 //!
 //! The directory is the run's *identity oracle*: every peer's 160-bit node id
 //! and every keyword's record key, derived once from the seeded
@@ -14,10 +20,24 @@
 //! origin walks the key space contact by contact through
 //! [`DhtLookupState`], paying every hop.
 
-use locaware_overlay::{DhtDistance, DhtId, PeerId, DHT_ID_BITS, DHT_ID_BYTES};
-use locaware_sim::{RngFactory, StreamId};
-use locaware_workload::KeywordId;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+
+use locaware_overlay::{
+    DhtDistance, DhtId, DhtNode, Message, MessageKind, PeerId, ProviderEntry, QueryId,
+    DHT_ID_BITS, DHT_ID_BYTES,
+};
+use locaware_sim::{Duration, EventKey, RngFactory, SimTime, StreamId};
+use locaware_workload::{FileId, KeywordId};
+use parking_lot::MutexGuard;
 use rand::Rng;
+
+use crate::peer::PeerState;
+use crate::results::DhtRunStats;
+
+use super::shard::{query_index, HitMark, ShardState, TimeoutKind};
+use super::tally::{kind_index, Tallies};
+use super::{for_each_other_online, peer_mut, RunShared};
 
 /// Bit `depth` of `id`, counting from the most significant (depth 0).
 fn id_bit(id: &DhtId, depth: usize) -> bool {
@@ -107,8 +127,7 @@ impl DhtDirectory {
     /// deferred ranges that cannot beat the current k-th best. XOR-closest is
     /// *not* an interval of the numeric order, which is why this walks prefix
     /// ranges rather than outward from one binary-search position. With most
-    /// peers online this visits O(count · log n) ids; the old exhaustive
-    /// scan ranked all n on every publish/republish/store.
+    /// peers online this visits O(count · log n) ids.
     pub(super) fn closest_online_into(
         &self,
         target: DhtId,
@@ -190,8 +209,7 @@ impl DhtDirectory {
     /// peer-id order with bucket capacity `k` — i.e. for each k-bucket, the
     /// `k` lowest-id peers of the sibling subtrie at that depth. `add` is
     /// called once per `(owner, contact id, contact)` with contacts in
-    /// ascending id order per bucket, exactly the order the old O(n²)
-    /// insertion loop materialized them in. Costs O(n · log n · k).
+    /// ascending id order per bucket. Costs O(n · log n · k).
     pub(super) fn for_each_bootstrap_contact(
         &self,
         k: usize,
@@ -220,8 +238,7 @@ impl DhtDirectory {
         }
         if depth >= DHT_ID_BITS {
             // Colliding ids (astronomically unlikely): no bucket separates
-            // them — the old loop's insert rejected zero-distance contacts
-            // the same way — so just report the range's lowest peer ids.
+            // them, so just report the range's lowest peer ids.
             let mut head: Vec<PeerId> = self.ring[lo..hi].iter().map(|&(_, p)| p).collect();
             head.sort_unstable();
             head.truncate(k);
@@ -343,9 +360,649 @@ impl DhtLookupState {
     }
 }
 
+// --- set-up and barrier transitions (coordinator side) ------------------------
+
+/// Brings the DHT up as already converged at simulation start, like the
+/// group-id and initial Bloom exchanges: every peer has observed every
+/// other's node id (bucket capacities still apply, so far buckets keep only
+/// their first `k` in peer-id order), and each initially shared, DHT-indexed
+/// file is stored on the `k` closest nodes to each of its keyword keys — no
+/// messages charged.
+pub(super) fn bootstrap(
+    shared: &RunShared<'_>,
+    directory: &DhtDirectory,
+    guards: &mut [MutexGuard<'_, ShardState>],
+) {
+    let config = &shared.config.dht;
+    let mut nodes: Vec<DhtNode> = (0..shared.config.peers as u32)
+        .map(|i| DhtNode::new(directory.node_id(PeerId(i)), config.k, config.max_record_bytes))
+        .collect();
+    // The converged tables (for each bucket, the k lowest-id peers of the
+    // bucket's subtree) come from one O(n log n · k) range-split walk of the
+    // directory's sorted ring — identical contents, in identical bucket
+    // order, to inserting all n-1 others per peer.
+    directory.for_each_bootstrap_contact(config.k, |owner, contact_id, contact| {
+        let inserted = nodes[owner.index()].table.insert(contact_id, contact);
+        debug_assert!(inserted, "bootstrap contacts are pre-capped per bucket");
+    });
+    for (i, node) in nodes.into_iter().enumerate() {
+        peer_mut(shared, guards, PeerId(i as u32)).dht = Some(Box::new(node));
+    }
+    republish(shared, directory, guards, SimTime::ZERO, true);
+}
+
+/// One republish round: every online peer sweeps expired entries from its
+/// own record store, then re-announces each of its shared, DHT-indexed files
+/// to the *current* `k` closest online index nodes — in peer-id order,
+/// serially at the barrier. Each remote store transfer is a real background
+/// message paying link latency (the receiver stamps the TTL at delivery
+/// time); self-targets store locally for free. This is what re-homes records
+/// whose index nodes departed and refreshes TTLs so live records outlast
+/// `record_ttl_secs`. `converged` is the bootstrap's round: every record is
+/// placed directly, as if the transfers had already happened.
+pub(super) fn republish(
+    shared: &RunShared<'_>,
+    directory: &DhtDirectory,
+    guards: &mut [MutexGuard<'_, ShardState>],
+    now: SimTime,
+    converged: bool,
+) {
+    let online = shared.online.read();
+    // The online set is fixed for the whole round (coordinator-serial), so a
+    // keyword's k-closest targets are too — resolve each keyword once per
+    // round no matter how many peers announce it.
+    let mut targets_by_keyword: HashMap<u32, Vec<PeerId>> = HashMap::new();
+    let (mut scratch, mut unmemoised) = (DirectoryScratch::default(), Vec::new());
+    let mut files: Vec<FileId> = Vec::new();
+    for from in (0..shared.config.peers as u32).map(PeerId) {
+        let peer = peer_mut(shared, guards, from);
+        if !peer.online {
+            continue;
+        }
+        if let Some(node) = peer.dht.as_mut() {
+            node.store.expire(now);
+        }
+        let provider = ProviderEntry {
+            provider: from,
+            loc_id: peer.loc_id,
+        };
+        files.clear();
+        files.extend(peer.shared_files());
+        for &file in &files {
+            let memo = Some(&mut targets_by_keyword);
+            for_each_store_target(
+                shared, directory, &online, file, memo, &mut scratch, &mut unmemoised,
+                |keyword, target| {
+                    if converged {
+                        let target = peer_mut(shared, guards, target);
+                        store_record(target, shared, now, keyword, file.0, provider);
+                    } else {
+                        let shard = &mut guards[shared.partition.shard(from)];
+                        place_record(shard, shared, now, target, keyword, file.0, provider);
+                    }
+                },
+            );
+        }
+    }
+}
+
+/// Online peer `other` learns that `departed` left with goodbyes. Failure
+/// detection is modelled at the barrier, like the rewiring itself: the
+/// departed node leaves the routing table. Its *record entries* are dropped
+/// only under proactive invalidation — by default they linger until TTL
+/// expiry or a lookup's online filter skips them, which is exactly the index
+/// staleness the churn-storm comparison measures.
+pub(super) fn on_leave(other: &mut PeerState, departed: PeerId, invalidate: bool) {
+    if let Some(node) = other.dht.as_mut() {
+        node.table.remove(departed);
+        if invalidate {
+            node.store.remove_provider(departed);
+        }
+    }
+}
+
+/// A peer rejoined: it bootstraps a fresh routing table from the online
+/// population and announces its node id to every online peer, in peer-id
+/// order. Its record store restarts empty (`reset_volatile_state` cleared
+/// it); records it should host migrate back at the next republish round, and
+/// its own files re-announce then too.
+pub(super) fn on_join(
+    shared: &RunShared<'_>,
+    directory: &DhtDirectory,
+    guards: &mut [MutexGuard<'_, ShardState>],
+    peer: PeerId,
+) {
+    let Some(mut joiner) = peer_mut(shared, guards, peer).dht.take() else {
+        return;
+    };
+    let joiner_id = directory.node_id(peer);
+    for_each_other_online(shared, guards, peer, |other| {
+        joiner.table.insert(directory.node_id(other.id), other.id);
+        if let Some(node) = other.dht.as_mut() {
+            node.table.insert(joiner_id, peer);
+        }
+    });
+    peer_mut(shared, guards, peer).dht = Some(joiner);
+}
+
+/// The run's DHT statistics: the lookup totals finalize folded from the
+/// per-query tracking, the store traffic from the merged tallies, and the
+/// record stores' end-of-run sizes and counters.
+pub(super) fn run_stats<'p>(
+    peers: impl Iterator<Item = &'p PeerState>,
+    lookups: u64,
+    lookup_depth_total: u64,
+    totals: &Tallies,
+) -> DhtRunStats {
+    let mut stats = DhtRunStats {
+        lookups,
+        lookup_depth_total,
+        store_messages: totals.message_counts[kind_index(MessageKind::DhtStore)],
+        records: 0,
+        provider_entries: 0,
+        record_bytes: 0,
+        truncated_entries: 0,
+        expired_entries: 0,
+    };
+    for node in peers.filter_map(|p| p.dht.as_ref()) {
+        stats.records += node.store.records();
+        stats.provider_entries += node.store.entries();
+        stats.record_bytes += node.store.bytes();
+        stats.truncated_entries += node.store.truncated_entries();
+        stats.expired_entries += node.store.expired_entries();
+    }
+    stats
+}
+
+// --- record placement ------------------------------------------------------------
+
+/// The one store-target walk behind bootstrap, republish and publish: for
+/// every keyword of `file`, hands `place` each of the `k` online index nodes
+/// closest to the keyword's record key. Files whose rank the protocol keeps
+/// on the overlay (the hybrid's head) are skipped entirely: their discovery
+/// lives in the response indexes. `memo` caches a keyword's targets across
+/// calls — sound only while the caller's `online` set stays fixed; without
+/// it the targets are resolved into the caller's `unmemoised` buffer, so a
+/// one-off publish allocates nothing.
+#[allow(clippy::too_many_arguments)]
+fn for_each_store_target(
+    shared: &RunShared<'_>,
+    directory: &DhtDirectory,
+    online: &[bool],
+    file: FileId,
+    mut memo: Option<&mut HashMap<u32, Vec<PeerId>>>,
+    scratch: &mut DirectoryScratch,
+    unmemoised: &mut Vec<PeerId>,
+    mut place: impl FnMut(u32, PeerId),
+) {
+    let rank = shared.query_generator.rank_of(file);
+    if !shared.protocol.dht_resolves_rank(rank, shared.catalog.len()) {
+        return;
+    }
+    for &keyword in shared.catalog.filename(file).keywords() {
+        let mut resolve = |out: &mut Vec<PeerId>| {
+            let key = directory.keyword_key(keyword);
+            directory.closest_online_into(key, online, shared.config.dht.k, scratch, out);
+        };
+        let targets: &[PeerId] = match memo.as_mut() {
+            Some(memo) => memo.entry(keyword.0).or_insert_with(|| {
+                let mut targets = Vec::new();
+                resolve(&mut targets);
+                targets
+            }),
+            None => {
+                resolve(unmemoised);
+                unmemoised
+            }
+        };
+        for &target in targets {
+            place(keyword.0, target);
+        }
+    }
+}
+
+/// Hands one `(keyword, file, provider)` record entry to index node
+/// `target`: stored in place when the target is the announcing provider
+/// itself, sent as a background [`Message::DhtStore`] otherwise.
+fn place_record(
+    state: &mut ShardState,
+    shared: &RunShared<'_>,
+    now: SimTime,
+    target: PeerId,
+    keyword: u32,
+    file: u32,
+    provider: ProviderEntry,
+) {
+    let from = provider.provider;
+    if target == from {
+        let own = &mut state.peers[shared.partition.slot(from)];
+        store_record(own, shared, now, keyword, file, provider);
+    } else {
+        let message = Message::DhtStore {
+            keyword,
+            file,
+            provider,
+        };
+        state.send_background(shared, now, from, target, message);
+    }
+}
+
+/// Upserts a record entry at index node `peer`; its TTL clock starts `at`
+/// the moment it is stored.
+fn store_record(
+    peer: &mut PeerState,
+    shared: &RunShared<'_>,
+    at: SimTime,
+    keyword: u32,
+    file: u32,
+    provider: ProviderEntry,
+) {
+    let ttl = Duration::from_secs_f64(shared.config.dht.record_ttl_secs);
+    if let Some(node) = peer.dht.as_mut() {
+        node.store.insert(keyword, file, provider, at + ttl);
+    }
+}
+
+// --- query resolution (shard side) -------------------------------------------------
+
+/// Issues a DHT-resolved query: try the origin's own record store first
+/// (the origin may itself be an index node for the keyword), then start
+/// the iterative lookup with up to `alpha` parallel first steps toward
+/// the keyword's record key.
+pub(super) fn issue(
+    state: &mut ShardState,
+    shared: &RunShared<'_>,
+    directory: &DhtDirectory,
+    online: &[bool],
+    key: EventKey,
+    index: usize,
+    keywords: &[KeywordId],
+) {
+    if let Some(tracking) = state.tracking.get_mut(&(index as u32)) {
+        tracking.dht_lookup = true;
+    }
+    // The lookup keys on the query's smallest keyword id — generated
+    // keyword lists are sorted, so the choice is canonical for every
+    // shard count. (Entries are still filtered against *all* keywords.)
+    let Some(&keyword) = keywords.first() else {
+        return;
+    };
+    let record_key = directory.keyword_key(keyword);
+    let slot = shared.partition.slot(PeerId(shared.arrivals[index].peer as u32));
+    let mut entries = Vec::new();
+    if let Some(node) = state.peers[slot].dht.as_ref() {
+        node.store.lookup_into(keyword.0, key.time, &mut entries);
+    }
+    if try_satisfy(state, shared, directory, online, key, index, keywords, &entries, 0) {
+        return;
+    }
+    let mut lookup = DhtLookupState::new(keywords.to_vec(), record_key);
+    let mut seeds = Vec::new();
+    if let Some(node) = state.peers[slot].dht.as_ref() {
+        node.table
+            .closest_into(record_key, shared.config.dht.k, &mut seeds);
+    }
+    for peer in seeds {
+        lookup.add_candidate(record_key.distance(directory.node_id(peer)), peer);
+    }
+    // No known contacts at all: nothing goes in flight — the caller's
+    // born-complete check closes the query.
+    refill(state, shared, key.time, index, lookup, 1);
+}
+
+/// Handles a delivered DHT message at the online peer `to`.
+pub(super) fn deliver(
+    state: &mut ShardState,
+    shared: &RunShared<'_>,
+    online: &[bool],
+    key: EventKey,
+    from: PeerId,
+    to: PeerId,
+    message: Message,
+) {
+    let Some(directory) = shared.dht.as_ref() else {
+        return;
+    };
+    let slot = shared.partition.slot(to);
+    match message {
+        Message::DhtLookup { query, keyword, hop } => {
+            // An index-node lookup step: answer with everything the local
+            // record store holds for the keyword plus the closest contacts
+            // the local routing table knows toward its key. A receiver that
+            // departed never gets here — the step is consumed without a
+            // reply, the structured analogue of a timed-out RPC; the query's
+            // lifecycle completes through its remaining branches.
+            let mut entries = Vec::new();
+            let mut closer = Vec::new();
+            if let Some(node) = state.peers[slot].dht.as_ref() {
+                node.store.lookup_into(keyword, key.time, &mut entries);
+                let record_key = directory.keyword_key(KeywordId(keyword));
+                node.table
+                    .closest_into(record_key, shared.config.dht.k, &mut closer);
+            }
+            let reply = Message::DhtLookupReply {
+                query,
+                keyword,
+                hop,
+                entries,
+                closer,
+            };
+            state.send(shared, key.time, to, from, reply, Some(query_index(query)));
+        }
+        Message::DhtLookupReply { query, hop, entries, closer, .. } => {
+            let index = query_index(query);
+            // Only the origin holds lookup state; a reply arriving after the
+            // walk concluded (satisfied, exhausted or completed) is ignored.
+            let Some(mut lookup) = state.dht_lookups.remove(&(index as u32)) else {
+                return;
+            };
+            // Settle the step's ledger entry. A reply whose slot a step
+            // deadline already released finds none — its payload still
+            // merges below, but the in-flight accounting has moved on.
+            lookup.finish_step(from);
+            for &contact in closer.iter().filter(|&&c| c != to) {
+                lookup.add_candidate(lookup.key.distance(directory.node_id(contact)), contact);
+            }
+            if let Some(tracking) = state.tracking.get_mut(&(index as u32)) {
+                tracking.dht_depth = tracking.dht_depth.max(hop);
+            }
+            let keywords = &lookup.keywords;
+            if !try_satisfy(state, shared, directory, online, key, index, keywords, &entries, hop) {
+                // Keep walking among the `k` closest known contacts, one hop
+                // deeper.
+                refill(state, shared, key.time, index, lookup, hop + 1);
+            }
+        }
+        Message::DhtStore { keyword, file, provider } => {
+            // A store transfer from a publish or republish round.
+            store_record(&mut state.peers[slot], shared, key.time, keyword, file, provider);
+        }
+        _ => unreachable!("only DHT messages are delivered to the structured family"),
+    }
+}
+
+/// A DHT step deadline fired: if the step is still unanswered, release its
+/// in-flight slot and re-issue against the next shortlist candidates at the
+/// same hop depth. This is what recovers lookups whose step landed on an
+/// index node that departed mid-walk and will never reply.
+pub(super) fn step_timeout(
+    state: &mut ShardState,
+    shared: &RunShared<'_>,
+    key: EventKey,
+    index: usize,
+    peer: PeerId,
+) {
+    let Entry::Occupied(mut entry) = state.dht_lookups.entry(index as u32) else {
+        return;
+    };
+    // `None` means the reply won the race at this exact deadline (class
+    // ordering dispatches it first) or arrived long ago: nothing stalled.
+    let Some(hop) = entry.get_mut().finish_step(peer) else {
+        return;
+    };
+    let lookup = entry.remove();
+    state.tallies.dht_step_timeouts += 1;
+    refill(state, shared, key.time, index, lookup, hop);
+}
+
+/// Keeps query `index`'s walk going: sends lookup steps at depth `hop` to
+/// the next unqueried shortlist candidates until `alpha` are in flight or
+/// the `k` closest known contacts have all been asked (arming each step's
+/// deadline under a fault plan with step timeouts), then parks the lookup
+/// state while anything is in flight. A shortlist exhausted with nothing in
+/// flight ends the walk: the state is dropped and the query completes via
+/// its lifecycle. Nothing is sent past the hop budget or from an origin
+/// that departed.
+fn refill(
+    state: &mut ShardState,
+    shared: &RunShared<'_>,
+    now: SimTime,
+    index: usize,
+    mut lookup: DhtLookupState,
+    hop: u32,
+) {
+    let config = &shared.config.dht;
+    let origin = PeerId(shared.arrivals[index].peer as u32);
+    let step_timeout = shared.faults.as_ref().and_then(|f| f.dht_step_timeout);
+    let may_send =
+        hop <= config.max_lookup_hops && state.peers[shared.partition.slot(origin)].online;
+    if let (true, Some(&keyword)) = (may_send, lookup.keywords.first()) {
+        while lookup.inflight() < config.alpha {
+            let Some(target) = lookup.take_next_target(config.k) else {
+                break;
+            };
+            lookup.begin_step(target, hop);
+            let step = Message::DhtLookup {
+                query: QueryId(index as u64),
+                keyword: keyword.0,
+                hop,
+            };
+            state.send(shared, now, origin, target, step, Some(index));
+            if let Some(timeout) = step_timeout {
+                state.schedule_timeout(now + timeout, index, TimeoutKind::DhtStep { peer: target });
+            }
+        }
+    }
+    if lookup.inflight() > 0 {
+        state.dht_lookups.insert(index as u32, lookup);
+    }
+}
+
+/// Tries to satisfy query `index` from DHT record entries (the origin's own
+/// store at hop 0, or a lookup reply's payload). Entries must match every
+/// query keyword, offer a file the origin does not already hold, and name a
+/// provider that is online in this window's snapshot. Among satisfiable
+/// files the one with the most online providers wins (ties: smallest file
+/// id) — the analogue of the overlay's first-answer-wins richest response.
+/// On success the origin downloads and replicates through the shared
+/// [`ShardState::satisfy`] and immediately publishes the new replica to the
+/// keyword index.
+#[allow(clippy::too_many_arguments)]
+fn try_satisfy(
+    state: &mut ShardState,
+    shared: &RunShared<'_>,
+    directory: &DhtDirectory,
+    online: &[bool],
+    key: EventKey,
+    index: usize,
+    keywords: &[KeywordId],
+    entries: &[(u32, ProviderEntry)],
+    hops: u32,
+) -> bool {
+    let origin = &state.peers[shared.partition.slot(PeerId(shared.arrivals[index].peer as u32))];
+    let replica = ProviderEntry {
+        provider: origin.id,
+        loc_id: origin.loc_id,
+    };
+    // Group the viable entries per file. A record keyed on one keyword can
+    // index files missing the query's other keywords; those cannot satisfy
+    // it (§3.1's all-keywords rule, same as the overlay path).
+    let mut per_file: BTreeMap<FileId, Vec<ProviderEntry>> = BTreeMap::new();
+    for &(file, provider) in entries {
+        let file = FileId(file);
+        if !origin.has_file(file)
+            && online.get(provider.provider.index()).copied().unwrap_or(false)
+            && shared.catalog.filename(file).matches(keywords)
+        {
+            per_file.entry(file).or_default().push(provider);
+        }
+    }
+    let Some((&file, providers)) = per_file
+        .iter()
+        .max_by_key(|(file, providers)| (providers.len(), std::cmp::Reverse(file.0)))
+    else {
+        return false;
+    };
+    if !state.satisfy(shared, online, index, file, providers) {
+        return false;
+    }
+    state.hits[index].get_or_insert(HitMark { key, hops, from_cache: false });
+    // Announce the fresh replica to the current index nodes right away — the
+    // event-driven counterpart of the periodic republish round, so it is
+    // discoverable before the next round.
+    let mut targets = std::mem::take(&mut state.scratch_publish_targets);
+    let mut scratch = std::mem::take(&mut state.scratch_directory);
+    for_each_store_target(
+        shared, directory, online, file, None, &mut scratch, &mut targets,
+        |keyword, target| place_record(state, shared, key.time, target, keyword, file.0, replica),
+    );
+    state.scratch_publish_targets = targets;
+    state.scratch_directory = scratch;
+    true
+}
+
 #[cfg(test)]
 mod tests {
+    use super::super::{lock_all, prepare};
     use super::*;
+    use crate::config::{ProtocolKind, SimulationConfig};
+    use crate::simulation::Simulation;
+
+    /// A 40-peer single-shard substrate whose record cap never truncates.
+    fn substrate() -> Simulation {
+        let mut config = SimulationConfig::small(40);
+        config.shards = 1;
+        config.dht.max_record_bytes = 1 << 20;
+        Simulation::try_build(config).expect("test configuration validates")
+    }
+
+    /// What `peer` holds under `keyword` at `at`.
+    fn record(state: &ShardState, peer: usize, keyword: u32, at: SimTime) -> Vec<(u32, ProviderEntry)> {
+        let mut entries = Vec::new();
+        let node = state.peers.iter().find(|p| p.id.index() == peer).unwrap().dht.as_ref();
+        node.unwrap().store.lookup_into(keyword, at, &mut entries);
+        entries
+    }
+
+    /// Every peer's unexpired record entries, keyword by keyword.
+    fn records(shared: &RunShared<'_>, state: &ShardState, at: SimTime) -> Vec<Vec<(u32, ProviderEntry)>> {
+        let keywords = 0..shared.config.keyword_pool as u32;
+        (0..shared.config.peers)
+            .flat_map(|peer| keywords.clone().map(move |keyword| record(state, peer, keyword, at)))
+            .collect()
+    }
+
+    #[test]
+    fn memoised_and_unmemoised_store_walks_agree() {
+        let sim = substrate();
+        let (shared, _shards) = prepare(&sim, ProtocolKind::DhtIndex, Vec::new(), true);
+        let directory = shared.dht.as_ref().unwrap();
+        let mut online = vec![true; 40];
+        online[3] = false;
+        let (mut scratch, mut buffer) = (DirectoryScratch::default(), Vec::new());
+        let mut memo = HashMap::new();
+        for _round in 0..2 {
+            // The second round answers every keyword from the memo.
+            for file in (0..10).map(FileId) {
+                let (mut with, mut without) = (Vec::new(), Vec::new());
+                for_each_store_target(
+                    &shared, directory, &online, file, Some(&mut memo), &mut scratch,
+                    &mut buffer, |keyword, target| with.push((keyword, target)),
+                );
+                for_each_store_target(
+                    &shared, directory, &online, file, None, &mut scratch, &mut buffer,
+                    |keyword, target| without.push((keyword, target)),
+                );
+                assert_eq!(with, without, "file {file:?}");
+                let keywords = shared.catalog.filename(file).keywords().len();
+                assert_eq!(with.len(), keywords * shared.config.dht.k);
+                assert!(with.iter().all(|&(_, target)| target != PeerId(3)), "offline target");
+            }
+        }
+    }
+
+    #[test]
+    fn a_self_target_is_stored_in_place_and_never_sent() {
+        let sim = substrate();
+        let (shared, shards) = prepare(&sim, ProtocolKind::DhtIndex, Vec::new(), true);
+        let mut guards = lock_all(&shards);
+        let now = SimTime::from_millis(10);
+        let provider = ProviderEntry {
+            provider: PeerId(5),
+            loc_id: shared.loc_ids[5],
+        };
+        let state = &mut *guards[0];
+        place_record(state, &shared, now, PeerId(5), u32::MAX, 7, provider);
+        assert_eq!(record(state, 5, u32::MAX, now), [(7, provider)]);
+        assert_eq!(state.tallies.background_messages, 0);
+        assert!(state.queue.peek_key().is_none());
+        // A remote target costs one store message and holds nothing until it lands.
+        place_record(state, &shared, now, PeerId(6), u32::MAX, 7, provider);
+        assert_eq!(state.tallies.message_counts[kind_index(MessageKind::DhtStore)], 1);
+        assert!(record(state, 6, u32::MAX, now).is_empty());
+        state.drain(&shared, u64::MAX);
+        assert_eq!(record(state, 6, u32::MAX, now), [(7, provider)]);
+    }
+
+    #[test]
+    fn a_republish_round_at_time_zero_rebuilds_the_bootstrap_records() {
+        let sim = substrate();
+        let (shared, shards) = prepare(&sim, ProtocolKind::DhtIndex, Vec::new(), true);
+        let directory = shared.dht.as_ref().unwrap();
+        let mut guards = lock_all(&shards);
+        let later = SimTime::ZERO + Duration::from_secs(60);
+        let bootstrapped = records(&shared, &guards[0], later);
+        assert!(bootstrapped.iter().any(|held| !held.is_empty()));
+        for peer in guards[0].peers.iter_mut() {
+            peer.dht.as_mut().unwrap().store.clear();
+        }
+        // The same round, paid for: stores travel as messages and land later.
+        republish(&shared, directory, &mut guards, SimTime::ZERO, false);
+        assert_ne!(records(&shared, &guards[0], later), bootstrapped);
+        guards[0].drain(&shared, u64::MAX);
+        assert_eq!(records(&shared, &guards[0], later), bootstrapped);
+    }
+
+    #[test]
+    fn the_walk_keeps_at_most_alpha_steps_in_flight_until_its_shortlist_empties() {
+        let sim = substrate();
+        let (shared, shards) = prepare(&sim, ProtocolKind::DhtIndex, sim.arrivals(1), true);
+        let directory = shared.dht.as_ref().unwrap();
+        let (alpha, k) = (shared.config.dht.alpha, shared.config.dht.k);
+        let online = vec![true; 40];
+        let mut guards = lock_all(&shards);
+        let state = &mut *guards[0];
+        let origin = PeerId(shared.arrivals[0].peer as u32);
+        let key = EventKey::new(SimTime::from_millis(5), 0, 0, 0);
+        // No tracking entry exists, so nothing can satisfy the query: the
+        // walk runs until the shortlist is exhausted.
+        issue(state, &shared, directory, &online, key, 0, &[KeywordId(0)]);
+        let awaiting = |state: &ShardState| state.dht_lookups[&0].awaiting.clone();
+        assert_eq!(awaiting(state).len(), alpha);
+        assert!(awaiting(state).iter().all(|&(_, hop)| hop == 1));
+
+        // A reply frees its slot and the refill goes one hop deeper.
+        let (replier, _) = awaiting(state)[0];
+        let reply = Message::DhtLookupReply {
+            query: QueryId(0),
+            keyword: 0,
+            hop: 1,
+            entries: Vec::new(),
+            closer: Vec::new(),
+        };
+        deliver(state, &shared, &online, key, replier, origin, reply);
+        let steps = awaiting(state);
+        assert_eq!(steps.len(), alpha);
+        assert!(steps.iter().all(|&(peer, _)| peer != replier));
+        assert_eq!(steps[alpha - 1].1, 2, "a reply refills at hop + 1");
+
+        // A step deadline frees its slot and the refill stays at its hop.
+        let (stalled, hop) = steps[0];
+        step_timeout(state, &shared, key, 0, stalled);
+        assert_eq!(awaiting(state).len(), alpha);
+        assert_eq!(awaiting(state)[alpha - 1].1, hop, "a timeout refills at the same hop");
+        step_timeout(state, &shared, key, 0, stalled);
+        assert_eq!(state.tallies.dht_step_timeouts, 1, "a settled step cannot time out");
+
+        // Time every remaining step out: once the k closest have all been
+        // asked the in-flight count runs down and the state is dropped.
+        while let Some(lookup) = state.dht_lookups.get(&0) {
+            assert!((1..=alpha).contains(&lookup.inflight()));
+            let (peer, _) = lookup.awaiting[0];
+            step_timeout(state, &shared, key, 0, peer);
+        }
+        assert_eq!(state.tallies.message_counts[kind_index(MessageKind::DhtLookup)], k as u64);
+    }
 
     #[test]
     fn directory_identities_are_deterministic_and_distinct() {

@@ -18,12 +18,12 @@
 //! | query completion | 4     | arrival index               | 0              |
 //! | fault timeout    | 6     | arrival index               | discriminator  |
 //!
-//! The class ranks mirror the sequential engine's initial-scheduling order at
-//! equal times (arrivals, then maintenance, then churn, then in-flight
-//! deliveries). Deliveries tie-break by destination, then source, then a
-//! send sequence number counted at the sender — link latencies are fixed per
-//! pair, so two messages on one link arriving simultaneously were sent
-//! simultaneously and the sender's count orders them by send order.
+//! At equal times the class ranks order arrivals, then maintenance, then
+//! churn, then in-flight deliveries. Deliveries tie-break by destination,
+//! then source, then a send sequence number counted at the sender — link
+//! latencies are fixed per pair, so two messages on one link arriving
+//! simultaneously were sent simultaneously and the sender's count orders them
+//! by send order.
 //!
 //! A **query completion** is the synthesized event marking the consumption of
 //! a query's last in-flight message (see the lifecycle tracking in
@@ -99,7 +99,7 @@ pub(crate) fn timeout_key(at: SimTime, index: usize, discriminator: u64) -> Even
 /// The canonical key of a message delivery: `seq` is the sender-side send
 /// sequence number — monotone in the sender's event order, so it FIFO-orders
 /// deliveries that tie on `(time, to, from)` (same-link ties imply the same
-/// send instant, where send order is the sequential engine's order too).
+/// send instant).
 pub(crate) fn deliver_key(at: SimTime, to: PeerId, from: PeerId, seq: u64) -> EventKey {
     EventKey::new(
         at,

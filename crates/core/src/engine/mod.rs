@@ -1,8 +1,8 @@
 //! The protocol simulation engine, sharded for deterministic intra-run
 //! parallelism.
 //!
-//! `ProtocolEngine` wires the substrate crates together and executes one
-//! run: queries arrive according to the workload's Poisson process, travel
+//! `run` wires the substrate crates together and executes one run:
+//! queries arrive according to the workload's Poisson process, travel
 //! over the overlay according to the protocol's routing policy with per-link
 //! latencies from the physical topology, responses travel back along reverse
 //! paths and are cached according to the protocol's caching rule, and the
@@ -37,9 +37,7 @@
 //! therefore always arrives past the destination's bound — in a *later*
 //! window than it was sent — which makes the barrier merge exact rather
 //! than approximate: every event is processed at exactly the canonical
-//! position it would occupy in a single-queue run. A shard behind a
-//! high-latency boundary advances further per barrier than the old global
-//! `min`-over-all-channels window allowed, cutting the barrier count.
+//! position it would occupy in a single-queue run.
 //!
 //! ## Query lifecycle
 //!
@@ -70,6 +68,18 @@
 //! barrier rather than mid-window, so the truncation point may differ between
 //! shard counts. Results below the budget are unaffected.
 //!
+//! ## Who owns what
+//!
+//! This file owns the run's set-up and report, window planning, lifecycle
+//! folds and the barrier transitions (Bloom sync, churn). `shard` owns the
+//! per-shard event loop: query lifecycle, transport (canonical keys, fault
+//! marking, outboxes) and the unstructured family's handlers. `dht` owns the
+//! structured family — directory, bootstrap, lookups, record placement,
+//! republish and table maintenance — behind a handful of entry points.
+//! `exchange` fixes the canonical event order and the partition, `faults`
+//! compiles the fault plan, `tally` holds the commutative statistics. Every
+//! shard count, `shards = 1` included, runs this same code path.
+//!
 //! [`QueryRecord`]: locaware_metrics::QueryRecord
 //! [`LinkLatencyCache::incoming_channel_mins`]:
 //!   locaware_net::LinkLatencyCache::incoming_channel_mins
@@ -80,7 +90,6 @@ mod faults;
 mod shard;
 mod tally;
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -93,9 +102,7 @@ use locaware_bloom::BloomParams;
 use locaware_metrics::{QueryOutcome, QueryRecord, RunMetrics};
 use locaware_net::{LinkLatencyCache, LocId, PhysicalTopology};
 use locaware_overlay::churn::ChurnEvent;
-use locaware_overlay::{
-    ChurnEventKind, DhtNode, Message, MessageKind, OverlayGraph, PeerId, ProviderEntry,
-};
+use locaware_overlay::{ChurnEventKind, Message, OverlayGraph, PeerId};
 use locaware_sim::{Duration, EventKey, RngFactory, SimTime, StreamId};
 use locaware_workload::{Arrival, Catalog, KeywordHashes, QueryGenerator};
 
@@ -103,11 +110,12 @@ use crate::config::{ProtocolKind, SimulationConfig};
 use crate::group::GroupScheme;
 use crate::peer::PeerState;
 use crate::protocol::Protocol;
-use crate::results::{DhtRunStats, FaultRunStats, SimulationReport};
+use crate::results::{FaultRunStats, SimulationReport};
+use crate::simulation::Simulation;
 
 pub(crate) use exchange::locality_rank_order;
 
-use dht::{DhtDirectory, DirectoryScratch};
+use dht::DhtDirectory;
 use faults::FaultPlan;
 use exchange::{
     completion_key, issue_key, PeerPartition, CLASS_BLOOM_SYNC, CLASS_CHURN, CLASS_DHT_REPUBLISH,
@@ -123,19 +131,19 @@ use tally::{labelled_counters, Tallies, FORWARD_DECISIONS, MESSAGE_KINDS};
 /// shard for the duration of a window drain, so the event path never blocks.
 pub(crate) struct RunShared<'a> {
     pub(crate) config: &'a SimulationConfig,
-    pub(crate) protocol: &'a dyn Protocol,
+    pub(crate) protocol: Box<dyn Protocol>,
     pub(crate) topology: &'a PhysicalTopology,
     pub(crate) link_latencies: &'a LinkLatencyCache,
     pub(crate) loc_ids: &'a [LocId],
     pub(crate) catalog: &'a Catalog,
     pub(crate) keyword_hashes: Arc<KeywordHashes>,
     pub(crate) scheme: GroupScheme,
-    pub(crate) arrivals: &'a [Arrival],
-    pub(crate) query_generator: &'a QueryGenerator,
+    pub(crate) arrivals: Vec<Arrival>,
+    pub(crate) query_generator: QueryGenerator,
     pub(crate) rng_factory: RngFactory,
-    pub(crate) partition: &'a PeerPartition,
+    pub(crate) partition: PeerPartition,
     /// The DHT identity oracle — `Some` exactly for structured protocols
-    /// ([`Protocol::uses_dht`]). Immutable for the whole run.
+    /// ([`ProtocolKind::uses_dht`]). Immutable for the whole run.
     pub(crate) dht: Option<DhtDirectory>,
     pub(crate) graph: RwLock<OverlayGraph>,
     pub(crate) online: RwLock<Vec<bool>>,
@@ -151,578 +159,317 @@ pub(crate) struct RunShared<'a> {
     pub(crate) faults: Option<FaultPlan>,
 }
 
-/// Everything needed to execute one protocol run over a prepared substrate.
-pub(crate) struct ProtocolEngine<'a> {
-    config: &'a SimulationConfig,
-    protocol: Box<dyn Protocol>,
-    topology: &'a PhysicalTopology,
-    link_latencies: &'a LinkLatencyCache,
-    loc_ids: &'a [LocId],
-    catalog: &'a Catalog,
-    keyword_hashes: Arc<KeywordHashes>,
-    scheme: GroupScheme,
-    graph: OverlayGraph,
-    peers: Vec<PeerState>,
+/// Executes one run of protocol `kind` over the prepared substrate `sim` and
+/// produces the report.
+pub(crate) fn run(
+    sim: &Simulation,
+    kind: ProtocolKind,
     arrivals: Vec<Arrival>,
-    churn_schedule: Vec<ChurnEvent>,
-    query_generator: QueryGenerator,
-    churn_rng: StdRng,
-    rng_factory: RngFactory,
-    dht: Option<DhtDirectory>,
+    churn_schedule: &[ChurnEvent],
+) -> SimulationReport {
+    let (shared, shards) = prepare(sim, kind, arrivals, churn_schedule.is_empty());
+    let shard_count = shards.len();
+    let mut coordinator = Coordinator::new(&shared, churn_schedule, shard_count);
+
+    if shard_count == 1 || !worker_threads_available() {
+        // Single shard — or a single-CPU host, where worker threads can
+        // only add scheduling overhead: drain the shards on this thread.
+        // The state transitions are identical either way (the executor is
+        // a pure scheduling choice), so results do not depend on the host.
+        coordinator.drive(&shared, &shards, None);
+    } else {
+        let barrier = Barrier::new(shard_count + 1);
+        let cmd = Mutex::new(Cmd::Run(0));
+        let panicked = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for shard in &shards {
+                let (shared, barrier, cmd, panicked) = (&shared, &barrier, &cmd, &panicked);
+                scope.spawn(move || loop {
+                    barrier.wait();
+                    let command = *cmd.lock();
+                    match command {
+                        Cmd::Quit => break,
+                        Cmd::Run(cap) => {
+                            if !panicked.load(Ordering::SeqCst) {
+                                // The per-shard window bound was set by the
+                                // coordinator at plan time.
+                                let drain = || shard.lock().drain(shared, cap);
+                                if catch_unwind(AssertUnwindSafe(drain)).is_err() {
+                                    panicked.store(true, Ordering::SeqCst);
+                                }
+                            }
+                            barrier.wait();
+                        }
+                    }
+                });
+            }
+            let mut workers = Workers {
+                barrier: &barrier,
+                cmd: &cmd,
+                panicked: &panicked,
+                released: false,
+            };
+            // The coordinator itself runs protocol code (inline windows,
+            // barrier transitions); if it panics while the workers are
+            // parked at the barrier, the scope would join threads that
+            // are still waiting — a hang instead of a test failure. Catch
+            // the unwind, release the workers, then resume it.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                coordinator.drive(&shared, &shards, Some(&mut workers))
+            }));
+            workers.shutdown();
+            if let Err(panic) = outcome {
+                std::panic::resume_unwind(panic);
+            }
+        });
+    }
+
+    let shards: Vec<ShardState> = shards.into_iter().map(|m| m.into_inner()).collect();
+    coordinator.print_stats(&shards, &shared.channel_lookahead);
+    finalize(&shared, &shards, &coordinator)
 }
 
-impl<'a> ProtocolEngine<'a> {
-    /// Builds an engine for one run.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        config: &'a SimulationConfig,
-        kind: ProtocolKind,
-        topology: &'a PhysicalTopology,
-        link_latencies: &'a LinkLatencyCache,
-        loc_ids: &'a [LocId],
-        graph: &OverlayGraph,
-        catalog: &'a Catalog,
-        initial_shares: &[Vec<locaware_workload::FileId>],
-        gids: &[crate::group::GroupId],
-        arrivals: Vec<Arrival>,
-        churn_schedule: Vec<ChurnEvent>,
-        rng_factory: &RngFactory,
-    ) -> Self {
-        let protocol = crate::protocol::build_protocol(kind, config);
-        let scheme = GroupScheme::new(config.group_count);
-        let bloom_params = BloomParams::new(config.bloom_bits, config.bloom_hashes);
-        let max_providers = protocol.max_providers_per_file(config);
-        let keyword_hashes = catalog.keyword_hashes().clone();
+/// Builds the run's shared context and its shards: the shard partition with
+/// its channel lookaheads, per-peer state (initial shares, neighbour group
+/// ids and Bloom filters — and, for structured protocols, the bootstrapped
+/// DHT), and the arrivals scheduled into their origin shards.
+/// `static_overlay` says the run has no churn, i.e. overlay messages only
+/// ever travel the initial overlay links.
+fn prepare(
+    sim: &Simulation,
+    kind: ProtocolKind,
+    arrivals: Vec<Arrival>,
+    static_overlay: bool,
+) -> (RunShared<'_>, Vec<Mutex<ShardState>>) {
+    let config = sim.config();
+    let (catalog, graph, loc_ids, gids) =
+        (sim.catalog(), sim.overlay(), sim.loc_ids(), sim.group_ids());
+    let protocol = crate::protocol::build_protocol(kind, config);
 
-        let mut peers: Vec<PeerState> = (0..config.peers)
-            .map(|i| {
-                let id = PeerId(i as u32);
-                let mut state = PeerState::new(
-                    id,
-                    loc_ids[i],
-                    gids[i],
-                    bloom_params,
-                    config.response_index_capacity,
-                    max_providers,
-                    keyword_hashes.clone(),
-                );
-                for &file in &initial_shares[i] {
-                    state.share_file(file);
-                    if protocol.uses_bloom_sync() {
-                        // §5.2: Bloom routing must not miss results held by
-                        // neighbours, so a peer's filter also covers the
-                        // filenames it stores itself (see DESIGN.md).
-                        state.advertise_keywords(catalog.filename(file).keywords());
-                    }
-                }
-                state
-            })
-            .collect();
+    // Static overlay-only runs only ever send along overlay links, so a
+    // shard's lookahead is the minimum incoming cross-shard link latency;
+    // churn can rewire any pair, and DHT traffic travels arbitrary peer
+    // pairs from the start, so in either case every shard falls back to the
+    // configured minimum pair latency (rounding to integer microseconds is
+    // monotone, so the rounded configured minimum bounds every rounded pair
+    // latency).
+    let mut shard_count = config.effective_shards();
+    let mut partition = PeerPartition::locality(loc_ids, shard_count);
+    let mut channel_lookahead = if shard_count == 1 {
+        vec![None]
+    } else if static_overlay && !kind.uses_dht() {
+        sim.link_latencies()
+            .incoming_channel_mins(&partition.shard_of, shard_count)
+    } else {
+        vec![Some(Duration::from_millis_f64(config.min_latency_ms)); shard_count]
+    };
+    if shard_count > 1 && channel_lookahead.contains(&Some(Duration::ZERO)) {
+        // A zero lookahead means some cross-shard message could land in
+        // the very window that sent it (sub-microsecond latencies rounding
+        // to zero) — and a shard whose bound never exceeds the frontier
+        // could not even admit its own frontier event. No positive
+        // lookahead exists, so parallel windows cannot be exact. Fall back
+        // to a single shard — a pure scheduling change, results are
+        // identical by the engine's shard-count-invariance contract.
+        shard_count = 1;
+        partition = PeerPartition::locality(loc_ids, 1);
+        channel_lookahead = vec![None];
+    }
 
-        // Neighbours exchange group ids on join (§4.2); modelled as already
-        // known at simulation start, like the paper's static setup.
-        for i in 0..config.peers {
-            let id = PeerId(i as u32);
-            for &n in graph.neighbors(id) {
-                let gid = gids[n.index()];
-                peers[i].record_neighbor(n, gid);
-            }
-        }
-
-        // Initial Bloom exchange between neighbours ("Neighboring peers
-        // exchange their group Ids as well as their Bloom filters", §4.2).
-        if protocol.uses_bloom_sync() {
-            let initial_blooms: Vec<_> = peers
-                .iter_mut()
-                .map(|p| {
-                    let _ = p.take_bloom_update();
-                    p.exported_bloom().clone()
-                })
-                .collect();
-            for i in 0..config.peers {
-                let id = PeerId(i as u32);
-                for &n in graph.neighbors(id) {
-                    let bloom = initial_blooms[n.index()].clone();
-                    peers[i].set_neighbor_bloom(n, bloom);
-                }
-            }
-        }
-
+    let shared = RunShared {
+        config,
+        topology: sim.topology(),
+        link_latencies: sim.link_latencies(),
+        loc_ids,
+        catalog,
+        keyword_hashes: catalog.keyword_hashes().clone(),
+        scheme: GroupScheme::new(config.group_count),
         // The base workload stream seeds only the generator's one-time
         // popularity permutation; per-query draws come from streams derived
         // per arrival index, so they are independent of processing order.
-        let mut workload_rng = rng_factory.stream(StreamId::QueryWorkload);
-        let query_generator = QueryGenerator::new(
+        query_generator: QueryGenerator::new(
             catalog,
             locaware_workload::QueryWorkloadConfig {
                 zipf_exponent: config.zipf_exponent,
                 min_keywords: config.min_query_keywords,
                 max_keywords: config.max_query_keywords,
             },
-            &mut workload_rng,
+            &mut sim.rng_factory().stream(StreamId::QueryWorkload),
+        ),
+        rng_factory: *sim.rng_factory(),
+        partition,
+        dht: kind
+            .uses_dht()
+            .then(|| DhtDirectory::new(sim.rng_factory(), config.peers)),
+        graph: RwLock::new(graph.clone()),
+        online: RwLock::new(vec![true; config.peers]),
+        channel_lookahead,
+        faults: FaultPlan::new(&config.faults, sim.rng_factory()),
+        arrivals,
+        protocol,
+    };
+    let protocol = &*shared.protocol;
+
+    let bloom_params = BloomParams::new(config.bloom_bits, config.bloom_hashes);
+    let max_providers = protocol.max_providers_per_file(config);
+    let new_peer = |id: PeerId| {
+        let mut state = PeerState::new(
+            id,
+            loc_ids[id.index()],
+            gids[id.index()],
+            bloom_params,
+            config.response_index_capacity,
+            max_providers,
+            shared.keyword_hashes.clone(),
         );
-
-        // Structured protocols: derive the run's DHT identities, install
-        // per-peer DHT state, and seed routing tables and record stores.
-        // Like the group-id and initial Bloom exchanges above, the bootstrap
-        // is modelled as already converged at simulation start: every peer
-        // has observed every other's node id (bucket capacities still apply,
-        // so far buckets keep only their first `k` in peer-id order), and
-        // each initially shared, DHT-indexed file is stored on the `k`
-        // closest nodes to each of its keyword keys — no messages charged.
-        let dht = if protocol.uses_dht() {
-            let directory = DhtDirectory::new(rng_factory, config.peers);
-            for (i, peer) in peers.iter_mut().enumerate() {
-                peer.dht = Some(Box::new(DhtNode::new(
-                    directory.node_id(PeerId(i as u32)),
-                    config.dht.k,
-                    config.dht.max_record_bytes,
-                )));
+        for &file in &sim.initial_shares()[id.index()] {
+            state.share_file(file);
+            if protocol.uses_bloom_sync() {
+                // §5.2: Bloom routing must not miss results held by
+                // neighbours, so a peer's filter also covers the filenames
+                // it stores itself.
+                state.advertise_keywords(catalog.filename(file).keywords());
             }
-            // The converged tables (for each bucket, the k lowest-id peers of
-            // the bucket's subtree) come from one O(n log n · k) range-split
-            // walk of the directory's sorted ring — identical contents, in
-            // identical bucket order, to inserting all n-1 others per peer.
-            directory.for_each_bootstrap_contact(config.dht.k, |owner, contact_id, contact| {
-                let inserted = peers[owner.index()]
-                    .dht
-                    .as_mut()
-                    .expect("dht state installed for every peer when the protocol is structured")
-                    .table
-                    .insert(contact_id, contact);
-                debug_assert!(inserted, "bootstrap contacts are pre-capped per bucket");
-            });
-            let all_online = vec![true; config.peers];
-            let expiry = SimTime::ZERO + Duration::from_secs_f64(config.dht.record_ttl_secs);
-            // With every peer online, the store targets depend only on the
-            // keyword — resolve each keyword's k-closest once, not once per
-            // (peer, file) sharing it.
-            let mut scratch = DirectoryScratch::default();
-            let mut targets_by_keyword: HashMap<u32, Vec<PeerId>> = HashMap::new();
-            for i in 0..config.peers {
-                let provider = ProviderEntry {
-                    provider: PeerId(i as u32),
-                    loc_id: loc_ids[i],
-                };
-                for &file in &initial_shares[i] {
-                    let rank = query_generator.rank_of(file);
-                    if !protocol.dht_resolves_rank(rank, catalog.len()) {
-                        continue;
-                    }
-                    for &kw in catalog.filename(file).keywords() {
-                        let targets = targets_by_keyword.entry(kw.0).or_insert_with(|| {
-                            let key = directory.keyword_key(kw);
-                            let mut targets = Vec::new();
-                            directory.closest_online_into(
-                                key,
-                                &all_online,
-                                config.dht.k,
-                                &mut scratch,
-                                &mut targets,
-                            );
-                            targets
-                        });
-                        for &target in targets.iter() {
-                            peers[target.index()]
-                                .dht
-                                .as_mut()
-                                .expect("dht state installed for every peer when the protocol is structured")
-                                .store
-                                .insert(kw.0, file.0, provider, expiry);
-                        }
-                    }
-                }
-            }
-            Some(directory)
-        } else {
-            None
-        };
-
-        ProtocolEngine {
-            config,
-            protocol,
-            topology,
-            link_latencies,
-            loc_ids,
-            catalog,
-            keyword_hashes,
-            scheme,
-            graph: graph.clone(),
-            peers,
-            arrivals,
-            churn_schedule,
-            query_generator,
-            churn_rng: rng_factory.stream(StreamId::Churn),
-            rng_factory: *rng_factory,
-            dht,
         }
-    }
-
-    /// Executes the run and produces the report.
-    pub(crate) fn run(mut self) -> SimulationReport {
-        let mut shard_count = self.config.effective_shards();
-        let mut partition = PeerPartition::locality(self.loc_ids, shard_count);
-
-        // Per-destination channel lookaheads: shard `i`'s window may extend
-        // `W_i` past the global frontier, where `W_i` lower-bounds the latency
-        // of any message that can cross INTO shard `i`. Static overlay-only
-        // runs only ever send along overlay links, so `W_i` is the minimum
-        // incoming cross-shard link latency; churn can rewire any pair, and
-        // DHT traffic travels arbitrary peer pairs from the start, so in
-        // either case every shard falls back to the configured minimum pair
-        // latency (rounding to integer microseconds is monotone, so the
-        // rounded configured minimum bounds every rounded pair latency).
-        // `None` means shard `i` has no incoming cross-shard channel
-        // (unbounded horizon).
-        let channel_lookahead = |partition: &PeerPartition, links_only: bool, shards: usize| {
-            if shards == 1 {
-                vec![None]
-            } else if links_only {
-                self.link_latencies
-                    .incoming_channel_mins(&partition.shard_of, shards)
-            } else {
-                vec![Some(Duration::from_millis_f64(self.config.min_latency_ms)); shards]
-            }
-        };
-        let links_only = self.churn_schedule.is_empty() && !self.protocol.uses_dht();
-        let mut lookahead = channel_lookahead(&partition, links_only, shard_count);
-        if shard_count > 1 && lookahead.contains(&Some(Duration::ZERO)) {
-            // A zero lookahead means some cross-shard message could land in
-            // the very window that sent it (sub-microsecond latencies rounding
-            // to zero) — and a shard whose bound never exceeds the frontier
-            // could not even admit its own frontier event. No positive
-            // lookahead exists, so parallel windows cannot be exact. Fall back
-            // to a single shard — a pure scheduling change, results are
-            // identical by the engine's shard-count-invariance contract.
-            shard_count = 1;
-            partition = PeerPartition::locality(self.loc_ids, 1);
-            lookahead = vec![None];
+        // Neighbours exchange group ids on join (§4.2); modelled as already
+        // known at simulation start, like the paper's static setup.
+        for &n in graph.neighbors(id) {
+            state.record_neighbor(n, gids[n.index()]);
         }
+        state
+    };
+    // Every shard owns a contiguous run of the locality rank order, and a
+    // peer's slot is its position within that run.
+    let mut members = locality_rank_order(loc_ids).into_iter().map(PeerId);
+    let shards: Vec<Mutex<ShardState>> = (shared.partition.sizes.iter().enumerate())
+        .map(|(index, &size)| {
+            let peers = members.by_ref().take(size).map(new_peer).collect();
+            let arrivals = shared.arrivals.len();
+            Mutex::new(ShardState::new(index as u32, shard_count, peers, arrivals))
+        })
+        .collect();
+    let mut guards = lock_all(&shards);
 
-        // Distribute the peers into their shards' slot-indexed vectors.
-        let arrivals_len = self.arrivals.len();
-        let mut slots: Vec<Vec<Option<PeerState>>> = partition
-            .sizes
-            .iter()
-            .map(|&size| (0..size).map(|_| None).collect())
-            .collect();
-        for (i, peer) in std::mem::take(&mut self.peers).into_iter().enumerate() {
-            slots[partition.shard_of[i] as usize][partition.slot_of[i] as usize] = Some(peer);
-        }
-        let shards: Vec<Mutex<ShardState>> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(index, peer_slots)| {
-                let peers: Vec<PeerState> = peer_slots
-                    .into_iter()
-                    .map(|p| p.expect("partition covers every peer"))
-                    .collect();
-                Mutex::new(ShardState::new(
-                    index as u32,
-                    shard_count,
-                    peers,
-                    arrivals_len,
-                ))
+    // Initial Bloom exchange between neighbours ("Neighboring peers
+    // exchange their group Ids as well as their Bloom filters", §4.2).
+    if protocol.uses_bloom_sync() {
+        let all_peers = || (0..config.peers as u32).map(PeerId);
+        let initial_blooms: Vec<_> = all_peers()
+            .map(|id| {
+                let peer = peer_mut(&shared, &mut guards, id);
+                let _ = peer.take_bloom_update();
+                peer.exported_bloom().clone()
             })
             .collect();
-
-        // Schedule the arrivals into their origin shards.
-        for (index, arrival) in self.arrivals.iter().enumerate() {
-            let origin = PeerId(arrival.peer as u32);
-            shards[partition.shard(origin)]
-                .lock()
-                .queue
-                .push(issue_key(arrival.at, index), ShardEvent::Issue(index as u32));
-        }
-
-        // Global transitions — Bloom sync rounds over the workload span (plus
-        // a small drain margin so late responses still see fresh filters) and
-        // the churn schedule — run serially at barriers, at their canonical
-        // position in the event order.
-        let last_arrival = self.arrivals.last().map(|a| a.at).unwrap_or(SimTime::ZERO);
-        let mut control: Vec<(EventKey, ControlAction)> = Vec::new();
-        if self.protocol.uses_bloom_sync() {
-            let period = Duration::from_secs_f64(self.config.bloom_sync_period_secs);
-            let horizon = last_arrival + Duration::from_secs(60);
-            let mut t = SimTime::ZERO + period;
-            let mut round = 0u64;
-            while t <= horizon {
-                control.push((
-                    EventKey::new(t, CLASS_BLOOM_SYNC, round, 0),
-                    ControlAction::BloomSync,
-                ));
-                round += 1;
-                t += period;
+        for id in all_peers() {
+            let peer = peer_mut(&shared, &mut guards, id);
+            for &n in graph.neighbors(id) {
+                peer.set_neighbor_bloom(n, initial_blooms[n.index()].clone());
             }
         }
-        if self.protocol.uses_dht() {
-            let mut period = Duration::from_secs_f64(self.config.dht.republish_period_secs);
-            if period == Duration::ZERO {
-                // A sub-microsecond period rounds to zero; pin it to the time
-                // grid's resolution so the round loop always advances.
-                period = Duration::from_micros(1);
-            }
-            let horizon = last_arrival + Duration::from_secs(60);
-            let mut t = SimTime::ZERO + period;
-            let mut round = 0u64;
-            while t <= horizon {
-                control.push((
-                    EventKey::new(t, CLASS_DHT_REPUBLISH, round, 0),
-                    ControlAction::DhtRepublish,
-                ));
-                round += 1;
-                t += period;
-            }
-        }
-        for (i, event) in self.churn_schedule.iter().enumerate() {
-            control.push((
-                EventKey::new(event.at, CLASS_CHURN, i as u64, 0),
-                ControlAction::Churn(i),
-            ));
-        }
-        control.sort_by_key(|&(key, _)| key);
+    }
+    if let Some(directory) = &shared.dht {
+        dht::bootstrap(&shared, directory, &mut guards);
+    }
+    for (index, arrival) in shared.arrivals.iter().enumerate() {
+        let origin = PeerId(arrival.peer as u32);
+        guards[shared.partition.shard(origin)]
+            .queue
+            .push(issue_key(arrival.at, index), ShardEvent::Issue(index as u32));
+    }
+    drop(guards);
+    (shared, shards)
+}
 
-        let shared = RunShared {
-            config: self.config,
-            protocol: &*self.protocol,
-            topology: self.topology,
-            link_latencies: self.link_latencies,
-            loc_ids: self.loc_ids,
-            catalog: self.catalog,
-            keyword_hashes: self.keyword_hashes.clone(),
-            scheme: self.scheme,
-            arrivals: &self.arrivals,
-            query_generator: &self.query_generator,
-            rng_factory: self.rng_factory,
-            partition: &partition,
-            dht: self.dht.take(),
-            graph: RwLock::new(std::mem::replace(&mut self.graph, OverlayGraph::new(0))),
-            online: RwLock::new(vec![true; self.config.peers]),
-            channel_lookahead: lookahead,
-            faults: FaultPlan::new(&self.config.faults, &self.rng_factory),
-        };
-
-        let mut coordinator = Coordinator {
-            control,
-            next_control: 0,
-            churn_schedule: std::mem::take(&mut self.churn_schedule),
-            churn_rng: {
-                let fresh = self.rng_factory.stream(StreamId::Churn);
-                std::mem::replace(&mut self.churn_rng, fresh)
-            },
-            controls_dispatched: 0,
-            control_end_time: SimTime::ZERO,
-            max_events: self.config.max_events,
-            query_outstanding: vec![0; arrivals_len],
-            query_last: vec![None; arrivals_len],
-            query_phase: vec![QueryPhase::Idle; arrivals_len],
-            arrival_done: vec![false; arrivals_len],
-            arrival_cursor: 0,
-            inflight_by_peer: vec![0; self.config.peers],
-            peer_seen: vec![0; self.config.peers],
-            cap_epoch: 0,
-            pending_prunes: Vec::new(),
-            fold_touched: Vec::new(),
-            bounds: vec![EventKey::MAX; shard_count],
-            windows: 0,
-            engaged_windows: 0,
-            capped_windows: 0,
-            prev_dispatched: vec![0; shard_count],
-            critical_path_events: 0,
-            crash_departures: 0,
-        };
-
-        if shard_count == 1 || !worker_threads_available() {
-            // Single shard — or a single-CPU host, where worker threads can
-            // only add scheduling overhead: drain the shards on this thread.
-            // The state transitions are identical either way (the executor is
-            // a pure scheduling choice), so results do not depend on the host.
-            coordinator.drive(&shared, &shards, &mut Executor::Inline);
-        } else {
-            let barrier = Barrier::new(shard_count + 1);
-            let cmd = Mutex::new(Cmd::Run(0));
-            let panicked = AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                for index in 0..shard_count {
-                    let shared = &shared;
-                    let shards = &shards;
-                    let barrier = &barrier;
-                    let cmd = &cmd;
-                    let panicked = &panicked;
-                    scope.spawn(move || loop {
-                        barrier.wait();
-                        let command = *cmd.lock();
-                        match command {
-                            Cmd::Quit => break,
-                            Cmd::Run(cap) => {
-                                if !panicked.load(Ordering::SeqCst) {
-                                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                        // The per-shard window bound was set
-                                        // by the coordinator at plan time.
-                                        shards[index]
-                                            .lock()
-                                            .drain(shared, cap);
-                                    }));
-                                    if outcome.is_err() {
-                                        panicked.store(true, Ordering::SeqCst);
-                                    }
-                                }
-                                barrier.wait();
-                            }
-                        }
-                    });
-                }
-                let mut executor = Executor::Threaded {
-                    barrier: &barrier,
-                    cmd: &cmd,
-                    panicked: &panicked,
-                    released: false,
-                };
-                // The coordinator itself runs protocol code (inline windows,
-                // barrier transitions); if it panics while the workers are
-                // parked at the barrier, the scope would join threads that
-                // are still waiting — a hang instead of a test failure. Catch
-                // the unwind, release the workers, then resume it.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    coordinator.drive(&shared, &shards, &mut executor)
-                }));
-                executor.shutdown();
-                if let Err(panic) = outcome {
-                    std::panic::resume_unwind(panic);
-                }
-            });
-        }
-
-        let shard_states: Vec<ShardState> = shards
-            .into_iter()
-            .map(|m| m.into_inner())
-            .collect();
-        coordinator.print_stats(&shard_states, &shared.channel_lookahead);
-        self.finalize(&partition, shard_states, coordinator)
+fn finalize(
+    shared: &RunShared<'_>,
+    shards: &[ShardState],
+    coordinator: &Coordinator,
+) -> SimulationReport {
+    let mut totals = Tallies::new();
+    for shard in shards {
+        totals.merge(&shard.tallies);
     }
 
-    fn finalize(
-        self,
-        partition: &PeerPartition,
-        shards: Vec<ShardState>,
-        coordinator: Coordinator,
-    ) -> SimulationReport {
-        let mut totals = Tallies::new();
-        for shard in &shards {
-            totals.merge(&shard.tallies);
+    // Per-query merge: origin-local tracking lives in the origin's shard;
+    // per-query message counts are summed across shards; the first local
+    // match is the canonical-key minimum across shards. Arrival index
+    // order is issue order (arrivals are time-sorted, canonical keys
+    // tie-break by index), so records renumber contiguously in it.
+    let mut metrics = RunMetrics::new();
+    let mut emitted = 0u64;
+    let mut dht_lookups = 0u64;
+    let mut dht_depth_total = 0u64;
+    for (index, arrival) in shared.arrivals.iter().enumerate() {
+        let origin = PeerId(arrival.peer as u32);
+        let Some(tracking) = shards[shared.partition.shard(origin)]
+            .tracking
+            .get(&(index as u32))
+        else {
+            continue;
+        };
+        if tracking.dht_lookup {
+            dht_lookups += 1;
+            dht_depth_total += u64::from(tracking.dht_depth);
         }
-
-        // Per-query merge: origin-local tracking lives in the origin's shard;
-        // per-query message counts are summed across shards; the first local
-        // match is the canonical-key minimum across shards. Arrival index
-        // order is issue order (arrivals are time-sorted, canonical keys
-        // tie-break by index), so records renumber contiguously in it.
-        let mut metrics = RunMetrics::new();
-        let mut emitted = 0u64;
-        let mut dht_lookups = 0u64;
-        let mut dht_depth_total = 0u64;
-        for index in 0..self.arrivals.len() {
-            let origin = PeerId(self.arrivals[index].peer as u32);
-            let Some(tracking) = shards[partition.shard(origin)].tracking.get(&(index as u32))
-            else {
-                continue;
-            };
-            if tracking.dht_lookup {
-                dht_lookups += 1;
-                dht_depth_total += u64::from(tracking.dht_depth);
-            }
-            let messages: u64 = shards.iter().map(|s| s.messages[index]).sum();
-            let hit = shards
-                .iter()
-                .filter_map(|s| s.hits[index])
-                .min_by_key(|h| h.key);
-            metrics.push(QueryRecord {
-                index: emitted,
-                requestor: tracking.origin.0,
-                outcome: if tracking.satisfied {
-                    QueryOutcome::Satisfied
-                } else {
-                    QueryOutcome::Unsatisfied
-                },
-                messages,
-                download_distance_ms: tracking.download_distance_ms,
-                locality_match: tracking.locality_match,
-                providers_offered: tracking.providers_offered,
-                hops_to_hit: hit.map(|h| h.hops),
-                answered_from_cache: hit.map(|h| h.from_cache).unwrap_or(false),
-                completion_time_ms: tracking
-                    .completed_at
-                    .map(|t| t.duration_since(self.arrivals[index].at).as_millis_f64()),
-            });
-            emitted += 1;
-        }
-
-        let total_replicas: usize = shards
+        let messages: u64 = shards.iter().map(|s| s.messages[index]).sum();
+        let hit = shards
             .iter()
-            .flat_map(|s| s.peers.iter())
-            .map(|p| p.shared_file_count())
-            .sum();
-        let total_cached: usize = shards
-            .iter()
-            .flat_map(|s| s.peers.iter())
-            .map(|p| p.response_index.len())
-            .sum();
-
-        let dht = self.protocol.uses_dht().then(|| {
-            let mut stats = DhtRunStats {
-                lookups: dht_lookups,
-                lookup_depth_total: dht_depth_total,
-                store_messages: totals.message_counts[tally::kind_index(MessageKind::DhtStore)],
-                records: 0,
-                provider_entries: 0,
-                record_bytes: 0,
-                truncated_entries: 0,
-                expired_entries: 0,
-            };
-            for peer in shards.iter().flat_map(|s| s.peers.iter()) {
-                if let Some(node) = peer.dht.as_ref() {
-                    stats.records += node.store.records();
-                    stats.provider_entries += node.store.entries();
-                    stats.record_bytes += node.store.bytes();
-                    stats.truncated_entries += node.store.truncated_entries();
-                    stats.expired_entries += node.store.expired_entries();
-                }
-            }
-            stats
+            .filter_map(|s| s.hits[index])
+            .min_by_key(|h| h.key);
+        metrics.push(QueryRecord {
+            index: emitted,
+            requestor: tracking.origin.0,
+            outcome: if tracking.satisfied {
+                QueryOutcome::Satisfied
+            } else {
+                QueryOutcome::Unsatisfied
+            },
+            messages,
+            download_distance_ms: tracking.download_distance_ms,
+            locality_match: tracking.locality_match,
+            providers_offered: tracking.providers_offered,
+            hops_to_hit: hit.map(|h| h.hops),
+            answered_from_cache: hit.map(|h| h.from_cache).unwrap_or(false),
+            completion_time_ms: tracking
+                .completed_at
+                .map(|t| t.duration_since(arrival.at).as_millis_f64()),
         });
+        emitted += 1;
+    }
 
-        let faults = (!self.config.faults.is_disabled()).then_some(FaultRunStats {
-            messages_lost: totals.messages_lost,
-            dht_stores_lost: totals.dht_stores_lost,
-            query_timeouts: totals.query_timeouts,
-            query_retransmits: totals.query_retransmits,
-            dht_step_timeouts: totals.dht_step_timeouts,
-            crash_departures: coordinator.crash_departures,
-        });
+    let all_peers = || shards.iter().flat_map(|s| s.peers.iter());
+    let faults = (!shared.config.faults.is_disabled()).then_some(FaultRunStats {
+        messages_lost: totals.messages_lost,
+        dht_stores_lost: totals.dht_stores_lost,
+        query_timeouts: totals.query_timeouts,
+        query_retransmits: totals.query_retransmits,
+        dht_step_timeouts: totals.dht_step_timeouts,
+        crash_departures: coordinator.crash_departures,
+    });
+    let end_time = shards
+        .iter()
+        .map(|s| s.last_event_time)
+        .chain(std::iter::once(coordinator.control_end_time))
+        .max()
+        .unwrap_or(SimTime::ZERO);
 
-        let dispatched_events =
-            coordinator.controls_dispatched + shards.iter().map(|s| s.dispatched).sum::<u64>();
-        let end_time = shards
-            .iter()
-            .map(|s| s.last_event_time)
-            .chain(std::iter::once(coordinator.control_end_time))
-            .max()
-            .unwrap_or(SimTime::ZERO);
-
-        SimulationReport {
-            protocol: self.protocol.kind(),
-            queries_issued: totals.queries_issued,
-            metrics,
-            message_counters: labelled_counters(&MESSAGE_KINDS, &totals.message_counts),
-            routing_decisions: labelled_counters(&FORWARD_DECISIONS, &totals.decision_counts),
-            background_messages: totals.background_messages,
-            total_file_replicas: total_replicas,
-            total_cached_index_entries: total_cached,
-            simulated_end_time_secs: end_time.as_secs_f64(),
-            dispatched_events,
-            dht,
-            faults,
-        }
+    SimulationReport {
+        protocol: shared.protocol.kind(),
+        queries_issued: totals.queries_issued,
+        metrics,
+        message_counters: labelled_counters(&MESSAGE_KINDS, &totals.message_counts),
+        routing_decisions: labelled_counters(&FORWARD_DECISIONS, &totals.decision_counts),
+        background_messages: totals.background_messages,
+        total_file_replicas: all_peers().map(|p| p.shared_file_count()).sum(),
+        total_cached_index_entries: all_peers().map(|p| p.response_index.len()).sum(),
+        simulated_end_time_secs: end_time.as_secs_f64(),
+        dispatched_events: coordinator.dispatched(shards),
+        dht: shared
+            .dht
+            .is_some()
+            .then(|| dht::run_stats(all_peers(), dht_lookups, dht_depth_total, &totals)),
+        faults,
     }
 }
 
@@ -750,8 +497,8 @@ enum ControlAction {
     BloomSync,
     /// One periodic DHT republish round over all peers.
     DhtRepublish,
-    /// The `i`-th entry of the churn schedule.
-    Churn(usize),
+    /// One entry of the churn schedule.
+    Churn(ChurnEvent),
 }
 
 /// A window command handed to the worker threads.
@@ -764,67 +511,37 @@ enum Cmd {
     Quit,
 }
 
-/// How a window's parallel phase is executed.
-enum Executor<'e> {
-    /// Drain every shard on the current thread (the `shards = 1` fast path —
-    /// no barriers, no contention — and the reference execution).
-    Inline,
-    /// Signal the parked worker threads through the barrier. `released` is
-    /// set once the workers have been told to quit, so the release happens
-    /// exactly once no matter which path (normal shutdown or worker-panic
-    /// propagation) gets there first.
-    Threaded {
-        barrier: &'e Barrier,
-        cmd: &'e Mutex<Cmd>,
-        panicked: &'e AtomicBool,
-        released: bool,
-    },
+/// The parked per-shard worker threads, signalled through the barrier.
+/// `released` is set once the workers have been told to quit, so the release
+/// happens exactly once no matter which path (normal shutdown or worker-panic
+/// propagation) gets there first.
+struct Workers<'e> {
+    barrier: &'e Barrier,
+    cmd: &'e Mutex<Cmd>,
+    panicked: &'e AtomicBool,
+    released: bool,
 }
 
-impl Executor<'_> {
-    fn run_window(&mut self, shared: &RunShared<'_>, shards: &[Mutex<ShardState>], cap: u64) {
-        match self {
-            Executor::Inline => {
-                for shard in shards {
-                    shard
-                        .lock()
-                        .drain(shared, cap);
-                }
-            }
-            Executor::Threaded {
-                barrier,
-                cmd,
-                panicked,
-                released,
-            } => {
-                *cmd.lock() = Cmd::Run(cap);
-                barrier.wait();
-                barrier.wait();
-                if panicked.load(Ordering::SeqCst) {
-                    // Release the workers before propagating, so the panic
-                    // surfaces as a test failure instead of a barrier hang.
-                    *cmd.lock() = Cmd::Quit;
-                    barrier.wait();
-                    *released = true;
-                    panic!("a sharded-engine worker thread panicked");
-                }
-            }
+impl Workers<'_> {
+    /// Has every worker drain its shard's planned window, at most `cap`
+    /// events each, and waits for all of them.
+    fn run_window(&mut self, cap: u64) {
+        *self.cmd.lock() = Cmd::Run(cap);
+        self.barrier.wait();
+        self.barrier.wait();
+        if self.panicked.load(Ordering::SeqCst) {
+            // Release the workers before propagating, so the panic
+            // surfaces as a test failure instead of a barrier hang.
+            self.shutdown();
+            panic!("a sharded-engine worker thread panicked");
         }
     }
 
     fn shutdown(&mut self) {
-        if let Executor::Threaded {
-            barrier,
-            cmd,
-            released,
-            ..
-        } = self
-        {
-            if !*released {
-                *cmd.lock() = Cmd::Quit;
-                barrier.wait();
-                *released = true;
-            }
+        if !self.released {
+            *self.cmd.lock() = Cmd::Quit;
+            self.barrier.wait();
+            self.released = true;
         }
     }
 }
@@ -850,11 +567,9 @@ enum QueryPhase {
 struct Coordinator {
     control: Vec<(EventKey, ControlAction)>,
     next_control: usize,
-    churn_schedule: Vec<ChurnEvent>,
     churn_rng: StdRng,
     controls_dispatched: u64,
     control_end_time: SimTime,
-    max_events: u64,
     /// Query lifecycle fold state, all arrival-indexed: the globally folded
     /// outstanding-message count, the maximum consumption key folded so far,
     /// and the lifecycle phase.
@@ -897,7 +612,83 @@ struct Coordinator {
     crash_departures: u64,
 }
 
+/// Appends one control event per `period_secs` of simulated time, from the
+/// first full period up to `horizon` (validation guarantees the period is at
+/// least one tick of the microsecond clock, so the schedule always advances).
+fn periodic_controls(
+    control: &mut Vec<(EventKey, ControlAction)>,
+    period_secs: f64,
+    horizon: SimTime,
+    class: u8,
+    action: ControlAction,
+) {
+    let period = Duration::from_secs_f64(period_secs);
+    debug_assert!(period > Duration::ZERO, "validated periods are positive");
+    let mut t = SimTime::ZERO + period;
+    let mut round = 0u64;
+    while t <= horizon {
+        control.push((EventKey::new(t, class, round, 0), action));
+        round += 1;
+        t += period;
+    }
+}
+
 impl Coordinator {
+    fn new(shared: &RunShared<'_>, churn_schedule: &[ChurnEvent], shard_count: usize) -> Self {
+        // Global transitions — Bloom sync and DHT republish rounds over the
+        // workload span (plus a small drain margin so late responses still
+        // see fresh filters) and the churn schedule — run serially at
+        // barriers, at their canonical position in the event order.
+        let config = shared.config;
+        let last_arrival = shared.arrivals.last().map_or(SimTime::ZERO, |a| a.at);
+        let horizon = last_arrival + Duration::from_secs(60);
+        let mut control: Vec<(EventKey, ControlAction)> = Vec::new();
+        if shared.protocol.uses_bloom_sync() {
+            let (period, action) = (config.bloom_sync_period_secs, ControlAction::BloomSync);
+            periodic_controls(&mut control, period, horizon, CLASS_BLOOM_SYNC, action);
+        }
+        if shared.dht.is_some() {
+            let (period, action) = (config.dht.republish_period_secs, ControlAction::DhtRepublish);
+            periodic_controls(&mut control, period, horizon, CLASS_DHT_REPUBLISH, action);
+        }
+        control.extend(churn_schedule.iter().enumerate().map(|(i, &event)| {
+            (EventKey::new(event.at, CLASS_CHURN, i as u64, 0), ControlAction::Churn(event))
+        }));
+        control.sort_by_key(|&(key, _)| key);
+
+        let arrivals = shared.arrivals.len();
+        Coordinator {
+            control,
+            next_control: 0,
+            churn_rng: shared.rng_factory.stream(StreamId::Churn),
+            controls_dispatched: 0,
+            control_end_time: SimTime::ZERO,
+            query_outstanding: vec![0; arrivals],
+            query_last: vec![None; arrivals],
+            query_phase: vec![QueryPhase::Idle; arrivals],
+            arrival_done: vec![false; arrivals],
+            arrival_cursor: 0,
+            inflight_by_peer: vec![0; config.peers],
+            peer_seen: vec![0; config.peers],
+            cap_epoch: 0,
+            pending_prunes: Vec::new(),
+            fold_touched: Vec::new(),
+            bounds: vec![EventKey::MAX; shard_count],
+            windows: 0,
+            engaged_windows: 0,
+            capped_windows: 0,
+            prev_dispatched: vec![0; shard_count],
+            critical_path_events: 0,
+            crash_departures: 0,
+        }
+    }
+
+    /// Events dispatched so far: the coordinator's controls plus every
+    /// shard's own.
+    fn dispatched(&self, shards: &[ShardState]) -> u64 {
+        self.controls_dispatched + shards.iter().map(|s| s.dispatched).sum::<u64>()
+    }
+
     /// The main loop: alternate parallel windows and serial control steps
     /// until every queue is empty and the control schedule is exhausted (or
     /// the event budget trips).
@@ -905,7 +696,7 @@ impl Coordinator {
         &mut self,
         shared: &RunShared<'_>,
         shards: &[Mutex<ShardState>],
-        executor: &mut Executor<'_>,
+        mut workers: Option<&mut Workers<'_>>,
     ) {
         loop {
             let mut guards = lock_all(shards);
@@ -914,7 +705,8 @@ impl Coordinator {
             }
             let dispatched: u64 =
                 self.controls_dispatched + guards.iter().map(|g| g.dispatched).sum::<u64>();
-            let Some(remaining) = self.max_events.checked_sub(dispatched).filter(|&r| r > 0)
+            let budget = shared.config.max_events;
+            let Some(remaining) = budget.checked_sub(dispatched).filter(|&r| r > 0)
             else {
                 break; // Event budget exhausted: stop at this barrier.
             };
@@ -963,14 +755,13 @@ impl Coordinator {
                         .iter()
                         .filter(|g| g.queue.peek_key().is_some_and(|k| k < g.window_bound))
                         .count();
-                    if active <= 1 {
-                        for guard in guards.iter_mut() {
-                            guard.drain(shared, remaining);
+                    match workers.as_deref_mut().filter(|_| active > 1) {
+                        Some(workers) => {
+                            drop(guards);
+                            workers.run_window(remaining);
+                            guards = lock_all(shards);
                         }
-                    } else {
-                        drop(guards);
-                        executor.run_window(shared, shards, remaining);
-                        guards = lock_all(shards);
+                        None => guards.iter_mut().for_each(|g| g.drain(shared, remaining)),
                     }
                     merge_outboxes(&mut guards);
                     // Critical-path accounting: a window's parallel phase is
@@ -1016,7 +807,7 @@ impl Coordinator {
             let flux = guard.flux.as_mut().expect("multi-shard runs carry flux");
             let outstanding = &mut self.query_outstanding;
             let last = &mut self.query_last;
-            flux.drain(|index, delta, consumed, _escaped| {
+            flux.drain(|index, delta, consumed| {
                 let i = index as usize;
                 outstanding[i] += delta;
                 if let Some(key) = consumed {
@@ -1168,11 +959,12 @@ impl Coordinator {
         self.control_end_time = key.time;
         match action {
             ControlAction::BloomSync => self.bloom_sync(shared, guards, key.time),
-            ControlAction::DhtRepublish => self.dht_republish(shared, guards, key.time),
-            ControlAction::Churn(index) => {
-                let event = self.churn_schedule[index];
-                self.apply_churn(shared, guards, event);
+            ControlAction::DhtRepublish => {
+                if let Some(directory) = &shared.dht {
+                    dht::republish(shared, directory, guards, key.time, false);
+                }
             }
+            ControlAction::Churn(event) => self.apply_churn(shared, guards, event),
         }
         // Control transitions may send (Bloom deltas); merge immediately so
         // the next window-planning pass sees them in the destination queues.
@@ -1193,8 +985,7 @@ impl Coordinator {
         if std::env::var("LOCAWARE_SHARD_STATS").as_deref() != Ok("1") {
             return;
         }
-        let dispatched: u64 =
-            self.controls_dispatched + shards.iter().map(|s| s.dispatched).sum::<u64>();
+        let dispatched = self.dispatched(shards);
         let critical = self.critical_path_events.max(1);
         let lookahead_list = lookahead
             .iter()
@@ -1216,8 +1007,7 @@ impl Coordinator {
     }
 
     /// One Bloom synchronisation round: every online peer with a dirty filter
-    /// pushes the delta to its active neighbours, in peer-id order exactly
-    /// like the sequential engine's single sync event.
+    /// pushes the delta to its active neighbours, in peer-id order.
     fn bloom_sync(
         &mut self,
         shared: &RunShared<'_>,
@@ -1227,106 +1017,19 @@ impl Coordinator {
         let graph = shared.graph.read();
         for i in 0..shared.config.peers {
             let from = PeerId(i as u32);
-            let shard = shared.partition.shard(from);
-            let slot = shared.partition.slot(from);
-            if !guards[shard].peers[slot].online {
+            let peer = peer_mut(shared, guards, from);
+            if !peer.online {
                 continue;
             }
-            let Some(delta) = guards[shard].peers[slot].take_bloom_update() else {
+            let Some(delta) = peer.take_bloom_update() else {
                 continue;
             };
-            let neighbors: Vec<PeerId> = graph
-                .neighbors(from)
-                .iter()
-                .copied()
-                .filter(|&n| graph.is_active(n))
-                .collect();
-            for n in neighbors {
+            let shard = &mut guards[shared.partition.shard(from)];
+            for &n in graph.neighbors(from).iter().filter(|&&n| graph.is_active(n)) {
                 let message = Message::BloomDelta {
                     delta: delta.clone(),
                 };
-                guards[shard].send_background(shared, now, from, n, message);
-            }
-        }
-    }
-
-    /// One DHT republish round: every online peer sweeps expired entries from
-    /// its own record store, then re-announces each of its shared,
-    /// DHT-indexed files to the *current* `k` closest online index nodes —
-    /// in peer-id order, serially at the barrier, exactly like a Bloom sync
-    /// round. Each remote store transfer is a real background message paying
-    /// link latency (the receiver stamps the TTL at delivery time);
-    /// self-targets store locally for free. This is what re-homes records
-    /// whose index nodes departed and refreshes TTLs so live records outlast
-    /// `record_ttl_secs`.
-    fn dht_republish(
-        &mut self,
-        shared: &RunShared<'_>,
-        guards: &mut [MutexGuard<'_, ShardState>],
-        now: SimTime,
-    ) {
-        let Some(directory) = shared.dht.as_ref() else {
-            return;
-        };
-        let online = shared.online.read();
-        let ttl = Duration::from_secs_f64(shared.config.dht.record_ttl_secs);
-        // The online set is fixed for the whole round (coordinator-serial),
-        // so a keyword's k-closest targets are too — resolve each keyword
-        // once per round no matter how many peers re-announce it.
-        let mut scratch = DirectoryScratch::default();
-        let mut targets_by_keyword: HashMap<u32, Vec<PeerId>> = HashMap::new();
-        for i in 0..shared.config.peers {
-            let from = PeerId(i as u32);
-            let shard = shared.partition.shard(from);
-            let slot = shared.partition.slot(from);
-            if !guards[shard].peers[slot].online {
-                continue;
-            }
-            if let Some(node) = guards[shard].peers[slot].dht.as_mut() {
-                node.store.expire(now);
-            }
-            let provider = ProviderEntry {
-                provider: from,
-                loc_id: shared.loc_ids[i],
-            };
-            let files: Vec<locaware_workload::FileId> =
-                guards[shard].peers[slot].shared_files().collect();
-            for file in files {
-                let rank = shared.query_generator.rank_of(file);
-                if !shared.protocol.dht_resolves_rank(rank, shared.catalog.len()) {
-                    continue;
-                }
-                for &kw in shared.catalog.filename(file).keywords() {
-                    let targets = targets_by_keyword.entry(kw.0).or_insert_with(|| {
-                        let key = directory.keyword_key(kw);
-                        let mut targets = Vec::new();
-                        directory.closest_online_into(
-                            key,
-                            &online,
-                            shared.config.dht.k,
-                            &mut scratch,
-                            &mut targets,
-                        );
-                        targets
-                    });
-                    for &target in targets.iter() {
-                        if target == from {
-                            guards[shard].peers[slot]
-                                .dht
-                                .as_mut()
-                                .expect("structured peers carry DHT state")
-                                .store
-                                .insert(kw.0, file.0, provider, now + ttl);
-                        } else {
-                            let message = Message::DhtStore {
-                                keyword: kw.0,
-                                file: file.0,
-                                provider,
-                            };
-                            guards[shard].send_background(shared, now, from, target, message);
-                        }
-                    }
-                }
+                shard.send_background(shared, now, from, n, message);
             }
         }
     }
@@ -1344,13 +1047,11 @@ impl Coordinator {
         if peer.index() >= shared.config.peers {
             return;
         }
-        let shard = shared.partition.shard(peer);
-        let slot = shared.partition.slot(peer);
         let mut graph = shared.graph.write();
         let mut online = shared.online.write();
         match event.kind {
             ChurnEventKind::Leave => {
-                if !guards[shard].peers[slot].online {
+                if !peer_mut(shared, guards, peer).online {
                     return;
                 }
                 // Under a crash-stop fault plan the peer vanishes without
@@ -1363,73 +1064,42 @@ impl Coordinator {
                 // ordinary offline-receiver rule.
                 let crash = shared.faults.as_ref().is_some_and(|f| f.crash_stop);
                 let old_neighbors = graph.depart(peer);
-                guards[shard].peers[slot].online = false;
+                peer_mut(shared, guards, peer).online = false;
                 online[peer.index()] = false;
                 if crash {
                     self.crash_departures += 1;
                     return;
                 }
                 for n in old_neighbors {
-                    let ns = shared.partition.shard(n);
-                    let nslot = shared.partition.slot(n);
-                    guards[ns].peers[nslot].forget_neighbor(peer);
+                    peer_mut(shared, guards, n).forget_neighbor(peer);
                 }
-                if shared.dht.is_some() {
-                    // Failure detection modelled at the barrier, like the
-                    // rewiring itself: the departed node leaves every online
-                    // routing table (in peer-id order). Its *record entries*
-                    // are dropped only under proactive invalidation — by
-                    // default they linger until TTL expiry or a lookup's
-                    // online filter skips them, which is exactly the index
-                    // staleness the churn-storm comparison measures.
-                    for other in 0..shared.config.peers {
-                        if other == peer.index() {
-                            continue;
+                // CUP-style proactive invalidation, modelled as an oracle:
+                // every online peer drops its index entries for the departed
+                // provider (O(affected) each, via the provider → files
+                // postings map) and updates its Bloom filter for entries that
+                // vanish. Runs serially at the churn barrier, in peer-id
+                // order, so it is part of the canonical event order and
+                // deterministic for any shard count. Off by default: the lazy
+                // selection-time filter is the paper's (and the seed's)
+                // behaviour.
+                let invalidate = shared.config.proactive_provider_invalidation;
+                if invalidate || shared.dht.is_some() {
+                    for_each_other_online(shared, guards, peer, |other| {
+                        dht::on_leave(other, peer, invalidate);
+                        if invalidate {
+                            other.forget_provider(peer);
                         }
-                        let other_id = PeerId(other as u32);
-                        let os = shared.partition.shard(other_id);
-                        let oslot = shared.partition.slot(other_id);
-                        if !guards[os].peers[oslot].online {
-                            continue;
-                        }
-                        if let Some(node) = guards[os].peers[oslot].dht.as_mut() {
-                            node.table.remove(peer);
-                            if shared.config.proactive_provider_invalidation {
-                                node.store.remove_provider(peer);
-                            }
-                        }
-                    }
-                }
-                if shared.config.proactive_provider_invalidation {
-                    // CUP-style proactive invalidation, modelled as an
-                    // oracle: every online peer drops its index entries for
-                    // the departed provider (O(affected) each, via the
-                    // provider → files postings map) and updates its Bloom
-                    // filter for entries that vanish. Runs serially at the
-                    // churn barrier, in peer-id order, so it is part of the
-                    // canonical event order and deterministic for any shard
-                    // count. Off by default: the lazy selection-time filter
-                    // is the paper's (and the seed's) behaviour.
-                    for other in 0..shared.config.peers {
-                        if other == peer.index() {
-                            continue;
-                        }
-                        let other_id = PeerId(other as u32);
-                        let os = shared.partition.shard(other_id);
-                        let oslot = shared.partition.slot(other_id);
-                        if guards[os].peers[oslot].online {
-                            guards[os].peers[oslot].forget_provider(peer);
-                        }
-                    }
+                    });
                 }
             }
             ChurnEventKind::Join => {
-                if guards[shard].peers[slot].online {
+                let joiner = peer_mut(shared, guards, peer);
+                if joiner.online {
                     return;
                 }
                 graph.rejoin(peer);
-                guards[shard].peers[slot].online = true;
-                guards[shard].peers[slot].reset_volatile_state();
+                joiner.online = true;
+                joiner.reset_volatile_state();
                 online[peer.index()] = true;
                 // Re-wire to `average_degree` random online peers.
                 let degree = shared.config.average_degree.round() as usize;
@@ -1440,40 +1110,15 @@ impl Coordinator {
                     }
                     let pick = candidates[self.churn_rng.gen_range(0..candidates.len())];
                     if graph.add_edge(peer, pick) {
-                        let peer_gid = guards[shard].peers[slot].gid;
-                        let ps = shared.partition.shard(pick);
-                        let pslot = shared.partition.slot(pick);
-                        let pick_gid = guards[ps].peers[pslot].gid;
-                        guards[shard].peers[slot].record_neighbor(pick, pick_gid);
-                        guards[ps].peers[pslot].record_neighbor(peer, peer_gid);
+                        let peer_gid = peer_mut(shared, guards, peer).gid;
+                        let picked = peer_mut(shared, guards, pick);
+                        picked.record_neighbor(peer, peer_gid);
+                        let pick_gid = picked.gid;
+                        peer_mut(shared, guards, peer).record_neighbor(pick, pick_gid);
                     }
                 }
-                if let Some(directory) = shared.dht.as_ref() {
-                    // The joiner bootstraps a fresh routing table from the
-                    // online population and announces its node id to every
-                    // online peer, in peer-id order. Its record store
-                    // restarts empty (`reset_volatile_state` cleared it);
-                    // records it should host migrate back at the next
-                    // republish round, and its own files re-announce then
-                    // too.
-                    let joiner_id = directory.node_id(peer);
-                    for other in 0..shared.config.peers {
-                        if other == peer.index() {
-                            continue;
-                        }
-                        let other_id = PeerId(other as u32);
-                        let os = shared.partition.shard(other_id);
-                        let oslot = shared.partition.slot(other_id);
-                        if !guards[os].peers[oslot].online {
-                            continue;
-                        }
-                        if let Some(node) = guards[shard].peers[slot].dht.as_mut() {
-                            node.table.insert(directory.node_id(other_id), other_id);
-                        }
-                        if let Some(node) = guards[os].peers[oslot].dht.as_mut() {
-                            node.table.insert(joiner_id, peer);
-                        }
-                    }
+                if let Some(directory) = &shared.dht {
+                    dht::on_join(shared, directory, guards, peer);
                 }
             }
         }
@@ -1481,39 +1126,61 @@ impl Coordinator {
 }
 
 fn lock_all<'g>(shards: &'g [Mutex<ShardState>]) -> Vec<MutexGuard<'g, ShardState>> {
-    shards
-        .iter()
-        .map(|m| m.lock())
-        .collect()
+    shards.iter().map(|m| m.lock()).collect()
+}
+
+/// The state of `peer`, wherever the partition put it.
+fn peer_mut<'g>(
+    shared: &RunShared<'_>,
+    guards: &'g mut [MutexGuard<'_, ShardState>],
+    peer: PeerId,
+) -> &'g mut PeerState {
+    &mut guards[shared.partition.shard(peer)].peers[shared.partition.slot(peer)]
+}
+
+/// Applies `notify` to every online peer other than `peer`, in peer-id order
+/// — the canonical order of the oracle-style notifications a churn barrier
+/// models (failure detection, proactive invalidation, join announcements).
+fn for_each_other_online(
+    shared: &RunShared<'_>,
+    guards: &mut [MutexGuard<'_, ShardState>],
+    peer: PeerId,
+    mut notify: impl FnMut(&mut PeerState),
+) {
+    for other in (0..shared.config.peers as u32).map(PeerId).filter(|&o| o != peer) {
+        let other = peer_mut(shared, guards, other);
+        if other.online {
+            notify(other);
+        }
+    }
 }
 
 /// Moves every outboxed cross-shard delivery into its destination queue. The
 /// canonical keys were fixed at send time and are never below the
 /// *destination's* window bound just drained (the incoming-channel lookahead
-/// guarantee), so this is a plain batch of heap insertions.
+/// guarantee), so this is a plain batch of heap insertions. Each bucket is
+/// drained in place, so its capacity survives the barrier.
 fn merge_outboxes(guards: &mut [MutexGuard<'_, ShardState>]) {
-    let mut moves: Vec<(usize, exchange::Outbound)> = Vec::new();
-    for guard in guards.iter_mut() {
-        for (destination, bucket) in guard.take_outbound() {
-            for outbound in bucket {
-                moves.push((destination, outbound));
+    for source in 0..guards.len() {
+        for destination in 0..guards.len() {
+            let mut bucket = std::mem::take(&mut guards[source].outboxes[destination]);
+            for outbound in bucket.drain(..) {
+                debug_assert!(
+                    outbound.key >= guards[destination].window_bound,
+                    "cross-shard delivery {:?} would land inside the destination window bounded by {:?}",
+                    outbound.key,
+                    guards[destination].window_bound
+                );
+                guards[destination].queue.push(
+                    outbound.key,
+                    ShardEvent::Deliver {
+                        from: outbound.from,
+                        to: outbound.to,
+                        message: outbound.message,
+                    },
+                );
             }
+            guards[source].outboxes[destination] = bucket;
         }
-    }
-    for (destination, outbound) in moves {
-        debug_assert!(
-            outbound.key >= guards[destination].window_bound,
-            "cross-shard delivery {:?} would land inside the destination window bounded by {:?}",
-            outbound.key,
-            guards[destination].window_bound
-        );
-        guards[destination].queue.push(
-            outbound.key,
-            ShardEvent::Deliver {
-                from: outbound.from,
-                to: outbound.to,
-                message: outbound.message,
-            },
-        );
     }
 }

@@ -1,5 +1,6 @@
 //! One shard of the sharded engine: the peers it owns, its local event queue,
-//! and the event handlers (ported from the former monolithic engine).
+//! the query lifecycle, the transport and the unstructured-family handlers
+//! (the structured family's handlers live in [`super::dht`]).
 //!
 //! A shard only ever mutates *its own* state while draining a window: its
 //! peers (slot-indexed vectors), its query slabs, its tallies and its
@@ -25,7 +26,7 @@
 //! time (see [`super::exchange`]): `completed_at` is recorded and the
 //! query's entry is pruned from the `issued` duplicate-suppression map, so a
 //! later re-query for the same file is legal the moment the original search
-//! actually died — not after the old `2·ttl·max_latency` worst-case bound.
+//! actually died.
 //! A query whose traffic never leaves its origin shard completes *inline*
 //! (the `outstanding`/`escaped` slabs below): all its events drain here in
 //! key order, so the local count is exact. Once a message escapes through an
@@ -33,7 +34,8 @@
 //! detects completion by folding the per-shard [`LifecycleFlux`] at
 //! barriers.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
@@ -49,7 +51,7 @@ use crate::peer::PeerState;
 use crate::protocol::{PeerView, QueryContext, ResponseContext};
 use crate::provider::select_provider;
 
-use super::dht::{DhtLookupState, DirectoryScratch};
+use super::dht::{self, DhtLookupState, DirectoryScratch};
 use super::exchange::{deliver_key, timeout_key, Outbound, LOST_BIT};
 use super::tally::{decision_index, kind_index, LifecycleFlux, Tallies};
 use super::RunShared;
@@ -63,13 +65,9 @@ pub(super) enum ShardEvent {
     Issue(u32),
     /// A message arrives at `to`, having been sent by `from`.
     ///
-    /// A message the fault plan dropped at send time still occupies its
-    /// canonical delivery position (fixing *when* the loss is observed) but
-    /// is consumed without being processed; it is marked by
-    /// [`LOST_BIT`](super::exchange::LOST_BIT) in `from` rather than a
-    /// separate flag, which would push the event (and with it every queue
-    /// entry) over the two-cache-line boundary the flooding hot path is
-    /// sized to.
+    /// A message the fault plan dropped at send time still travels, marked
+    /// by [`LOST_BIT`](super::exchange::LOST_BIT) in `from`, and is consumed
+    /// at its canonical delivery position without being processed.
     Deliver {
         /// Sending peer, possibly tagged with `LOST_BIT`.
         from: PeerId,
@@ -157,20 +155,20 @@ pub(super) struct QueryTracking {
     /// the origin's own record store, or no reply at all).
     pub dht_depth: u32,
     /// Retransmit state — `Some` exactly while a fault plan's query-timeout
-    /// policy has a deadline armed for this (unstructured) query.
-    pub retry: Option<RetryState>,
+    /// policy has a deadline armed for this (unstructured) query. Boxed: it
+    /// keeps a whole wire message, which fault-free runs should not pay for
+    /// in every tracking entry.
+    pub retry: Option<Box<RetryState>>,
 }
 
 /// Origin-side retransmit state of one unstructured query under a fault
 /// plan's [`TimeoutPolicy`](locaware_workload::TimeoutPolicy).
 #[derive(Debug)]
 pub(super) struct RetryState {
-    /// The query's keyword list, kept so a deadline can rebuild the wire
-    /// message (the workload draw must not be repeated — re-drawing would
-    /// desynchronise the per-arrival RNG stream).
-    pub keywords: Vec<KeywordId>,
-    /// The Dicas target filename carried on the wire, if any.
-    pub target_filename: Option<FileId>,
+    /// The wire message of attempt 0, kept so a deadline can re-flood it
+    /// under a fresh attempt id (the workload draw must not be repeated —
+    /// re-drawing would desynchronise the per-arrival RNG stream).
+    pub message: Message,
     /// The 0-based attempt whose deadline is currently armed.
     pub attempt: u32,
 }
@@ -258,8 +256,8 @@ pub(super) struct ShardState {
     // Scratch for the publish path's directory lookups: the trie-search
     // frontier/best buffers plus the resolved store targets, reused across
     // publishes so the lookup path never allocates per call.
-    scratch_directory: DirectoryScratch,
-    scratch_publish_targets: Vec<PeerId>,
+    pub(super) scratch_directory: DirectoryScratch,
+    pub(super) scratch_publish_targets: Vec<PeerId>,
 }
 
 impl ShardState {
@@ -315,16 +313,69 @@ impl ShardState {
                     self.handle_issue(shared, &graph, &online, key, index as usize)
                 }
                 ShardEvent::Deliver { from, to, message } => {
-                    let lost = from.0 & LOST_BIT != 0;
-                    let from = PeerId(from.0 & !LOST_BIT);
-                    self.handle_deliver(shared, &graph, &online, key, from, to, message, lost)
+                    debug_assert_eq!(shared.partition.shard(to), self.shard as usize);
+                    // Lifecycle accounting brackets the handler: a
+                    // query-charged delivery is *consumed* by being
+                    // dispatched, whatever then happens to it — offline
+                    // receiver, duplicate suppression, TTL exhaustion and
+                    // fault-plan loss all end this message's flight.
+                    let consumed = message.query_id().map(query_index);
+                    if let Some(index) = consumed {
+                        self.consume(index, key);
+                    }
+                    if from.0 & LOST_BIT == 0 {
+                        self.process_delivery(shared, &graph, &online, key, from, to, message);
+                    }
+                    if let Some(index) = consumed {
+                        self.complete_if_drained(shared, index, key.time);
+                    }
                 }
                 ShardEvent::Timeout { index, kind } => {
-                    self.handle_timeout(shared, &graph, key, index as usize, kind)
+                    let index = index as usize;
+                    self.consume(index, key);
+                    match kind {
+                        TimeoutKind::Retransmit { attempt } => {
+                            self.retransmit_query(shared, &graph, key, index, attempt)
+                        }
+                        TimeoutKind::DhtStep { peer } => {
+                            dht::step_timeout(self, shared, key, index, peer)
+                        }
+                    }
+                    self.complete_if_drained(shared, index, key.time);
                 }
             }
         }
         self.dispatched += dispatched;
+    }
+
+    /// Charges one obligation — an in-flight message or an armed deadline —
+    /// to query `index`'s outstanding count.
+    fn charge(&mut self, index: usize) {
+        self.outstanding[index] += 1;
+        if let Some(flux) = &mut self.flux {
+            flux.charge(index);
+        }
+    }
+
+    /// Retires one of query `index`'s obligations at canonical position `key`.
+    fn consume(&mut self, index: usize, key: EventKey) {
+        self.outstanding[index] -= 1;
+        if let Some(flux) = &mut self.flux {
+            flux.consume(index, key);
+        }
+    }
+
+    /// Completes query `index` at `now` if the event just handled left it
+    /// with no outstanding obligation. Checked only *after* the handler ran:
+    /// a consumption and the sends it triggers (forwarded copies, a response)
+    /// are one atomic event, so a count that touches zero mid-event is not a
+    /// completion. Exact only in the origin shard of a never-escaped query
+    /// (the local count then equals the global count); `complete_locally` is
+    /// a no-op elsewhere.
+    fn complete_if_drained(&mut self, shared: &RunShared<'_>, index: usize, now: SimTime) {
+        if self.outstanding[index] == 0 && !self.escaped[index] {
+            self.complete_locally(shared, index, now);
+        }
     }
 
     fn view<'v>(&'v self, graph: &'v OverlayGraph, shared: &'v RunShared<'_>, slot: usize) -> PeerView<'v> {
@@ -377,7 +428,7 @@ impl ShardState {
         let mut workload_rng = shared
             .rng_factory
             .indexed_stream(StreamId::QueryWorkload, index as u64);
-        let generator = shared.query_generator;
+        let generator = &shared.query_generator;
         let mut query = generator.generate(shared.catalog, &mut workload_rng);
         for _ in 0..16 {
             if !excluded(&self.peers[slot], &self.issued[slot], query.target) {
@@ -426,48 +477,39 @@ impl ShardState {
         // The originator registers the query locally (no upstream).
         self.peers[slot].router.on_query(query_id, None);
 
-        let structured = shared.protocol.uses_dht()
-            && shared.protocol.dht_resolves_rank(
-                shared.query_generator.rank_of(query.target),
-                shared.catalog.len(),
-            );
-        if structured {
+        let structured = shared.dht.as_ref().filter(|_| {
+            let rank = shared.query_generator.rank_of(query.target);
+            shared.protocol.dht_resolves_rank(rank, shared.catalog.len())
+        });
+        if let Some(directory) = structured {
             // Structured resolution: the query never touches the overlay —
             // it walks the keyword DHT instead (no forward decision either;
             // routing-decision counters are an overlay concept).
-            self.dht_issue(shared, online, key, index, slot, query_id, &query.keywords);
+            dht::issue(self, shared, directory, online, key, index, &query.keywords);
         } else {
-            let target_filename = if shared.protocol.kind() == ProtocolKind::Dicas {
-                Some(query.target)
-            } else {
-                None
-            };
-            let sent = self.flood_from_origin(
-                shared,
-                graph,
-                now,
-                index,
+            let keywords: Arc<[u32]> = query.keywords.iter().map(|k| k.0).collect();
+            self.load_query_scratch(shared, &keywords);
+            let message = Message::Query {
+                query: query_id,
                 origin,
-                query_id,
-                &query.keywords,
-                target_filename,
-            );
+                origin_loc,
+                keywords,
+                target_filename: (shared.protocol.kind() == ProtocolKind::Dicas)
+                    .then_some(query.target.0),
+                ttl: shared.config.ttl,
+            };
+            let sent = self.forward_query(shared, graph, now, origin, None, &message);
             // Arm the retransmit deadline for attempt 0 — only if the issue
             // actually put messages in flight (a query with no forward
             // targets is born complete and retrying it would re-flood into
             // the same emptiness).
-            if sent {
-                if let Some(policy) = shared.faults.as_ref().and_then(|f| f.query_retransmit()) {
-                    let deadline = now + Duration::from_secs_f64(policy.delay_secs(0));
-                    if let Some(tracking) = self.tracking.get_mut(&(index as u32)) {
-                        tracking.retry = Some(RetryState {
-                            keywords: query.keywords.clone(),
-                            target_filename,
-                            attempt: 0,
-                        });
-                    }
-                    self.schedule_timeout(deadline, index, TimeoutKind::Retransmit { attempt: 0 });
+            let policy = shared.faults.as_ref().and_then(|f| f.query_retransmit());
+            if let (true, Some(policy)) = (sent, policy) {
+                let deadline = now + Duration::from_secs_f64(policy.delay_secs(0));
+                if let Some(tracking) = self.tracking.get_mut(&(index as u32)) {
+                    tracking.retry = Some(Box::new(RetryState { message, attempt: 0 }));
                 }
+                self.schedule_timeout(deadline, index, TimeoutKind::Retransmit { attempt: 0 });
             }
         }
 
@@ -475,58 +517,60 @@ impl ShardState {
         // targets, or a DHT query answered from (or exhausted at) the
         // origin's own state: its completion event coincides with the issue
         // (class 4 at `now`, which every later event already orders after).
-        if self.outstanding[index] == 0 && !self.escaped[index] {
-            self.complete_locally(shared, index, now);
-        }
+        self.complete_if_drained(shared, index, now);
     }
 
-    /// Floods `query_id` from `origin` at full TTL on behalf of arrival
-    /// `index`: the protocol picks the origin's forward targets (there is no
-    /// upstream), the decision is tallied and every target is sent one copy
-    /// of the query. Returns whether anything was sent.
-    #[allow(clippy::too_many_arguments)]
-    fn flood_from_origin(
+    /// Decodes a query's wire keywords and their interned Bloom hashes into
+    /// the scratch buffers every [`QueryContext`] of this event borrows, so
+    /// the match and forward paths allocate nothing per event.
+    fn load_query_scratch(&mut self, shared: &RunShared<'_>, wire: &[u32]) {
+        self.scratch_keywords.clear();
+        self.scratch_keywords
+            .extend(wire.iter().map(|&k| KeywordId(k)));
+        shared
+            .keyword_hashes
+            .of_all_into(&self.scratch_keywords, &mut self.scratch_hashes);
+    }
+
+    /// Forwards the query `message` from peer `at` — the origin at issue or
+    /// retransmit time (`exclude` is `None`: there is no upstream), a relay
+    /// otherwise (`exclude` is the neighbour it arrived from): the protocol
+    /// picks the forward targets, the decision is tallied and every target
+    /// is sent one copy. The scratch buffers must already hold the query's
+    /// keywords ([`ShardState::load_query_scratch`]). Returns whether
+    /// anything was sent.
+    fn forward_query(
         &mut self,
         shared: &RunShared<'_>,
         graph: &OverlayGraph,
         now: SimTime,
-        index: usize,
-        origin: PeerId,
-        query_id: QueryId,
-        keywords: &[KeywordId],
-        target_filename: Option<FileId>,
+        at: PeerId,
+        exclude: Option<PeerId>,
+        message: &Message,
     ) -> bool {
-        let origin_loc = shared.loc_ids[origin.index()];
-        shared
-            .keyword_hashes
-            .of_all_into(keywords, &mut self.scratch_hashes);
+        let &Message::Query { query, origin, origin_loc, target_filename, .. } = message else {
+            unreachable!("only queries are forwarded");
+        };
         let mut targets = std::mem::take(&mut self.scratch_targets);
         let decision = {
             let qctx = QueryContext {
-                query: query_id,
+                query,
                 origin,
                 origin_loc,
-                keywords,
+                keywords: &self.scratch_keywords,
                 keyword_hashes: &self.scratch_hashes,
-                target_filename,
+                target_filename: target_filename.map(FileId),
             };
-            let view = self.view(graph, shared, shared.partition.slot(origin));
+            let view = self.view(graph, shared, shared.partition.slot(at));
             shared
                 .protocol
-                .forward_targets_into(&view, &qctx, None, &mut targets)
+                .forward_targets_into(&view, &qctx, exclude, &mut targets)
         };
         self.tallies.decision_counts[decision_index(decision)] += 1;
-
-        let message = Message::Query {
-            query: query_id,
-            origin,
-            origin_loc,
-            keywords: keywords.iter().map(|k| k.0).collect(),
-            target_filename: target_filename.map(|f| f.0),
-            ttl: shared.config.ttl,
-        };
+        // Copies share the keyword list (`Arc`), so the per-target cost is a
+        // reference-count bump, not a clone.
         for &target in &targets {
-            self.send(shared, now, origin, target, message.clone(), Some(index));
+            self.send(shared, now, at, target, message.clone(), Some(query_index(query)));
         }
         let sent = !targets.is_empty();
         targets.clear();
@@ -534,58 +578,8 @@ impl ShardState {
         sent
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_deliver(
-        &mut self,
-        shared: &RunShared<'_>,
-        graph: &OverlayGraph,
-        online: &[bool],
-        key: EventKey,
-        from: PeerId,
-        to: PeerId,
-        message: Message,
-        lost: bool,
-    ) {
-        debug_assert_eq!(shared.partition.shard(to), self.shard as usize);
-        // Lifecycle accounting brackets the handler: a query-charged delivery
-        // is *consumed* by being dispatched, whatever then happens to it —
-        // offline receiver, duplicate suppression, TTL exhaustion and
-        // fault-plan loss all end this message's flight. The zero check must
-        // wait until the handler has run, though: consumption and the sends
-        // it triggers (forwarded copies, a response) are one atomic event, so
-        // a count that touches zero mid-event is not a completion — only the
-        // post-event count is.
-        let consumed = match &message {
-            Message::Query { query, .. }
-            | Message::QueryResponse { query, .. }
-            | Message::DhtLookup { query, .. }
-            | Message::DhtLookupReply { query, .. } => {
-                let index = query_index(*query);
-                self.outstanding[index] -= 1;
-                if let Some(flux) = &mut self.flux {
-                    flux.consume(index, key);
-                }
-                Some(index)
-            }
-            _ => None,
-        };
-        if !lost {
-            self.process_delivery(shared, graph, online, key, from, to, message);
-        }
-        if let Some(index) = consumed {
-            if self.outstanding[index] == 0 && !self.escaped[index] {
-                // This delivery was the query's last in-flight message and
-                // spawned nothing: its time is the completion time. Exact
-                // only in the origin shard of a never-escaped query (the
-                // local count then equals the global count);
-                // `complete_locally` is a no-op elsewhere.
-                self.complete_locally(shared, index, key.time);
-            }
-        }
-    }
-
-    /// The protocol-visible half of a delivery, after lifecycle consumption
-    /// and before the completion check in [`ShardState::handle_deliver`].
+    /// The protocol-visible half of a delivery, between its lifecycle
+    /// consumption and the completion check in [`ShardState::drain`].
     #[allow(clippy::too_many_arguments)]
     fn process_delivery(
         &mut self,
@@ -601,6 +595,7 @@ impl ShardState {
         if !self.peers[slot].online {
             return;
         }
+        debug_assert_eq!(from.0 & LOST_BIT, 0, "lost deliveries are consumed unprocessed");
         match message {
             Message::Query {
                 query,
@@ -610,20 +605,10 @@ impl ShardState {
                 target_filename,
                 ttl,
             } => {
-                let is_new = self.peers[slot].router.on_query(query, Some(from));
-                if !is_new {
-                    return;
+                if !self.peers[slot].router.on_query(query, Some(from)) {
+                    return; // A duplicate: already seen along another path.
                 }
-                // Decode the wire keywords into the reusable scratch buffers;
-                // the query context borrows them, so this path allocates
-                // nothing per event.
-                self.scratch_keywords.clear();
-                self.scratch_keywords
-                    .extend(keywords.iter().map(|&k| KeywordId(k)));
-                shared
-                    .keyword_hashes
-                    .of_all_into(&self.scratch_keywords, &mut self.scratch_hashes);
-
+                self.load_query_scratch(shared, &keywords);
                 let local_match = {
                     let qctx = QueryContext {
                         query,
@@ -639,18 +624,14 @@ impl ShardState {
 
                 if let Some(hit) = local_match {
                     let hops = shared.config.ttl.saturating_sub(ttl) + 1;
-                    // First-processed hit wins, exactly like the sequential
-                    // engine: within this shard events drain in key order, so
-                    // set-once keeps the shard minimum; finalize merges shards
-                    // by key minimum.
-                    let index = query_index(query);
-                    if self.hits[index].is_none() {
-                        self.hits[index] = Some(HitMark {
-                            key,
-                            hops,
-                            from_cache: hit.from_cache,
-                        });
-                    }
+                    // First-processed hit wins: within this shard events
+                    // drain in key order, so set-once keeps the shard minimum;
+                    // finalize merges shards by key minimum.
+                    self.hits[query_index(query)].get_or_insert(HitMark {
+                        key,
+                        hops,
+                        from_cache: hit.from_cache,
+                    });
                     // §4.1.2: the answering peer records the requestor as a new
                     // provider of the file (subject to its caching rule).
                     let requestor_entry = ProviderEntry {
@@ -690,47 +671,18 @@ impl ShardState {
                 }
 
                 // No local hit: keep forwarding while TTL allows.
-                let Some(new_ttl) = decrement_ttl(ttl) else {
+                let Some(ttl) = decrement_ttl(ttl) else {
                     return;
                 };
-                let mut targets = std::mem::take(&mut self.scratch_targets);
-                let decision = {
-                    let qctx = QueryContext {
-                        query,
-                        origin,
-                        origin_loc,
-                        keywords: &self.scratch_keywords,
-                        keyword_hashes: &self.scratch_hashes,
-                        target_filename: target_filename.map(FileId),
-                    };
-                    let view = self.view(graph, shared, slot);
-                    shared
-                        .protocol
-                        .forward_targets_into(&view, &qctx, Some(from), &mut targets)
-                };
-                self.tallies.decision_counts[decision_index(decision)] += 1;
-                // Forwarded copies share the keyword list (`Arc`), so the
-                // per-target cost is a reference-count bump, not a clone.
                 let forwarded = Message::Query {
                     query,
                     origin,
                     origin_loc,
                     keywords,
                     target_filename,
-                    ttl: new_ttl,
+                    ttl,
                 };
-                for &target in &targets {
-                    self.send(
-                        shared,
-                        key.time,
-                        to,
-                        target,
-                        forwarded.clone(),
-                        Some(query_index(query)),
-                    );
-                }
-                targets.clear();
-                self.scratch_targets = targets;
+                self.forward_query(shared, graph, key.time, to, Some(from), &forwarded);
             }
             Message::QueryResponse {
                 query,
@@ -748,7 +700,7 @@ impl ShardState {
                 let origin = PeerId(shared.arrivals[index].peer as u32);
 
                 if origin == to {
-                    self.handle_response_at_origin(shared, online, index, file, &providers);
+                    self.satisfy(shared, online, index, file, &providers);
                     return;
                 }
 
@@ -780,115 +732,9 @@ impl ShardState {
                     self.send(shared, key.time, to, upstream, relay, Some(index));
                 }
             }
-            Message::DhtLookup {
-                query,
-                keyword,
-                hop,
-            } => {
-                // An index-node lookup step: answer with everything the local
-                // record store holds for the keyword plus the closest
-                // contacts the local routing table knows toward its key. A
-                // receiver that departed was filtered above — the step is
-                // consumed without a reply, the structured analogue of a
-                // timed-out RPC; the query's lifecycle completes through its
-                // remaining branches.
-                let directory = shared
-                    .dht
-                    .as_ref()
-                    .expect("structured runs carry a directory");
-                let mut entries = Vec::new();
-                let mut closer = Vec::new();
-                if let Some(node) = self.peers[slot].dht.as_ref() {
-                    node.store.lookup_into(keyword, key.time, &mut entries);
-                    node.table.closest_into(
-                        directory.keyword_key(KeywordId(keyword)),
-                        shared.config.dht.k,
-                        &mut closer,
-                    );
-                }
-                let reply = Message::DhtLookupReply {
-                    query,
-                    keyword,
-                    hop,
-                    entries,
-                    closer,
-                };
-                self.send(shared, key.time, to, from, reply, Some(query_index(query)));
-            }
-            Message::DhtLookupReply {
-                query,
-                keyword,
-                hop,
-                entries,
-                closer,
-            } => {
-                let index = query_index(query);
-                // Only the origin holds lookup state; a reply arriving after
-                // the walk concluded (satisfied, exhausted or completed) is
-                // ignored.
-                let Some(state) = self.dht_lookups.get_mut(&(index as u32)) else {
-                    return;
-                };
-                // Settle the step's ledger entry. A reply whose slot a step
-                // deadline already released finds none — its payload still
-                // merges below, but the in-flight accounting has moved on.
-                state.finish_step(from);
-                let directory = shared
-                    .dht
-                    .as_ref()
-                    .expect("structured runs carry a directory");
-                for &contact in &closer {
-                    if contact == to {
-                        continue;
-                    }
-                    state.add_candidate(state.key.distance(directory.node_id(contact)), contact);
-                }
-                let keywords = state.keywords.clone();
-                if let Some(tracking) = self.tracking.get_mut(&(index as u32)) {
-                    tracking.dht_depth = tracking.dht_depth.max(hop);
-                }
-                if self.try_satisfy_from_dht(shared, online, key, index, &keywords, &entries, hop) {
-                    return;
-                }
-                // Not satisfied: keep up to `alpha` steps walking among the
-                // `k` closest known contacts, one hop deeper.
-                let next_hop = hop + 1;
-                if next_hop <= shared.config.dht.max_lookup_hops {
-                    while let Some(target) =
-                        self.dht_lookups.get_mut(&(index as u32)).and_then(|state| {
-                            if state.inflight() >= shared.config.dht.alpha {
-                                return None;
-                            }
-                            let target = state.take_next_target(shared.config.dht.k)?;
-                            state.begin_step(target, next_hop);
-                            Some(target)
-                        })
-                    {
-                        self.send_dht_step(shared, key.time, to, target, query, keyword, next_hop, index);
-                    }
-                }
-                // Shortlist exhausted with nothing in flight: the walk is
-                // over; drop the state (the query completes via lifecycle).
-                if self
-                    .dht_lookups
-                    .get(&(index as u32))
-                    .is_some_and(|s| s.inflight() == 0)
-                {
-                    self.dht_lookups.remove(&(index as u32));
-                }
-            }
-            Message::DhtStore {
-                keyword,
-                file,
-                provider,
-            } => {
-                // A store transfer from a publish or republish round: the
-                // record's TTL clock starts at delivery.
-                let ttl = Duration::from_secs_f64(shared.config.dht.record_ttl_secs);
-                if let Some(node) = self.peers[slot].dht.as_mut() {
-                    node.store.insert(keyword, file, provider, key.time + ttl);
-                }
-            }
+            message @ (Message::DhtLookup { .. }
+            | Message::DhtLookupReply { .. }
+            | Message::DhtStore { .. }) => dht::deliver(self, shared, online, key, from, to, message),
             Message::BloomFull { filter } => {
                 self.peers[slot].set_neighbor_bloom(from, filter);
             }
@@ -898,247 +744,34 @@ impl ShardState {
         }
     }
 
-    // --- DHT resolution -----------------------------------------------------
-
-    /// Issues a DHT-resolved query: try the origin's own record store first
-    /// (the origin may itself be an index node for the keyword), then start
-    /// the iterative lookup with up to `alpha` parallel first steps toward
-    /// the keyword's record key.
-    #[allow(clippy::too_many_arguments)]
-    fn dht_issue(
-        &mut self,
-        shared: &RunShared<'_>,
-        online: &[bool],
-        key: EventKey,
-        index: usize,
-        slot: usize,
-        query_id: QueryId,
-        keywords: &[KeywordId],
-    ) {
-        let directory = shared
-            .dht
-            .as_ref()
-            .expect("structured runs carry a directory");
-        if let Some(tracking) = self.tracking.get_mut(&(index as u32)) {
-            tracking.dht_lookup = true;
-        }
-        // The lookup keys on the query's smallest keyword id — generated
-        // keyword lists are sorted, so the choice is canonical for every
-        // shard count. (Entries are still filtered against *all* keywords.)
-        let Some(&keyword) = keywords.first() else {
-            return;
-        };
-        let record_key = directory.keyword_key(keyword);
-        let now = key.time;
-        let mut entries = Vec::new();
-        if let Some(node) = self.peers[slot].dht.as_ref() {
-            node.store.lookup_into(keyword.0, now, &mut entries);
-        }
-        if self.try_satisfy_from_dht(shared, online, key, index, keywords, &entries, 0) {
-            return;
-        }
-        let mut state = DhtLookupState::new(keywords.to_vec(), record_key);
-        let mut seeds = Vec::new();
-        if let Some(node) = self.peers[slot].dht.as_ref() {
-            node.table
-                .closest_into(record_key, shared.config.dht.k, &mut seeds);
-        }
-        for peer in seeds {
-            state.add_candidate(record_key.distance(directory.node_id(peer)), peer);
-        }
-        let origin = self.peers[slot].id;
-        for _ in 0..shared.config.dht.alpha {
-            let Some(target) = state.take_next_target(shared.config.dht.k) else {
-                break;
-            };
-            state.begin_step(target, 1);
-            self.send_dht_step(shared, now, origin, target, query_id, keyword.0, 1, index);
-        }
-        if state.inflight() > 0 {
-            self.dht_lookups.insert(index as u32, state);
-        }
-        // No known contacts at all: nothing in flight — the caller's
-        // born-complete check closes the query.
-    }
-
-    /// Tries to satisfy query `index` from DHT record entries (the origin's
-    /// own store at hop 0, or a lookup reply's payload). Entries must match
-    /// every query keyword, offer a file the origin does not already hold,
-    /// and name a provider that is online in this window's snapshot. Among
-    /// satisfiable files the one with the most online providers wins (ties:
-    /// smallest file id) — the analogue of the overlay's first-answer-wins
-    /// richest response. On success the origin downloads, replicates and
-    /// immediately re-publishes the file's keywords, and the lookup state is
-    /// dropped.
-    #[allow(clippy::too_many_arguments)]
-    fn try_satisfy_from_dht(
-        &mut self,
-        shared: &RunShared<'_>,
-        online: &[bool],
-        key: EventKey,
-        index: usize,
-        keywords: &[KeywordId],
-        entries: &[(u32, ProviderEntry)],
-        hops: u32,
-    ) -> bool {
-        let Some(tracking) = self.tracking.get_mut(&(index as u32)) else {
-            return false;
-        };
-        if tracking.satisfied {
-            return true;
-        }
-        let origin = tracking.origin;
-        let origin_loc = tracking.origin_loc;
-        let slot = shared.partition.slot(origin);
-        // Group the viable entries per file. A record keyed on one keyword
-        // can index files missing the query's other keywords; those cannot
-        // satisfy it (§3.1's all-keywords rule, same as the overlay path).
-        let mut per_file: BTreeMap<FileId, Vec<ProviderEntry>> = BTreeMap::new();
-        for &(file, provider) in entries {
-            let file = FileId(file);
-            if self.peers[slot].has_file(file) {
-                continue;
-            }
-            if !online
-                .get(provider.provider.index())
-                .copied()
-                .unwrap_or(false)
-            {
-                continue;
-            }
-            if !shared.catalog.filename(file).matches(keywords) {
-                continue;
-            }
-            per_file.entry(file).or_default().push(provider);
-        }
-        let Some((&file, providers)) = per_file
-            .iter()
-            .max_by_key(|(file, providers)| (providers.len(), std::cmp::Reverse(file.0)))
-        else {
-            return false;
-        };
-        tracking.providers_offered = tracking.providers_offered.max(providers.len());
-        let selection = select_provider(
-            shared.protocol.selection_policy(),
-            shared.topology,
-            shared.link_latencies,
-            origin,
-            origin_loc,
-            providers,
-            &mut tracking.selection_rng,
-        );
-        let Some(selected) = selection else {
-            return false;
-        };
-        tracking.satisfied = true;
-        tracking.locality_match = selected.locality_match;
-        tracking.download_distance_ms = Some(
-            shared
-                .link_latencies
-                .latency(shared.topology, origin, selected.provider)
-                .as_millis_f64(),
-        );
-        if self.hits[index].is_none() {
-            self.hits[index] = Some(HitMark {
-                key,
-                hops,
-                from_cache: false,
-            });
-        }
-        // Natural replication, same as the overlay path: the requestor now
-        // stores (and later serves) the file — and announces the new replica
-        // to the keyword index right away.
-        self.peers[slot].share_file(file);
-        if shared.protocol.uses_bloom_sync() {
-            let file_keywords = shared.catalog.filename(file).keywords().to_vec();
-            self.peers[slot].advertise_keywords(&file_keywords);
-        }
-        self.dht_publish_file(shared, online, key.time, origin, slot, file);
-        self.dht_lookups.remove(&(index as u32));
-        true
-    }
-
-    /// Publishes `file`'s keywords from `origin` (a fresh replica) to the
-    /// current `k` closest online index nodes per keyword — the event-driven
-    /// counterpart of the periodic republish round, so a new replica is
-    /// discoverable before the next round. Remote stores are real background
-    /// messages paying link latency; self-targets store locally. Hybrid
-    /// head-rank files skip this entirely: their discovery lives in the
-    /// overlay's response indexes.
-    fn dht_publish_file(
-        &mut self,
-        shared: &RunShared<'_>,
-        online: &[bool],
-        now: SimTime,
-        origin: PeerId,
-        slot: usize,
-        file: FileId,
-    ) {
-        let Some(directory) = shared.dht.as_ref() else {
-            return;
-        };
-        if !shared
-            .protocol
-            .dht_resolves_rank(shared.query_generator.rank_of(file), shared.catalog.len())
-        {
-            return;
-        }
-        let ttl = Duration::from_secs_f64(shared.config.dht.record_ttl_secs);
-        let provider = ProviderEntry {
-            provider: origin,
-            loc_id: self.peers[slot].loc_id,
-        };
-        let mut targets = std::mem::take(&mut self.scratch_publish_targets);
-        let mut scratch = std::mem::take(&mut self.scratch_directory);
-        for &kw in shared.catalog.filename(file).keywords() {
-            let record_key = directory.keyword_key(kw);
-            directory.closest_online_into(
-                record_key,
-                online,
-                shared.config.dht.k,
-                &mut scratch,
-                &mut targets,
-            );
-            for &target in &targets {
-                if target == origin {
-                    if let Some(node) = self.peers[slot].dht.as_mut() {
-                        node.store.insert(kw.0, file.0, provider, now + ttl);
-                    }
-                } else {
-                    let message = Message::DhtStore {
-                        keyword: kw.0,
-                        file: file.0,
-                        provider,
-                    };
-                    self.send_background(shared, now, origin, target, message);
-                }
-            }
-        }
-        self.scratch_publish_targets = targets;
-        self.scratch_directory = scratch;
-    }
-
-    fn handle_response_at_origin(
+    /// Origin-side satisfaction, shared by both protocol families: offered
+    /// `providers` of `file` — from a query response, or from DHT record
+    /// entries — satisfy query `index` if the origin does not already hold
+    /// the file and the selection policy picks one of the providers that are
+    /// online. On success the origin downloads and replicates the file.
+    /// Returns whether this call satisfied the query.
+    pub(super) fn satisfy(
         &mut self,
         shared: &RunShared<'_>,
         online: &[bool],
         index: usize,
         file: FileId,
         providers: &[ProviderEntry],
-    ) {
+    ) -> bool {
         let Some(tracking) = self.tracking.get_mut(&(index as u32)) else {
-            return;
+            return false;
         };
         if tracking.satisfied {
-            return;
+            return false;
         }
         let slot = shared.partition.slot(tracking.origin);
-        // A response can offer a file the requestor already stores (a cached
-        // index matches on keywords, not on the requestor's Zipf target).
-        // Nothing would be downloaded, so it cannot satisfy the query — this
-        // keeps the one-new-replica-per-satisfied-query accounting exact.
+        // An offer can name a file the requestor already stores (a cached
+        // index or a DHT record matches on keywords, not on the requestor's
+        // Zipf target). Nothing would be downloaded, so it cannot satisfy the
+        // query — this keeps the one-new-replica-per-satisfied-query
+        // accounting exact.
         if self.peers[slot].has_file(file) {
-            return;
+            return false;
         }
         // Only online providers can actually serve the download (matters only
         // when churn is enabled; the static setup never filters anything).
@@ -1160,7 +793,7 @@ impl ShardState {
             &mut tracking.selection_rng,
         );
         let Some(selected) = selection else {
-            return;
+            return false;
         };
         tracking.satisfied = true;
         tracking.locality_match = selected.locality_match;
@@ -1173,9 +806,9 @@ impl ShardState {
         // Natural replication: the requestor now stores (and later serves) the file.
         self.peers[slot].share_file(file);
         if shared.protocol.uses_bloom_sync() {
-            let keywords = shared.catalog.filename(file).keywords().to_vec();
-            self.peers[slot].advertise_keywords(&keywords);
+            self.peers[slot].advertise_keywords(shared.catalog.filename(file).keywords());
         }
+        true
     }
 
     /// Applies query `index`'s completion at simulated time `now` — but only
@@ -1208,48 +841,18 @@ impl ShardState {
 
     // --- fault-plan timers --------------------------------------------------
 
-    /// Sends one iterative-lookup step and, under a fault plan with step
-    /// timeouts, arms its deadline. The caller has already recorded the step
-    /// in the lookup state's ledger via
-    /// [`begin_step`](DhtLookupState::begin_step).
-    #[allow(clippy::too_many_arguments)]
-    fn send_dht_step(
-        &mut self,
-        shared: &RunShared<'_>,
-        now: SimTime,
-        origin: PeerId,
-        target: PeerId,
-        query: QueryId,
-        keyword: u32,
-        hop: u32,
-        index: usize,
-    ) {
-        let step = Message::DhtLookup {
-            query,
-            keyword,
-            hop,
-        };
-        self.send(shared, now, origin, target, step, Some(index));
-        if let Some(timeout) = shared.faults.as_ref().and_then(|f| f.dht_step_timeout) {
-            self.schedule_timeout(now + timeout, index, TimeoutKind::DhtStep { peer: target });
-        }
-    }
-
     /// Arms a fault-plan deadline for query `index`. The timer is charged
     /// into the query's lifecycle exactly like an in-flight message (+1 now,
     /// −1 when it fires), so the completion stays exact while it is armed —
     /// and since timers are class 6, a reply landing exactly at the deadline
     /// is dispatched first. Timers live in the origin's own shard queue and
     /// never cross shards, so they cannot perturb channel lookaheads.
-    fn schedule_timeout(&mut self, at: SimTime, index: usize, kind: TimeoutKind) {
+    pub(super) fn schedule_timeout(&mut self, at: SimTime, index: usize, kind: TimeoutKind) {
         let discriminator = match kind {
             TimeoutKind::Retransmit { attempt } => u64::from(attempt),
             TimeoutKind::DhtStep { peer } => (1u64 << 32) | u64::from(peer.0),
         };
-        self.outstanding[index] += 1;
-        if let Some(flux) = &mut self.flux {
-            flux.charge(index);
-        }
+        self.charge(index);
         self.queue.push(
             timeout_key(at, index, discriminator),
             ShardEvent::Timeout {
@@ -1257,32 +860,6 @@ impl ShardState {
                 kind,
             },
         );
-    }
-
-    /// Dispatches a fired deadline: retire its lifecycle charge, run the
-    /// kind-specific recovery, then close the query if this was its last
-    /// outstanding obligation.
-    fn handle_timeout(
-        &mut self,
-        shared: &RunShared<'_>,
-        graph: &OverlayGraph,
-        key: EventKey,
-        index: usize,
-        kind: TimeoutKind,
-    ) {
-        self.outstanding[index] -= 1;
-        if let Some(flux) = &mut self.flux {
-            flux.consume(index, key);
-        }
-        match kind {
-            TimeoutKind::Retransmit { attempt } => {
-                self.retransmit_query(shared, graph, key, index, attempt)
-            }
-            TimeoutKind::DhtStep { peer } => self.handle_dht_step_timeout(shared, key, index, peer),
-        }
-        if self.outstanding[index] == 0 && !self.escaped[index] {
-            self.complete_locally(shared, index, key.time);
-        }
     }
 
     /// A retransmit deadline fired: if the query is still unanswered and has
@@ -1298,21 +875,14 @@ impl ShardState {
         index: usize,
         attempt: u32,
     ) {
-        let (origin, keywords, target_filename) = {
-            let Some(tracking) = self.tracking.get(&(index as u32)) else {
-                return;
-            };
-            if tracking.satisfied || tracking.completed_at.is_some() {
-                return;
-            }
-            let Some(retry) = tracking.retry.as_ref() else {
-                return;
-            };
-            if retry.attempt != attempt {
-                return;
-            }
-            (tracking.origin, retry.keywords.clone(), retry.target_filename)
+        let live = |t: &&QueryTracking| !t.satisfied && t.completed_at.is_none();
+        let Some(tracking) = self.tracking.get(&(index as u32)).filter(live) else {
+            return;
         };
+        let Some(retry) = tracking.retry.as_ref().filter(|r| r.attempt == attempt) else {
+            return;
+        };
+        let (origin, mut message) = (tracking.origin, retry.message.clone());
         self.tallies.query_timeouts += 1;
         let Some(policy) = shared.faults.as_ref().and_then(|f| f.query_retransmit()) else {
             return;
@@ -1328,19 +898,14 @@ impl ShardState {
             return;
         }
         let next = attempt + 1;
-        let query_id = attempt_id(index, next);
-        self.peers[slot].router.on_query(query_id, None);
+        let Message::Query { query, keywords, .. } = &mut message else {
+            unreachable!("retry state keeps the query's wire message");
+        };
+        *query = attempt_id(index, next);
+        self.peers[slot].router.on_query(*query, None);
+        self.load_query_scratch(shared, keywords);
         let now = key.time;
-        let sent = self.flood_from_origin(
-            shared,
-            graph,
-            now,
-            index,
-            origin,
-            query_id,
-            &keywords,
-            target_filename,
-        );
+        let sent = self.forward_query(shared, graph, now, origin, None, &message);
         if sent {
             self.tallies.query_retransmits += 1;
             if let Some(retry) = self
@@ -1356,60 +921,6 @@ impl ShardState {
             // Nothing left to flood into (e.g. every neighbour departed):
             // disarm, and let the lifecycle close the query.
             tracking.retry = None;
-        }
-    }
-
-    /// A DHT step deadline fired: if the step is still unanswered, release
-    /// its in-flight slot and re-issue against the next shortlist candidates
-    /// at the same hop depth, keeping at most `alpha` steps walking. This is
-    /// what recovers lookups whose step landed on an index node that departed
-    /// mid-walk and will never reply.
-    fn handle_dht_step_timeout(
-        &mut self,
-        shared: &RunShared<'_>,
-        key: EventKey,
-        index: usize,
-        peer: PeerId,
-    ) {
-        // `None` means the reply won the race at this exact deadline (class
-        // ordering dispatches it first) or arrived long ago: nothing stalled.
-        let Some(hop) = self
-            .dht_lookups
-            .get_mut(&(index as u32))
-            .and_then(|state| state.finish_step(peer))
-        else {
-            return;
-        };
-        self.tallies.dht_step_timeouts += 1;
-        let origin = PeerId(shared.arrivals[index].peer as u32);
-        let slot = shared.partition.slot(origin);
-        if self.peers[slot].online {
-            let keyword = self
-                .dht_lookups
-                .get(&(index as u32))
-                .and_then(|state| state.keywords.first().copied());
-            if let Some(keyword) = keyword {
-                let query = QueryId(index as u64);
-                while let Some(target) =
-                    self.dht_lookups.get_mut(&(index as u32)).and_then(|state| {
-                        if state.inflight() >= shared.config.dht.alpha {
-                            return None;
-                        }
-                        let target = state.take_next_target(shared.config.dht.k)?;
-                        state.begin_step(target, hop);
-                        Some(target)
-                    })
-                {
-                    self.send_dht_step(shared, key.time, origin, target, query, keyword.0, hop, index);
-                }
-            }
-        }
-        if self
-            .dht_lookups
-            .get(&(index as u32))
-            .is_some_and(|state| state.inflight() == 0)
-        {
-            self.dht_lookups.remove(&(index as u32));
         }
     }
 
@@ -1429,19 +940,10 @@ impl ShardState {
         self.tallies.message_counts[kind_index(message.kind())] += 1;
         if let Some(index) = query {
             self.messages[index] += 1;
-            self.outstanding[index] += 1;
-            if let Some(flux) = &mut self.flux {
-                flux.charge(index);
-            }
+            self.charge(index);
         }
-        let crossed = self.route(shared, now, from, to, message);
-        if crossed {
-            if let Some(index) = query {
-                self.escaped[index] = true;
-                if let Some(flux) = &mut self.flux {
-                    flux.mark_escaped(index);
-                }
-            }
+        if let (true, Some(index)) = (self.route(shared, now, from, to, message), query) {
+            self.escaped[index] = true;
         }
     }
 
@@ -1513,14 +1015,47 @@ impl ShardState {
             true
         }
     }
+}
 
-    /// Takes every pending outbound bucket (coordinator-side, at a barrier).
-    pub(super) fn take_outbound(&mut self) -> Vec<(usize, Vec<Outbound>)> {
-        self.outboxes
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, bucket)| !bucket.is_empty())
-            .map(|(destination, bucket)| (destination, std::mem::take(bucket)))
-            .collect()
+#[cfg(test)]
+mod tests {
+    use super::super::exchange::issue_key;
+    use super::super::prepare;
+    use super::*;
+    use crate::config::SimulationConfig;
+    use crate::simulation::Simulation;
+
+    #[test]
+    fn satisfy_adds_one_replica_and_refuses_held_files_and_offline_providers() {
+        let mut config = SimulationConfig::small(40);
+        config.shards = 1;
+        let sim = Simulation::try_build(config).expect("test configuration validates");
+        let (shared, shards) = prepare(&sim, ProtocolKind::Locaware, sim.arrivals(1), true);
+        let (everyone, nobody) = (vec![true; 40], vec![false; 40]);
+        let mut guard = shards[0].lock();
+        let state = &mut *guard;
+        let arrival = shared.arrivals[0];
+        state.handle_issue(&shared, &shared.graph.read(), &everyone, issue_key(arrival.at, 0), 0);
+        let slot = shared.partition.slot(PeerId(arrival.peer as u32));
+        let provider = PeerId((arrival.peer as u32 + 1) % 40);
+        let offer = [ProviderEntry {
+            provider,
+            loc_id: shared.loc_ids[provider.index()],
+        }];
+        let held = state.peers[slot].shared_files().next().expect("initial shares");
+        let wanted: Vec<FileId> = (0..).map(FileId).filter(|&f| !state.peers[slot].has_file(f)).take(2).collect();
+        let replicas = state.peers[slot].shared_file_count();
+
+        let file = wanted[0];
+        assert!(!state.satisfy(&shared, &everyone, 0, held, &offer), "nothing to download");
+        assert!(!state.satisfy(&shared, &nobody, 0, file, &offer), "nobody to download from");
+        assert!(!state.tracking[&0].satisfied);
+        assert_eq!(state.peers[slot].shared_file_count(), replicas);
+
+        assert!(state.satisfy(&shared, &everyone, 0, file, &offer));
+        assert!(state.tracking[&0].satisfied && state.peers[slot].has_file(file));
+        // One replica per satisfied query: a later offer downloads nothing.
+        assert!(!state.satisfy(&shared, &everyone, 0, wanted[1], &offer));
+        assert_eq!(state.peers[slot].shared_file_count(), replicas + 1);
     }
 }

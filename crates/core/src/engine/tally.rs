@@ -7,8 +7,7 @@
 //! the same totals, which is one of the two pillars of the sharded engine's
 //! bit-identical-for-every-shard-count guarantee (the other is the canonical
 //! event order in [`super::exchange`]). The labelled sets reports carry are
-//! materialised once, from the merged totals, in
-//! [`ProtocolEngine::run`](super::ProtocolEngine).
+//! materialised once, from the merged totals, when [`super::run`] finalizes.
 
 use locaware_metrics::CounterSet;
 use locaware_overlay::{ForwardDecision, MessageKind};
@@ -116,11 +115,10 @@ impl Tallies {
 }
 
 /// One shard's per-query lifecycle flux since the last barrier: dense
-/// arrival-indexed deltas of the outstanding-message count, the canonical key
-/// of the latest consumption, and whether the query's traffic crossed a shard
-/// boundary. Like [`Tallies`], every field is *commutative* across shards
-/// (deltas sum, keys max, escape flags or), so the coordinator can fold the
-/// shards in any order at a barrier and recover the exact global count —
+/// arrival-indexed deltas of the outstanding-message count and the canonical
+/// key of the latest consumption. Like [`Tallies`], every field is
+/// *commutative* across shards (deltas sum, keys max), so the coordinator can
+/// fold the shards in any order at a barrier and recover the exact global count —
 /// which is what lets it synthesize the canonical completion event (class 4
 /// in [`super::exchange`]) for queries whose messages spread over several
 /// shards. Queries that never escape their origin shard complete inline in
@@ -133,9 +131,6 @@ pub(super) struct LifecycleFlux {
     /// Arrival index → canonical key of the latest consumption this shard
     /// processed since the last drain (`None` while only sends accumulated).
     last_consumed: Vec<Option<EventKey>>,
-    /// Arrival index → true once this shard outboxed one of the query's
-    /// messages across a shard boundary.
-    escaped: Vec<bool>,
     /// Membership mask for `dirty`.
     touched: Vec<bool>,
     /// The arrival indexes touched since the last drain.
@@ -147,7 +142,6 @@ impl LifecycleFlux {
         LifecycleFlux {
             delta: vec![0; arrivals],
             last_consumed: vec![None; arrivals],
-            escaped: vec![false; arrivals],
             touched: vec![false; arrivals],
             dirty: Vec::new(),
         }
@@ -174,24 +168,14 @@ impl LifecycleFlux {
         *last = Some(last.map_or(key, |k| k.max(key)));
     }
 
-    /// Records that one of the query's messages left this shard.
-    pub(super) fn mark_escaped(&mut self, index: usize) {
-        self.touch(index);
-        self.escaped[index] = true;
-    }
-
     /// Drains every touched entry into `fold`, resetting the flux. Called by
     /// the coordinator at barriers while it holds the shard's lock.
-    pub(super) fn drain(
-        &mut self,
-        mut fold: impl FnMut(u32, i64, Option<EventKey>, bool),
-    ) {
+    pub(super) fn drain(&mut self, mut fold: impl FnMut(u32, i64, Option<EventKey>)) {
         for index in self.dirty.drain(..) {
             let i = index as usize;
-            fold(index, self.delta[i], self.last_consumed[i], self.escaped[i]);
+            fold(index, self.delta[i], self.last_consumed[i]);
             self.delta[i] = 0;
             self.last_consumed[i] = None;
-            self.escaped[i] = false;
             self.touched[i] = false;
         }
     }
@@ -226,25 +210,21 @@ mod tests {
         flux.consume(1, key(50));
         flux.consume(3, key(20));
         flux.consume(3, key(80));
-        flux.mark_escaped(3);
 
         let mut seen = Vec::new();
-        flux.drain(|i, delta, last, escaped| seen.push((i, delta, last, escaped)));
+        flux.drain(|i, delta, last| seen.push((i, delta, last)));
         seen.sort_by_key(|&(i, ..)| i);
         assert_eq!(
             seen,
-            vec![
-                (1, 1, Some(key(50)), false),
-                (3, -2, Some(key(80)), true),
-            ],
-            "deltas sum, consumption keys max, escape flags or"
+            vec![(1, 1, Some(key(50))), (3, -2, Some(key(80)))],
+            "deltas sum, consumption keys max"
         );
 
         // Drained entries reset completely; untouched entries never surface.
         let mut after = Vec::new();
         flux.charge(1);
-        flux.drain(|i, delta, last, escaped| after.push((i, delta, last, escaped)));
-        assert_eq!(after, vec![(1, 1, None, false)]);
+        flux.drain(|i, delta, last| after.push((i, delta, last)));
+        assert_eq!(after, vec![(1, 1, None)]);
     }
 
     #[test]

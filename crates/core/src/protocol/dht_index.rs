@@ -43,10 +43,6 @@ impl Protocol for DhtIndex {
         SelectionPolicy::Random
     }
 
-    fn uses_dht(&self) -> bool {
-        true
-    }
-
     fn dht_resolves_rank(&self, _rank: usize, _catalog_len: usize) -> bool {
         true
     }
@@ -107,7 +103,6 @@ mod tests {
         assert_eq!(protocol.kind(), ProtocolKind::DhtIndex);
         assert_eq!(protocol.selection_policy(), SelectionPolicy::Random);
         assert!(!protocol.uses_bloom_sync());
-        assert!(protocol.uses_dht());
         assert!(protocol.dht_resolves_rank(0, 100));
         assert!(protocol.dht_resolves_rank(99, 100));
         let config = SimulationConfig::small(20);

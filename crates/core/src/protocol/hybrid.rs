@@ -59,10 +59,6 @@ impl Protocol for Hybrid {
         self.overlay.uses_bloom_sync()
     }
 
-    fn uses_dht(&self) -> bool {
-        true
-    }
-
     fn dht_resolves_rank(&self, rank: usize, catalog_len: usize) -> bool {
         // Ranks [0, head_fraction * len) stay on the overlay; the tail is the
         // DHT's. With fraction 0 everything is structured, with 1 nothing is.
@@ -139,7 +135,5 @@ mod tests {
             hybrid.max_providers_per_file(&config),
             locaware.max_providers_per_file(&config)
         );
-        assert!(hybrid.uses_dht());
-        assert!(!locaware.uses_dht());
     }
 }

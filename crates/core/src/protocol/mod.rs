@@ -178,18 +178,11 @@ pub trait Protocol: Send + Sync {
         false
     }
 
-    /// Whether the engine should run the Kademlia-style keyword-index DHT for
-    /// this protocol (identity derivation, routing tables, publish/republish
-    /// rounds, iterative lookups).
-    fn uses_dht(&self) -> bool {
-        false
-    }
-
-    /// For DHT-running protocols: whether a file at popularity `rank`
-    /// (0 = most popular of `catalog_len` files) is indexed in — and resolved
-    /// through — the DHT. The pure DHT protocol says yes to everything; the
-    /// hybrid protocol only to the Zipf tail. Never called when
-    /// [`Protocol::uses_dht`] is false.
+    /// For DHT-running protocols ([`ProtocolKind::uses_dht`]): whether a
+    /// file at popularity `rank` (0 = most popular of `catalog_len` files) is
+    /// indexed in — and resolved through — the DHT. The pure DHT protocol
+    /// says yes to everything; the hybrid protocol only to the Zipf tail.
+    /// Never called for the unstructured protocols.
     fn dht_resolves_rank(&self, rank: usize, catalog_len: usize) -> bool {
         let _ = (rank, catalog_len);
         false
@@ -484,11 +477,6 @@ mod tests {
         for &kind in ProtocolKind::all() {
             let protocol = build_protocol(kind, &config);
             assert_eq!(protocol.kind(), kind);
-            assert_eq!(
-                protocol.uses_dht(),
-                kind.uses_dht(),
-                "{kind}: trait and kind disagree on the DHT subsystem"
-            );
         }
     }
 }

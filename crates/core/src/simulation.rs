@@ -18,7 +18,6 @@ use locaware_workload::{
 };
 
 use crate::config::{ConfigError, ProtocolKind, SimulationConfig};
-use crate::engine::ProtocolEngine;
 use crate::experiment::Scenario;
 use crate::group::{GroupId, GroupScheme};
 use crate::results::SimulationReport;
@@ -191,6 +190,12 @@ impl Simulation {
         &self.link_latencies
     }
 
+    /// The seeded stream factory every run over this substrate derives its
+    /// randomness from.
+    pub(crate) fn rng_factory(&self) -> &RngFactory {
+        &self.rng_factory
+    }
+
     /// Generates the arrival schedule for `num_queries` queries. Every protocol
     /// run with the same substrate and query count sees the same schedule.
     /// Arrivals come from the `StreamId::Arrivals` stream, thinned/time-scaled
@@ -243,21 +248,7 @@ impl Simulation {
     pub fn run(&self, protocol: ProtocolKind, num_queries: usize) -> SimulationReport {
         let arrivals = self.arrivals(num_queries);
         let churn = self.churn_schedule(&arrivals);
-        ProtocolEngine::new(
-            &self.config,
-            protocol,
-            &self.topology,
-            &self.link_latencies,
-            &self.loc_ids,
-            &self.graph,
-            &self.catalog,
-            &self.initial_shares,
-            &self.gids,
-            arrivals,
-            churn,
-            &self.rng_factory,
-        )
-        .run()
+        crate::engine::run(self, protocol, arrivals, &churn)
     }
 
     /// Runs every protocol in `protocols` over the identical substrate and

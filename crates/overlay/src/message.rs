@@ -228,6 +228,7 @@ impl Message {
 
     /// For query-charged messages (queries, responses and DHT lookup steps):
     /// the query id. `None` otherwise.
+    #[inline]
     pub fn query_id(&self) -> Option<QueryId> {
         match self {
             Message::Query { query, .. }
