@@ -1,0 +1,301 @@
+//! Figures 2–4, the headline table and the paper's claims, all read from an
+//! [`ExperimentOutcome`], plus the `fig2` / `fig3` / `fig4` / `run_all`
+//! subcommands that run the grid and print them.
+
+use std::collections::BTreeMap;
+
+use locaware::{
+    ExperimentOutcome, ExperimentPlan, ProtocolKind, Scenario, SimulationConfig, SimulationReport,
+};
+use locaware_metrics::{mean, Figure, SeriesPoint, Table};
+
+use crate::{execute, flags, preset};
+
+/// Which metric a figure plots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MetricKind {
+    /// Figure 2: average download distance in milliseconds.
+    DownloadDistance,
+    /// Figure 3: average messages per query.
+    SearchTraffic,
+    /// Figure 4: fraction of satisfied queries.
+    SuccessRate,
+}
+
+impl MetricKind {
+    pub(crate) const ALL: [MetricKind; 3] =
+        [MetricKind::DownloadDistance, MetricKind::SearchTraffic, MetricKind::SuccessRate];
+
+    /// Human-readable axis label.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            MetricKind::DownloadDistance => "avg download distance (ms)",
+            MetricKind::SearchTraffic => "messages per query",
+            MetricKind::SuccessRate => "success rate",
+        }
+    }
+
+    /// The figure number in the paper.
+    pub(crate) fn figure_number(self) -> u32 {
+        match self {
+            MetricKind::DownloadDistance => 2,
+            MetricKind::SearchTraffic => 3,
+            MetricKind::SuccessRate => 4,
+        }
+    }
+
+    /// Figure title, e.g. `"Figure 2: comparison of download distance"`.
+    pub(crate) fn title(self) -> String {
+        let name = match self {
+            MetricKind::DownloadDistance => "download distance",
+            MetricKind::SearchTraffic => "search traffic",
+            MetricKind::SuccessRate => "success rate",
+        };
+        format!("Figure {}: comparison of {}", self.figure_number(), name)
+    }
+}
+
+/// Builds the figure for `metric`: one curve per protocol, repetitions
+/// averaged per (protocol, query count).
+pub(crate) fn figure(outcome: &ExperimentOutcome, metric: MetricKind) -> Figure {
+    let mut grouped: BTreeMap<(&str, u64), Vec<f64>> = BTreeMap::new();
+    for point in &outcome.points {
+        let value = match metric {
+            MetricKind::DownloadDistance => point.report.avg_download_distance_ms(),
+            MetricKind::SearchTraffic => point.report.avg_messages_per_query(),
+            MetricKind::SuccessRate => point.report.success_rate(),
+        };
+        grouped.entry((point.protocol.label(), point.queries as u64)).or_default().push(value);
+    }
+    let mut figure = Figure::new(metric.title(), metric.label());
+    for ((label, queries), values) in grouped {
+        figure.push(label, SeriesPoint { queries, value: mean(&values) });
+    }
+    figure
+}
+
+/// A paper-style headline comparison: the mean of each metric per protocol
+/// over the whole grid.
+pub(crate) fn headline_table(outcome: &ExperimentOutcome) -> Table {
+    let mut table = Table::new([
+        "protocol",
+        "avg download distance (ms)",
+        "messages / query",
+        "success rate",
+        "locality match",
+        "cache hit share",
+    ]);
+    let mut by_protocol: BTreeMap<&str, Vec<&SimulationReport>> = BTreeMap::new();
+    for point in &outcome.points {
+        by_protocol.entry(point.protocol.label()).or_default().push(&point.report);
+    }
+    for (label, reports) in by_protocol {
+        let mean_of = |metric: fn(&SimulationReport) -> f64| {
+            mean(&reports.iter().map(|report| metric(report)).collect::<Vec<_>>())
+        };
+        table.push_row([
+            label.to_string(),
+            format!("{:.2}", mean_of(SimulationReport::avg_download_distance_ms)),
+            format!("{:.2}", mean_of(SimulationReport::avg_messages_per_query)),
+            format!("{:.4}", mean_of(SimulationReport::success_rate)),
+            format!("{:.4}", mean_of(SimulationReport::locality_match_rate)),
+            format!("{:.4}", mean_of(SimulationReport::cache_hit_share)),
+        ]);
+    }
+    table
+}
+
+/// The headline quantities §5.2 quotes, recomputed from a run of the grid.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PaperClaims {
+    /// Paper: "decreased by about 14% compared to the other approaches"
+    /// (computed against the mean of the three baselines).
+    pub(crate) distance_reduction_vs_baselines: f64,
+    /// Paper: "outperforms flooding by 98% in terms of search traffic reduction".
+    pub(crate) traffic_reduction_vs_flooding: f64,
+    /// Paper: "increases hit ratio by 23% wrt. Dicas".
+    pub(crate) success_gain_vs_dicas: f64,
+    /// Paper: "and 33% wrt. Dicas-keys".
+    pub(crate) success_gain_vs_dicas_keys: f64,
+}
+
+/// The paper's headline claims, computed from `outcome`.
+pub(crate) fn paper_claims(outcome: &ExperimentOutcome) -> PaperClaims {
+    let fig2 = figure(outcome, MetricKind::DownloadDistance);
+    let fig3 = figure(outcome, MetricKind::SearchTraffic);
+    let fig4 = figure(outcome, MetricKind::SuccessRate);
+
+    // The paper compares Locaware's download distance against "the other
+    // approaches" collectively; average the three baselines at each x
+    // before computing the reduction so a single baseline's early-run
+    // artefacts (e.g. Dicas' few, nearby-only successes) do not dominate.
+    let baselines = ["flooding", "dicas", "dicas-keys"];
+    let mut reductions = Vec::new();
+    for x in fig2.x_values() {
+        let baseline_values: Vec<f64> =
+            baselines.iter().filter_map(|b| fig2.value_at(b, x)).collect();
+        if baseline_values.is_empty() {
+            continue;
+        }
+        let baseline_mean = mean(&baseline_values);
+        if let Some(locaware) = fig2.value_at("locaware", x) {
+            if baseline_mean > 0.0 {
+                reductions.push((baseline_mean - locaware) / baseline_mean);
+            }
+        }
+    }
+    PaperClaims {
+        distance_reduction_vs_baselines: mean_or_nan(reductions),
+        traffic_reduction_vs_flooding: fig3
+            .relative_reduction("locaware", "flooding")
+            .unwrap_or(f64::NAN),
+        success_gain_vs_dicas: relative_gain(&fig4, "locaware", "dicas"),
+        success_gain_vs_dicas_keys: relative_gain(&fig4, "locaware", "dicas-keys"),
+    }
+}
+
+fn mean_or_nan(values: Vec<f64>) -> f64 {
+    if values.is_empty() {
+        f64::NAN
+    } else {
+        mean(&values)
+    }
+}
+
+/// Relative gain of curve `a` over curve `b` averaged over common x values:
+/// `mean((a - b) / b)`. Positive means `a` is higher (better for success rate).
+fn relative_gain(figure: &Figure, a: &str, b: &str) -> f64 {
+    let mut gains = Vec::new();
+    for x in figure.x_values() {
+        if let (Some(va), Some(vb)) = (figure.value_at(a, x), figure.value_at(b, x)) {
+            if vb != 0.0 {
+                gains.push((va - vb) / vb);
+            }
+        }
+    }
+    mean_or_nan(gains)
+}
+
+impl PaperClaims {
+    /// Renders the claims next to the paper's numbers.
+    pub(crate) fn table(&self) -> Table {
+        let mut t = Table::new(["claim", "paper", "this reproduction"]);
+        t.push_row([
+            "download distance reduction (Locaware vs other approaches)".to_string(),
+            "~14%".to_string(),
+            format!("{:.1}%", self.distance_reduction_vs_baselines * 100.0),
+        ]);
+        t.push_row([
+            "search traffic reduction vs flooding".to_string(),
+            "~98%".to_string(),
+            format!("{:.1}%", self.traffic_reduction_vs_flooding * 100.0),
+        ]);
+        t.push_row([
+            "success rate gain vs Dicas".to_string(),
+            "+23%".to_string(),
+            format!("{:+.1}%", self.success_gain_vs_dicas * 100.0),
+        ]);
+        t.push_row([
+            "success rate gain vs Dicas-Keys".to_string(),
+            "+33%".to_string(),
+            format!("{:+.1}%", self.success_gain_vs_dicas_keys * 100.0),
+        ]);
+        t
+    }
+}
+
+/// What the figure subcommands run: the grid, the pool size, the output form.
+#[derive(Debug)]
+pub(crate) struct FiguresRun {
+    pub(crate) plan: ExperimentPlan,
+    pub(crate) threads: Option<usize>,
+    pub(crate) csv: bool,
+}
+
+/// Parses the figure subcommands' flags into the plan they describe:
+/// `--quick` (scaled-down grid), `--scenario NAME` (a preset, at `--peers` or
+/// the grid's own scale), `--peers N`, `--queries a,b,c`, `--reps N`,
+/// `--seed N`, `--threads N`, `--csv`.
+pub(crate) fn parse(args: impl IntoIterator<Item = String>) -> Result<FiguresRun, String> {
+    let (mut quick, mut csv) = (false, false);
+    let (mut scenario, mut peers, mut queries) = (None, None, None);
+    let (mut reps, mut seed, mut threads) = (1, None, None);
+    let valued = ["--scenario", "--peers", "--queries", "--reps", "--seed", "--threads"];
+    for (flag, value) in flags::pairs(args, &valued, &["--quick", "--csv"])? {
+        match flag.as_str() {
+            "--quick" => quick = true,
+            "--csv" => csv = true,
+            "--scenario" => scenario = Some(value),
+            "--peers" => peers = Some(flags::number(&value)?),
+            "--queries" => queries = Some(flags::list(&value)?),
+            "--reps" => reps = flags::number(&value)?,
+            "--seed" => seed = Some(flags::number(&value)? as u64),
+            "--threads" => threads = Some(flags::number(&value)?),
+            other => unreachable!("flags::pairs passed unlisted flag {other}"),
+        }
+    }
+
+    let (base, default_queries) = if quick {
+        (SimulationConfig::small(200), vec![200, 400, 600, 800])
+    } else {
+        (SimulationConfig::paper_defaults(), (1..=10).map(|step| step * 500).collect())
+    };
+    let mut config = match (scenario, peers) {
+        (Some(name), _) => preset(&name, peers.unwrap_or(base.peers))?.config().clone(),
+        (None, Some(peers)) => SimulationConfig::small(peers),
+        (None, None) => base,
+    };
+    if let Some(seed) = seed {
+        config.seed = seed;
+    }
+    let scenario = Scenario::from_config("sweep", config).map_err(|e| e.to_string())?;
+    let plan = ExperimentPlan::new()
+        .scenario(scenario)
+        .protocols(ProtocolKind::PAPER_SET)
+        .query_counts(queries.unwrap_or(default_queries))
+        .repetitions(reps);
+    plan.validate().map_err(|e| e.to_string())?;
+    Ok(FiguresRun { plan, threads, csv })
+}
+
+/// `fig2` / `fig3` / `fig4` (`only` = that figure, then the claims) and
+/// `run_all` (`only` = `None`: all three, the headline table, the claims).
+pub(crate) fn run(
+    only: Option<MetricKind>,
+    args: impl IntoIterator<Item = String>,
+) -> Result<String, String> {
+    let FiguresRun { plan, threads, csv } = parse(args)?;
+    eprintln!(
+        "# running sweep: {} peers, query counts {:?}, {} repetition(s)",
+        plan.scenario_list()[0].config().peers,
+        plan.query_count_list(),
+        plan.repetition_count(),
+    );
+    let outcome = execute(&plan, threads)?;
+    let claims = || paper_claims(&outcome).table().render();
+    let mut out = String::new();
+    match only {
+        Some(metric) if csv => out.push_str(&figure(&outcome, metric).to_csv()),
+        Some(metric) => {
+            out.push_str(&figure(&outcome, metric).to_table());
+            out.push('\n');
+            out.push_str(&claims());
+        }
+        None => {
+            for metric in MetricKind::ALL {
+                if csv {
+                    out.push_str(&format!("# {}\n", metric.title()));
+                    out.push_str(&figure(&outcome, metric).to_csv());
+                } else {
+                    out.push_str(&figure(&outcome, metric).to_table());
+                }
+                out.push('\n');
+            }
+            out.push_str("# Per-protocol averages over the whole sweep\n");
+            out.push_str(&headline_table(&outcome).render());
+            out.push_str("\n# Paper headline claims vs. this reproduction\n");
+            out.push_str(&claims());
+        }
+    }
+    Ok(out)
+}

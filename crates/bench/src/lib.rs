@@ -1,4 +1,4 @@
-//! # locaware-bench — experiment harness for the paper's figures
+//! # locaware-bench — the experiment front end
 //!
 //! The Locaware evaluation (§5.2) reports three figures, each plotting a metric
 //! against the number of queries for four approaches (Locaware, Flooding,
@@ -8,539 +8,122 @@
 //! * **Figure 3** — search traffic (messages per query),
 //! * **Figure 4** — success rate.
 //!
-//! [`Sweep`] runs the full grid (protocol × query count × repetition) over
-//! identical substrates and produces all three figures in one pass, since every
-//! run measures all three metrics anyway. The experiment binaries
-//! (`fig2`, `fig3`, `fig4`, `run_all`) print one figure each (or all), both as
-//! an aligned table and as CSV, and the Criterion benchmarks reuse the same
-//! harness at a reduced scale.
+//! This crate is the one command-line front end over the core experiment API
+//! ([`locaware::experiment`]): `locaware-bench <subcommand>` parses its flags
+//! through one loop, builds an [`ExperimentPlan`], hands it to a [`Runner`] —
+//! which builds the substrate of each (scenario, repetition) point exactly
+//! once, shares it immutably across all protocols and query counts, and steals
+//! grid tasks from a shared queue on scoped worker threads — and prints what
+//! the [`ExperimentOutcome`] holds. Every run measures all three figure
+//! metrics, so `fig2` / `fig3` / `fig4` / `run_all` are one routine with a
+//! filter; `ablation`, `inspect`, `degradation` and `regimes` are the studies
+//! behind EXPERIMENTS.md; `scale` measures the 10⁵-peer build tier. [`run`] is
+//! the only code path: the binary prints what it returns.
 //!
-//! `Sweep` is a thin figure-producing front end over the core experiment API
-//! ([`locaware::experiment`]): it assembles an [`ExperimentPlan`] and hands
-//! it to a [`Runner`], which builds the substrate of each
-//! (scenario, repetition) point exactly once, shares it immutably across all
-//! protocols and query counts, and steals grid tasks from a shared queue on
-//! scoped worker threads. Repetitions use distinct derived seeds and the
-//! reported value is the mean across repetitions; each grid point is fully
-//! deterministic (and bit-identical for every engine shard count, so
-//! `SimulationConfig::shards` is purely a performance knob here too).
+//! Speed is measured elsewhere: `BENCHMARK.json` and `perfbench/` are the
+//! repository's one benchmark (it reads its own JSON through [`trajectory`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::collections::BTreeMap;
+use locaware::{ExperimentOutcome, ExperimentPlan, ProtocolKind, Runner, Scenario, SimulationConfig};
 
-use locaware::{
-    ExperimentPlan, ExperimentPoint, Figure, ProtocolKind, Runner, Scenario, SeriesPoint,
-    SimulationConfig, SimulationReport,
-};
-use locaware_metrics::Table;
+mod figures;
+mod scale;
+mod studies;
 
-/// Which metric a figure plots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MetricKind {
-    /// Figure 2: average download distance in milliseconds.
-    DownloadDistance,
-    /// Figure 3: average messages per query.
-    SearchTraffic,
-    /// Figure 4: fraction of satisfied queries.
-    SuccessRate,
-}
+use figures::MetricKind;
 
-impl MetricKind {
-    /// The metric's value in a finished report.
-    pub fn extract(self, report: &SimulationReport) -> f64 {
-        match self {
-            MetricKind::DownloadDistance => report.avg_download_distance_ms(),
-            MetricKind::SearchTraffic => report.avg_messages_per_query(),
-            MetricKind::SuccessRate => report.success_rate(),
-        }
-    }
-
-    /// Human-readable axis label.
-    pub fn label(self) -> &'static str {
-        match self {
-            MetricKind::DownloadDistance => "avg download distance (ms)",
-            MetricKind::SearchTraffic => "messages per query",
-            MetricKind::SuccessRate => "success rate",
-        }
-    }
-
-    /// The figure number in the paper.
-    pub fn figure_number(self) -> u32 {
-        match self {
-            MetricKind::DownloadDistance => 2,
-            MetricKind::SearchTraffic => 3,
-            MetricKind::SuccessRate => 4,
-        }
-    }
-
-    /// Figure title, e.g. `"Figure 2: comparison of download distance"`.
-    pub fn title(self) -> String {
-        let name = match self {
-            MetricKind::DownloadDistance => "download distance",
-            MetricKind::SearchTraffic => "search traffic",
-            MetricKind::SuccessRate => "success rate",
-        };
-        format!("Figure {}: comparison of {}", self.figure_number(), name)
+/// Runs `locaware-bench`'s arguments (subcommand first, program name
+/// excluded) and returns what the binary prints to stdout. Misuse — an
+/// unknown subcommand, flag, preset or protocol, a missing or malformed
+/// value, a population the substrate cannot wire — comes back as the `Err`
+/// message before anything is simulated.
+pub fn run(args: impl IntoIterator<Item = impl Into<String>>) -> Result<String, String> {
+    let mut args = args.into_iter().map(Into::into);
+    let subcommand = args.next().ok_or("missing subcommand")?;
+    match subcommand.as_str() {
+        "fig2" => figures::run(Some(MetricKind::DownloadDistance), args),
+        "fig3" => figures::run(Some(MetricKind::SearchTraffic), args),
+        "fig4" => figures::run(Some(MetricKind::SuccessRate), args),
+        "run_all" => figures::run(None, args),
+        "ablation" => studies::ablation(args),
+        "inspect" => studies::inspect(args),
+        "degradation" => studies::degradation(args),
+        "regimes" => studies::regimes(args),
+        "scale" => scale::run(args),
+        other => Err(format!("unknown subcommand {other}")),
     }
 }
 
-/// The full experiment grid.
-#[derive(Debug, Clone)]
-pub struct Sweep {
-    /// Base configuration (the paper's defaults unless scaled down).
-    pub config: SimulationConfig,
-    /// Protocols to compare (defaults to the paper's four).
-    pub protocols: Vec<ProtocolKind>,
-    /// Query counts forming the x-axis.
-    pub query_counts: Vec<usize>,
-    /// Independent repetitions (distinct seeds) averaged per point.
-    pub repetitions: usize,
-    /// Worker threads for independent grid points.
-    pub threads: usize,
+/// The usage text the binary prints after an error.
+pub fn usage() -> String {
+    let protocols: Vec<&str> = ProtocolKind::all().iter().map(|k| k.label()).collect();
+    format!(
+        "usage: locaware-bench <subcommand> [options]
+  fig2 | fig3 | fig4 | run_all  [--quick] [--scenario NAME] [--peers N] [--queries a,b,c]
+                                [--reps N] [--seed N] [--threads N] [--csv]
+  ablation     [--quick]
+  inspect      <protocol> [scenario] [peers] [queries] [seed]
+  degradation  [--peers N] [--queries N] [--losses a,b,c]
+  regimes      [--peers N] [--queries N] [--scenarios a,b,c]
+  scale        [--peers a,b,c] [--queries N] [--run-max-peers N] [--protocol NAME]
+protocols: {}
+scenarios: {}",
+        protocols.join(" "),
+        Scenario::PRESET_NAMES.join(" ")
+    )
 }
 
-impl Default for Sweep {
-    fn default() -> Self {
-        Sweep::paper_scale()
-    }
+/// The preset `name` at `peers` peers, or why there is none. Every preset is
+/// [`SimulationConfig::small`] plus its regime's knobs and panics on a
+/// population that base cannot wire, so the base is validated first.
+fn preset(name: &str, peers: usize) -> Result<Scenario, String> {
+    SimulationConfig::small(peers).validate().map_err(|e| e.to_string())?;
+    Scenario::preset(name, peers).ok_or_else(|| {
+        format!("unknown scenario {name}; presets: {}", Scenario::PRESET_NAMES.join(", "))
+    })
 }
 
-impl Sweep {
-    /// The paper-scale sweep: 1000 peers, query counts from 500 to 5000.
-    pub fn paper_scale() -> Self {
-        Sweep {
-            config: SimulationConfig::paper_defaults(),
-            protocols: ProtocolKind::PAPER_SET.to_vec(),
-            query_counts: vec![500, 1000, 1500, 2000, 2500, 3000, 3500, 4000, 4500, 5000],
-            repetitions: 1,
-            threads: default_threads(),
-        }
-    }
-
-    /// A scaled-down sweep that finishes in seconds; used by the Criterion
-    /// benchmarks, the examples and CI-style smoke runs.
-    pub fn quick() -> Self {
-        Sweep {
-            config: SimulationConfig::small(200),
-            protocols: ProtocolKind::PAPER_SET.to_vec(),
-            query_counts: vec![200, 400, 600, 800],
-            repetitions: 1,
-            threads: default_threads(),
-        }
-    }
-
-    /// Overrides the master seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// The sweep expressed as a core [`ExperimentPlan`]: one scenario wrapping
-    /// the base configuration, the sweep's protocols, query counts and
-    /// repetitions.
-    ///
-    /// # Panics
-    /// Panics if the base configuration does not validate; sweep configs come
-    /// from presets or the CLI parser, both of which produce consistent ones.
-    pub fn plan(&self) -> ExperimentPlan {
-        let scenario = Scenario::from_config("sweep", self.config.clone())
-            .expect("sweep configuration must validate");
-        ExperimentPlan::new()
-            .scenario(scenario)
-            .protocols(self.protocols.iter().copied())
-            .query_counts(self.query_counts.iter().copied())
-            .repetitions(self.repetitions)
-    }
-
-    /// Runs the whole grid and collects the three figures.
-    ///
-    /// Execution is delegated to the core [`Runner`]: the substrate of each
-    /// repetition is built exactly once and shared across every protocol and
-    /// query count, so all curves of one repetition are measured over the
-    /// identical system.
-    ///
-    /// # Panics
-    /// Panics if the sweep has no protocols, no query counts or zero
-    /// repetitions (an empty grid is a programming error in the caller).
-    pub fn run(&self) -> SweepOutcome {
-        let outcome = Runner::new()
-            .with_threads(self.threads)
-            .run(&self.plan())
-            .expect("sweep grid must list protocols, query counts and repetitions");
-        SweepOutcome::from_points(outcome.points.iter().map(PointResult::from_point).collect())
-    }
+/// Runs `plan` on the shared runner (`threads` workers, or one per core).
+fn execute(plan: &ExperimentPlan, threads: Option<usize>) -> Result<ExperimentOutcome, String> {
+    let runner = threads.map_or_else(Runner::new, |n| Runner::new().with_threads(n));
+    runner.run(plan).map_err(|e| e.to_string())
 }
 
-fn default_threads() -> usize {
-    Runner::default_thread_count()
-}
+mod flags {
+    //! The one argument loop every subcommand parses through.
 
-/// One (protocol, query count, repetition) measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PointResult {
-    /// The protocol evaluated.
-    pub protocol: ProtocolKind,
-    /// Number of queries issued.
-    pub queries: usize,
-    /// Repetition index.
-    pub repetition: usize,
-    /// Figure 2 metric.
-    pub download_distance_ms: f64,
-    /// Figure 3 metric.
-    pub messages_per_query: f64,
-    /// Figure 4 metric.
-    pub success_rate: f64,
-    /// Diagnostic: locality match rate.
-    pub locality_match_rate: f64,
-    /// Diagnostic: cache hit share.
-    pub cache_hit_share: f64,
-}
-
-/// The aggregated outcome of a sweep: all three figures plus the raw points.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// Raw per-point measurements (every repetition).
-    pub points: Vec<PointResult>,
-}
-
-impl PointResult {
-    /// Extracts the figure metrics from one experiment grid point.
-    fn from_point(point: &ExperimentPoint) -> Self {
-        PointResult {
-            protocol: point.protocol,
-            queries: point.queries,
-            repetition: point.repetition,
-            download_distance_ms: point.report.avg_download_distance_ms(),
-            messages_per_query: point.report.avg_messages_per_query(),
-            success_rate: point.report.success_rate(),
-            locality_match_rate: point.report.locality_match_rate(),
-            cache_hit_share: point.report.cache_hit_share(),
-        }
-    }
-}
-
-impl SweepOutcome {
-    fn from_points(mut points: Vec<PointResult>) -> Self {
-        points.sort_by_key(|p| (p.queries, p.protocol.label().to_string(), p.repetition));
-        SweepOutcome { points }
-    }
-
-    /// Builds the figure for `metric`, averaging repetitions per point.
-    pub fn figure(&self, metric: MetricKind) -> Figure {
-        let mut grouped: BTreeMap<(String, u64), Vec<f64>> = BTreeMap::new();
-        for p in &self.points {
-            let value = match metric {
-                MetricKind::DownloadDistance => p.download_distance_ms,
-                MetricKind::SearchTraffic => p.messages_per_query,
-                MetricKind::SuccessRate => p.success_rate,
-            };
-            grouped
-                .entry((p.protocol.label().to_string(), p.queries as u64))
-                .or_default()
-                .push(value);
-        }
-        let mut figure = Figure::new(metric.title(), metric.label());
-        for ((label, queries), values) in grouped {
-            let mean = values.iter().sum::<f64>() / values.len() as f64;
-            figure.push(label, SeriesPoint { queries, value: mean });
-        }
-        figure
-    }
-
-    /// All three figures.
-    pub fn figures(&self) -> [Figure; 3] {
-        [
-            self.figure(MetricKind::DownloadDistance),
-            self.figure(MetricKind::SearchTraffic),
-            self.figure(MetricKind::SuccessRate),
-        ]
-    }
-
-    /// A paper-style headline comparison: mean metric per protocol across the
-    /// whole sweep, plus the headline ratios the paper quotes.
-    pub fn headline_table(&self) -> Table {
-        let mut table = Table::new([
-            "protocol",
-            "avg download distance (ms)",
-            "messages / query",
-            "success rate",
-            "locality match",
-            "cache hit share",
-        ]);
-        let mut by_protocol: BTreeMap<String, Vec<&PointResult>> = BTreeMap::new();
-        for p in &self.points {
-            by_protocol.entry(p.protocol.label().to_string()).or_default().push(p);
-        }
-        for (label, points) in by_protocol {
-            let n = points.len() as f64;
-            let dd = points.iter().map(|p| p.download_distance_ms).sum::<f64>() / n;
-            let mq = points.iter().map(|p| p.messages_per_query).sum::<f64>() / n;
-            let sr = points.iter().map(|p| p.success_rate).sum::<f64>() / n;
-            let lm = points.iter().map(|p| p.locality_match_rate).sum::<f64>() / n;
-            let ch = points.iter().map(|p| p.cache_hit_share).sum::<f64>() / n;
-            table.push_row([
-                label,
-                format!("{dd:.2}"),
-                format!("{mq:.2}"),
-                format!("{sr:.4}"),
-                format!("{lm:.4}"),
-                format!("{ch:.4}"),
-            ]);
-        }
-        table
-    }
-
-    /// The paper's headline claims, computed from this sweep:
-    /// (download-distance reduction vs best baseline, traffic reduction vs
-    /// flooding, success-rate gain vs Dicas, success-rate gain vs Dicas-Keys).
-    pub fn paper_claims(&self) -> PaperClaims {
-        let fig2 = self.figure(MetricKind::DownloadDistance);
-        let fig3 = self.figure(MetricKind::SearchTraffic);
-        let fig4 = self.figure(MetricKind::SuccessRate);
-
-        // The paper compares Locaware's download distance against "the other
-        // approaches" collectively; average the three baselines at each x
-        // before computing the reduction so a single baseline's early-run
-        // artefacts (e.g. Dicas' few, nearby-only successes) do not dominate.
-        let baselines = ["flooding", "dicas", "dicas-keys"];
-        let mut reductions = Vec::new();
-        for x in fig2.x_values() {
-            let baseline_values: Vec<f64> = baselines
-                .iter()
-                .filter_map(|b| fig2.value_at(b, x))
-                .collect();
-            if baseline_values.is_empty() {
-                continue;
-            }
-            let baseline_mean = baseline_values.iter().sum::<f64>() / baseline_values.len() as f64;
-            if let Some(locaware) = fig2.value_at("locaware", x) {
-                if baseline_mean > 0.0 {
-                    reductions.push((baseline_mean - locaware) / baseline_mean);
-                }
-            }
-        }
-        let distance_reduction = if reductions.is_empty() {
-            f64::NAN
-        } else {
-            reductions.iter().sum::<f64>() / reductions.len() as f64
-        };
-        let traffic_reduction = fig3.relative_reduction("locaware", "flooding").unwrap_or(f64::NAN);
-        let success_gain_vs_dicas = relative_gain(&fig4, "locaware", "dicas");
-        let success_gain_vs_dicas_keys = relative_gain(&fig4, "locaware", "dicas-keys");
-
-        PaperClaims {
-            distance_reduction_vs_baselines: distance_reduction,
-            traffic_reduction_vs_flooding: traffic_reduction,
-            success_gain_vs_dicas,
-            success_gain_vs_dicas_keys,
-        }
-    }
-}
-
-/// Relative gain of curve `a` over curve `b` averaged over common x values:
-/// `mean((a - b) / b)`. Positive means `a` is higher (better for success rate).
-fn relative_gain(figure: &Figure, a: &str, b: &str) -> f64 {
-    let mut gains = Vec::new();
-    for x in figure.x_values() {
-        if let (Some(va), Some(vb)) = (figure.value_at(a, x), figure.value_at(b, x)) {
-            if vb != 0.0 {
-                gains.push((va - vb) / vb);
-            }
-        }
-    }
-    if gains.is_empty() {
-        f64::NAN
-    } else {
-        gains.iter().sum::<f64>() / gains.len() as f64
-    }
-}
-
-/// The headline quantities §5.2 quotes, recomputed from a sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PaperClaims {
-    /// Paper: "decreased by about 14% compared to the other approaches"
-    /// (computed against the mean of the three baselines).
-    pub distance_reduction_vs_baselines: f64,
-    /// Paper: "outperforms flooding by 98% in terms of search traffic reduction".
-    pub traffic_reduction_vs_flooding: f64,
-    /// Paper: "increases hit ratio by 23% wrt. Dicas".
-    pub success_gain_vs_dicas: f64,
-    /// Paper: "and 33% wrt. Dicas-keys".
-    pub success_gain_vs_dicas_keys: f64,
-}
-
-impl PaperClaims {
-    /// Renders the claims next to the paper's numbers.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(["claim", "paper", "this reproduction"]);
-        t.push_row([
-            "download distance reduction (Locaware vs other approaches)".to_string(),
-            "~14%".to_string(),
-            format!("{:.1}%", self.distance_reduction_vs_baselines * 100.0),
-        ]);
-        t.push_row([
-            "search traffic reduction vs flooding".to_string(),
-            "~98%".to_string(),
-            format!("{:.1}%", self.traffic_reduction_vs_flooding * 100.0),
-        ]);
-        t.push_row([
-            "success rate gain vs Dicas".to_string(),
-            "+23%".to_string(),
-            format!("{:+.1}%", self.success_gain_vs_dicas * 100.0),
-        ]);
-        t.push_row([
-            "success rate gain vs Dicas-Keys".to_string(),
-            "+33%".to_string(),
-            format!("{:+.1}%", self.success_gain_vs_dicas_keys * 100.0),
-        ]);
-        t
-    }
-}
-
-/// Parses the common command-line options of the experiment binaries.
-///
-/// Supported flags: `--quick` (scaled-down run), `--scenario NAME` (a named
-/// preset: `paper-defaults`, `small`, `flash-crowd`, `churn-storm`,
-/// `regional-hotspot`), `--peers N`, `--queries a,b,c`, `--reps N`,
-/// `--seed N`, `--threads N`, `--csv` (print CSV instead of a table).
-#[derive(Debug, Clone)]
-pub struct CliOptions {
-    /// The sweep to run.
-    pub sweep: Sweep,
-    /// Emit CSV instead of an aligned table.
-    pub csv: bool,
-}
-
-/// The usage line shared by the experiment binaries.
-pub const CLI_USAGE: &str = "[--quick] [--scenario NAME] [--peers N] [--queries a,b,c] \
-                             [--reps N] [--seed N] [--threads N] [--csv]";
-
-impl CliOptions {
-    /// Parses `std::env::args`-style arguments (excluding the program name).
-    pub fn parse<I, S>(args: I) -> Result<Self, String>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let args: Vec<String> = args.into_iter().map(|s| s.as_ref().to_string()).collect();
-        let mut quick = false;
-        let mut csv = false;
-        let mut scenario: Option<String> = None;
-        let mut peers: Option<usize> = None;
-        let mut queries: Option<Vec<usize>> = None;
-        let mut reps: Option<usize> = None;
-        let mut seed: Option<u64> = None;
-        let mut threads: Option<usize> = None;
-
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--quick" => quick = true,
-                "--csv" => csv = true,
-                "--scenario" => {
-                    scenario = Some(next_value(&args, &mut i)?);
-                }
-                "--peers" => {
-                    let value = next_value(&args, &mut i)?;
-                    peers = Some(value.parse().map_err(|_| format!("bad --peers {value}"))?);
-                }
-                "--queries" => {
-                    let value = next_value(&args, &mut i)?;
-                    let counts: Result<Vec<usize>, _> =
-                        value.split(',').map(|s| s.trim().parse::<usize>()).collect();
-                    queries = Some(counts.map_err(|_| format!("bad --queries {value}"))?);
-                }
-                "--reps" => {
-                    let value = next_value(&args, &mut i)?;
-                    reps = Some(value.parse().map_err(|_| format!("bad --reps {value}"))?);
-                }
-                "--seed" => {
-                    let value = next_value(&args, &mut i)?;
-                    seed = Some(value.parse().map_err(|_| format!("bad --seed {value}"))?);
-                }
-                "--threads" => {
-                    let value = next_value(&args, &mut i)?;
-                    threads = Some(value.parse().map_err(|_| format!("bad --threads {value}"))?);
-                }
-                other => return Err(format!("unknown option {other}")),
-            }
-            i += 1;
-        }
-
-        let mut sweep = if quick { Sweep::quick() } else { Sweep::paper_scale() };
-        if let Some(name) = scenario {
-            let scale = peers.unwrap_or(sweep.config.peers);
-            let preset = Scenario::preset(&name, scale).ok_or_else(|| {
-                format!(
-                    "unknown scenario {name}; presets: {}",
-                    Scenario::PRESET_NAMES.join(", ")
-                )
-            })?;
-            sweep.config = preset.config().clone();
-        } else if let Some(peers) = peers {
-            sweep.config = SimulationConfig {
-                seed: sweep.config.seed,
-                ..SimulationConfig::small(peers)
-            };
-        }
-        if let Some(counts) = queries {
-            sweep.query_counts = counts;
-        }
-        if let Some(reps) = reps {
-            sweep.repetitions = reps;
-        }
-        if let Some(seed) = seed {
-            sweep.config.seed = seed;
-        }
-        if let Some(threads) = threads {
-            sweep.threads = threads;
-        }
-        if sweep.query_counts.is_empty() || sweep.repetitions == 0 {
-            return Err("sweep must have at least one query count and one repetition".into());
-        }
-        Ok(CliOptions { sweep, csv })
-    }
-}
-
-fn next_value(args: &[String], i: &mut usize) -> Result<String, String> {
-    *i += 1;
-    args.get(*i)
-        .cloned()
-        .ok_or_else(|| format!("missing value after {}", args[*i - 1]))
-}
-
-pub mod flags {
-    //! The argument loop of the bench binaries whose flags all take exactly
-    //! one value (`degradation`, `scale_frontier`, `shard_scaling`,
-    //! `workload_regimes`).
-
-    /// Pairs every flag in `args` with the value that follows it. A flag
-    /// outside `known` and a trailing flag without a value are errors.
-    pub fn pairs(
+    /// Pairs every flag in `args` with the value that follows it; a flag in
+    /// `switches` takes none and pairs with the empty string. A flag in
+    /// neither list and a trailing valued flag without a value are errors.
+    pub(crate) fn pairs(
         args: impl IntoIterator<Item = String>,
-        known: &[&str],
+        valued: &[&str],
+        switches: &[&str],
     ) -> Result<Vec<(String, String)>, String> {
         let mut args = args.into_iter();
         let mut pairs = Vec::new();
         while let Some(flag) = args.next() {
-            if !known.contains(&flag.as_str()) {
+            let value = if switches.contains(&flag.as_str()) {
+                String::new()
+            } else if valued.contains(&flag.as_str()) {
+                args.next().ok_or_else(|| format!("{flag} needs a value"))?
+            } else {
                 return Err(format!("unknown flag {flag}"));
-            }
-            let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            };
             pairs.push((flag, value));
         }
         Ok(pairs)
     }
 
     /// Parses one non-negative integer value.
-    pub fn number(s: &str) -> Result<usize, String> {
+    pub(crate) fn number(s: &str) -> Result<usize, String> {
         s.trim().parse().map_err(|_| format!("not a number: {s}"))
     }
 
     /// Parses a comma-separated list of non-negative integers.
-    pub fn list(s: &str) -> Result<Vec<usize>, String> {
+    pub(crate) fn list(s: &str) -> Result<Vec<usize>, String> {
         s.split(',').map(number).collect()
     }
 
@@ -555,20 +138,16 @@ pub mod flags {
         #[test]
         fn pairs_values_and_rejects_misuse() {
             let known = ["--peers", "--shards"];
-            let parsed = pairs(args(&["--shards", "1,4", "--peers", "300"]), &known).unwrap();
+            let pairs = |words: &[&str]| pairs(args(words), &known, &["--quick"]);
+            let parsed = pairs(&["--shards", "1,4", "--quick", "--peers", "300"]).unwrap();
             assert_eq!(parsed, vec![
                 ("--shards".to_string(), "1,4".to_string()),
+                ("--quick".to_string(), String::new()),
                 ("--peers".to_string(), "300".to_string()),
             ]);
-            assert_eq!(pairs(args(&[]), &known), Ok(Vec::new()));
-            assert_eq!(
-                pairs(args(&["--peers"]), &known),
-                Err("--peers needs a value".to_string())
-            );
-            assert_eq!(
-                pairs(args(&["--bogus", "1"]), &known),
-                Err("unknown flag --bogus".to_string())
-            );
+            assert_eq!(pairs(&[]), Ok(Vec::new()));
+            assert_eq!(pairs(&["--peers"]), Err("--peers needs a value".to_string()));
+            assert_eq!(pairs(&["--bogus", "1"]), Err("unknown flag --bogus".to_string()));
         }
 
         #[test]
@@ -809,47 +388,29 @@ pub mod trajectory {
     }
 }
 
-/// Runs a sweep and prints one figure (used by the `fig2`/`fig3`/`fig4` binaries).
-pub fn run_figure_binary(metric: MetricKind, args: impl IntoIterator<Item = String>) -> String {
-    let options = match CliOptions::parse(args) {
-        Ok(o) => o,
-        Err(problem) => {
-            return format!("error: {problem}\nusage: {CLI_USAGE}\n");
-        }
-    };
-    let outcome = options.sweep.run();
-    let figure = outcome.figure(metric);
-    let mut out = String::new();
-    if options.csv {
-        out.push_str(&figure.to_csv());
-    } else {
-        out.push_str(&figure.to_table());
-        out.push('\n');
-        out.push_str(&outcome.paper_claims().table().render());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use figures::{figure, headline_table, paper_claims};
 
-    fn tiny_sweep() -> Sweep {
-        Sweep {
-            config: SimulationConfig::small(60),
-            protocols: ProtocolKind::PAPER_SET.to_vec(),
-            query_counts: vec![30, 60],
-            repetitions: 1,
-            threads: 2,
-        }
-        .with_seed(11)
+    /// A 60-peer, two-count grid over the paper's four protocols.
+    const TINY: [&str; 10] =
+        ["--peers", "60", "--queries", "30,60", "--seed", "11", "--threads", "2", "--reps", "1"];
+
+    fn words(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    fn tiny_outcome() -> ExperimentOutcome {
+        let parsed = figures::parse(words(&TINY)).unwrap();
+        execute(&parsed.plan, parsed.threads).unwrap()
     }
 
     #[test]
     fn sweep_produces_every_grid_point() {
-        let outcome = tiny_sweep().run();
+        let outcome = tiny_outcome();
         assert_eq!(outcome.points.len(), 4 * 2);
-        let fig3 = outcome.figure(MetricKind::SearchTraffic);
+        let fig3 = figure(&outcome, MetricKind::SearchTraffic);
         assert_eq!(fig3.labels().len(), 4);
         assert_eq!(fig3.x_values(), vec![30, 60]);
         for label in fig3.labels() {
@@ -861,8 +422,7 @@ mod tests {
 
     #[test]
     fn flooding_dominates_search_traffic() {
-        let outcome = tiny_sweep().run();
-        let fig3 = outcome.figure(MetricKind::SearchTraffic);
+        let fig3 = figure(&tiny_outcome(), MetricKind::SearchTraffic);
         for x in fig3.x_values() {
             let flooding = fig3.value_at("flooding", x).unwrap();
             let locaware = fig3.value_at("locaware", x).unwrap();
@@ -883,43 +443,42 @@ mod tests {
 
     #[test]
     fn cli_parsing_round_trips() {
-        let options = CliOptions::parse([
+        let parsed = figures::parse(words(&[
             "--quick", "--queries", "10,20", "--reps", "2", "--seed", "99", "--threads", "3",
             "--csv",
-        ])
+        ]))
         .unwrap();
-        assert!(options.csv);
-        assert_eq!(options.sweep.query_counts, vec![10, 20]);
-        assert_eq!(options.sweep.repetitions, 2);
-        assert_eq!(options.sweep.config.seed, 99);
-        assert_eq!(options.sweep.threads, 3);
+        assert!(parsed.csv);
+        assert_eq!(parsed.plan.query_count_list(), [10, 20]);
+        assert_eq!(parsed.plan.repetition_count(), 2);
+        assert_eq!(parsed.plan.scenario_list()[0].seed(), 99);
+        assert_eq!(parsed.threads, Some(3));
 
-        assert!(CliOptions::parse(["--bogus"]).is_err());
-        assert!(CliOptions::parse(["--queries"]).is_err());
-        assert!(CliOptions::parse(["--queries", "abc"]).is_err());
+        assert!(figures::parse(words(&["--bogus"])).is_err());
+        assert!(figures::parse(words(&["--queries"])).is_err());
+        assert!(figures::parse(words(&["--queries", "abc"])).is_err());
     }
 
     #[test]
     fn cli_scenario_presets_apply_regardless_of_flag_order() {
-        let options =
-            CliOptions::parse(["--quick", "--peers", "80", "--scenario", "flash-crowd"]).unwrap();
-        let expected = Scenario::flash_crowd(80);
-        assert_eq!(&options.sweep.config, expected.config());
+        let config_of = |args: &[&str]| {
+            figures::parse(words(args)).map(|run| run.plan.scenario_list()[0].config().clone())
+        };
+        let flash = config_of(&["--quick", "--peers", "80", "--scenario", "flash-crowd"]).unwrap();
+        assert_eq!(&flash, Scenario::flash_crowd(80).config());
 
         // --seed still overrides the preset's own seed.
-        let seeded =
-            CliOptions::parse(["--quick", "--scenario", "churn-storm", "--seed", "7"]).unwrap();
-        assert_eq!(seeded.sweep.config.seed, 7);
-        assert!(!seeded.sweep.config.churn.is_disabled());
+        let seeded = config_of(&["--quick", "--scenario", "churn-storm", "--seed", "7"]).unwrap();
+        assert_eq!(seeded.seed, 7);
+        assert!(!seeded.churn.is_disabled());
 
-        let err = CliOptions::parse(["--scenario", "nope"]).unwrap_err();
+        let err = config_of(&["--scenario", "nope"]).unwrap_err();
         assert!(err.contains("presets"), "{err}");
     }
 
     #[test]
     fn sweeps_delegate_to_the_experiment_plan() {
-        let sweep = tiny_sweep();
-        let plan = sweep.plan();
+        let plan = figures::parse(words(&TINY)).unwrap().plan;
         assert_eq!(plan.substrate_count(), 1);
         assert_eq!(plan.point_count(), 4 * 2);
         assert_eq!(plan.scenario_list()[0].seed(), 11);
@@ -927,12 +486,84 @@ mod tests {
 
     #[test]
     fn headline_table_and_claims_render() {
-        let outcome = tiny_sweep().run();
-        let table = outcome.headline_table();
-        assert_eq!(table.len(), 4);
-        let claims = outcome.paper_claims();
+        let outcome = tiny_outcome();
+        assert_eq!(headline_table(&outcome).len(), 4);
+        let claims = paper_claims(&outcome);
         assert!(claims.traffic_reduction_vs_flooding > 0.5);
-        let rendered = claims.table().render();
-        assert!(rendered.contains("~98%"));
+        assert!(claims.table().render().contains("~98%"));
+    }
+
+    /// `fig3` is `run_all` with a filter: its figure block is the unfiltered
+    /// run's Figure-3 block, byte for byte, as a table and as CSV.
+    #[test]
+    fn a_filtered_figure_is_a_block_of_the_unfiltered_run() {
+        for csv in [&[][..], &["--csv"][..]] {
+            let run_with = |subcommand: &str| {
+                run([subcommand].iter().chain(&TINY).chain(csv).copied()).unwrap()
+            };
+            let (fig3, all) = (run_with("fig3"), run_with("run_all"));
+            let block = fig3.split("\n\n").next().unwrap();
+            assert!(block.contains("flooding") && block.lines().count() >= 3, "{block}");
+            assert!(all.contains(block), "{all}\n-- lacks --\n{block}");
+            for other in ["fig2", "fig4"] {
+                assert!(!run_with(other).contains(block), "{other} printed Figure 3");
+            }
+        }
+    }
+
+    /// Every misuse is an `Err` naming the problem, returned before anything
+    /// is simulated (the default grids would run for minutes; the whole table
+    /// takes milliseconds) and never a panic.
+    #[test]
+    fn misuse_is_an_error_naming_the_problem() {
+        let rows: [(&[&str], &str); 27] = [
+            (&[], "missing subcommand"),
+            (&["fig5"], "unknown subcommand fig5"),
+            (&["fig2", "--bogus"], "unknown flag --bogus"),
+            (&["ablation", "--quik"], "unknown flag --quik"),
+            (&["ablation", "--peers", "80"], "unknown flag --peers"),
+            (&["regimes", "--repeats", "2"], "unknown flag --repeats"),
+            (&["run_all", "--quick", "--queries"], "--queries needs a value"),
+            (&["degradation", "--losses"], "--losses needs a value"),
+            (&["fig3", "--quick", "--peers", "abc"], "not a number: abc"),
+            (&["fig4", "--queries", "1,x"], "not a number: x"),
+            (&["fig4", "--queries", "1,,2"], "not a number: "),
+            (&["degradation", "--losses", "1,two"], "not a number: two"),
+            (&["scale", "--queries", "-5"], "not a number: -5"),
+            (&["inspect", "locaware", "small", "abc"], "not a number: abc"),
+            (&["inspect", "locaware", "small", "120", "2e3"], "not a number: 2e3"),
+            (&["inspect", "locaware", "120", "200", "42", "7"], "unexpected argument 7"),
+            (&["fig2", "--quick", "--reps", "0"], "at least one repetition"),
+            (&["fig3", "--quick", "--peers", "0"], "peers must be positive"),
+            (&["fig3", "--quick", "--peers", "3"], "degree"),
+            (&["run_all", "--quick", "--scenario", "small", "--peers", "2"], "degree"),
+            (&["regimes", "--peers", "3"], "degree"),
+            (&["degradation", "--peers", "3"], "degree"),
+            (&["degradation", "--queries", "many"], "not a number: many"),
+            (&["degradation", "--losses", "150"], "loss"),
+            (&["run_all", "--scenario", "nope"], "unknown scenario nope; presets: "),
+            (&["inspect", "gossip"], "unknown protocol gossip"),
+            (&["scale", "--protocol", "gossip"], "unknown protocol gossip"),
+        ];
+        for (args, problem) in rows {
+            match run(args.iter().copied()) {
+                Err(message) => assert!(message.contains(problem), "{args:?}: {message}"),
+                Ok(output) => panic!("{args:?} ran: {output}"),
+            }
+        }
+    }
+
+    /// [`preset`] turns the presets' panic on an unwireable population into
+    /// an error for every preset, and agrees with them everywhere else.
+    #[test]
+    fn every_preset_is_an_error_or_a_scenario_at_any_population() {
+        for name in Scenario::PRESET_NAMES {
+            for peers in 0..4 {
+                assert!(preset(name, peers).is_err(), "{name} at {peers} peers");
+            }
+            for peers in 4..40 {
+                assert_eq!(preset(name, peers), Scenario::preset(name, peers).ok_or(String::new()));
+            }
+        }
     }
 }

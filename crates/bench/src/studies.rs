@@ -1,0 +1,329 @@
+//! The studies behind EXPERIMENTS.md beyond Figures 2–4: `ablation`,
+//! `inspect`, `degradation` and `regimes`. Each one builds an
+//! [`ExperimentPlan`], runs it through the shared runner and prints the
+//! outcome's points in plan order.
+
+use std::fmt::Write as _;
+
+use locaware::{
+    ExperimentPlan, ExperimentPoint, ProtocolKind, Scenario, SimulationConfig, SimulationReport,
+};
+use locaware_metrics::{Figure, SeriesPoint, Table};
+use locaware_workload::{FaultConfig, TimeoutPolicy};
+
+use crate::{execute, flags, preset};
+
+/// `ablation [--quick]`: which Locaware mechanism buys which share of the
+/// gains — the full protocol, its two ablated variants and the two Dicas
+/// baselines over one substrate, then a response-index capacity sweep (one
+/// scenario per capacity, same seed) for the full protocol.
+pub(crate) fn ablation(args: impl IntoIterator<Item = String>) -> Result<String, String> {
+    let quick = !flags::pairs(args, &[], &["--quick"])?.is_empty();
+    let (peers, queries) = if quick { (200, 600) } else { (1000, 3000) };
+    let base = if quick { Scenario::small(peers) } else { Scenario::paper_defaults() }
+        .with_seed(0x10ca_aa2e)
+        .with_name("ablation");
+    eprintln!("# ablation: {peers} peers, {queries} queries");
+
+    let variants = [
+        ProtocolKind::Locaware,
+        ProtocolKind::LocawareNoLocality,
+        ProtocolKind::LocawareNoBloom,
+        ProtocolKind::DicasKeys,
+        ProtocolKind::Dicas,
+    ];
+    let plan = ExperimentPlan::new().scenario(base.clone()).protocols(variants).query_count(queries);
+    let mut table = Table::new([
+        "variant",
+        "success rate",
+        "messages / query",
+        "download distance (ms)",
+        "locality match",
+        "cache hit share",
+    ]);
+    for ExperimentPoint { protocol, report, .. } in &execute(&plan, None)?.points {
+        table.push_row([
+            protocol.label().to_string(),
+            format!("{:.4}", report.success_rate()),
+            format!("{:.2}", report.avg_messages_per_query()),
+            format!("{:.2}", report.avg_download_distance_ms()),
+            format!("{:.4}", report.locality_match_rate()),
+            format!("{:.4}", report.cache_hit_share()),
+        ]);
+    }
+
+    let capacities = [5usize, 10, 25, 50, 100];
+    let mut capacity_plan =
+        ExperimentPlan::new().protocol(ProtocolKind::Locaware).query_count(queries);
+    for capacity in capacities {
+        let config = SimulationConfig { response_index_capacity: capacity, ..base.config().clone() };
+        let scenario = Scenario::from_config(format!("ri-{capacity}"), config);
+        capacity_plan = capacity_plan.scenario(scenario.map_err(|e| e.to_string())?);
+    }
+    let mut capacity_table = Table::new([
+        "RI capacity (filenames)",
+        "success rate",
+        "download distance (ms)",
+        "cache hit share",
+    ]);
+    for (capacity, point) in capacities.iter().zip(&execute(&capacity_plan, None)?.points) {
+        capacity_table.push_row([
+            capacity.to_string(),
+            format!("{:.4}", point.report.success_rate()),
+            format!("{:.2}", point.report.avg_download_distance_ms()),
+            format!("{:.4}", point.report.cache_hit_share()),
+        ]);
+    }
+    Ok(format!(
+        "# Mechanism ablation\n{}\n# Response-index capacity sweep (Locaware)\n{}\n",
+        table.render(),
+        capacity_table.render()
+    ))
+}
+
+/// `inspect <protocol> [scenario] [peers] [queries] [seed]`: one protocol,
+/// one run, the full report — summary metrics, message counters by kind,
+/// routing-decision counts and the warm-up effect. `scenario` is any preset
+/// name and defaults to the paper's setup (`paper-defaults` at 1000 peers,
+/// `small` otherwise); `peers` and `queries` default to 1000.
+pub(crate) fn inspect(args: impl IntoIterator<Item = String>) -> Result<String, String> {
+    let mut args = args.into_iter().peekable();
+    let protocol = args.next().ok_or("inspect needs a protocol")?;
+    let protocol = ProtocolKind::from_label(&protocol)
+        .ok_or_else(|| format!("unknown protocol {protocol}"))?;
+    // An optional scenario name comes second; everything after it is numeric.
+    let scenario_name = args.next_if(|arg| arg.parse::<u64>().is_err());
+    let mut numbers = [None; 3];
+    for slot in &mut numbers {
+        *slot = args.next().map(|arg| flags::number(&arg)).transpose()?;
+    }
+    if let Some(extra) = args.next() {
+        return Err(format!("unexpected argument {extra}"));
+    }
+    let [peers, queries, seed] = numbers;
+    let (peers, queries) = (peers.unwrap_or(1000), queries.unwrap_or(1000));
+
+    let scenario = match scenario_name {
+        Some(name) => preset(&name, peers)?,
+        None if peers == 1000 => Scenario::paper_defaults(),
+        None => preset("small", peers)?,
+    };
+    let scenario = match seed {
+        Some(seed) => scenario.with_seed(seed as u64),
+        None => scenario,
+    };
+    eprintln!(
+        "# scenario {}: {} peers, seed {}",
+        scenario.name(),
+        scenario.config().peers,
+        scenario.seed()
+    );
+    eprintln!("# running {} with {queries} queries", protocol.label());
+    let plan = ExperimentPlan::new().scenario(scenario).protocol(protocol).query_count(queries);
+    let outcome = execute(&plan, None)?;
+    let report = &outcome.points[0].report;
+
+    let mut out = format!("{}\n# message counters\n", report.summary_table().render());
+    for (kind, count) in report.message_counters.iter() {
+        let _ = writeln!(out, "  {kind:<16} {count}");
+    }
+    out.push_str("# routing decisions\n");
+    for (decision, count) in report.routing_decisions.iter() {
+        let _ = writeln!(out, "  {decision:<16} {count}");
+    }
+    let _ = writeln!(
+        out,
+        "# simulated time: {:.1}s, events: {}",
+        report.simulated_end_time_secs, report.dispatched_events
+    );
+    // Success over the last quarter of the run vs the first quarter: shows the
+    // warm-up effect the paper's Figure 2 discussion highlights.
+    let n = report.metrics.len();
+    if n >= 8 {
+        let first = report.metrics.prefix(n / 4);
+        let last = report.metrics.tail_window(n / 4);
+        let _ = writeln!(
+            out,
+            "# warm-up: first-quarter success {:.3} / distance {:.1}ms  ->  last-quarter success {:.3} / distance {:.1}ms",
+            first.success_rate(),
+            first.avg_download_distance_ms(),
+            last.success_rate(),
+            last.avg_download_distance_ms()
+        );
+    }
+    Ok(out)
+}
+
+/// The four families EXPERIMENTS.md compares under degradation.
+const FAMILIES: [ProtocolKind; 4] = [
+    ProtocolKind::Flooding,
+    ProtocolKind::Locaware,
+    ProtocolKind::DhtIndex,
+    ProtocolKind::Hybrid,
+];
+
+/// `config` as two scenarios, at 1 and at 4 engine shards.
+fn at_both_shardings(name: &str, config: &SimulationConfig) -> Result<[Scenario; 2], String> {
+    let at = |shards: usize| {
+        Scenario::from_config(format!("{name}/s{shards}"), SimulationConfig { shards, ..config.clone() })
+            .map_err(|e| e.to_string())
+    };
+    Ok([at(1)?, at(4)?])
+}
+
+/// The single-shard reports of one [`at_both_shardings`] pair's points, one
+/// per family, each checked bit-identical to its 4-shard twin.
+fn shard_checked(points: &[ExperimentPoint]) -> Result<Vec<&SimulationReport>, String> {
+    let (single, sharded) = points.split_at(FAMILIES.len());
+    let mut reports = Vec::new();
+    for (one, four) in single.iter().zip(sharded) {
+        if one.report.fingerprint() != four.report.fingerprint() {
+            return Err(format!(
+                "{}/{}: 4 shards must reproduce the single-shard run",
+                four.scenario, four.protocol
+            ));
+        }
+        reports.push(&one.report);
+    }
+    Ok(reports)
+}
+
+/// `degradation [--peers N] [--queries N] [--losses 0,1,5,10]`: how each
+/// protocol family's success rate and traffic hold up as the network gets
+/// lossier, then crash-stop vs graceful churn.
+///
+/// For every loss rate the resilience machinery stays armed with the same
+/// policies (query retransmit 3 s × 2.0 backoff × 2 retries, DHT step
+/// timeout 2 s), so the curves isolate the loss axis instead of conflating
+/// it with "did the protocol fight back". Every point runs at shard counts
+/// 1 and 4 and must fingerprint-equal — the sweep doubles as a fault-plan
+/// shard-invariance check on sizes CI does not cover.
+pub(crate) fn degradation(args: impl IntoIterator<Item = String>) -> Result<String, String> {
+    let (mut peers, mut queries, mut losses_pct) = (120, 300, vec![0, 1, 5, 10]);
+    for (flag, value) in flags::pairs(args, &["--peers", "--queries", "--losses"], &[])? {
+        match flag.as_str() {
+            "--peers" => peers = flags::number(&value)?,
+            "--queries" => queries = flags::number(&value)?,
+            "--losses" => losses_pct = flags::list(&value)?,
+            other => unreachable!("flags::pairs passed unlisted flag {other}"),
+        }
+    }
+
+    let mut scenarios = Vec::new();
+    for &loss_pct in &losses_pct {
+        let lossy = Scenario::builder("degradation")
+            .peers(peers)
+            .seed(0xDE_64AD)
+            .faults(FaultConfig {
+                message_loss: loss_pct as f64 / 100.0,
+                query_timeout: TimeoutPolicy { initial_secs: 3.0, backoff: 2.0, max_retries: 2 },
+                dht_step_timeout_secs: 2.0,
+                ..FaultConfig::disabled()
+            })
+            .build()
+            .map_err(|e| e.to_string())?;
+        scenarios.extend(at_both_shardings(&format!("loss-{loss_pct}"), lossy.config())?);
+    }
+    let storm = preset("churn-storm", peers)?;
+    let crash_stop = FaultConfig {
+        crash_stop: true,
+        dht_step_timeout_secs: 2.0,
+        ..FaultConfig::disabled()
+    };
+    scenarios.extend(at_both_shardings("graceful", storm.config())?);
+    scenarios.extend(at_both_shardings(
+        "crash-stop",
+        &SimulationConfig { faults: crash_stop, ..storm.config().clone() },
+    )?);
+    let plan = ExperimentPlan::new().scenarios(scenarios).protocols(FAMILIES).query_count(queries);
+    let outcome = execute(&plan, None)?;
+    let mut pairs = outcome.points.chunks(2 * FAMILIES.len()).map(shard_checked);
+    let mut next_pair = || pairs.next().ok_or("the plan ran fewer scenarios than it listed")?;
+    let unarmed = "a run with a fault axis armed must report fault statistics";
+
+    let mut out = format!(
+        "# degradation: peers={peers} queries={queries} losses(%)={losses_pct:?}\n"
+    );
+    let mut success = Figure::degradation("message loss", "success rate");
+    let mut traffic = Figure::degradation("message loss", "messages per query");
+    for &loss_pct in &losses_pct {
+        for (protocol, report) in FAMILIES.iter().zip(next_pair()?) {
+            let stats = report.faults.ok_or(unarmed)?;
+            let _ = writeln!(
+                out,
+                "loss={loss_pct}% {protocol} success={:.3} msgs_per_query={:.1} lost={} \
+                 timeouts={} retransmits={} step_timeouts={}",
+                report.success_rate(),
+                report.avg_messages_per_query(),
+                stats.messages_lost,
+                stats.query_timeouts,
+                stats.query_retransmits,
+                stats.dht_step_timeouts,
+            );
+            let x = loss_pct as u64;
+            success.push(protocol.label(), SeriesPoint { queries: x, value: report.success_rate() });
+            traffic.push(
+                protocol.label(),
+                SeriesPoint { queries: x, value: report.avg_messages_per_query() },
+            );
+        }
+    }
+    let _ = write!(out, "\n{}\n{}\n", success.to_table(), traffic.to_table());
+
+    out.push_str("# churn-storm: graceful vs crash-stop departures\n");
+    let (graceful, crashed) = (next_pair()?, next_pair()?);
+    for ((protocol, graceful), crashed) in FAMILIES.iter().zip(graceful).zip(crashed) {
+        let stats = crashed.faults.ok_or(unarmed)?;
+        let _ = writeln!(
+            out,
+            "{protocol} graceful_success={:.3} crash_success={:.3} \
+             graceful_msgs={:.1} crash_msgs={:.1} crash_departures={} step_timeouts={}",
+            graceful.success_rate(),
+            crashed.success_rate(),
+            graceful.avg_messages_per_query(),
+            crashed.avg_messages_per_query(),
+            stats.crash_departures,
+            stats.dht_step_timeouts,
+        );
+    }
+    Ok(out)
+}
+
+/// `regimes [--peers N] [--queries N] [--scenarios a,b,c]`: the headline
+/// metrics of Locaware and Flooding under each workload preset (the steady
+/// `small` baseline plus the flash-crowd, churn-storm and regional-hotspot
+/// regimes by default), one shared substrate per preset. Wall clock per
+/// regime is the benchmark's job (`perfbench`, `BENCHMARK.json`).
+pub(crate) fn regimes(args: impl IntoIterator<Item = String>) -> Result<String, String> {
+    let (mut peers, mut queries) = (300, 500);
+    let mut scenarios = "small,flash-crowd,churn-storm,regional-hotspot".to_string();
+    for (flag, value) in flags::pairs(args, &["--peers", "--queries", "--scenarios"], &[])? {
+        match flag.as_str() {
+            "--peers" => peers = flags::number(&value)?,
+            "--queries" => queries = flags::number(&value)?,
+            "--scenarios" => scenarios = value,
+            other => unreachable!("flags::pairs passed unlisted flag {other}"),
+        }
+    }
+    let mut plan = ExperimentPlan::new()
+        .protocols([ProtocolKind::Locaware, ProtocolKind::Flooding])
+        .query_count(queries);
+    for name in scenarios.split(',') {
+        plan = plan.scenario(preset(name.trim(), peers)?);
+    }
+    let mut out = format!("# workload_regimes: peers={peers} queries={queries}\n");
+    for ExperimentPoint { scenario, protocol, report, .. } in &execute(&plan, None)?.points {
+        let _ = writeln!(
+            out,
+            "{scenario} {protocol} events={} success={:.3} msgs_per_query={:.1} \
+             locality_match={:.3} sim_span_s={:.0} fingerprint={:#018x}",
+            report.dispatched_events,
+            report.success_rate(),
+            report.avg_messages_per_query(),
+            report.locality_match_rate(),
+            report.simulated_end_time_secs,
+            report.fingerprint(),
+        );
+    }
+    Ok(out)
+}

@@ -185,8 +185,8 @@ impl ExperimentPlan {
 
     /// The seed a given repetition of `scenario` runs under: repetition 0 is
     /// the scenario's own seed, later repetitions derive independent seeds by
-    /// a Weyl-style step so that reports stay comparable with the historical
-    /// `Sweep` numbers.
+    /// a Weyl-style step (the one the published EXPERIMENTS.md numbers were
+    /// produced under).
     pub fn repetition_seed(scenario: &Scenario, repetition: usize) -> u64 {
         scenario.seed().wrapping_add(0x9E37_79B9u64.wrapping_mul(repetition as u64))
     }

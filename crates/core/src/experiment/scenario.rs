@@ -239,7 +239,7 @@ impl Scenario {
     /// peers — the `peers` argument still scales it, so tests can validate
     /// the preset cheaply), steady arrivals, no churn, no faults. Carries
     /// its own regime seed so frontier runs never alias the paper-scale
-    /// fingerprints. This is the preset the `scale_frontier` bench and the
+    /// fingerprints. This is the preset `locaware-bench scale` and the
     /// weekly paper-scale workflow drive.
     pub fn large_10k(peers: usize) -> Self {
         let mut config = SimulationConfig::small(peers);

@@ -30,7 +30,7 @@
 //! departures affordable — see the ROADMAP.) All three are maintained incrementally on
 //! insert/touch/evict/remove and are pure functions of the entry map, so
 //! observable behaviour is identical to the naive scans (pinned by the
-//! model-based property tests against [`naive::NaiveResponseIndex`]).
+//! model-based property test against the test-only `naive` reference model).
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -481,21 +481,22 @@ impl ResponseIndex {
     }
 }
 
-pub mod naive {
+#[cfg(test)]
+mod naive {
     //! The pre-optimization reference implementation of the response index.
     //!
     //! [`NaiveResponseIndex`] keeps the exact observable semantics of
     //! [`super::ResponseIndex`] with the simplest possible data layout: one
     //! entry map, O(n) min-scan eviction and full-scan keyword lookup. It
-    //! exists for two jobs: the model-based property tests assert that the
-    //! optimized index and this model produce identical evictions and lookup
-    //! results under arbitrary operation sequences, and `benches/hot_paths.rs`
-    //! measures the optimized structures against it.
+    //! is the model of the property test at the end of this module, which
+    //! asserts that the optimized index and this model produce identical
+    //! evictions and lookup results under arbitrary operation sequences.
 
-    use super::{Eviction, IndexEntry, ProviderRecord};
+    use super::{Eviction, IndexEntry, ProviderRecord, ResponseIndex};
     use locaware_net::LocId;
     use locaware_overlay::PeerId;
     use locaware_workload::{FileId, KeywordId};
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     /// The unoptimized model: same behaviour as [`super::ResponseIndex`],
@@ -529,16 +530,6 @@ pub mod naive {
             self.entries.len()
         }
 
-        /// True if nothing is cached.
-        pub fn is_empty(&self) -> bool {
-            self.entries.is_empty()
-        }
-
-        /// True if `file` is cached.
-        pub fn contains(&self, file: FileId) -> bool {
-            self.entries.contains_key(&file)
-        }
-
         /// The entry for `file`, if cached.
         pub fn entry(&self, file: FileId) -> Option<&IndexEntry> {
             self.entries.get(&file)
@@ -549,7 +540,6 @@ pub mod naive {
         pub fn lookup_by_keywords(&self, query: &[KeywordId]) -> Vec<FileId> {
             let mut files: Vec<FileId> = self
                 .entries
-                // lint:allow(hash-iter): matches are sorted to file-id order before return
                 .values()
                 .filter(|e| e.matches(query))
                 .map(|e| e.file)
@@ -611,7 +601,6 @@ pub mod naive {
             let mut evictions = Vec::new();
             let mut emptied: Vec<FileId> = self
                 .entries
-                // lint:allow(hash-iter): the per-entry retain commutes, and the emptied set is sorted to file-id order before evictions are emitted
                 .iter_mut()
                 .filter_map(|(&file, entry)| {
                     entry.providers.retain(|p| p.peer != peer);
@@ -647,7 +636,6 @@ pub mod naive {
         pub fn files_of_provider(&self, peer: PeerId) -> Vec<FileId> {
             let mut files: Vec<FileId> = self
                 .entries
-                // lint:allow(hash-iter): matches are sorted to file-id order before return
                 .values()
                 .filter(|e| e.providers().iter().any(|p| p.peer == peer))
                 .map(|e| e.file)
@@ -660,7 +648,6 @@ pub mod naive {
         /// [`super::ResponseIndex::eviction_candidate`]).
         pub fn eviction_candidate(&self) -> Option<FileId> {
             self.entries
-                // lint:allow(hash-iter): min over the total (last_touched, file) key — every visit order yields the same minimum
                 .values()
                 .min_by_key(|e| (e.last_touched, e.file))
                 .map(|e| e.file)
@@ -669,7 +656,6 @@ pub mod naive {
         fn evict_least_recent(&mut self) -> Option<Eviction> {
             let victim = self
                 .entries
-                // lint:allow(hash-iter): min over the total (last_touched, file) key — every visit order yields the same minimum
                 .values()
                 .min_by_key(|e| (e.last_touched, e.file))
                 .map(|e| e.file)?;
@@ -677,6 +663,90 @@ pub mod naive {
                 file: victim,
                 keywords: entry.keywords,
             })
+        }
+    }
+
+    proptest! {
+        /// Model-based equivalence: the optimized response index (recency set +
+        /// inverted keyword postings, PR 3; provider → files postings, PR 4)
+        /// behaves *identically* to the naive reference implementation under
+        /// arbitrary interleavings of single- and multi-provider inserts,
+        /// provider removals and clears — same evictions, same keyword-lookup
+        /// results, same per-provider file sets, same eviction candidate, same
+        /// contents.
+        #[test]
+        fn optimized_response_index_matches_the_naive_model(
+            capacity in 1usize..14,
+            max_providers in 1usize..5,
+            // op, file, provider, loc: ops 0..=7 insert one provider (biased —
+            // the common operation), 8 removes a provider, 9 clears, 10..=11
+            // insert three providers at once (exercising the provider-overflow
+            // drop and multi-file provider postings).
+            ops in proptest::collection::vec((0u32..12, 0u32..24, 0u32..12, 0u32..24), 1..250),
+        ) {
+            let mut optimized = ResponseIndex::new(capacity, max_providers);
+            let mut model = NaiveResponseIndex::new(capacity, max_providers);
+            for (op, file, provider, loc) in ops {
+                match op {
+                    8 => {
+                        let mut a = optimized.remove_provider(PeerId(provider));
+                        let mut b = model.remove_provider(PeerId(provider));
+                        // The naive model reports multi-entry removals in map
+                        // order, which is unspecified; compare as sets.
+                        a.sort_by_key(|e| e.file);
+                        b.sort_by_key(|e| e.file);
+                        prop_assert_eq!(a, b, "remove_provider evictions diverged");
+                    }
+                    9 => {
+                        optimized.clear();
+                        model.clear();
+                    }
+                    10 | 11 => {
+                        let keywords = [KeywordId(file), KeywordId(file + 1), KeywordId(file / 2)];
+                        let providers: Vec<(PeerId, LocId)> = (0..3)
+                            .map(|i| (PeerId((provider + i) % 12), LocId(loc)))
+                            .collect();
+                        let a = optimized.insert(FileId(file), &keywords, providers.clone());
+                        let b = model.insert(FileId(file), &keywords, providers);
+                        prop_assert_eq!(a, b, "multi-provider insert evictions diverged");
+                    }
+                    _ => {
+                        // Overlapping keyword sets across files exercise postings
+                        // lists with more than one file.
+                        let keywords = [KeywordId(file), KeywordId(file + 1), KeywordId(file / 2)];
+                        let a = optimized.insert(FileId(file), &keywords, [(PeerId(provider), LocId(loc))]);
+                        let b = model.insert(FileId(file), &keywords, [(PeerId(provider), LocId(loc))]);
+                        prop_assert_eq!(a, b, "insert evictions diverged");
+                    }
+                }
+                prop_assert_eq!(optimized.len(), model.len());
+                prop_assert_eq!(optimized.eviction_candidate(), model.eviction_candidate());
+                // Every observable lookup agrees: per-file entries (keywords,
+                // providers, order), keyword queries (results + order) and the
+                // provider → files view served by the provider postings map.
+                for probe in 0u32..26 {
+                    prop_assert_eq!(optimized.entry(FileId(probe)), model.entry(FileId(probe)));
+                }
+                for kw in 0u32..26 {
+                    let single = [KeywordId(kw)];
+                    prop_assert_eq!(
+                        optimized.lookup_by_keywords(&single),
+                        model.lookup_by_keywords(&single)
+                    );
+                    let pair = [KeywordId(kw), KeywordId(kw + 1)];
+                    prop_assert_eq!(
+                        optimized.lookup_by_keywords(&pair),
+                        model.lookup_by_keywords(&pair)
+                    );
+                }
+                for peer in 0u32..12 {
+                    prop_assert_eq!(
+                        optimized.files_of_provider(PeerId(peer)).to_vec(),
+                        model.files_of_provider(PeerId(peer)),
+                        "provider postings diverged for peer {}", peer
+                    );
+                }
+            }
         }
     }
 }

@@ -95,56 +95,98 @@ pub struct SimulationReport {
 }
 
 impl SimulationReport {
-    /// A cheap, stable FNV-1a digest over the run's observable outcome: the
-    /// headline totals plus every per-query record field. Two runs with equal
-    /// fingerprints went through the same observable history; bench binaries
-    /// (`shard_scaling`, `workload_regimes`) and the churn tests use it to
-    /// assert bit-identity of repeats and shard counts without hauling whole
-    /// reports around.
-    pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf29ce484222325;
-        let mut mix = |value: u64| {
-            hash ^= value;
-            hash = hash.wrapping_mul(0x100000001b3);
-        };
-        mix(self.queries_issued);
-        mix(self.dispatched_events);
-        mix(self.background_messages);
-        mix(self.total_file_replicas as u64);
-        mix(self.total_cached_index_entries as u64);
-        mix(self.simulated_end_time_secs.to_bits());
+    /// The canonical byte encoding of the report: every field, floats as
+    /// their IEEE-754 bit patterns, so equality of encodings is exact
+    /// bit-for-bit equality of reports and a mismatch cannot hide behind
+    /// display rounding. This is the one encoding the determinism suite
+    /// compares and [`SimulationReport::fingerprint`] digests.
+    pub fn canonical_bytes(&self) -> Vec<u8> {
+        fn push_optional<const N: usize>(bytes: &mut Vec<u8>, value: Option<[u8; N]>) {
+            match value {
+                Some(encoded) => {
+                    bytes.push(1);
+                    bytes.extend_from_slice(&encoded);
+                }
+                None => bytes.push(0),
+            }
+        }
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(self.protocol.label().as_bytes());
+        bytes.extend_from_slice(&self.queries_issued.to_le_bytes());
         for record in self.metrics.records() {
-            mix(record.index);
-            mix(u64::from(record.requestor));
-            mix(u64::from(record.is_success()));
-            mix(record.messages);
-            mix(record.download_distance_ms.map_or(1, f64::to_bits));
-            mix(u64::from(record.locality_match));
-            mix(record.providers_offered as u64);
-            mix(u64::from(record.hops_to_hit.unwrap_or(u32::MAX)));
-            mix(u64::from(record.answered_from_cache));
-            mix(record.completion_time_ms.map_or(1, f64::to_bits));
+            bytes.extend_from_slice(&record.index.to_le_bytes());
+            bytes.extend_from_slice(&record.requestor.to_le_bytes());
+            bytes.push(record.is_success() as u8);
+            bytes.extend_from_slice(&record.messages.to_le_bytes());
+            let distance = record.download_distance_ms.map(|d| d.to_bits().to_le_bytes());
+            push_optional(&mut bytes, distance);
+            bytes.push(record.locality_match as u8);
+            bytes.extend_from_slice(&(record.providers_offered as u64).to_le_bytes());
+            push_optional(&mut bytes, record.hops_to_hit.map(u32::to_le_bytes));
+            bytes.push(record.answered_from_cache as u8);
+            let completion = record.completion_time_ms.map(|t| t.to_bits().to_le_bytes());
+            push_optional(&mut bytes, completion);
         }
-        // DHT fields mix only when present, so the unstructured protocols'
-        // pinned fingerprints are untouched by the subsystem's existence.
+        for counters in [&self.message_counters, &self.routing_decisions] {
+            for (key, count) in counters.iter() {
+                bytes.extend_from_slice(key.as_bytes());
+                bytes.extend_from_slice(&count.to_le_bytes());
+            }
+        }
+        bytes.extend_from_slice(&self.background_messages.to_le_bytes());
+        bytes.extend_from_slice(&(self.total_file_replicas as u64).to_le_bytes());
+        bytes.extend_from_slice(&(self.total_cached_index_entries as u64).to_le_bytes());
+        bytes.extend_from_slice(&self.simulated_end_time_secs.to_bits().to_le_bytes());
+        bytes.extend_from_slice(&self.dispatched_events.to_le_bytes());
+        // DHT statistics participate only when present — absent runs append
+        // *nothing*, so the unstructured protocols' encodings (and their
+        // pinned fingerprints) are byte-for-byte what they were before the
+        // subsystem existed. No ambiguity: the protocol label at the head of
+        // the encoding already determines whether the block follows.
         if let Some(dht) = &self.dht {
-            mix(dht.lookups);
-            mix(dht.lookup_depth_total);
-            mix(dht.store_messages);
-            mix(dht.records as u64);
-            mix(dht.provider_entries as u64);
-            mix(dht.record_bytes as u64);
-            mix(dht.truncated_entries);
-            mix(dht.expired_entries);
+            bytes.push(1);
+            for value in [
+                dht.lookups,
+                dht.lookup_depth_total,
+                dht.store_messages,
+                dht.records as u64,
+                dht.provider_entries as u64,
+                dht.record_bytes as u64,
+                dht.truncated_entries,
+                dht.expired_entries,
+            ] {
+                bytes.extend_from_slice(&value.to_le_bytes());
+            }
         }
-        // Fault fields likewise mix only when a fault axis is armed.
+        // Fault statistics likewise participate only when a fault axis is
+        // armed, so fault-free encodings stay byte-for-byte what they were
+        // before the fault subsystem existed.
         if let Some(faults) = &self.faults {
-            mix(faults.messages_lost);
-            mix(faults.dht_stores_lost);
-            mix(faults.query_timeouts);
-            mix(faults.query_retransmits);
-            mix(faults.dht_step_timeouts);
-            mix(faults.crash_departures);
+            bytes.push(2);
+            for value in [
+                faults.messages_lost,
+                faults.dht_stores_lost,
+                faults.query_timeouts,
+                faults.query_retransmits,
+                faults.dht_step_timeouts,
+                faults.crash_departures,
+            ] {
+                bytes.extend_from_slice(&value.to_le_bytes());
+            }
+        }
+        bytes
+    }
+
+    /// FNV-1a over [`SimulationReport::canonical_bytes`]: a compact pin for
+    /// "this exact run". Two runs with equal fingerprints produced the same
+    /// report, so repeats and shard counts can be checked for bit-identity
+    /// without hauling whole reports around; the golden constants in
+    /// `tests/determinism.rs` pin it across refactors.
+    pub fn fingerprint(&self) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in self.canonical_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
         hash
     }
@@ -322,5 +364,20 @@ mod tests {
         assert!(rendered.contains("0.5000"));
         assert!(rendered.contains("12.00"));
         assert!(rendered.contains("120.00"));
+    }
+
+    /// The fingerprint digests the whole canonical encoding, so it sees the
+    /// fields that live outside the per-query records too.
+    #[test]
+    fn fingerprint_sees_the_counters_and_the_protocol() {
+        let mut base = report();
+        base.message_counters.add("query".to_string(), 10);
+        assert_eq!(base.fingerprint(), base.clone().fingerprint());
+        let mut bumped = base.clone();
+        bumped.message_counters.add("query".to_string(), 1);
+        assert_ne!(bumped.canonical_bytes(), base.canonical_bytes());
+        assert_ne!(bumped.fingerprint(), base.fingerprint());
+        let relabelled = SimulationReport { protocol: ProtocolKind::Flooding, ..base.clone() };
+        assert_ne!(relabelled.fingerprint(), base.fingerprint());
     }
 }

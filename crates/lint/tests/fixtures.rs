@@ -483,10 +483,10 @@ fn scope_table_matches_the_documented_coverage() {
     let core_tests = FileScope::of("tests/determinism.rs");
     assert!(!core_tests.deterministic && core_tests.wall_clock && core_tests.ambient_rng);
 
-    let bench = FileScope::of("crates/bench/src/bin/shard_scaling.rs");
+    let bench = FileScope::of("crates/bench/src/scale.rs");
     assert!(!bench.deterministic && !bench.wall_clock && bench.ambient_rng);
 
-    let compat = FileScope::of("crates/compat/criterion/src/lib.rs");
+    let compat = FileScope::of("crates/compat/proptest/src/lib.rs");
     assert!(!compat.deterministic && !compat.wall_clock && !compat.ambient_rng);
 
     let lint = FileScope::of("crates/lint/src/main.rs");

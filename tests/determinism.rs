@@ -28,85 +28,6 @@ fn substrate(peers: usize, seed: u64) -> Simulation {
     Scenario::small(peers).with_seed(seed).substrate()
 }
 
-/// Canonical byte encoding of a report: every field, with floats encoded as
-/// their IEEE-754 bit patterns, so equality is exact bit-for-bit equality and
-/// a mismatch cannot hide behind display rounding.
-fn report_bytes(report: &SimulationReport) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(report.protocol.label().as_bytes());
-    bytes.extend_from_slice(&report.queries_issued.to_le_bytes());
-    for record in report.metrics.records() {
-        bytes.extend_from_slice(&record.index.to_le_bytes());
-        bytes.extend_from_slice(&record.requestor.to_le_bytes());
-        bytes.push(record.is_success() as u8);
-        bytes.extend_from_slice(&record.messages.to_le_bytes());
-        match record.download_distance_ms {
-            Some(d) => {
-                bytes.push(1);
-                bytes.extend_from_slice(&d.to_bits().to_le_bytes());
-            }
-            None => bytes.push(0),
-        }
-        bytes.push(record.locality_match as u8);
-        bytes.extend_from_slice(&(record.providers_offered as u64).to_le_bytes());
-        match record.hops_to_hit {
-            Some(h) => {
-                bytes.push(1);
-                bytes.extend_from_slice(&h.to_le_bytes());
-            }
-            None => bytes.push(0),
-        }
-        bytes.push(record.answered_from_cache as u8);
-        match record.completion_time_ms {
-            Some(t) => {
-                bytes.push(1);
-                bytes.extend_from_slice(&t.to_bits().to_le_bytes());
-            }
-            None => bytes.push(0),
-        }
-    }
-    for counters in [&report.message_counters, &report.routing_decisions] {
-        for (key, count) in counters.iter() {
-            bytes.extend_from_slice(key.as_bytes());
-            bytes.extend_from_slice(&count.to_le_bytes());
-        }
-    }
-    bytes.extend_from_slice(&report.background_messages.to_le_bytes());
-    bytes.extend_from_slice(&(report.total_file_replicas as u64).to_le_bytes());
-    bytes.extend_from_slice(&(report.total_cached_index_entries as u64).to_le_bytes());
-    bytes.extend_from_slice(&report.simulated_end_time_secs.to_bits().to_le_bytes());
-    bytes.extend_from_slice(&report.dispatched_events.to_le_bytes());
-    // DHT statistics participate only when present — absent runs append
-    // *nothing*, so the unstructured protocols' encodings (and their pinned
-    // fingerprints) are byte-for-byte what they were before the subsystem
-    // existed. No ambiguity: the protocol label at the head of the encoding
-    // already determines whether the block follows.
-    if let Some(dht) = &report.dht {
-        bytes.push(1);
-        bytes.extend_from_slice(&dht.lookups.to_le_bytes());
-        bytes.extend_from_slice(&dht.lookup_depth_total.to_le_bytes());
-        bytes.extend_from_slice(&dht.store_messages.to_le_bytes());
-        bytes.extend_from_slice(&(dht.records as u64).to_le_bytes());
-        bytes.extend_from_slice(&(dht.provider_entries as u64).to_le_bytes());
-        bytes.extend_from_slice(&(dht.record_bytes as u64).to_le_bytes());
-        bytes.extend_from_slice(&dht.truncated_entries.to_le_bytes());
-        bytes.extend_from_slice(&dht.expired_entries.to_le_bytes());
-    }
-    // Fault statistics likewise participate only when a fault axis is armed,
-    // so fault-free encodings stay byte-for-byte what they were before the
-    // fault subsystem existed.
-    if let Some(faults) = &report.faults {
-        bytes.push(2);
-        bytes.extend_from_slice(&faults.messages_lost.to_le_bytes());
-        bytes.extend_from_slice(&faults.dht_stores_lost.to_le_bytes());
-        bytes.extend_from_slice(&faults.query_timeouts.to_le_bytes());
-        bytes.extend_from_slice(&faults.query_retransmits.to_le_bytes());
-        bytes.extend_from_slice(&faults.dht_step_timeouts.to_le_bytes());
-        bytes.extend_from_slice(&faults.crash_departures.to_le_bytes());
-    }
-    bytes
-}
-
 // ------------------------------------------------------- seed determinism
 
 #[test]
@@ -115,8 +36,8 @@ fn same_seed_produces_byte_identical_reports_for_every_protocol() {
         let a = substrate(60, 42).run(protocol, 40);
         let b = substrate(60, 42).run(protocol, 40);
         assert_eq!(
-            report_bytes(&a),
-            report_bytes(&b),
+            a.canonical_bytes(),
+            b.canonical_bytes(),
             "{protocol}: two builds from the same seed must agree bit-for-bit"
         );
     }
@@ -149,8 +70,8 @@ fn different_seeds_produce_different_reports() {
     let a = substrate(60, 1).run(ProtocolKind::Locaware, 40);
     let b = substrate(60, 2).run(ProtocolKind::Locaware, 40);
     assert_ne!(
-        report_bytes(&a),
-        report_bytes(&b),
+        a.canonical_bytes(),
+        b.canonical_bytes(),
         "distinct seeds collapsing to one run would hide seed-plumbing bugs"
     );
 }
@@ -199,8 +120,8 @@ fn rerunning_one_protocol_on_one_substrate_is_pure() {
     let first = simulation.run(ProtocolKind::DicasKeys, 30);
     let second = simulation.run(ProtocolKind::DicasKeys, 30);
     assert_eq!(
-        report_bytes(&first),
-        report_bytes(&second),
+        first.canonical_bytes(),
+        second.canonical_bytes(),
         "run() must be a pure function of (substrate, protocol, query count)"
     );
 }
@@ -409,8 +330,8 @@ fn every_named_preset_is_seed_deterministic() {
         let a = scenario.substrate().run(ProtocolKind::Locaware, 40);
         let b = scenario.substrate().run(ProtocolKind::Locaware, 40);
         assert_eq!(
-            report_bytes(&a),
-            report_bytes(&b),
+            a.canonical_bytes(),
+            b.canonical_bytes(),
             "{}: same preset, same seed must agree bit-for-bit",
             scenario.name()
         );
@@ -503,8 +424,8 @@ fn preset_regimes_produce_distinct_workloads() {
     ] {
         let report = scenario.substrate().run(ProtocolKind::Locaware, 40);
         assert_ne!(
-            report_bytes(&base_report),
-            report_bytes(&report),
+            base_report.canonical_bytes(),
+            report.canonical_bytes(),
             "{}: regime must change the measured system",
             scenario.name()
         );
@@ -512,17 +433,6 @@ fn preset_regimes_produce_distinct_workloads() {
 }
 
 // --------------------------------------------------- legacy fingerprint pins
-
-/// FNV-1a over the canonical report bytes: a compact pin for "this exact
-/// run", stable across refactors that do not change observable behaviour.
-fn report_fingerprint(report: &SimulationReport) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in report_bytes(report).iter() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Golden fingerprints for the constant-rate (`Steady`) scenarios, pinning the
 /// exact per-query report bytes across refactors that must not change
@@ -548,7 +458,7 @@ fn legacy_steady_scenarios_reproduce_pr4_fingerprints() {
     for (scenario, protocol, queries, expected) in cases {
         let report = scenario.substrate().run(protocol, queries);
         assert_eq!(
-            report_fingerprint(&report),
+            report.fingerprint(),
             expected,
             "{}/{protocol}/{queries}q: legacy fingerprint must not move",
             scenario.name()
@@ -573,7 +483,7 @@ fn structured_protocol_fingerprints_are_pinned() {
         let report = scenario.substrate().run(protocol, queries);
         assert!(report.dht.is_some(), "{protocol}: structured runs carry DHT stats");
         assert_eq!(
-            report_fingerprint(&report),
+            report.fingerprint(),
             expected,
             "{}/{protocol}/{queries}q: structured fingerprint must not move",
             scenario.name()
@@ -625,8 +535,8 @@ fn shard_counts_produce_byte_identical_reports() {
                 let scenario = make(60).with_seed(21).tweak_shards(shards);
                 let report = scenario.substrate().run(protocol, 40);
                 assert_eq!(
-                    report_bytes(&baseline),
-                    report_bytes(&report),
+                    baseline.canonical_bytes(),
+                    report.canonical_bytes(),
                     "{name}/{protocol}: {shards} shards must reproduce the single-shard bytes"
                 );
             }
@@ -701,8 +611,8 @@ fn runner_reports_match_direct_runs_bit_for_bit() {
             .report(scenario.name(), protocol, 40, 0)
             .expect("every protocol ran");
         assert_eq!(
-            report_bytes(&direct),
-            report_bytes(shared),
+            direct.canonical_bytes(),
+            shared.canonical_bytes(),
             "{protocol}: sharing the substrate must not change the run"
         );
     }

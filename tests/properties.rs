@@ -13,7 +13,6 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use locaware::index::naive::NaiveResponseIndex;
 use locaware::{
     GroupId, PeerState, ProtocolKind, ResponseIndex, Scenario, SelectionPolicy, SimulationConfig,
 };
@@ -175,88 +174,6 @@ proptest! {
                 prop_assert!(!index.contains(eviction.file), "evicted file still present");
             }
             prop_assert!(index.contains(FileId(file)), "just-inserted file must be cached");
-        }
-    }
-
-    /// Model-based equivalence: the optimized response index (recency set +
-    /// inverted keyword postings, PR 3; provider → files postings, PR 4)
-    /// behaves *identically* to the naive reference implementation under
-    /// arbitrary interleavings of single- and multi-provider inserts,
-    /// provider removals and clears — same evictions, same keyword-lookup
-    /// results, same per-provider file sets, same eviction candidate, same
-    /// contents.
-    #[test]
-    fn optimized_response_index_matches_the_naive_model(
-        capacity in 1usize..14,
-        max_providers in 1usize..5,
-        // op, file, provider, loc: ops 0..=7 insert one provider (biased —
-        // the common operation), 8 removes a provider, 9 clears, 10..=11
-        // insert three providers at once (exercising the provider-overflow
-        // drop and multi-file provider postings).
-        ops in proptest::collection::vec((0u32..12, 0u32..24, 0u32..12, 0u32..24), 1..250),
-    ) {
-        let mut optimized = ResponseIndex::new(capacity, max_providers);
-        let mut model = NaiveResponseIndex::new(capacity, max_providers);
-        for (op, file, provider, loc) in ops {
-            match op {
-                8 => {
-                    let mut a = optimized.remove_provider(PeerId(provider));
-                    let mut b = model.remove_provider(PeerId(provider));
-                    // The naive model reports multi-entry removals in map
-                    // order, which is unspecified; compare as sets.
-                    a.sort_by_key(|e| e.file);
-                    b.sort_by_key(|e| e.file);
-                    prop_assert_eq!(a, b, "remove_provider evictions diverged");
-                }
-                9 => {
-                    optimized.clear();
-                    model.clear();
-                }
-                10 | 11 => {
-                    let keywords = [KeywordId(file), KeywordId(file + 1), KeywordId(file / 2)];
-                    let providers: Vec<(PeerId, LocId)> = (0..3)
-                        .map(|i| (PeerId((provider + i) % 12), LocId(loc)))
-                        .collect();
-                    let a = optimized.insert(FileId(file), &keywords, providers.clone());
-                    let b = model.insert(FileId(file), &keywords, providers);
-                    prop_assert_eq!(a, b, "multi-provider insert evictions diverged");
-                }
-                _ => {
-                    // Overlapping keyword sets across files exercise postings
-                    // lists with more than one file.
-                    let keywords = [KeywordId(file), KeywordId(file + 1), KeywordId(file / 2)];
-                    let a = optimized.insert(FileId(file), &keywords, [(PeerId(provider), LocId(loc))]);
-                    let b = model.insert(FileId(file), &keywords, [(PeerId(provider), LocId(loc))]);
-                    prop_assert_eq!(a, b, "insert evictions diverged");
-                }
-            }
-            prop_assert_eq!(optimized.len(), model.len());
-            prop_assert_eq!(optimized.eviction_candidate(), model.eviction_candidate());
-            // Every observable lookup agrees: per-file entries (keywords,
-            // providers, order), keyword queries (results + order) and the
-            // provider → files view served by the provider postings map.
-            for probe in 0u32..26 {
-                prop_assert_eq!(optimized.entry(FileId(probe)), model.entry(FileId(probe)));
-            }
-            for kw in 0u32..26 {
-                let single = [KeywordId(kw)];
-                prop_assert_eq!(
-                    optimized.lookup_by_keywords(&single),
-                    model.lookup_by_keywords(&single)
-                );
-                let pair = [KeywordId(kw), KeywordId(kw + 1)];
-                prop_assert_eq!(
-                    optimized.lookup_by_keywords(&pair),
-                    model.lookup_by_keywords(&pair)
-                );
-            }
-            for peer in 0u32..12 {
-                prop_assert_eq!(
-                    optimized.files_of_provider(PeerId(peer)).to_vec(),
-                    model.files_of_provider(PeerId(peer)),
-                    "provider postings diverged for peer {}", peer
-                );
-            }
         }
     }
 
