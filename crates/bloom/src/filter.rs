@@ -228,21 +228,6 @@ impl BloomFilter {
         out
     }
 
-    /// Bitwise union with another filter (used in tests and in the ablation
-    /// where a peer aggregates neighbour filters).
-    ///
-    /// # Panics
-    /// Panics if the two filters have different parameters.
-    pub fn union_with(&mut self, other: &BloomFilter) {
-        assert_eq!(
-            self.params, other.params,
-            "cannot union filters with different parameters"
-        );
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
-        }
-    }
-
     /// Raw words backing the filter (read-only; for serialisation and tests).
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -341,17 +326,6 @@ mod tests {
         let mut diff = a.changed_bits(&b);
         diff.sort_unstable();
         assert_eq!(diff, vec![3, 199]);
-    }
-
-    #[test]
-    fn union_is_superset_of_both() {
-        let mut a = BloomFilter::paper_default();
-        let mut b = BloomFilter::paper_default();
-        a.insert("only-in-a");
-        b.insert("only-in-b");
-        a.union_with(&b);
-        assert!(a.contains("only-in-a"));
-        assert!(a.contains("only-in-b"));
     }
 
     #[test]

@@ -29,7 +29,6 @@ use locaware_overlay::{
 };
 use locaware_sim::{Duration, EventKey, RngFactory, SimTime, StreamId};
 use locaware_workload::{FileId, KeywordId};
-use parking_lot::MutexGuard;
 use rand::Rng;
 
 use crate::peer::PeerState;
@@ -368,11 +367,7 @@ impl DhtLookupState {
 /// their first `k` in peer-id order), and each initially shared, DHT-indexed
 /// file is stored on the `k` closest nodes to each of its keyword keys — no
 /// messages charged.
-pub(super) fn bootstrap(
-    shared: &RunShared<'_>,
-    directory: &DhtDirectory,
-    guards: &mut [MutexGuard<'_, ShardState>],
-) {
+pub(super) fn bootstrap(shared: &RunShared<'_>, directory: &DhtDirectory, shards: &mut [ShardState]) {
     let config = &shared.config.dht;
     let mut nodes: Vec<DhtNode> = (0..shared.config.peers as u32)
         .map(|i| DhtNode::new(directory.node_id(PeerId(i)), config.k, config.max_record_bytes))
@@ -386,9 +381,11 @@ pub(super) fn bootstrap(
         debug_assert!(inserted, "bootstrap contacts are pre-capped per bucket");
     });
     for (i, node) in nodes.into_iter().enumerate() {
-        peer_mut(shared, guards, PeerId(i as u32)).dht = Some(Box::new(node));
+        peer_mut(shared, shards, PeerId(i as u32)).dht = Some(Box::new(node));
     }
-    republish(shared, directory, guards, SimTime::ZERO, true);
+    // Everyone is online at simulation start.
+    let online = vec![true; shared.config.peers];
+    republish(shared, directory, shards, &online, SimTime::ZERO, true);
 }
 
 /// One republish round: every online peer sweeps expired entries from its
@@ -403,11 +400,11 @@ pub(super) fn bootstrap(
 pub(super) fn republish(
     shared: &RunShared<'_>,
     directory: &DhtDirectory,
-    guards: &mut [MutexGuard<'_, ShardState>],
+    shards: &mut [ShardState],
+    online: &[bool],
     now: SimTime,
     converged: bool,
 ) {
-    let online = shared.online.read();
     // The online set is fixed for the whole round (coordinator-serial), so a
     // keyword's k-closest targets are too — resolve each keyword once per
     // round no matter how many peers announce it.
@@ -415,7 +412,7 @@ pub(super) fn republish(
     let (mut scratch, mut unmemoised) = (DirectoryScratch::default(), Vec::new());
     let mut files: Vec<FileId> = Vec::new();
     for from in (0..shared.config.peers as u32).map(PeerId) {
-        let peer = peer_mut(shared, guards, from);
+        let peer = peer_mut(shared, shards, from);
         if !peer.online {
             continue;
         }
@@ -431,13 +428,13 @@ pub(super) fn republish(
         for &file in &files {
             let memo = Some(&mut targets_by_keyword);
             for_each_store_target(
-                shared, directory, &online, file, memo, &mut scratch, &mut unmemoised,
+                shared, directory, online, file, memo, &mut scratch, &mut unmemoised,
                 |keyword, target| {
                     if converged {
-                        let target = peer_mut(shared, guards, target);
+                        let target = peer_mut(shared, shards, target);
                         store_record(target, shared, now, keyword, file.0, provider);
                     } else {
-                        let shard = &mut guards[shared.partition.shard(from)];
+                        let shard = &mut shards[shared.partition.shard(from)];
                         place_record(shard, shared, now, target, keyword, file.0, provider);
                     }
                 },
@@ -469,20 +466,20 @@ pub(super) fn on_leave(other: &mut PeerState, departed: PeerId, invalidate: bool
 pub(super) fn on_join(
     shared: &RunShared<'_>,
     directory: &DhtDirectory,
-    guards: &mut [MutexGuard<'_, ShardState>],
+    shards: &mut [ShardState],
     peer: PeerId,
 ) {
-    let Some(mut joiner) = peer_mut(shared, guards, peer).dht.take() else {
+    let Some(mut joiner) = peer_mut(shared, shards, peer).dht.take() else {
         return;
     };
     let joiner_id = directory.node_id(peer);
-    for_each_other_online(shared, guards, peer, |other| {
+    for_each_other_online(shared, shards, peer, |other| {
         joiner.table.insert(directory.node_id(other.id), other.id);
         if let Some(node) = other.dht.as_mut() {
             node.table.insert(joiner_id, peer);
         }
     });
-    peer_mut(shared, guards, peer).dht = Some(joiner);
+    peer_mut(shared, shards, peer).dht = Some(joiner);
 }
 
 /// The run's DHT statistics: the lookup totals finalize folded from the
@@ -853,7 +850,7 @@ fn try_satisfy(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{lock_all, prepare};
+    use super::super::prepare;
     use super::*;
     use crate::config::{ProtocolKind, SimulationConfig};
     use crate::simulation::Simulation;
@@ -914,14 +911,13 @@ mod tests {
     #[test]
     fn a_self_target_is_stored_in_place_and_never_sent() {
         let sim = substrate();
-        let (shared, shards) = prepare(&sim, ProtocolKind::DhtIndex, Vec::new(), true);
-        let mut guards = lock_all(&shards);
+        let (shared, mut shards) = prepare(&sim, ProtocolKind::DhtIndex, Vec::new(), true);
         let now = SimTime::from_millis(10);
         let provider = ProviderEntry {
             provider: PeerId(5),
             loc_id: shared.loc_ids[5],
         };
-        let state = &mut *guards[0];
+        let (state, online) = (&mut shards[0], vec![true; 40]);
         place_record(state, &shared, now, PeerId(5), u32::MAX, 7, provider);
         assert_eq!(record(state, 5, u32::MAX, now), [(7, provider)]);
         assert_eq!(state.tallies.background_messages, 0);
@@ -930,38 +926,37 @@ mod tests {
         place_record(state, &shared, now, PeerId(6), u32::MAX, 7, provider);
         assert_eq!(state.tallies.message_counts[kind_index(MessageKind::DhtStore)], 1);
         assert!(record(state, 6, u32::MAX, now).is_empty());
-        state.drain(&shared, u64::MAX);
+        state.drain(&shared, sim.overlay(), &online, u64::MAX);
         assert_eq!(record(state, 6, u32::MAX, now), [(7, provider)]);
     }
 
     #[test]
     fn a_republish_round_at_time_zero_rebuilds_the_bootstrap_records() {
         let sim = substrate();
-        let (shared, shards) = prepare(&sim, ProtocolKind::DhtIndex, Vec::new(), true);
+        let (shared, mut shards) = prepare(&sim, ProtocolKind::DhtIndex, Vec::new(), true);
         let directory = shared.dht.as_ref().unwrap();
-        let mut guards = lock_all(&shards);
+        let online = vec![true; 40];
         let later = SimTime::ZERO + Duration::from_secs(60);
-        let bootstrapped = records(&shared, &guards[0], later);
+        let bootstrapped = records(&shared, &shards[0], later);
         assert!(bootstrapped.iter().any(|held| !held.is_empty()));
-        for peer in guards[0].peers.iter_mut() {
+        for peer in shards[0].peers.iter_mut() {
             peer.dht.as_mut().unwrap().store.clear();
         }
         // The same round, paid for: stores travel as messages and land later.
-        republish(&shared, directory, &mut guards, SimTime::ZERO, false);
-        assert_ne!(records(&shared, &guards[0], later), bootstrapped);
-        guards[0].drain(&shared, u64::MAX);
-        assert_eq!(records(&shared, &guards[0], later), bootstrapped);
+        republish(&shared, directory, &mut shards, &online, SimTime::ZERO, false);
+        assert_ne!(records(&shared, &shards[0], later), bootstrapped);
+        shards[0].drain(&shared, sim.overlay(), &online, u64::MAX);
+        assert_eq!(records(&shared, &shards[0], later), bootstrapped);
     }
 
     #[test]
     fn the_walk_keeps_at_most_alpha_steps_in_flight_until_its_shortlist_empties() {
         let sim = substrate();
-        let (shared, shards) = prepare(&sim, ProtocolKind::DhtIndex, sim.arrivals(1), true);
+        let (shared, mut shards) = prepare(&sim, ProtocolKind::DhtIndex, sim.arrivals(1), true);
         let directory = shared.dht.as_ref().unwrap();
         let (alpha, k) = (shared.config.dht.alpha, shared.config.dht.k);
         let online = vec![true; 40];
-        let mut guards = lock_all(&shards);
-        let state = &mut *guards[0];
+        let state = &mut shards[0];
         let origin = PeerId(shared.arrivals[0].peer as u32);
         let key = EventKey::new(SimTime::from_millis(5), 0, 0, 0);
         // No tracking entry exists, so nothing can satisfy the query: the

@@ -16,16 +16,19 @@
 //! locality-aligned shards (`exchange::PeerPartition`). Simulated time
 //! advances in bounded windows, and every tick runs two phases:
 //!
-//! 1. **Parallel drain** — each shard drains its local events for the window
-//!    concurrently (scoped threads, one per shard). A shard only mutates its
-//!    own peers and slabs; the overlay graph and the peers-online snapshot
-//!    are frozen for the window. Messages to peers of another shard go into
+//! 1. **Window drain** — `drain_window`, the one executor, gives every
+//!    shard's `&mut ShardState` to `ShardState::drain`: in a plain loop on
+//!    this thread, or — when the window is predicted to hold enough work —
+//!    fanned out over scoped threads, one active shard each, joined before
+//!    the phase ends. The overlay graph and the peers-online snapshot are
+//!    lent to every drain as `&OverlayGraph` / `&[bool]`, so they cannot
+//!    change during a window; messages to peers of another shard go into
 //!    per-`(src, dst)` outboxes instead of a queue.
-//! 2. **Barrier merge** — outboxes are merged into the destination queues in
-//!    the canonical `(time, class, destination, source, link-seq)` order of
-//!    `exchange`, and global transitions (periodic Bloom synchronisation,
-//!    churn) are applied serially by the coordinator at their exact canonical
-//!    position.
+//! 2. **Merge at the barrier** — outboxes are merged into the destination
+//!    queues in the canonical `(time, class, destination, source, link-seq)`
+//!    order of `exchange`, and global transitions (periodic Bloom
+//!    synchronisation, churn) are applied serially by the coordinator at
+//!    their exact canonical position.
 //!
 //! Window lengths are **per-destination channel lookaheads** in the classic
 //! CMB (Chandy–Misra–Bryant) conservative style: shard `i` may advance to
@@ -61,7 +64,9 @@
 //! count produces bit-identical [`SimulationReport`]s** — `shards = 1` is
 //! simply the degenerate case with one queue, an unbounded window and no
 //! threads. `tests/determinism.rs` pins the equality over shards {1, 2, 4, 8}
-//! for all eight protocols, with and without churn.
+//! for all eight protocols, with and without churn. The `Executor` is a
+//! pure scheduling choice on top of that: either branch of `drain_window`
+//! makes the same state transitions.
 //!
 //! The one carve-out: if a run trips the `max_events` safety valve (a bound
 //! "well-formed simulations never hit"), sharded runs stop at the next window
@@ -70,15 +75,27 @@
 //!
 //! ## Who owns what
 //!
-//! This file owns the run's set-up and report, window planning, lifecycle
-//! folds and the barrier transitions (Bloom sync, churn). `shard` owns the
-//! per-shard event loop: query lifecycle, transport (canonical keys, fault
-//! marking, outboxes) and the unstructured family's handlers. `dht` owns the
-//! structured family — directory, bootstrap, lookups, record placement,
-//! republish and table maintenance — behind a handful of entry points.
-//! `exchange` fixes the canonical event order and the partition, `faults`
-//! compiles the fault plan, `tally` holds the commutative statistics. Every
-//! shard count, `shards = 1` included, runs this same code path.
+//! There are no locks in the engine; the borrow checker holds the discipline.
+//! `prepare` returns the shards as a plain `Vec<ShardState>`. The
+//! `Coordinator` owns everything that crosses shard boundaries and changes
+//! during a run — the overlay graph and the peers-online snapshot — as
+//! ordinary fields: it mutates them in the churn transition, which takes
+//! `&mut self`, and lends them shared to the window drains, so a write during
+//! a window does not compile. Everything else shards share is the immutable
+//! `RunShared`. At a barrier the coordinator holds `&mut [ShardState]` and
+//! may touch any peer of any shard; during a window each `&mut ShardState` is
+//! handed to exactly one drain.
+//!
+//! This file owns the run's set-up and report, the executor, window planning,
+//! lifecycle folds and the barrier transitions (Bloom sync, churn). `shard`
+//! owns the per-shard event loop: query lifecycle, transport (canonical keys,
+//! fault marking, outboxes) and the unstructured family's handlers. `dht`
+//! owns the structured family — directory, bootstrap, lookups, record
+//! placement, republish and table maintenance — behind a handful of entry
+//! points. `exchange` fixes the canonical event order and the partition,
+//! `faults` compiles the fault plan, `tally` holds the commutative
+//! statistics. Every shard count, `shards = 1` included, runs this same code
+//! path.
 //!
 //! [`QueryRecord`]: locaware_metrics::QueryRecord
 //! [`LinkLatencyCache::incoming_channel_mins`]:
@@ -90,10 +107,7 @@ mod faults;
 mod shard;
 mod tally;
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use parking_lot::{Mutex, MutexGuard, RwLock};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -123,12 +137,10 @@ use exchange::{
 use shard::{ShardEvent, ShardState};
 use tally::{labelled_counters, Tallies, FORWARD_DECISIONS, MESSAGE_KINDS};
 
-/// Read-only context shared by every shard and the coordinator during a run.
-///
-/// The two `RwLock`s hold the only state that crosses shard boundaries: the
-/// overlay graph and the peers-online snapshot. Both are written exclusively
-/// by the coordinator at barriers (churn transitions) and read-locked by each
-/// shard for the duration of a window drain, so the event path never blocks.
+/// Read-only context shared by every shard and the coordinator during a run:
+/// nothing in it changes after [`prepare`]. The state that crosses shard
+/// boundaries and *does* change — the overlay graph and the peers-online
+/// snapshot — belongs to the [`Coordinator`].
 pub(crate) struct RunShared<'a> {
     pub(crate) config: &'a SimulationConfig,
     pub(crate) protocol: Box<dyn Protocol>,
@@ -145,8 +157,6 @@ pub(crate) struct RunShared<'a> {
     /// The DHT identity oracle — `Some` exactly for structured protocols
     /// ([`ProtocolKind::uses_dht`]). Immutable for the whole run.
     pub(crate) dht: Option<DhtDirectory>,
-    pub(crate) graph: RwLock<OverlayGraph>,
-    pub(crate) online: RwLock<Vec<bool>>,
     /// Per-destination-shard channel lookahead: `channel_lookahead[i]` is the
     /// minimum latency over shard `i`'s incoming cross-shard channels — no
     /// message another shard sends at or after a window's start can land in
@@ -159,6 +169,46 @@ pub(crate) struct RunShared<'a> {
     pub(crate) faults: Option<FaultPlan>,
 }
 
+/// How [`Coordinator::drive`] drains a window with two or more active shards.
+/// A pure scheduling choice: every variant produces the same report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Executor {
+    /// Always on the calling thread.
+    Inline,
+    /// Always fanned out, one thread per active shard.
+    Parallel,
+    /// Scoped threads when the previous window moved at least
+    /// [`PARALLEL_MIN_OFFLOADED_EVENTS`] off the critical path, inline
+    /// otherwise.
+    Auto,
+}
+
+/// Minimum number of events the previous window dispatched *outside* its
+/// busiest shard — the work scoped threads would have taken off the critical
+/// path — before [`Executor::Auto`] spawns them for the next window. Below
+/// it, thread spawns cost more than the overlap wins (EXPERIMENTS.md,
+/// "Executor threshold", has the measurements). A function of dispatch counts
+/// only, so it cannot perturb determinism.
+const PARALLEL_MIN_OFFLOADED_EVENTS: u64 = 512;
+
+impl Executor {
+    /// The process-wide choice, read once: `LOCAWARE_SHARD_THREADS=0`/`false`
+    /// is [`Executor::Inline`], `1`/`true` is [`Executor::Parallel`] (even on
+    /// one CPU — how CI covers the threaded branch), anything else is
+    /// [`Executor::Auto`] on a multi-CPU host and inline on a single CPU,
+    /// where threads can only add scheduling overhead.
+    fn from_env() -> Self {
+        use std::sync::OnceLock;
+        static CHOICE: OnceLock<Executor> = OnceLock::new();
+        *CHOICE.get_or_init(|| match std::env::var("LOCAWARE_SHARD_THREADS").ok().as_deref() {
+            Some("1") | Some("true") => Executor::Parallel,
+            Some("0") | Some("false") => Executor::Inline,
+            _ if std::thread::available_parallelism().is_ok_and(|n| n.get() > 1) => Executor::Auto,
+            _ => Executor::Inline,
+        })
+    }
+}
+
 /// Executes one run of protocol `kind` over the prepared substrate `sim` and
 /// produces the report.
 pub(crate) fn run(
@@ -167,66 +217,52 @@ pub(crate) fn run(
     arrivals: Vec<Arrival>,
     churn_schedule: &[ChurnEvent],
 ) -> SimulationReport {
-    let (shared, shards) = prepare(sim, kind, arrivals, churn_schedule.is_empty());
-    let shard_count = shards.len();
-    let mut coordinator = Coordinator::new(&shared, churn_schedule, shard_count);
+    run_with(sim, kind, arrivals, churn_schedule, Executor::from_env())
+}
 
-    if shard_count == 1 || !worker_threads_available() {
-        // Single shard — or a single-CPU host, where worker threads can
-        // only add scheduling overhead: drain the shards on this thread.
-        // The state transitions are identical either way (the executor is
-        // a pure scheduling choice), so results do not depend on the host.
-        coordinator.drive(&shared, &shards, None);
-    } else {
-        let barrier = Barrier::new(shard_count + 1);
-        let cmd = Mutex::new(Cmd::Run(0));
-        let panicked = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for shard in &shards {
-                let (shared, barrier, cmd, panicked) = (&shared, &barrier, &cmd, &panicked);
-                scope.spawn(move || loop {
-                    barrier.wait();
-                    let command = *cmd.lock();
-                    match command {
-                        Cmd::Quit => break,
-                        Cmd::Run(cap) => {
-                            if !panicked.load(Ordering::SeqCst) {
-                                // The per-shard window bound was set by the
-                                // coordinator at plan time.
-                                let drain = || shard.lock().drain(shared, cap);
-                                if catch_unwind(AssertUnwindSafe(drain)).is_err() {
-                                    panicked.store(true, Ordering::SeqCst);
-                                }
-                            }
-                            barrier.wait();
-                        }
-                    }
-                });
-            }
-            let mut workers = Workers {
-                barrier: &barrier,
-                cmd: &cmd,
-                panicked: &panicked,
-                released: false,
-            };
-            // The coordinator itself runs protocol code (inline windows,
-            // barrier transitions); if it panics while the workers are
-            // parked at the barrier, the scope would join threads that
-            // are still waiting — a hang instead of a test failure. Catch
-            // the unwind, release the workers, then resume it.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                coordinator.drive(&shared, &shards, Some(&mut workers))
-            }));
-            workers.shutdown();
-            if let Err(panic) = outcome {
-                std::panic::resume_unwind(panic);
-            }
-        });
-    }
-
-    let shards: Vec<ShardState> = shards.into_iter().map(|m| m.into_inner()).collect();
+/// [`run`] under an explicit executor.
+fn run_with(
+    sim: &Simulation,
+    kind: ProtocolKind,
+    arrivals: Vec<Arrival>,
+    churn_schedule: &[ChurnEvent],
+    executor: Executor,
+) -> SimulationReport {
+    let (shared, mut shards) = prepare(sim, kind, arrivals, churn_schedule.is_empty());
+    let mut coordinator =
+        Coordinator::new(&shared, sim.overlay().clone(), churn_schedule, shards.len());
+    coordinator.drive(&shared, &mut shards, executor);
     coordinator.print_stats(&shards, &shared.channel_lookahead);
     finalize(&shared, &shards, &coordinator)
+}
+
+/// The one executor: has every shard drain its planned window through
+/// `drain`, either in a loop on this thread or — `parallel` — one thread per
+/// shard that has work: this thread takes the first, scoped workers the
+/// rest, all joined before returning. A shard's `&mut ShardState` goes to
+/// exactly one call of `drain` either way, which is the whole synchronisation
+/// protocol. A worker's panic is re-raised here with its original payload.
+fn drain_window(
+    shards: &mut [ShardState],
+    parallel: bool,
+    drain: impl Fn(&mut ShardState) + Sync,
+) {
+    if !parallel {
+        shards.iter_mut().for_each(drain);
+        return;
+    }
+    std::thread::scope(|scope| {
+        let drain = &drain;
+        let mut active = shards.iter_mut().filter(|shard| shard.has_work());
+        let own = active.next();
+        let workers: Vec<_> = active.map(|shard| scope.spawn(move || drain(shard))).collect();
+        own.into_iter().for_each(drain);
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
 }
 
 /// Builds the run's shared context and its shards: the shard partition with
@@ -240,7 +276,7 @@ fn prepare(
     kind: ProtocolKind,
     arrivals: Vec<Arrival>,
     static_overlay: bool,
-) -> (RunShared<'_>, Vec<Mutex<ShardState>>) {
+) -> (RunShared<'_>, Vec<ShardState>) {
     let config = sim.config();
     let (catalog, graph, loc_ids, gids) =
         (sim.catalog(), sim.overlay(), sim.loc_ids(), sim.group_ids());
@@ -301,8 +337,6 @@ fn prepare(
         dht: kind
             .uses_dht()
             .then(|| DhtDirectory::new(sim.rng_factory(), config.peers)),
-        graph: RwLock::new(graph.clone()),
-        online: RwLock::new(vec![true; config.peers]),
         channel_lookahead,
         faults: FaultPlan::new(&config.faults, sim.rng_factory()),
         arrivals,
@@ -341,14 +375,12 @@ fn prepare(
     // Every shard owns a contiguous run of the locality rank order, and a
     // peer's slot is its position within that run.
     let mut members = locality_rank_order(loc_ids).into_iter().map(PeerId);
-    let shards: Vec<Mutex<ShardState>> = (shared.partition.sizes.iter().enumerate())
+    let mut shards: Vec<ShardState> = (shared.partition.sizes.iter().enumerate())
         .map(|(index, &size)| {
             let peers = members.by_ref().take(size).map(new_peer).collect();
-            let arrivals = shared.arrivals.len();
-            Mutex::new(ShardState::new(index as u32, shard_count, peers, arrivals))
+            ShardState::new(index as u32, shard_count, peers, shared.arrivals.len())
         })
         .collect();
-    let mut guards = lock_all(&shards);
 
     // Initial Bloom exchange between neighbours ("Neighboring peers
     // exchange their group Ids as well as their Bloom filters", §4.2).
@@ -356,28 +388,27 @@ fn prepare(
         let all_peers = || (0..config.peers as u32).map(PeerId);
         let initial_blooms: Vec<_> = all_peers()
             .map(|id| {
-                let peer = peer_mut(&shared, &mut guards, id);
+                let peer = peer_mut(&shared, &mut shards, id);
                 let _ = peer.take_bloom_update();
                 peer.exported_bloom().clone()
             })
             .collect();
         for id in all_peers() {
-            let peer = peer_mut(&shared, &mut guards, id);
+            let peer = peer_mut(&shared, &mut shards, id);
             for &n in graph.neighbors(id) {
                 peer.set_neighbor_bloom(n, initial_blooms[n.index()].clone());
             }
         }
     }
     if let Some(directory) = &shared.dht {
-        dht::bootstrap(&shared, directory, &mut guards);
+        dht::bootstrap(&shared, directory, &mut shards);
     }
     for (index, arrival) in shared.arrivals.iter().enumerate() {
         let origin = PeerId(arrival.peer as u32);
-        guards[shared.partition.shard(origin)]
+        shards[shared.partition.shard(origin)]
             .queue
             .push(issue_key(arrival.at, index), ShardEvent::Issue(index as u32));
     }
-    drop(guards);
     (shared, shards)
 }
 
@@ -473,23 +504,6 @@ fn finalize(
     }
 }
 
-/// Whether spawning per-shard worker threads can possibly pay off: requires
-/// more than one CPU, overridable for tests via `LOCAWARE_SHARD_THREADS`
-/// (`1`/`true` forces workers even on one CPU, `0`/`false` forces the inline
-/// executor). Read once per process.
-fn worker_threads_available() -> bool {
-    use std::sync::OnceLock;
-    static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| {
-        match std::env::var("LOCAWARE_SHARD_THREADS").ok().as_deref() {
-            Some("1") | Some("true") => return true,
-            Some("0") | Some("false") => return false,
-            _ => {}
-        }
-        std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
-    })
-}
-
 /// A global transition handled serially at a barrier.
 #[derive(Debug, Clone, Copy)]
 enum ControlAction {
@@ -499,51 +513,6 @@ enum ControlAction {
     DhtRepublish,
     /// One entry of the churn schedule.
     Churn(ChurnEvent),
-}
-
-/// A window command handed to the worker threads.
-#[derive(Debug, Clone, Copy)]
-enum Cmd {
-    /// Drain the local queue up to the shard's planned `window_bound`,
-    /// dispatching at most `cap` events.
-    Run(u64),
-    /// The run is over; exit the worker loop.
-    Quit,
-}
-
-/// The parked per-shard worker threads, signalled through the barrier.
-/// `released` is set once the workers have been told to quit, so the release
-/// happens exactly once no matter which path (normal shutdown or worker-panic
-/// propagation) gets there first.
-struct Workers<'e> {
-    barrier: &'e Barrier,
-    cmd: &'e Mutex<Cmd>,
-    panicked: &'e AtomicBool,
-    released: bool,
-}
-
-impl Workers<'_> {
-    /// Has every worker drain its shard's planned window, at most `cap`
-    /// events each, and waits for all of them.
-    fn run_window(&mut self, cap: u64) {
-        *self.cmd.lock() = Cmd::Run(cap);
-        self.barrier.wait();
-        self.barrier.wait();
-        if self.panicked.load(Ordering::SeqCst) {
-            // Release the workers before propagating, so the panic
-            // surfaces as a test failure instead of a barrier hang.
-            self.shutdown();
-            panic!("a sharded-engine worker thread panicked");
-        }
-    }
-
-    fn shutdown(&mut self) {
-        if !self.released {
-            *self.cmd.lock() = Cmd::Quit;
-            self.barrier.wait();
-            self.released = true;
-        }
-    }
 }
 
 /// Where a query is in its lifecycle, as the coordinator's barrier folds see
@@ -565,6 +534,10 @@ enum QueryPhase {
 /// The serial half of the sharded run: window planning, lifecycle folds,
 /// barrier merges and global transitions.
 struct Coordinator {
+    /// The live overlay graph and the peers-online snapshot: written only by
+    /// the churn transition, lent read-only to every window drain.
+    graph: OverlayGraph,
+    online: Vec<bool>,
     control: Vec<(EventKey, ControlAction)>,
     next_control: usize,
     churn_rng: StdRng,
@@ -599,15 +572,19 @@ struct Coordinator {
     /// Scratch: per-shard window bounds planned for the current window.
     bounds: Vec<EventKey>,
     /// Parallelism profile of the run (see [`Coordinator::print_stats`]):
-    /// windows run, windows with 2+ active shards, windows shortened by a
-    /// lifecycle cap, per-shard dispatch counts at the last barrier, and the
-    /// critical-path event count — the wall clock an ideal machine with one
-    /// core per shard could not go below.
+    /// windows run, windows with 2+ active shards, windows drained on scoped
+    /// threads, windows shortened by a lifecycle cap, per-shard dispatch
+    /// counts at the last barrier, and the critical-path event count — the
+    /// wall clock an ideal machine with one core per shard could not go below.
     windows: u64,
     engaged_windows: u64,
+    parallel_windows: u64,
     capped_windows: u64,
     prev_dispatched: Vec<u64>,
     critical_path_events: u64,
+    /// Events the previous window dispatched outside its busiest shard —
+    /// what [`Executor::Auto`] holds against its threshold.
+    prev_offloaded: u64,
     /// Churn departures the fault plan turned into crash-stops (no goodbyes).
     crash_departures: u64,
 }
@@ -634,7 +611,12 @@ fn periodic_controls(
 }
 
 impl Coordinator {
-    fn new(shared: &RunShared<'_>, churn_schedule: &[ChurnEvent], shard_count: usize) -> Self {
+    fn new(
+        shared: &RunShared<'_>,
+        graph: OverlayGraph,
+        churn_schedule: &[ChurnEvent],
+        shard_count: usize,
+    ) -> Self {
         // Global transitions — Bloom sync and DHT republish rounds over the
         // workload span (plus a small drain margin so late responses still
         // see fresh filters) and the churn schedule — run serially at
@@ -658,6 +640,8 @@ impl Coordinator {
 
         let arrivals = shared.arrivals.len();
         Coordinator {
+            graph,
+            online: vec![true; config.peers],
             control,
             next_control: 0,
             churn_rng: shared.rng_factory.stream(StreamId::Churn),
@@ -676,9 +660,11 @@ impl Coordinator {
             bounds: vec![EventKey::MAX; shard_count],
             windows: 0,
             engaged_windows: 0,
+            parallel_windows: 0,
             capped_windows: 0,
             prev_dispatched: vec![0; shard_count],
             critical_path_events: 0,
+            prev_offloaded: 0,
             crash_departures: 0,
         }
     }
@@ -689,43 +675,35 @@ impl Coordinator {
         self.controls_dispatched + shards.iter().map(|s| s.dispatched).sum::<u64>()
     }
 
-    /// The main loop: alternate parallel windows and serial control steps
-    /// until every queue is empty and the control schedule is exhausted (or
-    /// the event budget trips).
-    fn drive(
-        &mut self,
-        shared: &RunShared<'_>,
-        shards: &[Mutex<ShardState>],
-        mut workers: Option<&mut Workers<'_>>,
-    ) {
+    /// The main loop: alternate window drains and serial control steps until
+    /// every queue is empty and the control schedule is exhausted (or the
+    /// event budget trips).
+    fn drive(&mut self, shared: &RunShared<'_>, shards: &mut [ShardState], executor: Executor) {
         loop {
-            let mut guards = lock_all(shards);
-            if guards.len() > 1 {
-                self.fold_lifecycle(shared, &mut guards);
+            if shards.len() > 1 {
+                self.fold_lifecycle(shared, shards);
             }
-            let dispatched: u64 =
-                self.controls_dispatched + guards.iter().map(|g| g.dispatched).sum::<u64>();
             let budget = shared.config.max_events;
-            let Some(remaining) = budget.checked_sub(dispatched).filter(|&r| r > 0)
+            let Some(remaining) = budget.checked_sub(self.dispatched(shards)).filter(|&r| r > 0)
             else {
                 break; // Event budget exhausted: stop at this barrier.
             };
 
             let next_event: Option<EventKey> =
-                guards.iter().filter_map(|g| g.queue.peek_key()).min();
+                shards.iter().filter_map(|s| s.queue.peek_key()).min();
             let next_control = self.control.get(self.next_control).map(|&(key, _)| key);
-            if guards.len() > 1 {
+            if shards.len() > 1 {
                 // Every event strictly below the global frontier has been
                 // processed (outboxes are merged), so deferred duplicate-map
                 // prunes whose completion key the frontier has passed are now
                 // safe: no pending issue can still order before them.
-                self.apply_ready_prunes(shared, &mut guards, next_event.unwrap_or(EventKey::MAX));
+                self.apply_ready_prunes(shared, shards, next_event.unwrap_or(EventKey::MAX));
             }
 
             match (next_event, next_control) {
                 (None, None) => break,
                 (event, Some(control)) if event.is_none_or(|e| control < e) => {
-                    self.run_control(shared, &mut guards, control);
+                    self.run_control(shared, shards, control);
                 }
                 (Some(event), control) => {
                     // Per-shard window ends: each shard's incoming-channel
@@ -742,40 +720,42 @@ impl Coordinator {
                         };
                         *bound = control.map_or(horizon, |c| c.min(horizon));
                     }
-                    let capped = guards.len() > 1 && self.cap_bounds(shared, event);
-                    for (guard, &bound) in guards.iter_mut().zip(&self.bounds) {
-                        guard.window_bound = bound;
+                    let capped = shards.len() > 1 && self.cap_bounds(shared, event);
+                    for (shard, &bound) in shards.iter_mut().zip(&self.bounds) {
+                        shard.window_bound = bound;
                     }
                     // Windows whose pending events all sit in one shard gain
-                    // nothing from waking the workers: drain that shard on
-                    // this thread (identical state transitions, no barrier).
-                    // Sparse stretches of a run — where a whole query burst
-                    // fits inside one locality — cost no synchronisation.
-                    let active = guards
-                        .iter()
-                        .filter(|g| g.queue.peek_key().is_some_and(|k| k < g.window_bound))
-                        .count();
-                    match workers.as_deref_mut().filter(|_| active > 1) {
-                        Some(workers) => {
-                            drop(guards);
-                            workers.run_window(remaining);
-                            guards = lock_all(shards);
-                        }
-                        None => guards.iter_mut().for_each(|g| g.drain(shared, remaining)),
-                    }
-                    merge_outboxes(&mut guards);
+                    // nothing from threads — sparse stretches of a run, where
+                    // a whole query burst fits inside one locality, cost no
+                    // spawn under any executor — and neither do windows too
+                    // small to repay one.
+                    let active = shards.iter().filter(|s| s.has_work()).count();
+                    let parallel = active > 1
+                        && match executor {
+                            Executor::Inline => false,
+                            Executor::Parallel => true,
+                            Executor::Auto => self.prev_offloaded >= PARALLEL_MIN_OFFLOADED_EVENTS,
+                        };
+                    let (graph, online) = (&self.graph, &self.online);
+                    drain_window(shards, parallel, |shard| {
+                        shard.drain(shared, graph, online, remaining)
+                    });
+                    merge_outboxes(shards);
                     // Critical-path accounting: a window's parallel phase is
                     // as slow as its busiest shard.
                     self.windows += 1;
                     self.engaged_windows += u64::from(active > 1);
+                    self.parallel_windows += u64::from(parallel);
                     self.capped_windows += u64::from(capped);
-                    let mut busiest = 0u64;
-                    for (index, guard) in guards.iter().enumerate() {
-                        let delta = guard.dispatched - self.prev_dispatched[index];
-                        self.prev_dispatched[index] = guard.dispatched;
+                    let (mut busiest, mut total) = (0u64, 0u64);
+                    for (shard, prev) in shards.iter().zip(&mut self.prev_dispatched) {
+                        let delta = shard.dispatched - *prev;
+                        *prev = shard.dispatched;
                         busiest = busiest.max(delta);
+                        total += delta;
                     }
                     self.critical_path_events += busiest;
+                    self.prev_offloaded = total - busiest;
                 }
                 (None, Some(_)) => {
                     unreachable!("the guard above admits every (None, Some) pair")
@@ -794,17 +774,13 @@ impl Coordinator {
     /// position; escaped ones are handed to [`Coordinator::apply_ready_prunes`]
     /// so the duplicate-map prune waits until the frontier passes the
     /// completion key.
-    fn fold_lifecycle(
-        &mut self,
-        shared: &RunShared<'_>,
-        guards: &mut [MutexGuard<'_, ShardState>],
-    ) {
+    fn fold_lifecycle(&mut self, shared: &RunShared<'_>, shards: &mut [ShardState]) {
         let mut touched = std::mem::take(&mut self.fold_touched);
-        for guard in guards.iter_mut() {
-            for index in guard.processed_arrivals.drain(..) {
+        for shard in shards.iter_mut() {
+            for index in shard.processed_arrivals.drain(..) {
                 self.arrival_done[index as usize] = true;
             }
-            let flux = guard.flux.as_mut().expect("multi-shard runs carry flux");
+            let flux = shard.flux.as_mut().expect("multi-shard runs carry flux");
             let outstanding = &mut self.query_outstanding;
             let last = &mut self.query_last;
             flux.drain(|index, delta, consumed| {
@@ -842,7 +818,7 @@ impl Coordinator {
                         .expect("an opened query closes via at least one consumption");
                     let origin = PeerId(shared.arrivals[i].peer as u32);
                     let origin_shard = shared.partition.shard(origin);
-                    if guards[origin_shard].escaped[i] {
+                    if shards[origin_shard].escaped[i] {
                         // Completion detected, but a shard lagging behind the
                         // one that consumed the last message may still hold a
                         // same-peer issue ordering before it: keep the query
@@ -871,7 +847,7 @@ impl Coordinator {
     fn apply_ready_prunes(
         &mut self,
         shared: &RunShared<'_>,
-        guards: &mut [MutexGuard<'_, ShardState>],
+        shards: &mut [ShardState],
         frontier: EventKey,
     ) {
         let mut i = 0;
@@ -881,7 +857,7 @@ impl Coordinator {
                 self.pending_prunes.swap_remove(i);
                 let idx = index as usize;
                 let origin = PeerId(shared.arrivals[idx].peer as u32);
-                guards[shared.partition.shard(origin)].complete_locally(shared, idx, key.time);
+                shards[shared.partition.shard(origin)].complete_locally(shared, idx, key.time);
                 self.query_phase[idx] = QueryPhase::Closed;
                 self.inflight_by_peer[origin.index()] -= 1;
             } else {
@@ -946,33 +922,28 @@ impl Coordinator {
 
     /// Handles one control transition (everything strictly before its
     /// canonical key has already drained).
-    fn run_control(
-        &mut self,
-        shared: &RunShared<'_>,
-        guards: &mut [MutexGuard<'_, ShardState>],
-        key: EventKey,
-    ) {
+    fn run_control(&mut self, shared: &RunShared<'_>, shards: &mut [ShardState], key: EventKey) {
         let (_, action) = self.control[self.next_control];
         self.next_control += 1;
         self.controls_dispatched += 1;
         self.critical_path_events += 1; // Controls are inherently serial.
         self.control_end_time = key.time;
         match action {
-            ControlAction::BloomSync => self.bloom_sync(shared, guards, key.time),
+            ControlAction::BloomSync => self.bloom_sync(shared, shards, key.time),
             ControlAction::DhtRepublish => {
                 if let Some(directory) = &shared.dht {
-                    dht::republish(shared, directory, guards, key.time, false);
+                    dht::republish(shared, directory, shards, &self.online, key.time, false);
                 }
             }
-            ControlAction::Churn(event) => self.apply_churn(shared, guards, event),
+            ControlAction::Churn(event) => self.apply_churn(shared, shards, event),
         }
         // Control transitions may send (Bloom deltas); merge immediately so
         // the next window-planning pass sees them in the destination queues.
         // Every shard has drained past `key`, so it is the merge floor.
-        for guard in guards.iter_mut() {
-            guard.window_bound = key;
+        for shard in shards.iter_mut() {
+            shard.window_bound = key;
         }
-        merge_outboxes(guards);
+        merge_outboxes(shards);
     }
 
     /// When `LOCAWARE_SHARD_STATS=1`, prints the run's parallelism profile to
@@ -980,7 +951,9 @@ impl Coordinator {
     /// with one core per shard could compress the run
     /// (`ideal_speedup = total / critical_path`). Measured, deterministic
     /// quantities — the profile is how `BENCH_prN.json` grounds multi-core
-    /// projections on single-core CI hardware.
+    /// projections on single-core CI hardware — except `parallel_windows`,
+    /// which says how many windows this process's executor actually fanned
+    /// out.
     fn print_stats(&self, shards: &[ShardState], lookahead: &[Option<Duration>]) {
         if std::env::var("LOCAWARE_SHARD_STATS").as_deref() != Ok("1") {
             return;
@@ -994,11 +967,13 @@ impl Coordinator {
             .join(",");
         eprintln!(
             "shard-stats: shards={} lookahead_us={} windows={} engaged_windows={} \
-             capped_windows={} events={} critical_path_events={} ideal_speedup={:.2}",
+             parallel_windows={} capped_windows={} events={} critical_path_events={} \
+             ideal_speedup={:.2}",
             shards.len(),
             lookahead_list,
             self.windows,
             self.engaged_windows,
+            self.parallel_windows,
             self.capped_windows,
             dispatched,
             critical,
@@ -1008,23 +983,18 @@ impl Coordinator {
 
     /// One Bloom synchronisation round: every online peer with a dirty filter
     /// pushes the delta to its active neighbours, in peer-id order.
-    fn bloom_sync(
-        &mut self,
-        shared: &RunShared<'_>,
-        guards: &mut [MutexGuard<'_, ShardState>],
-        now: SimTime,
-    ) {
-        let graph = shared.graph.read();
+    fn bloom_sync(&self, shared: &RunShared<'_>, shards: &mut [ShardState], now: SimTime) {
+        let graph = &self.graph;
         for i in 0..shared.config.peers {
             let from = PeerId(i as u32);
-            let peer = peer_mut(shared, guards, from);
+            let peer = peer_mut(shared, shards, from);
             if !peer.online {
                 continue;
             }
             let Some(delta) = peer.take_bloom_update() else {
                 continue;
             };
-            let shard = &mut guards[shared.partition.shard(from)];
+            let shard = &mut shards[shared.partition.shard(from)];
             for &n in graph.neighbors(from).iter().filter(|&&n| graph.is_active(n)) {
                 let message = Message::BloomDelta {
                     delta: delta.clone(),
@@ -1035,23 +1005,16 @@ impl Coordinator {
     }
 
     /// One churn transition, mutating the graph, the affected peers (possibly
-    /// across several shards) and the online snapshot — all under the write
-    /// locks the window drains read.
-    fn apply_churn(
-        &mut self,
-        shared: &RunShared<'_>,
-        guards: &mut [MutexGuard<'_, ShardState>],
-        event: ChurnEvent,
-    ) {
+    /// across several shards) and the online snapshot.
+    fn apply_churn(&mut self, shared: &RunShared<'_>, shards: &mut [ShardState], event: ChurnEvent) {
         let peer = event.peer;
         if peer.index() >= shared.config.peers {
             return;
         }
-        let mut graph = shared.graph.write();
-        let mut online = shared.online.write();
+        let (graph, online) = (&mut self.graph, &mut self.online);
         match event.kind {
             ChurnEventKind::Leave => {
-                if !peer_mut(shared, guards, peer).online {
+                if !peer_mut(shared, shards, peer).online {
                     return;
                 }
                 // Under a crash-stop fault plan the peer vanishes without
@@ -1064,14 +1027,14 @@ impl Coordinator {
                 // ordinary offline-receiver rule.
                 let crash = shared.faults.as_ref().is_some_and(|f| f.crash_stop);
                 let old_neighbors = graph.depart(peer);
-                peer_mut(shared, guards, peer).online = false;
+                peer_mut(shared, shards, peer).online = false;
                 online[peer.index()] = false;
                 if crash {
                     self.crash_departures += 1;
                     return;
                 }
                 for n in old_neighbors {
-                    peer_mut(shared, guards, n).forget_neighbor(peer);
+                    peer_mut(shared, shards, n).forget_neighbor(peer);
                 }
                 // CUP-style proactive invalidation, modelled as an oracle:
                 // every online peer drops its index entries for the departed
@@ -1084,7 +1047,7 @@ impl Coordinator {
                 // behaviour.
                 let invalidate = shared.config.proactive_provider_invalidation;
                 if invalidate || shared.dht.is_some() {
-                    for_each_other_online(shared, guards, peer, |other| {
+                    for_each_other_online(shared, shards, peer, |other| {
                         dht::on_leave(other, peer, invalidate);
                         if invalidate {
                             other.forget_provider(peer);
@@ -1093,7 +1056,7 @@ impl Coordinator {
                 }
             }
             ChurnEventKind::Join => {
-                let joiner = peer_mut(shared, guards, peer);
+                let joiner = peer_mut(shared, shards, peer);
                 if joiner.online {
                     return;
                 }
@@ -1110,32 +1073,28 @@ impl Coordinator {
                     }
                     let pick = candidates[self.churn_rng.gen_range(0..candidates.len())];
                     if graph.add_edge(peer, pick) {
-                        let peer_gid = peer_mut(shared, guards, peer).gid;
-                        let picked = peer_mut(shared, guards, pick);
+                        let peer_gid = peer_mut(shared, shards, peer).gid;
+                        let picked = peer_mut(shared, shards, pick);
                         picked.record_neighbor(peer, peer_gid);
                         let pick_gid = picked.gid;
-                        peer_mut(shared, guards, peer).record_neighbor(pick, pick_gid);
+                        peer_mut(shared, shards, peer).record_neighbor(pick, pick_gid);
                     }
                 }
                 if let Some(directory) = &shared.dht {
-                    dht::on_join(shared, directory, guards, peer);
+                    dht::on_join(shared, directory, shards, peer);
                 }
             }
         }
     }
 }
 
-fn lock_all<'g>(shards: &'g [Mutex<ShardState>]) -> Vec<MutexGuard<'g, ShardState>> {
-    shards.iter().map(|m| m.lock()).collect()
-}
-
 /// The state of `peer`, wherever the partition put it.
 fn peer_mut<'g>(
     shared: &RunShared<'_>,
-    guards: &'g mut [MutexGuard<'_, ShardState>],
+    shards: &'g mut [ShardState],
     peer: PeerId,
 ) -> &'g mut PeerState {
-    &mut guards[shared.partition.shard(peer)].peers[shared.partition.slot(peer)]
+    &mut shards[shared.partition.shard(peer)].peers[shared.partition.slot(peer)]
 }
 
 /// Applies `notify` to every online peer other than `peer`, in peer-id order
@@ -1143,12 +1102,12 @@ fn peer_mut<'g>(
 /// models (failure detection, proactive invalidation, join announcements).
 fn for_each_other_online(
     shared: &RunShared<'_>,
-    guards: &mut [MutexGuard<'_, ShardState>],
+    shards: &mut [ShardState],
     peer: PeerId,
     mut notify: impl FnMut(&mut PeerState),
 ) {
     for other in (0..shared.config.peers as u32).map(PeerId).filter(|&o| o != peer) {
-        let other = peer_mut(shared, guards, other);
+        let other = peer_mut(shared, shards, other);
         if other.online {
             notify(other);
         }
@@ -1160,18 +1119,18 @@ fn for_each_other_online(
 /// *destination's* window bound just drained (the incoming-channel lookahead
 /// guarantee), so this is a plain batch of heap insertions. Each bucket is
 /// drained in place, so its capacity survives the barrier.
-fn merge_outboxes(guards: &mut [MutexGuard<'_, ShardState>]) {
-    for source in 0..guards.len() {
-        for destination in 0..guards.len() {
-            let mut bucket = std::mem::take(&mut guards[source].outboxes[destination]);
+fn merge_outboxes(shards: &mut [ShardState]) {
+    for source in 0..shards.len() {
+        for destination in 0..shards.len() {
+            let mut bucket = std::mem::take(&mut shards[source].outboxes[destination]);
             for outbound in bucket.drain(..) {
                 debug_assert!(
-                    outbound.key >= guards[destination].window_bound,
+                    outbound.key >= shards[destination].window_bound,
                     "cross-shard delivery {:?} would land inside the destination window bounded by {:?}",
                     outbound.key,
-                    guards[destination].window_bound
+                    shards[destination].window_bound
                 );
-                guards[destination].queue.push(
+                shards[destination].queue.push(
                     outbound.key,
                     ShardEvent::Deliver {
                         from: outbound.from,
@@ -1180,7 +1139,50 @@ fn merge_outboxes(guards: &mut [MutexGuard<'_, ShardState>]) {
                     },
                 );
             }
-            guards[source].outboxes[destination] = bucket;
+            shards[source].outboxes[destination] = bucket;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiment::Scenario;
+
+    /// One run of `kind` over the faulty-network preset with churn-storm
+    /// churn on top: loss, an outage window, both deadline kinds and join /
+    /// leave transitions all fire.
+    fn report(kind: ProtocolKind, shards: usize, executor: Executor) -> Vec<u8> {
+        let mut config = Scenario::faulty_network(120).config().clone();
+        config.churn = Scenario::churn_storm(120).config().churn;
+        config.shards = shards;
+        let sim = Simulation::try_build(config).expect("test configuration validates");
+        let arrivals = sim.arrivals(100);
+        let churn = sim.churn_schedule(&arrivals);
+        assert!(!churn.is_empty(), "the run must cross churn transitions");
+        run_with(&sim, kind, arrivals, &churn, executor).canonical_bytes()
+    }
+
+    #[test]
+    fn both_executor_branches_and_a_single_shard_give_the_same_report() {
+        for kind in [ProtocolKind::Flooding, ProtocolKind::DhtIndex] {
+            let inline = report(kind, 4, Executor::Inline);
+            assert_eq!(inline, report(kind, 4, Executor::Parallel), "{kind:?}: parallel");
+            assert_eq!(inline, report(kind, 1, Executor::Inline), "{kind:?}: one shard");
+        }
+    }
+
+    /// Not a hang, and not the scope's generic "a scoped thread panicked".
+    #[test]
+    #[should_panic(expected = "shard 2 failed")]
+    fn a_worker_panic_reaches_the_caller_with_its_payload() {
+        let mut shards: Vec<ShardState> =
+            (0..3).map(|index| ShardState::new(index, 3, Vec::new(), 1)).collect();
+        for shard in &mut shards {
+            shard.queue.push(issue_key(SimTime::ZERO, 0), ShardEvent::Issue(0));
+        }
+        drain_window(&mut shards, true, |shard| {
+            assert_ne!(shard.shard, 2, "shard {} failed", shard.shard);
+        });
     }
 }

@@ -2,12 +2,13 @@
 //! the query lifecycle, the transport and the unstructured-family handlers
 //! (the structured family's handlers live in [`super::dht`]).
 //!
-//! A shard only ever mutates *its own* state while draining a window: its
-//! peers (slot-indexed vectors), its query slabs, its tallies and its
-//! outboxes. Everything else it touches is read-only shared substrate
-//! ([`RunShared`]) or the frozen-per-window graph/online views. That ownership
-//! discipline is what lets every shard drain concurrently with no locks on
-//! the event path.
+//! [`ShardState::drain`] takes `&mut self` and shared references to
+//! everything else — the immutable run context ([`RunShared`]) and the
+//! coordinator's overlay graph and online snapshot — so a shard can mutate
+//! only its own state while draining a window: its peers (slot-indexed
+//! vectors), its query slabs, its tallies and its outboxes. The signature is
+//! the whole ownership discipline; that is what lets the executor hand each
+//! shard to its own thread with no locks anywhere.
 //!
 //! Per-query bookkeeping is kept in **dense slabs keyed by arrival index**
 //! (the query id *is* the arrival index): `tracking` for origin-local fields,
@@ -234,8 +235,8 @@ pub(super) struct ShardState {
     /// coordinator drains it to advance its pending-arrival scan.
     pub processed_arrivals: Vec<u32>,
     /// The upper bound of the window this shard is currently draining, set by
-    /// the coordinator while holding every shard lock at the barrier. With
-    /// per-channel lookahead each shard gets its own bound.
+    /// the coordinator at the barrier. With per-channel lookahead each shard
+    /// gets its own bound.
     pub window_bound: EventKey,
     /// Slot → messages sent so far by that peer: the sender-side sequence
     /// feeding [`deliver_key`]. Monotone in the sender's (deterministic)
@@ -290,16 +291,26 @@ impl ShardState {
         }
     }
 
+    /// Whether the planned window holds at least one of this shard's events.
+    pub(super) fn has_work(&self) -> bool {
+        self.queue.peek_key().is_some_and(|key| key < self.window_bound)
+    }
+
     /// Drains every local event strictly below `self.window_bound` (set by
     /// the coordinator at the barrier), dispatching at most `cap` events
-    /// (the run-wide event budget's share for this window).
-    pub(super) fn drain(&mut self, shared: &RunShared<'_>, cap: u64) {
+    /// (the run-wide event budget's share for this window). `graph` and
+    /// `online` are the coordinator's, borrowed for the window.
+    pub(super) fn drain(
+        &mut self,
+        shared: &RunShared<'_>,
+        graph: &OverlayGraph,
+        online: &[bool],
+        cap: u64,
+    ) {
         if cap == 0 {
             return;
         }
         let bound = self.window_bound;
-        let graph = shared.graph.read();
-        let online = shared.online.read();
         let mut dispatched = 0u64;
         while dispatched < cap {
             let Some((key, event)) = self.queue.pop_before(bound) else {
@@ -310,7 +321,7 @@ impl ShardState {
             self.last_event_time = key.time;
             match event {
                 ShardEvent::Issue(index) => {
-                    self.handle_issue(shared, &graph, &online, key, index as usize)
+                    self.handle_issue(shared, graph, online, key, index as usize)
                 }
                 ShardEvent::Deliver { from, to, message } => {
                     debug_assert_eq!(shared.partition.shard(to), self.shard as usize);
@@ -324,7 +335,7 @@ impl ShardState {
                         self.consume(index, key);
                     }
                     if from.0 & LOST_BIT == 0 {
-                        self.process_delivery(shared, &graph, &online, key, from, to, message);
+                        self.process_delivery(shared, graph, online, key, from, to, message);
                     }
                     if let Some(index) = consumed {
                         self.complete_if_drained(shared, index, key.time);
@@ -335,7 +346,7 @@ impl ShardState {
                     self.consume(index, key);
                     match kind {
                         TimeoutKind::Retransmit { attempt } => {
-                            self.retransmit_query(shared, &graph, key, index, attempt)
+                            self.retransmit_query(shared, graph, key, index, attempt)
                         }
                         TimeoutKind::DhtStep { peer } => {
                             dht::step_timeout(self, shared, key, index, peer)
@@ -1030,12 +1041,11 @@ mod tests {
         let mut config = SimulationConfig::small(40);
         config.shards = 1;
         let sim = Simulation::try_build(config).expect("test configuration validates");
-        let (shared, shards) = prepare(&sim, ProtocolKind::Locaware, sim.arrivals(1), true);
+        let (shared, mut shards) = prepare(&sim, ProtocolKind::Locaware, sim.arrivals(1), true);
         let (everyone, nobody) = (vec![true; 40], vec![false; 40]);
-        let mut guard = shards[0].lock();
-        let state = &mut *guard;
+        let state = &mut shards[0];
         let arrival = shared.arrivals[0];
-        state.handle_issue(&shared, &shared.graph.read(), &everyone, issue_key(arrival.at, 0), 0);
+        state.handle_issue(&shared, sim.overlay(), &everyone, issue_key(arrival.at, 0), 0);
         let slot = shared.partition.slot(PeerId(arrival.peer as u32));
         let provider = PeerId((arrival.peer as u32 + 1) % 40);
         let offer = [ProviderEntry {

@@ -21,7 +21,6 @@
 //! independent of thread count and scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 
 use crate::config::ProtocolKind;
@@ -91,14 +90,6 @@ impl ExperimentOutcome {
                     && p.repetition == repetition
             })
             .map(|p| &p.report)
-    }
-
-    /// Iterates the points of one scenario.
-    pub fn scenario_points<'a>(
-        &'a self,
-        scenario: &'a str,
-    ) -> impl Iterator<Item = &'a ExperimentPoint> + 'a {
-        self.points.iter().filter(move |p| p.scenario == scenario)
     }
 }
 
@@ -196,44 +187,52 @@ impl Runner {
         }
 
         let next_task = AtomicUsize::new(0);
-        let results: Mutex<Vec<ExperimentPoint>> = Mutex::new(Vec::with_capacity(tasks.len()));
         let workers = self.planned_workers(plan).min(tasks.len()).max(1);
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let task_index = next_task.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(unit_index, protocol_index, query_index)) = tasks.get(task_index)
-                    else {
-                        break;
-                    };
-                    let (scenario_index, repetition) = units[unit_index];
-                    let scenario = &scenarios[scenario_index];
-                    let seed = ExperimentPlan::repetition_seed(scenario, repetition);
-                    let simulation = substrates[unit_index].get_or_init(|| {
-                        if let Some(counter) = &self.build_counter {
-                            counter.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Arc::new(scenario.clone().with_seed(seed).substrate())
-                    });
-                    let protocol = protocols[protocol_index];
-                    let queries = query_counts[query_index];
-                    let report = simulation.run(protocol, queries);
-                    results.lock().push(ExperimentPoint {
-                        scenario: scenario.name().to_string(),
-                        scenario_index,
-                        protocol,
-                        queries,
-                        repetition,
-                        seed,
-                        report,
-                    });
+        // Each worker returns the points it measured through its join handle.
+        let work = || {
+            let mut measured = Vec::new();
+            loop {
+                let task_index = next_task.fetch_add(1, Ordering::Relaxed);
+                let Some(&(unit_index, protocol_index, query_index)) = tasks.get(task_index)
+                else {
+                    break measured;
+                };
+                let (scenario_index, repetition) = units[unit_index];
+                let scenario = &scenarios[scenario_index];
+                let seed = ExperimentPlan::repetition_seed(scenario, repetition);
+                let simulation = substrates[unit_index].get_or_init(|| {
+                    if let Some(counter) = &self.build_counter {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Arc::new(scenario.clone().with_seed(seed).substrate())
                 });
+                let protocol = protocols[protocol_index];
+                let queries = query_counts[query_index];
+                let report = simulation.run(protocol, queries);
+                measured.push(ExperimentPoint {
+                    scenario: scenario.name().to_string(),
+                    scenario_index,
+                    protocol,
+                    queries,
+                    repetition,
+                    seed,
+                    report,
+                });
+            }
+        };
+        let mut points: Vec<ExperimentPoint> = Vec::with_capacity(tasks.len());
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            for handle in handles {
+                match handle.join() {
+                    Ok(measured) => points.extend(measured),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
             }
         });
 
         let substrates_built = substrates.iter().filter(|cell| cell.get().is_some()).count();
-        let mut points = results.into_inner();
         // Scheduling is nondeterministic; the outcome must not be. Protocol
         // ties are broken by position in the plan so duplicate entries keep a
         // stable order too.

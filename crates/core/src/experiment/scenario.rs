@@ -390,13 +390,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the one-way latency range in milliseconds.
-    pub fn latency_range_ms(mut self, min_ms: f64, max_ms: f64) -> Self {
-        self.config.min_latency_ms = min_ms;
-        self.config.max_latency_ms = max_ms;
-        self
-    }
-
     /// Sets the physical placement model.
     pub fn placement(mut self, placement: PlacementModel) -> Self {
         self.config.placement = placement;
@@ -505,13 +498,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Applies an arbitrary edit to the underlying configuration — the escape
-    /// hatch for knobs without a dedicated setter.
-    pub fn tweak(mut self, edit: impl FnOnce(&mut SimulationConfig)) -> Self {
-        edit(&mut self.config);
-        self
-    }
-
     /// Validates the assembled configuration and returns the scenario, or the
     /// first violated constraint as a [`ConfigError`].
     pub fn build(self) -> Result<Scenario, ConfigError> {
@@ -547,14 +533,6 @@ mod tests {
         assert!(matches!(
             Scenario::builder("bad").peers(60).landmarks(12).build().unwrap_err(),
             ConfigError::LandmarksOutOfRange { landmarks: 12 }
-        ));
-        assert!(matches!(
-            Scenario::builder("bad")
-                .peers(60)
-                .latency_range_ms(50.0, 10.0)
-                .build()
-                .unwrap_err(),
-            ConfigError::LatencyRange { .. }
         ));
     }
 

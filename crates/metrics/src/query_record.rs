@@ -1,11 +1,5 @@
 //! Per-query measurement records and their aggregation over a run.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use crate::aggregate::Summary;
-
 /// How a query ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryOutcome {
@@ -120,16 +114,6 @@ impl RunMetrics {
         crate::aggregate::mean(&distances)
     }
 
-    /// Summary statistics of the download distances.
-    pub fn download_distance_summary(&self) -> Summary {
-        let distances: Vec<f64> = self
-            .records
-            .iter()
-            .filter_map(|r| r.download_distance_ms)
-            .collect();
-        Summary::of(&distances)
-    }
-
     /// Fraction of satisfied queries whose chosen provider shares the
     /// requestor's locId.
     pub fn locality_match_rate(&self) -> f64 {
@@ -164,17 +148,6 @@ impl RunMetrics {
         crate::aggregate::mean(&times)
     }
 
-    /// Average number of providers offered per satisfied query.
-    pub fn avg_providers_offered(&self) -> f64 {
-        let offered: Vec<f64> = self
-            .records
-            .iter()
-            .filter(|r| r.is_success())
-            .map(|r| r.providers_offered as f64)
-            .collect();
-        crate::aggregate::mean(&offered)
-    }
-
     /// Metrics restricted to the first `n` queries (used to trace how metrics
     /// evolve "with the number of queries", the x-axis of every figure).
     pub fn prefix(&self, n: usize) -> RunMetrics {
@@ -195,29 +168,6 @@ impl RunMetrics {
     /// Merges another run's records into this one (in issue order of each).
     pub fn merge(&mut self, other: &RunMetrics) {
         self.records.extend(other.records.iter().cloned());
-    }
-}
-
-/// A thread-safe sink used when sweep points run in parallel worker threads.
-#[derive(Debug, Clone, Default)]
-pub struct SharedMetrics {
-    inner: Arc<Mutex<RunMetrics>>,
-}
-
-impl SharedMetrics {
-    /// Creates an empty shared sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one query.
-    pub fn push(&self, record: QueryRecord) {
-        self.inner.lock().push(record);
-    }
-
-    /// Takes a snapshot of the current contents.
-    pub fn snapshot(&self) -> RunMetrics {
-        self.inner.lock().clone()
     }
 }
 
@@ -284,8 +234,6 @@ mod tests {
             record(1, false, 50, None),
         ]);
         assert_eq!(m.avg_download_distance_ms(), 100.0);
-        let s = m.download_distance_summary();
-        assert_eq!(s.count, 1);
     }
 
     #[test]
@@ -297,7 +245,6 @@ mod tests {
         ]);
         assert!((m.locality_match_rate() - 0.5).abs() < 1e-12);
         assert!((m.cache_hit_share() - 0.5).abs() < 1e-12);
-        assert!((m.avg_providers_offered() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -316,14 +263,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 2);
         assert!((a.success_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shared_sink_collects_across_clones() {
-        let sink = SharedMetrics::new();
-        let clone = sink.clone();
-        sink.push(record(0, true, 1, Some(5.0)));
-        clone.push(record(1, true, 1, Some(7.0)));
-        assert_eq!(sink.snapshot().len(), 2);
     }
 }

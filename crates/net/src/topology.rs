@@ -125,11 +125,6 @@ impl PhysicalTopology {
         self.positions[n.index()]
     }
 
-    /// The latency model in force.
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.model
-    }
-
     /// One-way latency between two nodes.
     pub fn latency(&self, a: NodeId, b: NodeId) -> Duration {
         if a == b {

@@ -325,11 +325,6 @@ impl DhtRecordStore {
         self.max_record_bytes
     }
 
-    /// Maximum entries a record can hold under the cap.
-    pub fn entry_capacity(&self) -> usize {
-        (self.max_record_bytes - RECORD_KEY_BYTES) / RECORD_ENTRY_BYTES
-    }
-
     /// Upserts an entry into `keyword`'s record (read-modify-write). An
     /// existing `(file, provider)` entry keeps the freshest
     /// `(expiry, locId)`; if the record then exceeds the cap, the stalest
@@ -627,7 +622,6 @@ mod tests {
         // Cap sized for exactly 3 entries.
         let cap = RECORD_KEY_BYTES + 3 * RECORD_ENTRY_BYTES;
         let mut store = DhtRecordStore::new(cap);
-        assert_eq!(store.entry_capacity(), 3);
         store.insert(1, 10, entry(1, 0), t(500));
         store.insert(1, 11, entry(2, 0), t(100)); // stalest — must go
         store.insert(1, 12, entry(3, 0), t(400));

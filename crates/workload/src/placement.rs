@@ -157,18 +157,6 @@ impl ClusterWeights {
         (cluster * peers / k)..((cluster + 1) * peers / k)
     }
 
-    /// The cluster owning peer index `peer` in a population of `peers`.
-    pub fn cluster_of(&self, peer: usize, peers: usize) -> usize {
-        let k = self.weights.len();
-        // Approximate inverse of `peer_range`: floor(peer·k/n) can be one
-        // below the true cluster (never above it, for k <= n); correct by
-        // range membership.
-        let candidate = (peer * k) / peers.max(1);
-        (candidate..=(candidate + 1).min(k - 1))
-            .find(|&c| self.peer_range(c, peers).contains(&peer))
-            .unwrap_or(k - 1)
-    }
-
     /// Draws a cluster index proportionally to weight (one uniform draw;
     /// the subtractive scan keeps the draw → cluster mapping bit-stable
     /// against the precomputed total).
@@ -312,20 +300,6 @@ impl InitialPlacement {
         InitialPlacement { shared }
     }
 
-    /// Builds a placement from explicit per-peer file lists (tests, examples).
-    pub fn from_lists(shared: Vec<Vec<FileId>>) -> Self {
-        InitialPlacement {
-            shared: shared
-                .into_iter()
-                .map(|mut files| {
-                    files.sort_unstable();
-                    files.dedup();
-                    files
-                })
-                .collect(),
-        }
-    }
-
     /// Number of peers covered by the placement.
     pub fn peers(&self) -> usize {
         self.shared.len()
@@ -408,12 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn from_lists_normalises_input() {
-        let p = InitialPlacement::from_lists(vec![vec![FileId(3), FileId(1), FileId(3)]]);
-        assert_eq!(p.files_of(0), &[FileId(1), FileId(3)]);
-    }
-
-    #[test]
     #[should_panic(expected = "more distinct files")]
     fn oversized_share_request_is_rejected() {
         let cfg = PlacementConfig {
@@ -455,9 +423,6 @@ mod tests {
                 let range = w.peer_range(c, peers);
                 assert_eq!(range.start, covered, "ranges must be contiguous");
                 assert!(!range.is_empty(), "k <= n keeps every cluster non-empty");
-                for peer in range.clone() {
-                    assert_eq!(w.cluster_of(peer, peers), c, "peer {peer} of {peers}");
-                }
                 covered = range.end;
             }
             assert_eq!(covered, peers, "ranges must cover every peer");
