@@ -188,15 +188,15 @@ impl PeerPartition {
 /// The message still travels to the destination queue (its canonical key —
 /// which always carries the *untagged* sender — fixes *when* the loss is
 /// observed) but is consumed there without being processed. A tag bit
-/// instead of a separate `bool` keeps the delivery payload within the two
-/// cache lines the flooding hot path's queue entries are sized to; peer ids
+/// instead of a separate `bool` keeps the delivery payload within the 96
+/// bytes the event queue's slab slots are sized to; peer ids
 /// stay far below it (the partition tables index per-peer `Vec`s, so a real
 /// id this large could never have built a substrate).
 pub(crate) const LOST_BIT: u32 = 1 << 31;
 
 /// A message waiting at a window barrier to be merged into another shard's
 /// queue. The canonical key was fixed at send time, so the merge is a plain
-/// heap insertion — no re-ordering decisions are made at the barrier.
+/// queue push — no re-ordering decisions are made at the barrier.
 #[derive(Debug, Clone)]
 pub(crate) struct Outbound {
     /// The delivery's canonical key (at the arrival time).
@@ -209,8 +209,8 @@ pub(crate) struct Outbound {
     pub message: Message,
 }
 
-// Cross-shard merges move these by value at every window barrier; keep the
-// payload within two cache lines.
+// Cross-shard merges move these by value at every window barrier, into the
+// destination queue's payload slab; keep the record within two cache lines.
 const _: () = assert!(
     std::mem::size_of::<Outbound>() <= 128,
     "Outbound grew past 128 bytes"

@@ -480,7 +480,7 @@ fn finalize(
     });
     let end_time = shards
         .iter()
-        .map(|s| s.last_event_time)
+        .filter_map(|s| s.last_key.map(|key| key.time))
         .chain(std::iter::once(coordinator.control_end_time))
         .max()
         .unwrap_or(SimTime::ZERO);
@@ -965,10 +965,13 @@ impl Coordinator {
             .map(|w| w.map_or(0, Duration::as_micros).to_string())
             .collect::<Vec<_>>()
             .join(",");
+        // How the event queues' pushes split between calendar ring and
+        // fallback heap (summed over shards), and the deepest any one got.
+        let queues = || shards.iter().map(|s| s.queue.stats());
         eprintln!(
             "shard-stats: shards={} lookahead_us={} windows={} engaged_windows={} \
              parallel_windows={} capped_windows={} events={} critical_path_events={} \
-             ideal_speedup={:.2}",
+             ideal_speedup={:.2} queue_ring={} queue_fallback={} queue_peak={}",
             shards.len(),
             lookahead_list,
             self.windows,
@@ -978,6 +981,9 @@ impl Coordinator {
             dispatched,
             critical,
             dispatched as f64 / critical as f64,
+            queues().map(|q| q.ring_pushes).sum::<u64>(),
+            queues().map(|q| q.fallback_pushes).sum::<u64>(),
+            queues().map(|q| q.peak_len).max().unwrap_or(0),
         );
     }
 
@@ -1117,7 +1123,7 @@ fn for_each_other_online(
 /// Moves every outboxed cross-shard delivery into its destination queue. The
 /// canonical keys were fixed at send time and are never below the
 /// *destination's* window bound just drained (the incoming-channel lookahead
-/// guarantee), so this is a plain batch of heap insertions. Each bucket is
+/// guarantee), so this is a plain batch of queue pushes. Each bucket is
 /// drained in place, so its capacity survives the barrier.
 fn merge_outboxes(shards: &mut [ShardState]) {
     for source in 0..shards.len() {

@@ -89,8 +89,10 @@ pub(super) enum ShardEvent {
     },
 }
 
-// Every queued event is copied at least once per hop on the flooding hot
-// path; a grown variant silently taxes every message of every run.
+// A queued event is written into its queue's payload slab once and moved out
+// once (the queue orders 32-byte entries, not payloads), so this size no
+// longer multiplies sift cost — it is the slab's footprint per pending event
+// at the deepest burst, and the copy every message of every run still pays.
 const _: () = assert!(
     std::mem::size_of::<ShardEvent>() <= 96,
     "ShardEvent grew past 96 bytes"
@@ -247,8 +249,8 @@ pub(super) struct ShardState {
     pub tallies: Tallies,
     /// Events dispatched by this shard so far.
     pub dispatched: u64,
-    /// Time of the last event this shard dispatched.
-    pub last_event_time: SimTime,
+    /// Key of the last event this shard dispatched.
+    pub last_key: Option<EventKey>,
     // Scratch buffers reused across events so the forward path does not
     // allocate: decoded query keywords, their hashes, and forward targets.
     scratch_keywords: Vec<KeywordId>,
@@ -282,7 +284,7 @@ impl ShardState {
             send_seq: vec![0; peer_count],
             tallies: Tallies::new(),
             dispatched: 0,
-            last_event_time: SimTime::ZERO,
+            last_key: None,
             scratch_keywords: Vec::new(),
             scratch_hashes: Vec::new(),
             scratch_targets: Vec::new(),
@@ -317,8 +319,10 @@ impl ShardState {
                 break;
             };
             dispatched += 1;
-            debug_assert!(key.time >= self.last_event_time || self.dispatched == 0);
-            self.last_event_time = key.time;
+            // Strictly: canonical keys are unique, which is what lets the
+            // queue's unstable bucket sort and its heap agree on one order.
+            debug_assert!(Some(key) > self.last_key, "{key:?} after {:?}", self.last_key);
+            self.last_key = Some(key);
             match event {
                 ShardEvent::Issue(index) => {
                     self.handle_issue(shared, graph, online, key, index as usize)

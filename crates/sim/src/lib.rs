@@ -23,5 +23,5 @@ pub mod shard;
 pub mod time;
 
 pub use rng::{mix, RngFactory, StreamId};
-pub use shard::{EventKey, ShardQueue};
+pub use shard::{EventKey, QueueStats, ShardQueue};
 pub use time::{Duration, SimTime};

@@ -558,6 +558,33 @@ impl TweakShards for Scenario {
     }
 }
 
+/// The event queue's calendar ring is tuned to the paper's 10–500 ms links:
+/// nothing an event sends lands in the time slice being drained. With every
+/// link inside one 8 ms slice the opposite holds — most sends land in that
+/// slice and take the queue's fallback heap — and the order, hence the
+/// report, must not notice. Faults on, so timers past the ring's horizon
+/// are queued as well.
+#[test]
+fn sub_slice_link_latencies_keep_shard_counts_byte_identical() {
+    let run = |protocol, shards| {
+        let mut config = Scenario::faulty_network(60).with_seed(33).config().clone();
+        config.min_latency_ms = 0.5;
+        config.max_latency_ms = 5.0;
+        config.shards = shards;
+        let scenario = Scenario::from_config("sub-slice-links", config).expect("valid latency range");
+        scenario.substrate().run(protocol, 40)
+    };
+    for protocol in [ProtocolKind::Flooding, ProtocolKind::Locaware, ProtocolKind::DhtIndex] {
+        let baseline = run(protocol, 1);
+        assert!(baseline.queries_issued > 0, "{protocol}: nothing ran");
+        assert_eq!(
+            baseline.fingerprint(),
+            run(protocol, 4).fingerprint(),
+            "{protocol}: 4 shards must reproduce the single-shard fingerprint"
+        );
+    }
+}
+
 /// The effective shard count is a pure performance knob even when it comes
 /// from the environment override: explicit settings beat the `LOCAWARE_SHARDS`
 /// process default, and the resolved value is always within `1..=peers`.

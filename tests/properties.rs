@@ -23,7 +23,7 @@ use locaware_overlay::{
     DhtId, DhtRecordStore, GeneratorConfig, GraphModel, PeerId, ProviderEntry, QueryId,
     QueryRouter, RoutingTable, DHT_ID_BITS,
 };
-use locaware_sim::{Duration, SimTime};
+use locaware_sim::{Duration, EventKey, ShardQueue, SimTime};
 use locaware_workload::{
     Arrival, ArrivalConfig, ArrivalProcess, ArrivalSchedule, FaultConfig, FileId, KeywordHashes,
     KeywordId, OutageWindow, RatePhase, TimeoutPolicy, ZipfDistribution,
@@ -703,6 +703,87 @@ proptest! {
             expected.extend(by_bloom(&not_this));
             prop_assert_eq!(out, expected);
         }
+    }
+
+    /// The event queue (slab + calendar ring + fallback heap) against a
+    /// `BTreeMap` model under interleaved `push` / `pop` / `pop_before`, with
+    /// `peek_key` / `len` compared after every step. Push times are aimed,
+    /// relative to the last popped event, at each case the ring treats
+    /// differently: the slice being drained, the next one, both sides of the
+    /// ring's far edge, one link latency ahead, the far future, behind the
+    /// cursor right after a `peek_key` (what a barrier merge does),
+    /// `SimTime::MAX`, and a time already queued under other discriminators.
+    #[test]
+    fn shard_queue_matches_the_ordered_map_model(
+        ops in proptest::collection::vec((0u32..10, 0u32..9, any::<u64>(), 0u32..60), 1..400),
+    ) {
+        // Mirrors of the queue's private geometry. They only aim the cases
+        // above; the comparison with the model holds whatever they are.
+        const SLICE_US: u64 = 1 << 13;
+        const SLOTS: u64 = 128;
+
+        let mut queue = ShardQueue::new();
+        let mut model: BTreeMap<EventKey, usize> = BTreeMap::new();
+        let mut now = 0u64;
+        let mut last_pushed = 0u64;
+        for (payload, (op, aim, offset, disc)) in ops.into_iter().enumerate() {
+            let slice_start = now / SLICE_US * SLICE_US;
+            let within = offset % SLICE_US;
+            let time = match aim {
+                0 => slice_start.saturating_add(within),
+                1 => slice_start.saturating_add(SLICE_US + within),
+                // `cursor + SLOTS - 1` and `cursor + SLOTS`, whether the
+                // cursor sits on the last pop's slice or one behind it.
+                2 => slice_start.saturating_add((SLOTS - 2 + offset % 4) * SLICE_US + within),
+                3 => now.saturating_add(10_000 + offset % 490_000),
+                4 => now.saturating_add(2_000_000 + offset % 100_000_000),
+                5 => {
+                    prop_assert_eq!(queue.peek_key(), model.keys().next().copied());
+                    now.saturating_sub(offset % (3 * SLICE_US))
+                }
+                6 => u64::MAX,
+                _ => last_pushed,
+            };
+            let key = EventKey::new(
+                SimTime::from_micros(time),
+                (disc % 5) as u8,
+                u64::from(disc / 5 % 3),
+                u64::from(disc / 15),
+            );
+            let popped = match op {
+                0..=4 => {
+                    if let std::collections::btree_map::Entry::Vacant(vacant) = model.entry(key) {
+                        vacant.insert(payload);
+                        queue.push(key, payload);
+                        last_pushed = time;
+                    }
+                    None
+                }
+                5..=6 => {
+                    let popped = queue.pop();
+                    prop_assert_eq!(popped, model.pop_first());
+                    popped
+                }
+                7..=8 => {
+                    let popped = queue.pop_before(key);
+                    let expected = model.first_entry().filter(|first| *first.key() < key);
+                    prop_assert_eq!(popped, expected.map(|first| first.remove_entry()));
+                    popped
+                }
+                _ => None,
+            };
+            if let Some((key, _)) = popped {
+                now = key.time.as_micros();
+            }
+            prop_assert_eq!(queue.peek_key(), model.keys().next().copied());
+            prop_assert_eq!(queue.len(), model.len());
+            prop_assert_eq!(queue.is_empty(), model.is_empty());
+        }
+        while let Some(expected) = model.pop_first() {
+            prop_assert_eq!(queue.pop(), Some(expected));
+        }
+        prop_assert_eq!(queue.pop(), None);
+        prop_assert!(queue.is_empty());
     }
 
     /// A record's contents are a pure function of the *set* of inserts
