@@ -412,10 +412,10 @@ pub(super) fn republish(
     let (mut scratch, mut unmemoised) = (DirectoryScratch::default(), Vec::new());
     let mut files: Vec<FileId> = Vec::new();
     for from in (0..shared.config.peers as u32).map(PeerId) {
-        let peer = peer_mut(shared, shards, from);
-        if !peer.online {
+        if !online[from.index()] {
             continue;
         }
+        let peer = peer_mut(shared, shards, from);
         if let Some(node) = peer.dht.as_mut() {
             node.store.expire(now);
         }
@@ -467,13 +467,14 @@ pub(super) fn on_join(
     shared: &RunShared<'_>,
     directory: &DhtDirectory,
     shards: &mut [ShardState],
+    online: &[bool],
     peer: PeerId,
 ) {
     let Some(mut joiner) = peer_mut(shared, shards, peer).dht.take() else {
         return;
     };
     let joiner_id = directory.node_id(peer);
-    for_each_other_online(shared, shards, peer, |other| {
+    for_each_other_online(shared, shards, online, peer, |other| {
         joiner.table.insert(directory.node_id(other.id), other.id);
         if let Some(node) = other.dht.as_mut() {
             node.table.insert(joiner_id, peer);
@@ -644,7 +645,7 @@ pub(super) fn issue(
     }
     // No known contacts at all: nothing goes in flight — the caller's
     // born-complete check closes the query.
-    refill(state, shared, key.time, index, lookup, 1);
+    refill(state, shared, online, key.time, index, lookup, 1);
 }
 
 /// Handles a delivered DHT message at the online peer `to`.
@@ -707,7 +708,7 @@ pub(super) fn deliver(
             if !try_satisfy(state, shared, directory, online, key, index, keywords, &entries, hop) {
                 // Keep walking among the `k` closest known contacts, one hop
                 // deeper.
-                refill(state, shared, key.time, index, lookup, hop + 1);
+                refill(state, shared, online, key.time, index, lookup, hop + 1);
             }
         }
         Message::DhtStore { keyword, file, provider } => {
@@ -725,6 +726,7 @@ pub(super) fn deliver(
 pub(super) fn step_timeout(
     state: &mut ShardState,
     shared: &RunShared<'_>,
+    online: &[bool],
     key: EventKey,
     index: usize,
     peer: PeerId,
@@ -739,7 +741,7 @@ pub(super) fn step_timeout(
     };
     let lookup = entry.remove();
     state.tallies.dht_step_timeouts += 1;
-    refill(state, shared, key.time, index, lookup, hop);
+    refill(state, shared, online, key.time, index, lookup, hop);
 }
 
 /// Keeps query `index`'s walk going: sends lookup steps at depth `hop` to
@@ -753,6 +755,7 @@ pub(super) fn step_timeout(
 fn refill(
     state: &mut ShardState,
     shared: &RunShared<'_>,
+    online: &[bool],
     now: SimTime,
     index: usize,
     mut lookup: DhtLookupState,
@@ -761,8 +764,7 @@ fn refill(
     let config = &shared.config.dht;
     let origin = PeerId(shared.arrivals[index].peer as u32);
     let step_timeout = shared.faults.as_ref().and_then(|f| f.dht_step_timeout);
-    let may_send =
-        hop <= config.max_lookup_hops && state.peers[shared.partition.slot(origin)].online;
+    let may_send = hop <= config.max_lookup_hops && online[origin.index()];
     if let (true, Some(&keyword)) = (may_send, lookup.keywords.first()) {
         while lookup.inflight() < config.alpha {
             let Some(target) = lookup.take_next_target(config.k) else {
@@ -983,10 +985,10 @@ mod tests {
 
         // A step deadline frees its slot and the refill stays at its hop.
         let (stalled, hop) = steps[0];
-        step_timeout(state, &shared, key, 0, stalled);
+        step_timeout(state, &shared, &online, key, 0, stalled);
         assert_eq!(awaiting(state).len(), alpha);
         assert_eq!(awaiting(state)[alpha - 1].1, hop, "a timeout refills at the same hop");
-        step_timeout(state, &shared, key, 0, stalled);
+        step_timeout(state, &shared, &online, key, 0, stalled);
         assert_eq!(state.tallies.dht_step_timeouts, 1, "a settled step cannot time out");
 
         // Time every remaining step out: once the k closest have all been
@@ -994,7 +996,7 @@ mod tests {
         while let Some(lookup) = state.dht_lookups.get(&0) {
             assert!((1..=alpha).contains(&lookup.inflight()));
             let (peer, _) = lookup.awaiting[0];
-            step_timeout(state, &shared, key, 0, peer);
+            step_timeout(state, &shared, &online, key, 0, peer);
         }
         assert_eq!(state.tallies.message_counts[kind_index(MessageKind::DhtLookup)], k as u64);
     }

@@ -357,12 +357,13 @@ fn prepare(
             shared.keyword_hashes.clone(),
         );
         for &file in &sim.initial_shares()[id.index()] {
-            state.share_file(file);
+            let keywords = catalog.filename(file).keywords();
+            state.share_file(file, keywords);
             if protocol.uses_bloom_sync() {
                 // §5.2: Bloom routing must not miss results held by
                 // neighbours, so a peer's filter also covers the filenames
                 // it stores itself.
-                state.advertise_keywords(catalog.filename(file).keywords());
+                state.advertise_keywords(keywords);
             }
         }
         // Neighbours exchange group ids on join (§4.2); modelled as already
@@ -421,6 +422,15 @@ fn finalize(
     for shard in shards {
         totals.merge(&shard.tallies);
     }
+    // Route state lives exactly as long as its query: a run that drained its
+    // queues completed every query, so every table is back on a spare list.
+    // (A run the event budget cut short stops with queries still in flight.)
+    let dispatched = coordinator.dispatched(shards);
+    assert!(
+        dispatched >= shared.config.max_events || shards.iter().all(|s| s.routes.live() == 0),
+        "route state outlived its query: {:?} tables still held per shard",
+        shards.iter().map(|s| s.routes.live()).collect::<Vec<_>>()
+    );
 
     // Per-query merge: origin-local tracking lives in the origin's shard;
     // per-query message counts are summed across shards; the first local
@@ -495,7 +505,7 @@ fn finalize(
         total_file_replicas: all_peers().map(|p| p.shared_file_count()).sum(),
         total_cached_index_entries: all_peers().map(|p| p.response_index.len()).sum(),
         simulated_end_time_secs: end_time.as_secs_f64(),
-        dispatched_events: coordinator.dispatched(shards),
+        dispatched_events: dispatched,
         dht: shared
             .dht
             .is_some()
@@ -858,6 +868,11 @@ impl Coordinator {
                 let idx = index as usize;
                 let origin = PeerId(shared.arrivals[idx].peer as u32);
                 shards[shared.partition.shard(origin)].complete_locally(shared, idx, key.time);
+                // An escaped query left route state in other shards too; its
+                // folded count is zero, so none of them is asked again.
+                for shard in shards.iter_mut() {
+                    shard.routes.complete(idx);
+                }
                 self.query_phase[idx] = QueryPhase::Closed;
                 self.inflight_by_peer[origin.index()] -= 1;
             } else {
@@ -968,10 +983,17 @@ impl Coordinator {
         // How the event queues' pushes split between calendar ring and
         // fallback heap (summed over shards), and the deepest any one got.
         let queues = || shards.iter().map(|s| s.queue.stats());
+        // Route tables: the most any shard held at once, and how many are
+        // still held (0 unless the event budget truncated the run). Storage
+        // signature: first sightings that had to walk the shared files vs
+        // those it stopped.
+        let routes = || shards.iter().map(|s| &s.routes);
+        let tallies = || shards.iter().map(|s| &s.tallies);
         eprintln!(
             "shard-stats: shards={} lookahead_us={} windows={} engaged_windows={} \
              parallel_windows={} capped_windows={} events={} critical_path_events={} \
-             ideal_speedup={:.2} queue_ring={} queue_fallback={} queue_peak={}",
+             ideal_speedup={:.2} queue_ring={} queue_fallback={} queue_peak={} \
+             routes_peak={} routes_live={} storage_walks={} storage_skips={}",
             shards.len(),
             lookahead_list,
             self.windows,
@@ -984,6 +1006,10 @@ impl Coordinator {
             queues().map(|q| q.ring_pushes).sum::<u64>(),
             queues().map(|q| q.fallback_pushes).sum::<u64>(),
             queues().map(|q| q.peak_len).max().unwrap_or(0),
+            routes().map(|r| r.peak()).max().unwrap_or(0),
+            routes().map(|r| r.live()).sum::<usize>(),
+            tallies().map(|t| t.storage_walks).sum::<u64>(),
+            tallies().map(|t| t.storage_skips).sum::<u64>(),
         );
     }
 
@@ -993,11 +1019,10 @@ impl Coordinator {
         let graph = &self.graph;
         for i in 0..shared.config.peers {
             let from = PeerId(i as u32);
-            let peer = peer_mut(shared, shards, from);
-            if !peer.online {
+            if !self.online[from.index()] {
                 continue;
             }
-            let Some(delta) = peer.take_bloom_update() else {
+            let Some(delta) = peer_mut(shared, shards, from).take_bloom_update() else {
                 continue;
             };
             let shard = &mut shards[shared.partition.shard(from)];
@@ -1020,7 +1045,7 @@ impl Coordinator {
         let (graph, online) = (&mut self.graph, &mut self.online);
         match event.kind {
             ChurnEventKind::Leave => {
-                if !peer_mut(shared, shards, peer).online {
+                if !online[peer.index()] {
                     return;
                 }
                 // Under a crash-stop fault plan the peer vanishes without
@@ -1033,7 +1058,6 @@ impl Coordinator {
                 // ordinary offline-receiver rule.
                 let crash = shared.faults.as_ref().is_some_and(|f| f.crash_stop);
                 let old_neighbors = graph.depart(peer);
-                peer_mut(shared, shards, peer).online = false;
                 online[peer.index()] = false;
                 if crash {
                     self.crash_departures += 1;
@@ -1053,7 +1077,7 @@ impl Coordinator {
                 // behaviour.
                 let invalidate = shared.config.proactive_provider_invalidation;
                 if invalidate || shared.dht.is_some() {
-                    for_each_other_online(shared, shards, peer, |other| {
+                    for_each_other_online(shared, shards, online, peer, |other| {
                         dht::on_leave(other, peer, invalidate);
                         if invalidate {
                             other.forget_provider(peer);
@@ -1062,14 +1086,13 @@ impl Coordinator {
                 }
             }
             ChurnEventKind::Join => {
-                let joiner = peer_mut(shared, shards, peer);
-                if joiner.online {
+                if online[peer.index()] {
                     return;
                 }
                 graph.rejoin(peer);
-                joiner.online = true;
-                joiner.reset_volatile_state();
                 online[peer.index()] = true;
+                shards[shared.partition.shard(peer)]
+                    .reset_volatile_state(shared.partition.slot(peer));
                 // Re-wire to `average_degree` random online peers.
                 let degree = shared.config.average_degree.round() as usize;
                 let candidates: Vec<PeerId> = graph.active_peers().filter(|&p| p != peer).collect();
@@ -1087,7 +1110,7 @@ impl Coordinator {
                     }
                 }
                 if let Some(directory) = &shared.dht {
-                    dht::on_join(shared, directory, shards, peer);
+                    dht::on_join(shared, directory, shards, online, peer);
                 }
             }
         }
@@ -1109,13 +1132,13 @@ fn peer_mut<'g>(
 fn for_each_other_online(
     shared: &RunShared<'_>,
     shards: &mut [ShardState],
+    online: &[bool],
     peer: PeerId,
     mut notify: impl FnMut(&mut PeerState),
 ) {
-    for other in (0..shared.config.peers as u32).map(PeerId).filter(|&o| o != peer) {
-        let other = peer_mut(shared, shards, other);
-        if other.online {
-            notify(other);
+    for other in (0..shared.config.peers as u32).map(PeerId) {
+        if other != peer && online[other.index()] {
+            notify(peer_mut(shared, shards, other));
         }
     }
 }

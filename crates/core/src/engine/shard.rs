@@ -6,16 +6,19 @@
 //! everything else — the immutable run context ([`RunShared`]) and the
 //! coordinator's overlay graph and online snapshot — so a shard can mutate
 //! only its own state while draining a window: its peers (slot-indexed
-//! vectors), its query slabs, its tallies and its outboxes. The signature is
-//! the whole ownership discipline; that is what lets the executor hand each
-//! shard to its own thread with no locks anywhere.
+//! vectors), its query slabs and route tables, its tallies and its outboxes.
+//! The signature is the whole ownership discipline; that is what lets the
+//! executor hand each shard to its own thread with no locks anywhere.
 //!
 //! Per-query bookkeeping is kept in **dense slabs keyed by arrival index**
 //! (the query id *is* the arrival index): `tracking` for origin-local fields,
 //! `messages` for per-query traffic charged at any forwarding peer, and
 //! `hits` for first-answer candidates recorded at any answering peer. The
 //! latter two are written by whichever shard processes the event and merged
-//! commutatively (sum, min-by-key) in finalize.
+//! commutatively (sum, min-by-key) in finalize. Routing state — duplicate
+//! suppression and reverse paths — is per query too, but only while the query
+//! is alive: `routes` holds one recycled table per query with state in this
+//! shard, for the peers of this shard.
 //!
 //! ## Query lifecycle
 //!
@@ -24,10 +27,11 @@
 //! TTL-dropped, duplicate-suppressed and offline-receiver deliveries all
 //! consume their message). The count hitting zero is the query's
 //! **completion**, a canonical class-4 event at the consuming delivery's
-//! time (see [`super::exchange`]): `completed_at` is recorded and the
-//! query's entry is pruned from the `issued` duplicate-suppression map, so a
-//! later re-query for the same file is legal the moment the original search
-//! actually died.
+//! time (see [`super::exchange`]): `completed_at` is recorded, the query's
+//! entry is pruned from the `issued` duplicate-suppression map, so a later
+//! re-query for the same file is legal the moment the original search
+//! actually died, and its route table goes back to the spare list — no later
+//! event can ask about a query with nothing in flight and no timer armed.
 //! A query whose traffic never leaves its origin shard completes *inline*
 //! (the `outstanding`/`escaped` slabs below): all its events drain here in
 //! key order, so the local count is exact. Once a message escapes through an
@@ -43,12 +47,14 @@ use rand::rngs::StdRng;
 use locaware_bloom::ElementHashes;
 use locaware_net::LocId;
 use locaware_overlay::routing::decrement_ttl;
-use locaware_overlay::{Message, MessageKind, OverlayGraph, PeerId, ProviderEntry, QueryId};
+use locaware_overlay::{
+    Message, MessageKind, OverlayGraph, PeerId, ProviderEntry, QueryId, QueryRoutes,
+};
 use locaware_sim::{Duration, EventKey, ShardQueue, SimTime, StreamId};
 use locaware_workload::{FileId, KeywordId};
 
 use crate::config::ProtocolKind;
-use crate::peer::PeerState;
+use crate::peer::{keyword_signature, PeerState};
 use crate::protocol::{PeerView, QueryContext, ResponseContext};
 use crate::provider::select_provider;
 
@@ -116,13 +122,16 @@ pub(super) enum TimeoutKind {
 
 /// Recovers the arrival index from a query id. Retransmitted attempts reuse
 /// the arrival index in the low 32 bits and count the attempt in the high
-/// bits — a fresh id per attempt gives every retransmit its own
-/// duplicate-suppression and reverse-path state in [`QueryRouter`] with no
-/// router changes, while every per-query slab keys on the masked index.
-///
-/// [`QueryRouter`]: locaware_overlay::routing::QueryRouter
+/// bits — every retransmit gets its own duplicate-suppression and
+/// reverse-path entries in the query's route table ([`query_attempt`] is part
+/// of their key), while every per-query slab keys on the masked index.
 pub(super) fn query_index(query: QueryId) -> usize {
     (query.0 & 0xffff_ffff) as usize
+}
+
+/// The 0-based attempt a query id belongs to.
+fn query_attempt(query: QueryId) -> u32 {
+    (query.0 >> 32) as u32
 }
 
 /// The query id of `index`'s 0-based attempt `attempt` (attempt 0 is the
@@ -219,6 +228,12 @@ pub(super) struct ShardState {
     /// genuinely in flight: the completion transition removes it, so the map
     /// stays bounded by the peer's concurrent-query count over any horizon.
     pub issued: Vec<HashMap<FileId, u32>>,
+    /// Duplicate suppression and reverse paths of this shard's peers, one
+    /// table `(slot, attempt) → first upstream` per query that currently has
+    /// state here: created by the query's first sighting in this shard,
+    /// returned to the spare list by its completion, and erased of a peer
+    /// that rejoins ([`ShardState::reset_volatile_state`]).
+    pub routes: QueryRoutes,
     /// Arrival index → this shard's net outstanding-message count for the
     /// query (sends − consumptions it processed). Exact — and equal to the
     /// global count — while the query has never escaped its origin shard;
@@ -269,6 +284,7 @@ impl ShardState {
         ShardState {
             shard,
             issued: peers.iter().map(|_| HashMap::new()).collect(),
+            routes: QueryRoutes::new(arrivals),
             peers,
             queue: ShardQueue::new(),
             outboxes: (0..shards).map(|_| Vec::new()).collect(),
@@ -350,10 +366,10 @@ impl ShardState {
                     self.consume(index, key);
                     match kind {
                         TimeoutKind::Retransmit { attempt } => {
-                            self.retransmit_query(shared, graph, key, index, attempt)
+                            self.retransmit_query(shared, graph, online, key, index, attempt)
                         }
                         TimeoutKind::DhtStep { peer } => {
-                            dht::step_timeout(self, shared, key, index, peer)
+                            dht::step_timeout(self, shared, online, key, index, peer)
                         }
                     }
                     self.complete_if_drained(shared, index, key.time);
@@ -419,10 +435,10 @@ impl ShardState {
         if self.flux.is_some() {
             self.processed_arrivals.push(index as u32);
         }
-        let slot = shared.partition.slot(origin);
-        if !self.peers[slot].online {
+        if !online[origin.index()] {
             return;
         }
+        let slot = shared.partition.slot(origin);
         // Peers query for files they do not already hold and are not already
         // querying (a duplicate of an in-flight query could be satisfied
         // without creating a second replica, which would break the replica
@@ -489,9 +505,6 @@ impl ShardState {
             retry: None,
         });
 
-        // The originator registers the query locally (no upstream).
-        self.peers[slot].router.on_query(query_id, None);
-
         let structured = shared.dht.as_ref().filter(|_| {
             let rank = shared.query_generator.rank_of(query.target);
             shared.protocol.dht_resolves_rank(rank, shared.catalog.len())
@@ -502,6 +515,10 @@ impl ShardState {
             // routing-decision counters are an overlay concept).
             dht::issue(self, shared, directory, online, key, index, &query.keywords);
         } else {
+            // The originator registers the query locally (no upstream) — on
+            // this branch only: a structured query never sends a `Query`, so
+            // nothing would ever probe its entry.
+            self.routes.on_query(index, slot as u32, 0, None);
             let keywords: Arc<[u32]> = query.keywords.iter().map(|k| k.0).collect();
             self.load_query_scratch(shared, &keywords);
             let message = Message::Query {
@@ -606,10 +623,12 @@ impl ShardState {
         to: PeerId,
         message: Message,
     ) {
-        let slot = shared.partition.slot(to);
-        if !self.peers[slot].online {
+        // The window's snapshot, not a per-peer flag: an offline receiver or
+        // a duplicate query ends here without loading a `PeerState` line.
+        if !online[to.index()] {
             return;
         }
+        let slot = shared.partition.slot(to);
         debug_assert_eq!(from.0 & LOST_BIT, 0, "lost deliveries are consumed unprocessed");
         match message {
             Message::Query {
@@ -620,10 +639,19 @@ impl ShardState {
                 target_filename,
                 ttl,
             } => {
-                if !self.peers[slot].router.on_query(query, Some(from)) {
+                let (index, attempt) = (query_index(query), query_attempt(query));
+                if !self.routes.on_query(index, slot as u32, attempt, Some(from)) {
                     return; // A duplicate: already seen along another path.
                 }
                 self.load_query_scratch(shared, &keywords);
+                // Does the receiver's storage signature let the shared-file
+                // walk happen at all? (Observability only: the protocol's
+                // matching rule applies the same test for itself.)
+                if self.peers[slot].may_store(keyword_signature(&self.scratch_keywords)) {
+                    self.tallies.storage_walks += 1;
+                } else {
+                    self.tallies.storage_skips += 1;
+                }
                 let local_match = {
                     let qctx = QueryContext {
                         query,
@@ -642,7 +670,7 @@ impl ShardState {
                     // First-processed hit wins: within this shard events
                     // drain in key order, so set-once keeps the shard minimum;
                     // finalize merges shards by key minimum.
-                    self.hits[query_index(query)].get_or_insert(HitMark {
+                    self.hits[index].get_or_insert(HitMark {
                         key,
                         hops,
                         from_cache: hit.from_cache,
@@ -679,8 +707,8 @@ impl ShardState {
                         providers: hit.providers,
                         requestor: requestor_entry,
                     };
-                    if let Some(upstream) = self.peers[slot].router.response_next_hop(query) {
-                        self.send(shared, key.time, to, upstream, response, Some(query_index(query)));
+                    if let Some(upstream) = self.routes.response_next_hop(index, slot as u32, attempt) {
+                        self.send(shared, key.time, to, upstream, response, Some(index));
                     }
                     return;
                 }
@@ -735,7 +763,8 @@ impl ShardState {
                     &response_ctx,
                 );
 
-                if let Some(upstream) = self.peers[slot].router.response_next_hop(query) {
+                let upstream = self.routes.response_next_hop(index, slot as u32, query_attempt(query));
+                if let Some(upstream) = upstream {
                     let relay = Message::QueryResponse {
                         query,
                         file: file.0,
@@ -819,18 +848,21 @@ impl ShardState {
                 .as_millis_f64(),
         );
         // Natural replication: the requestor now stores (and later serves) the file.
-        self.peers[slot].share_file(file);
+        let keywords = shared.catalog.filename(file).keywords();
+        self.peers[slot].share_file(file, keywords);
         if shared.protocol.uses_bloom_sync() {
-            self.peers[slot].advertise_keywords(shared.catalog.filename(file).keywords());
+            self.peers[slot].advertise_keywords(keywords);
         }
         true
     }
 
     /// Applies query `index`'s completion at simulated time `now` — but only
     /// if this shard holds its tracking (i.e. is its origin shard): records
-    /// `completed_at` and prunes the origin's `issued` entry, making the
-    /// target searchable again. Safe to call on any zero-crossing of the
-    /// local outstanding count; non-origin shards fall through. Also the
+    /// `completed_at`, prunes the origin's `issued` entry, making the target
+    /// searchable again, and frees the query's route table. Safe to call on
+    /// any zero-crossing of the local outstanding count; non-origin shards
+    /// fall through (their count can touch zero while the query lives on
+    /// elsewhere, so they free nothing until the coordinator's prune). Also the
     /// entry point for the coordinator's fold-detected completions of
     /// escaped queries (applied at the canonical completion time recovered
     /// from the folded flux).
@@ -852,6 +884,14 @@ impl ShardState {
         // Any leftover lookup state is dead — e.g. the walk's last in-flight
         // step was consumed by a departed index node that never replied.
         self.dht_lookups.remove(&(index as u32));
+        self.routes.complete(index);
+    }
+
+    /// Peer `slot` rejoins after churn: its caches are volatile, and so is
+    /// what it knew about the queries in flight — each is new to it again.
+    pub(super) fn reset_volatile_state(&mut self, slot: usize) {
+        self.peers[slot].reset_volatile_state();
+        self.routes.forget_peer(slot as u32);
     }
 
     // --- fault-plan timers --------------------------------------------------
@@ -886,6 +926,7 @@ impl ShardState {
         &mut self,
         shared: &RunShared<'_>,
         graph: &OverlayGraph,
+        online: &[bool],
         key: EventKey,
         index: usize,
         attempt: u32,
@@ -905,8 +946,7 @@ impl ShardState {
         if attempt >= policy.max_retries {
             return;
         }
-        let slot = shared.partition.slot(origin);
-        if !self.peers[slot].online {
+        if !online[origin.index()] {
             // The origin itself departed: nobody is left to retry (or to
             // receive an answer). The timer's consumption above lets the
             // query complete honestly.
@@ -917,7 +957,7 @@ impl ShardState {
             unreachable!("retry state keeps the query's wire message");
         };
         *query = attempt_id(index, next);
-        self.peers[slot].router.on_query(*query, None);
+        self.routes.on_query(index, shared.partition.slot(origin) as u32, next, None);
         self.load_query_scratch(shared, keywords);
         let now = key.time;
         let sent = self.forward_query(shared, graph, now, origin, None, &message);
@@ -1071,5 +1111,62 @@ mod tests {
         // One replica per satisfied query: a later offer downloads nothing.
         assert!(!state.satisfy(&shared, &everyone, 0, wanted[1], &offer));
         assert_eq!(state.peers[slot].shared_file_count(), replicas + 1);
+    }
+
+    #[test]
+    fn a_rejoined_receiver_sees_the_query_as_new_and_only_completion_recycles_the_table() {
+        let mut config = SimulationConfig::small(40);
+        config.shards = 2;
+        let sim = Simulation::try_build(config).expect("test configuration validates");
+        let (shared, mut shards) = prepare(&sim, ProtocolKind::Flooding, sim.arrivals(1), true);
+        assert_eq!(shards.len(), 2);
+        let everyone = vec![true; 40];
+        let arrival = shared.arrivals[0];
+        let origin = PeerId(arrival.peer as u32);
+        let key = issue_key(arrival.at, 0);
+        let home = shared.partition.shard(origin);
+        shards[home].handle_issue(&shared, sim.overlay(), &everyone, key, 0);
+        assert_eq!((shards[home].routes.live(), shards[1 - home].routes.live()), (1, 0));
+
+        // A copy reaches a peer of the other shard, twice, then once more
+        // after that peer rejoined.
+        let away = &mut shards[1 - home];
+        let to = (0..40).map(PeerId).find(|&p| shared.partition.shard(p) != home).expect("two shards");
+        let slot = shared.partition.slot(to);
+        let query = Message::Query {
+            query: QueryId(0),
+            origin,
+            origin_loc: shared.loc_ids[origin.index()],
+            keywords: Arc::from([0u32]),
+            target_filename: None,
+            ttl: 1,
+        };
+        let sightings = |s: &ShardState| s.tallies.storage_walks + s.tallies.storage_skips;
+        let deliver = |s: &mut ShardState, from: u32| {
+            s.process_delivery(&shared, sim.overlay(), &everyone, key, PeerId(from), to, query.clone());
+            (sightings(s), s.routes.response_next_hop(0, slot as u32, 0))
+        };
+        assert_eq!(deliver(away, 100), (1, Some(PeerId(100))));
+        assert_eq!(deliver(away, 101), (1, Some(PeerId(100))), "a duplicate");
+        away.reset_volatile_state(slot);
+        assert_eq!(deliver(away, 102), (2, Some(PeerId(102))), "new to the rejoined peer");
+
+        // This shard's count touching zero proves nothing about the query:
+        // without the tracking, `complete_locally` frees nothing. The
+        // coordinator's prune does.
+        away.complete_locally(&shared, 0, key.time);
+        assert_eq!(away.routes.live(), 1);
+        away.routes.complete(0);
+        assert_eq!((away.routes.live(), away.routes.peak()), (0, 1));
+
+        // The origin shard's completion returns the table, cleared, with its
+        // capacity; a second call finds `completed_at` set and does nothing.
+        let origin_shard = &mut shards[home];
+        for _ in 0..2 {
+            origin_shard.complete_locally(&shared, 0, key.time);
+            assert_eq!((origin_shard.routes.live(), origin_shard.routes.peak()), (0, 1));
+        }
+        let spare: Vec<_> = origin_shard.routes.spare_tables().collect();
+        assert!(spare.len() == 1 && spare[0].is_empty() && spare[0].capacity() > 0);
     }
 }

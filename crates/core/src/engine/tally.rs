@@ -79,6 +79,12 @@ pub(super) struct Tallies {
     pub query_retransmits: u64,
     /// DHT lookup step deadlines that released a stalled in-flight slot.
     pub dht_step_timeouts: u64,
+    /// First sightings of a query whose keywords the receiver's storage
+    /// signature covers, so a storage match has to walk the shared files —
+    /// and those it does not, where the walk is skipped. Observability only
+    /// (`LOCAWARE_SHARD_STATS`): neither reaches the report.
+    pub storage_walks: u64,
+    pub storage_skips: u64,
 }
 
 impl Tallies {
@@ -93,6 +99,8 @@ impl Tallies {
             query_timeouts: 0,
             query_retransmits: 0,
             dht_step_timeouts: 0,
+            storage_walks: 0,
+            storage_skips: 0,
         }
     }
 
@@ -111,6 +119,8 @@ impl Tallies {
         self.query_timeouts += other.query_timeouts;
         self.query_retransmits += other.query_retransmits;
         self.dht_step_timeouts += other.dht_step_timeouts;
+        self.storage_walks += other.storage_walks;
+        self.storage_skips += other.storage_skips;
     }
 }
 

@@ -2,16 +2,19 @@
 //!
 //! Each peer owns: the files it shares (its "file storage"), its response index
 //! (`RI`, §3.2/§4.1), the Bloom filter summarising the keywords of its cached
-//! filenames (§4.2), what it knows about its direct neighbours (their group ids
-//! and the latest copy of their Bloom filters), and the routing bookkeeping
-//! (duplicate suppression and reverse paths) of the underlying overlay.
+//! filenames (§4.2) and what it knows about its direct neighbours (their group
+//! ids and the latest copy of their Bloom filters). Two things a real peer
+//! would also hold are kept elsewhere, where the engine's accesses are local:
+//! duplicate suppression and reverse paths live with the live query
+//! ([`locaware_overlay::QueryRoutes`], one per shard), and whether the peer is
+//! online is the coordinator's snapshot.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use locaware_bloom::{BloomDelta, BloomFilter, BloomParams, CountingBloomFilter, ElementHashes};
 use locaware_net::LocId;
-use locaware_overlay::{PeerId, QueryRouter};
+use locaware_overlay::PeerId;
 use locaware_workload::{FileId, KeywordHashes, KeywordId};
 
 use crate::group::GroupId;
@@ -29,6 +32,16 @@ pub struct NeighborInfo {
     pub bloom: Option<Box<BloomFilter>>,
 }
 
+/// A 64-bit summary of a keyword set: one bit per keyword, chosen by a
+/// multiplicative hash of its id. A filename containing every keyword of a
+/// query has every bit of the query's signature set in its own — the
+/// one-sided test [`PeerState::may_store`] runs in front of the storage walk.
+pub(crate) fn keyword_signature(keywords: &[KeywordId]) -> u64 {
+    keywords
+        .iter()
+        .fold(0, |bits, kw| bits | 1 << (kw.0.wrapping_mul(0x9E37_79B9) >> 26))
+}
+
 /// The full protocol-visible state of one peer.
 #[derive(Debug, Clone)]
 pub struct PeerState {
@@ -40,6 +53,10 @@ pub struct PeerState {
     pub gid: GroupId,
     /// Files this peer can serve (initial shares plus completed downloads).
     shared_files: BTreeSet<FileId>,
+    /// [`keyword_signature`] of every stored filename, OR-ed together: a
+    /// query whose own signature is not covered cannot match any stored file,
+    /// so the storage walk is skipped without touching the set above.
+    storage_signature: u64,
     /// The response index.
     pub response_index: ResponseIndex,
     /// Counting filter tracking the keywords of everything in the response
@@ -53,10 +70,6 @@ pub struct PeerState {
     /// contiguous row (≈3 entries) that forward decisions walk in the order
     /// they must answer in.
     neighbors: Vec<(PeerId, NeighborInfo)>,
-    /// Duplicate suppression and reverse paths.
-    pub router: QueryRouter,
-    /// True while the peer is online (churn can toggle this).
-    pub online: bool,
     /// The peer's DHT half — XOR-metric routing table plus keyword record
     /// store. `Some` only when the run's protocol uses the structured index
     /// (the engine installs it at setup); the six unstructured protocols
@@ -90,13 +103,12 @@ impl PeerState {
             loc_id,
             gid,
             shared_files: BTreeSet::new(),
+            storage_signature: 0,
             response_index: ResponseIndex::new(index_capacity, max_providers_per_file),
             counting_bloom: CountingBloomFilter::new(bloom_params),
             exported_bloom: BloomFilter::new(bloom_params),
             bloom_dirty: false,
             neighbors: Vec::new(),
-            router: QueryRouter::new(),
-            online: true,
             dht: None,
             keyword_hashes,
         }
@@ -109,10 +121,19 @@ impl PeerState {
 
     // --- file storage ---------------------------------------------------------
 
-    /// Adds a file to this peer's storage (initial share or completed download).
-    /// Returns `true` if the file was not already stored.
-    pub fn share_file(&mut self, file: FileId) -> bool {
+    /// Adds a file to this peer's storage (initial share or completed
+    /// download); `keywords` are its filename's. Returns `true` if the file
+    /// was not already stored.
+    pub fn share_file(&mut self, file: FileId, keywords: &[KeywordId]) -> bool {
+        self.storage_signature |= keyword_signature(keywords);
         self.shared_files.insert(file)
+    }
+
+    /// Whether a stored filename *can* contain every keyword of a query with
+    /// [`keyword_signature`] `query`: `false` is exact (no stored file
+    /// matches), `true` means the files have to be looked at.
+    pub(crate) fn may_store(&self, query: u64) -> bool {
+        self.storage_signature & query == query
     }
 
     /// True if the peer stores `file`.
@@ -226,7 +247,6 @@ impl PeerState {
         self.counting_bloom.clear();
         self.exported_bloom = BloomFilter::new(self.exported_bloom.params());
         self.bloom_dirty = false;
-        self.router.clear();
         for (_, info) in &mut self.neighbors {
             info.bloom = None;
         }
@@ -377,8 +397,8 @@ mod tests {
     #[test]
     fn file_storage_grows_with_downloads() {
         let mut p = peer(1);
-        assert!(p.share_file(FileId(10)));
-        assert!(!p.share_file(FileId(10)), "duplicate share is a no-op");
+        assert!(p.share_file(FileId(10), &kws(&[1, 2])));
+        assert!(!p.share_file(FileId(10), &kws(&[1, 2])), "duplicate share is a no-op");
         assert!(p.has_file(FileId(10)));
         assert!(!p.has_file(FileId(11)));
         assert_eq!(p.shared_file_count(), 1);
@@ -496,11 +516,11 @@ mod tests {
     #[test]
     fn reset_volatile_state_keeps_files_drops_caches() {
         let mut p = peer(1);
-        p.share_file(FileId(3));
+        p.share_file(FileId(3), &kws(&[7]));
         p.cache_index(FileId(5), &kws(&[1, 2]), [(PeerId(9), LocId(2))]);
         p.record_neighbor(PeerId(2), GroupId(1));
         p.reset_volatile_state();
-        assert!(p.has_file(FileId(3)));
+        assert!(p.has_file(FileId(3)) && p.may_store(keyword_signature(&kws(&[7]))));
         assert!(p.response_index.is_empty());
         assert!(p.current_bloom().is_empty());
         assert!(!p.bloom_dirty());

@@ -93,7 +93,7 @@ mod tests {
         assert_eq!(decision, ForwardDecision::NotForwarded);
 
         // Even a peer storing a satisfying file does not answer overlay-side.
-        fx.peers[0].share_file(FileId(0));
+        fx.share(0, FileId(0));
         assert!(protocol.local_match(&fx.view(0), &query.context()).is_none());
     }
 

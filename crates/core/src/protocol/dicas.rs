@@ -210,7 +210,7 @@ mod tests {
         assert!(protocol.local_match(&fx.view(0), &query.context()).is_none());
 
         // From storage.
-        fx.peers[0].share_file(FileId(0));
+        fx.share(0, FileId(0));
         let hit = protocol.local_match(&fx.view(0), &query.context()).unwrap();
         assert_eq!(hit.file, FileId(0));
         assert!(!hit.from_cache);
@@ -269,7 +269,7 @@ mod tests {
         );
         assert!(protocol.local_match(&fx.view(0), &query.context()).is_none());
         // But a stored file is.
-        fx.peers[0].share_file(FileId(2)); // keywords {0,6,7} contains 0
+        fx.share(0, FileId(2)); // keywords {0,6,7} contains 0
         let hit = protocol.local_match(&fx.view(0), &query.context()).unwrap();
         assert_eq!(hit.file, FileId(2));
     }

@@ -228,7 +228,7 @@ mod tests {
         assert_eq!(hit.providers[0].provider, PeerId(8));
 
         // Storage hit takes precedence.
-        fx.peers[1].share_file(FileId(2));
+        fx.share(1, FileId(2));
         let hit = protocol.local_match(&fx.view(1), &query.context()).unwrap();
         assert!(!hit.from_cache);
         assert_eq!(hit.providers[0].provider, PeerId(1));

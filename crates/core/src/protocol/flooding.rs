@@ -116,7 +116,7 @@ mod tests {
         let query = fx.query(&[0, 1], None);
         assert!(protocol.local_match(&fx.view(0), &query.context()).is_none());
 
-        fx.peers[0].share_file(FileId(0)); // keywords {0,1,2}
+        fx.share(0, FileId(0)); // keywords {0,1,2}
         let hit = protocol.local_match(&fx.view(0), &query.context()).unwrap();
         assert_eq!(hit.file, FileId(0));
         assert!(!hit.from_cache);

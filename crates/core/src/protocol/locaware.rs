@@ -200,9 +200,6 @@ impl Protocol for Locaware {
         // 2. The response index, matched by keywords. Prefer the cached file
         //    that can offer a provider in the originator's locality.
         let candidates = view.state.response_index.lookup_by_keywords(query.keywords);
-        if candidates.is_empty() {
-            return None;
-        }
         let best = candidates
             .iter()
             .copied()
@@ -218,8 +215,7 @@ impl Protocol for Locaware {
                     .unwrap_or(0);
                 let total = entry.map(|e| e.provider_count()).unwrap_or(0);
                 (local_providers, total, std::cmp::Reverse(f.0))
-            })
-            .expect("candidates is non-empty");
+            })?;
         let entry = view.state.response_index.entry(best)?;
         let providers = self.assemble_providers(entry.providers(), query.origin_loc, None);
         if providers.is_empty() {
@@ -388,7 +384,7 @@ mod tests {
         let mut fx = Fixture::new(4);
         let protocol = Locaware::new(&config());
         let file = FileId(2); // keywords {0,6,7}
-        fx.peers[1].share_file(file);
+        fx.share(1, file);
         fx.peers[1].cache_index(
             file,
             fx.catalog.filename(file).keywords(),

@@ -38,7 +38,7 @@ use locaware_workload::{Catalog, FileId, KeywordHashes, KeywordId};
 
 use crate::config::{ProtocolKind, SimulationConfig};
 use crate::group::GroupScheme;
-use crate::peer::PeerState;
+use crate::peer::{keyword_signature, PeerState};
 use crate::provider::SelectionPolicy;
 
 /// A read-only view of everything a protocol may consult when making a
@@ -311,9 +311,11 @@ pub(crate) fn storage_matches(view: &PeerView<'_>, keywords: &[KeywordId]) -> Ve
 
 /// Shared helper: the first (lowest-id) stored file satisfying the query —
 /// the hot-path form of [`storage_matches`], returning as soon as one stored
-/// filename matches instead of materialising the full list.
+/// filename matches instead of materialising the full list, and without
+/// looking at the files at all when the peer's storage signature rules a
+/// match out (most first sightings: the typical peer stores a few files).
 pub(crate) fn first_storage_match(view: &PeerView<'_>, keywords: &[KeywordId]) -> Option<FileId> {
-    if keywords.is_empty() {
+    if keywords.is_empty() || !view.state.may_store(keyword_signature(keywords)) {
         return None;
     }
     view.state
@@ -346,20 +348,25 @@ pub(crate) mod test_support {
 
     impl Fixture {
         pub fn new(modulus: u32) -> Self {
-            let mut graph = OverlayGraph::new(5);
-            for n in 1..5u32 {
-                graph.add_edge(PeerId(0), PeerId(n));
-            }
-            graph.add_edge(PeerId(1), PeerId(2));
-
-            let pool = KeywordPool::new(12);
             let filenames = vec![
                 Filename::new(vec![KeywordId(0), KeywordId(1), KeywordId(2)]),
                 Filename::new(vec![KeywordId(3), KeywordId(4), KeywordId(5)]),
                 Filename::new(vec![KeywordId(0), KeywordId(6), KeywordId(7)]),
                 Filename::new(vec![KeywordId(8), KeywordId(9), KeywordId(10)]),
             ];
-            let catalog = Catalog::from_filenames(pool, filenames);
+            Self::with_filenames(modulus, 12, filenames)
+        }
+
+        /// The same overlay and peers over a catalog of the caller's
+        /// `filenames`, drawn from a pool of `keywords` keyword ids.
+        pub fn with_filenames(modulus: u32, keywords: usize, filenames: Vec<Filename>) -> Self {
+            let mut graph = OverlayGraph::new(5);
+            for n in 1..5u32 {
+                graph.add_edge(PeerId(0), PeerId(n));
+            }
+            graph.add_edge(PeerId(1), PeerId(2));
+
+            let catalog = Catalog::from_filenames(KeywordPool::new(keywords), filenames);
             let scheme = GroupScheme::new(modulus);
 
             let peers = (0..5u32)
@@ -388,6 +395,11 @@ pub(crate) mod test_support {
             }
         }
 
+        /// Peer `peer` stores `file` under its catalog filename.
+        pub fn share(&mut self, peer: usize, file: FileId) {
+            self.peers[peer].share_file(file, self.catalog.filename(file).keywords());
+        }
+
         pub fn view(&self, peer: usize) -> PeerView<'_> {
             PeerView {
                 state: &self.peers[peer],
@@ -413,6 +425,7 @@ pub(crate) mod test_support {
 mod tests {
     use super::test_support::Fixture;
     use super::*;
+    use locaware_workload::Filename;
 
     #[test]
     fn all_neighbors_except_filters_the_sender() {
@@ -438,26 +451,61 @@ mod tests {
         assert_eq!(high_degree_fallback(&view0, None), Some(PeerId(1)));
     }
 
-    #[test]
-    fn first_storage_match_agrees_with_storage_matches() {
-        let mut fx = Fixture::new(4);
-        fx.peers[0].share_file(FileId(0));
-        fx.peers[0].share_file(FileId(2));
-        let view = fx.view(0);
-        for q in [vec![KeywordId(0)], vec![KeywordId(0), KeywordId(1)], vec![KeywordId(11)], vec![]] {
-            assert_eq!(
-                first_storage_match(&view, &q),
-                storage_matches(&view, &q).first().copied(),
-                "query {q:?}"
-            );
+    /// Three signature bits with eight keyword ids each: a universe in which
+    /// distinct keywords collide on a bit all the time, so the signature says
+    /// "maybe" for keywords the peer does not store and "no" only when a
+    /// whole bit is missing.
+    fn colliding_keywords() -> Vec<KeywordId> {
+        let bits = [0, 1, 2].map(|id| keyword_signature(&[KeywordId(id)]));
+        assert!(bits[0] != bits[1] && bits[1] != bits[2] && bits[0] != bits[2]);
+        bits.iter()
+            .flat_map(|&bit| {
+                let on_bit = move |kw: &KeywordId| keyword_signature(&[*kw]) == bit;
+                (0..).map(KeywordId).filter(on_bit).take(8)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The signature in front of the walk never changes the answer:
+        /// over random catalogs, share sets and 0–3-keyword queries from the
+        /// colliding universe, the hot-path match is the first element of
+        /// the exhaustive one — and every stored filename stays covered by
+        /// the signature `share_file` maintains.
+        #[test]
+        fn first_storage_match_agrees_with_storage_matches(
+            files in proptest::collection::vec(proptest::collection::vec(0usize..24, 1..=3), 1..12),
+            shares in proptest::collection::vec(0usize..12, 0..6),
+            queries in proptest::collection::vec(proptest::collection::vec(0usize..24, 0..=3), 1..20),
+        ) {
+            let universe = colliding_keywords();
+            let pool = universe.iter().map(|kw| kw.0 as usize + 1).max().unwrap_or(0);
+            let pick = |ids: &[usize]| ids.iter().map(|&i| universe[i]).collect::<Vec<_>>();
+            let filenames = files.iter().map(|ids| Filename::new(pick(ids))).collect();
+            let mut fx = Fixture::with_filenames(4, pool, filenames);
+            for share in shares {
+                fx.share(0, FileId((share % files.len()) as u32));
+                for stored in fx.peers[0].shared_files() {
+                    let bits = keyword_signature(fx.catalog.filename(stored).keywords());
+                    proptest::prop_assert!(fx.peers[0].may_store(bits), "{stored:?} fell out");
+                }
+            }
+            let view = fx.view(0);
+            for query in queries.iter().map(|ids| pick(ids)) {
+                proptest::prop_assert_eq!(
+                    first_storage_match(&view, &query),
+                    storage_matches(&view, &query).first().copied(),
+                    "query {:?}", query
+                );
+            }
         }
     }
 
     #[test]
     fn storage_matches_respects_the_all_keywords_rule() {
         let mut fx = Fixture::new(4);
-        fx.peers[0].share_file(FileId(0)); // keywords {0,1,2}
-        fx.peers[0].share_file(FileId(2)); // keywords {0,6,7}
+        fx.share(0, FileId(0)); // keywords {0,1,2}
+        fx.share(0, FileId(2)); // keywords {0,6,7}
         let view = fx.view(0);
         assert_eq!(
             storage_matches(&view, &[KeywordId(0)]),

@@ -22,9 +22,9 @@
 //! * [`dht`] — Kademlia-style structured-overlay primitives (160-bit XOR key
 //!   space, k-bucket routing tables, size-capped keyword→provider records)
 //!   used by the structured `dht-index`/`hybrid` protocol family,
-//! * [`routing`] — mechanism shared by every protocol: TTL bookkeeping,
-//!   duplicate-query suppression and reverse-path tables for routing responses
-//!   back to the requestor,
+//! * [`routing`] — mechanism shared by every protocol: TTL bookkeeping, and
+//!   duplicate-query suppression plus reverse paths as one table, kept per
+//!   live query and recycled when the query completes,
 //! * [`churn`] — an optional session-based churn model (exponential on/off
 //!   times) exercised by the robustness example and tests.
 //!
@@ -47,7 +47,7 @@ pub use dht::{DhtDistance, DhtId, DhtNode, DhtRecordStore, RoutingTable, DHT_ID_
 pub use generator::{GeneratorConfig, GraphModel};
 pub use graph::OverlayGraph;
 pub use message::{Message, MessageKind, ProviderEntry, QueryId};
-pub use routing::{ForwardDecision, QueryRouter};
+pub use routing::{ForwardDecision, QueryRouter, QueryRoutes, RouteTable};
 
 /// Peers are identified by the same id at the overlay and underlay layers, so
 /// no translation table is needed when crossing layers.

@@ -4,11 +4,13 @@
 //! the reverse path of their corresponding q, back to the requesting peer"*.
 //! Real Gnutella implements this with per-peer duplicate suppression (a query
 //! seen twice is dropped) and a reverse-path table (query id → the neighbour it
-//! was first received from). [`QueryRouter`] is both for one peer.
+//! was first received from). [`RouteTable`] is both; [`QueryRouter`] is the
+//! per-peer instantiation and [`QueryRoutes`] the per-live-query one the
+//! engine runs on.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::message::QueryId;
 use crate::PeerId;
@@ -30,20 +32,21 @@ pub enum ForwardDecision {
     NotForwarded,
 }
 
-/// Fixed-key hasher for [`QueryId`]s: one multiply by the 64-bit golden ratio,
-/// folded so the high half reaches the low bits.
+/// Fixed-key hasher for route-table keys: one multiply by the 64-bit golden
+/// ratio, folded so the high half reaches the low bits.
 ///
 /// `std`'s table takes its bucket index from the low bits of a hash and its
 /// 7-bit control tag from the top bits. The multiply carries every input bit
-/// into the top bits; the fold brings the attempt counter of a retransmit id
-/// (`index | attempt << 32`) down into the bucket index. Query ids are
-/// assigned by the simulator, never chosen by an adversary, so the flooding
-/// protection of `RandomState` (SipHash under a per-process key) buys nothing
-/// here, while costing most of what a sighting costs.
+/// into the top bits; the fold brings the attempt counter of a retransmit key
+/// (`index | attempt << 32`, or `slot | attempt << 32` in [`QueryRoutes`])
+/// down into the bucket index. Keys are assigned by the simulator, never
+/// chosen by an adversary, so the flooding protection of `RandomState`
+/// (SipHash under a per-process key) buys nothing here, while costing most of
+/// what a sighting costs.
 #[derive(Debug, Clone, Copy, Default)]
-struct QueryIdHasher(u64);
+struct RouteKeyHasher(u64);
 
-impl Hasher for QueryIdHasher {
+impl Hasher for RouteKeyHasher {
     fn write_u64(&mut self, id: u64) {
         let h = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         self.0 = h ^ (h >> 32);
@@ -62,20 +65,35 @@ impl Hasher for QueryIdHasher {
     }
 }
 
-/// Per-peer routing state: duplicate suppression plus reverse paths.
+/// Duplicate suppression plus reverse paths, as one table.
 ///
 /// Gnutella drops duplicate copies of a query that arrive over different
 /// paths — without that, TTL-bounded flooding on a cyclic overlay would
 /// multiply traffic and distort Figure 3 — and routes responses back through
 /// the neighbour each query was *first* received from. Both are one table,
-/// query id → first upstream (`None` for a query the local user issued; the
-/// entry is no wider for it), so a sighting costs a single probe.
-#[derive(Debug, Clone, Default)]
-pub struct QueryRouter {
-    upstream: HashMap<QueryId, Option<PeerId>, BuildHasherDefault<QueryIdHasher>>,
+/// key → first upstream (`None` for a query the local user issued; the entry
+/// is no wider for it), so a sighting costs a single probe.
+///
+/// What the key names is the caller's choice: [`QueryRouter`] is one peer's
+/// table keyed by query id, [`QueryRoutes`] keeps one table per live query
+/// keyed by the sighting peer.
+#[derive(Debug, Clone)]
+pub struct RouteTable<K> {
+    upstream: HashMap<K, Option<PeerId>, BuildHasherDefault<RouteKeyHasher>>,
 }
 
-impl QueryRouter {
+/// One peer's routing state: a [`RouteTable`] keyed by query id.
+pub type QueryRouter = RouteTable<QueryId>;
+
+impl<K> Default for RouteTable<K> {
+    fn default() -> Self {
+        RouteTable {
+            upstream: HashMap::default(),
+        }
+    }
+}
+
+impl<K: Hash + Eq> RouteTable<K> {
     /// Creates empty routing state.
     pub fn new() -> Self {
         Self::default()
@@ -86,7 +104,7 @@ impl QueryRouter {
     ///
     /// Returns `true` if the query is new and should be processed; duplicates
     /// return `false` and leave the original reverse path untouched.
-    pub fn on_query(&mut self, query: QueryId, from: Option<PeerId>) -> bool {
+    pub fn on_query(&mut self, query: K, from: Option<PeerId>) -> bool {
         match self.upstream.entry(query) {
             Entry::Occupied(_) => false,
             Entry::Vacant(slot) => {
@@ -98,18 +116,147 @@ impl QueryRouter {
 
     /// The neighbour to send a response for `query` towards, if this peer is not
     /// the originator.
-    pub fn response_next_hop(&self, query: QueryId) -> Option<PeerId> {
+    pub fn response_next_hop(&self, query: K) -> Option<PeerId> {
         self.upstream.get(&query).copied().flatten()
     }
 
-    /// True if this peer has seen `query`.
-    pub fn has_seen(&self, query: QueryId) -> bool {
+    /// True if `query` has been seen.
+    pub fn has_seen(&self, query: K) -> bool {
         self.upstream.contains_key(&query)
     }
 
-    /// Forgets everything (used when a peer rejoins after churn).
+    /// Forgets one sighting, as if `query` had never arrived.
+    pub fn forget(&mut self, query: K) {
+        self.upstream.remove(&query);
+    }
+
+    /// Forgets everything, keeping the allocation (used when a peer rejoins
+    /// after churn, and when a query's table goes back to the spare list).
     pub fn clear(&mut self) {
         self.upstream.clear();
+    }
+
+    /// True if nothing has been seen since the last [`RouteTable::clear`].
+    pub fn is_empty(&self) -> bool {
+        self.upstream.is_empty()
+    }
+
+    /// Sightings the table can hold before it reallocates.
+    pub fn capacity(&self) -> usize {
+        self.upstream.capacity()
+    }
+}
+
+/// The routing state of every query that is currently alive, one recycled
+/// [`RouteTable`] each.
+///
+/// The two questions TTL-bounded forwarding asks — "has this peer seen the
+/// query?" and "whom did it first hear it from?" — stop being asked the moment
+/// the query's last message is consumed, and a query's messages are clustered
+/// in simulated time while one peer's are spread over the whole run. So the
+/// state is kept with the query: a table `(peer slot, attempt) → first
+/// upstream` is taken from the spare list at the query's first sighting and
+/// goes back, cleared but with its capacity, when the owner calls
+/// [`QueryRoutes::complete`]. Nothing accumulates: the slab holds exactly as
+/// many tables as were ever alive at once.
+///
+/// Queries are named by a dense index (the simulator's arrival index); a
+/// retransmitted attempt of the same query shares its table but not its
+/// entries — attempt `n + 1` is new to a peer that suppressed attempt `n`.
+#[derive(Debug, Clone)]
+pub struct QueryRoutes {
+    /// Query index → slab position + 1 of its table (0: none).
+    handles: Vec<u32>,
+    /// Every table ever needed, live and spare alike.
+    tables: Vec<RouteTable<u64>>,
+    /// Slab positions of the cleared tables awaiting reuse.
+    spare: Vec<u32>,
+    /// Highest attempt sighted so far — how far a peer erase has to probe.
+    max_attempt: u32,
+}
+
+impl QueryRoutes {
+    /// Creates empty routing state for query indexes below `queries`.
+    pub fn new(queries: usize) -> Self {
+        QueryRoutes {
+            handles: vec![0; queries],
+            tables: Vec::new(),
+            spare: Vec::new(),
+            max_attempt: 0,
+        }
+    }
+
+    fn key(slot: u32, attempt: u32) -> u64 {
+        u64::from(attempt) << 32 | u64::from(slot)
+    }
+
+    /// Handles the arrival of attempt `attempt` of query `index` at peer
+    /// `slot`, sent by `from` (`None`: the peer issued it), creating the
+    /// query's table on its first sighting. Returns `true` if the sighting is
+    /// new; duplicates return `false` and keep the original reverse path.
+    pub fn on_query(&mut self, index: usize, slot: u32, attempt: u32, from: Option<PeerId>) -> bool {
+        let position = match self.handles[index].checked_sub(1) {
+            Some(position) => position,
+            None => {
+                let position = self.spare.pop().unwrap_or_else(|| {
+                    self.tables.push(RouteTable::new());
+                    self.tables.len() as u32 - 1
+                });
+                self.handles[index] = position + 1;
+                position
+            }
+        };
+        self.max_attempt = self.max_attempt.max(attempt);
+        self.tables[position as usize].on_query(Self::key(slot, attempt), from)
+    }
+
+    /// The neighbour peer `slot` sends a response for attempt `attempt` of
+    /// query `index` towards, if it saw the attempt and did not issue it.
+    pub fn response_next_hop(&self, index: usize, slot: u32, attempt: u32) -> Option<PeerId> {
+        let position = self.handles[index].checked_sub(1)?;
+        self.tables[position as usize].response_next_hop(Self::key(slot, attempt))
+    }
+
+    /// Query `index` is complete — no message of any attempt is in flight and
+    /// no timer is armed, so nothing can ask about it again: its table, if it
+    /// has one, returns cleared to the spare list.
+    pub fn complete(&mut self, index: usize) {
+        if let Some(position) = std::mem::take(&mut self.handles[index]).checked_sub(1) {
+            self.tables[position as usize].clear();
+            self.spare.push(position);
+        }
+    }
+
+    /// Peer `slot` lost its volatile state (it rejoined after churn): every
+    /// live query is new to it again, whatever the attempt.
+    pub fn forget_peer(&mut self, slot: u32) {
+        // Spare tables are walked too: they are empty, so it is a no-op probe.
+        for table in &mut self.tables {
+            for attempt in 0..=self.max_attempt {
+                table.forget(Self::key(slot, attempt));
+            }
+        }
+    }
+
+    /// True if query `index` currently holds a table.
+    pub fn is_live(&self, index: usize) -> bool {
+        self.handles[index] != 0
+    }
+
+    /// Tables currently held by a query.
+    pub fn live(&self) -> usize {
+        self.tables.len() - self.spare.len()
+    }
+
+    /// The most tables ever held at once — the slab's length, since a table
+    /// is only ever created when the spare list is empty.
+    pub fn peak(&self) -> usize {
+        self.tables.len()
+    }
+
+    /// The cleared tables awaiting reuse.
+    pub fn spare_tables(&self) -> impl Iterator<Item = &RouteTable<u64>> {
+        self.spare.iter().map(|&position| &self.tables[position as usize])
     }
 }
 
@@ -128,7 +275,6 @@ pub fn decrement_ttl(ttl: u32) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::Hash;
 
     #[test]
     fn duplicate_queries_are_dropped() {
@@ -153,7 +299,7 @@ mod tests {
     #[test]
     fn hasher_spreads_dense_and_attempt_tagged_ids() {
         let hash = |id: u64| {
-            let mut hasher = QueryIdHasher::default();
+            let mut hasher = RouteKeyHasher::default();
             QueryId(id).hash(&mut hasher);
             hasher.finish()
         };
@@ -191,5 +337,46 @@ mod tests {
         assert_eq!(router.response_next_hop(QueryId(1)), None);
         assert!(router.on_query(QueryId(1), Some(PeerId(3))));
         assert_eq!(router.response_next_hop(QueryId(1)), Some(PeerId(3)));
+    }
+
+    #[test]
+    fn a_completed_query_returns_its_table_cleared_with_its_capacity() {
+        let mut routes = QueryRoutes::new(4);
+        for slot in 0..100 {
+            assert!(routes.on_query(2, slot, 0, Some(PeerId(slot + 1))));
+        }
+        assert!(!routes.on_query(2, 7, 0, Some(PeerId(99))), "a duplicate");
+        assert_eq!(routes.response_next_hop(2, 7, 0), Some(PeerId(8)));
+        assert_eq!((routes.live(), routes.peak()), (1, 1));
+        routes.complete(2);
+        assert!(!routes.is_live(2));
+        assert_eq!((routes.live(), routes.peak()), (0, 1));
+        let spare: Vec<_> = routes.spare_tables().collect();
+        assert!(spare.len() == 1 && spare[0].is_empty() && spare[0].capacity() >= 100);
+        // The next query reuses it; completing twice, or a query that never
+        // had a table, changes nothing.
+        assert!(routes.on_query(0, 7, 0, None));
+        routes.complete(2);
+        routes.complete(3);
+        assert_eq!((routes.live(), routes.peak()), (1, 1));
+        assert_eq!(routes.response_next_hop(0, 7, 0), None, "issued here");
+        assert_eq!(routes.response_next_hop(1, 7, 0), None, "no table at all");
+    }
+
+    #[test]
+    fn attempts_share_a_table_but_not_their_sightings() {
+        let mut routes = QueryRoutes::new(1);
+        assert!(routes.on_query(0, 5, 0, Some(PeerId(1))));
+        assert!(routes.on_query(0, 5, 1, Some(PeerId(2))), "attempt 1 is new to slot 5");
+        assert!(!routes.on_query(0, 5, 1, Some(PeerId(3))));
+        assert_eq!(routes.response_next_hop(0, 5, 0), Some(PeerId(1)));
+        assert_eq!(routes.response_next_hop(0, 5, 1), Some(PeerId(2)));
+        assert_eq!(routes.peak(), 1);
+        // A rejoining peer forgets every attempt; its neighbours forget nothing.
+        assert!(routes.on_query(0, 6, 1, Some(PeerId(4))));
+        routes.forget_peer(5);
+        assert_eq!(routes.response_next_hop(0, 5, 0), None);
+        assert!(routes.on_query(0, 5, 1, Some(PeerId(9))));
+        assert!(!routes.on_query(0, 6, 1, Some(PeerId(9))));
     }
 }

@@ -544,6 +544,33 @@ fn shard_counts_produce_byte_identical_reports() {
     }
 }
 
+/// Duplicate suppression and reverse paths are kept per live query and
+/// recycled at its completion — in the origin shard inline, in every shard
+/// an escaped query touched at the coordinator's prune. The engine checks
+/// the consequence itself when it builds the report (`assert!` in
+/// `engine::finalize`: every shard ends an untruncated run holding zero
+/// tables, in release builds too); this drives the three shapes that could
+/// leak one — a flood that reaches most peers, rejoins erasing entries
+/// mid-query, and retransmit attempts sharing their query's table.
+#[test]
+fn no_route_state_outlives_its_query() {
+    type Preset = fn(usize) -> Scenario;
+    let runs: [(ProtocolKind, &str, Preset); 3] = [
+        (ProtocolKind::Flooding, "flash-crowd", Scenario::flash_crowd as Preset),
+        (ProtocolKind::Locaware, "churn-storm", Scenario::churn_storm as Preset),
+        (ProtocolKind::Flooding, "faulty-network", Scenario::faulty_network as Preset),
+    ];
+    for (protocol, name, make) in runs {
+        let run = |shards| make(80).with_seed(5).tweak_shards(shards).substrate().run(protocol, 60);
+        let (one, four) = (run(1), run(4));
+        assert!(one.queries_issued > 0, "{protocol}/{name}: nothing ran");
+        assert_eq!(one.canonical_bytes(), four.canonical_bytes(), "{protocol}/{name}");
+        if let Some(faults) = one.faults {
+            assert!(faults.query_retransmits > 0, "{name}: no attempt past the first");
+        }
+    }
+}
+
 /// Sharding helper: rebuild the scenario with an explicit shard count.
 trait TweakShards {
     fn tweak_shards(self, shards: usize) -> Scenario;

@@ -21,7 +21,7 @@ use locaware_net::{LandmarkSet, LinkLatencyCache, LocId, NodeId, PhysicalTopolog
 use locaware_net::brite::{BriteConfig, BriteGenerator, PlacementModel};
 use locaware_overlay::{
     DhtId, DhtRecordStore, GeneratorConfig, GraphModel, PeerId, ProviderEntry, QueryId,
-    QueryRouter, RoutingTable, DHT_ID_BITS,
+    QueryRouter, QueryRoutes, RoutingTable, DHT_ID_BITS,
 };
 use locaware_sim::{Duration, EventKey, ShardQueue, SimTime};
 use locaware_workload::{
@@ -594,6 +594,69 @@ proptest! {
                 let query = id(index, high);
                 prop_assert_eq!(router.has_seen(query), seen.contains(&query));
                 prop_assert_eq!(router.response_next_hop(query), upstream.get(&query).copied());
+            }
+        }
+    }
+
+    /// The per-live-query route tables against what they replaced — one
+    /// `QueryRouter` per peer slot, keyed by attempt-tagged query id, cleared
+    /// when the peer rejoins — over sightings, reverse-path reads, rejoins
+    /// and completions. A completed index is never asked about again (its
+    /// outstanding count is zero for good), holds no table, and the slab
+    /// stays as small as the most indexes ever live at once.
+    #[test]
+    fn route_tables_match_the_per_peer_router_model(
+        ops in proptest::collection::vec(
+            (0u32..24, (0u32..5, 0usize..24, 0u32..3), proptest::option::weighted(0.85, 0u32..5)),
+            0..600,
+        ),
+    ) {
+        let id = |index: usize, attempt: u32| QueryId(index as u64 | u64::from(attempt) << 32);
+        let mut routes = QueryRoutes::new(24);
+        let mut model: Vec<QueryRouter> = (0..5).map(|_| QueryRouter::new()).collect();
+        let mut completed: HashSet<usize> = HashSet::new();
+        let mut live: HashSet<usize> = HashSet::new();
+        let mut peak = 0;
+        for (kind, (slot, index, attempt), from) in ops {
+            match kind {
+                0 => {
+                    routes.forget_peer(slot);
+                    model[slot as usize].clear();
+                }
+                1 => {
+                    routes.complete(index);
+                    completed.insert(index);
+                    live.remove(&index);
+                    prop_assert!(!routes.is_live(index));
+                }
+                _ if completed.contains(&index) => {}
+                2..=5 => prop_assert_eq!(
+                    routes.response_next_hop(index, slot, attempt),
+                    model[slot as usize].response_next_hop(id(index, attempt))
+                ),
+                _ => {
+                    let from = from.map(PeerId);
+                    prop_assert_eq!(
+                        routes.on_query(index, slot, attempt, from),
+                        model[slot as usize].on_query(id(index, attempt), from)
+                    );
+                    live.insert(index);
+                    peak = peak.max(live.len());
+                }
+            }
+            prop_assert_eq!(routes.live(), live.len());
+            prop_assert_eq!(routes.peak(), peak, "a table is created only when none is spare");
+        }
+        prop_assert!(routes.spare_tables().all(|table| table.is_empty()));
+        for index in (0..24).filter(|index| !completed.contains(index)) {
+            prop_assert_eq!(routes.is_live(index), live.contains(&index));
+            for (slot, router) in model.iter().enumerate() {
+                for attempt in 0..3 {
+                    prop_assert_eq!(
+                        routes.response_next_hop(index, slot as u32, attempt),
+                        router.response_next_hop(id(index, attempt))
+                    );
+                }
             }
         }
     }
