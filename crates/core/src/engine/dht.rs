@@ -34,7 +34,8 @@ use rand::Rng;
 use crate::peer::PeerState;
 use crate::results::DhtRunStats;
 
-use super::shard::{query_index, HitMark, ShardState, TimeoutKind};
+use super::lifecycle::HitMark;
+use super::shard::{query_index, ShardState, TimeoutKind};
 use super::tally::{kind_index, Tallies};
 use super::{for_each_other_online, peer_mut, RunShared};
 
@@ -835,7 +836,7 @@ fn try_satisfy(
     if !state.satisfy(shared, online, index, file, providers) {
         return false;
     }
-    state.hits[index].get_or_insert(HitMark { key, hops, from_cache: false });
+    state.ledger.record_hit(index, HitMark { key, hops, from_cache: false });
     // Announce the fresh replica to the current index nodes right away — the
     // event-driven counterpart of the periodic republish round, so it is
     // discoverable before the next round.

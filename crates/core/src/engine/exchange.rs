@@ -1,5 +1,5 @@
-//! Cross-shard exchange: deterministic peer partitioning, the canonical event
-//! key encoding, and the outboxes merged at window barriers.
+//! Cross-shard exchange: deterministic peer partitioning and the canonical
+//! event key encoding that makes the barrier merge a plain batch of pushes.
 //!
 //! ## Canonical event order
 //!
@@ -16,25 +16,27 @@
 //! | churn transition | 2     | schedule index              | 0              |
 //! | message delivery | 3     | `(to << 32) \| from`        | sender seq     |
 //! | query completion | 4     | arrival index               | 0              |
+//! | DHT republish    | 5     | round index                 | 0              |
 //! | fault timeout    | 6     | arrival index               | discriminator  |
 //!
 //! At equal times the class ranks order arrivals, then maintenance, then
-//! churn, then in-flight deliveries. Deliveries tie-break by destination,
-//! then source, then a send sequence number counted at the sender — link
-//! latencies are fixed per pair, so two messages on one link arriving
-//! simultaneously were sent simultaneously and the sender's count orders them
-//! by send order.
+//! churn, then in-flight deliveries, then the completions they cause, then
+//! republish rounds, then timeouts (each constant below says why). Deliveries
+//! tie-break by destination, then source, then a send sequence number counted
+//! at the sender — link latencies are fixed per pair, so two messages on one
+//! link arriving simultaneously were sent simultaneously and the sender's
+//! count orders them by send order.
 //!
 //! A **query completion** is the synthesized event marking the consumption of
-//! a query's last in-flight message (see the lifecycle tracking in
-//! [`super::shard`]): its canonical position is the consuming delivery's
-//! time with class 4, so at equal times it orders *after* every delivery —
-//! a query whose final message is consumed at `t` is still "in flight" to
-//! any class-0 issue at `t`, exactly as in a single-queue run. No physical
-//! event is queued for it: because no other event class can order between a
-//! class-3 terminal delivery and its class-4 completion at the same time,
-//! applying the completion as a direct state transition when it is detected
-//! is observationally identical to dispatching it from the queue.
+//! a query's last in-flight message (see [`super::lifecycle`]): its canonical
+//! position is the consuming delivery's time with class 4, so at equal times
+//! it orders *after* every delivery — a query whose final message is consumed
+//! at `t` is still "in flight" to any class-0 issue at `t`, exactly as in a
+//! single-queue run. No physical event is queued for it: because no other
+//! event class can order between a class-3 terminal delivery and its class-4
+//! completion at the same time, applying the completion as a direct state
+//! transition when it is detected is observationally identical to dispatching
+//! it from the queue.
 //!
 //! ## Partitioning
 //!
@@ -49,7 +51,7 @@
 //!   locaware_net::LinkLatencyCache::incoming_channel_mins
 
 use locaware_net::LocId;
-use locaware_overlay::{Message, PeerId};
+use locaware_overlay::PeerId;
 use locaware_sim::{EventKey, SimTime};
 
 /// Event-class rank of query issues (pre-scheduled arrivals).
@@ -193,28 +195,6 @@ impl PeerPartition {
 /// stay far below it (the partition tables index per-peer `Vec`s, so a real
 /// id this large could never have built a substrate).
 pub(crate) const LOST_BIT: u32 = 1 << 31;
-
-/// A message waiting at a window barrier to be merged into another shard's
-/// queue. The canonical key was fixed at send time, so the merge is a plain
-/// queue push — no re-ordering decisions are made at the barrier.
-#[derive(Debug, Clone)]
-pub(crate) struct Outbound {
-    /// The delivery's canonical key (at the arrival time).
-    pub key: EventKey,
-    /// Sending peer, possibly tagged with [`LOST_BIT`].
-    pub from: PeerId,
-    /// Receiving peer.
-    pub to: PeerId,
-    /// The message.
-    pub message: Message,
-}
-
-// Cross-shard merges move these by value at every window barrier, into the
-// destination queue's payload slab; keep the record within two cache lines.
-const _: () = assert!(
-    std::mem::size_of::<Outbound>() <= 128,
-    "Outbound grew past 128 bytes"
-);
 
 #[cfg(test)]
 mod tests {

@@ -42,21 +42,9 @@
 //! than approximate: every event is processed at exactly the canonical
 //! position it would occupy in a single-queue run.
 //!
-//! ## Query lifecycle
-//!
-//! Queries have an explicit lifecycle (tracked in `shard`): outstanding-message
-//! counts per arrival, folded across shards at each barrier, synthesize a
-//! canonical class-4 **completion event** when the last in-flight message is
-//! consumed. Duplicate suppression keys on actual completion, which adds one
-//! cross-shard read the lookahead alone cannot protect: whether a peer's
-//! earlier query is still in flight at a *pending* issue's position may be
-//! decided by deliveries another shard has not folded yet. The coordinator
-//! therefore **caps** a shard's window at the first pending issue whose
-//! peer has an open (or completed-but-not-yet-pruned) query — or an earlier
-//! pending same-peer issue — deferring that issue until the global frontier
-//! reaches it, at which point the folded lifecycle state is exact at its
-//! position. The issue at the global frontier itself is never capped, so
-//! every window still makes progress. Caps are pure scheduling: they only
+//! What is counted per query, when a query is complete, and why the
+//! coordinator sometimes **caps** a shard's window at a pending issue, is
+//! described in one place: `lifecycle`. Caps are pure scheduling — they only
 //! delay when an issue runs, never what it observes.
 //!
 //! Because the canonical order, the per-arrival RNG streams and the merge
@@ -86,16 +74,16 @@
 //! may touch any peer of any shard; during a window each `&mut ShardState` is
 //! handed to exactly one drain.
 //!
-//! This file owns the run's set-up and report, the executor, window planning,
-//! lifecycle folds and the barrier transitions (Bloom sync, churn). `shard`
-//! owns the per-shard event loop: query lifecycle, transport (canonical keys,
-//! fault marking, outboxes) and the unstructured family's handlers. `dht`
-//! owns the structured family — directory, bootstrap, lookups, record
-//! placement, republish and table maintenance — behind a handful of entry
-//! points. `exchange` fixes the canonical event order and the partition,
-//! `faults` compiles the fault plan, `tally` holds the commutative
-//! statistics. Every shard count, `shards = 1` included, runs this same code
-//! path.
+//! This file owns the run's set-up and report, the executor, window planning
+//! and the barriers (outbox merge, Bloom sync, churn). `shard` owns the
+//! per-shard event loop: transport (canonical keys, fault marking, outboxes)
+//! and the unstructured family's handlers. `lifecycle` owns what is counted
+//! per query and every conclusion drawn from it. `dht` owns the structured
+//! family — directory, bootstrap, lookups, record placement, republish and
+//! table maintenance — behind a handful of entry points. `exchange` fixes the
+//! canonical event order and the partition, `faults` compiles the fault plan,
+//! `tally` holds the commutative statistics. Every shard count, `shards = 1`
+//! included, runs this same code path.
 //!
 //! [`QueryRecord`]: locaware_metrics::QueryRecord
 //! [`LinkLatencyCache::incoming_channel_mins`]:
@@ -104,6 +92,7 @@
 mod dht;
 mod exchange;
 mod faults;
+mod lifecycle;
 mod shard;
 mod tally;
 
@@ -131,9 +120,8 @@ pub(crate) use exchange::locality_rank_order;
 
 use dht::DhtDirectory;
 use faults::FaultPlan;
-use exchange::{
-    completion_key, issue_key, PeerPartition, CLASS_BLOOM_SYNC, CLASS_CHURN, CLASS_DHT_REPUBLISH,
-};
+use exchange::{issue_key, PeerPartition, CLASS_BLOOM_SYNC, CLASS_CHURN, CLASS_DHT_REPUBLISH};
+use lifecycle::LifecycleFold;
 use shard::{ShardEvent, ShardState};
 use tally::{labelled_counters, Tallies, FORWARD_DECISIONS, MESSAGE_KINDS};
 
@@ -453,10 +441,10 @@ fn finalize(
             dht_lookups += 1;
             dht_depth_total += u64::from(tracking.dht_depth);
         }
-        let messages: u64 = shards.iter().map(|s| s.messages[index]).sum();
+        let messages: u64 = shards.iter().map(|s| s.ledger.messages(index)).sum();
         let hit = shards
             .iter()
-            .filter_map(|s| s.hits[index])
+            .filter_map(|s| s.ledger.hit(index))
             .min_by_key(|h| h.key);
         metrics.push(QueryRecord {
             index: emitted,
@@ -525,24 +513,8 @@ enum ControlAction {
     Churn(ChurnEvent),
 }
 
-/// Where a query is in its lifecycle, as the coordinator's barrier folds see
-/// it. Transitions: `Idle → Open` when the folded outstanding count first
-/// goes positive; `Open → PendingPrune` when it returns to zero for a query
-/// that escaped its origin shard (completion detected, duplicate-map prune
-/// deferred until the global frontier passes the completion's canonical key);
-/// `Open → Closed` directly for never-escaped queries (the origin shard
-/// already completed them inline, at the exact canonical position);
-/// `PendingPrune → Closed` when the deferred prune is applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueryPhase {
-    Idle,
-    Open,
-    PendingPrune,
-    Closed,
-}
-
-/// The serial half of the sharded run: window planning, lifecycle folds,
-/// barrier merges and global transitions.
+/// The serial half of the sharded run: window planning, barrier merges and
+/// global transitions.
 struct Coordinator {
     /// The live overlay graph and the peers-online snapshot: written only by
     /// the churn transition, lent read-only to every window drain.
@@ -553,32 +525,10 @@ struct Coordinator {
     churn_rng: StdRng,
     controls_dispatched: u64,
     control_end_time: SimTime,
-    /// Query lifecycle fold state, all arrival-indexed: the globally folded
-    /// outstanding-message count, the maximum consumption key folded so far,
-    /// and the lifecycle phase.
-    query_outstanding: Vec<i64>,
-    query_last: Vec<Option<EventKey>>,
-    query_phase: Vec<QueryPhase>,
-    /// Arrival index → its issue event was dispatched by some shard; used to
-    /// skip settled arrivals when scanning for window caps.
-    arrival_done: Vec<bool>,
-    /// First arrival index not yet known settled (all below are done).
-    arrival_cursor: usize,
-    /// Peer index → number of its queries that are open or pending a prune.
-    /// A pending issue by such a peer must not run ahead of the global
-    /// frontier: its duplicate-suppression read is not yet exact.
-    inflight_by_peer: Vec<u32>,
-    /// Epoch-stamped "peer has an earlier pending issue in this cap scan"
-    /// marker (`peer_seen[p] == cap_epoch`); avoids clearing per window.
-    peer_seen: Vec<u32>,
-    cap_epoch: u32,
-    /// Completions of escaped queries whose duplicate-map prune waits for the
-    /// global frontier to pass the completion's canonical (class 4) key:
-    /// until then a lagging shard may still hold a same-peer issue that must
-    /// observe the query as in flight.
-    pending_prunes: Vec<(EventKey, u32)>,
-    /// Scratch: arrival indexes touched by the current fold.
-    fold_touched: Vec<u32>,
+    /// The coordinator's half of the query lifecycle — `Some` exactly when
+    /// the run has several shards: one shard completes every query inline
+    /// and has no barrier to fold at.
+    lifecycle: Option<LifecycleFold>,
     /// Scratch: per-shard window bounds planned for the current window.
     bounds: Vec<EventKey>,
     /// Parallelism profile of the run (see [`Coordinator::print_stats`]):
@@ -648,7 +598,6 @@ impl Coordinator {
         }));
         control.sort_by_key(|&(key, _)| key);
 
-        let arrivals = shared.arrivals.len();
         Coordinator {
             graph,
             online: vec![true; config.peers],
@@ -657,16 +606,8 @@ impl Coordinator {
             churn_rng: shared.rng_factory.stream(StreamId::Churn),
             controls_dispatched: 0,
             control_end_time: SimTime::ZERO,
-            query_outstanding: vec![0; arrivals],
-            query_last: vec![None; arrivals],
-            query_phase: vec![QueryPhase::Idle; arrivals],
-            arrival_done: vec![false; arrivals],
-            arrival_cursor: 0,
-            inflight_by_peer: vec![0; config.peers],
-            peer_seen: vec![0; config.peers],
-            cap_epoch: 0,
-            pending_prunes: Vec::new(),
-            fold_touched: Vec::new(),
+            lifecycle: (shard_count > 1)
+                .then(|| LifecycleFold::new(&shared.arrivals, &shared.partition)),
             bounds: vec![EventKey::MAX; shard_count],
             windows: 0,
             engaged_windows: 0,
@@ -690,9 +631,6 @@ impl Coordinator {
     /// event budget trips).
     fn drive(&mut self, shared: &RunShared<'_>, shards: &mut [ShardState], executor: Executor) {
         loop {
-            if shards.len() > 1 {
-                self.fold_lifecycle(shared, shards);
-            }
             let budget = shared.config.max_events;
             let Some(remaining) = budget.checked_sub(self.dispatched(shards)).filter(|&r| r > 0)
             else {
@@ -702,12 +640,20 @@ impl Coordinator {
             let next_event: Option<EventKey> =
                 shards.iter().filter_map(|s| s.queue.peek_key()).min();
             let next_control = self.control.get(self.next_control).map(|&(key, _)| key);
-            if shards.len() > 1 {
+            if let Some(lifecycle) = &mut self.lifecycle {
                 // Every event strictly below the global frontier has been
-                // processed (outboxes are merged), so deferred duplicate-map
-                // prunes whose completion key the frontier has passed are now
-                // safe: no pending issue can still order before them.
-                self.apply_ready_prunes(shared, shards, next_event.unwrap_or(EventKey::MAX));
+                // processed (outboxes are merged), so the ledgers sum to the
+                // exact counts, and a completion whose key the frontier has
+                // passed is safe to apply: no pending issue can still order
+                // before it. An escaped query left route state in other
+                // shards too; its count is zero, so none is asked again.
+                let mut ledgers: Vec<_> = shards.iter_mut().map(|s| &mut s.ledger).collect();
+                lifecycle.fold(&mut ledgers);
+                let frontier = next_event.unwrap_or(EventKey::MAX);
+                lifecycle.take_ready_prunes(frontier, |index, origin_shard, at| {
+                    shards[origin_shard].complete_locally(shared, index, at);
+                    shards.iter_mut().for_each(|shard| shard.routes.complete(index));
+                });
             }
 
             match (next_event, next_control) {
@@ -730,7 +676,8 @@ impl Coordinator {
                         };
                         *bound = control.map_or(horizon, |c| c.min(horizon));
                     }
-                    let capped = shards.len() > 1 && self.cap_bounds(shared, event);
+                    let lifecycle = self.lifecycle.as_mut();
+                    let capped = lifecycle.is_some_and(|l| l.cap_bounds(&mut self.bounds, event));
                     for (shard, &bound) in shards.iter_mut().zip(&self.bounds) {
                         shard.window_bound = bound;
                     }
@@ -774,167 +721,6 @@ impl Coordinator {
         }
     }
 
-    /// Folds every shard's [`tally::LifecycleFlux`] into the global lifecycle
-    /// slabs and detects completions: a query whose folded outstanding count
-    /// returns to zero has had its last in-flight message consumed (any
-    /// not-yet-folded consumption would require a not-yet-folded send, and
-    /// sends fold no later than the barrier after the window that made them —
-    /// so a zero here is a true global zero). Never-escaped queries were
-    /// already completed inline by their origin shard at the exact canonical
-    /// position; escaped ones are handed to [`Coordinator::apply_ready_prunes`]
-    /// so the duplicate-map prune waits until the frontier passes the
-    /// completion key.
-    fn fold_lifecycle(&mut self, shared: &RunShared<'_>, shards: &mut [ShardState]) {
-        let mut touched = std::mem::take(&mut self.fold_touched);
-        for shard in shards.iter_mut() {
-            for index in shard.processed_arrivals.drain(..) {
-                self.arrival_done[index as usize] = true;
-            }
-            let flux = shard.flux.as_mut().expect("multi-shard runs carry flux");
-            let outstanding = &mut self.query_outstanding;
-            let last = &mut self.query_last;
-            flux.drain(|index, delta, consumed| {
-                let i = index as usize;
-                outstanding[i] += delta;
-                if let Some(key) = consumed {
-                    let slot = &mut last[i];
-                    *slot = Some(slot.map_or(key, |k| k.max(key)));
-                }
-                touched.push(index);
-            });
-        }
-        for &index in &touched {
-            let i = index as usize;
-            debug_assert!(
-                self.query_outstanding[i] >= 0,
-                "query {i}: a consumption folded before its send"
-            );
-            // Duplicate touches are harmless: every transition below is
-            // guarded by the current phase.
-            match self.query_phase[i] {
-                QueryPhase::Idle if self.query_outstanding[i] > 0 => {
-                    self.query_phase[i] = QueryPhase::Open;
-                    self.inflight_by_peer[shared.arrivals[i].peer] += 1;
-                }
-                QueryPhase::Idle => {
-                    // Issued and fully consumed between two barriers: that is
-                    // only possible inside one shard (a cross-shard hop lands
-                    // at least one window later), so the origin completed it
-                    // inline, exactly. Nothing to fold.
-                    self.query_phase[i] = QueryPhase::Closed;
-                }
-                QueryPhase::Open if self.query_outstanding[i] == 0 => {
-                    let last = self.query_last[i]
-                        .expect("an opened query closes via at least one consumption");
-                    let origin = PeerId(shared.arrivals[i].peer as u32);
-                    let origin_shard = shared.partition.shard(origin);
-                    if shards[origin_shard].escaped[i] {
-                        // Completion detected, but a shard lagging behind the
-                        // one that consumed the last message may still hold a
-                        // same-peer issue ordering before it: keep the query
-                        // counted in-flight and defer the duplicate-map prune
-                        // until the frontier passes the completion key.
-                        self.query_phase[i] = QueryPhase::PendingPrune;
-                        self.pending_prunes
-                            .push((completion_key(last.time, i), index));
-                    } else {
-                        // Never escaped: the origin shard completed it inline
-                        // at the exact canonical position.
-                        self.query_phase[i] = QueryPhase::Closed;
-                        self.inflight_by_peer[shared.arrivals[i].peer] -= 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        touched.clear();
-        self.fold_touched = touched;
-    }
-
-    /// Applies every deferred duplicate-map prune whose canonical completion
-    /// key the global frontier has passed: all events below `frontier` are
-    /// processed, so no issue can still observe the query as in flight.
-    fn apply_ready_prunes(
-        &mut self,
-        shared: &RunShared<'_>,
-        shards: &mut [ShardState],
-        frontier: EventKey,
-    ) {
-        let mut i = 0;
-        while i < self.pending_prunes.len() {
-            let (key, index) = self.pending_prunes[i];
-            if key < frontier {
-                self.pending_prunes.swap_remove(i);
-                let idx = index as usize;
-                let origin = PeerId(shared.arrivals[idx].peer as u32);
-                shards[shared.partition.shard(origin)].complete_locally(shared, idx, key.time);
-                // An escaped query left route state in other shards too; its
-                // folded count is zero, so none of them is asked again.
-                for shard in shards.iter_mut() {
-                    shard.routes.complete(idx);
-                }
-                self.query_phase[idx] = QueryPhase::Closed;
-                self.inflight_by_peer[origin.index()] -= 1;
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Shortens shard bounds so no issue runs before its duplicate-suppression
-    /// read is exact, scanning pending arrivals in canonical order. An issue
-    /// needs deferring when its peer has an open (or pending-prune) query —
-    /// whose completion another shard may process at a smaller canonical key
-    /// than the issue's — or an earlier same-peer pending issue (whose query's
-    /// fate is equally unsettled). The arrival at the global frontier `start`
-    /// is exempt: everything below it is processed and folded, so the
-    /// lifecycle state is exact at its position — which also guarantees every
-    /// window admits at least its frontier event. Returns whether any bound
-    /// was shortened. Caps only delay issues, never change what they observe,
-    /// so they cannot affect results.
-    fn cap_bounds(&mut self, shared: &RunShared<'_>, start: EventKey) -> bool {
-        while self.arrival_cursor < self.arrival_done.len()
-            && self.arrival_done[self.arrival_cursor]
-        {
-            self.arrival_cursor += 1;
-        }
-        self.cap_epoch = self.cap_epoch.wrapping_add(1);
-        let epoch = self.cap_epoch;
-        let mut capped = false;
-        // Arrivals are time-sorted and canonical keys tie-break by index, so
-        // array order is canonical order. Once `max_bound` (the furthest any
-        // shard may still reach) is behind an arrival, no later arrival can
-        // run this window either.
-        let mut max_bound = self.bounds.iter().copied().max().unwrap_or(EventKey::MAX);
-        for idx in self.arrival_cursor..self.arrival_done.len() {
-            if self.arrival_done[idx] {
-                continue;
-            }
-            let arrival = &shared.arrivals[idx];
-            let key = issue_key(arrival.at, idx);
-            if key >= max_bound {
-                break;
-            }
-            let shard = shared.partition.shard_of[arrival.peer] as usize;
-            if key >= self.bounds[shard] {
-                // Not runnable this window (natural horizon or an earlier
-                // cap already excludes it) — and neither is any later
-                // same-peer arrival, so it needs no marking either.
-                continue;
-            }
-            if key > start
-                && (self.inflight_by_peer[arrival.peer] > 0 || self.peer_seen[arrival.peer] == epoch)
-            {
-                self.bounds[shard] = key;
-                capped = true;
-                max_bound = self.bounds.iter().copied().max().unwrap_or(EventKey::MAX);
-            } else {
-                self.peer_seen[arrival.peer] = epoch;
-            }
-        }
-        capped
-    }
-
     /// Handles one control transition (everything strictly before its
     /// canonical key has already drained).
     fn run_control(&mut self, shared: &RunShared<'_>, shards: &mut [ShardState], key: EventKey) {
@@ -965,10 +751,8 @@ impl Coordinator {
     /// stderr: total vs critical-path events bound how much an ideal machine
     /// with one core per shard could compress the run
     /// (`ideal_speedup = total / critical_path`). Measured, deterministic
-    /// quantities — the profile is how `BENCH_prN.json` grounds multi-core
-    /// projections on single-core CI hardware — except `parallel_windows`,
-    /// which says how many windows this process's executor actually fanned
-    /// out.
+    /// quantities — except `parallel_windows`, which says how many windows
+    /// this process's executor actually fanned out.
     fn print_stats(&self, shards: &[ShardState], lookahead: &[Option<Duration>]) {
         if std::env::var("LOCAWARE_SHARD_STATS").as_deref() != Ok("1") {
             return;
@@ -1152,21 +936,13 @@ fn merge_outboxes(shards: &mut [ShardState]) {
     for source in 0..shards.len() {
         for destination in 0..shards.len() {
             let mut bucket = std::mem::take(&mut shards[source].outboxes[destination]);
-            for outbound in bucket.drain(..) {
+            for (key, event) in bucket.drain(..) {
                 debug_assert!(
-                    outbound.key >= shards[destination].window_bound,
-                    "cross-shard delivery {:?} would land inside the destination window bounded by {:?}",
-                    outbound.key,
+                    key >= shards[destination].window_bound,
+                    "cross-shard delivery {key:?} would land inside the destination window bounded by {:?}",
                     shards[destination].window_bound
                 );
-                shards[destination].queue.push(
-                    outbound.key,
-                    ShardEvent::Deliver {
-                        from: outbound.from,
-                        to: outbound.to,
-                        message: outbound.message,
-                    },
-                );
+                shards[destination].queue.push(key, event);
             }
             shards[source].outboxes[destination] = bucket;
         }
@@ -1198,6 +974,19 @@ mod tests {
             let inline = report(kind, 4, Executor::Inline);
             assert_eq!(inline, report(kind, 4, Executor::Parallel), "{kind:?}: parallel");
             assert_eq!(inline, report(kind, 1, Executor::Inline), "{kind:?}: one shard");
+        }
+    }
+
+    /// One shard completes every query inline: there is no fold to build.
+    #[test]
+    fn only_a_run_with_several_shards_builds_a_lifecycle_fold() {
+        for (shards, folded) in [(1, false), (2, true)] {
+            let mut config = crate::config::SimulationConfig::small(40);
+            config.shards = shards;
+            let sim = Simulation::try_build(config).expect("test configuration validates");
+            let (shared, states) = prepare(&sim, ProtocolKind::Flooding, sim.arrivals(3), true);
+            let coordinator = Coordinator::new(&shared, sim.overlay().clone(), &[], states.len());
+            assert_eq!((states.len(), coordinator.lifecycle.is_some()), (shards, folded));
         }
     }
 

@@ -1,46 +1,31 @@
 //! One shard of the sharded engine: the peers it owns, its local event queue,
-//! the query lifecycle, the transport and the unstructured-family handlers
-//! (the structured family's handlers live in [`super::dht`]).
+//! the transport and the unstructured-family handlers (the structured
+//! family's handlers live in [`super::dht`]; what is counted per query, and
+//! when a query is complete, in [`super::lifecycle`]).
 //!
 //! [`ShardState::drain`] takes `&mut self` and shared references to
 //! everything else — the immutable run context ([`RunShared`]) and the
 //! coordinator's overlay graph and online snapshot — so a shard can mutate
 //! only its own state while draining a window: its peers (slot-indexed
-//! vectors), its query slabs and route tables, its tallies and its outboxes.
+//! vectors), its query ledger and route tables, its tallies and its outboxes.
 //! The signature is the whole ownership discipline; that is what lets the
 //! executor hand each shard to its own thread with no locks anywhere.
 //!
-//! Per-query bookkeeping is kept in **dense slabs keyed by arrival index**
-//! (the query id *is* the arrival index): `tracking` for origin-local fields,
-//! `messages` for per-query traffic charged at any forwarding peer, and
-//! `hits` for first-answer candidates recorded at any answering peer. The
-//! latter two are written by whichever shard processes the event and merged
-//! commutatively (sum, min-by-key) in finalize. Routing state — duplicate
-//! suppression and reverse paths — is per query too, but only while the query
-//! is alive: `routes` holds one recycled table per query with state in this
-//! shard, for the peers of this shard.
+//! Per-query bookkeeping is keyed by arrival index (the query id *is* the
+//! arrival index): `tracking` for origin-local fields, `ledger` for what any
+//! shard that handles one of the query's events adds — traffic, first-answer
+//! candidates and the obligation count, merged commutatively in finalize and
+//! at barriers. Routing state — duplicate suppression and reverse paths — is
+//! per query too, but only while the query is alive: `routes` holds one
+//! recycled table per query with state in this shard, for the peers of this
+//! shard.
 //!
-//! ## Query lifecycle
-//!
-//! Every query-charged send increments the query's outstanding-message count
-//! and every consumed delivery decrements it (consumed means *dispatched* —
-//! TTL-dropped, duplicate-suppressed and offline-receiver deliveries all
-//! consume their message). The count hitting zero is the query's
-//! **completion**, a canonical class-4 event at the consuming delivery's
-//! time (see [`super::exchange`]): `completed_at` is recorded, the query's
-//! entry is pruned from the `issued` duplicate-suppression map, so a later
-//! re-query for the same file is legal the moment the original search
-//! actually died, and its route table goes back to the spare list — no later
-//! event can ask about a query with nothing in flight and no timer armed.
-//! A query whose traffic never leaves its origin shard completes *inline*
-//! (the `outstanding`/`escaped` slabs below): all its events drain here in
-//! key order, so the local count is exact. Once a message escapes through an
-//! outbox the shard stops concluding anything locally and the coordinator
-//! detects completion by folding the per-shard [`LifecycleFlux`] at
-//! barriers.
+//! Every message enters a queue or an outbox through [`ShardState::send`] /
+//! [`ShardState::send_background`] → `route`, every deadline through
+//! [`ShardState::schedule_timeout`]; both charge the ledger, and
+//! [`ShardState::drain`] retires what it dispatches.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
@@ -59,8 +44,9 @@ use crate::protocol::{PeerView, QueryContext, ResponseContext};
 use crate::provider::select_provider;
 
 use super::dht::{self, DhtLookupState, DirectoryScratch};
-use super::exchange::{deliver_key, timeout_key, Outbound, LOST_BIT};
-use super::tally::{decision_index, kind_index, LifecycleFlux, Tallies};
+use super::exchange::{deliver_key, timeout_key, LOST_BIT};
+use super::lifecycle::{HitMark, QueryLedger};
+use super::tally::{decision_index, kind_index, Tallies};
 use super::RunShared;
 
 /// A shard-local event. Periodic maintenance (Bloom sync) and churn are
@@ -177,22 +163,12 @@ pub(super) struct QueryTracking {
 /// plan's [`TimeoutPolicy`](locaware_workload::TimeoutPolicy).
 #[derive(Debug)]
 pub(super) struct RetryState {
-    /// The wire message of attempt 0, kept so a deadline can re-flood it
+    /// The wire message as last flooded, kept so a deadline can re-flood it
     /// under a fresh attempt id (the workload draw must not be repeated —
     /// re-drawing would desynchronise the per-arrival RNG stream).
     pub message: Message,
     /// The 0-based attempt whose deadline is currently armed.
     pub attempt: u32,
-}
-
-/// A local-match candidate for "first answer wins" semantics: the shard-local
-/// first hit (events drain in key order, so set-once is the shard minimum);
-/// finalize takes the key-minimum across shards.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct HitMark {
-    pub key: EventKey,
-    pub hops: u32,
-    pub from_cache: bool,
 }
 
 /// Everything one shard owns.
@@ -203,26 +179,27 @@ pub(super) struct ShardState {
     pub peers: Vec<PeerState>,
     /// The shard-local event queue in canonical key order.
     pub queue: ShardQueue<ShardEvent>,
-    /// Cross-shard messages awaiting the next barrier, one bucket per
-    /// destination shard (this shard's own bucket stays empty).
-    pub outboxes: Vec<Vec<Outbound>>,
+    /// Cross-shard deliveries awaiting the next barrier, one bucket per
+    /// destination shard (this shard's own bucket stays empty), as the
+    /// destination queue will take them: the canonical key was fixed at send
+    /// time, so the merge makes no ordering decision.
+    pub outboxes: Vec<Vec<(EventKey, ShardEvent)>>,
     /// Arrival index → origin-local tracking, for queries issued by this
     /// shard's peers. A map rather than an arrivals-sized slab: each entry
     /// exists in exactly one shard (the origin's), and `QueryTracking` is fat
     /// (it inlines the per-query selection RNG), so slab-per-shard would cost
     /// O(shards × arrivals) memory for (shards−1)/shards empty slots. The
-    /// `messages`/`hits` slabs below stay dense: they are genuinely written
-    /// by every shard and merged commutatively, and their entries are small.
+    /// `ledger` below stays dense: it is genuinely written by every shard
+    /// and merged commutatively, and its entries are small.
     pub tracking: HashMap<u32, QueryTracking>,
     /// Arrival index → the origin-driven iterative DHT lookup still walking
     /// for that query (origin shard only, structured protocols only). An
     /// entry exists exactly while the walk is live: satisfaction, shortlist
     /// exhaustion and query completion each remove it.
     pub dht_lookups: HashMap<u32, DhtLookupState>,
-    /// Arrival index → messages this shard charged to the query.
-    pub messages: Vec<u64>,
-    /// Arrival index → this shard's earliest local-match candidate.
-    pub hits: Vec<Option<HitMark>>,
+    /// Arrival index → what this shard added to the query: messages charged,
+    /// earliest local match, obligations charged and retired.
+    pub ledger: QueryLedger,
     /// Slot → (target file → arrival index), the in-flight duplicate-query
     /// guard of the owning peer. An entry exists exactly while that query is
     /// genuinely in flight: the completion transition removes it, so the map
@@ -234,23 +211,6 @@ pub(super) struct ShardState {
     /// returned to the spare list by its completion, and erased of a peer
     /// that rejoins ([`ShardState::reset_volatile_state`]).
     pub routes: QueryRoutes,
-    /// Arrival index → this shard's net outstanding-message count for the
-    /// query (sends − consumptions it processed). Exact — and equal to the
-    /// global count — while the query has never escaped its origin shard;
-    /// can dip below zero in non-origin shards, which consume messages they
-    /// never sent.
-    pub outstanding: Vec<i64>,
-    /// Arrival index → true once this shard outboxed one of the query's
-    /// messages. In the origin shard this disables inline completion.
-    pub escaped: Vec<bool>,
-    /// Per-query lifecycle deltas folded by the coordinator at barriers.
-    /// `None` in single-shard runs, where inline completion is always exact
-    /// and the hot path skips flux recording entirely.
-    pub flux: Option<LifecycleFlux>,
-    /// Arrival indexes whose Issue event this shard dispatched since the
-    /// last barrier (including skipped arrivals). Multi-shard only; the
-    /// coordinator drains it to advance its pending-arrival scan.
-    pub processed_arrivals: Vec<u32>,
     /// The upper bound of the window this shard is currently draining, set by
     /// the coordinator at the barrier. With per-channel lookahead each shard
     /// gets its own bound.
@@ -290,12 +250,7 @@ impl ShardState {
             outboxes: (0..shards).map(|_| Vec::new()).collect(),
             tracking: HashMap::new(),
             dht_lookups: HashMap::new(),
-            messages: vec![0; arrivals],
-            hits: vec![None; arrivals],
-            outstanding: vec![0; arrivals],
-            escaped: vec![false; arrivals],
-            flux: (shards > 1).then(|| LifecycleFlux::new(arrivals)),
-            processed_arrivals: Vec::new(),
+            ledger: QueryLedger::new(arrivals, shards > 1),
             window_bound: EventKey::MAX,
             send_seq: vec![0; peer_count],
             tallies: Tallies::new(),
@@ -346,24 +301,24 @@ impl ShardState {
                 ShardEvent::Deliver { from, to, message } => {
                     debug_assert_eq!(shared.partition.shard(to), self.shard as usize);
                     // Lifecycle accounting brackets the handler: a
-                    // query-charged delivery is *consumed* by being
+                    // query-charged delivery is *retired* by being
                     // dispatched, whatever then happens to it — offline
                     // receiver, duplicate suppression, TTL exhaustion and
                     // fault-plan loss all end this message's flight.
-                    let consumed = message.query_id().map(query_index);
-                    if let Some(index) = consumed {
-                        self.consume(index, key);
+                    let retired = message.query_id().map(query_index);
+                    if let Some(index) = retired {
+                        self.ledger.retire(index, key.time);
                     }
                     if from.0 & LOST_BIT == 0 {
                         self.process_delivery(shared, graph, online, key, from, to, message);
                     }
-                    if let Some(index) = consumed {
+                    if let Some(index) = retired {
                         self.complete_if_drained(shared, index, key.time);
                     }
                 }
                 ShardEvent::Timeout { index, kind } => {
                     let index = index as usize;
-                    self.consume(index, key);
+                    self.ledger.retire(index, key.time);
                     match kind {
                         TimeoutKind::Retransmit { attempt } => {
                             self.retransmit_query(shared, graph, online, key, index, attempt)
@@ -379,32 +334,12 @@ impl ShardState {
         self.dispatched += dispatched;
     }
 
-    /// Charges one obligation — an in-flight message or an armed deadline —
-    /// to query `index`'s outstanding count.
-    fn charge(&mut self, index: usize) {
-        self.outstanding[index] += 1;
-        if let Some(flux) = &mut self.flux {
-            flux.charge(index);
-        }
-    }
-
-    /// Retires one of query `index`'s obligations at canonical position `key`.
-    fn consume(&mut self, index: usize, key: EventKey) {
-        self.outstanding[index] -= 1;
-        if let Some(flux) = &mut self.flux {
-            flux.consume(index, key);
-        }
-    }
-
-    /// Completes query `index` at `now` if the event just handled left it
-    /// with no outstanding obligation. Checked only *after* the handler ran:
-    /// a consumption and the sends it triggers (forwarded copies, a response)
-    /// are one atomic event, so a count that touches zero mid-event is not a
-    /// completion. Exact only in the origin shard of a never-escaped query
-    /// (the local count then equals the global count); `complete_locally` is
-    /// a no-op elsewhere.
+    /// Completes query `index` at `now` if the event just handled — checked
+    /// only *after* its handler ran — left it with nothing this shard can see
+    /// in flight. Exact in the origin shard of a query that never left it;
+    /// `complete_locally` is a no-op elsewhere.
     fn complete_if_drained(&mut self, shared: &RunShared<'_>, index: usize, now: SimTime) {
-        if self.outstanding[index] == 0 && !self.escaped[index] {
+        if self.ledger.drained_locally(index) {
             self.complete_locally(shared, index, now);
         }
     }
@@ -430,11 +365,8 @@ impl ShardState {
     ) {
         let origin = PeerId(shared.arrivals[index].peer as u32);
         debug_assert_eq!(shared.partition.shard(origin), self.shard as usize);
-        // Every dispatched Issue — skipped or not — retires its arrival from
-        // the coordinator's pending scan.
-        if self.flux.is_some() {
-            self.processed_arrivals.push(index as u32);
-        }
+        // Before any skip below: a skipped arrival is settled too.
+        self.ledger.issue_dispatched(index);
         if !online[origin.index()] {
             return;
         }
@@ -482,9 +414,6 @@ impl ShardState {
         }
         self.issued[slot].insert(query.target, index as u32);
 
-        // The query id *is* the arrival index — dense, globally unique and
-        // identical for every shard count.
-        let query_id = QueryId(index as u64);
         self.tallies.queries_issued += 1;
 
         let origin_loc = shared.loc_ids[origin.index()];
@@ -515,34 +444,20 @@ impl ShardState {
             // routing-decision counters are an overlay concept).
             dht::issue(self, shared, directory, online, key, index, &query.keywords);
         } else {
-            // The originator registers the query locally (no upstream) — on
-            // this branch only: a structured query never sends a `Query`, so
-            // nothing would ever probe its entry.
-            self.routes.on_query(index, slot as u32, 0, None);
-            let keywords: Arc<[u32]> = query.keywords.iter().map(|k| k.0).collect();
-            self.load_query_scratch(shared, &keywords);
+            // The query id *is* the arrival index — dense, globally unique
+            // and identical for every shard count. `flood_attempt` registers
+            // it with the originator — on this branch only: a structured
+            // query never sends a `Query`, so nothing would probe its entry.
             let message = Message::Query {
-                query: query_id,
+                query: attempt_id(index, 0),
                 origin,
                 origin_loc,
-                keywords,
+                keywords: query.keywords.iter().map(|k| k.0).collect(),
                 target_filename: (shared.protocol.kind() == ProtocolKind::Dicas)
                     .then_some(query.target.0),
                 ttl: shared.config.ttl,
             };
-            let sent = self.forward_query(shared, graph, now, origin, None, &message);
-            // Arm the retransmit deadline for attempt 0 — only if the issue
-            // actually put messages in flight (a query with no forward
-            // targets is born complete and retrying it would re-flood into
-            // the same emptiness).
-            let policy = shared.faults.as_ref().and_then(|f| f.query_retransmit());
-            if let (true, Some(policy)) = (sent, policy) {
-                let deadline = now + Duration::from_secs_f64(policy.delay_secs(0));
-                if let Some(tracking) = self.tracking.get_mut(&(index as u32)) {
-                    tracking.retry = Some(Box::new(RetryState { message, attempt: 0 }));
-                }
-                self.schedule_timeout(deadline, index, TimeoutKind::Retransmit { attempt: 0 });
-            }
+            self.flood_attempt(shared, graph, now, index, 0, message);
         }
 
         // A query with no in-flight traffic is born complete — no forward
@@ -670,7 +585,7 @@ impl ShardState {
                     // First-processed hit wins: within this shard events
                     // drain in key order, so set-once keeps the shard minimum;
                     // finalize merges shards by key minimum.
-                    self.hits[index].get_or_insert(HitMark {
+                    self.ledger.record_hit(index, HitMark {
                         key,
                         hops,
                         from_cache: hit.from_cache,
@@ -864,8 +779,8 @@ impl ShardState {
     /// fall through (their count can touch zero while the query lives on
     /// elsewhere, so they free nothing until the coordinator's prune). Also the
     /// entry point for the coordinator's fold-detected completions of
-    /// escaped queries (applied at the canonical completion time recovered
-    /// from the folded flux).
+    /// escaped queries (applied at the latest retirement time over the
+    /// shards' ledgers).
     pub(super) fn complete_locally(&mut self, shared: &RunShared<'_>, index: usize, now: SimTime) {
         let Some(tracking) = self.tracking.get_mut(&(index as u32)) else {
             return;
@@ -907,7 +822,7 @@ impl ShardState {
             TimeoutKind::Retransmit { attempt } => u64::from(attempt),
             TimeoutKind::DhtStep { peer } => (1u64 << 32) | u64::from(peer.0),
         };
-        self.charge(index);
+        self.ledger.charge(index);
         self.queue.push(
             timeout_key(at, index, discriminator),
             ShardEvent::Timeout {
@@ -917,11 +832,53 @@ impl ShardState {
         );
     }
 
+    /// Floods `message` from its origin as query `index`'s 0-based attempt
+    /// `attempt` — the issue is attempt 0, every retransmit the next — and
+    /// arms that attempt's deadline: the one place the unstructured family
+    /// does either. The attempt's id is stamped into the message (a fresh id
+    /// gives a re-flood its own duplicate-suppression and reverse-path state,
+    /// so peers that suppressed attempt `n` still forward attempt `n+1`) and
+    /// the origin registers it locally, with no upstream. The deadline is
+    /// armed only under a fault plan with a retransmit policy, and only if
+    /// the flood put messages in flight: a query with no forward targets is
+    /// complete as it stands, and retrying it would re-flood into the same
+    /// emptiness — so it is disarmed and the lifecycle closes the query.
+    fn flood_attempt(
+        &mut self,
+        shared: &RunShared<'_>,
+        graph: &OverlayGraph,
+        now: SimTime,
+        index: usize,
+        attempt: u32,
+        mut message: Message,
+    ) {
+        let Message::Query { query, origin, keywords, .. } = &mut message else {
+            unreachable!("only queries are flooded");
+        };
+        *query = attempt_id(index, attempt);
+        let origin = *origin;
+        self.routes.on_query(index, shared.partition.slot(origin) as u32, attempt, None);
+        self.load_query_scratch(shared, keywords);
+        let sent = self.forward_query(shared, graph, now, origin, None, &message);
+        if sent && attempt > 0 {
+            self.tallies.query_retransmits += 1;
+        }
+        let policy = shared.faults.as_ref().and_then(|f| f.query_retransmit());
+        let Some(tracking) = self.tracking.get_mut(&(index as u32)) else {
+            return;
+        };
+        if let (true, Some(policy)) = (sent, policy) {
+            tracking.retry = Some(Box::new(RetryState { message, attempt }));
+            let deadline = now + Duration::from_secs_f64(policy.delay_secs(attempt));
+            self.schedule_timeout(deadline, index, TimeoutKind::Retransmit { attempt });
+        } else {
+            tracking.retry = None;
+        }
+    }
+
     /// A retransmit deadline fired: if the query is still unanswered and has
-    /// retries left, re-flood it from the origin under a fresh attempt id (a
-    /// fresh id gives the re-flood its own duplicate-suppression and
-    /// reverse-path state, so peers that suppressed attempt `n` still forward
-    /// attempt `n+1`) and arm the next, backed-off deadline.
+    /// retries left, re-flood it from the origin as the next attempt, which
+    /// arms the next, backed-off deadline.
     fn retransmit_query(
         &mut self,
         shared: &RunShared<'_>,
@@ -938,7 +895,7 @@ impl ShardState {
         let Some(retry) = tracking.retry.as_ref().filter(|r| r.attempt == attempt) else {
             return;
         };
-        let (origin, mut message) = (tracking.origin, retry.message.clone());
+        let (origin, message) = (tracking.origin, retry.message.clone());
         self.tallies.query_timeouts += 1;
         let Some(policy) = shared.faults.as_ref().and_then(|f| f.query_retransmit()) else {
             return;
@@ -952,37 +909,13 @@ impl ShardState {
             // query complete honestly.
             return;
         }
-        let next = attempt + 1;
-        let Message::Query { query, keywords, .. } = &mut message else {
-            unreachable!("retry state keeps the query's wire message");
-        };
-        *query = attempt_id(index, next);
-        self.routes.on_query(index, shared.partition.slot(origin) as u32, next, None);
-        self.load_query_scratch(shared, keywords);
-        let now = key.time;
-        let sent = self.forward_query(shared, graph, now, origin, None, &message);
-        if sent {
-            self.tallies.query_retransmits += 1;
-            if let Some(retry) = self
-                .tracking
-                .get_mut(&(index as u32))
-                .and_then(|t| t.retry.as_mut())
-            {
-                retry.attempt = next;
-            }
-            let deadline = now + Duration::from_secs_f64(policy.delay_secs(next));
-            self.schedule_timeout(deadline, index, TimeoutKind::Retransmit { attempt: next });
-        } else if let Some(tracking) = self.tracking.get_mut(&(index as u32)) {
-            // Nothing left to flood into (e.g. every neighbour departed):
-            // disarm, and let the lifecycle close the query.
-            tracking.retry = None;
-        }
+        self.flood_attempt(shared, graph, key.time, index, attempt + 1, message);
     }
 
     // --- sending ------------------------------------------------------------
 
-    /// Sends a query-related message, charging it to the query's traffic
-    /// count and to its outstanding-message lifecycle count.
+    /// Sends a message, charging it — traffic and obligation — to `query` if
+    /// it belongs to one.
     pub(super) fn send(
         &mut self,
         shared: &RunShared<'_>,
@@ -994,11 +927,10 @@ impl ShardState {
     ) {
         self.tallies.message_counts[kind_index(message.kind())] += 1;
         if let Some(index) = query {
-            self.messages[index] += 1;
-            self.charge(index);
+            self.ledger.charge_message(index);
         }
         if let (true, Some(index)) = (self.route(shared, now, from, to, message), query) {
-            self.escaped[index] = true;
+            self.ledger.escape(index);
         }
     }
 
@@ -1050,9 +982,9 @@ impl ShardState {
             from
         };
         let destination = shared.partition.shard(to);
+        let event = ShardEvent::Deliver { from, to, message };
         if destination == self.shard as usize {
-            self.queue
-                .push(key, ShardEvent::Deliver { from, to, message });
+            self.queue.push(key, event);
             false
         } else {
             debug_assert!(
@@ -1061,12 +993,7 @@ impl ShardState {
                  channel lookahead {:?}",
                 shared.channel_lookahead[destination]
             );
-            self.outboxes[destination].push(Outbound {
-                key,
-                from,
-                to,
-                message,
-            });
+            self.outboxes[destination].push((key, event));
             true
         }
     }
@@ -1077,6 +1004,7 @@ mod tests {
     use super::super::exchange::issue_key;
     use super::super::prepare;
     use super::*;
+    use std::sync::Arc;
     use crate::config::SimulationConfig;
     use crate::simulation::Simulation;
 

@@ -11,7 +11,6 @@
 
 use locaware_metrics::CounterSet;
 use locaware_overlay::{ForwardDecision, MessageKind};
-use locaware_sim::EventKey;
 
 /// Every message kind with its report label, in tally-array index order.
 pub(super) const MESSAGE_KINDS: [(MessageKind, &str); 7] = [
@@ -124,73 +123,6 @@ impl Tallies {
     }
 }
 
-/// One shard's per-query lifecycle flux since the last barrier: dense
-/// arrival-indexed deltas of the outstanding-message count and the canonical
-/// key of the latest consumption. Like [`Tallies`], every field is
-/// *commutative* across shards (deltas sum, keys max), so the coordinator can
-/// fold the shards in any order at a barrier and recover the exact global count —
-/// which is what lets it synthesize the canonical completion event (class 4
-/// in [`super::exchange`]) for queries whose messages spread over several
-/// shards. Queries that never escape their origin shard complete inline in
-/// [`super::shard`] and the coordinator's fold merely confirms them.
-#[derive(Debug)]
-pub(super) struct LifecycleFlux {
-    /// Arrival index → net outstanding-message delta since the last drain
-    /// (+1 per query-charged send, −1 per consumed delivery).
-    delta: Vec<i64>,
-    /// Arrival index → canonical key of the latest consumption this shard
-    /// processed since the last drain (`None` while only sends accumulated).
-    last_consumed: Vec<Option<EventKey>>,
-    /// Membership mask for `dirty`.
-    touched: Vec<bool>,
-    /// The arrival indexes touched since the last drain.
-    dirty: Vec<u32>,
-}
-
-impl LifecycleFlux {
-    pub(super) fn new(arrivals: usize) -> Self {
-        LifecycleFlux {
-            delta: vec![0; arrivals],
-            last_consumed: vec![None; arrivals],
-            touched: vec![false; arrivals],
-            dirty: Vec::new(),
-        }
-    }
-
-    fn touch(&mut self, index: usize) {
-        if !self.touched[index] {
-            self.touched[index] = true;
-            self.dirty.push(index as u32);
-        }
-    }
-
-    /// Records a query-charged send (+1 outstanding).
-    pub(super) fn charge(&mut self, index: usize) {
-        self.touch(index);
-        self.delta[index] += 1;
-    }
-
-    /// Records the consumption of a query-charged delivery at `key`.
-    pub(super) fn consume(&mut self, index: usize, key: EventKey) {
-        self.touch(index);
-        self.delta[index] -= 1;
-        let last = &mut self.last_consumed[index];
-        *last = Some(last.map_or(key, |k| k.max(key)));
-    }
-
-    /// Drains every touched entry into `fold`, resetting the flux. Called by
-    /// the coordinator at barriers while it holds the shard's lock.
-    pub(super) fn drain(&mut self, mut fold: impl FnMut(u32, i64, Option<EventKey>)) {
-        for index in self.dirty.drain(..) {
-            let i = index as usize;
-            fold(index, self.delta[i], self.last_consumed[i]);
-            self.delta[i] = 0;
-            self.last_consumed[i] = None;
-            self.touched[i] = false;
-        }
-    }
-}
-
 /// Converts a tally array into the labelled counter set reports carry.
 /// Untouched labels are omitted, matching incremental `CounterSet` use.
 pub(super) fn labelled_counters<T: Copy>(
@@ -209,33 +141,6 @@ pub(super) fn labelled_counters<T: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locaware_sim::SimTime;
-
-    #[test]
-    fn lifecycle_flux_folds_commutatively_and_resets() {
-        let key = |us: u64| EventKey::new(SimTime::from_micros(us), 3, 0, 0);
-        let mut flux = LifecycleFlux::new(4);
-        flux.charge(1);
-        flux.charge(1);
-        flux.consume(1, key(50));
-        flux.consume(3, key(20));
-        flux.consume(3, key(80));
-
-        let mut seen = Vec::new();
-        flux.drain(|i, delta, last| seen.push((i, delta, last)));
-        seen.sort_by_key(|&(i, ..)| i);
-        assert_eq!(
-            seen,
-            vec![(1, 1, Some(key(50))), (3, -2, Some(key(80)))],
-            "deltas sum, consumption keys max"
-        );
-
-        // Drained entries reset completely; untouched entries never surface.
-        let mut after = Vec::new();
-        flux.charge(1);
-        flux.drain(|i, delta, last| after.push((i, delta, last)));
-        assert_eq!(after, vec![(1, 1, None)]);
-    }
 
     #[test]
     fn tally_tables_and_index_functions_agree() {
