@@ -726,22 +726,42 @@ fn is_schedulable_period(period_secs: f64) -> bool {
 /// The process-wide `LOCAWARE_SHARDS` default, read once: reading it per call
 /// would let a mid-run environment change split one experiment across two
 /// shard counts (harmless for results — every count is bit-identical — but
-/// confusing for performance analysis).
+/// confusing for performance analysis). A value that is set but not
+/// understood is reported on stderr, once, and treated as unset.
 fn env_default_shards() -> usize {
     use std::sync::OnceLock;
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        std::env::var("LOCAWARE_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
+        let value = std::env::var("LOCAWARE_SHARDS").ok();
+        parse_env_shards(value.as_deref()).unwrap_or_else(|raw| {
+            eprintln!(
+                "locaware: ignoring LOCAWARE_SHARDS=\"{raw}\" (expected a positive integer); using 1"
+            );
+            1
+        })
     })
+}
+
+/// The shard count a `LOCAWARE_SHARDS` value asks for: 1 when unset, the
+/// number when it is a positive integer, and the text itself as the error
+/// when it is anything else.
+fn parse_env_shards(value: Option<&str>) -> Result<usize, &str> {
+    value.map_or(Ok(1), |raw| raw.trim().parse().ok().filter(|&n| n > 0).ok_or(raw))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_shards_variable_is_a_positive_integer_or_reported() {
+        assert_eq!(parse_env_shards(None), Ok(1));
+        assert_eq!(parse_env_shards(Some("4")), Ok(4));
+        assert_eq!(parse_env_shards(Some(" 8 ")), Ok(8));
+        for raw in ["abc", "0", "-2", "", "4 shards"] {
+            assert_eq!(parse_env_shards(Some(raw)), Err(raw));
+        }
+    }
 
     #[test]
     fn paper_defaults_match_section_5_1() {

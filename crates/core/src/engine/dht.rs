@@ -24,8 +24,8 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 use locaware_overlay::{
-    DhtDistance, DhtId, DhtNode, Message, MessageKind, PeerId, ProviderEntry, QueryId,
-    DHT_ID_BITS, DHT_ID_BYTES,
+    DhtDistance, DhtId, DhtNode, Message, MessageKind, OverlayGraph, PeerId, ProviderEntry,
+    QueryId, DHT_ID_BITS, DHT_ID_BYTES,
 };
 use locaware_sim::{Duration, EventKey, RngFactory, SimTime, StreamId};
 use locaware_workload::{FileId, KeywordId};
@@ -37,7 +37,7 @@ use crate::results::DhtRunStats;
 use super::lifecycle::HitMark;
 use super::shard::{query_index, ShardState, TimeoutKind};
 use super::tally::{kind_index, Tallies};
-use super::{for_each_other_online, peer_mut, RunShared};
+use super::{peer_mut, RunShared};
 
 /// Bit `depth` of `id`, counting from the most significant (depth 0).
 fn id_bit(id: &DhtId, depth: usize) -> bool {
@@ -131,7 +131,7 @@ impl DhtDirectory {
     pub(super) fn closest_online_into(
         &self,
         target: DhtId,
-        online: &[bool],
+        graph: &OverlayGraph,
         count: usize,
         scratch: &mut DirectoryScratch,
         out: &mut Vec<PeerId>,
@@ -187,7 +187,7 @@ impl DhtDirectory {
                 hi = near_hi;
             }
             for &(id, peer) in &self.ring[lo..hi] {
-                if !online.get(peer.index()).copied().unwrap_or(false) {
+                if !graph.is_active(peer) {
                     continue;
                 }
                 let entry = (target.distance(id), peer);
@@ -368,7 +368,12 @@ impl DhtLookupState {
 /// their first `k` in peer-id order), and each initially shared, DHT-indexed
 /// file is stored on the `k` closest nodes to each of its keyword keys — no
 /// messages charged.
-pub(super) fn bootstrap(shared: &RunShared<'_>, directory: &DhtDirectory, shards: &mut [ShardState]) {
+pub(super) fn bootstrap(
+    shared: &RunShared<'_>,
+    directory: &DhtDirectory,
+    graph: &OverlayGraph,
+    shards: &mut [ShardState],
+) {
     let config = &shared.config.dht;
     let mut nodes: Vec<DhtNode> = (0..shared.config.peers as u32)
         .map(|i| DhtNode::new(directory.node_id(PeerId(i)), config.k, config.max_record_bytes))
@@ -384,9 +389,8 @@ pub(super) fn bootstrap(shared: &RunShared<'_>, directory: &DhtDirectory, shards
     for (i, node) in nodes.into_iter().enumerate() {
         peer_mut(shared, shards, PeerId(i as u32)).dht = Some(Box::new(node));
     }
-    // Everyone is online at simulation start.
-    let online = vec![true; shared.config.peers];
-    republish(shared, directory, shards, &online, SimTime::ZERO, true);
+    // The initial overlay has no departed peer: everyone announces.
+    republish(shared, directory, shards, graph, SimTime::ZERO, true);
 }
 
 /// One republish round: every online peer sweeps expired entries from its
@@ -402,7 +406,7 @@ pub(super) fn republish(
     shared: &RunShared<'_>,
     directory: &DhtDirectory,
     shards: &mut [ShardState],
-    online: &[bool],
+    graph: &OverlayGraph,
     now: SimTime,
     converged: bool,
 ) {
@@ -412,10 +416,7 @@ pub(super) fn republish(
     let mut targets_by_keyword: HashMap<u32, Vec<PeerId>> = HashMap::new();
     let (mut scratch, mut unmemoised) = (DirectoryScratch::default(), Vec::new());
     let mut files: Vec<FileId> = Vec::new();
-    for from in (0..shared.config.peers as u32).map(PeerId) {
-        if !online[from.index()] {
-            continue;
-        }
+    for from in graph.active_peers() {
         let peer = peer_mut(shared, shards, from);
         if let Some(node) = peer.dht.as_mut() {
             node.store.expire(now);
@@ -429,7 +430,7 @@ pub(super) fn republish(
         for &file in &files {
             let memo = Some(&mut targets_by_keyword);
             for_each_store_target(
-                shared, directory, online, file, memo, &mut scratch, &mut unmemoised,
+                shared, directory, graph, file, memo, &mut scratch, &mut unmemoised,
                 |keyword, target| {
                     if converged {
                         let target = peer_mut(shared, shards, target);
@@ -468,19 +469,19 @@ pub(super) fn on_join(
     shared: &RunShared<'_>,
     directory: &DhtDirectory,
     shards: &mut [ShardState],
-    online: &[bool],
+    graph: &OverlayGraph,
     peer: PeerId,
 ) {
     let Some(mut joiner) = peer_mut(shared, shards, peer).dht.take() else {
         return;
     };
     let joiner_id = directory.node_id(peer);
-    for_each_other_online(shared, shards, online, peer, |other| {
-        joiner.table.insert(directory.node_id(other.id), other.id);
-        if let Some(node) = other.dht.as_mut() {
+    for other in graph.active_peers().filter(|&other| other != peer) {
+        joiner.table.insert(directory.node_id(other), other);
+        if let Some(node) = peer_mut(shared, shards, other).dht.as_mut() {
             node.table.insert(joiner_id, peer);
         }
-    });
+    }
     peer_mut(shared, shards, peer).dht = Some(joiner);
 }
 
@@ -520,14 +521,14 @@ pub(super) fn run_stats<'p>(
 /// closest to the keyword's record key. Files whose rank the protocol keeps
 /// on the overlay (the hybrid's head) are skipped entirely: their discovery
 /// lives in the response indexes. `memo` caches a keyword's targets across
-/// calls — sound only while the caller's `online` set stays fixed; without
+/// calls — sound only while the caller's `graph` stays fixed; without
 /// it the targets are resolved into the caller's `unmemoised` buffer, so a
 /// one-off publish allocates nothing.
 #[allow(clippy::too_many_arguments)]
 fn for_each_store_target(
     shared: &RunShared<'_>,
     directory: &DhtDirectory,
-    online: &[bool],
+    graph: &OverlayGraph,
     file: FileId,
     mut memo: Option<&mut HashMap<u32, Vec<PeerId>>>,
     scratch: &mut DirectoryScratch,
@@ -541,7 +542,7 @@ fn for_each_store_target(
     for &keyword in shared.catalog.filename(file).keywords() {
         let mut resolve = |out: &mut Vec<PeerId>| {
             let key = directory.keyword_key(keyword);
-            directory.closest_online_into(key, online, shared.config.dht.k, scratch, out);
+            directory.closest_online_into(key, graph, shared.config.dht.k, scratch, out);
         };
         let targets: &[PeerId] = match memo.as_mut() {
             Some(memo) => memo.entry(keyword.0).or_insert_with(|| {
@@ -612,7 +613,7 @@ pub(super) fn issue(
     state: &mut ShardState,
     shared: &RunShared<'_>,
     directory: &DhtDirectory,
-    online: &[bool],
+    graph: &OverlayGraph,
     key: EventKey,
     index: usize,
     keywords: &[KeywordId],
@@ -632,7 +633,7 @@ pub(super) fn issue(
     if let Some(node) = state.peers[slot].dht.as_ref() {
         node.store.lookup_into(keyword.0, key.time, &mut entries);
     }
-    if try_satisfy(state, shared, directory, online, key, index, keywords, &entries, 0) {
+    if try_satisfy(state, shared, directory, graph, key, index, keywords, &entries, 0) {
         return;
     }
     let mut lookup = DhtLookupState::new(keywords.to_vec(), record_key);
@@ -646,14 +647,14 @@ pub(super) fn issue(
     }
     // No known contacts at all: nothing goes in flight — the caller's
     // born-complete check closes the query.
-    refill(state, shared, online, key.time, index, lookup, 1);
+    refill(state, shared, graph, key.time, index, lookup, 1);
 }
 
 /// Handles a delivered DHT message at the online peer `to`.
 pub(super) fn deliver(
     state: &mut ShardState,
     shared: &RunShared<'_>,
-    online: &[bool],
+    graph: &OverlayGraph,
     key: EventKey,
     from: PeerId,
     to: PeerId,
@@ -706,10 +707,10 @@ pub(super) fn deliver(
                 tracking.dht_depth = tracking.dht_depth.max(hop);
             }
             let keywords = &lookup.keywords;
-            if !try_satisfy(state, shared, directory, online, key, index, keywords, &entries, hop) {
+            if !try_satisfy(state, shared, directory, graph, key, index, keywords, &entries, hop) {
                 // Keep walking among the `k` closest known contacts, one hop
                 // deeper.
-                refill(state, shared, online, key.time, index, lookup, hop + 1);
+                refill(state, shared, graph, key.time, index, lookup, hop + 1);
             }
         }
         Message::DhtStore { keyword, file, provider } => {
@@ -727,7 +728,7 @@ pub(super) fn deliver(
 pub(super) fn step_timeout(
     state: &mut ShardState,
     shared: &RunShared<'_>,
-    online: &[bool],
+    graph: &OverlayGraph,
     key: EventKey,
     index: usize,
     peer: PeerId,
@@ -742,7 +743,7 @@ pub(super) fn step_timeout(
     };
     let lookup = entry.remove();
     state.tallies.dht_step_timeouts += 1;
-    refill(state, shared, online, key.time, index, lookup, hop);
+    refill(state, shared, graph, key.time, index, lookup, hop);
 }
 
 /// Keeps query `index`'s walk going: sends lookup steps at depth `hop` to
@@ -756,7 +757,7 @@ pub(super) fn step_timeout(
 fn refill(
     state: &mut ShardState,
     shared: &RunShared<'_>,
-    online: &[bool],
+    graph: &OverlayGraph,
     now: SimTime,
     index: usize,
     mut lookup: DhtLookupState,
@@ -765,7 +766,7 @@ fn refill(
     let config = &shared.config.dht;
     let origin = PeerId(shared.arrivals[index].peer as u32);
     let step_timeout = shared.faults.as_ref().and_then(|f| f.dht_step_timeout);
-    let may_send = hop <= config.max_lookup_hops && online[origin.index()];
+    let may_send = hop <= config.max_lookup_hops && graph.is_active(origin);
     if let (true, Some(&keyword)) = (may_send, lookup.keywords.first()) {
         while lookup.inflight() < config.alpha {
             let Some(target) = lookup.take_next_target(config.k) else {
@@ -791,7 +792,7 @@ fn refill(
 /// Tries to satisfy query `index` from DHT record entries (the origin's own
 /// store at hop 0, or a lookup reply's payload). Entries must match every
 /// query keyword, offer a file the origin does not already hold, and name a
-/// provider that is online in this window's snapshot. Among satisfiable
+/// provider that is online in this window's graph. Among satisfiable
 /// files the one with the most online providers wins (ties: smallest file
 /// id) — the analogue of the overlay's first-answer-wins richest response.
 /// On success the origin downloads and replicates through the shared
@@ -802,7 +803,7 @@ fn try_satisfy(
     state: &mut ShardState,
     shared: &RunShared<'_>,
     directory: &DhtDirectory,
-    online: &[bool],
+    graph: &OverlayGraph,
     key: EventKey,
     index: usize,
     keywords: &[KeywordId],
@@ -821,7 +822,7 @@ fn try_satisfy(
     for &(file, provider) in entries {
         let file = FileId(file);
         if !origin.has_file(file)
-            && online.get(provider.provider.index()).copied().unwrap_or(false)
+            && graph.is_active(provider.provider)
             && shared.catalog.filename(file).matches(keywords)
         {
             per_file.entry(file).or_default().push(provider);
@@ -833,7 +834,7 @@ fn try_satisfy(
     else {
         return false;
     };
-    if !state.satisfy(shared, online, index, file, providers) {
+    if !state.satisfy(shared, graph, index, file, providers) {
         return false;
     }
     state.ledger.record_hit(index, HitMark { key, hops, from_cache: false });
@@ -843,7 +844,7 @@ fn try_satisfy(
     let mut targets = std::mem::take(&mut state.scratch_publish_targets);
     let mut scratch = std::mem::take(&mut state.scratch_directory);
     for_each_store_target(
-        shared, directory, online, file, None, &mut scratch, &mut targets,
+        shared, directory, graph, file, None, &mut scratch, &mut targets,
         |keyword, target| place_record(state, shared, key.time, target, keyword, file.0, replica),
     );
     state.scratch_publish_targets = targets;
@@ -887,8 +888,8 @@ mod tests {
         let sim = substrate();
         let (shared, _shards) = prepare(&sim, ProtocolKind::DhtIndex, Vec::new(), true);
         let directory = shared.dht.as_ref().unwrap();
-        let mut online = vec![true; 40];
-        online[3] = false;
+        let mut graph = sim.overlay().clone();
+        graph.depart(PeerId(3));
         let (mut scratch, mut buffer) = (DirectoryScratch::default(), Vec::new());
         let mut memo = HashMap::new();
         for _round in 0..2 {
@@ -896,11 +897,11 @@ mod tests {
             for file in (0..10).map(FileId) {
                 let (mut with, mut without) = (Vec::new(), Vec::new());
                 for_each_store_target(
-                    &shared, directory, &online, file, Some(&mut memo), &mut scratch,
+                    &shared, directory, &graph, file, Some(&mut memo), &mut scratch,
                     &mut buffer, |keyword, target| with.push((keyword, target)),
                 );
                 for_each_store_target(
-                    &shared, directory, &online, file, None, &mut scratch, &mut buffer,
+                    &shared, directory, &graph, file, None, &mut scratch, &mut buffer,
                     |keyword, target| without.push((keyword, target)),
                 );
                 assert_eq!(with, without, "file {file:?}");
@@ -920,7 +921,7 @@ mod tests {
             provider: PeerId(5),
             loc_id: shared.loc_ids[5],
         };
-        let (state, online) = (&mut shards[0], vec![true; 40]);
+        let state = &mut shards[0];
         place_record(state, &shared, now, PeerId(5), u32::MAX, 7, provider);
         assert_eq!(record(state, 5, u32::MAX, now), [(7, provider)]);
         assert_eq!(state.tallies.background_messages, 0);
@@ -929,7 +930,7 @@ mod tests {
         place_record(state, &shared, now, PeerId(6), u32::MAX, 7, provider);
         assert_eq!(state.tallies.message_counts[kind_index(MessageKind::DhtStore)], 1);
         assert!(record(state, 6, u32::MAX, now).is_empty());
-        state.drain(&shared, sim.overlay(), &online, u64::MAX);
+        state.drain(&shared, sim.overlay(), u64::MAX);
         assert_eq!(record(state, 6, u32::MAX, now), [(7, provider)]);
     }
 
@@ -938,7 +939,6 @@ mod tests {
         let sim = substrate();
         let (shared, mut shards) = prepare(&sim, ProtocolKind::DhtIndex, Vec::new(), true);
         let directory = shared.dht.as_ref().unwrap();
-        let online = vec![true; 40];
         let later = SimTime::ZERO + Duration::from_secs(60);
         let bootstrapped = records(&shared, &shards[0], later);
         assert!(bootstrapped.iter().any(|held| !held.is_empty()));
@@ -946,9 +946,9 @@ mod tests {
             peer.dht.as_mut().unwrap().store.clear();
         }
         // The same round, paid for: stores travel as messages and land later.
-        republish(&shared, directory, &mut shards, &online, SimTime::ZERO, false);
+        republish(&shared, directory, &mut shards, sim.overlay(), SimTime::ZERO, false);
         assert_ne!(records(&shared, &shards[0], later), bootstrapped);
-        shards[0].drain(&shared, sim.overlay(), &online, u64::MAX);
+        shards[0].drain(&shared, sim.overlay(), u64::MAX);
         assert_eq!(records(&shared, &shards[0], later), bootstrapped);
     }
 
@@ -958,13 +958,13 @@ mod tests {
         let (shared, mut shards) = prepare(&sim, ProtocolKind::DhtIndex, sim.arrivals(1), true);
         let directory = shared.dht.as_ref().unwrap();
         let (alpha, k) = (shared.config.dht.alpha, shared.config.dht.k);
-        let online = vec![true; 40];
+        let graph = sim.overlay();
         let state = &mut shards[0];
         let origin = PeerId(shared.arrivals[0].peer as u32);
         let key = EventKey::new(SimTime::from_millis(5), 0, 0, 0);
         // No tracking entry exists, so nothing can satisfy the query: the
         // walk runs until the shortlist is exhausted.
-        issue(state, &shared, directory, &online, key, 0, &[KeywordId(0)]);
+        issue(state, &shared, directory, graph, key, 0, &[KeywordId(0)]);
         let awaiting = |state: &ShardState| state.dht_lookups[&0].awaiting.clone();
         assert_eq!(awaiting(state).len(), alpha);
         assert!(awaiting(state).iter().all(|&(_, hop)| hop == 1));
@@ -978,7 +978,7 @@ mod tests {
             entries: Vec::new(),
             closer: Vec::new(),
         };
-        deliver(state, &shared, &online, key, replier, origin, reply);
+        deliver(state, &shared, graph, key, replier, origin, reply);
         let steps = awaiting(state);
         assert_eq!(steps.len(), alpha);
         assert!(steps.iter().all(|&(peer, _)| peer != replier));
@@ -986,10 +986,10 @@ mod tests {
 
         // A step deadline frees its slot and the refill stays at its hop.
         let (stalled, hop) = steps[0];
-        step_timeout(state, &shared, &online, key, 0, stalled);
+        step_timeout(state, &shared, graph, key, 0, stalled);
         assert_eq!(awaiting(state).len(), alpha);
         assert_eq!(awaiting(state)[alpha - 1].1, hop, "a timeout refills at the same hop");
-        step_timeout(state, &shared, &online, key, 0, stalled);
+        step_timeout(state, &shared, graph, key, 0, stalled);
         assert_eq!(state.tallies.dht_step_timeouts, 1, "a settled step cannot time out");
 
         // Time every remaining step out: once the k closest have all been
@@ -997,7 +997,7 @@ mod tests {
         while let Some(lookup) = state.dht_lookups.get(&0) {
             assert!((1..=alpha).contains(&lookup.inflight()));
             let (peer, _) = lookup.awaiting[0];
-            step_timeout(state, &shared, &online, key, 0, peer);
+            step_timeout(state, &shared, graph, key, 0, peer);
         }
         assert_eq!(state.tallies.message_counts[kind_index(MessageKind::DhtLookup)], k as u64);
     }
@@ -1021,16 +1021,16 @@ mod tests {
     #[test]
     fn closest_online_filters_and_ranks_exhaustively() {
         let directory = DhtDirectory::new(&RngFactory::new(42), 20);
-        let mut online = vec![true; 20];
-        online[3] = false;
-        online[11] = false;
+        let mut graph = OverlayGraph::new(20);
+        graph.depart(PeerId(3));
+        graph.depart(PeerId(11));
         let target = directory.keyword_key(KeywordId(9));
         let mut got = Vec::new();
         let mut scratch = DirectoryScratch::default();
-        directory.closest_online_into(target, &online, 5, &mut scratch, &mut got);
+        directory.closest_online_into(target, &graph, 5, &mut scratch, &mut got);
         // Model: rank every online peer by (distance, id) and take 5.
         let mut expected: Vec<(DhtDistance, PeerId)> = (0..20u32)
-            .filter(|&i| online[i as usize])
+            .filter(|&i| graph.is_active(PeerId(i)))
             .map(|i| (target.distance(directory.node_id(PeerId(i))), PeerId(i)))
             .collect();
         expected.sort_unstable();
@@ -1038,7 +1038,7 @@ mod tests {
         assert_eq!(got, expected);
         assert!(!got.contains(&PeerId(3)) && !got.contains(&PeerId(11)));
         // The buffer is replaced, not appended to.
-        directory.closest_online_into(target, &online, 2, &mut scratch, &mut got);
+        directory.closest_online_into(target, &graph, 2, &mut scratch, &mut got);
         assert_eq!(got.len(), 2);
     }
 
@@ -1052,26 +1052,25 @@ mod tests {
         for (seed, peers) in [(1u64, 3usize), (2, 16), (3, 17), (4, 200), (5, 1000)] {
             let directory = DhtDirectory::new(&RngFactory::new(seed), peers);
             for pattern in 0..4u32 {
-                let online: Vec<bool> = (0..peers)
-                    .map(|i| match pattern {
-                        0 => true,
-                        1 => i % 3 != 0,
-                        2 => i % 7 == 0,
-                        _ => false,
-                    })
-                    .collect();
+                let online = |i: usize| match pattern {
+                    0 => true,
+                    1 => !i.is_multiple_of(3),
+                    2 => i.is_multiple_of(7),
+                    _ => false,
+                };
+                let mut graph = OverlayGraph::new(peers);
+                for departed in (0..peers).filter(|&i| !online(i)) {
+                    graph.depart(PeerId(departed as u32));
+                }
                 for keyword in 0..5u32 {
                     let target = directory.keyword_key(KeywordId(keyword));
                     for count in [0usize, 1, 8, peers + 3] {
                         directory.closest_online_into(
-                            target, &online, count, &mut scratch, &mut got,
+                            target, &graph, count, &mut scratch, &mut got,
                         );
-                        let mut expected: Vec<(DhtDistance, PeerId)> = (0..peers)
-                            .filter(|&i| online[i])
-                            .map(|i| {
-                                let peer = PeerId(i as u32);
-                                (target.distance(directory.node_id(peer)), peer)
-                            })
+                        let mut expected: Vec<(DhtDistance, PeerId)> = graph
+                            .active_peers()
+                            .map(|peer| (target.distance(directory.node_id(peer)), peer))
                             .collect();
                         expected.sort_unstable();
                         let expected: Vec<PeerId> =

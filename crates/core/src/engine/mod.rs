@@ -20,8 +20,8 @@
 //!    shard's `&mut ShardState` to `ShardState::drain`: in a plain loop on
 //!    this thread, or — when the window is predicted to hold enough work —
 //!    fanned out over scoped threads, one active shard each, joined before
-//!    the phase ends. The overlay graph and the peers-online snapshot are
-//!    lent to every drain as `&OverlayGraph` / `&[bool]`, so they cannot
+//!    the phase ends. The overlay graph — which is also the record of who
+//!    is online — is lent to every drain as `&OverlayGraph`, so it cannot
 //!    change during a window; messages to peers of another shard go into
 //!    per-`(src, dst)` outboxes instead of a queue.
 //! 2. **Merge at the barrier** — outboxes are merged into the destination
@@ -65,10 +65,10 @@
 //!
 //! There are no locks in the engine; the borrow checker holds the discipline.
 //! `prepare` returns the shards as a plain `Vec<ShardState>`. The
-//! `Coordinator` owns everything that crosses shard boundaries and changes
-//! during a run — the overlay graph and the peers-online snapshot — as
-//! ordinary fields: it mutates them in the churn transition, which takes
-//! `&mut self`, and lends them shared to the window drains, so a write during
+//! `Coordinator` owns the one thing that crosses shard boundaries and changes
+//! during a run — the overlay graph, departed peers included — as an
+//! ordinary field: it mutates it in the churn transition, which takes
+//! `&mut self`, and lends it shared to the window drains, so a write during
 //! a window does not compile. Everything else shards share is the immutable
 //! `RunShared`. At a barrier the coordinator holds `&mut [ShardState]` and
 //! may touch any peer of any shard; during a window each `&mut ShardState` is
@@ -127,8 +127,8 @@ use tally::{labelled_counters, Tallies, FORWARD_DECISIONS, MESSAGE_KINDS};
 
 /// Read-only context shared by every shard and the coordinator during a run:
 /// nothing in it changes after [`prepare`]. The state that crosses shard
-/// boundaries and *does* change — the overlay graph and the peers-online
-/// snapshot — belongs to the [`Coordinator`].
+/// boundaries and *does* change — the overlay graph — belongs to the
+/// [`Coordinator`].
 pub(crate) struct RunShared<'a> {
     pub(crate) config: &'a SimulationConfig,
     pub(crate) protocol: Box<dyn Protocol>,
@@ -182,18 +182,38 @@ const PARALLEL_MIN_OFFLOADED_EVENTS: u64 = 512;
 impl Executor {
     /// The process-wide choice, read once: `LOCAWARE_SHARD_THREADS=0`/`false`
     /// is [`Executor::Inline`], `1`/`true` is [`Executor::Parallel`] (even on
-    /// one CPU — how CI covers the threaded branch), anything else is
+    /// one CPU — how CI covers the threaded branch), unset is
     /// [`Executor::Auto`] on a multi-CPU host and inline on a single CPU,
-    /// where threads can only add scheduling overhead.
+    /// where threads can only add scheduling overhead. Anything else is
+    /// reported on stderr, once, and treated as unset.
     fn from_env() -> Self {
         use std::sync::OnceLock;
         static CHOICE: OnceLock<Executor> = OnceLock::new();
-        *CHOICE.get_or_init(|| match std::env::var("LOCAWARE_SHARD_THREADS").ok().as_deref() {
-            Some("1") | Some("true") => Executor::Parallel,
-            Some("0") | Some("false") => Executor::Inline,
-            _ if std::thread::available_parallelism().is_ok_and(|n| n.get() > 1) => Executor::Auto,
-            _ => Executor::Inline,
+        *CHOICE.get_or_init(|| {
+            let multi_cpu = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+            let unset = if multi_cpu { Executor::Auto } else { Executor::Inline };
+            let value = std::env::var("LOCAWARE_SHARD_THREADS").ok();
+            let forced = Executor::parse(value.as_deref()).unwrap_or_else(|raw| {
+                eprintln!(
+                    "locaware: ignoring LOCAWARE_SHARD_THREADS=\"{raw}\" \
+                     (expected 0, 1, true or false); using {unset:?}"
+                );
+                None
+            });
+            forced.unwrap_or(unset)
         })
+    }
+
+    /// What a `LOCAWARE_SHARD_THREADS` value forces: nothing when unset, and
+    /// the text itself as the error when it is not one of the four accepted
+    /// spellings.
+    fn parse(value: Option<&str>) -> Result<Option<Executor>, &str> {
+        match value {
+            None => Ok(None),
+            Some("1" | "true") => Ok(Some(Executor::Parallel)),
+            Some("0" | "false") => Ok(Some(Executor::Inline)),
+            Some(raw) => Err(raw),
+        }
     }
 }
 
@@ -333,7 +353,7 @@ fn prepare(
     let protocol = &*shared.protocol;
 
     let bloom_params = BloomParams::new(config.bloom_bits, config.bloom_hashes);
-    let max_providers = protocol.max_providers_per_file(config);
+    let max_providers = protocol.max_providers_per_file();
     let new_peer = |id: PeerId| {
         let mut state = PeerState::new(
             id,
@@ -390,7 +410,7 @@ fn prepare(
         }
     }
     if let Some(directory) = &shared.dht {
-        dht::bootstrap(&shared, directory, &mut shards);
+        dht::bootstrap(&shared, directory, graph, &mut shards);
     }
     for (index, arrival) in shared.arrivals.iter().enumerate() {
         let origin = PeerId(arrival.peer as u32);
@@ -516,10 +536,10 @@ enum ControlAction {
 /// The serial half of the sharded run: window planning, barrier merges and
 /// global transitions.
 struct Coordinator {
-    /// The live overlay graph and the peers-online snapshot: written only by
-    /// the churn transition, lent read-only to every window drain.
+    /// The live overlay graph, whose departed set is the run's record of who
+    /// is online: written only by the churn transition, lent read-only to
+    /// every window drain.
     graph: OverlayGraph,
-    online: Vec<bool>,
     control: Vec<(EventKey, ControlAction)>,
     next_control: usize,
     churn_rng: StdRng,
@@ -600,7 +620,6 @@ impl Coordinator {
 
         Coordinator {
             graph,
-            online: vec![true; config.peers],
             control,
             next_control: 0,
             churn_rng: shared.rng_factory.stream(StreamId::Churn),
@@ -693,10 +712,8 @@ impl Coordinator {
                             Executor::Parallel => true,
                             Executor::Auto => self.prev_offloaded >= PARALLEL_MIN_OFFLOADED_EVENTS,
                         };
-                    let (graph, online) = (&self.graph, &self.online);
-                    drain_window(shards, parallel, |shard| {
-                        shard.drain(shared, graph, online, remaining)
-                    });
+                    let graph = &self.graph;
+                    drain_window(shards, parallel, |shard| shard.drain(shared, graph, remaining));
                     merge_outboxes(shards);
                     // Critical-path accounting: a window's parallel phase is
                     // as slow as its busiest shard.
@@ -733,7 +750,7 @@ impl Coordinator {
             ControlAction::BloomSync => self.bloom_sync(shared, shards, key.time),
             ControlAction::DhtRepublish => {
                 if let Some(directory) = &shared.dht {
-                    dht::republish(shared, directory, shards, &self.online, key.time, false);
+                    dht::republish(shared, directory, shards, &self.graph, key.time, false);
                 }
             }
             ControlAction::Churn(event) => self.apply_churn(shared, shards, event),
@@ -801,11 +818,7 @@ impl Coordinator {
     /// pushes the delta to its active neighbours, in peer-id order.
     fn bloom_sync(&self, shared: &RunShared<'_>, shards: &mut [ShardState], now: SimTime) {
         let graph = &self.graph;
-        for i in 0..shared.config.peers {
-            let from = PeerId(i as u32);
-            if !self.online[from.index()] {
-                continue;
-            }
+        for from in graph.active_peers() {
             let Some(delta) = peer_mut(shared, shards, from).take_bloom_update() else {
                 continue;
             };
@@ -819,22 +832,22 @@ impl Coordinator {
         }
     }
 
-    /// One churn transition, mutating the graph, the affected peers (possibly
-    /// across several shards) and the online snapshot.
+    /// One churn transition, mutating the graph and the affected peers
+    /// (possibly across several shards).
     fn apply_churn(&mut self, shared: &RunShared<'_>, shards: &mut [ShardState], event: ChurnEvent) {
         let peer = event.peer;
         if peer.index() >= shared.config.peers {
             return;
         }
-        let (graph, online) = (&mut self.graph, &mut self.online);
+        let graph = &mut self.graph;
         match event.kind {
             ChurnEventKind::Leave => {
-                if !online[peer.index()] {
+                if !graph.is_active(peer) {
                     return;
                 }
                 // Under a crash-stop fault plan the peer vanishes without
                 // goodbyes: the graph edges still drop (dead links carry no
-                // traffic either way) and the online snapshot flips, but no
+                // traffic either way) and the peer is marked departed, but no
                 // neighbour learns of the departure — their Bloom views, DHT
                 // routing tables and provider indexes keep the ghost until
                 // TTLs, lookup filters or the next sync round catch up.
@@ -842,7 +855,6 @@ impl Coordinator {
                 // ordinary offline-receiver rule.
                 let crash = shared.faults.as_ref().is_some_and(|f| f.crash_stop);
                 let old_neighbors = graph.depart(peer);
-                online[peer.index()] = false;
                 if crash {
                     self.crash_departures += 1;
                     return;
@@ -861,20 +873,20 @@ impl Coordinator {
                 // behaviour.
                 let invalidate = shared.config.proactive_provider_invalidation;
                 if invalidate || shared.dht.is_some() {
-                    for_each_other_online(shared, shards, online, peer, |other| {
+                    for other in graph.active_peers() {
+                        let other = peer_mut(shared, shards, other);
                         dht::on_leave(other, peer, invalidate);
                         if invalidate {
                             other.forget_provider(peer);
                         }
-                    });
+                    }
                 }
             }
             ChurnEventKind::Join => {
-                if online[peer.index()] {
+                if graph.is_active(peer) {
                     return;
                 }
                 graph.rejoin(peer);
-                online[peer.index()] = true;
                 shards[shared.partition.shard(peer)]
                     .reset_volatile_state(shared.partition.slot(peer));
                 // Re-wire to `average_degree` random online peers.
@@ -894,7 +906,7 @@ impl Coordinator {
                     }
                 }
                 if let Some(directory) = &shared.dht {
-                    dht::on_join(shared, directory, shards, online, peer);
+                    dht::on_join(shared, directory, shards, graph, peer);
                 }
             }
         }
@@ -908,23 +920,6 @@ fn peer_mut<'g>(
     peer: PeerId,
 ) -> &'g mut PeerState {
     &mut shards[shared.partition.shard(peer)].peers[shared.partition.slot(peer)]
-}
-
-/// Applies `notify` to every online peer other than `peer`, in peer-id order
-/// — the canonical order of the oracle-style notifications a churn barrier
-/// models (failure detection, proactive invalidation, join announcements).
-fn for_each_other_online(
-    shared: &RunShared<'_>,
-    shards: &mut [ShardState],
-    online: &[bool],
-    peer: PeerId,
-    mut notify: impl FnMut(&mut PeerState),
-) {
-    for other in (0..shared.config.peers as u32).map(PeerId) {
-        if other != peer && online[other.index()] {
-            notify(peer_mut(shared, shards, other));
-        }
-    }
 }
 
 /// Moves every outboxed cross-shard delivery into its destination queue. The
@@ -974,6 +969,20 @@ mod tests {
             let inline = report(kind, 4, Executor::Inline);
             assert_eq!(inline, report(kind, 4, Executor::Parallel), "{kind:?}: parallel");
             assert_eq!(inline, report(kind, 1, Executor::Inline), "{kind:?}: one shard");
+        }
+    }
+
+    #[test]
+    fn a_shard_threads_variable_is_one_of_four_spellings_or_reported() {
+        assert_eq!(Executor::parse(None), Ok(None));
+        for raw in ["1", "true"] {
+            assert_eq!(Executor::parse(Some(raw)), Ok(Some(Executor::Parallel)));
+        }
+        for raw in ["0", "false"] {
+            assert_eq!(Executor::parse(Some(raw)), Ok(Some(Executor::Inline)));
+        }
+        for raw in ["yes", "2", "", " 1"] {
+            assert_eq!(Executor::parse(Some(raw)), Err(raw));
         }
     }
 

@@ -5,8 +5,8 @@
 //!
 //! [`ShardState::drain`] takes `&mut self` and shared references to
 //! everything else — the immutable run context ([`RunShared`]) and the
-//! coordinator's overlay graph and online snapshot — so a shard can mutate
-//! only its own state while draining a window: its peers (slot-indexed
+//! coordinator's overlay graph, departed peers included — so a shard can
+//! mutate only its own state while draining a window: its peers (slot-indexed
 //! vectors), its query ledger and route tables, its tallies and its outboxes.
 //! The signature is the whole ownership discipline; that is what lets the
 //! executor hand each shard to its own thread with no locks anywhere.
@@ -36,7 +36,7 @@ use locaware_overlay::{
     Message, MessageKind, OverlayGraph, PeerId, ProviderEntry, QueryId, QueryRoutes,
 };
 use locaware_sim::{Duration, EventKey, ShardQueue, SimTime, StreamId};
-use locaware_workload::{FileId, KeywordId};
+use locaware_workload::FileId;
 
 use crate::config::ProtocolKind;
 use crate::peer::{keyword_signature, PeerState};
@@ -227,8 +227,8 @@ pub(super) struct ShardState {
     /// Key of the last event this shard dispatched.
     pub last_key: Option<EventKey>,
     // Scratch buffers reused across events so the forward path does not
-    // allocate: decoded query keywords, their hashes, and forward targets.
-    scratch_keywords: Vec<KeywordId>,
+    // allocate: the Bloom hashes of the current query's keywords, and forward
+    // targets.
     scratch_hashes: Vec<ElementHashes>,
     scratch_targets: Vec<PeerId>,
     // Scratch for the publish path's directory lookups: the trie-search
@@ -256,7 +256,6 @@ impl ShardState {
             tallies: Tallies::new(),
             dispatched: 0,
             last_key: None,
-            scratch_keywords: Vec::new(),
             scratch_hashes: Vec::new(),
             scratch_targets: Vec::new(),
             scratch_directory: DirectoryScratch::default(),
@@ -271,15 +270,9 @@ impl ShardState {
 
     /// Drains every local event strictly below `self.window_bound` (set by
     /// the coordinator at the barrier), dispatching at most `cap` events
-    /// (the run-wide event budget's share for this window). `graph` and
-    /// `online` are the coordinator's, borrowed for the window.
-    pub(super) fn drain(
-        &mut self,
-        shared: &RunShared<'_>,
-        graph: &OverlayGraph,
-        online: &[bool],
-        cap: u64,
-    ) {
+    /// (the run-wide event budget's share for this window). `graph` is the
+    /// coordinator's, borrowed for the window.
+    pub(super) fn drain(&mut self, shared: &RunShared<'_>, graph: &OverlayGraph, cap: u64) {
         if cap == 0 {
             return;
         }
@@ -296,7 +289,7 @@ impl ShardState {
             self.last_key = Some(key);
             match event {
                 ShardEvent::Issue(index) => {
-                    self.handle_issue(shared, graph, online, key, index as usize)
+                    self.handle_issue(shared, graph, key, index as usize)
                 }
                 ShardEvent::Deliver { from, to, message } => {
                     debug_assert_eq!(shared.partition.shard(to), self.shard as usize);
@@ -310,7 +303,7 @@ impl ShardState {
                         self.ledger.retire(index, key.time);
                     }
                     if from.0 & LOST_BIT == 0 {
-                        self.process_delivery(shared, graph, online, key, from, to, message);
+                        self.process_delivery(shared, graph, key, from, to, message);
                     }
                     if let Some(index) = retired {
                         self.complete_if_drained(shared, index, key.time);
@@ -321,10 +314,10 @@ impl ShardState {
                     self.ledger.retire(index, key.time);
                     match kind {
                         TimeoutKind::Retransmit { attempt } => {
-                            self.retransmit_query(shared, graph, online, key, index, attempt)
+                            self.retransmit_query(shared, graph, key, index, attempt)
                         }
                         TimeoutKind::DhtStep { peer } => {
-                            dht::step_timeout(self, shared, online, key, index, peer)
+                            dht::step_timeout(self, shared, graph, key, index, peer)
                         }
                     }
                     self.complete_if_drained(shared, index, key.time);
@@ -355,19 +348,12 @@ impl ShardState {
 
     // --- event handlers -----------------------------------------------------
 
-    fn handle_issue(
-        &mut self,
-        shared: &RunShared<'_>,
-        graph: &OverlayGraph,
-        online: &[bool],
-        key: EventKey,
-        index: usize,
-    ) {
+    fn handle_issue(&mut self, shared: &RunShared<'_>, graph: &OverlayGraph, key: EventKey, index: usize) {
         let origin = PeerId(shared.arrivals[index].peer as u32);
         debug_assert_eq!(shared.partition.shard(origin), self.shard as usize);
         // Before any skip below: a skipped arrival is settled too.
         self.ledger.issue_dispatched(index);
-        if !online[origin.index()] {
+        if !graph.is_active(origin) {
             return;
         }
         let slot = shared.partition.slot(origin);
@@ -442,7 +428,7 @@ impl ShardState {
             // Structured resolution: the query never touches the overlay —
             // it walks the keyword DHT instead (no forward decision either;
             // routing-decision counters are an overlay concept).
-            dht::issue(self, shared, directory, online, key, index, &query.keywords);
+            dht::issue(self, shared, directory, graph, key, index, &query.keywords);
         } else {
             // The query id *is* the arrival index — dense, globally unique
             // and identical for every shard count. `flood_attempt` registers
@@ -452,9 +438,9 @@ impl ShardState {
                 query: attempt_id(index, 0),
                 origin,
                 origin_loc,
-                keywords: query.keywords.iter().map(|k| k.0).collect(),
+                keywords: query.keywords.into(),
                 target_filename: (shared.protocol.kind() == ProtocolKind::Dicas)
-                    .then_some(query.target.0),
+                    .then_some(query.target),
                 ttl: shared.config.ttl,
             };
             self.flood_attempt(shared, graph, now, index, 0, message);
@@ -467,25 +453,12 @@ impl ShardState {
         self.complete_if_drained(shared, index, now);
     }
 
-    /// Decodes a query's wire keywords and their interned Bloom hashes into
-    /// the scratch buffers every [`QueryContext`] of this event borrows, so
-    /// the match and forward paths allocate nothing per event.
-    fn load_query_scratch(&mut self, shared: &RunShared<'_>, wire: &[u32]) {
-        self.scratch_keywords.clear();
-        self.scratch_keywords
-            .extend(wire.iter().map(|&k| KeywordId(k)));
-        shared
-            .keyword_hashes
-            .of_all_into(&self.scratch_keywords, &mut self.scratch_hashes);
-    }
-
     /// Forwards the query `message` from peer `at` — the origin at issue or
     /// retransmit time (`exclude` is `None`: there is no upstream), a relay
     /// otherwise (`exclude` is the neighbour it arrived from): the protocol
     /// picks the forward targets, the decision is tallied and every target
-    /// is sent one copy. The scratch buffers must already hold the query's
-    /// keywords ([`ShardState::load_query_scratch`]). Returns whether
-    /// anything was sent.
+    /// is sent one copy. `scratch_hashes` must already hold the hashes of the
+    /// query's keywords. Returns whether anything was sent.
     fn forward_query(
         &mut self,
         shared: &RunShared<'_>,
@@ -495,18 +468,19 @@ impl ShardState {
         exclude: Option<PeerId>,
         message: &Message,
     ) -> bool {
-        let &Message::Query { query, origin, origin_loc, target_filename, .. } = message else {
+        let Message::Query { query, origin, origin_loc, keywords, target_filename, .. } = message
+        else {
             unreachable!("only queries are forwarded");
         };
         let mut targets = std::mem::take(&mut self.scratch_targets);
         let decision = {
             let qctx = QueryContext {
-                query,
-                origin,
-                origin_loc,
-                keywords: &self.scratch_keywords,
+                query: *query,
+                origin: *origin,
+                origin_loc: *origin_loc,
+                keywords,
                 keyword_hashes: &self.scratch_hashes,
-                target_filename: target_filename.map(FileId),
+                target_filename: *target_filename,
             };
             let view = self.view(graph, shared, shared.partition.slot(at));
             shared
@@ -517,7 +491,7 @@ impl ShardState {
         // Copies share the keyword list (`Arc`), so the per-target cost is a
         // reference-count bump, not a clone.
         for &target in &targets {
-            self.send(shared, now, at, target, message.clone(), Some(query_index(query)));
+            self.send(shared, now, at, target, message.clone(), Some(query_index(*query)));
         }
         let sent = !targets.is_empty();
         targets.clear();
@@ -527,42 +501,42 @@ impl ShardState {
 
     /// The protocol-visible half of a delivery, between its lifecycle
     /// consumption and the completion check in [`ShardState::drain`].
-    #[allow(clippy::too_many_arguments)]
     fn process_delivery(
         &mut self,
         shared: &RunShared<'_>,
         graph: &OverlayGraph,
-        online: &[bool],
         key: EventKey,
         from: PeerId,
         to: PeerId,
-        message: Message,
+        mut message: Message,
     ) {
-        // The window's snapshot, not a per-peer flag: an offline receiver or
+        // The window's graph, not a per-peer flag: an offline receiver or
         // a duplicate query ends here without loading a `PeerState` line.
-        if !online[to.index()] {
+        if !graph.is_active(to) {
             return;
         }
         let slot = shared.partition.slot(to);
         debug_assert_eq!(from.0 & LOST_BIT, 0, "lost deliveries are consumed unprocessed");
+        // Copy and `ref` bindings only, so a forwarded query or a relayed
+        // response is the delivered message itself, not a rebuilt one.
         match message {
             Message::Query {
                 query,
                 origin,
                 origin_loc,
-                keywords,
+                ref keywords,
                 target_filename,
-                ttl,
+                ref mut ttl,
             } => {
                 let (index, attempt) = (query_index(query), query_attempt(query));
                 if !self.routes.on_query(index, slot as u32, attempt, Some(from)) {
                     return; // A duplicate: already seen along another path.
                 }
-                self.load_query_scratch(shared, &keywords);
+                shared.keyword_hashes.of_all_into(keywords, &mut self.scratch_hashes);
                 // Does the receiver's storage signature let the shared-file
                 // walk happen at all? (Observability only: the protocol's
                 // matching rule applies the same test for itself.)
-                if self.peers[slot].may_store(keyword_signature(&self.scratch_keywords)) {
+                if self.peers[slot].may_store(keyword_signature(keywords)) {
                     self.tallies.storage_walks += 1;
                 } else {
                     self.tallies.storage_skips += 1;
@@ -572,16 +546,16 @@ impl ShardState {
                         query,
                         origin,
                         origin_loc,
-                        keywords: &self.scratch_keywords,
+                        keywords,
                         keyword_hashes: &self.scratch_hashes,
-                        target_filename: target_filename.map(FileId),
+                        target_filename,
                     };
                     let view = self.view(graph, shared, slot);
                     shared.protocol.local_match(&view, &qctx)
                 };
 
                 if let Some(hit) = local_match {
-                    let hops = shared.config.ttl.saturating_sub(ttl) + 1;
+                    let hops = shared.config.ttl.saturating_sub(*ttl) + 1;
                     // First-processed hit wins: within this shard events
                     // drain in key order, so set-once keeps the shard minimum;
                     // finalize merges shards by key minimum.
@@ -596,11 +570,14 @@ impl ShardState {
                         provider: origin,
                         loc_id: origin_loc,
                     };
+                    // One allocation per file, the catalog's own; every
+                    // response about the file shares it.
+                    let file_keywords = shared.catalog.filename(hit.file).shared_keywords();
                     let response_ctx = ResponseContext {
                         file: hit.file,
-                        file_keywords: shared.catalog.filename(hit.file).keywords().to_vec(),
-                        query_keywords: self.scratch_keywords.clone(),
-                        providers: Vec::new(),
+                        file_keywords,
+                        query_keywords: keywords,
+                        providers: &[],
                         requestor: requestor_entry,
                     };
                     shared.protocol.cache_response(
@@ -611,14 +588,12 @@ impl ShardState {
 
                     let response = Message::QueryResponse {
                         query,
-                        file: hit.file.0,
-                        // Interned once per file in the catalog; every
-                        // response about the file shares one allocation.
-                        file_keywords: shared.catalog.wire_keywords(hit.file).clone(),
+                        file: hit.file,
+                        file_keywords: file_keywords.clone(),
                         // The response carries the query's keywords so caching
                         // peers along the reverse path never need the origin
                         // shard's tracking state.
-                        query_keywords: keywords,
+                        query_keywords: keywords.clone(),
                         providers: hit.providers,
                         requestor: requestor_entry,
                     };
@@ -629,28 +604,20 @@ impl ShardState {
                 }
 
                 // No local hit: keep forwarding while TTL allows.
-                let Some(ttl) = decrement_ttl(ttl) else {
+                let Some(remaining) = decrement_ttl(*ttl) else {
                     return;
                 };
-                let forwarded = Message::Query {
-                    query,
-                    origin,
-                    origin_loc,
-                    keywords,
-                    target_filename,
-                    ttl,
-                };
-                self.forward_query(shared, graph, key.time, to, Some(from), &forwarded);
+                *ttl = remaining;
+                self.forward_query(shared, graph, key.time, to, Some(from), &message);
             }
             Message::QueryResponse {
                 query,
                 file,
-                file_keywords,
-                query_keywords,
-                providers,
+                ref file_keywords,
+                ref query_keywords,
+                ref providers,
                 requestor,
             } => {
-                let file = FileId(file);
                 let index = query_index(query);
                 // The origin is a pure function of the query id (= arrival
                 // index), so any shard can answer "am I the origin?" without
@@ -658,18 +625,16 @@ impl ShardState {
                 let origin = PeerId(shared.arrivals[index].peer as u32);
 
                 if origin == to {
-                    self.satisfy(shared, online, index, file, &providers);
+                    self.satisfy(shared, graph, index, file, providers);
                     return;
                 }
 
                 // Intermediate peer: cache per protocol rule, then relay.
-                let keywords: Vec<KeywordId> =
-                    file_keywords.iter().map(|&k| KeywordId(k)).collect();
                 let response_ctx = ResponseContext {
                     file,
-                    file_keywords: keywords,
-                    query_keywords: query_keywords.iter().map(|&k| KeywordId(k)).collect(),
-                    providers: providers.clone(),
+                    file_keywords,
+                    query_keywords,
+                    providers,
                     requestor,
                 };
                 shared.protocol.cache_response(
@@ -680,20 +645,12 @@ impl ShardState {
 
                 let upstream = self.routes.response_next_hop(index, slot as u32, query_attempt(query));
                 if let Some(upstream) = upstream {
-                    let relay = Message::QueryResponse {
-                        query,
-                        file: file.0,
-                        file_keywords,
-                        query_keywords,
-                        providers,
-                        requestor,
-                    };
-                    self.send(shared, key.time, to, upstream, relay, Some(index));
+                    self.send(shared, key.time, to, upstream, message, Some(index));
                 }
             }
-            message @ (Message::DhtLookup { .. }
-            | Message::DhtLookupReply { .. }
-            | Message::DhtStore { .. }) => dht::deliver(self, shared, online, key, from, to, message),
+            Message::DhtLookup { .. } | Message::DhtLookupReply { .. } | Message::DhtStore { .. } => {
+                dht::deliver(self, shared, graph, key, from, to, message)
+            }
             Message::BloomFull { filter } => {
                 self.peers[slot].set_neighbor_bloom(from, filter);
             }
@@ -712,7 +669,7 @@ impl ShardState {
     pub(super) fn satisfy(
         &mut self,
         shared: &RunShared<'_>,
-        online: &[bool],
+        graph: &OverlayGraph,
         index: usize,
         file: FileId,
         providers: &[ProviderEntry],
@@ -734,12 +691,12 @@ impl ShardState {
         }
         // Only online providers can actually serve the download (matters only
         // when churn is enabled; the static setup never filters anything).
-        // The `online` snapshot is frozen per window — churn transitions only
-        // happen at barriers — so this cross-shard read is race-free.
+        // The graph is frozen per window — churn transitions only happen at
+        // barriers — so this cross-shard read is race-free.
         let online_providers: Vec<ProviderEntry> = providers
             .iter()
             .copied()
-            .filter(|p| online.get(p.provider.index()).copied().unwrap_or(false))
+            .filter(|p| graph.is_active(p.provider))
             .collect();
         tracking.providers_offered = tracking.providers_offered.max(online_providers.len());
         let selection = select_provider(
@@ -858,7 +815,7 @@ impl ShardState {
         *query = attempt_id(index, attempt);
         let origin = *origin;
         self.routes.on_query(index, shared.partition.slot(origin) as u32, attempt, None);
-        self.load_query_scratch(shared, keywords);
+        shared.keyword_hashes.of_all_into(keywords, &mut self.scratch_hashes);
         let sent = self.forward_query(shared, graph, now, origin, None, &message);
         if sent && attempt > 0 {
             self.tallies.query_retransmits += 1;
@@ -883,7 +840,6 @@ impl ShardState {
         &mut self,
         shared: &RunShared<'_>,
         graph: &OverlayGraph,
-        online: &[bool],
         key: EventKey,
         index: usize,
         attempt: u32,
@@ -903,7 +859,7 @@ impl ShardState {
         if attempt >= policy.max_retries {
             return;
         }
-        if !online[origin.index()] {
+        if !graph.is_active(origin) {
             // The origin itself departed: nobody is left to retry (or to
             // receive an answer). The timer's consumption above lets the
             // query complete honestly.
@@ -1002,58 +958,164 @@ impl ShardState {
 #[cfg(test)]
 mod tests {
     use super::super::exchange::issue_key;
-    use super::super::prepare;
+    use super::super::{prepare, Coordinator};
     use super::*;
-    use std::sync::Arc;
     use crate::config::SimulationConfig;
     use crate::simulation::Simulation;
+    use locaware_overlay::churn::ChurnEvent;
+    use locaware_overlay::ChurnEventKind;
+    use locaware_workload::KeywordId;
+    use std::sync::Arc;
+
+    fn substrate(shards: usize, crash_stop: bool) -> Simulation {
+        let mut config = SimulationConfig::small(40);
+        config.shards = shards;
+        config.faults.crash_stop = crash_stop;
+        Simulation::try_build(config).expect("test configuration validates")
+    }
+
+    /// First sightings of a query this shard has processed.
+    fn sightings(state: &ShardState) -> u64 {
+        state.tallies.storage_walks + state.tallies.storage_skips
+    }
+
+    /// A copy of arrival 0's query as flooded by its `attempt`-th attempt,
+    /// on its last hop: whoever processes it forwards nothing.
+    fn last_hop_copy(shared: &RunShared<'_>, attempt: u32, keywords: Arc<[KeywordId]>) -> Message {
+        let origin = PeerId(shared.arrivals[0].peer as u32);
+        Message::Query {
+            query: attempt_id(0, attempt),
+            origin,
+            origin_loc: shared.loc_ids[origin.index()],
+            keywords,
+            target_filename: None,
+            ttl: 1,
+        }
+    }
 
     #[test]
     fn satisfy_adds_one_replica_and_refuses_held_files_and_offline_providers() {
-        let mut config = SimulationConfig::small(40);
-        config.shards = 1;
-        let sim = Simulation::try_build(config).expect("test configuration validates");
+        let sim = substrate(1, false);
         let (shared, mut shards) = prepare(&sim, ProtocolKind::Locaware, sim.arrivals(1), true);
-        let (everyone, nobody) = (vec![true; 40], vec![false; 40]);
         let state = &mut shards[0];
         let arrival = shared.arrivals[0];
-        state.handle_issue(&shared, sim.overlay(), &everyone, issue_key(arrival.at, 0), 0);
+        let everyone = sim.overlay();
+        state.handle_issue(&shared, everyone, issue_key(arrival.at, 0), 0);
         let slot = shared.partition.slot(PeerId(arrival.peer as u32));
         let provider = PeerId((arrival.peer as u32 + 1) % 40);
         let offer = [ProviderEntry {
             provider,
             loc_id: shared.loc_ids[provider.index()],
         }];
+        let mut provider_gone = everyone.clone();
+        provider_gone.depart(provider);
         let held = state.peers[slot].shared_files().next().expect("initial shares");
         let wanted: Vec<FileId> = (0..).map(FileId).filter(|&f| !state.peers[slot].has_file(f)).take(2).collect();
         let replicas = state.peers[slot].shared_file_count();
 
         let file = wanted[0];
-        assert!(!state.satisfy(&shared, &everyone, 0, held, &offer), "nothing to download");
-        assert!(!state.satisfy(&shared, &nobody, 0, file, &offer), "nobody to download from");
+        assert!(!state.satisfy(&shared, everyone, 0, held, &offer), "nothing to download");
+        assert!(!state.satisfy(&shared, &provider_gone, 0, file, &offer), "nobody to download from");
         assert!(!state.tracking[&0].satisfied);
         assert_eq!(state.peers[slot].shared_file_count(), replicas);
 
-        assert!(state.satisfy(&shared, &everyone, 0, file, &offer));
+        assert!(state.satisfy(&shared, everyone, 0, file, &offer));
         assert!(state.tracking[&0].satisfied && state.peers[slot].has_file(file));
         // One replica per satisfied query: a later offer downloads nothing.
-        assert!(!state.satisfy(&shared, &everyone, 0, wanted[1], &offer));
+        assert!(!state.satisfy(&shared, everyone, 0, wanted[1], &offer));
         assert_eq!(state.peers[slot].shared_file_count(), replicas + 1);
+    }
+
+    /// The coordinator's graph is the only record of who is online: a
+    /// crash-stop leave and a join, applied through `apply_churn`, switch the
+    /// peer off and on again for deliveries and for offers alike.
+    #[test]
+    fn a_crashed_peer_takes_no_delivery_and_serves_no_offer_until_it_rejoins() {
+        let sim = substrate(1, true);
+        let (shared, mut shards) = prepare(&sim, ProtocolKind::Flooding, sim.arrivals(1), false);
+        let mut coordinator = Coordinator::new(&shared, sim.overlay().clone(), &[], 1);
+        let arrival = shared.arrivals[0];
+        let origin = PeerId(arrival.peer as u32);
+        shards[0].handle_issue(&shared, &coordinator.graph, issue_key(arrival.at, 0), 0);
+        // Only the deliveries sent below are to be dispatched, not the flood.
+        while shards[0].queue.pop_before(EventKey::MAX).is_some() {}
+
+        let victim = PeerId((origin.0 + 1) % 40);
+        let offer = [ProviderEntry {
+            provider: victim,
+            loc_id: shared.loc_ids[victim.index()],
+        }];
+        let origin_state = &shards[0].peers[shared.partition.slot(origin)];
+        let file = (0..).map(FileId).find(|&f| !origin_state.has_file(f)).expect("a file to want");
+        // A keyword no filename has: whoever processes the copy cannot answer.
+        let query = last_hop_copy(&shared, 1, Arc::from([KeywordId(u32::MAX)]));
+        for (kind, online) in [(ChurnEventKind::Leave, false), (ChurnEventKind::Join, true)] {
+            let event = ChurnEvent { at: arrival.at, peer: victim, kind };
+            coordinator.apply_churn(&shared, &mut shards, event);
+            assert_eq!(coordinator.graph.is_active(victim), online);
+            let state = &mut shards[0];
+            let (dispatched, seen) = (state.dispatched, sightings(state));
+            state.send(&shared, arrival.at, origin, victim, query.clone(), Some(0));
+            state.drain(&shared, &coordinator.graph, u64::MAX);
+            assert_eq!(state.dispatched, dispatched + 1, "retired either way");
+            assert_eq!(sightings(state) - seen, u64::from(online), "processed only while online");
+            assert_eq!(state.satisfy(&shared, &coordinator.graph, 0, file, &offer), online);
+        }
+        assert_eq!(coordinator.crash_departures, 1);
+    }
+
+    /// A file's keywords exist once: the catalog's allocation is what every
+    /// response about the file, and every relayed copy, carries.
+    #[test]
+    fn responses_and_their_relays_share_the_catalogs_keyword_allocation() {
+        let sim = substrate(1, false);
+        let (shared, mut shards) = prepare(&sim, ProtocolKind::Flooding, sim.arrivals(1), true);
+        let (state, graph) = (&mut shards[0], sim.overlay());
+        let key = issue_key(shared.arrivals[0].at, 0);
+        let origin = PeerId(shared.arrivals[0].peer as u32);
+        // A holder answers two attempts of one query, both arriving through
+        // `relay`, whose own upstream is `beyond`.
+        let mut others = (0..40).map(PeerId).filter(|&p| p != origin);
+        let (holder, relay, beyond) = (others.next().unwrap(), others.next().unwrap(), others.next().unwrap());
+        let holder_slot = shared.partition.slot(holder);
+        let stored = state.peers[holder_slot].shared_files().next().expect("initial shares");
+        let asked: Arc<[KeywordId]> = shared.catalog.filename(stored).shared_keywords().clone();
+        for attempt in 0..2 {
+            state.routes.on_query(0, shared.partition.slot(relay) as u32, attempt, Some(beyond));
+            let query = last_hop_copy(&shared, attempt, asked.clone());
+            state.process_delivery(&shared, graph, key, relay, holder, query);
+        }
+
+        let mut hops = 0;
+        while let Some((key, event)) = state.queue.pop_before(EventKey::MAX) {
+            let ShardEvent::Deliver { from, to, message } = event else {
+                continue; // The arrival's own issue, scheduled by `prepare`.
+            };
+            let Message::QueryResponse { file, file_keywords, query_keywords, .. } = &message else {
+                panic!("only responses were sent");
+            };
+            let filename = shared.catalog.filename(*file);
+            assert!(Arc::ptr_eq(file_keywords, filename.shared_keywords()));
+            assert!(std::ptr::eq(filename.keywords(), &**file_keywords));
+            assert!(Arc::ptr_eq(query_keywords, &asked), "and the query's list is the query's own");
+            hops += 1;
+            if to == relay {
+                state.process_delivery(&shared, graph, key, from, to, message);
+            }
+        }
+        assert_eq!(hops, 4, "two responses, each relayed once");
     }
 
     #[test]
     fn a_rejoined_receiver_sees_the_query_as_new_and_only_completion_recycles_the_table() {
-        let mut config = SimulationConfig::small(40);
-        config.shards = 2;
-        let sim = Simulation::try_build(config).expect("test configuration validates");
+        let sim = substrate(2, false);
         let (shared, mut shards) = prepare(&sim, ProtocolKind::Flooding, sim.arrivals(1), true);
         assert_eq!(shards.len(), 2);
-        let everyone = vec![true; 40];
         let arrival = shared.arrivals[0];
         let origin = PeerId(arrival.peer as u32);
         let key = issue_key(arrival.at, 0);
         let home = shared.partition.shard(origin);
-        shards[home].handle_issue(&shared, sim.overlay(), &everyone, key, 0);
+        shards[home].handle_issue(&shared, sim.overlay(), key, 0);
         assert_eq!((shards[home].routes.live(), shards[1 - home].routes.live()), (1, 0));
 
         // A copy reaches a peer of the other shard, twice, then once more
@@ -1061,17 +1123,9 @@ mod tests {
         let away = &mut shards[1 - home];
         let to = (0..40).map(PeerId).find(|&p| shared.partition.shard(p) != home).expect("two shards");
         let slot = shared.partition.slot(to);
-        let query = Message::Query {
-            query: QueryId(0),
-            origin,
-            origin_loc: shared.loc_ids[origin.index()],
-            keywords: Arc::from([0u32]),
-            target_filename: None,
-            ttl: 1,
-        };
-        let sightings = |s: &ShardState| s.tallies.storage_walks + s.tallies.storage_skips;
+        let query = last_hop_copy(&shared, 0, Arc::from([KeywordId(0)]));
         let deliver = |s: &mut ShardState, from: u32| {
-            s.process_delivery(&shared, sim.overlay(), &everyone, key, PeerId(from), to, query.clone());
+            s.process_delivery(&shared, sim.overlay(), key, PeerId(from), to, query.clone());
             (sightings(s), s.routes.response_next_hop(0, slot as u32, 0))
         };
         assert_eq!(deliver(away, 100), (1, Some(PeerId(100))));

@@ -7,7 +7,7 @@
 //! would also hold are kept elsewhere, where the engine's accesses are local:
 //! duplicate suppression and reverse paths live with the live query
 //! ([`locaware_overlay::QueryRoutes`], one per shard), and whether the peer is
-//! online is the coordinator's snapshot.
+//! online is the coordinator's overlay graph's to say.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

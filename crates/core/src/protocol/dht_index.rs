@@ -69,7 +69,7 @@ impl Protocol for DhtIndex {
         &self,
         _state: &mut PeerState,
         _scheme: &GroupScheme,
-        _response: &ResponseContext,
+        _response: &ResponseContext<'_>,
     ) {
         // No response index: the DHT record store is the only index.
     }
@@ -79,7 +79,6 @@ impl Protocol for DhtIndex {
 mod tests {
     use super::super::test_support::Fixture;
     use super::*;
-    use crate::config::SimulationConfig;
     use locaware_workload::FileId;
 
     #[test]
@@ -105,7 +104,6 @@ mod tests {
         assert!(!protocol.uses_bloom_sync());
         assert!(protocol.dht_resolves_rank(0, 100));
         assert!(protocol.dht_resolves_rank(99, 100));
-        let config = SimulationConfig::small(20);
-        assert_eq!(protocol.max_providers_per_file(&config), 1);
+        assert_eq!(protocol.max_providers_per_file(), 1);
     }
 }

@@ -17,7 +17,7 @@
 
 use locaware_overlay::{ForwardDecision, PeerId, ProviderEntry};
 
-use crate::config::{ProtocolKind, SimulationConfig};
+use crate::config::ProtocolKind;
 use crate::group::GroupScheme;
 use crate::peer::PeerState;
 use crate::provider::SelectionPolicy;
@@ -45,10 +45,6 @@ impl Protocol for Dicas {
 
     fn selection_policy(&self) -> SelectionPolicy {
         SelectionPolicy::Random
-    }
-
-    fn max_providers_per_file(&self, _config: &SimulationConfig) -> usize {
-        1
     }
 
     fn forward_targets_into(
@@ -125,7 +121,7 @@ impl Protocol for Dicas {
         &self,
         state: &mut PeerState,
         scheme: &GroupScheme,
-        response: &ResponseContext,
+        response: &ResponseContext<'_>,
     ) {
         // Cache only at peers whose Gid matches hash(f) mod M, and keep only
         // the responding provider (a single index per filename).
@@ -137,7 +133,7 @@ impl Protocol for Dicas {
         };
         state.cache_index(
             response.file,
-            &response.file_keywords,
+            response.file_keywords,
             [(provider.provider, provider.loc_id)],
         );
     }
@@ -145,26 +141,10 @@ impl Protocol for Dicas {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::Fixture;
+    use super::super::test_support::{response, Fixture};
     use super::*;
     use locaware_net::LocId;
     use locaware_workload::FileId;
-
-    fn response_for(fx: &Fixture, file: u32, provider: u32) -> ResponseContext {
-        ResponseContext {
-            file: FileId(file),
-            file_keywords: fx.catalog.filename(FileId(file)).keywords().to_vec(),
-            query_keywords: vec![],
-            providers: vec![ProviderEntry {
-                provider: PeerId(provider),
-                loc_id: LocId(2),
-            }],
-            requestor: ProviderEntry {
-                provider: PeerId(4),
-                loc_id: LocId(1),
-            },
-        }
-    }
 
     #[test]
     fn routes_towards_matching_gid_neighbors() {
@@ -233,7 +213,8 @@ mod tests {
         let protocol = Dicas::new();
         let file = FileId(2);
         let matching_gid = fx.scheme.group_of_file(file);
-        let response = response_for(&fx, 2, 7);
+        let offered = [ProviderEntry { provider: PeerId(7), loc_id: LocId(2) }];
+        let response = response(&fx.catalog, file, &[], &offered);
         let scheme = fx.scheme;
 
         for i in 0..5usize {
@@ -280,9 +261,6 @@ mod tests {
         assert_eq!(protocol.kind(), ProtocolKind::Dicas);
         assert_eq!(protocol.selection_policy(), SelectionPolicy::Random);
         assert!(!protocol.uses_bloom_sync());
-        assert_eq!(
-            protocol.max_providers_per_file(&SimulationConfig::small(10)),
-            1
-        );
+        assert_eq!(protocol.max_providers_per_file(), 1);
     }
 }

@@ -16,7 +16,7 @@
 
 use locaware_overlay::{ForwardDecision, PeerId, ProviderEntry};
 
-use crate::config::{ProtocolKind, SimulationConfig};
+use crate::config::ProtocolKind;
 use crate::group::GroupScheme;
 use crate::peer::PeerState;
 use crate::provider::SelectionPolicy;
@@ -44,10 +44,6 @@ impl Protocol for DicasKeys {
 
     fn selection_policy(&self) -> SelectionPolicy {
         SelectionPolicy::Random
-    }
-
-    fn max_providers_per_file(&self, _config: &SimulationConfig) -> usize {
-        1
     }
 
     fn forward_targets_into(
@@ -105,7 +101,7 @@ impl Protocol for DicasKeys {
         &self,
         state: &mut PeerState,
         scheme: &GroupScheme,
-        response: &ResponseContext,
+        response: &ResponseContext<'_>,
     ) {
         // Keyword-hash caching: the index is keyed on the *query's* keywords
         // (whatever subset of the filename the original requestor typed) and
@@ -115,9 +111,9 @@ impl Protocol for DicasKeys {
         // different keyword subset neither routes to the same groups nor
         // matches the partially-keyed entry.
         let keying = if response.query_keywords.is_empty() {
-            &response.file_keywords
+            response.file_keywords
         } else {
-            &response.query_keywords
+            response.query_keywords
         };
         if !scheme.gid_matches_any_keyword(state.gid, keying) {
             return;
@@ -131,26 +127,10 @@ impl Protocol for DicasKeys {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::Fixture;
+    use super::super::test_support::{response, Fixture};
     use super::*;
     use locaware_net::LocId;
     use locaware_workload::FileId;
-
-    fn response_for(fx: &Fixture, file: u32, provider: u32) -> ResponseContext {
-        ResponseContext {
-            file: FileId(file),
-            file_keywords: fx.catalog.filename(FileId(file)).keywords().to_vec(),
-            query_keywords: vec![],
-            providers: vec![ProviderEntry {
-                provider: PeerId(provider),
-                loc_id: LocId(2),
-            }],
-            requestor: ProviderEntry {
-                provider: PeerId(4),
-                loc_id: LocId(1),
-            },
-        }
-    }
 
     #[test]
     fn routes_by_keyword_group() {
@@ -181,7 +161,8 @@ mod tests {
         let mut fx = Fixture::new(2);
         let protocol = DicasKeys::new();
         let scheme = fx.scheme;
-        let response = response_for(&fx, 0, 7);
+        let offered = [ProviderEntry { provider: PeerId(7), loc_id: LocId(2) }];
+        let response = response(&fx.catalog, FileId(0), &[], &offered);
         let groups: std::collections::HashSet<u32> = fx
             .catalog
             .filename(FileId(0))
@@ -247,7 +228,8 @@ mod tests {
         let mut fx = Fixture::new(4);
         let protocol = DicasKeys::new();
         let scheme = fx.scheme;
-        let response = response_for(&fx, 3, 7);
+        let offered = [ProviderEntry { provider: PeerId(7), loc_id: LocId(2) }];
+        let response = response(&fx.catalog, FileId(3), &[], &offered);
         // Find a peer whose gid matches none of file 3's keyword groups.
         let groups: std::collections::HashSet<u32> = fx
             .catalog

@@ -7,7 +7,7 @@
 
 use locaware_overlay::{ForwardDecision, PeerId, ProviderEntry};
 
-use crate::config::{ProtocolKind, SimulationConfig};
+use crate::config::ProtocolKind;
 use crate::group::GroupScheme;
 use crate::peer::PeerState;
 use crate::provider::SelectionPolicy;
@@ -35,10 +35,6 @@ impl Protocol for Flooding {
 
     fn selection_policy(&self) -> SelectionPolicy {
         SelectionPolicy::Random
-    }
-
-    fn max_providers_per_file(&self, _config: &SimulationConfig) -> usize {
-        1
     }
 
     fn forward_targets_into(
@@ -74,7 +70,7 @@ impl Protocol for Flooding {
         &self,
         _state: &mut PeerState,
         _scheme: &GroupScheme,
-        _response: &ResponseContext,
+        _response: &ResponseContext<'_>,
     ) {
         // Flooding performs no index caching.
     }
@@ -82,10 +78,10 @@ impl Protocol for Flooding {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::Fixture;
+    use super::super::test_support::{response, Fixture};
     use super::*;
     use locaware_net::LocId;
-    use locaware_workload::{FileId, KeywordId};
+    use locaware_workload::FileId;
 
     #[test]
     fn forwards_to_every_neighbor_except_the_sender() {
@@ -128,19 +124,8 @@ mod tests {
     fn never_caches_passing_responses() {
         let mut fx = Fixture::new(4);
         let protocol = Flooding::new();
-        let response = ResponseContext {
-            file: FileId(0),
-            file_keywords: vec![KeywordId(0), KeywordId(1), KeywordId(2)],
-            query_keywords: vec![],
-            providers: vec![ProviderEntry {
-                provider: PeerId(3),
-                loc_id: LocId(0),
-            }],
-            requestor: ProviderEntry {
-                provider: PeerId(4),
-                loc_id: LocId(1),
-            },
-        };
+        let offered = [ProviderEntry { provider: PeerId(3), loc_id: LocId(0) }];
+        let response = response(&fx.catalog, FileId(0), &[], &offered);
         let scheme = fx.scheme;
         protocol.cache_response(&mut fx.peers[0], &scheme, &response);
         assert!(fx.peers[0].response_index.is_empty());

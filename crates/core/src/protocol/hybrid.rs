@@ -65,8 +65,8 @@ impl Protocol for Hybrid {
         (rank as f64) >= self.head_fraction * catalog_len as f64
     }
 
-    fn max_providers_per_file(&self, config: &SimulationConfig) -> usize {
-        self.overlay.max_providers_per_file(config)
+    fn max_providers_per_file(&self) -> usize {
+        self.overlay.max_providers_per_file()
     }
 
     fn forward_targets_into(
@@ -87,7 +87,7 @@ impl Protocol for Hybrid {
         &self,
         state: &mut PeerState,
         scheme: &GroupScheme,
-        response: &ResponseContext,
+        response: &ResponseContext<'_>,
     ) {
         self.overlay.cache_response(state, scheme, response);
     }
@@ -131,9 +131,6 @@ mod tests {
         assert_eq!(hybrid.kind(), ProtocolKind::Hybrid);
         assert_eq!(hybrid.selection_policy(), locaware.selection_policy());
         assert_eq!(hybrid.uses_bloom_sync(), locaware.uses_bloom_sync());
-        assert_eq!(
-            hybrid.max_providers_per_file(&config),
-            locaware.max_providers_per_file(&config)
-        );
+        assert_eq!(hybrid.max_providers_per_file(), locaware.max_providers_per_file());
     }
 }

@@ -138,7 +138,7 @@ impl Protocol for Locaware {
         self.use_bloom_routing
     }
 
-    fn max_providers_per_file(&self, _config: &SimulationConfig) -> usize {
+    fn max_providers_per_file(&self) -> usize {
         self.max_providers_per_file
     }
 
@@ -232,7 +232,7 @@ impl Protocol for Locaware {
         &self,
         state: &mut PeerState,
         scheme: &GroupScheme,
-        response: &ResponseContext,
+        response: &ResponseContext<'_>,
     ) {
         // Cache only at peers whose Gid matches hash(f) mod M (§4.1.2 keeps the
         // Dicas placement rule), but cache *all* advertised providers plus the
@@ -248,13 +248,13 @@ impl Protocol for Locaware {
                 response.requestor.provider,
                 response.requestor.loc_id,
             )));
-        state.cache_index(response.file, &response.file_keywords, providers);
+        state.cache_index(response.file, response.file_keywords, providers);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::Fixture;
+    use super::super::test_support::{response, Fixture};
     use super::*;
     use locaware_bloom::BloomFilter;
     use locaware_net::LocId;
@@ -320,25 +320,11 @@ mod tests {
         // Make peer 0 eligible to cache this file.
         fx.peers[0].gid = matching_gid;
 
-        let response = ResponseContext {
-            file,
-            file_keywords: fx.catalog.filename(file).keywords().to_vec(),
-            query_keywords: vec![],
-            providers: vec![
-                ProviderEntry {
-                    provider: PeerId(7),
-                    loc_id: LocId(3),
-                },
-                ProviderEntry {
-                    provider: PeerId(8),
-                    loc_id: LocId(1),
-                },
-            ],
-            requestor: ProviderEntry {
-                provider: PeerId(4),
-                loc_id: LocId(1),
-            },
-        };
+        let offered = [
+            ProviderEntry { provider: PeerId(7), loc_id: LocId(3) },
+            ProviderEntry { provider: PeerId(8), loc_id: LocId(1) },
+        ];
+        let response = response(&fx.catalog, file, &[], &offered);
         protocol.cache_response(&mut fx.peers[0], &scheme, &response);
         let entry = fx.peers[0].response_index.entry(file).unwrap();
         let providers: Vec<u32> = entry.providers().iter().map(|p| p.peer.0).collect();
@@ -432,7 +418,7 @@ mod tests {
         assert_eq!(no_bloom.selection_policy(), SelectionPolicy::LocalityThenRtt);
         assert!(!no_bloom.uses_bloom_sync());
 
-        assert_eq!(full.max_providers_per_file(&cfg), cfg.max_providers_per_file);
+        assert_eq!(full.max_providers_per_file(), cfg.max_providers_per_file);
     }
 
     #[test]

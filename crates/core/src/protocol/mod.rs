@@ -60,10 +60,10 @@ pub struct PeerView<'a> {
 /// Keywords come in two parallel views: the ids themselves and their
 /// pre-computed Bloom hashes (`keyword_hashes[i]` hashes `keywords[i]`), so
 /// the §4.2 routing test probes neighbour filters without re-hashing a keyword
-/// per neighbour. Both slices borrow from the caller — the engine threads its
-/// per-run scratch buffers through here, so building a context allocates
-/// nothing; tests and benches can use [`QueryBuffer`] as an owned backing
-/// store.
+/// per neighbour. Both slices borrow from the caller — the engine lends the
+/// query message's own keyword list and its per-run hash scratch buffer, so
+/// building a context allocates nothing; tests and benches can use
+/// [`QueryBuffer`] as an owned backing store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryContext<'a> {
     /// The query id.
@@ -146,19 +146,20 @@ pub struct LocalMatch {
 }
 
 /// The protocol-relevant content of a response being cached at an intermediate
-/// peer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResponseContext {
+/// peer. The lists borrow from the response message itself, so building a
+/// context allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResponseContext<'a> {
     /// The file the response is about.
     pub file: FileId,
     /// The full keyword list of the file's filename.
-    pub file_keywords: Vec<KeywordId>,
+    pub file_keywords: &'a [KeywordId],
     /// The keywords the original query was expressed with (a subset of
     /// `file_keywords`). Dicas-Keys keys its cache on these, which is exactly
     /// the source of the duplication/mismatch the paper criticises.
-    pub query_keywords: Vec<KeywordId>,
+    pub query_keywords: &'a [KeywordId],
     /// The providers advertised by the response.
-    pub providers: Vec<ProviderEntry>,
+    pub providers: &'a [ProviderEntry],
     /// The original requestor (Locaware records it as a new provider, §4.1.2).
     pub requestor: ProviderEntry,
 }
@@ -189,8 +190,7 @@ pub trait Protocol: Send + Sync {
     }
 
     /// Maximum provider entries a peer keeps per cached filename.
-    fn max_providers_per_file(&self, config: &SimulationConfig) -> usize {
-        let _ = config;
+    fn max_providers_per_file(&self) -> usize {
         1
     }
 
@@ -230,7 +230,7 @@ pub trait Protocol: Send + Sync {
         &self,
         state: &mut PeerState,
         scheme: &GroupScheme,
-        response: &ResponseContext,
+        response: &ResponseContext<'_>,
     );
 }
 
@@ -333,6 +333,24 @@ pub(crate) mod test_support {
     use locaware_workload::{Catalog, Filename, KeywordPool};
 
     use crate::group::GroupId;
+
+    /// A response about `file` as a relay sees it: the catalog's keywords for
+    /// the file, the query's keywords and the offered providers all borrowed,
+    /// requested by peer 4 at locality 1.
+    pub fn response<'a>(
+        catalog: &'a Catalog,
+        file: FileId,
+        query_keywords: &'a [KeywordId],
+        providers: &'a [ProviderEntry],
+    ) -> ResponseContext<'a> {
+        ResponseContext {
+            file,
+            file_keywords: catalog.filename(file).keywords(),
+            query_keywords,
+            providers,
+            requestor: ProviderEntry { provider: PeerId(4), loc_id: LocId(1) },
+        }
+    }
 
     /// A deterministic 5-peer fixture:
     ///
@@ -517,6 +535,55 @@ mod tests {
         );
         assert!(storage_matches(&view, &[KeywordId(11)]).is_empty());
         assert!(storage_matches(&view, &[]).is_empty());
+    }
+
+    /// Each caching rule, fed a context whose lists are all borrowed, leaves
+    /// the index entry (keywords, providers in order) and exactly the Bloom
+    /// bits its rule prescribes.
+    #[test]
+    fn caching_rules_over_a_borrowed_response_fill_the_index_and_the_filter() {
+        use locaware_bloom::BloomFilter;
+        use test_support::response;
+
+        let config = SimulationConfig::small(20);
+        let file = FileId(2); // keywords {0, 6, 7}
+        let filename = [KeywordId(0), KeywordId(6), KeywordId(7)];
+        let asked = [KeywordId(6)];
+        let offered = [
+            ProviderEntry { provider: PeerId(7), loc_id: LocId(3) },
+            ProviderEntry { provider: PeerId(8), loc_id: LocId(1) },
+        ];
+        let first = [(PeerId(7), LocId(3))];
+        let all_and_requestor = [(PeerId(7), LocId(3)), (PeerId(8), LocId(1)), (PeerId(4), LocId(1))];
+        let scheme = GroupScheme::new(4);
+        let (by_file, by_keyword) = (scheme.group_of_file(file), scheme.group_of_keyword(asked[0]));
+        // A peer of group `gid` caches a response to `query_keywords`: which
+        // keywords key the entry, and which providers does it list?
+        let check = |protocol: &dyn Protocol,
+                     gid: crate::group::GroupId,
+                     query_keywords: &[KeywordId],
+                     keywords: &[KeywordId],
+                     providers: &[(PeerId, LocId)]| {
+            let mut fx = Fixture::new(4);
+            fx.peers[0].gid = gid;
+            let context = response(&fx.catalog, file, query_keywords, &offered);
+            protocol.cache_response(&mut fx.peers[0], &fx.scheme, &context);
+
+            let kind = protocol.kind();
+            let entry = fx.peers[0].response_index.entry(file).expect("cached");
+            assert_eq!(entry.keywords, keywords, "{kind:?}");
+            let cached: Vec<_> = entry.providers().iter().map(|p| (p.peer, p.loc_id)).collect();
+            assert_eq!(cached, providers, "{kind:?}");
+            let mut bits = BloomFilter::default();
+            for keyword in keywords {
+                bits.insert(&keyword.canonical());
+            }
+            assert_eq!(fx.peers[0].current_bloom().words(), bits.words(), "{kind:?}");
+        };
+        check(&dicas::Dicas::new(), by_file, &asked, &filename, &first);
+        check(&dicas_keys::DicasKeys::new(), by_keyword, &asked, &asked, &first);
+        check(&dicas_keys::DicasKeys::new(), by_keyword, &[], &filename, &first);
+        check(&locaware::Locaware::new(&config), by_file, &asked, &filename, &all_and_requestor);
     }
 
     #[test]

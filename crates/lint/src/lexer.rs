@@ -25,10 +25,9 @@ pub enum TokKind {
     Ident,
     /// A single punctuation character (`::` arrives as two `:` tokens).
     Punct(char),
-    /// Integer literal.
-    Int,
-    /// Floating-point literal (contains `.` or a decimal exponent).
-    Float,
+    /// The digits-and-letters run of a numeric literal (`1.5` is two of
+    /// them around a `.`).
+    Number,
 }
 
 /// One lexed token.
@@ -336,43 +335,13 @@ fn tokenize(cleaned: &str) -> Vec<(TokKind, std::ops::Range<usize>, usize)> {
             continue;
         }
         if c.is_ascii_digit() {
+            // No rule reads a literal: a run of digits, letters and `_` is
+            // one token, so `1.5` is three and `x.0.iter()` keeps its dots.
             let start = i;
-            let mut is_float = false;
-            let hex = bytes.get(i + 1) == Some(&b'x') || bytes.get(i + 1) == Some(&b'X');
-            i += 1;
-            while i < bytes.len() {
-                let ch = bytes[i] as char;
-                if ch.is_ascii_alphanumeric() || ch == '_' {
-                    if !hex && (ch == 'e' || ch == 'E') {
-                        // Exponent only if followed by digit or sign+digit.
-                        let sign = matches!(bytes.get(i + 1), Some(b'+') | Some(b'-'));
-                        let digit_at = if sign { i + 2 } else { i + 1 };
-                        if bytes
-                            .get(digit_at)
-                            .is_some_and(|b| (*b as char).is_ascii_digit())
-                        {
-                            is_float = true;
-                            i = digit_at + 1;
-                            continue;
-                        }
-                    }
-                    i += 1;
-                } else if ch == '.'
-                    && !is_float
-                    && bytes
-                        .get(i + 1)
-                        .is_none_or(|b| (*b as char).is_ascii_digit() || (*b as char).is_whitespace() || matches!(*b as char, ')' | ']' | '}' | ',' | ';'))
-                    && bytes.get(i + 1) != Some(&b'.')
-                {
-                    // `1.5` or trailing `1.` — but not the range `0..n`.
-                    is_float = true;
-                    i += 1;
-                } else {
-                    break;
-                }
+            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                i += 1;
             }
-            let kind = if is_float { TokKind::Float } else { TokKind::Int };
-            toks.push((kind, start..i, line));
+            toks.push((TokKind::Number, start..i, line));
             continue;
         }
         toks.push((TokKind::Punct(c), i..i + 1, line));

@@ -1,8 +1,7 @@
 //! `locaware-lint`: the workspace determinism lint.
 //!
 //! Every result this reproduction reports rests on one contract: same seed ⇒
-//! byte-identical [`SimulationReport`], across shard counts and build-thread
-//! counts. The golden fingerprints and the shard matrix enforce that contract
+//! byte-identical [`SimulationReport`], across shard counts. The golden fingerprints and the shard matrix enforce that contract
 //! *after the fact*; this crate enforces it at the **source level**, failing
 //! CI at the line that breaks a determinism rule instead of at the
 //! fingerprint that notices the drift a layer later.
@@ -14,7 +13,7 @@
 //! zero dependencies so it builds and runs in seconds before anything else.
 //!
 //! Rules (see [`rules`] for the table): D001 `hash-iter`, D002 `wall-clock`,
-//! D003 `ambient-rng`, D004 unwrap ratchet, D005 `float-accum`, plus D000
+//! D003 `ambient-rng`, D004 unwrap ratchet, plus D000
 //! annotation hygiene. The one escape hatch is a justified annotation:
 //!
 //! ```text
@@ -52,8 +51,6 @@ pub enum Rule {
     D003,
     /// Per-file unwrap/expect ratchet.
     D004,
-    /// Float accumulation in parallel merge callbacks.
-    D005,
 }
 
 impl Rule {
@@ -63,14 +60,12 @@ impl Rule {
             Rule::D001 => Some("hash-iter"),
             Rule::D002 => Some("wall-clock"),
             Rule::D003 => Some("ambient-rng"),
-            Rule::D005 => Some("float-accum"),
             Rule::D000 | Rule::D004 => None,
         }
     }
 
     /// Every valid annotation key.
-    pub const ALLOW_KEYS: [&'static str; 4] =
-        ["hash-iter", "wall-clock", "ambient-rng", "float-accum"];
+    pub const ALLOW_KEYS: [&'static str; 3] = ["hash-iter", "wall-clock", "ambient-rng"];
 }
 
 impl fmt::Display for Rule {
@@ -81,7 +76,6 @@ impl fmt::Display for Rule {
             Rule::D002 => "D002",
             Rule::D003 => "D003",
             Rule::D004 => "D004",
-            Rule::D005 => "D005",
         };
         f.write_str(name)
     }
@@ -119,7 +113,7 @@ const DETERMINISTIC_CRATES: [&str; 7] =
 /// Which rules apply to a repo-relative path.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileScope {
-    /// D001 + D005 + the D004 count: deterministic library source.
+    /// D001 + the D004 count: deterministic library source.
     pub deterministic: bool,
     /// D002: everything first-party except `crates/bench` (timing is its job).
     pub wall_clock: bool,
@@ -173,7 +167,6 @@ pub fn analyze_source(path: &str, source: &str) -> (Vec<Finding>, Option<Vec<usi
     let mut raw: Vec<Finding> = Vec::new();
     if scope.deterministic {
         raw.extend(rules::d001_hash_iter(path, &model));
-        raw.extend(rules::d005_float_accum(path, &model));
     }
     if scope.wall_clock {
         raw.extend(rules::d002_wall_clock(path, &model));

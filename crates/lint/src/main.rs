@@ -19,9 +19,8 @@ fn usage() -> ! {
         "usage: locaware-lint [--root <path>] [--github] [--update-ratchet]\n\
          \n\
          Walks the workspace's Rust sources and enforces the determinism rules\n\
-         D001 (hash-iter), D002 (wall-clock), D003 (ambient-rng), D004 (unwrap\n\
-         ratchet, lint-ratchet.toml) and D005 (float-accum). Exits non-zero on\n\
-         any finding."
+         D001 (hash-iter), D002 (wall-clock), D003 (ambient-rng) and D004\n\
+         (unwrap ratchet, lint-ratchet.toml). Exits non-zero on any finding."
     );
     std::process::exit(2);
 }

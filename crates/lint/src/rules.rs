@@ -1,4 +1,4 @@
-//! The determinism rules (D001–D005) plus annotation hygiene (D000).
+//! The determinism rules (D001–D004) plus annotation hygiene (D000).
 //!
 //! Every rule is a pure function over one file's [`SourceModel`]; scoping —
 //! which crates a rule covers — lives in [`crate::FileScope`]. Findings carry the
@@ -11,7 +11,6 @@
 //! | D002 | `wall-clock` | no `Instant::now` / `SystemTime` outside `crates/bench`     |
 //! | D003 | `ambient-rng`| all randomness flows from seeded `StreamId` factories       |
 //! | D004 | —            | `unwrap()`/`expect()` governed by `lint-ratchet.toml`       |
-//! | D005 | `float-accum`| no unordered float accumulation in parallel merge callbacks |
 
 use std::collections::BTreeSet;
 
@@ -311,139 +310,4 @@ pub fn d004_unwrap_sites(model: &SourceModel<'_>) -> Vec<usize> {
         }
     }
     lines
-}
-
-/// Identifiers the file binds to `f64`/`f32` (annotations or float literals).
-fn float_bound_names(tokens: &[Tok<'_>]) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for i in 0..tokens.len() {
-        if tokens[i].is_punct(':')
-            && i >= 1
-            && tokens[i - 1].kind == TokKind::Ident
-            && (i < 2 || !tokens[i - 2].is_punct(':'))
-            && ident_at(tokens, i + 1).is_some_and(|t| t.text == "f64" || t.text == "f32")
-        {
-            names.insert(tokens[i - 1].text.to_string());
-        }
-        if tokens[i].is_punct('=')
-            && i >= 1
-            && tokens[i - 1].kind == TokKind::Ident
-            && tokens.get(i + 1).is_some_and(|t| t.kind == TokKind::Float)
-        {
-            names.insert(tokens[i - 1].text.to_string());
-        }
-    }
-    names
-}
-
-/// D005: float accumulation inside parallel merge callbacks — float addition
-/// is not associative, so merge order must be argued, not assumed.
-pub fn d005_float_accum(file: &str, model: &SourceModel<'_>) -> Vec<Finding> {
-    let tokens = &model.tokens;
-    let floats = float_bound_names(tokens);
-    let mut findings = Vec::new();
-    let n = tokens.len();
-    let mut i = 0usize;
-    while i < n {
-        // A `map_indexed(...)` call: the span between its parentheses is a
-        // parallel callback region (the workspace's fan-out primitive).
-        if tokens[i].is_ident("map_indexed")
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-            && !tokens[i].in_test
-        {
-            let mut j = i + 2;
-            let mut depth = 1i32;
-            let span_start = j;
-            while j < n && depth > 0 {
-                if tokens[j].is_punct('(') {
-                    depth += 1;
-                } else if tokens[j].is_punct(')') {
-                    depth -= 1;
-                }
-                j += 1;
-            }
-            let span = &tokens[span_start..j.saturating_sub(1).min(n)];
-            findings.extend(scan_parallel_span(file, span, &floats));
-            i = j;
-            continue;
-        }
-        i += 1;
-    }
-    findings
-}
-
-/// Scans one parallel-callback span for order-sensitive float accumulation.
-fn scan_parallel_span(
-    file: &str,
-    span: &[Tok<'_>],
-    floats: &BTreeSet<String>,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let n = span.len();
-    for i in 0..n {
-        // Compound assignment `x += ..` / `-=` / `*=` / `/=` on a float.
-        if matches!(
-            span[i].kind,
-            TokKind::Punct('+') | TokKind::Punct('-') | TokKind::Punct('*') | TokKind::Punct('/')
-        ) && span.get(i + 1).is_some_and(|t| t.is_punct('='))
-        {
-            let lhs_float =
-                ident_at(span, i.wrapping_sub(1)).is_some_and(|t| floats.contains(t.text));
-            // Float evidence on the right-hand side (to the statement end).
-            let rhs_float = span[i + 2..]
-                .iter()
-                .take_while(|t| !t.is_punct(';'))
-                .any(|t| {
-                    t.kind == TokKind::Float
-                        || t.is_ident("f64")
-                        || t.is_ident("f32")
-                        || (t.kind == TokKind::Ident && floats.contains(t.text))
-                });
-            if lhs_float || rhs_float {
-                findings.push(Finding::new(
-                    Rule::D005,
-                    file,
-                    span[i].line,
-                    "float accumulation inside a parallel merge callback: float \
-                     addition is not associative, so the merge order must be argued \
-                     with `// lint:allow(float-accum): <ordering argument>`"
-                        .to_string(),
-                ));
-            }
-        }
-        // `.sum::<f64>()` / `.fold(0.0, ..)` inside the span.
-        if span[i].is_punct('.')
-            && ident_at(span, i + 1).is_some_and(|t| t.text == "sum" || t.text == "product")
-            && span.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && span.get(i + 4).is_some_and(|t| t.is_punct('<'))
-            && ident_at(span, i + 5).is_some_and(|t| t.text == "f64" || t.text == "f32")
-        {
-            findings.push(Finding::new(
-                Rule::D005,
-                file,
-                span[i + 1].line,
-                "float reduction inside a parallel merge callback: justify the \
-                 ordering with `// lint:allow(float-accum): <ordering argument>`"
-                    .to_string(),
-            ));
-        }
-        if span[i].is_punct('.')
-            && ident_at(span, i + 1).is_some_and(|t| t.text == "fold")
-            && span.get(i + 2).is_some_and(|t| t.is_punct('('))
-            && span.get(i + 3).is_some_and(|t| {
-                t.kind == TokKind::Float
-                    || (t.kind == TokKind::Ident && floats.contains(t.text))
-            })
-        {
-            findings.push(Finding::new(
-                Rule::D005,
-                file,
-                span[i + 1].line,
-                "float fold inside a parallel merge callback: justify the ordering \
-                 with `// lint:allow(float-accum): <ordering argument>`"
-                    .to_string(),
-            ));
-        }
-    }
-    findings
 }

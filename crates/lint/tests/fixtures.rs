@@ -352,78 +352,6 @@ fn d004_ratchet_round_trips_through_render() {
     assert_eq!(parsed.unwrap.get("crates/core/src/a.rs"), Some(&2));
 }
 
-// ---------------------------------------------------------------- D005
-
-#[test]
-fn d005_fires_on_float_compound_assignment_in_parallel_callback() {
-    let source = "\
-fn merge(pool: &Pool, items: &[f64]) -> f64 {
-    let mut total: f64 = 0.0;
-    pool.map_indexed(items, |_index, value| {
-        total += value;
-    });
-    total
-}
-";
-    assert_fires(CORE, source, Rule::D005, 4);
-}
-
-#[test]
-fn d005_fires_on_float_sum_in_parallel_callback() {
-    let source = "\
-fn merge(pool: &Pool, rows: &[Vec<f64>]) -> Vec<f64> {
-    pool.map_indexed(rows, |_index, row| {
-        row.iter().sum::<f64>()
-    })
-}
-";
-    assert_fires(CORE, source, Rule::D005, 3);
-}
-
-#[test]
-fn d005_silent_on_integer_accumulation() {
-    let source = "\
-fn merge(pool: &Pool, items: &[u64]) -> u64 {
-    let mut total: u64 = 0;
-    pool.map_indexed(items, |_index, value| {
-        total += value;
-    });
-    total
-}
-";
-    assert_silent(CORE, source);
-}
-
-#[test]
-fn d005_silent_outside_parallel_callbacks() {
-    // Sequential float accumulation is fine: the order is the program order.
-    let source = "\
-fn total(items: &[f64]) -> f64 {
-    let mut sum: f64 = 0.0;
-    for value in items {
-        sum += value;
-    }
-    sum
-}
-";
-    assert_silent(CORE, source);
-}
-
-#[test]
-fn d005_silent_when_annotated_with_ordering_argument() {
-    let source = "\
-fn merge(pool: &Pool, items: &[f64]) -> f64 {
-    let mut total: f64 = 0.0;
-    pool.map_indexed(items, |_index, value| {
-        // lint:allow(float-accum): per-index slots are disjoint; the fold over slots is sequential
-        total += value;
-    });
-    total
-}
-";
-    assert_silent(CORE, source);
-}
-
 // ---------------------------------------------------------------- D000
 
 #[test]

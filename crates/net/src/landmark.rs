@@ -147,24 +147,8 @@ impl LandmarkSet {
     }
 
     /// Computes the locId of every node, indexed by `NodeId`.
-    ///
-    /// Each node's assignment is a pure function of the topology, so the work
-    /// fans out across [`crate::parallel::build_threads`] workers; the result
-    /// is byte-identical for every thread count.
     pub fn assign_all(&self, topology: &PhysicalTopology) -> Vec<LocId> {
-        self.assign_all_with_threads(topology, crate::parallel::build_threads())
-    }
-
-    /// [`LandmarkSet::assign_all`] with an explicit worker count (exposed so
-    /// the build-determinism tests can compare thread counts directly).
-    pub fn assign_all_with_threads(
-        &self,
-        topology: &PhysicalTopology,
-        threads: usize,
-    ) -> Vec<LocId> {
-        crate::parallel::map_indexed(topology.len(), threads, |i| {
-            self.loc_id_of(topology, NodeId(i as u32))
-        })
+        (0..topology.len()).map(|i| self.loc_id_of(topology, NodeId(i as u32))).collect()
     }
 }
 

@@ -41,34 +41,19 @@ impl LinkLatencyCache {
     /// Precomputes the latency of every link in `edges` on `topology`.
     ///
     /// `edges` may list each undirected edge once (either orientation) or
-    /// twice; duplicates are deduplicated. Endpoints must be valid topology
-    /// nodes. Per-link latency is a pure function of the endpoints, so that
-    /// stage fans out across [`crate::parallel::build_threads`] workers; the
-    /// adjacency rows are then assembled serially in edge order, making the
-    /// cache byte-identical for every thread count.
+    /// twice; duplicates and self-edges are ignored. Endpoints must be valid
+    /// topology nodes.
     pub fn build(
         topology: &PhysicalTopology,
         edges: impl IntoIterator<Item = (NodeId, NodeId)>,
     ) -> Self {
-        Self::build_with_threads(topology, edges, crate::parallel::build_threads())
-    }
-
-    /// [`LinkLatencyCache::build`] with an explicit worker count (exposed so
-    /// the build-determinism tests can compare thread counts directly).
-    pub fn build_with_threads(
-        topology: &PhysicalTopology,
-        edges: impl IntoIterator<Item = (NodeId, NodeId)>,
-        threads: usize,
-    ) -> Self {
-        let edges: Vec<(NodeId, NodeId)> = edges.into_iter().filter(|(a, b)| a != b).collect();
-        let latencies = crate::parallel::map_indexed(edges.len(), threads, |i| {
-            let (a, b) = edges[i];
-            topology.latency(a, b)
-        });
         let mut cache = Self::empty(topology.len());
-        for (&(a, b), &latency) in edges.iter().zip(&latencies) {
-            cache.insert_directed(a, b, latency);
-            cache.insert_directed(b, a, latency);
+        for (a, b) in edges {
+            if a != b {
+                let latency = topology.latency(a, b);
+                cache.insert_directed(a, b, latency);
+                cache.insert_directed(b, a, latency);
+            }
         }
         cache
     }

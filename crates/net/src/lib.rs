@@ -22,9 +22,7 @@
 //! * [`proximity`] — RTT probing used by the §5.1 fallback rule ("measure RTT to
 //!   the available providers and choose the smallest"),
 //! * [`latency_cache`] — [`LinkLatencyCache`]: per-link latencies computed once
-//!   per topology and reused across every message delivery of a simulation,
-//! * [`parallel`] — deterministic worker fan-out for the pure build stages
-//!   (same bytes for every thread count).
+//!   per topology and reused across every message delivery of a simulation.
 //!
 //! The model is geometric rather than a router-level graph: latency is a
 //! monotone function of distance in the plane. This preserves the two
@@ -40,7 +38,6 @@ pub mod coordinates;
 pub mod landmark;
 pub mod latency_cache;
 pub mod locid;
-pub mod parallel;
 pub mod proximity;
 pub mod topology;
 
@@ -49,6 +46,5 @@ pub use coordinates::Point;
 pub use landmark::{LandmarkSet, RttVector};
 pub use latency_cache::LinkLatencyCache;
 pub use locid::LocId;
-pub use parallel::{build_threads, map_indexed};
 pub use proximity::{closest_by_rtt, ProximityProbe};
 pub use topology::{NodeId, PhysicalTopology};

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use locaware_net::LocId;
 use locaware_sim::SimTime;
 
-use crate::message::{FileId, KeywordId, ProviderEntry};
+use crate::message::ProviderEntry;
 use crate::PeerId;
 
 /// Width of a DHT identifier in bytes (160 bits, as in Kademlia/BitTorrent).
@@ -277,7 +277,7 @@ struct StoredProvider {
 /// One keyword's record: `(file, provider) → (locId, expiry)`.
 #[derive(Debug, Clone, Default)]
 struct Record {
-    entries: BTreeMap<(FileId, u32), StoredProvider>,
+    entries: BTreeMap<(u32, u32), StoredProvider>,
 }
 
 impl Record {
@@ -297,7 +297,7 @@ impl Record {
 #[derive(Debug, Clone)]
 pub struct DhtRecordStore {
     max_record_bytes: usize,
-    records: BTreeMap<KeywordId, Record>,
+    records: BTreeMap<u32, Record>,
     truncated_entries: u64,
     expired_entries: u64,
 }
@@ -332,8 +332,8 @@ impl DhtRecordStore {
     /// counted as truncated.
     pub fn insert(
         &mut self,
-        keyword: KeywordId,
-        file: FileId,
+        keyword: u32,
+        file: u32,
         provider: ProviderEntry,
         expires_at: SimTime,
     ) {
@@ -363,9 +363,9 @@ impl DhtRecordStore {
     /// `(file, provider)` order. The buffer is appended to, not cleared.
     pub fn lookup_into(
         &self,
-        keyword: KeywordId,
+        keyword: u32,
         now: SimTime,
-        out: &mut Vec<(FileId, ProviderEntry)>,
+        out: &mut Vec<(u32, ProviderEntry)>,
     ) {
         if let Some(record) = self.records.get(&keyword) {
             out.extend(
@@ -628,7 +628,7 @@ mod tests {
         store.insert(1, 13, entry(4, 0), t(300));
         let mut out = Vec::new();
         store.lookup_into(1, t(0), &mut out);
-        let files: Vec<FileId> = out.iter().map(|&(f, _)| f).collect();
+        let files: Vec<u32> = out.iter().map(|&(f, _)| f).collect();
         assert_eq!(files, vec![10, 12, 13]);
         assert_eq!(store.truncated_entries(), 1);
         assert_eq!(store.bytes(), cap);

@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use locaware_bloom::{BloomDelta, BloomFilter};
 use locaware_net::LocId;
+use locaware_workload::{FileId, KeywordId};
 
 use crate::PeerId;
 
@@ -23,14 +24,6 @@ use crate::PeerId;
 /// suppression keys on).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueryId(pub u64);
-
-/// A keyword is referenced by its id in the global keyword pool; hashing and
-/// Bloom membership operate on the id's canonical byte representation, so the
-/// overlay does not need the workload crate's string tables.
-pub type KeywordId = u32;
-
-/// A file is referenced by its id in the global file pool.
-pub type FileId = u32;
 
 /// One provider index entry: the address of a peer providing the file plus its
 /// location id (the paper's location-aware index entry, e.g. "(D, 1)").
@@ -93,10 +86,10 @@ pub enum Message {
         /// The file satisfying the query.
         file: FileId,
         /// All keywords of the file's filename (needed by caching peers to
-        /// update their Bloom filters). Interned per file in the catalog and
-        /// shared across every response and relay hop about that file, so
-        /// constructing or cloning a response bumps a reference count instead
-        /// of reallocating the list.
+        /// update their Bloom filters). The catalog's own allocation
+        /// (`Filename::shared_keywords`), shared across every response and
+        /// relay hop about that file, so constructing or cloning a response
+        /// bumps a reference count instead of reallocating the list.
         file_keywords: Arc<[KeywordId]>,
         /// The keywords the original query was expressed with (Dicas-Keys
         /// keys its cache on these). Carried in the response — shared via
@@ -129,7 +122,7 @@ pub enum Message {
         /// The query this lookup resolves.
         query: QueryId,
         /// The keyword whose record key is the lookup target.
-        keyword: KeywordId,
+        keyword: u32,
         /// This step's depth (1 for the origin's first round).
         hop: u32,
     },
@@ -138,12 +131,12 @@ pub enum Message {
         /// The query this lookup resolves.
         query: QueryId,
         /// The keyword looked up (echoed).
-        keyword: KeywordId,
+        keyword: u32,
         /// The answered step's depth (echoed).
         hop: u32,
         /// Every unexpired `(file, provider)` entry of the keyword's record
         /// at the answering node.
-        entries: Vec<(FileId, ProviderEntry)>,
+        entries: Vec<(u32, ProviderEntry)>,
         /// The answering node's closest known contacts to the record key,
         /// nearest first (the iterative lookup's next candidates).
         closer: Vec<PeerId>,
@@ -153,9 +146,9 @@ pub enum Message {
     /// never query-charged, but counted and priced like Bloom sync traffic.
     DhtStore {
         /// The keyword whose record is updated.
-        keyword: KeywordId,
+        keyword: u32,
         /// The file provided.
-        file: FileId,
+        file: u32,
         /// The providing peer and its location id.
         provider: ProviderEntry,
     },
@@ -218,14 +211,6 @@ impl Message {
         }
     }
 
-    /// For queries: the remaining TTL. `None` for non-query messages.
-    pub fn ttl(&self) -> Option<u32> {
-        match self {
-            Message::Query { ttl, .. } => Some(*ttl),
-            _ => None,
-        }
-    }
-
     /// For query-charged messages (queries, responses and DHT lookup steps):
     /// the query id. `None` otherwise.
     #[inline]
@@ -249,7 +234,7 @@ mod tests {
             query: QueryId(42),
             origin: PeerId(7),
             origin_loc: LocId(3),
-            keywords: vec![10, 20, 30].into(),
+            keywords: [10, 20, 30].map(KeywordId).into(),
             target_filename: None,
             ttl: 7,
         }
@@ -267,12 +252,10 @@ mod tests {
     #[test]
     fn query_accessors() {
         let q = sample_query();
-        assert_eq!(q.ttl(), Some(7));
         assert_eq!(q.query_id(), Some(QueryId(42)));
         let bloom = Message::BloomFull {
             filter: BloomFilter::paper_default(),
         };
-        assert_eq!(bloom.ttl(), None);
         assert_eq!(bloom.query_id(), None);
     }
 
@@ -287,9 +270,9 @@ mod tests {
     fn response_encoding_grows_with_providers() {
         let small = Message::QueryResponse {
             query: QueryId(1),
-            file: 5,
-            file_keywords: vec![1, 2, 3].into(),
-            query_keywords: vec![1].into(),
+            file: FileId(5),
+            file_keywords: [1, 2, 3].map(KeywordId).into(),
+            query_keywords: [1].map(KeywordId).into(),
             providers: vec![ProviderEntry {
                 provider: PeerId(9),
                 loc_id: LocId(0),
@@ -301,9 +284,9 @@ mod tests {
         };
         let large = Message::QueryResponse {
             query: QueryId(1),
-            file: 5,
-            file_keywords: vec![1, 2, 3].into(),
-            query_keywords: vec![1].into(),
+            file: FileId(5),
+            file_keywords: [1, 2, 3].map(KeywordId).into(),
+            query_keywords: [1].map(KeywordId).into(),
             providers: (0..10)
                 .map(|i| ProviderEntry {
                     provider: PeerId(i),
@@ -322,9 +305,9 @@ mod tests {
     fn response_size_is_pinned() {
         let response = Message::QueryResponse {
             query: QueryId(1),
-            file: 5,
-            file_keywords: vec![1, 2].into(),
-            query_keywords: vec![1].into(),
+            file: FileId(5),
+            file_keywords: [1, 2].map(KeywordId).into(),
+            query_keywords: [1].map(KeywordId).into(),
             providers: (0..3)
                 .map(|i| ProviderEntry {
                     provider: PeerId(i),
@@ -388,7 +371,6 @@ mod tests {
         };
         assert_eq!(lookup.kind(), MessageKind::DhtLookup);
         assert_eq!(lookup.query_id(), Some(QueryId(9)));
-        assert_eq!(lookup.ttl(), None);
         // 1 + 8 + 4 + 1.
         assert_eq!(lookup.wire_size(), 14);
 
@@ -421,8 +403,8 @@ mod tests {
             query: QueryId(3),
             origin: PeerId(0),
             origin_loc: LocId(0),
-            keywords: vec![1, 2, 3].into(),
-            target_filename: Some(77),
+            keywords: [1, 2, 3].map(KeywordId).into(),
+            target_filename: Some(FileId(77)),
             ttl: 7,
         };
         // 5 bytes more than the keyword-only variant (flag byte already counted).

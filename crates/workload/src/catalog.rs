@@ -33,10 +33,11 @@ impl std::fmt::Display for FileId {
     }
 }
 
-/// A filename: the ordered list of keywords composing it.
+/// A filename: the ordered list of keywords composing it, as one shared
+/// allocation that every query response about the file carries a clone of.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Filename {
-    keywords: Vec<KeywordId>,
+    keywords: Arc<[KeywordId]>,
 }
 
 impl Filename {
@@ -46,11 +47,17 @@ impl Filename {
     /// Panics if the keyword list is empty.
     pub fn new(keywords: Vec<KeywordId>) -> Self {
         assert!(!keywords.is_empty(), "a filename needs at least one keyword");
-        Filename { keywords }
+        Filename { keywords: keywords.into() }
     }
 
     /// The keywords of this filename, in order.
     pub fn keywords(&self) -> &[KeywordId] {
+        &self.keywords
+    }
+
+    /// The same keywords as the shared allocation itself, for a message that
+    /// must own them.
+    pub fn shared_keywords(&self) -> &Arc<[KeywordId]> {
         &self.keywords
     }
 
@@ -108,10 +115,6 @@ pub struct Catalog {
     /// Bloom hashes interned once per pool keyword (shared with peer state so
     /// the routing and cache-maintenance hot paths never re-hash a keyword).
     keyword_hashes: Arc<KeywordHashes>,
-    /// Each filename's raw keyword ids as one shared allocation, interned at
-    /// construction. Response messages clone the `Arc` instead of rebuilding
-    /// a fresh `Vec` per hit on the query hot path.
-    wire_keywords: Vec<Arc<[u32]>>,
 }
 
 impl Catalog {
@@ -129,31 +132,16 @@ impl Catalog {
         );
         let pool = KeywordPool::new(config.keywords);
         let all_keywords: Vec<KeywordId> = pool.iter().collect();
-
-        let mut filenames = Vec::with_capacity(config.files);
-        let mut inverted: HashMap<KeywordId, Vec<FileId>> = HashMap::new();
-        for f in 0..config.files {
-            let kws: Vec<KeywordId> = all_keywords
-                .choose_multiple(rng, config.keywords_per_file)
-                .copied()
-                .collect();
-            for &kw in &kws {
-                inverted.entry(kw).or_default().push(FileId(f as u32));
-            }
-            filenames.push(Filename::new(kws));
-        }
-        let keyword_hashes = Arc::new(KeywordHashes::for_pool(&pool));
-        let wire_keywords = intern_wire_keywords(&filenames);
-        Catalog {
-            pool,
-            filenames,
-            inverted,
-            keyword_hashes,
-            wire_keywords,
-        }
+        let filenames = (0..config.files)
+            .map(|_| {
+                let draw = all_keywords.choose_multiple(rng, config.keywords_per_file);
+                Filename::new(draw.copied().collect())
+            })
+            .collect();
+        Self::from_filenames(pool, filenames)
     }
 
-    /// Builds a catalog from explicit filenames (used by tests and examples).
+    /// Builds a catalog from explicit filenames.
     pub fn from_filenames(pool: KeywordPool, filenames: Vec<Filename>) -> Self {
         let mut inverted: HashMap<KeywordId, Vec<FileId>> = HashMap::new();
         for (i, fname) in filenames.iter().enumerate() {
@@ -162,13 +150,11 @@ impl Catalog {
             }
         }
         let keyword_hashes = Arc::new(KeywordHashes::for_pool(&pool));
-        let wire_keywords = intern_wire_keywords(&filenames);
         Catalog {
             pool,
             filenames,
             inverted,
             keyword_hashes,
-            wire_keywords,
         }
     }
 
@@ -199,15 +185,6 @@ impl Catalog {
     /// Panics if the file id is out of range.
     pub fn filename(&self, file: FileId) -> &Filename {
         &self.filenames[file.index()]
-    }
-
-    /// The interned wire form of `file`'s keywords (raw ids, one shared
-    /// allocation per file).
-    ///
-    /// # Panics
-    /// Panics if the file id is out of range.
-    pub fn wire_keywords(&self, file: FileId) -> &Arc<[u32]> {
-        &self.wire_keywords[file.index()]
     }
 
     /// Iterator over all file ids.
@@ -243,14 +220,6 @@ impl Catalog {
     pub fn file_matches(&self, file: FileId, query_keywords: &[KeywordId]) -> bool {
         self.filename(file).matches(query_keywords)
     }
-}
-
-/// One shared `Arc<[u32]>` of raw keyword ids per filename.
-fn intern_wire_keywords(filenames: &[Filename]) -> Vec<Arc<[u32]>> {
-    filenames
-        .iter()
-        .map(|f| f.keywords().iter().map(|kw| kw.0).collect())
-        .collect()
 }
 
 #[cfg(test)]

@@ -78,10 +78,9 @@ fn sharded_engine_reproduces_single_shard_results_at_paper_scale() {
 #[ignore = "frontier scale (10000 peers); run with: cargo test --release --test paper_scale -- --ignored"]
 fn large_10k_substrate_builds_and_is_shard_invariant() {
     // The scale-frontier smoke: the `large-10k` preset at its nominal
-    // population must build (exercising the staged parallel build, the CSR
-    // overlay and the O(log n) directory bootstrap at 10× the published
-    // scale) and the sharded engine must stay bit-identical to the
-    // single-shard run there.
+    // population must build (exercising the CSR overlay and the O(log n)
+    // directory bootstrap at 10× the published scale) and the sharded engine
+    // must stay bit-identical to the single-shard run there.
     let queries = 200usize;
     let reports: Vec<_> = [1usize, 4]
         .iter()

@@ -17,7 +17,7 @@ use locaware::{
     GroupId, PeerState, ProtocolKind, ResponseIndex, Scenario, SelectionPolicy, SimulationConfig,
 };
 use locaware_bloom::{BloomDelta, BloomFilter, BloomParams};
-use locaware_net::{LandmarkSet, LinkLatencyCache, LocId, NodeId, PhysicalTopology};
+use locaware_net::{LandmarkSet, LocId, NodeId, PhysicalTopology};
 use locaware_net::brite::{BriteConfig, BriteGenerator, PlacementModel};
 use locaware_overlay::{
     DhtId, DhtRecordStore, GeneratorConfig, GraphModel, PeerId, ProviderEntry, QueryId,
@@ -922,49 +922,6 @@ proptest! {
         prop_assert_eq!(&a, &b);
         for loc in a {
             prop_assert!(loc.value() < 24);
-        }
-    }
-
-    // ------------------------------------------------- parallel build stages
-
-    /// The staged parallel substrate-build fan-out is bit-identical across
-    /// build-thread counts: the landmark assignment and the link-latency
-    /// cache — the two parallelised stages — produce the same bytes with
-    /// 1, 2 and 8 workers.
-    #[test]
-    fn parallel_build_stages_are_thread_count_invariant(
-        seed in any::<u64>(),
-        nodes in 2usize..400,
-    ) {
-        let topology: PhysicalTopology = BriteGenerator::new(BriteConfig {
-            nodes,
-            ..BriteConfig::default()
-        })
-        .generate(&mut StdRng::seed_from_u64(seed));
-        let landmarks = LandmarkSet::spread(4);
-        let graph = GeneratorConfig {
-            peers: nodes,
-            average_degree: 3.0_f64.min(nodes as f64 - 1.0).max(0.5),
-            model: GraphModel::Random,
-        }
-        .generate(&mut StdRng::seed_from_u64(seed ^ 0x9E37));
-
-        let serial_locs = landmarks.assign_all_with_threads(&topology, 1);
-        let serial_cache = LinkLatencyCache::build_with_threads(&topology, graph.edges(), 1);
-        for threads in [2usize, 8] {
-            prop_assert_eq!(
-                &landmarks.assign_all_with_threads(&topology, threads),
-                &serial_locs,
-                "landmark assignment must not depend on the worker count"
-            );
-            let cache = LinkLatencyCache::build_with_threads(&topology, graph.edges(), threads);
-            let serial_links: Vec<_> = serial_cache.links().collect();
-            let parallel_links: Vec<_> = cache.links().collect();
-            prop_assert_eq!(
-                parallel_links,
-                serial_links,
-                "latency cache must not depend on the worker count"
-            );
         }
     }
 }
