@@ -211,18 +211,17 @@ pub(crate) fn degradation(args: impl IntoIterator<Item = String>) -> Result<Stri
 
     let mut scenarios = Vec::new();
     for &loss_pct in &losses_pct {
-        let lossy = Scenario::builder("degradation")
-            .peers(peers)
-            .seed(0xDE_64AD)
-            .faults(FaultConfig {
+        let lossy = SimulationConfig {
+            seed: 0xDE_64AD,
+            faults: FaultConfig {
                 message_loss: loss_pct as f64 / 100.0,
                 query_timeout: TimeoutPolicy { initial_secs: 3.0, backoff: 2.0, max_retries: 2 },
                 dht_step_timeout_secs: 2.0,
                 ..FaultConfig::disabled()
-            })
-            .build()
-            .map_err(|e| e.to_string())?;
-        scenarios.extend(at_both_shardings(&format!("loss-{loss_pct}"), lossy.config())?);
+            },
+            ..SimulationConfig::small(peers)
+        };
+        scenarios.extend(at_both_shardings(&format!("loss-{loss_pct}"), &lossy)?);
     }
     let storm = preset("churn-storm", peers)?;
     let crash_stop = FaultConfig {

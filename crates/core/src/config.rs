@@ -17,7 +17,7 @@ use locaware_workload::{
 ///
 /// Returned by [`SimulationConfig::validate`] and
 /// [`crate::Simulation::try_build`], and surfaced by
-/// [`crate::experiment::ScenarioBuilder::build`]. Each variant carries the
+/// [`crate::experiment::Scenario::from_config`]. Each variant carries the
 /// offending values so callers can report or repair the configuration
 /// programmatically instead of parsing an error string.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,6 +41,8 @@ pub enum ConfigError {
         /// Configured maximum one-way latency in milliseconds.
         max_ms: f64,
     },
+    /// A clustered placement asks for zero clusters.
+    ZeroClusters,
     /// The landmark count is outside the supported `1..=8` range.
     LandmarksOutOfRange {
         /// The configured landmark count.
@@ -75,6 +77,11 @@ pub enum ConfigError {
         max: usize,
         /// Configured keywords per filename.
         keywords_per_file: usize,
+    },
+    /// The Zipf exponent of query popularity is negative or not finite.
+    ZipfExponentOutOfRange {
+        /// The configured exponent.
+        exponent: f64,
     },
     /// The per-peer query rate is not positive and finite.
     NonPositiveQueryRate {
@@ -160,6 +167,9 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "latency range must satisfy 0 < min <= max: got [{min_ms}, {max_ms}] ms"
             ),
+            ConfigError::ZeroClusters => {
+                write!(f, "clustered placement needs at least one cluster")
+            }
             ConfigError::LandmarksOutOfRange { landmarks } => {
                 write!(f, "landmarks must be in 1..=8: got {landmarks}")
             }
@@ -180,6 +190,9 @@ impl std::fmt::Display for ConfigError {
                 "query keyword bounds must satisfy 1 <= min <= max <= keywords_per_file: \
                  got {min}..={max} with {keywords_per_file} keywords per file"
             ),
+            ConfigError::ZipfExponentOutOfRange { exponent } => {
+                write!(f, "Zipf exponent must be finite and non-negative: got {exponent}")
+            }
             ConfigError::NonPositiveQueryRate { rate_per_peer } => {
                 write!(f, "query rate must be positive and finite: got {rate_per_peer}")
             }
@@ -468,13 +481,6 @@ pub struct SimulationConfig {
     // --- churn (off by default; the paper's evaluation is static) ---------------
     /// Churn model parameters.
     pub churn: ChurnConfig,
-    /// When true, a churn departure proactively invalidates the departed
-    /// provider's entries in **every** online peer's response index (and the
-    /// Bloom filters tracking them), via the provider → files postings map.
-    /// Off by default: the paper (and every prior run of this reproduction)
-    /// invalidates lazily, filtering departed providers at selection time, so
-    /// existing fingerprints hold exactly.
-    pub proactive_provider_invalidation: bool,
 
     // --- faults (off by default; the paper's network is perfectly reliable) -----
     /// The fault plan: deterministic per-message loss, transient link
@@ -543,7 +549,6 @@ impl SimulationConfig {
             dht: DhtConfig::default(),
             shards: 0,
             churn: ChurnConfig::disabled(),
-            proactive_provider_invalidation: false,
             faults: FaultConfig::disabled(),
             max_events: 200_000_000,
         }
@@ -594,7 +599,8 @@ impl SimulationConfig {
         if self.peers == 0 {
             return Err(ConfigError::ZeroPeers);
         }
-        if self.average_degree <= 0.0 || self.average_degree as usize >= self.peers {
+        // Each range test is the negation of what it admits, so NaN fails it.
+        if !(self.average_degree > 0.0 && (self.average_degree as usize) < self.peers) {
             return Err(ConfigError::DegreeOutOfRange {
                 average_degree: self.average_degree,
                 peers: self.peers,
@@ -603,7 +609,7 @@ impl SimulationConfig {
         if self.ttl == 0 {
             return Err(ConfigError::ZeroTtl);
         }
-        if self.min_latency_ms <= 0.0 || self.max_latency_ms < self.min_latency_ms {
+        if !(self.min_latency_ms > 0.0 && self.max_latency_ms >= self.min_latency_ms) {
             return Err(ConfigError::LatencyRange {
                 min_ms: self.min_latency_ms,
                 max_ms: self.max_latency_ms,
@@ -615,6 +621,9 @@ impl SimulationConfig {
                 ttl: self.ttl,
                 max_latency_ms: self.max_latency_ms,
             });
+        }
+        if matches!(self.placement, PlacementModel::Clustered { clusters: 0, .. }) {
+            return Err(ConfigError::ZeroClusters);
         }
         if self.landmarks == 0 || self.landmarks > 8 {
             return Err(ConfigError::LandmarksOutOfRange { landmarks: self.landmarks });
@@ -646,6 +655,9 @@ impl SimulationConfig {
                 max: self.max_query_keywords,
                 keywords_per_file: self.keywords_per_file,
             });
+        }
+        if !(self.zipf_exponent >= 0.0 && self.zipf_exponent.is_finite()) {
+            return Err(ConfigError::ZipfExponentOutOfRange { exponent: self.zipf_exponent });
         }
         if self.query_rate_per_peer <= 0.0 || !self.query_rate_per_peer.is_finite() {
             return Err(ConfigError::NonPositiveQueryRate {
@@ -822,6 +834,25 @@ mod tests {
         let mut c = SimulationConfig::paper_defaults();
         c.landmarks = 9;
         assert_eq!(c.validate(), Err(ConfigError::LandmarksOutOfRange { landmarks: 9 }));
+
+        // NaN used to slip past `<=` range tests and panic in the builders.
+        let mut c = SimulationConfig::paper_defaults();
+        c.average_degree = f64::NAN;
+        assert!(matches!(c.validate(), Err(ConfigError::DegreeOutOfRange { .. })));
+
+        let mut c = SimulationConfig::paper_defaults();
+        c.min_latency_ms = f64::NAN;
+        assert!(matches!(c.validate(), Err(ConfigError::LatencyRange { .. })));
+
+        for exponent in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut c = SimulationConfig::paper_defaults();
+            c.zipf_exponent = exponent;
+            assert!(matches!(c.validate(), Err(ConfigError::ZipfExponentOutOfRange { .. })));
+        }
+
+        let mut c = SimulationConfig::paper_defaults();
+        c.placement = PlacementModel::Clustered { clusters: 0, sigma: 0.03 };
+        assert_eq!(c.validate(), Err(ConfigError::ZeroClusters));
     }
 
     #[test]
@@ -1104,5 +1135,50 @@ mod tests {
             c.validate(),
             Err(ConfigError::DhtHeadFractionOutOfRange { .. })
         ));
+    }
+
+    /// Every float knob at NaN, −1, ∞ and 0 either fails validation or runs:
+    /// a config `validate()` accepts builds a 40-peer substrate and carries
+    /// 20 queries of `hybrid` and of `flooding` without a panic.
+    #[test]
+    fn every_float_knob_fails_validation_or_runs() {
+        type Knob = fn(&mut SimulationConfig) -> &mut f64;
+        let knobs: [(&str, Knob); 14] = [
+            ("average_degree", |c| &mut c.average_degree),
+            ("min_latency_ms", |c| &mut c.min_latency_ms),
+            ("max_latency_ms", |c| &mut c.max_latency_ms),
+            ("zipf_exponent", |c| &mut c.zipf_exponent),
+            ("query_rate_per_peer", |c| &mut c.query_rate_per_peer),
+            ("bloom_sync_period_secs", |c| &mut c.bloom_sync_period_secs),
+            ("dht.record_ttl_secs", |c| &mut c.dht.record_ttl_secs),
+            ("dht.republish_period_secs", |c| &mut c.dht.republish_period_secs),
+            ("dht.hybrid_head_fraction", |c| &mut c.dht.hybrid_head_fraction),
+            ("churn.mean_session_secs", |c| &mut c.churn.mean_session_secs),
+            ("churn.mean_offline_secs", |c| &mut c.churn.mean_offline_secs),
+            ("churn.churning_fraction", |c| &mut c.churn.churning_fraction),
+            ("faults.message_loss", |c| &mut c.faults.message_loss),
+            ("faults.dht_step_timeout_secs", |c| &mut c.faults.dht_step_timeout_secs),
+        ];
+        let mut panicked = Vec::new();
+        for (name, knob) in knobs {
+            for value in [f64::NAN, -1.0, f64::INFINITY, 0.0] {
+                let mut config = SimulationConfig::small(40);
+                *knob(&mut config) = value;
+                if config.validate().is_err() {
+                    continue;
+                }
+                let ran = std::panic::catch_unwind(|| {
+                    let simulation = crate::Simulation::try_build(config)?;
+                    for protocol in [ProtocolKind::Hybrid, ProtocolKind::Flooding] {
+                        simulation.run(protocol, 20);
+                    }
+                    Ok::<_, ConfigError>(())
+                });
+                if !matches!(ran, Ok(Ok(()))) {
+                    panicked.push(format!("{name} = {value}"));
+                }
+            }
+        }
+        assert!(panicked.is_empty(), "validated configs panicked: {panicked:?}");
     }
 }

@@ -13,12 +13,16 @@
 //! closest to this key" globally — the publish/republish paths use that
 //! oracle directly instead of simulating their own iterative lookups, in the
 //! same modelling spirit as the initial Bloom exchange ("modelled as already
-//! known at start") and the proactive-invalidation oracle: publisher-side
-//! maintenance is priced (every store transfer is a real, latency-paying
-//! message) but not path-simulated. *Query* lookups, which the paper's
-//! search-cost comparison actually measures, are genuinely iterative: the
-//! origin walks the key space contact by contact through
-//! [`DhtLookupState`], paying every hop.
+//! known at start"): publisher-side maintenance is priced (every store
+//! transfer is a real, latency-paying message) but not path-simulated.
+//! *Query* lookups, which the paper's search-cost comparison actually
+//! measures, are genuinely iterative: the origin walks the key space contact
+//! by contact through [`DhtLookupState`], paying every hop.
+//!
+//! Churn is lazy on the record side, as it is on the unstructured side: a
+//! departure removes the node from every online routing table
+//! ([`on_leave`]), but the provider entries it published stay in the record
+//! stores until their TTL lapses or a lookup's online filter skips them.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -447,16 +451,12 @@ pub(super) fn republish(
 
 /// Online peer `other` learns that `departed` left with goodbyes. Failure
 /// detection is modelled at the barrier, like the rewiring itself: the
-/// departed node leaves the routing table. Its *record entries* are dropped
-/// only under proactive invalidation — by default they linger until TTL
-/// expiry or a lookup's online filter skips them, which is exactly the index
-/// staleness the churn-storm comparison measures.
-pub(super) fn on_leave(other: &mut PeerState, departed: PeerId, invalidate: bool) {
+/// departed node leaves the routing table. Its *record entries* linger until
+/// TTL expiry or a lookup's online filter skips them, which is exactly the
+/// index staleness the churn-storm comparison measures.
+pub(super) fn on_leave(other: &mut PeerState, departed: PeerId) {
     if let Some(node) = other.dht.as_mut() {
         node.table.remove(departed);
-        if invalidate {
-            node.store.remove_provider(departed);
-        }
     }
 }
 

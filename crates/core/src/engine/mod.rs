@@ -862,23 +862,14 @@ impl Coordinator {
                 for n in old_neighbors {
                     peer_mut(shared, shards, n).forget_neighbor(peer);
                 }
-                // CUP-style proactive invalidation, modelled as an oracle:
-                // every online peer drops its index entries for the departed
-                // provider (O(affected) each, via the provider → files
-                // postings map) and updates its Bloom filter for entries that
-                // vanish. Runs serially at the churn barrier, in peer-id
-                // order, so it is part of the canonical event order and
-                // deterministic for any shard count. Off by default: the lazy
-                // selection-time filter is the paper's (and the seed's)
-                // behaviour.
-                let invalidate = shared.config.proactive_provider_invalidation;
-                if invalidate || shared.dht.is_some() {
+                // Cached index entries naming the departed provider stay: the
+                // paper invalidates lazily, filtering departed providers at
+                // selection time (§4.1.2). Only DHT routing tables learn of
+                // the departure, serially at the churn barrier in peer-id
+                // order, so it is part of the canonical event order.
+                if shared.dht.is_some() {
                     for other in graph.active_peers() {
-                        let other = peer_mut(shared, shards, other);
-                        dht::on_leave(other, peer, invalidate);
-                        if invalidate {
-                            other.forget_provider(peer);
-                        }
+                        dht::on_leave(peer_mut(shared, shards, other), peer);
                     }
                 }
             }

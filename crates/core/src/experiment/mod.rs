@@ -7,7 +7,7 @@
 //! convention of the call sites:
 //!
 //! 1. [`Scenario`] — a named, **validated** configuration. Construction is
-//!    fallible ([`ScenarioBuilder::build`] returns [`ConfigError`]);
+//!    fallible ([`Scenario::from_config`] returns [`ConfigError`]);
 //!    holding a `Scenario` is proof the
 //!    configuration is consistent. Named presets cover the paper's setup
 //!    ([`Scenario::paper_defaults`], [`Scenario::small`]) and three extension
@@ -44,7 +44,7 @@ mod scenario;
 pub use plan::{ExperimentPlan, PlanError};
 pub use runner::{ExperimentOutcome, ExperimentPoint, Runner};
 pub use scenario::{
-    Scenario, ScenarioBuilder, FLASH_CROWD_BURST_DURATION_SECS, FLASH_CROWD_BURST_START_SECS,
+    Scenario, FLASH_CROWD_BURST_DURATION_SECS, FLASH_CROWD_BURST_START_SECS,
     FLASH_CROWD_RATE_MULTIPLIER, REGIONAL_HOTSPOT_WEIGHTS,
 };
 

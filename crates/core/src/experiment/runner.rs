@@ -97,14 +97,13 @@ impl ExperimentOutcome {
 #[derive(Debug, Clone, Default)]
 pub struct Runner {
     threads: Option<usize>,
-    build_counter: Option<Arc<AtomicUsize>>,
 }
 
 impl Runner {
     /// A runner sized to the machine (one worker per available core, capped
     /// at 16).
     pub fn new() -> Self {
-        Runner { threads: None, build_counter: None }
+        Runner { threads: None }
     }
 
     /// The machine-sized worker count [`Runner::new`] uses: one worker per
@@ -120,14 +119,6 @@ impl Runner {
     /// Overrides the worker-thread count (clamped to at least 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Attaches a counter incremented once per substrate build. Instrumentation
-    /// for tests and benchmarks asserting the build-once guarantee; the same
-    /// number is reported in [`ExperimentOutcome::substrates_built`].
-    pub fn with_build_counter(mut self, counter: Arc<AtomicUsize>) -> Self {
-        self.build_counter = Some(counter);
         self
     }
 
@@ -201,12 +192,8 @@ impl Runner {
                 let (scenario_index, repetition) = units[unit_index];
                 let scenario = &scenarios[scenario_index];
                 let seed = ExperimentPlan::repetition_seed(scenario, repetition);
-                let simulation = substrates[unit_index].get_or_init(|| {
-                    if let Some(counter) = &self.build_counter {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Arc::new(scenario.clone().with_seed(seed).substrate())
-                });
+                let simulation = substrates[unit_index]
+                    .get_or_init(|| Arc::new(scenario.clone().with_seed(seed).substrate()));
                 let protocol = protocols[protocol_index];
                 let queries = query_counts[query_index];
                 let report = simulation.run(protocol, queries);
@@ -261,15 +248,9 @@ mod tests {
 
     #[test]
     fn a_grid_point_builds_its_substrate_exactly_once() {
-        let builds = Arc::new(AtomicUsize::new(0));
         let plan = tiny_plan();
-        let outcome = Runner::new()
-            .with_threads(4)
-            .with_build_counter(Arc::clone(&builds))
-            .run(&plan)
-            .unwrap();
+        let outcome = Runner::new().with_threads(4).run(&plan).unwrap();
         // 2 protocols × 2 query counts share one substrate.
-        assert_eq!(builds.load(Ordering::Relaxed), 1);
         assert_eq!(outcome.substrates_built, 1);
         assert_eq!(outcome.len(), 4);
     }
@@ -329,15 +310,10 @@ mod tests {
         // A plan whose scenarios run 4-sharded engines must divide the
         // machine-sized worker pool by 4 so shards × workers stays within
         // the core budget; an explicit override is taken literally.
+        let wide = SimulationConfig { shards: 4, ..SimulationConfig::small(50) };
         let sharded = ExperimentPlan::new()
             .scenario(Scenario::small(50).with_seed(1))
-            .scenario(
-                Scenario::builder("wide")
-                    .peers(50)
-                    .shards(4)
-                    .build()
-                    .expect("valid scenario"),
-            )
+            .scenario(Scenario::from_config("wide", wide).expect("valid scenario"))
             .protocol(ProtocolKind::Flooding)
             .query_count(10);
         let runner = Runner::new();

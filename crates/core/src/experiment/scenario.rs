@@ -4,8 +4,11 @@
 //! validation, plus a stable name used to label experiment output. Scenarios
 //! are the only inputs the [`Runner`](crate::experiment::Runner) accepts, so
 //! every substrate an experiment builds is known-consistent *by type*: the
-//! fallible step is [`ScenarioBuilder::build`], which returns a
+//! fallible step is [`Scenario::from_config`], which returns a
 //! [`ConfigError`] instead of panicking deep inside substrate construction.
+//! A custom scenario is a [`SimulationConfig`] literal over a preset's
+//! configuration — `SimulationConfig { seed, churn, ..SimulationConfig::small(peers) }`
+//! — so there is one spelling of every knob, the config's own field.
 //!
 //! Beyond the paper's own setup ([`Scenario::paper_defaults`]) and its scaled
 //! miniature ([`Scenario::small`]), three extension regimes stress the cases
@@ -59,8 +62,8 @@ pub const FAULTY_NETWORK_OUTAGE_FRACTION: f64 = 0.3;
 
 /// A named, validated simulation configuration.
 ///
-/// Construction always goes through validation — via the presets, via
-/// [`Scenario::from_config`] or via [`ScenarioBuilder::build`] — so holding a
+/// Construction always goes through validation — via the presets or via
+/// [`Scenario::from_config`] — so holding a
 /// `Scenario` is proof the configuration is internally consistent and
 /// [`Scenario::substrate`] cannot fail. (Deliberately not deserializable:
 /// decoding a scenario from bytes would bypass that validation; deserialize a
@@ -85,15 +88,19 @@ impl Scenario {
         "large-10k",
     ];
 
-    /// Starts a builder named `name`, seeded from the paper's §5.1 defaults.
-    pub fn builder(name: impl Into<String>) -> ScenarioBuilder {
-        ScenarioBuilder {
-            name: name.into(),
-            config: SimulationConfig::paper_defaults(),
-        }
-    }
-
-    /// Wraps an explicit configuration, validating it first.
+    /// Wraps an explicit configuration, validating it first:
+    ///
+    /// ```
+    /// use locaware::{ConfigError, Scenario, SimulationConfig};
+    ///
+    /// let config = SimulationConfig { seed: 7, ttl: 5, ..SimulationConfig::small(60) };
+    /// let scenario = Scenario::from_config("demo", config).expect("consistent configuration");
+    /// assert_eq!(scenario.config().ttl, 5);
+    ///
+    /// // Inconsistencies come back as typed errors instead of panics:
+    /// let broken = SimulationConfig { ttl: 0, ..SimulationConfig::small(60) };
+    /// assert_eq!(Scenario::from_config("broken", broken).unwrap_err(), ConfigError::ZeroTtl);
+    /// ```
     pub fn from_config(
         name: impl Into<String>,
         config: SimulationConfig,
@@ -117,7 +124,7 @@ impl Scenario {
     /// Panics unless `peers` exceeds the paper's average overlay degree of 3
     /// ([`SimulationConfig::small`] keeps that degree, and the population must
     /// be larger than the degree for the overlay to be wireable). Use
-    /// [`Scenario::builder`] for fallible construction.
+    /// [`Scenario::from_config`] for fallible construction.
     pub fn small(peers: usize) -> Self {
         validated_preset("small", SimulationConfig::small(peers))
     }
@@ -156,10 +163,9 @@ impl Scenario {
     /// 5-minute offline gaps — far harsher than measured Gnutella medians —
     /// so cached index entries go stale while queries are still in flight.
     /// This is the regime §4.1.2 worries about when it argues cached objects
-    /// "should be kept for a small amount of time". Pair it with
-    /// [`SimulationConfig::proactive_provider_invalidation`] (via
-    /// [`ScenarioBuilder::proactive_provider_invalidation`]) to study
-    /// CUP-style eager invalidation against the paper's lazy filtering.
+    /// "should be kept for a small amount of time". Invalidation stays the
+    /// paper's lazy filtering: departed providers are skipped at selection
+    /// time.
     pub fn churn_storm(peers: usize) -> Self {
         let mut config = SimulationConfig::small(peers);
         config.seed = 0xC4A2_2222;
@@ -313,228 +319,9 @@ fn validated_preset(name: &'static str, config: SimulationConfig) -> Scenario {
     }
 }
 
-/// Fallible builder for [`Scenario`]s.
-///
-/// Starts from the paper's defaults (or an explicit base configuration via
-/// [`ScenarioBuilder::from_config`]), lets callers override individual knobs
-/// with typed setters, and validates everything at once in
-/// [`ScenarioBuilder::build`]:
-///
-/// ```
-/// use locaware::experiment::Scenario;
-///
-/// let scenario = Scenario::builder("demo")
-///     .peers(60)
-///     .seed(7)
-///     .ttl(5)
-///     .build()
-///     .expect("consistent configuration");
-/// assert_eq!(scenario.config().ttl, 5);
-///
-/// // Inconsistencies come back as typed errors instead of panics:
-/// let err = Scenario::builder("broken").peers(60).ttl(0).build().unwrap_err();
-/// assert_eq!(err, locaware::ConfigError::ZeroTtl);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder {
-    name: String,
-    config: SimulationConfig,
-}
-
-impl ScenarioBuilder {
-    /// Starts from an explicit base configuration instead of the paper
-    /// defaults (validation still only happens in [`ScenarioBuilder::build`]).
-    pub fn from_config(name: impl Into<String>, config: SimulationConfig) -> Self {
-        ScenarioBuilder { name: name.into(), config }
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the peer count, rescaling pool sizes the way
-    /// [`SimulationConfig::small`] does so the workload ratios survive.
-    ///
-    /// **Overwrites** `file_pool` and `keyword_pool` with the rescaled
-    /// values: call [`ScenarioBuilder::file_pool`] /
-    /// [`ScenarioBuilder::keyword_pool`] *after* this setter to pin explicit
-    /// pool sizes, or use [`ScenarioBuilder::peers_exact`] to leave every
-    /// other knob untouched.
-    pub fn peers(mut self, peers: usize) -> Self {
-        let seed = self.config.seed;
-        let rescaled = SimulationConfig::small(peers);
-        self.config.peers = rescaled.peers;
-        self.config.file_pool = rescaled.file_pool;
-        self.config.keyword_pool = rescaled.keyword_pool;
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the peer count without touching any other knob.
-    pub fn peers_exact(mut self, peers: usize) -> Self {
-        self.config.peers = peers;
-        self
-    }
-
-    /// Sets the average overlay degree.
-    pub fn average_degree(mut self, degree: f64) -> Self {
-        self.config.average_degree = degree;
-        self
-    }
-
-    /// Sets the query TTL.
-    pub fn ttl(mut self, ttl: u32) -> Self {
-        self.config.ttl = ttl;
-        self
-    }
-
-    /// Sets the physical placement model.
-    pub fn placement(mut self, placement: PlacementModel) -> Self {
-        self.config.placement = placement;
-        self
-    }
-
-    /// Sets the landmark count.
-    pub fn landmarks(mut self, landmarks: usize) -> Self {
-        self.config.landmarks = landmarks;
-        self
-    }
-
-    /// Sets the file pool size.
-    pub fn file_pool(mut self, files: usize) -> Self {
-        self.config.file_pool = files;
-        self
-    }
-
-    /// Sets the keyword pool size.
-    pub fn keyword_pool(mut self, keywords: usize) -> Self {
-        self.config.keyword_pool = keywords;
-        self
-    }
-
-    /// Sets how many files each peer initially shares.
-    pub fn files_per_peer(mut self, files: usize) -> Self {
-        self.config.files_per_peer = files;
-        self
-    }
-
-    /// Sets the Zipf exponent of query popularity.
-    pub fn zipf_exponent(mut self, exponent: f64) -> Self {
-        self.config.zipf_exponent = exponent;
-        self
-    }
-
-    /// Sets the base per-peer query rate in queries per second.
-    pub fn query_rate_per_peer(mut self, rate: f64) -> Self {
-        self.config.query_rate_per_peer = rate;
-        self
-    }
-
-    /// Sets the arrival-rate profile over time (steady, ramp, burst or
-    /// composed phases); degenerate profiles surface as
-    /// [`ConfigError::ArrivalSchedule`] from [`ScenarioBuilder::build`].
-    pub fn arrival_schedule(mut self, schedule: ArrivalSchedule) -> Self {
-        self.config.arrival_schedule = schedule;
-        self
-    }
-
-    /// Sets the weighted-cluster workload concentration (storage and query
-    /// origins); `None` restores the paper's uniform workload.
-    pub fn cluster_weights(mut self, weights: Option<ClusterWeights>) -> Self {
-        self.config.cluster_weights = weights;
-        self
-    }
-
-    /// Enables or disables proactive invalidation of departed providers'
-    /// cached index entries at churn departures (default: off, the paper's
-    /// lazy behaviour).
-    pub fn proactive_provider_invalidation(mut self, enabled: bool) -> Self {
-        self.config.proactive_provider_invalidation = enabled;
-        self
-    }
-
-    /// Sets the caching/routing group count `M`.
-    pub fn group_count(mut self, m: u32) -> Self {
-        self.config.group_count = m;
-        self
-    }
-
-    /// Sets the response-index capacity in distinct filenames.
-    pub fn response_index_capacity(mut self, filenames: usize) -> Self {
-        self.config.response_index_capacity = filenames;
-        self
-    }
-
-    /// Sets the Bloom filter shape (bits, hash probes).
-    pub fn bloom(mut self, bits: usize, hashes: usize) -> Self {
-        self.config.bloom_bits = bits;
-        self.config.bloom_hashes = hashes;
-        self
-    }
-
-    /// Sets the churn model.
-    pub fn churn(mut self, churn: ChurnConfig) -> Self {
-        self.config.churn = churn;
-        self
-    }
-
-    /// Sets the fault plan (message loss, outage windows, crash-stop churn,
-    /// timeout/retry policies); inconsistent plans surface as
-    /// [`ConfigError::FaultConfig`] or [`ConfigError::TimeoutPolicy`] from
-    /// [`ScenarioBuilder::build`].
-    pub fn faults(mut self, faults: FaultConfig) -> Self {
-        self.config.faults = faults;
-        self
-    }
-
-    /// Sets the engine shard count (deterministic intra-run parallelism;
-    /// 0 = auto via `LOCAWARE_SHARDS`). Every shard count produces
-    /// bit-identical reports for the same seed, so this is purely a
-    /// performance knob.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Validates the assembled configuration and returns the scenario, or the
-    /// first violated constraint as a [`ConfigError`].
-    pub fn build(self) -> Result<Scenario, ConfigError> {
-        Scenario::from_config(self.name, self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builder_produces_validated_scenarios() {
-        let scenario = Scenario::builder("unit")
-            .peers(80)
-            .seed(3)
-            .zipf_exponent(1.2)
-            .build()
-            .unwrap();
-        assert_eq!(scenario.name(), "unit");
-        assert_eq!(scenario.config().peers, 80);
-        assert_eq!(scenario.seed(), 3);
-        assert!((scenario.config().zipf_exponent - 1.2).abs() < 1e-12);
-        assert!(scenario.config().validate().is_ok());
-    }
-
-    #[test]
-    fn builder_surfaces_typed_errors() {
-        assert_eq!(
-            Scenario::builder("bad").peers(60).ttl(0).build().unwrap_err(),
-            ConfigError::ZeroTtl
-        );
-        assert!(matches!(
-            Scenario::builder("bad").peers(60).landmarks(12).build().unwrap_err(),
-            ConfigError::LandmarksOutOfRange { landmarks: 12 }
-        ));
-    }
 
     #[test]
     fn every_preset_validates_and_has_a_distinct_seed() {
@@ -590,10 +377,6 @@ mod tests {
         assert!(small.config().churn.is_disabled());
         assert!(!storm.config().churn.is_disabled());
         assert!(storm.config().arrival_schedule.is_steady());
-        assert!(
-            !storm.config().proactive_provider_invalidation,
-            "lazy invalidation stays the churn-storm default"
-        );
         assert!(matches!(
             hotspot.config().placement,
             PlacementModel::Clustered { clusters: 3, .. }
@@ -611,35 +394,6 @@ mod tests {
         assert!(faulty.config().faults.query_timeout.is_enabled());
         assert!(faulty.config().faults.dht_step_timeout_secs > 0.0);
         assert!(!faulty.config().faults.crash_stop, "no churn to crash in this preset");
-    }
-
-    #[test]
-    fn builder_exposes_the_workload_primitives() {
-        let scenario = Scenario::builder("ramped")
-            .peers(60)
-            .arrival_schedule(ArrivalSchedule::Ramp {
-                from: 1.0,
-                to: 4.0,
-                duration_secs: 900.0,
-            })
-            .cluster_weights(Some(ClusterWeights::new(vec![2.0, 1.0]).unwrap()))
-            .proactive_provider_invalidation(true)
-            .build()
-            .unwrap();
-        assert!(matches!(
-            scenario.config().arrival_schedule,
-            ArrivalSchedule::Ramp { .. }
-        ));
-        assert!(scenario.config().cluster_weights.is_some());
-        assert!(scenario.config().proactive_provider_invalidation);
-
-        // Degenerate schedules fail fallibly through build(), never by panic.
-        let err = Scenario::builder("bad")
-            .peers(60)
-            .arrival_schedule(ArrivalSchedule::Phases(Vec::new()))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::ArrivalSchedule(_)));
     }
 
     #[test]

@@ -14,23 +14,21 @@
 //! eviction and explicit eviction reporting so the owning peer can keep its
 //! Bloom filter in sync.
 //!
-//! Three auxiliary structures keep the per-query and per-churn cost flat as
-//! the index grows: a recency set ordered by `(last_touched, file)` makes
-//! eviction an ordered first-element pop instead of an O(n) min-scan, an
-//! inverted keyword → files postings map lets
-//! [`ResponseIndex::lookup_by_keywords`] touch only the entries sharing a
-//! query keyword instead of scanning every cached filename, and a mirrored
-//! provider → files postings map lets [`ResponseIndex::remove_provider`] —
-//! proactive invalidation when a provider departs — touch only the entries
-//! that actually record the departed peer. (The simulation engine currently
-//! invalidates *lazily*: departed providers are filtered by the online check
-//! at selection time, and `remove_provider` is exercised by the churn-aware
-//! callers of [`crate::peer::PeerState::forget_provider`] and by the tests;
-//! the postings map is what makes wiring proactive invalidation into churn
-//! departures affordable — see the ROADMAP.) All three are maintained incrementally on
-//! insert/touch/evict/remove and are pure functions of the entry map, so
-//! observable behaviour is identical to the naive scans (pinned by the
-//! model-based property test against the test-only `naive` reference model).
+//! Two auxiliary structures keep the per-query cost flat as the index grows:
+//! a recency set ordered by `(last_touched, file)` makes eviction an ordered
+//! first-element pop instead of an O(n) min-scan, and an inverted keyword →
+//! files postings map lets [`ResponseIndex::lookup_by_keywords`] touch only
+//! the entries sharing a query keyword instead of scanning every cached
+//! filename. Both are maintained incrementally on insert/touch/evict and are
+//! pure functions of the entry map, so observable behaviour is identical to
+//! the naive scans (pinned by the model-based property test against the
+//! test-only `naive` reference model).
+//!
+//! Invalidation is lazy, as in the paper: a departed provider's records stay
+//! until newer providers replace them (§4.1.2), and the engine filters
+//! departed providers at selection time. [`ResponseIndex::remove_provider`]
+//! is the eager alternative — a scan of the whole cache, which no simulation
+//! run calls.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -108,12 +106,6 @@ pub struct ResponseIndex {
     /// Inverted index: keyword → cached files whose filename contains it
     /// (each list sorted by file id, matching the entry's keyword *set*).
     postings: HashMap<KeywordId, PostingsList>,
-    /// Inverted index: provider → cached files with a record for that
-    /// provider (each list sorted by file id). Makes
-    /// [`ResponseIndex::remove_provider`] and
-    /// [`ResponseIndex::files_of_provider`] touch only the affected entries
-    /// instead of scanning the whole cache.
-    provider_postings: HashMap<PeerId, PostingsList>,
 }
 
 /// The file list of one postings-map keyword.
@@ -208,7 +200,6 @@ impl ResponseIndex {
             clock: 0,
             recency: BTreeSet::new(),
             postings: HashMap::new(),
-            provider_postings: HashMap::new(),
         }
     }
 
@@ -345,90 +336,49 @@ impl ResponseIndex {
         }
         let entry = self.entries.get_mut(&file).expect("entry was just ensured");
 
-        let mut added: Vec<PeerId> = Vec::new();
         for (peer, loc_id) in providers {
             match entry.providers.iter_mut().find(|p| p.peer == peer) {
                 Some(existing) => {
                     existing.loc_id = loc_id;
                     existing.freshness = now;
                 }
-                None => {
-                    entry.providers.push(ProviderRecord {
-                        peer,
-                        loc_id,
-                        freshness: now,
-                    });
-                    added.push(peer);
-                }
+                None => entry.providers.push(ProviderRecord {
+                    peer,
+                    loc_id,
+                    freshness: now,
+                }),
             }
         }
         // Keep only the most recent `max_providers` entries (oldest dropped).
-        let mut dropped: Vec<PeerId> = Vec::new();
         if entry.providers.len() > self.max_providers {
             entry.providers.sort_by_key(|p| p.freshness);
             let overflow = entry.providers.len() - self.max_providers;
-            dropped.extend(entry.providers.drain(0..overflow).map(|p| p.peer));
-        }
-        // Provider postings follow the record membership: adds first, then
-        // drops, so a provider added and immediately aged out in the same
-        // call nets to no entry.
-        for peer in added {
-            match self.provider_postings.entry(peer) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(PostingsList::One(file));
-                }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    slot.get_mut().add(file);
-                }
-            }
-        }
-        for peer in dropped {
-            if let Some(list) = self.provider_postings.get_mut(&peer) {
-                if list.remove(file) {
-                    self.provider_postings.remove(&peer);
-                }
-            }
+            entry.providers.drain(0..overflow);
         }
         evictions
     }
 
-    /// Removes every provider record pointing at `peer` (used under churn when
-    /// a provider departs). Entries left with no providers are dropped and
-    /// reported as evictions.
+    /// Removes every provider record pointing at `peer` (eager invalidation
+    /// of a departed provider). Entries left with no providers are dropped
+    /// and reported as evictions, in file-id order.
     ///
-    /// Served from the provider → files postings map: only the entries that
-    /// actually record `peer` are touched, so invalidating a departed
-    /// provider costs O(affected entries) instead of a scan over the whole
-    /// cache (evictions come back in file-id order, a refinement of the
-    /// naive scan's unspecified map order).
+    /// A scan of the whole cache: the simulation invalidates lazily and never
+    /// calls this, so no structure is kept to make it cheaper.
     pub fn remove_provider(&mut self, peer: PeerId) -> Vec<Eviction> {
-        let Some(affected) = self.provider_postings.remove(&peer) else {
-            return Vec::new();
-        };
-        let mut evictions = Vec::new();
-        for &file in affected.as_slice() {
-            let entry = self
-                .entries
-                .get_mut(&file)
-                .expect("provider postings only reference cached files");
-            entry.providers.retain(|p| p.peer != peer);
-            if entry.providers.is_empty() {
-                if let Some(eviction) = self.remove_entry(file) {
-                    evictions.push(eviction);
+        let mut emptied: Vec<FileId> = Vec::new();
+        for &(_, file) in &self.recency {
+            if let Some(entry) = self.entries.get_mut(&file) {
+                entry.providers.retain(|p| p.peer != peer);
+                if entry.providers.is_empty() {
+                    emptied.push(file);
                 }
             }
         }
-        evictions
-    }
-
-    /// The cached files recording `peer` as a provider, in file-id order.
-    /// O(1) map lookup into the provider postings; the naive equivalent scans
-    /// every entry.
-    pub fn files_of_provider(&self, peer: PeerId) -> &[FileId] {
-        self.provider_postings
-            .get(&peer)
-            .map(PostingsList::as_slice)
-            .unwrap_or(&[])
+        emptied.sort_unstable();
+        emptied
+            .into_iter()
+            .filter_map(|file| self.remove_entry(file))
+            .collect()
     }
 
     /// The filename the next capacity overflow would evict (the
@@ -443,7 +393,6 @@ impl ResponseIndex {
         self.entries.clear();
         self.recency.clear();
         self.postings.clear();
-        self.provider_postings.clear();
     }
 
     fn evict_least_recent(&mut self) -> Option<Eviction> {
@@ -454,7 +403,7 @@ impl ResponseIndex {
         self.remove_entry(victim)
     }
 
-    /// Removes one entry and keeps the recency set and both postings maps in
+    /// Removes one entry and keeps the recency set and the postings map in
     /// sync.
     fn remove_entry(&mut self, file: FileId) -> Option<Eviction> {
         let entry = self.entries.remove(&file)?;
@@ -464,13 +413,6 @@ impl ResponseIndex {
             if let Some(list) = self.postings.get_mut(&kw) {
                 if list.remove(file) {
                     self.postings.remove(&kw);
-                }
-            }
-        }
-        for record in &entry.providers {
-            if let Some(list) = self.provider_postings.get_mut(&record.peer) {
-                if list.remove(file) {
-                    self.provider_postings.remove(&record.peer);
                 }
             }
         }
@@ -611,9 +553,8 @@ mod naive {
                     }
                 })
                 .collect();
-            // Deterministic model output: evictions come back in file-id
-            // order (matching the optimized index's posting order), never in
-            // the backing map's.
+            // Evictions come back in file-id order, never in the backing
+            // map's.
             emptied.sort_unstable();
             for file in emptied {
                 if let Some(entry) = self.entries.remove(&file) {
@@ -629,19 +570,6 @@ mod naive {
         /// Drops everything (the model for [`super::ResponseIndex::clear`]).
         pub fn clear(&mut self) {
             self.entries.clear();
-        }
-
-        /// Full-scan provider lookup (the model for
-        /// [`super::ResponseIndex::files_of_provider`]).
-        pub fn files_of_provider(&self, peer: PeerId) -> Vec<FileId> {
-            let mut files: Vec<FileId> = self
-                .entries
-                .values()
-                .filter(|e| e.providers().iter().any(|p| p.peer == peer))
-                .map(|e| e.file)
-                .collect();
-            files.sort_unstable();
-            files
         }
 
         /// The next eviction victim, by O(n) min-scan (the model for
@@ -668,12 +596,11 @@ mod naive {
 
     proptest! {
         /// Model-based equivalence: the optimized response index (recency set +
-        /// inverted keyword postings, PR 3; provider → files postings, PR 4)
-        /// behaves *identically* to the naive reference implementation under
-        /// arbitrary interleavings of single- and multi-provider inserts,
-        /// provider removals and clears — same evictions, same keyword-lookup
-        /// results, same per-provider file sets, same eviction candidate, same
-        /// contents.
+        /// inverted keyword postings) behaves *identically* to the naive
+        /// reference implementation under arbitrary interleavings of single-
+        /// and multi-provider inserts, provider removals and clears — same
+        /// evictions in the same order, same keyword-lookup results, same
+        /// eviction candidate, same contents.
         #[test]
         fn optimized_response_index_matches_the_naive_model(
             capacity in 1usize..14,
@@ -681,7 +608,7 @@ mod naive {
             // op, file, provider, loc: ops 0..=7 insert one provider (biased —
             // the common operation), 8 removes a provider, 9 clears, 10..=11
             // insert three providers at once (exercising the provider-overflow
-            // drop and multi-file provider postings).
+            // drop and providers shared across files).
             ops in proptest::collection::vec((0u32..12, 0u32..24, 0u32..12, 0u32..24), 1..250),
         ) {
             let mut optimized = ResponseIndex::new(capacity, max_providers);
@@ -689,12 +616,8 @@ mod naive {
             for (op, file, provider, loc) in ops {
                 match op {
                     8 => {
-                        let mut a = optimized.remove_provider(PeerId(provider));
-                        let mut b = model.remove_provider(PeerId(provider));
-                        // The naive model reports multi-entry removals in map
-                        // order, which is unspecified; compare as sets.
-                        a.sort_by_key(|e| e.file);
-                        b.sort_by_key(|e| e.file);
+                        let a = optimized.remove_provider(PeerId(provider));
+                        let b = model.remove_provider(PeerId(provider));
                         prop_assert_eq!(a, b, "remove_provider evictions diverged");
                     }
                     9 => {
@@ -722,8 +645,7 @@ mod naive {
                 prop_assert_eq!(optimized.len(), model.len());
                 prop_assert_eq!(optimized.eviction_candidate(), model.eviction_candidate());
                 // Every observable lookup agrees: per-file entries (keywords,
-                // providers, order), keyword queries (results + order) and the
-                // provider → files view served by the provider postings map.
+                // providers, order) and keyword queries (results + order).
                 for probe in 0u32..26 {
                     prop_assert_eq!(optimized.entry(FileId(probe)), model.entry(FileId(probe)));
                 }
@@ -737,13 +659,6 @@ mod naive {
                     prop_assert_eq!(
                         optimized.lookup_by_keywords(&pair),
                         model.lookup_by_keywords(&pair)
-                    );
-                }
-                for peer in 0u32..12 {
-                    prop_assert_eq!(
-                        optimized.files_of_provider(PeerId(peer)).to_vec(),
-                        model.files_of_provider(PeerId(peer)),
-                        "provider postings diverged for peer {}", peer
                     );
                 }
             }
@@ -827,31 +742,6 @@ mod tests {
         assert!(!ri.contains(FileId(1)));
         assert_eq!(ri.entry(FileId(2)).unwrap().provider_count(), 1);
         assert!(ri.remove_provider(PeerId(5)).is_empty(), "already removed");
-    }
-
-    #[test]
-    fn provider_postings_track_membership_exactly() {
-        let mut ri = ResponseIndex::new(10, 2);
-        ri.insert(FileId(2), &kws(&[1]), [provider(5, 0)]);
-        ri.insert(FileId(1), &kws(&[2]), [provider(5, 0), provider(6, 0)]);
-        assert_eq!(ri.files_of_provider(PeerId(5)), &[FileId(1), FileId(2)]);
-        assert_eq!(ri.files_of_provider(PeerId(6)), &[FileId(1)]);
-        assert!(ri.files_of_provider(PeerId(99)).is_empty());
-
-        // Ageing provider 5 out of file 1 (max 2 providers, 5 is the oldest)
-        // must update its postings.
-        ri.insert(FileId(1), &kws(&[2]), [provider(7, 0)]);
-        assert_eq!(ri.files_of_provider(PeerId(5)), &[FileId(2)]);
-        assert_eq!(ri.files_of_provider(PeerId(7)), &[FileId(1)]);
-
-        // Evicting an entry removes it from every surviving provider's list.
-        let evictions = ri.remove_provider(PeerId(5));
-        assert_eq!(evictions.len(), 1, "file 2 lost its only provider");
-        assert_eq!(evictions[0].file, FileId(2));
-        assert!(ri.files_of_provider(PeerId(5)).is_empty());
-
-        ri.clear();
-        assert!(ri.files_of_provider(PeerId(6)).is_empty());
     }
 
     #[test]

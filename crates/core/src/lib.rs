@@ -79,7 +79,6 @@ pub mod simulation;
 pub use config::{ConfigError, ProtocolKind, SimulationConfig};
 pub use experiment::{
     ExperimentOutcome, ExperimentPlan, ExperimentPoint, PlanError, Runner, Scenario,
-    ScenarioBuilder,
 };
 pub use group::{GroupId, GroupScheme};
 pub use index::{IndexEntry, ProviderRecord, ResponseIndex};

@@ -196,17 +196,6 @@ impl PeerState {
         }
     }
 
-    /// Drops every index entry pointing at a departed provider, updating the
-    /// Bloom filter for entries that vanish entirely.
-    pub fn forget_provider(&mut self, provider: PeerId) {
-        for eviction in self.response_index.remove_provider(provider) {
-            for &kw in &eviction.keywords {
-                self.counting_bloom.remove_hashes(&self.keyword_hashes.of(kw));
-            }
-            self.bloom_dirty = true;
-        }
-    }
-
     /// The peer's current Bloom filter (projected from the counting filter).
     pub fn current_bloom(&self) -> BloomFilter {
         self.counting_bloom.to_bloom()
@@ -313,21 +302,11 @@ impl PeerState {
         }
     }
 
-    /// Neighbours whose stored Bloom filter contains **every** canonical
-    /// keyword in `keywords` (the §4.2 routing test), in id order.
-    pub fn neighbors_matching_bloom(&self, keywords: &[KeywordId]) -> Vec<PeerId> {
-        let hashes: Vec<ElementHashes> =
-            keywords.iter().map(|&kw| self.keyword_hashes.of(kw)).collect();
-        let mut matches = Vec::new();
-        self.neighbors_matching_bloom_into(&hashes, |_| true, &mut matches);
-        matches
-    }
-
-    /// The routing hot path behind [`PeerState::neighbors_matching_bloom`]:
-    /// appends (in id order) every neighbour accepted by `keep` whose stored
-    /// filter contains all pre-hashed query keywords. An empty hash slice
-    /// matches nothing (empty queries are never routed). The caller's buffer
-    /// is appended to, not cleared, so it can be reused across events.
+    /// The §4.2 routing test: appends (in id order) every neighbour accepted
+    /// by `keep` whose stored filter contains all pre-hashed query keywords.
+    /// An empty hash slice matches nothing (empty queries are never routed).
+    /// The caller's buffer is appended to, not cleared, so it can be reused
+    /// across events.
     pub fn neighbors_matching_bloom_into(
         &self,
         query_hashes: &[ElementHashes],
@@ -347,19 +326,8 @@ impl PeerState {
         }
     }
 
-    /// Neighbours whose group id satisfies `predicate`, in id order.
-    pub fn neighbors_matching_gid<F>(&self, predicate: F) -> Vec<PeerId>
-    where
-        F: Fn(GroupId) -> bool,
-    {
-        let mut matches = Vec::new();
-        self.neighbors_matching_gid_into(predicate, |_| true, &mut matches);
-        matches
-    }
-
-    /// Allocation-free form of [`PeerState::neighbors_matching_gid`]: appends
-    /// (in id order) every neighbour accepted by `keep` whose group id
-    /// satisfies `predicate`.
+    /// Appends (in id order) every neighbour accepted by `keep` whose group
+    /// id satisfies `predicate`.
     pub fn neighbors_matching_gid_into(
         &self,
         predicate: impl Fn(GroupId) -> bool,
@@ -392,6 +360,19 @@ mod tests {
 
     fn kws(ids: &[u32]) -> Vec<KeywordId> {
         ids.iter().map(|&i| KeywordId(i)).collect()
+    }
+
+    fn bloom_matches(p: &PeerState, keywords: &[KeywordId]) -> Vec<PeerId> {
+        let hashes: Vec<ElementHashes> = keywords.iter().map(|&kw| p.keyword_hashes.of(kw)).collect();
+        let mut out = Vec::new();
+        p.neighbors_matching_bloom_into(&hashes, |_| true, &mut out);
+        out
+    }
+
+    fn gid_matches(p: &PeerState, predicate: impl Fn(GroupId) -> bool) -> Vec<PeerId> {
+        let mut out = Vec::new();
+        p.neighbors_matching_gid_into(predicate, |_| true, &mut out);
+        out
     }
 
     #[test]
@@ -471,19 +452,16 @@ mod tests {
         remote.insert(&KeywordId(8).canonical());
         p.set_neighbor_bloom(PeerId(2), remote);
 
-        assert_eq!(p.neighbors_matching_bloom(&kws(&[7])), vec![PeerId(2)]);
-        assert_eq!(p.neighbors_matching_bloom(&kws(&[7, 8])), vec![PeerId(2)]);
-        assert!(p.neighbors_matching_bloom(&kws(&[7, 9])).is_empty());
-        assert!(p.neighbors_matching_bloom(&[]).is_empty());
+        assert_eq!(bloom_matches(&p, &kws(&[7])), vec![PeerId(2)]);
+        assert_eq!(bloom_matches(&p, &kws(&[7, 8])), vec![PeerId(2)]);
+        assert!(bloom_matches(&p, &kws(&[7, 9])).is_empty());
+        assert!(bloom_matches(&p, &[]).is_empty());
 
-        assert_eq!(
-            p.neighbors_matching_gid(|g| g == GroupId(2)),
-            vec![PeerId(3)]
-        );
-        assert_eq!(p.neighbors_matching_gid(|_| true), vec![PeerId(2), PeerId(3)]);
+        assert_eq!(gid_matches(&p, |g| g == GroupId(2)), vec![PeerId(3)]);
+        assert_eq!(gid_matches(&p, |_| true), vec![PeerId(2), PeerId(3)]);
 
         p.forget_neighbor(PeerId(2));
-        assert!(p.neighbors_matching_bloom(&kws(&[7])).is_empty());
+        assert!(bloom_matches(&p, &kws(&[7])).is_empty());
     }
 
     #[test]
@@ -497,20 +475,9 @@ mod tests {
         updated.insert(&KeywordId(42).canonical());
         let delta = BloomDelta::between(&empty, &updated);
         p.apply_neighbor_bloom_delta(PeerId(2), &delta);
-        assert_eq!(p.neighbors_matching_bloom(&kws(&[42])), vec![PeerId(2)]);
+        assert_eq!(bloom_matches(&p, &kws(&[42])), vec![PeerId(2)]);
         // Deltas to unknown neighbours are ignored without panicking.
         p.apply_neighbor_bloom_delta(PeerId(99), &delta);
-    }
-
-    #[test]
-    fn forget_provider_cascades_to_bloom() {
-        let mut p = peer(1);
-        p.cache_index(FileId(5), &kws(&[1, 2, 3]), [(PeerId(9), LocId(2))]);
-        let _ = p.take_bloom_update();
-        p.forget_provider(PeerId(9));
-        assert!(!p.response_index.contains(FileId(5)));
-        assert!(p.bloom_dirty());
-        assert!(!p.current_bloom().contains(&KeywordId(1).canonical()));
     }
 
     #[test]

@@ -87,7 +87,9 @@ mod tests {
         let protocol = DhtIndex::new();
         let query = fx.query(&[0, 1], None);
 
-        let (targets, decision) = protocol.forward_targets(&fx.view(0), &query.context(), None);
+        let mut targets = Vec::new();
+        let decision =
+            protocol.forward_targets_into(&fx.view(0), &query.context(), None, &mut targets);
         assert!(targets.is_empty());
         assert_eq!(decision, ForwardDecision::NotForwarded);
 

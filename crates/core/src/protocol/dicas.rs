@@ -155,7 +155,9 @@ mod tests {
         let target = FileId(1);
         let wanted = fx.scheme.group_of_file(target);
         let query = fx.query(&[3, 4], Some(1));
-        let (targets, decision) = protocol.forward_targets(&fx.view(0), &query.context(), None);
+        let mut targets = Vec::new();
+        let decision =
+            protocol.forward_targets_into(&fx.view(0), &query.context(), None, &mut targets);
         assert_eq!(decision, ForwardDecision::GidMatch);
         for t in &targets {
             assert_eq!(fx.scheme.group_of_file(target), wanted);
@@ -175,7 +177,9 @@ mod tests {
             .find(|&f| fx.scheme.group_of_file(f).value() != 0)
             .expect("some file must hash outside group 0");
         let query = fx.query(&[0], Some(target.0));
-        let (targets, decision) = protocol.forward_targets(&fx.view(3), &query.context(), None);
+        let mut targets = Vec::new();
+        let decision =
+            protocol.forward_targets_into(&fx.view(3), &query.context(), None, &mut targets);
         assert_eq!(targets, vec![PeerId(0)]);
         assert_eq!(decision, ForwardDecision::HighDegree);
     }

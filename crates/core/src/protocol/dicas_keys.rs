@@ -137,7 +137,9 @@ mod tests {
         let fx = Fixture::new(4);
         let protocol = DicasKeys::new();
         let query = fx.query(&[0, 1], None);
-        let (targets, decision) = protocol.forward_targets(&fx.view(0), &query.context(), None);
+        let mut targets = Vec::new();
+        let decision =
+            protocol.forward_targets_into(&fx.view(0), &query.context(), None, &mut targets);
         match decision {
             ForwardDecision::GidMatch => {
                 for t in &targets {

@@ -88,8 +88,13 @@ mod tests {
         let fx = Fixture::new(4);
         let protocol = Flooding::new();
         let query = fx.query(&[0], None);
-        let (targets, decision) =
-            protocol.forward_targets(&fx.view(0), &query.context(), Some(PeerId(3)));
+        let mut targets = Vec::new();
+        let decision = protocol.forward_targets_into(
+            &fx.view(0),
+            &query.context(),
+            Some(PeerId(3)),
+            &mut targets,
+        );
         assert_eq!(targets, vec![PeerId(1), PeerId(2), PeerId(4)]);
         assert_eq!(decision, ForwardDecision::Flood);
     }
@@ -99,8 +104,13 @@ mod tests {
         let fx = Fixture::new(4);
         let protocol = Flooding::new();
         let query = fx.query(&[0], None);
-        let (targets, decision) =
-            protocol.forward_targets(&fx.view(3), &query.context(), Some(PeerId(0)));
+        let mut targets = Vec::new();
+        let decision = protocol.forward_targets_into(
+            &fx.view(3),
+            &query.context(),
+            Some(PeerId(0)),
+            &mut targets,
+        );
         assert!(targets.is_empty());
         assert_eq!(decision, ForwardDecision::NotForwarded);
     }

@@ -13,7 +13,7 @@
 //!    neighbours whose (last known) Bloom filter contains every query keyword;
 //!    if none matches, to neighbours whose Gid matches a query keyword; as a
 //!    last resort to the highest-degree neighbour
-//!    ([`Locaware::forward_targets`]).
+//!    ([`Locaware::forward_targets_into`]).
 //! 4. **Location-aware provider selection** (§5.1): same-locId provider first,
 //!    else the smallest probed RTT ([`SelectionPolicy::LocalityThenRtt`]).
 //!
@@ -280,14 +280,21 @@ mod tests {
         bloom.insert(&KeywordId(1).canonical());
         fx.peers[0].set_neighbor_bloom(PeerId(3), bloom);
 
-        let (targets, decision) = protocol.forward_targets(&fx.view(0), &query.context(), None);
+        let mut targets = Vec::new();
+        let decision =
+            protocol.forward_targets_into(&fx.view(0), &query.context(), None, &mut targets);
         assert_eq!(targets, vec![PeerId(3)]);
         assert_eq!(decision, ForwardDecision::BloomMatch);
 
         // Excluding the only bloom match falls back to the Gid rule (or the
         // high-degree fallback when no gid matches).
-        let (targets2, decision2) =
-            protocol.forward_targets(&fx.view(0), &query.context(), Some(PeerId(3)));
+        let mut targets2 = Vec::new();
+        let decision2 = protocol.forward_targets_into(
+            &fx.view(0),
+            &query.context(),
+            Some(PeerId(3)),
+            &mut targets2,
+        );
         assert!(!targets2.contains(&PeerId(3)));
         assert!(matches!(
             decision2,
@@ -305,7 +312,8 @@ mod tests {
         bloom.insert(&KeywordId(1).canonical());
         fx.peers[0].set_neighbor_bloom(PeerId(3), bloom);
 
-        let (_, decision) = protocol.forward_targets(&fx.view(0), &query.context(), None);
+        let decision =
+            protocol.forward_targets_into(&fx.view(0), &query.context(), None, &mut Vec::new());
         assert_ne!(decision, ForwardDecision::BloomMatch);
         assert!(!protocol.uses_bloom_sync());
     }

@@ -6,7 +6,7 @@
 //! the compared approaches is *policy*, captured by the [`Protocol`] trait:
 //!
 //! 1. **Routing** — which neighbours a query is forwarded to
-//!    ([`Protocol::forward_targets`]),
+//!    ([`Protocol::forward_targets_into`]),
 //! 2. **Matching** — whether a peer can answer a query locally, and with which
 //!    provider entries ([`Protocol::local_match`]),
 //! 3. **Caching** — whether/how a peer intercepting a response updates its
@@ -207,19 +207,6 @@ pub trait Protocol: Send + Sync {
         exclude: Option<PeerId>,
         out: &mut Vec<PeerId>,
     ) -> ForwardDecision;
-
-    /// Allocating convenience wrapper around
-    /// [`Protocol::forward_targets_into`] (tests, benches, one-shot callers).
-    fn forward_targets(
-        &self,
-        view: &PeerView<'_>,
-        query: &QueryContext<'_>,
-        exclude: Option<PeerId>,
-    ) -> (Vec<PeerId>, ForwardDecision) {
-        let mut out = Vec::new();
-        let decision = self.forward_targets_into(view, query, exclude, &mut out);
-        (out, decision)
-    }
 
     /// Attempts to answer the query at `view.state` from local knowledge.
     fn local_match(&self, view: &PeerView<'_>, query: &QueryContext<'_>) -> Option<LocalMatch>;

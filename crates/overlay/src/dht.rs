@@ -399,20 +399,6 @@ impl DhtRecordStore {
         self.expired_entries += removed;
     }
 
-    /// Drops every entry pointing at `provider` (oracle-style invalidation at
-    /// churn departures, mirroring `proactive_provider_invalidation`).
-    /// Returns the number of entries removed.
-    pub fn remove_provider(&mut self, provider: PeerId) -> usize {
-        let mut removed = 0usize;
-        self.records.retain(|_, record| {
-            let before = record.entries.len();
-            record.entries.retain(|&(_, p), _| p != provider.0);
-            removed += before - record.entries.len();
-            !record.entries.is_empty()
-        });
-        removed
-    }
-
     /// Drops all records (volatile reset on rejoin). Lifetime counters are
     /// kept: they price the work already done.
     pub fn clear(&mut self) {
@@ -632,17 +618,6 @@ mod tests {
         assert_eq!(files, vec![10, 12, 13]);
         assert_eq!(store.truncated_entries(), 1);
         assert_eq!(store.bytes(), cap);
-    }
-
-    #[test]
-    fn remove_provider_drops_entries_and_empty_records() {
-        let mut store = DhtRecordStore::new(2048);
-        store.insert(1, 10, entry(5, 0), t(100));
-        store.insert(2, 11, entry(5, 0), t(100));
-        store.insert(2, 12, entry(6, 0), t(100));
-        assert_eq!(store.remove_provider(PeerId(5)), 2);
-        assert_eq!(store.records(), 1);
-        assert_eq!(store.entries(), 1);
     }
 
     #[test]

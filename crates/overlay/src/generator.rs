@@ -7,9 +7,9 @@
 //! random extra edges until the target average degree is met.
 //!
 //! [`GraphModel::PreferentialAttachment`] produces a heavier-tailed degree
-//! distribution, closer to measured Gnutella snapshots; it is used by the
-//! sensitivity tests and the ablation benchmarks to check that Locaware's
-//! gains do not depend on the exact degree distribution.
+//! distribution, closer to measured Gnutella snapshots. It is reachable
+//! through `SimulationConfig::graph_model`, but no preset, experiment or
+//! benchmark selects it; only this module's own tests exercise it.
 
 use rand::seq::SliceRandom;
 use rand::Rng;

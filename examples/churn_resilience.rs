@@ -9,7 +9,7 @@
 //! Gnutella showed that cached objects should be kept for a small amount of
 //! time to avoid sending stale responses". This example compares Locaware and
 //! Dicas across three scenarios of increasing churn intensity — a static
-//! overlay, a mild session-churn regime built with `ScenarioBuilder`, and the
+//! overlay, a mild session-churn regime spelled as a `SimulationConfig`, and the
 //! `Scenario::churn_storm` preset — all in a single `ExperimentPlan`, and
 //! shows why Locaware's multiple-providers-per-index design degrades more
 //! gracefully than a single-provider cache: when the cached provider of a
@@ -23,16 +23,17 @@ fn main() {
     let queries = 800usize;
 
     let static_overlay = Scenario::small(peers).with_seed(31).with_name("no-churn");
-    let mild = Scenario::builder("mild-churn")
-        .peers(peers)
-        .seed(31)
-        .churn(ChurnConfig {
+    let mild_churn = SimulationConfig {
+        seed: 31,
+        churn: ChurnConfig {
             mean_session_secs: 1800.0,
             mean_offline_secs: 600.0,
             churning_fraction: 0.3,
-        })
-        .build()
-        .expect("mild churn scenario validates");
+        },
+        ..SimulationConfig::small(peers)
+    };
+    let mild =
+        Scenario::from_config("mild-churn", mild_churn).expect("mild churn scenario validates");
     // The preset keeps its own seed: churn-storm is a named regime, and its
     // numbers should be reproducible independently of this example.
     let storm = Scenario::churn_storm(peers);

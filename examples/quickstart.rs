@@ -10,8 +10,9 @@
 //!     presets ([`Scenario::paper_defaults`], [`Scenario::small`],
 //!     [`Scenario::flash_crowd`], [`Scenario::churn_storm`],
 //!     [`Scenario::regional_hotspot`]) are validated, seeded configurations;
-//!     custom ones go through the fallible [`ScenarioBuilder`], which returns
-//!     a typed [`ConfigError`] instead of panicking on inconsistent inputs.
+//!     custom ones are a [`SimulationConfig`] handed to the fallible
+//!     [`Scenario::from_config`], which returns a typed [`ConfigError`]
+//!     instead of panicking on inconsistent inputs.
 //!  2. **Plan** — declare what to measure with an [`ExperimentPlan`]:
 //!     scenarios × protocols × query counts × repetitions.
 //!  3. **Run** — hand the plan to a [`Runner`]. It builds the substrate of
@@ -28,9 +29,10 @@ use locaware_suite::prelude::*;
 
 fn main() {
     // 1. Scenario: the paper's setup scaled to 200 peers, with an explicit
-    //    seed so reruns are bit-for-bit identical. Builder errors are real
+    //    seed so reruns are bit-for-bit identical. Validation errors are real
     //    errors — an invalid knob would surface here, not as a panic later.
-    let scenario = match Scenario::builder("quickstart").peers(200).seed(2024).build() {
+    let config = SimulationConfig { seed: 2024, ..SimulationConfig::small(200) };
+    let scenario = match Scenario::from_config("quickstart", config) {
         Ok(scenario) => scenario,
         Err(problem) => {
             eprintln!("invalid scenario: {problem}");

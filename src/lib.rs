@@ -30,7 +30,7 @@ pub use locaware_workload;
 pub mod prelude {
     pub use locaware::{
         ConfigError, ExperimentOutcome, ExperimentPlan, ExperimentPoint, PlanError, ProtocolKind,
-        Runner, Scenario, ScenarioBuilder, Simulation, SimulationConfig, SimulationReport,
+        Runner, Scenario, Simulation, SimulationConfig, SimulationReport,
     };
     pub use locaware_metrics::{Figure, SeriesPoint, Table};
     pub use locaware_overlay::ChurnConfig;

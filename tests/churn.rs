@@ -6,20 +6,16 @@
 //! engine stays consistent under churn (no panics, metrics still well formed),
 //! that Locaware's multi-provider indexes degrade more gracefully than a
 //! single-provider cache, that the churn horizon covers the arrival
-//! schedule's full span, and that proactive provider invalidation (the
-//! CUP-style alternative to the paper's lazy filtering) is a deterministic,
-//! default-off switch.
+//! schedule's full span, and that DHT lookups into crashed peers still
+//! complete.
 
-use locaware::{ProtocolKind, Scenario, Simulation};
+use locaware::{ProtocolKind, Scenario, Simulation, SimulationConfig};
 use locaware_overlay::ChurnConfig;
 use locaware_workload::{ArrivalSchedule, FaultConfig, RatePhase};
 
 fn churny_sim(peers: usize, seed: u64, churn: ChurnConfig) -> Simulation {
-    Scenario::builder("churny")
-        .peers(peers)
-        .seed(seed)
-        .churn(churn)
-        .build()
+    let config = SimulationConfig { seed, churn, ..SimulationConfig::small(peers) };
+    Scenario::from_config("churny", config)
         .expect("churn never invalidates a small config")
         .substrate()
 }
@@ -102,15 +98,16 @@ fn churn_horizon_covers_trailing_quiet_schedule_phases() {
     };
     // Phase 1 packs ~200× the base rate into 300 s; phase 2 is near-silent
     // for an hour. A count-bounded run's arrivals all land in phase 1.
-    let simulation = Scenario::builder("quiet-tail")
-        .peers(60)
-        .seed(21)
-        .churn(churn)
-        .arrival_schedule(ArrivalSchedule::Phases(vec![
+    let config = SimulationConfig {
+        seed: 21,
+        churn,
+        arrival_schedule: ArrivalSchedule::Phases(vec![
             RatePhase { multiplier: 200.0, duration_secs: 300.0 },
             RatePhase { multiplier: 1e-9, duration_secs: 3600.0 },
-        ]))
-        .build()
+        ]),
+        ..SimulationConfig::small(60)
+    };
+    let simulation = Scenario::from_config("quiet-tail", config)
         .expect("schedule validates")
         .substrate();
     let arrivals = simulation.arrivals(100);
@@ -157,16 +154,17 @@ fn dht_lookups_to_departed_peers_complete_via_step_timeouts() {
     let mut faults = FaultConfig::disabled();
     faults.crash_stop = true;
     faults.dht_step_timeout_secs = 2.0;
-    let simulation = Scenario::builder("crashy-dht")
-        .peers(80)
-        .seed(23)
-        .churn(ChurnConfig {
+    let config = SimulationConfig {
+        seed: 23,
+        churn: ChurnConfig {
             mean_session_secs: 200.0,
             mean_offline_secs: 400.0,
             churning_fraction: 0.75,
-        })
-        .faults(faults)
-        .build()
+        },
+        faults,
+        ..SimulationConfig::small(80)
+    };
+    let simulation = Scenario::from_config("crashy-dht", config)
         .expect("crash-stop never invalidates the config")
         .substrate();
     for protocol in [ProtocolKind::DhtIndex, ProtocolKind::Hybrid] {
@@ -188,48 +186,5 @@ fn dht_lookups_to_departed_peers_complete_via_step_timeouts() {
                 record.requestor
             );
         }
-    }
-}
-
-/// The proactive provider-invalidation flag (resolving the PR 4 follow-up):
-/// off by default and byte-identical to the historical lazy behaviour; on, it
-/// deterministically changes the cached-entry/Bloom state under churn-storm —
-/// for any shard count.
-#[test]
-fn proactive_invalidation_is_a_deterministic_default_off_switch() {
-    let storm = Scenario::churn_storm(60);
-    assert!(
-        !storm.config().proactive_provider_invalidation,
-        "the flag must default to off"
-    );
-
-    let with_flag = |enabled: bool, shards: usize| {
-        let mut config = storm.config().clone();
-        config.proactive_provider_invalidation = enabled;
-        config.shards = shards;
-        Scenario::from_config("churn-storm-proactive", config)
-            .expect("the flag does not affect validity")
-            .substrate()
-            .run(ProtocolKind::Locaware, 40)
-    };
-
-    // `SimulationReport::fingerprint` is the determinism digest over every
-    // observable per-query and aggregate field.
-    let lazy = with_flag(false, 1).fingerprint();
-    let eager = with_flag(true, 1).fingerprint();
-    assert_eq!(lazy, with_flag(false, 1).fingerprint(), "off is deterministic");
-    assert_eq!(eager, with_flag(true, 1).fingerprint(), "on is deterministic");
-    assert_ne!(
-        lazy, eager,
-        "eager invalidation must change observable cache/Bloom state"
-    );
-    // Eager invalidation runs serially at the churn barrier in canonical
-    // order, so the sharded-engine invariance must hold with the flag on.
-    for shards in [2usize, 4, 8] {
-        assert_eq!(
-            with_flag(true, shards).fingerprint(),
-            eager,
-            "{shards} shards must reproduce the single-shard eager run"
-        );
     }
 }

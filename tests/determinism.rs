@@ -9,9 +9,6 @@
 //! RNG stream-isolation contract they rest on and the configuration
 //! validation that guards the substrate builder's inputs.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
 use locaware::{
     ConfigError, ExperimentPlan, ProtocolKind, Runner, Scenario, Simulation, SimulationConfig,
     SimulationReport,
@@ -286,9 +283,10 @@ fn invalid_configurations_are_rejected_with_typed_errors() {
     c.bloom_bits = 0;
     assert_eq!(c.validate(), Err(ConfigError::ZeroBloomParameters));
 
-    // The same errors flow through the fallible builder, carry human-readable
+    // The same errors flow through `Scenario::from_config`, carry human-readable
     // messages, and box as std errors.
-    let err = Scenario::builder("broken").peers(60).ttl(0).build().unwrap_err();
+    let config = SimulationConfig { ttl: 0, ..SimulationConfig::small(60) };
+    let err = Scenario::from_config("broken", config).unwrap_err();
     assert_eq!(err, ConfigError::ZeroTtl);
     let err: Box<dyn std::error::Error> = Box::new(err);
     assert!(err.to_string().contains("ttl"));
@@ -436,8 +434,7 @@ fn preset_regimes_produce_distinct_workloads() {
 
 /// Golden fingerprints for the constant-rate (`Steady`) scenarios, pinning the
 /// exact per-query report bytes across refactors that must not change
-/// observable behaviour. (The churn-storm rows also pin that the proactive
-/// provider-invalidation flag defaults to off = the historical behaviour.)
+/// observable behaviour.
 ///
 /// Re-baselined once in PR 6 (from the PR 4 values captured at commit
 /// ffbf08c): the fingerprint definition widened to cover the new
@@ -628,14 +625,12 @@ fn explicit_shard_settings_override_the_process_default() {
 
 #[test]
 fn a_multi_protocol_grid_point_builds_its_substrate_exactly_once() {
-    let builds = Arc::new(AtomicUsize::new(0));
     let plan = ExperimentPlan::new()
         .scenario(Scenario::small(60).with_seed(3))
         .protocols(ALL_PROTOCOLS)
         .query_counts([20, 40]);
     let outcome = Runner::new()
         .with_threads(4)
-        .with_build_counter(Arc::clone(&builds))
         .run(&plan)
         .expect("plan lists every dimension");
     assert_eq!(
@@ -644,11 +639,9 @@ fn a_multi_protocol_grid_point_builds_its_substrate_exactly_once() {
         "every (protocol, query count) must run"
     );
     assert_eq!(
-        builds.load(Ordering::Relaxed),
-        1,
+        outcome.substrates_built, 1,
         "all protocols at two query counts must share one substrate build"
     );
-    assert_eq!(outcome.substrates_built, 1);
 }
 
 #[test]

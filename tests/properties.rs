@@ -733,37 +733,27 @@ proptest! {
                 .collect();
             prop_assert_eq!(row, expected);
 
-            let by_gid = |keep: &dyn Fn(PeerId) -> bool| -> Vec<PeerId> {
-                model
-                    .iter()
-                    .filter(|&(&n, &(g, _))| keep(n) && g == gid)
-                    .map(|(&n, _)| n)
-                    .collect()
-            };
-            let by_bloom = |keep: &dyn Fn(PeerId) -> bool| -> Vec<PeerId> {
-                model
-                    .iter()
-                    .filter(|&(&n, (_, held))| {
-                        keep(n) && held.as_ref().is_some_and(|b| b.contains(&keyword.canonical()))
-                    })
-                    .map(|(&n, _)| n)
-                    .collect()
-            };
-            prop_assert_eq!(state.neighbors_matching_gid(|g| g == gid), by_gid(&|_| true));
-            prop_assert_eq!(state.neighbors_matching_bloom(&[keyword]), by_bloom(&|_| true));
-
+            // The `_into` forms append after what the buffer holds and skip
+            // the neighbours `keep` rejects.
             let kept = PeerId(u32::MAX);
             let not_this = |n: PeerId| n != neighbor;
             let mut out = vec![kept];
             state.neighbors_matching_gid_into(|g| g == gid, not_this, &mut out);
-            let mut expected = vec![kept];
-            expected.extend(by_gid(&not_this));
             state.neighbors_matching_bloom_into(
                 &[state.keyword_hashes().of(keyword)],
                 not_this,
                 &mut out,
             );
-            expected.extend(by_bloom(&not_this));
+            let others = || model.iter().filter(|&(&n, _)| not_this(n));
+            let mut expected = vec![kept];
+            expected.extend(others().filter(|&(_, &(g, _))| g == gid).map(|(&n, _)| n));
+            expected.extend(
+                others()
+                    .filter(|(_, (_, held))| {
+                        held.as_ref().is_some_and(|b| b.contains(&keyword.canonical()))
+                    })
+                    .map(|(&n, _)| n),
+            );
             prop_assert_eq!(out, expected);
         }
     }
