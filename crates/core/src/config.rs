@@ -43,6 +43,12 @@ pub enum ConfigError {
     },
     /// A clustered placement asks for zero clusters.
     ZeroClusters,
+    /// A clustered placement's spread is negative or not finite, which would
+    /// place peers at non-finite coordinates.
+    PlacementSigmaOutOfRange {
+        /// The configured standard deviation around a cluster centre.
+        sigma: f64,
+    },
     /// The landmark count is outside the supported `1..=8` range.
     LandmarksOutOfRange {
         /// The configured landmark count.
@@ -169,6 +175,9 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::ZeroClusters => {
                 write!(f, "clustered placement needs at least one cluster")
+            }
+            ConfigError::PlacementSigmaOutOfRange { sigma } => {
+                write!(f, "cluster spread sigma must be finite and non-negative: got {sigma}")
             }
             ConfigError::LandmarksOutOfRange { landmarks } => {
                 write!(f, "landmarks must be in 1..=8: got {landmarks}")
@@ -622,8 +631,13 @@ impl SimulationConfig {
                 max_latency_ms: self.max_latency_ms,
             });
         }
-        if matches!(self.placement, PlacementModel::Clustered { clusters: 0, .. }) {
-            return Err(ConfigError::ZeroClusters);
+        if let PlacementModel::Clustered { clusters, sigma } = self.placement {
+            if clusters == 0 {
+                return Err(ConfigError::ZeroClusters);
+            }
+            if !(sigma >= 0.0 && sigma.is_finite()) {
+                return Err(ConfigError::PlacementSigmaOutOfRange { sigma });
+            }
         }
         if self.landmarks == 0 || self.landmarks > 8 {
             return Err(ConfigError::LandmarksOutOfRange { landmarks: self.landmarks });
@@ -853,6 +867,13 @@ mod tests {
         let mut c = SimulationConfig::paper_defaults();
         c.placement = PlacementModel::Clustered { clusters: 0, sigma: 0.03 };
         assert_eq!(c.validate(), Err(ConfigError::ZeroClusters));
+
+        // NaN or infinite coordinates used to clamp every latency to zero.
+        for sigma in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut c = SimulationConfig::paper_defaults();
+            c.placement = PlacementModel::Clustered { clusters: 24, sigma };
+            assert!(matches!(c.validate(), Err(ConfigError::PlacementSigmaOutOfRange { .. })));
+        }
     }
 
     #[test]
@@ -1137,16 +1158,37 @@ mod tests {
         ));
     }
 
+    /// Whether `config` fails validation with a typed error or, validated,
+    /// builds its substrate and carries `queries` queries of `hybrid` and of
+    /// `flooding` to a report without a panic.
+    fn fails_validation_or_runs(config: SimulationConfig, queries: usize) -> bool {
+        if config.validate().is_err() {
+            return true;
+        }
+        let ran = std::panic::catch_unwind(|| {
+            let simulation = crate::Simulation::try_build(config)?;
+            for protocol in [ProtocolKind::Hybrid, ProtocolKind::Flooding] {
+                simulation.run(protocol, queries);
+            }
+            Ok::<_, ConfigError>(())
+        });
+        matches!(ran, Ok(Ok(())))
+    }
+
     /// Every float knob at NaN, −1, ∞ and 0 either fails validation or runs:
     /// a config `validate()` accepts builds a 40-peer substrate and carries
     /// 20 queries of `hybrid` and of `flooding` without a panic.
     #[test]
     fn every_float_knob_fails_validation_or_runs() {
         type Knob = fn(&mut SimulationConfig) -> &mut f64;
-        let knobs: [(&str, Knob); 14] = [
+        let knobs: [(&str, Knob); 17] = [
             ("average_degree", |c| &mut c.average_degree),
             ("min_latency_ms", |c| &mut c.min_latency_ms),
             ("max_latency_ms", |c| &mut c.max_latency_ms),
+            ("placement.sigma", |c| match &mut c.placement {
+                PlacementModel::Clustered { sigma, .. } => sigma,
+                PlacementModel::Uniform => unreachable!("small() places peers in clusters"),
+            }),
             ("zipf_exponent", |c| &mut c.zipf_exponent),
             ("query_rate_per_peer", |c| &mut c.query_rate_per_peer),
             ("bloom_sync_period_secs", |c| &mut c.bloom_sync_period_secs),
@@ -1158,25 +1200,63 @@ mod tests {
             ("churn.churning_fraction", |c| &mut c.churn.churning_fraction),
             ("faults.message_loss", |c| &mut c.faults.message_loss),
             ("faults.dht_step_timeout_secs", |c| &mut c.faults.dht_step_timeout_secs),
+            // Each with the rest of the retransmit policy armed, so the value
+            // under test is the one that decides.
+            ("faults.query_timeout.initial_secs", |c| {
+                c.faults.query_timeout.max_retries = 2;
+                &mut c.faults.query_timeout.initial_secs
+            }),
+            ("faults.query_timeout.backoff", |c| {
+                c.faults.query_timeout.initial_secs = 5.0;
+                c.faults.query_timeout.max_retries = 2;
+                &mut c.faults.query_timeout.backoff
+            }),
         ];
         let mut panicked = Vec::new();
         for (name, knob) in knobs {
             for value in [f64::NAN, -1.0, f64::INFINITY, 0.0] {
                 let mut config = SimulationConfig::small(40);
                 *knob(&mut config) = value;
-                if config.validate().is_err() {
-                    continue;
-                }
-                let ran = std::panic::catch_unwind(|| {
-                    let simulation = crate::Simulation::try_build(config)?;
-                    for protocol in [ProtocolKind::Hybrid, ProtocolKind::Flooding] {
-                        simulation.run(protocol, 20);
-                    }
-                    Ok::<_, ConfigError>(())
-                });
-                if !matches!(ran, Ok(Ok(()))) {
+                if !fails_validation_or_runs(config, 20) {
                     panicked.push(format!("{name} = {value}"));
                 }
+            }
+        }
+        assert!(panicked.is_empty(), "validated configs panicked: {panicked:?}");
+    }
+
+    /// The integer and degenerate edges — a lone peer, no queries, more
+    /// shards than peers, every message lost, every peer crashed, TTL 0 and a
+    /// zero cache — each fail validation or run to a report.
+    #[test]
+    fn every_integer_edge_fails_validation_or_runs() {
+        type Edge = fn(&mut SimulationConfig);
+        let edges: [(&str, Edge, usize); 7] = [
+            ("1 peer", |c| (c.peers, c.average_degree) = (1, 0.5), 20),
+            ("0 queries", |_| {}, 0),
+            ("shards > peers", |c| c.shards = 64, 20),
+            ("100% loss", |c| c.faults.message_loss = 1.0, 20),
+            (
+                "every peer crashed",
+                |c| {
+                    c.faults.crash_stop = true;
+                    c.churn = ChurnConfig {
+                        mean_session_secs: 1.0,
+                        mean_offline_secs: 1.0e9,
+                        churning_fraction: 1.0,
+                    };
+                },
+                20,
+            ),
+            ("TTL 0", |c| c.ttl = 0, 20),
+            ("capacity 0", |c| c.response_index_capacity = 0, 20),
+        ];
+        let mut panicked = Vec::new();
+        for (name, edge, queries) in edges {
+            let mut config = SimulationConfig::small(40);
+            edge(&mut config);
+            if !fails_validation_or_runs(config, queries) {
+                panicked.push(name);
             }
         }
         assert!(panicked.is_empty(), "validated configs panicked: {panicked:?}");

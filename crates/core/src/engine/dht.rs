@@ -4,8 +4,11 @@
 //! reaches through a handful of entry points: [`bootstrap`] at set-up,
 //! [`issue`], [`deliver`] and [`step_timeout`] from a shard's event loop, and
 //! [`republish`], [`on_leave`] and [`on_join`] from the coordinator's
-//! barriers. The handlers are plain functions over [`ShardState`], so they
-//! run under the same lifecycle and transport as the unstructured family.
+//! barriers. The handlers are plain functions over [`ShardState`], shaped
+//! like the unstructured family's in [`super::unstructured`]: both run on the
+//! shard's lifecycle and transport, and keep their per-query origin state in
+//! the query's tracking entry — here [`Search::Dht`], the deepest replied hop
+//! and the walk.
 //!
 //! The directory is the run's *identity oracle*: every peer's 160-bit node id
 //! and every keyword's record key, derived once from the seeded
@@ -24,7 +27,6 @@
 //! ([`on_leave`]), but the provider entries it published stay in the record
 //! stores until their TTL lapses or a lookup's online filter skips them.
 
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 use locaware_overlay::{
@@ -39,7 +41,7 @@ use crate::peer::PeerState;
 use crate::results::DhtRunStats;
 
 use super::lifecycle::HitMark;
-use super::shard::{query_index, ShardState, TimeoutKind};
+use super::shard::{query_index, Search, ShardState, TimeoutKind};
 use super::tally::{kind_index, Tallies};
 use super::{peer_mut, RunShared};
 
@@ -264,23 +266,17 @@ impl DhtDirectory {
                 add(owner, self.node_ids[contact.index()], contact);
             }
         }
-        let mut merged = Vec::with_capacity(k.min(left.len() + right.len()));
-        let (mut a, mut b) = (left.into_iter().peekable(), right.into_iter().peekable());
-        while merged.len() < k {
-            match (a.peek(), b.peek()) {
-                (Some(&x), Some(&y)) if x < y => merged.push(a.next().expect("peeked")),
-                (Some(_), Some(_)) => merged.push(b.next().expect("peeked")),
-                (Some(_), None) => merged.push(a.next().expect("peeked")),
-                (None, Some(_)) => merged.push(b.next().expect("peeked")),
-                (None, None) => break,
-            }
-        }
+        // The halves hold distinct peers, at most `k` each.
+        let mut merged = left;
+        merged.extend(right);
+        merged.sort_unstable();
+        merged.truncate(k);
         merged
     }
 }
 
-/// Origin-side state of one iterative lookup (lives in the origin peer's
-/// shard, keyed by the query's arrival index).
+/// Origin-side state of one iterative lookup (lives in the query's tracking
+/// entry, [`Search::Dht`], in the origin peer's shard).
 ///
 /// The shortlist holds every candidate learned so far, sorted by
 /// `(distance to the record key, peer id)` with a queried flag; the origin
@@ -618,9 +614,6 @@ pub(super) fn issue(
     index: usize,
     keywords: &[KeywordId],
 ) {
-    if let Some(tracking) = state.tracking.get_mut(&(index as u32)) {
-        tracking.dht_lookup = true;
-    }
     // The lookup keys on the query's smallest keyword id — generated
     // keyword lists are sorted, so the choice is canonical for every
     // shard count. (Entries are still filtered against *all* keywords.)
@@ -636,7 +629,7 @@ pub(super) fn issue(
     if try_satisfy(state, shared, directory, graph, key, index, keywords, &entries, 0) {
         return;
     }
-    let mut lookup = DhtLookupState::new(keywords.to_vec(), record_key);
+    let mut lookup = Box::new(DhtLookupState::new(keywords.to_vec(), record_key));
     let mut seeds = Vec::new();
     if let Some(node) = state.peers[slot].dht.as_ref() {
         node.table
@@ -687,24 +680,25 @@ pub(super) fn deliver(
                 entries,
                 closer,
             };
-            state.send(shared, key.time, to, from, reply, Some(query_index(query)));
+            state.send(shared, key.time, to, from, reply, query_index(query));
         }
         Message::DhtLookupReply { query, hop, entries, closer, .. } => {
             let index = query_index(query);
             // Only the origin holds lookup state; a reply arriving after the
             // walk concluded (satisfied, exhausted or completed) is ignored.
-            let Some(mut lookup) = state.dht_lookups.remove(&(index as u32)) else {
+            let Some((depth, walk)) = search(state, index) else {
                 return;
             };
+            let Some(mut lookup) = walk.take() else {
+                return;
+            };
+            *depth = (*depth).max(hop);
             // Settle the step's ledger entry. A reply whose slot a step
             // deadline already released finds none — its payload still
             // merges below, but the in-flight accounting has moved on.
             lookup.finish_step(from);
             for &contact in closer.iter().filter(|&&c| c != to) {
                 lookup.add_candidate(lookup.key.distance(directory.node_id(contact)), contact);
-            }
-            if let Some(tracking) = state.tracking.get_mut(&(index as u32)) {
-                tracking.dht_depth = tracking.dht_depth.max(hop);
             }
             let keywords = &lookup.keywords;
             if !try_satisfy(state, shared, directory, graph, key, index, keywords, &entries, hop) {
@@ -733,15 +727,18 @@ pub(super) fn step_timeout(
     index: usize,
     peer: PeerId,
 ) {
-    let Entry::Occupied(mut entry) = state.dht_lookups.entry(index as u32) else {
+    let Some((_, walk)) = search(state, index) else {
+        return;
+    };
+    let Some(mut lookup) = walk.take() else {
         return;
     };
     // `None` means the reply won the race at this exact deadline (class
     // ordering dispatches it first) or arrived long ago: nothing stalled.
-    let Some(hop) = entry.get_mut().finish_step(peer) else {
+    let Some(hop) = lookup.finish_step(peer) else {
+        *walk = Some(lookup);
         return;
     };
-    let lookup = entry.remove();
     state.tallies.dht_step_timeouts += 1;
     refill(state, shared, graph, key.time, index, lookup, hop);
 }
@@ -760,7 +757,7 @@ fn refill(
     graph: &OverlayGraph,
     now: SimTime,
     index: usize,
-    mut lookup: DhtLookupState,
+    mut lookup: Box<DhtLookupState>,
     hop: u32,
 ) {
     let config = &shared.config.dht;
@@ -778,14 +775,25 @@ fn refill(
                 keyword: keyword.0,
                 hop,
             };
-            state.send(shared, now, origin, target, step, Some(index));
+            state.send(shared, now, origin, target, step, index);
             if let Some(timeout) = step_timeout {
                 state.schedule_timeout(now + timeout, index, TimeoutKind::DhtStep { peer: target });
             }
         }
     }
     if lookup.inflight() > 0 {
-        state.dht_lookups.insert(index as u32, lookup);
+        if let Some((_, walk)) = search(state, index) {
+            *walk = Some(lookup);
+        }
+    }
+}
+
+/// Query `index`'s DHT search at its origin — the deepest replied hop and the
+/// walk — or `None` where this shard has no such query.
+fn search(state: &mut ShardState, index: usize) -> Option<(&mut u32, &mut Option<Box<DhtLookupState>>)> {
+    match &mut state.tracking.get_mut(&(index as u32))?.search {
+        Search::Dht { depth, walk } => Some((depth, walk)),
+        Search::Flood { .. } => None,
     }
 }
 
@@ -855,6 +863,7 @@ fn try_satisfy(
 #[cfg(test)]
 mod tests {
     use super::super::prepare;
+    use super::super::shard::QueryTracking;
     use super::*;
     use crate::config::{ProtocolKind, SimulationConfig};
     use crate::simulation::Simulation;
@@ -962,10 +971,17 @@ mod tests {
         let state = &mut shards[0];
         let origin = PeerId(shared.arrivals[0].peer as u32);
         let key = EventKey::new(SimTime::from_millis(5), 0, 0, 0);
-        // No tracking entry exists, so nothing can satisfy the query: the
-        // walk runs until the shortlist is exhausted.
+        // The query counts as satisfied already, so nothing can satisfy it
+        // again: the walk runs until the shortlist is exhausted.
+        let mut tracking = QueryTracking::new(&shared, 0, FileId(0), Search::Dht { depth: 0, walk: None });
+        tracking.satisfied = true;
+        state.tracking.insert(0, tracking);
         issue(state, &shared, directory, graph, key, 0, &[KeywordId(0)]);
-        let awaiting = |state: &ShardState| state.dht_lookups[&0].awaiting.clone();
+        let walk = |state: &ShardState| match &state.tracking[&0].search {
+            Search::Dht { walk, .. } => walk.as_ref().map(|lookup| lookup.awaiting.clone()),
+            Search::Flood { .. } => unreachable!("a DHT query"),
+        };
+        let awaiting = |state: &ShardState| walk(state).expect("the walk is live");
         assert_eq!(awaiting(state).len(), alpha);
         assert!(awaiting(state).iter().all(|&(_, hop)| hop == 1));
 
@@ -994,10 +1010,9 @@ mod tests {
 
         // Time every remaining step out: once the k closest have all been
         // asked the in-flight count runs down and the state is dropped.
-        while let Some(lookup) = state.dht_lookups.get(&0) {
-            assert!((1..=alpha).contains(&lookup.inflight()));
-            let (peer, _) = lookup.awaiting[0];
-            step_timeout(state, &shared, graph, key, 0, peer);
+        while let Some(steps) = walk(state) {
+            assert!((1..=alpha).contains(&steps.len()));
+            step_timeout(state, &shared, graph, key, 0, steps[0].0);
         }
         assert_eq!(state.tallies.message_counts[kind_index(MessageKind::DhtLookup)], k as u64);
     }

@@ -75,15 +75,16 @@
 //! handed to exactly one drain.
 //!
 //! This file owns the run's set-up and report, the executor, window planning
-//! and the barriers (outbox merge, Bloom sync, churn). `shard` owns the
-//! per-shard event loop: transport (canonical keys, fault marking, outboxes)
-//! and the unstructured family's handlers. `lifecycle` owns what is counted
-//! per query and every conclusion drawn from it. `dht` owns the structured
-//! family — directory, bootstrap, lookups, record placement, republish and
-//! table maintenance — behind a handful of entry points. `exchange` fixes the
-//! canonical event order and the partition, `faults` compiles the fault plan,
-//! `tally` holds the commutative statistics. Every shard count, `shards = 1`
-//! included, runs this same code path.
+//! and the barriers, and reaches each protocol family only through its entry
+//! points. `shard` owns the per-shard event loop and transport (canonical
+//! keys, fault marking, outboxes), the issue's workload draw and tracking.
+//! Each family is one file of plain functions over a shard: `unstructured`
+//! (flooding, responses, retransmits, Bloom sync, neighbour exchanges) and
+//! `dht` (directory, lookups, record placement, republish, table upkeep).
+//! `lifecycle` owns what is counted per query and every conclusion drawn from
+//! it. `exchange` fixes the canonical event order and the partition, `faults`
+//! compiles the fault plan, `tally` holds the commutative statistics. Every
+//! shard count, `shards = 1` included, runs this same code path.
 //!
 //! [`QueryRecord`]: locaware_metrics::QueryRecord
 //! [`LinkLatencyCache::incoming_channel_mins`]:
@@ -95,6 +96,7 @@ mod faults;
 mod lifecycle;
 mod shard;
 mod tally;
+mod unstructured;
 
 use std::sync::Arc;
 
@@ -105,7 +107,7 @@ use locaware_bloom::BloomParams;
 use locaware_metrics::{QueryOutcome, QueryRecord, RunMetrics};
 use locaware_net::{LinkLatencyCache, LocId, PhysicalTopology};
 use locaware_overlay::churn::ChurnEvent;
-use locaware_overlay::{ChurnEventKind, Message, OverlayGraph, PeerId};
+use locaware_overlay::{ChurnEventKind, OverlayGraph, PeerId};
 use locaware_sim::{Duration, EventKey, RngFactory, SimTime, StreamId};
 use locaware_workload::{Arrival, Catalog, KeywordHashes, QueryGenerator};
 
@@ -122,7 +124,7 @@ use dht::DhtDirectory;
 use faults::FaultPlan;
 use exchange::{issue_key, PeerPartition, CLASS_BLOOM_SYNC, CLASS_CHURN, CLASS_DHT_REPUBLISH};
 use lifecycle::LifecycleFold;
-use shard::{ShardEvent, ShardState};
+use shard::{Search, ShardEvent, ShardState};
 use tally::{labelled_counters, Tallies, FORWARD_DECISIONS, MESSAGE_KINDS};
 
 /// Read-only context shared by every shard and the coordinator during a run:
@@ -391,23 +393,8 @@ fn prepare(
         })
         .collect();
 
-    // Initial Bloom exchange between neighbours ("Neighboring peers
-    // exchange their group Ids as well as their Bloom filters", §4.2).
     if protocol.uses_bloom_sync() {
-        let all_peers = || (0..config.peers as u32).map(PeerId);
-        let initial_blooms: Vec<_> = all_peers()
-            .map(|id| {
-                let peer = peer_mut(&shared, &mut shards, id);
-                let _ = peer.take_bloom_update();
-                peer.exported_bloom().clone()
-            })
-            .collect();
-        for id in all_peers() {
-            let peer = peer_mut(&shared, &mut shards, id);
-            for &n in graph.neighbors(id) {
-                peer.set_neighbor_bloom(n, initial_blooms[n.index()].clone());
-            }
-        }
+        unstructured::bootstrap(&shared, graph, &mut shards);
     }
     if let Some(directory) = &shared.dht {
         dht::bootstrap(&shared, directory, graph, &mut shards);
@@ -447,8 +434,8 @@ fn finalize(
     // tie-break by index), so records renumber contiguously in it.
     let mut metrics = RunMetrics::new();
     let mut emitted = 0u64;
-    let mut dht_lookups = 0u64;
-    let mut dht_depth_total = 0u64;
+    let mut lookups = 0u64;
+    let mut lookup_depth_total = 0u64;
     for (index, arrival) in shared.arrivals.iter().enumerate() {
         let origin = PeerId(arrival.peer as u32);
         let Some(tracking) = shards[shared.partition.shard(origin)]
@@ -457,9 +444,9 @@ fn finalize(
         else {
             continue;
         };
-        if tracking.dht_lookup {
-            dht_lookups += 1;
-            dht_depth_total += u64::from(tracking.dht_depth);
+        if let Search::Dht { depth, .. } = tracking.search {
+            lookups += 1;
+            lookup_depth_total += u64::from(depth);
         }
         let messages: u64 = shards.iter().map(|s| s.ledger.messages(index)).sum();
         let hit = shards
@@ -517,7 +504,7 @@ fn finalize(
         dht: shared
             .dht
             .is_some()
-            .then(|| dht::run_stats(all_peers(), dht_lookups, dht_depth_total, &totals)),
+            .then(|| dht::run_stats(all_peers(), lookups, lookup_depth_total, &totals)),
         faults,
     }
 }
@@ -747,7 +734,7 @@ impl Coordinator {
         self.critical_path_events += 1; // Controls are inherently serial.
         self.control_end_time = key.time;
         match action {
-            ControlAction::BloomSync => self.bloom_sync(shared, shards, key.time),
+            ControlAction::BloomSync => unstructured::sync(shared, shards, &self.graph, key.time),
             ControlAction::DhtRepublish => {
                 if let Some(directory) = &shared.dht {
                     dht::republish(shared, directory, shards, &self.graph, key.time, false);
@@ -814,24 +801,6 @@ impl Coordinator {
         );
     }
 
-    /// One Bloom synchronisation round: every online peer with a dirty filter
-    /// pushes the delta to its active neighbours, in peer-id order.
-    fn bloom_sync(&self, shared: &RunShared<'_>, shards: &mut [ShardState], now: SimTime) {
-        let graph = &self.graph;
-        for from in graph.active_peers() {
-            let Some(delta) = peer_mut(shared, shards, from).take_bloom_update() else {
-                continue;
-            };
-            let shard = &mut shards[shared.partition.shard(from)];
-            for &n in graph.neighbors(from).iter().filter(|&&n| graph.is_active(n)) {
-                let message = Message::BloomDelta {
-                    delta: delta.clone(),
-                };
-                shard.send_background(shared, now, from, n, message);
-            }
-        }
-    }
-
     /// One churn transition, mutating the graph and the affected peers
     /// (possibly across several shards).
     fn apply_churn(&mut self, shared: &RunShared<'_>, shards: &mut [ShardState], event: ChurnEvent) {
@@ -888,14 +857,9 @@ impl Coordinator {
                         break;
                     }
                     let pick = candidates[self.churn_rng.gen_range(0..candidates.len())];
-                    if graph.add_edge(peer, pick) {
-                        let peer_gid = peer_mut(shared, shards, peer).gid;
-                        let picked = peer_mut(shared, shards, pick);
-                        picked.record_neighbor(peer, peer_gid);
-                        let pick_gid = picked.gid;
-                        peer_mut(shared, shards, peer).record_neighbor(pick, pick_gid);
-                    }
+                    graph.add_edge(peer, pick);
                 }
+                unstructured::on_join(shared, shards, graph, peer);
                 if let Some(directory) = &shared.dht {
                     dht::on_join(shared, directory, shards, graph, peer);
                 }

@@ -1,7 +1,8 @@
-//! One shard of the sharded engine: the peers it owns, its local event queue,
-//! the transport and the unstructured-family handlers (the structured
-//! family's handlers live in [`super::dht`]; what is counted per query, and
-//! when a query is complete, in [`super::lifecycle`]).
+//! One shard of the sharded engine: the peers it owns and what both protocol
+//! families run on — the event loop, the issue's workload draw and tracking,
+//! origin-side satisfaction, completion, deadlines and the transport. The
+//! families' handlers live in [`super::unstructured`] and [`super::dht`];
+//! what is counted per query, and when it is complete, in [`super::lifecycle`].
 //!
 //! [`ShardState::drain`] takes `&mut self` and shared references to
 //! everything else — the immutable run context ([`RunShared`]) and the
@@ -12,13 +13,13 @@
 //! executor hand each shard to its own thread with no locks anywhere.
 //!
 //! Per-query bookkeeping is keyed by arrival index (the query id *is* the
-//! arrival index): `tracking` for origin-local fields, `ledger` for what any
-//! shard that handles one of the query's events adds — traffic, first-answer
-//! candidates and the obligation count, merged commutatively in finalize and
-//! at barriers. Routing state — duplicate suppression and reverse paths — is
-//! per query too, but only while the query is alive: `routes` holds one
-//! recycled table per query with state in this shard, for the peers of this
-//! shard.
+//! arrival index): `tracking` for origin-local fields, the family's search
+//! state among them, `ledger` for what any shard that handles one of the
+//! query's events adds — traffic, first-answer candidates and the obligation
+//! count, merged commutatively in finalize and at barriers. Routing state —
+//! duplicate suppression and reverse paths — is per query too, but only
+//! while the query is alive: `routes` holds one recycled table per query with
+//! state in this shard, for the peers of this shard.
 //!
 //! Every message enters a queue or an outbox through [`ShardState::send`] /
 //! [`ShardState::send_background`] → `route`, every deadline through
@@ -31,23 +32,18 @@ use rand::rngs::StdRng;
 
 use locaware_bloom::ElementHashes;
 use locaware_net::LocId;
-use locaware_overlay::routing::decrement_ttl;
-use locaware_overlay::{
-    Message, MessageKind, OverlayGraph, PeerId, ProviderEntry, QueryId, QueryRoutes,
-};
-use locaware_sim::{Duration, EventKey, ShardQueue, SimTime, StreamId};
+use locaware_overlay::{Message, MessageKind, OverlayGraph, PeerId, ProviderEntry, QueryId, QueryRoutes};
+use locaware_sim::{EventKey, ShardQueue, SimTime, StreamId};
 use locaware_workload::FileId;
 
-use crate::config::ProtocolKind;
-use crate::peer::{keyword_signature, PeerState};
-use crate::protocol::{PeerView, QueryContext, ResponseContext};
+use crate::peer::PeerState;
 use crate::provider::select_provider;
 
 use super::dht::{self, DhtLookupState, DirectoryScratch};
 use super::exchange::{deliver_key, timeout_key, LOST_BIT};
-use super::lifecycle::{HitMark, QueryLedger};
-use super::tally::{decision_index, kind_index, Tallies};
-use super::RunShared;
+use super::lifecycle::QueryLedger;
+use super::tally::{kind_index, Tallies};
+use super::{unstructured, RunShared};
 
 /// A shard-local event. Periodic maintenance (Bloom sync) and churn are
 /// global transitions handled serially at window barriers by the coordinator,
@@ -85,16 +81,12 @@ pub(super) enum ShardEvent {
 // once (the queue orders 32-byte entries, not payloads), so this size no
 // longer multiplies sift cost — it is the slab's footprint per pending event
 // at the deepest burst, and the copy every message of every run still pays.
-const _: () = assert!(
-    std::mem::size_of::<ShardEvent>() <= 96,
-    "ShardEvent grew past 96 bytes"
-);
+const _: () = assert!(std::mem::size_of::<ShardEvent>() <= 96, "ShardEvent grew past 96 bytes");
 
 /// Which fault-plan deadline a [`ShardEvent::Timeout`] represents.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum TimeoutKind {
-    /// The retransmit deadline of 0-based unstructured query attempt
-    /// `attempt`.
+    /// The retransmit deadline of a flooded query's 0-based `attempt`.
     Retransmit {
         /// The attempt whose deadline this is.
         attempt: u32,
@@ -106,28 +98,14 @@ pub(super) enum TimeoutKind {
     },
 }
 
-/// Recovers the arrival index from a query id. Retransmitted attempts reuse
-/// the arrival index in the low 32 bits and count the attempt in the high
-/// bits — every retransmit gets its own duplicate-suppression and
-/// reverse-path entries in the query's route table ([`query_attempt`] is part
-/// of their key), while every per-query slab keys on the masked index.
+/// Recovers the arrival index from a query id: the low 32 bits (the
+/// unstructured family counts retransmit attempts in the high bits, so every
+/// attempt of a query keys the same per-query slabs).
 pub(super) fn query_index(query: QueryId) -> usize {
     (query.0 & 0xffff_ffff) as usize
 }
 
-/// The 0-based attempt a query id belongs to.
-fn query_attempt(query: QueryId) -> u32 {
-    (query.0 >> 32) as u32
-}
-
-/// The query id of `index`'s 0-based attempt `attempt` (attempt 0 is the
-/// original issue, whose id is the bare arrival index).
-fn attempt_id(index: usize, attempt: u32) -> QueryId {
-    QueryId(index as u64 | (u64::from(attempt) << 32))
-}
-
 /// Origin-local per-query bookkeeping (lives in the origin peer's shard).
-#[derive(Debug)]
 pub(super) struct QueryTracking {
     pub origin: PeerId,
     pub origin_loc: LocId,
@@ -146,29 +124,50 @@ pub(super) struct QueryTracking {
     /// draw sequence is a pure function of (seed, arrival index, response
     /// arrival order at the origin) — never of shard layout.
     pub selection_rng: StdRng,
-    /// Whether the query resolved through the DHT (structured protocols, and
-    /// for the hybrid only tail-rank targets).
-    pub dht_lookup: bool,
-    /// Deepest lookup hop whose reply reached the origin (0 = answered from
-    /// the origin's own record store, or no reply at all).
-    pub dht_depth: u32,
-    /// Retransmit state — `Some` exactly while a fault plan's query-timeout
-    /// policy has a deadline armed for this (unstructured) query. Boxed: it
-    /// keeps a whole wire message, which fault-free runs should not pay for
-    /// in every tracking entry.
-    pub retry: Option<Box<RetryState>>,
+    /// The family the query resolves through, and what it keeps here.
+    pub search: Search,
 }
 
-/// Origin-side retransmit state of one unstructured query under a fault
-/// plan's [`TimeoutPolicy`](locaware_workload::TimeoutPolicy).
-#[derive(Debug)]
-pub(super) struct RetryState {
-    /// The wire message as last flooded, kept so a deadline can re-flood it
-    /// under a fresh attempt id (the workload draw must not be repeated —
-    /// re-drawing would desynchronise the per-arrival RNG stream).
-    pub message: Message,
-    /// The 0-based attempt whose deadline is currently armed.
-    pub attempt: u32,
+impl QueryTracking {
+    /// A fresh entry for arrival `index`, searching for `target` via `search`.
+    pub(super) fn new(shared: &RunShared<'_>, index: usize, target: FileId, search: Search) -> Self {
+        let origin = PeerId(shared.arrivals[index].peer as u32);
+        QueryTracking {
+            origin,
+            origin_loc: shared.loc_ids[origin.index()],
+            target,
+            satisfied: false,
+            download_distance_ms: None,
+            locality_match: false,
+            providers_offered: 0,
+            completed_at: None,
+            selection_rng: shared.rng_factory.indexed_stream(StreamId::ProtocolTieBreak, index as u64),
+            search,
+        }
+    }
+}
+
+/// A query's family-specific origin state, fixed when `handle_issue` picks
+/// the family.
+pub(super) enum Search {
+    /// Flooded over the overlay ([`super::unstructured`]).
+    Flood {
+        /// The query as last flooded, `Some` exactly while a retransmit
+        /// deadline is armed: a re-flood must not repeat the workload draw,
+        /// which would desynchronise the per-arrival RNG stream. Boxed, so
+        /// fault-free runs do not pay for a wire message per entry.
+        retry: Option<Box<Message>>,
+    },
+    /// Resolved through the keyword DHT ([`super::dht`]): structured
+    /// protocols, and for the hybrid only tail-rank targets.
+    Dht {
+        /// Deepest lookup hop whose reply reached the origin (0 = answered
+        /// from the origin's own record store, or no reply at all).
+        depth: u32,
+        /// The iterative lookup — `Some` exactly while it walks:
+        /// satisfaction, shortlist exhaustion and completion each end it.
+        walk: Option<Box<DhtLookupState>>,
+    },
 }
 
 /// Everything one shard owns.
@@ -192,11 +191,6 @@ pub(super) struct ShardState {
     /// `ledger` below stays dense: it is genuinely written by every shard
     /// and merged commutatively, and its entries are small.
     pub tracking: HashMap<u32, QueryTracking>,
-    /// Arrival index → the origin-driven iterative DHT lookup still walking
-    /// for that query (origin shard only, structured protocols only). An
-    /// entry exists exactly while the walk is live: satisfaction, shortlist
-    /// exhaustion and query completion each remove it.
-    pub dht_lookups: HashMap<u32, DhtLookupState>,
     /// Arrival index → what this shard added to the query: messages charged,
     /// earliest local match, obligations charged and retired.
     pub ledger: QueryLedger,
@@ -226,14 +220,11 @@ pub(super) struct ShardState {
     pub dispatched: u64,
     /// Key of the last event this shard dispatched.
     pub last_key: Option<EventKey>,
-    // Scratch buffers reused across events so the forward path does not
-    // allocate: the Bloom hashes of the current query's keywords, and forward
-    // targets.
-    scratch_hashes: Vec<ElementHashes>,
-    scratch_targets: Vec<PeerId>,
-    // Scratch for the publish path's directory lookups: the trie-search
-    // frontier/best buffers plus the resolved store targets, reused across
-    // publishes so the lookup path never allocates per call.
+    // Scratch reused across events so neither family's hot path allocates:
+    // the flood path's keyword hashes and forward targets, and the publish
+    // path's trie-search buffers and resolved store targets.
+    pub(super) scratch_hashes: Vec<ElementHashes>,
+    pub(super) scratch_targets: Vec<PeerId>,
     pub(super) scratch_directory: DirectoryScratch,
     pub(super) scratch_publish_targets: Vec<PeerId>,
 }
@@ -249,7 +240,6 @@ impl ShardState {
             queue: ShardQueue::new(),
             outboxes: (0..shards).map(|_| Vec::new()).collect(),
             tracking: HashMap::new(),
-            dht_lookups: HashMap::new(),
             ledger: QueryLedger::new(arrivals, shards > 1),
             window_bound: EventKey::MAX,
             send_seq: vec![0; peer_count],
@@ -302,8 +292,15 @@ impl ShardState {
                     if let Some(index) = retired {
                         self.ledger.retire(index, key.time);
                     }
-                    if from.0 & LOST_BIT == 0 {
-                        self.process_delivery(shared, graph, key, from, to, message);
+                    // The window's graph, not a per-peer flag: an offline
+                    // receiver ends here without loading a `PeerState` line.
+                    if from.0 & LOST_BIT == 0 && graph.is_active(to) {
+                        match message.kind() {
+                            MessageKind::DhtLookup | MessageKind::DhtLookupReply | MessageKind::DhtStore => {
+                                dht::deliver(self, shared, graph, key, from, to, message)
+                            }
+                            _ => unstructured::deliver(self, shared, graph, key, from, to, message),
+                        }
                     }
                     if let Some(index) = retired {
                         self.complete_if_drained(shared, index, key.time);
@@ -314,7 +311,7 @@ impl ShardState {
                     self.ledger.retire(index, key.time);
                     match kind {
                         TimeoutKind::Retransmit { attempt } => {
-                            self.retransmit_query(shared, graph, key, index, attempt)
+                            unstructured::retransmit(self, shared, graph, key, index, attempt)
                         }
                         TimeoutKind::DhtStep { peer } => {
                             dht::step_timeout(self, shared, graph, key, index, peer)
@@ -336,17 +333,6 @@ impl ShardState {
             self.complete_locally(shared, index, now);
         }
     }
-
-    fn view<'v>(&'v self, graph: &'v OverlayGraph, shared: &'v RunShared<'_>, slot: usize) -> PeerView<'v> {
-        PeerView {
-            state: &self.peers[slot],
-            graph,
-            scheme: &shared.scheme,
-            catalog: shared.catalog,
-        }
-    }
-
-    // --- event handlers -----------------------------------------------------
 
     fn handle_issue(&mut self, shared: &RunShared<'_>, graph: &OverlayGraph, key: EventKey, index: usize) {
         let origin = PeerId(shared.arrivals[index].peer as u32);
@@ -374,9 +360,7 @@ impl ShardState {
         let excluded = |state: &PeerState, issued: &HashMap<FileId, u32>, target: FileId| {
             state.has_file(target) || issued.contains_key(&target)
         };
-        let mut workload_rng = shared
-            .rng_factory
-            .indexed_stream(StreamId::QueryWorkload, index as u64);
+        let mut workload_rng = shared.rng_factory.indexed_stream(StreamId::QueryWorkload, index as u64);
         let generator = &shared.query_generator;
         let mut query = generator.generate(shared.catalog, &mut workload_rng);
         for _ in 0..16 {
@@ -402,48 +386,22 @@ impl ShardState {
 
         self.tallies.queries_issued += 1;
 
-        let origin_loc = shared.loc_ids[origin.index()];
-        self.tracking.insert(index as u32, QueryTracking {
-            origin,
-            origin_loc,
-            target: query.target,
-            satisfied: false,
-            download_distance_ms: None,
-            locality_match: false,
-            providers_offered: 0,
-            completed_at: None,
-            selection_rng: shared
-                .rng_factory
-                .indexed_stream(StreamId::ProtocolTieBreak, index as u64),
-            dht_lookup: false,
-            dht_depth: 0,
-            retry: None,
-        });
-
         let structured = shared.dht.as_ref().filter(|_| {
             let rank = shared.query_generator.rank_of(query.target);
             shared.protocol.dht_resolves_rank(rank, shared.catalog.len())
         });
+        let search = match structured {
+            Some(_) => Search::Dht { depth: 0, walk: None },
+            None => Search::Flood { retry: None },
+        };
+        self.tracking.insert(index as u32, QueryTracking::new(shared, index, query.target, search));
         if let Some(directory) = structured {
             // Structured resolution: the query never touches the overlay —
             // it walks the keyword DHT instead (no forward decision either;
             // routing-decision counters are an overlay concept).
             dht::issue(self, shared, directory, graph, key, index, &query.keywords);
         } else {
-            // The query id *is* the arrival index — dense, globally unique
-            // and identical for every shard count. `flood_attempt` registers
-            // it with the originator — on this branch only: a structured
-            // query never sends a `Query`, so nothing would probe its entry.
-            let message = Message::Query {
-                query: attempt_id(index, 0),
-                origin,
-                origin_loc,
-                keywords: query.keywords.into(),
-                target_filename: (shared.protocol.kind() == ProtocolKind::Dicas)
-                    .then_some(query.target),
-                ttl: shared.config.ttl,
-            };
-            self.flood_attempt(shared, graph, now, index, 0, message);
+            unstructured::issue(self, shared, graph, now, index, query);
         }
 
         // A query with no in-flight traffic is born complete — no forward
@@ -453,213 +411,6 @@ impl ShardState {
         self.complete_if_drained(shared, index, now);
     }
 
-    /// Forwards the query `message` from peer `at` — the origin at issue or
-    /// retransmit time (`exclude` is `None`: there is no upstream), a relay
-    /// otherwise (`exclude` is the neighbour it arrived from): the protocol
-    /// picks the forward targets, the decision is tallied and every target
-    /// is sent one copy. `scratch_hashes` must already hold the hashes of the
-    /// query's keywords. Returns whether anything was sent.
-    fn forward_query(
-        &mut self,
-        shared: &RunShared<'_>,
-        graph: &OverlayGraph,
-        now: SimTime,
-        at: PeerId,
-        exclude: Option<PeerId>,
-        message: &Message,
-    ) -> bool {
-        let Message::Query { query, origin, origin_loc, keywords, target_filename, .. } = message
-        else {
-            unreachable!("only queries are forwarded");
-        };
-        let mut targets = std::mem::take(&mut self.scratch_targets);
-        let decision = {
-            let qctx = QueryContext {
-                query: *query,
-                origin: *origin,
-                origin_loc: *origin_loc,
-                keywords,
-                keyword_hashes: &self.scratch_hashes,
-                target_filename: *target_filename,
-            };
-            let view = self.view(graph, shared, shared.partition.slot(at));
-            shared
-                .protocol
-                .forward_targets_into(&view, &qctx, exclude, &mut targets)
-        };
-        self.tallies.decision_counts[decision_index(decision)] += 1;
-        // Copies share the keyword list (`Arc`), so the per-target cost is a
-        // reference-count bump, not a clone.
-        for &target in &targets {
-            self.send(shared, now, at, target, message.clone(), Some(query_index(*query)));
-        }
-        let sent = !targets.is_empty();
-        targets.clear();
-        self.scratch_targets = targets;
-        sent
-    }
-
-    /// The protocol-visible half of a delivery, between its lifecycle
-    /// consumption and the completion check in [`ShardState::drain`].
-    fn process_delivery(
-        &mut self,
-        shared: &RunShared<'_>,
-        graph: &OverlayGraph,
-        key: EventKey,
-        from: PeerId,
-        to: PeerId,
-        mut message: Message,
-    ) {
-        // The window's graph, not a per-peer flag: an offline receiver or
-        // a duplicate query ends here without loading a `PeerState` line.
-        if !graph.is_active(to) {
-            return;
-        }
-        let slot = shared.partition.slot(to);
-        debug_assert_eq!(from.0 & LOST_BIT, 0, "lost deliveries are consumed unprocessed");
-        // Copy and `ref` bindings only, so a forwarded query or a relayed
-        // response is the delivered message itself, not a rebuilt one.
-        match message {
-            Message::Query {
-                query,
-                origin,
-                origin_loc,
-                ref keywords,
-                target_filename,
-                ref mut ttl,
-            } => {
-                let (index, attempt) = (query_index(query), query_attempt(query));
-                if !self.routes.on_query(index, slot as u32, attempt, Some(from)) {
-                    return; // A duplicate: already seen along another path.
-                }
-                shared.keyword_hashes.of_all_into(keywords, &mut self.scratch_hashes);
-                // Does the receiver's storage signature let the shared-file
-                // walk happen at all? (Observability only: the protocol's
-                // matching rule applies the same test for itself.)
-                if self.peers[slot].may_store(keyword_signature(keywords)) {
-                    self.tallies.storage_walks += 1;
-                } else {
-                    self.tallies.storage_skips += 1;
-                }
-                let local_match = {
-                    let qctx = QueryContext {
-                        query,
-                        origin,
-                        origin_loc,
-                        keywords,
-                        keyword_hashes: &self.scratch_hashes,
-                        target_filename,
-                    };
-                    let view = self.view(graph, shared, slot);
-                    shared.protocol.local_match(&view, &qctx)
-                };
-
-                if let Some(hit) = local_match {
-                    let hops = shared.config.ttl.saturating_sub(*ttl) + 1;
-                    // First-processed hit wins: within this shard events
-                    // drain in key order, so set-once keeps the shard minimum;
-                    // finalize merges shards by key minimum.
-                    self.ledger.record_hit(index, HitMark {
-                        key,
-                        hops,
-                        from_cache: hit.from_cache,
-                    });
-                    // §4.1.2: the answering peer records the requestor as a new
-                    // provider of the file (subject to its caching rule).
-                    let requestor_entry = ProviderEntry {
-                        provider: origin,
-                        loc_id: origin_loc,
-                    };
-                    // One allocation per file, the catalog's own; every
-                    // response about the file shares it.
-                    let file_keywords = shared.catalog.filename(hit.file).shared_keywords();
-                    let response_ctx = ResponseContext {
-                        file: hit.file,
-                        file_keywords,
-                        query_keywords: keywords,
-                        providers: &[],
-                        requestor: requestor_entry,
-                    };
-                    shared.protocol.cache_response(
-                        &mut self.peers[slot],
-                        &shared.scheme,
-                        &response_ctx,
-                    );
-
-                    let response = Message::QueryResponse {
-                        query,
-                        file: hit.file,
-                        file_keywords: file_keywords.clone(),
-                        // The response carries the query's keywords so caching
-                        // peers along the reverse path never need the origin
-                        // shard's tracking state.
-                        query_keywords: keywords.clone(),
-                        providers: hit.providers,
-                        requestor: requestor_entry,
-                    };
-                    if let Some(upstream) = self.routes.response_next_hop(index, slot as u32, attempt) {
-                        self.send(shared, key.time, to, upstream, response, Some(index));
-                    }
-                    return;
-                }
-
-                // No local hit: keep forwarding while TTL allows.
-                let Some(remaining) = decrement_ttl(*ttl) else {
-                    return;
-                };
-                *ttl = remaining;
-                self.forward_query(shared, graph, key.time, to, Some(from), &message);
-            }
-            Message::QueryResponse {
-                query,
-                file,
-                ref file_keywords,
-                ref query_keywords,
-                ref providers,
-                requestor,
-            } => {
-                let index = query_index(query);
-                // The origin is a pure function of the query id (= arrival
-                // index), so any shard can answer "am I the origin?" without
-                // reading the origin shard's tracking slab.
-                let origin = PeerId(shared.arrivals[index].peer as u32);
-
-                if origin == to {
-                    self.satisfy(shared, graph, index, file, providers);
-                    return;
-                }
-
-                // Intermediate peer: cache per protocol rule, then relay.
-                let response_ctx = ResponseContext {
-                    file,
-                    file_keywords,
-                    query_keywords,
-                    providers,
-                    requestor,
-                };
-                shared.protocol.cache_response(
-                    &mut self.peers[slot],
-                    &shared.scheme,
-                    &response_ctx,
-                );
-
-                let upstream = self.routes.response_next_hop(index, slot as u32, query_attempt(query));
-                if let Some(upstream) = upstream {
-                    self.send(shared, key.time, to, upstream, message, Some(index));
-                }
-            }
-            Message::DhtLookup { .. } | Message::DhtLookupReply { .. } | Message::DhtStore { .. } => {
-                dht::deliver(self, shared, graph, key, from, to, message)
-            }
-            Message::BloomFull { filter } => {
-                self.peers[slot].set_neighbor_bloom(from, filter);
-            }
-            Message::BloomDelta { delta } => {
-                self.peers[slot].apply_neighbor_bloom_delta(from, &delta);
-            }
-        }
-    }
-
     /// Origin-side satisfaction, shared by both protocol families: offered
     /// `providers` of `file` — from a query response, or from DHT record
     /// entries — satisfy query `index` if the origin does not already hold
@@ -667,12 +418,8 @@ impl ShardState {
     /// online. On success the origin downloads and replicates the file.
     /// Returns whether this call satisfied the query.
     pub(super) fn satisfy(
-        &mut self,
-        shared: &RunShared<'_>,
-        graph: &OverlayGraph,
-        index: usize,
-        file: FileId,
-        providers: &[ProviderEntry],
+        &mut self, shared: &RunShared<'_>, graph: &OverlayGraph,
+        index: usize, file: FileId, providers: &[ProviderEntry],
     ) -> bool {
         let Some(tracking) = self.tracking.get_mut(&(index as u32)) else {
             return false;
@@ -693,11 +440,8 @@ impl ShardState {
         // when churn is enabled; the static setup never filters anything).
         // The graph is frozen per window — churn transitions only happen at
         // barriers — so this cross-shard read is race-free.
-        let online_providers: Vec<ProviderEntry> = providers
-            .iter()
-            .copied()
-            .filter(|p| graph.is_active(p.provider))
-            .collect();
+        let online_providers: Vec<ProviderEntry> =
+            providers.iter().copied().filter(|p| graph.is_active(p.provider)).collect();
         tracking.providers_offered = tracking.providers_offered.max(online_providers.len());
         let selection = select_provider(
             shared.protocol.selection_policy(),
@@ -713,12 +457,8 @@ impl ShardState {
         };
         tracking.satisfied = true;
         tracking.locality_match = selected.locality_match;
-        tracking.download_distance_ms = Some(
-            shared
-                .link_latencies
-                .latency(shared.topology, tracking.origin, selected.provider)
-                .as_millis_f64(),
-        );
+        let distance = shared.link_latencies.latency(shared.topology, tracking.origin, selected.provider);
+        tracking.download_distance_ms = Some(distance.as_millis_f64());
         // Natural replication: the requestor now stores (and later serves) the file.
         let keywords = shared.catalog.filename(file).keywords();
         self.peers[slot].share_file(file, keywords);
@@ -746,6 +486,11 @@ impl ShardState {
             return;
         }
         tracking.completed_at = Some(now);
+        // Any leftover lookup state is dead — e.g. the walk's last in-flight
+        // step was consumed by a departed index node that never replied.
+        if let Search::Dht { walk, .. } = &mut tracking.search {
+            *walk = None;
+        }
         let slot = shared.partition.slot(tracking.origin);
         let target = tracking.target;
         // Remove only if the entry is still this query's: the value check
@@ -753,9 +498,6 @@ impl ShardState {
         if self.issued[slot].get(&target) == Some(&(index as u32)) {
             self.issued[slot].remove(&target);
         }
-        // Any leftover lookup state is dead — e.g. the walk's last in-flight
-        // step was consumed by a departed index node that never replied.
-        self.dht_lookups.remove(&(index as u32));
         self.routes.complete(index);
     }
 
@@ -780,124 +522,27 @@ impl ShardState {
             TimeoutKind::DhtStep { peer } => (1u64 << 32) | u64::from(peer.0),
         };
         self.ledger.charge(index);
-        self.queue.push(
-            timeout_key(at, index, discriminator),
-            ShardEvent::Timeout {
-                index: index as u32,
-                kind,
-            },
-        );
-    }
-
-    /// Floods `message` from its origin as query `index`'s 0-based attempt
-    /// `attempt` — the issue is attempt 0, every retransmit the next — and
-    /// arms that attempt's deadline: the one place the unstructured family
-    /// does either. The attempt's id is stamped into the message (a fresh id
-    /// gives a re-flood its own duplicate-suppression and reverse-path state,
-    /// so peers that suppressed attempt `n` still forward attempt `n+1`) and
-    /// the origin registers it locally, with no upstream. The deadline is
-    /// armed only under a fault plan with a retransmit policy, and only if
-    /// the flood put messages in flight: a query with no forward targets is
-    /// complete as it stands, and retrying it would re-flood into the same
-    /// emptiness — so it is disarmed and the lifecycle closes the query.
-    fn flood_attempt(
-        &mut self,
-        shared: &RunShared<'_>,
-        graph: &OverlayGraph,
-        now: SimTime,
-        index: usize,
-        attempt: u32,
-        mut message: Message,
-    ) {
-        let Message::Query { query, origin, keywords, .. } = &mut message else {
-            unreachable!("only queries are flooded");
-        };
-        *query = attempt_id(index, attempt);
-        let origin = *origin;
-        self.routes.on_query(index, shared.partition.slot(origin) as u32, attempt, None);
-        shared.keyword_hashes.of_all_into(keywords, &mut self.scratch_hashes);
-        let sent = self.forward_query(shared, graph, now, origin, None, &message);
-        if sent && attempt > 0 {
-            self.tallies.query_retransmits += 1;
-        }
-        let policy = shared.faults.as_ref().and_then(|f| f.query_retransmit());
-        let Some(tracking) = self.tracking.get_mut(&(index as u32)) else {
-            return;
-        };
-        if let (true, Some(policy)) = (sent, policy) {
-            tracking.retry = Some(Box::new(RetryState { message, attempt }));
-            let deadline = now + Duration::from_secs_f64(policy.delay_secs(attempt));
-            self.schedule_timeout(deadline, index, TimeoutKind::Retransmit { attempt });
-        } else {
-            tracking.retry = None;
-        }
-    }
-
-    /// A retransmit deadline fired: if the query is still unanswered and has
-    /// retries left, re-flood it from the origin as the next attempt, which
-    /// arms the next, backed-off deadline.
-    fn retransmit_query(
-        &mut self,
-        shared: &RunShared<'_>,
-        graph: &OverlayGraph,
-        key: EventKey,
-        index: usize,
-        attempt: u32,
-    ) {
-        let live = |t: &&QueryTracking| !t.satisfied && t.completed_at.is_none();
-        let Some(tracking) = self.tracking.get(&(index as u32)).filter(live) else {
-            return;
-        };
-        let Some(retry) = tracking.retry.as_ref().filter(|r| r.attempt == attempt) else {
-            return;
-        };
-        let (origin, message) = (tracking.origin, retry.message.clone());
-        self.tallies.query_timeouts += 1;
-        let Some(policy) = shared.faults.as_ref().and_then(|f| f.query_retransmit()) else {
-            return;
-        };
-        if attempt >= policy.max_retries {
-            return;
-        }
-        if !graph.is_active(origin) {
-            // The origin itself departed: nobody is left to retry (or to
-            // receive an answer). The timer's consumption above lets the
-            // query complete honestly.
-            return;
-        }
-        self.flood_attempt(shared, graph, key.time, index, attempt + 1, message);
+        let event = ShardEvent::Timeout { index: index as u32, kind };
+        self.queue.push(timeout_key(at, index, discriminator), event);
     }
 
     // --- sending ------------------------------------------------------------
 
-    /// Sends a message, charging it — traffic and obligation — to `query` if
-    /// it belongs to one.
+    /// Sends a message of query `index`, charging it — traffic and
+    /// obligation — to the query.
     pub(super) fn send(
-        &mut self,
-        shared: &RunShared<'_>,
-        now: SimTime,
-        from: PeerId,
-        to: PeerId,
-        message: Message,
-        query: Option<usize>,
+        &mut self, shared: &RunShared<'_>, now: SimTime, from: PeerId, to: PeerId, message: Message, index: usize,
     ) {
         self.tallies.message_counts[kind_index(message.kind())] += 1;
-        if let Some(index) = query {
-            self.ledger.charge_message(index);
-        }
-        if let (true, Some(index)) = (self.route(shared, now, from, to, message), query) {
+        self.ledger.charge_message(index);
+        if self.route(shared, now, from, to, message) {
             self.ledger.escape(index);
         }
     }
 
     /// Sends a background (non-query) message such as a Bloom update.
     pub(super) fn send_background(
-        &mut self,
-        shared: &RunShared<'_>,
-        now: SimTime,
-        from: PeerId,
-        to: PeerId,
-        message: Message,
+        &mut self, shared: &RunShared<'_>, now: SimTime, from: PeerId, to: PeerId, message: Message,
     ) {
         self.tallies.message_counts[kind_index(message.kind())] += 1;
         self.tallies.background_messages += 1;
@@ -923,10 +568,7 @@ impl ShardState {
         // consumed there, it just carries no payload effect — so the query
         // lifecycle, and therefore every completion time, stays exact.
         debug_assert_eq!(from.0 & LOST_BIT, 0, "peer ids must stay below the lost tag");
-        let lost = shared
-            .faults
-            .as_ref()
-            .is_some_and(|plan| plan.lose(now, from, to, seq));
+        let lost = shared.faults.as_ref().is_some_and(|plan| plan.lose(now, from, to, seq));
         let key = deliver_key(at, to, from, seq);
         let from = if lost {
             self.tallies.messages_lost += 1;
@@ -960,7 +602,7 @@ mod tests {
     use super::super::exchange::issue_key;
     use super::super::{prepare, Coordinator};
     use super::*;
-    use crate::config::SimulationConfig;
+    use crate::config::{ProtocolKind, SimulationConfig};
     use crate::simulation::Simulation;
     use locaware_overlay::churn::ChurnEvent;
     use locaware_overlay::ChurnEventKind;
@@ -984,7 +626,8 @@ mod tests {
     fn last_hop_copy(shared: &RunShared<'_>, attempt: u32, keywords: Arc<[KeywordId]>) -> Message {
         let origin = PeerId(shared.arrivals[0].peer as u32);
         Message::Query {
-            query: attempt_id(0, attempt),
+            // Attempt `n` of arrival 0: the attempt rides in the high bits.
+            query: QueryId(u64::from(attempt) << 32),
             origin,
             origin_loc: shared.loc_ids[origin.index()],
             keywords,
@@ -1055,7 +698,7 @@ mod tests {
             assert_eq!(coordinator.graph.is_active(victim), online);
             let state = &mut shards[0];
             let (dispatched, seen) = (state.dispatched, sightings(state));
-            state.send(&shared, arrival.at, origin, victim, query.clone(), Some(0));
+            state.send(&shared, arrival.at, origin, victim, query.clone(), 0);
             state.drain(&shared, &coordinator.graph, u64::MAX);
             assert_eq!(state.dispatched, dispatched + 1, "retired either way");
             assert_eq!(sightings(state) - seen, u64::from(online), "processed only while online");
@@ -1083,7 +726,7 @@ mod tests {
         for attempt in 0..2 {
             state.routes.on_query(0, shared.partition.slot(relay) as u32, attempt, Some(beyond));
             let query = last_hop_copy(&shared, attempt, asked.clone());
-            state.process_delivery(&shared, graph, key, relay, holder, query);
+            unstructured::deliver(state, &shared, graph, key, relay, holder, query);
         }
 
         let mut hops = 0;
@@ -1100,7 +743,7 @@ mod tests {
             assert!(Arc::ptr_eq(query_keywords, &asked), "and the query's list is the query's own");
             hops += 1;
             if to == relay {
-                state.process_delivery(&shared, graph, key, from, to, message);
+                unstructured::deliver(state, &shared, graph, key, from, to, message);
             }
         }
         assert_eq!(hops, 4, "two responses, each relayed once");
@@ -1125,7 +768,7 @@ mod tests {
         let slot = shared.partition.slot(to);
         let query = last_hop_copy(&shared, 0, Arc::from([KeywordId(0)]));
         let deliver = |s: &mut ShardState, from: u32| {
-            s.process_delivery(&shared, sim.overlay(), key, PeerId(from), to, query.clone());
+            unstructured::deliver(s, &shared, sim.overlay(), key, PeerId(from), to, query.clone());
             (sightings(s), s.routes.response_next_hop(0, slot as u32, 0))
         };
         assert_eq!(deliver(away, 100), (1, Some(PeerId(100))));

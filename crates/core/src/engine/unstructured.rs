@@ -1,0 +1,463 @@
+//! The unstructured protocol family: queries flooded under the protocol's
+//! forwarding rule — Bloom-directed for Locaware (§4.2) — responses cached
+//! along the reverse path (§4.1.2), the fault plan's retransmit policy, and
+//! the neighbour Bloom filters the forwarding rule reads, which must cover
+//! what each neighbour stores (§5.2). Like [`super::dht`], it is plain
+//! functions over [`ShardState`] that the rest of the engine reaches through
+//! a handful of entry points: [`bootstrap`] at set-up, [`issue`], [`deliver`]
+//! and [`retransmit`] from a shard's event loop, and [`sync`] and [`on_join`]
+//! from the coordinator's barriers. The shard supplies the lifecycle and the
+//! transport; what the family keeps per query at its origin is the
+//! tracking entry's [`Search::Flood`].
+//!
+//! A query floods as numbered *attempts*: the issue is attempt 0, every
+//! retransmit the next. The attempt rides in the high 32 bits of the query
+//! id, so a re-flood gets its own duplicate-suppression and reverse-path
+//! entries in the query's route table — peers that suppressed attempt `n`
+//! still forward attempt `n+1` — while every per-query slab keys on the
+//! arrival index in the low bits.
+
+use locaware_bloom::ElementHashes;
+use locaware_overlay::routing::decrement_ttl;
+use locaware_overlay::{Message, OverlayGraph, PeerId, ProviderEntry, QueryId};
+use locaware_sim::{Duration, EventKey, SimTime};
+use locaware_workload::Query;
+
+use crate::config::ProtocolKind;
+use crate::peer::keyword_signature;
+use crate::protocol::{PeerView, QueryContext, ResponseContext};
+
+use super::lifecycle::HitMark;
+use super::shard::{query_index, Search, ShardState, TimeoutKind};
+use super::tally::decision_index;
+use super::{peer_mut, RunShared};
+
+/// The 0-based attempt a query id belongs to.
+fn query_attempt(query: QueryId) -> u32 {
+    (query.0 >> 32) as u32
+}
+
+/// The query id of `index`'s 0-based attempt `attempt` (attempt 0 is the
+/// original issue, whose id is the bare arrival index).
+fn attempt_id(index: usize, attempt: u32) -> QueryId {
+    QueryId(index as u64 | (u64::from(attempt) << 32))
+}
+
+// --- set-up and barrier transitions (coordinator side) ------------------------
+
+/// The initial Bloom exchange between neighbours ("Neighboring peers
+/// exchange their group Ids as well as their Bloom filters", §4.2), modelled
+/// as already done at simulation start: every peer's exported filter, which
+/// covers the files it stores, becomes its neighbours' view of it, and no
+/// delta is left pending.
+pub(super) fn bootstrap(shared: &RunShared<'_>, graph: &OverlayGraph, shards: &mut [ShardState]) {
+    let all_peers = || (0..shared.config.peers as u32).map(PeerId);
+    let initial_blooms: Vec<_> = all_peers()
+        .map(|id| {
+            let peer = peer_mut(shared, shards, id);
+            let _ = peer.take_bloom_update();
+            peer.exported_bloom().clone()
+        })
+        .collect();
+    for id in all_peers() {
+        let peer = peer_mut(shared, shards, id);
+        for &n in graph.neighbors(id) {
+            peer.set_neighbor_bloom(n, initial_blooms[n.index()].clone());
+        }
+    }
+}
+
+/// One Bloom synchronisation round: every online peer with a dirty filter
+/// pushes the delta to its active neighbours, in peer-id order.
+pub(super) fn sync(shared: &RunShared<'_>, shards: &mut [ShardState], graph: &OverlayGraph, now: SimTime) {
+    for from in graph.active_peers() {
+        let Some(delta) = peer_mut(shared, shards, from).take_bloom_update() else {
+            continue;
+        };
+        let shard = &mut shards[shared.partition.shard(from)];
+        for &n in graph.neighbors(from).iter().filter(|&&n| graph.is_active(n)) {
+            let message = Message::BloomDelta { delta: delta.clone() };
+            shard.send_background(shared, now, from, n, message);
+        }
+    }
+}
+
+/// A peer rejoined and was rewired: it and each of its new neighbours — a
+/// departure dropped all its old links — exchange group ids, as neighbours do
+/// on joining (§4.2). Serially at the churn barrier, in neighbour-id order.
+/// Their filters are not exchanged: README "Known model gaps".
+pub(super) fn on_join(shared: &RunShared<'_>, shards: &mut [ShardState], graph: &OverlayGraph, peer: PeerId) {
+    let gid = peer_mut(shared, shards, peer).gid;
+    for &n in graph.neighbors(peer) {
+        let neighbour = peer_mut(shared, shards, n);
+        neighbour.record_neighbor(peer, gid);
+        let neighbour_gid = neighbour.gid;
+        peer_mut(shared, shards, peer).record_neighbor(n, neighbour_gid);
+    }
+}
+
+// --- query resolution (shard side) ----------------------------------------------
+
+/// Issues an overlay-resolved query: its first attempt floods from the
+/// origin. Dicas searches for the exact filename; every other protocol sends
+/// keywords only.
+pub(super) fn issue(
+    state: &mut ShardState,
+    shared: &RunShared<'_>,
+    graph: &OverlayGraph,
+    now: SimTime,
+    index: usize,
+    query: Query,
+) {
+    let origin = PeerId(shared.arrivals[index].peer as u32);
+    let message = Message::Query {
+        query: attempt_id(index, 0),
+        origin,
+        origin_loc: shared.loc_ids[origin.index()],
+        keywords: query.keywords.into(),
+        target_filename: (shared.protocol.kind() == ProtocolKind::Dicas).then_some(query.target),
+        ttl: shared.config.ttl,
+    };
+    flood_attempt(state, shared, graph, now, index, 0, message);
+}
+
+/// Handles a delivered unstructured message at the online peer `to`.
+pub(super) fn deliver(
+    state: &mut ShardState,
+    shared: &RunShared<'_>,
+    graph: &OverlayGraph,
+    key: EventKey,
+    from: PeerId,
+    to: PeerId,
+    mut message: Message,
+) {
+    let slot = shared.partition.slot(to);
+    // Copy and `ref` bindings only, so a forwarded query or a relayed
+    // response is the delivered message itself, not a rebuilt one.
+    match message {
+        Message::Query { query, origin, origin_loc, ref keywords, ttl, .. } => {
+            let (index, attempt) = (query_index(query), query_attempt(query));
+            if !state.routes.on_query(index, slot as u32, attempt, Some(from)) {
+                return; // A duplicate: already seen along another path.
+            }
+            shared.keyword_hashes.of_all_into(keywords, &mut state.scratch_hashes);
+            // Does the receiver's storage signature let the shared-file walk
+            // happen at all? (Observability only: the protocol's matching
+            // rule applies the same test for itself.)
+            if state.peers[slot].may_store(keyword_signature(keywords)) {
+                state.tallies.storage_walks += 1;
+            } else {
+                state.tallies.storage_skips += 1;
+            }
+            let local_match = {
+                let qctx = query_context(&message, &state.scratch_hashes);
+                shared.protocol.local_match(&view(state, graph, shared, slot), &qctx)
+            };
+
+            if let Some(hit) = local_match {
+                let hops = shared.config.ttl.saturating_sub(ttl) + 1;
+                // First-processed hit wins: within this shard events drain in
+                // key order, so set-once keeps the shard minimum; finalize
+                // merges shards by key minimum.
+                state.ledger.record_hit(index, HitMark { key, hops, from_cache: hit.from_cache });
+                // §4.1.2: the answering peer records the requestor as a new
+                // provider of the file (subject to its caching rule).
+                let requestor_entry = ProviderEntry { provider: origin, loc_id: origin_loc };
+                // One allocation per file, the catalog's own; every response
+                // about the file shares it.
+                let file_keywords = shared.catalog.filename(hit.file).shared_keywords();
+                let response_ctx = ResponseContext {
+                    file: hit.file,
+                    file_keywords,
+                    query_keywords: keywords,
+                    providers: &[],
+                    requestor: requestor_entry,
+                };
+                shared.protocol.cache_response(&mut state.peers[slot], &shared.scheme, &response_ctx);
+
+                let response = Message::QueryResponse {
+                    query,
+                    file: hit.file,
+                    file_keywords: file_keywords.clone(),
+                    // The response carries the query's keywords so caching
+                    // peers along the reverse path never need the origin
+                    // shard's tracking state.
+                    query_keywords: keywords.clone(),
+                    providers: hit.providers,
+                    requestor: requestor_entry,
+                };
+                if let Some(upstream) = state.routes.response_next_hop(index, slot as u32, attempt) {
+                    state.send(shared, key.time, to, upstream, response, index);
+                }
+                return;
+            }
+
+            // No local hit: keep forwarding while TTL allows.
+            let Some(remaining) = decrement_ttl(ttl) else {
+                return;
+            };
+            if let Message::Query { ttl, .. } = &mut message {
+                *ttl = remaining;
+            }
+            forward_query(state, shared, graph, key.time, to, Some(from), &message);
+        }
+        Message::QueryResponse {
+            query,
+            file,
+            ref file_keywords,
+            ref query_keywords,
+            ref providers,
+            requestor,
+        } => {
+            let index = query_index(query);
+            // The origin is a pure function of the query id (= arrival
+            // index), so any shard can answer "am I the origin?" without
+            // reading the origin shard's tracking slab.
+            let origin = PeerId(shared.arrivals[index].peer as u32);
+            if origin == to {
+                state.satisfy(shared, graph, index, file, providers);
+                return;
+            }
+
+            // Intermediate peer: cache per protocol rule, then relay.
+            let response_ctx = ResponseContext {
+                file,
+                file_keywords,
+                query_keywords,
+                providers,
+                requestor,
+            };
+            shared.protocol.cache_response(&mut state.peers[slot], &shared.scheme, &response_ctx);
+            let upstream = state.routes.response_next_hop(index, slot as u32, query_attempt(query));
+            if let Some(upstream) = upstream {
+                state.send(shared, key.time, to, upstream, message, index);
+            }
+        }
+        Message::BloomFull { filter } => state.peers[slot].set_neighbor_bloom(from, filter),
+        Message::BloomDelta { delta } => state.peers[slot].apply_neighbor_bloom_delta(from, &delta),
+        _ => unreachable!("only unstructured messages are delivered to the unstructured family"),
+    }
+}
+
+/// A retransmit deadline fired — the one armed for query `index`, whose last
+/// flood was attempt `attempt`: if the query is still unanswered and has
+/// retries left, re-flood it from the origin as the next attempt, which arms
+/// the next, backed-off deadline.
+pub(super) fn retransmit(
+    state: &mut ShardState,
+    shared: &RunShared<'_>,
+    graph: &OverlayGraph,
+    key: EventKey,
+    index: usize,
+    attempt: u32,
+) {
+    let Some(tracking) = state.tracking.get_mut(&(index as u32)) else {
+        return;
+    };
+    let Search::Flood { retry } = &mut tracking.search else {
+        return;
+    };
+    // Taken: no deadline is armed any more until a re-flood arms the next.
+    let Some(message) = retry.take() else {
+        return;
+    };
+    if tracking.satisfied {
+        return;
+    }
+    let origin = tracking.origin;
+    state.tallies.query_timeouts += 1;
+    let retries = shared.faults.as_ref().and_then(|f| f.query_retransmit()).map_or(0, |p| p.max_retries);
+    // A departed origin has nobody left to retry for (or to receive an
+    // answer); the timer's consumption lets the query complete honestly.
+    if attempt < retries && graph.is_active(origin) {
+        flood_attempt(state, shared, graph, key.time, index, attempt + 1, *message);
+    }
+}
+
+/// Floods `message` from its origin as query `index`'s 0-based attempt
+/// `attempt` and arms that attempt's deadline: the one place the family does
+/// either. The attempt's id is stamped into the message and the origin
+/// registers it locally, with no upstream. The deadline is armed only under
+/// a fault plan with a retransmit policy, and only if the flood put messages
+/// in flight: a query with no forward targets is complete as it stands, and
+/// retrying it would re-flood into the same emptiness.
+fn flood_attempt(
+    state: &mut ShardState,
+    shared: &RunShared<'_>,
+    graph: &OverlayGraph,
+    now: SimTime,
+    index: usize,
+    attempt: u32,
+    mut message: Message,
+) {
+    let Message::Query { query, origin, keywords, .. } = &mut message else {
+        unreachable!("only queries are flooded");
+    };
+    *query = attempt_id(index, attempt);
+    let origin = *origin;
+    state.routes.on_query(index, shared.partition.slot(origin) as u32, attempt, None);
+    shared.keyword_hashes.of_all_into(keywords, &mut state.scratch_hashes);
+    let sent = forward_query(state, shared, graph, now, origin, None, &message);
+    if sent && attempt > 0 {
+        state.tallies.query_retransmits += 1;
+    }
+    let policy = shared.faults.as_ref().and_then(|f| f.query_retransmit());
+    let (true, Some(policy)) = (sent, policy) else {
+        return;
+    };
+    let Some(tracking) = state.tracking.get_mut(&(index as u32)) else {
+        return;
+    };
+    tracking.search = Search::Flood { retry: Some(Box::new(message)) };
+    let deadline = now + Duration::from_secs_f64(policy.delay_secs(attempt));
+    state.schedule_timeout(deadline, index, TimeoutKind::Retransmit { attempt });
+}
+
+/// Forwards the query `message` from peer `at` — the origin at issue or
+/// retransmit time (`exclude` is `None`: there is no upstream), a relay
+/// otherwise (`exclude` is the neighbour it arrived from): the protocol picks
+/// the forward targets, the decision is tallied and every target is sent one
+/// copy. `scratch_hashes` must already hold the hashes of the query's
+/// keywords. Returns whether anything was sent.
+fn forward_query(
+    state: &mut ShardState,
+    shared: &RunShared<'_>,
+    graph: &OverlayGraph,
+    now: SimTime,
+    at: PeerId,
+    exclude: Option<PeerId>,
+    message: &Message,
+) -> bool {
+    let mut targets = std::mem::take(&mut state.scratch_targets);
+    let (index, decision) = {
+        let qctx = query_context(message, &state.scratch_hashes);
+        let view = view(state, graph, shared, shared.partition.slot(at));
+        let decision = shared.protocol.forward_targets_into(&view, &qctx, exclude, &mut targets);
+        (query_index(qctx.query), decision)
+    };
+    state.tallies.decision_counts[decision_index(decision)] += 1;
+    // Copies share the keyword list (`Arc`), so the per-target cost is a
+    // reference-count bump, not a clone.
+    for &target in &targets {
+        state.send(shared, now, at, target, message.clone(), index);
+    }
+    let sent = !targets.is_empty();
+    targets.clear();
+    state.scratch_targets = targets;
+    sent
+}
+
+/// The protocol's view of the query `message`, whose keywords' Bloom hashes
+/// are `keyword_hashes`: the one place the family builds a [`QueryContext`].
+fn query_context<'m>(message: &'m Message, keyword_hashes: &'m [ElementHashes]) -> QueryContext<'m> {
+    let Message::Query { query, origin, origin_loc, keywords, target_filename, .. } = message else {
+        unreachable!("only queries have a query context");
+    };
+    QueryContext {
+        query: *query,
+        origin: *origin,
+        origin_loc: *origin_loc,
+        keywords,
+        keyword_hashes,
+        target_filename: *target_filename,
+    }
+}
+
+/// What the protocol may read of the peer in `slot` of `state`.
+fn view<'v>(
+    state: &'v ShardState, graph: &'v OverlayGraph, shared: &'v RunShared<'_>, slot: usize,
+) -> PeerView<'v> {
+    PeerView {
+        state: &state.peers[slot],
+        graph,
+        scheme: &shared.scheme,
+        catalog: shared.catalog,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::prepare;
+    use super::super::shard::QueryTracking;
+    use super::*;
+    use crate::config::SimulationConfig;
+    use crate::simulation::Simulation;
+    use locaware_workload::{FileId, KeywordId, TimeoutPolicy};
+    use std::sync::Arc;
+
+    /// A 40-peer single-shard substrate whose fault plan re-floods an
+    /// unanswered query twice: deadlines 10 s, 20 s and 40 s after each flood.
+    fn retrying() -> Simulation {
+        let mut config = SimulationConfig::small(40);
+        config.shards = 1;
+        config.faults.query_timeout = TimeoutPolicy { initial_secs: 10.0, backoff: 2.0, max_retries: 2 };
+        Simulation::try_build(config).expect("test configuration validates")
+    }
+
+    /// Floods arrival 0 as a query for `keywords` over `graph`, the way its
+    /// issue would, then drains at most 10 000 events. Returns the issue time.
+    fn flood(sim: &Simulation, graph: &OverlayGraph, keywords: Arc<[KeywordId]>) -> (ShardState, SimTime) {
+        let (shared, mut shards) = prepare(sim, ProtocolKind::Flooding, sim.arrivals(1), true);
+        let mut state = shards.remove(0);
+        // Only what the flood sends is to be dispatched, not the arrival's issue.
+        while state.queue.pop_before(EventKey::MAX).is_some() {}
+        let (now, origin) = (shared.arrivals[0].at, PeerId(shared.arrivals[0].peer as u32));
+        let tracking = QueryTracking::new(&shared, 0, FileId(0), Search::Flood { retry: None });
+        state.tracking.insert(0, tracking);
+        let message = Message::Query {
+            query: QueryId(0),
+            origin,
+            origin_loc: shared.loc_ids[origin.index()],
+            keywords,
+            target_filename: None,
+            ttl: shared.config.ttl,
+        };
+        flood_attempt(&mut state, &shared, graph, now, 0, 0, message);
+        state.drain(&shared, graph, 10_000);
+        (state, now)
+    }
+
+    #[test]
+    fn an_unanswered_query_refloods_until_its_retries_run_out() {
+        let sim = retrying();
+        // A keyword no filename has: nobody can answer.
+        let (state, issued) = flood(&sim, sim.overlay(), Arc::from([KeywordId(u32::MAX)]));
+        assert_eq!((state.tallies.query_timeouts, state.tallies.query_retransmits), (3, 2));
+        let deadlines = [10.0, 20.0, 40.0].map(Duration::from_secs_f64);
+        let last_deadline = deadlines.into_iter().fold(issued, |t, delay| t + delay);
+        assert_eq!(state.tracking[&0].completed_at, Some(last_deadline), "completes at its last deadline");
+        assert!(state.ledger.drained_locally(0) && state.queue.peek_key().is_none(), "no timer left charged");
+        assert_eq!(state.routes.live(), 0);
+    }
+
+    #[test]
+    fn a_satisfied_query_refloods_nothing() {
+        let sim = retrying();
+        let arrival = sim.arrivals(1)[0];
+        let origin = PeerId(arrival.peer as u32);
+        let initial = sim.initial_shares();
+        let lacks = |file: &FileId| !initial[origin.index()].contains(file);
+        // A file a neighbour of the origin stores and the origin does not.
+        let mut neighbours = sim.overlay().neighbors(origin).iter();
+        let file = neighbours.find_map(|n| initial[n.index()].iter().copied().find(lacks));
+        let keywords = sim.catalog().filename(file.expect("a neighbour's file")).shared_keywords().clone();
+        let (state, _) = flood(&sim, sim.overlay(), keywords);
+        assert!(state.tracking[&0].satisfied);
+        assert_eq!((state.tallies.query_timeouts, state.tallies.query_retransmits), (0, 0));
+        assert!(state.ledger.drained_locally(0) && state.queue.peek_key().is_none());
+    }
+
+    #[test]
+    fn a_flood_that_sends_nothing_arms_no_deadline() {
+        let sim = retrying();
+        let origin = PeerId(sim.arrivals(1)[0].peer as u32);
+        let mut isolated = sim.overlay().clone();
+        for &n in sim.overlay().neighbors(origin) {
+            isolated.depart(n);
+        }
+        let (state, _) = flood(&sim, &isolated, Arc::from([KeywordId(u32::MAX)]));
+        assert_eq!(state.tallies.message_counts, [0; 7], "nothing sent");
+        assert_eq!(state.tallies.query_timeouts, 0, "and nothing armed");
+        assert!(state.ledger.drained_locally(0), "so the issue is born complete");
+    }
+}
