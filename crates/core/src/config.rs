@@ -94,8 +94,9 @@ pub enum ConfigError {
         /// The configured rate in queries per second per peer.
         rate_per_peer: f64,
     },
-    /// The arrival schedule is degenerate (empty phase list, non-positive
-    /// multiplier, zero-length or negative segment, bad burst start).
+    /// The arrival schedule is degenerate (non-positive multiplier,
+    /// zero-length or negative window, bad burst start, a window past the
+    /// clock).
     ArrivalSchedule(ScheduleError),
     /// The workload cluster weights are unusable for this population.
     ClusterWeights(ClusterWeightsError),
@@ -114,8 +115,8 @@ pub enum ConfigError {
     ZeroCacheCapacity,
     /// A Bloom filter parameter (bits or hash count) is zero.
     ZeroBloomParameters,
-    /// The neighbour Bloom-filter synchronisation period is not positive and
-    /// finite on the microsecond simulation clock.
+    /// The neighbour Bloom-filter synchronisation period is under one tick of
+    /// the microsecond simulation clock or does not fit it.
     NonPositiveBloomSyncPeriod {
         /// The configured period in simulated seconds.
         period_secs: f64,
@@ -141,8 +142,8 @@ pub enum ConfigError {
         /// The smallest cap that holds one entry.
         minimum: usize,
     },
-    /// A DHT period (record TTL or republish interval) is not positive and
-    /// finite on the microsecond simulation clock.
+    /// A DHT period (record TTL or republish interval) is under one tick of
+    /// the microsecond simulation clock or does not fit it.
     NonPositiveDhtPeriod {
         /// The offending period in simulated seconds.
         period_secs: f64,
@@ -227,8 +228,8 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NonPositiveBloomSyncPeriod { period_secs } => {
                 write!(
                     f,
-                    "Bloom sync period must be finite and at least one microsecond: \
-                     got {period_secs}s"
+                    "Bloom sync period must be at least one microsecond and fit the \
+                     microsecond simulation clock: got {period_secs}s"
                 )
             }
             ConfigError::ZeroDhtParameters => {
@@ -242,7 +243,8 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NonPositiveDhtPeriod { period_secs } => {
                 write!(
                     f,
-                    "DHT periods must be finite and at least one microsecond: got {period_secs}s"
+                    "DHT periods must be at least one microsecond and fit the microsecond \
+                     simulation clock: got {period_secs}s"
                 )
             }
             ConfigError::DhtHeadFractionOutOfRange { head_fraction } => write!(
@@ -533,7 +535,7 @@ impl SimulationConfig {
             ttl: 7,
             min_latency_ms: 10.0,
             max_latency_ms: 500.0,
-            placement: PlacementModel::Clustered {
+            placement: PlacementModel {
                 clusters: 24,
                 sigma: 0.03,
             },
@@ -631,13 +633,12 @@ impl SimulationConfig {
                 max_latency_ms: self.max_latency_ms,
             });
         }
-        if let PlacementModel::Clustered { clusters, sigma } = self.placement {
-            if clusters == 0 {
-                return Err(ConfigError::ZeroClusters);
-            }
-            if !(sigma >= 0.0 && sigma.is_finite()) {
-                return Err(ConfigError::PlacementSigmaOutOfRange { sigma });
-            }
+        let PlacementModel { clusters, sigma } = self.placement;
+        if clusters == 0 {
+            return Err(ConfigError::ZeroClusters);
+        }
+        if !(sigma >= 0.0 && sigma.is_finite()) {
+            return Err(ConfigError::PlacementSigmaOutOfRange { sigma });
         }
         if self.landmarks == 0 || self.landmarks > 8 {
             return Err(ConfigError::LandmarksOutOfRange { landmarks: self.landmarks });
@@ -741,11 +742,12 @@ impl SimulationConfig {
 }
 
 /// Whether a period in simulated seconds can drive a periodic schedule: it
-/// must be finite and round to at least one tick of the microsecond clock.
-/// A period that is `NaN` or rounds to zero would never advance the
-/// schedule, and the run would hang generating control events.
+/// must fit the microsecond clock and round to at least one tick of it. A
+/// period that is `NaN` or rounds to zero would never advance the schedule,
+/// and the run would hang generating control events; one past the clock
+/// would overflow the first time it is added to the current time.
 fn is_schedulable_period(period_secs: f64) -> bool {
-    period_secs.is_finite()
+    locaware_sim::Duration::try_from_millis_f64(period_secs * 1000.0).is_some()
         && locaware_sim::Duration::from_secs_f64(period_secs) > locaware_sim::Duration::ZERO
 }
 
@@ -865,13 +867,13 @@ mod tests {
         }
 
         let mut c = SimulationConfig::paper_defaults();
-        c.placement = PlacementModel::Clustered { clusters: 0, sigma: 0.03 };
+        c.placement = PlacementModel { clusters: 0, sigma: 0.03 };
         assert_eq!(c.validate(), Err(ConfigError::ZeroClusters));
 
         // NaN or infinite coordinates used to clamp every latency to zero.
         for sigma in [f64::NAN, -1.0, f64::INFINITY] {
             let mut c = SimulationConfig::paper_defaults();
-            c.placement = PlacementModel::Clustered { clusters: 24, sigma };
+            c.placement = PlacementModel { clusters: 24, sigma };
             assert!(matches!(c.validate(), Err(ConfigError::PlacementSigmaOutOfRange { .. })));
         }
     }
@@ -907,11 +909,19 @@ mod tests {
         c.query_rate_per_peer = f64::NAN;
         assert!(matches!(c.validate(), Err(ConfigError::NonPositiveQueryRate { .. })));
 
-        let mut c = SimulationConfig::paper_defaults();
-        c.arrival_schedule = ArrivalSchedule::Phases(Vec::new());
+        // A burst past the clock put a churn-storm horizon at about
+        // `u64::MAX` microseconds, and the churn schedule never returned.
+        let mut c = crate::Scenario::churn_storm(40).config().clone();
+        c.arrival_schedule = ArrivalSchedule::Burst {
+            multiplier: 2.0,
+            start_secs: 1e18,
+            duration_secs: 60.0,
+        };
         assert_eq!(
-            c.validate(),
-            Err(ConfigError::ArrivalSchedule(ScheduleError::EmptyPhases))
+            crate::Simulation::try_build(c).err(),
+            Some(ConfigError::ArrivalSchedule(ScheduleError::BurstBeyondClock {
+                end_secs: 1e18 + 60.0
+            }))
         );
 
         let mut c = SimulationConfig::paper_defaults();
@@ -1101,7 +1111,7 @@ mod tests {
             set(&mut c, bad);
             c.validate()
         };
-        for bad in [1e-7, f64::NAN, f64::INFINITY] {
+        for bad in [1e-7, f64::NAN, f64::INFINITY, 1e18] {
             assert!(
                 matches!(
                     rejected(|c, bad| c.bloom_sync_period_secs = bad, bad),
@@ -1175,48 +1185,51 @@ mod tests {
         matches!(ran, Ok(Ok(())))
     }
 
-    /// Every float knob at NaN, −1, ∞ and 0 either fails validation or runs:
-    /// a config `validate()` accepts builds a 40-peer substrate and carries
-    /// 20 queries of `hybrid` and of `flooding` without a panic.
+    /// Every float knob at NaN, −1, ∞, 0 and 10¹⁸ either fails validation or
+    /// runs: a config `validate()` accepts builds a 40-peer substrate and
+    /// carries 20 queries of `hybrid` and of `flooding` without a panic.
     #[test]
     fn every_float_knob_fails_validation_or_runs() {
-        type Knob = fn(&mut SimulationConfig) -> &mut f64;
-        let knobs: [(&str, Knob); 17] = [
-            ("average_degree", |c| &mut c.average_degree),
-            ("min_latency_ms", |c| &mut c.min_latency_ms),
-            ("max_latency_ms", |c| &mut c.max_latency_ms),
-            ("placement.sigma", |c| match &mut c.placement {
-                PlacementModel::Clustered { sigma, .. } => sigma,
-                PlacementModel::Uniform => unreachable!("small() places peers in clusters"),
-            }),
-            ("zipf_exponent", |c| &mut c.zipf_exponent),
-            ("query_rate_per_peer", |c| &mut c.query_rate_per_peer),
-            ("bloom_sync_period_secs", |c| &mut c.bloom_sync_period_secs),
-            ("dht.record_ttl_secs", |c| &mut c.dht.record_ttl_secs),
-            ("dht.republish_period_secs", |c| &mut c.dht.republish_period_secs),
-            ("dht.hybrid_head_fraction", |c| &mut c.dht.hybrid_head_fraction),
-            ("churn.mean_session_secs", |c| &mut c.churn.mean_session_secs),
-            ("churn.mean_offline_secs", |c| &mut c.churn.mean_offline_secs),
-            ("churn.churning_fraction", |c| &mut c.churn.churning_fraction),
-            ("faults.message_loss", |c| &mut c.faults.message_loss),
-            ("faults.dht_step_timeout_secs", |c| &mut c.faults.dht_step_timeout_secs),
+        type Knob = fn(&mut SimulationConfig, f64);
+        fn burst(multiplier: f64, start_secs: f64, duration_secs: f64) -> ArrivalSchedule {
+            ArrivalSchedule::Burst { multiplier, start_secs, duration_secs }
+        }
+        let knobs: [(&str, Knob); 20] = [
+            ("average_degree", |c, v| c.average_degree = v),
+            ("min_latency_ms", |c, v| c.min_latency_ms = v),
+            ("max_latency_ms", |c, v| c.max_latency_ms = v),
+            ("placement.sigma", |c, v| c.placement.sigma = v),
+            ("zipf_exponent", |c, v| c.zipf_exponent = v),
+            ("query_rate_per_peer", |c, v| c.query_rate_per_peer = v),
+            ("arrival_schedule.multiplier", |c, v| c.arrival_schedule = burst(v, 60.0, 600.0)),
+            ("arrival_schedule.start_secs", |c, v| c.arrival_schedule = burst(5.0, v, 600.0)),
+            ("arrival_schedule.duration_secs", |c, v| c.arrival_schedule = burst(5.0, 60.0, v)),
+            ("bloom_sync_period_secs", |c, v| c.bloom_sync_period_secs = v),
+            ("dht.record_ttl_secs", |c, v| c.dht.record_ttl_secs = v),
+            ("dht.republish_period_secs", |c, v| c.dht.republish_period_secs = v),
+            ("dht.hybrid_head_fraction", |c, v| c.dht.hybrid_head_fraction = v),
+            ("churn.mean_session_secs", |c, v| c.churn.mean_session_secs = v),
+            ("churn.mean_offline_secs", |c, v| c.churn.mean_offline_secs = v),
+            ("churn.churning_fraction", |c, v| c.churn.churning_fraction = v),
+            ("faults.message_loss", |c, v| c.faults.message_loss = v),
+            ("faults.dht_step_timeout_secs", |c, v| c.faults.dht_step_timeout_secs = v),
             // Each with the rest of the retransmit policy armed, so the value
             // under test is the one that decides.
-            ("faults.query_timeout.initial_secs", |c| {
+            ("faults.query_timeout.initial_secs", |c, v| {
                 c.faults.query_timeout.max_retries = 2;
-                &mut c.faults.query_timeout.initial_secs
+                c.faults.query_timeout.initial_secs = v;
             }),
-            ("faults.query_timeout.backoff", |c| {
+            ("faults.query_timeout.backoff", |c, v| {
                 c.faults.query_timeout.initial_secs = 5.0;
                 c.faults.query_timeout.max_retries = 2;
-                &mut c.faults.query_timeout.backoff
+                c.faults.query_timeout.backoff = v;
             }),
         ];
         let mut panicked = Vec::new();
         for (name, knob) in knobs {
-            for value in [f64::NAN, -1.0, f64::INFINITY, 0.0] {
+            for value in [f64::NAN, -1.0, f64::INFINITY, 0.0, 1e18] {
                 let mut config = SimulationConfig::small(40);
-                *knob(&mut config) = value;
+                knob(&mut config, value);
                 if !fails_validation_or_runs(config, 20) {
                     panicked.push(format!("{name} = {value}"));
                 }

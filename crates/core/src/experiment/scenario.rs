@@ -193,7 +193,7 @@ impl Scenario {
     pub fn regional_hotspot(peers: usize) -> Self {
         let mut config = SimulationConfig::small(peers);
         config.seed = 0x4E61_0750;
-        config.placement = PlacementModel::Clustered {
+        config.placement = PlacementModel {
             clusters: 3,
             sigma: 0.015,
         };
@@ -377,10 +377,7 @@ mod tests {
         assert!(small.config().churn.is_disabled());
         assert!(!storm.config().churn.is_disabled());
         assert!(storm.config().arrival_schedule.is_steady());
-        assert!(matches!(
-            hotspot.config().placement,
-            PlacementModel::Clustered { clusters: 3, .. }
-        ));
+        assert_eq!(hotspot.config().placement.clusters, 3);
         // The hotspot concentrates both storage and query origins.
         let weights = hotspot.config().cluster_weights.as_ref().expect("weighted clusters");
         assert_eq!(weights.weights(), &REGIONAL_HOTSPOT_WEIGHTS);

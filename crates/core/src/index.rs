@@ -30,6 +30,7 @@
 //! is the eager alternative — a scan of the whole cache, which no simulation
 //! run calls.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 
 use locaware_net::LocId;
@@ -297,44 +298,37 @@ impl ResponseIndex {
         let now = self.clock;
         let mut evictions = Vec::new();
 
-        match self.entries.get_mut(&file) {
-            Some(entry) => {
+        if !self.entries.contains_key(&file) && self.entries.len() >= self.capacity {
+            evictions.extend(self.evict_least_recent());
+        }
+        let entry = match self.entries.entry(file) {
+            Entry::Occupied(slot) => {
                 // Touch: move the entry to the most-recent end of the
                 // recency order.
+                let entry = slot.into_mut();
                 let was = self.recency.remove(&(entry.last_touched, file));
                 debug_assert!(was, "every entry has a recency key");
                 entry.last_touched = now;
-                self.recency.insert((now, file));
+                entry
             }
-            None => {
-                if self.entries.len() >= self.capacity {
-                    if let Some(evicted) = self.evict_least_recent() {
-                        evictions.push(evicted);
-                    }
-                }
-                self.entries.insert(
-                    file,
-                    IndexEntry {
-                        file,
-                        keywords: keywords.to_vec(),
-                        providers: Vec::new(),
-                        last_touched: now,
-                    },
-                );
-                self.recency.insert((now, file));
+            Entry::Vacant(slot) => {
                 for &kw in keywords {
                     match self.postings.entry(kw) {
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            slot.insert(PostingsList::One(file));
+                        Entry::Vacant(list) => {
+                            list.insert(PostingsList::One(file));
                         }
-                        std::collections::hash_map::Entry::Occupied(mut slot) => {
-                            slot.get_mut().add(file);
-                        }
+                        Entry::Occupied(mut list) => list.get_mut().add(file),
                     }
                 }
+                slot.insert(IndexEntry {
+                    file,
+                    keywords: keywords.to_vec(),
+                    providers: Vec::new(),
+                    last_touched: now,
+                })
             }
-        }
-        let entry = self.entries.get_mut(&file).expect("entry was just ensured");
+        };
+        self.recency.insert((now, file));
 
         for (peer, loc_id) in providers {
             match entry.providers.iter_mut().find(|p| p.peer == peer) {

@@ -118,7 +118,7 @@ mod tests {
     fn setup() -> (PhysicalTopology, Vec<LocId>) {
         let gen = BriteGenerator::new(BriteConfig {
             nodes: 50,
-            placement: PlacementModel::Clustered {
+            placement: PlacementModel {
                 clusters: 4,
                 sigma: 0.02,
             },

@@ -221,9 +221,8 @@ impl Simulation {
     /// disabled, which is the paper's setup).
     ///
     /// The horizon covers both the last *arrival* and the arrival schedule's
-    /// intrinsic span: under a burst (or any schedule with a quiet tail) the
-    /// final query can land long before the schedule ends, and churn must
-    /// keep churning through the trailing quiet phases. With no arrivals and
+    /// intrinsic span: under a burst the final query can land long before the
+    /// schedule ends, and churn must keep churning through the rest of it. With no arrivals and
     /// a steady schedule the horizon stays `SimTime::ZERO` (no churn).
     pub fn churn_schedule(&self, arrivals: &[Arrival]) -> Vec<ChurnEvent> {
         if self.config.churn.is_disabled() {
@@ -249,15 +248,6 @@ impl Simulation {
         let arrivals = self.arrivals(num_queries);
         let churn = self.churn_schedule(&arrivals);
         crate::engine::run(self, protocol, arrivals, &churn)
-    }
-
-    /// Runs every protocol in `protocols` over the identical substrate and
-    /// query schedule, returning the reports in the same order.
-    pub fn run_all(&self, protocols: &[ProtocolKind], num_queries: usize) -> Vec<SimulationReport> {
-        protocols
-            .iter()
-            .map(|&p| self.run(p, num_queries))
-            .collect()
     }
 }
 

@@ -1,38 +1,35 @@
 //! BRITE-inspired underlay generation.
 //!
 //! BRITE (Boston university Representative Internet Topology gEnerator) places
-//! nodes on a plane — either uniformly or in heavy-tailed clusters — and derives
-//! link delays from geometric distance. The Locaware paper only borrows the
+//! nodes on a plane — uniformly or in heavy-tailed clusters — and derives link
+//! delays from geometric distance. The Locaware paper only borrows the
 //! delay model: "we generate an underlying topology of peers connected with
 //! links of variable latencies; the model inspired by BRITE assigns latencies
 //! between 10 and 500 ms" (§5.1).
 //!
-//! [`BriteGenerator`] reproduces that: it places peers in the unit square
-//! (uniformly, or grouped into a configurable number of clusters to mimic the
-//! Internet's regional structure — clustering is what makes landmark binning
-//! meaningful) and wraps the result in a [`PhysicalTopology`] whose latencies
-//! fall in the configured range.
+//! [`BriteGenerator`] reproduces that: it places peers in the unit square,
+//! grouped into a configurable number of clusters to mimic the Internet's
+//! regional structure (clustering is what makes landmark binning meaningful;
+//! every run uses it, so uniform placement is not offered), and wraps the
+//! result in a [`PhysicalTopology`] whose latencies fall in the configured
+//! range.
 
 use rand::Rng;
 
 use crate::coordinates::Point;
 use crate::topology::{LatencyModel, PhysicalTopology};
 
-/// How peers are spread over the plane.
+/// How peers are spread over the plane: grouped around `clusters`
+/// uniformly-placed cluster centres with Gaussian spread `sigma` (BRITE
+/// "heavy-tailed"/hierarchical flavour). This mimics regional Internet
+/// structure: peers in the same cluster see each other with low latency and
+/// produce identical landmark orderings.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PlacementModel {
-    /// Uniform i.i.d. placement over the unit square (BRITE "random" mode).
-    Uniform,
-    /// Peers are grouped around `clusters` uniformly-placed cluster centres with
-    /// Gaussian spread `sigma` (BRITE "heavy-tailed"/hierarchical flavour).
-    /// This mimics regional Internet structure: peers in the same cluster see
-    /// each other with low latency and produce identical landmark orderings.
-    Clustered {
-        /// Number of cluster centres.
-        clusters: usize,
-        /// Standard deviation of the per-coordinate offset around a centre.
-        sigma: f64,
-    },
+pub struct PlacementModel {
+    /// Number of cluster centres.
+    pub clusters: usize,
+    /// Standard deviation of the per-coordinate offset around a centre.
+    pub sigma: f64,
 }
 
 /// Configuration of the BRITE-inspired generator.
@@ -54,7 +51,7 @@ impl Default for BriteConfig {
     fn default() -> Self {
         BriteConfig {
             nodes: 1000,
-            placement: PlacementModel::Clustered {
+            placement: PlacementModel {
                 clusters: 24,
                 sigma: 0.03,
             },
@@ -76,16 +73,17 @@ impl BriteGenerator {
     ///
     /// # Panics
     /// Panics if the configuration is internally inconsistent (zero nodes,
-    /// inverted latency range, or a clustered placement with zero clusters).
+    /// inverted latency range, or a placement with zero clusters).
     pub fn new(config: BriteConfig) -> Self {
         assert!(config.nodes > 0, "topology must contain at least one node");
         assert!(
             config.min_latency_ms > 0.0 && config.max_latency_ms >= config.min_latency_ms,
             "latency range must satisfy 0 < min <= max"
         );
-        if let PlacementModel::Clustered { clusters, .. } = config.placement {
-            assert!(clusters > 0, "clustered placement needs at least one cluster");
-        }
+        assert!(
+            config.placement.clusters > 0,
+            "clustered placement needs at least one cluster"
+        );
         BriteGenerator { config }
     }
 
@@ -97,12 +95,7 @@ impl BriteGenerator {
     /// Generates a topology using the supplied RNG (typically the
     /// `StreamId::PhysicalTopology` stream).
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> PhysicalTopology {
-        let positions = match self.config.placement {
-            PlacementModel::Uniform => self.place_uniform(rng),
-            PlacementModel::Clustered { clusters, sigma } => {
-                self.place_clustered(rng, clusters, sigma)
-            }
-        };
+        let positions = self.place_clustered(rng);
         let model = LatencyModel {
             min_latency_ms: self.config.min_latency_ms,
             max_latency_ms: self.config.max_latency_ms,
@@ -112,18 +105,8 @@ impl BriteGenerator {
         PhysicalTopology::new(positions, model)
     }
 
-    fn place_uniform<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<Point> {
-        (0..self.config.nodes)
-            .map(|_| Point::new(rng.gen::<f64>(), rng.gen::<f64>()))
-            .collect()
-    }
-
-    fn place_clustered<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        clusters: usize,
-        sigma: f64,
-    ) -> Vec<Point> {
+    fn place_clustered<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<Point> {
+        let PlacementModel { clusters, sigma } = self.config.placement;
         let centres: Vec<Point> = (0..clusters)
             .map(|_| Point::new(rng.gen::<f64>(), rng.gen::<f64>()))
             .collect();
@@ -171,7 +154,6 @@ mod tests {
     fn latencies_fall_in_configured_range() {
         let gen = BriteGenerator::new(BriteConfig {
             nodes: 60,
-            placement: PlacementModel::Uniform,
             ..BriteConfig::default()
         });
         let topo = gen.generate(&mut StdRng::seed_from_u64(2));
@@ -219,7 +201,7 @@ mod tests {
         // should be far below the global average.
         let gen = BriteGenerator::new(BriteConfig {
             nodes: 200,
-            placement: PlacementModel::Clustered {
+            placement: PlacementModel {
                 clusters: 10,
                 sigma: 0.02,
             },

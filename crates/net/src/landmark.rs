@@ -203,7 +203,7 @@ mod tests {
     fn assign_all_covers_every_node() {
         let gen = BriteGenerator::new(BriteConfig {
             nodes: 100,
-            placement: PlacementModel::Clustered {
+            placement: PlacementModel {
                 clusters: 8,
                 sigma: 0.02,
             },
@@ -227,7 +227,6 @@ mod tests {
         // many more localities than with 4 landmarks (24 locIds).
         let gen = BriteGenerator::new(BriteConfig {
             nodes: 200,
-            placement: PlacementModel::Uniform,
             ..BriteConfig::default()
         });
         let topo = gen.generate(&mut StdRng::seed_from_u64(11));

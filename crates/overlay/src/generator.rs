@@ -5,11 +5,6 @@
 //! reproduces that: it wires a random spanning structure first (so the overlay
 //! is connected and no query is unreachable by construction) and then adds
 //! random extra edges until the target average degree is met.
-//!
-//! [`GraphModel::PreferentialAttachment`] produces a heavier-tailed degree
-//! distribution, closer to measured Gnutella snapshots. It is reachable
-//! through `SimulationConfig::graph_model`, but no preset, experiment or
-//! benchmark selects it; only this module's own tests exercise it.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -17,14 +12,12 @@ use rand::Rng;
 use crate::graph::OverlayGraph;
 use crate::PeerId;
 
-/// Which random-graph family to generate.
+/// Which random-graph family to generate: the paper's random graph is the
+/// only one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GraphModel {
     /// Connected random graph with a target average degree (paper default).
     Random,
-    /// Preferential attachment: each new peer connects to `m` existing peers
-    /// chosen proportionally to their current degree (Barabási–Albert style).
-    PreferentialAttachment,
 }
 
 /// Configuration of the overlay generator.
@@ -64,12 +57,7 @@ impl GeneratorConfig {
             (self.average_degree as usize) < self.peers,
             "average degree must be smaller than the number of peers"
         );
-        let mut graph = match self.model {
-            GraphModel::Random => generate_random(self.peers, self.average_degree, rng),
-            GraphModel::PreferentialAttachment => {
-                generate_preferential(self.peers, self.average_degree, rng)
-            }
-        };
+        let mut graph = generate_random(self.peers, self.average_degree, rng);
         // Generation mutates every row through the copy-on-write overlay;
         // fold the result into the compact CSR base once, here, so every
         // run over the substrate reads (and clones) the dense form.
@@ -104,60 +92,6 @@ fn generate_random<R: Rng + ?Sized>(peers: usize, average_degree: f64, rng: &mut
         let a = PeerId(rng.gen_range(0..peers as u32));
         let b = PeerId(rng.gen_range(0..peers as u32));
         graph.add_edge(a, b);
-    }
-    graph
-}
-
-/// Preferential attachment with `m ≈ average_degree / 2` links per new node.
-fn generate_preferential<R: Rng + ?Sized>(
-    peers: usize,
-    average_degree: f64,
-    rng: &mut R,
-) -> OverlayGraph {
-    let mut graph = OverlayGraph::new(peers);
-    if peers == 1 {
-        return graph;
-    }
-    let m = ((average_degree / 2.0).round() as usize).max(1);
-
-    // Repeated-nodes list: node id appears once per incident edge end, which
-    // makes degree-proportional sampling O(1).
-    let mut endpoints: Vec<u32> = Vec::with_capacity(peers * m * 2);
-
-    // Seed with a small clique of m+1 nodes.
-    let seed = (m + 1).min(peers);
-    for a in 0..seed {
-        for b in (a + 1)..seed {
-            if graph.add_edge(PeerId(a as u32), PeerId(b as u32)) {
-                endpoints.push(a as u32);
-                endpoints.push(b as u32);
-            }
-        }
-    }
-
-    for new in seed..peers {
-        let mut attached = 0usize;
-        let mut attempts = 0usize;
-        while attached < m && attempts < m * 20 {
-            attempts += 1;
-            let target = if endpoints.is_empty() {
-                rng.gen_range(0..new as u32)
-            } else {
-                endpoints[rng.gen_range(0..endpoints.len())]
-            };
-            if graph.add_edge(PeerId(new as u32), PeerId(target)) {
-                endpoints.push(new as u32);
-                endpoints.push(target);
-                attached += 1;
-            }
-        }
-        // Guarantee connectivity even if sampling kept hitting duplicates.
-        if attached == 0 {
-            let target = rng.gen_range(0..new as u32);
-            graph.add_edge(PeerId(new as u32), PeerId(target));
-            endpoints.push(new as u32);
-            endpoints.push(target);
-        }
     }
     graph
 }
@@ -198,25 +132,6 @@ mod tests {
         let a = cfg.generate(&mut StdRng::seed_from_u64(1));
         let b = cfg.generate(&mut StdRng::seed_from_u64(2));
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn preferential_attachment_is_connected_and_skewed() {
-        let cfg = GeneratorConfig {
-            peers: 500,
-            average_degree: 4.0,
-            model: GraphModel::PreferentialAttachment,
-        };
-        let g = cfg.generate(&mut StdRng::seed_from_u64(3));
-        assert!(g.is_connected());
-        let hist = g.degree_histogram();
-        let max_degree = hist.len() - 1;
-        // A heavy tail: some node should have degree well above the average.
-        assert!(
-            max_degree as f64 > 3.0 * g.average_degree(),
-            "expected a hub, max degree {max_degree}, avg {}",
-            g.average_degree()
-        );
     }
 
     #[test]

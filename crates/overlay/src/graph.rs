@@ -281,20 +281,6 @@ impl OverlayGraph {
         }
         out
     }
-
-    /// Degree distribution histogram: `hist[d]` = number of active peers with degree `d`.
-    pub fn degree_histogram(&self) -> Vec<usize> {
-        let max_degree = self
-            .active_peers()
-            .map(|p| self.degree(p))
-            .max()
-            .unwrap_or(0);
-        let mut hist = vec![0usize; max_degree + 1];
-        for p in self.active_peers() {
-            hist[self.degree(p)] += 1;
-        }
-        hist
-    }
 }
 
 #[cfg(test)]
@@ -396,8 +382,8 @@ mod tests {
     fn average_degree_and_histogram() {
         let g = path_graph(4); // degrees 1,2,2,1
         assert!((g.average_degree() - 1.5).abs() < 1e-12);
-        let hist = g.degree_histogram();
-        assert_eq!(hist, vec![0, 2, 2]);
+        let degrees: Vec<usize> = g.active_peers().map(|p| g.degree(p)).collect();
+        assert_eq!(degrees, vec![1, 2, 2, 1]);
     }
 
     #[test]

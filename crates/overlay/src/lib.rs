@@ -14,8 +14,8 @@
 //!   degree (the paper's setup uses 1000 peers with average degree 3),
 //!   connectivity repair, degree queries (needed for the "highly connected
 //!   neighbour" fallback of §4.2), and dynamic join/leave for churn,
-//! * [`generator`] — graph generators: Erdős–Rényi-style random wiring and a
-//!   preferential-attachment variant with a heavier-tailed degree distribution,
+//! * [`generator`] — the overlay generator: Erdős–Rényi-style random wiring
+//!   over a random spanning tree,
 //! * [`message`] — the overlay message vocabulary (queries, query responses,
 //!   Bloom-filter updates, DHT lookups/stores), the message kinds the traffic
 //!   counters key on, and a per-message wire-size model,

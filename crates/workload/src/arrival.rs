@@ -3,27 +3,29 @@
 //! §5.1 fixes the arrival rate at *0.00083 queries per second per peer*. The
 //! aggregate process over `N` peers is Poisson with rate `N × 0.00083`; each
 //! arrival is attributed to a uniformly random peer. [`ArrivalProcess`]
-//! generates the `(time, peer)` sequence either up to a horizon or up to a
-//! fixed number of queries (the figures sweep the *number of queries*, so the
-//! count-bounded form is what the experiment harness uses).
+//! generates the `(time, peer)` sequence up to a fixed number of queries (the
+//! figures sweep the *number of queries*).
 //!
-//! ## Non-homogeneous schedules
+//! ## Bursts
 //!
-//! The paper's evaluation is steady-state, but the regimes the
-//! search-and-replication literature stresses — flash crowds, diurnal ramps —
-//! are *bursty*. [`ArrivalSchedule`] makes the rate a first-class, validated
-//! piecewise function of time: [`Steady`](ArrivalSchedule::Steady) is the
-//! paper's constant rate, [`Ramp`](ArrivalSchedule::Ramp) interpolates the
-//! rate linearly over a window, [`Burst`](ArrivalSchedule::Burst) multiplies
-//! it inside a window, and [`Phases`](ArrivalSchedule::Phases) composes
-//! arbitrary constant-rate segments. Generation uses the time-scaling
-//! (inverse-cumulative-hazard) construction of a non-homogeneous Poisson
-//! process: each arrival consumes exactly one unit-exponential draw which is
-//! mapped through the inverse of `Λ(t) = ∫₀ᵗ λ(u) du`. For `Steady` the
-//! mapping degenerates to the paper's constant-rate loop and is executed
-//! **bit-for-bit identically** to the original implementation (same RNG
-//! draws, same floating-point operations), so an omitted schedule reproduces
-//! historical runs exactly.
+//! The paper's evaluation is steady-state; the flash-crowd preset adds one
+//! non-stationary regime. [`ArrivalSchedule`] is therefore either
+//! [`Steady`](ArrivalSchedule::Steady), the paper's constant rate, or
+//! [`Burst`](ArrivalSchedule::Burst), which multiplies the rate inside one
+//! window. A burst compiles to at most two constant-rate segments (a unit
+//! lead-in, then the window) followed by the unit tail, and generation uses
+//! the time-scaling (inverse-cumulative-hazard) construction of a
+//! non-homogeneous Poisson process: each arrival consumes exactly one
+//! unit-exponential draw, mapped through the inverse of
+//! `Λ(t) = ∫₀ᵗ λ(u) du`, which on a constant segment is one division. For
+//! `Steady` the mapping degenerates to the paper's constant-rate loop and is
+//! executed **bit-for-bit identically** to the original implementation (same
+//! RNG draws, same floating-point operations), so an omitted schedule
+//! reproduces historical runs exactly.
+//!
+//! A burst must end on the microsecond clock: a window whose end does not
+//! fit is a typed [`ScheduleError::BurstBeyondClock`], like an outage window
+//! past the clock.
 //!
 //! ## Weighted origins
 //!
@@ -48,23 +50,13 @@ pub struct Arrival {
     pub peer: usize,
 }
 
-/// One constant-rate segment of an [`ArrivalSchedule::Phases`] schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RatePhase {
-    /// Rate multiplier applied to the base rate during this phase.
-    pub multiplier: f64,
-    /// Phase length in seconds of simulated time.
-    pub duration_secs: f64,
-}
-
-/// A piecewise rate profile modulating the base arrival rate over time.
+/// A rate profile modulating the base arrival rate over time.
 ///
 /// Every variant multiplies [`ArrivalConfig::aggregate_rate`]; after the
-/// profile's span the rate returns to (or stays at) a steady value, so
-/// count-bounded generation always terminates. Validation
-/// ([`ArrivalSchedule::validate`]) rejects degenerate profiles — empty phase
-/// lists, non-positive multipliers, zero-length or negative durations — with
-/// a typed [`ScheduleError`].
+/// profile's span the rate returns to the base rate, so count-bounded
+/// generation always terminates. Validation ([`ArrivalSchedule::validate`])
+/// rejects degenerate profiles — non-positive multipliers, zero-length or
+/// negative windows, windows past the clock — with a typed [`ScheduleError`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum ArrivalSchedule {
     /// The paper's homogeneous process: the base rate at all times. Omitting
@@ -72,16 +64,6 @@ pub enum ArrivalSchedule {
     /// constant-rate generator bit-for-bit.
     #[default]
     Steady,
-    /// The rate multiplier ramps linearly from `from` to `to` over
-    /// `duration_secs`, then stays at `to`.
-    Ramp {
-        /// Multiplier at time zero.
-        from: f64,
-        /// Multiplier at the end of the ramp (and afterwards).
-        to: f64,
-        /// Ramp length in seconds.
-        duration_secs: f64,
-    },
     /// The rate is the base rate except in the window
     /// `[start_secs, start_secs + duration_secs)`, where it is multiplied by
     /// `multiplier` (a flash crowd for `multiplier > 1`, an outage for
@@ -94,9 +76,6 @@ pub enum ArrivalSchedule {
         /// Burst length in seconds.
         duration_secs: f64,
     },
-    /// Arbitrary composition: the listed constant-rate phases run back to
-    /// back from time zero; after the last phase the multiplier returns to 1.
-    Phases(Vec<RatePhase>),
 }
 
 /// Why an [`ArrivalSchedule`] (or the arrival configuration around it) is
@@ -113,15 +92,12 @@ pub enum ScheduleError {
         /// The offending rate in queries per second per peer.
         rate_per_peer: f64,
     },
-    /// A `Phases` schedule with no phases.
-    EmptyPhases,
-    /// A multiplier (phase, ramp endpoint or burst) is not positive and finite.
+    /// The burst multiplier is not positive and finite.
     InvalidMultiplier {
         /// The offending multiplier.
         multiplier: f64,
     },
-    /// A segment duration (phase, ramp or burst length) is not positive and
-    /// finite.
+    /// The burst length is not positive and finite.
     InvalidDuration {
         /// The offending duration in seconds.
         duration_secs: f64,
@@ -130,6 +106,11 @@ pub enum ScheduleError {
     InvalidBurstStart {
         /// The offending start time in seconds.
         start_secs: f64,
+    },
+    /// The burst window ends past the representable simulation clock.
+    BurstBeyondClock {
+        /// The unrepresentable window end in seconds.
+        end_secs: f64,
     },
     /// The origin weights do not fit the population.
     OriginWeights(crate::placement::ClusterWeightsError),
@@ -143,9 +124,6 @@ impl std::fmt::Display for ScheduleError {
                 f,
                 "per-peer rate must be positive and finite: got {rate_per_peer}"
             ),
-            ScheduleError::EmptyPhases => {
-                write!(f, "a Phases schedule needs at least one phase")
-            }
             ScheduleError::InvalidMultiplier { multiplier } => write!(
                 f,
                 "schedule multipliers must be positive and finite: got {multiplier}"
@@ -157,6 +135,10 @@ impl std::fmt::Display for ScheduleError {
             ScheduleError::InvalidBurstStart { start_secs } => write!(
                 f,
                 "burst start must be non-negative and finite: got {start_secs}s"
+            ),
+            ScheduleError::BurstBeyondClock { end_secs } => write!(
+                f,
+                "burst window ends at {end_secs}s, past the representable simulation clock"
             ),
             ScheduleError::OriginWeights(error) => write!(f, "origin weights: {error}"),
         }
@@ -173,54 +155,23 @@ fn positive_finite(x: f64) -> bool {
 impl ArrivalSchedule {
     /// Checks the profile for degenerate parameters.
     pub fn validate(&self) -> Result<(), ScheduleError> {
-        match self {
-            ArrivalSchedule::Steady => Ok(()),
-            ArrivalSchedule::Ramp { from, to, duration_secs } => {
-                for &m in [*from, *to].iter() {
-                    if !positive_finite(m) {
-                        return Err(ScheduleError::InvalidMultiplier { multiplier: m });
-                    }
-                }
-                if !positive_finite(*duration_secs) {
-                    return Err(ScheduleError::InvalidDuration {
-                        duration_secs: *duration_secs,
-                    });
-                }
-                Ok(())
-            }
-            ArrivalSchedule::Burst { multiplier, start_secs, duration_secs } => {
-                if !positive_finite(*multiplier) {
-                    return Err(ScheduleError::InvalidMultiplier { multiplier: *multiplier });
-                }
-                if !start_secs.is_finite() || *start_secs < 0.0 {
-                    return Err(ScheduleError::InvalidBurstStart { start_secs: *start_secs });
-                }
-                if !positive_finite(*duration_secs) {
-                    return Err(ScheduleError::InvalidDuration {
-                        duration_secs: *duration_secs,
-                    });
-                }
-                Ok(())
-            }
-            ArrivalSchedule::Phases(phases) => {
-                if phases.is_empty() {
-                    return Err(ScheduleError::EmptyPhases);
-                }
-                for phase in phases {
-                    if !positive_finite(phase.multiplier) {
-                        return Err(ScheduleError::InvalidMultiplier {
-                            multiplier: phase.multiplier,
-                        });
-                    }
-                    if !positive_finite(phase.duration_secs) {
-                        return Err(ScheduleError::InvalidDuration {
-                            duration_secs: phase.duration_secs,
-                        });
-                    }
-                }
-                Ok(())
-            }
+        let ArrivalSchedule::Burst { multiplier, start_secs, duration_secs } = *self else {
+            return Ok(());
+        };
+        if !positive_finite(multiplier) {
+            return Err(ScheduleError::InvalidMultiplier { multiplier });
         }
+        if !start_secs.is_finite() || start_secs < 0.0 {
+            return Err(ScheduleError::InvalidBurstStart { start_secs });
+        }
+        if !positive_finite(duration_secs) {
+            return Err(ScheduleError::InvalidDuration { duration_secs });
+        }
+        let end_secs = start_secs + duration_secs;
+        if Duration::try_from_millis_f64(end_secs * 1000.0).is_none() {
+            return Err(ScheduleError::BurstBeyondClock { end_secs });
+        }
+        Ok(())
     }
 
     /// True for the homogeneous (legacy) profile.
@@ -238,122 +189,33 @@ impl ArrivalSchedule {
     pub fn span_secs(&self) -> Option<f64> {
         match self {
             ArrivalSchedule::Steady => None,
-            ArrivalSchedule::Ramp { duration_secs, .. } => Some(*duration_secs),
             ArrivalSchedule::Burst { start_secs, duration_secs, .. } => {
                 Some(start_secs + duration_secs)
             }
-            ArrivalSchedule::Phases(phases) => {
-                Some(phases.iter().map(|p| p.duration_secs).sum())
-            }
         }
     }
 
-    /// The rate multiplier in force at `t_secs` (right-continuous at segment
-    /// boundaries). Validated schedules return positive, finite values.
-    pub fn multiplier_at(&self, t_secs: f64) -> f64 {
-        match self {
-            ArrivalSchedule::Steady => 1.0,
-            ArrivalSchedule::Ramp { from, to, duration_secs } => {
-                if t_secs >= *duration_secs {
-                    *to
-                } else {
-                    from + (to - from) * (t_secs / duration_secs).max(0.0)
-                }
-            }
-            ArrivalSchedule::Burst { multiplier, start_secs, duration_secs } => {
-                if t_secs >= *start_secs && t_secs < start_secs + duration_secs {
-                    *multiplier
-                } else {
-                    1.0
-                }
-            }
-            ArrivalSchedule::Phases(phases) => {
-                let mut start = 0.0;
-                for phase in phases {
-                    if t_secs < start + phase.duration_secs {
-                        return phase.multiplier;
-                    }
-                    start += phase.duration_secs;
-                }
-                1.0
-            }
+    /// Compiles the profile into back-to-back constant-rate segments from
+    /// time zero; the base rate holds after the last. Empty for `Steady`.
+    fn segments(&self) -> Vec<Segment> {
+        let ArrivalSchedule::Burst { multiplier, start_secs, duration_secs } = *self else {
+            return Vec::new();
+        };
+        let mut segments = Vec::with_capacity(2);
+        if start_secs > 0.0 {
+            segments.push(Segment { end_secs: start_secs, multiplier: 1.0 });
         }
-    }
-
-    /// Compiles the profile into linear-rate segments plus the tail
-    /// multiplier in force after the last segment. Empty for `Steady`.
-    fn segments(&self) -> (Vec<Segment>, f64) {
-        match self {
-            ArrivalSchedule::Steady => (Vec::new(), 1.0),
-            ArrivalSchedule::Ramp { from, to, duration_secs } => (
-                vec![Segment {
-                    start_secs: 0.0,
-                    end_secs: *duration_secs,
-                    multiplier_start: *from,
-                    multiplier_end: *to,
-                }],
-                *to,
-            ),
-            ArrivalSchedule::Burst { multiplier, start_secs, duration_secs } => {
-                let mut segments = Vec::new();
-                if *start_secs > 0.0 {
-                    segments.push(Segment {
-                        start_secs: 0.0,
-                        end_secs: *start_secs,
-                        multiplier_start: 1.0,
-                        multiplier_end: 1.0,
-                    });
-                }
-                segments.push(Segment {
-                    start_secs: *start_secs,
-                    end_secs: start_secs + duration_secs,
-                    multiplier_start: *multiplier,
-                    multiplier_end: *multiplier,
-                });
-                (segments, 1.0)
-            }
-            ArrivalSchedule::Phases(phases) => {
-                let mut segments = Vec::with_capacity(phases.len());
-                let mut start = 0.0;
-                for phase in phases {
-                    segments.push(Segment {
-                        start_secs: start,
-                        end_secs: start + phase.duration_secs,
-                        multiplier_start: phase.multiplier,
-                        multiplier_end: phase.multiplier,
-                    });
-                    start += phase.duration_secs;
-                }
-                (segments, 1.0)
-            }
-        }
+        segments.push(Segment { end_secs: start_secs + duration_secs, multiplier });
+        segments
     }
 }
 
-/// One compiled schedule segment with a linearly interpolated multiplier.
+/// One compiled schedule segment: a constant multiplier up to `end_secs`,
+/// starting where the previous segment (or time zero) ends.
 #[derive(Debug, Clone, Copy)]
 struct Segment {
-    start_secs: f64,
     end_secs: f64,
-    multiplier_start: f64,
-    multiplier_end: f64,
-}
-
-impl Segment {
-    /// The multiplier at `t` (which must lie inside the segment).
-    fn multiplier_at(&self, t: f64) -> f64 {
-        if self.multiplier_start == self.multiplier_end {
-            self.multiplier_start
-        } else {
-            let progress = (t - self.start_secs) / (self.end_secs - self.start_secs);
-            self.multiplier_start + (self.multiplier_end - self.multiplier_start) * progress
-        }
-    }
-
-    /// The multiplier's slope per second.
-    fn slope(&self) -> f64 {
-        (self.multiplier_end - self.multiplier_start) / (self.end_secs - self.start_secs)
-    }
+    multiplier: f64,
 }
 
 /// Configuration of the arrival process.
@@ -411,12 +273,11 @@ impl ArrivalConfig {
     }
 }
 
-/// Generates (possibly non-homogeneous) Poisson query arrivals.
+/// Generates (possibly bursty) Poisson query arrivals.
 #[derive(Debug, Clone)]
 pub struct ArrivalProcess {
     config: ArrivalConfig,
     segments: Vec<Segment>,
-    tail_multiplier: f64,
 }
 
 impl ArrivalProcess {
@@ -427,12 +288,8 @@ impl ArrivalProcess {
     /// instead of a panic, so presets and builders can surface them fallibly.
     pub fn new(config: ArrivalConfig) -> Result<Self, ScheduleError> {
         config.validate()?;
-        let (segments, tail_multiplier) = config.schedule.segments();
-        Ok(ArrivalProcess {
-            config,
-            segments,
-            tail_multiplier,
-        })
+        let segments = config.schedule.segments();
+        Ok(ArrivalProcess { config, segments })
     }
 
     /// The configuration in force.
@@ -440,85 +297,38 @@ impl ArrivalProcess {
         &self.config
     }
 
-    /// Generates exactly `count` arrivals starting from time zero.
+    /// Generates exactly `count` arrivals starting from time zero. Per
+    /// arrival: draw the inter-arrival time, then the origin. The `Steady`
+    /// path is the original constant-rate loop preserved
+    /// operation-for-operation so legacy schedules replay bit-identically;
+    /// a burst maps the identical unit exponential draws through the inverse
+    /// cumulative hazard of its compiled segments.
     pub fn generate_count<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<Arrival> {
-        if count == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(count);
-        self.generate(
-            rng,
-            |_| true,
-            |arrival| {
-                out.push(arrival);
-                out.len() < count
-            },
-        );
-        out
-    }
-
-    /// Generates every arrival up to `horizon`.
-    pub fn generate_until<R: Rng + ?Sized>(&self, horizon: SimTime, rng: &mut R) -> Vec<Arrival> {
-        let mut out = Vec::new();
-        self.generate(
-            rng,
-            |now| now <= horizon,
-            |arrival| {
-                out.push(arrival);
-                true
-            },
-        );
-        out
-    }
-
-    /// The generation loop. Per arrival: draw the inter-arrival time, let
-    /// `accept_time` veto it (the horizon check — **before** any origin draw,
-    /// exactly like the legacy generator, which never drew a peer for the
-    /// over-horizon arrival), then draw the origin and hand the arrival to
-    /// `push`, which returns whether to continue. The `Steady` path is the
-    /// original constant-rate loop preserved operation-for-operation so
-    /// legacy schedules replay bit-identically — including the state the
-    /// shared RNG stream is left in; non-steady schedules map the identical
-    /// unit exponential draws through the inverse cumulative hazard of the
-    /// compiled piecewise-linear rate.
-    fn generate<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        mut accept_time: impl FnMut(SimTime) -> bool,
-        mut push: impl FnMut(Arrival) -> bool,
-    ) {
         let rate = self.config.aggregate_rate();
+        let mut out = Vec::with_capacity(count);
         if self.config.schedule.is_steady() {
             let mut now = SimTime::ZERO;
-            loop {
+            for _ in 0..count {
                 now += Duration::from_secs_f64(exponential(rng, 1.0 / rate));
-                if !accept_time(now) {
-                    return;
-                }
                 let peer = self.sample_origin(rng);
-                if !push(Arrival { at: now, peer }) {
-                    return;
-                }
+                out.push(Arrival { at: now, peer });
             }
+            return out;
         }
         let mut t_secs = 0.0f64;
         let mut segment_index = 0usize;
-        loop {
+        for _ in 0..count {
             let hazard = exponential(rng, 1.0);
             t_secs = self.invert_hazard(t_secs, hazard, rate, &mut segment_index);
             let now = SimTime::ZERO + Duration::from_secs_f64(t_secs);
-            if !accept_time(now) {
-                return;
-            }
             let peer = self.sample_origin(rng);
-            if !push(Arrival { at: now, peer }) {
-                return;
-            }
+            out.push(Arrival { at: now, peer });
         }
+        out
     }
 
     /// Advances from `t_secs` until `hazard` units of cumulative hazard have
-    /// accrued under the piecewise-linear rate `rate × multiplier(t)`.
+    /// accrued under the piecewise-constant rate `base_rate × multiplier(t)`.
     fn invert_hazard(
         &self,
         mut t_secs: f64,
@@ -526,34 +336,22 @@ impl ArrivalProcess {
         base_rate: f64,
         segment_index: &mut usize,
     ) -> f64 {
-        while *segment_index < self.segments.len() {
-            let segment = self.segments[*segment_index];
-            if t_secs >= segment.end_secs {
-                *segment_index += 1;
-                continue;
+        while let Some(segment) = self.segments.get(*segment_index) {
+            if t_secs < segment.end_secs {
+                let rate = base_rate * segment.multiplier;
+                let remaining = segment.end_secs - t_secs;
+                let hazard_to_end = rate * remaining;
+                if hazard <= hazard_to_end {
+                    let step = hazard / rate;
+                    return t_secs + step.min(remaining);
+                }
+                hazard -= hazard_to_end;
+                t_secs = segment.end_secs;
             }
-            let start = t_secs.max(segment.start_secs);
-            let rate_here = base_rate * segment.multiplier_at(start);
-            let rate_end = base_rate * segment.multiplier_end;
-            let remaining = segment.end_secs - start;
-            let hazard_to_end = 0.5 * (rate_here + rate_end) * remaining;
-            if hazard <= hazard_to_end {
-                let slope = base_rate * segment.slope();
-                let step = if slope == 0.0 {
-                    hazard / rate_here
-                } else {
-                    // Solve rate_here·δ + slope·δ²/2 = hazard for δ ≥ 0.
-                    ((rate_here * rate_here + 2.0 * slope * hazard).sqrt() - rate_here) / slope
-                };
-                return start + step.min(remaining);
-            }
-            hazard -= hazard_to_end;
-            t_secs = segment.end_secs;
             *segment_index += 1;
         }
-        // Past every segment: constant tail rate.
-        let tail_rate = base_rate * self.tail_multiplier;
-        t_secs + hazard / tail_rate
+        // Past every segment: the base rate.
+        t_secs + hazard / base_rate
     }
 
     /// Draws the issuing peer: uniform (one `gen_range` draw, exactly the
@@ -568,31 +366,6 @@ impl ArrivalProcess {
                 rng.gen_range(range)
             }
         }
-    }
-
-    /// Expected number of arrivals within `window` starting at time zero,
-    /// accounting for the schedule.
-    pub fn expected_count(&self, window: Duration) -> f64 {
-        let base = self.config.aggregate_rate();
-        let end = window.as_secs_f64();
-        let mut expected = 0.0;
-        let mut covered = 0.0f64;
-        for segment in &self.segments {
-            if covered >= end {
-                return expected;
-            }
-            let upto = segment.end_secs.min(end);
-            if upto > segment.start_secs {
-                let m_start = segment.multiplier_at(segment.start_secs);
-                let m_upto = segment.multiplier_at(upto);
-                expected += base * 0.5 * (m_start + m_upto) * (upto - segment.start_secs);
-            }
-            covered = segment.end_secs;
-        }
-        if end > covered {
-            expected += base * self.tail_multiplier * (end - covered);
-        }
-        expected
     }
 }
 
@@ -635,26 +408,6 @@ mod tests {
         let cfg = ArrivalConfig::default();
         // 1000 peers × 0.00083 q/s = 0.83 q/s for the whole system.
         assert!((cfg.aggregate_rate() - 0.83).abs() < 1e-9);
-        let p = ArrivalProcess::new(cfg).unwrap();
-        assert!((p.expected_count(Duration::from_secs(1000)) - 830.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn horizon_bounded_generation_respects_the_horizon() {
-        let p = ArrivalProcess::new(steady_config(100, 0.01)).unwrap();
-        let horizon = SimTime::from_secs(10_000);
-        let arrivals = p.generate_until(horizon, &mut StdRng::seed_from_u64(2));
-        assert!(!arrivals.is_empty());
-        for a in &arrivals {
-            assert!(a.at <= horizon);
-        }
-        // Expected about rate × horizon = 1 q/s × 10_000 s = 10_000 arrivals.
-        let expected = p.expected_count(Duration::from_secs(10_000));
-        let got = arrivals.len() as f64;
-        assert!(
-            (got - expected).abs() < expected * 0.1,
-            "got {got}, expected about {expected}"
-        );
     }
 
     #[test]
@@ -711,48 +464,35 @@ mod tests {
 
     #[test]
     fn degenerate_schedules_are_rejected() {
+        let burst = |multiplier, start_secs, duration_secs| ArrivalSchedule::Burst {
+            multiplier,
+            start_secs,
+            duration_secs,
+        };
         let cases: Vec<(ArrivalSchedule, ScheduleError)> = vec![
             (
-                ArrivalSchedule::Phases(Vec::new()),
-                ScheduleError::EmptyPhases,
-            ),
-            (
-                ArrivalSchedule::Phases(vec![RatePhase {
-                    multiplier: 2.0,
-                    duration_secs: -5.0,
-                }]),
-                ScheduleError::InvalidDuration { duration_secs: -5.0 },
-            ),
-            (
-                ArrivalSchedule::Phases(vec![RatePhase {
-                    multiplier: 0.0,
-                    duration_secs: 5.0,
-                }]),
-                ScheduleError::InvalidMultiplier { multiplier: 0.0 },
-            ),
-            (
-                ArrivalSchedule::Burst {
-                    multiplier: 10.0,
-                    start_secs: 60.0,
-                    duration_secs: 0.0,
-                },
+                burst(10.0, 60.0, 0.0),
                 ScheduleError::InvalidDuration { duration_secs: 0.0 },
             ),
             (
-                ArrivalSchedule::Burst {
-                    multiplier: 10.0,
-                    start_secs: -1.0,
-                    duration_secs: 60.0,
-                },
+                burst(10.0, 60.0, -5.0),
+                ScheduleError::InvalidDuration { duration_secs: -5.0 },
+            ),
+            (
+                burst(10.0, -1.0, 60.0),
                 ScheduleError::InvalidBurstStart { start_secs: -1.0 },
             ),
             (
-                ArrivalSchedule::Ramp {
-                    from: 1.0,
-                    to: f64::NAN,
-                    duration_secs: 60.0,
-                },
+                burst(0.0, 60.0, 5.0),
+                ScheduleError::InvalidMultiplier { multiplier: 0.0 },
+            ),
+            (
+                burst(f64::NAN, 60.0, 5.0),
                 ScheduleError::InvalidMultiplier { multiplier: f64::NAN },
+            ),
+            (
+                burst(1e-300, 0.0, 1e18),
+                ScheduleError::BurstBeyondClock { end_secs: 1e18 },
             ),
         ];
         for (schedule, expected) in cases {
@@ -769,6 +509,8 @@ mod tests {
             };
             assert!(ArrivalProcess::new(config).is_err());
         }
+        // The last microsecond the clock holds is still a valid window end.
+        assert_eq!(burst(2.0, 0.0, 1.8e13).validate(), Ok(()));
     }
 
     #[test]
@@ -795,38 +537,6 @@ mod tests {
             let modern = p.generate_count(400, &mut StdRng::seed_from_u64(seed));
             assert_eq!(modern, legacy(peers, rate, 400, seed));
         }
-    }
-
-    #[test]
-    fn steady_generate_until_leaves_the_rng_stream_where_legacy_did() {
-        // Legacy generate_until never drew an origin for the arrival that
-        // overshot the horizon; the modern loop must not either, so a caller
-        // reusing the stream afterwards sees identical subsequent draws.
-        fn legacy_until(peers: usize, rate_per_peer: f64, horizon: SimTime, seed: u64) -> (Vec<Arrival>, u64) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let rate = peers as f64 * rate_per_peer;
-            let mut now = SimTime::ZERO;
-            let mut out = Vec::new();
-            loop {
-                now += Duration::from_secs_f64(exponential(&mut rng, 1.0 / rate));
-                if now > horizon {
-                    break;
-                }
-                out.push(Arrival {
-                    at: now,
-                    peer: rng.gen_range(0..peers),
-                });
-            }
-            (out, rng.gen::<u64>())
-        }
-        let p = ArrivalProcess::new(steady_config(50, 0.02)).unwrap();
-        let horizon = SimTime::from_secs(500);
-        let mut rng = StdRng::seed_from_u64(31);
-        let modern = p.generate_until(horizon, &mut rng);
-        let modern_next = rng.gen::<u64>();
-        let (expected, expected_next) = legacy_until(50, 0.02, horizon, 31);
-        assert_eq!(modern, expected);
-        assert_eq!(modern_next, expected_next, "the stream must not shift");
     }
 
     #[test]
@@ -865,62 +575,30 @@ mod tests {
 
     #[test]
     fn phases_hit_their_expected_per_phase_counts() {
+        // A burst has three phases: the unit lead-in, the window and the
+        // unit tail after it.
         let config = ArrivalConfig {
             peers: 100,
             rate_per_peer: 0.01, // base 1 q/s
-            schedule: ArrivalSchedule::Phases(vec![
-                RatePhase { multiplier: 1.0, duration_secs: 1000.0 },
-                RatePhase { multiplier: 10.0, duration_secs: 1000.0 },
-                RatePhase { multiplier: 0.5, duration_secs: 1000.0 },
-            ]),
+            schedule: ArrivalSchedule::Burst {
+                multiplier: 10.0,
+                start_secs: 1000.0,
+                duration_secs: 1000.0,
+            },
             origin_weights: None,
         };
         let p = ArrivalProcess::new(config).unwrap();
-        let horizon = SimTime::from_secs(3000);
-        let arrivals = p.generate_until(horizon, &mut StdRng::seed_from_u64(8));
+        // ~12 000 arrivals are due by 3000 s; 14 000 carry the run past it.
+        let arrivals = p.generate_count(14_000, &mut StdRng::seed_from_u64(8));
+        assert!(arrivals.last().unwrap().at.as_secs_f64() > 3000.0);
         let mut counts = [0usize; 3];
-        for a in &arrivals {
-            counts[(a.at.as_secs_f64() / 1000.0).min(2.0) as usize] += 1;
+        for a in arrivals.iter().filter(|a| a.at.as_secs_f64() < 3000.0) {
+            counts[(a.at.as_secs_f64() / 1000.0) as usize] += 1;
         }
-        // Expected 1000 / 10000 / 500 per phase; allow generous Poisson noise.
-        assert!((800..1200).contains(&counts[0]), "phase 0: {}", counts[0]);
-        assert!((9300..10700).contains(&counts[1]), "phase 1: {}", counts[1]);
-        assert!((350..650).contains(&counts[2]), "phase 2: {}", counts[2]);
-        let expected = p.expected_count(Duration::from_secs(3000));
-        assert!((expected - 11_500.0).abs() < 1e-6, "expected_count: {expected}");
-    }
-
-    #[test]
-    fn ramp_rate_rises_over_the_ramp() {
-        let schedule = ArrivalSchedule::Ramp {
-            from: 1.0,
-            to: 9.0,
-            duration_secs: 1000.0,
-        };
-        assert_eq!(schedule.multiplier_at(0.0), 1.0);
-        assert!((schedule.multiplier_at(500.0) - 5.0).abs() < 1e-12);
-        assert_eq!(schedule.multiplier_at(2000.0), 9.0);
-
-        let config = ArrivalConfig {
-            peers: 100,
-            rate_per_peer: 0.01,
-            schedule,
-            origin_weights: None,
-        };
-        let p = ArrivalProcess::new(config).unwrap();
-        let arrivals = p.generate_until(SimTime::from_secs(1000), &mut StdRng::seed_from_u64(9));
-        let (first_half, second_half): (Vec<&Arrival>, Vec<&Arrival>) = arrivals
-            .iter()
-            .partition(|a| a.at.as_secs_f64() < 500.0);
-        assert!(
-            second_half.len() > first_half.len() * 2,
-            "the back half of the ramp must be denser: {} vs {}",
-            second_half.len(),
-            first_half.len()
-        );
-        // ∫ from 0 to 1000 of (1 + 8t/1000) dt = 5000 expected arrivals.
-        let expected = p.expected_count(Duration::from_secs(1000));
-        assert!((expected - 5000.0).abs() < 1e-6, "{expected}");
+        // Expected 1000 / 10000 / 1000 per phase; allow generous Poisson noise.
+        assert!((800..1200).contains(&counts[0]), "lead-in: {}", counts[0]);
+        assert!((9300..10700).contains(&counts[1]), "window: {}", counts[1]);
+        assert!((800..1200).contains(&counts[2]), "tail: {}", counts[2]);
     }
 
     #[test]
@@ -936,16 +614,13 @@ mod tests {
             Some(2400.0)
         );
         assert_eq!(
-            ArrivalSchedule::Ramp { from: 1.0, to: 2.0, duration_secs: 300.0 }.span_secs(),
-            Some(300.0)
-        );
-        assert_eq!(
-            ArrivalSchedule::Phases(vec![
-                RatePhase { multiplier: 5.0, duration_secs: 100.0 },
-                RatePhase { multiplier: 0.1, duration_secs: 900.0 },
-            ])
+            ArrivalSchedule::Burst {
+                multiplier: 1e-9,
+                start_secs: 300.0,
+                duration_secs: 3600.0
+            }
             .span_secs(),
-            Some(1000.0)
+            Some(3900.0)
         );
     }
 

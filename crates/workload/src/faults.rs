@@ -239,7 +239,9 @@ impl FaultConfig {
                 });
             }
         }
-        if self.dht_step_timeout_secs < 0.0 || !self.dht_step_timeout_secs.is_finite() {
+        if self.dht_step_timeout_secs < 0.0
+            || Duration::try_from_millis_f64(self.dht_step_timeout_secs * 1000.0).is_none()
+        {
             return Err(FaultConfigError::InvalidStepTimeout {
                 timeout_secs: self.dht_step_timeout_secs,
             });
@@ -283,7 +285,8 @@ pub enum FaultConfigError {
         /// The unrepresentable window end in seconds.
         end_secs: f64,
     },
-    /// The DHT step timeout is negative or not finite.
+    /// The DHT step timeout is negative or does not fit the microsecond
+    /// simulation clock.
     InvalidStepTimeout {
         /// The offending timeout in seconds.
         timeout_secs: f64,
@@ -315,7 +318,8 @@ impl std::fmt::Display for FaultConfigError {
             ),
             FaultConfigError::InvalidStepTimeout { timeout_secs } => write!(
                 f,
-                "DHT step timeout must be non-negative and finite: got {timeout_secs}s"
+                "DHT step timeout must be non-negative and fit the microsecond simulation \
+                 clock: got {timeout_secs}s"
             ),
         }
     }
@@ -472,12 +476,14 @@ mod tests {
             Err(FaultConfigError::OutageBeyondClock { .. })
         ));
 
-        let mut plan = FaultConfig::disabled();
-        plan.dht_step_timeout_secs = f64::NEG_INFINITY;
-        assert!(matches!(
-            plan.validate(),
-            Err(FaultConfigError::InvalidStepTimeout { .. })
-        ));
+        for timeout_secs in [f64::NEG_INFINITY, f64::NAN, 1e18] {
+            let mut plan = FaultConfig::disabled();
+            plan.dht_step_timeout_secs = timeout_secs;
+            assert!(matches!(
+                plan.validate(),
+                Err(FaultConfigError::InvalidStepTimeout { .. })
+            ));
+        }
     }
 
     #[test]

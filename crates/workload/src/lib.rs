@@ -25,8 +25,7 @@
 //! * [`queries`] — query generation: Zipf-chosen target file, 1–3 of its
 //!   keywords,
 //! * [`arrival`] — the Poisson arrival process at 0.00083 queries/s/peer,
-//!   modulated by a validated piecewise [`ArrivalSchedule`] (steady, ramp,
-//!   burst, or composed phases) for non-homogeneous regimes,
+//!   steady or modulated by one validated burst window ([`ArrivalSchedule`]),
 //! * [`faults`] — the fault plan: per-message loss, transient link outages,
 //!   crash-stop departures, and typed timeout/retry policies
 //!   ([`FaultConfig`], [`TimeoutPolicy`]) making failure a first-class,
@@ -43,7 +42,7 @@ pub mod placement;
 pub mod queries;
 pub mod zipf;
 
-pub use arrival::{Arrival, ArrivalConfig, ArrivalProcess, ArrivalSchedule, RatePhase, ScheduleError};
+pub use arrival::{Arrival, ArrivalConfig, ArrivalProcess, ArrivalSchedule, ScheduleError};
 pub use catalog::{Catalog, CatalogConfig, FileId, Filename};
 pub use faults::{FaultConfig, FaultConfigError, OutageWindow, TimeoutPolicy, TimeoutPolicyError};
 pub use keywords::{KeywordHashes, KeywordId, KeywordPool};

@@ -183,12 +183,14 @@ impl ClusterWeights {
             .collect();
         let mut counts: Vec<usize> = quotas.iter().map(|q| q.floor() as usize).collect();
         let assigned: usize = counts.iter().sum();
-        // Hand the leftover units to the largest fractional remainders.
+        // Hand the leftover units to the largest fractional remainders. They
+        // are finite and in [0, 1) (never -0.0), where `total_cmp` is the
+        // numeric order.
         let mut order: Vec<usize> = (0..self.weights.len()).collect();
         order.sort_by(|&a, &b| {
             let ra = quotas[a] - quotas[a].floor();
             let rb = quotas[b] - quotas[b].floor();
-            rb.partial_cmp(&ra).unwrap().then(a.cmp(&b))
+            rb.total_cmp(&ra).then(a.cmp(&b))
         });
         for &cluster in order.iter().take(total - assigned) {
             counts[cluster] += 1;

@@ -76,11 +76,9 @@ impl ZipfDistribution {
     /// Samples a rank in `0..n` (0 = most popular).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
-        // First index whose cdf value is >= u.
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("cdf contains no NaN"))
-        {
+        // First index whose cdf value is >= u. Both lie in [0, 1] (never
+        // -0.0), where `total_cmp` is the numeric order.
+        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }

@@ -11,7 +11,7 @@
 
 use locaware::{ProtocolKind, Scenario, Simulation, SimulationConfig};
 use locaware_overlay::ChurnConfig;
-use locaware_workload::{ArrivalSchedule, FaultConfig, RatePhase};
+use locaware_workload::{ArrivalSchedule, FaultConfig};
 
 fn churny_sim(peers: usize, seed: u64, churn: ChurnConfig) -> Simulation {
     let config = SimulationConfig { seed, churn, ..SimulationConfig::small(peers) };
@@ -86,8 +86,8 @@ fn churn_schedule_is_generated_and_deterministic() {
 }
 
 /// The churn horizon must cover the arrival schedule's *span*, not just the
-/// last arrival: a front-loaded schedule with a long quiet tail keeps
-/// churning through the tail. (For steady schedules the horizon is the last
+/// last arrival: a busy lead-in followed by a long near-silent burst window
+/// keeps churning through the window. (For steady schedules the horizon is the last
 /// arrival, exactly as before — pinned by the legacy fingerprints.)
 #[test]
 fn churn_horizon_covers_trailing_quiet_schedule_phases() {
@@ -96,15 +96,18 @@ fn churn_horizon_covers_trailing_quiet_schedule_phases() {
         mean_offline_secs: 200.0,
         churning_fraction: 0.8,
     };
-    // Phase 1 packs ~200× the base rate into 300 s; phase 2 is near-silent
-    // for an hour. A count-bounded run's arrivals all land in phase 1.
+    // The 300 s lead-in runs at 200× the paper's rate; the window after it
+    // is near-silent for an hour. A count-bounded run's arrivals all land in
+    // the lead-in.
     let config = SimulationConfig {
         seed: 21,
         churn,
-        arrival_schedule: ArrivalSchedule::Phases(vec![
-            RatePhase { multiplier: 200.0, duration_secs: 300.0 },
-            RatePhase { multiplier: 1e-9, duration_secs: 3600.0 },
-        ]),
+        query_rate_per_peer: 200.0 * 0.00083,
+        arrival_schedule: ArrivalSchedule::Burst {
+            multiplier: 1e-9,
+            start_secs: 300.0,
+            duration_secs: 3600.0,
+        },
         ..SimulationConfig::small(60)
     };
     let simulation = Scenario::from_config("quiet-tail", config)

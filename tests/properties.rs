@@ -25,8 +25,8 @@ use locaware_overlay::{
 };
 use locaware_sim::{Duration, EventKey, ShardQueue, SimTime};
 use locaware_workload::{
-    Arrival, ArrivalConfig, ArrivalProcess, ArrivalSchedule, FaultConfig, FileId, KeywordHashes,
-    KeywordId, OutageWindow, RatePhase, TimeoutPolicy, ZipfDistribution,
+    Arrival, ArrivalConfig, ArrivalProcess, ArrivalSchedule, ClusterWeights, FaultConfig, FileId,
+    KeywordHashes, KeywordId, OutageWindow, TimeoutPolicy, ZipfDistribution,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,6 +47,95 @@ fn legacy_arrivals(peers: usize, rate_per_peer: f64, count: usize, seed: u64) ->
             at: now,
             peer: rng.gen_range(0..peers),
         });
+    }
+    out
+}
+
+/// The burst generator before segments became constant-rate, reproduced
+/// verbatim: segments with a linearly interpolated multiplier, and a hazard
+/// inversion that solves a quadratic on a sloped segment. A burst's segments
+/// are flat, so today's one-division inversion must match it bit for bit.
+fn legacy_burst_arrivals(config: &ArrivalConfig, count: usize, seed: u64) -> Vec<Arrival> {
+    struct Segment {
+        start_secs: f64,
+        end_secs: f64,
+        multiplier_start: f64,
+        multiplier_end: f64,
+    }
+    let ArrivalSchedule::Burst { multiplier, start_secs, duration_secs } = config.schedule else {
+        panic!("legacy_burst_arrivals takes a burst");
+    };
+    let mut segments = Vec::new();
+    if start_secs > 0.0 {
+        segments.push(Segment {
+            start_secs: 0.0,
+            end_secs: start_secs,
+            multiplier_start: 1.0,
+            multiplier_end: 1.0,
+        });
+    }
+    segments.push(Segment {
+        start_secs,
+        end_secs: start_secs + duration_secs,
+        multiplier_start: multiplier,
+        multiplier_end: multiplier,
+    });
+    let tail_multiplier = 1.0;
+    let multiplier_at = |segment: &Segment, t: f64| {
+        if segment.multiplier_start == segment.multiplier_end {
+            segment.multiplier_start
+        } else {
+            let (start, end) = (segment.multiplier_start, segment.multiplier_end);
+            let progress = (t - segment.start_secs) / (segment.end_secs - segment.start_secs);
+            start + (end - start) * progress
+        }
+    };
+    let invert_hazard = |mut t_secs: f64, mut hazard: f64, base_rate: f64, index: &mut usize| {
+        while *index < segments.len() {
+            let segment = &segments[*index];
+            if t_secs >= segment.end_secs {
+                *index += 1;
+                continue;
+            }
+            let start = t_secs.max(segment.start_secs);
+            let rate_here = base_rate * multiplier_at(segment, start);
+            let rate_end = base_rate * segment.multiplier_end;
+            let remaining = segment.end_secs - start;
+            let hazard_to_end = 0.5 * (rate_here + rate_end) * remaining;
+            if hazard <= hazard_to_end {
+                let slope = base_rate
+                    * ((segment.multiplier_end - segment.multiplier_start)
+                        / (segment.end_secs - segment.start_secs));
+                let step = if slope == 0.0 {
+                    hazard / rate_here
+                } else {
+                    ((rate_here * rate_here + 2.0 * slope * hazard).sqrt() - rate_here) / slope
+                };
+                return start + step.min(remaining);
+            }
+            hazard -= hazard_to_end;
+            t_secs = segment.end_secs;
+            *index += 1;
+        }
+        let tail_rate = base_rate * tail_multiplier;
+        t_secs + hazard / tail_rate
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rate = config.aggregate_rate();
+    let (mut t_secs, mut index) = (0.0f64, 0usize);
+    let mut out = Vec::with_capacity(count);
+    for _ in 0..count {
+        // A unit-mean exponential: `-1.0 * ln(u)` is exactly `-ln(u)`.
+        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+        t_secs = invert_hazard(t_secs, -u.ln(), rate, &mut index);
+        let peer = match &config.origin_weights {
+            None => rng.gen_range(0..config.peers),
+            Some(weights) => {
+                let cluster = weights.sample_cluster(&mut rng);
+                rng.gen_range(weights.peer_range(cluster, config.peers))
+            }
+        };
+        out.push(Arrival { at: SimTime::ZERO + Duration::from_secs_f64(t_secs), peer });
     }
     out
 }
@@ -179,29 +268,23 @@ proptest! {
 
     // ----------------------------------------------------- arrival schedules
 
-    /// Every schedule shape produces exactly the requested number of
+    /// Both schedule shapes produce exactly the requested number of
     /// arrivals, in non-decreasing time order, attributed to in-range peers,
     /// and deterministically per seed.
     #[test]
     fn arrival_schedules_generate_sorted_deterministic_arrivals(
-        kind in 0u32..4,
-        m1 in 0.2f64..8.0,
-        m2 in 0.2f64..8.0,
-        d1 in 20.0f64..600.0,
-        d2 in 20.0f64..600.0,
-        start in 0.0f64..300.0,
+        burst in any::<bool>(),
+        multiplier in 0.2f64..8.0,
+        duration_secs in 20.0f64..600.0,
+        start_secs in 0.0f64..300.0,
         peers in 5usize..200,
         count in 1usize..250,
         seed in any::<u64>(),
     ) {
-        let schedule = match kind {
-            0 => ArrivalSchedule::Steady,
-            1 => ArrivalSchedule::Ramp { from: m1, to: m2, duration_secs: d1 },
-            2 => ArrivalSchedule::Burst { multiplier: m1, start_secs: start, duration_secs: d1 },
-            _ => ArrivalSchedule::Phases(vec![
-                RatePhase { multiplier: m1, duration_secs: d1 },
-                RatePhase { multiplier: m2, duration_secs: d2 },
-            ]),
+        let schedule = if burst {
+            ArrivalSchedule::Burst { multiplier, start_secs, duration_secs }
+        } else {
+            ArrivalSchedule::Steady
         };
         prop_assert!(schedule.validate().is_ok(), "generated schedules are well formed");
         let process = ArrivalProcess::new(ArrivalConfig {
@@ -245,39 +328,34 @@ proptest! {
         prop_assert_eq!(modern, legacy_arrivals(peers, rate, count, seed));
     }
 
-    /// Horizon-bounded generation lands the statistically right number of
-    /// arrivals in every phase of a two-phase schedule (the time-scaled
-    /// inversion really modulates intensity, not just timestamps).
+    /// A burst is *bit-for-bit* the generator it replaced, whose segments
+    /// carried a slope and whose inversion solved a quadratic on a sloped
+    /// one: same RNG draws, same floating-point operations, same
+    /// microsecond timestamps, with uniform and with cluster-weighted
+    /// origins. This keeps the flash-crowd fingerprints valid. The per-peer
+    /// rate is log-uniform over seven decades, so runs end in the lead-in,
+    /// in the window and in the tail after it.
     #[test]
-    fn phase_arrival_counts_track_the_scheduled_intensity(
-        m1 in 0.2f64..8.0,
-        m2 in 0.2f64..8.0,
+    fn burst_schedule_matches_the_legacy_generator_bit_for_bit(
+        multiplier in 1e-3f64..50.0,
+        start_secs in prop_oneof![Just(0.0f64), 0.0f64..3000.0],
+        duration_secs in 1.0f64..5000.0,
+        rate_decades in -7.0f64..0.0,
+        peers in 1usize..500,
+        count in 0usize..400,
+        weighted in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let duration = 2000.0;
-        let process = ArrivalProcess::new(ArrivalConfig {
-            peers: 100,
-            rate_per_peer: 0.01, // base 1 q/s
-            schedule: ArrivalSchedule::Phases(vec![
-                RatePhase { multiplier: m1, duration_secs: duration },
-                RatePhase { multiplier: m2, duration_secs: duration },
-            ]),
-            origin_weights: None,
-        })
-        .expect("valid configuration");
-        let horizon = SimTime::from_secs(2 * duration as u64);
-        let arrivals = process.generate_until(horizon, &mut StdRng::seed_from_u64(seed));
-        let first = arrivals.iter().filter(|a| a.at.as_secs_f64() < duration).count();
-        let second = arrivals.len() - first;
-        for (phase, got, multiplier) in [(1, first, m1), (2, second, m2)] {
-            let expected = multiplier * duration;
-            let tolerance = 5.0 * expected.sqrt() + 10.0;
-            prop_assert!(
-                (got as f64 - expected).abs() < tolerance,
-                "phase {}: got {} arrivals, expected {:.0}±{:.0}",
-                phase, got, expected, tolerance
-            );
-        }
+        let config = ArrivalConfig {
+            peers,
+            rate_per_peer: 10f64.powf(rate_decades),
+            schedule: ArrivalSchedule::Burst { multiplier, start_secs, duration_secs },
+            origin_weights: (weighted && peers >= 2)
+                .then(|| ClusterWeights::new(vec![3.0, 1.0]).expect("two positive weights")),
+        };
+        let process = ArrivalProcess::new(config.clone()).expect("valid configuration");
+        let modern = process.generate_count(count, &mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(modern, legacy_burst_arrivals(&config, count, seed));
     }
 
     // ----------------------------------------------------------- overlay gen
@@ -312,7 +390,6 @@ proptest! {
     ) {
         let topology = BriteGenerator::new(BriteConfig {
             nodes: 50,
-            placement: PlacementModel::Uniform,
             ..BriteConfig::default()
         })
         .generate(&mut StdRng::seed_from_u64(1));
@@ -902,7 +979,7 @@ proptest! {
     fn landmark_binning_is_deterministic(seed in any::<u64>(), nodes in 2usize..100) {
         let topology: PhysicalTopology = BriteGenerator::new(BriteConfig {
             nodes,
-            placement: PlacementModel::Clustered { clusters: 6, sigma: 0.02 },
+            placement: PlacementModel { clusters: 6, sigma: 0.02 },
             ..BriteConfig::default()
         })
         .generate(&mut StdRng::seed_from_u64(seed));
