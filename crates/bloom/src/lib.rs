@@ -17,8 +17,11 @@
 //! * [`BloomFilter`] — the fixed-size bit-vector filter exchanged between
 //!   neighbours,
 //! * [`CountingBloomFilter`] — the per-peer counting variant that supports
-//!   removal when index entries are evicted from the response index, and from
-//!   which the plain filter is projected,
+//!   removal when index entries are evicted from the response index. It is
+//!   kept as its own projection, the plain filter it exports (borrowed by
+//!   [`CountingBloomFilter::bloom`], never rebuilt), plus each position's
+//!   count − 1 in bit planes allocated only as high as the largest count
+//!   needs; counts saturate at `u16::MAX`,
 //! * [`BloomDelta`] — the changed-bit-position encoding of §4.2's footnote,
 //! * [`hashing`] — the double-hashing scheme used to derive the `k` bit
 //!   positions of an element.

@@ -115,6 +115,12 @@ pub enum ConfigError {
     ZeroCacheCapacity,
     /// A Bloom filter parameter (bits or hash count) is zero.
     ZeroBloomParameters,
+    /// The Bloom filter has more bits than a delta's 32-bit positions can
+    /// name, so changed-bit updates would flip the wrong bits.
+    BloomBitsOutOfRange {
+        /// The configured filter size in bits.
+        bits: usize,
+    },
     /// The neighbour Bloom-filter synchronisation period is under one tick of
     /// the microsecond simulation clock or does not fit it.
     NonPositiveBloomSyncPeriod {
@@ -219,6 +225,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroCacheCapacity => write!(f, "cache capacities must be positive"),
             ConfigError::ZeroBloomParameters => {
                 write!(f, "Bloom filter parameters must be positive")
+            }
+            ConfigError::BloomBitsOutOfRange { bits } => {
+                write!(f, "Bloom filter bits must fit a 32-bit delta position: got {bits}")
             }
             ConfigError::QueryLifetimeOverflow { ttl, max_latency_ms } => write!(
                 f,
@@ -706,6 +715,9 @@ impl SimulationConfig {
         if self.bloom_bits == 0 || self.bloom_hashes == 0 {
             return Err(ConfigError::ZeroBloomParameters);
         }
+        if u32::try_from(self.bloom_bits).is_err() {
+            return Err(ConfigError::BloomBitsOutOfRange { bits: self.bloom_bits });
+        }
         if !is_schedulable_period(self.bloom_sync_period_secs) {
             return Err(ConfigError::NonPositiveBloomSyncPeriod {
                 period_secs: self.bloom_sync_period_secs,
@@ -1136,6 +1148,16 @@ mod tests {
     }
 
     #[test]
+    fn bloom_bits_past_a_delta_position_are_rejected() {
+        // A delta names positions as `u32`: one bit more would wrap them.
+        let mut c = SimulationConfig::paper_defaults();
+        c.bloom_bits = u32::MAX as usize + 1;
+        assert_eq!(c.validate(), Err(ConfigError::BloomBitsOutOfRange { bits: c.bloom_bits }));
+        c.bloom_bits = u32::MAX as usize;
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
     fn dht_validation_catches_inconsistencies() {
         let mut c = SimulationConfig::paper_defaults();
         c.dht.k = 0;
@@ -1239,12 +1261,13 @@ mod tests {
     }
 
     /// The integer and degenerate edges — a lone peer, no queries, more
-    /// shards than peers, every message lost, every peer crashed, TTL 0 and a
-    /// zero cache — each fail validation or run to a report.
+    /// shards than peers, every message lost, every peer crashed, TTL 0, a
+    /// zero cache and a filter too wide for a delta's 32-bit positions — each
+    /// fail validation or run to a report.
     #[test]
     fn every_integer_edge_fails_validation_or_runs() {
         type Edge = fn(&mut SimulationConfig);
-        let edges: [(&str, Edge, usize); 7] = [
+        let edges: [(&str, Edge, usize); 8] = [
             ("1 peer", |c| (c.peers, c.average_degree) = (1, 0.5), 20),
             ("0 queries", |_| {}, 0),
             ("shards > peers", |c| c.shards = 64, 20),
@@ -1263,6 +1286,7 @@ mod tests {
             ),
             ("TTL 0", |c| c.ttl = 0, 20),
             ("capacity 0", |c| c.response_index_capacity = 0, 20),
+            ("bloom bits past u32", |c| c.bloom_bits = u32::MAX as usize + 1, 20),
         ];
         let mut panicked = Vec::new();
         for (name, edge, queries) in edges {

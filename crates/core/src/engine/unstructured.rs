@@ -17,6 +17,8 @@
 //! still forward attempt `n+1` — while every per-query slab keys on the
 //! arrival index in the low bits.
 
+use std::sync::Arc;
+
 use locaware_bloom::ElementHashes;
 use locaware_overlay::routing::decrement_ttl;
 use locaware_overlay::{Message, OverlayGraph, PeerId, ProviderEntry, QueryId};
@@ -47,22 +49,17 @@ fn attempt_id(index: usize, attempt: u32) -> QueryId {
 
 /// The initial Bloom exchange between neighbours ("Neighboring peers
 /// exchange their group Ids as well as their Bloom filters", §4.2), modelled
-/// as already done at simulation start: every peer's exported filter, which
-/// covers the files it stores, becomes its neighbours' view of it, and no
-/// delta is left pending.
+/// as already done at simulation start: every peer exports its filter, which
+/// covers the files it stores, once and whole, no delta left pending, and
+/// each of its neighbours' views of it shares that one export until a delta
+/// changes the view.
 pub(super) fn bootstrap(shared: &RunShared<'_>, graph: &OverlayGraph, shards: &mut [ShardState]) {
     let all_peers = || (0..shared.config.peers as u32).map(PeerId);
-    let initial_blooms: Vec<_> = all_peers()
-        .map(|id| {
-            let peer = peer_mut(shared, shards, id);
-            let _ = peer.take_bloom_update();
-            peer.exported_bloom().clone()
-        })
-        .collect();
+    let exports: Vec<_> = all_peers().map(|id| peer_mut(shared, shards, id).export_bloom()).collect();
     for id in all_peers() {
         let peer = peer_mut(shared, shards, id);
         for &n in graph.neighbors(id) {
-            peer.set_neighbor_bloom(n, initial_blooms[n.index()].clone());
+            peer.set_neighbor_bloom(n, Arc::clone(&exports[n.index()]));
         }
     }
 }
@@ -233,7 +230,7 @@ pub(super) fn deliver(
                 state.send(shared, key.time, to, upstream, message, index);
             }
         }
-        Message::BloomFull { filter } => state.peers[slot].set_neighbor_bloom(from, filter),
+        Message::BloomFull { filter } => state.peers[slot].set_neighbor_bloom(from, Arc::new(filter)),
         Message::BloomDelta { delta } => state.peers[slot].apply_neighbor_bloom_delta(from, &delta),
         _ => unreachable!("only unstructured messages are delivered to the unstructured family"),
     }
@@ -382,8 +379,8 @@ mod tests {
     use super::*;
     use crate::config::SimulationConfig;
     use crate::simulation::Simulation;
+    use locaware_bloom::{BloomDelta, BloomFilter};
     use locaware_workload::{FileId, KeywordId, TimeoutPolicy};
-    use std::sync::Arc;
 
     /// A 40-peer single-shard substrate whose fault plan re-floods an
     /// unanswered query twice: deadlines 10 s, 20 s and 40 s after each flood.
@@ -459,5 +456,69 @@ mod tests {
         assert_eq!(state.tallies.message_counts, [0; 7], "nothing sent");
         assert_eq!(state.tallies.query_timeouts, 0, "and nothing armed");
         assert!(state.ledger.drained_locally(0), "so the issue is born complete");
+    }
+
+    /// `viewer`'s view of `owner`'s filter.
+    fn view_of(
+        shared: &RunShared<'_>, shards: &mut [ShardState], viewer: PeerId, owner: PeerId,
+    ) -> Option<Arc<BloomFilter>> {
+        let row = peer_mut(shared, shards, viewer).neighbors();
+        let (_, info) = row.iter().find(|&&(n, _)| n == owner).expect("a neighbour");
+        info.bloom.clone()
+    }
+
+    #[test]
+    fn neighbour_views_share_the_export_until_their_first_delta() {
+        let mut config = SimulationConfig::small(40);
+        config.shards = 1;
+        let sim = Simulation::try_build(config).expect("test configuration validates");
+        let graph = sim.overlay();
+        let (shared, mut shards) = prepare(&sim, ProtocolKind::Locaware, sim.arrivals(1), true);
+
+        // After the initial exchange every view is its owner's one export.
+        for viewer in (0..40).map(PeerId) {
+            for &owner in graph.neighbors(viewer) {
+                let view = view_of(&shared, &mut shards, viewer, owner).expect("exchanged");
+                assert!(Arc::ptr_eq(&view, peer_mut(&shared, &mut shards, owner).exported_bloom()));
+            }
+        }
+
+        // A delta delivered to one neighbour copies that view only.
+        let mut peers = (0..40).map(PeerId);
+        let owner = peers.find(|&p| graph.neighbors(p).len() >= 2).expect("a peer of degree 2");
+        let (a, b) = (graph.neighbors(owner)[0], graph.neighbors(owner)[1]);
+        let export = Arc::clone(peer_mut(&shared, &mut shards, owner).exported_bloom());
+        let words = export.words().to_vec();
+        let delta = BloomDelta::from_positions(vec![0, 7], export.bits() as u32);
+        let key = EventKey::before_time(SimTime::ZERO);
+        deliver(&mut shards[0], &shared, graph, key, owner, a, Message::BloomDelta { delta });
+        let a_view = view_of(&shared, &mut shards, a, owner).expect("still held");
+        assert!(!Arc::ptr_eq(&a_view, &export));
+        assert_eq!(a_view.changed_bits(&export), vec![0, 7]);
+        assert_eq!(export.words(), &words[..], "the owner's export keeps its words");
+        let b_view = view_of(&shared, &mut shards, b, owner).expect("still held");
+        assert!(Arc::ptr_eq(&b_view, &export), "the other neighbours still share the export");
+
+        // The owner's next update moves its export, not the views it handed out.
+        let file = FileId(0);
+        let keywords = sim.catalog().filename(file).keywords().to_vec();
+        let peer = peer_mut(&shared, &mut shards, owner);
+        peer.cache_index(file, &keywords, [(a, shared.loc_ids[a.index()])]);
+        assert!(peer.take_bloom_update().is_some());
+        assert!(!Arc::ptr_eq(peer.exported_bloom(), &export));
+        assert_eq!(peer.exported_bloom().as_ref(), peer.current_bloom());
+        assert_eq!(b_view.words(), &words[..], "b's view keeps the old export's words");
+        assert_eq!(a_view.changed_bits(&export), vec![0, 7], "a's view keeps its delta");
+
+        // A volatile reset drops the resetting peer's own views only.
+        peer_mut(&shared, &mut shards, a).reset_volatile_state();
+        for &n in graph.neighbors(a) {
+            assert!(view_of(&shared, &mut shards, a, n).is_none());
+        }
+        let b_view = view_of(&shared, &mut shards, b, owner).expect("b's view survives a's reset");
+        assert!(Arc::ptr_eq(&b_view, &export));
+        for &n in graph.neighbors(a) {
+            assert!(view_of(&shared, &mut shards, n, a).is_some(), "views of a survive a's reset");
+        }
     }
 }

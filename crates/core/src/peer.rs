@@ -29,7 +29,9 @@ pub struct NeighborInfo {
     /// `None` means "empty filter" — the state before the first exchange and
     /// after a volatile reset — kept unallocated because with ~3 neighbours
     /// per peer the pre-exchange filters dominated per-peer memory at scale.
-    pub bloom: Option<Box<BloomFilter>>,
+    /// Shared: the initial exchange hands every neighbour the owner's one
+    /// export, and a view is copied only when its first delta arrives.
+    pub bloom: Option<Arc<BloomFilter>>,
 }
 
 /// A 64-bit summary of a keyword set: one bit per keyword, chosen by a
@@ -62,8 +64,9 @@ pub struct PeerState {
     /// Counting filter tracking the keywords of everything in the response
     /// index (private; supports deletions).
     counting_bloom: CountingBloomFilter,
-    /// The last filter version pushed to neighbours.
-    exported_bloom: BloomFilter,
+    /// The last filter version pushed to neighbours; the initial exchange
+    /// shares it with every neighbour's view.
+    exported_bloom: Arc<BloomFilter>,
     /// True if the response index changed since the last export.
     bloom_dirty: bool,
     /// Per-neighbour knowledge, strictly ascending by neighbour id — a
@@ -106,7 +109,7 @@ impl PeerState {
             storage_signature: 0,
             response_index: ResponseIndex::new(index_capacity, max_providers_per_file),
             counting_bloom: CountingBloomFilter::new(bloom_params),
-            exported_bloom: BloomFilter::new(bloom_params),
+            exported_bloom: Arc::new(BloomFilter::new(bloom_params)),
             bloom_dirty: false,
             neighbors: Vec::new(),
             dht: None,
@@ -196,14 +199,25 @@ impl PeerState {
         }
     }
 
-    /// The peer's current Bloom filter (projected from the counting filter).
-    pub fn current_bloom(&self) -> BloomFilter {
-        self.counting_bloom.to_bloom()
+    /// The peer's current Bloom filter (the counting filter's projection).
+    pub fn current_bloom(&self) -> &BloomFilter {
+        self.counting_bloom.bloom()
     }
 
     /// The last filter version exported to neighbours.
-    pub fn exported_bloom(&self) -> &BloomFilter {
+    pub fn exported_bloom(&self) -> &Arc<BloomFilter> {
         &self.exported_bloom
+    }
+
+    /// Exports the current filter whole, as the initial exchange hands it to
+    /// every neighbour, and returns it to be shared; no delta is left
+    /// pending.
+    pub fn export_bloom(&mut self) -> Arc<BloomFilter> {
+        if self.bloom_dirty {
+            self.exported_bloom = Arc::new(self.current_bloom().clone());
+            self.bloom_dirty = false;
+        }
+        Arc::clone(&self.exported_bloom)
     }
 
     /// True if the exported filter is stale.
@@ -218,15 +232,14 @@ impl PeerState {
         if !self.bloom_dirty {
             return None;
         }
-        let current = self.current_bloom();
-        let delta = BloomDelta::between(&self.exported_bloom, &current);
-        self.exported_bloom = current;
         self.bloom_dirty = false;
+        let delta = BloomDelta::between(&self.exported_bloom, self.counting_bloom.bloom());
         if delta.is_empty() {
-            None
-        } else {
-            Some(delta)
+            return None;
         }
+        // A copy only while neighbours' views still share the old export.
+        delta.apply(Arc::make_mut(&mut self.exported_bloom));
+        Some(delta)
     }
 
     /// Clears all cached protocol state (used when a peer rejoins after churn:
@@ -234,7 +247,7 @@ impl PeerState {
     pub fn reset_volatile_state(&mut self) {
         self.response_index.clear();
         self.counting_bloom.clear();
-        self.exported_bloom = BloomFilter::new(self.exported_bloom.params());
+        self.exported_bloom = Arc::new(BloomFilter::new(self.exported_bloom.params()));
         self.bloom_dirty = false;
         for (_, info) in &mut self.neighbors {
             info.bloom = None;
@@ -282,23 +295,22 @@ impl PeerState {
     }
 
     /// Replaces the stored copy of a neighbour's filter (full push).
-    pub fn set_neighbor_bloom(&mut self, neighbor: PeerId, bloom: BloomFilter) {
+    pub fn set_neighbor_bloom(&mut self, neighbor: PeerId, bloom: Arc<BloomFilter>) {
         if let Some(info) = self.neighbor_mut(neighbor) {
-            info.bloom = Some(Box::new(bloom));
+            info.bloom = Some(bloom);
         }
     }
 
     /// Applies an incremental update to the stored copy of a neighbour's
-    /// filter, materializing the unallocated empty filter on first delta
-    /// (every peer in a run shares one filter geometry, so the local export's
-    /// parameters are the neighbour's too).
+    /// filter: a view still shared with the neighbour's export (or another
+    /// peer's view of it) is copied first, and the unallocated empty filter
+    /// is materialised (every peer in a run shares one filter geometry, so
+    /// the local export's parameters are the neighbour's too).
     pub fn apply_neighbor_bloom_delta(&mut self, neighbor: PeerId, delta: &BloomDelta) {
         let params = self.exported_bloom.params();
         if let Some(info) = self.neighbor_mut(neighbor) {
-            delta.apply(
-                info.bloom
-                    .get_or_insert_with(|| Box::new(BloomFilter::new(params))),
-            );
+            let view = info.bloom.get_or_insert_with(|| Arc::new(BloomFilter::new(params)));
+            delta.apply(Arc::make_mut(view));
         }
     }
 
@@ -400,7 +412,7 @@ mod tests {
         let delta = p.take_bloom_update().expect("there should be an update");
         assert!(!delta.is_empty());
         assert!(!p.bloom_dirty());
-        assert_eq!(p.exported_bloom(), &p.current_bloom());
+        assert_eq!(p.exported_bloom().as_ref(), p.current_bloom());
         assert!(p.take_bloom_update().is_none(), "no further change, no update");
     }
 
@@ -450,7 +462,7 @@ mod tests {
         let mut remote = BloomFilter::default();
         remote.insert(&KeywordId(7).canonical());
         remote.insert(&KeywordId(8).canonical());
-        p.set_neighbor_bloom(PeerId(2), remote);
+        p.set_neighbor_bloom(PeerId(2), Arc::new(remote));
 
         assert_eq!(bloom_matches(&p, &kws(&[7])), vec![PeerId(2)]);
         assert_eq!(bloom_matches(&p, &kws(&[7, 8])), vec![PeerId(2)]);

@@ -259,6 +259,7 @@ mod tests {
     use locaware_bloom::BloomFilter;
     use locaware_net::LocId;
     use locaware_workload::{FileId, KeywordId};
+    use std::sync::Arc;
 
     fn config() -> SimulationConfig {
         SimulationConfig::small(20)
@@ -278,7 +279,7 @@ mod tests {
         let mut bloom = BloomFilter::default();
         bloom.insert(&KeywordId(0).canonical());
         bloom.insert(&KeywordId(1).canonical());
-        fx.peers[0].set_neighbor_bloom(PeerId(3), bloom);
+        fx.peers[0].set_neighbor_bloom(PeerId(3), Arc::new(bloom));
 
         let mut targets = Vec::new();
         let decision =
@@ -310,7 +311,7 @@ mod tests {
         let mut bloom = BloomFilter::default();
         bloom.insert(&KeywordId(0).canonical());
         bloom.insert(&KeywordId(1).canonical());
-        fx.peers[0].set_neighbor_bloom(PeerId(3), bloom);
+        fx.peers[0].set_neighbor_bloom(PeerId(3), Arc::new(bloom));
 
         let decision =
             protocol.forward_targets_into(&fx.view(0), &query.context(), None, &mut Vec::new());

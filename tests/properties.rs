@@ -772,7 +772,7 @@ proptest! {
                 6..=7 => {
                     let mut bloom = BloomFilter::new(params);
                     bloom.insert(&keyword.canonical());
-                    state.set_neighbor_bloom(neighbor, bloom.clone());
+                    state.set_neighbor_bloom(neighbor, Arc::new(bloom.clone()));
                     if let Some((_, held)) = model.get_mut(&neighbor) {
                         *held = Some(bloom);
                     }
