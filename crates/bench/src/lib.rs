@@ -24,7 +24,6 @@
 //! repository's one benchmark (it reads its own JSON through [`trajectory`]).
 
 #![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
 
 use locaware::{ExperimentOutcome, ExperimentPlan, ProtocolKind, Runner, Scenario, SimulationConfig};
 

@@ -15,10 +15,6 @@
 //! a cumulative maximum; if the reset is unavailable the row is marked
 //! cumulative.
 
-// The wall-clock ban (clippy.toml disallowed-methods, mirroring lint rule
-// D002) is lifted for this module only.
-#![allow(clippy::disallowed_methods)]
-
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -41,6 +37,10 @@ fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one wall-clock exemption: this subcommand times builds and runs"
+)]
 pub(crate) fn run(args: impl IntoIterator<Item = String>) -> Result<String, String> {
     let (mut peer_counts, mut queries) = (vec![1_000, 10_000, 100_000], 200);
     // Scales above this only build the substrate (a 10⁵-peer *run* is a

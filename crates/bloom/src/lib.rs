@@ -27,7 +27,7 @@
 //!   positions of an element.
 
 #![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod counting;
 pub mod delta;

@@ -520,7 +520,10 @@ pub(super) fn run_stats<'p>(
 /// calls — sound only while the caller's `graph` stays fixed; without
 /// it the targets are resolved into the caller's `unmemoised` buffer, so a
 /// one-off publish allocates nothing.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "store rounds lend a memo, a publish its shard's scratch buffers"
+)]
 fn for_each_store_target(
     shared: &RunShared<'_>,
     directory: &DhtDirectory,
@@ -806,7 +809,10 @@ fn search(state: &mut ShardState, index: usize) -> Option<(&mut u32, &mut Option
 /// On success the origin downloads and replicates through the shared
 /// [`ShardState::satisfy`] and immediately publishes the new replica to the
 /// keyword index.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the mutable shard sits beside the run's borrowed parts"
+)]
 fn try_satisfy(
     state: &mut ShardState,
     shared: &RunShared<'_>,

@@ -310,8 +310,8 @@ impl Scenario {
 /// `every_preset_validates_and_has_a_distinct_seed` exercises each one, so
 /// the panic is unreachable in a released tree. Concentrating the
 /// deliberate panic here — instead of a per-preset `.expect(...)` — keeps
-/// the constructors readable and the D004 unwrap ratchet honest about how
-/// many independent panic decisions this module actually makes: one.
+/// the constructors readable and the crate's `clippy::expect_used` lint
+/// honest about how many independent panic decisions this module makes: one.
 fn validated_preset(name: &'static str, config: SimulationConfig) -> Scenario {
     match Scenario::from_config(name, config) {
         Ok(scenario) => scenario,

@@ -433,13 +433,13 @@ mod naive {
     use locaware_overlay::PeerId;
     use locaware_workload::{FileId, KeywordId};
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     /// The unoptimized model: same behaviour as [`super::ResponseIndex`],
     /// naive scans everywhere.
     #[derive(Debug, Clone)]
     pub struct NaiveResponseIndex {
-        entries: HashMap<FileId, IndexEntry>,
+        entries: BTreeMap<FileId, IndexEntry>,
         capacity: usize,
         max_providers: usize,
         clock: u64,
@@ -454,7 +454,7 @@ mod naive {
             assert!(capacity > 0, "response index capacity must be positive");
             assert!(max_providers > 0, "provider capacity must be positive");
             NaiveResponseIndex {
-                entries: HashMap::with_capacity(capacity),
+                entries: BTreeMap::new(),
                 capacity,
                 max_providers,
                 clock: 0,
@@ -474,14 +474,11 @@ mod naive {
         /// Full-scan keyword lookup (the model for
         /// [`super::ResponseIndex::lookup_by_keywords`]).
         pub fn lookup_by_keywords(&self, query: &[KeywordId]) -> Vec<FileId> {
-            let mut files: Vec<FileId> = self
-                .entries
+            self.entries
                 .values()
                 .filter(|e| e.matches(query))
                 .map(|e| e.file)
-                .collect();
-            files.sort_unstable();
-            files
+                .collect()
         }
 
         /// Insert with min-scan eviction (the model for
@@ -535,7 +532,8 @@ mod naive {
         /// [`super::ResponseIndex::remove_provider`]).
         pub fn remove_provider(&mut self, peer: PeerId) -> Vec<Eviction> {
             let mut evictions = Vec::new();
-            let mut emptied: Vec<FileId> = self
+            // In file-id order, the map's.
+            let emptied: Vec<FileId> = self
                 .entries
                 .iter_mut()
                 .filter_map(|(&file, entry)| {
@@ -547,9 +545,6 @@ mod naive {
                     }
                 })
                 .collect();
-            // Evictions come back in file-id order, never in the backing
-            // map's.
-            emptied.sort_unstable();
             for file in emptied {
                 if let Some(entry) = self.entries.remove(&file) {
                     evictions.push(Eviction {

@@ -63,7 +63,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod config;
 pub mod engine;

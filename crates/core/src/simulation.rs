@@ -205,6 +205,10 @@ impl Simulation {
     ///
     /// [`ArrivalSchedule::Steady`]: locaware_workload::ArrivalSchedule::Steady
     pub fn arrivals(&self, num_queries: usize) -> Vec<Arrival> {
+        #[expect(
+            clippy::expect_used,
+            reason = "try_build validated the arrival configuration"
+        )]
         let process = ArrivalProcess::new(self.config.arrival_config())
             .expect("arrival configuration was validated by try_build");
         let mut arrivals =

@@ -26,6 +26,10 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
         return 0.0;
     }
     let mut sorted = values.to_vec();
+    #[expect(
+        clippy::expect_used,
+        reason = "callers pass finite samples; a NaN is a bug the panic names"
+    )]
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("percentile input must not contain NaN"));
     let p = p.clamp(0.0, 100.0);
     let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;

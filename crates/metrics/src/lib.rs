@@ -24,7 +24,7 @@
 //!   experiment binaries and EXPERIMENTS.md.
 
 #![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod aggregate;
 pub mod counters;

@@ -31,7 +31,7 @@
 //! ordering* — without simulating routers the paper never models.
 
 #![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod brite;
 pub mod coordinates;

@@ -20,6 +20,7 @@ impl LocId {
     /// # Panics
     /// Panics if the factorial overflows `u32` (landmarks > 12), far beyond any
     /// sensible landmark count — the paper argues even 5 is too many.
+    #[expect(clippy::expect_used, reason = "the documented panic past 12 landmarks")]
     pub fn cardinality(landmarks: usize) -> u32 {
         let mut f: u32 = 1;
         for i in 2..=landmarks as u32 {

@@ -351,9 +351,9 @@ impl DhtRecordStore {
                 .entries
                 .iter()
                 .map(|(&key, &stored)| (stored.expires_at, key))
-                .min()
-                .map(|(_, key)| key)
-                .expect("over-cap record cannot be empty");
+                .min();
+            // A cap below an empty record's size keeps the empty record.
+            let Some((_, stalest)) = stalest else { break };
             record.entries.remove(&stalest);
             self.truncated_entries += 1;
         }

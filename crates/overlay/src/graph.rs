@@ -89,6 +89,10 @@ impl OverlayGraph {
         offsets.push(0u32);
         for i in 0..peers {
             arena.extend_from_slice(self.row(i));
+            #[expect(
+                clippy::expect_used,
+                reason = "u32 offsets by design: 2^32 directed edges is a 16 GiB arena"
+            )]
             offsets.push(u32::try_from(arena.len()).expect("edge arena exceeds u32 offsets"));
         }
         self.offsets = offsets;
@@ -179,11 +183,13 @@ impl OverlayGraph {
             a.index() < self.len() && b.index() < self.len(),
             "peer id out of range"
         );
+        // Rows are symmetric, so neither holds the other peer: it goes before
+        // the first larger id.
         let row = self.row_mut(a.index());
-        let ia = row.binary_search(&b).unwrap_err();
+        let ia = row.partition_point(|&n| n < b);
         row.insert(ia, b);
         let row = self.row_mut(b.index());
-        let ib = row.binary_search(&a).unwrap_err();
+        let ib = row.partition_point(|&n| n < a);
         row.insert(ib, a);
         self.edges += 1;
         true

@@ -33,7 +33,7 @@
 //! only provides the mechanism those policies share.
 
 #![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod churn;
 pub mod dht;

@@ -16,7 +16,7 @@
 //! event enum.
 
 #![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod rng;
 pub mod shard;

@@ -295,6 +295,10 @@ impl<E> ShardQueue<E> {
             entry
         };
         debug_assert_eq!(entry.key(), key);
+        #[expect(
+            clippy::expect_used,
+            reason = "a slot is freed only when its entry pops"
+        )]
         let payload = self.slab[entry.slot as usize]
             .take()
             .expect("a queued entry's slab slot is occupied");

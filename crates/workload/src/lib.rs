@@ -32,7 +32,7 @@
 //!   validated workload dimension.
 
 #![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod arrival;
 pub mod catalog;

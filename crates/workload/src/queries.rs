@@ -164,7 +164,7 @@ mod tests {
     use crate::catalog::CatalogConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn setup() -> (Catalog, QueryGenerator) {
         let mut rng = StdRng::seed_from_u64(1);
@@ -218,7 +218,7 @@ mod tests {
     fn popularity_is_skewed_towards_few_files() {
         let (catalog, generator) = setup();
         let mut rng = StdRng::seed_from_u64(4);
-        let mut counts: HashMap<FileId, usize> = HashMap::new();
+        let mut counts: BTreeMap<FileId, usize> = BTreeMap::new();
         let n = 20_000;
         for _ in 0..n {
             let q = generator.generate(&catalog, &mut rng);

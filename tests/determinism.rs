@@ -379,7 +379,7 @@ fn regional_hotspot_concentrates_storage_and_origins() {
     // The hot cluster is the first third of the *locality-sorted* order.
     let mut by_locality: Vec<usize> = (0..90).collect();
     by_locality.sort_by_key(|&p| (substrate.loc_ids()[p], p));
-    let hot: std::collections::HashSet<usize> = by_locality[..30].iter().copied().collect();
+    let hot: std::collections::BTreeSet<usize> = by_locality[..30].iter().copied().collect();
 
     let hot_replicas: usize = hot
         .iter()
