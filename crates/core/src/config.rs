@@ -521,10 +521,6 @@ pub struct SimulationConfig {
     /// variable if set (read once per process), else run single-sharded.
     /// Values are clamped to `1..=peers` at run time.
     pub shards: usize,
-
-    // --- safety ---------------------------------------------------------------
-    /// Upper bound on dispatched events per run (guards against event storms).
-    pub max_events: u64,
 }
 
 impl Default for SimulationConfig {
@@ -570,7 +566,6 @@ impl SimulationConfig {
             shards: 0,
             churn: ChurnConfig::disabled(),
             faults: FaultConfig::disabled(),
-            max_events: 200_000_000,
         }
     }
 

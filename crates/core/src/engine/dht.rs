@@ -945,7 +945,7 @@ mod tests {
         place_record(state, &shared, now, PeerId(6), u32::MAX, 7, provider);
         assert_eq!(state.tallies.message_counts[kind_index(MessageKind::DhtStore)], 1);
         assert!(record(state, 6, u32::MAX, now).is_empty());
-        state.drain(&shared, sim.overlay(), u64::MAX);
+        state.drain(&shared, sim.overlay());
         assert_eq!(record(state, 6, u32::MAX, now), [(7, provider)]);
     }
 
@@ -963,7 +963,7 @@ mod tests {
         // The same round, paid for: stores travel as messages and land later.
         republish(&shared, directory, &mut shards, sim.overlay(), SimTime::ZERO, false);
         assert_ne!(records(&shared, &shards[0], later), bootstrapped);
-        shards[0].drain(&shared, sim.overlay(), u64::MAX);
+        shards[0].drain(&shared, sim.overlay());
         assert_eq!(records(&shared, &shards[0], later), bootstrapped);
     }
 

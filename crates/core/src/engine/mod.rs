@@ -49,17 +49,14 @@
 //!
 //! Because the canonical order, the per-arrival RNG streams and the merge
 //! rules are all pure functions of the configuration and seed, **any shard
-//! count produces bit-identical [`SimulationReport`]s** — `shards = 1` is
-//! simply the degenerate case with one queue, an unbounded window and no
-//! threads. `tests/determinism.rs` pins the equality over shards {1, 2, 4, 8}
-//! for all eight protocols, with and without churn. The `Executor` is a
-//! pure scheduling choice on top of that: either branch of `drain_window`
-//! makes the same state transitions.
-//!
-//! The one carve-out: if a run trips the `max_events` safety valve (a bound
-//! "well-formed simulations never hit"), sharded runs stop at the next window
-//! barrier rather than mid-window, so the truncation point may differ between
-//! shard counts. Results below the budget are unaffected.
+//! count produces bit-identical [`SimulationReport`]s** for every validated
+//! configuration: every run drains on its own, with no event budget to cut
+//! it at a shard-dependent barrier. `shards = 1` is simply the degenerate
+//! case with one queue, an unbounded window and no threads.
+//! `tests/determinism.rs` pins the equality over shards {1, 2, 4, 8} for all
+//! eight protocols, with and without churn. The `Executor` is a pure
+//! scheduling choice on top of that: either branch of `drain_window` makes
+//! the same state transitions.
 //!
 //! ## Who owns what
 //!
@@ -419,10 +416,8 @@ fn finalize(
     }
     // Route state lives exactly as long as its query: a run that drained its
     // queues completed every query, so every table is back on a spare list.
-    // (A run the event budget cut short stops with queries still in flight.)
-    let dispatched = coordinator.dispatched(shards);
     assert!(
-        dispatched >= shared.config.max_events || shards.iter().all(|s| s.routes.live() == 0),
+        shards.iter().all(|s| s.routes.live() == 0),
         "route state outlived its query: {:?} tables still held per shard",
         shards.iter().map(|s| s.routes.live()).collect::<Vec<_>>()
     );
@@ -500,7 +495,7 @@ fn finalize(
         total_file_replicas: all_peers().map(|p| p.shared_file_count()).sum(),
         total_cached_index_entries: all_peers().map(|p| p.response_index.len()).sum(),
         simulated_end_time_secs: end_time.as_secs_f64(),
-        dispatched_events: dispatched,
+        dispatched_events: coordinator.dispatched(shards),
         dht: shared
             .dht
             .is_some()
@@ -633,16 +628,9 @@ impl Coordinator {
     }
 
     /// The main loop: alternate window drains and serial control steps until
-    /// every queue is empty and the control schedule is exhausted (or the
-    /// event budget trips).
+    /// every queue is empty and the control schedule is exhausted.
     fn drive(&mut self, shared: &RunShared<'_>, shards: &mut [ShardState], executor: Executor) {
         loop {
-            let budget = shared.config.max_events;
-            let Some(remaining) = budget.checked_sub(self.dispatched(shards)).filter(|&r| r > 0)
-            else {
-                break; // Event budget exhausted: stop at this barrier.
-            };
-
             let next_event: Option<EventKey> =
                 shards.iter().filter_map(|s| s.queue.peek_key()).min();
             let next_control = self.control.get(self.next_control).map(|&(key, _)| key);
@@ -700,7 +688,7 @@ impl Coordinator {
                             Executor::Auto => self.prev_offloaded >= PARALLEL_MIN_OFFLOADED_EVENTS,
                         };
                     let graph = &self.graph;
-                    drain_window(shards, parallel, |shard| shard.drain(shared, graph, remaining));
+                    drain_window(shards, parallel, |shard| shard.drain(shared, graph));
                     merge_outboxes(shards);
                     // Critical-path accounting: a window's parallel phase is
                     // as slow as its busiest shard.
@@ -772,9 +760,8 @@ impl Coordinator {
         // fallback heap (summed over shards), and the deepest any one got.
         let queues = || shards.iter().map(|s| s.queue.stats());
         // Route tables: the most any shard held at once, and how many are
-        // still held (0 unless the event budget truncated the run). Storage
-        // signature: first sightings that had to walk the shared files vs
-        // those it stopped.
+        // still held (always 0: finalize asserts it). Storage signature: first
+        // sightings that had to walk the shared files vs those it stopped.
         let routes = || shards.iter().map(|s| &s.routes);
         let tallies = || shards.iter().map(|s| &s.tallies);
         eprintln!(
@@ -847,8 +834,9 @@ impl Coordinator {
                     return;
                 }
                 graph.rejoin(peer);
-                shards[shared.partition.shard(peer)]
-                    .reset_volatile_state(shared.partition.slot(peer));
+                // Caches are volatile; route-table sightings are not, so
+                // reverse paths stay trees (`QueryRoutes`).
+                peer_mut(shared, shards, peer).reset_volatile_state();
                 // Re-wire to `average_degree` random online peers.
                 let degree = shared.config.average_degree.round() as usize;
                 let candidates: Vec<PeerId> = graph.active_peers().filter(|&p| p != peer).collect();

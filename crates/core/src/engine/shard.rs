@@ -117,8 +117,8 @@ pub(super) struct QueryTracking {
     pub locality_match: bool,
     pub providers_offered: usize,
     /// When the query's last in-flight message was consumed — the time of its
-    /// canonical class-4 completion event. `None` only if the run was
-    /// truncated by the event budget while messages were still travelling.
+    /// canonical class-4 completion event. `None` until then; every run
+    /// drains, so every query ends with `Some`.
     pub completed_at: Option<SimTime>,
     /// Provider-selection randomness, one independent stream per query so the
     /// draw sequence is a pure function of (seed, arrival index, response
@@ -201,9 +201,9 @@ pub(super) struct ShardState {
     pub issued: Vec<HashMap<FileId, u32>>,
     /// Duplicate suppression and reverse paths of this shard's peers, one
     /// table `(slot, attempt) → first upstream` per query that currently has
-    /// state here: created by the query's first sighting in this shard,
-    /// returned to the spare list by its completion, and erased of a peer
-    /// that rejoins ([`ShardState::reset_volatile_state`]).
+    /// state here: created by the query's first sighting in this shard and
+    /// returned to the spare list by its completion; no entry is erased
+    /// before that.
     pub routes: QueryRoutes,
     /// The upper bound of the window this shard is currently draining, set by
     /// the coordinator at the barrier. With per-channel lookahead each shard
@@ -259,20 +259,12 @@ impl ShardState {
     }
 
     /// Drains every local event strictly below `self.window_bound` (set by
-    /// the coordinator at the barrier), dispatching at most `cap` events
-    /// (the run-wide event budget's share for this window). `graph` is the
-    /// coordinator's, borrowed for the window.
-    pub(super) fn drain(&mut self, shared: &RunShared<'_>, graph: &OverlayGraph, cap: u64) {
-        if cap == 0 {
-            return;
-        }
+    /// the coordinator at the barrier). `graph` is the coordinator's,
+    /// borrowed for the window.
+    pub(super) fn drain(&mut self, shared: &RunShared<'_>, graph: &OverlayGraph) {
         let bound = self.window_bound;
-        let mut dispatched = 0u64;
-        while dispatched < cap {
-            let Some((key, event)) = self.queue.pop_before(bound) else {
-                break;
-            };
-            dispatched += 1;
+        while let Some((key, event)) = self.queue.pop_before(bound) {
+            self.dispatched += 1;
             // Strictly: canonical keys are unique, which is what lets the
             // queue's unstable bucket sort and its heap agree on one order.
             debug_assert!(Some(key) > self.last_key, "{key:?} after {:?}", self.last_key);
@@ -321,7 +313,6 @@ impl ShardState {
                 }
             }
         }
-        self.dispatched += dispatched;
     }
 
     /// Completes query `index` at `now` if the event just handled — checked
@@ -499,13 +490,6 @@ impl ShardState {
             self.issued[slot].remove(&target);
         }
         self.routes.complete(index);
-    }
-
-    /// Peer `slot` rejoins after churn: its caches are volatile, and so is
-    /// what it knew about the queries in flight — each is new to it again.
-    pub(super) fn reset_volatile_state(&mut self, slot: usize) {
-        self.peers[slot].reset_volatile_state();
-        self.routes.forget_peer(slot as u32);
     }
 
     // --- fault-plan timers --------------------------------------------------
@@ -699,7 +683,7 @@ mod tests {
             let state = &mut shards[0];
             let (dispatched, seen) = (state.dispatched, sightings(state));
             state.send(&shared, arrival.at, origin, victim, query.clone(), 0);
-            state.drain(&shared, &coordinator.graph, u64::MAX);
+            state.drain(&shared, &coordinator.graph);
             assert_eq!(state.dispatched, dispatched + 1, "retired either way");
             assert_eq!(sightings(state) - seen, u64::from(online), "processed only while online");
             assert_eq!(state.satisfy(&shared, &coordinator.graph, 0, file, &offer), online);
@@ -749,8 +733,11 @@ mod tests {
         assert_eq!(hops, 4, "two responses, each relayed once");
     }
 
+    /// A rejoin must not erase a sighting: a rejoined peer that saw the query
+    /// anew would take a second upstream, possibly downstream of its first
+    /// sighting, and a response could then loop around that cycle forever.
     #[test]
-    fn a_rejoined_receiver_sees_the_query_as_new_and_only_completion_recycles_the_table() {
+    fn a_rejoined_peer_keeps_its_upstream_and_completion_frees_the_table() {
         let sim = substrate(2, false);
         let (shared, mut shards) = prepare(&sim, ProtocolKind::Flooding, sim.arrivals(1), true);
         assert_eq!(shards.len(), 2);
@@ -762,8 +749,7 @@ mod tests {
         assert_eq!((shards[home].routes.live(), shards[1 - home].routes.live()), (1, 0));
 
         // A copy reaches a peer of the other shard, twice, then once more
-        // after that peer rejoined.
-        let away = &mut shards[1 - home];
+        // after that peer left and rejoined through the churn barrier.
         let to = (0..40).map(PeerId).find(|&p| shared.partition.shard(p) != home).expect("two shards");
         let slot = shared.partition.slot(to);
         let query = last_hop_copy(&shared, 0, Arc::from([KeywordId(0)]));
@@ -771,10 +757,15 @@ mod tests {
             unstructured::deliver(s, &shared, sim.overlay(), key, PeerId(from), to, query.clone());
             (sightings(s), s.routes.response_next_hop(0, slot as u32, 0))
         };
-        assert_eq!(deliver(away, 100), (1, Some(PeerId(100))));
-        assert_eq!(deliver(away, 101), (1, Some(PeerId(100))), "a duplicate");
-        away.reset_volatile_state(slot);
-        assert_eq!(deliver(away, 102), (2, Some(PeerId(102))), "new to the rejoined peer");
+        assert_eq!(deliver(&mut shards[1 - home], 100), (1, Some(PeerId(100))));
+        assert_eq!(deliver(&mut shards[1 - home], 101), (1, Some(PeerId(100))), "a duplicate");
+        let mut coordinator = Coordinator::new(&shared, sim.overlay().clone(), &[], 2);
+        for kind in [ChurnEventKind::Leave, ChurnEventKind::Join] {
+            coordinator.apply_churn(&shared, &mut shards, ChurnEvent { at: arrival.at, peer: to, kind });
+        }
+        assert!(coordinator.graph.is_active(to));
+        let away = &mut shards[1 - home];
+        assert_eq!(deliver(away, 102), (1, Some(PeerId(100))), "still a duplicate after the rejoin");
 
         // This shard's count touching zero proves nothing about the query:
         // without the tracking, `complete_locally` frees nothing. The

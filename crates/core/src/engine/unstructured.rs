@@ -392,7 +392,7 @@ mod tests {
     }
 
     /// Floods arrival 0 as a query for `keywords` over `graph`, the way its
-    /// issue would, then drains at most 10 000 events. Returns the issue time.
+    /// issue would, then drains the flood. Returns the issue time.
     fn flood(sim: &Simulation, graph: &OverlayGraph, keywords: Arc<[KeywordId]>) -> (ShardState, SimTime) {
         let (shared, mut shards) = prepare(sim, ProtocolKind::Flooding, sim.arrivals(1), true);
         let mut state = shards.remove(0);
@@ -410,7 +410,7 @@ mod tests {
             ttl: shared.config.ttl,
         };
         flood_attempt(&mut state, &shared, graph, now, 0, 0, message);
-        state.drain(&shared, graph, 10_000);
+        state.drain(&shared, graph);
         (state, now)
     }
 

@@ -37,9 +37,10 @@ pub struct QueryRecord {
     /// peer's own file store.
     pub answered_from_cache: bool,
     /// Milliseconds from issue until the query's *last* in-flight message was
-    /// consumed — the exact end of its lifecycle, not an upper bound. `None`
-    /// only when the run was truncated (event budget) before the query
-    /// finished travelling.
+    /// consumed — the exact end of its lifecycle, not an upper bound. The
+    /// engine always fills it (every run drains); it stays an `Option` because
+    /// the report's canonical encoding carries its tag byte, which every
+    /// golden fingerprint covers.
     pub completion_time_ms: Option<f64>,
 }
 

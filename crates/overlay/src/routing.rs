@@ -125,13 +125,8 @@ impl<K: Hash + Eq> RouteTable<K> {
         self.upstream.contains_key(&query)
     }
 
-    /// Forgets one sighting, as if `query` had never arrived.
-    pub fn forget(&mut self, query: K) {
-        self.upstream.remove(&query);
-    }
-
-    /// Forgets everything, keeping the allocation (used when a peer rejoins
-    /// after churn, and when a query's table goes back to the spare list).
+    /// Forgets everything, keeping the allocation (used when a query's table
+    /// goes back to the spare list).
     pub fn clear(&mut self) {
         self.upstream.clear();
     }
@@ -163,6 +158,11 @@ impl<K: Hash + Eq> RouteTable<K> {
 /// Queries are named by a dense index (the simulator's arrival index); a
 /// retransmitted attempt of the same query shares its table but not its
 /// entries — attempt `n + 1` is new to a peer that suppressed attempt `n`.
+///
+/// A sighting is never erased before its query completes, not even when the
+/// peer leaves and rejoins: every (query, attempt, peer) gets exactly one
+/// upstream, one that sighted the attempt earlier, so each attempt's reverse
+/// paths form a tree rooted at its origin and no response can cycle.
 #[derive(Debug, Clone)]
 pub struct QueryRoutes {
     /// Query index → slab position + 1 of its table (0: none).
@@ -171,8 +171,6 @@ pub struct QueryRoutes {
     tables: Vec<RouteTable<u64>>,
     /// Slab positions of the cleared tables awaiting reuse.
     spare: Vec<u32>,
-    /// Highest attempt sighted so far — how far a peer erase has to probe.
-    max_attempt: u32,
 }
 
 impl QueryRoutes {
@@ -182,7 +180,6 @@ impl QueryRoutes {
             handles: vec![0; queries],
             tables: Vec::new(),
             spare: Vec::new(),
-            max_attempt: 0,
         }
     }
 
@@ -206,7 +203,6 @@ impl QueryRoutes {
                 position
             }
         };
-        self.max_attempt = self.max_attempt.max(attempt);
         self.tables[position as usize].on_query(Self::key(slot, attempt), from)
     }
 
@@ -224,17 +220,6 @@ impl QueryRoutes {
         if let Some(position) = std::mem::take(&mut self.handles[index]).checked_sub(1) {
             self.tables[position as usize].clear();
             self.spare.push(position);
-        }
-    }
-
-    /// Peer `slot` lost its volatile state (it rejoined after churn): every
-    /// live query is new to it again, whatever the attempt.
-    pub fn forget_peer(&mut self, slot: u32) {
-        // Spare tables are walked too: they are empty, so it is a no-op probe.
-        for table in &mut self.tables {
-            for attempt in 0..=self.max_attempt {
-                table.forget(Self::key(slot, attempt));
-            }
         }
     }
 
@@ -372,11 +357,5 @@ mod tests {
         assert_eq!(routes.response_next_hop(0, 5, 0), Some(PeerId(1)));
         assert_eq!(routes.response_next_hop(0, 5, 1), Some(PeerId(2)));
         assert_eq!(routes.peak(), 1);
-        // A rejoining peer forgets every attempt; its neighbours forget nothing.
-        assert!(routes.on_query(0, 6, 1, Some(PeerId(4))));
-        routes.forget_peer(5);
-        assert_eq!(routes.response_next_hop(0, 5, 0), None);
-        assert!(routes.on_query(0, 5, 1, Some(PeerId(9))));
-        assert!(!routes.on_query(0, 6, 1, Some(PeerId(9))));
     }
 }

@@ -6,8 +6,8 @@
 //! engine stays consistent under churn (no panics, metrics still well formed),
 //! that Locaware's multi-provider indexes degrade more gracefully than a
 //! single-provider cache, that the churn horizon covers the arrival
-//! schedule's full span, and that DHT lookups into crashed peers still
-//! complete.
+//! schedule's full span, that DHT lookups into crashed peers still
+//! complete, and that a rejoin never sends a response round a cycle.
 
 use locaware::{ProtocolKind, Scenario, Simulation, SimulationConfig};
 use locaware_overlay::ChurnConfig;
@@ -142,6 +142,51 @@ fn churn_horizon_covers_trailing_quiet_schedule_phases() {
         within_arrivals,
         events.len()
     );
+}
+
+/// Regression: sessions and offline gaps short enough that a peer leaves and
+/// rejoins while a query it relayed is still in flight. A rejoin that erased
+/// the peer's sightings let it sight the query again from a peer downstream
+/// of its first sighting, and the response then looped between them until
+/// an event budget stopped the run. Every run must now drain on its own,
+/// every query complete, and one and four shards agree.
+#[test]
+fn short_offline_gaps_cannot_make_a_response_cycle() {
+    let cases = [
+        (1, 30.0, 0.5, ProtocolKind::Flooding),
+        (3, 5.0, 0.05, ProtocolKind::Flooding),
+        (3, 5.0, 0.05, ProtocolKind::Locaware),
+        (3, 5.0, 0.05, ProtocolKind::Dicas),
+    ];
+    for (seed, mean_session_secs, mean_offline_secs, protocol) in cases {
+        let run = |shards: usize| {
+            let config = SimulationConfig {
+                seed,
+                shards,
+                query_rate_per_peer: 0.05,
+                churn: ChurnConfig { mean_session_secs, mean_offline_secs, churning_fraction: 0.75 },
+                ..SimulationConfig::small(150)
+            };
+            let report = Scenario::from_config("short-gaps", config)
+                .expect("short gaps validate")
+                .substrate()
+                .run(protocol, 300);
+            for record in report.metrics.records() {
+                assert!(
+                    record.completion_time_ms.is_some(),
+                    "{protocol} seed {seed}: query {} never completed",
+                    record.index
+                );
+            }
+            assert!(
+                report.dispatched_events < 150_000,
+                "{protocol} seed {seed}: {} events",
+                report.dispatched_events
+            );
+            report.fingerprint()
+        };
+        assert_eq!(run(1), run(4), "{protocol} seed {seed}: shard counts disagree");
+    }
 }
 
 /// Regression: a DHT lookup step addressed to a peer that has already
