@@ -63,7 +63,7 @@ pub fn usage() -> String {
   fig2 | fig3 | fig4 | run_all  [--quick] [--scenario NAME] [--peers N] [--queries a,b,c]
                                 [--reps N] [--seed N] [--threads N] [--csv]
   ablation     [--quick]
-  inspect      <protocol> [scenario] [peers] [queries] [seed]
+  inspect      <protocol> [scenario] [peers] [queries] [seed] [--shards N]
   degradation  [--peers N] [--queries N] [--losses a,b,c]
   regimes      [--peers N] [--queries N] [--scenarios a,b,c]
   scale        [--peers a,b,c] [--queries N] [--run-max-peers N] [--protocol NAME]
@@ -515,7 +515,7 @@ mod tests {
     /// takes milliseconds) and never a panic.
     #[test]
     fn misuse_is_an_error_naming_the_problem() {
-        let rows: [(&[&str], &str); 27] = [
+        let rows: [(&[&str], &str); 30] = [
             (&[], "missing subcommand"),
             (&["fig5"], "unknown subcommand fig5"),
             (&["fig2", "--bogus"], "unknown flag --bogus"),
@@ -532,6 +532,9 @@ mod tests {
             (&["inspect", "locaware", "small", "abc"], "not a number: abc"),
             (&["inspect", "locaware", "small", "120", "2e3"], "not a number: 2e3"),
             (&["inspect", "locaware", "120", "200", "42", "7"], "unexpected argument 7"),
+            (&["inspect", "locaware", "small", "120", "200", "--shards", "0"], "shards must be positive"),
+            (&["inspect", "locaware", "small", "120", "200", "--shards", "x"], "not a number: x"),
+            (&["inspect", "locaware", "small", "120", "200", "--shards"], "--shards needs a value"),
             (&["fig2", "--quick", "--reps", "0"], "at least one repetition"),
             (&["fig3", "--quick", "--peers", "0"], "peers must be positive"),
             (&["fig3", "--quick", "--peers", "3"], "degree"),

@@ -1,12 +1,13 @@
 //! The studies behind EXPERIMENTS.md beyond Figures 2–4: `ablation`,
-//! `inspect`, `degradation` and `regimes`. Each one builds an
+//! `inspect`, `degradation` and `regimes`. Each one but `inspect` builds an
 //! [`ExperimentPlan`], runs it through the shared runner and prints the
-//! outcome's points in plan order.
+//! outcome's points in plan order; `inspect` is one run on one substrate.
 
 use std::fmt::Write as _;
 
 use locaware::{
-    ExperimentPlan, ExperimentPoint, ProtocolKind, Scenario, SimulationConfig, SimulationReport,
+    ExperimentPlan, ExperimentPoint, ProtocolKind, Scenario, Simulation, SimulationConfig,
+    SimulationReport,
 };
 use locaware_metrics::{Figure, SeriesPoint, Table};
 use locaware_workload::{FaultConfig, TimeoutPolicy};
@@ -81,24 +82,39 @@ pub(crate) fn ablation(args: impl IntoIterator<Item = String>) -> Result<String,
     ))
 }
 
-/// `inspect <protocol> [scenario] [peers] [queries] [seed]`: one protocol,
-/// one run, the full report — summary metrics, message counters by kind,
-/// routing-decision counts and the warm-up effect. `scenario` is any preset
-/// name and defaults to the paper's setup (`paper-defaults` at 1000 peers,
-/// `small` otherwise); `peers` and `queries` default to 1000.
+/// `inspect <protocol> [scenario] [peers] [queries] [seed] [--shards N]`:
+/// one protocol, one run, the full report — summary metrics, message
+/// counters by kind, routing-decision counts and the warm-up effect — on
+/// stdout, and the run's [`RunProfile`](locaware::RunProfile) line on
+/// stderr. `scenario` is any preset name and defaults to the paper's setup
+/// (`paper-defaults` at 1000 peers, `small` otherwise); `peers` and
+/// `queries` default to 1000, `--shards` to 1. The report does not depend
+/// on the shard count; the profile does.
 pub(crate) fn inspect(args: impl IntoIterator<Item = String>) -> Result<String, String> {
     let mut args = args.into_iter().peekable();
     let protocol = args.next().ok_or("inspect needs a protocol")?;
     let protocol = ProtocolKind::from_label(&protocol)
         .ok_or_else(|| format!("unknown protocol {protocol}"))?;
-    // An optional scenario name comes second; everything after it is numeric.
-    let scenario_name = args.next_if(|arg| arg.parse::<u64>().is_err());
+    // Positional arguments stop at the first flag. An optional scenario name
+    // comes second; every positional after it is numeric.
+    let positional = |arg: &String| !arg.starts_with("--");
+    let scenario_name = args.next_if(|arg| positional(arg) && arg.parse::<u64>().is_err());
     let mut numbers = [None; 3];
     for slot in &mut numbers {
-        *slot = args.next().map(|arg| flags::number(&arg)).transpose()?;
+        *slot = args.next_if(positional).map(|arg| flags::number(&arg)).transpose()?;
     }
-    if let Some(extra) = args.next() {
+    if let Some(extra) = args.next_if(positional) {
         return Err(format!("unexpected argument {extra}"));
+    }
+    let mut shards = 1;
+    for (flag, value) in flags::pairs(args, &["--shards"], &[])? {
+        match flag.as_str() {
+            "--shards" => shards = flags::number(&value)?,
+            other => unreachable!("flags::pairs passed unlisted flag {other}"),
+        }
+    }
+    if shards == 0 {
+        return Err("shards must be positive".to_string());
     }
     let [peers, queries, seed] = numbers;
     let (peers, queries) = (peers.unwrap_or(1000), queries.unwrap_or(1000));
@@ -119,9 +135,10 @@ pub(crate) fn inspect(args: impl IntoIterator<Item = String>) -> Result<String, 
         scenario.seed()
     );
     eprintln!("# running {} with {queries} queries", protocol.label());
-    let plan = ExperimentPlan::new().scenario(scenario).protocol(protocol).query_count(queries);
-    let outcome = execute(&plan, None)?;
-    let report = &outcome.points[0].report;
+    let config = SimulationConfig { shards, ..scenario.config().clone() };
+    let substrate = Simulation::try_build(config).map_err(|e| e.to_string())?;
+    let (report, profile) = substrate.run_profiled(protocol, queries);
+    eprintln!("{profile}");
 
     let mut out = format!("{}\n# message counters\n", report.summary_table().render());
     for (kind, count) in report.message_counters.iter() {

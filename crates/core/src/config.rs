@@ -517,9 +517,8 @@ pub struct SimulationConfig {
     /// shard drains its local events in parallel over bounded time windows and
     /// cross-shard messages are merged at window barriers in a canonical
     /// order, so **any** shard count produces bit-identical reports for the
-    /// same seed. `0` means "auto": take the `LOCAWARE_SHARDS` environment
-    /// variable if set (read once per process), else run single-sharded.
-    /// Values are clamped to `1..=peers` at run time.
+    /// same seed. Defaults to 1; values are clamped to `1..=peers` at run
+    /// time.
     pub shards: usize,
 }
 
@@ -563,7 +562,7 @@ impl SimulationConfig {
             bloom_hashes: 5,
             bloom_sync_period_secs: 60.0,
             dht: DhtConfig::default(),
-            shards: 0,
+            shards: 1,
             churn: ChurnConfig::disabled(),
             faults: FaultConfig::disabled(),
         }
@@ -583,17 +582,10 @@ impl SimulationConfig {
         }
     }
 
-    /// The shard count a run of this configuration actually uses: the
-    /// explicit [`SimulationConfig::shards`] value if positive, otherwise the
-    /// `LOCAWARE_SHARDS` environment variable (read once per process),
-    /// otherwise 1 — always clamped to `1..=peers`.
+    /// The shard count a run of this configuration actually uses:
+    /// [`SimulationConfig::shards`] clamped to `1..=peers`.
     pub fn effective_shards(&self) -> usize {
-        let requested = if self.shards > 0 {
-            self.shards
-        } else {
-            env_default_shards()
-        };
-        requested.clamp(1, self.peers.max(1))
+        self.shards.clamp(1, self.peers.max(1))
     }
 
     /// The workload-layer arrival configuration this simulation runs:
@@ -758,45 +750,9 @@ fn is_schedulable_period(period_secs: f64) -> bool {
         && locaware_sim::Duration::from_secs_f64(period_secs) > locaware_sim::Duration::ZERO
 }
 
-/// The process-wide `LOCAWARE_SHARDS` default, read once: reading it per call
-/// would let a mid-run environment change split one experiment across two
-/// shard counts (harmless for results — every count is bit-identical — but
-/// confusing for performance analysis). A value that is set but not
-/// understood is reported on stderr, once, and treated as unset.
-fn env_default_shards() -> usize {
-    use std::sync::OnceLock;
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        let value = std::env::var("LOCAWARE_SHARDS").ok();
-        parse_env_shards(value.as_deref()).unwrap_or_else(|raw| {
-            eprintln!(
-                "locaware: ignoring LOCAWARE_SHARDS=\"{raw}\" (expected a positive integer); using 1"
-            );
-            1
-        })
-    })
-}
-
-/// The shard count a `LOCAWARE_SHARDS` value asks for: 1 when unset, the
-/// number when it is a positive integer, and the text itself as the error
-/// when it is anything else.
-fn parse_env_shards(value: Option<&str>) -> Result<usize, &str> {
-    value.map_or(Ok(1), |raw| raw.trim().parse().ok().filter(|&n| n > 0).ok_or(raw))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn a_shards_variable_is_a_positive_integer_or_reported() {
-        assert_eq!(parse_env_shards(None), Ok(1));
-        assert_eq!(parse_env_shards(Some("4")), Ok(4));
-        assert_eq!(parse_env_shards(Some(" 8 ")), Ok(8));
-        for raw in ["abc", "0", "-2", "", "4 shards"] {
-            assert_eq!(parse_env_shards(Some(raw)), Err(raw));
-        }
-    }
 
     #[test]
     fn paper_defaults_match_section_5_1() {
@@ -1003,10 +959,8 @@ mod tests {
         assert_eq!(c.effective_shards(), 10, "more shards than peers is clamped");
         c.peers = 2;
         assert_eq!(c.effective_shards(), 2);
-        // shards = 0 resolves through the process default, which is >= 1.
         c.shards = 0;
-        assert!(c.effective_shards() >= 1);
-        assert!(c.effective_shards() <= c.peers);
+        assert_eq!(c.effective_shards(), 1, "no shards is one shard");
     }
 
     #[test]

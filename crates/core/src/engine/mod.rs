@@ -54,9 +54,14 @@
 //! it at a shard-dependent barrier. `shards = 1` is simply the degenerate
 //! case with one queue, an unbounded window and no threads.
 //! `tests/determinism.rs` pins the equality over shards {1, 2, 4, 8} for all
-//! eight protocols, with and without churn. The `Executor` is a pure
-//! scheduling choice on top of that: either branch of `drain_window` makes
-//! the same state transitions.
+//! eight protocols, with and without churn. Whether a window drains on
+//! threads is a pure scheduling choice on top of that — a threshold `run`
+//! takes from the host — and either branch of `drain_window` makes the same
+//! state transitions. Beside the report, `run` returns a [`RunProfile`]: the
+//! run's windows, critical path, queue, route-table and storage-signature
+//! counts.
+//!
+//! [`RunProfile`]: crate::results::RunProfile
 //!
 //! ## Who owns what
 //!
@@ -112,7 +117,7 @@ use crate::config::{ProtocolKind, SimulationConfig};
 use crate::group::GroupScheme;
 use crate::peer::PeerState;
 use crate::protocol::Protocol;
-use crate::results::{FaultRunStats, SimulationReport};
+use crate::results::{FaultRunStats, RunProfile, SimulationReport};
 use crate::simulation::Simulation;
 
 pub(crate) use exchange::locality_rank_order;
@@ -156,91 +161,59 @@ pub(crate) struct RunShared<'a> {
     pub(crate) faults: Option<FaultPlan>,
 }
 
-/// How [`Coordinator::drive`] drains a window with two or more active shards.
-/// A pure scheduling choice: every variant produces the same report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Executor {
-    /// Always on the calling thread.
-    Inline,
-    /// Always fanned out, one thread per active shard.
-    Parallel,
-    /// Scoped threads when the previous window moved at least
-    /// [`PARALLEL_MIN_OFFLOADED_EVENTS`] off the critical path, inline
-    /// otherwise.
-    Auto,
-}
-
 /// Minimum number of events the previous window dispatched *outside* its
 /// busiest shard — the work scoped threads would have taken off the critical
-/// path — before [`Executor::Auto`] spawns them for the next window. Below
-/// it, thread spawns cost more than the overlap wins (EXPERIMENTS.md,
-/// "Executor threshold", has the measurements). A function of dispatch counts
-/// only, so it cannot perturb determinism.
+/// path — before a multi-CPU host spawns them for the next window. Below it,
+/// thread spawns cost more than the overlap wins (EXPERIMENTS.md, "Executor
+/// threshold", has the measurements). A function of dispatch counts only, so
+/// it cannot perturb determinism.
 const PARALLEL_MIN_OFFLOADED_EVENTS: u64 = 512;
 
-impl Executor {
-    /// The process-wide choice, read once: `LOCAWARE_SHARD_THREADS=0`/`false`
-    /// is [`Executor::Inline`], `1`/`true` is [`Executor::Parallel`] (even on
-    /// one CPU — how CI covers the threaded branch), unset is
-    /// [`Executor::Auto`] on a multi-CPU host and inline on a single CPU,
-    /// where threads can only add scheduling overhead. Anything else is
-    /// reported on stderr, once, and treated as unset.
-    fn from_env() -> Self {
-        use std::sync::OnceLock;
-        static CHOICE: OnceLock<Executor> = OnceLock::new();
-        *CHOICE.get_or_init(|| {
-            let multi_cpu = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-            let unset = if multi_cpu { Executor::Auto } else { Executor::Inline };
-            let value = std::env::var("LOCAWARE_SHARD_THREADS").ok();
-            let forced = Executor::parse(value.as_deref()).unwrap_or_else(|raw| {
-                eprintln!(
-                    "locaware: ignoring LOCAWARE_SHARD_THREADS=\"{raw}\" \
-                     (expected 0, 1, true or false); using {unset:?}"
-                );
-                None
-            });
-            forced.unwrap_or(unset)
-        })
-    }
-
-    /// What a `LOCAWARE_SHARD_THREADS` value forces: nothing when unset, and
-    /// the text itself as the error when it is not one of the four accepted
-    /// spellings.
-    fn parse(value: Option<&str>) -> Result<Option<Executor>, &str> {
-        match value {
-            None => Ok(None),
-            Some("1" | "true") => Ok(Some(Executor::Parallel)),
-            Some("0" | "false") => Ok(Some(Executor::Inline)),
-            Some(raw) => Err(raw),
+/// The threshold [`run`] drains under: [`PARALLEL_MIN_OFFLOADED_EVENTS`] on a
+/// multi-CPU host, never (`u64::MAX`) on a single CPU, where threads can only
+/// add scheduling overhead. Computed once per process, so no run pays the
+/// cgroup read behind `available_parallelism`.
+fn host_parallel_min_offloaded() -> u64 {
+    static THRESHOLD: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    *THRESHOLD.get_or_init(|| {
+        let multi_cpu = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+        if multi_cpu {
+            PARALLEL_MIN_OFFLOADED_EVENTS
+        } else {
+            u64::MAX
         }
-    }
+    })
 }
 
 /// Executes one run of protocol `kind` over the prepared substrate `sim` and
-/// produces the report.
+/// produces the report and the run's profile.
 pub(crate) fn run(
     sim: &Simulation,
     kind: ProtocolKind,
     arrivals: Vec<Arrival>,
     churn_schedule: &[ChurnEvent],
-) -> SimulationReport {
-    run_with(sim, kind, arrivals, churn_schedule, Executor::from_env())
+) -> (SimulationReport, RunProfile) {
+    run_with(sim, kind, arrivals, churn_schedule, host_parallel_min_offloaded())
 }
 
-/// [`run`] under an explicit executor.
+/// [`run`], draining a window with two or more active shards on scoped
+/// threads exactly when the previous window dispatched at least
+/// `parallel_min_offloaded` events outside its busiest shard: `0` always
+/// threads, `u64::MAX` never does. A pure scheduling choice — every
+/// threshold produces the same report.
 fn run_with(
     sim: &Simulation,
     kind: ProtocolKind,
     arrivals: Vec<Arrival>,
     churn_schedule: &[ChurnEvent],
-    executor: Executor,
-) -> SimulationReport {
+    parallel_min_offloaded: u64,
+) -> (SimulationReport, RunProfile) {
     let (shared, mut shards) = prepare(sim, kind, arrivals, churn_schedule.is_empty());
     let mut coordinator =
         Coordinator::new(&shared, sim.overlay().clone(), churn_schedule, shards.len());
-    coordinator.drive(&shared, &mut shards, executor);
-    coordinator.print_stats(&shards, &shared.channel_lookahead);
-    finalize(&shared, &shards, &coordinator)
+    coordinator.drive(&shared, &mut shards, parallel_min_offloaded);
+    let report = finalize(&shared, &shards, &coordinator);
+    (report, coordinator.into_profile(&shards))
 }
 
 /// The one executor: has every shard drain its planned window through
@@ -533,19 +506,14 @@ struct Coordinator {
     lifecycle: Option<LifecycleFold>,
     /// Scratch: per-shard window bounds planned for the current window.
     bounds: Vec<EventKey>,
-    /// Parallelism profile of the run (see [`Coordinator::print_stats`]):
-    /// windows run, windows with 2+ active shards, windows drained on scoped
-    /// threads, windows shortened by a lifecycle cap, per-shard dispatch
-    /// counts at the last barrier, and the critical-path event count — the
-    /// wall clock an ideal machine with one core per shard could not go below.
-    windows: u64,
-    engaged_windows: u64,
-    parallel_windows: u64,
-    capped_windows: u64,
+    /// The run's profile as far as the coordinator counts it — windows and
+    /// the critical path; [`Coordinator::into_profile`] adds what the
+    /// shards hold.
+    profile: RunProfile,
+    /// Per-shard dispatch counts at the last barrier.
     prev_dispatched: Vec<u64>,
-    critical_path_events: u64,
     /// Events the previous window dispatched outside its busiest shard —
-    /// what [`Executor::Auto`] holds against its threshold.
+    /// what [`Coordinator::drive`] holds against its threshold.
     prev_offloaded: u64,
     /// Churn departures the fault plan turned into crash-stops (no goodbyes).
     crash_departures: u64,
@@ -610,12 +578,14 @@ impl Coordinator {
             lifecycle: (shard_count > 1)
                 .then(|| LifecycleFold::new(&shared.arrivals, &shared.partition)),
             bounds: vec![EventKey::MAX; shard_count],
-            windows: 0,
-            engaged_windows: 0,
-            parallel_windows: 0,
-            capped_windows: 0,
+            profile: RunProfile {
+                shards: shard_count,
+                lookahead_us: (shared.channel_lookahead.iter())
+                    .map(|w| w.map_or(0, Duration::as_micros))
+                    .collect(),
+                ..RunProfile::default()
+            },
             prev_dispatched: vec![0; shard_count],
-            critical_path_events: 0,
             prev_offloaded: 0,
             crash_departures: 0,
         }
@@ -629,7 +599,12 @@ impl Coordinator {
 
     /// The main loop: alternate window drains and serial control steps until
     /// every queue is empty and the control schedule is exhausted.
-    fn drive(&mut self, shared: &RunShared<'_>, shards: &mut [ShardState], executor: Executor) {
+    fn drive(
+        &mut self,
+        shared: &RunShared<'_>,
+        shards: &mut [ShardState],
+        parallel_min_offloaded: u64,
+    ) {
         loop {
             let next_event: Option<EventKey> =
                 shards.iter().filter_map(|s| s.queue.peek_key()).min();
@@ -678,24 +653,20 @@ impl Coordinator {
                     // Windows whose pending events all sit in one shard gain
                     // nothing from threads — sparse stretches of a run, where
                     // a whole query burst fits inside one locality, cost no
-                    // spawn under any executor — and neither do windows too
+                    // spawn under any threshold — and neither do windows too
                     // small to repay one.
                     let active = shards.iter().filter(|s| s.has_work()).count();
-                    let parallel = active > 1
-                        && match executor {
-                            Executor::Inline => false,
-                            Executor::Parallel => true,
-                            Executor::Auto => self.prev_offloaded >= PARALLEL_MIN_OFFLOADED_EVENTS,
-                        };
+                    let parallel = active > 1 && self.prev_offloaded >= parallel_min_offloaded;
                     let graph = &self.graph;
                     drain_window(shards, parallel, |shard| shard.drain(shared, graph));
                     merge_outboxes(shards);
                     // Critical-path accounting: a window's parallel phase is
                     // as slow as its busiest shard.
-                    self.windows += 1;
-                    self.engaged_windows += u64::from(active > 1);
-                    self.parallel_windows += u64::from(parallel);
-                    self.capped_windows += u64::from(capped);
+                    let profile = &mut self.profile;
+                    profile.windows += 1;
+                    profile.engaged_windows += u64::from(active > 1);
+                    profile.parallel_windows += u64::from(parallel);
+                    profile.capped_windows += u64::from(capped);
                     let (mut busiest, mut total) = (0u64, 0u64);
                     for (shard, prev) in shards.iter().zip(&mut self.prev_dispatched) {
                         let delta = shard.dispatched - *prev;
@@ -703,7 +674,7 @@ impl Coordinator {
                         busiest = busiest.max(delta);
                         total += delta;
                     }
-                    self.critical_path_events += busiest;
+                    profile.critical_path_events += busiest;
                     self.prev_offloaded = total - busiest;
                 }
                 (None, Some(_)) => {
@@ -719,7 +690,7 @@ impl Coordinator {
         let (_, action) = self.control[self.next_control];
         self.next_control += 1;
         self.controls_dispatched += 1;
-        self.critical_path_events += 1; // Controls are inherently serial.
+        self.profile.critical_path_events += 1; // Controls are inherently serial.
         self.control_end_time = key.time;
         match action {
             ControlAction::BloomSync => unstructured::sync(shared, shards, &self.graph, key.time),
@@ -739,53 +710,23 @@ impl Coordinator {
         merge_outboxes(shards);
     }
 
-    /// When `LOCAWARE_SHARD_STATS=1`, prints the run's parallelism profile to
-    /// stderr: total vs critical-path events bound how much an ideal machine
-    /// with one core per shard could compress the run
-    /// (`ideal_speedup = total / critical_path`). Measured, deterministic
-    /// quantities — except `parallel_windows`, which says how many windows
-    /// this process's executor actually fanned out.
-    fn print_stats(&self, shards: &[ShardState], lookahead: &[Option<Duration>]) {
-        if std::env::var("LOCAWARE_SHARD_STATS").as_deref() != Ok("1") {
-            return;
-        }
-        let dispatched = self.dispatched(shards);
-        let critical = self.critical_path_events.max(1);
-        let lookahead_list = lookahead
-            .iter()
-            .map(|w| w.map_or(0, Duration::as_micros).to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        // How the event queues' pushes split between calendar ring and
-        // fallback heap (summed over shards), and the deepest any one got.
+    /// The run's profile: the coordinator's window and critical-path counts
+    /// plus what the shards' event queues, route tables and tallies saw.
+    fn into_profile(self, shards: &[ShardState]) -> RunProfile {
         let queues = || shards.iter().map(|s| s.queue.stats());
-        // Route tables: the most any shard held at once, and how many are
-        // still held (always 0: finalize asserts it). Storage signature: first
-        // sightings that had to walk the shared files vs those it stopped.
         let routes = || shards.iter().map(|s| &s.routes);
         let tallies = || shards.iter().map(|s| &s.tallies);
-        eprintln!(
-            "shard-stats: shards={} lookahead_us={} windows={} engaged_windows={} \
-             parallel_windows={} capped_windows={} events={} critical_path_events={} \
-             ideal_speedup={:.2} queue_ring={} queue_fallback={} queue_peak={} \
-             routes_peak={} routes_live={} storage_walks={} storage_skips={}",
-            shards.len(),
-            lookahead_list,
-            self.windows,
-            self.engaged_windows,
-            self.parallel_windows,
-            self.capped_windows,
-            dispatched,
-            critical,
-            dispatched as f64 / critical as f64,
-            queues().map(|q| q.ring_pushes).sum::<u64>(),
-            queues().map(|q| q.fallback_pushes).sum::<u64>(),
-            queues().map(|q| q.peak_len).max().unwrap_or(0),
-            routes().map(|r| r.peak()).max().unwrap_or(0),
-            routes().map(|r| r.live()).sum::<usize>(),
-            tallies().map(|t| t.storage_walks).sum::<u64>(),
-            tallies().map(|t| t.storage_skips).sum::<u64>(),
-        );
+        RunProfile {
+            events: self.dispatched(shards),
+            queue_ring: queues().map(|q| q.ring_pushes).sum(),
+            queue_fallback: queues().map(|q| q.fallback_pushes).sum(),
+            queue_peak: queues().map(|q| q.peak_len).max().unwrap_or(0),
+            routes_peak: routes().map(|r| r.peak()).max().unwrap_or(0),
+            routes_live: routes().map(|r| r.live()).sum(),
+            storage_walks: tallies().map(|t| t.storage_walks).sum(),
+            storage_skips: tallies().map(|t| t.storage_skips).sum(),
+            ..self.profile
+        }
     }
 
     /// One churn transition, mutating the graph and the affected peers
@@ -895,7 +836,11 @@ mod tests {
     /// One run of `kind` over the faulty-network preset with churn-storm
     /// churn on top: loss, an outage window, both deadline kinds and join /
     /// leave transitions all fire.
-    fn report(kind: ProtocolKind, shards: usize, executor: Executor) -> Vec<u8> {
+    fn run_at(
+        kind: ProtocolKind,
+        shards: usize,
+        parallel_min_offloaded: u64,
+    ) -> (Vec<u8>, RunProfile) {
         let mut config = Scenario::faulty_network(120).config().clone();
         config.churn = Scenario::churn_storm(120).config().churn;
         config.shards = shards;
@@ -903,29 +848,20 @@ mod tests {
         let arrivals = sim.arrivals(100);
         let churn = sim.churn_schedule(&arrivals);
         assert!(!churn.is_empty(), "the run must cross churn transitions");
-        run_with(&sim, kind, arrivals, &churn, executor).canonical_bytes()
+        let (report, profile) = run_with(&sim, kind, arrivals, &churn, parallel_min_offloaded);
+        (report.canonical_bytes(), profile)
     }
 
     #[test]
     fn both_executor_branches_and_a_single_shard_give_the_same_report() {
-        for kind in [ProtocolKind::Flooding, ProtocolKind::DhtIndex] {
-            let inline = report(kind, 4, Executor::Inline);
-            assert_eq!(inline, report(kind, 4, Executor::Parallel), "{kind:?}: parallel");
-            assert_eq!(inline, report(kind, 1, Executor::Inline), "{kind:?}: one shard");
-        }
-    }
-
-    #[test]
-    fn a_shard_threads_variable_is_one_of_four_spellings_or_reported() {
-        assert_eq!(Executor::parse(None), Ok(None));
-        for raw in ["1", "true"] {
-            assert_eq!(Executor::parse(Some(raw)), Ok(Some(Executor::Parallel)));
-        }
-        for raw in ["0", "false"] {
-            assert_eq!(Executor::parse(Some(raw)), Ok(Some(Executor::Inline)));
-        }
-        for raw in ["yes", "2", "", " 1"] {
-            assert_eq!(Executor::parse(Some(raw)), Err(raw));
+        for kind in ProtocolKind::ALL {
+            let (inline, profile) = run_at(kind, 4, u64::MAX);
+            assert_eq!(profile.parallel_windows, 0, "{kind:?}: never threads");
+            let (threaded, profile) = run_at(kind, 4, 0);
+            assert!(profile.engaged_windows > 0, "{kind:?}: no window had two active shards");
+            assert_eq!(profile.parallel_windows, profile.engaged_windows, "{kind:?}: always threads");
+            assert_eq!(inline, threaded, "{kind:?}: threaded");
+            assert_eq!(inline, run_at(kind, 1, u64::MAX).0, "{kind:?}: one shard");
         }
     }
 

@@ -81,7 +81,7 @@ pub(super) struct Tallies {
     /// First sightings of a query whose keywords the receiver's storage
     /// signature covers, so a storage match has to walk the shared files —
     /// and those it does not, where the walk is skipped. Observability only
-    /// (`LOCAWARE_SHARD_STATS`): neither reaches the report.
+    /// (the run's `RunProfile`): neither reaches the report.
     pub storage_walks: u64,
     pub storage_skips: u64,
 }

@@ -129,9 +129,10 @@ impl Runner {
     }
 
     /// The plan-level worker count after budgeting for nested parallelism:
-    /// each run may itself fan out over `config.shards` engine threads, so a
-    /// machine-sized runner divides its cores by the plan's largest effective
-    /// shard count — `shards × workers` never oversubscribes the machine. An
+    /// each run may itself fan out over up to `config.shards` engine threads,
+    /// so a machine-sized runner divides its cores by the plan's largest
+    /// effective shard count — `shards × workers` never oversubscribes the
+    /// machine. An
     /// explicit [`Runner::with_threads`] override is taken literally (the
     /// caller asked for that many plan-level workers).
     pub fn planned_workers(&self, plan: &ExperimentPlan) -> usize {
@@ -318,20 +319,17 @@ mod tests {
             .query_count(10);
         let runner = Runner::new();
         let budgeted = runner.planned_workers(&sharded);
-        // The first scenario resolves shards through the process default
-        // (usually 1, but a `LOCAWARE_SHARDS` override may raise it), so the
-        // plan maximum is at least the explicit 4.
-        let max_shards = SimulationConfig::small(50).effective_shards().max(4);
+        let max_shards = 4;
         let expected = (Runner::default_thread_count() / max_shards).max(1);
         assert_eq!(budgeted, expected);
         assert_eq!(Runner::new().with_threads(7).planned_workers(&sharded), 7);
 
-        // Unsharded plans keep the full pool (shards=0 resolves to >= 1).
+        // Unsharded plans keep the full pool.
         let flat = ExperimentPlan::new()
             .scenario(Scenario::small(50).with_seed(1))
             .protocol(ProtocolKind::Flooding)
             .query_count(10);
-        assert!(runner.planned_workers(&flat) >= budgeted);
+        assert_eq!(runner.planned_workers(&flat), Runner::default_thread_count());
         // The budgeted runner still produces the full outcome.
         let outcome = runner.run(&sharded).expect("valid plan");
         assert_eq!(outcome.len(), 2);

@@ -87,7 +87,7 @@ pub use protocol::{
     build_protocol, LocalMatch, PeerView, Protocol, QueryBuffer, QueryContext, ResponseContext,
 };
 pub use provider::{select_provider, SelectedProvider, SelectionPolicy};
-pub use results::SimulationReport;
+pub use results::{RunProfile, SimulationReport};
 pub use simulation::Simulation;
 
 // Re-export the substrate types that appear in this crate's public API so that

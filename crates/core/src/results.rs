@@ -59,6 +59,82 @@ pub struct FaultRunStats {
     pub crash_departures: u64,
 }
 
+/// How one run was scheduled: its windows, its critical path, and what its
+/// event queues, route tables and storage signatures did. Never part of the
+/// report — every field but `parallel_windows` is a deterministic function
+/// of configuration, seed and shard count, and `parallel_windows` counts the
+/// windows this host's executor fanned out over scoped threads. Its
+/// `Display` is the one `shard-stats: …` line `locaware-bench inspect`
+/// prints on stderr.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunProfile {
+    /// Shards the run used (after the clamp and the zero-lookahead fallback).
+    pub shards: usize,
+    /// Per-shard incoming-channel lookahead in microseconds; 0 is unbounded.
+    pub lookahead_us: Vec<u64>,
+    /// Windows drained.
+    pub windows: u64,
+    /// Windows in which two or more shards had work.
+    pub engaged_windows: u64,
+    /// Windows drained on scoped threads.
+    pub parallel_windows: u64,
+    /// Windows shortened by a lifecycle cap.
+    pub capped_windows: u64,
+    /// Events dispatched, controls included (the report's `dispatched_events`).
+    pub events: u64,
+    /// Events on the critical path: per window its busiest shard, plus every
+    /// control — what an ideal machine with one core per shard could not go
+    /// below.
+    pub critical_path_events: u64,
+    /// Event-queue pushes taken by the calendar ring, summed over shards.
+    pub queue_ring: u64,
+    /// Event-queue pushes taken by the fallback heap, summed over shards.
+    pub queue_fallback: u64,
+    /// The deepest any one shard's event queue got.
+    pub queue_peak: u64,
+    /// The most per-query route tables any one shard held at once.
+    pub routes_peak: usize,
+    /// Route tables still held at the end (always 0: every run drains).
+    pub routes_live: usize,
+    /// First sightings whose storage signature let the shared-file walk run.
+    pub storage_walks: u64,
+    /// First sightings whose storage signature skipped the walk.
+    pub storage_skips: u64,
+}
+
+impl std::fmt::Display for RunProfile {
+    /// The one line, with `ideal_speedup = events / critical_path_events`:
+    /// how much an ideal machine with one core per shard could compress the
+    /// run.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let lookahead: Vec<String> = self.lookahead_us.iter().map(u64::to_string).collect();
+        let ideal_speedup = self.events as f64 / self.critical_path_events.max(1) as f64;
+        write!(
+            f,
+            "shard-stats: shards={} lookahead_us={} windows={} engaged_windows={} \
+             parallel_windows={} capped_windows={} events={} critical_path_events={} \
+             ideal_speedup={:.2} queue_ring={} queue_fallback={} queue_peak={} \
+             routes_peak={} routes_live={} storage_walks={} storage_skips={}",
+            self.shards,
+            lookahead.join(","),
+            self.windows,
+            self.engaged_windows,
+            self.parallel_windows,
+            self.capped_windows,
+            self.events,
+            self.critical_path_events,
+            ideal_speedup,
+            self.queue_ring,
+            self.queue_fallback,
+            self.queue_peak,
+            self.routes_peak,
+            self.routes_live,
+            self.storage_walks,
+            self.storage_skips,
+        )
+    }
+}
+
 /// Everything measured during one run of one protocol.
 #[derive(Debug, Clone)]
 pub struct SimulationReport {

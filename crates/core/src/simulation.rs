@@ -20,7 +20,7 @@ use locaware_workload::{
 use crate::config::{ConfigError, ProtocolKind, SimulationConfig};
 use crate::experiment::Scenario;
 use crate::group::{GroupId, GroupScheme};
-use crate::results::SimulationReport;
+use crate::results::{RunProfile, SimulationReport};
 
 /// A prepared simulation substrate, ready to run protocols.
 #[derive(Debug, Clone)]
@@ -249,6 +249,15 @@ impl Simulation {
 
     /// Runs `protocol` over this substrate with `num_queries` queries.
     pub fn run(&self, protocol: ProtocolKind, num_queries: usize) -> SimulationReport {
+        self.run_profiled(protocol, num_queries).0
+    }
+
+    /// [`Simulation::run`], also returning how the run was scheduled.
+    pub fn run_profiled(
+        &self,
+        protocol: ProtocolKind,
+        num_queries: usize,
+    ) -> (SimulationReport, RunProfile) {
         let arrivals = self.arrivals(num_queries);
         let churn = self.churn_schedule(&arrivals);
         crate::engine::run(self, protocol, arrivals, &churn)

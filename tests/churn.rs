@@ -9,15 +9,39 @@
 //! schedule's full span, that DHT lookups into crashed peers still
 //! complete, and that a rejoin never sends a response round a cycle.
 
-use locaware::{ProtocolKind, Scenario, Simulation, SimulationConfig};
+use locaware::{ProtocolKind, Scenario, Simulation, SimulationConfig, SimulationReport};
 use locaware_overlay::ChurnConfig;
 use locaware_workload::{ArrivalSchedule, FaultConfig};
 
-fn churny_sim(peers: usize, seed: u64, churn: ChurnConfig) -> Simulation {
-    let config = SimulationConfig { seed, churn, ..SimulationConfig::small(peers) };
-    Scenario::from_config("churny", config)
-        .expect("churn never invalidates a small config")
-        .substrate()
+/// One configuration's substrate at one and at four engine shards. Every run
+/// of this suite goes through [`Sharded::run`], so it covers the sharded
+/// engine as well as the single queue.
+struct Sharded {
+    one: Simulation,
+    four: Simulation,
+}
+
+impl Sharded {
+    fn new(config: SimulationConfig) -> Self {
+        let at = |shards| {
+            Simulation::try_build(SimulationConfig { shards, ..config.clone() })
+                .expect("churn, faults and shard counts never invalidate a small config")
+        };
+        Sharded { one: at(1), four: at(4) }
+    }
+
+    /// Runs `protocol` at both shard counts, checks that the fingerprints
+    /// agree and returns the one-shard report.
+    fn run(&self, protocol: ProtocolKind, queries: usize) -> SimulationReport {
+        let one = self.one.run(protocol, queries);
+        let four = self.four.run(protocol, queries);
+        assert_eq!(one.fingerprint(), four.fingerprint(), "{protocol}: 1 vs 4 shards");
+        one
+    }
+}
+
+fn churny_sim(peers: usize, seed: u64, churn: ChurnConfig) -> Sharded {
+    Sharded::new(SimulationConfig { seed, churn, ..SimulationConfig::small(peers) })
 }
 
 #[test]
@@ -72,7 +96,7 @@ fn churn_schedule_is_generated_and_deterministic() {
         mean_offline_secs: 200.0,
         churning_fraction: 0.8,
     };
-    let simulation = churny_sim(80, 13, churn);
+    let simulation = churny_sim(80, 13, churn).one;
     let arrivals = simulation.arrivals(200);
     let a = simulation.churn_schedule(&arrivals);
     let b = simulation.churn_schedule(&arrivals);
@@ -159,33 +183,25 @@ fn short_offline_gaps_cannot_make_a_response_cycle() {
         (3, 5.0, 0.05, ProtocolKind::Dicas),
     ];
     for (seed, mean_session_secs, mean_offline_secs, protocol) in cases {
-        let run = |shards: usize| {
-            let config = SimulationConfig {
-                seed,
-                shards,
-                query_rate_per_peer: 0.05,
-                churn: ChurnConfig { mean_session_secs, mean_offline_secs, churning_fraction: 0.75 },
-                ..SimulationConfig::small(150)
-            };
-            let report = Scenario::from_config("short-gaps", config)
-                .expect("short gaps validate")
-                .substrate()
-                .run(protocol, 300);
-            for record in report.metrics.records() {
-                assert!(
-                    record.completion_time_ms.is_some(),
-                    "{protocol} seed {seed}: query {} never completed",
-                    record.index
-                );
-            }
+        let report = Sharded::new(SimulationConfig {
+            seed,
+            query_rate_per_peer: 0.05,
+            churn: ChurnConfig { mean_session_secs, mean_offline_secs, churning_fraction: 0.75 },
+            ..SimulationConfig::small(150)
+        })
+        .run(protocol, 300);
+        for record in report.metrics.records() {
             assert!(
-                report.dispatched_events < 150_000,
-                "{protocol} seed {seed}: {} events",
-                report.dispatched_events
+                record.completion_time_ms.is_some(),
+                "{protocol} seed {seed}: query {} never completed",
+                record.index
             );
-            report.fingerprint()
-        };
-        assert_eq!(run(1), run(4), "{protocol} seed {seed}: shard counts disagree");
+        }
+        assert!(
+            report.dispatched_events < 150_000,
+            "{protocol} seed {seed}: {} events",
+            report.dispatched_events
+        );
     }
 }
 
@@ -212,9 +228,7 @@ fn dht_lookups_to_departed_peers_complete_via_step_timeouts() {
         faults,
         ..SimulationConfig::small(80)
     };
-    let simulation = Scenario::from_config("crashy-dht", config)
-        .expect("crash-stop never invalidates the config")
-        .substrate();
+    let simulation = Sharded::new(config);
     for protocol in [ProtocolKind::DhtIndex, ProtocolKind::Hybrid] {
         let report = simulation.run(protocol, 120);
         let stats = report.faults.expect("armed fault plan reports statistics");

@@ -609,18 +609,6 @@ fn sub_slice_link_latencies_keep_shard_counts_byte_identical() {
     }
 }
 
-/// The effective shard count is a pure performance knob even when it comes
-/// from the environment override: explicit settings beat the `LOCAWARE_SHARDS`
-/// process default, and the resolved value is always within `1..=peers`.
-#[test]
-fn explicit_shard_settings_override_the_process_default() {
-    let mut config = SimulationConfig::small(30);
-    config.shards = 3;
-    assert_eq!(config.effective_shards(), 3);
-    config.shards = 100;
-    assert_eq!(config.effective_shards(), 30);
-}
-
 // ------------------------------------------------- experiment runner contract
 
 #[test]

@@ -8,8 +8,31 @@
 use locaware_suite::prelude::*;
 use locaware::ProtocolKind;
 
-fn substrate(peers: usize, seed: u64) -> Simulation {
-    Scenario::small(peers).with_seed(seed).substrate()
+/// One scenario's substrate at one and at four engine shards. Every run of
+/// this suite goes through [`Sharded::run`], so it covers the sharded engine
+/// as well as the single queue.
+struct Sharded {
+    one: Simulation,
+    four: Simulation,
+}
+
+impl Sharded {
+    /// Runs `protocol` at both shard counts, checks that the fingerprints
+    /// agree and returns the one-shard report.
+    fn run(&self, protocol: ProtocolKind, queries: usize) -> SimulationReport {
+        let one = self.one.run(protocol, queries);
+        let four = self.four.run(protocol, queries);
+        assert_eq!(one.fingerprint(), four.fingerprint(), "{protocol}: 1 vs 4 shards");
+        one
+    }
+}
+
+fn substrate(peers: usize, seed: u64) -> Sharded {
+    let at = |shards| {
+        let config = SimulationConfig { shards, seed, ..SimulationConfig::small(peers) };
+        Simulation::try_build(config).expect("the small preset validates at every shard count")
+    };
+    Sharded { one: at(1), four: at(4) }
 }
 
 #[test]
@@ -29,7 +52,7 @@ fn every_protocol_completes_and_accounts_for_every_query() {
         for record in report.metrics.records() {
             if let Some(distance) = record.download_distance_ms {
                 assert!(
-                    distance >= 0.0 && distance <= simulation.config().max_latency_ms,
+                    distance >= 0.0 && distance <= simulation.one.config().max_latency_ms,
                     "{protocol}: download distance {distance}ms out of bounds"
                 );
             } else {
@@ -164,7 +187,8 @@ fn different_seeds_produce_different_but_valid_runs() {
 #[test]
 fn natural_replication_grows_the_replica_pool() {
     let simulation = substrate(100, 7);
-    let initial_replicas = simulation.config().peers * simulation.config().files_per_peer;
+    let config = simulation.one.config();
+    let initial_replicas = config.peers * config.files_per_peer;
     let report = simulation.run(ProtocolKind::Locaware, 150);
     assert!(
         report.total_file_replicas > initial_replicas,
