@@ -8,9 +8,10 @@
 
 use locaware_net::brite::PlacementModel;
 use locaware_overlay::{ChurnConfig, GraphModel};
+use locaware_sim::{Duration, SimTime};
 use locaware_workload::{
-    ArrivalSchedule, ClusterWeights, ClusterWeightsError, FaultConfig, FaultConfigError,
-    ScheduleError, TimeoutPolicyError,
+    ArrivalSchedule, ClusterWeights, FaultConfig, FaultConfigError, ScheduleError,
+    TimeoutPolicyError,
 };
 
 /// A structured description of why a [`SimulationConfig`] is inconsistent.
@@ -89,17 +90,10 @@ pub enum ConfigError {
         /// The configured exponent.
         exponent: f64,
     },
-    /// The per-peer query rate is not positive and finite.
-    NonPositiveQueryRate {
-        /// The configured rate in queries per second per peer.
-        rate_per_peer: f64,
-    },
-    /// The arrival schedule is degenerate (non-positive multiplier,
-    /// zero-length or negative window, bad burst start, a window past the
-    /// clock).
+    /// The arrival configuration is degenerate: a rate that is not positive
+    /// and finite, a bad burst window, or cluster weights this population
+    /// cannot hold.
     ArrivalSchedule(ScheduleError),
-    /// The workload cluster weights are unusable for this population.
-    ClusterWeights(ClusterWeightsError),
     /// Under weighted-cluster placement, the heaviest cluster would ask a
     /// peer to share more distinct files than the pool contains.
     WeightedPlacementUnsatisfiable {
@@ -121,21 +115,11 @@ pub enum ConfigError {
         /// The configured filter size in bits.
         bits: usize,
     },
-    /// The neighbour Bloom-filter synchronisation period is under one tick of
-    /// the microsecond simulation clock or does not fit it.
+    /// The neighbour Bloom-filter synchronisation period is not finite or is
+    /// under one tick of the microsecond simulation clock.
     NonPositiveBloomSyncPeriod {
         /// The configured period in simulated seconds.
         period_secs: f64,
-    },
-    /// The worst-case query lifetime — `ttl` query hops out plus `ttl`
-    /// response hops back, each up to `max_latency_ms` — does not fit the
-    /// microsecond simulation clock. Engine time arithmetic saturates
-    /// silently on such spans, so the configuration is rejected up front.
-    QueryLifetimeOverflow {
-        /// The configured query time-to-live in hops.
-        ttl: u32,
-        /// Configured maximum one-way latency in milliseconds.
-        max_latency_ms: f64,
     },
     /// A structural DHT parameter (replication factor `k`, lookup parallelism
     /// `alpha`, or the lookup hop budget) is zero.
@@ -148,8 +132,8 @@ pub enum ConfigError {
         /// The smallest cap that holds one entry.
         minimum: usize,
     },
-    /// A DHT period (record TTL or republish interval) is under one tick of
-    /// the microsecond simulation clock or does not fit it.
+    /// A DHT period (record TTL or republish interval) is not finite or is
+    /// under one tick of the microsecond simulation clock.
     NonPositiveDhtPeriod {
         /// The offending period in simulated seconds.
         period_secs: f64,
@@ -159,12 +143,31 @@ pub enum ConfigError {
         /// The configured fraction.
         head_fraction: f64,
     },
+    /// The churn model is unusable: the churning fraction is not finite or
+    /// outside `[0, 1]`, or peers churn and a mean dwell is not positive and
+    /// finite.
+    ChurnOutOfRange {
+        /// Configured mean online session in seconds.
+        mean_session_secs: f64,
+        /// Configured mean offline gap in seconds.
+        mean_offline_secs: f64,
+        /// Configured fraction of churning peers.
+        churning_fraction: f64,
+    },
     /// The fault plan is inconsistent (loss probability outside `[0, 1]`,
-    /// degenerate outage window, negative step timeout).
+    /// degenerate outage window, negative or infinite step timeout).
     FaultConfig(FaultConfigError),
     /// The query retransmit policy is inconsistent (negative initial timeout,
-    /// non-finite or sub-unit backoff, unrepresentable retry span).
+    /// non-finite or sub-unit backoff).
     TimeoutPolicy(TimeoutPolicyError),
+    /// The run horizon — the latest burst or outage end plus everything the
+    /// engine can add to the clock after it: the control drain margin, the
+    /// longest periodic round, the DHT record TTL and the worst-case query
+    /// lifetime — does not fit half the microsecond simulation clock.
+    HorizonBeyondClock {
+        /// The horizon in simulated seconds.
+        horizon_secs: f64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -209,11 +212,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZipfExponentOutOfRange { exponent } => {
                 write!(f, "Zipf exponent must be finite and non-negative: got {exponent}")
             }
-            ConfigError::NonPositiveQueryRate { rate_per_peer } => {
-                write!(f, "query rate must be positive and finite: got {rate_per_peer}")
-            }
             ConfigError::ArrivalSchedule(error) => write!(f, "arrival schedule: {error}"),
-            ConfigError::ClusterWeights(error) => write!(f, "cluster weights: {error}"),
             ConfigError::WeightedPlacementUnsatisfiable { max_files_on_a_peer, file_pool } => {
                 write!(
                     f,
@@ -229,18 +228,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BloomBitsOutOfRange { bits } => {
                 write!(f, "Bloom filter bits must fit a 32-bit delta position: got {bits}")
             }
-            ConfigError::QueryLifetimeOverflow { ttl, max_latency_ms } => write!(
+            ConfigError::NonPositiveBloomSyncPeriod { period_secs } => write!(
                 f,
-                "worst-case query lifetime 2 x {ttl} hops x {max_latency_ms} ms \
-                 overflows the microsecond simulation clock"
+                "Bloom sync period must be finite and at least one microsecond: got {period_secs}s"
             ),
-            ConfigError::NonPositiveBloomSyncPeriod { period_secs } => {
-                write!(
-                    f,
-                    "Bloom sync period must be at least one microsecond and fit the \
-                     microsecond simulation clock: got {period_secs}s"
-                )
-            }
             ConfigError::ZeroDhtParameters => {
                 write!(f, "DHT k, alpha and max lookup hops must be positive")
             }
@@ -249,19 +240,30 @@ impl std::fmt::Display for ConfigError {
                 "DHT record byte cap must hold at least one entry: got {max_record_bytes}, \
                  need at least {minimum}"
             ),
-            ConfigError::NonPositiveDhtPeriod { period_secs } => {
-                write!(
-                    f,
-                    "DHT periods must be at least one microsecond and fit the microsecond \
-                     simulation clock: got {period_secs}s"
-                )
-            }
+            ConfigError::NonPositiveDhtPeriod { period_secs } => write!(
+                f,
+                "DHT periods must be finite and at least one microsecond: got {period_secs}s"
+            ),
             ConfigError::DhtHeadFractionOutOfRange { head_fraction } => write!(
                 f,
                 "hybrid head fraction must be in [0, 1]: got {head_fraction}"
             ),
+            ConfigError::ChurnOutOfRange {
+                mean_session_secs,
+                mean_offline_secs,
+                churning_fraction,
+            } => write!(
+                f,
+                "churning fraction must be in [0, 1], and when positive both mean dwells \
+                 positive and finite: got {churning_fraction} with {mean_session_secs}s \
+                 sessions and {mean_offline_secs}s gaps"
+            ),
             ConfigError::FaultConfig(error) => write!(f, "fault plan: {error}"),
             ConfigError::TimeoutPolicy(error) => write!(f, "timeout policy: {error}"),
+            ConfigError::HorizonBeyondClock { horizon_secs } => write!(
+                f,
+                "run horizon {horizon_secs}s does not fit half the microsecond simulation clock"
+            ),
         }
     }
 }
@@ -622,13 +624,6 @@ impl SimulationConfig {
                 max_ms: self.max_latency_ms,
             });
         }
-        let worst_case_lifetime_ms = 2.0 * self.ttl as f64 * self.max_latency_ms;
-        if locaware_sim::Duration::try_from_millis_f64(worst_case_lifetime_ms).is_none() {
-            return Err(ConfigError::QueryLifetimeOverflow {
-                ttl: self.ttl,
-                max_latency_ms: self.max_latency_ms,
-            });
-        }
         let PlacementModel { clusters, sigma } = self.placement;
         if clusters == 0 {
             return Err(ConfigError::ZeroClusters);
@@ -670,18 +665,10 @@ impl SimulationConfig {
         if !(self.zipf_exponent >= 0.0 && self.zipf_exponent.is_finite()) {
             return Err(ConfigError::ZipfExponentOutOfRange { exponent: self.zipf_exponent });
         }
-        if self.query_rate_per_peer <= 0.0 || !self.query_rate_per_peer.is_finite() {
-            return Err(ConfigError::NonPositiveQueryRate {
-                rate_per_peer: self.query_rate_per_peer,
-            });
-        }
-        self.arrival_schedule
+        self.arrival_config()
             .validate()
             .map_err(ConfigError::ArrivalSchedule)?;
         if let Some(weights) = &self.cluster_weights {
-            weights
-                .validate_for(self.peers)
-                .map_err(ConfigError::ClusterWeights)?;
             let max_share = weights.max_share_count(self.peers, self.files_per_peer);
             if max_share > self.file_pool {
                 return Err(ConfigError::WeightedPlacementUnsatisfiable {
@@ -731,23 +718,124 @@ impl SimulationConfig {
                 head_fraction: self.dht.hybrid_head_fraction,
             });
         }
+        if !self.churn.is_valid() {
+            let ChurnConfig { mean_session_secs, mean_offline_secs, churning_fraction } = self.churn;
+            return Err(ConfigError::ChurnOutOfRange {
+                mean_session_secs,
+                mean_offline_secs,
+                churning_fraction,
+            });
+        }
         self.faults.validate().map_err(ConfigError::FaultConfig)?;
         self.faults
             .query_timeout
             .validate()
             .map_err(ConfigError::TimeoutPolicy)?;
-        Ok(())
+        // Every check above is shape; this is the one clock check.
+        let horizon_secs = self.horizon().secs();
+        match Duration::try_from_millis_f64(horizon_secs * 1000.0) {
+            Some(horizon) if horizon <= HORIZON_LIMIT => Ok(()),
+            _ => Err(ConfigError::HorizonBeyondClock { horizon_secs }),
+        }
+    }
+
+    /// The run horizon: `start`, the latest burst or outage end, and `tail`,
+    /// everything the engine can add to the clock after `start` or after the
+    /// last arrival, whichever is later. [`SimulationConfig::validate`]
+    /// requires `start + tail` to fit [`HORIZON_LIMIT`].
+    ///
+    /// The tail is the sum of:
+    /// - the control drain margin [`CONTROL_DRAIN`];
+    /// - one period of the longest periodic round (Bloom sync or DHT
+    ///   republish), which the round schedule steps past its last round;
+    /// - `dht.record_ttl_secs`, a stored record's expiry;
+    /// - the query lifetime: `2 · ttl · max_latency` for a flood out and
+    ///   back, plus the retransmit span ([`TimeoutPolicy::span_secs`]), plus
+    ///   `peers × max(step timeout, 2 · max_latency)` for a DHT walk. A walk
+    ///   asks each candidate at most once, and a timed-out step re-issues at
+    ///   the same hop, so the hop budget alone does not bound it.
+    ///
+    /// Every site in the engine that adds a span to the clock, with the term
+    /// that covers it (a term may be loose, and the slack of the others
+    /// absorbs the engine's rounding of each span to the microsecond):
+    /// - `engine/mod.rs`, `periodic_controls`: `ZERO + period` and
+    ///   `t += period` — the drain margin plus the longest period;
+    /// - `engine/mod.rs`, `Coordinator::new`: `last_arrival + CONTROL_DRAIN`
+    ///   — the drain margin;
+    /// - `engine/mod.rs`, `Coordinator::drive`: `event.time + lookahead`, a
+    ///   window bound rather than an event, saturating — the lookahead is at
+    ///   most `max_latency`, inside the query lifetime;
+    /// - `engine/shard.rs`, `route`: `now + latency` for every send — at most
+    ///   `max_latency` per hop, inside the query lifetime (periodic rounds
+    ///   and churn transitions send at times the other terms already cover);
+    /// - `engine/unstructured.rs`, `flood_attempt`: `now + delay(attempt)` —
+    ///   the retransmit span;
+    /// - `engine/dht.rs`, `refill`: `now + step timeout` — the DHT walk;
+    /// - `engine/dht.rs`, `store_record`: `at + record TTL` — the record TTL;
+    /// - `engine/faults.rs`, `FaultPlan::new`: `ZERO + outage start/end` —
+    ///   `start`.
+    ///
+    /// Outside the engine, `Simulation::churn_schedule` adds the burst end
+    /// (`start`) to `ZERO`, and `ChurnModel::schedule` adds each dwell with
+    /// `checked_add`, ending a peer's schedule at the churn horizon, which is
+    /// at most the later of `start` and the last arrival.
+    ///
+    /// [`TimeoutPolicy::span_secs`]: locaware_workload::TimeoutPolicy::span_secs
+    pub(crate) fn horizon(&self) -> RunHorizon {
+        let burst_end = self.arrival_schedule.span_secs().unwrap_or(0.0);
+        let outage_ends = self.faults.outages.iter().map(|window| window.end_secs());
+        let max_latency_secs = self.max_latency_ms / 1000.0;
+        let flood = 2.0 * f64::from(self.ttl) * max_latency_secs;
+        let walk_step = self.faults.dht_step_timeout_secs.max(2.0 * max_latency_secs);
+        let lifetime = flood + self.faults.query_timeout.span_secs() + self.peers as f64 * walk_step;
+        let period = self.bloom_sync_period_secs.max(self.dht.republish_period_secs);
+        RunHorizon {
+            start_secs: outage_ends.fold(burst_end, f64::max),
+            tail_secs: CONTROL_DRAIN.as_secs_f64() + period + self.dht.record_ttl_secs + lifetime,
+        }
+    }
+}
+
+/// Half the microsecond simulation clock (≈2.9·10⁵ years): the most a run
+/// horizon may span. The other half belongs to the arrivals, whose last time
+/// depends on the query count `validate` never sees, so every run whose last
+/// arrival falls within it fits the clock.
+pub(crate) const HORIZON_LIMIT: Duration = Duration::from_micros(u64::MAX / 2);
+
+/// How long periodic rounds keep running after the last arrival, so late
+/// responses still see fresh filters.
+pub(crate) const CONTROL_DRAIN: Duration = Duration::from_secs(60);
+
+/// A configuration's run horizon ([`SimulationConfig::horizon`]), in
+/// simulated seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RunHorizon {
+    start_secs: f64,
+    tail_secs: f64,
+}
+
+impl RunHorizon {
+    /// `start + tail`, the span `validate` holds against [`HORIZON_LIMIT`].
+    fn secs(self) -> f64 {
+        self.start_secs + self.tail_secs
+    }
+
+    /// The latest time a run of a validated configuration whose last arrival
+    /// is at `last_arrival` can put anything on the clock:
+    /// `max(start, last_arrival) + tail`. Saturates only when the last
+    /// arrival is itself past [`HORIZON_LIMIT`], which nothing checks yet.
+    pub(crate) fn event_bound(self, last_arrival: SimTime) -> SimTime {
+        let start = SimTime::ZERO + Duration::from_secs_f64(self.start_secs);
+        start.max(last_arrival).saturating_add(Duration::from_secs_f64(self.tail_secs))
     }
 }
 
 /// Whether a period in simulated seconds can drive a periodic schedule: it
-/// must fit the microsecond clock and round to at least one tick of it. A
+/// must be finite and round to at least one tick of the microsecond clock. A
 /// period that is `NaN` or rounds to zero would never advance the schedule,
-/// and the run would hang generating control events; one past the clock
-/// would overflow the first time it is added to the current time.
+/// and the run would hang generating control events.
 fn is_schedulable_period(period_secs: f64) -> bool {
-    locaware_sim::Duration::try_from_millis_f64(period_secs * 1000.0).is_some()
-        && locaware_sim::Duration::from_secs_f64(period_secs) > locaware_sim::Duration::ZERO
+    period_secs.is_finite() && Duration::from_secs_f64(period_secs) > Duration::ZERO
 }
 
 #[cfg(test)]
@@ -841,27 +929,87 @@ mod tests {
         }
     }
 
-    #[test]
-    fn unrepresentable_query_lifetimes_are_rejected_up_front() {
-        // 2 * ttl * max_latency_ms used to be converted with the saturating
-        // `Duration::from_millis_f64`, so absurd products silently clamped to
-        // the end of simulated time instead of failing validation.
-        let mut c = SimulationConfig::paper_defaults();
-        c.ttl = u32::MAX;
-        c.max_latency_ms = f64::MAX / 2.0;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::QueryLifetimeOverflow {
-                ttl: u32::MAX,
-                max_latency_ms: f64::MAX / 2.0,
-            })
-        );
+    fn burst(multiplier: f64, start_secs: f64, duration_secs: f64) -> ArrivalSchedule {
+        ArrivalSchedule::Burst { multiplier, start_secs, duration_secs }
+    }
 
-        // A large-but-representable product still validates.
+    /// Churn-storm's churn block, at 40 peers.
+    fn storm() -> ChurnConfig {
+        crate::Scenario::churn_storm(40).config().churn
+    }
+
+    /// Every span that cannot fit the microsecond clock is rejected up front:
+    /// as `HorizonBeyondClock` once it is added to the run horizon, or by its
+    /// knob's own shape check. Each used to be a per-knob clock error, a
+    /// saturating conversion, or an overflow panic inside a run.
+    #[test]
+    fn spans_past_the_clock_are_rejected_up_front() {
+        use locaware_workload::{OutageWindow, TimeoutPolicy};
+        type Case = (&'static str, fn(&mut SimulationConfig), fn(&ConfigError) -> bool);
+        let beyond: fn(&ConfigError) -> bool =
+            |e| matches!(e, ConfigError::HorizonBeyondClock { .. });
+        let cases: [Case; 12] = [
+            // With churn-storm churn it used to hang the churn schedule.
+            ("burst ending at 1e18 s", |c| (c.churn, c.arrival_schedule) = (storm(), burst(2.0, 1e18, 60.0)), beyond),
+            ("burst at a 1e-300 rate for 1e18 s", |c| c.arrival_schedule = burst(1e-300, 0.0, 1e18), beyond),
+            (
+                "outage at 1e300 s",
+                |c| c.faults.outages.push(OutageWindow { start_secs: 1e300, duration_secs: 1e300, fraction: 0.5 }),
+                beyond,
+            ),
+            ("ttl u32::MAX at f64::MAX/2 ms", |c| (c.ttl, c.max_latency_ms) = (u32::MAX, f64::MAX / 2.0), beyond),
+            ("Bloom sync period 1e18 s", |c| c.bloom_sync_period_secs = 1e18, beyond),
+            ("DHT republish period 1e18 s", |c| c.dht.republish_period_secs = 1e18, beyond),
+            ("DHT record TTL 1e18 s", |c| c.dht.record_ttl_secs = 1e18, beyond),
+            ("DHT step timeout 1e18 s", |c| c.faults.dht_step_timeout_secs = 1e18, beyond),
+            (
+                // It fits the clock on its own; 40 walk steps of it do not.
+                "DHT step timeout 1.8e13 s under 20% loss",
+                |c| (c.faults.message_loss, c.faults.dht_step_timeout_secs) = (0.2, 1.8e13),
+                beyond,
+            ),
+            (
+                "infinite DHT step timeout",
+                |c| c.faults.dht_step_timeout_secs = f64::INFINITY,
+                |e| matches!(e, ConfigError::FaultConfig(FaultConfigError::InvalidStepTimeout { .. })),
+            ),
+            (
+                "retransmit span past the clock",
+                |c| c.faults.query_timeout = TimeoutPolicy { initial_secs: 1e300, backoff: 10.0, max_retries: 100 },
+                beyond,
+            ),
+            (
+                "churn offline gaps of infinite mean",
+                |c| c.churn = ChurnConfig { mean_offline_secs: f64::INFINITY, ..storm() },
+                |e| matches!(e, ConfigError::ChurnOutOfRange { .. }),
+            ),
+        ];
+        for (name, set, expected) in cases {
+            let mut c = SimulationConfig::small(40);
+            set(&mut c);
+            match crate::Simulation::try_build(c) {
+                Err(error) => assert!(expected(&error), "{name}: got {error:?}"),
+                Ok(_) => panic!("{name}: accepted"),
+            }
+        }
+
+        // Large but representable spans still validate: a 2e9 s flood and
+        // 1000 walk steps of 2e6 s each.
         let mut c = SimulationConfig::paper_defaults();
         c.ttl = 1_000;
         c.max_latency_ms = 1.0e9;
         assert!(c.validate().is_ok());
+        // And the horizon holds up to the limit, not one second past it.
+        let limit_secs = HORIZON_LIMIT.as_secs_f64();
+        let tail_secs = c.horizon().secs();
+        c.faults.outages.push(OutageWindow {
+            start_secs: 0.0,
+            duration_secs: limit_secs - tail_secs - 1.0,
+            fraction: 0.5,
+        });
+        assert!(c.validate().is_ok());
+        c.faults.outages[0].duration_secs += 2.0;
+        assert!(matches!(c.validate(), Err(ConfigError::HorizonBeyondClock { .. })));
     }
 
     #[test]
@@ -870,22 +1018,10 @@ mod tests {
         // `ArrivalProcess::new`; now it fails fallibly up front.
         let mut c = SimulationConfig::paper_defaults();
         c.query_rate_per_peer = f64::NAN;
-        assert!(matches!(c.validate(), Err(ConfigError::NonPositiveQueryRate { .. })));
-
-        // A burst past the clock put a churn-storm horizon at about
-        // `u64::MAX` microseconds, and the churn schedule never returned.
-        let mut c = crate::Scenario::churn_storm(40).config().clone();
-        c.arrival_schedule = ArrivalSchedule::Burst {
-            multiplier: 2.0,
-            start_secs: 1e18,
-            duration_secs: 60.0,
-        };
-        assert_eq!(
-            crate::Simulation::try_build(c).err(),
-            Some(ConfigError::ArrivalSchedule(ScheduleError::BurstBeyondClock {
-                end_secs: 1e18 + 60.0
-            }))
-        );
+        assert!(matches!(
+            c.validate(),
+            Err(ConfigError::ArrivalSchedule(ScheduleError::InvalidRate { .. }))
+        ));
 
         let mut c = SimulationConfig::paper_defaults();
         c.arrival_schedule = ArrivalSchedule::Burst {
@@ -902,7 +1038,9 @@ mod tests {
         c.cluster_weights = Some(ClusterWeights::new(vec![1.0; 2000]).unwrap());
         assert!(matches!(
             c.validate(),
-            Err(ConfigError::ClusterWeights(ClusterWeightsError::MoreClustersThanPeers { .. }))
+            Err(ConfigError::ArrivalSchedule(ScheduleError::OriginWeights(
+                locaware_workload::ClusterWeightsError::MoreClustersThanPeers { .. }
+            )))
         ));
 
         // A 1000:1 weight skew over a small pool cannot give every
@@ -1021,17 +1159,6 @@ mod tests {
         ));
 
         let mut c = SimulationConfig::paper_defaults();
-        c.faults.outages.push(OutageWindow {
-            start_secs: 1.0e300,
-            duration_secs: 1.0e300,
-            fraction: 0.5,
-        });
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::FaultConfig(FaultConfigError::OutageBeyondClock { .. }))
-        ));
-
-        let mut c = SimulationConfig::paper_defaults();
         c.faults.query_timeout = TimeoutPolicy {
             initial_secs: 10.0,
             backoff: f64::NAN,
@@ -1040,13 +1167,6 @@ mod tests {
         assert!(matches!(
             c.validate(),
             Err(ConfigError::TimeoutPolicy(TimeoutPolicyError::InvalidBackoff { .. }))
-        ));
-
-        let mut c = SimulationConfig::paper_defaults();
-        c.faults.dht_step_timeout_secs = f64::INFINITY;
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::FaultConfig(FaultConfigError::InvalidStepTimeout { .. }))
         ));
 
         // A sane faulty plan passes validation.
@@ -1072,7 +1192,7 @@ mod tests {
             set(&mut c, bad);
             c.validate()
         };
-        for bad in [1e-7, f64::NAN, f64::INFINITY, 1e18] {
+        for bad in [1e-7, f64::NAN, f64::INFINITY] {
             assert!(
                 matches!(
                     rejected(|c, bad| c.bloom_sync_period_secs = bad, bad),
@@ -1156,15 +1276,13 @@ mod tests {
         matches!(ran, Ok(Ok(())))
     }
 
-    /// Every float knob at NaN, −1, ∞, 0 and 10¹⁸ either fails validation or
-    /// runs: a config `validate()` accepts builds a 40-peer substrate and
-    /// carries 20 queries of `hybrid` and of `flooding` without a panic.
+    /// Every float knob at NaN, −1, ∞, 0, 10¹⁸ and 1.8·10¹³ (which fits the
+    /// clock on its own) either fails validation or runs: a config
+    /// `validate()` accepts builds a 40-peer substrate and carries 20 queries
+    /// of `hybrid` and of `flooding` without a panic.
     #[test]
     fn every_float_knob_fails_validation_or_runs() {
         type Knob = fn(&mut SimulationConfig, f64);
-        fn burst(multiplier: f64, start_secs: f64, duration_secs: f64) -> ArrivalSchedule {
-            ArrivalSchedule::Burst { multiplier, start_secs, duration_secs }
-        }
         let knobs: [(&str, Knob); 20] = [
             ("average_degree", |c, v| c.average_degree = v),
             ("min_latency_ms", |c, v| c.min_latency_ms = v),
@@ -1179,13 +1297,18 @@ mod tests {
             ("dht.record_ttl_secs", |c, v| c.dht.record_ttl_secs = v),
             ("dht.republish_period_secs", |c, v| c.dht.republish_period_secs = v),
             ("dht.hybrid_head_fraction", |c, v| c.dht.hybrid_head_fraction = v),
-            ("churn.mean_session_secs", |c, v| c.churn.mean_session_secs = v),
-            ("churn.mean_offline_secs", |c, v| c.churn.mean_offline_secs = v),
-            ("churn.churning_fraction", |c, v| c.churn.churning_fraction = v),
+            // The churn knobs start from a churning block, so each decides.
+            ("churn.mean_session_secs", |c, v| c.churn = ChurnConfig { mean_session_secs: v, ..storm() }),
+            ("churn.mean_offline_secs", |c, v| c.churn = ChurnConfig { mean_offline_secs: v, ..storm() }),
+            ("churn.churning_fraction", |c, v| c.churn = ChurnConfig { churning_fraction: v, ..storm() }),
             ("faults.message_loss", |c, v| c.faults.message_loss = v),
-            ("faults.dht_step_timeout_secs", |c, v| c.faults.dht_step_timeout_secs = v),
-            // Each with the rest of the retransmit policy armed, so the value
-            // under test is the one that decides.
+            // Each with the rest of its fault axis armed, so the value under
+            // test is the one that decides: lost steps time out, and an
+            // unanswered flood is retransmitted.
+            ("faults.dht_step_timeout_secs", |c, v| {
+                c.faults.message_loss = 0.2;
+                c.faults.dht_step_timeout_secs = v;
+            }),
             ("faults.query_timeout.initial_secs", |c, v| {
                 c.faults.query_timeout.max_retries = 2;
                 c.faults.query_timeout.initial_secs = v;
@@ -1198,7 +1321,7 @@ mod tests {
         ];
         let mut panicked = Vec::new();
         for (name, knob) in knobs {
-            for value in [f64::NAN, -1.0, f64::INFINITY, 0.0, 1e18] {
+            for value in [f64::NAN, -1.0, f64::INFINITY, 0.0, 1e18, 1.8e13] {
                 let mut config = SimulationConfig::small(40);
                 knob(&mut config, value);
                 if !fails_validation_or_runs(config, 20) {

@@ -780,7 +780,8 @@ fn refill(
             };
             state.send(shared, now, origin, target, step, index);
             if let Some(timeout) = step_timeout {
-                state.schedule_timeout(now + timeout, index, TimeoutKind::DhtStep { peer: target });
+                let deadline = now + timeout;
+                state.schedule_timeout(shared, deadline, index, TimeoutKind::DhtStep { peer: target });
             }
         }
     }

@@ -113,7 +113,7 @@ use locaware_overlay::{ChurnEventKind, OverlayGraph, PeerId};
 use locaware_sim::{Duration, EventKey, RngFactory, SimTime, StreamId};
 use locaware_workload::{Arrival, Catalog, KeywordHashes, QueryGenerator};
 
-use crate::config::{ProtocolKind, SimulationConfig};
+use crate::config::{ProtocolKind, SimulationConfig, CONTROL_DRAIN};
 use crate::group::GroupScheme;
 use crate::peer::PeerState;
 use crate::protocol::Protocol;
@@ -159,6 +159,11 @@ pub(crate) struct RunShared<'a> {
     /// The compiled fault plan — `Some` exactly when the configuration arms
     /// any fault axis, so fault-free runs pay one `Option` check per send.
     pub(crate) faults: Option<FaultPlan>,
+    /// The latest time this run can put anything on the clock: the
+    /// configuration's run horizon ([`SimulationConfig::horizon`]) from the
+    /// later of its start and the last arrival. Debug builds assert every
+    /// send, deadline and periodic round against it.
+    pub(crate) event_bound: SimTime,
 }
 
 /// Minimum number of events the previous window dispatched *outside* its
@@ -319,6 +324,7 @@ fn prepare(
             .then(|| DhtDirectory::new(sim.rng_factory(), config.peers)),
         channel_lookahead,
         faults: FaultPlan::new(&config.faults, sim.rng_factory()),
+        event_bound: config.horizon().event_bound(arrivals.last().map_or(SimTime::ZERO, |a| a.at)),
         arrivals,
         protocol,
     };
@@ -521,11 +527,13 @@ struct Coordinator {
 
 /// Appends one control event per `period_secs` of simulated time, from the
 /// first full period up to `horizon` (validation guarantees the period is at
-/// least one tick of the microsecond clock, so the schedule always advances).
+/// least one tick of the microsecond clock, so the schedule always advances,
+/// and that one period past `horizon` stays within the run's `event_bound`).
 fn periodic_controls(
     control: &mut Vec<(EventKey, ControlAction)>,
     period_secs: f64,
     horizon: SimTime,
+    event_bound: SimTime,
     class: u8,
     action: ControlAction,
 ) {
@@ -537,6 +545,7 @@ fn periodic_controls(
         control.push((EventKey::new(t, class, round, 0), action));
         round += 1;
         t += period;
+        debug_assert!(t <= event_bound, "round {t:?} past the run's {event_bound:?}");
     }
 }
 
@@ -553,15 +562,15 @@ impl Coordinator {
         // barriers, at their canonical position in the event order.
         let config = shared.config;
         let last_arrival = shared.arrivals.last().map_or(SimTime::ZERO, |a| a.at);
-        let horizon = last_arrival + Duration::from_secs(60);
+        let (horizon, bound) = (last_arrival + CONTROL_DRAIN, shared.event_bound);
         let mut control: Vec<(EventKey, ControlAction)> = Vec::new();
         if shared.protocol.uses_bloom_sync() {
             let (period, action) = (config.bloom_sync_period_secs, ControlAction::BloomSync);
-            periodic_controls(&mut control, period, horizon, CLASS_BLOOM_SYNC, action);
+            periodic_controls(&mut control, period, horizon, bound, CLASS_BLOOM_SYNC, action);
         }
         if shared.dht.is_some() {
             let (period, action) = (config.dht.republish_period_secs, ControlAction::DhtRepublish);
-            periodic_controls(&mut control, period, horizon, CLASS_DHT_REPUBLISH, action);
+            periodic_controls(&mut control, period, horizon, bound, CLASS_DHT_REPUBLISH, action);
         }
         control.extend(churn_schedule.iter().enumerate().map(|(i, &event)| {
             (EventKey::new(event.at, CLASS_CHURN, i as u64, 0), ControlAction::Churn(event))

@@ -500,7 +500,10 @@ impl ShardState {
     /// and since timers are class 6, a reply landing exactly at the deadline
     /// is dispatched first. Timers live in the origin's own shard queue and
     /// never cross shards, so they cannot perturb channel lookaheads.
-    pub(super) fn schedule_timeout(&mut self, at: SimTime, index: usize, kind: TimeoutKind) {
+    pub(super) fn schedule_timeout(
+        &mut self, shared: &RunShared<'_>, at: SimTime, index: usize, kind: TimeoutKind,
+    ) {
+        debug_assert!(at <= shared.event_bound, "deadline {at:?} past the run's {:?}", shared.event_bound);
         let discriminator = match kind {
             TimeoutKind::Retransmit { attempt } => u64::from(attempt),
             TimeoutKind::DhtStep { peer } => (1u64 << 32) | u64::from(peer.0),
@@ -541,6 +544,7 @@ impl ShardState {
     fn route(&mut self, shared: &RunShared<'_>, now: SimTime, from: PeerId, to: PeerId, message: Message) -> bool {
         let latency = shared.link_latencies.latency(shared.topology, from, to);
         let at = now + latency;
+        debug_assert!(at <= shared.event_bound, "delivery {at:?} past the run's {:?}", shared.event_bound);
         debug_assert_eq!(shared.partition.shard(from), self.shard as usize);
         let sender_slot = shared.partition.slot(from);
         let seq = self.send_seq[sender_slot];

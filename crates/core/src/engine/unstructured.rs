@@ -307,7 +307,7 @@ fn flood_attempt(
     };
     tracking.search = Search::Flood { retry: Some(Box::new(message)) };
     let deadline = now + Duration::from_secs_f64(policy.delay_secs(attempt));
-    state.schedule_timeout(deadline, index, TimeoutKind::Retransmit { attempt });
+    state.schedule_timeout(shared, deadline, index, TimeoutKind::Retransmit { attempt });
 }
 
 /// Forwards the query `message` from peer `at` — the origin at issue or

@@ -207,10 +207,10 @@ impl Simulation {
     pub fn arrivals(&self, num_queries: usize) -> Vec<Arrival> {
         #[expect(
             clippy::expect_used,
-            reason = "try_build validated the arrival configuration"
+            reason = "SimulationConfig::validate runs ArrivalConfig::validate, the one check ArrivalProcess::new makes"
         )]
         let process = ArrivalProcess::new(self.config.arrival_config())
-            .expect("arrival configuration was validated by try_build");
+            .expect("SimulationConfig::validate ran ArrivalConfig::validate");
         let mut arrivals =
             process.generate_count(num_queries, &mut self.rng_factory.stream(StreamId::Arrivals));
         if let Some(order) = &self.origin_order {

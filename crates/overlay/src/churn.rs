@@ -70,11 +70,19 @@ impl ChurnConfig {
         }
     }
 
-    /// True if this configuration produces no churn events.
+    /// True if this configuration produces no churn events: no peer churns.
     pub fn is_disabled(&self) -> bool {
-        self.churning_fraction <= 0.0
-            || !self.mean_session_secs.is_finite()
-            || self.mean_session_secs <= 0.0
+        self.churning_fraction == 0.0
+    }
+
+    /// Whether the configuration describes a schedule: `churning_fraction` is
+    /// finite and in `[0, 1]`, and when it is positive both means are
+    /// positive and finite (a zero, negative or NaN mean is a zero-length
+    /// dwell, an infinite one a dwell past the clock).
+    pub fn is_valid(&self) -> bool {
+        let usable = |mean: f64| mean > 0.0 && mean.is_finite();
+        (0.0..=1.0).contains(&self.churning_fraction)
+            && (self.is_disabled() || usable(self.mean_session_secs) && usable(self.mean_offline_secs))
     }
 }
 
@@ -96,7 +104,8 @@ impl ChurnModel {
     }
 
     /// Generates every leave/join transition for `peers` peers up to `horizon`.
-    /// Events come back sorted by time.
+    /// Events come back sorted by time. A configuration that is disabled or
+    /// not [valid](ChurnConfig::is_valid) schedules nothing.
     pub fn schedule<R: Rng + ?Sized>(
         &self,
         peers: usize,
@@ -104,7 +113,7 @@ impl ChurnModel {
         rng: &mut R,
     ) -> Vec<ChurnEvent> {
         let mut events = Vec::new();
-        if self.config.is_disabled() {
+        if self.config.is_disabled() || !self.config.is_valid() {
             return events;
         }
         for p in 0..peers {
@@ -120,10 +129,12 @@ impl ChurnModel {
                 } else {
                     self.config.mean_offline_secs
                 };
+                // A dwell past the clock ends the peer's schedule just like
+                // one past the horizon.
                 let dwell = Duration::from_secs_f64(exponential(rng, mean));
-                now += dwell;
-                if now > horizon {
-                    break;
+                match now.checked_add(dwell) {
+                    Some(next) if next <= horizon => now = next,
+                    _ => break,
                 }
                 events.push(ChurnEvent {
                     at: now,
@@ -160,7 +171,41 @@ mod tests {
         let events = model.schedule(100, SimTime::from_secs(10_000), &mut StdRng::seed_from_u64(1));
         assert!(events.is_empty());
         assert!(ChurnConfig::disabled().is_disabled());
+        assert!(ChurnConfig::disabled().is_valid());
         assert!(!ChurnConfig::default().is_disabled());
+    }
+
+    #[test]
+    fn only_finite_fractions_and_usable_means_are_valid() {
+        let churn = |mean_session_secs, mean_offline_secs, churning_fraction| ChurnConfig {
+            mean_session_secs,
+            mean_offline_secs,
+            churning_fraction,
+        };
+        assert!(ChurnConfig::default().is_valid());
+        // Nobody churns: the means are never drawn from.
+        assert!(churn(f64::NAN, -1.0, 0.0).is_valid());
+        for fraction in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+            assert!(!churn(60.0, 60.0, fraction).is_valid(), "fraction {fraction}");
+        }
+        for mean in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+            assert!(!churn(mean, 60.0, 0.5).is_valid(), "session {mean}");
+            assert!(!churn(60.0, mean, 0.5).is_valid(), "offline {mean}");
+        }
+    }
+
+    #[test]
+    fn a_dwell_past_the_clock_ends_the_schedule() {
+        // Every offline gap saturates the duration conversion: each churning
+        // peer leaves once and never comes back, instead of overflowing.
+        let model = ChurnModel::new(ChurnConfig {
+            mean_session_secs: 10.0,
+            mean_offline_secs: 1e18,
+            churning_fraction: 1.0,
+        });
+        let events = model.schedule(20, SimTime::MAX, &mut StdRng::seed_from_u64(5));
+        assert_eq!(events.len(), 20);
+        assert!(events.iter().all(|e| e.kind == ChurnEventKind::Leave));
     }
 
     #[test]

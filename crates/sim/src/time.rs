@@ -63,6 +63,11 @@ impl SimTime {
     pub fn saturating_add(self, d: Duration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
+
+    /// Checked addition of a duration: `None` past the end of the clock.
+    pub fn checked_add(self, d: Duration) -> Option<SimTime> {
+        self.0.checked_add(d.0).map(SimTime)
+    }
 }
 
 impl Duration {
@@ -314,6 +319,11 @@ mod tests {
     #[test]
     fn saturating_ops() {
         assert_eq!(SimTime::MAX.saturating_add(Duration::from_secs(1)), SimTime::MAX);
+        assert_eq!(SimTime::MAX.checked_add(Duration::from_micros(1)), None);
+        assert_eq!(
+            SimTime::ZERO.checked_add(Duration::from_secs(1)),
+            Some(SimTime::from_secs(1))
+        );
         assert_eq!(
             Duration::from_secs(1).saturating_mul(u64::MAX),
             Duration::from_micros(u64::MAX)

@@ -23,9 +23,9 @@
 //! RNG draws, same floating-point operations), so an omitted schedule
 //! reproduces historical runs exactly.
 //!
-//! A burst must end on the microsecond clock: a window whose end does not
-//! fit is a typed [`ScheduleError::BurstBeyondClock`], like an outage window
-//! past the clock.
+//! Validation here is shape only — sign, finiteness, range. Whether a burst's
+//! end fits the microsecond clock, beside everything else a run adds to it,
+//! is the simulation layer's one run-horizon check.
 //!
 //! ## Weighted origins
 //!
@@ -56,7 +56,7 @@ pub struct Arrival {
 /// profile's span the rate returns to the base rate, so count-bounded
 /// generation always terminates. Validation ([`ArrivalSchedule::validate`])
 /// rejects degenerate profiles — non-positive multipliers, zero-length or
-/// negative windows, windows past the clock — with a typed [`ScheduleError`].
+/// negative windows — with a typed [`ScheduleError`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum ArrivalSchedule {
     /// The paper's homogeneous process: the base rate at all times. Omitting
@@ -107,11 +107,6 @@ pub enum ScheduleError {
         /// The offending start time in seconds.
         start_secs: f64,
     },
-    /// The burst window ends past the representable simulation clock.
-    BurstBeyondClock {
-        /// The unrepresentable window end in seconds.
-        end_secs: f64,
-    },
     /// The origin weights do not fit the population.
     OriginWeights(crate::placement::ClusterWeightsError),
 }
@@ -135,10 +130,6 @@ impl std::fmt::Display for ScheduleError {
             ScheduleError::InvalidBurstStart { start_secs } => write!(
                 f,
                 "burst start must be non-negative and finite: got {start_secs}s"
-            ),
-            ScheduleError::BurstBeyondClock { end_secs } => write!(
-                f,
-                "burst window ends at {end_secs}s, past the representable simulation clock"
             ),
             ScheduleError::OriginWeights(error) => write!(f, "origin weights: {error}"),
         }
@@ -166,10 +157,6 @@ impl ArrivalSchedule {
         }
         if !positive_finite(duration_secs) {
             return Err(ScheduleError::InvalidDuration { duration_secs });
-        }
-        let end_secs = start_secs + duration_secs;
-        if Duration::try_from_millis_f64(end_secs * 1000.0).is_none() {
-            return Err(ScheduleError::BurstBeyondClock { end_secs });
         }
         Ok(())
     }
@@ -490,10 +477,6 @@ mod tests {
                 burst(f64::NAN, 60.0, 5.0),
                 ScheduleError::InvalidMultiplier { multiplier: f64::NAN },
             ),
-            (
-                burst(1e-300, 0.0, 1e18),
-                ScheduleError::BurstBeyondClock { end_secs: 1e18 },
-            ),
         ];
         for (schedule, expected) in cases {
             let got = schedule.validate().unwrap_err();
@@ -509,8 +492,8 @@ mod tests {
             };
             assert!(ArrivalProcess::new(config).is_err());
         }
-        // The last microsecond the clock holds is still a valid window end.
-        assert_eq!(burst(2.0, 0.0, 1.8e13).validate(), Ok(()));
+        // Shape only: a window past the clock is the run horizon's to reject.
+        assert_eq!(burst(2.0, 0.0, 1e18).validate(), Ok(()));
     }
 
     #[test]

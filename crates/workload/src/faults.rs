@@ -15,8 +15,6 @@
 //! `StreamId::Faults` stream so fault patterns are independent of topology,
 //! workload and protocol randomness.
 
-use locaware_sim::Duration;
-
 /// A typed retransmit policy: how long to wait for a query to produce a
 /// response, how the wait grows, and how many times to retry.
 ///
@@ -65,17 +63,17 @@ impl TimeoutPolicy {
         if !self.backoff.is_finite() || (self.is_enabled() && self.backoff < 1.0) {
             return Err(TimeoutPolicyError::InvalidBackoff { backoff: self.backoff });
         }
-        if self.is_enabled() {
-            // Worst-case cumulative wait across every attempt must fit the
-            // microsecond simulation clock; engine time arithmetic saturates
-            // silently past it.
-            let worst_delay = self.delay_secs(self.max_retries);
-            let span_secs = worst_delay * (self.max_retries as f64 + 1.0);
-            if Duration::try_from_millis_f64(span_secs * 1000.0).is_none() {
-                return Err(TimeoutPolicyError::SpanOverflow { span_secs });
-            }
-        }
         Ok(())
+    }
+
+    /// The longest an enabled policy can keep a query waiting, in seconds:
+    /// every attempt's deadline back to back, each bounded by the last
+    /// (`backoff >= 1`). `0` for the disabled policy.
+    pub fn span_secs(&self) -> f64 {
+        if !self.is_enabled() {
+            return 0.0;
+        }
+        self.delay_secs(self.max_retries) * (self.max_retries as f64 + 1.0)
     }
 }
 
@@ -100,12 +98,6 @@ pub enum TimeoutPolicyError {
         /// The offending backoff factor.
         backoff: f64,
     },
-    /// The worst-case cumulative retry span does not fit the microsecond
-    /// simulation clock.
-    SpanOverflow {
-        /// The unrepresentable span in seconds.
-        span_secs: f64,
-    },
 }
 
 impl std::fmt::Display for TimeoutPolicyError {
@@ -118,10 +110,6 @@ impl std::fmt::Display for TimeoutPolicyError {
             TimeoutPolicyError::InvalidBackoff { backoff } => write!(
                 f,
                 "backoff factor must be finite and at least 1: got {backoff}"
-            ),
-            TimeoutPolicyError::SpanOverflow { span_secs } => write!(
-                f,
-                "worst-case retry span {span_secs}s overflows the microsecond simulation clock"
             ),
         }
     }
@@ -233,15 +221,8 @@ impl FaultConfig {
                     fraction: window.fraction,
                 });
             }
-            if Duration::try_from_millis_f64(window.end_secs() * 1000.0).is_none() {
-                return Err(FaultConfigError::OutageBeyondClock {
-                    end_secs: window.end_secs(),
-                });
-            }
         }
-        if self.dht_step_timeout_secs < 0.0
-            || Duration::try_from_millis_f64(self.dht_step_timeout_secs * 1000.0).is_none()
-        {
+        if !(self.dht_step_timeout_secs >= 0.0 && self.dht_step_timeout_secs.is_finite()) {
             return Err(FaultConfigError::InvalidStepTimeout {
                 timeout_secs: self.dht_step_timeout_secs,
             });
@@ -280,13 +261,7 @@ pub enum FaultConfigError {
         /// The offending fraction.
         fraction: f64,
     },
-    /// An outage window extends past the representable simulation clock.
-    OutageBeyondClock {
-        /// The unrepresentable window end in seconds.
-        end_secs: f64,
-    },
-    /// The DHT step timeout is negative or does not fit the microsecond
-    /// simulation clock.
+    /// The DHT step timeout is negative or not finite.
     InvalidStepTimeout {
         /// The offending timeout in seconds.
         timeout_secs: f64,
@@ -312,14 +287,9 @@ impl std::fmt::Display for FaultConfigError {
                 f,
                 "outage link fraction must be in [0, 1]: got {fraction}"
             ),
-            FaultConfigError::OutageBeyondClock { end_secs } => write!(
-                f,
-                "outage window ends at {end_secs}s, past the representable simulation clock"
-            ),
             FaultConfigError::InvalidStepTimeout { timeout_secs } => write!(
                 f,
-                "DHT step timeout must be non-negative and fit the microsecond simulation \
-                 clock: got {timeout_secs}s"
+                "DHT step timeout must be non-negative and finite: got {timeout_secs}s"
             ),
         }
     }
@@ -382,7 +352,10 @@ mod tests {
         assert_eq!(policy.delay_secs(0), 4.0);
         assert_eq!(policy.delay_secs(1), 8.0);
         assert_eq!(policy.delay_secs(2), 16.0);
+        // Four deadlines, none longer than the last (32 s).
+        assert_eq!(policy.span_secs(), 128.0);
         assert!(!TimeoutPolicy::disabled().is_enabled());
+        assert_eq!(TimeoutPolicy::disabled().span_secs(), 0.0);
     }
 
     #[test]
@@ -414,16 +387,6 @@ mod tests {
         assert!(matches!(
             bad.validate(),
             Err(TimeoutPolicyError::InvalidBackoff { .. })
-        ));
-
-        let bad = TimeoutPolicy {
-            initial_secs: 1.0e300,
-            backoff: 10.0,
-            max_retries: 100,
-        };
-        assert!(matches!(
-            bad.validate(),
-            Err(TimeoutPolicyError::SpanOverflow { .. })
         ));
     }
 
@@ -469,14 +432,7 @@ mod tests {
             Err(FaultConfigError::InvalidOutageFraction { .. })
         ));
 
-        let mut plan = FaultConfig::disabled();
-        plan.outages.push(window(1.0e300, 1.0e300, 0.5));
-        assert!(matches!(
-            plan.validate(),
-            Err(FaultConfigError::OutageBeyondClock { .. })
-        ));
-
-        for timeout_secs in [f64::NEG_INFINITY, f64::NAN, 1e18] {
+        for timeout_secs in [f64::NEG_INFINITY, f64::NAN, -1.0] {
             let mut plan = FaultConfig::disabled();
             plan.dht_step_timeout_secs = timeout_secs;
             assert!(matches!(
