@@ -57,43 +57,50 @@ impl GeneratorConfig {
             (self.average_degree as usize) < self.peers,
             "average degree must be smaller than the number of peers"
         );
-        let mut graph = generate_random(self.peers, self.average_degree, rng);
-        // Generation mutates every row through the copy-on-write overlay;
-        // fold the result into the compact CSR base once, here, so every
-        // run over the substrate reads (and clones) the dense form.
-        graph.compact();
-        graph
+        generate_random(self.peers, self.average_degree, rng)
     }
 }
 
-/// Connected random graph: random spanning tree + random extra edges until the
-/// target number of edges (`peers * average_degree / 2`) is reached.
-fn generate_random<R: Rng + ?Sized>(peers: usize, average_degree: f64, rng: &mut R) -> OverlayGraph {
-    let mut graph = OverlayGraph::new(peers);
-    if peers == 1 {
-        return graph;
+/// [`OverlayGraph::add_edge`] on plain rows: rejects self-loops and
+/// duplicates, keeps both rows sorted, and returns true if the edge is new.
+fn add_edge(rows: &mut [Vec<PeerId>], a: PeerId, b: PeerId) -> bool {
+    if a == b {
+        return false;
     }
+    let Err(ia) = rows[a.index()].binary_search(&b) else { return false };
+    rows[a.index()].insert(ia, b);
+    let ib = rows[b.index()].partition_point(|&n| n < a);
+    rows[b.index()].insert(ib, a);
+    true
+}
+
+/// Connected random graph: random spanning tree + random extra edges until the
+/// target number of edges (`peers * average_degree / 2`) is reached. Edges
+/// go into plain rows, which become the CSR graph in one step.
+fn generate_random<R: Rng + ?Sized>(peers: usize, average_degree: f64, rng: &mut R) -> OverlayGraph {
+    let mut rows: Vec<Vec<PeerId>> = vec![Vec::new(); peers];
 
     // Random spanning tree via a random permutation: peer i attaches to a
     // uniformly random earlier peer in the permutation order. This yields a
     // uniformly random labelled tree shape family good enough for connectivity.
     let mut order: Vec<u32> = (0..peers as u32).collect();
     order.shuffle(rng);
+    let mut edges = 0usize;
     for i in 1..peers {
         let parent = order[rng.gen_range(0..i)];
-        graph.add_edge(PeerId(order[i]), PeerId(parent));
+        edges += usize::from(add_edge(&mut rows, PeerId(order[i]), PeerId(parent)));
     }
 
     let target_edges = ((peers as f64 * average_degree) / 2.0).round() as usize;
     let mut guard = 0usize;
     let guard_limit = target_edges * 50 + 1000;
-    while graph.edge_count() < target_edges && guard < guard_limit {
+    while edges < target_edges && guard < guard_limit {
         guard += 1;
         let a = PeerId(rng.gen_range(0..peers as u32));
         let b = PeerId(rng.gen_range(0..peers as u32));
-        graph.add_edge(a, b);
+        edges += usize::from(add_edge(&mut rows, a, b));
     }
-    graph
+    OverlayGraph::from_rows(&rows)
 }
 
 #[cfg(test)]
@@ -101,6 +108,60 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Reference model: the same draws in the same order, each edge wired
+    /// through `OverlayGraph::add_edge` and its copy-on-write rows.
+    fn add_edge_model<R: Rng + ?Sized>(peers: usize, average_degree: f64, rng: &mut R) -> OverlayGraph {
+        let mut graph = OverlayGraph::new(peers);
+        if peers == 1 {
+            return graph;
+        }
+        let mut order: Vec<u32> = (0..peers as u32).collect();
+        order.shuffle(rng);
+        for i in 1..peers {
+            let parent = order[rng.gen_range(0..i)];
+            graph.add_edge(PeerId(order[i]), PeerId(parent));
+        }
+        let target_edges = ((peers as f64 * average_degree) / 2.0).round() as usize;
+        let mut guard = 0usize;
+        let guard_limit = target_edges * 50 + 1000;
+        while graph.edge_count() < target_edges && guard < guard_limit {
+            guard += 1;
+            let a = PeerId(rng.gen_range(0..peers as u32));
+            let b = PeerId(rng.gen_range(0..peers as u32));
+            graph.add_edge(a, b);
+        }
+        graph
+    }
+
+    #[test]
+    fn generated_rows_match_the_add_edge_model() {
+        for peers in [2usize, 3, 60, 1000] {
+            // A 3-peer graph can hold at most average degree 2.
+            let average_degree = 3.0f64.min(peers as f64 - 1.0);
+            let cfg = GeneratorConfig {
+                peers,
+                average_degree,
+                model: GraphModel::Random,
+            };
+            for seed in 0..5 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let g = cfg.generate(&mut rng);
+                let mut model_rng = StdRng::seed_from_u64(seed);
+                let model = add_edge_model(peers, average_degree, &mut model_rng);
+                assert_eq!(g.edge_count(), model.edge_count(), "peers {peers}, seed {seed}");
+                for i in 0..peers as u32 {
+                    assert_eq!(
+                        g.neighbors(PeerId(i)),
+                        model.neighbors(PeerId(i)),
+                        "row {i}, peers {peers}, seed {seed}"
+                    );
+                }
+                // Both consumed the same draws, so the streams continue alike.
+                assert_eq!(rng.gen::<u64>(), model_rng.gen::<u64>());
+            }
+        }
+    }
 
     #[test]
     fn random_graph_matches_paper_setup() {

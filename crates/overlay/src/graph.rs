@@ -4,9 +4,9 @@
 //! iteration order — and therefore every downstream decision that iterates over
 //! neighbours — is deterministic.
 //!
-//! Storage is CSR (one offsets vector into one shared edge arena) with a
-//! copy-on-write overlay for rows mutated since the last [`OverlayGraph::compact`]:
-//! a quiescent graph costs 4 bytes per peer plus 4 bytes per directed edge,
+//! Storage is CSR (one offsets vector into one shared edge arena, built once
+//! from the generator's rows) with a copy-on-write overlay for rows mutated
+//! after that: a quiescent graph costs 4 bytes per peer plus 4 bytes per directed edge,
 //! instead of a heap-allocated `Vec` per peer, and cloning it — which every
 //! protocol run does once — is two `memcpy`s. Mutations (churn rewiring)
 //! lift just the touched rows into the overlay; reads always see the merged
@@ -27,7 +27,7 @@ pub struct OverlayGraph {
     offsets: Vec<u32>,
     /// All base neighbour lists, concatenated; each row sorted, duplicate-free.
     arena: Vec<PeerId>,
-    /// Copy-on-write rows mutated since the last [`OverlayGraph::compact`];
+    /// Copy-on-write rows mutated since the CSR base was built;
     /// a present row overrides the base row entirely. Empty on the hot path
     /// (no churn yet), which reads check with one branch.
     dirty: HashMap<u32, Vec<PeerId>>,
@@ -39,12 +39,29 @@ pub struct OverlayGraph {
 impl OverlayGraph {
     /// Creates an edgeless graph over `peers` peers.
     pub fn new(peers: usize) -> Self {
+        Self::from_rows(&vec![Vec::new(); peers])
+    }
+
+    /// The CSR graph whose peer `i` has neighbours `rows[i]`: rows sorted,
+    /// duplicate-free, loop-free and symmetric, as `add_edge` keeps them.
+    pub(crate) fn from_rows(rows: &[Vec<PeerId>]) -> Self {
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        let mut arena = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+        offsets.push(0u32);
+        for row in rows {
+            arena.extend_from_slice(row);
+            #[expect(
+                clippy::expect_used,
+                reason = "u32 offsets by design: 2^32 directed edges is a 16 GiB arena"
+            )]
+            offsets.push(u32::try_from(arena.len()).expect("edge arena exceeds u32 offsets"));
+        }
         OverlayGraph {
-            offsets: vec![0; peers + 1],
-            arena: Vec::new(),
+            offsets,
+            edges: arena.len() / 2,
+            arena,
             dirty: HashMap::new(),
-            departed: vec![false; peers],
-            edges: 0,
+            departed: vec![false; rows.len()],
         }
     }
 
@@ -73,31 +90,6 @@ impl OverlayGraph {
     fn row_mut(&mut self, i: usize) -> &mut Vec<PeerId> {
         let base = &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize];
         self.dirty.entry(i as u32).or_insert_with(|| base.to_vec())
-    }
-
-    /// Folds every copy-on-write row back into a fresh CSR base. Called once
-    /// after bulk construction (the generator) so steady-state reads hit the
-    /// compact arena; later mutations re-enter copy-on-write. A no-op when
-    /// nothing is dirty.
-    pub fn compact(&mut self) {
-        if self.dirty.is_empty() {
-            return;
-        }
-        let peers = self.len();
-        let mut offsets = Vec::with_capacity(peers + 1);
-        let mut arena = Vec::with_capacity(2 * self.edges);
-        offsets.push(0u32);
-        for i in 0..peers {
-            arena.extend_from_slice(self.row(i));
-            #[expect(
-                clippy::expect_used,
-                reason = "u32 offsets by design: 2^32 directed edges is a 16 GiB arena"
-            )]
-            offsets.push(u32::try_from(arena.len()).expect("edge arena exceeds u32 offsets"));
-        }
-        self.offsets = offsets;
-        self.arena = arena;
-        self.dirty.clear();
     }
 
     /// Number of undirected edges.
@@ -393,26 +385,33 @@ mod tests {
     }
 
     #[test]
-    fn compact_preserves_every_view_and_later_mutations_still_work() {
-        let mut g = path_graph(6);
-        g.remove_edge(PeerId(2), PeerId(3));
-        g.add_edge(PeerId(2), PeerId(5));
-        let edges_before: Vec<_> = g.edges().collect();
-        let rows_before: Vec<Vec<PeerId>> =
-            (0..6).map(|i| g.neighbors(PeerId(i as u32)).to_vec()).collect();
-        g.compact();
-        let edges_after: Vec<_> = g.edges().collect();
-        let rows_after: Vec<Vec<PeerId>> =
-            (0..6).map(|i| g.neighbors(PeerId(i as u32)).to_vec()).collect();
-        assert_eq!(edges_before, edges_after);
-        assert_eq!(rows_before, rows_after);
-        assert_eq!(g.edge_count(), 5);
-        // Compacting twice is a no-op, and mutation after compaction works.
-        g.compact();
-        assert!(g.add_edge(PeerId(0), PeerId(3)));
-        assert!(g.are_neighbors(PeerId(0), PeerId(3)));
-        assert_eq!(g.depart(PeerId(1)), vec![PeerId(0), PeerId(2)]);
-        assert_eq!(g.degree(PeerId(1)), 0);
+    fn generated_graph_takes_later_mutations() {
+        use crate::generator::GeneratorConfig;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let cfg = GeneratorConfig {
+            peers: 60,
+            ..GeneratorConfig::default()
+        };
+        let mut g = cfg.generate(&mut StdRng::seed_from_u64(3));
+        let edges = g.edge_count();
+        assert_eq!(g.edges().count(), edges);
+        // The first peer not yet wired to peer 0 gets an edge to it.
+        let p = PeerId(0);
+        let q = (1..60).map(PeerId).find(|&q| !g.are_neighbors(p, q)).unwrap();
+        assert!(g.add_edge(p, q));
+        assert!(!g.add_edge(q, p), "the reverse edge is the same edge");
+        assert!(g.are_neighbors(q, p));
+        assert_eq!(g.edge_count(), edges + 1);
+        assert!(g.neighbors(p).windows(2).all(|w| w[0] < w[1]), "rows stay sorted");
+        // Departure empties the row and removes the peer from its neighbours'.
+        let before = g.neighbors(p).to_vec();
+        assert_eq!(g.depart(p), before);
+        assert_eq!(g.degree(p), 0);
+        assert!(before.iter().all(|&n| !g.are_neighbors(n, p)));
+        assert_eq!(g.edge_count(), edges + 1 - before.len());
+        assert_eq!(g.edges().count(), g.edge_count());
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //!
 //! §3.3 defines the matching rule: a query `q = {kw_i ∈ f}` (1 ≤ |q| ≤ K) "can
 //! be satisfied by any file f which filename contains all keywords of q"
-//! (§3.1). The catalog materialises the keyword → files inverted index so both
-//! the protocols (matching a query against locally stored files) and the
-//! metrics (was a returned file actually a correct answer?) agree on one
-//! definition of satisfaction.
+//! (§3.1). [`Filename::matches`] is that rule, and [`Catalog::file_matches`]
+//! applies it by file id, so both the protocols (matching a query against
+//! locally stored files) and the metrics (was a returned file actually a
+//! correct answer?) agree on one definition of satisfaction.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::seq::SliceRandom;
@@ -41,13 +40,15 @@ pub struct Filename {
 }
 
 impl Filename {
-    /// Creates a filename from its keywords.
+    /// Creates a filename from its keywords (a `Vec`, or the shared
+    /// allocation itself).
     ///
     /// # Panics
     /// Panics if the keyword list is empty.
-    pub fn new(keywords: Vec<KeywordId>) -> Self {
+    pub fn new(keywords: impl Into<Arc<[KeywordId]>>) -> Self {
+        let keywords = keywords.into();
         assert!(!keywords.is_empty(), "a filename needs at least one keyword");
-        Filename { keywords: keywords.into() }
+        Filename { keywords }
     }
 
     /// The keywords of this filename, in order.
@@ -105,13 +106,11 @@ impl Default for CatalogConfig {
     }
 }
 
-/// The global catalog of files, their filenames and the inverted index.
+/// The global catalog of files and their filenames.
 #[derive(Debug, Clone)]
 pub struct Catalog {
     pool: KeywordPool,
     filenames: Vec<Filename>,
-    /// keyword → files whose filename contains it.
-    inverted: HashMap<KeywordId, Vec<FileId>>,
     /// Bloom hashes interned once per pool keyword (shared with peer state so
     /// the routing and cache-maintenance hot paths never re-hash a keyword).
     keyword_hashes: Arc<KeywordHashes>,
@@ -135,7 +134,7 @@ impl Catalog {
         let filenames = (0..config.files)
             .map(|_| {
                 let draw = all_keywords.choose_multiple(rng, config.keywords_per_file);
-                Filename::new(draw.copied().collect())
+                Filename::new(draw.copied().collect::<Arc<[KeywordId]>>())
             })
             .collect();
         Self::from_filenames(pool, filenames)
@@ -143,17 +142,10 @@ impl Catalog {
 
     /// Builds a catalog from explicit filenames.
     pub fn from_filenames(pool: KeywordPool, filenames: Vec<Filename>) -> Self {
-        let mut inverted: HashMap<KeywordId, Vec<FileId>> = HashMap::new();
-        for (i, fname) in filenames.iter().enumerate() {
-            for &kw in fname.keywords() {
-                inverted.entry(kw).or_default().push(FileId(i as u32));
-            }
-        }
         let keyword_hashes = Arc::new(KeywordHashes::for_pool(&pool));
         Catalog {
             pool,
             filenames,
-            inverted,
             keyword_hashes,
         }
     }
@@ -192,31 +184,8 @@ impl Catalog {
         (0..self.filenames.len() as u32).map(FileId)
     }
 
-    /// Files whose filename contains `keyword`.
-    pub fn files_with_keyword(&self, keyword: KeywordId) -> &[FileId] {
-        self.inverted
-            .get(&keyword)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// All files satisfying a query (containing **all** its keywords).
-    ///
-    /// This is the ground truth the metrics use; protocols must never do better
-    /// than this set.
-    pub fn matching_files(&self, query_keywords: &[KeywordId]) -> Vec<FileId> {
-        match query_keywords.first() {
-            None => Vec::new(),
-            Some(&first) => self
-                .files_with_keyword(first)
-                .iter()
-                .copied()
-                .filter(|&f| self.filename(f).matches(query_keywords))
-                .collect(),
-        }
-    }
-
-    /// True if `file` satisfies the query.
+    /// True if `file` satisfies the query (contains **all** its keywords):
+    /// the ground truth the protocols and the metrics both apply.
     pub fn file_matches(&self, file: FileId, query_keywords: &[KeywordId]) -> bool {
         self.filename(file).matches(query_keywords)
     }
@@ -266,22 +235,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn inverted_index_is_consistent_with_filenames() {
-        let catalog = Catalog::generate(
+    fn small_generated_catalog() -> Catalog {
+        Catalog::generate(
             CatalogConfig {
                 files: 200,
                 keywords: 300,
                 keywords_per_file: 3,
             },
             &mut StdRng::seed_from_u64(2),
-        );
+        )
+    }
+
+    #[test]
+    fn every_file_matches_each_of_its_own_keywords() {
+        let catalog = small_generated_catalog();
         for f in catalog.files() {
-            for &kw in catalog.filename(f).keywords() {
-                assert!(
-                    catalog.files_with_keyword(kw).contains(&f),
-                    "inverted index must list {f} under {kw}"
-                );
+            let keywords = catalog.filename(f).keywords();
+            assert!(catalog.file_matches(f, keywords), "{f} must match its own filename");
+            for &kw in keywords {
+                assert!(catalog.file_matches(f, &[kw]), "{f} must match {kw}");
             }
         }
     }
@@ -289,23 +261,48 @@ mod tests {
     #[test]
     fn matching_follows_the_all_keywords_rule() {
         let c = tiny_catalog();
+        let matching = |q: &[KeywordId]| -> Vec<FileId> {
+            c.files().filter(|&f| c.file_matches(f, q)).collect()
+        };
         // Single keyword 2 appears in every file.
-        assert_eq!(c.matching_files(&[KeywordId(2)]).len(), 3);
+        assert_eq!(matching(&[KeywordId(2)]).len(), 3);
         // {0, 2} appears in f0 and f2.
-        let m = c.matching_files(&[KeywordId(0), KeywordId(2)]);
-        assert_eq!(m, vec![FileId(0), FileId(2)]);
+        assert_eq!(matching(&[KeywordId(0), KeywordId(2)]), vec![FileId(0), FileId(2)]);
         // {1, 3} appears in no single file.
-        assert!(c.matching_files(&[KeywordId(1), KeywordId(3)]).is_empty());
-        // Empty queries match nothing (they are never generated).
-        assert!(c.matching_files(&[]).is_empty());
+        assert!(matching(&[KeywordId(1), KeywordId(3)]).is_empty());
+        // A keyword outside every filename matches nothing.
+        assert!(matching(&[KeywordId(0), KeywordId(99)]).is_empty());
     }
 
     #[test]
-    fn file_matches_agrees_with_matching_files() {
-        let c = tiny_catalog();
-        let q = [KeywordId(0), KeywordId(2)];
+    fn file_matches_agrees_with_posting_list_intersection() {
+        // Independent model: keyword → files posting lists built from the
+        // filenames; a query's answers are the intersection of its
+        // keywords' lists.
+        let c = small_generated_catalog();
+        let mut postings: Vec<Vec<FileId>> = vec![Vec::new(); c.keyword_pool().len()];
         for f in c.files() {
-            assert_eq!(c.file_matches(f, &q), c.matching_files(&q).contains(&f));
+            for &kw in c.filename(f).keywords() {
+                postings[kw.index()].push(f);
+            }
+        }
+        let queries: Vec<Vec<KeywordId>> = c
+            .files()
+            .take(40)
+            .flat_map(|f| {
+                let kws = c.filename(f).keywords();
+                [vec![kws[0]], vec![kws[1], kws[2]], kws.to_vec(), vec![kws[0], KeywordId(299)]]
+            })
+            .collect();
+        for q in &queries {
+            let expected: Vec<FileId> = postings[q[0].index()]
+                .iter()
+                .copied()
+                .filter(|f| q[1..].iter().all(|kw| postings[kw.index()].contains(f)))
+                .collect();
+            let actual: Vec<FileId> = c.files().filter(|&f| c.file_matches(f, q)).collect();
+            assert_eq!(actual, expected, "query {q:?}");
+            assert!(!actual.is_empty() || q.contains(&KeywordId(299)));
         }
     }
 

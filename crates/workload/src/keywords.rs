@@ -5,6 +5,8 @@
 //! spelling so that examples print something readable and the Bloom filter is
 //! exercised with realistic variable-length strings rather than bare integers.
 
+use std::fmt::Write;
+
 use locaware_bloom::ElementHashes;
 
 /// Identifies a keyword in the global pool.
@@ -77,12 +79,20 @@ impl KeywordPool {
     /// syllable-generated prefix so lengths and character distributions look
     /// like real search terms.
     pub fn spell(kw: KeywordId) -> String {
+        let mut word = String::new();
+        Self::spell_into(kw, &mut word);
+        word
+    }
+
+    /// [`KeywordPool::spell`] into a caller's buffer: clears `word`, then
+    /// appends the same bytes, so one buffer serves a whole pool.
+    pub fn spell_into(kw: KeywordId, word: &mut String) {
         const ONSETS: [&str; 12] = [
             "b", "d", "f", "g", "k", "l", "m", "n", "r", "s", "t", "v",
         ];
         const NUCLEI: [&str; 6] = ["a", "e", "i", "o", "u", "y"];
         const CODAS: [&str; 8] = ["", "n", "r", "s", "l", "m", "x", "t"];
-        let mut word = String::new();
+        word.clear();
         let mut state = kw.0 as u64 + 1;
         let syllables = 2 + (kw.0 % 3) as usize;
         for _ in 0..syllables {
@@ -95,9 +105,9 @@ impl KeywordPool {
             word.push_str(nucleus);
             word.push_str(coda);
         }
-        // The numeric suffix guarantees global uniqueness of spellings.
-        word.push_str(&kw.0.to_string());
-        word
+        // The numeric suffix guarantees global uniqueness of spellings;
+        // writing into a `String` cannot fail.
+        let _ = write!(word, "{}", kw.0);
     }
 }
 
@@ -116,12 +126,17 @@ pub struct KeywordHashes {
 }
 
 impl KeywordHashes {
-    /// Interns the hashes of every keyword in `pool`.
+    /// Interns the hashes of every keyword in `pool`, spelling each one into
+    /// a single reused buffer.
     pub fn for_pool(pool: &KeywordPool) -> Self {
+        let mut word = String::new();
         KeywordHashes {
             hashes: pool
                 .iter()
-                .map(|kw| ElementHashes::of_str(&kw.canonical()))
+                .map(|kw| {
+                    KeywordPool::spell_into(kw, &mut word);
+                    ElementHashes::of_str(&word)
+                })
                 .collect(),
         }
     }
@@ -202,14 +217,17 @@ mod tests {
 
     #[test]
     fn interned_hashes_match_on_the_fly_hashing() {
-        let pool = KeywordPool::new(200);
+        // 10 001 keywords: ids of 1 to 5 digits and all three syllable
+        // counts, so a reused spelling buffer is overwritten by both shorter
+        // and longer words.
+        let pool = KeywordPool::new(10_001);
         let interned = KeywordHashes::for_pool(&pool);
-        assert_eq!(interned.len(), 200);
+        assert_eq!(interned.len(), 10_001);
         for kw in pool.iter() {
             assert_eq!(interned.of(kw), ElementHashes::of_str(&kw.canonical()));
         }
         // Out-of-pool keywords fall back to hashing on the fly.
-        let outside = KeywordId(9999);
+        let outside = KeywordId(19_999);
         assert_eq!(
             interned.of(outside),
             ElementHashes::of_str(&outside.canonical())

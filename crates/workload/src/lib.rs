@@ -16,8 +16,8 @@
 //! * [`keywords`] — the keyword pool (synthetic pseudo-words; ids are what the
 //!   protocols hash, the strings exist for realistic Bloom-filter behaviour and
 //!   readable examples),
-//! * [`catalog`] — the file catalog: 3000 filenames of 3 keywords each, plus
-//!   the inverted index used as ground truth for "which files satisfy query q",
+//! * [`catalog`] — the file catalog: 3000 filenames of 3 keywords each, and
+//!   the ground-truth rule for "which files satisfy query q",
 //! * [`zipf`] — a Zipf(α) sampler over file popularity ranks (implemented
 //!   in-crate; `rand_distr` is outside the allowed dependency set),
 //! * [`placement`] — the initial assignment of shared files to peers, with
