@@ -15,7 +15,7 @@
 //! deterministic truncation of the stalest entries once popular keywords
 //! overflow it.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 use locaware_net::LocId;
 use locaware_sim::SimTime;
@@ -57,6 +57,12 @@ impl DhtId {
             chunk.copy_from_slice(&z.to_be_bytes()[..chunk.len()]);
         }
         DhtId(bytes)
+    }
+
+    /// `self.distance(a).cmp(&self.distance(b))`, read off the first byte where they differ.
+    fn cmp_distance(self, a: DhtId, b: DhtId) -> std::cmp::Ordering {
+        let i = (0..DHT_ID_BYTES).find(|&i| a.0[i] != b.0[i]).unwrap_or(0);
+        (a.0[i] ^ self.0[i]).cmp(&(b.0[i] ^ self.0[i]))
     }
 
     /// The XOR distance between two ids.
@@ -240,22 +246,26 @@ impl RoutingTable {
     /// in distance order bucket by bucket; only the contacts inside one
     /// bucket (at most `k`) are ranked against each other, and the walk stops
     /// once `count` are out.
+    ///
+    /// A bucket is ranked in `out`'s tail, so nothing else is allocated: the
+    /// tail holds bucket positions, sorted and cut, then their peers.
     pub fn closest_into(&self, target: DhtId, count: usize, out: &mut Vec<PeerId>) {
         let toward = self.local.distance(target);
         let nearer = self.buckets.iter().rev().filter(|(i, _)| toward.bit(*i));
         let farther = self.buckets.iter().filter(|(i, _)| !toward.bit(*i));
-        let mut remaining = count;
-        let mut ranked: Vec<(DhtDistance, PeerId)> = Vec::new();
+        let end = out.len() + count;
         for (_, bucket) in nearer.chain(farther) {
-            if remaining == 0 {
+            if out.len() == end {
                 break;
             }
-            ranked.clear();
-            ranked.extend(bucket.iter().map(|&(id, peer)| (target.distance(id), peer)));
-            ranked.sort_unstable();
-            ranked.truncate(remaining);
-            remaining -= ranked.len();
-            out.extend(ranked.iter().map(|&(_, peer)| peer));
+            let start = out.len();
+            out.extend((0..bucket.len() as u32).map(PeerId));
+            out[start..].sort_unstable_by(|a, b| {
+                let ((a_id, a_peer), (b_id, b_peer)) = (bucket[a.index()], bucket[b.index()]);
+                target.cmp_distance(a_id, b_id).then(a_peer.cmp(&b_peer))
+            });
+            out.truncate(end);
+            out[start..].iter_mut().for_each(|slot| *slot = bucket[slot.index()].1);
         }
     }
 
@@ -267,27 +277,30 @@ impl RoutingTable {
     }
 }
 
-/// One stored `(file, provider)` entry's payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct StoredProvider {
-    loc_id: LocId,
+/// One stored entry: its expiry, `(keyword, file, provider)` key and locId.
+/// Keys are unique, so inside a record the derived order is the eviction
+/// order, stalest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct StoredEntry {
     expires_at: SimTime,
+    key: (u32, u32, u32),
+    loc_id: LocId,
 }
 
-/// One keyword's record: `(file, provider) → (locId, expiry)`.
-#[derive(Debug, Clone, Default)]
-struct Record {
-    entries: BTreeMap<(u32, u32), StoredProvider>,
-}
+// Three ids, a locId and an expiry, unpadded: a store is 24 B per entry.
+const _: () = assert!(std::mem::size_of::<StoredEntry>() == 24);
 
-impl Record {
-    fn bytes(&self) -> usize {
-        RECORD_KEY_BYTES + self.entries.len() * RECORD_ENTRY_BYTES
-    }
+/// Bytes of a record holding `entries` entries.
+fn record_bytes(entries: usize) -> usize {
+    RECORD_KEY_BYTES + entries * RECORD_ENTRY_BYTES
 }
 
 /// A peer's slice of the keyword→providers index: one size-capped record per
 /// keyword, with TTL-based expiry.
+///
+/// The layout is flat: one vector of 24-byte entries sorted by key, so a
+/// keyword's record is the run of its entries (two binary searches), an
+/// upsert is one binary search, and a record exists while it has entries.
 ///
 /// All mutation is order-independent where it must be: an upsert keeps the
 /// *freshest* `(expiry, locId)` for an entry regardless of arrival order, and
@@ -297,7 +310,7 @@ impl Record {
 #[derive(Debug, Clone)]
 pub struct DhtRecordStore {
     max_record_bytes: usize,
-    records: BTreeMap<u32, Record>,
+    entries: Vec<StoredEntry>,
     truncated_entries: u64,
     expired_entries: u64,
 }
@@ -309,12 +322,12 @@ impl DhtRecordStore {
     /// Panics if the cap cannot hold even one entry.
     pub fn new(max_record_bytes: usize) -> Self {
         assert!(
-            max_record_bytes >= RECORD_KEY_BYTES + RECORD_ENTRY_BYTES,
+            max_record_bytes >= record_bytes(1),
             "record cap must hold at least one entry"
         );
         DhtRecordStore {
             max_record_bytes,
-            records: BTreeMap::new(),
+            entries: Vec::new(),
             truncated_entries: 0,
             expired_entries: 0,
         }
@@ -325,10 +338,16 @@ impl DhtRecordStore {
         self.max_record_bytes
     }
 
+    /// The index range of `keyword`'s record in `entries`.
+    fn record(&self, keyword: u32) -> Range<usize> {
+        let start = self.entries.partition_point(|e| e.key.0 < keyword);
+        start..start + self.entries[start..].partition_point(|e| e.key.0 == keyword)
+    }
+
     /// Upserts an entry into `keyword`'s record (read-modify-write). An
     /// existing `(file, provider)` entry keeps the freshest
-    /// `(expiry, locId)`; if the record then exceeds the cap, the stalest
-    /// entries are evicted (smallest `(expiry, file, provider)` first) and
+    /// `(expiry, locId)`; if a new entry takes the record past the cap, the
+    /// stalest entry is evicted (smallest `(expiry, file, provider)`) and
     /// counted as truncated.
     pub fn insert(
         &mut self,
@@ -337,87 +356,85 @@ impl DhtRecordStore {
         provider: ProviderEntry,
         expires_at: SimTime,
     ) {
-        let record = self.records.entry(keyword).or_default();
-        let incoming = StoredProvider {
+        let incoming = StoredEntry {
+            key: (keyword, file, provider.provider.0),
             loc_id: provider.loc_id,
             expires_at,
         };
-        let slot = record.entries.entry((file, provider.provider.0)).or_insert(incoming);
-        if (slot.expires_at, slot.loc_id.value()) < (expires_at, provider.loc_id.value()) {
-            *slot = incoming;
+        match self.entries.binary_search_by_key(&incoming.key, |e| e.key) {
+            // A refresh leaves the record's size alone.
+            Ok(slot) => {
+                let stored = &mut self.entries[slot];
+                if (stored.expires_at, stored.loc_id) < (expires_at, provider.loc_id) {
+                    *stored = incoming;
+                }
+            }
+            Err(slot) => {
+                let record = self.record(keyword);
+                if record_bytes(record.len() + 1) <= self.max_record_bytes {
+                    self.entries.insert(slot, incoming);
+                } else {
+                    // A full record sheds its stalest entry, the newcomer
+                    // included; only the entries between the two move.
+                    self.truncated_entries += 1;
+                    let stalest = record.min_by_key(|&i| self.entries[i]);
+                    if let Some(stalest) = stalest.filter(|&i| self.entries[i] < incoming) {
+                        self.entries[stalest] = incoming;
+                        if stalest < slot {
+                            self.entries[stalest..slot].rotate_left(1);
+                        } else {
+                            self.entries[slot..=stalest].rotate_right(1);
+                        }
+                    }
+                }
+            }
         }
-        while record.bytes() > self.max_record_bytes {
-            let stalest = record
-                .entries
-                .iter()
-                .map(|(&key, &stored)| (stored.expires_at, key))
-                .min();
-            // A cap below an empty record's size keeps the empty record.
-            let Some((_, stalest)) = stalest else { break };
-            record.entries.remove(&stalest);
-            self.truncated_entries += 1;
-        }
+        debug_assert!(
+            record_bytes(self.record(keyword).len()) <= self.max_record_bytes,
+            "keyword {keyword}'s record outgrew the cap"
+        );
     }
 
     /// Appends every unexpired entry of `keyword`'s record to `out`, in
     /// `(file, provider)` order. The buffer is appended to, not cleared.
-    pub fn lookup_into(
-        &self,
-        keyword: u32,
-        now: SimTime,
-        out: &mut Vec<(u32, ProviderEntry)>,
-    ) {
-        if let Some(record) = self.records.get(&keyword) {
-            out.extend(
-                record
-                    .entries
-                    .iter()
-                    .filter(|(_, stored)| stored.expires_at > now)
-                    .map(|(&(file, provider), stored)| {
-                        (
-                            file,
-                            ProviderEntry {
-                                provider: PeerId(provider),
-                                loc_id: stored.loc_id,
-                            },
-                        )
-                    }),
-            );
-        }
+    pub fn lookup_into(&self, keyword: u32, now: SimTime, out: &mut Vec<(u32, ProviderEntry)>) {
+        out.extend(
+            self.entries[self.record(keyword)]
+                .iter()
+                .filter(|stored| stored.expires_at > now)
+                .map(|&StoredEntry { key: (_, file, peer), loc_id, .. }| {
+                    (file, ProviderEntry { provider: PeerId(peer), loc_id })
+                }),
+        );
     }
 
-    /// Physically removes every entry expired at `now` (counting them) and
-    /// drops emptied records.
+    /// Physically removes every entry expired at `now` (counting them);
+    /// a record whose entries all expired is gone with them.
     pub fn expire(&mut self, now: SimTime) {
-        let mut removed = 0u64;
-        self.records.retain(|_, record| {
-            let before = record.entries.len();
-            record.entries.retain(|_, stored| stored.expires_at > now);
-            removed += (before - record.entries.len()) as u64;
-            !record.entries.is_empty()
-        });
-        self.expired_entries += removed;
+        let before = self.entries.len();
+        self.entries.retain(|stored| stored.expires_at > now);
+        self.expired_entries += (before - self.entries.len()) as u64;
     }
 
     /// Drops all records (volatile reset on rejoin). Lifetime counters are
     /// kept: they price the work already done.
     pub fn clear(&mut self) {
-        self.records.clear();
+        self.entries.clear();
     }
 
-    /// Number of non-empty records held.
+    /// Number of non-empty records held: the keyword runs of the entries.
     pub fn records(&self) -> usize {
-        self.records.len()
+        self.entries.chunk_by(|a, b| a.key.0 == b.key.0).count()
     }
 
     /// Total entries across all records.
     pub fn entries(&self) -> usize {
-        self.records.values().map(|r| r.entries.len()).sum()
+        self.entries.len()
     }
 
     /// Total bytes across all records (key overhead + entries).
     pub fn bytes(&self) -> usize {
-        self.records.values().map(Record::bytes).sum()
+        self.records() * RECORD_KEY_BYTES + self.entries() * RECORD_ENTRY_BYTES
     }
 
     /// Lifetime count of entries evicted by the record cap.
@@ -458,6 +475,133 @@ impl DhtNode {
 mod tests {
     use super::*;
     use locaware_sim::Duration;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// One stored `(file, provider)` entry's payload.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct StoredProvider {
+        loc_id: LocId,
+        expires_at: SimTime,
+    }
+
+    /// The nested-map layout [`DhtRecordStore`] replaced, kept as its model:
+    /// one `BTreeMap` record per keyword, each `(file, provider) → payload`,
+    /// truncation by a full min-scan of the record.
+    #[derive(Debug, Default)]
+    struct NaiveRecordStore {
+        max_record_bytes: usize,
+        records: BTreeMap<u32, BTreeMap<(u32, u32), StoredProvider>>,
+        truncated_entries: u64,
+        expired_entries: u64,
+    }
+
+    impl NaiveRecordStore {
+        fn new(max_record_bytes: usize) -> Self {
+            NaiveRecordStore { max_record_bytes, ..Default::default() }
+        }
+
+        fn record_bytes(record: &BTreeMap<(u32, u32), StoredProvider>) -> usize {
+            RECORD_KEY_BYTES + record.len() * RECORD_ENTRY_BYTES
+        }
+
+        fn insert(&mut self, keyword: u32, file: u32, provider: ProviderEntry, expires_at: SimTime) {
+            let record = self.records.entry(keyword).or_default();
+            let incoming = StoredProvider { loc_id: provider.loc_id, expires_at };
+            let slot = record.entry((file, provider.provider.0)).or_insert(incoming);
+            if (slot.expires_at, slot.loc_id.value()) < (expires_at, provider.loc_id.value()) {
+                *slot = incoming;
+            }
+            while Self::record_bytes(record) > self.max_record_bytes {
+                let stalest = record.iter().map(|(&key, stored)| (stored.expires_at, key)).min();
+                let Some((_, stalest)) = stalest else { break };
+                record.remove(&stalest);
+                self.truncated_entries += 1;
+            }
+        }
+
+        fn lookup_into(&self, keyword: u32, now: SimTime, out: &mut Vec<(u32, ProviderEntry)>) {
+            if let Some(record) = self.records.get(&keyword) {
+                out.extend(record.iter().filter(|(_, stored)| stored.expires_at > now).map(
+                    |(&(file, provider), stored)| {
+                        (file, ProviderEntry { provider: PeerId(provider), loc_id: stored.loc_id })
+                    },
+                ));
+            }
+        }
+
+        fn expire(&mut self, now: SimTime) {
+            let mut removed = 0u64;
+            self.records.retain(|_, record| {
+                let before = record.len();
+                record.retain(|_, stored| stored.expires_at > now);
+                removed += (before - record.len()) as u64;
+                !record.is_empty()
+            });
+            self.expired_entries += removed;
+        }
+
+        fn clear(&mut self) {
+            self.records.clear();
+        }
+
+        fn entries(&self) -> usize {
+            self.records.values().map(BTreeMap::len).sum()
+        }
+
+        fn bytes(&self) -> usize {
+            self.records.values().map(Self::record_bytes).sum()
+        }
+    }
+
+    proptest! {
+        /// Random upserts (refreshes of live keys and ties on expiry among
+        /// them: 4 keywords × 6 files × 4 providers, expiries in 0–24 s),
+        /// expiry sweeps and clears at caps of 1–6 entries: after every
+        /// operation the flat store and the nested-map model agree on every
+        /// keyword's lookup (at the operation's time and at zero), on
+        /// `records`, `entries` and `bytes`, and on both lifetime counters.
+        #[test]
+        fn record_store_matches_the_nested_map_model(
+            capacity_entries in 1usize..7,
+            ops in proptest::collection::vec((0u32..24, 0u32..24, 0u32..16, 0u64..25), 1..200),
+        ) {
+            let cap = RECORD_KEY_BYTES + capacity_entries * RECORD_ENTRY_BYTES;
+            let mut store = DhtRecordStore::new(cap);
+            let mut model = NaiveRecordStore::new(cap);
+            for (kind, keyword_file, provider_loc, secs) in ops {
+                let (keyword, file) = (keyword_file / 6, keyword_file % 6);
+                let provider = entry(provider_loc / 4, provider_loc % 4);
+                match kind {
+                    0..=19 => {
+                        store.insert(keyword, file, provider, t(secs));
+                        model.insert(keyword, file, provider, t(secs));
+                    }
+                    20..=22 => {
+                        store.expire(t(secs));
+                        model.expire(t(secs));
+                    }
+                    _ => {
+                        store.clear();
+                        model.clear();
+                    }
+                }
+                for now in [t(secs), SimTime::ZERO] {
+                    for keyword in 0..5 {
+                        let (mut got, mut want) = (Vec::new(), Vec::new());
+                        store.lookup_into(keyword, now, &mut got);
+                        model.lookup_into(keyword, now, &mut want);
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                prop_assert_eq!(store.records(), model.records.len());
+                prop_assert_eq!(store.entries(), model.entries());
+                prop_assert_eq!(store.bytes(), model.bytes());
+                prop_assert_eq!(store.truncated_entries(), model.truncated_entries);
+                prop_assert_eq!(store.expired_entries(), model.expired_entries);
+            }
+        }
+    }
 
     fn id(value: u64) -> DhtId {
         DhtId::derive(0xD417, value)
@@ -565,15 +709,25 @@ mod tests {
         for &(cid, peer) in &contacts {
             table.insert(cid, peer);
         }
-        let target = id(7777);
-        let mut expected: Vec<(DhtDistance, PeerId)> = contacts
-            .iter()
-            .filter(|&&(_, p)| table.contains(p))
-            .map(|&(cid, p)| (target.distance(cid), p))
-            .collect();
-        expected.sort_unstable();
-        let expected: Vec<PeerId> = expected.into_iter().take(5).map(|(_, p)| p).collect();
-        assert_eq!(table.closest(target, 5), expected);
+        // Far and near keys, a contact's own id and the local id itself.
+        let targets = [id(7777), id(7778), id(123_456), id(3), local];
+        for target in targets {
+            let mut ranked: Vec<(DhtDistance, PeerId)> = contacts
+                .iter()
+                .filter(|&&(_, p)| table.contains(p))
+                .map(|&(cid, p)| (target.distance(cid), p))
+                .collect();
+            ranked.sort_unstable();
+            for count in [0, 1, 5, table.k(), table.len(), table.len() + 7] {
+                let expected: Vec<PeerId> = ranked.iter().take(count).map(|&(_, p)| p).collect();
+                assert_eq!(table.closest(target, count), expected, "count {count}");
+                // `closest_into` appends after what the buffer already holds.
+                let mut out = vec![PeerId(u32::MAX)];
+                table.closest_into(target, count, &mut out);
+                assert_eq!(out[0], PeerId(u32::MAX));
+                assert_eq!(out[1..], expected[..]);
+            }
+        }
     }
 
     #[test]
