@@ -344,7 +344,8 @@ mod tests {
     fn invalid_configs_are_rejected_by_try_build() {
         let mut config = SimulationConfig::small(10);
         config.ttl = 0;
-        assert_eq!(Simulation::try_build(config).unwrap_err(), ConfigError::ZeroTtl);
+        let error = Simulation::try_build(config).unwrap_err();
+        assert!(matches!(error, ConfigError::OutOfRange { knob: "ttl", .. }), "{error:?}");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! The types here are pure *specification*; the engine derives the actual
 //! per-message loss coins and outage membership from the
 //! `StreamId::Faults` stream so fault patterns are independent of topology,
-//! workload and protocol randomness.
+//! workload and protocol randomness. Their ranges are checked with every
+//! other knob's, by the core crate's `SimulationConfig::validate`.
 
 /// A typed retransmit policy: how long to wait for a query to produce a
 /// response, how the wait grows, and how many times to retry.
@@ -53,19 +54,6 @@ impl TimeoutPolicy {
         self.initial_secs * self.backoff.powi(attempt.min(i32::MAX as u32) as i32)
     }
 
-    /// Validates the policy; returns the first violated constraint.
-    pub fn validate(&self) -> Result<(), TimeoutPolicyError> {
-        if self.initial_secs < 0.0 || !self.initial_secs.is_finite() {
-            return Err(TimeoutPolicyError::InvalidInitial {
-                initial_secs: self.initial_secs,
-            });
-        }
-        if !self.backoff.is_finite() || (self.is_enabled() && self.backoff < 1.0) {
-            return Err(TimeoutPolicyError::InvalidBackoff { backoff: self.backoff });
-        }
-        Ok(())
-    }
-
     /// The longest an enabled policy can keep a query waiting, in seconds:
     /// every attempt's deadline back to back, each bounded by the last
     /// (`backoff >= 1`). `0` for the disabled policy.
@@ -82,40 +70,6 @@ impl Default for TimeoutPolicy {
         Self::disabled()
     }
 }
-
-/// Why a [`TimeoutPolicy`] is unusable.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum TimeoutPolicyError {
-    /// The initial timeout is negative or not finite.
-    InvalidInitial {
-        /// The offending initial timeout in seconds.
-        initial_secs: f64,
-    },
-    /// The backoff factor is not finite, or below 1 while the policy is
-    /// enabled.
-    InvalidBackoff {
-        /// The offending backoff factor.
-        backoff: f64,
-    },
-}
-
-impl std::fmt::Display for TimeoutPolicyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TimeoutPolicyError::InvalidInitial { initial_secs } => write!(
-                f,
-                "initial timeout must be non-negative and finite: got {initial_secs}s"
-            ),
-            TimeoutPolicyError::InvalidBackoff { backoff } => write!(
-                f,
-                "backoff factor must be finite and at least 1: got {backoff}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TimeoutPolicyError {}
 
 /// A transient link-degradation window: between `start_secs` and
 /// `start_secs + duration_secs`, a deterministic `fraction` of overlay links
@@ -195,40 +149,6 @@ impl FaultConfig {
             && !self.query_timeout.is_enabled()
             && self.dht_step_timeout_secs == 0.0
     }
-
-    /// Validates every fault axis except the retransmit policy (validated
-    /// separately via [`TimeoutPolicy::validate`] so configuration errors
-    /// stay precisely typed); returns the first violated constraint.
-    pub fn validate(&self) -> Result<(), FaultConfigError> {
-        if !(0.0..=1.0).contains(&self.message_loss) || !self.message_loss.is_finite() {
-            return Err(FaultConfigError::InvalidLossProbability {
-                probability: self.message_loss,
-            });
-        }
-        for window in &self.outages {
-            if window.start_secs < 0.0 || !window.start_secs.is_finite() {
-                return Err(FaultConfigError::InvalidOutageStart {
-                    start_secs: window.start_secs,
-                });
-            }
-            if window.duration_secs <= 0.0 || !window.duration_secs.is_finite() {
-                return Err(FaultConfigError::InvalidOutageDuration {
-                    duration_secs: window.duration_secs,
-                });
-            }
-            if !(0.0..=1.0).contains(&window.fraction) || !window.fraction.is_finite() {
-                return Err(FaultConfigError::InvalidOutageFraction {
-                    fraction: window.fraction,
-                });
-            }
-        }
-        if !(self.dht_step_timeout_secs >= 0.0 && self.dht_step_timeout_secs.is_finite()) {
-            return Err(FaultConfigError::InvalidStepTimeout {
-                timeout_secs: self.dht_step_timeout_secs,
-            });
-        }
-        Ok(())
-    }
 }
 
 impl Default for FaultConfig {
@@ -236,66 +156,6 @@ impl Default for FaultConfig {
         Self::disabled()
     }
 }
-
-/// Why a [`FaultConfig`] is unusable.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum FaultConfigError {
-    /// The message loss probability is outside `[0, 1]`.
-    InvalidLossProbability {
-        /// The offending probability.
-        probability: f64,
-    },
-    /// An outage window starts at a negative or non-finite time.
-    InvalidOutageStart {
-        /// The offending start time in seconds.
-        start_secs: f64,
-    },
-    /// An outage window has a non-positive or non-finite duration.
-    InvalidOutageDuration {
-        /// The offending duration in seconds.
-        duration_secs: f64,
-    },
-    /// An outage window's link fraction is outside `[0, 1]`.
-    InvalidOutageFraction {
-        /// The offending fraction.
-        fraction: f64,
-    },
-    /// The DHT step timeout is negative or not finite.
-    InvalidStepTimeout {
-        /// The offending timeout in seconds.
-        timeout_secs: f64,
-    },
-}
-
-impl std::fmt::Display for FaultConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultConfigError::InvalidLossProbability { probability } => write!(
-                f,
-                "message loss probability must be in [0, 1]: got {probability}"
-            ),
-            FaultConfigError::InvalidOutageStart { start_secs } => write!(
-                f,
-                "outage start must be non-negative and finite: got {start_secs}s"
-            ),
-            FaultConfigError::InvalidOutageDuration { duration_secs } => write!(
-                f,
-                "outage duration must be positive and finite: got {duration_secs}s"
-            ),
-            FaultConfigError::InvalidOutageFraction { fraction } => write!(
-                f,
-                "outage link fraction must be in [0, 1]: got {fraction}"
-            ),
-            FaultConfigError::InvalidStepTimeout { timeout_secs } => write!(
-                f,
-                "DHT step timeout must be non-negative and finite: got {timeout_secs}s"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for FaultConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -305,8 +165,6 @@ mod tests {
     fn disabled_plan_is_disabled_and_valid() {
         let plan = FaultConfig::disabled();
         assert!(plan.is_disabled());
-        assert!(plan.validate().is_ok());
-        assert!(plan.query_timeout.validate().is_ok());
         assert_eq!(plan, FaultConfig::default());
     }
 
@@ -356,100 +214,5 @@ mod tests {
         assert_eq!(policy.span_secs(), 128.0);
         assert!(!TimeoutPolicy::disabled().is_enabled());
         assert_eq!(TimeoutPolicy::disabled().span_secs(), 0.0);
-    }
-
-    #[test]
-    fn timeout_policy_rejections_are_typed() {
-        let bad = TimeoutPolicy {
-            initial_secs: -1.0,
-            ..TimeoutPolicy::disabled()
-        };
-        assert!(matches!(
-            bad.validate(),
-            Err(TimeoutPolicyError::InvalidInitial { .. })
-        ));
-
-        let bad = TimeoutPolicy {
-            initial_secs: 5.0,
-            backoff: 0.5,
-            max_retries: 1,
-        };
-        assert!(matches!(
-            bad.validate(),
-            Err(TimeoutPolicyError::InvalidBackoff { .. })
-        ));
-
-        let bad = TimeoutPolicy {
-            initial_secs: 5.0,
-            backoff: f64::INFINITY,
-            max_retries: 1,
-        };
-        assert!(matches!(
-            bad.validate(),
-            Err(TimeoutPolicyError::InvalidBackoff { .. })
-        ));
-    }
-
-    #[test]
-    fn fault_config_rejections_are_typed() {
-        let mut plan = FaultConfig::disabled();
-        plan.message_loss = 1.5;
-        assert!(matches!(
-            plan.validate(),
-            Err(FaultConfigError::InvalidLossProbability { probability }) if probability == 1.5
-        ));
-
-        let mut plan = FaultConfig::disabled();
-        plan.message_loss = f64::NAN;
-        assert!(matches!(
-            plan.validate(),
-            Err(FaultConfigError::InvalidLossProbability { .. })
-        ));
-
-        let window = |start_secs, duration_secs, fraction| OutageWindow {
-            start_secs,
-            duration_secs,
-            fraction,
-        };
-        let mut plan = FaultConfig::disabled();
-        plan.outages.push(window(-1.0, 5.0, 0.5));
-        assert!(matches!(
-            plan.validate(),
-            Err(FaultConfigError::InvalidOutageStart { .. })
-        ));
-
-        let mut plan = FaultConfig::disabled();
-        plan.outages.push(window(0.0, 0.0, 0.5));
-        assert!(matches!(
-            plan.validate(),
-            Err(FaultConfigError::InvalidOutageDuration { .. })
-        ));
-
-        let mut plan = FaultConfig::disabled();
-        plan.outages.push(window(0.0, 5.0, 2.0));
-        assert!(matches!(
-            plan.validate(),
-            Err(FaultConfigError::InvalidOutageFraction { .. })
-        ));
-
-        for timeout_secs in [f64::NEG_INFINITY, f64::NAN, -1.0] {
-            let mut plan = FaultConfig::disabled();
-            plan.dht_step_timeout_secs = timeout_secs;
-            assert!(matches!(
-                plan.validate(),
-                Err(FaultConfigError::InvalidStepTimeout { .. })
-            ));
-        }
-    }
-
-    #[test]
-    fn errors_display_their_values_and_box_as_std_errors() {
-        let err = FaultConfigError::InvalidLossProbability { probability: 2.0 };
-        assert!(err.to_string().contains('2'));
-        let boxed: Box<dyn std::error::Error> = Box::new(err);
-        assert!(boxed.to_string().contains("loss"));
-
-        let err = TimeoutPolicyError::InvalidBackoff { backoff: 0.25 };
-        assert!(err.to_string().contains("0.25"));
     }
 }

@@ -44,7 +44,7 @@ pub mod zipf;
 
 pub use arrival::{Arrival, ArrivalConfig, ArrivalProcess, ArrivalSchedule, ScheduleError};
 pub use catalog::{Catalog, CatalogConfig, FileId, Filename};
-pub use faults::{FaultConfig, FaultConfigError, OutageWindow, TimeoutPolicy, TimeoutPolicyError};
+pub use faults::{FaultConfig, OutageWindow, TimeoutPolicy};
 pub use keywords::{KeywordHashes, KeywordId, KeywordPool};
 pub use placement::{ClusterWeights, ClusterWeightsError, InitialPlacement, PlacementConfig};
 pub use queries::{Query, QueryGenerator, QueryWorkloadConfig};
