@@ -14,7 +14,9 @@
 use locaware_net::brite::PlacementModel;
 use locaware_overlay::{ChurnConfig, GraphModel};
 use locaware_sim::{Duration, SimTime};
-use locaware_workload::{ArrivalSchedule, ClusterWeights, FaultConfig, OutageWindow, ScheduleError};
+use locaware_workload::{
+    ArrivalProcess, ArrivalSchedule, ClusterWeights, FaultConfig, OutageWindow, ScheduleError,
+};
 
 /// A structured description of why a [`SimulationConfig`] is inconsistent.
 ///
@@ -81,7 +83,8 @@ pub enum ConfigError {
     /// Under weighted-cluster placement, the heaviest cluster would ask a
     /// peer to share more distinct files than the pool contains.
     WeightedPlacementUnsatisfiable {
-        /// The largest per-peer share count the weights produce.
+        /// The largest per-peer share count the weights produce, saturated
+        /// at `usize::MAX`.
         max_files_on_a_peer: usize,
         /// Configured file pool size.
         file_pool: usize,
@@ -638,6 +641,13 @@ impl SimulationConfig {
     /// for the first violated constraint: each knob on its own, then the
     /// checks that span several knobs, then the run horizon.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        self.validated_arrivals().map(drop)
+    }
+
+    /// [`SimulationConfig::validate`], returning the arrival process that
+    /// validation builds: a configuration that passes has a process, so no
+    /// later step checks the arrival configuration again.
+    pub(crate) fn validated_arrivals(&self) -> Result<ArrivalProcess, ConfigError> {
         KNOBS.iter().try_for_each(|knob| knob.check(self))?;
         let &SimulationConfig {
             peers,
@@ -667,19 +677,19 @@ impl SimulationConfig {
         if min == 0 || min > max || max > keywords_per_file {
             return Err(ConfigError::QueryKeywordBounds { min, max, keywords_per_file });
         }
-        self.arrival_config()
-            .validate()
-            .map_err(ConfigError::ArrivalSchedule)?;
+        let arrivals =
+            ArrivalProcess::new(self.arrival_config()).map_err(ConfigError::ArrivalSchedule)?;
         if let Some(weights) = &self.cluster_weights {
-            let max_files_on_a_peer = weights.max_share_count(peers, files_per_peer);
-            if max_files_on_a_peer > file_pool {
+            let max = weights.max_share_count(peers, files_per_peer);
+            if max > file_pool as u128 {
+                let max_files_on_a_peer = usize::try_from(max).unwrap_or(usize::MAX);
                 return Err(ConfigError::WeightedPlacementUnsatisfiable { max_files_on_a_peer, file_pool });
             }
         }
         // Every check above is shape; this is the one clock check.
         let horizon_secs = self.horizon().secs();
         match Duration::try_from_millis_f64(horizon_secs * 1000.0) {
-            Some(horizon) if horizon <= HORIZON_LIMIT => Ok(()),
+            Some(horizon) if horizon <= HORIZON_LIMIT => Ok(arrivals),
             _ => Err(ConfigError::HorizonBeyondClock { horizon_secs }),
         }
     }
@@ -703,8 +713,9 @@ impl SimulationConfig {
     /// Every site in the engine that adds a span to the clock, with the term
     /// that covers it (a term may be loose, and the slack of the others
     /// absorbs the engine's rounding of each span to the microsecond):
-    /// - `engine/mod.rs`, `periodic_controls`: `ZERO + period` and
-    ///   `t += period` — the drain margin plus the longest period;
+    /// - `engine/mod.rs`, `ControlSchedule::new` and `advance`:
+    ///   `ZERO + period` and `key.time + period` — the drain margin plus the
+    ///   longest period;
     /// - `engine/mod.rs`, `Coordinator::new`: `last_arrival + CONTROL_DRAIN`
     ///   — the drain margin;
     /// - `engine/mod.rs`, `Coordinator::drive`: `event.time + lookahead`, a
@@ -994,6 +1005,28 @@ mod tests {
             c.validate(),
             Err(ConfigError::WeightedPlacementUnsatisfiable { .. })
         ));
+    }
+
+    /// The weighted check costs O(clusters), not a count per peer: at 2⁴⁰
+    /// peers (8 TiB of per-peer counts) it answers at once on both sides of
+    /// the pool bound, and at `usize::MAX` peers nothing overflows. The hot
+    /// third holds 3/4 of 3·2⁴⁰ copies over ⌊2⁴⁰/3⌋ peers: 6.75, so 7 each.
+    #[test]
+    fn weighted_validation_needs_no_per_peer_memory() {
+        let mut c = SimulationConfig::small(60);
+        c.peers = 1 << 40;
+        c.cluster_weights = Some(ClusterWeights::new(vec![6.0, 1.0, 1.0]).unwrap());
+        c.file_pool = 6;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::WeightedPlacementUnsatisfiable { max_files_on_a_peer: 7, file_pool: 6 })
+        );
+        c.file_pool = 7;
+        assert_eq!(c.validate(), Ok(()));
+        // At `usize::MAX` peers the weights pass too; a DHT walk over that
+        // many peers is what the clock cannot hold.
+        c.peers = usize::MAX;
+        assert!(matches!(c.validate(), Err(ConfigError::HorizonBeyondClock { .. })));
     }
 
     #[test]

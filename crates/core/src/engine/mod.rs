@@ -26,9 +26,9 @@
 //!    per-`(src, dst)` outboxes instead of a queue.
 //! 2. **Merge at the barrier** — outboxes are merged into the destination
 //!    queues in the canonical `(time, class, destination, source, link-seq)`
-//!    order of `exchange`, and global transitions (periodic Bloom
-//!    synchronisation, churn) are applied serially by the coordinator at
-//!    their exact canonical position.
+//!    order of `exchange`, and global transitions (Bloom-sync and republish
+//!    rounds, churn), derived one at a time, are applied serially by the
+//!    coordinator at their exact canonical position.
 //!
 //! Window lengths are **per-destination channel lookaheads** in the classic
 //! CMB (Chandy–Misra–Bryant) conservative style: shard `i` may advance to
@@ -387,7 +387,7 @@ fn prepare(
 fn finalize(
     shared: &RunShared<'_>,
     shards: &[ShardState],
-    coordinator: &Coordinator,
+    coordinator: &Coordinator<'_>,
 ) -> SimulationReport {
     let mut totals = Tallies::new();
     for shard in shards {
@@ -483,26 +483,15 @@ fn finalize(
     }
 }
 
-/// A global transition handled serially at a barrier.
-#[derive(Debug, Clone, Copy)]
-enum ControlAction {
-    /// One periodic Bloom synchronisation round over all peers.
-    BloomSync,
-    /// One periodic DHT republish round over all peers.
-    DhtRepublish,
-    /// One entry of the churn schedule.
-    Churn(ChurnEvent),
-}
-
 /// The serial half of the sharded run: window planning, barrier merges and
 /// global transitions.
-struct Coordinator {
+struct Coordinator<'c> {
     /// The live overlay graph, whose departed set is the run's record of who
     /// is online: written only by the churn transition, lent read-only to
     /// every window drain.
     graph: OverlayGraph,
-    control: Vec<(EventKey, ControlAction)>,
-    next_control: usize,
+    /// The global transitions still to run, derived one key at a time.
+    schedule: ControlSchedule<'c>,
     churn_rng: StdRng,
     controls_dispatched: u64,
     control_end_time: SimTime,
@@ -525,62 +514,77 @@ struct Coordinator {
     crash_departures: u64,
 }
 
-/// Appends one control event per `period_secs` of simulated time, from the
-/// first full period up to `horizon` (validation guarantees the period is at
-/// least one tick of the microsecond clock, so the schedule always advances,
-/// and that one period past `horizon` stays within the run's `event_bound`).
-fn periodic_controls(
-    control: &mut Vec<(EventKey, ControlAction)>,
-    period_secs: f64,
+/// The run's global transitions — Bloom-sync rounds, DHT republish rounds and
+/// churn — derived one key at a time: each source yields increasing keys of
+/// a class of its own, so the least next key is the next control, and the
+/// key names its source (for churn, its index in the schedule).
+struct ControlSchedule<'c> {
+    /// The next round of each periodic source with its period; `None` once
+    /// past `horizon`, or for a source the run lacks.
+    rounds: [Option<(EventKey, Duration)>; 2],
     horizon: SimTime,
     event_bound: SimTime,
-    class: u8,
-    action: ControlAction,
-) {
-    let period = Duration::from_secs_f64(period_secs);
-    debug_assert!(period > Duration::ZERO, "validated periods are positive");
-    let mut t = SimTime::ZERO + period;
-    let mut round = 0u64;
-    while t <= horizon {
-        control.push((EventKey::new(t, class, round, 0), action));
-        round += 1;
-        t += period;
-        debug_assert!(t <= event_bound, "round {t:?} past the run's {event_bound:?}");
+    churn: &'c [ChurnEvent],
+    next_churn: usize,
+}
+
+impl<'c> ControlSchedule<'c> {
+    /// A source `(period, class)` fires every period from the first full one
+    /// up to `horizon`; `churn` is sorted by `(at, peer)`, as `ChurnModel` sorts it.
+    fn new(
+        periodic: [Option<(Duration, u8)>; 2],
+        horizon: SimTime,
+        event_bound: SimTime,
+        churn: &'c [ChurnEvent],
+    ) -> Self {
+        debug_assert!(churn.is_sorted_by_key(|e| (e.at, e.peer)), "churn schedule out of order");
+        let rounds = periodic.map(|source| {
+            let (period, class) = source?;
+            debug_assert!(period > Duration::ZERO, "validated periods are positive");
+            let first = SimTime::ZERO + period;
+            (first <= horizon).then_some((EventKey::new(first, class, 0, 0), period))
+        });
+        ControlSchedule { rounds, horizon, event_bound, churn, next_churn: 0 }
+    }
+
+    /// The next control's key; `None` once every source is exhausted.
+    fn peek(&self) -> Option<EventKey> {
+        let churn = (self.churn.get(self.next_churn))
+            .map(|e| EventKey::new(e.at, CLASS_CHURN, self.next_churn as u64, 0));
+        self.rounds.iter().flatten().map(|&(key, _)| key).chain(churn).min()
+    }
+
+    /// Moves past `key`, the key [`ControlSchedule::peek`] returned: a round's
+    /// successor is one period on, while within `horizon`.
+    fn advance(&mut self, key: EventKey) {
+        self.next_churn += usize::from(key.class == CLASS_CHURN);
+        for slot in &mut self.rounds {
+            if let Some((_, period)) = slot.filter(|&(next, _)| next == key) {
+                let t = key.time + period;
+                debug_assert!(t <= self.event_bound, "round {t:?} past the run's {:?}", self.event_bound);
+                *slot = (t <= self.horizon).then_some((EventKey::new(t, key.class, key.a + 1, 0), period));
+            }
+        }
     }
 }
 
-impl Coordinator {
+impl<'c> Coordinator<'c> {
     fn new(
         shared: &RunShared<'_>,
         graph: OverlayGraph,
-        churn_schedule: &[ChurnEvent],
+        churn_schedule: &'c [ChurnEvent],
         shard_count: usize,
     ) -> Self {
-        // Global transitions — Bloom sync and DHT republish rounds over the
-        // workload span (plus a small drain margin so late responses still
-        // see fresh filters) and the churn schedule — run serially at
-        // barriers, at their canonical position in the event order.
-        let config = shared.config;
-        let last_arrival = shared.arrivals.last().map_or(SimTime::ZERO, |a| a.at);
-        let (horizon, bound) = (last_arrival + CONTROL_DRAIN, shared.event_bound);
-        let mut control: Vec<(EventKey, ControlAction)> = Vec::new();
-        if shared.protocol.uses_bloom_sync() {
-            let (period, action) = (config.bloom_sync_period_secs, ControlAction::BloomSync);
-            periodic_controls(&mut control, period, horizon, bound, CLASS_BLOOM_SYNC, action);
-        }
-        if shared.dht.is_some() {
-            let (period, action) = (config.dht.republish_period_secs, ControlAction::DhtRepublish);
-            periodic_controls(&mut control, period, horizon, bound, CLASS_DHT_REPUBLISH, action);
-        }
-        control.extend(churn_schedule.iter().enumerate().map(|(i, &event)| {
-            (EventKey::new(event.at, CLASS_CHURN, i as u64, 0), ControlAction::Churn(event))
-        }));
-        control.sort_by_key(|&(key, _)| key);
-
+        // Rounds outlast the workload by a drain margin for late responses.
+        let periodic = [
+            (shared.protocol.uses_bloom_sync(), shared.config.bloom_sync_period_secs, CLASS_BLOOM_SYNC),
+            (shared.dht.is_some(), shared.config.dht.republish_period_secs, CLASS_DHT_REPUBLISH),
+        ]
+        .map(|(on, secs, class)| on.then(|| (Duration::from_secs_f64(secs), class)));
+        let horizon = shared.arrivals.last().map_or(SimTime::ZERO, |a| a.at) + CONTROL_DRAIN;
         Coordinator {
             graph,
-            control,
-            next_control: 0,
+            schedule: ControlSchedule::new(periodic, horizon, shared.event_bound, churn_schedule),
             churn_rng: shared.rng_factory.stream(StreamId::Churn),
             controls_dispatched: 0,
             control_end_time: SimTime::ZERO,
@@ -617,7 +621,7 @@ impl Coordinator {
         loop {
             let next_event: Option<EventKey> =
                 shards.iter().filter_map(|s| s.queue.peek_key()).min();
-            let next_control = self.control.get(self.next_control).map(|&(key, _)| key);
+            let next_control = self.schedule.peek();
             if let Some(lifecycle) = &mut self.lifecycle {
                 // Every event strictly below the global frontier has been
                 // processed (outboxes are merged), so the ledgers sum to the
@@ -635,7 +639,6 @@ impl Coordinator {
             }
 
             match (next_event, next_control) {
-                (None, None) => break,
                 (event, Some(control)) if event.is_none_or(|e| control < e) => {
                     self.run_control(shared, shards, control);
                 }
@@ -686,9 +689,7 @@ impl Coordinator {
                     profile.critical_path_events += busiest;
                     self.prev_offloaded = total - busiest;
                 }
-                (None, Some(_)) => {
-                    unreachable!("the guard above admits every (None, Some) pair")
-                }
+                (None, _) => break, // The first arm takes every `(None, Some)`.
             }
         }
     }
@@ -696,19 +697,18 @@ impl Coordinator {
     /// Handles one control transition (everything strictly before its
     /// canonical key has already drained).
     fn run_control(&mut self, shared: &RunShared<'_>, shards: &mut [ShardState], key: EventKey) {
-        let (_, action) = self.control[self.next_control];
-        self.next_control += 1;
+        self.schedule.advance(key);
         self.controls_dispatched += 1;
         self.profile.critical_path_events += 1; // Controls are inherently serial.
         self.control_end_time = key.time;
-        match action {
-            ControlAction::BloomSync => unstructured::sync(shared, shards, &self.graph, key.time),
-            ControlAction::DhtRepublish => {
+        match key.class {
+            CLASS_BLOOM_SYNC => unstructured::sync(shared, shards, &self.graph, key.time),
+            CLASS_DHT_REPUBLISH => {
                 if let Some(directory) = &shared.dht {
                     dht::republish(shared, directory, shards, &self.graph, key.time, false);
                 }
             }
-            ControlAction::Churn(event) => self.apply_churn(shared, shards, event),
+            _ => self.apply_churn(shared, shards, self.schedule.churn[key.a as usize]),
         }
         // Control transitions may send (Bloom deltas); merge immediately so
         // the next window-planning pass sees them in the destination queues.
@@ -884,6 +884,78 @@ mod tests {
             let (shared, states) = prepare(&sim, ProtocolKind::Flooding, sim.arrivals(3), true);
             let coordinator = Coordinator::new(&shared, sim.overlay().clone(), &[], states.len());
             assert_eq!((states.len(), coordinator.lifecycle.is_some()), (shards, folded));
+        }
+    }
+
+    /// The control schedule as the engine once stored it: every round of each
+    /// periodic source pushed up front, the churn schedule appended and the
+    /// whole sorted. Each entry is a key and, for churn, its event.
+    fn eager_control_schedule(
+        periodic: [Option<(Duration, u8)>; 2],
+        horizon: SimTime,
+        churn: &[ChurnEvent],
+    ) -> Vec<(EventKey, Option<ChurnEvent>)> {
+        let mut control = Vec::new();
+        for (period, class) in periodic.into_iter().flatten() {
+            let mut t = SimTime::ZERO + period;
+            let mut round = 0u64;
+            while t <= horizon {
+                control.push((EventKey::new(t, class, round, 0), None));
+                round += 1;
+                t += period;
+            }
+        }
+        control.extend(churn.iter().enumerate().map(|(i, &event)| {
+            (EventKey::new(event.at, CLASS_CHURN, i as u64, 0), Some(event))
+        }));
+        control.sort_by_key(|&(key, _)| key);
+        control
+    }
+
+    proptest::proptest! {
+        /// Either periodic source on or off, periods of 1 µs to past the
+        /// horizon (equal periods half the time when both are on, so rounds
+        /// of both classes tie), horizons one tick either side of an exact
+        /// multiple of the first period, and 0–40 churn events, many at a
+        /// round's exact time: the derived schedule yields the eager model's
+        /// keys in its order, and every churn key resolves to its event.
+        #[test]
+        fn control_schedule_matches_the_eager_model(
+            sources in 0u8..4,
+            period_us in 1u64..200,
+            other_us in 0u64..2 * 8_000,
+            multiple in 0u64..40,
+            offset in 0u64..3,
+            churn in proptest::collection::vec((0u8..3, 0u64..45, 0u32..8), 0..41),
+        ) {
+            let period = Duration::from_micros(period_us);
+            let other = match other_us % 2 {
+                0 => period,
+                _ => Duration::from_micros(other_us / 2 + 1),
+            };
+            let horizon = SimTime::from_micros((multiple * period_us + offset).saturating_sub(1));
+            let periodic = [
+                (sources & 1 != 0).then_some((period, CLASS_BLOOM_SYNC)),
+                (sources & 2 != 0).then_some((other, CLASS_DHT_REPUBLISH)),
+            ];
+            let mut churn: Vec<ChurnEvent> = (churn.into_iter())
+                .map(|(at, n, peer)| ChurnEvent {
+                    at: SimTime::from_micros(n * [period_us, other.as_micros(), 211][usize::from(at)]),
+                    peer: PeerId(peer),
+                    kind: if n % 2 == 0 { ChurnEventKind::Leave } else { ChurnEventKind::Join },
+                })
+                .collect();
+            churn.sort_by_key(|e| (e.at, e.peer));
+
+            let bound = horizon + period.max(other);
+            let mut schedule = ControlSchedule::new(periodic, horizon, bound, &churn);
+            let derived: Vec<_> = std::iter::from_fn(|| {
+                let key = schedule.peek()?;
+                schedule.advance(key);
+                Some((key, (key.class == CLASS_CHURN).then(|| schedule.churn[key.a as usize])))
+            })
+            .collect();
+            proptest::prop_assert_eq!(derived, eager_control_schedule(periodic, horizon, &churn));
         }
     }
 

@@ -20,7 +20,7 @@
 use locaware_net::brite::PlacementModel;
 use locaware_overlay::ChurnConfig;
 use locaware_workload::{
-    ArrivalSchedule, ClusterWeights, FaultConfig, OutageWindow, TimeoutPolicy,
+    ArrivalProcess, ArrivalSchedule, ClusterWeights, FaultConfig, OutageWindow, TimeoutPolicy,
 };
 
 use crate::config::{ConfigError, SimulationConfig};
@@ -72,6 +72,9 @@ pub const FAULTY_NETWORK_OUTAGE_FRACTION: f64 = 0.3;
 pub struct Scenario {
     name: String,
     config: SimulationConfig,
+    /// The arrival process validation built from `config`, which
+    /// [`Scenario::substrate`] hands on.
+    arrivals: ArrivalProcess,
 }
 
 impl Scenario {
@@ -106,16 +109,13 @@ impl Scenario {
         name: impl Into<String>,
         config: SimulationConfig,
     ) -> Result<Self, ConfigError> {
-        config.validate()?;
-        Ok(Scenario { name: name.into(), config })
+        let arrivals = config.validated_arrivals()?;
+        Ok(Scenario { name: name.into(), config, arrivals })
     }
 
     /// The paper's §5.1 setup: 1000 peers, static overlay, Zipf(1) workload.
     pub fn paper_defaults() -> Self {
-        Scenario {
-            name: "paper-defaults".into(),
-            config: SimulationConfig::paper_defaults(),
-        }
+        validated_preset("paper-defaults", SimulationConfig::paper_defaults())
     }
 
     /// The paper's setup scaled down to `peers` peers with every ratio kept;
@@ -278,6 +278,11 @@ impl Scenario {
     /// The validated configuration.
     pub fn config(&self) -> &SimulationConfig {
         &self.config
+    }
+
+    /// The arrival process validation built from the configuration.
+    pub(crate) fn arrival_process(&self) -> &ArrivalProcess {
+        &self.arrivals
     }
 
     /// The master seed of this scenario.

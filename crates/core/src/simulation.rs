@@ -34,6 +34,8 @@ pub struct Simulation {
     catalog: Catalog,
     initial_shares: Vec<Vec<FileId>>,
     gids: Vec<GroupId>,
+    /// The query arrival process, built once by validation.
+    arrivals: ArrivalProcess,
     /// Latency of every overlay link, computed once here and reused by every
     /// protocol run over this substrate (message deliveries dominate the
     /// engine's latency lookups and travel along overlay links).
@@ -54,17 +56,18 @@ impl Simulation {
     /// configuration, and [`crate::experiment::Runner`] calls it exactly once
     /// per grid substrate.
     pub fn try_build(config: SimulationConfig) -> Result<Self, ConfigError> {
-        config.validate()?;
-        Ok(Self::build_validated(config))
+        let arrivals = config.validated_arrivals()?;
+        Ok(Self::build_validated(config, arrivals))
     }
 
     /// Builds the substrate of `scenario` (already validated by construction).
     pub fn from_scenario(scenario: &Scenario) -> Self {
-        Self::build_validated(scenario.config().clone())
+        Self::build_validated(scenario.config().clone(), scenario.arrival_process().clone())
     }
 
-    /// The actual builder; `config` must already have passed validation.
-    fn build_validated(config: SimulationConfig) -> Self {
+    /// The actual builder; `config` must already have passed validation,
+    /// which built `arrivals`.
+    fn build_validated(config: SimulationConfig, arrivals: ArrivalProcess) -> Self {
         let rng_factory = RngFactory::new(config.seed);
 
         let topology = BriteGenerator::new(BriteConfig {
@@ -140,6 +143,7 @@ impl Simulation {
             catalog,
             initial_shares,
             gids,
+            arrivals,
             link_latencies,
             origin_order,
         }
@@ -205,14 +209,8 @@ impl Simulation {
     ///
     /// [`ArrivalSchedule::Steady`]: locaware_workload::ArrivalSchedule::Steady
     pub fn arrivals(&self, num_queries: usize) -> Vec<Arrival> {
-        #[expect(
-            clippy::expect_used,
-            reason = "SimulationConfig::validate runs ArrivalConfig::validate, the one check ArrivalProcess::new makes"
-        )]
-        let process = ArrivalProcess::new(self.config.arrival_config())
-            .expect("SimulationConfig::validate ran ArrivalConfig::validate");
-        let mut arrivals =
-            process.generate_count(num_queries, &mut self.rng_factory.stream(StreamId::Arrivals));
+        let mut arrivals = (self.arrivals)
+            .generate_count(num_queries, &mut self.rng_factory.stream(StreamId::Arrivals));
         if let Some(order) = &self.origin_order {
             for arrival in &mut arrivals {
                 arrival.peer = order[arrival.peer] as usize;

@@ -199,7 +199,7 @@ impl ArrivalSchedule {
 
 /// One compiled schedule segment: a constant multiplier up to `end_secs`,
 /// starting where the previous segment (or time zero) ends.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Segment {
     end_secs: f64,
     multiplier: f64,
@@ -261,7 +261,7 @@ impl ArrivalConfig {
 }
 
 /// Generates (possibly bursty) Poisson query arrivals.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalProcess {
     config: ArrivalConfig,
     segments: Vec<Segment>,

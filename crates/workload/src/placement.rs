@@ -153,8 +153,9 @@ impl ClusterWeights {
     /// The contiguous peer index range owned by `cluster` in a population of
     /// `peers`.
     pub fn peer_range(&self, cluster: usize, peers: usize) -> std::ops::Range<usize> {
-        let k = self.weights.len();
-        (cluster * peers / k)..((cluster + 1) * peers / k)
+        // `c·n/k ≤ n`, so only the product needs the wider type.
+        let start = |c: usize| (c as u128 * peers as u128 / self.weights.len() as u128) as usize;
+        start(cluster)..start(cluster + 1)
     }
 
     /// Draws a cluster index proportionally to weight (one uniform draw;
@@ -175,14 +176,21 @@ impl ClusterWeights {
     /// proportionally to weight, by the largest-remainder method (exact sum,
     /// deterministic, ties broken by cluster index).
     pub fn apportion(&self, total: usize) -> Vec<usize> {
+        // Every count is at most `total`, so it narrows back losslessly.
+        self.apportion_wide(total as u128).into_iter().map(|count| count as usize).collect()
+    }
+
+    /// [`ClusterWeights::apportion`] of a `u128` total, so a budget of
+    /// `peers × files_per_peer` copies cannot overflow.
+    fn apportion_wide(&self, total: u128) -> Vec<u128> {
         let weight_sum = self.total;
         let quotas: Vec<f64> = self
             .weights
             .iter()
             .map(|w| total as f64 * w / weight_sum)
             .collect();
-        let mut counts: Vec<usize> = quotas.iter().map(|q| q.floor() as usize).collect();
-        let assigned: usize = counts.iter().sum();
+        let mut counts: Vec<u128> = quotas.iter().map(|q| q.floor() as u128).collect();
+        let assigned: u128 = counts.iter().sum();
         // Hand the leftover units to the largest fractional remainders. They
         // are finite and in [0, 1) (never -0.0), where `total_cmp` is the
         // numeric order.
@@ -192,7 +200,10 @@ impl ClusterWeights {
             let rb = quotas[b] - quotas[b].floor();
             rb.total_cmp(&ra).then(a.cmp(&b))
         });
-        for &cluster in order.iter().take(total - assigned) {
+        // Fewer units than clusters are left over; past 2⁵³ units the float
+        // quotas are inexact, and the clamp keeps the count in range.
+        let leftover = total.saturating_sub(assigned).min(order.len() as u128) as usize;
+        for &cluster in order.iter().take(leftover) {
             counts[cluster] += 1;
         }
         counts
@@ -222,10 +233,17 @@ impl ClusterWeights {
 
     /// The largest per-peer share count [`ClusterWeights::share_counts`]
     /// would produce — what the configuration layer checks against the file
-    /// pool (no peer can share more distinct files than exist).
-    pub fn max_share_count(&self, peers: usize, files_per_peer: usize) -> usize {
-        self.share_counts(peers, files_per_peer)
-            .into_iter()
+    /// pool (no peer can share more distinct files than exist). It takes
+    /// O(clusters) time and memory, and is wide enough for any population:
+    /// the most a cluster puts on one peer is its quota over its peer range,
+    /// rounded up.
+    pub fn max_share_count(&self, peers: usize, files_per_peer: usize) -> u128 {
+        let quotas = self.apportion_wide(peers as u128 * files_per_peer as u128);
+        (quotas.into_iter().enumerate())
+            .filter_map(|(cluster, quota)| {
+                let n = self.peer_range(cluster, peers).len() as u128;
+                (n > 0).then(|| quota.div_ceil(n))
+            })
             .max()
             .unwrap_or(0)
     }
@@ -462,7 +480,23 @@ mod tests {
             let max = slice.iter().max().unwrap();
             assert!(max - min <= 1, "cluster {cluster}: uneven split {slice:?}");
         }
-        assert_eq!(w.max_share_count(90, 3), *counts.iter().max().unwrap());
+    }
+
+    proptest::proptest! {
+        /// One to six clusters of weights from 0.1 to 10 over 1–400 peers
+        /// (fewer peers than clusters too, which leaves clusters empty) and
+        /// 0–12 files per peer: the O(clusters) maximum equals the maximum of
+        /// the per-peer counts.
+        #[test]
+        fn max_share_count_matches_the_per_peer_counts(
+            weights in proptest::collection::vec(1u32..100, 1..7),
+            peers in 1usize..401,
+            files_per_peer in 0usize..13,
+        ) {
+            let w = ClusterWeights::new(weights.iter().map(|&w| f64::from(w) / 10.0).collect()).unwrap();
+            let counts = w.share_counts(peers, files_per_peer);
+            proptest::prop_assert_eq!(w.max_share_count(peers, files_per_peer), *counts.iter().max().unwrap() as u128);
+        }
     }
 
     #[test]
