@@ -52,12 +52,26 @@ impl BloomParams {
 }
 
 /// A fixed-size Bloom filter over string elements (keywords).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BloomFilter {
     params: BloomParams,
     words: Vec<u64>,
     /// Number of `insert` calls (not distinct elements); diagnostic only.
     insertions: u64,
+}
+
+impl Clone for BloomFilter {
+    fn clone(&self) -> Self {
+        BloomFilter { params: self.params, words: self.words.clone(), insertions: self.insertions }
+    }
+
+    /// Copies into the words already allocated, so re-exporting a filter
+    /// nobody else holds allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.params = source.params;
+        self.words.clone_from(&source.words);
+        self.insertions = source.insertions;
+    }
 }
 
 /// Two filters are equal when they have the same parameters and the same bit

@@ -114,7 +114,7 @@ use locaware_sim::{Duration, EventKey, RngFactory, SimTime, StreamId};
 use locaware_workload::{Arrival, Catalog, KeywordHashes, QueryGenerator};
 
 use crate::config::{ProtocolKind, SimulationConfig, CONTROL_DRAIN};
-use crate::group::GroupScheme;
+use crate::group::{GroupId, GroupScheme};
 use crate::peer::PeerState;
 use crate::protocol::Protocol;
 use crate::results::{FaultRunStats, RunProfile, SimulationReport};
@@ -139,6 +139,9 @@ pub(crate) struct RunShared<'a> {
     pub(crate) topology: &'a PhysicalTopology,
     pub(crate) link_latencies: &'a LinkLatencyCache,
     pub(crate) loc_ids: &'a [LocId],
+    /// Every peer's group id, fixed at set-up: the one table the group-id
+    /// rules read a neighbour's gid from.
+    pub(crate) group_ids: &'a [GroupId],
     pub(crate) catalog: &'a Catalog,
     pub(crate) keyword_hashes: Arc<KeywordHashes>,
     pub(crate) scheme: GroupScheme,
@@ -251,9 +254,9 @@ fn drain_window(
 }
 
 /// Builds the run's shared context and its shards: the shard partition with
-/// its channel lookaheads, per-peer state (initial shares, neighbour group
-/// ids and Bloom filters — and, for structured protocols, the bootstrapped
-/// DHT), and the arrivals scheduled into their origin shards.
+/// its channel lookaheads, per-peer state (initial shares, neighbour Bloom
+/// filters — and, for structured protocols, the bootstrapped DHT), and the
+/// arrivals scheduled into their origin shards.
 /// `static_overlay` says the run has no churn, i.e. overlay messages only
 /// ever travel the initial overlay links.
 fn prepare(
@@ -302,6 +305,7 @@ fn prepare(
         topology: sim.topology(),
         link_latencies: sim.link_latencies(),
         loc_ids,
+        group_ids: gids,
         catalog,
         keyword_hashes: catalog.keyword_hashes().clone(),
         scheme: GroupScheme::new(config.group_count),
@@ -336,26 +340,18 @@ fn prepare(
         let mut state = PeerState::new(
             id,
             loc_ids[id.index()],
-            gids[id.index()],
             bloom_params,
             config.response_index_capacity,
             max_providers,
             shared.keyword_hashes.clone(),
         );
         for &file in &sim.initial_shares()[id.index()] {
-            let keywords = catalog.filename(file).keywords();
-            state.share_file(file, keywords);
-            if protocol.uses_bloom_sync() {
-                // §5.2: Bloom routing must not miss results held by
-                // neighbours, so a peer's filter also covers the filenames
-                // it stores itself.
-                state.advertise_keywords(keywords);
-            }
+            state.share_file(file, catalog.filename(file).keywords());
         }
-        // Neighbours exchange group ids on join (§4.2); modelled as already
-        // known at simulation start, like the paper's static setup.
-        for &n in graph.neighbors(id) {
-            state.record_neighbor(n, gids[n.index()]);
+        if protocol.uses_bloom_sync() {
+            // §5.2: Bloom routing must not miss results held by neighbours,
+            // so a peer's filter also covers the filenames it stores itself.
+            state.advertise_stored_files(catalog);
         }
         state
     };
@@ -708,7 +704,12 @@ impl<'c> Coordinator<'c> {
                     dht::republish(shared, directory, shards, &self.graph, key.time, false);
                 }
             }
-            _ => self.apply_churn(shared, shards, self.schedule.churn[key.a as usize]),
+            _ => {
+                self.apply_churn(shared, shards, self.schedule.churn[key.a as usize]);
+                if cfg!(debug_assertions) {
+                    assert_adjacency(shards, &self.graph);
+                }
+            }
         }
         // Control transitions may send (Bloom deltas); merge immediately so
         // the next window-planning pass sees them in the destination queues.
@@ -751,29 +752,25 @@ impl<'c> Coordinator<'c> {
                 if !graph.is_active(peer) {
                     return;
                 }
-                // Under a crash-stop fault plan the peer vanishes without
-                // goodbyes: the graph edges still drop (dead links carry no
-                // traffic either way) and the peer is marked departed, but no
-                // neighbour learns of the departure — their Bloom views, DHT
-                // routing tables and provider indexes keep the ghost until
-                // TTLs, lookup filters or the next sync round catch up.
-                // In-flight messages to the peer are consumed as lost by the
-                // ordinary offline-receiver rule.
-                let crash = shared.faults.as_ref().is_some_and(|f| f.crash_stop);
-                let old_neighbors = graph.depart(peer);
-                if crash {
+                // Either way the peer leaves, its links go: the graph drops
+                // every edge, and the neighbour filters held across them go
+                // too. What a crash-stop withholds is what other peers would
+                // learn from a goodbye: DHT routing tables keep the ghost
+                // until lookup filters or step timeouts catch up. Cached
+                // index entries naming the departed provider stay in both
+                // modes: the paper invalidates lazily, filtering departed
+                // providers at selection time (§4.1.2). In-flight messages
+                // to the peer are consumed as lost by the ordinary
+                // offline-receiver rule.
+                for n in graph.depart(peer) {
+                    peer_mut(shared, shards, n).drop_neighbor_bloom(peer);
+                    peer_mut(shared, shards, peer).drop_neighbor_bloom(n);
+                }
+                if shared.faults.as_ref().is_some_and(|f| f.crash_stop) {
                     self.crash_departures += 1;
-                    return;
-                }
-                for n in old_neighbors {
-                    peer_mut(shared, shards, n).forget_neighbor(peer);
-                }
-                // Cached index entries naming the departed provider stay: the
-                // paper invalidates lazily, filtering departed providers at
-                // selection time (§4.1.2). Only DHT routing tables learn of
-                // the departure, serially at the churn barrier in peer-id
-                // order, so it is part of the canonical event order.
-                if shared.dht.is_some() {
+                } else if shared.dht.is_some() {
+                    // Serially at the churn barrier in peer-id order, so it
+                    // is part of the canonical event order.
                     for other in graph.active_peers() {
                         dht::on_leave(peer_mut(shared, shards, other), peer);
                     }
@@ -783,25 +780,45 @@ impl<'c> Coordinator<'c> {
                 if graph.is_active(peer) {
                     return;
                 }
+                // Re-wire to `average_degree` random online peers, drawn
+                // while the peer itself is still offline.
+                let degree = shared.config.average_degree.round() as usize;
+                let candidates = graph.active_count();
+                for _ in 0..degree.max(1) {
+                    if candidates == 0 {
+                        break;
+                    }
+                    let Some(pick) = graph.nth_active(self.churn_rng.gen_range(0..candidates)) else {
+                        break;
+                    };
+                    graph.add_edge(peer, pick);
+                }
                 graph.rejoin(peer);
                 // Caches are volatile; route-table sightings are not, so
                 // reverse paths stay trees (`QueryRoutes`).
                 peer_mut(shared, shards, peer).reset_volatile_state();
-                // Re-wire to `average_degree` random online peers.
-                let degree = shared.config.average_degree.round() as usize;
-                let candidates: Vec<PeerId> = graph.active_peers().filter(|&p| p != peer).collect();
-                for _ in 0..degree.max(1) {
-                    if candidates.is_empty() {
-                        break;
-                    }
-                    let pick = candidates[self.churn_rng.gen_range(0..candidates.len())];
-                    graph.add_edge(peer, pick);
-                }
-                unstructured::on_join(shared, shards, graph, peer);
+                unstructured::on_join(shared, shards, graph, event.at, peer);
                 if let Some(directory) = &shared.dht {
                     dht::on_join(shared, directory, shards, graph, peer);
                 }
             }
+        }
+    }
+}
+
+/// The churn barrier's adjacency invariants, checked in debug builds: every
+/// graph row is sorted, symmetric and holds only online peers, and every
+/// neighbour filter a peer holds has an edge behind it.
+fn assert_adjacency(shards: &[ShardState], graph: &OverlayGraph) {
+    for peer in shards.iter().flat_map(|shard| &shard.peers) {
+        let (id, row) = (peer.id, graph.neighbors(peer.id));
+        assert!(row.is_sorted_by(|a, b| a < b), "{id:?}'s row is not strictly sorted");
+        for &n in row {
+            assert!(graph.is_active(id) && graph.is_active(n), "edge {id:?}-{n:?} touches a departed peer");
+            assert!(graph.are_neighbors(n, id), "edge {id:?}-{n:?} is one-sided");
+        }
+        for &(n, _) in peer.bloom_views() {
+            assert!(graph.are_neighbors(id, n), "{id:?} holds a view of {n:?} with no edge behind it");
         }
     }
 }

@@ -65,31 +65,40 @@ pub(super) fn bootstrap(shared: &RunShared<'_>, graph: &OverlayGraph, shards: &m
 }
 
 /// One Bloom synchronisation round: every online peer with a dirty filter
-/// pushes the delta to its active neighbours, in peer-id order.
+/// pushes the delta to its neighbours, in peer-id order.
 pub(super) fn sync(shared: &RunShared<'_>, shards: &mut [ShardState], graph: &OverlayGraph, now: SimTime) {
     for from in graph.active_peers() {
         let Some(delta) = peer_mut(shared, shards, from).take_bloom_update() else {
             continue;
         };
         let shard = &mut shards[shared.partition.shard(from)];
-        for &n in graph.neighbors(from).iter().filter(|&&n| graph.is_active(n)) {
+        for &n in graph.neighbors(from) {
             let message = Message::BloomDelta { delta: delta.clone() };
             shard.send_background(shared, now, from, n, message);
         }
     }
 }
 
-/// A peer rejoined and was rewired: it and each of its new neighbours — a
-/// departure dropped all its old links — exchange group ids, as neighbours do
-/// on joining (§4.2). Serially at the churn barrier, in neighbour-id order.
-/// Their filters are not exchanged: README "Known model gaps".
-pub(super) fn on_join(shared: &RunShared<'_>, shards: &mut [ShardState], graph: &OverlayGraph, peer: PeerId) {
-    let gid = peer_mut(shared, shards, peer).gid;
+/// A peer rejoined and was rewired: its filter covers its stored files again
+/// (§5.2), and both ends of each of its links — all new — send their full
+/// filter, as neighbours do on joining (§4.2): the peer its fresh export, the
+/// neighbour its last one (the delta it still owes reaches the new link at the
+/// next round). Serially at the churn barrier, in neighbour-id order.
+pub(super) fn on_join(
+    shared: &RunShared<'_>, shards: &mut [ShardState], graph: &OverlayGraph, now: SimTime, peer: PeerId,
+) {
+    if !shared.protocol.uses_bloom_sync() {
+        return;
+    }
+    let state = peer_mut(shared, shards, peer);
+    state.advertise_stored_files(shared.catalog);
+    let export = state.export_bloom();
     for &n in graph.neighbors(peer) {
-        let neighbour = peer_mut(shared, shards, n);
-        neighbour.record_neighbor(peer, gid);
-        let neighbour_gid = neighbour.gid;
-        peer_mut(shared, shards, peer).record_neighbor(n, neighbour_gid);
+        let theirs = Arc::clone(peer_mut(shared, shards, n).exported_bloom());
+        for (from, to, filter) in [(peer, n, Arc::clone(&export)), (n, peer, theirs)] {
+            let shard = &mut shards[shared.partition.shard(from)];
+            shard.send_background(shared, now, from, to, Message::BloomFull { filter });
+        }
     }
 }
 
@@ -128,7 +137,7 @@ pub(super) fn deliver(
     to: PeerId,
     mut message: Message,
 ) {
-    let slot = shared.partition.slot(to);
+    let (slot, gid) = (shared.partition.slot(to), shared.group_ids[to.index()]);
     // Copy and `ref` bindings only, so a forwarded query or a relayed
     // response is the delivered message itself, not a rebuilt one.
     match message {
@@ -170,7 +179,7 @@ pub(super) fn deliver(
                     providers: &[],
                     requestor: requestor_entry,
                 };
-                shared.protocol.cache_response(&mut state.peers[slot], &shared.scheme, &response_ctx);
+                shared.protocol.cache_response(&mut state.peers[slot], gid, &shared.scheme, &response_ctx);
 
                 let response = Message::QueryResponse {
                     query,
@@ -224,13 +233,15 @@ pub(super) fn deliver(
                 providers,
                 requestor,
             };
-            shared.protocol.cache_response(&mut state.peers[slot], &shared.scheme, &response_ctx);
+            shared.protocol.cache_response(&mut state.peers[slot], gid, &shared.scheme, &response_ctx);
             let upstream = state.routes.response_next_hop(index, slot as u32, query_attempt(query));
             if let Some(upstream) = upstream {
                 state.send(shared, key.time, to, upstream, message, index);
             }
         }
-        Message::BloomFull { filter } => state.peers[slot].set_neighbor_bloom(from, Arc::new(filter)),
+        // A filter that arrives after its link has gone creates no view.
+        Message::BloomFull { .. } | Message::BloomDelta { .. } if !graph.are_neighbors(to, from) => {}
+        Message::BloomFull { filter } => state.peers[slot].set_neighbor_bloom(from, filter),
         Message::BloomDelta { delta } => state.peers[slot].apply_neighbor_bloom_delta(from, &delta),
         _ => unreachable!("only unstructured messages are delivered to the unstructured family"),
     }
@@ -333,6 +344,8 @@ fn forward_query(
         (query_index(qctx.query), decision)
     };
     state.tallies.decision_counts[decision_index(decision)] += 1;
+    let on_graph = |&n: &PeerId| graph.are_neighbors(at, n);
+    debug_assert!(targets.iter().all(on_graph), "{at:?} forwards off the graph: {targets:?}");
     // Copies share the keyword list (`Arc`), so the per-target cost is a
     // reference-count bump, not a clone.
     for &target in &targets {
@@ -367,6 +380,7 @@ fn view<'v>(
     PeerView {
         state: &state.peers[slot],
         graph,
+        group_ids: shared.group_ids,
         scheme: &shared.scheme,
         catalog: shared.catalog,
     }
@@ -374,12 +388,13 @@ fn view<'v>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::prepare;
     use super::super::shard::QueryTracking;
+    use super::super::{prepare, Coordinator};
     use super::*;
     use crate::config::SimulationConfig;
     use crate::simulation::Simulation;
     use locaware_bloom::{BloomDelta, BloomFilter};
+    use locaware_overlay::{ChurnEvent, ChurnEventKind};
     use locaware_workload::{FileId, KeywordId, TimeoutPolicy};
 
     /// A 40-peer single-shard substrate whose fault plan re-floods an
@@ -462,9 +477,8 @@ mod tests {
     fn view_of(
         shared: &RunShared<'_>, shards: &mut [ShardState], viewer: PeerId, owner: PeerId,
     ) -> Option<Arc<BloomFilter>> {
-        let row = peer_mut(shared, shards, viewer).neighbors();
-        let (_, info) = row.iter().find(|&&(n, _)| n == owner).expect("a neighbour");
-        info.bloom.clone()
+        let views = peer_mut(shared, shards, viewer).bloom_views();
+        views.iter().find(|&&(n, _)| n == owner).map(|(_, view)| Arc::clone(view))
     }
 
     #[test]
@@ -520,5 +534,77 @@ mod tests {
         for &n in graph.neighbors(a) {
             assert!(view_of(&shared, &mut shards, n, a).is_some(), "views of a survive a's reset");
         }
+    }
+
+    /// A leave and a rejoin as the churn barrier runs them: the peer's views
+    /// and its neighbours' views of it go with its links; it comes back
+    /// rewired, re-advertises its stored files, and each new link swaps full
+    /// filters — its fresh export one way, the neighbour's last export the
+    /// other, shared rather than copied.
+    #[test]
+    fn a_rejoin_readvertises_and_swaps_full_filters() {
+        let mut config = SimulationConfig::small(40);
+        config.shards = 1;
+        let sim = Simulation::try_build(config).expect("test configuration validates");
+        let (shared, mut shards) = prepare(&sim, ProtocolKind::Locaware, sim.arrivals(1), false);
+        while shards[0].queue.pop_before(EventKey::MAX).is_some() {}
+        let mut coordinator = Coordinator::new(&shared, sim.overlay().clone(), &[], 1);
+        let stores = |p: PeerId| !sim.initial_shares()[p.index()].is_empty();
+        let peer = (0..40).map(PeerId).find(|&p| stores(p)).expect("a peer with files");
+        let old = sim.overlay().neighbors(peer).to_vec();
+        let at = SimTime::ZERO + Duration::from_secs_f64(1.0);
+        coordinator.apply_churn(&shared, &mut shards, ChurnEvent { at, peer, kind: ChurnEventKind::Leave });
+        assert!(peer_mut(&shared, &mut shards, peer).bloom_views().is_empty());
+        for &n in &old {
+            assert!(view_of(&shared, &mut shards, n, peer).is_none(), "{n:?} still views {peer:?}");
+        }
+
+        let mut theirs = Vec::new();
+        for n in (0..40).map(PeerId) {
+            theirs.push(Arc::clone(peer_mut(&shared, &mut shards, n).exported_bloom()));
+        }
+        coordinator.apply_churn(&shared, &mut shards, ChurnEvent { at, peer, kind: ChurnEventKind::Join });
+        let graph = &coordinator.graph;
+        let new = graph.neighbors(peer).to_vec();
+        assert!(!new.is_empty(), "the peer is rewired");
+        let state = peer_mut(&shared, &mut shards, peer);
+        assert!(!state.bloom_dirty(), "the rejoined peer exported its filter whole");
+        for file in state.shared_files().collect::<Vec<_>>() {
+            for kw in sim.catalog().filename(file).keywords() {
+                assert!(state.current_bloom().contains(&kw.canonical()), "{file:?} is advertised again");
+            }
+        }
+        let export = Arc::clone(state.exported_bloom());
+        shards[0].drain(&shared, graph);
+        assert_eq!(shards[0].tallies.message_counts[2], 2 * new.len() as u64, "two full filters per new link");
+        for &n in &new {
+            let seen = view_of(&shared, &mut shards, n, peer).expect("the new neighbour views the peer");
+            assert!(Arc::ptr_eq(&seen, &export));
+            let back = view_of(&shared, &mut shards, peer, n).expect("the peer views its new neighbour");
+            assert!(Arc::ptr_eq(&back, &theirs[n.index()]), "{n:?}'s last export, not a fresh one");
+        }
+        let views: Vec<PeerId> = peer_mut(&shared, &mut shards, peer).bloom_views().iter().map(|&(n, _)| n).collect();
+        assert_eq!(views, new, "no view without a link");
+    }
+
+    /// A full filter or a delta that arrives after its link has gone — the
+    /// peers are online but no longer neighbours — creates no view.
+    #[test]
+    fn a_filter_over_a_dropped_link_creates_no_view() {
+        let mut config = SimulationConfig::small(40);
+        config.shards = 1;
+        let sim = Simulation::try_build(config).expect("test configuration validates");
+        let (shared, mut shards) = prepare(&sim, ProtocolKind::Locaware, sim.arrivals(1), true);
+        let graph = sim.overlay();
+        let (from, to) = (0..40u32)
+            .flat_map(|a| (0..40u32).map(move |b| (PeerId(a), PeerId(b))))
+            .find(|&(a, b)| a != b && !graph.are_neighbors(a, b))
+            .expect("two peers without a link");
+        let key = EventKey::before_time(SimTime::ZERO);
+        let filter = Arc::clone(peer_mut(&shared, &mut shards, from).exported_bloom());
+        let delta = BloomDelta::from_positions(vec![3], filter.bits() as u32);
+        deliver(&mut shards[0], &shared, graph, key, from, to, Message::BloomFull { filter });
+        deliver(&mut shards[0], &shared, graph, key, from, to, Message::BloomDelta { delta });
+        assert!(view_of(&shared, &mut shards, to, from).is_none());
     }
 }

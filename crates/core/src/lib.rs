@@ -82,7 +82,7 @@ pub use experiment::{
 };
 pub use group::{GroupId, GroupScheme};
 pub use index::{IndexEntry, ProviderRecord, ResponseIndex};
-pub use peer::{NeighborInfo, PeerState};
+pub use peer::PeerState;
 pub use protocol::{
     build_protocol, LocalMatch, PeerView, Protocol, QueryBuffer, QueryContext, ResponseContext,
 };

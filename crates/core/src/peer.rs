@@ -2,12 +2,12 @@
 //!
 //! Each peer owns: the files it shares (its "file storage"), its response index
 //! (`RI`, §3.2/§4.1), the Bloom filter summarising the keywords of its cached
-//! filenames (§4.2) and what it knows about its direct neighbours (their group
-//! ids and the latest copy of their Bloom filters). Two things a real peer
-//! would also hold are kept elsewhere, where the engine's accesses are local:
-//! duplicate suppression and reverse paths live with the live query
-//! ([`locaware_overlay::QueryRoutes`], one per shard), and whether the peer is
-//! online is the coordinator's overlay graph's to say.
+//! filenames (§4.2) and the latest copy of each neighbour's filter it has
+//! received. What a real peer would also hold is kept where the engine's
+//! accesses are local: duplicate suppression and reverse paths live with the
+//! live query ([`locaware_overlay::QueryRoutes`], one per shard), and who its
+//! neighbours are, whether they are online and their group ids are the run's
+//! to say (the coordinator's overlay graph and the run's group-id table).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -15,24 +15,9 @@ use std::sync::Arc;
 use locaware_bloom::{BloomDelta, BloomFilter, BloomParams, CountingBloomFilter, ElementHashes};
 use locaware_net::LocId;
 use locaware_overlay::PeerId;
-use locaware_workload::{FileId, KeywordHashes, KeywordId};
+use locaware_workload::{Catalog, FileId, KeywordHashes, KeywordId};
 
-use crate::group::GroupId;
 use crate::index::ResponseIndex;
-
-/// What a peer knows about one of its direct overlay neighbours.
-#[derive(Debug, Clone)]
-pub struct NeighborInfo {
-    /// The neighbour's group id ("Neighboring peers exchange their group Ids").
-    pub gid: GroupId,
-    /// The latest copy of the neighbour's Bloom filter this peer holds.
-    /// `None` means "empty filter" — the state before the first exchange and
-    /// after a volatile reset — kept unallocated because with ~3 neighbours
-    /// per peer the pre-exchange filters dominated per-peer memory at scale.
-    /// Shared: the initial exchange hands every neighbour the owner's one
-    /// export, and a view is copied only when its first delta arrives.
-    pub bloom: Option<Arc<BloomFilter>>,
-}
 
 /// A 64-bit summary of a keyword set: one bit per keyword, chosen by a
 /// multiplicative hash of its id. A filename containing every keyword of a
@@ -51,8 +36,6 @@ pub struct PeerState {
     pub id: PeerId,
     /// This peer's location id.
     pub loc_id: LocId,
-    /// This peer's group id.
-    pub gid: GroupId,
     /// Files this peer can serve (initial shares plus completed downloads).
     shared_files: BTreeSet<FileId>,
     /// [`keyword_signature`] of every stored filename, OR-ed together: a
@@ -69,10 +52,13 @@ pub struct PeerState {
     exported_bloom: Arc<BloomFilter>,
     /// True if the response index changed since the last export.
     bloom_dirty: bool,
-    /// Per-neighbour knowledge, strictly ascending by neighbour id — a
-    /// contiguous row (≈3 entries) that forward decisions walk in the order
-    /// they must answer in.
-    neighbors: Vec<(PeerId, NeighborInfo)>,
+    /// The neighbour filters this peer has received, strictly ascending by
+    /// neighbour id. A neighbour with no view has an empty filter: the state
+    /// before the first exchange and after a volatile reset, kept unallocated
+    /// because empty filters dominated per-peer memory at scale. A view is
+    /// shared with its owner's export (and the other neighbours' views of it)
+    /// until a delta changes it.
+    bloom_views: Vec<(PeerId, Arc<BloomFilter>)>,
     /// The peer's DHT half — XOR-metric routing table plus keyword record
     /// store. `Some` only when the run's protocol uses the structured index
     /// (the engine installs it at setup); the six unstructured protocols
@@ -95,7 +81,6 @@ impl PeerState {
     pub fn new(
         id: PeerId,
         loc_id: LocId,
-        gid: GroupId,
         bloom_params: BloomParams,
         index_capacity: usize,
         max_providers_per_file: usize,
@@ -104,14 +89,13 @@ impl PeerState {
         PeerState {
             id,
             loc_id,
-            gid,
             shared_files: BTreeSet::new(),
             storage_signature: 0,
             response_index: ResponseIndex::new(index_capacity, max_providers_per_file),
             counting_bloom: CountingBloomFilter::new(bloom_params),
             exported_bloom: Arc::new(BloomFilter::new(bloom_params)),
             bloom_dirty: false,
-            neighbors: Vec::new(),
+            bloom_views: Vec::new(),
             dht: None,
             keyword_hashes,
         }
@@ -199,6 +183,17 @@ impl PeerState {
         }
     }
 
+    /// Advertises the keywords of every stored file, as
+    /// [`PeerState::advertise_keywords`] does for one: at set-up, and again
+    /// after a rejoin's volatile reset has cleared the filter.
+    pub fn advertise_stored_files(&mut self, catalog: &Catalog) {
+        let files = std::mem::take(&mut self.shared_files);
+        for &file in &files {
+            self.advertise_keywords(catalog.filename(file).keywords());
+        }
+        self.shared_files = files;
+    }
+
     /// The peer's current Bloom filter (the counting filter's projection).
     pub fn current_bloom(&self) -> &BloomFilter {
         self.counting_bloom.bloom()
@@ -214,7 +209,7 @@ impl PeerState {
     /// pending.
     pub fn export_bloom(&mut self) -> Arc<BloomFilter> {
         if self.bloom_dirty {
-            self.exported_bloom = Arc::new(self.current_bloom().clone());
+            Arc::make_mut(&mut self.exported_bloom).clone_from(self.counting_bloom.bloom());
             self.bloom_dirty = false;
         }
         Arc::clone(&self.exported_bloom)
@@ -247,11 +242,9 @@ impl PeerState {
     pub fn reset_volatile_state(&mut self) {
         self.response_index.clear();
         self.counting_bloom.clear();
-        self.exported_bloom = Arc::new(BloomFilter::new(self.exported_bloom.params()));
+        Arc::make_mut(&mut self.exported_bloom).clear();
         self.bloom_dirty = false;
-        for (_, info) in &mut self.neighbors {
-            info.bloom = None;
-        }
+        self.bloom_views.clear();
         // The DHT half is volatile too: a rejoining node has lost its stored
         // records and its routing table (the engine rebuilds the table from
         // the current online population; records return via republish).
@@ -261,93 +254,73 @@ impl PeerState {
         }
     }
 
-    // --- neighbour knowledge ----------------------------------------------------
+    // --- neighbour filters -------------------------------------------------------
 
-    /// What this peer knows about each direct neighbour, in id order.
-    pub fn neighbors(&self) -> &[(PeerId, NeighborInfo)] {
-        &self.neighbors
+    /// The neighbour filters this peer holds, in neighbour-id order.
+    pub fn bloom_views(&self) -> &[(PeerId, Arc<BloomFilter>)] {
+        &self.bloom_views
     }
 
-    fn neighbor_position(&self, neighbor: PeerId) -> Result<usize, usize> {
-        self.neighbors.binary_search_by_key(&neighbor, |&(n, _)| n)
-    }
-
-    fn neighbor_mut(&mut self, neighbor: PeerId) -> Option<&mut NeighborInfo> {
-        let pos = self.neighbor_position(neighbor).ok()?;
-        Some(&mut self.neighbors[pos].1)
-    }
-
-    /// Records a (new) neighbour and its group id, with an empty filter until
-    /// the first Bloom exchange.
-    pub fn record_neighbor(&mut self, neighbor: PeerId, gid: GroupId) {
-        let info = NeighborInfo { gid, bloom: None };
-        match self.neighbor_position(neighbor) {
-            Ok(pos) => self.neighbors[pos].1 = info,
-            Err(pos) => self.neighbors.insert(pos, (neighbor, info)),
-        }
-    }
-
-    /// Forgets a neighbour (overlay edge removed).
-    pub fn forget_neighbor(&mut self, neighbor: PeerId) {
-        if let Ok(pos) = self.neighbor_position(neighbor) {
-            self.neighbors.remove(pos);
-        }
+    fn view_position(&self, neighbor: PeerId) -> Result<usize, usize> {
+        self.bloom_views.binary_search_by_key(&neighbor, |&(n, _)| n)
     }
 
     /// Replaces the stored copy of a neighbour's filter (full push).
     pub fn set_neighbor_bloom(&mut self, neighbor: PeerId, bloom: Arc<BloomFilter>) {
-        if let Some(info) = self.neighbor_mut(neighbor) {
-            info.bloom = Some(bloom);
+        match self.view_position(neighbor) {
+            Ok(pos) => self.bloom_views[pos].1 = bloom,
+            Err(pos) => self.bloom_views.insert(pos, (neighbor, bloom)),
         }
     }
 
     /// Applies an incremental update to the stored copy of a neighbour's
     /// filter: a view still shared with the neighbour's export (or another
-    /// peer's view of it) is copied first, and the unallocated empty filter
-    /// is materialised (every peer in a run shares one filter geometry, so
-    /// the local export's parameters are the neighbour's too).
+    /// peer's view of it) is copied first, and a missing view starts from the
+    /// empty filter (every peer in a run shares one filter geometry, so the
+    /// local export's parameters are the neighbour's too).
     pub fn apply_neighbor_bloom_delta(&mut self, neighbor: PeerId, delta: &BloomDelta) {
-        let params = self.exported_bloom.params();
-        if let Some(info) = self.neighbor_mut(neighbor) {
-            let view = info.bloom.get_or_insert_with(|| Arc::new(BloomFilter::new(params)));
-            delta.apply(Arc::make_mut(view));
+        let pos = match self.view_position(neighbor) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                let empty = Arc::new(BloomFilter::new(self.exported_bloom.params()));
+                self.bloom_views.insert(pos, (neighbor, empty));
+                pos
+            }
+        };
+        delta.apply(Arc::make_mut(&mut self.bloom_views[pos].1));
+    }
+
+    /// Drops the stored copy of a neighbour's filter (the link is gone).
+    pub fn drop_neighbor_bloom(&mut self, neighbor: PeerId) {
+        if let Ok(pos) = self.view_position(neighbor) {
+            self.bloom_views.remove(pos);
         }
     }
 
-    /// The §4.2 routing test: appends (in id order) every neighbour accepted
-    /// by `keep` whose stored filter contains all pre-hashed query keywords.
-    /// An empty hash slice matches nothing (empty queries are never routed).
-    /// The caller's buffer is appended to, not cleared, so it can be reused
+    /// The §4.2 routing test: appends (in id order) every neighbour in the
+    /// id-sorted `row` other than `exclude` whose stored filter contains all
+    /// pre-hashed query keywords. Views are walked in step with the row, and
+    /// a neighbour with no view matches nothing, like the empty filter. An
+    /// empty hash slice matches nothing (empty queries are never routed). The
+    /// caller's buffer is appended to, not cleared, so it can be reused
     /// across events.
     pub fn neighbors_matching_bloom_into(
         &self,
+        row: &[PeerId],
         query_hashes: &[ElementHashes],
-        mut keep: impl FnMut(PeerId) -> bool,
+        exclude: Option<PeerId>,
         out: &mut Vec<PeerId>,
     ) {
         if query_hashes.is_empty() {
             return;
         }
-        for &(n, ref info) in &self.neighbors {
-            let Some(bloom) = &info.bloom else {
-                continue; // an unexchanged (empty) filter matches nothing
+        let mut views = self.bloom_views.iter().peekable();
+        for &n in row {
+            while views.next_if(|&&(v, _)| v < n).is_some() {}
+            let Some((_, bloom)) = views.next_if(|&&(v, _)| v == n) else {
+                continue;
             };
-            if keep(n) && bloom.contains_all_hashes(query_hashes) {
-                out.push(n);
-            }
-        }
-    }
-
-    /// Appends (in id order) every neighbour accepted by `keep` whose group
-    /// id satisfies `predicate`.
-    pub fn neighbors_matching_gid_into(
-        &self,
-        predicate: impl Fn(GroupId) -> bool,
-        mut keep: impl FnMut(PeerId) -> bool,
-        out: &mut Vec<PeerId>,
-    ) {
-        for &(n, ref info) in &self.neighbors {
-            if keep(n) && predicate(info.gid) {
+            if Some(n) != exclude && bloom.contains_all_hashes(query_hashes) {
                 out.push(n);
             }
         }
@@ -362,7 +335,6 @@ mod tests {
         PeerState::new(
             PeerId(id),
             LocId(0),
-            GroupId(0),
             BloomParams::default(),
             4,
             3,
@@ -374,16 +346,11 @@ mod tests {
         ids.iter().map(|&i| KeywordId(i)).collect()
     }
 
+    /// The neighbours in the graph row `{2, 3}` whose views match `keywords`.
     fn bloom_matches(p: &PeerState, keywords: &[KeywordId]) -> Vec<PeerId> {
         let hashes: Vec<ElementHashes> = keywords.iter().map(|&kw| p.keyword_hashes.of(kw)).collect();
         let mut out = Vec::new();
-        p.neighbors_matching_bloom_into(&hashes, |_| true, &mut out);
-        out
-    }
-
-    fn gid_matches(p: &PeerState, predicate: impl Fn(GroupId) -> bool) -> Vec<PeerId> {
-        let mut out = Vec::new();
-        p.neighbors_matching_gid_into(predicate, |_| true, &mut out);
+        p.neighbors_matching_bloom_into(&[PeerId(2), PeerId(3)], &hashes, None, &mut out);
         out
     }
 
@@ -414,6 +381,23 @@ mod tests {
         assert!(!p.bloom_dirty());
         assert_eq!(p.exported_bloom().as_ref(), p.current_bloom());
         assert!(p.take_bloom_update().is_none(), "no further change, no update");
+    }
+
+    /// A whole export is written in place while nobody else holds it, and
+    /// leaves a view that still shares the old one untouched.
+    #[test]
+    fn export_bloom_copies_only_a_shared_export() {
+        let mut p = peer(1);
+        p.cache_index(FileId(5), &kws(&[1, 2]), [(PeerId(9), LocId(2))]);
+        let before = Arc::as_ptr(p.exported_bloom());
+        let first = p.export_bloom();
+        assert_eq!(Arc::as_ptr(&first), before, "unshared: rewritten in place");
+        assert_eq!(first.as_ref(), p.current_bloom());
+        p.cache_index(FileId(6), &kws(&[3]), [(PeerId(9), LocId(2))]);
+        let second = p.export_bloom();
+        assert!(!Arc::ptr_eq(&first, &second), "shared: copied");
+        assert_eq!(second.as_ref(), p.current_bloom());
+        assert!(!first.contains(&KeywordId(3).canonical()), "the held view keeps its bits");
     }
 
     #[test]
@@ -455,8 +439,6 @@ mod tests {
     #[test]
     fn neighbor_bloom_bookkeeping_and_matching() {
         let mut p = peer(1);
-        p.record_neighbor(PeerId(2), GroupId(1));
-        p.record_neighbor(PeerId(3), GroupId(2));
 
         // Neighbour 2 announces a filter containing keywords {7, 8}.
         let mut remote = BloomFilter::default();
@@ -469,17 +451,19 @@ mod tests {
         assert!(bloom_matches(&p, &kws(&[7, 9])).is_empty());
         assert!(bloom_matches(&p, &[]).is_empty());
 
-        assert_eq!(gid_matches(&p, |g| g == GroupId(2)), vec![PeerId(3)]);
-        assert_eq!(gid_matches(&p, |_| true), vec![PeerId(2), PeerId(3)]);
+        // A view outside the row is never a target.
+        let mut off_row = BloomFilter::default();
+        off_row.insert(&KeywordId(7).canonical());
+        p.set_neighbor_bloom(PeerId(5), Arc::new(off_row));
+        assert_eq!(bloom_matches(&p, &kws(&[7])), vec![PeerId(2)]);
 
-        p.forget_neighbor(PeerId(2));
+        p.drop_neighbor_bloom(PeerId(2));
         assert!(bloom_matches(&p, &kws(&[7])).is_empty());
     }
 
     #[test]
     fn neighbor_delta_updates_apply() {
         let mut p = peer(1);
-        p.record_neighbor(PeerId(2), GroupId(0));
 
         // The neighbour's filter gains keyword 42; we receive only the delta.
         let empty = BloomFilter::default();
@@ -487,9 +471,29 @@ mod tests {
         updated.insert(&KeywordId(42).canonical());
         let delta = BloomDelta::between(&empty, &updated);
         p.apply_neighbor_bloom_delta(PeerId(2), &delta);
-        assert_eq!(bloom_matches(&p, &kws(&[42])), vec![PeerId(2)]);
-        // Deltas to unknown neighbours are ignored without panicking.
-        p.apply_neighbor_bloom_delta(PeerId(99), &delta);
+        assert_eq!(bloom_matches(&p, &kws(&[42])), vec![PeerId(2)], "a missing view starts empty");
+        p.apply_neighbor_bloom_delta(PeerId(3), &delta);
+        assert_eq!(bloom_matches(&p, &kws(&[42])), vec![PeerId(2), PeerId(3)]);
+    }
+
+    #[test]
+    fn stored_files_are_advertised_again_after_a_reset() {
+        let filenames = vec![
+            locaware_workload::Filename::new(kws(&[1, 2, 3])),
+            locaware_workload::Filename::new(kws(&[4, 5, 6])),
+        ];
+        let catalog = Catalog::from_filenames(locaware_workload::KeywordPool::new(8), filenames);
+        let mut p = peer(1);
+        p.share_file(FileId(1), catalog.filename(FileId(1)).keywords());
+        p.cache_index(FileId(0), &kws(&[1, 2, 3]), [(PeerId(9), LocId(2))]);
+        p.reset_volatile_state();
+        p.advertise_stored_files(&catalog);
+        assert!(p.bloom_dirty());
+        let mut stored = BloomFilter::default();
+        for kw in kws(&[4, 5, 6]) {
+            stored.insert(&kw.canonical());
+        }
+        assert_eq!(p.current_bloom().words(), stored.words(), "stored files only, no cached name");
     }
 
     #[test]
@@ -497,12 +501,12 @@ mod tests {
         let mut p = peer(1);
         p.share_file(FileId(3), &kws(&[7]));
         p.cache_index(FileId(5), &kws(&[1, 2]), [(PeerId(9), LocId(2))]);
-        p.record_neighbor(PeerId(2), GroupId(1));
+        p.set_neighbor_bloom(PeerId(2), Arc::new(BloomFilter::default()));
         p.reset_volatile_state();
         assert!(p.has_file(FileId(3)) && p.may_store(keyword_signature(&kws(&[7]))));
         assert!(p.response_index.is_empty());
         assert!(p.current_bloom().is_empty());
         assert!(!p.bloom_dirty());
-        assert!(p.neighbor_position(PeerId(2)).is_ok(), "neighbour links survive");
+        assert!(p.bloom_views().is_empty(), "neighbour filters are volatile too");
     }
 }

@@ -15,7 +15,7 @@
 use locaware_overlay::{ForwardDecision, PeerId};
 
 use crate::config::ProtocolKind;
-use crate::group::GroupScheme;
+use crate::group::{GroupId, GroupScheme};
 use crate::peer::PeerState;
 use crate::provider::SelectionPolicy;
 
@@ -68,6 +68,7 @@ impl Protocol for DhtIndex {
     fn cache_response(
         &self,
         _state: &mut PeerState,
+        _gid: GroupId,
         _scheme: &GroupScheme,
         _response: &ResponseContext<'_>,
     ) {

@@ -18,13 +18,13 @@
 use locaware_overlay::{ForwardDecision, PeerId, ProviderEntry};
 
 use crate::config::ProtocolKind;
-use crate::group::GroupScheme;
+use crate::group::{GroupId, GroupScheme};
 use crate::peer::PeerState;
 use crate::provider::SelectionPolicy;
 
 use super::{
-    first_storage_match, high_degree_fallback_into, LocalMatch, PeerView, Protocol, QueryContext,
-    ResponseContext,
+    first_storage_match, high_degree_fallback_into, neighbors_matching_gid_into, LocalMatch,
+    PeerView, Protocol, QueryContext, ResponseContext,
 };
 
 /// The Dicas filename-search baseline.
@@ -63,11 +63,7 @@ impl Protocol for Dicas {
             return high_degree_fallback_into(view, exclude, out);
         };
         let wanted = view.scheme.group_of_file(target);
-        view.state.neighbors_matching_gid_into(
-            |gid| gid == wanted,
-            |n| Some(n) != exclude && view.graph.is_active(n),
-            out,
-        );
+        neighbors_matching_gid_into(view, |gid| gid == wanted, exclude, out);
         if !out.is_empty() {
             return ForwardDecision::GidMatch;
         }
@@ -120,12 +116,13 @@ impl Protocol for Dicas {
     fn cache_response(
         &self,
         state: &mut PeerState,
+        gid: GroupId,
         scheme: &GroupScheme,
         response: &ResponseContext<'_>,
     ) {
         // Cache only at peers whose Gid matches hash(f) mod M, and keep only
         // the responding provider (a single index per filename).
-        if !scheme.gid_matches_file(state.gid, response.file) {
+        if !scheme.gid_matches_file(gid, response.file) {
             return;
         }
         let Some(provider) = response.providers.first() else {
@@ -222,15 +219,15 @@ mod tests {
         let scheme = fx.scheme;
 
         for i in 0..5usize {
-            protocol.cache_response(&mut fx.peers[i], &scheme, &response);
+            protocol.cache_response(&mut fx.peers[i], fx.group_ids[i], &scheme, &response);
         }
         for (i, peer) in fx.peers.iter().enumerate() {
-            let should_cache = peer.gid == matching_gid;
+            let should_cache = fx.group_ids[i] == matching_gid;
             assert_eq!(
                 peer.response_index.contains(file),
                 should_cache,
                 "peer {i} gid {:?} matching {:?}",
-                peer.gid,
+                fx.group_ids[i],
                 matching_gid
             );
             if should_cache {

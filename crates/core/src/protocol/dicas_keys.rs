@@ -17,13 +17,13 @@
 use locaware_overlay::{ForwardDecision, PeerId, ProviderEntry};
 
 use crate::config::ProtocolKind;
-use crate::group::GroupScheme;
+use crate::group::{GroupId, GroupScheme};
 use crate::peer::PeerState;
 use crate::provider::SelectionPolicy;
 
 use super::{
-    first_storage_match, high_degree_fallback_into, LocalMatch, PeerView, Protocol, QueryContext,
-    ResponseContext,
+    first_storage_match, high_degree_fallback_into, neighbors_matching_gid_into, LocalMatch,
+    PeerView, Protocol, QueryContext, ResponseContext,
 };
 
 /// The Dicas-Keys keyword-search baseline.
@@ -55,11 +55,8 @@ impl Protocol for DicasKeys {
     ) -> ForwardDecision {
         out.clear();
         let scheme = view.scheme;
-        view.state.neighbors_matching_gid_into(
-            |gid| scheme.gid_matches_any_keyword(gid, query.keywords),
-            |n| Some(n) != exclude && view.graph.is_active(n),
-            out,
-        );
+        let matches = |gid| scheme.gid_matches_any_keyword(gid, query.keywords);
+        neighbors_matching_gid_into(view, matches, exclude, out);
         if !out.is_empty() {
             return ForwardDecision::GidMatch;
         }
@@ -100,6 +97,7 @@ impl Protocol for DicasKeys {
     fn cache_response(
         &self,
         state: &mut PeerState,
+        gid: GroupId,
         scheme: &GroupScheme,
         response: &ResponseContext<'_>,
     ) {
@@ -115,7 +113,7 @@ impl Protocol for DicasKeys {
         } else {
             response.query_keywords
         };
-        if !scheme.gid_matches_any_keyword(state.gid, keying) {
+        if !scheme.gid_matches_any_keyword(gid, keying) {
             return;
         }
         let Some(provider) = response.providers.first() else {
@@ -143,7 +141,7 @@ mod tests {
         match decision {
             ForwardDecision::GidMatch => {
                 for t in &targets {
-                    let gid = fx.peers[t.index()].gid;
+                    let gid = fx.group_ids[t.index()];
                     assert!(fx.scheme.gid_matches_any_keyword(gid, &query.keywords));
                 }
             }
@@ -175,18 +173,14 @@ mod tests {
 
         let mut cached = 0usize;
         for i in 0..5usize {
-            protocol.cache_response(&mut fx.peers[i], &scheme, &response);
+            protocol.cache_response(&mut fx.peers[i], fx.group_ids[i], &scheme, &response);
             if fx.peers[i].response_index.contains(FileId(0)) {
                 cached += 1;
-                assert!(groups.contains(&fx.peers[i].gid.value()));
+                assert!(groups.contains(&fx.group_ids[i].value()));
             }
         }
         // Every peer whose gid is in the filename's keyword-group set caches.
-        let eligible = fx
-            .peers
-            .iter()
-            .filter(|p| groups.contains(&p.gid.value()))
-            .count();
+        let eligible = fx.group_ids.iter().filter(|gid| groups.contains(&gid.value())).count();
         assert_eq!(cached, eligible);
         assert!(cached >= 2, "keyword hashing should spread the index widely");
     }
@@ -240,8 +234,8 @@ mod tests {
             .iter()
             .map(|&kw| scheme.group_of_keyword(kw).value())
             .collect();
-        if let Some(i) = (0..5usize).find(|&i| !groups.contains(&fx.peers[i].gid.value())) {
-            protocol.cache_response(&mut fx.peers[i], &scheme, &response);
+        if let Some(i) = (0..5usize).find(|&i| !groups.contains(&fx.group_ids[i].value())) {
+            protocol.cache_response(&mut fx.peers[i], fx.group_ids[i], &scheme, &response);
             assert!(!fx.peers[i].response_index.contains(FileId(3)));
         }
     }

@@ -8,7 +8,7 @@
 use locaware_overlay::{ForwardDecision, PeerId, ProviderEntry};
 
 use crate::config::ProtocolKind;
-use crate::group::GroupScheme;
+use crate::group::{GroupId, GroupScheme};
 use crate::peer::PeerState;
 use crate::provider::SelectionPolicy;
 
@@ -69,6 +69,7 @@ impl Protocol for Flooding {
     fn cache_response(
         &self,
         _state: &mut PeerState,
+        _gid: GroupId,
         _scheme: &GroupScheme,
         _response: &ResponseContext<'_>,
     ) {
@@ -137,7 +138,7 @@ mod tests {
         let offered = [ProviderEntry { provider: PeerId(3), loc_id: LocId(0) }];
         let response = response(&fx.catalog, FileId(0), &[], &offered);
         let scheme = fx.scheme;
-        protocol.cache_response(&mut fx.peers[0], &scheme, &response);
+        protocol.cache_response(&mut fx.peers[0], fx.group_ids[0], &scheme, &response);
         assert!(fx.peers[0].response_index.is_empty());
         assert!(!fx.peers[0].bloom_dirty());
     }

@@ -19,7 +19,7 @@
 use locaware_overlay::{ForwardDecision, PeerId};
 
 use crate::config::{ProtocolKind, SimulationConfig};
-use crate::group::GroupScheme;
+use crate::group::{GroupId, GroupScheme};
 use crate::peer::PeerState;
 use crate::provider::SelectionPolicy;
 
@@ -86,10 +86,11 @@ impl Protocol for Hybrid {
     fn cache_response(
         &self,
         state: &mut PeerState,
+        gid: GroupId,
         scheme: &GroupScheme,
         response: &ResponseContext<'_>,
     ) {
-        self.overlay.cache_response(state, scheme, response);
+        self.overlay.cache_response(state, gid, scheme, response);
     }
 }
 

@@ -24,13 +24,13 @@
 use locaware_overlay::{ForwardDecision, PeerId, ProviderEntry};
 
 use crate::config::{ProtocolKind, SimulationConfig};
-use crate::group::GroupScheme;
+use crate::group::{GroupId, GroupScheme};
 use crate::peer::PeerState;
 use crate::provider::SelectionPolicy;
 
 use super::{
-    first_storage_match, high_degree_fallback_into, LocalMatch, PeerView, Protocol, QueryContext,
-    ResponseContext,
+    first_storage_match, high_degree_fallback_into, neighbors_matching_gid_into, LocalMatch,
+    PeerView, Protocol, QueryContext, ResponseContext,
 };
 
 /// The Locaware policy (and its ablation variants).
@@ -154,22 +154,16 @@ impl Protocol for Locaware {
         //    query's keywords are hashed once (at the catalog) and probed
         //    against each neighbour's filter words directly.
         if self.use_bloom_routing {
-            view.state.neighbors_matching_bloom_into(
-                query.keyword_hashes,
-                |n| Some(n) != exclude && view.graph.is_active(n),
-                out,
-            );
+            let row = view.graph.neighbors(view.state.id);
+            view.state.neighbors_matching_bloom_into(row, query.keyword_hashes, exclude, out);
             if !out.is_empty() {
                 return ForwardDecision::BloomMatch;
             }
         }
         // 2. Neighbours whose Gid matches the query ("matched Gid wrt q").
         let scheme = view.scheme;
-        view.state.neighbors_matching_gid_into(
-            |gid| scheme.gid_matches_any_keyword(gid, query.keywords),
-            |n| Some(n) != exclude && view.graph.is_active(n),
-            out,
-        );
+        let matches = |gid| scheme.gid_matches_any_keyword(gid, query.keywords);
+        neighbors_matching_gid_into(view, matches, exclude, out);
         if !out.is_empty() {
             return ForwardDecision::GidMatch;
         }
@@ -231,13 +225,14 @@ impl Protocol for Locaware {
     fn cache_response(
         &self,
         state: &mut PeerState,
+        gid: GroupId,
         scheme: &GroupScheme,
         response: &ResponseContext<'_>,
     ) {
         // Cache only at peers whose Gid matches hash(f) mod M (§4.1.2 keeps the
         // Dicas placement rule), but cache *all* advertised providers plus the
         // requestor as a new provider.
-        if !scheme.gid_matches_file(state.gid, response.file) {
+        if !scheme.gid_matches_file(gid, response.file) {
             return;
         }
         let providers = response
@@ -326,15 +321,14 @@ mod tests {
         let scheme = fx.scheme;
         let file = FileId(0);
         let matching_gid = scheme.group_of_file(file);
-        // Make peer 0 eligible to cache this file.
-        fx.peers[0].gid = matching_gid;
 
         let offered = [
             ProviderEntry { provider: PeerId(7), loc_id: LocId(3) },
             ProviderEntry { provider: PeerId(8), loc_id: LocId(1) },
         ];
         let response = response(&fx.catalog, file, &[], &offered);
-        protocol.cache_response(&mut fx.peers[0], &scheme, &response);
+        // A peer of the file's group caches it.
+        protocol.cache_response(&mut fx.peers[0], matching_gid, &scheme, &response);
         let entry = fx.peers[0].response_index.entry(file).unwrap();
         let providers: Vec<u32> = entry.providers().iter().map(|p| p.peer.0).collect();
         assert!(providers.contains(&7));
@@ -342,9 +336,8 @@ mod tests {
         assert!(providers.contains(&4), "the requestor becomes a provider (§4.1.2)");
 
         // A non-matching peer does not cache.
-        let other_gid = crate::group::GroupId((matching_gid.value() + 1) % 4);
-        fx.peers[1].gid = other_gid;
-        protocol.cache_response(&mut fx.peers[1], &scheme, &response);
+        let other_gid = GroupId((matching_gid.value() + 1) % 4);
+        protocol.cache_response(&mut fx.peers[1], other_gid, &scheme, &response);
         assert!(!fx.peers[1].response_index.contains(file));
     }
 

@@ -37,7 +37,7 @@ use locaware_overlay::{ForwardDecision, OverlayGraph, PeerId, ProviderEntry, Que
 use locaware_workload::{Catalog, FileId, KeywordHashes, KeywordId};
 
 use crate::config::{ProtocolKind, SimulationConfig};
-use crate::group::GroupScheme;
+use crate::group::{GroupId, GroupScheme};
 use crate::peer::{keyword_signature, PeerState};
 use crate::provider::SelectionPolicy;
 
@@ -47,8 +47,11 @@ use crate::provider::SelectionPolicy;
 pub struct PeerView<'a> {
     /// The deciding peer's state.
     pub state: &'a PeerState,
-    /// The overlay graph (for neighbour lists and degrees).
+    /// The overlay graph (for neighbour lists and degrees). Its rows hold
+    /// only online peers: a departure removes every edge of the peer.
     pub graph: &'a OverlayGraph,
+    /// Every peer's group id, by peer index (for the group-id rules).
+    pub group_ids: &'a [GroupId],
     /// The group scheme in force.
     pub scheme: &'a GroupScheme,
     /// The global catalog (for filename keyword lookups).
@@ -212,10 +215,12 @@ pub trait Protocol: Send + Sync {
     fn local_match(&self, view: &PeerView<'_>, query: &QueryContext<'_>) -> Option<LocalMatch>;
 
     /// Lets an intermediate peer cache a passing response according to the
-    /// protocol's caching rule.
+    /// protocol's caching rule; `gid` is the peer's group id, from the run's
+    /// table.
     fn cache_response(
         &self,
         state: &mut PeerState,
+        gid: GroupId,
         scheme: &GroupScheme,
         response: &ResponseContext<'_>,
     );
@@ -242,13 +247,22 @@ pub(crate) fn all_neighbors_except_into(
     exclude: Option<PeerId>,
     out: &mut Vec<PeerId>,
 ) {
-    out.extend(
-        view.graph
-            .neighbors(view.state.id)
-            .iter()
-            .copied()
-            .filter(|&n| Some(n) != exclude && view.graph.is_active(n)),
-    );
+    out.extend(view.graph.neighbors(view.state.id).iter().copied().filter(|&n| Some(n) != exclude));
+}
+
+/// Shared helper: appends (in id order) every neighbour except `exclude`
+/// whose group id satisfies `predicate`.
+pub(crate) fn neighbors_matching_gid_into(
+    view: &PeerView<'_>,
+    predicate: impl Fn(GroupId) -> bool,
+    exclude: Option<PeerId>,
+    out: &mut Vec<PeerId>,
+) {
+    for &n in view.graph.neighbors(view.state.id) {
+        if Some(n) != exclude && predicate(view.group_ids[n.index()]) {
+            out.push(n);
+        }
+    }
 }
 
 /// Shared helper: the single highest-degree neighbour (excluding `exclude`),
@@ -262,7 +276,7 @@ pub(crate) fn high_degree_fallback(
         .neighbors(view.state.id)
         .iter()
         .copied()
-        .filter(|&n| Some(n) != exclude && view.graph.is_active(n))
+        .filter(|&n| Some(n) != exclude)
         .max_by_key(|&n| (view.graph.degree(n), std::cmp::Reverse(n.0)))
 }
 
@@ -319,8 +333,6 @@ pub(crate) mod test_support {
     use locaware_overlay::OverlayGraph;
     use locaware_workload::{Catalog, Filename, KeywordPool};
 
-    use crate::group::GroupId;
-
     /// A response about `file` as a relay sees it: the catalog's keywords for
     /// the file, the query's keywords and the offered providers all borrowed,
     /// requested by peer 4 at locality 1.
@@ -348,6 +360,7 @@ pub(crate) mod test_support {
         pub graph: OverlayGraph,
         pub catalog: Catalog,
         pub scheme: GroupScheme,
+        pub group_ids: Vec<GroupId>,
         pub peers: Vec<PeerState>,
     }
 
@@ -374,21 +387,17 @@ pub(crate) mod test_support {
             let catalog = Catalog::from_filenames(KeywordPool::new(keywords), filenames);
             let scheme = GroupScheme::new(modulus);
 
+            let group_ids: Vec<GroupId> = (0..5u32).map(|i| GroupId(i % modulus)).collect();
             let peers = (0..5u32)
                 .map(|i| {
-                    let mut p = PeerState::new(
+                    PeerState::new(
                         PeerId(i),
                         LocId(i % 3),
-                        GroupId(i % modulus),
                         BloomParams::default(),
                         8,
                         4,
                         catalog.keyword_hashes().clone(),
-                    );
-                    for n in graph.neighbors(PeerId(i)) {
-                        p.record_neighbor(*n, GroupId(n.0 % modulus));
-                    }
-                    p
+                    )
                 })
                 .collect();
 
@@ -396,6 +405,7 @@ pub(crate) mod test_support {
                 graph,
                 catalog,
                 scheme,
+                group_ids,
                 peers,
             }
         }
@@ -409,6 +419,7 @@ pub(crate) mod test_support {
             PeerView {
                 state: &self.peers[peer],
                 graph: &self.graph,
+                group_ids: &self.group_ids,
                 scheme: &self.scheme,
                 catalog: &self.catalog,
             }
@@ -442,6 +453,20 @@ mod tests {
         let mut without_2 = Vec::new();
         all_neighbors_except_into(&view, Some(PeerId(2)), &mut without_2);
         assert_eq!(without_2, vec![PeerId(1), PeerId(3), PeerId(4)]);
+    }
+
+    /// A neighbour's group id is read from the run's table, and the sender
+    /// is never a target.
+    #[test]
+    fn gid_rule_reads_the_run_table() {
+        let mut fx = Fixture::new(4);
+        fx.group_ids[2] = GroupId(3);
+        let mut out = Vec::new();
+        neighbors_matching_gid_into(&fx.view(0), |gid| gid == GroupId(3), None, &mut out);
+        assert_eq!(out, vec![PeerId(2), PeerId(3)]);
+        out.clear();
+        neighbors_matching_gid_into(&fx.view(0), |gid| gid == GroupId(3), Some(PeerId(2)), &mut out);
+        assert_eq!(out, vec![PeerId(3)]);
     }
 
     #[test]
@@ -552,9 +577,8 @@ mod tests {
                      keywords: &[KeywordId],
                      providers: &[(PeerId, LocId)]| {
             let mut fx = Fixture::new(4);
-            fx.peers[0].gid = gid;
             let context = response(&fx.catalog, file, query_keywords, &offered);
-            protocol.cache_response(&mut fx.peers[0], &fx.scheme, &context);
+            protocol.cache_response(&mut fx.peers[0], gid, &fx.scheme, &context);
 
             let kind = protocol.kind();
             let entry = fx.peers[0].response_index.entry(file).expect("cached");

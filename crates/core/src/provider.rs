@@ -82,7 +82,7 @@ pub fn select_provider<R: Rng + ?Sized>(
                 });
             }
             // 2. Fallback of §5.1: probe every offered provider and take the
-            //    smallest RTT (ties broken by peer id, like ProximityProbe).
+            //    smallest RTT, ties broken by the lower peer id.
             let mut best: Option<(Duration, &ProviderEntry)> = None;
             for entry in offered {
                 let rtt = latencies.rtt(topology, requestor, entry.provider);

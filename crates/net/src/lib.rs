@@ -19,8 +19,6 @@
 //! * [`landmark`] — landmark placement and per-peer RTT measurement vectors,
 //! * [`locid`] — [`LocId`]: the landmark-ordering fingerprint, encoded as a
 //!   Lehmer-coded permutation index (4 landmarks ⇒ 4! = 24 distinct ids),
-//! * [`proximity`] — RTT probing used by the §5.1 fallback rule ("measure RTT to
-//!   the available providers and choose the smallest"),
 //! * [`latency_cache`] — [`LinkLatencyCache`]: per-link latencies computed once
 //!   per topology and reused across every message delivery of a simulation.
 //!
@@ -38,7 +36,6 @@ pub mod coordinates;
 pub mod landmark;
 pub mod latency_cache;
 pub mod locid;
-pub mod proximity;
 pub mod topology;
 
 pub use brite::{BriteConfig, BriteGenerator};
@@ -46,5 +43,4 @@ pub use coordinates::Point;
 pub use landmark::{LandmarkSet, RttVector};
 pub use latency_cache::LinkLatencyCache;
 pub use locid::LocId;
-pub use proximity::{closest_by_rtt, ProximityProbe};
 pub use topology::{NodeId, PhysicalTopology};

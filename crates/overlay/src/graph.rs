@@ -8,11 +8,12 @@
 //! from the generator's rows) with a copy-on-write overlay for rows mutated
 //! after that: a quiescent graph costs 4 bytes per peer plus 4 bytes per directed edge,
 //! instead of a heap-allocated `Vec` per peer, and cloning it — which every
-//! protocol run does once — is two `memcpy`s. Mutations (churn rewiring)
-//! lift just the touched rows into the overlay; reads always see the merged
-//! view, so the representation change is invisible to callers.
+//! protocol run does once — is two `memcpy`s. The first mutation (churn
+//! rewiring) gives the overlay one slot per peer, and each mutation lifts
+//! just the touched rows into it; reads always see the merged view, so the
+//! representation change is invisible to callers.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::PeerId;
 
@@ -27,12 +28,14 @@ pub struct OverlayGraph {
     offsets: Vec<u32>,
     /// All base neighbour lists, concatenated; each row sorted, duplicate-free.
     arena: Vec<PeerId>,
-    /// Copy-on-write rows mutated since the CSR base was built;
-    /// a present row overrides the base row entirely. Empty on the hot path
-    /// (no churn yet), which reads check with one branch.
-    dirty: HashMap<u32, Vec<PeerId>>,
-    /// Peers that have left the overlay (ids are never reused).
-    departed: Vec<bool>,
+    /// Copy-on-write rows mutated since the CSR base was built, by peer
+    /// index; a present row overrides the base row entirely. Empty until the
+    /// first mutation, then one slot per peer, so a read is one indexed load
+    /// either way.
+    lifted: Vec<Option<Vec<PeerId>>>,
+    /// One bit per peer, set while the peer is in the overlay (ids are never
+    /// reused): bit `i % 64` of word `i / 64`.
+    online: Vec<u64>,
     edges: usize,
 }
 
@@ -56,12 +59,16 @@ impl OverlayGraph {
             )]
             offsets.push(u32::try_from(arena.len()).expect("edge arena exceeds u32 offsets"));
         }
+        let mut online = vec![u64::MAX; rows.len().div_ceil(64)];
+        if let Some(last) = online.last_mut() {
+            *last >>= (64 - rows.len() % 64) % 64;
+        }
         OverlayGraph {
             offsets,
             edges: arena.len() / 2,
             arena,
-            dirty: HashMap::new(),
-            departed: vec![false; rows.len()],
+            lifted: Vec::new(),
+            online,
         }
     }
 
@@ -77,19 +84,20 @@ impl OverlayGraph {
 
     /// The merged (base or copy-on-write) row of peer index `i`.
     fn row(&self, i: usize) -> &[PeerId] {
-        if !self.dirty.is_empty() {
-            if let Some(row) = self.dirty.get(&(i as u32)) {
-                return row;
-            }
+        match self.lifted.get(i) {
+            Some(Some(row)) => row,
+            _ => &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize],
         }
-        &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// The mutable row of peer index `i`, lifted into the copy-on-write
     /// overlay on first touch.
     fn row_mut(&mut self, i: usize) -> &mut Vec<PeerId> {
+        if self.lifted.is_empty() {
+            self.lifted.resize(self.len(), None);
+        }
         let base = &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize];
-        self.dirty.entry(i as u32).or_insert_with(|| base.to_vec())
+        self.lifted[i].get_or_insert_with(|| base.to_vec())
     }
 
     /// Number of undirected edges.
@@ -109,21 +117,34 @@ impl OverlayGraph {
 
     /// Number of peers currently in the overlay.
     pub fn active_count(&self) -> usize {
-        self.departed.iter().filter(|&&d| !d).count()
+        self.online.iter().map(|word| word.count_ones() as usize).sum()
     }
 
-    /// Iterator over all active peers.
+    /// Iterator over all active peers, in id order.
     pub fn active_peers(&self) -> impl Iterator<Item = PeerId> + '_ {
-        self.departed
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| !d)
-            .map(|(i, _)| PeerId(i as u32))
+        (0..self.len()).map(|i| PeerId(i as u32)).filter(|&p| self.is_active(p))
+    }
+
+    /// The `n`-th active peer in id order (0-based), if there are that many:
+    /// one popcount per 64 peers skipped, no list built.
+    pub fn nth_active(&self, mut n: usize) -> Option<PeerId> {
+        for (w, &word) in self.online.iter().enumerate() {
+            let ones = word.count_ones() as usize;
+            if n < ones {
+                let mut word = word;
+                for _ in 0..n {
+                    word &= word - 1; // clear the lowest set bit
+                }
+                return Some(PeerId((w * 64) as u32 + word.trailing_zeros()));
+            }
+            n -= ones;
+        }
+        None
     }
 
     /// True if `p` is currently part of the overlay.
     pub fn is_active(&self, p: PeerId) -> bool {
-        !self.departed[p.index()]
+        self.online[p.index() / 64] >> (p.index() % 64) & 1 == 1
     }
 
     /// The sorted neighbour list of `p`.
@@ -134,17 +155,6 @@ impl OverlayGraph {
     /// Degree of `p`.
     pub fn degree(&self, p: PeerId) -> usize {
         self.row(p.index()).len()
-    }
-
-    /// The neighbour of `p` with the highest degree (ties broken by id), if any.
-    ///
-    /// This implements the last-resort forwarding rule of §4.2: "or to a highly
-    /// connected neighbor [...] to avoid blocking the query forwarding".
-    pub fn highest_degree_neighbor(&self, p: PeerId) -> Option<PeerId> {
-        self.row(p.index())
-            .iter()
-            .copied()
-            .max_by_key(|&n| (self.degree(n), std::cmp::Reverse(n.0)))
     }
 
     /// Iterator over every undirected edge, each reported once as `(a, b)`
@@ -205,19 +215,24 @@ impl OverlayGraph {
     }
 
     /// Disconnects `p` from all its neighbours and marks it departed.
-    /// Returns the neighbours it had (used by churn to re-wire on rejoin).
+    /// Returns the neighbours it had (churn drops the state held across
+    /// those links).
     pub fn depart(&mut self, p: PeerId) -> Vec<PeerId> {
-        let neighbors = self.row(p.index()).to_vec();
-        for n in &neighbors {
-            self.remove_edge(p, *n);
+        let neighbors = std::mem::take(self.row_mut(p.index()));
+        for &n in &neighbors {
+            let row = self.row_mut(n.index());
+            if let Ok(i) = row.binary_search(&p) {
+                row.remove(i);
+            }
         }
-        self.departed[p.index()] = true;
+        self.edges -= neighbors.len();
+        self.online[p.index() / 64] &= !(1 << (p.index() % 64));
         neighbors
     }
 
     /// Marks a departed peer as active again (without edges; the caller wires it).
     pub fn rejoin(&mut self, p: PeerId) {
-        self.departed[p.index()] = false;
+        self.online[p.index() / 64] |= 1 << (p.index() % 64);
     }
 
     /// Peers reachable from `start` (breadth-first), including `start` itself.
@@ -317,25 +332,32 @@ mod tests {
         assert_eq!(g.degree(PeerId(2)), 3);
     }
 
+    /// The online bitset across word boundaries: counts, id-order iteration
+    /// and `nth_active` agree, for sizes on and off a multiple of 64.
     #[test]
-    fn highest_degree_neighbor_breaks_ties_by_id() {
-        let mut g = OverlayGraph::new(6);
-        // 0 - 1, 0 - 2; 1 has extra edges making it the hub.
-        g.add_edge(PeerId(0), PeerId(1));
-        g.add_edge(PeerId(0), PeerId(2));
-        g.add_edge(PeerId(1), PeerId(3));
-        g.add_edge(PeerId(1), PeerId(4));
-        assert_eq!(g.highest_degree_neighbor(PeerId(0)), Some(PeerId(1)));
-        // Peer 5 has no neighbours at all.
-        assert_eq!(g.highest_degree_neighbor(PeerId(5)), None);
-        // Tie: both neighbours of 3 have degree 3 after adding edges? make a tie explicitly.
-        let mut tie = OverlayGraph::new(4);
-        tie.add_edge(PeerId(0), PeerId(1));
-        tie.add_edge(PeerId(0), PeerId(2));
-        tie.add_edge(PeerId(1), PeerId(3));
-        tie.add_edge(PeerId(2), PeerId(3));
-        // Neighbours of 0 are 1 and 2, both degree 2 → lowest id wins.
-        assert_eq!(tie.highest_degree_neighbor(PeerId(0)), Some(PeerId(1)));
+    fn online_peers_are_counted_and_selected_in_id_order() {
+        for peers in [0, 1, 63, 64, 65, 130] {
+            let mut g = OverlayGraph::new(peers);
+            for p in (0..peers as u32).filter(|p| p % 3 == 0 || p % 64 == 63) {
+                g.depart(PeerId(p));
+            }
+            let online: Vec<PeerId> = (0..peers as u32)
+                .filter(|p| !(p % 3 == 0 || p % 64 == 63))
+                .map(PeerId)
+                .collect();
+            assert_eq!(g.active_peers().collect::<Vec<_>>(), online, "{peers} peers");
+            assert_eq!(g.active_count(), online.len());
+            for (n, &p) in online.iter().enumerate() {
+                assert_eq!(g.nth_active(n), Some(p));
+                assert!(g.is_active(p));
+            }
+            assert_eq!(g.nth_active(online.len()), None);
+            if let Some(&first) = online.first() {
+                g.depart(first);
+                g.rejoin(first);
+                assert_eq!(g.active_peers().collect::<Vec<_>>(), online, "a rejoin restores the bit");
+            }
+        }
     }
 
     #[test]

@@ -103,10 +103,12 @@ pub enum Message {
         /// at caching peers along the path (§4.1.2).
         requestor: ProviderEntry,
     },
-    /// Full Bloom filter push to a neighbour (sent on join or as a fallback).
+    /// Full Bloom filter push to a neighbour, sent by both ends of a link a
+    /// rejoin creates.
     BloomFull {
-        /// The sender's complete filter.
-        filter: BloomFilter,
+        /// The sender's complete filter, shared with its export and with
+        /// every other copy sent of it.
+        filter: Arc<BloomFilter>,
     },
     /// Incremental Bloom update: positions of changed bits (§4.2 footnote).
     BloomDelta {
@@ -245,7 +247,7 @@ mod tests {
         assert_eq!(sample_query().kind(), MessageKind::Query);
         let filter = BloomFilter::paper_default();
         let delta = BloomDelta::between(&filter, &filter);
-        assert_eq!(Message::BloomFull { filter }.kind(), MessageKind::BloomFull);
+        assert_eq!(Message::BloomFull { filter: Arc::new(filter) }.kind(), MessageKind::BloomFull);
         assert_eq!(Message::BloomDelta { delta }.kind(), MessageKind::BloomDelta);
     }
 
@@ -254,7 +256,7 @@ mod tests {
         let q = sample_query();
         assert_eq!(q.query_id(), Some(QueryId(42)));
         let bloom = Message::BloomFull {
-            filter: BloomFilter::paper_default(),
+            filter: Arc::new(BloomFilter::paper_default()),
         };
         assert_eq!(bloom.query_id(), None);
     }
@@ -329,7 +331,7 @@ mod tests {
         filter.insert("some");
         let words = filter.words().len();
         let full = Message::BloomFull {
-            filter: filter.clone(),
+            filter: Arc::new(filter.clone()),
         };
         assert_eq!(full.wire_size(), 1 + 4 + 8 * words);
 
@@ -347,7 +349,7 @@ mod tests {
         filter.insert("some");
         filter.insert("keywords");
         let full = Message::BloomFull {
-            filter: filter.clone(),
+            filter: Arc::new(filter.clone()),
         };
         let mut newer = filter.clone();
         newer.insert("fresh");

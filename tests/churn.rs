@@ -7,7 +7,8 @@
 //! that Locaware's multi-provider indexes degrade more gracefully than a
 //! single-provider cache, that the churn horizon covers the arrival
 //! schedule's full span, that DHT lookups into crashed peers still
-//! complete, and that a rejoin never sends a response round a cycle.
+//! complete, that a rejoin never sends a response round a cycle, and that
+//! Bloom and group-id routing forward only over links the overlay graph has.
 
 use locaware::{ProtocolKind, Scenario, Simulation, SimulationConfig, SimulationReport};
 use locaware_overlay::ChurnConfig;
@@ -202,6 +203,33 @@ fn short_offline_gaps_cannot_make_a_response_cycle() {
             "{protocol} seed {seed}: {} events",
             report.dispatched_events
         );
+    }
+}
+
+/// The overlay graph is the one record of adjacency, in both departure modes:
+/// the Bloom and group-id rules forward only to graph neighbours, graph rows
+/// are symmetric and hold only online peers, and no neighbour filter
+/// outlives its link. Debug builds check all of it on every forward and at
+/// every churn barrier; these runs reach those checks through every
+/// rejoin's full-filter swap, at one and at four shards.
+#[test]
+fn routing_follows_the_graph_through_churn() {
+    let storm = Scenario::churn_storm(120).config().clone();
+    let mut crash_stop = FaultConfig::disabled();
+    crash_stop.crash_stop = true;
+    for faults in [FaultConfig::disabled(), crash_stop] {
+        let simulation = Sharded::new(SimulationConfig { faults: faults.clone(), ..storm.clone() });
+        for protocol in [ProtocolKind::Locaware, ProtocolKind::Dicas, ProtocolKind::DicasKeys] {
+            let report = simulation.run(protocol, 200);
+            let crashes = report.faults.map_or(0, |stats| stats.crash_departures);
+            assert_eq!(crashes > 0, faults.crash_stop, "{protocol}: departures take the configured path");
+            let full_filters = report.message_counters.get(&"bloom-full".to_string());
+            let syncs = protocol == ProtocolKind::Locaware;
+            assert_eq!(full_filters > 0, syncs, "{protocol}: rejoins swap full filters iff Bloom sync runs");
+            for record in report.metrics.records() {
+                assert!(record.completion_time_ms.is_some(), "{protocol}: query {} never completed", record.index);
+            }
+        }
     }
 }
 

@@ -13,9 +13,7 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use locaware::{
-    GroupId, PeerState, ProtocolKind, ResponseIndex, Scenario, SelectionPolicy, SimulationConfig,
-};
+use locaware::{PeerState, ProtocolKind, ResponseIndex, Scenario, SelectionPolicy, SimulationConfig};
 use locaware_bloom::{BloomDelta, BloomFilter, BloomParams};
 use locaware_net::{LandmarkSet, LocId, NodeId, PhysicalTopology};
 use locaware_net::brite::{BriteConfig, BriteGenerator, PlacementModel};
@@ -734,99 +732,73 @@ proptest! {
         }
     }
 
-    /// A peer's neighbour row against a `BTreeMap` model under record,
-    /// forget, re-record, full Bloom pushes, Bloom deltas and volatile resets:
-    /// the row stays strictly id-sorted and equal to the model, the matching
-    /// functions return exactly the model's id-ordered answer, and the
-    /// `_into` forms append to the caller's buffer without clearing it.
+    /// A peer's neighbour filters against a `BTreeMap<PeerId, BloomFilter>`
+    /// model under full Bloom pushes, Bloom deltas, drops and volatile
+    /// resets: the views stay strictly id-sorted and equal to the model, and
+    /// after every step the Bloom rule, walked against a random id-sorted
+    /// graph row, returns exactly the model's id-ordered answer — a
+    /// neighbour with no view matches nothing, a view off the row is never a
+    /// target — appending to the caller's buffer without clearing it.
     #[test]
-    fn neighbor_rows_match_the_ordered_map_model(
-        ops in proptest::collection::vec((0u32..12, 0u32..10, 0u32..4, 0u32..6), 1..120),
+    fn bloom_views_match_the_ordered_map_model(
+        ops in proptest::collection::vec((0u32..10, 0u32..12, 0u32..6, any::<u16>()), 1..120),
     ) {
         let params = BloomParams::new(256, 3);
         let mut state = PeerState::new(
             PeerId(1000),
             LocId(0),
-            GroupId(0),
             params,
             4,
             3,
             Arc::new(KeywordHashes::empty()),
         );
-        let mut model: BTreeMap<PeerId, (GroupId, Option<BloomFilter>)> = BTreeMap::new();
-        for (kind, neighbor, gid, keyword) in ops {
-            let (neighbor, gid, keyword) = (PeerId(neighbor), GroupId(gid), KeywordId(keyword));
+        let mut model: BTreeMap<PeerId, BloomFilter> = BTreeMap::new();
+        for (kind, neighbor, keyword, row_bits) in ops {
+            let (neighbor, keyword) = (PeerId(neighbor), KeywordId(keyword));
             match kind {
-                0..=3 => {
-                    state.record_neighbor(neighbor, gid);
-                    model.insert(neighbor, (gid, None));
-                }
-                4..=5 => {
-                    state.forget_neighbor(neighbor);
-                    model.remove(&neighbor);
-                }
-                6..=7 => {
+                0..=2 => {
                     let mut bloom = BloomFilter::new(params);
                     bloom.insert(&keyword.canonical());
                     state.set_neighbor_bloom(neighbor, Arc::new(bloom.clone()));
-                    if let Some((_, held)) = model.get_mut(&neighbor) {
-                        *held = Some(bloom);
-                    }
+                    model.insert(neighbor, bloom);
                 }
-                8..=10 => {
-                    let before = match model.get(&neighbor) {
-                        Some((_, Some(held))) => held.clone(),
-                        _ => BloomFilter::new(params),
-                    };
+                3..=5 => {
+                    let before = model.get(&neighbor).cloned().unwrap_or_else(|| BloomFilter::new(params));
                     let mut after = before.clone();
                     after.insert(&keyword.canonical());
                     let delta = BloomDelta::between(&before, &after);
                     state.apply_neighbor_bloom_delta(neighbor, &delta);
-                    if let Some((_, held)) = model.get_mut(&neighbor) {
-                        delta.apply(held.get_or_insert_with(|| BloomFilter::new(params)));
-                    }
+                    delta.apply(model.entry(neighbor).or_insert_with(|| BloomFilter::new(params)));
+                }
+                6..=8 => {
+                    state.drop_neighbor_bloom(neighbor);
+                    model.remove(&neighbor);
                 }
                 _ => {
                     state.reset_volatile_state();
-                    for (_, held) in model.values_mut() {
-                        *held = None;
-                    }
+                    model.clear();
                 }
             }
 
-            let row = state.neighbors();
-            prop_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row must be strictly id-sorted");
-            let row: Vec<(PeerId, GroupId, Option<BloomFilter>)> = row
-                .iter()
-                .map(|(n, info)| (*n, info.gid, info.bloom.as_deref().cloned()))
-                .collect();
-            let expected: Vec<(PeerId, GroupId, Option<BloomFilter>)> = model
-                .iter()
-                .map(|(&n, (g, held))| (n, *g, held.clone()))
-                .collect();
-            prop_assert_eq!(row, expected);
+            let views = state.bloom_views();
+            prop_assert!(views.windows(2).all(|w| w[0].0 < w[1].0), "views must be strictly id-sorted");
+            let views: Vec<(PeerId, BloomFilter)> =
+                views.iter().map(|(n, view)| (*n, view.as_ref().clone())).collect();
+            let expected: Vec<(PeerId, BloomFilter)> =
+                model.iter().map(|(&n, bloom)| (n, bloom.clone())).collect();
+            prop_assert_eq!(views, expected);
 
-            // The `_into` forms append after what the buffer holds and skip
-            // the neighbours `keep` rejects.
+            // The graph row is any id-sorted subset of the ids in play, and
+            // the neighbour just touched is the one the query came from.
+            let row: Vec<PeerId> = (0..12).filter(|bit| row_bits & 1 << bit != 0).map(PeerId).collect();
             let kept = PeerId(u32::MAX);
-            let not_this = |n: PeerId| n != neighbor;
             let mut out = vec![kept];
-            state.neighbors_matching_gid_into(|g| g == gid, not_this, &mut out);
-            state.neighbors_matching_bloom_into(
-                &[state.keyword_hashes().of(keyword)],
-                not_this,
-                &mut out,
-            );
-            let others = || model.iter().filter(|&(&n, _)| not_this(n));
+            let hashes = [state.keyword_hashes().of(keyword)];
+            state.neighbors_matching_bloom_into(&row, &hashes, Some(neighbor), &mut out);
             let mut expected = vec![kept];
-            expected.extend(others().filter(|&(_, &(g, _))| g == gid).map(|(&n, _)| n));
-            expected.extend(
-                others()
-                    .filter(|(_, (_, held))| {
-                        held.as_ref().is_some_and(|b| b.contains(&keyword.canonical()))
-                    })
-                    .map(|(&n, _)| n),
-            );
+            expected.extend(row.iter().copied().filter(|&n| {
+                n != neighbor && model.get(&n).is_some_and(|b| b.contains(&keyword.canonical()))
+            }));
             prop_assert_eq!(out, expected);
         }
     }
