@@ -9,20 +9,15 @@
 //! ones"*, and the cache capacity is bounded by the peer's storage (the paper
 //! sizes its Bloom filter for 50 filenames).
 //!
-//! [`ResponseIndex`] implements exactly that: a bounded map from file to a
-//! bounded, recency-ordered provider list, with least-recently-updated filename
-//! eviction and explicit eviction reporting so the owning peer can keep its
-//! Bloom filter in sync.
-//!
-//! Two auxiliary structures keep the per-query cost flat as the index grows:
-//! a recency set ordered by `(last_touched, file)` makes eviction an ordered
-//! first-element pop instead of an O(n) min-scan, and an inverted keyword →
-//! files postings map lets [`ResponseIndex::lookup_by_keywords`] touch only
-//! the entries sharing a query keyword instead of scanning every cached
-//! filename. Both are maintained incrementally on insert/touch/evict and are
-//! pure functions of the entry map, so observable behaviour is identical to
-//! the naive scans (pinned by the model-based property test against the
-//! test-only `naive` reference model).
+//! [`ResponseIndex`] implements exactly that: one vector of entries ordered
+//! least recently touched first, each with a bounded, recency-ordered provider
+//! list. An insert moves its entry to the back, so eviction takes the front,
+//! and every eviction is reported so the owning peer can keep its Bloom filter
+//! in sync. The cache is small (at most 50 filenames, usually a handful), so
+//! every lookup is a scan: by file id, or for a keyword query behind each
+//! entry's 64-bit keyword signature, the same one-word prefilter the storage
+//! walk uses. The model-based property test pins it against the test-only
+//! `naive` reference model.
 //!
 //! Invalidation is lazy, as in the paper: a departed provider's records stay
 //! until newer providers replace them (§4.1.2), and the engine filters
@@ -30,12 +25,11 @@
 //! is the eager alternative — a scan of the whole cache, which no simulation
 //! run calls.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
-
 use locaware_net::LocId;
 use locaware_overlay::PeerId;
 use locaware_workload::{FileId, KeywordId};
+
+use crate::peer::keyword_signature;
 
 /// One provider entry in the index: address + location id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,10 +50,11 @@ pub struct IndexEntry {
     /// All keywords of the filename (needed for keyword matching and for
     /// Bloom-filter maintenance on eviction).
     pub keywords: Vec<KeywordId>,
+    /// [`keyword_signature`] of `keywords`: a query whose own signature it
+    /// does not cover cannot match, so the keyword comparison is skipped.
+    signature: u64,
     /// Known providers, oldest first, newest last.
     providers: Vec<ProviderRecord>,
-    /// Recency stamp of the last touch of this entry (insert or provider add).
-    last_touched: u64,
 }
 
 impl IndexEntry {
@@ -93,95 +88,17 @@ pub struct Eviction {
 /// The bounded, location-aware response index of one peer.
 #[derive(Debug, Clone)]
 pub struct ResponseIndex {
-    entries: HashMap<FileId, IndexEntry>,
+    /// The cached filenames, least recently touched first: the front is the
+    /// next eviction victim. Unallocated until the first insert, since most
+    /// peers of a large run never cache an entry.
+    entries: Vec<IndexEntry>,
     /// Maximum number of distinct filenames (paper: 50).
     capacity: usize,
     /// Maximum providers kept per filename.
     max_providers: usize,
-    /// Monotonic recency counter.
+    /// Monotonic recency counter, the providers' freshness stamps.
     clock: u64,
-    /// Entries ordered by `(last_touched, file)`: the first element is always
-    /// the next eviction victim. `last_touched` values are unique per touch
-    /// (the clock ticks on every insert), so membership is one exact key.
-    recency: BTreeSet<(u64, FileId)>,
-    /// Inverted index: keyword → cached files whose filename contains it
-    /// (each list sorted by file id, matching the entry's keyword *set*).
-    postings: HashMap<KeywordId, PostingsList>,
 }
-
-/// The file list of one postings-map keyword.
-///
-/// With a 9000-keyword pool and ~50 cached filenames of 3 keywords, almost
-/// every keyword maps to exactly one file; storing that case inline avoids a
-/// heap allocation per keyword on the insert/evict path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum PostingsList {
-    /// A single file (no heap allocation).
-    One(FileId),
-    /// Two or more files, sorted by id.
-    Many(Vec<FileId>),
-}
-
-impl PostingsList {
-    /// The files as a sorted slice.
-    fn as_slice(&self) -> &[FileId] {
-        match self {
-            PostingsList::One(file) => std::slice::from_ref(file),
-            PostingsList::Many(files) => files,
-        }
-    }
-
-    /// Adds `file`, keeping the list sorted and duplicate-free.
-    fn add(&mut self, file: FileId) {
-        match self {
-            PostingsList::One(existing) if *existing == file => {}
-            PostingsList::One(existing) => {
-                let mut files = vec![*existing, file];
-                files.sort_unstable();
-                *self = PostingsList::Many(files);
-            }
-            PostingsList::Many(files) => {
-                if let Err(pos) = files.binary_search(&file) {
-                    files.insert(pos, file);
-                }
-            }
-        }
-    }
-
-    /// Removes `file`; returns true when the list is now empty (the caller
-    /// drops the postings key).
-    fn remove(&mut self, file: FileId) -> bool {
-        match self {
-            PostingsList::One(existing) => *existing == file,
-            PostingsList::Many(files) => {
-                if let Ok(pos) = files.binary_search(&file) {
-                    files.remove(pos);
-                }
-                if files.is_empty() {
-                    return true;
-                }
-                if files.len() == 1 {
-                    let only = files[0];
-                    *self = PostingsList::One(only);
-                }
-                false
-            }
-        }
-    }
-}
-
-/// Equality is over observable contents (entries and capacities); the recency
-/// set and postings map are derived structures and the clock is internal, so
-/// two indexes that hold the same entries compare equal.
-impl PartialEq for ResponseIndex {
-    fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
-            && self.capacity == other.capacity
-            && self.max_providers == other.max_providers
-    }
-}
-
-impl Eq for ResponseIndex {}
 
 impl ResponseIndex {
     /// Creates an empty index.
@@ -192,15 +109,10 @@ impl ResponseIndex {
         assert!(capacity > 0, "response index capacity must be positive");
         assert!(max_providers > 0, "provider capacity must be positive");
         ResponseIndex {
-            // Allocated on first insert: most peers of a large run never
-            // cache an entry, and a table pre-sized to `capacity` for each of
-            // them is memory the run pays for and never touches.
-            entries: HashMap::new(),
+            entries: Vec::new(),
             capacity,
             max_providers,
             clock: 0,
-            recency: BTreeSet::new(),
-            postings: HashMap::new(),
         }
     }
 
@@ -214,71 +126,34 @@ impl ResponseIndex {
         self.entries.is_empty()
     }
 
-    /// Maximum number of filenames this index holds.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Maximum providers per filename.
-    pub fn max_providers(&self) -> usize {
-        self.max_providers
-    }
-
     /// The entry for `file`, if cached.
     pub fn entry(&self, file: FileId) -> Option<&IndexEntry> {
-        self.entries.get(&file)
+        self.entries.iter().find(|e| e.file == file)
     }
 
     /// True if `file` is cached.
     pub fn contains(&self, file: FileId) -> bool {
-        self.entries.contains_key(&file)
+        self.entry(file).is_some()
     }
 
-    /// Iterator over all entries, least-recently-touched first. Served from
-    /// the recency set so the order is deterministic — the backing hash map's
-    /// is not, and must never escape this module.
+    /// Iterator over all entries, least-recently-touched first.
     pub fn entries(&self) -> impl Iterator<Item = &IndexEntry> {
-        self.recency.iter().map(|&(_, file)| &self.entries[&file])
+        self.entries.iter()
     }
 
-    /// Every cached filename's keywords (with multiplicity across files), used
-    /// to rebuild a Bloom filter from scratch. Recency order, like
-    /// [`ResponseIndex::entries`].
-    pub fn all_keywords(&self) -> impl Iterator<Item = KeywordId> + '_ {
-        self.entries().flat_map(|e| e.keywords.iter().copied())
-    }
-
-    /// Cached files whose filename matches every keyword of `query`.
-    ///
-    /// Served from the inverted postings map: only the files sharing the
-    /// query's rarest keyword are examined, so a miss costs one (or a few)
-    /// hash lookups instead of a scan over every cached entry. Results are
-    /// in file-id order, exactly as the naive full scan would produce.
+    /// Cached files whose filename matches every keyword of `query`, in
+    /// file-id order. Entries whose signature does not cover the query's are
+    /// skipped without comparing keywords.
     pub fn lookup_by_keywords(&self, query: &[KeywordId]) -> Vec<FileId> {
-        if query.is_empty() {
-            return Vec::new();
-        }
-        // Seed candidates from the keyword with the shortest postings list;
-        // if any query keyword has no postings, nothing can match.
-        let mut shortest: Option<&[FileId]> = None;
-        for kw in query {
-            match self.postings.get(kw) {
-                None => return Vec::new(),
-                Some(list) => {
-                    let files = list.as_slice();
-                    if shortest.is_none_or(|s| files.len() < s.len()) {
-                        shortest = Some(files);
-                    }
-                }
-            }
-        }
-        let candidates = shortest.unwrap_or(&[]);
-        // Postings lists are kept in file-id order, so the result is too.
-        candidates
+        let wanted = keyword_signature(query);
+        let mut hits: Vec<FileId> = self
+            .entries
             .iter()
-            .copied()
-            .filter(|&f| self.entries[&f].matches(query))
-            .collect()
+            .filter(|e| e.signature & wanted == wanted && e.matches(query))
+            .map(|e| e.file)
+            .collect();
+        hits.sort_unstable();
+        hits
     }
 
     /// Records providers for `file`, creating the entry if needed. Returns any
@@ -298,37 +173,27 @@ impl ResponseIndex {
         let now = self.clock;
         let mut evictions = Vec::new();
 
-        if !self.entries.contains_key(&file) && self.entries.len() >= self.capacity {
-            evictions.extend(self.evict_least_recent());
-        }
-        let entry = match self.entries.entry(file) {
-            Entry::Occupied(slot) => {
-                // Touch: move the entry to the most-recent end of the
-                // recency order.
-                let entry = slot.into_mut();
-                let was = self.recency.remove(&(entry.last_touched, file));
-                debug_assert!(was, "every entry has a recency key");
-                entry.last_touched = now;
-                entry
-            }
-            Entry::Vacant(slot) => {
-                for &kw in keywords {
-                    match self.postings.entry(kw) {
-                        Entry::Vacant(list) => {
-                            list.insert(PostingsList::One(file));
-                        }
-                        Entry::Occupied(mut list) => list.get_mut().add(file),
-                    }
+        match self.entries.iter().position(|e| e.file == file) {
+            // Touch: move the entry to the most-recent end.
+            Some(at) => self.entries[at..].rotate_left(1),
+            None => {
+                if self.entries.len() >= self.capacity {
+                    let victim = self.entries.remove(0);
+                    evictions.push(Eviction {
+                        file: victim.file,
+                        keywords: victim.keywords,
+                    });
                 }
-                slot.insert(IndexEntry {
+                self.entries.push(IndexEntry {
                     file,
                     keywords: keywords.to_vec(),
+                    signature: keyword_signature(keywords),
                     providers: Vec::new(),
-                    last_touched: now,
-                })
+                });
             }
-        };
-        self.recency.insert((now, file));
+        }
+        let last = self.entries.len() - 1;
+        let entry = &mut self.entries[last];
 
         for (peer, loc_id) in providers {
             match entry.providers.iter_mut().find(|p| p.peer == peer) {
@@ -349,97 +214,65 @@ impl ResponseIndex {
             let overflow = entry.providers.len() - self.max_providers;
             entry.providers.drain(0..overflow);
         }
+        debug_assert!(self.entries.len() <= self.capacity, "filename cap exceeded");
+        debug_assert!(
+            self.entries.iter().all(|e| e.providers.len() <= self.max_providers),
+            "provider cap exceeded"
+        );
         evictions
     }
 
     /// Removes every provider record pointing at `peer` (eager invalidation
     /// of a departed provider). Entries left with no providers are dropped
     /// and reported as evictions, in file-id order.
-    ///
-    /// A scan of the whole cache: the simulation invalidates lazily and never
-    /// calls this, so no structure is kept to make it cheaper.
     pub fn remove_provider(&mut self, peer: PeerId) -> Vec<Eviction> {
-        let mut emptied: Vec<FileId> = Vec::new();
-        for &(_, file) in &self.recency {
-            if let Some(entry) = self.entries.get_mut(&file) {
-                entry.providers.retain(|p| p.peer != peer);
-                if entry.providers.is_empty() {
-                    emptied.push(file);
-                }
+        let mut evictions = Vec::new();
+        self.entries.retain_mut(|entry| {
+            entry.providers.retain(|p| p.peer != peer);
+            let emptied = entry.providers.is_empty();
+            if emptied {
+                evictions.push(Eviction {
+                    file: entry.file,
+                    keywords: std::mem::take(&mut entry.keywords),
+                });
             }
-        }
-        emptied.sort_unstable();
-        emptied
-            .into_iter()
-            .filter_map(|file| self.remove_entry(file))
-            .collect()
-    }
-
-    /// The filename the next capacity overflow would evict (the
-    /// least-recently-touched entry), if any is cached. O(1): the recency
-    /// set's first element, where the naive implementation min-scans.
-    pub fn eviction_candidate(&self) -> Option<FileId> {
-        self.recency.iter().next().map(|&(_, file)| file)
+            !emptied
+        });
+        evictions.sort_unstable_by_key(|e| e.file);
+        evictions
     }
 
     /// Drops everything (used when a peer leaves and rejoins: its cache is lost).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.recency.clear();
-        self.postings.clear();
-    }
-
-    fn evict_least_recent(&mut self) -> Option<Eviction> {
-        // The recency set is ordered by (last_touched, file), so its first
-        // element *is* the least-recently-touched entry the naive min-scan
-        // would find.
-        let &(_, victim) = self.recency.iter().next()?;
-        self.remove_entry(victim)
-    }
-
-    /// Removes one entry and keeps the recency set and the postings map in
-    /// sync.
-    fn remove_entry(&mut self, file: FileId) -> Option<Eviction> {
-        let entry = self.entries.remove(&file)?;
-        let was = self.recency.remove(&(entry.last_touched, file));
-        debug_assert!(was, "every entry has a recency key");
-        for &kw in &entry.keywords {
-            if let Some(list) = self.postings.get_mut(&kw) {
-                if list.remove(file) {
-                    self.postings.remove(&kw);
-                }
-            }
-        }
-        Some(Eviction {
-            file,
-            keywords: entry.keywords,
-        })
     }
 }
 
 #[cfg(test)]
 mod naive {
-    //! The pre-optimization reference implementation of the response index.
+    //! The simplest reference model of the response index.
     //!
     //! [`NaiveResponseIndex`] keeps the exact observable semantics of
-    //! [`super::ResponseIndex`] with the simplest possible data layout: one
-    //! entry map, O(n) min-scan eviction and full-scan keyword lookup. It
-    //! is the model of the property test at the end of this module, which
-    //! asserts that the optimized index and this model produce identical
-    //! evictions and lookup results under arbitrary operation sequences.
+    //! [`super::ResponseIndex`] with explicit recency stamps instead of a
+    //! vector order: one entry map keyed by file, O(n) min-scan eviction and
+    //! a full-scan keyword lookup with no signature. It is the model of the
+    //! property test at the end of this module, which asserts that the index
+    //! and this model produce identical evictions, lookup results and recency
+    //! order under arbitrary operation sequences.
 
     use super::{Eviction, IndexEntry, ProviderRecord, ResponseIndex};
+    use crate::peer::keyword_signature;
     use locaware_net::LocId;
     use locaware_overlay::PeerId;
     use locaware_workload::{FileId, KeywordId};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// The unoptimized model: same behaviour as [`super::ResponseIndex`],
-    /// naive scans everywhere.
+    /// The model: same behaviour as [`super::ResponseIndex`], each entry
+    /// stamped with the clock tick of its last touch.
     #[derive(Debug, Clone)]
     pub struct NaiveResponseIndex {
-        entries: BTreeMap<FileId, IndexEntry>,
+        entries: BTreeMap<FileId, (u64, IndexEntry)>,
         capacity: usize,
         max_providers: usize,
         clock: u64,
@@ -468,7 +301,16 @@ mod naive {
 
         /// The entry for `file`, if cached.
         pub fn entry(&self, file: FileId) -> Option<&IndexEntry> {
-            self.entries.get(&file)
+            self.entries.get(&file).map(|(_, entry)| entry)
+        }
+
+        /// The cached files ordered by `(last touch, file)`: the order
+        /// [`super::ResponseIndex::entries`] must follow, oldest first.
+        pub fn recency_order(&self) -> Vec<FileId> {
+            let mut stamped: Vec<(u64, FileId)> =
+                self.entries.iter().map(|(&file, &(touched, _))| (touched, file)).collect();
+            stamped.sort_unstable();
+            stamped.into_iter().map(|(_, file)| file).collect()
         }
 
         /// Full-scan keyword lookup (the model for
@@ -476,8 +318,8 @@ mod naive {
         pub fn lookup_by_keywords(&self, query: &[KeywordId]) -> Vec<FileId> {
             self.entries
                 .values()
-                .filter(|e| e.matches(query))
-                .map(|e| e.file)
+                .filter(|(_, e)| e.matches(query))
+                .map(|(_, e)| e.file)
                 .collect()
         }
 
@@ -499,13 +341,16 @@ mod naive {
                 }
             }
 
-            let entry = self.entries.entry(file).or_insert_with(|| IndexEntry {
-                file,
-                keywords: keywords.to_vec(),
-                providers: Vec::new(),
-                last_touched: now,
+            let (touched, entry) = self.entries.entry(file).or_insert_with(|| {
+                let entry = IndexEntry {
+                    file,
+                    keywords: keywords.to_vec(),
+                    signature: keyword_signature(keywords),
+                    providers: Vec::new(),
+                };
+                (now, entry)
             });
-            entry.last_touched = now;
+            *touched = now;
 
             for (peer, loc_id) in providers {
                 match entry.providers.iter_mut().find(|p| p.peer == peer) {
@@ -536,7 +381,7 @@ mod naive {
             let emptied: Vec<FileId> = self
                 .entries
                 .iter_mut()
-                .filter_map(|(&file, entry)| {
+                .filter_map(|(&file, (_, entry))| {
                     entry.providers.retain(|p| p.peer != peer);
                     if entry.providers.is_empty() {
                         Some(file)
@@ -546,7 +391,7 @@ mod naive {
                 })
                 .collect();
             for file in emptied {
-                if let Some(entry) = self.entries.remove(&file) {
+                if let Some((_, entry)) = self.entries.remove(&file) {
                     evictions.push(Eviction {
                         file,
                         keywords: entry.keywords,
@@ -561,22 +406,9 @@ mod naive {
             self.entries.clear();
         }
 
-        /// The next eviction victim, by O(n) min-scan (the model for
-        /// [`super::ResponseIndex::eviction_candidate`]).
-        pub fn eviction_candidate(&self) -> Option<FileId> {
-            self.entries
-                .values()
-                .min_by_key(|e| (e.last_touched, e.file))
-                .map(|e| e.file)
-        }
-
         fn evict_least_recent(&mut self) -> Option<Eviction> {
-            let victim = self
-                .entries
-                .values()
-                .min_by_key(|e| (e.last_touched, e.file))
-                .map(|e| e.file)?;
-            self.entries.remove(&victim).map(|entry| Eviction {
+            let victim = *self.recency_order().first()?;
+            self.entries.remove(&victim).map(|(_, entry)| Eviction {
                 file: victim,
                 keywords: entry.keywords,
             })
@@ -584,12 +416,12 @@ mod naive {
     }
 
     proptest! {
-        /// Model-based equivalence: the optimized response index (recency set +
-        /// inverted keyword postings) behaves *identically* to the naive
-        /// reference implementation under arbitrary interleavings of single-
+        /// Model-based equivalence: the response index (one recency-ordered
+        /// vector, signature-filtered keyword scans) behaves *identically* to
+        /// the naive reference model under arbitrary interleavings of single-
         /// and multi-provider inserts, provider removals and clears — same
         /// evictions in the same order, same keyword-lookup results, same
-        /// eviction candidate, same contents.
+        /// recency order, same contents.
         #[test]
         fn optimized_response_index_matches_the_naive_model(
             capacity in 1usize..14,
@@ -623,8 +455,8 @@ mod naive {
                         prop_assert_eq!(a, b, "multi-provider insert evictions diverged");
                     }
                     _ => {
-                        // Overlapping keyword sets across files exercise postings
-                        // lists with more than one file.
+                        // Overlapping keyword sets across files: a keyword
+                        // query can match more than one cached file.
                         let keywords = [KeywordId(file), KeywordId(file + 1), KeywordId(file / 2)];
                         let a = optimized.insert(FileId(file), &keywords, [(PeerId(provider), LocId(loc))]);
                         let b = model.insert(FileId(file), &keywords, [(PeerId(provider), LocId(loc))]);
@@ -632,7 +464,8 @@ mod naive {
                     }
                 }
                 prop_assert_eq!(optimized.len(), model.len());
-                prop_assert_eq!(optimized.eviction_candidate(), model.eviction_candidate());
+                let order: Vec<FileId> = optimized.entries().map(|e| e.file).collect();
+                prop_assert_eq!(order, model.recency_order(), "recency order diverged");
                 // Every observable lookup agrees: per-file entries (keywords,
                 // providers, order) and keyword queries (results + order).
                 for probe in 0u32..26 {
@@ -679,6 +512,9 @@ mod tests {
         assert_eq!(ri.lookup_by_keywords(&kws(&[10, 30])), vec![FileId(1)]);
         assert!(ri.lookup_by_keywords(&kws(&[99])).is_empty());
         assert!(ri.lookup_by_keywords(&[]).is_empty(), "empty queries match nothing");
+        ri.clear();
+        assert!(ri.is_empty());
+        assert!(ri.lookup_by_keywords(&kws(&[10])).is_empty());
     }
 
     #[test]
@@ -731,19 +567,6 @@ mod tests {
         assert!(!ri.contains(FileId(1)));
         assert_eq!(ri.entry(FileId(2)).unwrap().provider_count(), 1);
         assert!(ri.remove_provider(PeerId(5)).is_empty(), "already removed");
-    }
-
-    #[test]
-    fn all_keywords_reflects_contents() {
-        let mut ri = ResponseIndex::new(10, 3);
-        ri.insert(FileId(1), &kws(&[1, 2]), [provider(5, 0)]);
-        ri.insert(FileId(2), &kws(&[2, 3]), [provider(6, 0)]);
-        let mut all: Vec<u32> = ri.all_keywords().map(|k| k.0).collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![1, 2, 2, 3]);
-        ri.clear();
-        assert!(ri.is_empty());
-        assert_eq!(ri.all_keywords().count(), 0);
     }
 
     #[test]

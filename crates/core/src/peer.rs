@@ -22,7 +22,8 @@ use crate::index::ResponseIndex;
 /// A 64-bit summary of a keyword set: one bit per keyword, chosen by a
 /// multiplicative hash of its id. A filename containing every keyword of a
 /// query has every bit of the query's signature set in its own — the
-/// one-sided test [`PeerState::may_store`] runs in front of the storage walk.
+/// one-sided test [`PeerState::may_store`] runs in front of the storage walk,
+/// and [`ResponseIndex::lookup_by_keywords`] in front of each cached entry.
 pub(crate) fn keyword_signature(keywords: &[KeywordId]) -> u64 {
     keywords
         .iter()

@@ -17,11 +17,11 @@
 //!   figures need (plus diagnostics such as hop counts and locality matches),
 //! * [`counters`] — generic named counters used for per-message-kind traffic
 //!   accounting,
-//! * [`aggregate`] — means, percentiles and confidence intervals,
+//! * [`aggregate`] — means and percentiles,
 //! * [`series`] — (x, y) series keyed by protocol label, the exact shape of the
 //!   paper's figures,
-//! * [`report`] — fixed-width text tables and CSV output used by the
-//!   experiment binaries and EXPERIMENTS.md.
+//! * [`report`] — fixed-width text tables used by the experiment binaries
+//!   and EXPERIMENTS.md.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -32,8 +32,8 @@ pub mod query_record;
 pub mod report;
 pub mod series;
 
-pub use aggregate::{mean, percentile, std_dev, Summary};
+pub use aggregate::{mean, percentile};
 pub use counters::CounterSet;
 pub use query_record::{QueryOutcome, QueryRecord, RunMetrics};
-pub use report::{format_table, to_csv, Table};
+pub use report::Table;
 pub use series::{Figure, SeriesPoint};

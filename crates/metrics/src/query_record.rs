@@ -63,11 +63,6 @@ impl RunMetrics {
         Self::default()
     }
 
-    /// Builds directly from records.
-    pub fn from_records(records: Vec<QueryRecord>) -> Self {
-        RunMetrics { records }
-    }
-
     /// Adds one record.
     pub fn push(&mut self, record: QueryRecord) {
         self.records.push(record);
@@ -137,18 +132,6 @@ impl RunMetrics {
         satisfied.iter().filter(|r| r.answered_from_cache).count() as f64 / satisfied.len() as f64
     }
 
-    /// Average query completion time in milliseconds — issue to the
-    /// consumption of the query's last in-flight message — over queries whose
-    /// lifecycle finished within the run.
-    pub fn avg_completion_time_ms(&self) -> f64 {
-        let times: Vec<f64> = self
-            .records
-            .iter()
-            .filter_map(|r| r.completion_time_ms)
-            .collect();
-        crate::aggregate::mean(&times)
-    }
-
     /// Metrics restricted to the first `n` queries (used to trace how metrics
     /// evolve "with the number of queries", the x-axis of every figure).
     pub fn prefix(&self, n: usize) -> RunMetrics {
@@ -164,11 +147,6 @@ impl RunMetrics {
         RunMetrics {
             records: self.records[start..].to_vec(),
         }
-    }
-
-    /// Merges another run's records into this one (in issue order of each).
-    pub fn merge(&mut self, other: &RunMetrics) {
-        self.records.extend(other.records.iter().cloned());
     }
 }
 
@@ -195,9 +173,15 @@ mod tests {
         }
     }
 
+    fn metrics(records: impl IntoIterator<Item = QueryRecord>) -> RunMetrics {
+        let mut m = RunMetrics::new();
+        records.into_iter().for_each(|r| m.push(r));
+        m
+    }
+
     #[test]
     fn success_rate_counts_satisfied_fraction() {
-        let m = RunMetrics::from_records(vec![
+        let m = metrics([
             record(0, true, 10, Some(50.0)),
             record(1, false, 20, None),
             record(2, true, 10, Some(150.0)),
@@ -206,15 +190,6 @@ mod tests {
         assert!((m.success_rate() - 0.75).abs() < 1e-12);
         assert!((m.avg_messages_per_query() - 12.5).abs() < 1e-12);
         assert!((m.avg_download_distance_ms() - 150.0).abs() < 1e-12);
-        assert!((m.avg_completion_time_ms() - 41.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn completion_time_skips_truncated_queries() {
-        let mut truncated = record(1, false, 2, None);
-        truncated.completion_time_ms = None;
-        let m = RunMetrics::from_records(vec![record(0, true, 5, Some(50.0)), truncated]);
-        assert!((m.avg_completion_time_ms() - 40.0).abs() < 1e-12);
     }
 
     #[test]
@@ -230,7 +205,7 @@ mod tests {
 
     #[test]
     fn download_distance_ignores_unsatisfied_queries() {
-        let m = RunMetrics::from_records(vec![
+        let m = metrics([
             record(0, true, 5, Some(100.0)),
             record(1, false, 50, None),
         ]);
@@ -239,7 +214,7 @@ mod tests {
 
     #[test]
     fn locality_and_cache_rates_are_over_satisfied_queries_only() {
-        let m = RunMetrics::from_records(vec![
+        let m = metrics([
             record(0, true, 5, Some(50.0)),   // locality match, cache (idx 0 even)
             record(1, true, 5, Some(400.0)),  // no locality match, no cache
             record(2, false, 5, None),
@@ -250,19 +225,10 @@ mod tests {
 
     #[test]
     fn prefix_and_tail_windows() {
-        let m = RunMetrics::from_records((0..10).map(|i| record(i, i >= 5, 1, None)).collect());
+        let m = metrics((0..10).map(|i| record(i, i >= 5, 1, None)));
         assert_eq!(m.prefix(5).success_rate(), 0.0);
         assert_eq!(m.tail_window(5).success_rate(), 1.0);
         assert_eq!(m.prefix(100).len(), 10);
         assert_eq!(m.tail_window(100).len(), 10);
-    }
-
-    #[test]
-    fn merge_concatenates_records() {
-        let mut a = RunMetrics::from_records(vec![record(0, true, 1, Some(10.0))]);
-        let b = RunMetrics::from_records(vec![record(1, false, 2, None)]);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert!((a.success_rate() - 0.5).abs() < 1e-12);
     }
 }

@@ -1,7 +1,7 @@
-//! Plain-text tables and CSV output.
+//! Plain-text tables.
 //!
-//! The experiment binaries print their results both as aligned tables (for the
-//! terminal and EXPERIMENTS.md) and as CSV (for external plotting). [`Table`]
+//! The experiment binaries print their results as aligned tables (for the
+//! terminal and EXPERIMENTS.md); figures render their own CSV. [`Table`]
 //! is a tiny column-aligned table builder used for anything that is not a
 //! per-figure series (parameter listings, summary comparisons, ablations).
 
@@ -61,15 +61,10 @@ impl Table {
     pub fn render(&self) -> String {
         format_table(&self.headers, &self.rows)
     }
-
-    /// Renders the table as CSV.
-    pub fn render_csv(&self) -> String {
-        to_csv(&self.headers, &self.rows)
-    }
 }
 
 /// Formats headers and rows as an aligned text table.
-pub fn format_table(headers: &[String], rows: &[Vec<String>]) -> String {
+fn format_table(headers: &[String], rows: &[Vec<String>]) -> String {
     let columns = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -95,25 +90,6 @@ pub fn format_table(headers: &[String], rows: &[Vec<String>]) -> String {
     out.push('\n');
     for row in rows {
         out.push_str(&render_row(row, &widths));
-        out.push('\n');
-    }
-    out
-}
-
-/// Formats headers and rows as CSV, quoting cells that contain commas.
-pub fn to_csv(headers: &[String], rows: &[Vec<String>]) -> String {
-    let escape = |cell: &str| -> String {
-        if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-            format!("\"{}\"", cell.replace('"', "\"\""))
-        } else {
-            cell.to_string()
-        }
-    };
-    let mut out = String::new();
-    out.push_str(&headers.iter().map(|h| escape(h)).collect::<Vec<_>>().join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
         out.push('\n');
     }
     out
@@ -154,21 +130,10 @@ mod tests {
     }
 
     #[test]
-    fn csv_escapes_special_cells() {
-        let mut t = Table::new(["name", "note"]);
-        t.push_row(["a,b", "say \"hi\""]);
-        let csv = t.render_csv();
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
-        assert_eq!(csv.lines().count(), 2);
-    }
-
-    #[test]
     fn empty_table_renders_headers_only() {
         let t = Table::new(["x", "y"]);
         assert!(t.is_empty());
         let rendered = t.render();
         assert_eq!(rendered.lines().count(), 2);
-        assert_eq!(t.render_csv().lines().count(), 1);
     }
 }

@@ -91,15 +91,6 @@ impl Figure {
             .map(|p| p.value)
     }
 
-    /// The mean y value of a curve across all its points.
-    pub fn curve_mean(&self, label: &str) -> Option<f64> {
-        let curve = self.curves.get(label)?;
-        if curve.is_empty() {
-            return None;
-        }
-        Some(curve.iter().map(|p| p.value).sum::<f64>() / curve.len() as f64)
-    }
-
     /// Relative improvement of `a` over `b` averaged across common x values:
     /// `mean((b - a) / b)`. Positive means `a` is lower (better for costs).
     pub fn relative_reduction(&self, a: &str, b: &str) -> Option<f64> {
@@ -197,8 +188,9 @@ mod tests {
         assert_eq!(fig.value_at("flooding", 2000), Some(810.0));
         assert_eq!(fig.value_at("flooding", 9999), None);
         assert_eq!(fig.value_at("nope", 1000), None);
-        assert!((fig.curve_mean("locaware").unwrap() - 14.0).abs() < 1e-12);
-        assert_eq!(fig.curve_mean("nope"), None);
+        let values: Vec<f64> = fig.curve("locaware").unwrap().iter().map(|p| p.value).collect();
+        assert!((crate::mean(&values) - 14.0).abs() < 1e-12);
+        assert_eq!(fig.curve("nope"), None);
     }
 
     #[test]
