@@ -81,6 +81,7 @@ pub(crate) fn headline_table(outcome: &ExperimentOutcome) -> Table {
         "protocol",
         "avg download distance (ms)",
         "messages / query",
+        "total messages / query",
         "success rate",
         "locality match",
         "cache hit share",
@@ -97,6 +98,7 @@ pub(crate) fn headline_table(outcome: &ExperimentOutcome) -> Table {
             label.to_string(),
             format!("{:.2}", mean_of(SimulationReport::avg_download_distance_ms)),
             format!("{:.2}", mean_of(SimulationReport::avg_messages_per_query)),
+            format!("{:.2}", mean_of(SimulationReport::total_messages_per_query)),
             format!("{:.4}", mean_of(SimulationReport::success_rate)),
             format!("{:.4}", mean_of(SimulationReport::locality_match_rate)),
             format!("{:.4}", mean_of(SimulationReport::cache_hit_share)),
@@ -298,4 +300,98 @@ pub(crate) fn run(
         }
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::studies::mechanism_plan;
+
+    /// `run_all --quick` at `seed`.
+    fn quick_run(seed: u64) -> ExperimentOutcome {
+        let run = parse(["--quick".to_string(), "--seed".to_string(), seed.to_string()]).unwrap();
+        execute(&run.plan, run.threads).unwrap()
+    }
+
+    /// The mean of `label`'s curve in `metric`'s figure of `outcome`.
+    fn mean_of_curve(outcome: &ExperimentOutcome, metric: MetricKind, label: &str) -> f64 {
+        let figure = figure(outcome, metric);
+        let curve = figure.curve(label).unwrap_or_else(|| panic!("no {label} curve"));
+        mean(&curve.iter().map(|point| point.value).collect::<Vec<_>>())
+    }
+
+    /// Below the lowest seed's measured reduction (86.2%) by 3.2 points.
+    const TRAFFIC_REDUCTION_FLOOR: f64 = 0.83;
+
+    /// The paper's §5.2 claims as orderings over seeds 1–5 of `run_all
+    /// --quick` (200 peers; 200, 400, 600 and 800 queries). A protocol's
+    /// value is the mean over the seeds of its curve's mean. Measured when the
+    /// test was written, with each bound's margin:
+    ///
+    /// - Locaware has the lowest download distance: 152.0 ms against 167.9
+    ///   for Dicas-Keys, 168.9 for flooding and 172.9 for Dicas, a 15.9 ms
+    ///   (9.5%) margin to the nearest;
+    /// - success orders Locaware > Dicas-Keys > Dicas: 0.362 > 0.244 >
+    ///   0.069, an ordering that held in every seed (0.30–0.43 > 0.20–0.28 >
+    ///   0.06–0.08);
+    /// - Locaware sends fewer search messages per query than Dicas-Keys:
+    ///   44.0 against 47.2, a 7% margin;
+    /// - in every seed Locaware cuts flooding's search traffic by more than
+    ///   [`TRAFFIC_REDUCTION_FLOOR`]: 86.2–88.3% measured (the paper: 98%).
+    ///
+    /// Absolute values are not asserted: they are the figures' business.
+    #[test]
+    fn paper_claims_hold_over_five_quick_seeds() {
+        let outcomes: Vec<ExperimentOutcome> = (1..=5).map(quick_run).collect();
+        let five_seed_mean = |metric: MetricKind, label: &str| {
+            let per_seed: Vec<f64> =
+                outcomes.iter().map(|outcome| mean_of_curve(outcome, metric, label)).collect();
+            mean(&per_seed)
+        };
+        let distance = |label: &str| five_seed_mean(MetricKind::DownloadDistance, label);
+        let traffic = |label: &str| five_seed_mean(MetricKind::SearchTraffic, label);
+        let success = |label: &str| five_seed_mean(MetricKind::SuccessRate, label);
+        for baseline in ["dicas-keys", "flooding", "dicas"] {
+            let (ours, theirs) = (distance("locaware"), distance(baseline));
+            assert!(ours < theirs, "locaware's distance {ours:.1} ms, {baseline}'s {theirs:.1} ms");
+        }
+        let (ours, keys, dicas) = (success("locaware"), success("dicas-keys"), success("dicas"));
+        assert!(
+            ours > keys && keys > dicas,
+            "success must order locaware {ours:.4} > dicas-keys {keys:.4} > dicas {dicas:.4}"
+        );
+        let (ours, keys) = (traffic("locaware"), traffic("dicas-keys"));
+        assert!(ours < keys, "messages per query: locaware {ours:.2}, dicas-keys {keys:.2}");
+        for (seed, outcome) in (1..).zip(&outcomes) {
+            let reduction = paper_claims(outcome).traffic_reduction_vs_flooding;
+            assert!(reduction > TRAFFIC_REDUCTION_FLOOR, "seed {seed}: reduction {reduction:.3}");
+        }
+    }
+
+    /// The `ablation --quick` mechanism claims (200 peers, 600 queries, one
+    /// seed), measured when the test was written. Without locality-aware
+    /// selection success stays equal (0.4900 both: a locId changes which
+    /// provider is picked, never whether one is), fewer downloads come from
+    /// the requestor's locality (0.238 against 0.320) and download distance
+    /// rises (164.7 against 146.0 ms, a 12.8% margin). Without the Bloom
+    /// routing rule success falls (0.2617 against 0.4900).
+    #[test]
+    fn ablation_claims_separate_the_mechanisms() {
+        let outcome = execute(&mechanism_plan(true).2, None).unwrap();
+        let report = |kind: ProtocolKind| {
+            let point = outcome.points.iter().find(|point| point.protocol == kind);
+            &point.unwrap_or_else(|| panic!("no {kind} point")).report
+        };
+        let full = report(ProtocolKind::Locaware);
+        let no_locality = report(ProtocolKind::LocawareNoLocality);
+        let no_bloom = report(ProtocolKind::LocawareNoBloom);
+        let (success, distance) = (full.success_rate(), full.avg_download_distance_ms());
+        assert_eq!(no_locality.success_rate(), success, "locality must not change success");
+        let (local, fewer) = (full.locality_match_rate(), no_locality.locality_match_rate());
+        assert!(fewer < local, "locality matches: {fewer:.3} without locality, {local:.3} with");
+        let farther = no_locality.avg_download_distance_ms();
+        assert!(farther > distance, "no locality: {farther:.1} ms, full: {distance:.1} ms");
+        let fewer = no_bloom.success_rate();
+        assert!(fewer < success, "no Bloom routing: success {fewer:.4}, full: {success:.4}");
+    }
 }

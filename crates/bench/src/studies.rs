@@ -5,6 +5,7 @@
 
 use std::fmt::Write as _;
 
+use locaware::results::{avg_download_distance_ms, success_rate};
 use locaware::{
     ExperimentPlan, ExperimentPoint, ProtocolKind, Scenario, Simulation, SimulationConfig,
     SimulationReport,
@@ -20,20 +21,8 @@ use crate::{execute, flags, preset};
 /// scenario per capacity, same seed) for the full protocol.
 pub(crate) fn ablation(args: impl IntoIterator<Item = String>) -> Result<String, String> {
     let quick = !flags::pairs(args, &[], &["--quick"])?.is_empty();
-    let (peers, queries) = if quick { (200, 600) } else { (1000, 3000) };
-    let base = if quick { Scenario::small(peers) } else { Scenario::paper_defaults() }
-        .with_seed(0x10ca_aa2e)
-        .with_name("ablation");
-    eprintln!("# ablation: {peers} peers, {queries} queries");
-
-    let variants = [
-        ProtocolKind::Locaware,
-        ProtocolKind::LocawareNoLocality,
-        ProtocolKind::LocawareNoBloom,
-        ProtocolKind::DicasKeys,
-        ProtocolKind::Dicas,
-    ];
-    let plan = ExperimentPlan::new().scenario(base.clone()).protocols(variants).query_count(queries);
+    let (base, queries, plan) = mechanism_plan(quick);
+    eprintln!("# ablation: {} peers, {queries} queries", base.config().peers);
     let mut table = Table::new([
         "variant",
         "success rate",
@@ -80,6 +69,24 @@ pub(crate) fn ablation(args: impl IntoIterator<Item = String>) -> Result<String,
         table.render(),
         capacity_table.render()
     ))
+}
+
+/// The ablation's base scenario (`quick`: 200 peers, else the paper's
+/// setup), its query count, and its mechanism grid: the full protocol, its
+/// two ablated variants and the two Dicas baselines over that one substrate.
+pub(crate) fn mechanism_plan(quick: bool) -> (Scenario, usize, ExperimentPlan) {
+    let (base, queries) =
+        if quick { (Scenario::small(200), 600) } else { (Scenario::paper_defaults(), 3000) };
+    let base = base.with_seed(0x10ca_aa2e).with_name("ablation");
+    let variants = [
+        ProtocolKind::Locaware,
+        ProtocolKind::LocawareNoLocality,
+        ProtocolKind::LocawareNoBloom,
+        ProtocolKind::DicasKeys,
+        ProtocolKind::Dicas,
+    ];
+    let plan = ExperimentPlan::new().scenario(base.clone()).protocols(variants).query_count(queries);
+    (base, queries, plan)
 }
 
 /// `inspect <protocol> [scenario] [peers] [queries] [seed] [--shards N]`:
@@ -155,17 +162,16 @@ pub(crate) fn inspect(args: impl IntoIterator<Item = String>) -> Result<String, 
     );
     // Success over the last quarter of the run vs the first quarter: shows the
     // warm-up effect the paper's Figure 2 discussion highlights.
-    let n = report.metrics.len();
+    let (n, records) = (report.metrics.len(), &report.metrics);
     if n >= 8 {
-        let first = report.metrics.prefix(n / 4);
-        let last = report.metrics.tail_window(n / 4);
+        let (first, last) = (&records[..n / 4], &records[n - n / 4..]);
         let _ = writeln!(
             out,
             "# warm-up: first-quarter success {:.3} / distance {:.1}ms  ->  last-quarter success {:.3} / distance {:.1}ms",
-            first.success_rate(),
-            first.avg_download_distance_ms(),
-            last.success_rate(),
-            last.avg_download_distance_ms()
+            success_rate(first),
+            avg_download_distance_ms(first),
+            success_rate(last),
+            avg_download_distance_ms(last)
         );
     }
     Ok(out)

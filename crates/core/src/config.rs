@@ -732,7 +732,7 @@ impl SimulationConfig {
     ///   `start`.
     ///
     /// Outside the engine, `Simulation::churn_schedule` adds the burst end
-    /// (`start`) to `ZERO`, and `ChurnModel::schedule` adds each dwell with
+    /// (`start`) to `ZERO`, and `churn::schedule` adds each dwell with
     /// `checked_add`, ending a peer's schedule at the churn horizon, which is
     /// at most the later of `start` and the last arrival.
     ///
@@ -864,6 +864,9 @@ mod tests {
             (|c| c.placement.sigma = f64::NAN, "placement.sigma"),
             (|c| c.placement.sigma = -1.0, "placement.sigma"),
             (|c| c.placement.sigma = f64::INFINITY, "placement.sigma"),
+            // Just outside the unit interval, on either side.
+            (|c| c.churn.churning_fraction = -0.1, "churn.churning_fraction"),
+            (|c| c.churn.churning_fraction = 1.5, "churn.churning_fraction"),
         ]);
 
         let mut c = SimulationConfig::paper_defaults();

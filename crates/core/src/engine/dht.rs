@@ -873,6 +873,7 @@ mod tests {
     use super::super::shard::QueryTracking;
     use super::*;
     use crate::config::{ProtocolKind, SimulationConfig};
+    use crate::results::QueryOutcome;
     use crate::simulation::Simulation;
 
     /// A 40-peer single-shard substrate whose record cap never truncates.
@@ -981,7 +982,7 @@ mod tests {
         // The query counts as satisfied already, so nothing can satisfy it
         // again: the walk runs until the shortlist is exhausted.
         let mut tracking = QueryTracking::new(&shared, 0, FileId(0), Search::Dht { depth: 0, walk: None });
-        tracking.satisfied = true;
+        tracking.record.outcome = QueryOutcome::Satisfied;
         state.tracking.insert(0, tracking);
         issue(state, &shared, directory, graph, key, 0, &[KeywordId(0)]);
         let walk = |state: &ShardState| match &state.tracking[&0].search {

@@ -88,7 +88,7 @@
 //! compiles the fault plan, `tally` holds the commutative statistics. Every
 //! shard count, `shards = 1` included, runs this same code path.
 //!
-//! [`QueryRecord`]: locaware_metrics::QueryRecord
+//! [`QueryRecord`]: crate::results::QueryRecord
 //! [`LinkLatencyCache::incoming_channel_mins`]:
 //!   locaware_net::LinkLatencyCache::incoming_channel_mins
 
@@ -106,7 +106,6 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use locaware_bloom::BloomParams;
-use locaware_metrics::{QueryOutcome, QueryRecord, RunMetrics};
 use locaware_net::{LinkLatencyCache, LocId, PhysicalTopology};
 use locaware_overlay::churn::ChurnEvent;
 use locaware_overlay::{ChurnEventKind, OverlayGraph, PeerId};
@@ -220,7 +219,7 @@ fn run_with(
     let mut coordinator =
         Coordinator::new(&shared, sim.overlay().clone(), churn_schedule, shards.len());
     coordinator.drive(&shared, &mut shards, parallel_min_offloaded);
-    let report = finalize(&shared, &shards, &coordinator);
+    let report = finalize(&shared, &mut shards, &coordinator);
     (report, coordinator.into_profile(&shards))
 }
 
@@ -382,11 +381,11 @@ fn prepare(
 
 fn finalize(
     shared: &RunShared<'_>,
-    shards: &[ShardState],
+    shards: &mut [ShardState],
     coordinator: &Coordinator<'_>,
 ) -> SimulationReport {
     let mut totals = Tallies::new();
-    for shard in shards {
+    for shard in shards.iter() {
         totals.merge(&shard.tallies);
     }
     // Route state lives exactly as long as its query: a run that drained its
@@ -397,51 +396,29 @@ fn finalize(
         shards.iter().map(|s| s.routes.live()).collect::<Vec<_>>()
     );
 
-    // Per-query merge: origin-local tracking lives in the origin's shard;
-    // per-query message counts are summed across shards; the first local
-    // match is the canonical-key minimum across shards. Arrival index
-    // order is issue order (arrivals are time-sorted, canonical keys
-    // tie-break by index), so records renumber contiguously in it.
-    let mut metrics = RunMetrics::new();
-    let mut emitted = 0u64;
+    // Per-query merge: the record lives in the origin shard's tracking,
+    // filled there; per-query message counts are summed across shards; the
+    // first local match is the canonical-key minimum across shards. Arrival
+    // index order is issue order (arrivals are time-sorted, canonical keys
+    // tie-break by index), so a record's position is its query's ordinal.
+    let mut metrics = Vec::new();
     let mut lookups = 0u64;
     let mut lookup_depth_total = 0u64;
     for (index, arrival) in shared.arrivals.iter().enumerate() {
-        let origin = PeerId(arrival.peer as u32);
-        let Some(tracking) = shards[shared.partition.shard(origin)]
-            .tracking
-            .get(&(index as u32))
-        else {
+        let origin_shard = shared.partition.shard(PeerId(arrival.peer as u32));
+        let Some(tracking) = shards[origin_shard].tracking.remove(&(index as u32)) else {
             continue;
         };
         if let Search::Dht { depth, .. } = tracking.search {
             lookups += 1;
             lookup_depth_total += u64::from(depth);
         }
-        let messages: u64 = shards.iter().map(|s| s.ledger.messages(index)).sum();
-        let hit = shards
-            .iter()
-            .filter_map(|s| s.ledger.hit(index))
-            .min_by_key(|h| h.key);
-        metrics.push(QueryRecord {
-            index: emitted,
-            requestor: tracking.origin.0,
-            outcome: if tracking.satisfied {
-                QueryOutcome::Satisfied
-            } else {
-                QueryOutcome::Unsatisfied
-            },
-            messages,
-            download_distance_ms: tracking.download_distance_ms,
-            locality_match: tracking.locality_match,
-            providers_offered: tracking.providers_offered,
-            hops_to_hit: hit.map(|h| h.hops),
-            answered_from_cache: hit.map(|h| h.from_cache).unwrap_or(false),
-            completion_time_ms: tracking
-                .completed_at
-                .map(|t| t.duration_since(arrival.at).as_millis_f64()),
-        });
-        emitted += 1;
+        let mut record = tracking.record;
+        record.messages = shards.iter().map(|s| s.ledger.messages(index)).sum();
+        let hit = shards.iter().filter_map(|s| s.ledger.hit(index)).min_by_key(|h| h.key);
+        record.hops_to_hit = hit.map(|h| h.hops);
+        record.answered_from_cache = hit.is_some_and(|h| h.from_cache);
+        metrics.push(record);
     }
 
     let all_peers = || shards.iter().flat_map(|s| s.peers.iter());
@@ -526,7 +503,7 @@ struct ControlSchedule<'c> {
 
 impl<'c> ControlSchedule<'c> {
     /// A source `(period, class)` fires every period from the first full one
-    /// up to `horizon`; `churn` is sorted by `(at, peer)`, as `ChurnModel` sorts it.
+    /// up to `horizon`; `churn` is sorted by `(at, peer)`, as `churn::schedule` sorts it.
     fn new(
         periodic: [Option<(Duration, u8)>; 2],
         horizon: SimTime,

@@ -38,6 +38,7 @@ use locaware_workload::FileId;
 
 use crate::peer::PeerState;
 use crate::provider::select_provider;
+use crate::results::{QueryOutcome, QueryRecord};
 
 use super::dht::{self, DhtLookupState, DirectoryScratch};
 use super::exchange::{deliver_key, timeout_key, LOST_BIT};
@@ -107,19 +108,15 @@ pub(super) fn query_index(query: QueryId) -> usize {
 
 /// Origin-local per-query bookkeeping (lives in the origin peer's shard).
 pub(super) struct QueryTracking {
-    pub origin: PeerId,
+    /// The query's report record, filled in place: the requestor at issue,
+    /// the outcome, download distance, locality match and providers offered
+    /// by [`ShardState::satisfy`], the completion time by
+    /// [`ShardState::complete_locally`]. Finalize adds the ledger's fields.
+    pub record: QueryRecord,
     pub origin_loc: LocId,
     /// The Zipf target the query searches for; keys the `issued` entry that
     /// the completion prunes.
     pub target: FileId,
-    pub satisfied: bool,
-    pub download_distance_ms: Option<f64>,
-    pub locality_match: bool,
-    pub providers_offered: usize,
-    /// When the query's last in-flight message was consumed — the time of its
-    /// canonical class-4 completion event. `None` until then; every run
-    /// drains, so every query ends with `Some`.
-    pub completed_at: Option<SimTime>,
     /// Provider-selection randomness, one independent stream per query so the
     /// draw sequence is a pure function of (seed, arrival index, response
     /// arrival order at the origin) — never of shard layout.
@@ -133,17 +130,27 @@ impl QueryTracking {
     pub(super) fn new(shared: &RunShared<'_>, index: usize, target: FileId, search: Search) -> Self {
         let origin = PeerId(shared.arrivals[index].peer as u32);
         QueryTracking {
-            origin,
+            record: QueryRecord {
+                requestor: origin.0,
+                outcome: QueryOutcome::Unsatisfied,
+                messages: 0,
+                download_distance_ms: None,
+                locality_match: false,
+                providers_offered: 0,
+                hops_to_hit: None,
+                answered_from_cache: false,
+                completion_time_ms: None,
+            },
             origin_loc: shared.loc_ids[origin.index()],
             target,
-            satisfied: false,
-            download_distance_ms: None,
-            locality_match: false,
-            providers_offered: 0,
-            completed_at: None,
             selection_rng: shared.rng_factory.indexed_stream(StreamId::ProtocolTieBreak, index as u64),
             search,
         }
+    }
+
+    /// The issuing peer.
+    pub(super) fn origin(&self) -> PeerId {
+        PeerId(self.record.requestor)
     }
 }
 
@@ -415,10 +422,11 @@ impl ShardState {
         let Some(tracking) = self.tracking.get_mut(&(index as u32)) else {
             return false;
         };
-        if tracking.satisfied {
+        if tracking.record.is_success() {
             return false;
         }
-        let slot = shared.partition.slot(tracking.origin);
+        let origin = tracking.origin();
+        let slot = shared.partition.slot(origin);
         // An offer can name a file the requestor already stores (a cached
         // index or a DHT record matches on keywords, not on the requestor's
         // Zipf target). Nothing would be downloaded, so it cannot satisfy the
@@ -433,12 +441,13 @@ impl ShardState {
         // barriers — so this cross-shard read is race-free.
         let online_providers: Vec<ProviderEntry> =
             providers.iter().copied().filter(|p| graph.is_active(p.provider)).collect();
-        tracking.providers_offered = tracking.providers_offered.max(online_providers.len());
+        let offered = &mut tracking.record.providers_offered;
+        *offered = (*offered).max(online_providers.len());
         let selection = select_provider(
             shared.protocol.selection_policy(),
             shared.topology,
             shared.link_latencies,
-            tracking.origin,
+            origin,
             tracking.origin_loc,
             &online_providers,
             &mut tracking.selection_rng,
@@ -446,10 +455,11 @@ impl ShardState {
         let Some(selected) = selection else {
             return false;
         };
-        tracking.satisfied = true;
-        tracking.locality_match = selected.locality_match;
-        let distance = shared.link_latencies.latency(shared.topology, tracking.origin, selected.provider);
-        tracking.download_distance_ms = Some(distance.as_millis_f64());
+        let distance = shared.link_latencies.latency(shared.topology, origin, selected.provider);
+        let record = &mut tracking.record;
+        record.outcome = QueryOutcome::Satisfied;
+        record.locality_match = selected.locality_match;
+        record.download_distance_ms = Some(distance.as_millis_f64());
         // Natural replication: the requestor now stores (and later serves) the file.
         let keywords = shared.catalog.filename(file).keywords();
         self.peers[slot].share_file(file, keywords);
@@ -461,8 +471,8 @@ impl ShardState {
 
     /// Applies query `index`'s completion at simulated time `now` — but only
     /// if this shard holds its tracking (i.e. is its origin shard): records
-    /// `completed_at`, prunes the origin's `issued` entry, making the target
-    /// searchable again, and frees the query's route table. Safe to call on
+    /// the completion time, prunes the origin's `issued` entry, making the
+    /// target searchable again, and frees the query's route table. Safe to call on
     /// any zero-crossing of the local outstanding count; non-origin shards
     /// fall through (their count can touch zero while the query lives on
     /// elsewhere, so they free nothing until the coordinator's prune). Also the
@@ -473,16 +483,17 @@ impl ShardState {
         let Some(tracking) = self.tracking.get_mut(&(index as u32)) else {
             return;
         };
-        if tracking.completed_at.is_some() {
+        let completion = &mut tracking.record.completion_time_ms;
+        if completion.is_some() {
             return;
         }
-        tracking.completed_at = Some(now);
+        *completion = Some(now.duration_since(shared.arrivals[index].at).as_millis_f64());
         // Any leftover lookup state is dead — e.g. the walk's last in-flight
         // step was consumed by a departed index node that never replied.
         if let Search::Dht { walk, .. } = &mut tracking.search {
             *walk = None;
         }
-        let slot = shared.partition.slot(tracking.origin);
+        let slot = shared.partition.slot(tracking.origin());
         let target = tracking.target;
         // Remove only if the entry is still this query's: the value check
         // keeps a later re-query's fresher entry intact.
@@ -647,11 +658,11 @@ mod tests {
         let file = wanted[0];
         assert!(!state.satisfy(&shared, everyone, 0, held, &offer), "nothing to download");
         assert!(!state.satisfy(&shared, &provider_gone, 0, file, &offer), "nobody to download from");
-        assert!(!state.tracking[&0].satisfied);
+        assert!(!state.tracking[&0].record.is_success());
         assert_eq!(state.peers[slot].shared_file_count(), replicas);
 
         assert!(state.satisfy(&shared, everyone, 0, file, &offer));
-        assert!(state.tracking[&0].satisfied && state.peers[slot].has_file(file));
+        assert!(state.tracking[&0].record.is_success() && state.peers[slot].has_file(file));
         // One replica per satisfied query: a later offer downloads nothing.
         assert!(!state.satisfy(&shared, everyone, 0, wanted[1], &offer));
         assert_eq!(state.peers[slot].shared_file_count(), replicas + 1);

@@ -9,8 +9,9 @@
 //! event order in [`super::exchange`]). The labelled sets reports carry are
 //! materialised once, from the merged totals, when [`super::run`] finalizes.
 
-use locaware_metrics::CounterSet;
 use locaware_overlay::{ForwardDecision, MessageKind};
+
+use crate::results::CounterSet;
 
 /// Every message kind with its report label, in tally-array index order.
 pub(super) const MESSAGE_KINDS: [(MessageKind, &str); 7] = [
@@ -158,7 +159,7 @@ mod tests {
         counts[kind_index(MessageKind::Query)] = 3;
         counts[kind_index(MessageKind::DhtStore)] = 1;
         let set = labelled_counters(&MESSAGE_KINDS, &counts);
-        assert_eq!(set.len(), 2, "zero counters must not appear in reports");
+        assert_eq!(set.iter().count(), 2, "zero counters must not appear in reports");
         assert_eq!(set.get(&"query".to_string()), 3);
         assert_eq!(set.get(&"dht-store".to_string()), 1);
     }

@@ -269,10 +269,10 @@ pub(super) fn retransmit(
     let Some(message) = retry.take() else {
         return;
     };
-    if tracking.satisfied {
+    if tracking.record.is_success() {
         return;
     }
-    let origin = tracking.origin;
+    let origin = tracking.origin();
     state.tallies.query_timeouts += 1;
     let retries = shared.faults.as_ref().and_then(|f| f.query_retransmit()).map_or(0, |p| p.max_retries);
     // A departed origin has nobody left to retry for (or to receive an
@@ -437,7 +437,8 @@ mod tests {
         assert_eq!((state.tallies.query_timeouts, state.tallies.query_retransmits), (3, 2));
         let deadlines = [10.0, 20.0, 40.0].map(Duration::from_secs_f64);
         let last_deadline = deadlines.into_iter().fold(issued, |t, delay| t + delay);
-        assert_eq!(state.tracking[&0].completed_at, Some(last_deadline), "completes at its last deadline");
+        let completion = last_deadline.duration_since(issued).as_millis_f64();
+        assert_eq!(state.tracking[&0].record.completion_time_ms, Some(completion), "completes at its last deadline");
         assert!(state.ledger.drained_locally(0) && state.queue.peek_key().is_none(), "no timer left charged");
         assert_eq!(state.routes.live(), 0);
     }
@@ -454,7 +455,7 @@ mod tests {
         let file = neighbours.find_map(|n| initial[n.index()].iter().copied().find(lacks));
         let keywords = sim.catalog().filename(file.expect("a neighbour's file")).shared_keywords().clone();
         let (state, _) = flood(&sim, sim.overlay(), keywords);
-        assert!(state.tracking[&0].satisfied);
+        assert!(state.tracking[&0].record.is_success());
         assert_eq!((state.tallies.query_timeouts, state.tallies.query_retransmits), (0, 0));
         assert!(state.ledger.drained_locally(0) && state.queue.peek_key().is_none());
     }

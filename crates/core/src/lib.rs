@@ -27,7 +27,8 @@
 //!   and Locaware (plus ablation variants),
 //! * [`engine`] — the event-driven execution of one run (internal),
 //! * [`simulation`] — substrate construction and the public run API,
-//! * [`results`] — per-run reports feeding the figures.
+//! * [`results`] — per-query records, their aggregations and the per-run
+//!   report feeding the figures.
 //!
 //! ## Quick start
 //!
@@ -87,12 +88,11 @@ pub use protocol::{
     build_protocol, LocalMatch, PeerView, Protocol, QueryBuffer, QueryContext, ResponseContext,
 };
 pub use provider::{select_provider, SelectedProvider, SelectionPolicy};
-pub use results::{RunProfile, SimulationReport};
+pub use results::{CounterSet, QueryOutcome, QueryRecord, RunProfile, SimulationReport};
 pub use simulation::Simulation;
 
 // Re-export the substrate types that appear in this crate's public API so that
 // downstream users can depend on `locaware` alone.
-pub use locaware_metrics::{Figure, QueryOutcome, QueryRecord, RunMetrics, SeriesPoint};
 pub use locaware_net::{LinkLatencyCache, LocId, PhysicalTopology};
 pub use locaware_overlay::{OverlayGraph, PeerId, ProviderEntry, QueryId};
 pub use locaware_workload::{Catalog, FaultConfig, FileId, KeywordId, OutageWindow, TimeoutPolicy};

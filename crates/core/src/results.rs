@@ -1,8 +1,147 @@
-//! Results of one simulation run.
+//! Results of one simulation run: one [`QueryRecord`] per issued query, the
+//! five aggregations Figures 2–4 and the diagnostics read from them, and the
+//! [`SimulationReport`] that carries both.
 
-use locaware_metrics::{CounterSet, RunMetrics, Table};
+use std::collections::BTreeMap;
+
+use locaware_metrics::{mean, Table};
 
 use crate::config::ProtocolKind;
+
+/// How a query ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryOutcome {
+    /// At least one response reached the requestor (the file was located).
+    Satisfied,
+    /// No response reached the requestor before the run ended.
+    Unsatisfied,
+}
+
+/// Everything measured about one issued query. The origin's tracking entry
+/// owns it while the query lives and fills it in place; the run's report
+/// holds them in issue order, so a record's position is its query's ordinal.
+///
+/// Durations are in milliseconds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryRecord {
+    /// The issuing peer.
+    pub requestor: u32,
+    /// Whether the query was satisfied.
+    pub outcome: QueryOutcome,
+    /// Total number of overlay messages this query caused (forwarded query
+    /// copies plus response hops) — the paper's "search traffic" unit.
+    pub messages: u64,
+    /// One-way latency in milliseconds from the requestor to the provider it
+    /// selected for download (the paper's "download distance"), if satisfied.
+    pub download_distance_ms: Option<f64>,
+    /// True if the selected provider shares the requestor's locId.
+    pub locality_match: bool,
+    /// Number of distinct providers offered to the requestor across responses.
+    pub providers_offered: usize,
+    /// Overlay hops from the requestor to the peer that produced the first hit.
+    pub hops_to_hit: Option<u32>,
+    /// True if the first hit came from a response index (cache) rather than a
+    /// peer's own file store.
+    pub answered_from_cache: bool,
+    /// Milliseconds from issue until the query's *last* in-flight message was
+    /// consumed — the exact end of its lifecycle, not an upper bound. `None`
+    /// while the query lives; every run drains, so every reported record has
+    /// it. It stays an `Option` because the report's canonical encoding
+    /// carries its tag byte, which every golden fingerprint covers.
+    pub completion_time_ms: Option<f64>,
+}
+
+impl QueryRecord {
+    /// True if the query was satisfied.
+    pub fn is_success(&self) -> bool {
+        self.outcome == QueryOutcome::Satisfied
+    }
+}
+
+/// Figure 4 metric: satisfied queries / all queries, in `[0, 1]` (0.0 for
+/// no records).
+pub fn success_rate(records: &[QueryRecord]) -> f64 {
+    share(records.iter(), QueryRecord::is_success)
+}
+
+/// Figure 3 metric: average number of messages per query.
+pub fn avg_messages_per_query(records: &[QueryRecord]) -> f64 {
+    mean(&records.iter().map(|r| r.messages as f64).collect::<Vec<_>>())
+}
+
+/// Figure 2 metric: average download distance in milliseconds over
+/// *satisfied* queries (unsatisfied queries download nothing).
+pub fn avg_download_distance_ms(records: &[QueryRecord]) -> f64 {
+    mean(&records.iter().filter_map(|r| r.download_distance_ms).collect::<Vec<_>>())
+}
+
+/// Fraction of satisfied queries whose chosen provider shares the
+/// requestor's locId.
+pub fn locality_match_rate(records: &[QueryRecord]) -> f64 {
+    share(records.iter().filter(|r| r.is_success()), |r| r.locality_match)
+}
+
+/// Fraction of satisfied queries answered from a response index rather than
+/// a file store.
+pub fn cache_hit_share(records: &[QueryRecord]) -> f64 {
+    share(records.iter().filter(|r| r.is_success()), |r| r.answered_from_cache)
+}
+
+/// The fraction of `records` that `holds`; 0.0 for none.
+fn share<'a>(
+    records: impl Iterator<Item = &'a QueryRecord>,
+    holds: impl Fn(&QueryRecord) -> bool,
+) -> f64 {
+    let (mut total, mut hits) = (0usize, 0usize);
+    for record in records {
+        total += 1;
+        hits += usize::from(holds(record));
+    }
+    if total == 0 {
+        0.0
+    } else {
+        hits as f64 / total as f64
+    }
+}
+
+/// Named `u64` counters, reported in key order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CounterSet<K: Ord> {
+    counts: BTreeMap<K, u64>,
+}
+
+impl<K: Ord> Default for CounterSet<K> {
+    fn default() -> Self {
+        CounterSet { counts: BTreeMap::new() }
+    }
+}
+
+impl<K: Ord> CounterSet<K> {
+    /// Creates an empty counter set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `amount` to the counter for `key`.
+    pub fn add(&mut self, key: K, amount: u64) {
+        *self.counts.entry(key).or_insert(0) += amount;
+    }
+
+    /// The current value for `key` (0 if never touched).
+    pub fn get(&self, key: &K) -> u64 {
+        self.counts.get(key).copied().unwrap_or(0)
+    }
+
+    /// Sum of all counters.
+    pub fn total(&self) -> u64 {
+        self.counts.values().sum()
+    }
+
+    /// Iterator over `(key, count)` in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, u64)> {
+        self.counts.iter().map(|(k, &v)| (k, v))
+    }
+}
 
 /// End-of-run statistics of the DHT subsystem (structured protocols only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,8 +281,9 @@ pub struct SimulationReport {
     pub protocol: ProtocolKind,
     /// Number of queries issued.
     pub queries_issued: u64,
-    /// Per-query records and their aggregations (Figures 2–4 read from here).
-    pub metrics: RunMetrics,
+    /// One record per issued query, in issue order (Figures 2–4 aggregate
+    /// them; slice it for a window of the run).
+    pub metrics: Vec<QueryRecord>,
     /// Message counts by kind (query, query-response, bloom-delta, …).
     pub message_counters: CounterSet<String>,
     /// Routing-decision counts (flood, bloom-match, gid-match, high-degree).
@@ -189,8 +329,8 @@ impl SimulationReport {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(self.protocol.label().as_bytes());
         bytes.extend_from_slice(&self.queries_issued.to_le_bytes());
-        for record in self.metrics.records() {
-            bytes.extend_from_slice(&record.index.to_le_bytes());
+        for (index, record) in self.metrics.iter().enumerate() {
+            bytes.extend_from_slice(&(index as u64).to_le_bytes());
             bytes.extend_from_slice(&record.requestor.to_le_bytes());
             bytes.push(record.is_success() as u8);
             bytes.extend_from_slice(&record.messages.to_le_bytes());
@@ -269,28 +409,38 @@ impl SimulationReport {
 
     /// Figure 4 metric: fraction of satisfied queries.
     pub fn success_rate(&self) -> f64 {
-        self.metrics.success_rate()
+        success_rate(&self.metrics)
     }
 
     /// Figure 3 metric: average messages per query.
     pub fn avg_messages_per_query(&self) -> f64 {
-        self.metrics.avg_messages_per_query()
+        avg_messages_per_query(&self.metrics)
+    }
+
+    /// Every message the run sent — search, Bloom synchronisation and DHT
+    /// maintenance — per issued query (0.0 for none): what the protocol
+    /// costs the network, beside Figure 3's search-only count.
+    pub fn total_messages_per_query(&self) -> f64 {
+        if self.queries_issued == 0 {
+            return 0.0;
+        }
+        self.message_counters.total() as f64 / self.queries_issued as f64
     }
 
     /// Figure 2 metric: average download distance (ms) over satisfied queries.
     pub fn avg_download_distance_ms(&self) -> f64 {
-        self.metrics.avg_download_distance_ms()
+        avg_download_distance_ms(&self.metrics)
     }
 
     /// Fraction of satisfied queries served by a provider in the requestor's
     /// locality.
     pub fn locality_match_rate(&self) -> f64 {
-        self.metrics.locality_match_rate()
+        locality_match_rate(&self.metrics)
     }
 
     /// Fraction of satisfied queries answered from a response index.
     pub fn cache_hit_share(&self) -> f64 {
-        self.metrics.cache_hit_share()
+        cache_hit_share(&self.metrics)
     }
 
     /// A one-row-per-metric summary table for reports and examples.
@@ -305,6 +455,10 @@ impl SimulationReport {
         table.push_row([
             "avg messages / query".to_string(),
             format!("{:.2}", self.avg_messages_per_query()),
+        ]);
+        table.push_row([
+            "total messages / query".to_string(),
+            format!("{:.2}", self.total_messages_per_query()),
         ]);
         table.push_row([
             "avg download distance (ms)".to_string(),
@@ -379,39 +533,56 @@ impl SimulationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locaware_metrics::{QueryOutcome, QueryRecord};
+
+    /// A record whose locality match and cache answer are set by `dist`
+    /// under 100 ms and by an even `index`.
+    fn record(index: u64, success: bool, messages: u64, dist: Option<f64>) -> QueryRecord {
+        QueryRecord {
+            requestor: 0,
+            outcome: if success { QueryOutcome::Satisfied } else { QueryOutcome::Unsatisfied },
+            messages,
+            download_distance_ms: dist,
+            locality_match: dist.is_some_and(|d| d < 100.0),
+            providers_offered: if success { 2 } else { 0 },
+            hops_to_hit: success.then_some(3),
+            answered_from_cache: success && index.is_multiple_of(2),
+            completion_time_ms: Some(40.0 + index as f64),
+        }
+    }
 
     fn report() -> SimulationReport {
-        let mut metrics = RunMetrics::new();
-        metrics.push(QueryRecord {
-            index: 0,
-            requestor: 1,
-            outcome: QueryOutcome::Satisfied,
-            messages: 10,
-            download_distance_ms: Some(120.0),
-            locality_match: true,
-            providers_offered: 3,
-            hops_to_hit: Some(2),
-            answered_from_cache: true,
-            completion_time_ms: Some(310.0),
-        });
-        metrics.push(QueryRecord {
-            index: 1,
-            requestor: 2,
-            outcome: QueryOutcome::Unsatisfied,
-            messages: 14,
-            download_distance_ms: None,
-            locality_match: false,
-            providers_offered: 0,
-            hops_to_hit: None,
-            answered_from_cache: false,
-            completion_time_ms: Some(480.0),
-        });
+        let metrics = vec![
+            QueryRecord {
+                requestor: 1,
+                outcome: QueryOutcome::Satisfied,
+                messages: 10,
+                download_distance_ms: Some(120.0),
+                locality_match: true,
+                providers_offered: 3,
+                hops_to_hit: Some(2),
+                answered_from_cache: true,
+                completion_time_ms: Some(310.0),
+            },
+            QueryRecord {
+                requestor: 2,
+                outcome: QueryOutcome::Unsatisfied,
+                messages: 14,
+                download_distance_ms: None,
+                locality_match: false,
+                providers_offered: 0,
+                hops_to_hit: None,
+                answered_from_cache: false,
+                completion_time_ms: Some(480.0),
+            },
+        ];
+        let mut message_counters = CounterSet::new();
+        message_counters.add("query".to_string(), 24);
+        message_counters.add("bloom-delta".to_string(), 5);
         SimulationReport {
             protocol: ProtocolKind::Locaware,
             queries_issued: 2,
             metrics,
-            message_counters: CounterSet::new(),
+            message_counters,
             routing_decisions: CounterSet::new(),
             background_messages: 5,
             total_file_replicas: 3001,
@@ -424,6 +595,79 @@ mod tests {
     }
 
     #[test]
+    fn success_rate_counts_satisfied_fraction() {
+        let records = [
+            record(0, true, 10, Some(50.0)),
+            record(1, false, 20, None),
+            record(2, true, 10, Some(150.0)),
+            record(3, true, 10, Some(250.0)),
+        ];
+        assert!((success_rate(&records) - 0.75).abs() < 1e-12);
+        assert!((avg_messages_per_query(&records) - 12.5).abs() < 1e-12);
+        assert!((avg_download_distance_ms(&records) - 150.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_metrics_are_zero() {
+        assert_eq!(success_rate(&[]), 0.0);
+        assert_eq!(avg_messages_per_query(&[]), 0.0);
+        assert_eq!(avg_download_distance_ms(&[]), 0.0);
+        assert_eq!(locality_match_rate(&[]), 0.0);
+        assert_eq!(cache_hit_share(&[]), 0.0);
+        let idle = SimulationReport { queries_issued: 0, ..report() };
+        assert_eq!(idle.total_messages_per_query(), 0.0);
+    }
+
+    #[test]
+    fn download_distance_ignores_unsatisfied_queries() {
+        let records = [record(0, true, 5, Some(100.0)), record(1, false, 50, None)];
+        assert_eq!(avg_download_distance_ms(&records), 100.0);
+    }
+
+    #[test]
+    fn locality_and_cache_rates_are_over_satisfied_queries_only() {
+        let records = [
+            record(0, true, 5, Some(50.0)),  // locality match, cache (index 0 even)
+            record(1, true, 5, Some(400.0)), // no locality match, no cache
+            record(2, false, 5, None),
+        ];
+        assert!((locality_match_rate(&records) - 0.5).abs() < 1e-12);
+        assert!((cache_hit_share(&records) - 0.5).abs() < 1e-12);
+    }
+
+    /// A window of the run is a slice of its records.
+    #[test]
+    fn prefix_and_tail_windows() {
+        let records: Vec<QueryRecord> = (0..10).map(|i| record(i, i >= 5, 1, None)).collect();
+        assert_eq!(success_rate(&records[..5]), 0.0);
+        assert_eq!(success_rate(&records[5..]), 1.0);
+    }
+
+    #[test]
+    fn counting_and_totals() {
+        let mut c: CounterSet<&'static str> = CounterSet::new();
+        assert_eq!(c.iter().count(), 0);
+        c.add("query", 1);
+        c.add("query", 1);
+        c.add("response", 5);
+        assert_eq!(c.get(&"query"), 2);
+        assert_eq!(c.get(&"response"), 5);
+        assert_eq!(c.get(&"never"), 0);
+        assert_eq!(c.total(), 7);
+        assert_eq!(c.iter().count(), 2);
+    }
+
+    #[test]
+    fn iteration_is_in_key_order() {
+        let mut c: CounterSet<String> = CounterSet::new();
+        for key in ["zeta", "alpha", "mid"] {
+            c.add(key.to_string(), 1);
+        }
+        let keys: Vec<&String> = c.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, vec!["alpha", "mid", "zeta"]);
+    }
+
+    #[test]
     fn convenience_accessors_delegate_to_metrics() {
         let r = report();
         assert!((r.success_rate() - 0.5).abs() < 1e-12);
@@ -431,6 +675,7 @@ mod tests {
         assert!((r.avg_download_distance_ms() - 120.0).abs() < 1e-12);
         assert!((r.locality_match_rate() - 1.0).abs() < 1e-12);
         assert!((r.cache_hit_share() - 1.0).abs() < 1e-12);
+        assert!((r.total_messages_per_query() - 14.5).abs() < 1e-12);
     }
 
     #[test]
@@ -440,14 +685,15 @@ mod tests {
         assert!(rendered.contains("0.5000"));
         assert!(rendered.contains("12.00"));
         assert!(rendered.contains("120.00"));
+        let total = rendered.lines().find(|l| l.starts_with("total messages / query"));
+        assert!(total.is_some_and(|l| l.ends_with(" 14.50")), "{rendered}");
     }
 
     /// The fingerprint digests the whole canonical encoding, so it sees the
     /// fields that live outside the per-query records too.
     #[test]
     fn fingerprint_sees_the_counters_and_the_protocol() {
-        let mut base = report();
-        base.message_counters.add("query".to_string(), 10);
+        let base = report();
         assert_eq!(base.fingerprint(), base.clone().fingerprint());
         let mut bumped = base.clone();
         bumped.message_counters.add("query".to_string(), 1);

@@ -10,8 +10,8 @@
 use locaware_net::{
     BriteConfig, BriteGenerator, LandmarkSet, LinkLatencyCache, LocId, PhysicalTopology,
 };
-use locaware_overlay::{ChurnModel, GeneratorConfig, OverlayGraph};
-use locaware_overlay::churn::ChurnEvent;
+use locaware_overlay::churn::{self, ChurnEvent};
+use locaware_overlay::{GeneratorConfig, OverlayGraph};
 use locaware_sim::{Duration, RngFactory, SimTime, StreamId};
 use locaware_workload::{
     Arrival, ArrivalProcess, Catalog, CatalogConfig, FileId, InitialPlacement, PlacementConfig,
@@ -238,7 +238,8 @@ impl Simulation {
             .map(|secs| SimTime::ZERO + Duration::from_secs_f64(secs))
             .unwrap_or(SimTime::ZERO);
         let horizon = last_arrival.max(schedule_span);
-        ChurnModel::new(self.config.churn).schedule(
+        churn::schedule(
+            &self.config.churn,
             self.config.peers,
             horizon,
             &mut self.rng_factory.stream(StreamId::Churn),
@@ -313,7 +314,7 @@ mod tests {
         let sim = small_sim();
         let a = sim.run(ProtocolKind::Locaware, 30);
         let b = sim.run(ProtocolKind::Locaware, 30);
-        assert_eq!(a.metrics.records(), b.metrics.records());
+        assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.success_rate(), b.success_rate());
         assert_eq!(a.avg_messages_per_query(), b.avg_messages_per_query());
     }

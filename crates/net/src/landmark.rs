@@ -121,11 +121,6 @@ impl LandmarkSet {
         self.positions.is_empty()
     }
 
-    /// Number of distinct locIds this landmark set can produce.
-    pub fn loc_id_cardinality(&self) -> u32 {
-        LocId::cardinality(self.positions.len())
-    }
-
     /// Position of landmark `i`.
     pub fn position(&self, i: usize) -> Point {
         self.positions[i]
@@ -175,7 +170,7 @@ mod tests {
     fn spread_four_landmarks_cover_the_corners() {
         let lm = LandmarkSet::spread(4);
         assert_eq!(lm.len(), 4);
-        assert_eq!(lm.loc_id_cardinality(), 24);
+        assert_eq!((1..=lm.len() as u32).product::<u32>(), 24, "4! locIds");
     }
 
     #[test]

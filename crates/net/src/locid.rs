@@ -15,20 +15,6 @@
 pub struct LocId(pub u32);
 
 impl LocId {
-    /// Number of distinct locIds for `landmarks` landmarks (`landmarks!`).
-    ///
-    /// # Panics
-    /// Panics if the factorial overflows `u32` (landmarks > 12), far beyond any
-    /// sensible landmark count — the paper argues even 5 is too many.
-    #[expect(clippy::expect_used, reason = "the documented panic past 12 landmarks")]
-    pub fn cardinality(landmarks: usize) -> u32 {
-        let mut f: u32 = 1;
-        for i in 2..=landmarks as u32 {
-            f = f.checked_mul(i).expect("landmark count too large for u32 factorial");
-        }
-        f
-    }
-
     /// Encodes a permutation of `0..k` (the landmark indices sorted by
     /// increasing RTT) into its Lehmer index.
     ///
@@ -90,13 +76,15 @@ fn is_permutation(values: &[usize]) -> bool {
 mod tests {
     use super::*;
 
+    /// `k` landmarks give `k!` locIds: the reverse ordering is the last one.
     #[test]
     fn cardinality_matches_factorial() {
-        assert_eq!(LocId::cardinality(1), 1);
-        assert_eq!(LocId::cardinality(2), 2);
-        assert_eq!(LocId::cardinality(3), 6);
-        assert_eq!(LocId::cardinality(4), 24); // the paper's configuration
-        assert_eq!(LocId::cardinality(5), 120); // the rejected alternative
+        // 4 is the paper's configuration, 5 the rejected alternative.
+        for k in 1..=5usize {
+            let reverse: Vec<usize> = (0..k).rev().collect();
+            let factorial: u32 = (1..=k as u32).product();
+            assert_eq!(LocId::from_ordering(&reverse).value(), factorial - 1, "{k} landmarks");
+        }
     }
 
     #[test]

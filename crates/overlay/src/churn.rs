@@ -74,83 +74,57 @@ impl ChurnConfig {
     pub fn is_disabled(&self) -> bool {
         self.churning_fraction == 0.0
     }
-
-    /// Whether the configuration describes a schedule: `churning_fraction` is
-    /// finite and in `[0, 1]`, and when it is positive both means are
-    /// positive and finite (a zero, negative or NaN mean is a zero-length
-    /// dwell, an infinite one a dwell past the clock).
-    pub fn is_valid(&self) -> bool {
-        let usable = |mean: f64| mean > 0.0 && mean.is_finite();
-        (0.0..=1.0).contains(&self.churning_fraction)
-            && (self.is_disabled() || usable(self.mean_session_secs) && usable(self.mean_offline_secs))
-    }
 }
 
-/// Generates the full churn schedule for a population of peers over a horizon.
-#[derive(Debug, Clone)]
-pub struct ChurnModel {
-    config: ChurnConfig,
-}
-
-impl ChurnModel {
-    /// Creates a model with the given configuration.
-    pub fn new(config: ChurnConfig) -> Self {
-        ChurnModel { config }
+/// Generates every leave/join transition of `config` for `peers` peers up to
+/// `horizon`, sorted by `(at, peer)`. A disabled configuration schedules
+/// nothing.
+///
+/// `config` must come from a validated `SimulationConfig`, whose three churn
+/// rows are the one statement of the churn range: in particular a churning
+/// configuration's mean dwells are positive, so every schedule ends (an
+/// infinite or past-the-clock dwell ends a peer's schedule like one past the
+/// horizon).
+pub fn schedule<R: Rng + ?Sized>(
+    config: &ChurnConfig,
+    peers: usize,
+    horizon: SimTime,
+    rng: &mut R,
+) -> Vec<ChurnEvent> {
+    let mut events = Vec::new();
+    if config.is_disabled() {
+        return events;
     }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &ChurnConfig {
-        &self.config
-    }
-
-    /// Generates every leave/join transition for `peers` peers up to `horizon`.
-    /// Events come back sorted by time. A configuration that is disabled or
-    /// not [valid](ChurnConfig::is_valid) schedules nothing.
-    pub fn schedule<R: Rng + ?Sized>(
-        &self,
-        peers: usize,
-        horizon: SimTime,
-        rng: &mut R,
-    ) -> Vec<ChurnEvent> {
-        let mut events = Vec::new();
-        if self.config.is_disabled() || !self.config.is_valid() {
-            return events;
+    debug_assert!(
+        config.mean_session_secs > 0.0 && config.mean_offline_secs > 0.0,
+        "churn means must be positive (validate the config first): {config:?}"
+    );
+    for p in 0..peers {
+        if rng.gen::<f64>() >= config.churning_fraction {
+            continue;
         }
-        for p in 0..peers {
-            if rng.gen::<f64>() >= self.config.churning_fraction {
-                continue;
+        let peer = PeerId(p as u32);
+        let mut now = SimTime::ZERO;
+        let mut online = true;
+        loop {
+            let mean = if online { config.mean_session_secs } else { config.mean_offline_secs };
+            // A dwell past the clock ends the peer's schedule just like
+            // one past the horizon.
+            let dwell = Duration::from_secs_f64(exponential(rng, mean));
+            match now.checked_add(dwell) {
+                Some(next) if next <= horizon => now = next,
+                _ => break,
             }
-            let peer = PeerId(p as u32);
-            let mut now = SimTime::ZERO;
-            let mut online = true;
-            loop {
-                let mean = if online {
-                    self.config.mean_session_secs
-                } else {
-                    self.config.mean_offline_secs
-                };
-                // A dwell past the clock ends the peer's schedule just like
-                // one past the horizon.
-                let dwell = Duration::from_secs_f64(exponential(rng, mean));
-                match now.checked_add(dwell) {
-                    Some(next) if next <= horizon => now = next,
-                    _ => break,
-                }
-                events.push(ChurnEvent {
-                    at: now,
-                    peer,
-                    kind: if online {
-                        ChurnEventKind::Leave
-                    } else {
-                        ChurnEventKind::Join
-                    },
-                });
-                online = !online;
-            }
+            events.push(ChurnEvent {
+                at: now,
+                peer,
+                kind: if online { ChurnEventKind::Leave } else { ChurnEventKind::Join },
+            });
+            online = !online;
         }
-        events.sort_by_key(|e| (e.at, e.peer));
-        events
     }
+    events.sort_by_key(|e| (e.at, e.peer));
+    events
 }
 
 /// Exponential sample with the given mean via inverse-CDF.
@@ -167,56 +141,40 @@ mod tests {
 
     #[test]
     fn disabled_config_produces_no_events() {
-        let model = ChurnModel::new(ChurnConfig::disabled());
-        let events = model.schedule(100, SimTime::from_secs(10_000), &mut StdRng::seed_from_u64(1));
+        let events = schedule(
+            &ChurnConfig::disabled(),
+            100,
+            SimTime::from_secs(10_000),
+            &mut StdRng::seed_from_u64(1),
+        );
         assert!(events.is_empty());
         assert!(ChurnConfig::disabled().is_disabled());
-        assert!(ChurnConfig::disabled().is_valid());
         assert!(!ChurnConfig::default().is_disabled());
-    }
-
-    #[test]
-    fn only_finite_fractions_and_usable_means_are_valid() {
-        let churn = |mean_session_secs, mean_offline_secs, churning_fraction| ChurnConfig {
-            mean_session_secs,
-            mean_offline_secs,
-            churning_fraction,
-        };
-        assert!(ChurnConfig::default().is_valid());
-        // Nobody churns: the means are never drawn from.
-        assert!(churn(f64::NAN, -1.0, 0.0).is_valid());
-        for fraction in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
-            assert!(!churn(60.0, 60.0, fraction).is_valid(), "fraction {fraction}");
-        }
-        for mean in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
-            assert!(!churn(mean, 60.0, 0.5).is_valid(), "session {mean}");
-            assert!(!churn(60.0, mean, 0.5).is_valid(), "offline {mean}");
-        }
     }
 
     #[test]
     fn a_dwell_past_the_clock_ends_the_schedule() {
         // Every offline gap saturates the duration conversion: each churning
         // peer leaves once and never comes back, instead of overflowing.
-        let model = ChurnModel::new(ChurnConfig {
+        let config = ChurnConfig {
             mean_session_secs: 10.0,
             mean_offline_secs: 1e18,
             churning_fraction: 1.0,
-        });
-        let events = model.schedule(20, SimTime::MAX, &mut StdRng::seed_from_u64(5));
+        };
+        let events = schedule(&config, 20, SimTime::MAX, &mut StdRng::seed_from_u64(5));
         assert_eq!(events.len(), 20);
         assert!(events.iter().all(|e| e.kind == ChurnEventKind::Leave));
     }
 
     #[test]
     fn events_are_sorted_and_alternate_per_peer() {
-        let model = ChurnModel::new(ChurnConfig {
+        let config = ChurnConfig {
             mean_session_secs: 100.0,
             mean_offline_secs: 50.0,
             churning_fraction: 1.0,
-        });
+        };
         let horizon = SimTime::from_secs(2000);
-        let events = model.schedule(20, horizon, &mut StdRng::seed_from_u64(2));
+        let events = schedule(&config, 20, horizon, &mut StdRng::seed_from_u64(2));
         assert!(!events.is_empty());
         // Sorted by time.
         for w in events.windows(2) {
@@ -239,12 +197,12 @@ mod tests {
 
     #[test]
     fn churning_fraction_limits_participation() {
-        let model = ChurnModel::new(ChurnConfig {
+        let config = ChurnConfig {
             mean_session_secs: 100.0,
             mean_offline_secs: 100.0,
             churning_fraction: 0.3,
-        });
-        let events = model.schedule(500, SimTime::from_secs(1000), &mut StdRng::seed_from_u64(3));
+        };
+        let events = schedule(&config, 500, SimTime::from_secs(1000), &mut StdRng::seed_from_u64(3));
         let participants: std::collections::HashSet<_> = events.iter().map(|e| e.peer).collect();
         let fraction = participants.len() as f64 / 500.0;
         assert!(
@@ -255,9 +213,9 @@ mod tests {
 
     #[test]
     fn schedule_is_deterministic() {
-        let model = ChurnModel::new(ChurnConfig::default());
-        let a = model.schedule(50, SimTime::from_secs(50_000), &mut StdRng::seed_from_u64(9));
-        let b = model.schedule(50, SimTime::from_secs(50_000), &mut StdRng::seed_from_u64(9));
+        let config = ChurnConfig::default();
+        let a = schedule(&config, 50, SimTime::from_secs(50_000), &mut StdRng::seed_from_u64(9));
+        let b = schedule(&config, 50, SimTime::from_secs(50_000), &mut StdRng::seed_from_u64(9));
         assert_eq!(a, b);
     }
 

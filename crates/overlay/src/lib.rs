@@ -42,7 +42,7 @@ pub mod graph;
 pub mod message;
 pub mod routing;
 
-pub use churn::{ChurnConfig, ChurnEvent, ChurnEventKind, ChurnModel};
+pub use churn::{ChurnConfig, ChurnEvent, ChurnEventKind};
 pub use dht::{DhtDistance, DhtId, DhtNode, DhtRecordStore, RoutingTable, DHT_ID_BITS, DHT_ID_BYTES};
 pub use generator::{GeneratorConfig, GraphModel};
 pub use graph::OverlayGraph;

@@ -20,6 +20,9 @@
 //! kicks in.
 
 use locaware_suite::locaware_workload::ArrivalSchedule;
+use locaware_suite::locaware::results::{
+    avg_download_distance_ms, locality_match_rate, success_rate, QueryRecord,
+};
 use locaware_suite::prelude::*;
 
 fn main() {
@@ -63,14 +66,14 @@ fn main() {
     ]);
     let quarter = queries / 4;
     for q in 0..4 {
-        let lo = locaware.metrics.prefix((q + 1) * quarter).tail_window(quarter);
-        let fl = flooding.metrics.prefix((q + 1) * quarter).tail_window(quarter);
+        let lo = quarter_of(&locaware.metrics, q, quarter);
+        let fl = quarter_of(&flooding.metrics, q, quarter);
         table.push_row([
             format!("Q{}", q + 1),
-            format!("{:.1}", lo.avg_download_distance_ms()),
-            format!("{:.1}", fl.avg_download_distance_ms()),
-            format!("{:.1}%", lo.locality_match_rate() * 100.0),
-            format!("{:.1}%", lo.success_rate() * 100.0),
+            format!("{:.1}", avg_download_distance_ms(lo)),
+            format!("{:.1}", avg_download_distance_ms(fl)),
+            format!("{:.1}%", locality_match_rate(lo) * 100.0),
+            format!("{:.1}%", success_rate(lo) * 100.0),
         ]);
     }
     println!("{}", table.render());
@@ -94,4 +97,11 @@ fn main() {
         "Share of Locaware downloads served from a provider in the requestor's own locality: {:.1}%.",
         locaware.locality_match_rate() * 100.0
     );
+}
+
+/// The records of quarter `q` of the run: `quarter` of them, ending at the
+/// quarter's last query (earlier if the run recorded fewer queries).
+fn quarter_of(records: &[QueryRecord], q: usize, quarter: usize) -> &[QueryRecord] {
+    let end = ((q + 1) * quarter).min(records.len());
+    &records[end.saturating_sub(quarter)..end]
 }

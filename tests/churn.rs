@@ -58,7 +58,7 @@ fn runs_complete_under_heavy_churn() {
         assert_eq!(report.metrics.len(), report.queries_issued as usize);
         assert!(report.queries_issued <= 80, "offline requestors skip their queries");
         assert!(report.success_rate() <= 1.0);
-        for record in report.metrics.records() {
+        for record in &report.metrics {
             if record.is_success() {
                 assert!(record.download_distance_ms.is_some());
             }
@@ -191,11 +191,10 @@ fn short_offline_gaps_cannot_make_a_response_cycle() {
             ..SimulationConfig::small(150)
         })
         .run(protocol, 300);
-        for record in report.metrics.records() {
+        for (index, record) in report.metrics.iter().enumerate() {
             assert!(
                 record.completion_time_ms.is_some(),
-                "{protocol} seed {seed}: query {} never completed",
-                record.index
+                "{protocol} seed {seed}: query {index} never completed"
             );
         }
         assert!(
@@ -226,8 +225,8 @@ fn routing_follows_the_graph_through_churn() {
             let full_filters = report.message_counters.get(&"bloom-full".to_string());
             let syncs = protocol == ProtocolKind::Locaware;
             assert_eq!(full_filters > 0, syncs, "{protocol}: rejoins swap full filters iff Bloom sync runs");
-            for record in report.metrics.records() {
-                assert!(record.completion_time_ms.is_some(), "{protocol}: query {} never completed", record.index);
+            for (index, record) in report.metrics.iter().enumerate() {
+                assert!(record.completion_time_ms.is_some(), "{protocol}: query {index} never completed");
             }
         }
     }
@@ -268,11 +267,10 @@ fn dht_lookups_to_departed_peers_complete_via_step_timeouts() {
             stats.dht_step_timeouts > 0,
             "{protocol}: lookups into crashed peers must trip step deadlines"
         );
-        for record in report.metrics.records() {
+        for (index, record) in report.metrics.iter().enumerate() {
             assert!(
                 record.completion_time_ms.is_some(),
-                "{protocol}: query {} never completed (requestor {})",
-                record.index,
+                "{protocol}: query {index} never completed (requestor {})",
                 record.requestor
             );
         }

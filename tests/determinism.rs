@@ -95,7 +95,7 @@ fn all_protocols_run_over_the_same_substrate() {
     // the same queries from the same requestors in the same order.
     let requestors: Vec<Vec<u32>> = reports
         .iter()
-        .map(|r| r.metrics.records().iter().map(|rec| rec.requestor).collect())
+        .map(|r| r.metrics.iter().map(|rec| rec.requestor).collect())
         .collect();
     for (report, reqs) in reports.iter().zip(&requestors) {
         assert_eq!(
@@ -138,7 +138,6 @@ fn tiny_catalog_exhaustion_keeps_replica_accounting_exact() {
         assert_eq!(report.metrics.len() as u64, report.queries_issued);
         let satisfied = report
             .metrics
-            .records()
             .iter()
             .filter(|r| r.is_success())
             .count();

@@ -49,7 +49,7 @@ fn every_protocol_completes_and_accounts_for_every_query() {
         );
         // Satisfied queries must report a download distance within the
         // configured latency bounds.
-        for record in report.metrics.records() {
+        for record in &report.metrics {
             if let Some(distance) = record.download_distance_ms {
                 assert!(
                     distance >= 0.0 && distance <= simulation.one.config().max_latency_ms,
@@ -70,7 +70,7 @@ fn per_query_message_counts_reconcile_with_global_counters() {
     let simulation = substrate(80, 2);
     for protocol in ProtocolKind::PAPER_SET {
         let report = simulation.run(protocol, 50);
-        let per_query_total: u64 = report.metrics.records().iter().map(|r| r.messages).sum();
+        let per_query_total: u64 = report.metrics.iter().map(|r| r.messages).sum();
         let query_msgs = report.message_counters.get(&"query".to_string());
         let response_msgs = report.message_counters.get(&"query-response".to_string());
         assert_eq!(
@@ -164,7 +164,7 @@ fn runs_are_deterministic_and_independent_of_execution_order() {
     let a1 = simulation.run(ProtocolKind::Locaware, 40);
     let b = simulation.run(ProtocolKind::Dicas, 40);
     let a2 = simulation.run(ProtocolKind::Locaware, 40);
-    assert_eq!(a1.metrics.records(), a2.metrics.records());
+    assert_eq!(a1.metrics, a2.metrics);
     assert_eq!(a1.success_rate(), a2.success_rate());
     // The interleaved Dicas run must not perturb Locaware's results.
     assert!(b.queries_issued == 40);
@@ -175,8 +175,8 @@ fn different_seeds_produce_different_but_valid_runs() {
     let a = substrate(70, 100).run(ProtocolKind::Locaware, 40);
     let b = substrate(70, 101).run(ProtocolKind::Locaware, 40);
     assert_ne!(
-        a.metrics.records(),
-        b.metrics.records(),
+        a.metrics,
+        b.metrics,
         "different seeds should give different runs"
     );
     for report in [&a, &b] {
@@ -198,7 +198,6 @@ fn natural_replication_grows_the_replica_pool() {
     );
     let satisfied = report
         .metrics
-        .records()
         .iter()
         .filter(|r| r.is_success())
         .count();

@@ -29,7 +29,7 @@ fn paper_defaults_run_locaware_end_to_end() {
         "paper-scale Locaware must satisfy some queries (got {:.4})",
         report.success_rate()
     );
-    for record in report.metrics.records() {
+    for record in &report.metrics {
         if let Some(distance) = record.download_distance_ms {
             assert!(
                 distance >= 0.0 && distance <= scenario.config().max_latency_ms,
@@ -59,7 +59,7 @@ fn sharded_engine_reproduces_single_shard_results_at_paper_scale() {
         .collect();
 
     let (single, sharded) = (&reports[0], &reports[1]);
-    assert_eq!(single.metrics.records(), sharded.metrics.records());
+    assert_eq!(single.metrics, sharded.metrics);
     assert_eq!(single.queries_issued, sharded.queries_issued);
     assert_eq!(single.dispatched_events, sharded.dispatched_events);
     assert_eq!(single.background_messages, sharded.background_messages);
@@ -95,7 +95,7 @@ fn large_10k_substrate_builds_and_is_shard_invariant() {
 
     let (single, sharded) = (&reports[0], &reports[1]);
     assert_eq!(single.fingerprint(), sharded.fingerprint());
-    assert_eq!(single.metrics.records(), sharded.metrics.records());
+    assert_eq!(single.metrics, sharded.metrics);
     assert_eq!(single.dispatched_events, sharded.dispatched_events);
     assert!(single.dispatched_events > 0);
 }

@@ -27,7 +27,8 @@ fn paper_default_configuration_is_the_published_setup() {
 #[test]
 fn localities_use_the_landmark_cardinality() {
     let simulation = paper_small(1);
-    let cardinality = simulation.landmarks().loc_id_cardinality();
+    let landmarks = simulation.landmarks().len() as u32;
+    let cardinality: u32 = (1..=landmarks).product();
     assert_eq!(cardinality, 24, "4 landmarks give 4! = 24 locIds");
     for &loc in simulation.loc_ids() {
         assert!(loc.value() < cardinality, "locId {loc} out of range");
@@ -164,7 +165,7 @@ fn substrate_is_shared_identically_across_protocol_runs() {
     let flooding = simulation.run(ProtocolKind::Flooding, 60);
     let locaware = simulation.run(ProtocolKind::Locaware, 60);
     let requestors = |r: &locaware::SimulationReport| {
-        r.metrics.records().iter().map(|q| q.requestor).collect::<Vec<_>>()
+        r.metrics.iter().map(|q| q.requestor).collect::<Vec<_>>()
     };
     assert_eq!(requestors(&flooding), requestors(&locaware));
 }
