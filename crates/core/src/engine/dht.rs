@@ -797,7 +797,7 @@ fn refill(
 fn search(state: &mut ShardState, index: usize) -> Option<(&mut u32, &mut Option<Box<DhtLookupState>>)> {
     match &mut state.tracking.get_mut(&(index as u32))?.search {
         Search::Dht { depth, walk } => Some((depth, walk)),
-        Search::Flood { .. } => None,
+        Search::Flood => None,
     }
 }
 
@@ -987,7 +987,7 @@ mod tests {
         issue(state, &shared, directory, graph, key, 0, &[KeywordId(0)]);
         let walk = |state: &ShardState| match &state.tracking[&0].search {
             Search::Dht { walk, .. } => walk.as_ref().map(|lookup| lookup.awaiting.clone()),
-            Search::Flood { .. } => unreachable!("a DHT query"),
+            Search::Flood => unreachable!("a DHT query"),
         };
         let awaiting = |state: &ShardState| walk(state).expect("the walk is live");
         assert_eq!(awaiting(state).len(), alpha);

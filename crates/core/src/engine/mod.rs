@@ -71,9 +71,14 @@
 //! during a run — the overlay graph, departed peers included — as an
 //! ordinary field: it mutates it in the churn transition, which takes
 //! `&mut self`, and lends it shared to the window drains, so a write during
-//! a window does not compile. Everything else shards share is the immutable
-//! `RunShared`. At a barrier the coordinator holds `&mut [ShardState]` and
-//! may touch any peer of any shard; during a window each `&mut ShardState` is
+//! a window does not compile. Everything else shards share is `RunShared`,
+//! immutable but for one write-once cell per arrival: the keywords its query
+//! floods with. Only the query's origin shard sets the cell, once, at issue;
+//! any other shard reads it only when a copy of the query or a response to
+//! it arrives, which is in a later window, after the barrier that joined
+//! the issuing drain. So no two sets can race and no read finds the cell
+//! empty. At a barrier the coordinator holds `&mut [ShardState]` and may
+//! touch any peer of any shard; during a window each `&mut ShardState` is
 //! handed to exactly one drain.
 //!
 //! This file owns the run's set-up and report, the executor, window planning
@@ -100,7 +105,7 @@ mod shard;
 mod tally;
 mod unstructured;
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -110,7 +115,7 @@ use locaware_net::{LinkLatencyCache, LocId, PhysicalTopology};
 use locaware_overlay::churn::ChurnEvent;
 use locaware_overlay::{ChurnEventKind, OverlayGraph, PeerId};
 use locaware_sim::{Duration, EventKey, RngFactory, SimTime, StreamId};
-use locaware_workload::{Arrival, Catalog, KeywordHashes, QueryGenerator};
+use locaware_workload::{Arrival, Catalog, KeywordHashes, KeywordId, QueryGenerator, PAPER_KEYWORDS_PER_FILE};
 
 use crate::config::{ProtocolKind, SimulationConfig, CONTROL_DRAIN};
 use crate::group::{GroupId, GroupScheme};
@@ -129,9 +134,10 @@ use shard::{Search, ShardEvent, ShardState};
 use tally::{labelled_counters, Tallies, FORWARD_DECISIONS, MESSAGE_KINDS};
 
 /// Read-only context shared by every shard and the coordinator during a run:
-/// nothing in it changes after [`prepare`]. The state that crosses shard
-/// boundaries and *does* change — the overlay graph — belongs to the
-/// [`Coordinator`].
+/// nothing in it changes after [`prepare`] but the write-once keyword record
+/// of each flooded query ([`RunShared::publish_keywords`]). The state that
+/// crosses shard boundaries and *does* change — the overlay graph — belongs
+/// to the [`Coordinator`].
 pub(crate) struct RunShared<'a> {
     pub(crate) config: &'a SimulationConfig,
     pub(crate) protocol: Box<dyn Protocol>,
@@ -145,6 +151,11 @@ pub(crate) struct RunShared<'a> {
     pub(crate) keyword_hashes: Arc<KeywordHashes>,
     pub(crate) scheme: GroupScheme,
     pub(crate) arrivals: Vec<Arrival>,
+    /// Arrival index → the keywords its query floods with, set once by the
+    /// origin shard at issue and read by every later hop, relayed response
+    /// and retransmit, so no message carries them. Empty for an arrival that
+    /// was skipped or resolved through the DHT.
+    published_keywords: Vec<OnceLock<PublishedKeywords>>,
     pub(crate) query_generator: QueryGenerator,
     pub(crate) rng_factory: RngFactory,
     pub(crate) partition: PeerPartition,
@@ -166,6 +177,58 @@ pub(crate) struct RunShared<'a> {
     /// later of its start and the last arrival. Debug builds assert every
     /// send, deadline and periodic round against it.
     pub(crate) event_bound: SimTime,
+}
+
+impl RunShared<'_> {
+    /// Publishes the keywords arrival `index` floods with. Called once, by
+    /// the origin shard at issue; see "Who owns what" in the module docs for
+    /// why no read can race it.
+    pub(crate) fn publish_keywords(&self, index: usize, keywords: Vec<KeywordId>) {
+        let fresh = self.published_keywords[index].set(PublishedKeywords::new(keywords)).is_ok();
+        assert!(fresh, "query {index}'s keywords were published twice");
+    }
+
+    /// The keywords flooded query `index` was issued with.
+    pub(crate) fn query_keywords(&self, index: usize) -> &[KeywordId] {
+        match self.published_keywords[index].get() {
+            Some(keywords) => keywords.as_slice(),
+            None => unreachable!("query {index} travels, so its issue published its keywords"),
+        }
+    }
+}
+
+/// A flooded query's keywords as published at issue: inline when there are
+/// at most [`PAPER_KEYWORDS_PER_FILE`] of them, as in every paper query, and
+/// boxed only beyond that. A record lives until the run ends, so its size
+/// is paid once per arrival: with a box per query, 8000 arrivals raised
+/// `cache-warm-1k`'s peak RSS by about 1 MB, and with a 32-byte cell by
+/// about 0.5 MB. The box is boxed again to keep its pointer thin, and the
+/// cell at 24 bytes.
+enum PublishedKeywords {
+    Inline(u8, [KeywordId; PAPER_KEYWORDS_PER_FILE]),
+    Boxed(Box<Box<[KeywordId]>>),
+}
+
+const _: () = assert!(std::mem::size_of::<OnceLock<PublishedKeywords>>() <= 24, "keyword cell grew");
+
+impl PublishedKeywords {
+    fn new(keywords: Vec<KeywordId>) -> Self {
+        let mut inline = [KeywordId(0); PAPER_KEYWORDS_PER_FILE];
+        match inline.get_mut(..keywords.len()) {
+            Some(prefix) => {
+                prefix.copy_from_slice(&keywords);
+                PublishedKeywords::Inline(keywords.len() as u8, inline)
+            }
+            None => PublishedKeywords::Boxed(Box::new(keywords.into_boxed_slice())),
+        }
+    }
+
+    fn as_slice(&self) -> &[KeywordId] {
+        match self {
+            PublishedKeywords::Inline(len, ids) => &ids[..usize::from(*len)],
+            PublishedKeywords::Boxed(ids) => ids,
+        }
+    }
 }
 
 /// Minimum number of events the previous window dispatched *outside* its
@@ -328,6 +391,7 @@ fn prepare(
         channel_lookahead,
         faults: FaultPlan::new(&config.faults, sim.rng_factory()),
         event_bound: config.horizon().event_bound(arrivals.last().map_or(SimTime::ZERO, |a| a.at)),
+        published_keywords: arrivals.iter().map(|_| OnceLock::new()).collect(),
         arrivals,
         protocol,
     };
@@ -406,7 +470,15 @@ fn finalize(
     let mut lookup_depth_total = 0u64;
     for (index, arrival) in shared.arrivals.iter().enumerate() {
         let origin_shard = shared.partition.shard(PeerId(arrival.peer as u32));
-        let Some(tracking) = shards[origin_shard].tracking.remove(&(index as u32)) else {
+        let tracking = shards[origin_shard].tracking.remove(&(index as u32));
+        // A keyword record exists exactly for the queries issued through the
+        // unstructured family: none for a skipped arrival or a DHT lookup.
+        debug_assert_eq!(
+            shared.published_keywords[index].get().is_some(),
+            tracking.as_ref().is_some_and(|t| matches!(t.search, Search::Flood)),
+            "arrival {index}: keyword record vs family"
+        );
+        let Some(tracking) = tracking else {
             continue;
         };
         if let Search::Dht { depth, .. } = tracking.search {
@@ -950,6 +1022,19 @@ mod tests {
             })
             .collect();
             proptest::prop_assert_eq!(derived, eager_control_schedule(periodic, horizon, &churn));
+        }
+    }
+
+    /// Up to the paper's three keywords are held inline, a longer list
+    /// boxed; either way the record reads back as it was published.
+    #[test]
+    fn published_keywords_read_back_inline_or_boxed() {
+        for len in 0..=PAPER_KEYWORDS_PER_FILE + 2 {
+            let keywords: Vec<KeywordId> = (0..len as u32).map(|k| KeywordId(10 + k)).collect();
+            let published = PublishedKeywords::new(keywords.clone());
+            let inline = matches!(published, PublishedKeywords::Inline(..));
+            assert_eq!(inline, len <= PAPER_KEYWORDS_PER_FILE, "{len} keywords");
+            assert_eq!(published.as_slice(), &keywords[..]);
         }
     }
 

@@ -82,7 +82,9 @@ pub(super) enum ShardEvent {
 // once (the queue orders 32-byte entries, not payloads), so this size no
 // longer multiplies sift cost — it is the slab's footprint per pending event
 // at the deepest burst, and the copy every message of every run still pays.
-const _: () = assert!(std::mem::size_of::<ShardEvent>() <= 96, "ShardEvent grew past 96 bytes");
+// No message carries a keyword list, so the largest is the DHT lookup reply
+// (two `Vec`s), and the event is 72 bytes.
+const _: () = assert!(std::mem::size_of::<ShardEvent>() <= 72, "ShardEvent grew past 72 bytes");
 
 /// Which fault-plan deadline a [`ShardEvent::Timeout`] represents.
 #[derive(Debug, Clone, Copy)]
@@ -157,14 +159,9 @@ impl QueryTracking {
 /// A query's family-specific origin state, fixed when `handle_issue` picks
 /// the family.
 pub(super) enum Search {
-    /// Flooded over the overlay ([`super::unstructured`]).
-    Flood {
-        /// The query as last flooded, `Some` exactly while a retransmit
-        /// deadline is armed: a re-flood must not repeat the workload draw,
-        /// which would desynchronise the per-arrival RNG stream. Boxed, so
-        /// fault-free runs do not pay for a wire message per entry.
-        retry: Option<Box<Message>>,
-    },
+    /// Flooded over the overlay ([`super::unstructured`]). A re-flood needs
+    /// only the target, kept above, and the keywords the issue published.
+    Flood,
     /// Resolved through the keyword DHT ([`super::dht`]): structured
     /// protocols, and for the hybrid only tail-rank targets.
     Dht {
@@ -228,8 +225,9 @@ pub(super) struct ShardState {
     /// Key of the last event this shard dispatched.
     pub last_key: Option<EventKey>,
     // Scratch reused across events so neither family's hot path allocates:
-    // the flood path's keyword hashes and forward targets, and the publish
-    // path's trie-search buffers and resolved store targets.
+    // the forward path's targets and, for Bloom-routing protocols, keyword
+    // hashes, and the publish path's trie-search buffers and resolved store
+    // targets.
     pub(super) scratch_hashes: Vec<ElementHashes>,
     pub(super) scratch_targets: Vec<PeerId>,
     pub(super) scratch_directory: DirectoryScratch,
@@ -390,7 +388,7 @@ impl ShardState {
         });
         let search = match structured {
             Some(_) => Search::Dht { depth: 0, walk: None },
-            None => Search::Flood { retry: None },
+            None => Search::Flood,
         };
         self.tracking.insert(index as u32, QueryTracking::new(shared, index, query.target, search));
         if let Some(directory) = structured {
@@ -605,8 +603,6 @@ mod tests {
     use crate::simulation::Simulation;
     use locaware_overlay::churn::ChurnEvent;
     use locaware_overlay::ChurnEventKind;
-    use locaware_workload::KeywordId;
-    use std::sync::Arc;
 
     fn substrate(shards: usize, crash_stop: bool) -> Simulation {
         let mut config = SimulationConfig::small(40);
@@ -622,17 +618,23 @@ mod tests {
 
     /// A copy of arrival 0's query as flooded by its `attempt`-th attempt,
     /// on its last hop: whoever processes it forwards nothing.
-    fn last_hop_copy(shared: &RunShared<'_>, attempt: u32, keywords: Arc<[KeywordId]>) -> Message {
+    fn last_hop_copy(shared: &RunShared<'_>, attempt: u32) -> Message {
         let origin = PeerId(shared.arrivals[0].peer as u32);
         Message::Query {
             // Attempt `n` of arrival 0: the attempt rides in the high bits.
             query: QueryId(u64::from(attempt) << 32),
             origin,
             origin_loc: shared.loc_ids[origin.index()],
-            keywords,
             target_filename: None,
             ttl: 1,
         }
+    }
+
+    /// Whether `peer` stores no file that matches the keywords arrival 0's
+    /// issue published: a copy of that query is not answered there.
+    fn cannot_answer(sim: &Simulation, shared: &RunShared<'_>, peer: PeerId) -> bool {
+        let keywords = shared.query_keywords(0);
+        !sim.initial_shares()[peer.index()].iter().any(|&f| sim.catalog().file_matches(f, keywords))
     }
 
     #[test]
@@ -682,15 +684,15 @@ mod tests {
         // Only the deliveries sent below are to be dispatched, not the flood.
         while shards[0].queue.pop_before(EventKey::MAX).is_some() {}
 
-        let victim = PeerId((origin.0 + 1) % 40);
+        let victim = (0..40).map(PeerId).find(|&p| p != origin && cannot_answer(&sim, &shared, p));
+        let victim = victim.expect("a peer that cannot answer");
         let offer = [ProviderEntry {
             provider: victim,
             loc_id: shared.loc_ids[victim.index()],
         }];
         let origin_state = &shards[0].peers[shared.partition.slot(origin)];
         let file = (0..).map(FileId).find(|&f| !origin_state.has_file(f)).expect("a file to want");
-        // A keyword no filename has: whoever processes the copy cannot answer.
-        let query = last_hop_copy(&shared, 1, Arc::from([KeywordId(u32::MAX)]));
+        let query = last_hop_copy(&shared, 1);
         for (kind, online) in [(ChurnEventKind::Leave, false), (ChurnEventKind::Join, true)] {
             let event = ChurnEvent { at: arrival.at, peer: victim, kind };
             coordinator.apply_churn(&shared, &mut shards, event);
@@ -704,48 +706,6 @@ mod tests {
             assert_eq!(state.satisfy(&shared, &coordinator.graph, 0, file, &offer), online);
         }
         assert_eq!(coordinator.crash_departures, 1);
-    }
-
-    /// A file's keywords exist once: the catalog's allocation is what every
-    /// response about the file, and every relayed copy, carries.
-    #[test]
-    fn responses_and_their_relays_share_the_catalogs_keyword_allocation() {
-        let sim = substrate(1, false);
-        let (shared, mut shards) = prepare(&sim, ProtocolKind::Flooding, sim.arrivals(1), true);
-        let (state, graph) = (&mut shards[0], sim.overlay());
-        let key = issue_key(shared.arrivals[0].at, 0);
-        let origin = PeerId(shared.arrivals[0].peer as u32);
-        // A holder answers two attempts of one query, both arriving through
-        // `relay`, whose own upstream is `beyond`.
-        let mut others = (0..40).map(PeerId).filter(|&p| p != origin);
-        let (holder, relay, beyond) = (others.next().unwrap(), others.next().unwrap(), others.next().unwrap());
-        let holder_slot = shared.partition.slot(holder);
-        let stored = state.peers[holder_slot].shared_files().next().expect("initial shares");
-        let asked: Arc<[KeywordId]> = shared.catalog.filename(stored).shared_keywords().clone();
-        for attempt in 0..2 {
-            state.routes.on_query(0, shared.partition.slot(relay) as u32, attempt, Some(beyond));
-            let query = last_hop_copy(&shared, attempt, asked.clone());
-            unstructured::deliver(state, &shared, graph, key, relay, holder, query);
-        }
-
-        let mut hops = 0;
-        while let Some((key, event)) = state.queue.pop_before(EventKey::MAX) {
-            let ShardEvent::Deliver { from, to, message } = event else {
-                continue; // The arrival's own issue, scheduled by `prepare`.
-            };
-            let Message::QueryResponse { file, file_keywords, query_keywords, .. } = &message else {
-                panic!("only responses were sent");
-            };
-            let filename = shared.catalog.filename(*file);
-            assert!(Arc::ptr_eq(file_keywords, filename.shared_keywords()));
-            assert!(std::ptr::eq(filename.keywords(), &**file_keywords));
-            assert!(Arc::ptr_eq(query_keywords, &asked), "and the query's list is the query's own");
-            hops += 1;
-            if to == relay {
-                unstructured::deliver(state, &shared, graph, key, from, to, message);
-            }
-        }
-        assert_eq!(hops, 4, "two responses, each relayed once");
     }
 
     /// A rejoin must not erase a sighting: a rejoined peer that saw the query
@@ -765,9 +725,10 @@ mod tests {
 
         // A copy reaches a peer of the other shard, twice, then once more
         // after that peer left and rejoined through the churn barrier.
-        let to = (0..40).map(PeerId).find(|&p| shared.partition.shard(p) != home).expect("two shards");
+        let away = |p: PeerId| shared.partition.shard(p) != home && cannot_answer(&sim, &shared, p);
+        let to = (0..40).map(PeerId).find(|&p| away(p)).expect("a peer of the other shard that cannot answer");
         let slot = shared.partition.slot(to);
-        let query = last_hop_copy(&shared, 0, Arc::from([KeywordId(0)]));
+        let query = last_hop_copy(&shared, 0);
         let deliver = |s: &mut ShardState, from: u32| {
             unstructured::deliver(s, &shared, sim.overlay(), key, PeerId(from), to, query.clone());
             (sightings(s), s.routes.response_next_hop(0, slot as u32, 0))

@@ -7,8 +7,9 @@
 //! a handful of entry points: [`bootstrap`] at set-up, [`issue`], [`deliver`]
 //! and [`retransmit`] from a shard's event loop, and [`sync`] and [`on_join`]
 //! from the coordinator's barriers. The shard supplies the lifecycle and the
-//! transport; what the family keeps per query at its origin is the
-//! tracking entry's [`Search::Flood`].
+//! transport; what the family keeps per query is the keyword record its
+//! issue publishes in [`RunShared`], and its tracking entry is marked
+//! [`Search::Flood`](super::shard::Search::Flood).
 //!
 //! A query floods as numbered *attempts*: the issue is attempt 0, every
 //! retransmit the next. The attempt rides in the high 32 bits of the query
@@ -23,14 +24,14 @@ use locaware_bloom::ElementHashes;
 use locaware_overlay::routing::decrement_ttl;
 use locaware_overlay::{Message, OverlayGraph, PeerId, ProviderEntry, QueryId};
 use locaware_sim::{Duration, EventKey, SimTime};
-use locaware_workload::Query;
+use locaware_workload::{FileId, KeywordId, Query};
 
 use crate::config::ProtocolKind;
 use crate::peer::keyword_signature;
 use crate::protocol::{PeerView, QueryContext, ResponseContext};
 
 use super::lifecycle::HitMark;
-use super::shard::{query_index, Search, ShardState, TimeoutKind};
+use super::shard::{query_index, ShardState, TimeoutKind};
 use super::tally::decision_index;
 use super::{peer_mut, RunShared};
 
@@ -104,9 +105,9 @@ pub(super) fn on_join(
 
 // --- query resolution (shard side) ----------------------------------------------
 
-/// Issues an overlay-resolved query: its first attempt floods from the
-/// origin. Dicas searches for the exact filename; every other protocol sends
-/// keywords only.
+/// Issues an overlay-resolved query: publishes its keywords, which every
+/// later hop, relayed response and retransmit reads, and floods its first
+/// attempt from the origin.
 pub(super) fn issue(
     state: &mut ShardState,
     shared: &RunShared<'_>,
@@ -115,16 +116,8 @@ pub(super) fn issue(
     index: usize,
     query: Query,
 ) {
-    let origin = PeerId(shared.arrivals[index].peer as u32);
-    let message = Message::Query {
-        query: attempt_id(index, 0),
-        origin,
-        origin_loc: shared.loc_ids[origin.index()],
-        keywords: query.keywords.into(),
-        target_filename: (shared.protocol.kind() == ProtocolKind::Dicas).then_some(query.target),
-        ttl: shared.config.ttl,
-    };
-    flood_attempt(state, shared, graph, now, index, 0, message);
+    shared.publish_keywords(index, query.keywords);
+    flood_attempt(state, shared, graph, now, index, 0, query.target);
 }
 
 /// Handles a delivered unstructured message at the online peer `to`.
@@ -141,12 +134,12 @@ pub(super) fn deliver(
     // Copy and `ref` bindings only, so a forwarded query or a relayed
     // response is the delivered message itself, not a rebuilt one.
     match message {
-        Message::Query { query, origin, origin_loc, ref keywords, ttl, .. } => {
+        Message::Query { query, origin, origin_loc, ttl, .. } => {
             let (index, attempt) = (query_index(query), query_attempt(query));
             if !state.routes.on_query(index, slot as u32, attempt, Some(from)) {
                 return; // A duplicate: already seen along another path.
             }
-            shared.keyword_hashes.of_all_into(keywords, &mut state.scratch_hashes);
+            let keywords = shared.query_keywords(index);
             // Does the receiver's storage signature let the shared-file walk
             // happen at all? (Observability only: the protocol's matching
             // rule applies the same test for itself.)
@@ -156,7 +149,8 @@ pub(super) fn deliver(
                 state.tallies.storage_skips += 1;
             }
             let local_match = {
-                let qctx = query_context(&message, &state.scratch_hashes);
+                // No local-match rule reads Bloom hashes, so none are computed.
+                let qctx = query_context(&message, keywords, &[]);
                 shared.protocol.local_match(&view(state, graph, shared, slot), &qctx)
             };
 
@@ -169,12 +163,9 @@ pub(super) fn deliver(
                 // §4.1.2: the answering peer records the requestor as a new
                 // provider of the file (subject to its caching rule).
                 let requestor_entry = ProviderEntry { provider: origin, loc_id: origin_loc };
-                // One allocation per file, the catalog's own; every response
-                // about the file shares it.
-                let file_keywords = shared.catalog.filename(hit.file).shared_keywords();
                 let response_ctx = ResponseContext {
                     file: hit.file,
-                    file_keywords,
+                    file_keywords: shared.catalog.filename(hit.file).keywords(),
                     query_keywords: keywords,
                     providers: &[],
                     requestor: requestor_entry,
@@ -184,11 +175,6 @@ pub(super) fn deliver(
                 let response = Message::QueryResponse {
                     query,
                     file: hit.file,
-                    file_keywords: file_keywords.clone(),
-                    // The response carries the query's keywords so caching
-                    // peers along the reverse path never need the origin
-                    // shard's tracking state.
-                    query_keywords: keywords.clone(),
                     providers: hit.providers,
                     requestor: requestor_entry,
                 };
@@ -207,14 +193,7 @@ pub(super) fn deliver(
             }
             forward_query(state, shared, graph, key.time, to, Some(from), &message);
         }
-        Message::QueryResponse {
-            query,
-            file,
-            ref file_keywords,
-            ref query_keywords,
-            ref providers,
-            requestor,
-        } => {
+        Message::QueryResponse { query, file, ref providers, requestor } => {
             let index = query_index(query);
             // The origin is a pure function of the query id (= arrival
             // index), so any shard can answer "am I the origin?" without
@@ -225,11 +204,13 @@ pub(super) fn deliver(
                 return;
             }
 
-            // Intermediate peer: cache per protocol rule, then relay.
+            // Intermediate peer: cache per protocol rule, then relay. The
+            // file's keywords are the catalog's, the query's its published
+            // record: neither rides in the response.
             let response_ctx = ResponseContext {
                 file,
-                file_keywords,
-                query_keywords,
+                file_keywords: shared.catalog.filename(file).keywords(),
+                query_keywords: shared.query_keywords(index),
                 providers,
                 requestor,
             };
@@ -250,7 +231,9 @@ pub(super) fn deliver(
 /// A retransmit deadline fired — the one armed for query `index`, whose last
 /// flood was attempt `attempt`: if the query is still unanswered and has
 /// retries left, re-flood it from the origin as the next attempt, which arms
-/// the next, backed-off deadline.
+/// the next, backed-off deadline. The re-flood reads the keywords the issue
+/// published: repeating the workload draw would desynchronise the
+/// per-arrival RNG stream.
 pub(super) fn retransmit(
     state: &mut ShardState,
     shared: &RunShared<'_>,
@@ -259,36 +242,30 @@ pub(super) fn retransmit(
     index: usize,
     attempt: u32,
 ) {
-    let Some(tracking) = state.tracking.get_mut(&(index as u32)) else {
-        return;
-    };
-    let Search::Flood { retry } = &mut tracking.search else {
-        return;
-    };
-    // Taken: no deadline is armed any more until a re-flood arms the next.
-    let Some(message) = retry.take() else {
+    let Some(tracking) = state.tracking.get(&(index as u32)) else {
         return;
     };
     if tracking.record.is_success() {
         return;
     }
-    let origin = tracking.origin();
+    let (origin, target) = (tracking.origin(), tracking.target);
     state.tallies.query_timeouts += 1;
     let retries = shared.faults.as_ref().and_then(|f| f.query_retransmit()).map_or(0, |p| p.max_retries);
     // A departed origin has nobody left to retry for (or to receive an
     // answer); the timer's consumption lets the query complete honestly.
     if attempt < retries && graph.is_active(origin) {
-        flood_attempt(state, shared, graph, key.time, index, attempt + 1, *message);
+        flood_attempt(state, shared, graph, key.time, index, attempt + 1, target);
     }
 }
 
-/// Floods `message` from its origin as query `index`'s 0-based attempt
-/// `attempt` and arms that attempt's deadline: the one place the family does
-/// either. The attempt's id is stamped into the message and the origin
-/// registers it locally, with no upstream. The deadline is armed only under
-/// a fault plan with a retransmit policy, and only if the flood put messages
-/// in flight: a query with no forward targets is complete as it stands, and
-/// retrying it would re-flood into the same emptiness.
+/// Floods query `index`, searching for `target`, from its origin as its
+/// 0-based attempt `attempt` and arms that attempt's deadline: the one place
+/// the family does either. The origin registers the attempt locally, with no
+/// upstream. Dicas searches for the exact filename; every other protocol
+/// sends keywords only. The deadline is armed only under a fault plan with a
+/// retransmit policy, and only if the flood put messages in flight: a query
+/// with no forward targets is complete as it stands, and retrying it would
+/// re-flood into the same emptiness.
 fn flood_attempt(
     state: &mut ShardState,
     shared: &RunShared<'_>,
@@ -296,15 +273,17 @@ fn flood_attempt(
     now: SimTime,
     index: usize,
     attempt: u32,
-    mut message: Message,
+    target: FileId,
 ) {
-    let Message::Query { query, origin, keywords, .. } = &mut message else {
-        unreachable!("only queries are flooded");
+    let origin = PeerId(shared.arrivals[index].peer as u32);
+    let message = Message::Query {
+        query: attempt_id(index, attempt),
+        origin,
+        origin_loc: shared.loc_ids[origin.index()],
+        target_filename: (shared.protocol.kind() == ProtocolKind::Dicas).then_some(target),
+        ttl: shared.config.ttl,
     };
-    *query = attempt_id(index, attempt);
-    let origin = *origin;
     state.routes.on_query(index, shared.partition.slot(origin) as u32, attempt, None);
-    shared.keyword_hashes.of_all_into(keywords, &mut state.scratch_hashes);
     let sent = forward_query(state, shared, graph, now, origin, None, &message);
     if sent && attempt > 0 {
         state.tallies.query_retransmits += 1;
@@ -313,10 +292,6 @@ fn flood_attempt(
     let (true, Some(policy)) = (sent, policy) else {
         return;
     };
-    let Some(tracking) = state.tracking.get_mut(&(index as u32)) else {
-        return;
-    };
-    tracking.search = Search::Flood { retry: Some(Box::new(message)) };
     let deadline = now + Duration::from_secs_f64(policy.delay_secs(attempt));
     state.schedule_timeout(shared, deadline, index, TimeoutKind::Retransmit { attempt });
 }
@@ -325,8 +300,9 @@ fn flood_attempt(
 /// retransmit time (`exclude` is `None`: there is no upstream), a relay
 /// otherwise (`exclude` is the neighbour it arrived from): the protocol picks
 /// the forward targets, the decision is tallied and every target is sent one
-/// copy. `scratch_hashes` must already hold the hashes of the query's
-/// keywords. Returns whether anything was sent.
+/// copy. Only a protocol that routes by Bloom filter gets the Bloom hashes of
+/// the query's keywords, computed here into `scratch_hashes`. Returns whether
+/// anything was sent.
 fn forward_query(
     state: &mut ShardState,
     shared: &RunShared<'_>,
@@ -336,18 +312,26 @@ fn forward_query(
     exclude: Option<PeerId>,
     message: &Message,
 ) -> bool {
+    let Message::Query { query, .. } = message else {
+        unreachable!("only queries are forwarded");
+    };
+    let index = query_index(*query);
+    let keywords = shared.query_keywords(index);
+    state.scratch_hashes.clear();
+    if shared.protocol.uses_bloom_sync() {
+        state.scratch_hashes.extend(keywords.iter().map(|&kw| shared.keyword_hashes.of(kw)));
+    }
     let mut targets = std::mem::take(&mut state.scratch_targets);
-    let (index, decision) = {
-        let qctx = query_context(message, &state.scratch_hashes);
+    let decision = {
+        let qctx = query_context(message, keywords, &state.scratch_hashes);
         let view = view(state, graph, shared, shared.partition.slot(at));
-        let decision = shared.protocol.forward_targets_into(&view, &qctx, exclude, &mut targets);
-        (query_index(qctx.query), decision)
+        shared.protocol.forward_targets_into(&view, &qctx, exclude, &mut targets)
     };
     state.tallies.decision_counts[decision_index(decision)] += 1;
     let on_graph = |&n: &PeerId| graph.are_neighbors(at, n);
     debug_assert!(targets.iter().all(on_graph), "{at:?} forwards off the graph: {targets:?}");
-    // Copies share the keyword list (`Arc`), so the per-target cost is a
-    // reference-count bump, not a clone.
+    // The keywords are the published record, not a field, so a copy is
+    // the message's plain fields.
     for &target in &targets {
         state.send(shared, now, at, target, message.clone(), index);
     }
@@ -357,10 +341,13 @@ fn forward_query(
     sent
 }
 
-/// The protocol's view of the query `message`, whose keywords' Bloom hashes
-/// are `keyword_hashes`: the one place the family builds a [`QueryContext`].
-fn query_context<'m>(message: &'m Message, keyword_hashes: &'m [ElementHashes]) -> QueryContext<'m> {
-    let Message::Query { query, origin, origin_loc, keywords, target_filename, .. } = message else {
+/// The protocol's view of the query `message`, whose published keywords are
+/// `keywords` and their Bloom hashes `keyword_hashes` (empty where no rule
+/// reads them): the one place the family builds a [`QueryContext`].
+fn query_context<'m>(
+    message: &Message, keywords: &'m [KeywordId], keyword_hashes: &'m [ElementHashes],
+) -> QueryContext<'m> {
+    let Message::Query { query, origin, origin_loc, target_filename, .. } = message else {
         unreachable!("only queries have a query context");
     };
     QueryContext {
@@ -388,10 +375,11 @@ fn view<'v>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::shard::QueryTracking;
+    use super::super::shard::{QueryTracking, Search};
     use super::super::{prepare, Coordinator};
     use super::*;
     use crate::config::SimulationConfig;
+    use crate::protocol::Protocol;
     use crate::simulation::Simulation;
     use locaware_bloom::{BloomDelta, BloomFilter};
     use locaware_overlay::{ChurnEvent, ChurnEventKind};
@@ -406,26 +394,27 @@ mod tests {
         Simulation::try_build(config).expect("test configuration validates")
     }
 
-    /// Floods arrival 0 as a query for `keywords` over `graph`, the way its
-    /// issue would, then drains the flood. Returns the issue time.
-    fn flood(sim: &Simulation, graph: &OverlayGraph, keywords: Arc<[KeywordId]>) -> (ShardState, SimTime) {
-        let (shared, mut shards) = prepare(sim, ProtocolKind::Flooding, sim.arrivals(1), true);
+    /// Issues arrival 0 as a query for `keywords` over `graph` and drains
+    /// the flood. Returns the issue time.
+    fn flood(sim: &Simulation, graph: &OverlayGraph, keywords: Vec<KeywordId>) -> (ShardState, SimTime) {
+        let (shared, shards) = prepare(sim, ProtocolKind::Flooding, sim.arrivals(1), true);
+        issue_and_drain(&shared, shards, graph, keywords)
+    }
+
+    /// Issues arrival 0 of the prepared single-shard run as a query for
+    /// `keywords` over `graph`, the way its issue would with the workload
+    /// draw replaced, and drains the flood. Returns the issue time.
+    fn issue_and_drain(
+        shared: &RunShared<'_>, mut shards: Vec<ShardState>, graph: &OverlayGraph, keywords: Vec<KeywordId>,
+    ) -> (ShardState, SimTime) {
         let mut state = shards.remove(0);
         // Only what the flood sends is to be dispatched, not the arrival's issue.
         while state.queue.pop_before(EventKey::MAX).is_some() {}
-        let (now, origin) = (shared.arrivals[0].at, PeerId(shared.arrivals[0].peer as u32));
-        let tracking = QueryTracking::new(&shared, 0, FileId(0), Search::Flood { retry: None });
+        let now = shared.arrivals[0].at;
+        let tracking = QueryTracking::new(shared, 0, FileId(0), Search::Flood);
         state.tracking.insert(0, tracking);
-        let message = Message::Query {
-            query: QueryId(0),
-            origin,
-            origin_loc: shared.loc_ids[origin.index()],
-            keywords,
-            target_filename: None,
-            ttl: shared.config.ttl,
-        };
-        flood_attempt(&mut state, &shared, graph, now, 0, 0, message);
-        state.drain(&shared, graph);
+        issue(&mut state, shared, graph, now, 0, Query { target: FileId(0), keywords });
+        state.drain(shared, graph);
         (state, now)
     }
 
@@ -433,7 +422,7 @@ mod tests {
     fn an_unanswered_query_refloods_until_its_retries_run_out() {
         let sim = retrying();
         // A keyword no filename has: nobody can answer.
-        let (state, issued) = flood(&sim, sim.overlay(), Arc::from([KeywordId(u32::MAX)]));
+        let (state, issued) = flood(&sim, sim.overlay(), vec![KeywordId(u32::MAX)]);
         assert_eq!((state.tallies.query_timeouts, state.tallies.query_retransmits), (3, 2));
         let deadlines = [10.0, 20.0, 40.0].map(Duration::from_secs_f64);
         let last_deadline = deadlines.into_iter().fold(issued, |t, delay| t + delay);
@@ -453,7 +442,7 @@ mod tests {
         // A file a neighbour of the origin stores and the origin does not.
         let mut neighbours = sim.overlay().neighbors(origin).iter();
         let file = neighbours.find_map(|n| initial[n.index()].iter().copied().find(lacks));
-        let keywords = sim.catalog().filename(file.expect("a neighbour's file")).shared_keywords().clone();
+        let keywords = sim.catalog().filename(file.expect("a neighbour's file")).keywords().to_vec();
         let (state, _) = flood(&sim, sim.overlay(), keywords);
         assert!(state.tracking[&0].record.is_success());
         assert_eq!((state.tallies.query_timeouts, state.tallies.query_retransmits), (0, 0));
@@ -468,10 +457,112 @@ mod tests {
         for &n in sim.overlay().neighbors(origin) {
             isolated.depart(n);
         }
-        let (state, _) = flood(&sim, &isolated, Arc::from([KeywordId(u32::MAX)]));
+        let (state, _) = flood(&sim, &isolated, vec![KeywordId(u32::MAX)]);
         assert_eq!(state.tallies.message_counts, [0; 7], "nothing sent");
         assert_eq!(state.tallies.query_timeouts, 0, "and nothing armed");
         assert!(state.ledger.drained_locally(0), "so the issue is born complete");
+    }
+
+    /// Where a slice lives: its address and length.
+    type At = (usize, usize);
+
+    fn at(keywords: &[KeywordId]) -> At {
+        (keywords.as_ptr() as usize, keywords.len())
+    }
+
+    /// Whether `seen` is the very slice `keywords`, not an equal copy.
+    fn is(seen: At, keywords: &[KeywordId]) -> bool {
+        std::ptr::eq(std::ptr::slice_from_raw_parts(seen.0 as *const KeywordId, seen.1), keywords)
+    }
+
+    /// What the spied protocol was lent: per query context, the attempt and
+    /// its keywords; per response context, the file, its keywords, the
+    /// query's keywords and whether it is relayed (it offers providers; the
+    /// answering peer's own context offers none).
+    #[derive(Default)]
+    struct Lent {
+        queries: Vec<(u32, At)>,
+        responses: Vec<(FileId, At, At, bool)>,
+    }
+
+    /// Flooding, recording where every context it is lent points.
+    struct Spy {
+        inner: Box<dyn Protocol>,
+        lent: Arc<std::sync::Mutex<Lent>>,
+    }
+
+    impl Spy {
+        fn lend_query(&self, query: &QueryContext<'_>) {
+            let mut lent = self.lent.lock().expect("unpoisoned");
+            lent.queries.push((query_attempt(query.query), at(query.keywords)));
+        }
+    }
+
+    impl Protocol for Spy {
+        fn kind(&self) -> ProtocolKind {
+            self.inner.kind()
+        }
+
+        fn selection_policy(&self) -> crate::provider::SelectionPolicy {
+            self.inner.selection_policy()
+        }
+
+        fn forward_targets_into(
+            &self, view: &PeerView<'_>, query: &QueryContext<'_>, exclude: Option<PeerId>, out: &mut Vec<PeerId>,
+        ) -> locaware_overlay::ForwardDecision {
+            self.lend_query(query);
+            self.inner.forward_targets_into(view, query, exclude, out)
+        }
+
+        fn local_match(&self, view: &PeerView<'_>, query: &QueryContext<'_>) -> Option<crate::protocol::LocalMatch> {
+            self.lend_query(query);
+            self.inner.local_match(view, query)
+        }
+
+        fn cache_response(
+            &self, state: &mut crate::peer::PeerState, gid: crate::group::GroupId,
+            scheme: &crate::group::GroupScheme, response: &ResponseContext<'_>,
+        ) {
+            let mut lent = self.lent.lock().expect("unpoisoned");
+            let (file, relayed) = (response.file, !response.providers.is_empty());
+            lent.responses.push((file, at(response.file_keywords), at(response.query_keywords), relayed));
+            drop(lent);
+            self.inner.cache_response(state, gid, scheme, response);
+        }
+    }
+
+    /// A query's keywords exist once, published at its issue: every hop of
+    /// every attempt, and every response and relay of it, is lent that one
+    /// slice, and a response's file keywords are the catalog's own.
+    #[test]
+    fn every_hop_and_relay_reads_the_published_keywords() {
+        let sim = retrying();
+        let (graph, initial) = (sim.overlay(), sim.initial_shares());
+        let origin = PeerId(sim.arrivals(1)[0].peer as u32);
+        // A file the origin stores, so no answer satisfies it and both
+        // retries re-flood, and a peer past its neighbours stores too, so
+        // answers are relayed.
+        let far = |p: &PeerId| *p != origin && !graph.are_neighbors(origin, *p);
+        let far_holders = |file: &FileId| (0..40).map(PeerId).filter(far).any(|p| initial[p.index()].contains(file));
+        let file = initial[origin.index()].iter().copied().find(far_holders).expect("a file held far away");
+        let lent = Arc::new(std::sync::Mutex::new(Lent::default()));
+        let (mut shared, shards) = prepare(&sim, ProtocolKind::Flooding, sim.arrivals(1), true);
+        shared.protocol = Box::new(Spy { inner: shared.protocol, lent: Arc::clone(&lent) });
+        let keywords = sim.catalog().filename(file).keywords().to_vec();
+        let (state, _) = issue_and_drain(&shared, shards, graph, keywords);
+        assert_eq!(state.tallies.query_retransmits, 2, "both retries re-flood");
+
+        let record = shared.query_keywords(0);
+        let lent = lent.lock().expect("unpoisoned");
+        for attempt in 0..3 {
+            assert!(lent.queries.iter().any(|&(a, _)| a == attempt), "attempt {attempt} was lent no context");
+        }
+        assert!(lent.queries.iter().all(|&(_, keywords)| is(keywords, record)), "a hop read a copy");
+        assert!(lent.responses.iter().any(|&(.., relayed)| relayed), "no response was relayed");
+        for &(file, file_keywords, query_keywords, _) in &lent.responses {
+            assert!(is(query_keywords, record), "a response read a copy of the query's keywords");
+            assert!(is(file_keywords, sim.catalog().filename(file).keywords()), "and of the file's");
+        }
     }
 
     /// `viewer`'s view of `owner`'s filter.

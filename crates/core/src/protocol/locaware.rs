@@ -154,6 +154,7 @@ impl Protocol for Locaware {
         //    query's keywords are hashed once (at the catalog) and probed
         //    against each neighbour's filter words directly.
         if self.use_bloom_routing {
+            debug_assert_eq!(query.keyword_hashes.len(), query.keywords.len(), "Bloom routing needs the hashes");
             let row = view.graph.neighbors(view.state.id);
             view.state.neighbors_matching_bloom_into(row, query.keyword_hashes, exclude, out);
             if !out.is_empty() {

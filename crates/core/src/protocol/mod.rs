@@ -64,9 +64,12 @@ pub struct PeerView<'a> {
 /// pre-computed Bloom hashes (`keyword_hashes[i]` hashes `keywords[i]`), so
 /// the §4.2 routing test probes neighbour filters without re-hashing a keyword
 /// per neighbour. Both slices borrow from the caller — the engine lends the
-/// query message's own keyword list and its per-run hash scratch buffer, so
-/// building a context allocates nothing; tests and benches can use
-/// [`QueryBuffer`] as an owned backing store.
+/// query's keywords as published at its issue and a per-shard hash scratch
+/// buffer, so building a context allocates nothing; tests and benches can use
+/// [`QueryBuffer`] as an owned backing store. The engine computes the hashes
+/// only where a rule reads them: for [`Protocol::forward_targets_into`] of a
+/// protocol that routes by Bloom filter ([`Protocol::uses_bloom_sync`]); every
+/// other context gets an empty slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryContext<'a> {
     /// The query id.
@@ -77,7 +80,8 @@ pub struct QueryContext<'a> {
     pub origin_loc: LocId,
     /// The query keywords.
     pub keywords: &'a [KeywordId],
-    /// The pre-computed Bloom hashes of `keywords`, index-aligned.
+    /// The pre-computed Bloom hashes of `keywords`, index-aligned; empty
+    /// where no rule reads them (see above).
     pub keyword_hashes: &'a [ElementHashes],
     /// For filename-search protocols (Dicas): the exact file searched.
     pub target_filename: Option<FileId>,
@@ -149,8 +153,9 @@ pub struct LocalMatch {
 }
 
 /// The protocol-relevant content of a response being cached at an intermediate
-/// peer. The lists borrow from the response message itself, so building a
-/// context allocates nothing.
+/// peer. The engine lends the catalog's keywords for the file and the query's
+/// published keywords, neither of which the response message carries, so
+/// building a context allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResponseContext<'a> {
     /// The file the response is about.

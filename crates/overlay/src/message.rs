@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use locaware_bloom::{BloomDelta, BloomFilter};
 use locaware_net::LocId;
-use locaware_workload::{FileId, KeywordId};
+use locaware_workload::FileId;
 
 use crate::PeerId;
 
@@ -58,6 +58,12 @@ pub enum MessageKind {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// A keyword query travelling away from its originator.
+    ///
+    /// Its keywords (1–3, drawn from the target filename) are not a field.
+    /// Every copy of a query would carry the same list, so the simulator
+    /// keeps it once per query, published at issue, and each hop reads it
+    /// there; a forwarded copy is a plain copy. A real node does send the
+    /// list, and [`Message::wire_size`] prices it.
     Query {
         /// The query's global id (stable across forwards).
         query: QueryId,
@@ -66,13 +72,6 @@ pub enum Message {
         /// The originator's location id (carried so that peers answering from
         /// their response index can pick providers near the originator, §4.1.2).
         origin_loc: LocId,
-        /// The query keywords (1–3 keywords drawn from the target filename).
-        ///
-        /// Shared rather than owned: one query fans out to many neighbours at
-        /// every hop, and every forwarded copy carries the identical keyword
-        /// list, so cloning a query message bumps a reference count instead of
-        /// reallocating the list per copy.
-        keywords: Arc<[KeywordId]>,
         /// For filename-based protocols (Dicas), the exact file being searched;
         /// keyword-based protocols leave this empty and must match on keywords.
         target_filename: Option<FileId>,
@@ -80,22 +79,17 @@ pub enum Message {
         ttl: u32,
     },
     /// A response travelling hop-by-hop back along the query's reverse path.
+    ///
+    /// A real response also carries two keyword lists: the file's (caching
+    /// peers add them to their Bloom filters) and the query's (Dicas-Keys
+    /// keys its cache on them). Neither is a field: the simulator reads the
+    /// first from the catalog and the second from the query's published
+    /// keywords, and [`Message::wire_size`] prices both.
     QueryResponse {
         /// The query this responds to.
         query: QueryId,
         /// The file satisfying the query.
         file: FileId,
-        /// All keywords of the file's filename (needed by caching peers to
-        /// update their Bloom filters). The catalog's own allocation
-        /// (`Filename::shared_keywords`), shared across every response and
-        /// relay hop about that file, so constructing or cloning a response
-        /// bumps a reference count instead of reallocating the list.
-        file_keywords: Arc<[KeywordId]>,
-        /// The keywords the original query was expressed with (Dicas-Keys
-        /// keys its cache on these). Carried in the response — shared via
-        /// `Arc` with the query message that triggered it — so caching peers
-        /// along the reverse path need no out-of-band per-query state.
-        query_keywords: Arc<[KeywordId]>,
         /// Provider entries: the responding provider plus, in Locaware, other
         /// known providers with their locIds.
         providers: Vec<ProviderEntry>,
@@ -173,27 +167,24 @@ impl Message {
     /// The message's size in bytes under a compact binary encoding: a one-byte
     /// tag, fixed-width integers (`u64` query ids, `u32` peer, location, file
     /// and keyword ids, one-byte TTL/hop) and length-prefixed lists.
-    pub fn wire_size(&self) -> usize {
+    ///
+    /// The keyword lists a query and a response put on the wire are not
+    /// stored in the message (see [`Message::Query`]), so the caller supplies
+    /// their lengths: `query_keywords` for the query's list, `file_keywords`
+    /// for the answered file's. Other messages carry no keyword list and
+    /// ignore both.
+    pub fn wire_size(&self, query_keywords: usize, file_keywords: usize) -> usize {
         match self {
-            Message::Query {
-                keywords,
-                target_filename,
-                ..
-            } => {
+            Message::Query { target_filename, .. } => {
                 // tag, query, origin, origin_loc, keyword count + keywords,
                 // filename flag (+ filename), ttl.
                 let filename = if target_filename.is_some() { 4 } else { 0 };
-                1 + 8 + 4 + 4 + 1 + 4 * keywords.len() + 1 + filename + 1
+                1 + 8 + 4 + 4 + 1 + 4 * query_keywords + 1 + filename + 1
             }
-            Message::QueryResponse {
-                file_keywords,
-                query_keywords,
-                providers,
-                ..
-            } => {
+            Message::QueryResponse { providers, .. } => {
                 // tag, query, file, two counted keyword lists, u16-counted
                 // provider entries, requestor entry.
-                let keyword_lists = 1 + 4 * file_keywords.len() + 1 + 4 * query_keywords.len();
+                let keyword_lists = 1 + 4 * file_keywords + 1 + 4 * query_keywords;
                 1 + 8 + 4 + keyword_lists + 2 + 8 * providers.len() + 8
             }
             // tag, bit count, filter words.
@@ -236,7 +227,6 @@ mod tests {
             query: QueryId(42),
             origin: PeerId(7),
             origin_loc: LocId(3),
-            keywords: [10, 20, 30].map(KeywordId).into(),
             target_filename: None,
             ttl: 7,
         }
@@ -263,8 +253,8 @@ mod tests {
 
     #[test]
     fn query_encoding_has_reasonable_size() {
-        let size = sample_query().wire_size();
-        // 1 + 8 + 4 + 4 + 1 + 3*4 + 1 + 1 = 32 bytes.
+        // Three keywords: 1 + 8 + 4 + 4 + 1 + 3*4 + 1 + 1 = 32 bytes.
+        let size = sample_query().wire_size(3, 0);
         assert_eq!(size, 32);
     }
 
@@ -273,8 +263,6 @@ mod tests {
         let small = Message::QueryResponse {
             query: QueryId(1),
             file: FileId(5),
-            file_keywords: [1, 2, 3].map(KeywordId).into(),
-            query_keywords: [1].map(KeywordId).into(),
             providers: vec![ProviderEntry {
                 provider: PeerId(9),
                 loc_id: LocId(0),
@@ -287,8 +275,6 @@ mod tests {
         let large = Message::QueryResponse {
             query: QueryId(1),
             file: FileId(5),
-            file_keywords: [1, 2, 3].map(KeywordId).into(),
-            query_keywords: [1].map(KeywordId).into(),
             providers: (0..10)
                 .map(|i| ProviderEntry {
                     provider: PeerId(i),
@@ -300,7 +286,7 @@ mod tests {
                 loc_id: LocId(2),
             },
         };
-        assert!(large.wire_size() > small.wire_size());
+        assert!(large.wire_size(1, 3) > small.wire_size(1, 3));
     }
 
     #[test]
@@ -308,8 +294,6 @@ mod tests {
         let response = Message::QueryResponse {
             query: QueryId(1),
             file: FileId(5),
-            file_keywords: [1, 2].map(KeywordId).into(),
-            query_keywords: [1].map(KeywordId).into(),
             providers: (0..3)
                 .map(|i| ProviderEntry {
                     provider: PeerId(i),
@@ -321,8 +305,9 @@ mod tests {
                 loc_id: LocId(2),
             },
         };
+        // A one-keyword query answered with a two-keyword file:
         // 1 + 8 + 4 + 1 + 2*4 + 1 + 1*4 + 2 + 3*8 + 8.
-        assert_eq!(response.wire_size(), 61);
+        assert_eq!(response.wire_size(1, 2), 61);
     }
 
     #[test]
@@ -333,14 +318,14 @@ mod tests {
         let full = Message::BloomFull {
             filter: Arc::new(filter.clone()),
         };
-        assert_eq!(full.wire_size(), 1 + 4 + 8 * words);
+        assert_eq!(full.wire_size(0, 0), 1 + 4 + 8 * words);
 
         let mut newer = filter.clone();
         newer.insert("fresh");
         let delta = BloomDelta::between(&filter, &newer);
         assert!(!delta.is_empty());
         let payload = delta.encoded_bytes() as usize;
-        assert_eq!(Message::BloomDelta { delta }.wire_size(), 1 + 2 + payload);
+        assert_eq!(Message::BloomDelta { delta }.wire_size(0, 0), 1 + 2 + payload);
     }
 
     #[test]
@@ -357,10 +342,10 @@ mod tests {
             delta: BloomDelta::between(&filter, &newer),
         };
         assert!(
-            delta.wire_size() * 5 < full.wire_size(),
+            delta.wire_size(0, 0) * 5 < full.wire_size(0, 0),
             "delta {} bytes vs full {} bytes",
-            delta.wire_size(),
-            full.wire_size()
+            delta.wire_size(0, 0),
+            full.wire_size(0, 0)
         );
     }
 
@@ -374,7 +359,7 @@ mod tests {
         assert_eq!(lookup.kind(), MessageKind::DhtLookup);
         assert_eq!(lookup.query_id(), Some(QueryId(9)));
         // 1 + 8 + 4 + 1.
-        assert_eq!(lookup.wire_size(), 14);
+        assert_eq!(lookup.wire_size(0, 0), 14);
 
         let reply = Message::DhtLookupReply {
             query: QueryId(9),
@@ -386,7 +371,7 @@ mod tests {
         assert_eq!(reply.kind(), MessageKind::DhtLookupReply);
         assert_eq!(reply.query_id(), Some(QueryId(9)));
         // 1 + 8 + 4 + 1 + 2 + 12 + 1 + 8.
-        assert_eq!(reply.wire_size(), 37);
+        assert_eq!(reply.wire_size(0, 0), 37);
 
         let store = Message::DhtStore {
             keyword: 42,
@@ -396,7 +381,7 @@ mod tests {
         assert_eq!(store.kind(), MessageKind::DhtStore);
         assert_eq!(store.query_id(), None, "stores are background traffic");
         // 1 + 4 + 4 + 8.
-        assert_eq!(store.wire_size(), 17);
+        assert_eq!(store.wire_size(0, 0), 17);
     }
 
     #[test]
@@ -405,11 +390,10 @@ mod tests {
             query: QueryId(3),
             origin: PeerId(0),
             origin_loc: LocId(0),
-            keywords: [1, 2, 3].map(KeywordId).into(),
             target_filename: Some(FileId(77)),
             ttl: 7,
         };
-        // 5 bytes more than the keyword-only variant (flag byte already counted).
-        assert_eq!(q.wire_size(), sample_query().wire_size() + 4);
+        // 4 bytes more than the keyword-only variant (flag byte already counted).
+        assert_eq!(q.wire_size(3, 0), sample_query().wire_size(3, 0) + 4);
     }
 }

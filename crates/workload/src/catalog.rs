@@ -32,20 +32,18 @@ impl std::fmt::Display for FileId {
     }
 }
 
-/// A filename: the ordered list of keywords composing it, as one shared
-/// allocation that every query response about the file carries a clone of.
+/// A filename: the ordered list of keywords composing it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Filename {
-    keywords: Arc<[KeywordId]>,
+    keywords: Box<[KeywordId]>,
 }
 
 impl Filename {
-    /// Creates a filename from its keywords (a `Vec`, or the shared
-    /// allocation itself).
+    /// Creates a filename from its keywords.
     ///
     /// # Panics
     /// Panics if the keyword list is empty.
-    pub fn new(keywords: impl Into<Arc<[KeywordId]>>) -> Self {
+    pub fn new(keywords: impl Into<Box<[KeywordId]>>) -> Self {
         let keywords = keywords.into();
         assert!(!keywords.is_empty(), "a filename needs at least one keyword");
         Filename { keywords }
@@ -53,12 +51,6 @@ impl Filename {
 
     /// The keywords of this filename, in order.
     pub fn keywords(&self) -> &[KeywordId] {
-        &self.keywords
-    }
-
-    /// The same keywords as the shared allocation itself, for a message that
-    /// must own them.
-    pub fn shared_keywords(&self) -> &Arc<[KeywordId]> {
         &self.keywords
     }
 
@@ -134,7 +126,7 @@ impl Catalog {
         let filenames = (0..config.files)
             .map(|_| {
                 let draw = all_keywords.choose_multiple(rng, config.keywords_per_file);
-                Filename::new(draw.copied().collect::<Arc<[KeywordId]>>())
+                Filename::new(draw.copied().collect::<Box<[KeywordId]>>())
             })
             .collect();
         Self::from_filenames(pool, filenames)

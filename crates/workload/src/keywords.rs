@@ -164,12 +164,6 @@ impl KeywordHashes {
             None => ElementHashes::of_str(&kw.canonical()),
         }
     }
-
-    /// Fills `out` with the hashes of `keywords` (clearing it first).
-    pub fn of_all_into(&self, keywords: &[KeywordId], out: &mut Vec<ElementHashes>) {
-        out.clear();
-        out.extend(keywords.iter().map(|&kw| self.of(kw)));
-    }
 }
 
 #[cfg(test)]
@@ -236,16 +230,5 @@ mod tests {
         let empty = KeywordHashes::empty();
         assert!(empty.is_empty());
         assert_eq!(empty.of(KeywordId(3)), ElementHashes::of_str(&KeywordId(3).canonical()));
-    }
-
-    #[test]
-    fn of_all_into_reuses_the_buffer() {
-        let pool = KeywordPool::new(10);
-        let interned = KeywordHashes::for_pool(&pool);
-        let mut buf = vec![ElementHashes::of_str("stale")];
-        interned.of_all_into(&[KeywordId(1), KeywordId(2)], &mut buf);
-        assert_eq!(buf.len(), 2);
-        assert_eq!(buf[0], interned.of(KeywordId(1)));
-        assert_eq!(buf[1], interned.of(KeywordId(2)));
     }
 }
