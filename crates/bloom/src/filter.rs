@@ -154,14 +154,18 @@ impl BloomFilter {
         elements.into_iter().all(|e| self.contains(e))
     }
 
-    /// [`BloomFilter::contains_all`] over pre-hashed elements.
+    /// [`BloomFilter::contains_all`] over pre-hashed elements: semantically
+    /// identical to hashing each element on the fly,
+    /// `contains_all(es) == contains_all_hashes(es.map(hash))`.
     ///
     /// The routing hot path tests every query keyword against the filter of
-    /// every neighbour at every hop; hashing a keyword costs far more than the
-    /// `k` word probes, so callers that test the same keywords against many
-    /// filters should hash once (e.g. via an interned [`ElementHashes`] table)
-    /// and use this fast path. Semantically identical to hashing each element
-    /// on the fly: `contains_all(es) == contains_all_hashes(es.map(hash))`.
+    /// every neighbour at every hop, and almost every test fails. Its cost is
+    /// memory, not arithmetic: a filter held behind an `Arc` is two dependent
+    /// loads (the header, then the words) before the first probe. A caller
+    /// that tests the same keywords against many filters first compares each
+    /// filter's [`BloomFilter::fold`], kept beside its pointer, with the
+    /// keywords' [`ElementHashes::fold_mask`], and calls this only for the
+    /// filters that pass.
     pub fn contains_all_hashes(&self, hashes: &[ElementHashes]) -> bool {
         hashes.iter().all(|h| self.contains_hashes(h))
     }
@@ -242,6 +246,15 @@ impl BloomFilter {
         out
     }
 
+    /// The OR of the filter's words: bit `b` is set exactly when some set
+    /// position is ≡ `b` (mod 64). A member's probe positions all fold into
+    /// it, so `contains_hashes(h)` implies
+    /// `fold() & mask == mask` for `h`'s [`ElementHashes::fold_mask`] — a
+    /// one-word test that rejects most non-members without reading the words.
+    pub fn fold(&self) -> u64 {
+        self.words.iter().fold(0, |fold, &w| fold | w)
+    }
+
     /// Raw words backing the filter (read-only; for serialisation and tests).
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -251,6 +264,7 @@ impl BloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn no_false_negatives() {
@@ -315,6 +329,47 @@ mod tests {
                 f.contains_all_hashes(&hashes),
                 "query {query:?} must agree between the string and pre-hashed paths"
             );
+        }
+    }
+
+    #[test]
+    fn fold_keeps_each_set_position_modulo_64() {
+        let mut f = BloomFilter::new(BloomParams::new(200, 3));
+        assert_eq!(f.fold(), 0);
+        f.set_bit(3);
+        f.set_bit(67);
+        f.set_bit(199);
+        assert_eq!(f.fold(), 1 << 3 | 1 << (199 % 64));
+        f.clear_bit(3);
+        assert_eq!(f.fold(), 1 << 3 | 1 << (199 % 64), "67 still folds onto bit 3");
+        f.clear_bit(67);
+        assert_eq!(f.fold(), 1 << (199 % 64));
+    }
+
+    proptest! {
+        /// Over filters of 1–4096 bits (a third of them under one word, most
+        /// of the rest not a whole number of words) and 1–8 hashes, holding
+        /// 0–39 elements: every element the filter contains, inserted or a
+        /// false positive, passes the fold test, so the test can only ever
+        /// skip a filter that does not contain it.
+        #[test]
+        fn members_pass_the_fold_test(
+            bits in prop_oneof![1usize..64, 1usize..=4096, 1usize..=4096],
+            k in 1usize..=8,
+            inserted in 0u32..40,
+        ) {
+            let mut filter = BloomFilter::new(BloomParams::new(bits, k));
+            for e in 0..inserted {
+                filter.insert(&format!("e{e}"));
+            }
+            let fold = filter.fold();
+            for e in 0..200 {
+                let hashes = ElementHashes::of_str(&format!("e{e}"));
+                let mask = hashes.fold_mask(k, bits);
+                if filter.contains_hashes(&hashes) {
+                    prop_assert!(fold & mask == mask, "e{e} is a member but fails the fold test");
+                }
+            }
         }
     }
 

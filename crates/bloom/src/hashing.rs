@@ -50,6 +50,13 @@ impl ElementHashes {
     pub fn positions(&self, k: usize, m: usize) -> impl Iterator<Item = usize> + '_ {
         (0..k).map(move |i| self.position(i, m))
     }
+
+    /// The `k` probe positions for a filter of `m` bits folded onto one
+    /// word: bit `pos % 64` for each. A filter holding the element has every
+    /// mask bit set in its [`crate::BloomFilter::fold`].
+    pub fn fold_mask(&self, k: usize, m: usize) -> u64 {
+        self.positions(k, m).fold(0, |mask, pos| mask | 1 << (pos % 64))
+    }
 }
 
 fn avalanche(mut z: u64) -> u64 {

@@ -177,6 +177,9 @@ pub(crate) struct RunShared<'a> {
     /// later of its start and the last arrival. Debug builds assert every
     /// send, deadline and periodic round against it.
     pub(crate) event_bound: SimTime,
+    /// Files stored across all peers at set-up. Each satisfied query adds
+    /// exactly one replica, which debug builds check at [`finalize`].
+    initial_file_replicas: usize,
 }
 
 impl RunShared<'_> {
@@ -362,7 +365,7 @@ fn prepare(
         channel_lookahead = vec![None];
     }
 
-    let shared = RunShared {
+    let mut shared = RunShared {
         config,
         topology: sim.topology(),
         link_latencies: sim.link_latencies(),
@@ -392,6 +395,7 @@ fn prepare(
         faults: FaultPlan::new(&config.faults, sim.rng_factory()),
         event_bound: config.horizon().event_bound(arrivals.last().map_or(SimTime::ZERO, |a| a.at)),
         published_keywords: arrivals.iter().map(|_| OnceLock::new()).collect(),
+        initial_file_replicas: 0,
         arrivals,
         protocol,
     };
@@ -427,8 +431,10 @@ fn prepare(
             ShardState::new(index as u32, shard_count, peers, shared.arrivals.len())
         })
         .collect();
+    shared.initial_file_replicas =
+        shards.iter().flat_map(|s| &s.peers).map(PeerState::shared_file_count).sum();
 
-    if protocol.uses_bloom_sync() {
+    if shared.protocol.uses_bloom_sync() {
         unstructured::bootstrap(&shared, graph, &mut shards);
     }
     if let Some(directory) = &shared.dht {
@@ -494,6 +500,14 @@ fn finalize(
     }
 
     let all_peers = || shards.iter().flat_map(|s| s.peers.iter());
+    let total_file_replicas = all_peers().map(|p| p.shared_file_count()).sum();
+    // A satisfied query downloads a file its origin did not hold (`satisfy`
+    // refuses one it does), and nothing else adds or removes a replica.
+    debug_assert_eq!(
+        total_file_replicas,
+        shared.initial_file_replicas + metrics.iter().filter(|r| r.is_success()).count(),
+        "one new replica per satisfied query"
+    );
     let faults = (!shared.config.faults.is_disabled()).then_some(FaultRunStats {
         messages_lost: totals.messages_lost,
         dht_stores_lost: totals.dht_stores_lost,
@@ -516,7 +530,7 @@ fn finalize(
         message_counters: labelled_counters(&MESSAGE_KINDS, &totals.message_counts),
         routing_decisions: labelled_counters(&FORWARD_DECISIONS, &totals.decision_counts),
         background_messages: totals.background_messages,
-        total_file_replicas: all_peers().map(|p| p.shared_file_count()).sum(),
+        total_file_replicas,
         total_cached_index_entries: all_peers().map(|p| p.response_index.len()).sum(),
         simulated_end_time_secs: end_time.as_secs_f64(),
         dispatched_events: coordinator.dispatched(shards),
@@ -857,7 +871,7 @@ impl<'c> Coordinator<'c> {
 
 /// The churn barrier's adjacency invariants, checked in debug builds: every
 /// graph row is sorted, symmetric and holds only online peers, and every
-/// neighbour filter a peer holds has an edge behind it.
+/// neighbour filter a peer holds has an edge behind it and a current fold.
 fn assert_adjacency(shards: &[ShardState], graph: &OverlayGraph) {
     for peer in shards.iter().flat_map(|shard| &shard.peers) {
         let (id, row) = (peer.id, graph.neighbors(peer.id));
@@ -866,8 +880,10 @@ fn assert_adjacency(shards: &[ShardState], graph: &OverlayGraph) {
             assert!(graph.is_active(id) && graph.is_active(n), "edge {id:?}-{n:?} touches a departed peer");
             assert!(graph.are_neighbors(n, id), "edge {id:?}-{n:?} is one-sided");
         }
-        for &(n, _) in peer.bloom_views() {
+        for view in peer.bloom_views() {
+            let n = view.neighbor();
             assert!(graph.are_neighbors(id, n), "{id:?} holds a view of {n:?} with no edge behind it");
+            assert_eq!(view.fold(), view.bloom().fold(), "{id:?}'s view of {n:?} holds a stale fold");
         }
     }
 }

@@ -570,7 +570,7 @@ mod tests {
         shared: &RunShared<'_>, shards: &mut [ShardState], viewer: PeerId, owner: PeerId,
     ) -> Option<Arc<BloomFilter>> {
         let views = peer_mut(shared, shards, viewer).bloom_views();
-        views.iter().find(|&&(n, _)| n == owner).map(|(_, view)| Arc::clone(view))
+        views.iter().find(|view| view.neighbor() == owner).map(|view| Arc::clone(view.bloom()))
     }
 
     #[test]
@@ -675,7 +675,7 @@ mod tests {
             let back = view_of(&shared, &mut shards, peer, n).expect("the peer views its new neighbour");
             assert!(Arc::ptr_eq(&back, &theirs[n.index()]), "{n:?}'s last export, not a fresh one");
         }
-        let views: Vec<PeerId> = peer_mut(&shared, &mut shards, peer).bloom_views().iter().map(|&(n, _)| n).collect();
+        let views: Vec<PeerId> = peer_mut(&shared, &mut shards, peer).bloom_views().iter().map(|view| view.neighbor()).collect();
         assert_eq!(views, new, "no view without a link");
     }
 

@@ -725,15 +725,22 @@ proptest! {
     }
 
     /// A peer's neighbour filters against a `BTreeMap<PeerId, BloomFilter>`
-    /// model under full Bloom pushes, Bloom deltas, drops and volatile
-    /// resets: the views stay strictly id-sorted and equal to the model, and
-    /// after every step the Bloom rule, walked against a random id-sorted
-    /// graph row, returns exactly the model's id-ordered answer — a
-    /// neighbour with no view matches nothing, a view off the row is never a
-    /// target — appending to the caller's buffer without clearing it.
+    /// model under full Bloom pushes of filters holding up to six keywords,
+    /// Bloom deltas from the held filter to an arbitrary one (so bits are
+    /// cleared, as a counting filter's evictions clear them), drops and
+    /// volatile resets: the views stay strictly id-sorted and equal to the
+    /// model, and every view's stored fold is the OR of its filter's words.
+    /// After every step the Bloom rule, walked against a random id-sorted
+    /// graph row for a query of 1–3 keywords from the filters' pool, returns
+    /// exactly the model's id-ordered answer — a neighbour with no view
+    /// matches nothing, a view off the row is never a target — appending to
+    /// the caller's buffer without clearing it.
     #[test]
     fn bloom_views_match_the_ordered_map_model(
-        ops in proptest::collection::vec((0u32..10, 0u32..12, 0u32..6, any::<u16>()), 1..120),
+        ops in proptest::collection::vec(
+            (0u32..10, 0u32..12, (0u8..64, proptest::collection::vec(0u32..6, 1..4)), any::<u16>()),
+            1..120,
+        ),
     ) {
         let params = BloomParams::new(256, 3);
         let mut state = PeerState::new(
@@ -744,21 +751,27 @@ proptest! {
             3,
             Arc::new(KeywordHashes::empty()),
         );
+        // The filter holding every keyword of the six-keyword pool whose bit
+        // is set in `set`.
+        let filter_of = |set: u8| {
+            let mut bloom = BloomFilter::new(params);
+            for keyword in (0..6).filter(|bit| set & 1 << bit != 0).map(KeywordId) {
+                bloom.insert(&keyword.canonical());
+            }
+            bloom
+        };
         let mut model: BTreeMap<PeerId, BloomFilter> = BTreeMap::new();
-        for (kind, neighbor, keyword, row_bits) in ops {
-            let (neighbor, keyword) = (PeerId(neighbor), KeywordId(keyword));
+        for (kind, neighbor, (set, query), row_bits) in ops {
+            let neighbor = PeerId(neighbor);
             match kind {
                 0..=2 => {
-                    let mut bloom = BloomFilter::new(params);
-                    bloom.insert(&keyword.canonical());
+                    let bloom = filter_of(set);
                     state.set_neighbor_bloom(neighbor, Arc::new(bloom.clone()));
                     model.insert(neighbor, bloom);
                 }
                 3..=5 => {
                     let before = model.get(&neighbor).cloned().unwrap_or_else(|| BloomFilter::new(params));
-                    let mut after = before.clone();
-                    after.insert(&keyword.canonical());
-                    let delta = BloomDelta::between(&before, &after);
+                    let delta = BloomDelta::between(&before, &filter_of(set));
                     state.apply_neighbor_bloom_delta(neighbor, &delta);
                     delta.apply(model.entry(neighbor).or_insert_with(|| BloomFilter::new(params)));
                 }
@@ -773,9 +786,16 @@ proptest! {
             }
 
             let views = state.bloom_views();
-            prop_assert!(views.windows(2).all(|w| w[0].0 < w[1].0), "views must be strictly id-sorted");
+            prop_assert!(
+                views.windows(2).all(|w| w[0].neighbor() < w[1].neighbor()),
+                "views must be strictly id-sorted"
+            );
+            for view in views {
+                let words = view.bloom().words().iter().fold(0, |fold, &w| fold | w);
+                prop_assert_eq!(view.fold(), words, "{:?}'s fold is stale", view.neighbor());
+            }
             let views: Vec<(PeerId, BloomFilter)> =
-                views.iter().map(|(n, view)| (*n, view.as_ref().clone())).collect();
+                views.iter().map(|view| (view.neighbor(), view.bloom().as_ref().clone())).collect();
             let expected: Vec<(PeerId, BloomFilter)> =
                 model.iter().map(|(&n, bloom)| (n, bloom.clone())).collect();
             prop_assert_eq!(views, expected);
@@ -783,13 +803,15 @@ proptest! {
             // The graph row is any id-sorted subset of the ids in play, and
             // the neighbour just touched is the one the query came from.
             let row: Vec<PeerId> = (0..12).filter(|bit| row_bits & 1 << bit != 0).map(PeerId).collect();
+            let query: Vec<KeywordId> = query.into_iter().map(KeywordId).collect();
             let kept = PeerId(u32::MAX);
             let mut out = vec![kept];
-            let hashes = [state.keyword_hashes().of(keyword)];
+            let hashes: Vec<_> = query.iter().map(|&kw| state.keyword_hashes().of(kw)).collect();
             state.neighbors_matching_bloom_into(&row, &hashes, Some(neighbor), &mut out);
             let mut expected = vec![kept];
             expected.extend(row.iter().copied().filter(|&n| {
-                n != neighbor && model.get(&n).is_some_and(|b| b.contains(&keyword.canonical()))
+                n != neighbor
+                    && model.get(&n).is_some_and(|b| query.iter().all(|kw| b.contains(&kw.canonical())))
             }));
             prop_assert_eq!(out, expected);
         }
