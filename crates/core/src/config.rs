@@ -14,9 +14,7 @@
 use locaware_net::brite::PlacementModel;
 use locaware_overlay::{ChurnConfig, GraphModel};
 use locaware_sim::{Duration, SimTime};
-use locaware_workload::{
-    ArrivalProcess, ArrivalSchedule, ClusterWeights, FaultConfig, OutageWindow, ScheduleError,
-};
+use locaware_workload::{ArrivalSchedule, ClusterWeights, FaultConfig, OutageWindow};
 
 /// A structured description of why a [`SimulationConfig`] is inconsistent.
 ///
@@ -32,7 +30,7 @@ pub enum ConfigError {
     OutOfRange {
         /// The knob's dotted path in [`SimulationConfig`], e.g.
         /// `"dht.record_ttl_secs"`; an outage window's knob is
-        /// `"faults.outages[].<field>"`.
+        /// `"faults.outages[].<field>"`, a burst's `"arrival_schedule.<field>"`.
         knob: &'static str,
         /// The offending value (a count converted to `f64`).
         value: f64,
@@ -76,10 +74,13 @@ pub enum ConfigError {
         /// Configured keywords per filename.
         keywords_per_file: usize,
     },
-    /// The arrival configuration is degenerate: a rate that is not positive
-    /// and finite, a bad burst window, or cluster weights this population
-    /// cannot hold.
-    ArrivalSchedule(ScheduleError),
+    /// More workload clusters than peers: some cluster would own no peers.
+    MoreClustersThanPeers {
+        /// Configured number of clusters ([`SimulationConfig::cluster_weights`]).
+        clusters: usize,
+        /// Configured peer count.
+        peers: usize,
+    },
     /// Under weighted-cluster placement, the heaviest cluster would ask a
     /// peer to share more distinct files than the pool contains.
     WeightedPlacementUnsatisfiable {
@@ -124,7 +125,10 @@ impl std::fmt::Display for ConfigError {
                 "query keyword bounds must satisfy 1 <= min <= max <= keywords_per_file: \
                  got {min}..={max} with {keywords_per_file} keywords per file"
             ),
-            ConfigError::ArrivalSchedule(error) => write!(f, "arrival schedule: {error}"),
+            ConfigError::MoreClustersThanPeers { clusters, peers } => write!(
+                f,
+                "workload clusters cannot outnumber the peers: got {clusters} clusters over {peers} peers"
+            ),
             ConfigError::WeightedPlacementUnsatisfiable { max_files_on_a_peer, file_pool } => write!(
                 f,
                 "weighted placement asks one peer for {max_files_on_a_peer} distinct files \
@@ -235,7 +239,9 @@ impl Knob {
 
 /// A [`Knob`] named after the field it reads: `knob!(admits, path.to.field)`,
 /// with `if condition` (read on the config) when the check applies only
-/// where the condition holds, or `knob!(admits, faults.outages[].field)`.
+/// where the condition holds, `knob!(admits, faults.outages[].field)`, or
+/// `knob!(admits, arrival_schedule.field)` for a field of a burst, checked
+/// only when the schedule is one.
 macro_rules! knob {
     ($admits:expr, faults.outages[].$field:ident) => {
         Knob {
@@ -244,6 +250,22 @@ macro_rules! knob {
             read: Read::Outage(|window| window.$field),
             #[cfg(test)]
             write: |c, v| c.faults.outages.iter_mut().for_each(|window| window.$field = v),
+        }
+    };
+    ($admits:expr, arrival_schedule.$field:ident) => {
+        Knob {
+            name: concat!("arrival_schedule.", stringify!($field)),
+            admits: $admits,
+            read: Read::Config(|c| match c.arrival_schedule {
+                ArrivalSchedule::Burst { $field, .. } => Some($field),
+                ArrivalSchedule::Steady => None,
+            }),
+            #[cfg(test)]
+            write: |c, v| {
+                if let ArrivalSchedule::Burst { $field, .. } = &mut c.arrival_schedule {
+                    *$field = v;
+                }
+            },
         }
     };
     ($admits:expr, $($path:ident).+ $(if $($when:tt)+)?) => {
@@ -275,6 +297,10 @@ const KNOBS: &[Knob] = {
         knob!(COUNT, keyword_pool),
         knob!(COUNT, keywords_per_file),
         knob!(FiniteNonNegative, zipf_exponent),
+        knob!(PositiveFinite, query_rate_per_peer),
+        knob!(PositiveFinite, arrival_schedule.multiplier),
+        knob!(FiniteNonNegative, arrival_schedule.start_secs),
+        knob!(PositiveFinite, arrival_schedule.duration_secs),
         knob!(COUNT, group_count),
         knob!(COUNT, response_index_capacity),
         knob!(COUNT, max_providers_per_file),
@@ -626,8 +652,7 @@ impl SimulationConfig {
     }
 
     /// The workload-layer arrival configuration this simulation runs:
-    /// population, base rate, schedule and origin weights in one place, so
-    /// the substrate builder and the validation logic cannot drift apart.
+    /// population, base rate, schedule and origin weights in one place.
     pub fn arrival_config(&self) -> locaware_workload::ArrivalConfig {
         locaware_workload::ArrivalConfig {
             peers: self.peers,
@@ -641,13 +666,6 @@ impl SimulationConfig {
     /// for the first violated constraint: each knob on its own, then the
     /// checks that span several knobs, then the run horizon.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.validated_arrivals().map(drop)
-    }
-
-    /// [`SimulationConfig::validate`], returning the arrival process that
-    /// validation builds: a configuration that passes has a process, so no
-    /// later step checks the arrival configuration again.
-    pub(crate) fn validated_arrivals(&self) -> Result<ArrivalProcess, ConfigError> {
         KNOBS.iter().try_for_each(|knob| knob.check(self))?;
         let &SimulationConfig {
             peers,
@@ -677,9 +695,11 @@ impl SimulationConfig {
         if min == 0 || min > max || max > keywords_per_file {
             return Err(ConfigError::QueryKeywordBounds { min, max, keywords_per_file });
         }
-        let arrivals =
-            ArrivalProcess::new(self.arrival_config()).map_err(ConfigError::ArrivalSchedule)?;
         if let Some(weights) = &self.cluster_weights {
+            let clusters = weights.clusters();
+            if clusters > peers {
+                return Err(ConfigError::MoreClustersThanPeers { clusters, peers });
+            }
             let max = weights.max_share_count(peers, files_per_peer);
             if max > file_pool as u128 {
                 let max_files_on_a_peer = usize::try_from(max).unwrap_or(usize::MAX);
@@ -689,7 +709,7 @@ impl SimulationConfig {
         // Every check above is shape; this is the one clock check.
         let horizon_secs = self.horizon().secs();
         match Duration::try_from_millis_f64(horizon_secs * 1000.0) {
-            Some(horizon) if horizon <= HORIZON_LIMIT => Ok(arrivals),
+            Some(horizon) if horizon <= HORIZON_LIMIT => Ok(()),
             _ => Err(ConfigError::HorizonBeyondClock { horizon_secs }),
         }
     }
@@ -867,7 +887,31 @@ mod tests {
             // Just outside the unit interval, on either side.
             (|c| c.churn.churning_fraction = -0.1, "churn.churning_fraction"),
             (|c| c.churn.churning_fraction = 1.5, "churn.churning_fraction"),
+            // A rate that is not positive and finite used to panic inside the
+            // arrival generator.
+            (|c| c.query_rate_per_peer = 0.0, "query_rate_per_peer"),
+            (|c| c.query_rate_per_peer = -1.0, "query_rate_per_peer"),
+            (|c| c.query_rate_per_peer = f64::NAN, "query_rate_per_peer"),
+            (|c| c.query_rate_per_peer = f64::INFINITY, "query_rate_per_peer"),
+            // A degenerate burst: an empty or negative window, a negative
+            // start, a multiplier that is zero or NaN.
+            (|c| c.arrival_schedule = burst(10.0, 60.0, 0.0), "arrival_schedule.duration_secs"),
+            (|c| c.arrival_schedule = burst(10.0, 60.0, -5.0), "arrival_schedule.duration_secs"),
+            (|c| c.arrival_schedule = burst(10.0, -1.0, 60.0), "arrival_schedule.start_secs"),
+            (|c| c.arrival_schedule = burst(0.0, 60.0, 5.0), "arrival_schedule.multiplier"),
+            (|c| c.arrival_schedule = burst(f64::NAN, 60.0, 5.0), "arrival_schedule.multiplier"),
         ]);
+        // A burst's rows check shape only: a window past the clock is the run
+        // horizon's to reject.
+        let c = SimulationConfig { arrival_schedule: burst(2.0, 0.0, 1e18), ..SimulationConfig::paper_defaults() };
+        assert!(matches!(c.validate(), Err(ConfigError::HorizonBeyondClock { .. })));
+
+        // Each workload cluster needs a peer of its own.
+        let mut c = SimulationConfig::small(10);
+        c.cluster_weights = Some(ClusterWeights::new(vec![1.0; 11]).unwrap());
+        assert_eq!(c.validate(), Err(ConfigError::MoreClustersThanPeers { clusters: 11, peers: 10 }));
+        c.cluster_weights = Some(ClusterWeights::new(vec![1.0; 10]).unwrap());
+        assert_eq!(c.validate(), Ok(()));
 
         let mut c = SimulationConfig::paper_defaults();
         c.landmarks = 9;
@@ -967,34 +1011,20 @@ mod tests {
 
     #[test]
     fn arrival_validation_is_hoisted_into_the_typed_config_error() {
-        // A non-finite rate used to slip past validation and panic inside
-        // `ArrivalProcess::new`; now it fails fallibly up front.
-        let mut c = SimulationConfig::paper_defaults();
-        c.query_rate_per_peer = f64::NAN;
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::ArrivalSchedule(ScheduleError::InvalidRate { .. }))
-        ));
-
-        let mut c = SimulationConfig::paper_defaults();
-        c.arrival_schedule = ArrivalSchedule::Burst {
-            multiplier: 25.0,
-            start_secs: 60.0,
-            duration_secs: 0.0,
+        // The arrival knobs fail as the config's own typed errors, which
+        // name the knob, what it admits and the value.
+        let c = SimulationConfig { query_rate_per_peer: -1.0, ..SimulationConfig::paper_defaults() };
+        assert_eq!(c.validate().unwrap_err().to_string(), "query_rate_per_peer must be positive and finite: got -1");
+        let c = SimulationConfig { arrival_schedule: burst(25.0, 60.0, 0.0), ..SimulationConfig::paper_defaults() };
+        let admits = Admits::PositiveFinite;
+        let error = ConfigError::OutOfRange { knob: "arrival_schedule.duration_secs", value: 0.0, admits };
+        assert_eq!(c.validate(), Err(error));
+        let c = SimulationConfig {
+            cluster_weights: Some(ClusterWeights::new(vec![1.0; 2000]).unwrap()),
+            ..SimulationConfig::paper_defaults()
         };
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::ArrivalSchedule(ScheduleError::InvalidDuration { .. }))
-        ));
-
-        let mut c = SimulationConfig::paper_defaults();
-        c.cluster_weights = Some(ClusterWeights::new(vec![1.0; 2000]).unwrap());
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::ArrivalSchedule(ScheduleError::OriginWeights(
-                locaware_workload::ClusterWeightsError::MoreClustersThanPeers { .. }
-            )))
-        ));
+        let message = c.validate().unwrap_err().to_string();
+        assert_eq!(message, "workload clusters cannot outnumber the peers: got 2000 clusters over 1000 peers");
 
         // A 1000:1 weight skew over a small pool cannot give every
         // hot-cluster peer enough distinct files: a 2000-copy budget lands
@@ -1004,10 +1034,7 @@ mod tests {
         c.keyword_pool = 90;
         c.files_per_peer = 20;
         c.cluster_weights = Some(ClusterWeights::new(vec![1000.0, 1.0]).unwrap());
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::WeightedPlacementUnsatisfiable { .. })
-        ));
+        assert!(matches!(c.validate(), Err(ConfigError::WeightedPlacementUnsatisfiable { .. })));
     }
 
     /// The weighted check costs O(clusters), not a count per peer: at 2⁴⁰
@@ -1258,17 +1285,16 @@ mod tests {
     }
 
     /// Every field is classified: a [`KNOBS`] row, a check that spans several
-    /// knobs, the arrival layer's `ScheduleError`, or not range-checked, with
-    /// the reason. The destructuring names every field with no `..`, and each
-    /// binding must be listed, so a new field does not compile (or, under
-    /// clippy, does not pass) until it is classified here.
+    /// knobs, or not range-checked, with the reason. The destructuring names
+    /// every field with no `..`, and each binding must be listed, so a new
+    /// field does not compile (or, under clippy, does not pass) until it is
+    /// classified here.
     #[test]
     fn every_field_is_classified() {
         #[derive(Debug, PartialEq)]
         enum Class {
             Row,
             Cross,
-            Arrival,
             Unchecked(&'static str),
         }
         use Class::*;
@@ -1321,6 +1347,15 @@ mod tests {
             shards,
         } = armed();
         let OutageWindow { start_secs, duration_secs, fraction } = outages[0];
+        // A burst's fields are bound with a `burst_` prefix, beside the outage's.
+        let ArrivalSchedule::Burst {
+            multiplier: burst_multiplier,
+            start_secs: burst_start_secs,
+            duration_secs: burst_duration_secs,
+        } = arrival_schedule
+        else {
+            panic!("the armed base bursts");
+        };
         macro_rules! classes {
             ($($field:ident: $class:expr),* $(,)?) => {
                 [$({
@@ -1347,9 +1382,12 @@ mod tests {
             zipf_exponent: Row,
             min_query_keywords: Cross,
             max_query_keywords: Cross,
-            query_rate_per_peer: Arrival,
-            arrival_schedule: Arrival,
-            cluster_weights: Arrival,
+            query_rate_per_peer: Row,
+            arrival_schedule: Unchecked("either schedule runs; a burst's fields are rows"),
+            burst_multiplier: Row,
+            burst_start_secs: Row,
+            burst_duration_secs: Row,
+            cluster_weights: Cross,
             group_count: Row,
             response_index_capacity: Row,
             max_providers_per_file: Row,
@@ -1379,10 +1417,13 @@ mod tests {
             dht_step_timeout_secs: Row,
             shards: Unchecked("clamped to 1..=peers at run time"),
         ];
-        let leaf = |name: &'static str| name.rsplit('.').next().unwrap_or(name);
+        let leaf = |name: &'static str| match name.strip_prefix("arrival_schedule.") {
+            Some(field) => format!("burst_{field}"),
+            None => name.rsplit('.').next().unwrap_or(name).to_string(),
+        };
         let rows: std::collections::BTreeSet<_> = KNOBS.iter().map(|row| leaf(row.name)).collect();
         let classified: std::collections::BTreeSet<_> =
-            classes.iter().filter(|(_, class)| *class == Row).map(|(name, _)| *name).collect();
+            classes.iter().filter(|(_, class)| *class == Row).map(|(name, _)| name.to_string()).collect();
         assert_eq!(rows, classified, "KNOBS rows and the fields classified as rows differ");
     }
 
@@ -1435,11 +1476,10 @@ mod tests {
         config
     }
 
-    /// Every float knob — each float row of [`KNOBS`] and the four arrival
-    /// knobs — at NaN, −1, ∞, 0, 10¹⁸ and 1.8·10¹³ (which fits the clock on
-    /// its own) either fails validation or runs: a config `validate()`
-    /// accepts builds a 40-peer substrate and carries 20 queries of `hybrid`
-    /// and of `flooding` without a panic.
+    /// Every float row of [`KNOBS`] at NaN, −1, ∞, 0, 10¹⁸ and 1.8·10¹³
+    /// (which fits the clock on its own) either fails validation or runs: a
+    /// config `validate()` accepts builds a 40-peer substrate and carries 20
+    /// queries of `hybrid` and of `flooding` without a panic.
     #[test]
     fn every_float_knob_fails_validation_or_runs() {
         let base = armed();
@@ -1449,24 +1489,11 @@ mod tests {
                 assert!(read(&base).is_some(), "{} does not apply to the armed base", row.name);
             }
         }
-        type Set = fn(&mut SimulationConfig, f64);
-        let arrival: [(&str, Set); 4] = [
-            ("query_rate_per_peer", |c, v| c.query_rate_per_peer = v),
-            ("arrival_schedule.multiplier", |c, v| c.arrival_schedule = burst(v, 60.0, 600.0)),
-            ("arrival_schedule.start_secs", |c, v| c.arrival_schedule = burst(5.0, v, 600.0)),
-            ("arrival_schedule.duration_secs", |c, v| c.arrival_schedule = burst(5.0, 60.0, v)),
-        ];
         let mut panicked = Vec::new();
         for value in [f64::NAN, -1.0, f64::INFINITY, 0.0, 1e18, 1.8e13] {
-            let rows = KNOBS.iter().filter(|row| !matches!(row.admits, Admits::Count { .. }));
-            let arrivals = arrival.iter().map(|&(name, set)| {
-                let mut config = armed();
-                set(&mut config, value);
-                (name, config)
-            });
-            for (name, config) in rows.map(|row| (row.name, swept(row, value))).chain(arrivals) {
-                if !fails_validation_or_runs(config, 20) {
-                    panicked.push(format!("{name} = {value}"));
+            for row in KNOBS.iter().filter(|row| !matches!(row.admits, Admits::Count { .. })) {
+                if !fails_validation_or_runs(swept(row, value), 20) {
+                    panicked.push(format!("{} = {value}", row.name));
                 }
             }
         }

@@ -168,6 +168,13 @@ impl QueryLedger {
     pub(super) fn hit(&self, index: usize) -> Option<HitMark> {
         self.entries[index].hit
     }
+
+    /// Obligations this shard charged minus those it retired, over every
+    /// query. Summed over the shards at a barrier, it is the number of
+    /// obligations still queued.
+    pub(super) fn outstanding(&self) -> i64 {
+        self.entries.iter().map(|entry| entry.outstanding).sum()
+    }
 }
 
 /// Where a query is in its lifecycle, as the barrier folds see it.

@@ -781,6 +781,9 @@ impl<'c> Coordinator<'c> {
             shard.window_bound = key;
         }
         merge_outboxes(shards);
+        if cfg!(debug_assertions) {
+            assert_obligations(shards);
+        }
     }
 
     /// The run's profile: the coordinator's window and critical-path counts
@@ -886,6 +889,20 @@ fn assert_adjacency(shards: &[ShardState], graph: &OverlayGraph) {
             assert_eq!(view.fold(), view.bloom().fold(), "{id:?}'s view of {n:?} holds a stale fold");
         }
     }
+}
+
+/// The control barrier's conservation law, checked in debug builds once the
+/// outboxes are merged: the obligations the shards' ledgers hold outstanding,
+/// summed, are exactly the queued ones — every query-charged delivery and
+/// every armed deadline.
+fn assert_obligations(shards: &[ShardState]) {
+    let outstanding: i64 = shards.iter().map(|shard| shard.ledger.outstanding()).sum();
+    let queued = shards.iter().flat_map(|shard| shard.queue.payloads()).filter(|event| match event {
+        ShardEvent::Deliver { message, .. } => message.query_id().is_some(),
+        ShardEvent::Timeout { .. } => true,
+        ShardEvent::Issue(_) => false,
+    });
+    assert_eq!(outstanding, queued.count() as i64, "outstanding obligations differ from the queued ones");
 }
 
 /// The state of `peer`, wherever the partition put it.

@@ -31,7 +31,6 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 
 use locaware_bloom::ElementHashes;
-use locaware_net::LocId;
 use locaware_overlay::{Message, MessageKind, OverlayGraph, PeerId, ProviderEntry, QueryId, QueryRoutes};
 use locaware_sim::{EventKey, ShardQueue, SimTime, StreamId};
 use locaware_workload::FileId;
@@ -115,7 +114,6 @@ pub(super) struct QueryTracking {
     /// by [`ShardState::satisfy`], the completion time by
     /// [`ShardState::complete_locally`]. Finalize adds the ledger's fields.
     pub record: QueryRecord,
-    pub origin_loc: LocId,
     /// The Zipf target the query searches for; keys the `issued` entry that
     /// the completion prunes.
     pub target: FileId,
@@ -143,7 +141,6 @@ impl QueryTracking {
                 answered_from_cache: false,
                 completion_time_ms: None,
             },
-            origin_loc: shared.loc_ids[origin.index()],
             target,
             selection_rng: shared.rng_factory.indexed_stream(StreamId::ProtocolTieBreak, index as u64),
             search,
@@ -446,7 +443,7 @@ impl ShardState {
             shared.topology,
             shared.link_latencies,
             origin,
-            tracking.origin_loc,
+            shared.loc_ids[origin.index()],
             &online_providers,
             &mut tracking.selection_rng,
         );

@@ -19,9 +19,7 @@
 
 use locaware_net::brite::PlacementModel;
 use locaware_overlay::ChurnConfig;
-use locaware_workload::{
-    ArrivalProcess, ArrivalSchedule, ClusterWeights, FaultConfig, OutageWindow, TimeoutPolicy,
-};
+use locaware_workload::{ArrivalSchedule, ClusterWeights, FaultConfig, OutageWindow, TimeoutPolicy};
 
 use crate::config::{ConfigError, SimulationConfig};
 use crate::simulation::Simulation;
@@ -72,9 +70,6 @@ pub const FAULTY_NETWORK_OUTAGE_FRACTION: f64 = 0.3;
 pub struct Scenario {
     name: String,
     config: SimulationConfig,
-    /// The arrival process validation built from `config`, which
-    /// [`Scenario::substrate`] hands on.
-    arrivals: ArrivalProcess,
 }
 
 impl Scenario {
@@ -109,8 +104,8 @@ impl Scenario {
         name: impl Into<String>,
         config: SimulationConfig,
     ) -> Result<Self, ConfigError> {
-        let arrivals = config.validated_arrivals()?;
-        Ok(Scenario { name: name.into(), config, arrivals })
+        config.validate()?;
+        Ok(Scenario { name: name.into(), config })
     }
 
     /// The paper's §5.1 setup: 1000 peers, static overlay, Zipf(1) workload.
@@ -278,11 +273,6 @@ impl Scenario {
     /// The validated configuration.
     pub fn config(&self) -> &SimulationConfig {
         &self.config
-    }
-
-    /// The arrival process validation built from the configuration.
-    pub(crate) fn arrival_process(&self) -> &ArrivalProcess {
-        &self.arrivals
     }
 
     /// The master seed of this scenario.

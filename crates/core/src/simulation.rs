@@ -34,7 +34,7 @@ pub struct Simulation {
     catalog: Catalog,
     initial_shares: Vec<Vec<FileId>>,
     gids: Vec<GroupId>,
-    /// The query arrival process, built once by validation.
+    /// The query arrival process.
     arrivals: ArrivalProcess,
     /// Latency of every overlay link, computed once here and reused by every
     /// protocol run over this substrate (message deliveries dominate the
@@ -56,18 +56,17 @@ impl Simulation {
     /// configuration, and [`crate::experiment::Runner`] calls it exactly once
     /// per grid substrate.
     pub fn try_build(config: SimulationConfig) -> Result<Self, ConfigError> {
-        let arrivals = config.validated_arrivals()?;
-        Ok(Self::build_validated(config, arrivals))
+        config.validate()?;
+        Ok(Self::build_validated(config))
     }
 
     /// Builds the substrate of `scenario` (already validated by construction).
     pub fn from_scenario(scenario: &Scenario) -> Self {
-        Self::build_validated(scenario.config().clone(), scenario.arrival_process().clone())
+        Self::build_validated(scenario.config().clone())
     }
 
-    /// The actual builder; `config` must already have passed validation,
-    /// which built `arrivals`.
-    fn build_validated(config: SimulationConfig, arrivals: ArrivalProcess) -> Self {
+    /// The actual builder; `config` must already have passed validation.
+    fn build_validated(config: SimulationConfig) -> Self {
         let rng_factory = RngFactory::new(config.seed);
 
         let topology = BriteGenerator::new(BriteConfig {
@@ -132,6 +131,7 @@ impl Simulation {
             .assign_all(config.peers, &mut rng_factory.stream(StreamId::GroupAssignment));
 
         let link_latencies = LinkLatencyCache::build(&topology, graph.edges());
+        let arrivals = ArrivalProcess::new(config.arrival_config());
 
         Simulation {
             config,

@@ -337,6 +337,11 @@ impl<E> ShardQueue<E> {
         self.len() == 0
     }
 
+    /// Every pending payload, in slab order (not key order).
+    pub fn payloads(&self) -> impl Iterator<Item = &E> {
+        self.slab.iter().flatten()
+    }
+
     /// Push counts per structure and the peak depth so far.
     pub fn stats(&self) -> QueueStats {
         QueueStats {
@@ -375,7 +380,7 @@ mod tests {
             assert!(self.current.windows(2).all(|pair| pair[0] > pair[1]));
             assert!(self.current.iter().all(|e| slice_of(e.time) == self.cursor));
             assert_eq!(self.len(), self.current.len() + in_ring + self.heap.len());
-            assert_eq!(self.len(), self.slab.iter().flatten().count());
+            assert_eq!(self.len(), self.payloads().count());
         }
     }
 

@@ -23,9 +23,10 @@
 //! RNG draws, same floating-point operations), so an omitted schedule
 //! reproduces historical runs exactly.
 //!
-//! Validation here is shape only — sign, finiteness, range. Whether a burst's
-//! end fits the microsecond clock, beside everything else a run adds to it,
-//! is the simulation layer's one run-horizon check.
+//! Validation is the simulation layer's: `SimulationConfig::validate` checks
+//! the rate and each burst field as a knob of its own, the origin clusters
+//! against the population, and whether a burst's end fits the microsecond
+//! clock, so [`ArrivalProcess::new`] only `debug_assert!`s its precondition.
 //!
 //! ## Weighted origins
 //!
@@ -54,9 +55,7 @@ pub struct Arrival {
 ///
 /// Every variant multiplies [`ArrivalConfig::aggregate_rate`]; after the
 /// profile's span the rate returns to the base rate, so count-bounded
-/// generation always terminates. Validation ([`ArrivalSchedule::validate`])
-/// rejects degenerate profiles — non-positive multipliers, zero-length or
-/// negative windows — with a typed [`ScheduleError`].
+/// generation always terminates.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum ArrivalSchedule {
     /// The paper's homogeneous process: the base rate at all times. Omitting
@@ -78,89 +77,7 @@ pub enum ArrivalSchedule {
     },
 }
 
-/// Why an [`ArrivalSchedule`] (or the arrival configuration around it) is
-/// invalid. Carried by
-/// [`ArrivalProcess::new`] and surfaced through the simulation layer's
-/// configuration validation.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum ScheduleError {
-    /// The arrival population is empty.
-    NoPeers,
-    /// The base per-peer rate is not positive and finite.
-    InvalidRate {
-        /// The offending rate in queries per second per peer.
-        rate_per_peer: f64,
-    },
-    /// The burst multiplier is not positive and finite.
-    InvalidMultiplier {
-        /// The offending multiplier.
-        multiplier: f64,
-    },
-    /// The burst length is not positive and finite.
-    InvalidDuration {
-        /// The offending duration in seconds.
-        duration_secs: f64,
-    },
-    /// A burst start time is negative or not finite.
-    InvalidBurstStart {
-        /// The offending start time in seconds.
-        start_secs: f64,
-    },
-    /// The origin weights do not fit the population.
-    OriginWeights(crate::placement::ClusterWeightsError),
-}
-
-impl std::fmt::Display for ScheduleError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScheduleError::NoPeers => write!(f, "arrival process needs at least one peer"),
-            ScheduleError::InvalidRate { rate_per_peer } => write!(
-                f,
-                "per-peer rate must be positive and finite: got {rate_per_peer}"
-            ),
-            ScheduleError::InvalidMultiplier { multiplier } => write!(
-                f,
-                "schedule multipliers must be positive and finite: got {multiplier}"
-            ),
-            ScheduleError::InvalidDuration { duration_secs } => write!(
-                f,
-                "schedule durations must be positive and finite: got {duration_secs}s"
-            ),
-            ScheduleError::InvalidBurstStart { start_secs } => write!(
-                f,
-                "burst start must be non-negative and finite: got {start_secs}s"
-            ),
-            ScheduleError::OriginWeights(error) => write!(f, "origin weights: {error}"),
-        }
-    }
-}
-
-impl std::error::Error for ScheduleError {}
-
-/// True when `x` is a usable multiplier or duration.
-fn positive_finite(x: f64) -> bool {
-    x.is_finite() && x > 0.0
-}
-
 impl ArrivalSchedule {
-    /// Checks the profile for degenerate parameters.
-    pub fn validate(&self) -> Result<(), ScheduleError> {
-        let ArrivalSchedule::Burst { multiplier, start_secs, duration_secs } = *self else {
-            return Ok(());
-        };
-        if !positive_finite(multiplier) {
-            return Err(ScheduleError::InvalidMultiplier { multiplier });
-        }
-        if !start_secs.is_finite() || start_secs < 0.0 {
-            return Err(ScheduleError::InvalidBurstStart { start_secs });
-        }
-        if !positive_finite(duration_secs) {
-            return Err(ScheduleError::InvalidDuration { duration_secs });
-        }
-        Ok(())
-    }
-
     /// True for the homogeneous (legacy) profile.
     pub fn is_steady(&self) -> bool {
         matches!(self, ArrivalSchedule::Steady)
@@ -236,28 +153,6 @@ impl ArrivalConfig {
     pub fn aggregate_rate(&self) -> f64 {
         self.peers as f64 * self.rate_per_peer
     }
-
-    /// Checks population, rate, schedule and origin weights; the first
-    /// violated constraint comes back as a typed error.
-    pub fn validate(&self) -> Result<(), ScheduleError> {
-        if self.peers == 0 {
-            return Err(ScheduleError::NoPeers);
-        }
-        if !positive_finite(self.rate_per_peer) {
-            return Err(ScheduleError::InvalidRate {
-                rate_per_peer: self.rate_per_peer,
-            });
-        }
-        self.schedule.validate()?;
-        if let Some(weights) = &self.origin_weights {
-            // A constructed ClusterWeights is well-formed by type; only the
-            // population bound (clusters <= peers) is config-dependent.
-            weights
-                .validate_for(self.peers)
-                .map_err(ScheduleError::OriginWeights)?;
-        }
-        Ok(())
-    }
 }
 
 /// Generates (possibly bursty) Poisson query arrivals.
@@ -268,15 +163,26 @@ pub struct ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// Creates an arrival process, validating the configuration.
-    ///
-    /// Malformed configurations — no peers, a non-positive or non-finite
-    /// rate, a degenerate schedule — come back as a typed [`ScheduleError`]
-    /// instead of a panic, so presets and builders can surface them fallibly.
-    pub fn new(config: ArrivalConfig) -> Result<Self, ScheduleError> {
-        config.validate()?;
+    /// Creates an arrival process over a validated configuration: at least
+    /// one peer, a positive finite rate, a burst with a positive finite
+    /// multiplier and length and a finite non-negative start, and no more
+    /// origin clusters than peers.
+    pub fn new(config: ArrivalConfig) -> Self {
+        let positive = |x: f64| x > 0.0 && x.is_finite();
+        debug_assert!(
+            config.peers > 0
+                && positive(config.rate_per_peer)
+                && config.origin_weights.as_ref().is_none_or(|w| w.clusters() <= config.peers)
+                && match config.schedule {
+                    ArrivalSchedule::Steady => true,
+                    ArrivalSchedule::Burst { multiplier, start_secs, duration_secs } => {
+                        positive(multiplier) && positive(duration_secs) && start_secs >= 0.0 && start_secs.is_finite()
+                    }
+                },
+            "arrival configuration out of range (validate the config first): {config:?}"
+        );
         let segments = config.schedule.segments();
-        Ok(ArrivalProcess { config, segments })
+        ArrivalProcess { config, segments }
     }
 
     /// The configuration in force.
@@ -378,7 +284,7 @@ mod tests {
 
     #[test]
     fn count_bounded_generation_is_monotone_and_sized() {
-        let p = ArrivalProcess::new(ArrivalConfig::default()).unwrap();
+        let p = ArrivalProcess::new(ArrivalConfig::default());
         let arrivals = p.generate_count(500, &mut StdRng::seed_from_u64(1));
         assert_eq!(arrivals.len(), 500);
         for w in arrivals.windows(2) {
@@ -399,7 +305,7 @@ mod tests {
 
     #[test]
     fn inter_arrival_mean_matches_rate() {
-        let p = ArrivalProcess::new(ArrivalConfig::default()).unwrap();
+        let p = ArrivalProcess::new(ArrivalConfig::default());
         let arrivals = p.generate_count(20_000, &mut StdRng::seed_from_u64(3));
         let total = arrivals.last().unwrap().at.as_secs_f64();
         let mean_gap = total / arrivals.len() as f64;
@@ -412,7 +318,7 @@ mod tests {
 
     #[test]
     fn peers_are_hit_roughly_uniformly() {
-        let p = ArrivalProcess::new(steady_config(10, 0.01)).unwrap();
+        let p = ArrivalProcess::new(steady_config(10, 0.01));
         let arrivals = p.generate_count(10_000, &mut StdRng::seed_from_u64(4));
         let mut counts = [0usize; 10];
         for a in &arrivals {
@@ -428,72 +334,10 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let p = ArrivalProcess::new(ArrivalConfig::default()).unwrap();
+        let p = ArrivalProcess::new(ArrivalConfig::default());
         let a = p.generate_count(100, &mut StdRng::seed_from_u64(5));
         let b = p.generate_count(100, &mut StdRng::seed_from_u64(5));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn non_positive_rate_is_a_typed_error_not_a_panic() {
-        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let err = ArrivalProcess::new(steady_config(10, rate)).unwrap_err();
-            assert!(
-                matches!(err, ScheduleError::InvalidRate { .. }),
-                "rate {rate}: got {err:?}"
-            );
-        }
-        assert_eq!(
-            ArrivalProcess::new(steady_config(0, 0.01)).unwrap_err(),
-            ScheduleError::NoPeers
-        );
-    }
-
-    #[test]
-    fn degenerate_schedules_are_rejected() {
-        let burst = |multiplier, start_secs, duration_secs| ArrivalSchedule::Burst {
-            multiplier,
-            start_secs,
-            duration_secs,
-        };
-        let cases: Vec<(ArrivalSchedule, ScheduleError)> = vec![
-            (
-                burst(10.0, 60.0, 0.0),
-                ScheduleError::InvalidDuration { duration_secs: 0.0 },
-            ),
-            (
-                burst(10.0, 60.0, -5.0),
-                ScheduleError::InvalidDuration { duration_secs: -5.0 },
-            ),
-            (
-                burst(10.0, -1.0, 60.0),
-                ScheduleError::InvalidBurstStart { start_secs: -1.0 },
-            ),
-            (
-                burst(0.0, 60.0, 5.0),
-                ScheduleError::InvalidMultiplier { multiplier: 0.0 },
-            ),
-            (
-                burst(f64::NAN, 60.0, 5.0),
-                ScheduleError::InvalidMultiplier { multiplier: f64::NAN },
-            ),
-        ];
-        for (schedule, expected) in cases {
-            let got = schedule.validate().unwrap_err();
-            // NaN payloads never compare equal; compare discriminants there.
-            assert_eq!(
-                std::mem::discriminant(&got),
-                std::mem::discriminant(&expected),
-                "{schedule:?}: got {got:?}"
-            );
-            let config = ArrivalConfig {
-                schedule,
-                ..ArrivalConfig::default()
-            };
-            assert!(ArrivalProcess::new(config).is_err());
-        }
-        // Shape only: a window past the clock is the run horizon's to reject.
-        assert_eq!(burst(2.0, 0.0, 1e18).validate(), Ok(()));
     }
 
     #[test]
@@ -516,7 +360,7 @@ mod tests {
             out
         }
         for (peers, rate, seed) in [(1000, 0.00083, 7u64), (60, 0.013, 11), (3, 2.0, 99)] {
-            let p = ArrivalProcess::new(steady_config(peers, rate)).unwrap();
+            let p = ArrivalProcess::new(steady_config(peers, rate));
             let modern = p.generate_count(400, &mut StdRng::seed_from_u64(seed));
             assert_eq!(modern, legacy(peers, rate, 400, seed));
         }
@@ -534,7 +378,7 @@ mod tests {
             },
             origin_weights: None,
         };
-        let p = ArrivalProcess::new(config).unwrap();
+        let p = ArrivalProcess::new(config);
         let arrivals = p.generate_count(2000, &mut StdRng::seed_from_u64(6));
         let inside = arrivals
             .iter()
@@ -570,7 +414,7 @@ mod tests {
             },
             origin_weights: None,
         };
-        let p = ArrivalProcess::new(config).unwrap();
+        let p = ArrivalProcess::new(config);
         // ~12 000 arrivals are due by 3000 s; 14 000 carry the run past it.
         let arrivals = p.generate_count(14_000, &mut StdRng::seed_from_u64(8));
         assert!(arrivals.last().unwrap().at.as_secs_f64() > 3000.0);
@@ -616,7 +460,7 @@ mod tests {
             schedule: ArrivalSchedule::Steady,
             origin_weights: Some(weights),
         };
-        let p = ArrivalProcess::new(config).unwrap();
+        let p = ArrivalProcess::new(config);
         let arrivals = p.generate_count(10_000, &mut StdRng::seed_from_u64(10));
         let hot = arrivals.iter().filter(|a| a.peer < 30).count();
         let share = hot as f64 / arrivals.len() as f64;

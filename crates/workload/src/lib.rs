@@ -42,7 +42,7 @@ pub mod placement;
 pub mod queries;
 pub mod zipf;
 
-pub use arrival::{Arrival, ArrivalConfig, ArrivalProcess, ArrivalSchedule, ScheduleError};
+pub use arrival::{Arrival, ArrivalConfig, ArrivalProcess, ArrivalSchedule};
 pub use catalog::{Catalog, CatalogConfig, FileId, Filename};
 pub use faults::{FaultConfig, OutageWindow, TimeoutPolicy};
 pub use keywords::{KeywordHashes, KeywordId, KeywordPool};

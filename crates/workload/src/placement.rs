@@ -25,7 +25,7 @@ use rand::Rng;
 
 use crate::catalog::FileId;
 
-/// Why a [`ClusterWeights`] is (or does not fit a population) invalid.
+/// Why a [`ClusterWeights`] is invalid.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ClusterWeightsError {
@@ -38,22 +38,6 @@ pub enum ClusterWeightsError {
         /// The offending weight.
         weight: f64,
     },
-    /// More clusters than peers: some cluster would own no peers.
-    MoreClustersThanPeers {
-        /// Number of clusters.
-        clusters: usize,
-        /// Number of peers.
-        peers: usize,
-    },
-    /// The cached weight total does not match the weights (only possible for
-    /// values that bypassed [`ClusterWeights::new`], e.g. a future
-    /// deserialization path).
-    InconsistentTotal {
-        /// The cached total.
-        cached: f64,
-        /// The total recomputed from the weights.
-        computed: f64,
-    },
 }
 
 impl std::fmt::Display for ClusterWeightsError {
@@ -63,14 +47,6 @@ impl std::fmt::Display for ClusterWeightsError {
             ClusterWeightsError::InvalidWeight { index, weight } => write!(
                 f,
                 "cluster weights must be positive and finite: cluster {index} has {weight}"
-            ),
-            ClusterWeightsError::MoreClustersThanPeers { clusters, peers } => write!(
-                f,
-                "more clusters than peers: {clusters} clusters over {peers} peers"
-            ),
-            ClusterWeightsError::InconsistentTotal { cached, computed } => write!(
-                f,
-                "cached weight total {cached} does not match the weights (sum {computed})"
             ),
         }
     }
@@ -94,26 +70,19 @@ pub struct ClusterWeights {
     total: f64,
 }
 
-/// The shape invariant shared by [`ClusterWeights::new`] and
-/// [`ClusterWeights::validate_for`]: at least one cluster, every weight
-/// positive and finite.
-fn check_weights(weights: &[f64]) -> Result<(), ClusterWeightsError> {
-    if weights.is_empty() {
-        return Err(ClusterWeightsError::Empty);
-    }
-    for (index, &weight) in weights.iter().enumerate() {
-        if !weight.is_finite() || weight <= 0.0 {
-            return Err(ClusterWeightsError::InvalidWeight { index, weight });
-        }
-    }
-    Ok(())
-}
-
 impl ClusterWeights {
     /// Validates and wraps per-cluster weights: at least one cluster, every
-    /// weight positive and finite.
+    /// weight positive and finite. Whether the clusters fit a population is
+    /// the simulation layer's check (`SimulationConfig::validate`).
     pub fn new(weights: Vec<f64>) -> Result<Self, ClusterWeightsError> {
-        check_weights(&weights)?;
+        if weights.is_empty() {
+            return Err(ClusterWeightsError::Empty);
+        }
+        for (index, &weight) in weights.iter().enumerate() {
+            if !weight.is_finite() || weight <= 0.0 {
+                return Err(ClusterWeightsError::InvalidWeight { index, weight });
+            }
+        }
         let total = weights.iter().sum();
         Ok(ClusterWeights { weights, total })
     }
@@ -126,28 +95,6 @@ impl ClusterWeights {
     /// The raw weights.
     pub fn weights(&self) -> &[f64] {
         &self.weights
-    }
-
-    /// Checks that the partition fits a population of `peers` — and re-runs
-    /// the construction invariants, so a value that bypassed
-    /// [`ClusterWeights::new`] cannot smuggle a degenerate shape past the
-    /// configuration layer's validation.
-    pub fn validate_for(&self, peers: usize) -> Result<(), ClusterWeightsError> {
-        check_weights(&self.weights)?;
-        let computed: f64 = self.weights.iter().sum();
-        if self.total.to_bits() != computed.to_bits() {
-            return Err(ClusterWeightsError::InconsistentTotal {
-                cached: self.total,
-                computed,
-            });
-        }
-        if self.weights.len() > peers {
-            return Err(ClusterWeightsError::MoreClustersThanPeers {
-                clusters: self.weights.len(),
-                peers,
-            });
-        }
-        Ok(())
     }
 
     /// The contiguous peer index range owned by `cluster` in a population of
@@ -416,7 +363,7 @@ mod tests {
     // ------------------------------------------------------- cluster weights
 
     #[test]
-    fn cluster_weights_validate_shape_and_population() {
+    fn cluster_weights_validate_their_shape() {
         assert_eq!(ClusterWeights::new(vec![]).unwrap_err(), ClusterWeightsError::Empty);
         assert!(matches!(
             ClusterWeights::new(vec![1.0, 0.0]).unwrap_err(),
@@ -426,12 +373,11 @@ mod tests {
             ClusterWeights::new(vec![f64::NAN]).unwrap_err(),
             ClusterWeightsError::InvalidWeight { index: 0, .. }
         ));
-        let w = ClusterWeights::new(vec![3.0, 1.0]).unwrap();
-        assert!(w.validate_for(2).is_ok());
-        assert_eq!(
-            w.validate_for(1).unwrap_err(),
-            ClusterWeightsError::MoreClustersThanPeers { clusters: 2, peers: 1 }
-        );
+        assert!(matches!(
+            ClusterWeights::new(vec![2.0, f64::INFINITY]).unwrap_err(),
+            ClusterWeightsError::InvalidWeight { index: 1, .. }
+        ));
+        assert_eq!(ClusterWeights::new(vec![3.0, 1.0]).unwrap().clusters(), 2);
     }
 
     #[test]

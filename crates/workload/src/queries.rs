@@ -146,16 +146,6 @@ impl QueryGenerator {
         keywords.sort_unstable();
         Query { target, keywords }
     }
-
-    /// Generates a batch of `n` queries.
-    pub fn generate_batch<R: Rng + ?Sized>(
-        &self,
-        catalog: &Catalog,
-        n: usize,
-        rng: &mut R,
-    ) -> Vec<Query> {
-        (0..n).map(|_| self.generate(catalog, rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -248,9 +238,12 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let (catalog, generator) = setup();
-        let a = generator.generate_batch(&catalog, 50, &mut StdRng::seed_from_u64(9));
-        let b = generator.generate_batch(&catalog, 50, &mut StdRng::seed_from_u64(9));
-        assert_eq!(a, b);
+        let batch = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..50).map(|_| generator.generate(&catalog, &mut rng)).collect::<Vec<_>>()
+        };
+        assert_eq!(batch(9), batch(9));
+        assert_ne!(batch(9), batch(10));
     }
 
     #[test]

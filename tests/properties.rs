@@ -284,14 +284,12 @@ proptest! {
         } else {
             ArrivalSchedule::Steady
         };
-        prop_assert!(schedule.validate().is_ok(), "generated schedules are well formed");
         let process = ArrivalProcess::new(ArrivalConfig {
             peers,
             rate_per_peer: 0.01,
             schedule,
             origin_weights: None,
-        })
-        .expect("valid configuration");
+        });
         let a = process.generate_count(count, &mut StdRng::seed_from_u64(seed));
         let b = process.generate_count(count, &mut StdRng::seed_from_u64(seed));
         prop_assert_eq!(&a, &b, "same seed must replay identically");
@@ -320,8 +318,7 @@ proptest! {
             rate_per_peer: rate,
             schedule: ArrivalSchedule::Steady,
             origin_weights: None,
-        })
-        .expect("valid configuration");
+        });
         let modern = process.generate_count(count, &mut StdRng::seed_from_u64(seed));
         prop_assert_eq!(modern, legacy_arrivals(peers, rate, count, seed));
     }
@@ -351,7 +348,7 @@ proptest! {
             origin_weights: (weighted && peers >= 2)
                 .then(|| ClusterWeights::new(vec![3.0, 1.0]).expect("two positive weights")),
         };
-        let process = ArrivalProcess::new(config.clone()).expect("valid configuration");
+        let process = ArrivalProcess::new(config.clone());
         let modern = process.generate_count(count, &mut StdRng::seed_from_u64(seed));
         prop_assert_eq!(modern, legacy_burst_arrivals(&config, count, seed));
     }
