@@ -42,6 +42,13 @@ impl BloomParams {
         (k.round() as usize).max(1)
     }
 
+    /// The OR of every element's [`ElementHashes::fold_mask`] under this
+    /// geometry: a filter of this geometry holding all the elements has
+    /// every bit of it set in its [`BloomFilter::fold`]. 0 for no elements.
+    pub fn fold_mask(&self, elements: &[ElementHashes]) -> u64 {
+        elements.iter().fold(0, |mask, h| mask | h.fold_mask(self.hashes, self.bits))
+    }
+
     /// Expected false-positive probability with `n` inserted elements.
     pub fn false_positive_rate(&self, n: usize) -> f64 {
         let m = self.bits as f64;

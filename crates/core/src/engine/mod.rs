@@ -149,6 +149,8 @@ pub(crate) struct RunShared<'a> {
     pub(crate) group_ids: &'a [GroupId],
     pub(crate) catalog: &'a Catalog,
     pub(crate) keyword_hashes: Arc<KeywordHashes>,
+    /// The run's filter geometry, which every peer's filters share.
+    pub(crate) bloom: BloomParams,
     pub(crate) scheme: GroupScheme,
     pub(crate) arrivals: Vec<Arrival>,
     /// Arrival index → the keywords its query floods with, set once by the
@@ -373,6 +375,7 @@ fn prepare(
         group_ids: gids,
         catalog,
         keyword_hashes: catalog.keyword_hashes().clone(),
+        bloom: BloomParams::new(config.bloom_bits, config.bloom_hashes),
         scheme: GroupScheme::new(config.group_count),
         // The base workload stream seeds only the generator's one-time
         // popularity permutation; per-query draws come from streams derived
@@ -401,13 +404,12 @@ fn prepare(
     };
     let protocol = &*shared.protocol;
 
-    let bloom_params = BloomParams::new(config.bloom_bits, config.bloom_hashes);
     let max_providers = protocol.max_providers_per_file();
     let new_peer = |id: PeerId| {
         let mut state = PeerState::new(
             id,
             loc_ids[id.index()],
-            bloom_params,
+            shared.bloom,
             config.response_index_capacity,
             max_providers,
             shared.keyword_hashes.clone(),
@@ -457,6 +459,9 @@ fn finalize(
     let mut totals = Tallies::new();
     for shard in shards.iter() {
         totals.merge(&shard.tallies);
+    }
+    if cfg!(debug_assertions) {
+        totals.assert_conserved();
     }
     // Route state lives exactly as long as its query: a run that drained its
     // queues completed every query, so every table is back on a spare list.

@@ -42,7 +42,7 @@ use crate::results::{QueryOutcome, QueryRecord};
 use super::dht::{self, DhtLookupState, DirectoryScratch};
 use super::exchange::{deliver_key, timeout_key, LOST_BIT};
 use super::lifecycle::QueryLedger;
-use super::tally::{kind_index, Tallies};
+use super::tally::{kind_index, Tallies, LOST, OFFLINE, PROCESSED};
 use super::{unstructured, RunShared};
 
 /// A shard-local event. Periodic maintenance (Bloom sync) and churn are
@@ -288,8 +288,17 @@ impl ShardState {
                     }
                     // The window's graph, not a per-peer flag: an offline
                     // receiver ends here without loading a `PeerState` line.
-                    if from.0 & LOST_BIT == 0 && graph.is_active(to) {
-                        match message.kind() {
+                    let kind = message.kind();
+                    let fate = if from.0 & LOST_BIT != 0 {
+                        LOST
+                    } else if graph.is_active(to) {
+                        PROCESSED
+                    } else {
+                        OFFLINE
+                    };
+                    self.tallies.deliveries[kind_index(kind)][fate] += 1;
+                    if fate == PROCESSED {
+                        match kind {
                             MessageKind::DhtLookup | MessageKind::DhtLookupReply | MessageKind::DhtStore => {
                                 dht::deliver(self, shared, graph, key, from, to, message)
                             }

@@ -55,11 +55,23 @@ pub(super) fn decision_index(decision: ForwardDecision) -> usize {
     }
 }
 
+/// What became of a dispatched delivery, as an index into its kind's row of
+/// [`Tallies::deliveries`]: the receiver processed it, the fault plan had
+/// lost it at send time, or its receiver was offline.
+pub(super) const PROCESSED: usize = 0;
+pub(super) const LOST: usize = 1;
+pub(super) const OFFLINE: usize = 2;
+
 /// One shard's additive statistics.
 #[derive(Debug, Clone)]
 pub(super) struct Tallies {
     /// Message sends by kind discriminant.
     pub message_counts: [u64; MESSAGE_KINDS.len()],
+    /// Dispatched deliveries by kind discriminant and fate ([`PROCESSED`],
+    /// [`LOST`], [`OFFLINE`]). A drained run dispatched every send, so each
+    /// kind's row sums to its `message_counts` entry
+    /// ([`Tallies::assert_conserved`]).
+    pub deliveries: [[u64; 3]; MESSAGE_KINDS.len()],
     /// Routing decisions by discriminant.
     pub decision_counts: [u64; FORWARD_DECISIONS.len()],
     /// Messages not attributable to a query (Bloom synchronisation traffic).
@@ -91,6 +103,7 @@ impl Tallies {
     pub(super) fn new() -> Self {
         Tallies {
             message_counts: [0; MESSAGE_KINDS.len()],
+            deliveries: [[0; 3]; MESSAGE_KINDS.len()],
             decision_counts: [0; FORWARD_DECISIONS.len()],
             background_messages: 0,
             queries_issued: 0,
@@ -109,6 +122,9 @@ impl Tallies {
         for (mine, theirs) in self.message_counts.iter_mut().zip(&other.message_counts) {
             *mine += theirs;
         }
+        for (mine, theirs) in self.deliveries.iter_mut().flatten().zip(other.deliveries.iter().flatten()) {
+            *mine += theirs;
+        }
         for (mine, theirs) in self.decision_counts.iter_mut().zip(&other.decision_counts) {
             *mine += theirs;
         }
@@ -121,6 +137,27 @@ impl Tallies {
         self.dht_step_timeouts += other.dht_step_timeouts;
         self.storage_walks += other.storage_walks;
         self.storage_skips += other.storage_skips;
+    }
+
+    /// Message conservation over a run's merged totals: every run drains its
+    /// queues, so for each message kind the sends equal the deliveries
+    /// dispatched — processed, lost or offline-consumed — and the lost
+    /// deliveries are exactly the sends the fault plan lost.
+    pub(super) fn assert_conserved(&self) {
+        for (i, (_, label)) in MESSAGE_KINDS.iter().enumerate() {
+            let fates = self.deliveries[i];
+            let (processed, lost, offline) = (fates[PROCESSED], fates[LOST], fates[OFFLINE]);
+            assert_eq!(
+                self.message_counts[i],
+                processed + lost + offline,
+                "{label}: {} sent, {processed} processed + {lost} lost + {offline} offline",
+                self.message_counts[i]
+            );
+        }
+        let lost: u64 = self.deliveries.iter().map(|fates| fates[LOST]).sum();
+        assert_eq!(lost, self.messages_lost, "lost deliveries vs sends lost");
+        let stores_lost = self.deliveries[kind_index(MessageKind::DhtStore)][LOST];
+        assert_eq!(stores_lost, self.dht_stores_lost, "lost store deliveries vs stores lost");
     }
 }
 

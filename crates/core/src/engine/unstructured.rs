@@ -150,7 +150,7 @@ pub(super) fn deliver(
             }
             let local_match = {
                 // No local-match rule reads Bloom hashes, so none are computed.
-                let qctx = query_context(&message, keywords, &[]);
+                let qctx = query_context(&message, keywords, &[], 0);
                 shared.protocol.local_match(&view(state, graph, shared, slot), &qctx)
             };
 
@@ -301,8 +301,9 @@ fn flood_attempt(
 /// otherwise (`exclude` is the neighbour it arrived from): the protocol picks
 /// the forward targets, the decision is tallied and every target is sent one
 /// copy. Only a protocol that routes by Bloom filter gets the Bloom hashes of
-/// the query's keywords, computed here into `scratch_hashes`. Returns whether
-/// anything was sent.
+/// the query's keywords, computed here into `scratch_hashes`, and their fold
+/// mask under the run's filter geometry, so the routing test reads no
+/// geometry from the forwarding peer. Returns whether anything was sent.
 fn forward_query(
     state: &mut ShardState,
     shared: &RunShared<'_>,
@@ -321,9 +322,10 @@ fn forward_query(
     if shared.protocol.uses_bloom_sync() {
         state.scratch_hashes.extend(keywords.iter().map(|&kw| shared.keyword_hashes.of(kw)));
     }
+    let fold_mask = shared.bloom.fold_mask(&state.scratch_hashes);
     let mut targets = std::mem::take(&mut state.scratch_targets);
     let decision = {
-        let qctx = query_context(message, keywords, &state.scratch_hashes);
+        let qctx = query_context(message, keywords, &state.scratch_hashes, fold_mask);
         let view = view(state, graph, shared, shared.partition.slot(at));
         shared.protocol.forward_targets_into(&view, &qctx, exclude, &mut targets)
     };
@@ -342,10 +344,11 @@ fn forward_query(
 }
 
 /// The protocol's view of the query `message`, whose published keywords are
-/// `keywords` and their Bloom hashes `keyword_hashes` (empty where no rule
-/// reads them): the one place the family builds a [`QueryContext`].
+/// `keywords`, their Bloom hashes `keyword_hashes` and the hashes' fold mask
+/// `keyword_fold_mask` (empty and 0 where no rule reads them): the one place
+/// the family builds a [`QueryContext`].
 fn query_context<'m>(
-    message: &Message, keywords: &'m [KeywordId], keyword_hashes: &'m [ElementHashes],
+    message: &Message, keywords: &'m [KeywordId], keyword_hashes: &'m [ElementHashes], keyword_fold_mask: u64,
 ) -> QueryContext<'m> {
     let Message::Query { query, origin, origin_loc, target_filename, .. } = message else {
         unreachable!("only queries have a query context");
@@ -356,6 +359,7 @@ fn query_context<'m>(
         origin_loc: *origin_loc,
         keywords,
         keyword_hashes,
+        keyword_fold_mask,
         target_filename: *target_filename,
     }
 }

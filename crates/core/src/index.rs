@@ -86,7 +86,12 @@ pub struct Eviction {
 }
 
 /// The bounded, location-aware response index of one peer.
+///
+/// `repr(C)` with the entry vector first: a keyword lookup reads the vector's
+/// header before anything else, and [`crate::PeerState`] keeps that header in
+/// its first cache line.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct ResponseIndex {
     /// The cached filenames, least recently touched first: the front is the
     /// next eviction victim. Unallocated until the first insert, since most
@@ -99,6 +104,8 @@ pub struct ResponseIndex {
     /// Monotonic recency counter, the providers' freshness stamps.
     clock: u64,
 }
+
+const _: () = assert!(std::mem::offset_of!(ResponseIndex, entries) == 0);
 
 impl ResponseIndex {
     /// Creates an empty index.

@@ -66,28 +66,22 @@ impl BloomView {
 }
 
 /// The full protocol-visible state of one peer.
+///
+/// Laid out for the delivery path: a peer's state starts a cache line of its
+/// own (`align(64)`), and that line holds what an unstructured delivery
+/// reads first — the storage signature, the neighbour Bloom views, the id
+/// and locId and the response index's entry vector, whose header sits first
+/// in [`ResponseIndex`]. A first sighting that the signature and the index
+/// turn away, and a forward the Bloom folds decide, then touch one line of
+/// `PeerState`; the cold fields follow. The asserts below the struct pin the
+/// head inside the first 64 bytes.
 #[derive(Debug, Clone)]
+#[repr(C, align(64))]
 pub struct PeerState {
-    /// This peer's id (identical at overlay and underlay layers).
-    pub id: PeerId,
-    /// This peer's location id.
-    pub loc_id: LocId,
-    /// Files this peer can serve (initial shares plus completed downloads).
-    shared_files: BTreeSet<FileId>,
     /// [`keyword_signature`] of every stored filename, OR-ed together: a
     /// query whose own signature is not covered cannot match any stored file,
-    /// so the storage walk is skipped without touching the set above.
+    /// so the storage walk is skipped without touching the shared-file set.
     storage_signature: u64,
-    /// The response index.
-    pub response_index: ResponseIndex,
-    /// Counting filter tracking the keywords of everything in the response
-    /// index (private; supports deletions).
-    counting_bloom: CountingBloomFilter,
-    /// The last filter version pushed to neighbours; the initial exchange
-    /// shares it with every neighbour's view.
-    exported_bloom: Arc<BloomFilter>,
-    /// True if the response index changed since the last export.
-    bloom_dirty: bool,
     /// The neighbour filters this peer has received, strictly ascending by
     /// neighbour id. A neighbour with no view has an empty filter: the state
     /// before the first exchange and after a volatile reset, kept unallocated
@@ -97,6 +91,20 @@ pub struct PeerState {
     /// so a routing test that the fold rejects reads nothing behind the
     /// pointer.
     bloom_views: Vec<BloomView>,
+    /// This peer's id (identical at overlay and underlay layers).
+    pub id: PeerId,
+    /// This peer's location id.
+    pub loc_id: LocId,
+    /// The response index.
+    pub response_index: ResponseIndex,
+    /// Files this peer can serve (initial shares plus completed downloads).
+    shared_files: BTreeSet<FileId>,
+    /// Counting filter tracking the keywords of everything in the response
+    /// index (private; supports deletions).
+    counting_bloom: CountingBloomFilter,
+    /// The last filter version pushed to neighbours; the initial exchange
+    /// shares it with every neighbour's view.
+    exported_bloom: Arc<BloomFilter>,
     /// The peer's DHT half — XOR-metric routing table plus keyword record
     /// store. `Some` only when the run's protocol uses the structured index
     /// (the engine installs it at setup); the six unstructured protocols
@@ -107,7 +115,20 @@ pub struct PeerState {
     /// Interned Bloom hashes per keyword, shared with the catalog so filter
     /// maintenance never re-hashes (and never re-spells) a pool keyword.
     keyword_hashes: Arc<KeywordHashes>,
+    /// True if the response index changed since the last export.
+    bloom_dirty: bool,
 }
+
+// The head: each field's last byte inside the first 64. The response
+// index's entry vector is its first field (asserted in `index.rs`).
+const _: () = {
+    use std::mem::{offset_of, size_of};
+    assert!(offset_of!(PeerState, storage_signature) + size_of::<u64>() <= 64);
+    assert!(offset_of!(PeerState, bloom_views) + size_of::<Vec<BloomView>>() <= 64);
+    assert!(offset_of!(PeerState, id) + size_of::<PeerId>() <= 64);
+    assert!(offset_of!(PeerState, loc_id) + size_of::<LocId>() <= 64);
+    assert!(offset_of!(PeerState, response_index) + size_of::<Vec<crate::index::IndexEntry>>() <= 64);
+};
 
 impl PeerState {
     /// Creates a fresh peer with an empty cache.
@@ -125,17 +146,17 @@ impl PeerState {
         keyword_hashes: Arc<KeywordHashes>,
     ) -> Self {
         PeerState {
+            storage_signature: 0,
+            bloom_views: Vec::new(),
             id,
             loc_id,
-            shared_files: BTreeSet::new(),
-            storage_signature: 0,
             response_index: ResponseIndex::new(index_capacity, max_providers_per_file),
+            shared_files: BTreeSet::new(),
             counting_bloom: CountingBloomFilter::new(bloom_params),
             exported_bloom: Arc::new(BloomFilter::new(bloom_params)),
-            bloom_dirty: false,
-            bloom_views: Vec::new(),
             dht: None,
             keyword_hashes,
+            bloom_dirty: false,
         }
     }
 
@@ -343,25 +364,23 @@ impl PeerState {
     /// id-sorted `row` other than `exclude` whose stored filter contains all
     /// pre-hashed query keywords. Views are walked in step with the row, and
     /// a neighbour with no view matches nothing, like the empty filter. A
-    /// view whose fold lacks a bit of the keywords' fold mask cannot contain
-    /// them, so its filter is probed only when the fold passes. An empty
-    /// hash slice matches nothing (empty queries are never routed). The
-    /// caller's buffer is appended to, not cleared, so it can be reused
-    /// across events.
+    /// view whose fold lacks a bit of `fold_mask` — the keywords'
+    /// [`BloomParams::fold_mask`] under the run's filter geometry, which
+    /// every peer shares — cannot contain them, so its filter is probed only
+    /// when the fold passes. An empty hash slice matches nothing (empty
+    /// queries are never routed). The caller's buffer is appended to, not
+    /// cleared, so it can be reused across events.
     pub fn neighbors_matching_bloom_into(
         &self,
         row: &[PeerId],
         query_hashes: &[ElementHashes],
+        fold_mask: u64,
         exclude: Option<PeerId>,
         out: &mut Vec<PeerId>,
     ) {
         if query_hashes.is_empty() {
             return;
         }
-        // Every peer in a run shares one geometry; the inline counting
-        // filter's copy of it is already in cache, the export's is not.
-        let BloomParams { bits, hashes } = self.counting_bloom.params();
-        let mask = query_hashes.iter().fold(0, |mask, h| mask | h.fold_mask(hashes, bits));
         let mut views = self.bloom_views.iter().peekable();
         for &n in row {
             while views.next_if(|view| view.neighbor < n).is_some() {}
@@ -369,7 +388,7 @@ impl PeerState {
                 continue;
             };
             if Some(n) != exclude
-                && view.fold & mask == mask
+                && view.fold & fold_mask == fold_mask
                 && view.bloom.contains_all_hashes(query_hashes)
             {
                 out.push(n);
@@ -397,11 +416,15 @@ mod tests {
         ids.iter().map(|&i| KeywordId(i)).collect()
     }
 
-    /// The neighbours in the graph row `{2, 3}` whose views match `keywords`.
+    /// The neighbours in the graph row `{2, 3}` whose views match `keywords`,
+    /// tested under the run geometry's fold mask — which must be the mask of
+    /// the peer's own counting-filter geometry.
     fn bloom_matches(p: &PeerState, keywords: &[KeywordId]) -> Vec<PeerId> {
         let hashes: Vec<ElementHashes> = keywords.iter().map(|&kw| p.keyword_hashes.of(kw)).collect();
+        let run_mask = BloomParams::default().fold_mask(&hashes);
+        assert_eq!(run_mask, p.counting_bloom.params().fold_mask(&hashes), "one geometry per run");
         let mut out = Vec::new();
-        p.neighbors_matching_bloom_into(&[PeerId(2), PeerId(3)], &hashes, None, &mut out);
+        p.neighbors_matching_bloom_into(&[PeerId(2), PeerId(3)], &hashes, run_mask, None, &mut out);
         out
     }
 

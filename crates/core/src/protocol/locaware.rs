@@ -156,7 +156,13 @@ impl Protocol for Locaware {
         if self.use_bloom_routing {
             debug_assert_eq!(query.keyword_hashes.len(), query.keywords.len(), "Bloom routing needs the hashes");
             let row = view.graph.neighbors(view.state.id);
-            view.state.neighbors_matching_bloom_into(row, query.keyword_hashes, exclude, out);
+            view.state.neighbors_matching_bloom_into(
+                row,
+                query.keyword_hashes,
+                query.keyword_fold_mask,
+                exclude,
+                out,
+            );
             if !out.is_empty() {
                 return ForwardDecision::BloomMatch;
             }

@@ -31,7 +31,7 @@ pub mod flooding;
 pub mod hybrid;
 pub mod locaware;
 
-use locaware_bloom::ElementHashes;
+use locaware_bloom::{BloomParams, ElementHashes};
 use locaware_net::LocId;
 use locaware_overlay::{ForwardDecision, OverlayGraph, PeerId, ProviderEntry, QueryId};
 use locaware_workload::{Catalog, FileId, KeywordHashes, KeywordId};
@@ -83,6 +83,10 @@ pub struct QueryContext<'a> {
     /// The pre-computed Bloom hashes of `keywords`, index-aligned; empty
     /// where no rule reads them (see above).
     pub keyword_hashes: &'a [ElementHashes],
+    /// [`BloomParams::fold_mask`] of `keyword_hashes` under the run's filter
+    /// geometry, the one-word test in front of each neighbour probe; 0
+    /// wherever `keyword_hashes` is empty.
+    pub keyword_fold_mask: u64,
     /// For filename-search protocols (Dicas): the exact file searched.
     pub target_filename: Option<FileId>,
 }
@@ -104,19 +108,23 @@ pub struct QueryBuffer {
     pub target_filename: Option<FileId>,
     keywords: Vec<KeywordId>,
     keyword_hashes: Vec<ElementHashes>,
+    keyword_fold_mask: u64,
 }
 
 impl QueryBuffer {
-    /// Builds a query with its keyword hashes computed up front.
+    /// Builds a query with its keyword hashes, and their fold mask under the
+    /// filter geometry `bloom`, computed up front.
     pub fn new(
         query: QueryId,
         origin: PeerId,
         origin_loc: LocId,
         keywords: Vec<KeywordId>,
         target_filename: Option<FileId>,
+        bloom: BloomParams,
     ) -> Self {
         let hasher = KeywordHashes::empty();
-        let keyword_hashes = keywords.iter().map(|&kw| hasher.of(kw)).collect();
+        let keyword_hashes: Vec<ElementHashes> = keywords.iter().map(|&kw| hasher.of(kw)).collect();
+        let keyword_fold_mask = bloom.fold_mask(&keyword_hashes);
         QueryBuffer {
             query,
             origin,
@@ -124,6 +132,7 @@ impl QueryBuffer {
             target_filename,
             keywords,
             keyword_hashes,
+            keyword_fold_mask,
         }
     }
 
@@ -135,6 +144,7 @@ impl QueryBuffer {
             origin_loc: self.origin_loc,
             keywords: &self.keywords,
             keyword_hashes: &self.keyword_hashes,
+            keyword_fold_mask: self.keyword_fold_mask,
             target_filename: self.target_filename,
         }
     }
@@ -334,7 +344,6 @@ pub(crate) mod test_support {
     //! Small fixtures shared by the protocol unit tests.
 
     use super::*;
-    use locaware_bloom::BloomParams;
     use locaware_overlay::OverlayGraph;
     use locaware_workload::{Catalog, Filename, KeywordPool};
 
@@ -437,6 +446,7 @@ pub(crate) mod test_support {
                 LocId(1),
                 keywords.iter().map(|&k| KeywordId(k)).collect(),
                 target.map(FileId),
+                BloomParams::default(),
             )
         }
     }

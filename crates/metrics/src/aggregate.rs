@@ -11,16 +11,16 @@ pub fn mean(values: &[f64]) -> f64 {
 
 /// The `p`-th percentile (0 ≤ p ≤ 100) using nearest-rank on a sorted copy.
 /// Returns 0.0 for an empty slice.
+///
+/// Numbers sort numerically (a stable sort, so `-0.0` and `0.0` keep their
+/// input order); a NaN sorts by [`f64::total_cmp`], after every number if
+/// its sign bit is clear (as `f64::NAN`'s is) and before them if set.
 pub fn percentile(values: &[f64], p: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
     let mut sorted = values.to_vec();
-    #[expect(
-        clippy::expect_used,
-        reason = "callers pass finite samples; a NaN is a bug the panic names"
-    )]
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("percentile input must not contain NaN"));
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or_else(|| a.total_cmp(b)));
     let p = p.clamp(0.0, 100.0);
     let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
     sorted[rank]
@@ -55,6 +55,22 @@ mod tests {
         let mut shuffled = v.clone();
         shuffled.reverse();
         assert_eq!(percentile(&shuffled, 95.0), percentile(&v, 95.0));
+    }
+
+    #[test]
+    fn nan_sorts_after_every_number() {
+        let v = [3.0, f64::NAN, 1.0, 2.0];
+        assert_eq!(percentile(&v, 0.0), 1.0);
+        assert_eq!(percentile(&v, 50.0), 3.0, "rank 2 of [1, 2, 3, NaN]");
+        assert!(percentile(&v, 100.0).is_nan());
+        assert_eq!(percentile(&[-f64::NAN, 5.0], 0.0).to_bits(), (-f64::NAN).to_bits());
+        assert!(percentile(&[f64::NAN], 50.0).is_nan());
+    }
+
+    #[test]
+    fn signed_zeros_keep_their_input_order() {
+        assert_eq!(percentile(&[0.0, -0.0], 0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(percentile(&[-0.0, 0.0], 0.0).to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

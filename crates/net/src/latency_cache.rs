@@ -8,13 +8,16 @@
 //! recomputes the same few thousand link latencies millions of times.
 //!
 //! [`LinkLatencyCache`] precomputes the latency of every overlay link once per
-//! substrate and serves lookups from a per-node sorted adjacency array (a
-//! short binary search — the average overlay degree is ~4). Pairs outside the
-//! cached link set (churn-added edges, requestor→provider download distances,
-//! RTT probes to arbitrary providers) fall back to computing from the
-//! topology, so a cached lookup **always** returns exactly
-//! `topology.latency(a, b)` and substituting the cache can never change
-//! simulation results.
+//! substrate into one compressed-sparse-row arena: every node's cached links
+//! sit in one id-sorted run of a single `(peer, latency)` vector, found
+//! through an offsets vector, so a lookup loads two adjacent offsets and
+//! binary-searches a short run (the average overlay degree is ~4) with no
+//! per-node row header in between. The arena is built by one sort of the
+//! directed link list. Pairs outside the cached link set (churn-added edges,
+//! requestor→provider download distances, RTT probes to arbitrary providers)
+//! fall back to computing from the topology, so a cached lookup **always**
+//! returns exactly `topology.latency(a, b)` and substituting the cache can
+//! never change simulation results.
 
 use locaware_sim::Duration;
 
@@ -23,10 +26,14 @@ use crate::topology::{NodeId, PhysicalTopology};
 /// Precomputed one-way latencies for a fixed set of (undirected) links.
 #[derive(Debug, Clone, Default)]
 pub struct LinkLatencyCache {
-    /// `links[a]` = the cached neighbours of node `a`, sorted by id, with the
-    /// precomputed one-way latency to each. Symmetric: `b ∈ links[a]` iff
-    /// `a ∈ links[b]` (with the same value, as topology latency is symmetric).
-    links: Vec<Vec<(u32, Duration)>>,
+    /// Node `a`'s cached links are `links[offsets[a]..offsets[a + 1]]`;
+    /// `nodes + 1` entries, non-decreasing, the last equal to `links.len()`.
+    offsets: Vec<u32>,
+    /// Every node's cached neighbours in one vector, node by node, each
+    /// node's run sorted by neighbour id with the precomputed one-way latency
+    /// to it. Symmetric: `b` is in `a`'s run iff `a` is in `b`'s (with the
+    /// same value, as topology latency is symmetric).
+    links: Vec<(u32, Duration)>,
 }
 
 impl LinkLatencyCache {
@@ -34,7 +41,8 @@ impl LinkLatencyCache {
     /// topology.
     pub fn empty(nodes: usize) -> Self {
         LinkLatencyCache {
-            links: vec![Vec::new(); nodes],
+            offsets: vec![0; nodes + 1],
+            links: Vec::new(),
         }
     }
 
@@ -43,48 +51,66 @@ impl LinkLatencyCache {
     /// `edges` may list each undirected edge once (either orientation) or
     /// twice; duplicates and self-edges are ignored. Endpoints must be valid
     /// topology nodes.
+    ///
+    /// # Panics
+    /// Panics if the cache would hold `u32::MAX` directed links or more.
     pub fn build(
         topology: &PhysicalTopology,
         edges: impl IntoIterator<Item = (NodeId, NodeId)>,
     ) -> Self {
-        let mut cache = Self::empty(topology.len());
+        let mut directed: Vec<(u32, u32, Duration)> = Vec::new();
         for (a, b) in edges {
             if a != b {
                 let latency = topology.latency(a, b);
-                cache.insert_directed(a, b, latency);
-                cache.insert_directed(b, a, latency);
+                directed.push((a.0, b.0, latency));
+                directed.push((b.0, a.0, latency));
             }
         }
-        cache
+        // Latency is a function of the pair alone, so which duplicate the
+        // unstable sort keeps does not matter.
+        directed.sort_unstable_by_key(|&(from, to, _)| (from, to));
+        directed.dedup_by_key(|&mut (from, to, _)| (from, to));
+        assert!(directed.len() < u32::MAX as usize, "too many links for u32 offsets");
+        let mut offsets = vec![0u32; topology.len() + 1];
+        for &(from, ..) in &directed {
+            offsets[from as usize + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        // Same size and alignment as the triple, so this reuses its buffer.
+        let mut links: Vec<(u32, Duration)> = directed.into_iter().map(|(_, to, latency)| (to, latency)).collect();
+        links.shrink_to_fit();
+        LinkLatencyCache { offsets, links }
     }
 
-    fn insert_directed(&mut self, from: NodeId, to: NodeId, latency: Duration) {
-        let row = &mut self.links[from.index()];
-        if let Err(pos) = row.binary_search_by_key(&to.0, |&(n, _)| n) {
-            row.insert(pos, (to.0, latency));
+    /// Node `a`'s cached links, empty for a node outside the cache.
+    fn row(&self, a: usize) -> &[(u32, Duration)] {
+        match (self.offsets.get(a), self.offsets.get(a + 1)) {
+            (Some(&lo), Some(&hi)) => &self.links[lo as usize..hi as usize],
+            _ => &[],
         }
     }
 
     /// Number of directed link entries held (twice the undirected link count).
     pub fn len(&self) -> usize {
-        self.links.iter().map(Vec::len).sum()
+        self.links.len()
     }
 
     /// True if no link is cached.
     pub fn is_empty(&self) -> bool {
-        self.links.iter().all(Vec::is_empty)
+        self.links.is_empty()
     }
 
-    /// One-way latency between `a` and `b`: a cached-adjacency lookup for
+    /// One-way latency between `a` and `b`: a cached-link lookup for
     /// links, `topology.latency(a, b)` for everything else. Always equal to
     /// the direct computation.
     pub fn latency(&self, topology: &PhysicalTopology, a: NodeId, b: NodeId) -> Duration {
-        if let Some(row) = self.links.get(a.index()) {
-            if let Ok(pos) = row.binary_search_by_key(&b.0, |&(n, _)| n) {
-                return row[pos].1;
-            }
+        let row = self.row(a.index());
+        match row.binary_search_by_key(&b.0, |&(n, _)| n) {
+            Ok(pos) => row[pos].1,
+            Err(_) => topology.latency(a, b),
         }
-        topology.latency(a, b)
     }
 
     /// Round-trip time between `a` and `b` (twice the one-way latency).
@@ -95,8 +121,9 @@ impl LinkLatencyCache {
     /// Iterates every cached **directed** link as `(from, to, latency)`.
     /// Each undirected link appears twice (once per orientation).
     pub fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, Duration)> + '_ {
-        self.links.iter().enumerate().flat_map(|(from, row)| {
-            row.iter()
+        (0..self.offsets.len().saturating_sub(1)).flat_map(move |from| {
+            self.row(from)
+                .iter()
                 .map(move |&(to, latency)| (NodeId(from as u32), NodeId(to), latency))
         })
     }
@@ -144,19 +171,128 @@ impl LinkLatencyCache {
     }
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::brite::{BriteConfig, BriteGenerator};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn topology() -> PhysicalTopology {
+    fn topology_of(nodes: usize, seed: u64) -> PhysicalTopology {
         BriteGenerator::new(BriteConfig {
-            nodes: 40,
+            nodes,
             ..BriteConfig::default()
         })
-        .generate(&mut StdRng::seed_from_u64(3))
+        .generate(&mut StdRng::seed_from_u64(seed))
+    }
+
+    fn topology() -> PhysicalTopology {
+        topology_of(40, 3)
+    }
+
+    /// One node's row of the model: its cached neighbours, sorted by id.
+    type Row = Vec<(u32, Duration)>;
+
+    /// The reference model: one sorted `Row` per node, filled by one
+    /// binary-search insert per directed link.
+    struct NestedRows {
+        links: Vec<Row>,
+    }
+
+    impl NestedRows {
+        fn build(topology: &PhysicalTopology, edges: &[(NodeId, NodeId)]) -> Self {
+            let mut rows = NestedRows {
+                links: vec![Vec::new(); topology.len()],
+            };
+            for &(a, b) in edges {
+                if a != b {
+                    let latency = topology.latency(a, b);
+                    rows.insert_directed(a, b, latency);
+                    rows.insert_directed(b, a, latency);
+                }
+            }
+            rows
+        }
+
+        fn insert_directed(&mut self, from: NodeId, to: NodeId, latency: Duration) {
+            let row = &mut self.links[from.index()];
+            if let Err(pos) = row.binary_search_by_key(&to.0, |&(n, _)| n) {
+                row.insert(pos, (to.0, latency));
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.links.iter().map(Vec::len).sum()
+        }
+
+        fn latency(&self, topology: &PhysicalTopology, a: NodeId, b: NodeId) -> Duration {
+            if let Some(row) = self.links.get(a.index()) {
+                if let Ok(pos) = row.binary_search_by_key(&b.0, |&(n, _)| n) {
+                    return row[pos].1;
+                }
+            }
+            topology.latency(a, b)
+        }
+
+        fn links(&self) -> Vec<(NodeId, NodeId, Duration)> {
+            let mut out = Vec::new();
+            for (from, row) in self.links.iter().enumerate() {
+                for &(to, latency) in row {
+                    out.push((NodeId(from as u32), NodeId(to), latency));
+                }
+            }
+            out
+        }
+
+        fn channel_mins(&self, assignment: &[u32], cells: usize) -> Vec<Vec<Option<Duration>>> {
+            let mut matrix = vec![vec![None; cells]; cells];
+            for (from, to, latency) in self.links() {
+                let (src, dst) = (assignment[from.index()] as usize, assignment[to.index()] as usize);
+                if src < cells && dst < cells {
+                    let entry = &mut matrix[src][dst];
+                    *entry = Some(entry.map_or(latency, |m: Duration| m.min(latency)));
+                }
+            }
+            matrix
+        }
+    }
+
+    proptest! {
+        /// Over random topologies of 1–48 nodes and edge lists drawn from a
+        /// small id range (so duplicates, both orientations and self-edges
+        /// are common), the arena agrees with the nested-rows model on every
+        /// node pair's latency (cached and fallback), the link count, the
+        /// whole `links()` sequence and the channel minima under a random
+        /// cell assignment that leaves some nodes outside every cell.
+        #[test]
+        fn arena_matches_the_nested_rows_model(
+            nodes in 1usize..48,
+            seed in any::<u64>(),
+            raw_edges in proptest::collection::vec((0u32..48, 0u32..48), 0..160),
+            cells in 1usize..5,
+            raw_cells in proptest::collection::vec(0u32..6, 48),
+        ) {
+            let topo = topology_of(nodes, seed);
+            let n = nodes as u32;
+            let edges: Vec<(NodeId, NodeId)> =
+                raw_edges.iter().map(|&(a, b)| (NodeId(a % n), NodeId(b % n))).collect();
+            let cache = LinkLatencyCache::build(&topo, edges.iter().copied());
+            let model = NestedRows::build(&topo, &edges);
+
+            prop_assert_eq!(cache.len(), model.len());
+            prop_assert_eq!(cache.is_empty(), model.len() == 0);
+            prop_assert_eq!(cache.links().collect::<Vec<_>>(), model.links());
+            for a in topo.nodes() {
+                for b in topo.nodes() {
+                    prop_assert_eq!(cache.latency(&topo, a, b), model.latency(&topo, a, b), "{:?}→{:?}", a, b);
+                    prop_assert_eq!(cache.latency(&topo, a, b), topo.latency(a, b));
+                }
+            }
+            let assignment = &raw_cells[..nodes];
+            prop_assert_eq!(cache.channel_mins(assignment, cells), model.channel_mins(assignment, cells));
+        }
     }
 
     #[test]

@@ -731,7 +731,9 @@ proptest! {
     /// graph row for a query of 1–3 keywords from the filters' pool, returns
     /// exactly the model's id-ordered answer — a neighbour with no view
     /// matches nothing, a view off the row is never a target — appending to
-    /// the caller's buffer without clearing it.
+    /// the caller's buffer without clearing it. The query's fold mask is
+    /// computed from the run's geometry, as the engine does, and must equal
+    /// the mask under the peer's own counting-filter geometry.
     #[test]
     fn bloom_views_match_the_ordered_map_model(
         ops in proptest::collection::vec(
@@ -804,7 +806,11 @@ proptest! {
             let kept = PeerId(u32::MAX);
             let mut out = vec![kept];
             let hashes: Vec<_> = query.iter().map(|&kw| state.keyword_hashes().of(kw)).collect();
-            state.neighbors_matching_bloom_into(&row, &hashes, Some(neighbor), &mut out);
+            // The engine folds under the run's geometry, the one every
+            // peer's own filter has.
+            let run_mask = params.fold_mask(&hashes);
+            prop_assert_eq!(run_mask, state.current_bloom().params().fold_mask(&hashes));
+            state.neighbors_matching_bloom_into(&row, &hashes, run_mask, Some(neighbor), &mut out);
             let mut expected = vec![kept];
             expected.extend(row.iter().copied().filter(|&n| {
                 n != neighbor
