@@ -320,7 +320,8 @@ mod tests {
         mean(&curve.iter().map(|point| point.value).collect::<Vec<_>>())
     }
 
-    /// Below the lowest seed's measured reduction (86.2%) by 3.2 points.
+    /// Below the lowest seed's measured reduction by about 3 points: 86.2% of
+    /// the search traffic, 86.1% of the total.
     const TRAFFIC_REDUCTION_FLOOR: f64 = 0.83;
 
     /// The paper's §5.2 claims as orderings over seeds 1–5 of `run_all
@@ -337,7 +338,16 @@ mod tests {
     /// - Locaware sends fewer search messages per query than Dicas-Keys:
     ///   44.0 against 47.2, a 7% margin;
     /// - in every seed Locaware cuts flooding's search traffic by more than
-    ///   [`TRAFFIC_REDUCTION_FLOOR`]: 86.2–88.3% measured (the paper: 98%).
+    ///   [`TRAFFIC_REDUCTION_FLOOR`]: 86.2–88.3% measured (the paper: 98%);
+    /// - in every seed it also cuts flooding's *total* traffic (search plus
+    ///   Bloom sync, [`SimulationReport::total_messages_per_query`]) at 800
+    ///   queries by more than the same floor: 40.3–48.3 messages per query
+    ///   against 332.6–348.0, an 86.1–88.1% cut.
+    ///
+    /// Locaware's total is not asserted below Dicas-Keys': the Bloom sync
+    /// it pays for eats its search-traffic lead. At 800 queries the two
+    /// average 44.5 and 45.4 over the seeds, and seed 4 reverses the order
+    /// (40.28 against 39.00).
     ///
     /// Absolute values are not asserted: they are the figures' business.
     #[test]
@@ -365,6 +375,13 @@ mod tests {
         for (seed, outcome) in (1..).zip(&outcomes) {
             let reduction = paper_claims(outcome).traffic_reduction_vs_flooding;
             assert!(reduction > TRAFFIC_REDUCTION_FLOOR, "seed {seed}: reduction {reduction:.3}");
+            let total = |kind: ProtocolKind| {
+                let last = outcome.points.iter().filter(|point| point.protocol == kind).max_by_key(|point| point.queries);
+                last.unwrap_or_else(|| panic!("no {kind} point")).report.total_messages_per_query()
+            };
+            let (ours, flooding) = (total(ProtocolKind::Locaware), total(ProtocolKind::Flooding));
+            let cut = 1.0 - ours / flooding;
+            assert!(cut > TRAFFIC_REDUCTION_FLOOR, "seed {seed}: total {ours:.2} against flooding's {flooding:.2}");
         }
     }
 

@@ -16,6 +16,8 @@ use locaware_overlay::{ChurnConfig, GraphModel};
 use locaware_sim::{Duration, SimTime};
 use locaware_workload::{ArrivalSchedule, ClusterWeights, FaultConfig, OutageWindow};
 
+use crate::provider::SelectionPolicy;
+
 /// A structured description of why a [`SimulationConfig`] is inconsistent.
 ///
 /// Returned by [`SimulationConfig::validate`] and
@@ -358,7 +360,9 @@ pub enum ProtocolKind {
     DhtIndex,
     /// Hybrid: the paper's own Zipf head/tail split — popular (head) targets
     /// use Locaware's caching overlay, rare (tail) targets resolve through
-    /// the DHT index.
+    /// the DHT index ([`ProtocolKind::dht_resolves_rank`]). The rank is the
+    /// workload's ground-truth popularity, standing in for the estimate a
+    /// deployed peer would keep from observed query frequencies.
     Hybrid,
 }
 
@@ -400,6 +404,55 @@ impl ProtocolKind {
     /// True for the structured protocols that run the DHT subsystem.
     pub fn uses_dht(self) -> bool {
         matches!(self, ProtocolKind::DhtIndex | ProtocolKind::Hybrid)
+    }
+
+    /// How the requestor chooses among offered providers: Locaware's
+    /// same-locality-then-RTT rule (§5.1) wherever its selection is on.
+    pub fn selection_policy(self) -> SelectionPolicy {
+        match self {
+            ProtocolKind::Locaware | ProtocolKind::LocawareNoBloom | ProtocolKind::Hybrid => {
+                SelectionPolicy::LocalityThenRtt
+            }
+            _ => SelectionPolicy::Random,
+        }
+    }
+
+    /// Whether queries are routed by neighbour Bloom filters (§4.2), which
+    /// the engine then exchanges and keeps in sync.
+    pub fn routes_by_bloom(self) -> bool {
+        matches!(self, ProtocolKind::Locaware | ProtocolKind::LocawareNoLocality | ProtocolKind::Hybrid)
+    }
+
+    /// Whether a query names the exact file it searches (Dicas' filename
+    /// search) rather than its keywords alone.
+    pub fn searches_by_filename(self) -> bool {
+        matches!(self, ProtocolKind::Dicas)
+    }
+
+    /// Provider entries a peer keeps per cached filename: `config`'s list
+    /// for the Locaware family (§4.1.1), a single index otherwise.
+    pub fn max_providers_per_file(self, config: &SimulationConfig) -> usize {
+        match self {
+            ProtocolKind::Locaware
+            | ProtocolKind::LocawareNoLocality
+            | ProtocolKind::LocawareNoBloom
+            | ProtocolKind::Hybrid => config.max_providers_per_file,
+            _ => 1,
+        }
+    }
+
+    /// Whether a file at popularity `rank` (0 = most popular of `catalog_len`
+    /// files) is indexed in — and resolved through — the DHT. `DhtIndex`
+    /// resolves every rank; `Hybrid` keeps the most popular `head_fraction`
+    /// of the catalog on Locaware's overlay and hands the tail to the DHT
+    /// (fraction 0: everything structured, 1: nothing); the unstructured
+    /// kinds resolve none.
+    pub fn dht_resolves_rank(self, rank: usize, catalog_len: usize, head_fraction: f64) -> bool {
+        match self {
+            ProtocolKind::DhtIndex => true,
+            ProtocolKind::Hybrid => rank as f64 >= head_fraction * catalog_len as f64,
+            _ => false,
+        }
     }
 
     /// A short label used in figures and reports.

@@ -534,8 +534,7 @@ fn for_each_store_target(
     unmemoised: &mut Vec<PeerId>,
     mut place: impl FnMut(u32, PeerId),
 ) {
-    let rank = shared.query_generator.rank_of(file);
-    if !shared.protocol.dht_resolves_rank(rank, shared.catalog.len()) {
+    if !shared.dht_resolves(file) {
         return;
     }
     for &keyword in shared.catalog.filename(file).keywords() {

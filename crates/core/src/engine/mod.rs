@@ -115,12 +115,11 @@ use locaware_net::{LinkLatencyCache, LocId, PhysicalTopology};
 use locaware_overlay::churn::ChurnEvent;
 use locaware_overlay::{ChurnEventKind, OverlayGraph, PeerId};
 use locaware_sim::{Duration, EventKey, RngFactory, SimTime, StreamId};
-use locaware_workload::{Arrival, Catalog, KeywordHashes, KeywordId, QueryGenerator, PAPER_KEYWORDS_PER_FILE};
+use locaware_workload::{Arrival, Catalog, FileId, KeywordHashes, KeywordId, QueryGenerator, PAPER_KEYWORDS_PER_FILE};
 
 use crate::config::{ProtocolKind, SimulationConfig, CONTROL_DRAIN};
 use crate::group::{GroupId, GroupScheme};
 use crate::peer::PeerState;
-use crate::protocol::Protocol;
 use crate::results::{FaultRunStats, RunProfile, SimulationReport};
 use crate::simulation::Simulation;
 
@@ -140,7 +139,9 @@ use tally::{labelled_counters, Tallies, FORWARD_DECISIONS, MESSAGE_KINDS};
 /// to the [`Coordinator`].
 pub(crate) struct RunShared<'a> {
     pub(crate) config: &'a SimulationConfig,
-    pub(crate) protocol: Box<dyn Protocol>,
+    /// The protocol under test: its per-run facts are methods of the kind,
+    /// its per-hop rules functions of it in [`crate::protocol`].
+    pub(crate) kind: ProtocolKind,
     pub(crate) topology: &'a PhysicalTopology,
     pub(crate) link_latencies: &'a LinkLatencyCache,
     pub(crate) loc_ids: &'a [LocId],
@@ -185,6 +186,13 @@ pub(crate) struct RunShared<'a> {
 }
 
 impl RunShared<'_> {
+    /// Whether `file` is indexed in — and resolved through — the DHT
+    /// ([`ProtocolKind::dht_resolves_rank`] at its popularity rank).
+    pub(crate) fn dht_resolves(&self, file: FileId) -> bool {
+        let rank = self.query_generator.rank_of(file);
+        self.kind.dht_resolves_rank(rank, self.catalog.len(), self.config.dht.hybrid_head_fraction)
+    }
+
     /// Publishes the keywords arrival `index` floods with. Called once, by
     /// the origin shard at issue; see "Who owns what" in the module docs for
     /// why no read can race it.
@@ -335,8 +343,6 @@ fn prepare(
     let config = sim.config();
     let (catalog, graph, loc_ids, gids) =
         (sim.catalog(), sim.overlay(), sim.loc_ids(), sim.group_ids());
-    let protocol = crate::protocol::build_protocol(kind, config);
-
     // Static overlay-only runs only ever send along overlay links, so a
     // shard's lookahead is the minimum incoming cross-shard link latency;
     // churn can rewire any pair, and DHT traffic travels arbitrary peer
@@ -400,11 +406,10 @@ fn prepare(
         published_keywords: arrivals.iter().map(|_| OnceLock::new()).collect(),
         initial_file_replicas: 0,
         arrivals,
-        protocol,
+        kind,
     };
-    let protocol = &*shared.protocol;
 
-    let max_providers = protocol.max_providers_per_file();
+    let max_providers = kind.max_providers_per_file(config);
     let new_peer = |id: PeerId| {
         let mut state = PeerState::new(
             id,
@@ -417,7 +422,7 @@ fn prepare(
         for &file in &sim.initial_shares()[id.index()] {
             state.share_file(file, catalog.filename(file).keywords());
         }
-        if protocol.uses_bloom_sync() {
+        if kind.routes_by_bloom() {
             // §5.2: Bloom routing must not miss results held by neighbours,
             // so a peer's filter also covers the filenames it stores itself.
             state.advertise_stored_files(catalog);
@@ -436,7 +441,7 @@ fn prepare(
     shared.initial_file_replicas =
         shards.iter().flat_map(|s| &s.peers).map(PeerState::shared_file_count).sum();
 
-    if shared.protocol.uses_bloom_sync() {
+    if shared.kind.routes_by_bloom() {
         unstructured::bootstrap(&shared, graph, &mut shards);
     }
     if let Some(directory) = &shared.dht {
@@ -529,7 +534,7 @@ fn finalize(
         .unwrap_or(SimTime::ZERO);
 
     SimulationReport {
-        protocol: shared.protocol.kind(),
+        protocol: shared.kind,
         queries_issued: totals.queries_issued,
         metrics,
         message_counters: labelled_counters(&MESSAGE_KINDS, &totals.message_counts),
@@ -641,7 +646,7 @@ impl<'c> Coordinator<'c> {
     ) -> Self {
         // Rounds outlast the workload by a drain margin for late responses.
         let periodic = [
-            (shared.protocol.uses_bloom_sync(), shared.config.bloom_sync_period_secs, CLASS_BLOOM_SYNC),
+            (shared.kind.routes_by_bloom(), shared.config.bloom_sync_period_secs, CLASS_BLOOM_SYNC),
             (shared.dht.is_some(), shared.config.dht.republish_period_secs, CLASS_DHT_REPUBLISH),
         ]
         .map(|(on, secs, class)| on.then(|| (Duration::from_secs_f64(secs), class)));

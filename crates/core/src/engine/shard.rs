@@ -388,10 +388,7 @@ impl ShardState {
 
         self.tallies.queries_issued += 1;
 
-        let structured = shared.dht.as_ref().filter(|_| {
-            let rank = shared.query_generator.rank_of(query.target);
-            shared.protocol.dht_resolves_rank(rank, shared.catalog.len())
-        });
+        let structured = shared.dht.as_ref().filter(|_| shared.dht_resolves(query.target));
         let search = match structured {
             Some(_) => Search::Dht { depth: 0, walk: None },
             None => Search::Flood,
@@ -448,7 +445,7 @@ impl ShardState {
         let offered = &mut tracking.record.providers_offered;
         *offered = (*offered).max(online_providers.len());
         let selection = select_provider(
-            shared.protocol.selection_policy(),
+            shared.kind.selection_policy(),
             shared.topology,
             shared.link_latencies,
             origin,
@@ -467,7 +464,7 @@ impl ShardState {
         // Natural replication: the requestor now stores (and later serves) the file.
         let keywords = shared.catalog.filename(file).keywords();
         self.peers[slot].share_file(file, keywords);
-        if shared.protocol.uses_bloom_sync() {
+        if shared.kind.routes_by_bloom() {
             self.peers[slot].advertise_keywords(keywords);
         }
         true

@@ -24,11 +24,10 @@ use locaware_bloom::ElementHashes;
 use locaware_overlay::routing::decrement_ttl;
 use locaware_overlay::{Message, OverlayGraph, PeerId, ProviderEntry, QueryId};
 use locaware_sim::{Duration, EventKey, SimTime};
-use locaware_workload::{FileId, KeywordId, Query};
+use locaware_workload::{FileId, Query};
 
-use crate::config::ProtocolKind;
 use crate::peer::keyword_signature;
-use crate::protocol::{PeerView, QueryContext, ResponseContext};
+use crate::protocol::{self, PeerView, QueryContext, ResponseContext};
 
 use super::lifecycle::HitMark;
 use super::shard::{query_index, ShardState, TimeoutKind};
@@ -88,7 +87,7 @@ pub(super) fn sync(shared: &RunShared<'_>, shards: &mut [ShardState], graph: &Ov
 pub(super) fn on_join(
     shared: &RunShared<'_>, shards: &mut [ShardState], graph: &OverlayGraph, now: SimTime, peer: PeerId,
 ) {
-    if !shared.protocol.uses_bloom_sync() {
+    if !shared.kind.routes_by_bloom() {
         return;
     }
     let state = peer_mut(shared, shards, peer);
@@ -150,8 +149,8 @@ pub(super) fn deliver(
             }
             let local_match = {
                 // No local-match rule reads Bloom hashes, so none are computed.
-                let qctx = query_context(&message, keywords, &[], 0);
-                shared.protocol.local_match(&view(state, graph, shared, slot), &qctx)
+                let qctx = query_context(shared, &message, &[], 0);
+                protocol::local_match(shared.kind, &view(state, graph, shared, slot), &qctx)
             };
 
             if let Some(hit) = local_match {
@@ -163,14 +162,8 @@ pub(super) fn deliver(
                 // §4.1.2: the answering peer records the requestor as a new
                 // provider of the file (subject to its caching rule).
                 let requestor_entry = ProviderEntry { provider: origin, loc_id: origin_loc };
-                let response_ctx = ResponseContext {
-                    file: hit.file,
-                    file_keywords: shared.catalog.filename(hit.file).keywords(),
-                    query_keywords: keywords,
-                    providers: &[],
-                    requestor: requestor_entry,
-                };
-                shared.protocol.cache_response(&mut state.peers[slot], gid, &shared.scheme, &response_ctx);
+                let response_ctx = response_context(shared, index, hit.file, &[], requestor_entry);
+                protocol::cache_response(shared.kind, &mut state.peers[slot], gid, &shared.scheme, &response_ctx);
 
                 let response = Message::QueryResponse {
                     query,
@@ -204,17 +197,9 @@ pub(super) fn deliver(
                 return;
             }
 
-            // Intermediate peer: cache per protocol rule, then relay. The
-            // file's keywords are the catalog's, the query's its published
-            // record: neither rides in the response.
-            let response_ctx = ResponseContext {
-                file,
-                file_keywords: shared.catalog.filename(file).keywords(),
-                query_keywords: shared.query_keywords(index),
-                providers,
-                requestor,
-            };
-            shared.protocol.cache_response(&mut state.peers[slot], gid, &shared.scheme, &response_ctx);
+            // Intermediate peer: cache per protocol rule, then relay.
+            let response_ctx = response_context(shared, index, file, providers, requestor);
+            protocol::cache_response(shared.kind, &mut state.peers[slot], gid, &shared.scheme, &response_ctx);
             let upstream = state.routes.response_next_hop(index, slot as u32, query_attempt(query));
             if let Some(upstream) = upstream {
                 state.send(shared, key.time, to, upstream, message, index);
@@ -261,8 +246,8 @@ pub(super) fn retransmit(
 /// Floods query `index`, searching for `target`, from its origin as its
 /// 0-based attempt `attempt` and arms that attempt's deadline: the one place
 /// the family does either. The origin registers the attempt locally, with no
-/// upstream. Dicas searches for the exact filename; every other protocol
-/// sends keywords only. The deadline is armed only under a fault plan with a
+/// upstream. A filename-search protocol (Dicas) names the exact file; every
+/// other sends keywords only. The deadline is armed only under a fault plan with a
 /// retransmit policy, and only if the flood put messages in flight: a query
 /// with no forward targets is complete as it stands, and retrying it would
 /// re-flood into the same emptiness.
@@ -280,7 +265,7 @@ fn flood_attempt(
         query: attempt_id(index, attempt),
         origin,
         origin_loc: shared.loc_ids[origin.index()],
-        target_filename: (shared.protocol.kind() == ProtocolKind::Dicas).then_some(target),
+        target_filename: shared.kind.searches_by_filename().then_some(target),
         ttl: shared.config.ttl,
     };
     state.routes.on_query(index, shared.partition.slot(origin) as u32, attempt, None);
@@ -317,17 +302,17 @@ fn forward_query(
         unreachable!("only queries are forwarded");
     };
     let index = query_index(*query);
-    let keywords = shared.query_keywords(index);
     state.scratch_hashes.clear();
-    if shared.protocol.uses_bloom_sync() {
+    if shared.kind.routes_by_bloom() {
+        let keywords = shared.query_keywords(index);
         state.scratch_hashes.extend(keywords.iter().map(|&kw| shared.keyword_hashes.of(kw)));
     }
     let fold_mask = shared.bloom.fold_mask(&state.scratch_hashes);
     let mut targets = std::mem::take(&mut state.scratch_targets);
     let decision = {
-        let qctx = query_context(message, keywords, &state.scratch_hashes, fold_mask);
+        let qctx = query_context(shared, message, &state.scratch_hashes, fold_mask);
         let view = view(state, graph, shared, shared.partition.slot(at));
-        shared.protocol.forward_targets_into(&view, &qctx, exclude, &mut targets)
+        protocol::forward_targets_into(shared.kind, &view, &qctx, exclude, &mut targets)
     };
     state.tallies.decision_counts[decision_index(decision)] += 1;
     let on_graph = |&n: &PeerId| graph.are_neighbors(at, n);
@@ -343,24 +328,40 @@ fn forward_query(
     sent
 }
 
-/// The protocol's view of the query `message`, whose published keywords are
-/// `keywords`, their Bloom hashes `keyword_hashes` and the hashes' fold mask
-/// `keyword_fold_mask` (empty and 0 where no rule reads them): the one place
-/// the family builds a [`QueryContext`].
-fn query_context<'m>(
-    message: &Message, keywords: &'m [KeywordId], keyword_hashes: &'m [ElementHashes], keyword_fold_mask: u64,
-) -> QueryContext<'m> {
-    let Message::Query { query, origin, origin_loc, target_filename, .. } = message else {
+/// The rules' view of the query `message`: its keywords are the record its
+/// issue published in `shared`, read by arrival index, `keyword_hashes`
+/// their Bloom hashes and `keyword_fold_mask` the hashes' fold mask (empty
+/// and 0 where no rule reads them). With [`response_context`], the one place
+/// the family builds a rule's context, so every hop of every attempt reads
+/// the one published slice.
+fn query_context<'s>(
+    shared: &'s RunShared<'_>, message: &Message, keyword_hashes: &'s [ElementHashes], keyword_fold_mask: u64,
+) -> QueryContext<'s> {
+    let Message::Query { query, origin_loc, target_filename, .. } = message else {
         unreachable!("only queries have a query context");
     };
     QueryContext {
-        query: *query,
-        origin: *origin,
         origin_loc: *origin_loc,
-        keywords,
+        keywords: shared.query_keywords(query_index(*query)),
         keyword_hashes,
         keyword_fold_mask,
         target_filename: *target_filename,
+    }
+}
+
+/// The rules' view of a response about `file` to query `index`, offering
+/// `providers` on behalf of `requestor`: the file's keywords are the
+/// catalog's and the query's its published record, so neither rides in the
+/// response.
+fn response_context<'s>(
+    shared: &'s RunShared<'_>, index: usize, file: FileId, providers: &'s [ProviderEntry], requestor: ProviderEntry,
+) -> ResponseContext<'s> {
+    ResponseContext {
+        file,
+        file_keywords: shared.catalog.filename(file).keywords(),
+        query_keywords: shared.query_keywords(index),
+        providers,
+        requestor,
     }
 }
 
@@ -374,6 +375,7 @@ fn view<'v>(
         group_ids: shared.group_ids,
         scheme: &shared.scheme,
         catalog: shared.catalog,
+        max_providers_per_response: shared.config.max_providers_per_response,
     }
 }
 
@@ -382,12 +384,11 @@ mod tests {
     use super::super::shard::{QueryTracking, Search};
     use super::super::{prepare, Coordinator};
     use super::*;
-    use crate::config::SimulationConfig;
-    use crate::protocol::Protocol;
+    use crate::config::{ProtocolKind, SimulationConfig};
     use crate::simulation::Simulation;
     use locaware_bloom::{BloomDelta, BloomFilter};
     use locaware_overlay::{ChurnEvent, ChurnEventKind};
-    use locaware_workload::{FileId, KeywordId, TimeoutPolicy};
+    use locaware_workload::{KeywordId, TimeoutPolicy};
 
     /// A 40-peer single-shard substrate whose fault plan re-floods an
     /// unanswered query twice: deadlines 10 s, 20 s and 40 s after each flood.
@@ -467,105 +468,32 @@ mod tests {
         assert!(state.ledger.drained_locally(0), "so the issue is born complete");
     }
 
-    /// Where a slice lives: its address and length.
-    type At = (usize, usize);
-
-    fn at(keywords: &[KeywordId]) -> At {
-        (keywords.as_ptr() as usize, keywords.len())
-    }
-
-    /// Whether `seen` is the very slice `keywords`, not an equal copy.
-    fn is(seen: At, keywords: &[KeywordId]) -> bool {
-        std::ptr::eq(std::ptr::slice_from_raw_parts(seen.0 as *const KeywordId, seen.1), keywords)
-    }
-
-    /// What the spied protocol was lent: per query context, the attempt and
-    /// its keywords; per response context, the file, its keywords, the
-    /// query's keywords and whether it is relayed (it offers providers; the
-    /// answering peer's own context offers none).
-    #[derive(Default)]
-    struct Lent {
-        queries: Vec<(u32, At)>,
-        responses: Vec<(FileId, At, At, bool)>,
-    }
-
-    /// Flooding, recording where every context it is lent points.
-    struct Spy {
-        inner: Box<dyn Protocol>,
-        lent: Arc<std::sync::Mutex<Lent>>,
-    }
-
-    impl Spy {
-        fn lend_query(&self, query: &QueryContext<'_>) {
-            let mut lent = self.lent.lock().expect("unpoisoned");
-            lent.queries.push((query_attempt(query.query), at(query.keywords)));
-        }
-    }
-
-    impl Protocol for Spy {
-        fn kind(&self) -> ProtocolKind {
-            self.inner.kind()
-        }
-
-        fn selection_policy(&self) -> crate::provider::SelectionPolicy {
-            self.inner.selection_policy()
-        }
-
-        fn forward_targets_into(
-            &self, view: &PeerView<'_>, query: &QueryContext<'_>, exclude: Option<PeerId>, out: &mut Vec<PeerId>,
-        ) -> locaware_overlay::ForwardDecision {
-            self.lend_query(query);
-            self.inner.forward_targets_into(view, query, exclude, out)
-        }
-
-        fn local_match(&self, view: &PeerView<'_>, query: &QueryContext<'_>) -> Option<crate::protocol::LocalMatch> {
-            self.lend_query(query);
-            self.inner.local_match(view, query)
-        }
-
-        fn cache_response(
-            &self, state: &mut crate::peer::PeerState, gid: crate::group::GroupId,
-            scheme: &crate::group::GroupScheme, response: &ResponseContext<'_>,
-        ) {
-            let mut lent = self.lent.lock().expect("unpoisoned");
-            let (file, relayed) = (response.file, !response.providers.is_empty());
-            lent.responses.push((file, at(response.file_keywords), at(response.query_keywords), relayed));
-            drop(lent);
-            self.inner.cache_response(state, gid, scheme, response);
-        }
-    }
-
-    /// A query's keywords exist once, published at its issue: every hop of
-    /// every attempt, and every response and relay of it, is lent that one
-    /// slice, and a response's file keywords are the catalog's own.
+    /// A query's keywords exist once, published at its issue: the two
+    /// constructors through which every hop, response and relay gets its
+    /// rule's context lend that one slice at every attempt, not an equal
+    /// copy, and a response's file keywords are the catalog's own.
     #[test]
     fn every_hop_and_relay_reads_the_published_keywords() {
         let sim = retrying();
-        let (graph, initial) = (sim.overlay(), sim.initial_shares());
-        let origin = PeerId(sim.arrivals(1)[0].peer as u32);
-        // A file the origin stores, so no answer satisfies it and both
-        // retries re-flood, and a peer past its neighbours stores too, so
-        // answers are relayed.
-        let far = |p: &PeerId| *p != origin && !graph.are_neighbors(origin, *p);
-        let far_holders = |file: &FileId| (0..40).map(PeerId).filter(far).any(|p| initial[p.index()].contains(file));
-        let file = initial[origin.index()].iter().copied().find(far_holders).expect("a file held far away");
-        let lent = Arc::new(std::sync::Mutex::new(Lent::default()));
-        let (mut shared, shards) = prepare(&sim, ProtocolKind::Flooding, sim.arrivals(1), true);
-        shared.protocol = Box::new(Spy { inner: shared.protocol, lent: Arc::clone(&lent) });
-        let keywords = sim.catalog().filename(file).keywords().to_vec();
-        let (state, _) = issue_and_drain(&shared, shards, graph, keywords);
-        assert_eq!(state.tallies.query_retransmits, 2, "both retries re-flood");
-
+        let (shared, _) = prepare(&sim, ProtocolKind::Flooding, sim.arrivals(1), true);
+        let file = FileId(0);
+        let filename = sim.catalog().filename(file).keywords();
+        shared.publish_keywords(0, filename.to_vec());
         let record = shared.query_keywords(0);
-        let lent = lent.lock().expect("unpoisoned");
+        let origin = PeerId(shared.arrivals[0].peer as u32);
+        let origin_loc = shared.loc_ids[origin.index()];
         for attempt in 0..3 {
-            assert!(lent.queries.iter().any(|&(a, _)| a == attempt), "attempt {attempt} was lent no context");
+            let query = attempt_id(0, attempt);
+            let message = Message::Query { query, origin, origin_loc, target_filename: None, ttl: 1 };
+            let context = query_context(&shared, &message, &[], 0);
+            assert!(std::ptr::eq(context.keywords, record), "attempt {attempt} read a copy");
         }
-        assert!(lent.queries.iter().all(|&(_, keywords)| is(keywords, record)), "a hop read a copy");
-        assert!(lent.responses.iter().any(|&(.., relayed)| relayed), "no response was relayed");
-        for &(file, file_keywords, query_keywords, _) in &lent.responses {
-            assert!(is(query_keywords, record), "a response read a copy of the query's keywords");
-            assert!(is(file_keywords, sim.catalog().filename(file).keywords()), "and of the file's");
+        let offered = [ProviderEntry { provider: PeerId(1), loc_id: origin_loc }];
+        let requestor = ProviderEntry { provider: origin, loc_id: origin_loc };
+        for providers in [&offered[..], &[]] {
+            let context = response_context(&shared, 0, file, providers, requestor);
+            assert!(std::ptr::eq(context.query_keywords, record), "a response read a copy of the query's keywords");
+            assert!(std::ptr::eq(context.file_keywords, filename), "and of the file's");
         }
     }
 

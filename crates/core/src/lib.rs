@@ -23,8 +23,11 @@
 //! * [`index`] — the location-aware response index (`RI`),
 //! * [`peer`] — per-peer state (storage, index, Bloom filters, neighbours),
 //! * [`provider`] — provider selection (same locality first, then smallest RTT),
-//! * [`protocol`] — the four evaluated policies: flooding, Dicas, Dicas-Keys
-//!   and Locaware (plus ablation variants),
+//! * [`protocol`] — the policies of the eight [`ProtocolKind`]s: the
+//!   forwarding, matching and caching rules of the four evaluated families
+//!   (flooding, Dicas, Dicas-Keys, Locaware), shared by the two Locaware
+//!   ablations and the hybrid's overlay side, while the structured kinds
+//!   resolve through the DHT,
 //! * [`engine`] — the event-driven execution of one run (internal),
 //! * [`simulation`] — substrate construction and the public run API,
 //! * [`results`] — per-query records, their aggregations and the per-run
@@ -84,9 +87,7 @@ pub use experiment::{
 pub use group::{GroupId, GroupScheme};
 pub use index::{IndexEntry, ProviderRecord, ResponseIndex};
 pub use peer::PeerState;
-pub use protocol::{
-    build_protocol, LocalMatch, PeerView, Protocol, QueryBuffer, QueryContext, ResponseContext,
-};
+pub use protocol::{LocalMatch, PeerView, QueryContext, ResponseContext};
 pub use provider::{select_provider, SelectedProvider, SelectionPolicy};
 pub use results::{CounterSet, QueryOutcome, QueryRecord, RunProfile, SimulationReport};
 pub use simulation::Simulation;

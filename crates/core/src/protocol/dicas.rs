@@ -15,146 +15,90 @@
 //!   to a concrete filename, which is why the paper evaluates the separate
 //!   Dicas-Keys variant for keyword workloads.
 
-use locaware_overlay::{ForwardDecision, PeerId, ProviderEntry};
+use locaware_overlay::{ForwardDecision, PeerId};
 
-use crate::config::ProtocolKind;
 use crate::group::{GroupId, GroupScheme};
 use crate::peer::PeerState;
-use crate::provider::SelectionPolicy;
 
 use super::{
-    first_storage_match, high_degree_fallback_into, neighbors_matching_gid_into, LocalMatch,
-    PeerView, Protocol, QueryContext, ResponseContext,
+    cached_hit, first_storage_match, high_degree_fallback_into, neighbors_matching_gid_into,
+    stored_hit, LocalMatch, PeerView, QueryContext, ResponseContext,
 };
 
-/// The Dicas filename-search baseline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Dicas;
+/// Dicas' routing rule.
+pub(super) fn forward_targets_into(
+    view: &PeerView<'_>,
+    query: &QueryContext<'_>,
+    exclude: Option<PeerId>,
+    out: &mut Vec<PeerId>,
+) -> ForwardDecision {
+    // Filename search: the query names the exact file, so route towards
+    // neighbours whose Gid matches hash(f) mod M. Without a filename Dicas
+    // cannot compute the routing hash; fall back to the high-degree
+    // neighbour so the query is not dropped.
+    let Some(target) = query.target_filename else {
+        return high_degree_fallback_into(view, exclude, out);
+    };
+    let wanted = view.scheme.group_of_file(target);
+    neighbors_matching_gid_into(view, |gid| gid == wanted, exclude, out);
+    if !out.is_empty() {
+        return ForwardDecision::GidMatch;
+    }
+    high_degree_fallback_into(view, exclude, out)
+}
 
-impl Dicas {
-    /// Creates the Dicas policy.
-    pub fn new() -> Self {
-        Dicas
+/// Dicas' matching rule.
+pub(super) fn local_match(view: &PeerView<'_>, query: &QueryContext<'_>) -> Option<LocalMatch> {
+    match query.target_filename {
+        // Exact filename search: either this peer stores the file, or it has
+        // a cached index for it.
+        Some(target) if view.state.has_file(target) => Some(stored_hit(view, target)),
+        Some(target) => cached_hit(view, target),
+        // Keyword query reaching a Dicas peer: it can still serve a file it
+        // physically stores, but its index is keyed by filename and cannot
+        // be searched by keyword.
+        None => first_storage_match(view, query.keywords).map(|file| stored_hit(view, file)),
     }
 }
 
-impl Protocol for Dicas {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Dicas
+/// Dicas' caching rule.
+pub(super) fn cache_response(
+    state: &mut PeerState,
+    gid: GroupId,
+    scheme: &GroupScheme,
+    response: &ResponseContext<'_>,
+) {
+    // Cache only at peers whose Gid matches hash(f) mod M, and keep only
+    // the responding provider (a single index per filename).
+    if !scheme.gid_matches_file(gid, response.file) {
+        return;
     }
-
-    fn selection_policy(&self) -> SelectionPolicy {
-        SelectionPolicy::Random
-    }
-
-    fn forward_targets_into(
-        &self,
-        view: &PeerView<'_>,
-        query: &QueryContext<'_>,
-        exclude: Option<PeerId>,
-        out: &mut Vec<PeerId>,
-    ) -> ForwardDecision {
-        out.clear();
-        // Filename search: the query names the exact file, so route towards
-        // neighbours whose Gid matches hash(f) mod M. Without a filename Dicas
-        // cannot compute the routing hash; fall back to the high-degree
-        // neighbour so the query is not dropped.
-        let Some(target) = query.target_filename else {
-            return high_degree_fallback_into(view, exclude, out);
-        };
-        let wanted = view.scheme.group_of_file(target);
-        neighbors_matching_gid_into(view, |gid| gid == wanted, exclude, out);
-        if !out.is_empty() {
-            return ForwardDecision::GidMatch;
-        }
-        high_degree_fallback_into(view, exclude, out)
-    }
-
-    fn local_match(&self, view: &PeerView<'_>, query: &QueryContext<'_>) -> Option<LocalMatch> {
-        match query.target_filename {
-            Some(target) => {
-                // Exact filename search: either this peer stores the file…
-                if view.state.has_file(target) {
-                    return Some(LocalMatch {
-                        file: target,
-                        providers: vec![ProviderEntry {
-                            provider: view.state.id,
-                            loc_id: view.state.loc_id,
-                        }],
-                        from_cache: false,
-                    });
-                }
-                // …or it has a cached index for it.
-                let entry = view.state.response_index.entry(target)?;
-                let provider = entry.providers().last()?;
-                Some(LocalMatch {
-                    file: target,
-                    providers: vec![ProviderEntry {
-                        provider: provider.peer,
-                        loc_id: provider.loc_id,
-                    }],
-                    from_cache: true,
-                })
-            }
-            None => {
-                // Keyword query reaching a Dicas peer: it can still serve a file
-                // it physically stores, but its index is keyed by filename and
-                // cannot be searched by keyword.
-                let file = first_storage_match(view, query.keywords)?;
-                Some(LocalMatch {
-                    file,
-                    providers: vec![ProviderEntry {
-                        provider: view.state.id,
-                        loc_id: view.state.loc_id,
-                    }],
-                    from_cache: false,
-                })
-            }
-        }
-    }
-
-    fn cache_response(
-        &self,
-        state: &mut PeerState,
-        gid: GroupId,
-        scheme: &GroupScheme,
-        response: &ResponseContext<'_>,
-    ) {
-        // Cache only at peers whose Gid matches hash(f) mod M, and keep only
-        // the responding provider (a single index per filename).
-        if !scheme.gid_matches_file(gid, response.file) {
-            return;
-        }
-        let Some(provider) = response.providers.first() else {
-            return;
-        };
-        state.cache_index(
-            response.file,
-            response.file_keywords,
-            [(provider.provider, provider.loc_id)],
-        );
-    }
+    let Some(provider) = response.providers.first() else {
+        return;
+    };
+    state.cache_index(response.file, response.file_keywords, [(provider.provider, provider.loc_id)]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{response, Fixture};
     use super::*;
+    use crate::config::{ProtocolKind, SimulationConfig};
+    use crate::provider::SelectionPolicy;
     use locaware_net::LocId;
+    use locaware_overlay::ProviderEntry;
     use locaware_workload::FileId;
 
     #[test]
     fn routes_towards_matching_gid_neighbors() {
         let fx = Fixture::new(4);
-        let protocol = Dicas::new();
         // Peer 0's neighbours have gids 1, 2, 3, 0 (peer id mod 4).
         // Pick a target file and find which neighbour gid it maps to.
         let target = FileId(1);
         let wanted = fx.scheme.group_of_file(target);
         let query = fx.query(&[3, 4], Some(1));
         let mut targets = Vec::new();
-        let decision =
-            protocol.forward_targets_into(&fx.view(0), &query.context(), None, &mut targets);
+        let decision = forward_targets_into(&fx.view(0), &query.context(), None, &mut targets);
         assert_eq!(decision, ForwardDecision::GidMatch);
         for t in &targets {
             assert_eq!(fx.scheme.group_of_file(target), wanted);
@@ -166,7 +110,6 @@ mod tests {
     #[test]
     fn falls_back_to_the_high_degree_neighbor() {
         let fx = Fixture::new(4);
-        let protocol = Dicas::new();
         // From leaf peer 3, the only neighbour is the hub 0 (gid 0). Choose a
         // file whose group is not 0 so the gid match fails.
         let target = (0..4u32)
@@ -175,8 +118,7 @@ mod tests {
             .expect("some file must hash outside group 0");
         let query = fx.query(&[0], Some(target.0));
         let mut targets = Vec::new();
-        let decision =
-            protocol.forward_targets_into(&fx.view(3), &query.context(), None, &mut targets);
+        let decision = forward_targets_into(&fx.view(3), &query.context(), None, &mut targets);
         assert_eq!(targets, vec![PeerId(0)]);
         assert_eq!(decision, ForwardDecision::HighDegree);
     }
@@ -184,15 +126,14 @@ mod tests {
     #[test]
     fn matches_exact_filename_from_storage_and_from_cache() {
         let mut fx = Fixture::new(4);
-        let protocol = Dicas::new();
         let query = fx.query(&[0, 1], Some(0));
 
         // Nothing known: no match.
-        assert!(protocol.local_match(&fx.view(0), &query.context()).is_none());
+        assert!(local_match(&fx.view(0), &query.context()).is_none());
 
         // From storage.
         fx.share(0, FileId(0));
-        let hit = protocol.local_match(&fx.view(0), &query.context()).unwrap();
+        let hit = local_match(&fx.view(0), &query.context()).unwrap();
         assert_eq!(hit.file, FileId(0));
         assert!(!hit.from_cache);
 
@@ -202,7 +143,7 @@ mod tests {
             fx.catalog.filename(FileId(0)).keywords(),
             [(PeerId(9), LocId(5))],
         );
-        let hit = protocol.local_match(&fx.view(1), &query.context()).unwrap();
+        let hit = local_match(&fx.view(1), &query.context()).unwrap();
         assert!(hit.from_cache);
         assert_eq!(hit.providers.len(), 1);
         assert_eq!(hit.providers[0].provider, PeerId(9));
@@ -211,7 +152,6 @@ mod tests {
     #[test]
     fn caches_single_provider_only_at_matching_gid_peers() {
         let mut fx = Fixture::new(4);
-        let protocol = Dicas::new();
         let file = FileId(2);
         let matching_gid = fx.scheme.group_of_file(file);
         let offered = [ProviderEntry { provider: PeerId(7), loc_id: LocId(2) }];
@@ -219,7 +159,7 @@ mod tests {
         let scheme = fx.scheme;
 
         for i in 0..5usize {
-            protocol.cache_response(&mut fx.peers[i], fx.group_ids[i], &scheme, &response);
+            cache_response(&mut fx.peers[i], fx.group_ids[i], &scheme, &response);
         }
         for (i, peer) in fx.peers.iter().enumerate() {
             let should_cache = fx.group_ids[i] == matching_gid;
@@ -241,7 +181,6 @@ mod tests {
     #[test]
     fn keyword_query_without_filename_uses_storage_only() {
         let mut fx = Fixture::new(4);
-        let protocol = Dicas::new();
         let query = fx.query(&[0], None);
         // A cached index for a matching file is *not* found via keywords.
         fx.peers[0].cache_index(
@@ -249,19 +188,18 @@ mod tests {
             fx.catalog.filename(FileId(0)).keywords(),
             [(PeerId(9), LocId(5))],
         );
-        assert!(protocol.local_match(&fx.view(0), &query.context()).is_none());
+        assert!(local_match(&fx.view(0), &query.context()).is_none());
         // But a stored file is.
         fx.share(0, FileId(2)); // keywords {0,6,7} contains 0
-        let hit = protocol.local_match(&fx.view(0), &query.context()).unwrap();
+        let hit = local_match(&fx.view(0), &query.context()).unwrap();
         assert_eq!(hit.file, FileId(2));
     }
 
     #[test]
     fn policy_flags() {
-        let protocol = Dicas::new();
-        assert_eq!(protocol.kind(), ProtocolKind::Dicas);
-        assert_eq!(protocol.selection_policy(), SelectionPolicy::Random);
-        assert!(!protocol.uses_bloom_sync());
-        assert_eq!(protocol.max_providers_per_file(), 1);
+        let kind = ProtocolKind::Dicas;
+        assert_eq!(kind.selection_policy(), SelectionPolicy::Random);
+        assert!(!kind.routes_by_bloom());
+        assert_eq!(kind.max_providers_per_file(&SimulationConfig::small(20)), 1);
     }
 }

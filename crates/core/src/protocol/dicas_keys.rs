@@ -14,130 +14,87 @@
 //! walks towards peers caching *other* files that share that keyword (the
 //! "misleads keyword queries" effect behind its low success rate in Figure 4).
 
-use locaware_overlay::{ForwardDecision, PeerId, ProviderEntry};
+use locaware_overlay::{ForwardDecision, PeerId};
 
-use crate::config::ProtocolKind;
 use crate::group::{GroupId, GroupScheme};
 use crate::peer::PeerState;
-use crate::provider::SelectionPolicy;
 
 use super::{
-    first_storage_match, high_degree_fallback_into, neighbors_matching_gid_into, LocalMatch,
-    PeerView, Protocol, QueryContext, ResponseContext,
+    cached_hit, first_storage_match, high_degree_fallback_into, neighbors_matching_gid_into,
+    stored_hit, LocalMatch, PeerView, QueryContext, ResponseContext,
 };
 
-/// The Dicas-Keys keyword-search baseline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DicasKeys;
-
-impl DicasKeys {
-    /// Creates the Dicas-Keys policy.
-    pub fn new() -> Self {
-        DicasKeys
+/// Dicas-Keys' routing rule, which Locaware falls back on when no
+/// neighbour's Bloom filter matches (and `LocawareNoBloom` routes by alone).
+pub(super) fn forward_targets_into(
+    view: &PeerView<'_>,
+    query: &QueryContext<'_>,
+    exclude: Option<PeerId>,
+    out: &mut Vec<PeerId>,
+) -> ForwardDecision {
+    let scheme = view.scheme;
+    let matches = |gid| scheme.gid_matches_any_keyword(gid, query.keywords);
+    neighbors_matching_gid_into(view, matches, exclude, out);
+    if !out.is_empty() {
+        return ForwardDecision::GidMatch;
     }
+    high_degree_fallback_into(view, exclude, out)
 }
 
-impl Protocol for DicasKeys {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::DicasKeys
+/// Dicas-Keys' matching rule: own storage first, then cached indexes matched
+/// by keywords.
+pub(super) fn local_match(view: &PeerView<'_>, query: &QueryContext<'_>) -> Option<LocalMatch> {
+    if let Some(file) = first_storage_match(view, query.keywords) {
+        return Some(stored_hit(view, file));
     }
+    let file = view.state.response_index.lookup_by_keywords(query.keywords).into_iter().next()?;
+    cached_hit(view, file)
+}
 
-    fn selection_policy(&self) -> SelectionPolicy {
-        SelectionPolicy::Random
+/// Dicas-Keys' caching rule.
+pub(super) fn cache_response(
+    state: &mut PeerState,
+    gid: GroupId,
+    scheme: &GroupScheme,
+    response: &ResponseContext<'_>,
+) {
+    // Keyword-hash caching: the index is keyed on the *query's* keywords
+    // (whatever subset of the filename the original requestor typed) and
+    // cached wherever any of those keywords maps to this peer's group.
+    // This is the strategy the paper criticises: the same file ends up
+    // duplicated across keyword groups, yet a later query using a
+    // different keyword subset neither routes to the same groups nor
+    // matches the partially-keyed entry.
+    let keying = if response.query_keywords.is_empty() {
+        response.file_keywords
+    } else {
+        response.query_keywords
+    };
+    if !scheme.gid_matches_any_keyword(gid, keying) {
+        return;
     }
-
-    fn forward_targets_into(
-        &self,
-        view: &PeerView<'_>,
-        query: &QueryContext<'_>,
-        exclude: Option<PeerId>,
-        out: &mut Vec<PeerId>,
-    ) -> ForwardDecision {
-        out.clear();
-        let scheme = view.scheme;
-        let matches = |gid| scheme.gid_matches_any_keyword(gid, query.keywords);
-        neighbors_matching_gid_into(view, matches, exclude, out);
-        if !out.is_empty() {
-            return ForwardDecision::GidMatch;
-        }
-        high_degree_fallback_into(view, exclude, out)
-    }
-
-    fn local_match(&self, view: &PeerView<'_>, query: &QueryContext<'_>) -> Option<LocalMatch> {
-        // 1. Own storage.
-        if let Some(file) = first_storage_match(view, query.keywords) {
-            return Some(LocalMatch {
-                file,
-                providers: vec![ProviderEntry {
-                    provider: view.state.id,
-                    loc_id: view.state.loc_id,
-                }],
-                from_cache: false,
-            });
-        }
-        // 2. Cached indexes, matched by keywords.
-        let file = view
-            .state
-            .response_index
-            .lookup_by_keywords(query.keywords)
-            .into_iter()
-            .next()?;
-        let entry = view.state.response_index.entry(file)?;
-        let provider = entry.providers().last()?;
-        Some(LocalMatch {
-            file,
-            providers: vec![ProviderEntry {
-                provider: provider.peer,
-                loc_id: provider.loc_id,
-            }],
-            from_cache: true,
-        })
-    }
-
-    fn cache_response(
-        &self,
-        state: &mut PeerState,
-        gid: GroupId,
-        scheme: &GroupScheme,
-        response: &ResponseContext<'_>,
-    ) {
-        // Keyword-hash caching: the index is keyed on the *query's* keywords
-        // (whatever subset of the filename the original requestor typed) and
-        // cached wherever any of those keywords maps to this peer's group.
-        // This is the strategy the paper criticises: the same file ends up
-        // duplicated across keyword groups, yet a later query using a
-        // different keyword subset neither routes to the same groups nor
-        // matches the partially-keyed entry.
-        let keying = if response.query_keywords.is_empty() {
-            response.file_keywords
-        } else {
-            response.query_keywords
-        };
-        if !scheme.gid_matches_any_keyword(gid, keying) {
-            return;
-        }
-        let Some(provider) = response.providers.first() else {
-            return;
-        };
-        state.cache_index(response.file, keying, [(provider.provider, provider.loc_id)]);
-    }
+    let Some(provider) = response.providers.first() else {
+        return;
+    };
+    state.cache_index(response.file, keying, [(provider.provider, provider.loc_id)]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{response, Fixture};
     use super::*;
+    use crate::config::ProtocolKind;
+    use crate::provider::SelectionPolicy;
     use locaware_net::LocId;
+    use locaware_overlay::ProviderEntry;
     use locaware_workload::FileId;
 
     #[test]
     fn routes_by_keyword_group() {
         let fx = Fixture::new(4);
-        let protocol = DicasKeys::new();
         let query = fx.query(&[0, 1], None);
         let mut targets = Vec::new();
-        let decision =
-            protocol.forward_targets_into(&fx.view(0), &query.context(), None, &mut targets);
+        let decision = forward_targets_into(&fx.view(0), &query.context(), None, &mut targets);
         match decision {
             ForwardDecision::GidMatch => {
                 for t in &targets {
@@ -159,7 +116,6 @@ mod tests {
         // always maps to both groups, so *every* peer caches it — the
         // duplication the paper criticises.
         let mut fx = Fixture::new(2);
-        let protocol = DicasKeys::new();
         let scheme = fx.scheme;
         let offered = [ProviderEntry { provider: PeerId(7), loc_id: LocId(2) }];
         let response = response(&fx.catalog, FileId(0), &[], &offered);
@@ -173,7 +129,7 @@ mod tests {
 
         let mut cached = 0usize;
         for i in 0..5usize {
-            protocol.cache_response(&mut fx.peers[i], fx.group_ids[i], &scheme, &response);
+            cache_response(&mut fx.peers[i], fx.group_ids[i], &scheme, &response);
             if fx.peers[i].response_index.contains(FileId(0)) {
                 cached += 1;
                 assert!(groups.contains(&fx.group_ids[i].value()));
@@ -188,10 +144,9 @@ mod tests {
     #[test]
     fn matches_from_storage_and_keyword_indexed_cache() {
         let mut fx = Fixture::new(4);
-        let protocol = DicasKeys::new();
         let query = fx.query(&[0, 6], None); // matches file 2 = {0,6,7}
 
-        assert!(protocol.local_match(&fx.view(1), &query.context()).is_none());
+        assert!(local_match(&fx.view(1), &query.context()).is_none());
 
         // Cache hit by keywords.
         fx.peers[1].cache_index(
@@ -199,30 +154,28 @@ mod tests {
             fx.catalog.filename(FileId(2)).keywords(),
             [(PeerId(8), LocId(4))],
         );
-        let hit = protocol.local_match(&fx.view(1), &query.context()).unwrap();
+        let hit = local_match(&fx.view(1), &query.context()).unwrap();
         assert_eq!(hit.file, FileId(2));
         assert!(hit.from_cache);
         assert_eq!(hit.providers[0].provider, PeerId(8));
 
         // Storage hit takes precedence.
         fx.share(1, FileId(2));
-        let hit = protocol.local_match(&fx.view(1), &query.context()).unwrap();
+        let hit = local_match(&fx.view(1), &query.context()).unwrap();
         assert!(!hit.from_cache);
         assert_eq!(hit.providers[0].provider, PeerId(1));
     }
 
     #[test]
     fn policy_flags() {
-        let protocol = DicasKeys::new();
-        assert_eq!(protocol.kind(), ProtocolKind::DicasKeys);
-        assert_eq!(protocol.selection_policy(), SelectionPolicy::Random);
-        assert!(!protocol.uses_bloom_sync());
+        let kind = ProtocolKind::DicasKeys;
+        assert_eq!(kind.selection_policy(), SelectionPolicy::Random);
+        assert!(!kind.routes_by_bloom());
     }
 
     #[test]
     fn no_keyword_match_means_no_cache() {
         let mut fx = Fixture::new(4);
-        let protocol = DicasKeys::new();
         let scheme = fx.scheme;
         let offered = [ProviderEntry { provider: PeerId(7), loc_id: LocId(2) }];
         let response = response(&fx.catalog, FileId(3), &[], &offered);
@@ -235,7 +188,7 @@ mod tests {
             .map(|&kw| scheme.group_of_keyword(kw).value())
             .collect();
         if let Some(i) = (0..5usize).find(|&i| !groups.contains(&fx.group_ids[i].value())) {
-            protocol.cache_response(&mut fx.peers[i], fx.group_ids[i], &scheme, &response);
+            cache_response(&mut fx.peers[i], fx.group_ids[i], &scheme, &response);
             assert!(!fx.peers[i].response_index.contains(FileId(3)));
         }
     }

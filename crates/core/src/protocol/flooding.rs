@@ -5,97 +5,40 @@
 //! that actually store a satisfying file answer. Flooding is the upper bound on
 //! success rate and the (very high) baseline for search traffic in Figures 3–4.
 
-use locaware_overlay::{ForwardDecision, PeerId, ProviderEntry};
+use locaware_overlay::{ForwardDecision, PeerId};
 
-use crate::config::ProtocolKind;
-use crate::group::{GroupId, GroupScheme};
-use crate::peer::PeerState;
-use crate::provider::SelectionPolicy;
+use super::{all_neighbors_except_into, PeerView};
 
-use super::{
-    all_neighbors_except_into, first_storage_match, LocalMatch, PeerView, Protocol, QueryContext,
-    ResponseContext,
-};
-
-/// The flooding baseline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Flooding;
-
-impl Flooding {
-    /// Creates the flooding policy.
-    pub fn new() -> Self {
-        Flooding
-    }
-}
-
-impl Protocol for Flooding {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Flooding
-    }
-
-    fn selection_policy(&self) -> SelectionPolicy {
-        SelectionPolicy::Random
-    }
-
-    fn forward_targets_into(
-        &self,
-        view: &PeerView<'_>,
-        _query: &QueryContext<'_>,
-        exclude: Option<PeerId>,
-        out: &mut Vec<PeerId>,
-    ) -> ForwardDecision {
-        out.clear();
-        all_neighbors_except_into(view, exclude, out);
-        if out.is_empty() {
-            ForwardDecision::NotForwarded
-        } else {
-            ForwardDecision::Flood
-        }
-    }
-
-    fn local_match(&self, view: &PeerView<'_>, query: &QueryContext<'_>) -> Option<LocalMatch> {
-        // Only the peer's own storage can answer: flooding caches nothing.
-        let file = first_storage_match(view, query.keywords)?;
-        Some(LocalMatch {
-            file,
-            providers: vec![ProviderEntry {
-                provider: view.state.id,
-                loc_id: view.state.loc_id,
-            }],
-            from_cache: false,
-        })
-    }
-
-    fn cache_response(
-        &self,
-        _state: &mut PeerState,
-        _gid: GroupId,
-        _scheme: &GroupScheme,
-        _response: &ResponseContext<'_>,
-    ) {
-        // Flooding performs no index caching.
+/// Flooding's routing rule: every neighbour but the sender.
+pub(super) fn forward_targets_into(
+    view: &PeerView<'_>,
+    exclude: Option<PeerId>,
+    out: &mut Vec<PeerId>,
+) -> ForwardDecision {
+    all_neighbors_except_into(view, exclude, out);
+    if out.is_empty() {
+        ForwardDecision::NotForwarded
+    } else {
+        ForwardDecision::Flood
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{response, Fixture};
+    use super::super::{cache_response, local_match};
     use super::*;
+    use crate::config::ProtocolKind;
+    use crate::provider::SelectionPolicy;
     use locaware_net::LocId;
+    use locaware_overlay::ProviderEntry;
     use locaware_workload::FileId;
 
     #[test]
     fn forwards_to_every_neighbor_except_the_sender() {
         let fx = Fixture::new(4);
-        let protocol = Flooding::new();
-        let query = fx.query(&[0], None);
         let mut targets = Vec::new();
-        let decision = protocol.forward_targets_into(
-            &fx.view(0),
-            &query.context(),
-            Some(PeerId(3)),
-            &mut targets,
-        );
+        let decision = forward_targets_into(&fx.view(0), Some(PeerId(3)), &mut targets);
         assert_eq!(targets, vec![PeerId(1), PeerId(2), PeerId(4)]);
         assert_eq!(decision, ForwardDecision::Flood);
     }
@@ -103,15 +46,8 @@ mod tests {
     #[test]
     fn leaf_with_only_the_sender_does_not_forward() {
         let fx = Fixture::new(4);
-        let protocol = Flooding::new();
-        let query = fx.query(&[0], None);
         let mut targets = Vec::new();
-        let decision = protocol.forward_targets_into(
-            &fx.view(3),
-            &query.context(),
-            Some(PeerId(0)),
-            &mut targets,
-        );
+        let decision = forward_targets_into(&fx.view(3), Some(PeerId(0)), &mut targets);
         assert!(targets.is_empty());
         assert_eq!(decision, ForwardDecision::NotForwarded);
     }
@@ -119,12 +55,11 @@ mod tests {
     #[test]
     fn answers_only_from_its_own_storage() {
         let mut fx = Fixture::new(4);
-        let protocol = Flooding::new();
         let query = fx.query(&[0, 1], None);
-        assert!(protocol.local_match(&fx.view(0), &query.context()).is_none());
+        assert!(local_match(ProtocolKind::Flooding, &fx.view(0), &query.context()).is_none());
 
         fx.share(0, FileId(0)); // keywords {0,1,2}
-        let hit = protocol.local_match(&fx.view(0), &query.context()).unwrap();
+        let hit = local_match(ProtocolKind::Flooding, &fx.view(0), &query.context()).unwrap();
         assert_eq!(hit.file, FileId(0));
         assert!(!hit.from_cache);
         assert_eq!(hit.providers.len(), 1);
@@ -134,20 +69,18 @@ mod tests {
     #[test]
     fn never_caches_passing_responses() {
         let mut fx = Fixture::new(4);
-        let protocol = Flooding::new();
         let offered = [ProviderEntry { provider: PeerId(3), loc_id: LocId(0) }];
         let response = response(&fx.catalog, FileId(0), &[], &offered);
         let scheme = fx.scheme;
-        protocol.cache_response(&mut fx.peers[0], fx.group_ids[0], &scheme, &response);
+        cache_response(ProtocolKind::Flooding, &mut fx.peers[0], fx.group_ids[0], &scheme, &response);
         assert!(fx.peers[0].response_index.is_empty());
         assert!(!fx.peers[0].bloom_dirty());
     }
 
     #[test]
     fn policy_flags() {
-        let protocol = Flooding::new();
-        assert_eq!(protocol.kind(), ProtocolKind::Flooding);
-        assert_eq!(protocol.selection_policy(), SelectionPolicy::Random);
-        assert!(!protocol.uses_bloom_sync());
+        let kind = ProtocolKind::Flooding;
+        assert_eq!(kind.selection_policy(), SelectionPolicy::Random);
+        assert!(!kind.routes_by_bloom());
     }
 }

@@ -3,43 +3,43 @@
 //! The simulation engine (in [`crate::engine`]) provides the mechanism shared
 //! by every approach — event-driven message delivery, TTL handling, duplicate
 //! suppression, reverse-path responses, metric collection. What differs between
-//! the compared approaches is *policy*, captured by the [`Protocol`] trait:
+//! the compared approaches is *policy*, and a protocol is nothing but its
+//! [`ProtocolKind`]: each of the paper's four axes is a function of the kind.
 //!
 //! 1. **Routing** — which neighbours a query is forwarded to
-//!    ([`Protocol::forward_targets_into`]),
+//!    (`forward_targets_into`),
 //! 2. **Matching** — whether a peer can answer a query locally, and with which
-//!    provider entries ([`Protocol::local_match`]),
+//!    provider entries (`local_match`),
 //! 3. **Caching** — whether/how a peer intercepting a response updates its
-//!    response index ([`Protocol::cache_response`]),
+//!    response index (`cache_response`),
 //! 4. **Selection** — how the requestor chooses among offered providers
-//!    ([`Protocol::selection_policy`]).
+//!    ([`ProtocolKind::selection_policy`]).
 //!
-//! Four policies are implemented, matching the curves of Figures 2–4:
-//! [`flooding::Flooding`], [`dicas::Dicas`], [`dicas_keys::DicasKeys`] and
-//! [`locaware::Locaware`] (whose ablation switches also cover the
-//! `LocawareNoLocality` / `LocawareNoBloom` variants). Two further protocols
-//! are *structured*: [`dht_index::DhtIndex`] resolves every query through the
-//! Kademlia-style keyword-index DHT (see [`crate::engine`] and
-//! [`locaware_overlay::dht`]) instead of overlay forwarding, and
-//! [`hybrid::Hybrid`] splits the Zipf popularity curve — head targets use
-//! Locaware's caching overlay, tail targets the DHT.
+//! The three per-hop rules match on the kind and call the plain functions of
+//! one family: flooding, Dicas, Dicas-Keys or Locaware, the curves of
+//! Figures 2–4. The Locaware family also serves its two ablations
+//! (`LocawareNoLocality` selects at random, `LocawareNoBloom` routes by the
+//! Dicas-Keys rule) and the overlay side of `Hybrid`. The per-run facts —
+//! selection, Bloom routing, filename search, providers kept per file and the
+//! DHT's share of the catalog — are methods of [`ProtocolKind`]. The
+//! structured `DhtIndex` has no overlay policy at all: its queries never
+//! forward, match or cache on the overlay but resolve through the keyword DHT
+//! (see [`crate::engine`] and [`locaware_overlay::dht`]), as do the Zipf-tail
+//! queries of `Hybrid` ([`ProtocolKind::dht_resolves_rank`]).
 
-pub mod dht_index;
-pub mod dicas;
-pub mod dicas_keys;
-pub mod flooding;
-pub mod hybrid;
-pub mod locaware;
+mod dicas;
+mod dicas_keys;
+mod flooding;
+mod locaware;
 
-use locaware_bloom::{BloomParams, ElementHashes};
+use locaware_bloom::ElementHashes;
 use locaware_net::LocId;
-use locaware_overlay::{ForwardDecision, OverlayGraph, PeerId, ProviderEntry, QueryId};
-use locaware_workload::{Catalog, FileId, KeywordHashes, KeywordId};
+use locaware_overlay::{ForwardDecision, OverlayGraph, PeerId, ProviderEntry};
+use locaware_workload::{Catalog, FileId, KeywordId};
 
-use crate::config::{ProtocolKind, SimulationConfig};
+use crate::config::ProtocolKind;
 use crate::group::{GroupId, GroupScheme};
 use crate::peer::{keyword_signature, PeerState};
-use crate::provider::SelectionPolicy;
 
 /// A read-only view of everything a protocol may consult when making a
 /// decision at one peer.
@@ -56,6 +56,8 @@ pub struct PeerView<'a> {
     pub scheme: &'a GroupScheme,
     /// The global catalog (for filename keyword lookups).
     pub catalog: &'a Catalog,
+    /// The run's cap on provider entries in one response.
+    pub max_providers_per_response: usize,
 }
 
 /// The protocol-relevant content of a query.
@@ -65,17 +67,12 @@ pub struct PeerView<'a> {
 /// the §4.2 routing test probes neighbour filters without re-hashing a keyword
 /// per neighbour. Both slices borrow from the caller — the engine lends the
 /// query's keywords as published at its issue and a per-shard hash scratch
-/// buffer, so building a context allocates nothing; tests and benches can use
-/// [`QueryBuffer`] as an owned backing store. The engine computes the hashes
-/// only where a rule reads them: for [`Protocol::forward_targets_into`] of a
-/// protocol that routes by Bloom filter ([`Protocol::uses_bloom_sync`]); every
+/// buffer, so building a context allocates nothing. The engine computes the
+/// hashes only where a rule reads them: for the forwarding rule of a kind
+/// that routes by Bloom filter ([`ProtocolKind::routes_by_bloom`]); every
 /// other context gets an empty slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryContext<'a> {
-    /// The query id.
-    pub query: QueryId,
-    /// The originating peer.
-    pub origin: PeerId,
     /// The originator's location id.
     pub origin_loc: LocId,
     /// The query keywords.
@@ -83,71 +80,12 @@ pub struct QueryContext<'a> {
     /// The pre-computed Bloom hashes of `keywords`, index-aligned; empty
     /// where no rule reads them (see above).
     pub keyword_hashes: &'a [ElementHashes],
-    /// [`BloomParams::fold_mask`] of `keyword_hashes` under the run's filter
-    /// geometry, the one-word test in front of each neighbour probe; 0
-    /// wherever `keyword_hashes` is empty.
+    /// [`BloomParams::fold_mask`](locaware_bloom::BloomParams::fold_mask) of
+    /// `keyword_hashes` under the run's filter geometry, the one-word test in
+    /// front of each neighbour probe; 0 wherever `keyword_hashes` is empty.
     pub keyword_fold_mask: u64,
     /// For filename-search protocols (Dicas): the exact file searched.
     pub target_filename: Option<FileId>,
-}
-
-/// An owned backing store for a [`QueryContext`].
-///
-/// The engine builds contexts from reusable scratch buffers; everything else
-/// (tests, benches, examples) can own the keyword storage here and borrow a
-/// context view with [`QueryBuffer::context`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryBuffer {
-    /// The query id.
-    pub query: QueryId,
-    /// The originating peer.
-    pub origin: PeerId,
-    /// The originator's location id.
-    pub origin_loc: LocId,
-    /// For filename-search protocols (Dicas): the exact file searched.
-    pub target_filename: Option<FileId>,
-    keywords: Vec<KeywordId>,
-    keyword_hashes: Vec<ElementHashes>,
-    keyword_fold_mask: u64,
-}
-
-impl QueryBuffer {
-    /// Builds a query with its keyword hashes, and their fold mask under the
-    /// filter geometry `bloom`, computed up front.
-    pub fn new(
-        query: QueryId,
-        origin: PeerId,
-        origin_loc: LocId,
-        keywords: Vec<KeywordId>,
-        target_filename: Option<FileId>,
-        bloom: BloomParams,
-    ) -> Self {
-        let hasher = KeywordHashes::empty();
-        let keyword_hashes: Vec<ElementHashes> = keywords.iter().map(|&kw| hasher.of(kw)).collect();
-        let keyword_fold_mask = bloom.fold_mask(&keyword_hashes);
-        QueryBuffer {
-            query,
-            origin,
-            origin_loc,
-            target_filename,
-            keywords,
-            keyword_hashes,
-            keyword_fold_mask,
-        }
-    }
-
-    /// The borrowed view protocols consume.
-    pub fn context(&self) -> QueryContext<'_> {
-        QueryContext {
-            query: self.query,
-            origin: self.origin,
-            origin_loc: self.origin_loc,
-            keywords: &self.keywords,
-            keyword_hashes: &self.keyword_hashes,
-            keyword_fold_mask: self.keyword_fold_mask,
-            target_filename: self.target_filename,
-        }
-    }
 }
 
 /// A local hit: the answering peer found a satisfying file either in its own
@@ -182,76 +120,74 @@ pub struct ResponseContext<'a> {
     pub requestor: ProviderEntry,
 }
 
-/// A search/caching policy. Implementations are stateless (all mutable state
-/// lives in [`PeerState`]) so one instance is shared across every peer.
-pub trait Protocol: Send + Sync {
-    /// Which protocol this is (used for labels and reports).
-    fn kind(&self) -> ProtocolKind;
-
-    /// How the requestor chooses among offered providers.
-    fn selection_policy(&self) -> SelectionPolicy;
-
-    /// Whether the engine should run the periodic Bloom synchronisation
-    /// process for this protocol.
-    fn uses_bloom_sync(&self) -> bool {
-        false
+/// Appends the neighbours `view.state` forwards `query` to under `kind`'s
+/// routing rule into `out` (cleared first), never `exclude` (the neighbour
+/// the query arrived from), and returns *why* those targets were chosen, for
+/// the routing-decision statistics. The engine lends one target buffer to
+/// every forward of a run, so the forward path allocates nothing.
+pub(crate) fn forward_targets_into(
+    kind: ProtocolKind,
+    view: &PeerView<'_>,
+    query: &QueryContext<'_>,
+    exclude: Option<PeerId>,
+    out: &mut Vec<PeerId>,
+) -> ForwardDecision {
+    out.clear();
+    match kind {
+        ProtocolKind::Flooding => flooding::forward_targets_into(view, exclude, out),
+        ProtocolKind::Dicas => dicas::forward_targets_into(view, query, exclude, out),
+        ProtocolKind::DicasKeys | ProtocolKind::LocawareNoBloom => {
+            dicas_keys::forward_targets_into(view, query, exclude, out)
+        }
+        ProtocolKind::Locaware | ProtocolKind::LocawareNoLocality | ProtocolKind::Hybrid => {
+            locaware::forward_targets_into(view, query, exclude, out)
+        }
+        // Queries travel the DHT, never the unstructured overlay.
+        ProtocolKind::DhtIndex => ForwardDecision::NotForwarded,
     }
-
-    /// For DHT-running protocols ([`ProtocolKind::uses_dht`]): whether a
-    /// file at popularity `rank` (0 = most popular of `catalog_len` files) is
-    /// indexed in — and resolved through — the DHT. The pure DHT protocol
-    /// says yes to everything; the hybrid protocol only to the Zipf tail.
-    /// Never called for the unstructured protocols.
-    fn dht_resolves_rank(&self, rank: usize, catalog_len: usize) -> bool {
-        let _ = (rank, catalog_len);
-        false
-    }
-
-    /// Maximum provider entries a peer keeps per cached filename.
-    fn max_providers_per_file(&self) -> usize {
-        1
-    }
-
-    /// Appends the neighbours `view.state` should forward the query to into
-    /// `out` (cleared first), excluding `exclude` (the neighbour the query
-    /// arrived from). Returns *why* those targets were chosen, for the
-    /// routing-decision statistics. Taking the target buffer from the caller
-    /// keeps the per-event forward path allocation-free: the engine reuses one
-    /// buffer across every event of a run.
-    fn forward_targets_into(
-        &self,
-        view: &PeerView<'_>,
-        query: &QueryContext<'_>,
-        exclude: Option<PeerId>,
-        out: &mut Vec<PeerId>,
-    ) -> ForwardDecision;
-
-    /// Attempts to answer the query at `view.state` from local knowledge.
-    fn local_match(&self, view: &PeerView<'_>, query: &QueryContext<'_>) -> Option<LocalMatch>;
-
-    /// Lets an intermediate peer cache a passing response according to the
-    /// protocol's caching rule; `gid` is the peer's group id, from the run's
-    /// table.
-    fn cache_response(
-        &self,
-        state: &mut PeerState,
-        gid: GroupId,
-        scheme: &GroupScheme,
-        response: &ResponseContext<'_>,
-    );
 }
 
-/// Creates the protocol implementation for a [`ProtocolKind`].
-pub fn build_protocol(kind: ProtocolKind, config: &SimulationConfig) -> Box<dyn Protocol> {
+/// Answers `query` at `view.state` from local knowledge under `kind`'s
+/// matching rule, if it can.
+pub(crate) fn local_match(
+    kind: ProtocolKind,
+    view: &PeerView<'_>,
+    query: &QueryContext<'_>,
+) -> Option<LocalMatch> {
     match kind {
-        ProtocolKind::Flooding => Box::new(flooding::Flooding::new()),
-        ProtocolKind::Dicas => Box::new(dicas::Dicas::new()),
-        ProtocolKind::DicasKeys => Box::new(dicas_keys::DicasKeys::new()),
-        ProtocolKind::Locaware => Box::new(locaware::Locaware::new(config)),
-        ProtocolKind::LocawareNoLocality => Box::new(locaware::Locaware::without_locality(config)),
-        ProtocolKind::LocawareNoBloom => Box::new(locaware::Locaware::without_bloom(config)),
-        ProtocolKind::DhtIndex => Box::new(dht_index::DhtIndex::new()),
-        ProtocolKind::Hybrid => Box::new(hybrid::Hybrid::new(config)),
+        // Flooding caches nothing: only the peer's own storage answers.
+        ProtocolKind::Flooding => {
+            first_storage_match(view, query.keywords).map(|file| stored_hit(view, file))
+        }
+        ProtocolKind::Dicas => dicas::local_match(view, query),
+        ProtocolKind::DicasKeys => dicas_keys::local_match(view, query),
+        ProtocolKind::Locaware
+        | ProtocolKind::LocawareNoLocality
+        | ProtocolKind::LocawareNoBloom
+        | ProtocolKind::Hybrid => locaware::local_match(view, query),
+        // Hits come from the DHT record stores, never overlay-side.
+        ProtocolKind::DhtIndex => None,
+    }
+}
+
+/// Lets an intermediate peer cache a passing response under `kind`'s caching
+/// rule; `gid` is the peer's group id, from the run's table.
+pub(crate) fn cache_response(
+    kind: ProtocolKind,
+    state: &mut PeerState,
+    gid: GroupId,
+    scheme: &GroupScheme,
+    response: &ResponseContext<'_>,
+) {
+    match kind {
+        // Flooding keeps no index; the DHT record store is the DHT's only one.
+        ProtocolKind::Flooding | ProtocolKind::DhtIndex => {}
+        ProtocolKind::Dicas => dicas::cache_response(state, gid, scheme, response),
+        ProtocolKind::DicasKeys => dicas_keys::cache_response(state, gid, scheme, response),
+        ProtocolKind::Locaware
+        | ProtocolKind::LocawareNoLocality
+        | ProtocolKind::LocawareNoBloom
+        | ProtocolKind::Hybrid => locaware::cache_response(state, gid, scheme, response),
     }
 }
 
@@ -280,35 +216,41 @@ pub(crate) fn neighbors_matching_gid_into(
     }
 }
 
-/// Shared helper: the single highest-degree neighbour (excluding `exclude`),
-/// used as the last-resort forwarding rule of §4.2 "to avoid blocking the query
-/// forwarding".
-pub(crate) fn high_degree_fallback(
-    view: &PeerView<'_>,
-    exclude: Option<PeerId>,
-) -> Option<PeerId> {
-    view.graph
-        .neighbors(view.state.id)
-        .iter()
-        .copied()
-        .filter(|&n| Some(n) != exclude)
-        .max_by_key(|&n| (view.graph.degree(n), std::cmp::Reverse(n.0)))
-}
-
-/// Shared helper: appends the high-degree fallback to `out` and classifies the
-/// decision (the common tail of every non-flooding routing rule).
+/// Shared helper: the last-resort forwarding rule of §4.2 "to avoid blocking
+/// the query forwarding" and the common tail of every non-flooding routing
+/// rule. Appends the single highest-degree neighbour other than `exclude`
+/// (the lowest id on a tie) to `out` and classifies the decision.
 pub(crate) fn high_degree_fallback_into(
     view: &PeerView<'_>,
     exclude: Option<PeerId>,
     out: &mut Vec<PeerId>,
 ) -> ForwardDecision {
-    match high_degree_fallback(view, exclude) {
+    let hub = (view.graph.neighbors(view.state.id).iter().copied())
+        .filter(|&n| Some(n) != exclude)
+        .max_by_key(|&n| (view.graph.degree(n), std::cmp::Reverse(n.0)));
+    match hub {
         Some(n) => {
             out.push(n);
             ForwardDecision::HighDegree
         }
         None => ForwardDecision::NotForwarded,
     }
+}
+
+/// Shared helper: a hit on `file` in the deciding peer's own storage, which
+/// it serves itself.
+pub(crate) fn stored_hit(view: &PeerView<'_>, file: FileId) -> LocalMatch {
+    let own = ProviderEntry { provider: view.state.id, loc_id: view.state.loc_id };
+    LocalMatch { file, providers: vec![own], from_cache: false }
+}
+
+/// Shared helper: a hit on `file` in the deciding peer's response index,
+/// offering the last provider the entry lists — the only one under the
+/// Dicas baselines, which keep a single provider per file.
+pub(crate) fn cached_hit(view: &PeerView<'_>, file: FileId) -> Option<LocalMatch> {
+    let provider = view.state.response_index.entry(file)?.providers().last()?;
+    let entry = ProviderEntry { provider: provider.peer, loc_id: provider.loc_id };
+    Some(LocalMatch { file, providers: vec![entry], from_cache: true })
 }
 
 /// Files in the peer's own storage whose filename satisfies the query
@@ -344,8 +286,46 @@ pub(crate) mod test_support {
     //! Small fixtures shared by the protocol unit tests.
 
     use super::*;
-    use locaware_overlay::OverlayGraph;
-    use locaware_workload::{Catalog, Filename, KeywordPool};
+    use locaware_bloom::BloomParams;
+    use locaware_workload::{Filename, KeywordHashes, KeywordPool};
+
+    /// An owned backing store for a [`QueryContext`]: the keywords, their
+    /// hashes and the hashes' fold mask, from which [`QueryBuffer::context`]
+    /// lends a view the way the engine does from its published record.
+    pub struct QueryBuffer {
+        pub origin_loc: LocId,
+        pub target_filename: Option<FileId>,
+        pub keywords: Vec<KeywordId>,
+        keyword_hashes: Vec<ElementHashes>,
+        keyword_fold_mask: u64,
+    }
+
+    impl QueryBuffer {
+        /// A query with its keyword hashes, and their fold mask under the
+        /// filter geometry `bloom`, computed up front.
+        pub fn new(
+            origin_loc: LocId,
+            keywords: Vec<KeywordId>,
+            target_filename: Option<FileId>,
+            bloom: BloomParams,
+        ) -> Self {
+            let hasher = KeywordHashes::empty();
+            let keyword_hashes: Vec<ElementHashes> = keywords.iter().map(|&kw| hasher.of(kw)).collect();
+            let keyword_fold_mask = bloom.fold_mask(&keyword_hashes);
+            QueryBuffer { origin_loc, target_filename, keywords, keyword_hashes, keyword_fold_mask }
+        }
+
+        /// The borrowed view the rules consume.
+        pub fn context(&self) -> QueryContext<'_> {
+            QueryContext {
+                origin_loc: self.origin_loc,
+                keywords: &self.keywords,
+                keyword_hashes: &self.keyword_hashes,
+                keyword_fold_mask: self.keyword_fold_mask,
+                target_filename: self.target_filename,
+            }
+        }
+    }
 
     /// A response about `file` as a relay sees it: the catalog's keywords for
     /// the file, the query's keywords and the offered providers all borrowed,
@@ -369,13 +349,15 @@ pub(crate) mod test_support {
     ///
     /// * overlay: star around peer 0 (neighbours 1–4), plus edge 1–2,
     /// * catalog: 4 files over 12 keywords,
-    /// * peer 0 is the deciding peer; its gid and locId are configurable.
+    /// * peer 0 is the deciding peer; its gid and locId are configurable,
+    /// * a response carries at most 5 providers (the paper's setting).
     pub struct Fixture {
         pub graph: OverlayGraph,
         pub catalog: Catalog,
         pub scheme: GroupScheme,
         pub group_ids: Vec<GroupId>,
         pub peers: Vec<PeerState>,
+        pub max_providers_per_response: usize,
     }
 
     impl Fixture {
@@ -421,6 +403,7 @@ pub(crate) mod test_support {
                 scheme,
                 group_ids,
                 peers,
+                max_providers_per_response: 5,
             }
         }
 
@@ -436,18 +419,15 @@ pub(crate) mod test_support {
                 group_ids: &self.group_ids,
                 scheme: &self.scheme,
                 catalog: &self.catalog,
+                max_providers_per_response: self.max_providers_per_response,
             }
         }
 
+        /// A query for `keywords` (and, for Dicas, the file `target`) from
+        /// locality 1.
         pub fn query(&self, keywords: &[u32], target: Option<u32>) -> QueryBuffer {
-            QueryBuffer::new(
-                QueryId(1),
-                PeerId(4),
-                LocId(1),
-                keywords.iter().map(|&k| KeywordId(k)).collect(),
-                target.map(FileId),
-                BloomParams::default(),
-            )
+            let keywords = keywords.iter().map(|&k| KeywordId(k)).collect();
+            QueryBuffer::new(LocId(1), keywords, target.map(FileId), BloomParams::default())
         }
     }
 }
@@ -456,6 +436,7 @@ pub(crate) mod test_support {
 mod tests {
     use super::test_support::Fixture;
     use super::*;
+    use crate::config::SimulationConfig;
     use locaware_workload::Filename;
 
     #[test]
@@ -487,13 +468,16 @@ mod tests {
     #[test]
     fn high_degree_fallback_prefers_the_hub() {
         let fx = Fixture::new(4);
+        let fallback = |peer: usize, exclude: Option<PeerId>| {
+            let mut out = Vec::new();
+            let decision = high_degree_fallback_into(&fx.view(peer), exclude, &mut out);
+            (decision, out)
+        };
         // From peer 3, the only neighbour is peer 0 (degree 4).
-        let view = fx.view(3);
-        assert_eq!(high_degree_fallback(&view, None), Some(PeerId(0)));
-        assert_eq!(high_degree_fallback(&view, Some(PeerId(0))), None);
+        assert_eq!(fallback(3, None), (ForwardDecision::HighDegree, vec![PeerId(0)]));
+        assert_eq!(fallback(3, Some(PeerId(0))), (ForwardDecision::NotForwarded, vec![]));
         // From peer 0, neighbours 1 and 2 have degree 2 (> 1); lowest id wins the tie.
-        let view0 = fx.view(0);
-        assert_eq!(high_degree_fallback(&view0, None), Some(PeerId(1)));
+        assert_eq!(fallback(0, None), (ForwardDecision::HighDegree, vec![PeerId(1)]));
     }
 
     /// Three signature bits with eight keyword ids each: a universe in which
@@ -572,7 +556,6 @@ mod tests {
         use locaware_bloom::BloomFilter;
         use test_support::response;
 
-        let config = SimulationConfig::small(20);
         let file = FileId(2); // keywords {0, 6, 7}
         let filename = [KeywordId(0), KeywordId(6), KeywordId(7)];
         let asked = [KeywordId(6)];
@@ -586,16 +569,15 @@ mod tests {
         let (by_file, by_keyword) = (scheme.group_of_file(file), scheme.group_of_keyword(asked[0]));
         // A peer of group `gid` caches a response to `query_keywords`: which
         // keywords key the entry, and which providers does it list?
-        let check = |protocol: &dyn Protocol,
-                     gid: crate::group::GroupId,
+        let check = |kind: ProtocolKind,
+                     gid: GroupId,
                      query_keywords: &[KeywordId],
                      keywords: &[KeywordId],
                      providers: &[(PeerId, LocId)]| {
             let mut fx = Fixture::new(4);
             let context = response(&fx.catalog, file, query_keywords, &offered);
-            protocol.cache_response(&mut fx.peers[0], gid, &fx.scheme, &context);
+            cache_response(kind, &mut fx.peers[0], gid, &fx.scheme, &context);
 
-            let kind = protocol.kind();
             let entry = fx.peers[0].response_index.entry(file).expect("cached");
             assert_eq!(entry.keywords, keywords, "{kind:?}");
             let cached: Vec<_> = entry.providers().iter().map(|p| (p.peer, p.loc_id)).collect();
@@ -606,18 +588,55 @@ mod tests {
             }
             assert_eq!(fx.peers[0].current_bloom().words(), bits.words(), "{kind:?}");
         };
-        check(&dicas::Dicas::new(), by_file, &asked, &filename, &first);
-        check(&dicas_keys::DicasKeys::new(), by_keyword, &asked, &asked, &first);
-        check(&dicas_keys::DicasKeys::new(), by_keyword, &[], &filename, &first);
-        check(&locaware::Locaware::new(&config), by_file, &asked, &filename, &all_and_requestor);
+        check(ProtocolKind::Dicas, by_file, &asked, &filename, &first);
+        check(ProtocolKind::DicasKeys, by_keyword, &asked, &asked, &first);
+        check(ProtocolKind::DicasKeys, by_keyword, &[], &filename, &first);
+        check(ProtocolKind::Locaware, by_file, &asked, &filename, &all_and_requestor);
     }
 
+    /// Every kind's facts, one row each: its selection policy, whether it
+    /// routes by Bloom filter and searches by filename, the providers it
+    /// keeps per file under a config allowing 5, whether it acts on the
+    /// overlay at all (the fixture's hub forwards a query, and answers it
+    /// from a file it stores), and — at head fractions 0, 0.1 and 1 — which
+    /// of the ranks 0, 9, 10 and 99 of a 100-file catalog the DHT resolves:
+    /// the first, the last of the 0.1 head, the first of its tail, the last.
     #[test]
-    fn build_protocol_covers_every_kind() {
-        let config = SimulationConfig::small(20);
-        for &kind in ProtocolKind::all() {
-            let protocol = build_protocol(kind, &config);
-            assert_eq!(protocol.kind(), kind);
+    fn every_kind_spells_out_its_facts() {
+        use crate::provider::SelectionPolicy::{LocalityThenRtt as Local, Random};
+        use ProtocolKind::*;
+        let (none, all) = ([[false; 4]; 3], [[true; 4]; 3]);
+        let tail = [[true; 4], [false, false, true, true], [false; 4]];
+        let rows = [
+            (Flooding, Random, false, false, 1, true, none),
+            (Dicas, Random, false, true, 1, true, none),
+            (DicasKeys, Random, false, false, 1, true, none),
+            (Locaware, Local, true, false, 5, true, none),
+            (LocawareNoLocality, Random, true, false, 5, true, none),
+            (LocawareNoBloom, Local, false, false, 5, true, none),
+            (DhtIndex, Random, false, false, 1, false, all),
+            (Hybrid, Local, true, false, 5, true, tail),
+        ];
+        assert_eq!(rows.map(|row| row.0), ProtocolKind::ALL);
+        let config = SimulationConfig { max_providers_per_file: 5, ..SimulationConfig::small(20) };
+        let mut fx = Fixture::new(4);
+        fx.share(0, FileId(0)); // keywords {0,1,2}
+        let query = fx.query(&[0, 1], Some(0));
+        for (kind, selection, bloom, filename, providers, overlay, dht) in rows {
+            assert_eq!(kind.selection_policy(), selection, "{kind}");
+            assert_eq!(kind.routes_by_bloom(), bloom, "{kind}");
+            assert_eq!(kind.searches_by_filename(), filename, "{kind}");
+            assert_eq!(kind.max_providers_per_file(&config), providers, "{kind}");
+            let (view, mut out) = (fx.view(0), Vec::new());
+            let decision = forward_targets_into(kind, &view, &query.context(), None, &mut out);
+            let answers = local_match(kind, &view, &query.context()).is_some();
+            let acts = [decision != ForwardDecision::NotForwarded, !out.is_empty(), answers];
+            assert_eq!(acts, [overlay; 3], "{kind}");
+            for (fraction, ranks) in [0.0, 0.1, 1.0].into_iter().zip(dht) {
+                for (rank, resolves) in [0, 9, 10, 99].into_iter().zip(ranks) {
+                    assert_eq!(kind.dht_resolves_rank(rank, 100, fraction), resolves, "{kind} {rank} {fraction}");
+                }
+            }
         }
     }
 }

@@ -454,15 +454,25 @@ fn preset_regimes_produce_distinct_workloads() {
 /// forwarding over links a departure had dropped, a rejoined peer
 /// re-advertises its stored files, and a new link swaps full filters. Every
 /// other pin, the churn-storm Flooding one included, stayed byte-identical.
+/// The Dicas-Keys and ablation rows, and churn-storm Dicas, were captured
+/// later, before the protocol policies became functions of the kind, so that
+/// refactor could not move a kind without a pin to show it.
 #[test]
 fn legacy_steady_scenarios_reproduce_pr4_fingerprints() {
-    let cases: [(Scenario, ProtocolKind, usize, u64); 6] = [
+    let cases: [(Scenario, ProtocolKind, usize, u64); 13] = [
         (Scenario::small(60), ProtocolKind::Locaware, 40, 0x5ec9f1b53ec68b39),
         (Scenario::small(60), ProtocolKind::Flooding, 40, 0x44da88c3c6b3b41d),
         (Scenario::small(60), ProtocolKind::Dicas, 40, 0x18818846c97c281e),
         (Scenario::small(120), ProtocolKind::Locaware, 80, 0x7a4cbf46ddeedf62),
         (Scenario::churn_storm(60), ProtocolKind::Locaware, 40, 0x944bbd9eb814a776),
         (Scenario::churn_storm(60), ProtocolKind::Flooding, 40, 0x04da57ae76c7ea16),
+        (Scenario::small(60), ProtocolKind::DicasKeys, 40, 0xc93bbea79b8d7032),
+        (Scenario::small(60), ProtocolKind::LocawareNoLocality, 40, 0x63fe3268bfd197e3),
+        (Scenario::small(60), ProtocolKind::LocawareNoBloom, 40, 0x2c7d8cada1ec53dd),
+        (Scenario::churn_storm(60), ProtocolKind::Dicas, 40, 0xf0bff654277bf749),
+        (Scenario::churn_storm(60), ProtocolKind::DicasKeys, 40, 0xa0eb11c2a3524a49),
+        (Scenario::churn_storm(60), ProtocolKind::LocawareNoLocality, 40, 0xf928fe2850dc6d1b),
+        (Scenario::churn_storm(60), ProtocolKind::LocawareNoBloom, 40, 0xb691c2e4668ecf5c),
     ];
     for (scenario, protocol, queries, expected) in cases {
         let report = scenario.substrate().run(protocol, queries);
