@@ -1,137 +1,71 @@
-//! Hybrid structured/unstructured search: split the Zipf popularity curve.
-//!
-//! Caching overlays like Locaware thrive on the Zipf *head* — popular files
-//! are queried often enough that their index entries stay hot in response
-//! indexes near every requestor — and struggle on the *tail*, where a rare
-//! file's only index entry may sit many hops from the next requestor. A DHT
-//! inverts the trade-off: every file is reachable in `O(log n)` hops
-//! regardless of popularity, but lookups pay those hops even for files the
-//! overlay would have answered from a neighbour's cache.
-//!
-//! This protocol takes each side's strong half. Targets in the most popular
-//! `hybrid_head_fraction` of the catalog resolve through the full Locaware
-//! machinery (Bloom-directed forwarding, response-index caching,
-//! locality-aware selection); everything below that rank is indexed in — and
-//! resolved through — the keyword DHT. The popularity rank comes from the
-//! workload's ground-truth permutation, standing in for the rank estimate a
-//! deployed peer would maintain from observed query frequencies.
-
-use locaware_overlay::{ForwardDecision, PeerId};
-
-use crate::config::{ProtocolKind, SimulationConfig};
-use crate::group::{GroupId, GroupScheme};
-use crate::peer::PeerState;
-use crate::provider::SelectionPolicy;
-
-use super::locaware::Locaware;
-use super::{LocalMatch, PeerView, Protocol, QueryContext, ResponseContext};
-
-/// The hybrid head/tail protocol: Locaware for the popular head, the DHT for
-/// the rare tail.
-#[derive(Debug, Clone)]
-pub struct Hybrid {
-    /// The unstructured side, with all its switches at paper settings.
-    overlay: Locaware,
-    /// Fraction of the catalog (by popularity rank) the overlay keeps.
-    head_fraction: f64,
-}
-
-impl Hybrid {
-    /// Creates the hybrid policy from the run configuration.
-    pub fn new(config: &SimulationConfig) -> Self {
-        Hybrid {
-            overlay: Locaware::new(config),
-            head_fraction: config.dht.hybrid_head_fraction,
-        }
-    }
-}
-
-impl Protocol for Hybrid {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Hybrid
-    }
-
-    fn selection_policy(&self) -> SelectionPolicy {
-        self.overlay.selection_policy()
-    }
-
-    fn uses_bloom_sync(&self) -> bool {
-        self.overlay.uses_bloom_sync()
-    }
-
-    fn dht_resolves_rank(&self, rank: usize, catalog_len: usize) -> bool {
-        // Ranks [0, head_fraction * len) stay on the overlay; the tail is the
-        // DHT's. With fraction 0 everything is structured, with 1 nothing is.
-        (rank as f64) >= self.head_fraction * catalog_len as f64
-    }
-
-    fn max_providers_per_file(&self) -> usize {
-        self.overlay.max_providers_per_file()
-    }
-
-    fn forward_targets_into(
-        &self,
-        view: &PeerView<'_>,
-        query: &QueryContext<'_>,
-        exclude: Option<PeerId>,
-        out: &mut Vec<PeerId>,
-    ) -> ForwardDecision {
-        self.overlay.forward_targets_into(view, query, exclude, out)
-    }
-
-    fn local_match(&self, view: &PeerView<'_>, query: &QueryContext<'_>) -> Option<LocalMatch> {
-        self.overlay.local_match(view, query)
-    }
-
-    fn cache_response(
-        &self,
-        state: &mut PeerState,
-        gid: GroupId,
-        scheme: &GroupScheme,
-        response: &ResponseContext<'_>,
-    ) {
-        self.overlay.cache_response(state, gid, scheme, response);
-    }
-}
+//! Tests of the `Hybrid` kind: Locaware's rules on the overlay for the most
+//! popular `head_fraction` of the catalog, the keyword DHT for its tail.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::test_support::{response, Fixture};
+    use super::super::{cache_response, forward_targets_into, local_match};
+    use crate::config::{ProtocolKind, SimulationConfig};
+    use locaware_net::LocId;
+    use locaware_overlay::{PeerId, ProviderEntry};
+    use locaware_workload::FileId;
 
-    fn hybrid_with_fraction(fraction: f64) -> Hybrid {
-        let mut config = SimulationConfig::small(20);
-        config.dht.hybrid_head_fraction = fraction;
-        Hybrid::new(&config)
-    }
+    const HYBRID: ProtocolKind = ProtocolKind::Hybrid;
 
     #[test]
     fn head_stays_on_the_overlay_and_the_tail_goes_structured() {
-        let hybrid = hybrid_with_fraction(0.1);
         // 100-file catalog: ranks 0..=9 are the head, 10..=99 the tail.
-        assert!(!hybrid.dht_resolves_rank(0, 100));
-        assert!(!hybrid.dht_resolves_rank(9, 100));
-        assert!(hybrid.dht_resolves_rank(10, 100));
-        assert!(hybrid.dht_resolves_rank(99, 100));
+        assert!(!HYBRID.dht_resolves_rank(0, 100, 0.1));
+        assert!(!HYBRID.dht_resolves_rank(9, 100, 0.1));
+        assert!(HYBRID.dht_resolves_rank(10, 100, 0.1));
+        assert!(HYBRID.dht_resolves_rank(99, 100, 0.1));
     }
 
     #[test]
     fn degenerate_fractions_collapse_to_pure_protocols() {
-        let all_dht = hybrid_with_fraction(0.0);
-        let all_overlay = hybrid_with_fraction(1.0);
         for rank in [0, 1, 50, 99] {
-            assert!(all_dht.dht_resolves_rank(rank, 100));
-            assert!(!all_overlay.dht_resolves_rank(rank, 100));
+            assert!(HYBRID.dht_resolves_rank(rank, 100, 0.0));
+            assert!(!HYBRID.dht_resolves_rank(rank, 100, 1.0));
+            assert_eq!(
+                HYBRID.dht_resolves_rank(rank, 100, 0.0),
+                ProtocolKind::DhtIndex.dht_resolves_rank(rank, 100, 0.0)
+            );
+            assert_eq!(
+                HYBRID.dht_resolves_rank(rank, 100, 1.0),
+                ProtocolKind::Locaware.dht_resolves_rank(rank, 100, 1.0)
+            );
         }
     }
 
+    /// On the overlay a hybrid peer is a Locaware peer: the same per-run
+    /// facts, and the same forward, cache and answer at every hop.
     #[test]
     fn delegates_overlay_policy_to_locaware() {
         let config = SimulationConfig::small(20);
-        let hybrid = Hybrid::new(&config);
-        let locaware = Locaware::new(&config);
-        assert_eq!(hybrid.kind(), ProtocolKind::Hybrid);
-        assert_eq!(hybrid.selection_policy(), locaware.selection_policy());
-        assert_eq!(hybrid.uses_bloom_sync(), locaware.uses_bloom_sync());
-        assert_eq!(hybrid.max_providers_per_file(), locaware.max_providers_per_file());
+        let locaware = ProtocolKind::Locaware;
+        assert_eq!(HYBRID.selection_policy(), locaware.selection_policy());
+        assert_eq!(HYBRID.routes_by_bloom(), locaware.routes_by_bloom());
+        assert_eq!(HYBRID.searches_by_filename(), locaware.searches_by_filename());
+        assert_eq!(HYBRID.max_providers_per_file(&config), locaware.max_providers_per_file(&config));
+
+        let file = FileId(0); // keywords {0,1,2}
+        let offered = [
+            ProviderEntry { provider: PeerId(7), loc_id: LocId(1) },
+            ProviderEntry { provider: PeerId(8), loc_id: LocId(2) },
+        ];
+        let run = |kind| {
+            let mut fx = Fixture::new(4);
+            let query = fx.query(&[0, 1], None);
+            let mut targets = Vec::new();
+            let decision = forward_targets_into(kind, &fx.view(0), &query.context(), Some(PeerId(1)), &mut targets);
+            let scheme = fx.scheme;
+            let response = response(&fx.catalog, file, &query.keywords, &offered);
+            cache_response(kind, &mut fx.peers[2], scheme.group_of_file(file), &scheme, &response);
+            let hit = local_match(kind, &fx.view(2), &query.context());
+            (decision, targets, hit)
+        };
+        let (hybrid, locaware) = (run(HYBRID), run(locaware));
+        assert!(hybrid.2.as_ref().is_some_and(|hit| hit.from_cache), "the cached index answers");
+        assert_eq!(hybrid, locaware);
     }
 }

@@ -29,7 +29,11 @@
 
 mod dicas;
 mod dicas_keys;
+#[cfg(test)]
+mod dht_index;
 mod flooding;
+#[cfg(test)]
+mod hybrid;
 mod locaware;
 
 use locaware_bloom::ElementHashes;
