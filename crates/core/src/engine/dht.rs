@@ -42,7 +42,7 @@ use crate::results::DhtRunStats;
 
 use super::lifecycle::HitMark;
 use super::shard::{query_index, Search, ShardState, TimeoutKind};
-use super::tally::{kind_index, Tallies};
+use super::tally::Tallies;
 use super::{peer_mut, RunShared};
 
 /// Bit `depth` of `id`, counting from the most significant (depth 0).
@@ -291,9 +291,6 @@ impl DhtDirectory {
 /// stalled slot and the walk re-issues against the next shortlist
 /// candidate.
 pub(super) struct DhtLookupState {
-    /// The full query keywords (the all-keywords match rule filters record
-    /// entries against these, not just the lookup keyword).
-    pub(super) keywords: Vec<KeywordId>,
     /// The record key being walked towards.
     pub(super) key: DhtId,
     /// Shortlist: `(distance, peer, queried)`, ascending.
@@ -304,9 +301,8 @@ pub(super) struct DhtLookupState {
 }
 
 impl DhtLookupState {
-    pub(super) fn new(keywords: Vec<KeywordId>, key: DhtId) -> Self {
+    pub(super) fn new(key: DhtId) -> Self {
         DhtLookupState {
-            keywords,
             key,
             candidates: Vec::new(),
             awaiting: Vec::new(),
@@ -493,7 +489,7 @@ pub(super) fn run_stats<'p>(
     let mut stats = DhtRunStats {
         lookups,
         lookup_depth_total,
-        store_messages: totals.message_counts[kind_index(MessageKind::DhtStore)],
+        store_messages: totals.message_counts[MessageKind::DhtStore as usize],
         records: 0,
         provider_entries: 0,
         record_bytes: 0,
@@ -561,7 +557,7 @@ fn for_each_store_target(
 
 /// Hands one `(keyword, file, provider)` record entry to index node
 /// `target`: stored in place when the target is the announcing provider
-/// itself, sent as a background [`Message::DhtStore`] otherwise.
+/// itself, sent as a [`Message::DhtStore`], background traffic, otherwise.
 fn place_record(
     state: &mut ShardState,
     shared: &RunShared<'_>,
@@ -581,7 +577,7 @@ fn place_record(
             file,
             provider,
         };
-        state.send_background(shared, now, from, target, message);
+        state.send(shared, now, from, target, message);
     }
 }
 
@@ -614,12 +610,8 @@ pub(super) fn issue(
     graph: &OverlayGraph,
     key: EventKey,
     index: usize,
-    keywords: &[KeywordId],
 ) {
-    // The lookup keys on the query's smallest keyword id — generated
-    // keyword lists are sorted, so the choice is canonical for every
-    // shard count. (Entries are still filtered against *all* keywords.)
-    let Some(&keyword) = keywords.first() else {
+    let Some(keyword) = lookup_keyword(shared, index) else {
         return;
     };
     let record_key = directory.keyword_key(keyword);
@@ -628,10 +620,10 @@ pub(super) fn issue(
     if let Some(node) = state.peers[slot].dht.as_ref() {
         node.store.lookup_into(keyword.0, key.time, &mut entries);
     }
-    if try_satisfy(state, shared, directory, graph, key, index, keywords, &entries, 0) {
+    if try_satisfy(state, shared, directory, graph, key, index, &entries, 0) {
         return;
     }
-    let mut lookup = Box::new(DhtLookupState::new(keywords.to_vec(), record_key));
+    let mut lookup = Box::new(DhtLookupState::new(record_key));
     let mut seeds = Vec::new();
     if let Some(node) = state.peers[slot].dht.as_ref() {
         node.table
@@ -660,31 +652,28 @@ pub(super) fn deliver(
     };
     let slot = shared.partition.slot(to);
     match message {
-        Message::DhtLookup { query, keyword, hop } => {
+        Message::DhtLookup { query, hop } => {
             // An index-node lookup step: answer with everything the local
-            // record store holds for the keyword plus the closest contacts
-            // the local routing table knows toward its key. A receiver that
-            // departed never gets here — the step is consumed without a
-            // reply, the structured analogue of a timed-out RPC; the query's
-            // lifecycle completes through its remaining branches.
+            // record store holds for the query's lookup keyword plus the
+            // closest contacts the local routing table knows toward its key.
+            // A receiver that departed never gets here — the step is consumed
+            // without a reply, the structured analogue of a timed-out RPC;
+            // the query's lifecycle completes through its remaining branches.
+            let Some(keyword) = lookup_keyword(shared, query_index(query)) else {
+                unreachable!("a lookup step is sent only for a query with a lookup keyword");
+            };
             let mut entries = Vec::new();
             let mut closer = Vec::new();
             if let Some(node) = state.peers[slot].dht.as_ref() {
-                node.store.lookup_into(keyword, key.time, &mut entries);
-                let record_key = directory.keyword_key(KeywordId(keyword));
+                node.store.lookup_into(keyword.0, key.time, &mut entries);
+                let record_key = directory.keyword_key(keyword);
                 node.table
                     .closest_into(record_key, shared.config.dht.k, &mut closer);
             }
-            let reply = Message::DhtLookupReply {
-                query,
-                keyword,
-                hop,
-                entries,
-                closer,
-            };
-            state.send(shared, key.time, to, from, reply, query_index(query));
+            let reply = Message::DhtLookupReply { query, hop, entries, closer };
+            state.send(shared, key.time, to, from, reply);
         }
-        Message::DhtLookupReply { query, hop, entries, closer, .. } => {
+        Message::DhtLookupReply { query, hop, entries, closer } => {
             let index = query_index(query);
             // Only the origin holds lookup state; a reply arriving after the
             // walk concluded (satisfied, exhausted or completed) is ignored.
@@ -702,8 +691,7 @@ pub(super) fn deliver(
             for &contact in closer.iter().filter(|&&c| c != to) {
                 lookup.add_candidate(lookup.key.distance(directory.node_id(contact)), contact);
             }
-            let keywords = &lookup.keywords;
-            if !try_satisfy(state, shared, directory, graph, key, index, keywords, &entries, hop) {
+            if !try_satisfy(state, shared, directory, graph, key, index, &entries, hop) {
                 // Keep walking among the `k` closest known contacts, one hop
                 // deeper.
                 refill(state, shared, graph, key.time, index, lookup, hop + 1);
@@ -765,19 +753,14 @@ fn refill(
     let config = &shared.config.dht;
     let origin = PeerId(shared.arrivals[index].peer as u32);
     let step_timeout = shared.faults.as_ref().and_then(|f| f.dht_step_timeout);
-    let may_send = hop <= config.max_lookup_hops && graph.is_active(origin);
-    if let (true, Some(&keyword)) = (may_send, lookup.keywords.first()) {
+    if hop <= config.max_lookup_hops && graph.is_active(origin) {
         while lookup.inflight() < config.alpha {
             let Some(target) = lookup.take_next_target(config.k) else {
                 break;
             };
             lookup.begin_step(target, hop);
-            let step = Message::DhtLookup {
-                query: QueryId(index as u64),
-                keyword: keyword.0,
-                hop,
-            };
-            state.send(shared, now, origin, target, step, index);
+            let step = Message::DhtLookup { query: QueryId(index as u64), hop };
+            state.send(shared, now, origin, target, step);
             if let Some(timeout) = step_timeout {
                 let deadline = now + timeout;
                 state.schedule_timeout(shared, deadline, index, TimeoutKind::DhtStep { peer: target });
@@ -791,6 +774,14 @@ fn refill(
     }
 }
 
+/// The keyword query `index`'s lookup keys on: the smallest of the keywords
+/// its issue published — generated keyword lists are sorted, so the choice
+/// is canonical for every shard count. (Entries are still filtered against
+/// *all* keywords.) `None` for a query without keywords, which never walks.
+fn lookup_keyword(shared: &RunShared<'_>, index: usize) -> Option<KeywordId> {
+    shared.query_keywords(index).first().copied()
+}
+
 /// Query `index`'s DHT search at its origin — the deepest replied hop and the
 /// walk — or `None` where this shard has no such query.
 fn search(state: &mut ShardState, index: usize) -> Option<(&mut u32, &mut Option<Box<DhtLookupState>>)> {
@@ -802,10 +793,11 @@ fn search(state: &mut ShardState, index: usize) -> Option<(&mut u32, &mut Option
 
 /// Tries to satisfy query `index` from DHT record entries (the origin's own
 /// store at hop 0, or a lookup reply's payload). Entries must match every
-/// query keyword, offer a file the origin does not already hold, and name a
-/// provider that is online in this window's graph. Among satisfiable
-/// files the one with the most online providers wins (ties: smallest file
-/// id) — the analogue of the overlay's first-answer-wins richest response.
+/// keyword the query's issue published, offer a file the origin does not
+/// already hold, and name a provider that is online in this window's graph.
+/// Among satisfiable files the one with the most online providers wins
+/// (ties: smallest file id) — the analogue of the overlay's
+/// first-answer-wins richest response.
 /// On success the origin downloads and replicates through the shared
 /// [`ShardState::satisfy`] and immediately publishes the new replica to the
 /// keyword index.
@@ -820,10 +812,10 @@ fn try_satisfy(
     graph: &OverlayGraph,
     key: EventKey,
     index: usize,
-    keywords: &[KeywordId],
     entries: &[(u32, ProviderEntry)],
     hops: u32,
 ) -> bool {
+    let keywords = shared.query_keywords(index);
     let origin = &state.peers[shared.partition.slot(PeerId(shared.arrivals[index].peer as u32))];
     let replica = ProviderEntry {
         provider: origin.id,
@@ -944,7 +936,7 @@ mod tests {
         assert!(state.queue.peek_key().is_none());
         // A remote target costs one store message and holds nothing until it lands.
         place_record(state, &shared, now, PeerId(6), u32::MAX, 7, provider);
-        assert_eq!(state.tallies.message_counts[kind_index(MessageKind::DhtStore)], 1);
+        assert_eq!(state.tallies.message_counts[MessageKind::DhtStore as usize], 1);
         assert!(record(state, 6, u32::MAX, now).is_empty());
         state.drain(&shared, sim.overlay());
         assert_eq!(record(state, 6, u32::MAX, now), [(7, provider)]);
@@ -983,7 +975,8 @@ mod tests {
         let mut tracking = QueryTracking::new(&shared, 0, FileId(0), Search::Dht { depth: 0, walk: None });
         tracking.record.outcome = QueryOutcome::Satisfied;
         state.tracking.insert(0, tracking);
-        issue(state, &shared, directory, graph, key, 0, &[KeywordId(0)]);
+        shared.publish_keywords(0, vec![KeywordId(0)]);
+        issue(state, &shared, directory, graph, key, 0);
         let walk = |state: &ShardState| match &state.tracking[&0].search {
             Search::Dht { walk, .. } => walk.as_ref().map(|lookup| lookup.awaiting.clone()),
             Search::Flood => unreachable!("a DHT query"),
@@ -996,7 +989,6 @@ mod tests {
         let (replier, _) = awaiting(state)[0];
         let reply = Message::DhtLookupReply {
             query: QueryId(0),
-            keyword: 0,
             hop: 1,
             entries: Vec::new(),
             closer: Vec::new(),
@@ -1021,7 +1013,7 @@ mod tests {
             assert!((1..=alpha).contains(&steps.len()));
             step_timeout(state, &shared, graph, key, 0, steps[0].0);
         }
-        assert_eq!(state.tallies.message_counts[kind_index(MessageKind::DhtLookup)], k as u64);
+        assert_eq!(state.tallies.message_counts[MessageKind::DhtLookup as usize], k as u64);
     }
 
     #[test]
@@ -1152,7 +1144,7 @@ mod tests {
     fn step_ledger_settles_by_peer_once() {
         let directory = DhtDirectory::new(&RngFactory::new(2), 4);
         let key = directory.keyword_key(KeywordId(1));
-        let mut state = DhtLookupState::new(vec![KeywordId(1)], key);
+        let mut state = DhtLookupState::new(key);
         assert_eq!(state.inflight(), 0);
         state.begin_step(PeerId(2), 1);
         state.begin_step(PeerId(3), 2);
@@ -1168,7 +1160,7 @@ mod tests {
     fn lookup_state_walks_the_k_closest_once_each() {
         let directory = DhtDirectory::new(&RngFactory::new(1), 10);
         let key = directory.keyword_key(KeywordId(0));
-        let mut state = DhtLookupState::new(vec![KeywordId(0)], key);
+        let mut state = DhtLookupState::new(key);
         for i in 0..10u32 {
             let peer = PeerId(i);
             assert!(state.add_candidate(key.distance(directory.node_id(peer)), peer));

@@ -72,10 +72,11 @@
 //! ordinary field: it mutates it in the churn transition, which takes
 //! `&mut self`, and lends it shared to the window drains, so a write during
 //! a window does not compile. Everything else shards share is `RunShared`,
-//! immutable but for one write-once cell per arrival: the keywords its query
-//! floods with. Only the query's origin shard sets the cell, once, at issue;
-//! any other shard reads it only when a copy of the query or a response to
-//! it arrives, which is in a later window, after the barrier that joined
+//! immutable but for one write-once cell per arrival: the keywords of its
+//! query, set for every issued query, flooded or DHT-resolved. Only the
+//! query's origin shard sets the cell, once, at issue; any other shard reads
+//! it only when a copy of the query, a response to it or one of its lookup
+//! steps arrives, which is in a later window, after the barrier that joined
 //! the issuing drain. So no two sets can race and no read finds the cell
 //! empty. At a barrier the coordinator holds `&mut [ShardState]` and may
 //! touch any peer of any shard; during a window each `&mut ShardState` is
@@ -113,7 +114,7 @@ use rand::Rng;
 use locaware_bloom::BloomParams;
 use locaware_net::{LinkLatencyCache, LocId, PhysicalTopology};
 use locaware_overlay::churn::ChurnEvent;
-use locaware_overlay::{ChurnEventKind, OverlayGraph, PeerId};
+use locaware_overlay::{ChurnEventKind, ForwardDecision, MessageKind, OverlayGraph, PeerId};
 use locaware_sim::{Duration, EventKey, RngFactory, SimTime, StreamId};
 use locaware_workload::{Arrival, Catalog, FileId, KeywordHashes, KeywordId, QueryGenerator, PAPER_KEYWORDS_PER_FILE};
 
@@ -130,11 +131,11 @@ use faults::FaultPlan;
 use exchange::{issue_key, PeerPartition, CLASS_BLOOM_SYNC, CLASS_CHURN, CLASS_DHT_REPUBLISH};
 use lifecycle::LifecycleFold;
 use shard::{Search, ShardEvent, ShardState};
-use tally::{labelled_counters, Tallies, FORWARD_DECISIONS, MESSAGE_KINDS};
+use tally::{labelled_counters, Tallies};
 
 /// Read-only context shared by every shard and the coordinator during a run:
 /// nothing in it changes after [`prepare`] but the write-once keyword record
-/// of each flooded query ([`RunShared::publish_keywords`]). The state that
+/// of each issued query ([`RunShared::publish_keywords`]). The state that
 /// crosses shard boundaries and *does* change — the overlay graph — belongs
 /// to the [`Coordinator`].
 pub(crate) struct RunShared<'a> {
@@ -154,10 +155,10 @@ pub(crate) struct RunShared<'a> {
     pub(crate) bloom: BloomParams,
     pub(crate) scheme: GroupScheme,
     pub(crate) arrivals: Vec<Arrival>,
-    /// Arrival index → the keywords its query floods with, set once by the
-    /// origin shard at issue and read by every later hop, relayed response
-    /// and retransmit, so no message carries them. Empty for an arrival that
-    /// was skipped or resolved through the DHT.
+    /// Arrival index → the keywords of its query, set once by the origin
+    /// shard at issue and read by every later hop, relayed response, lookup
+    /// step and retransmit, so no message carries them. Empty exactly for an
+    /// arrival that was skipped.
     published_keywords: Vec<OnceLock<PublishedKeywords>>,
     pub(crate) query_generator: QueryGenerator,
     pub(crate) rng_factory: RngFactory,
@@ -193,15 +194,15 @@ impl RunShared<'_> {
         self.kind.dht_resolves_rank(rank, self.catalog.len(), self.config.dht.hybrid_head_fraction)
     }
 
-    /// Publishes the keywords arrival `index` floods with. Called once, by
-    /// the origin shard at issue; see "Who owns what" in the module docs for
-    /// why no read can race it.
+    /// Publishes the keywords of arrival `index`'s query. Called once, by the
+    /// origin shard at issue; see "Who owns what" in the module docs for why
+    /// no read can race it.
     pub(crate) fn publish_keywords(&self, index: usize, keywords: Vec<KeywordId>) {
         let fresh = self.published_keywords[index].set(PublishedKeywords::new(keywords)).is_ok();
         assert!(fresh, "query {index}'s keywords were published twice");
     }
 
-    /// The keywords flooded query `index` was issued with.
+    /// The keywords query `index` was issued with.
     pub(crate) fn query_keywords(&self, index: usize) -> &[KeywordId] {
         match self.published_keywords[index].get() {
             Some(keywords) => keywords.as_slice(),
@@ -210,7 +211,7 @@ impl RunShared<'_> {
     }
 }
 
-/// A flooded query's keywords as published at issue: inline when there are
+/// A query's keywords as published at issue: inline when there are
 /// at most [`PAPER_KEYWORDS_PER_FILE`] of them, as in every paper query, and
 /// boxed only beyond that. A record lives until the run ends, so its size
 /// is paid once per arrival: with a box per query, 8000 arrivals raised
@@ -487,12 +488,12 @@ fn finalize(
     for (index, arrival) in shared.arrivals.iter().enumerate() {
         let origin_shard = shared.partition.shard(PeerId(arrival.peer as u32));
         let tracking = shards[origin_shard].tracking.remove(&(index as u32));
-        // A keyword record exists exactly for the queries issued through the
-        // unstructured family: none for a skipped arrival or a DHT lookup.
+        // A keyword record exists exactly for the issued queries: those with
+        // a tracking entry, whatever their family.
         debug_assert_eq!(
             shared.published_keywords[index].get().is_some(),
-            tracking.as_ref().is_some_and(|t| matches!(t.search, Search::Flood)),
-            "arrival {index}: keyword record vs family"
+            tracking.is_some(),
+            "arrival {index}: keyword record vs tracking"
         );
         let Some(tracking) = tracking else {
             continue;
@@ -535,10 +536,11 @@ fn finalize(
 
     SimulationReport {
         protocol: shared.kind,
-        queries_issued: totals.queries_issued,
+        // An issue inserts exactly one tracking entry, and each becomes a record.
+        queries_issued: metrics.len() as u64,
         metrics,
-        message_counters: labelled_counters(&MESSAGE_KINDS, &totals.message_counts),
-        routing_decisions: labelled_counters(&FORWARD_DECISIONS, &totals.decision_counts),
+        message_counters: labelled_counters(&MessageKind::ALL.map(MessageKind::label), &totals.message_counts),
+        routing_decisions: labelled_counters(&ForwardDecision::ALL.map(ForwardDecision::label), &totals.decision_counts),
         background_messages: totals.background_messages,
         total_file_replicas,
         total_cached_index_entries: all_peers().map(|p| p.response_index.len()).sum(),

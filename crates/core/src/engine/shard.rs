@@ -21,10 +21,12 @@
 //! while the query is alive: `routes` holds one recycled table per query with
 //! state in this shard, for the peers of this shard.
 //!
-//! Every message enters a queue or an outbox through [`ShardState::send`] /
-//! [`ShardState::send_background`] → `route`, every deadline through
-//! [`ShardState::schedule_timeout`]; both charge the ledger, and
-//! [`ShardState::drain`] retires what it dispatches.
+//! Every message enters a queue or an outbox through [`ShardState::send`] →
+//! `route`, every deadline through [`ShardState::schedule_timeout`]; both
+//! charge the ledger, and [`ShardState::drain`] retires what it dispatches.
+//! A message is charged to the query [`Message::query_id`] names, the same
+//! rule `drain` retires it by, so no sender can pick another query; a
+//! message that names none is background traffic.
 
 use std::collections::HashMap;
 
@@ -42,7 +44,7 @@ use crate::results::{QueryOutcome, QueryRecord};
 use super::dht::{self, DhtLookupState, DirectoryScratch};
 use super::exchange::{deliver_key, timeout_key, LOST_BIT};
 use super::lifecycle::QueryLedger;
-use super::tally::{kind_index, Tallies, LOST, OFFLINE, PROCESSED};
+use super::tally::{Tallies, LOST, OFFLINE, PROCESSED};
 use super::{unstructured, RunShared};
 
 /// A shard-local event. Periodic maintenance (Bloom sync) and churn are
@@ -296,7 +298,7 @@ impl ShardState {
                     } else {
                         OFFLINE
                     };
-                    self.tallies.deliveries[kind_index(kind)][fate] += 1;
+                    self.tallies.deliveries[kind as usize][fate] += 1;
                     if fate == PROCESSED {
                         match kind {
                             MessageKind::DhtLookup | MessageKind::DhtLookupReply | MessageKind::DhtStore => {
@@ -386,21 +388,22 @@ impl ShardState {
         }
         self.issued[slot].insert(query.target, index as u32);
 
-        self.tallies.queries_issued += 1;
-
         let structured = shared.dht.as_ref().filter(|_| shared.dht_resolves(query.target));
         let search = match structured {
             Some(_) => Search::Dht { depth: 0, walk: None },
             None => Search::Flood,
         };
         self.tracking.insert(index as u32, QueryTracking::new(shared, index, query.target, search));
+        // Every later hop, relayed response, lookup step and retransmit reads
+        // the query's keywords here, by arrival index.
+        shared.publish_keywords(index, query.keywords);
         if let Some(directory) = structured {
             // Structured resolution: the query never touches the overlay —
             // it walks the keyword DHT instead (no forward decision either;
             // routing-decision counters are an overlay concept).
-            dht::issue(self, shared, directory, graph, key, index, &query.keywords);
+            dht::issue(self, shared, directory, graph, key, index);
         } else {
-            unstructured::issue(self, shared, graph, now, index, query);
+            unstructured::issue(self, shared, graph, now, index, query.target);
         }
 
         // A query with no in-flight traffic is born complete — no forward
@@ -527,25 +530,21 @@ impl ShardState {
 
     // --- sending ------------------------------------------------------------
 
-    /// Sends a message of query `index`, charging it — traffic and
-    /// obligation — to the query.
-    pub(super) fn send(
-        &mut self, shared: &RunShared<'_>, now: SimTime, from: PeerId, to: PeerId, message: Message, index: usize,
-    ) {
-        self.tallies.message_counts[kind_index(message.kind())] += 1;
-        self.ledger.charge_message(index);
-        if self.route(shared, now, from, to, message) {
+    /// Sends `message`, charging it to what it names: a message of a query
+    /// ([`Message::query_id`]) is that query's traffic and obligation, and
+    /// its escape when it leaves the shard; any other — a Bloom update, a
+    /// record store — is background traffic.
+    pub(super) fn send(&mut self, shared: &RunShared<'_>, now: SimTime, from: PeerId, to: PeerId, message: Message) {
+        self.tallies.message_counts[message.kind() as usize] += 1;
+        let charged = message.query_id().map(query_index);
+        match charged {
+            Some(index) => self.ledger.charge_message(index),
+            None => self.tallies.background_messages += 1,
+        }
+        let escaped = self.route(shared, now, from, to, message);
+        if let (true, Some(index)) = (escaped, charged) {
             self.ledger.escape(index);
         }
-    }
-
-    /// Sends a background (non-query) message such as a Bloom update.
-    pub(super) fn send_background(
-        &mut self, shared: &RunShared<'_>, now: SimTime, from: PeerId, to: PeerId, message: Message,
-    ) {
-        self.tallies.message_counts[kind_index(message.kind())] += 1;
-        self.tallies.background_messages += 1;
-        self.route(shared, now, from, to, message);
     }
 
     /// Stamps the canonical key and routes the delivery: into the local queue
@@ -621,13 +620,10 @@ mod tests {
 
     /// A copy of arrival 0's query as flooded by its `attempt`-th attempt,
     /// on its last hop: whoever processes it forwards nothing.
-    fn last_hop_copy(shared: &RunShared<'_>, attempt: u32) -> Message {
-        let origin = PeerId(shared.arrivals[0].peer as u32);
+    fn last_hop_copy(attempt: u32) -> Message {
         Message::Query {
             // Attempt `n` of arrival 0: the attempt rides in the high bits.
             query: QueryId(u64::from(attempt) << 32),
-            origin,
-            origin_loc: shared.loc_ids[origin.index()],
             target_filename: None,
             ttl: 1,
         }
@@ -673,6 +669,44 @@ mod tests {
         assert_eq!(state.peers[slot].shared_file_count(), replicas + 1);
     }
 
+    /// One `send` charges what the message names: each of the four kinds
+    /// that name a query is that query's traffic and obligation, each of the
+    /// other three is background traffic, and every send is counted by kind.
+    #[test]
+    fn send_charges_the_query_a_message_names_and_only_that() {
+        use locaware_bloom::{BloomDelta, BloomFilter};
+        use std::sync::Arc;
+
+        let sim = substrate(1, false);
+        let (shared, mut shards) = prepare(&sim, ProtocolKind::Flooding, sim.arrivals(1), true);
+        let state = &mut shards[0];
+        let (from, at) = (PeerId(shared.arrivals[0].peer as u32), shared.arrivals[0].at);
+        let to = sim.overlay().neighbors(from)[0];
+        let (query, filter) = (QueryId(0), BloomFilter::paper_default());
+        let entry = ProviderEntry { provider: from, loc_id: shared.loc_ids[from.index()] };
+        let rows = [
+            (Message::Query { query, target_filename: None, ttl: 1 }, true),
+            (Message::QueryResponse { query, file: FileId(0), providers: vec![entry] }, true),
+            (Message::BloomFull { filter: Arc::new(filter.clone()) }, false),
+            (Message::BloomDelta { delta: BloomDelta::between(&filter, &filter) }, false),
+            (Message::DhtLookup { query, hop: 1 }, true),
+            (Message::DhtLookupReply { query, hop: 1, entries: Vec::new(), closer: Vec::new() }, true),
+            (Message::DhtStore { keyword: 0, file: 0, provider: entry }, false),
+        ];
+        assert_eq!(rows.each_ref().map(|(message, _)| message.kind()), MessageKind::ALL);
+        for (message, charged) in rows {
+            let kind = message.kind();
+            let before = (state.ledger.outstanding(), state.tallies.background_messages);
+            state.send(&shared, at, from, to, message);
+            let after = (state.ledger.outstanding(), state.tallies.background_messages);
+            let expected = if charged { (before.0 + 1, before.1) } else { (before.0, before.1 + 1) };
+            assert_eq!(after, expected, "{kind:?}");
+        }
+        assert_eq!((state.ledger.outstanding(), state.ledger.messages(0)), (4, 4));
+        assert_eq!(state.tallies.background_messages, 3);
+        assert_eq!(state.tallies.message_counts, [1; 7]);
+    }
+
     /// The coordinator's graph is the only record of who is online: a
     /// crash-stop leave and a join, applied through `apply_churn`, switch the
     /// peer off and on again for deliveries and for offers alike.
@@ -695,14 +729,14 @@ mod tests {
         }];
         let origin_state = &shards[0].peers[shared.partition.slot(origin)];
         let file = (0..).map(FileId).find(|&f| !origin_state.has_file(f)).expect("a file to want");
-        let query = last_hop_copy(&shared, 1);
+        let query = last_hop_copy(1);
         for (kind, online) in [(ChurnEventKind::Leave, false), (ChurnEventKind::Join, true)] {
             let event = ChurnEvent { at: arrival.at, peer: victim, kind };
             coordinator.apply_churn(&shared, &mut shards, event);
             assert_eq!(coordinator.graph.is_active(victim), online);
             let state = &mut shards[0];
             let (dispatched, seen) = (state.dispatched, sightings(state));
-            state.send(&shared, arrival.at, origin, victim, query.clone(), 0);
+            state.send(&shared, arrival.at, origin, victim, query.clone());
             state.drain(&shared, &coordinator.graph);
             assert_eq!(state.dispatched, dispatched + 1, "retired either way");
             assert_eq!(sightings(state) - seen, u64::from(online), "processed only while online");
@@ -731,7 +765,7 @@ mod tests {
         let away = |p: PeerId| shared.partition.shard(p) != home && cannot_answer(&sim, &shared, p);
         let to = (0..40).map(PeerId).find(|&p| away(p)).expect("a peer of the other shard that cannot answer");
         let slot = shared.partition.slot(to);
-        let query = last_hop_copy(&shared, 0);
+        let query = last_hop_copy(0);
         let deliver = |s: &mut ShardState, from: u32| {
             unstructured::deliver(s, &shared, sim.overlay(), key, PeerId(from), to, query.clone());
             (sightings(s), s.routes.response_next_hop(0, slot as u32, 0))

@@ -7,9 +7,10 @@
 //! a handful of entry points: [`bootstrap`] at set-up, [`issue`], [`deliver`]
 //! and [`retransmit`] from a shard's event loop, and [`sync`] and [`on_join`]
 //! from the coordinator's barriers. The shard supplies the lifecycle and the
-//! transport; what the family keeps per query is the keyword record its
-//! issue publishes in [`RunShared`], and its tracking entry is marked
-//! [`Search::Flood`](super::shard::Search::Flood).
+//! transport; the family keeps nothing per query beyond its route tables
+//! and the tracking entry's mark, [`Search::Flood`](super::shard::Search::Flood):
+//! a query's keywords are the record its issue publishes in [`RunShared`],
+//! and its originator is its arrival's peer.
 //!
 //! A query floods as numbered *attempts*: the issue is attempt 0, every
 //! retransmit the next. The attempt rides in the high 32 bits of the query
@@ -24,14 +25,13 @@ use locaware_bloom::ElementHashes;
 use locaware_overlay::routing::decrement_ttl;
 use locaware_overlay::{Message, OverlayGraph, PeerId, ProviderEntry, QueryId};
 use locaware_sim::{Duration, EventKey, SimTime};
-use locaware_workload::{FileId, Query};
+use locaware_workload::FileId;
 
 use crate::peer::keyword_signature;
 use crate::protocol::{self, PeerView, QueryContext, ResponseContext};
 
 use super::lifecycle::HitMark;
 use super::shard::{query_index, ShardState, TimeoutKind};
-use super::tally::decision_index;
 use super::{peer_mut, RunShared};
 
 /// The 0-based attempt a query id belongs to.
@@ -74,7 +74,7 @@ pub(super) fn sync(shared: &RunShared<'_>, shards: &mut [ShardState], graph: &Ov
         let shard = &mut shards[shared.partition.shard(from)];
         for &n in graph.neighbors(from) {
             let message = Message::BloomDelta { delta: delta.clone() };
-            shard.send_background(shared, now, from, n, message);
+            shard.send(shared, now, from, n, message);
         }
     }
 }
@@ -97,26 +97,24 @@ pub(super) fn on_join(
         let theirs = Arc::clone(peer_mut(shared, shards, n).exported_bloom());
         for (from, to, filter) in [(peer, n, Arc::clone(&export)), (n, peer, theirs)] {
             let shard = &mut shards[shared.partition.shard(from)];
-            shard.send_background(shared, now, from, to, Message::BloomFull { filter });
+            shard.send(shared, now, from, to, Message::BloomFull { filter });
         }
     }
 }
 
 // --- query resolution (shard side) ----------------------------------------------
 
-/// Issues an overlay-resolved query: publishes its keywords, which every
-/// later hop, relayed response and retransmit reads, and floods its first
-/// attempt from the origin.
+/// Issues an overlay-resolved query, searching for `target`: floods its
+/// first attempt from the origin.
 pub(super) fn issue(
     state: &mut ShardState,
     shared: &RunShared<'_>,
     graph: &OverlayGraph,
     now: SimTime,
     index: usize,
-    query: Query,
+    target: FileId,
 ) {
-    shared.publish_keywords(index, query.keywords);
-    flood_attempt(state, shared, graph, now, index, 0, query.target);
+    flood_attempt(state, shared, graph, now, index, 0, target);
 }
 
 /// Handles a delivered unstructured message at the online peer `to`.
@@ -133,7 +131,7 @@ pub(super) fn deliver(
     // Copy and `ref` bindings only, so a forwarded query or a relayed
     // response is the delivered message itself, not a rebuilt one.
     match message {
-        Message::Query { query, origin, origin_loc, ttl, .. } => {
+        Message::Query { query, ttl, .. } => {
             let (index, attempt) = (query_index(query), query_attempt(query));
             if !state.routes.on_query(index, slot as u32, attempt, Some(from)) {
                 return; // A duplicate: already seen along another path.
@@ -161,18 +159,12 @@ pub(super) fn deliver(
                 state.ledger.record_hit(index, HitMark { key, hops, from_cache: hit.from_cache });
                 // §4.1.2: the answering peer records the requestor as a new
                 // provider of the file (subject to its caching rule).
-                let requestor_entry = ProviderEntry { provider: origin, loc_id: origin_loc };
-                let response_ctx = response_context(shared, index, hit.file, &[], requestor_entry);
+                let response_ctx = response_context(shared, index, hit.file, &[]);
                 protocol::cache_response(shared.kind, &mut state.peers[slot], gid, &shared.scheme, &response_ctx);
 
-                let response = Message::QueryResponse {
-                    query,
-                    file: hit.file,
-                    providers: hit.providers,
-                    requestor: requestor_entry,
-                };
+                let response = Message::QueryResponse { query, file: hit.file, providers: hit.providers };
                 if let Some(upstream) = state.routes.response_next_hop(index, slot as u32, attempt) {
-                    state.send(shared, key.time, to, upstream, response, index);
+                    state.send(shared, key.time, to, upstream, response);
                 }
                 return;
             }
@@ -186,7 +178,7 @@ pub(super) fn deliver(
             }
             forward_query(state, shared, graph, key.time, to, Some(from), &message);
         }
-        Message::QueryResponse { query, file, ref providers, requestor } => {
+        Message::QueryResponse { query, file, ref providers } => {
             let index = query_index(query);
             // The origin is a pure function of the query id (= arrival
             // index), so any shard can answer "am I the origin?" without
@@ -198,11 +190,11 @@ pub(super) fn deliver(
             }
 
             // Intermediate peer: cache per protocol rule, then relay.
-            let response_ctx = response_context(shared, index, file, providers, requestor);
+            let response_ctx = response_context(shared, index, file, providers);
             protocol::cache_response(shared.kind, &mut state.peers[slot], gid, &shared.scheme, &response_ctx);
             let upstream = state.routes.response_next_hop(index, slot as u32, query_attempt(query));
             if let Some(upstream) = upstream {
-                state.send(shared, key.time, to, upstream, message, index);
+                state.send(shared, key.time, to, upstream, message);
             }
         }
         // A filter that arrives after its link has gone creates no view.
@@ -263,8 +255,6 @@ fn flood_attempt(
     let origin = PeerId(shared.arrivals[index].peer as u32);
     let message = Message::Query {
         query: attempt_id(index, attempt),
-        origin,
-        origin_loc: shared.loc_ids[origin.index()],
         target_filename: shared.kind.searches_by_filename().then_some(target),
         ttl: shared.config.ttl,
     };
@@ -314,13 +304,13 @@ fn forward_query(
         let view = view(state, graph, shared, shared.partition.slot(at));
         protocol::forward_targets_into(shared.kind, &view, &qctx, exclude, &mut targets)
     };
-    state.tallies.decision_counts[decision_index(decision)] += 1;
+    state.tallies.decision_counts[decision as usize] += 1;
     let on_graph = |&n: &PeerId| graph.are_neighbors(at, n);
     debug_assert!(targets.iter().all(on_graph), "{at:?} forwards off the graph: {targets:?}");
-    // The keywords are the published record, not a field, so a copy is
-    // the message's plain fields.
+    // The keywords and the originator are read by the query id, not
+    // carried, so a copy is the message's plain fields.
     for &target in &targets {
-        state.send(shared, now, at, target, message.clone(), index);
+        state.send(shared, now, at, target, message.clone());
     }
     let sent = !targets.is_empty();
     targets.clear();
@@ -329,20 +319,22 @@ fn forward_query(
 }
 
 /// The rules' view of the query `message`: its keywords are the record its
-/// issue published in `shared`, read by arrival index, `keyword_hashes`
-/// their Bloom hashes and `keyword_fold_mask` the hashes' fold mask (empty
-/// and 0 where no rule reads them). With [`response_context`], the one place
-/// the family builds a rule's context, so every hop of every attempt reads
-/// the one published slice.
+/// issue published in `shared` and its origin's locId the arrival peer's,
+/// both read by arrival index; `keyword_hashes` are the keywords' Bloom
+/// hashes and `keyword_fold_mask` the hashes' fold mask (empty and 0 where
+/// no rule reads them). With [`response_context`], the one place the family
+/// builds a rule's context, so every hop of every attempt reads the one
+/// published slice.
 fn query_context<'s>(
     shared: &'s RunShared<'_>, message: &Message, keyword_hashes: &'s [ElementHashes], keyword_fold_mask: u64,
 ) -> QueryContext<'s> {
-    let Message::Query { query, origin_loc, target_filename, .. } = message else {
+    let Message::Query { query, target_filename, .. } = message else {
         unreachable!("only queries have a query context");
     };
+    let index = query_index(*query);
     QueryContext {
-        origin_loc: *origin_loc,
-        keywords: shared.query_keywords(query_index(*query)),
+        origin_loc: shared.loc_ids[shared.arrivals[index].peer],
+        keywords: shared.query_keywords(index),
         keyword_hashes,
         keyword_fold_mask,
         target_filename: *target_filename,
@@ -350,18 +342,19 @@ fn query_context<'s>(
 }
 
 /// The rules' view of a response about `file` to query `index`, offering
-/// `providers` on behalf of `requestor`: the file's keywords are the
-/// catalog's and the query's its published record, so neither rides in the
-/// response.
+/// `providers`: the file's keywords are the catalog's, the query's its
+/// published record and the requestor its arrival's peer, so none rides in
+/// the response.
 fn response_context<'s>(
-    shared: &'s RunShared<'_>, index: usize, file: FileId, providers: &'s [ProviderEntry], requestor: ProviderEntry,
+    shared: &'s RunShared<'_>, index: usize, file: FileId, providers: &'s [ProviderEntry],
 ) -> ResponseContext<'s> {
+    let origin = shared.arrivals[index].peer;
     ResponseContext {
         file,
         file_keywords: shared.catalog.filename(file).keywords(),
         query_keywords: shared.query_keywords(index),
         providers,
-        requestor,
+        requestor: ProviderEntry { provider: PeerId(origin as u32), loc_id: shared.loc_ids[origin] },
     }
 }
 
@@ -418,7 +411,8 @@ mod tests {
         let now = shared.arrivals[0].at;
         let tracking = QueryTracking::new(shared, 0, FileId(0), Search::Flood);
         state.tracking.insert(0, tracking);
-        issue(&mut state, shared, graph, now, 0, Query { target: FileId(0), keywords });
+        shared.publish_keywords(0, keywords);
+        issue(&mut state, shared, graph, now, 0, FileId(0));
         state.drain(shared, graph);
         (state, now)
     }
@@ -468,10 +462,11 @@ mod tests {
         assert!(state.ledger.drained_locally(0), "so the issue is born complete");
     }
 
-    /// A query's keywords exist once, published at its issue: the two
-    /// constructors through which every hop, response and relay gets its
-    /// rule's context lend that one slice at every attempt, not an equal
-    /// copy, and a response's file keywords are the catalog's own.
+    /// A query's keywords exist once, published at its issue, and its
+    /// originator is its arrival's peer: the two constructors through which
+    /// every hop, response and relay gets its rule's context lend that one
+    /// slice at every attempt, not an equal copy, and read the originator's
+    /// locId by arrival; a response's file keywords are the catalog's own.
     #[test]
     fn every_hop_and_relay_reads_the_published_keywords() {
         let sim = retrying();
@@ -484,16 +479,18 @@ mod tests {
         let origin_loc = shared.loc_ids[origin.index()];
         for attempt in 0..3 {
             let query = attempt_id(0, attempt);
-            let message = Message::Query { query, origin, origin_loc, target_filename: None, ttl: 1 };
+            let message = Message::Query { query, target_filename: None, ttl: 1 };
             let context = query_context(&shared, &message, &[], 0);
             assert!(std::ptr::eq(context.keywords, record), "attempt {attempt} read a copy");
+            assert_eq!(context.origin_loc, origin_loc, "attempt {attempt}");
         }
         let offered = [ProviderEntry { provider: PeerId(1), loc_id: origin_loc }];
         let requestor = ProviderEntry { provider: origin, loc_id: origin_loc };
         for providers in [&offered[..], &[]] {
-            let context = response_context(&shared, 0, file, providers, requestor);
+            let context = response_context(&shared, 0, file, providers);
             assert!(std::ptr::eq(context.query_keywords, record), "a response read a copy of the query's keywords");
             assert!(std::ptr::eq(context.file_keywords, filename), "and of the file's");
+            assert_eq!(context.requestor, requestor);
         }
     }
 

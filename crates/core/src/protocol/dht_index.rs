@@ -6,8 +6,7 @@
 mod tests {
     use super::super::test_support::{response, Fixture};
     use super::super::{cache_response, forward_targets_into, local_match};
-    use crate::config::{ProtocolKind, SimulationConfig};
-    use crate::provider::SelectionPolicy;
+    use crate::config::ProtocolKind;
     use locaware_net::LocId;
     use locaware_overlay::{ForwardDecision, PeerId, ProviderEntry};
     use locaware_workload::FileId;
@@ -34,20 +33,5 @@ mod tests {
         let gid = scheme.group_of_file(FileId(0));
         cache_response(kind, &mut fx.peers[1], gid, &scheme, &response);
         assert!(fx.peers[1].response_index.is_empty());
-    }
-
-    #[test]
-    fn policy_flags() {
-        let kind = ProtocolKind::DhtIndex;
-        let config = SimulationConfig { max_providers_per_file: 5, ..SimulationConfig::small(20) };
-        assert_eq!(kind.selection_policy(), SelectionPolicy::Random);
-        assert!(!kind.routes_by_bloom());
-        assert!(kind.uses_dht());
-        // Every rank resolves through the DHT, whatever the hybrid head.
-        for fraction in [0.0, 0.1, 1.0] {
-            assert!(kind.dht_resolves_rank(0, 100, fraction));
-            assert!(kind.dht_resolves_rank(99, 100, fraction));
-        }
-        assert_eq!(kind.max_providers_per_file(&config), 1);
     }
 }

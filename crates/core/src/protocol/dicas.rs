@@ -83,8 +83,6 @@ pub(super) fn cache_response(
 mod tests {
     use super::super::test_support::{response, Fixture};
     use super::*;
-    use crate::config::{ProtocolKind, SimulationConfig};
-    use crate::provider::SelectionPolicy;
     use locaware_net::LocId;
     use locaware_overlay::ProviderEntry;
     use locaware_workload::FileId;
@@ -193,13 +191,5 @@ mod tests {
         fx.share(0, FileId(2)); // keywords {0,6,7} contains 0
         let hit = local_match(&fx.view(0), &query.context()).unwrap();
         assert_eq!(hit.file, FileId(2));
-    }
-
-    #[test]
-    fn policy_flags() {
-        let kind = ProtocolKind::Dicas;
-        assert_eq!(kind.selection_policy(), SelectionPolicy::Random);
-        assert!(!kind.routes_by_bloom());
-        assert_eq!(kind.max_providers_per_file(&SimulationConfig::small(20)), 1);
     }
 }

@@ -83,8 +83,6 @@ pub(super) fn cache_response(
 mod tests {
     use super::super::test_support::{response, Fixture};
     use super::*;
-    use crate::config::ProtocolKind;
-    use crate::provider::SelectionPolicy;
     use locaware_net::LocId;
     use locaware_overlay::ProviderEntry;
     use locaware_workload::FileId;
@@ -164,13 +162,6 @@ mod tests {
         let hit = local_match(&fx.view(1), &query.context()).unwrap();
         assert!(!hit.from_cache);
         assert_eq!(hit.providers[0].provider, PeerId(1));
-    }
-
-    #[test]
-    fn policy_flags() {
-        let kind = ProtocolKind::DicasKeys;
-        assert_eq!(kind.selection_policy(), SelectionPolicy::Random);
-        assert!(!kind.routes_by_bloom());
     }
 
     #[test]

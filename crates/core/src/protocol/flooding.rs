@@ -29,7 +29,6 @@ mod tests {
     use super::super::{cache_response, local_match};
     use super::*;
     use crate::config::ProtocolKind;
-    use crate::provider::SelectionPolicy;
     use locaware_net::LocId;
     use locaware_overlay::ProviderEntry;
     use locaware_workload::FileId;
@@ -75,12 +74,5 @@ mod tests {
         cache_response(ProtocolKind::Flooding, &mut fx.peers[0], fx.group_ids[0], &scheme, &response);
         assert!(fx.peers[0].response_index.is_empty());
         assert!(!fx.peers[0].bloom_dirty());
-    }
-
-    #[test]
-    fn policy_flags() {
-        let kind = ProtocolKind::Flooding;
-        assert_eq!(kind.selection_policy(), SelectionPolicy::Random);
-        assert!(!kind.routes_by_bloom());
     }
 }

@@ -177,7 +177,6 @@ mod tests {
     use super::super::test_support::{response, Fixture};
     use super::*;
     use crate::config::ProtocolKind;
-    use crate::provider::SelectionPolicy;
     use locaware_bloom::BloomFilter;
     use locaware_workload::{FileId, KeywordId};
     use std::sync::Arc;
@@ -311,14 +310,6 @@ mod tests {
         let query = fx.query(&[8, 9], None);
         let hit = local_match(&fx.view(2), &query.context()).unwrap();
         assert_eq!(hit.providers.len(), 2);
-    }
-
-    #[test]
-    fn ablation_flags_and_selection_policies() {
-        let facts = |kind: ProtocolKind| (kind.selection_policy(), kind.routes_by_bloom());
-        assert_eq!(facts(ProtocolKind::Locaware), (SelectionPolicy::LocalityThenRtt, true));
-        assert_eq!(facts(ProtocolKind::LocawareNoLocality), (SelectionPolicy::Random, true));
-        assert_eq!(facts(ProtocolKind::LocawareNoBloom), (SelectionPolicy::LocalityThenRtt, false));
     }
 
     #[test]

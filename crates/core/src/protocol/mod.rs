@@ -600,9 +600,10 @@ mod tests {
 
     /// Every kind's facts, one row each: its selection policy, whether it
     /// routes by Bloom filter and searches by filename, the providers it
-    /// keeps per file under a config allowing 5, whether it acts on the
-    /// overlay at all (the fixture's hub forwards a query, and answers it
-    /// from a file it stores), and — at head fractions 0, 0.1 and 1 — which
+    /// keeps per file under a config allowing 5, whether it runs a keyword
+    /// DHT, whether it acts on the overlay at all (the fixture's hub forwards
+    /// a query, and answers it from a file it stores), and — at head
+    /// fractions 0, 0.1 and 1 — which
     /// of the ranks 0, 9, 10 and 99 of a 100-file catalog the DHT resolves:
     /// the first, the last of the 0.1 head, the first of its tail, the last.
     #[test]
@@ -612,25 +613,26 @@ mod tests {
         let (none, all) = ([[false; 4]; 3], [[true; 4]; 3]);
         let tail = [[true; 4], [false, false, true, true], [false; 4]];
         let rows = [
-            (Flooding, Random, false, false, 1, true, none),
-            (Dicas, Random, false, true, 1, true, none),
-            (DicasKeys, Random, false, false, 1, true, none),
-            (Locaware, Local, true, false, 5, true, none),
-            (LocawareNoLocality, Random, true, false, 5, true, none),
-            (LocawareNoBloom, Local, false, false, 5, true, none),
-            (DhtIndex, Random, false, false, 1, false, all),
-            (Hybrid, Local, true, false, 5, true, tail),
+            (Flooding, Random, false, false, 1, false, true, none),
+            (Dicas, Random, false, true, 1, false, true, none),
+            (DicasKeys, Random, false, false, 1, false, true, none),
+            (Locaware, Local, true, false, 5, false, true, none),
+            (LocawareNoLocality, Random, true, false, 5, false, true, none),
+            (LocawareNoBloom, Local, false, false, 5, false, true, none),
+            (DhtIndex, Random, false, false, 1, true, false, all),
+            (Hybrid, Local, true, false, 5, true, true, tail),
         ];
         assert_eq!(rows.map(|row| row.0), ProtocolKind::ALL);
         let config = SimulationConfig { max_providers_per_file: 5, ..SimulationConfig::small(20) };
         let mut fx = Fixture::new(4);
         fx.share(0, FileId(0)); // keywords {0,1,2}
         let query = fx.query(&[0, 1], Some(0));
-        for (kind, selection, bloom, filename, providers, overlay, dht) in rows {
+        for (kind, selection, bloom, filename, providers, uses_dht, overlay, dht) in rows {
             assert_eq!(kind.selection_policy(), selection, "{kind}");
             assert_eq!(kind.routes_by_bloom(), bloom, "{kind}");
             assert_eq!(kind.searches_by_filename(), filename, "{kind}");
             assert_eq!(kind.max_providers_per_file(&config), providers, "{kind}");
+            assert_eq!(kind.uses_dht(), uses_dht, "{kind}");
             let (view, mut out) = (fx.view(0), Vec::new());
             let decision = forward_targets_into(kind, &view, &query.context(), None, &mut out);
             let answers = local_match(kind, &view, &query.context()).is_some();

@@ -5,6 +5,13 @@
 //! Bloom-filter announcements (full or incremental) and the structured
 //! family's DHT lookup steps and record stores.
 //!
+//! A message of a query carries its [`QueryId`] and only what differs from
+//! copy to copy (a query's TTL, a lookup step's hop, a response's providers).
+//! What every copy of one query would carry alike — its originator and the
+//! originator's locId, its keywords — the simulator keeps once per query and
+//! reads by the id; [`Message::wire_size`] still prices it, as a real node
+//! would send it.
+//!
 //! The evaluation counts *messages* (as the paper does for Figure 3), keyed by
 //! [`MessageKind`]. [`Message::wire_size`] additionally states what each
 //! message would occupy in a compact binary encoding — the size model behind
@@ -35,7 +42,8 @@ pub struct ProviderEntry {
     pub loc_id: LocId,
 }
 
-/// The classification of a message, used by the traffic counters.
+/// The classification of a message, used by the traffic counters, which
+/// index their arrays by `kind as usize`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageKind {
     /// A query being flooded/forwarded.
@@ -54,24 +62,47 @@ pub enum MessageKind {
     DhtStore,
 }
 
+impl MessageKind {
+    /// Every kind, in declaration order: `ALL[kind as usize] == kind`.
+    pub const ALL: [MessageKind; 7] = [
+        MessageKind::Query,
+        MessageKind::QueryResponse,
+        MessageKind::BloomFull,
+        MessageKind::BloomDelta,
+        MessageKind::DhtLookup,
+        MessageKind::DhtLookupReply,
+        MessageKind::DhtStore,
+    ];
+
+    /// The kind's label in report counters.
+    pub fn label(self) -> &'static str {
+        match self {
+            MessageKind::Query => "query",
+            MessageKind::QueryResponse => "query-response",
+            MessageKind::BloomFull => "bloom-full",
+            MessageKind::BloomDelta => "bloom-delta",
+            MessageKind::DhtLookup => "dht-lookup",
+            MessageKind::DhtLookupReply => "dht-lookup-reply",
+            MessageKind::DhtStore => "dht-store",
+        }
+    }
+}
+
 /// An overlay message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// A keyword query travelling away from its originator.
     ///
-    /// Its keywords (1–3, drawn from the target filename) are not a field.
-    /// Every copy of a query would carry the same list, so the simulator
-    /// keeps it once per query, published at issue, and each hop reads it
-    /// there; a forwarded copy is a plain copy. A real node does send the
-    /// list, and [`Message::wire_size`] prices it.
+    /// A real query also carries its originator's address and locId (so that
+    /// a peer answering from its response index can pick providers near the
+    /// originator, §4.1.2) and its keywords (1–3, drawn from the target
+    /// filename). None is a field: every copy would carry the same values, so
+    /// each hop reads them by the query id — the originator from the query's
+    /// arrival, the keywords from the record published at issue — and a
+    /// forwarded copy is a plain copy. [`Message::wire_size`] prices them.
     Query {
         /// The query's global id (stable across forwards).
         query: QueryId,
-        /// The peer that issued the query.
-        origin: PeerId,
-        /// The originator's location id (carried so that peers answering from
-        /// their response index can pick providers near the originator, §4.1.2).
-        origin_loc: LocId,
         /// For filename-based protocols (Dicas), the exact file being searched;
         /// keyword-based protocols leave this empty and must match on keywords.
         target_filename: Option<FileId>,
@@ -80,11 +111,13 @@ pub enum Message {
     },
     /// A response travelling hop-by-hop back along the query's reverse path.
     ///
-    /// A real response also carries two keyword lists: the file's (caching
+    /// A real response also carries two keyword lists — the file's (caching
     /// peers add them to their Bloom filters) and the query's (Dicas-Keys
-    /// keys its cache on them). Neither is a field: the simulator reads the
-    /// first from the catalog and the second from the query's published
-    /// keywords, and [`Message::wire_size`] prices both.
+    /// keys its cache on them) — and the requestor's entry, which Locaware
+    /// records as a *new* provider at caching peers along the path (§4.1.2).
+    /// None is a field: the simulator reads the file's keywords from the
+    /// catalog, and the query's keywords and its originator by the query id.
+    /// [`Message::wire_size`] prices all three.
     QueryResponse {
         /// The query this responds to.
         query: QueryId,
@@ -93,9 +126,6 @@ pub enum Message {
         /// Provider entries: the responding provider plus, in Locaware, other
         /// known providers with their locIds.
         providers: Vec<ProviderEntry>,
-        /// The original requestor, which Locaware records as a *new* provider
-        /// at caching peers along the path (§4.1.2).
-        requestor: ProviderEntry,
     },
     /// Full Bloom filter push to a neighbour, sent by both ends of a link a
     /// rejoin creates.
@@ -110,24 +140,23 @@ pub enum Message {
         delta: BloomDelta,
     },
     /// One step of an iterative Kademlia-style lookup: the query's *origin*
-    /// asks the receiver for the providers it stores under `keyword`'s record
-    /// key, plus the contacts it knows closer to that key. Query-charged
-    /// traffic: every step pays real link latency and counts against the
-    /// issuing query, exactly like a forwarded unstructured query.
+    /// asks the receiver for the providers it stores under the record key of
+    /// the query's first keyword, plus the contacts it knows closer to that
+    /// key. The keyword is read by the query id, like a flooded query's; a
+    /// real step carries it, and [`Message::wire_size`] prices it.
+    /// Query-charged traffic: every step pays real link latency and counts
+    /// against the issuing query, exactly like a forwarded unstructured query.
     DhtLookup {
         /// The query this lookup resolves.
         query: QueryId,
-        /// The keyword whose record key is the lookup target.
-        keyword: u32,
         /// This step's depth (1 for the origin's first round).
         hop: u32,
     },
-    /// The receiver's answer to a [`Message::DhtLookup`] step.
+    /// The receiver's answer to a [`Message::DhtLookup`] step (a real reply
+    /// echoes the keyword too, and [`Message::wire_size`] prices it).
     DhtLookupReply {
         /// The query this lookup resolves.
         query: QueryId,
-        /// The keyword looked up (echoed).
-        keyword: u32,
         /// The answered step's depth (echoed).
         hop: u32,
         /// Every unexpired `(file, provider)` entry of the keyword's record
@@ -168,11 +197,12 @@ impl Message {
     /// tag, fixed-width integers (`u64` query ids, `u32` peer, location, file
     /// and keyword ids, one-byte TTL/hop) and length-prefixed lists.
     ///
-    /// The keyword lists a query and a response put on the wire are not
-    /// stored in the message (see [`Message::Query`]), so the caller supplies
-    /// their lengths: `query_keywords` for the query's list, `file_keywords`
-    /// for the answered file's. Other messages carry no keyword list and
-    /// ignore both.
+    /// The fields every copy of a query shares are priced at their fixed
+    /// widths though the message does not store them (see [`Message::Query`]).
+    /// The keyword lists a query and a response put on the wire have no fixed
+    /// width, so the caller supplies their lengths: `query_keywords` for the
+    /// query's list, `file_keywords` for the answered file's. Other messages
+    /// carry no keyword list and ignore both.
     pub fn wire_size(&self, query_keywords: usize, file_keywords: usize) -> usize {
         match self {
             Message::Query { target_filename, .. } => {
@@ -225,8 +255,6 @@ mod tests {
     fn sample_query() -> Message {
         Message::Query {
             query: QueryId(42),
-            origin: PeerId(7),
-            origin_loc: LocId(3),
             target_filename: None,
             ttl: 7,
         }
@@ -239,6 +267,17 @@ mod tests {
         let delta = BloomDelta::between(&filter, &filter);
         assert_eq!(Message::BloomFull { filter: Arc::new(filter) }.kind(), MessageKind::BloomFull);
         assert_eq!(Message::BloomDelta { delta }.kind(), MessageKind::BloomDelta);
+    }
+
+    /// The traffic counters index by `kind as usize` and label by `label()`:
+    /// `ALL` lists every kind at its index, under a distinct label.
+    #[test]
+    fn every_kind_sits_at_its_index_with_its_own_label() {
+        for (i, kind) in MessageKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
+        let labels: std::collections::BTreeSet<_> = MessageKind::ALL.map(MessageKind::label).into();
+        assert_eq!(labels.len(), MessageKind::ALL.len());
     }
 
     #[test]
@@ -267,10 +306,6 @@ mod tests {
                 provider: PeerId(9),
                 loc_id: LocId(0),
             }],
-            requestor: ProviderEntry {
-                provider: PeerId(1),
-                loc_id: LocId(2),
-            },
         };
         let large = Message::QueryResponse {
             query: QueryId(1),
@@ -281,10 +316,6 @@ mod tests {
                     loc_id: LocId(0),
                 })
                 .collect(),
-            requestor: ProviderEntry {
-                provider: PeerId(1),
-                loc_id: LocId(2),
-            },
         };
         assert!(large.wire_size(1, 3) > small.wire_size(1, 3));
     }
@@ -300,10 +331,6 @@ mod tests {
                     loc_id: LocId(0),
                 })
                 .collect(),
-            requestor: ProviderEntry {
-                provider: PeerId(1),
-                loc_id: LocId(2),
-            },
         };
         // A one-keyword query answered with a two-keyword file:
         // 1 + 8 + 4 + 1 + 2*4 + 1 + 1*4 + 2 + 3*8 + 8.
@@ -353,7 +380,6 @@ mod tests {
     fn dht_messages_classify_encode_and_charge_queries() {
         let lookup = Message::DhtLookup {
             query: QueryId(9),
-            keyword: 42,
             hop: 3,
         };
         assert_eq!(lookup.kind(), MessageKind::DhtLookup);
@@ -363,7 +389,6 @@ mod tests {
 
         let reply = Message::DhtLookupReply {
             query: QueryId(9),
-            keyword: 42,
             hop: 3,
             entries: vec![(7, ProviderEntry { provider: PeerId(5), loc_id: LocId(1) })],
             closer: vec![PeerId(1), PeerId(2)],
@@ -388,8 +413,6 @@ mod tests {
     fn dicas_query_carries_the_filename() {
         let q = Message::Query {
             query: QueryId(3),
-            origin: PeerId(0),
-            origin_loc: LocId(0),
             target_filename: Some(FileId(77)),
             ttl: 7,
         };

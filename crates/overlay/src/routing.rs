@@ -17,7 +17,8 @@ use crate::PeerId;
 
 /// Why a set of forwarding targets was chosen — recorded so that the metrics
 /// can attribute routing decisions to the Bloom-filter match, the Gid fallback
-/// or the last-resort high-degree neighbour (§4.2).
+/// or the last-resort high-degree neighbour (§4.2). The decision counters
+/// index their array by `decision as usize`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ForwardDecision {
     /// Plain flooding to all neighbours (minus the one it came from).
@@ -30,6 +31,28 @@ pub enum ForwardDecision {
     HighDegree,
     /// The query was not forwarded (TTL exhausted, no neighbours, or satisfied).
     NotForwarded,
+}
+
+impl ForwardDecision {
+    /// Every decision, in declaration order: `ALL[decision as usize] == decision`.
+    pub const ALL: [ForwardDecision; 5] = [
+        ForwardDecision::Flood,
+        ForwardDecision::BloomMatch,
+        ForwardDecision::GidMatch,
+        ForwardDecision::HighDegree,
+        ForwardDecision::NotForwarded,
+    ];
+
+    /// The decision's label in report counters.
+    pub fn label(self) -> &'static str {
+        match self {
+            ForwardDecision::Flood => "flood",
+            ForwardDecision::BloomMatch => "bloom-match",
+            ForwardDecision::GidMatch => "gid-match",
+            ForwardDecision::HighDegree => "high-degree",
+            ForwardDecision::NotForwarded => "not-forwarded",
+        }
+    }
 }
 
 /// Fixed-key hasher for route-table keys: one multiply by the 64-bit golden
@@ -260,6 +283,18 @@ pub fn decrement_ttl(ttl: u32) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The decision counters index by `decision as usize` and label by
+    /// `label()`: `ALL` lists every decision at its index, under a distinct
+    /// label.
+    #[test]
+    fn every_decision_sits_at_its_index_with_its_own_label() {
+        for (i, decision) in ForwardDecision::ALL.into_iter().enumerate() {
+            assert_eq!(decision as usize, i, "{decision:?}");
+        }
+        let labels: std::collections::BTreeSet<_> = ForwardDecision::ALL.map(ForwardDecision::label).into();
+        assert_eq!(labels.len(), ForwardDecision::ALL.len());
+    }
 
     #[test]
     fn duplicate_queries_are_dropped() {
