@@ -7,31 +7,28 @@
 //! dependency-free, fast and — crucially for the reproduction — fully
 //! deterministic across runs and platforms.
 
+use std::num::NonZeroU64;
+
 /// The two base hashes of an element, from which all probe positions derive.
+///
+/// `h2` is odd, so never zero, and `Option<ElementHashes>` is as small as
+/// the hashes themselves: a table of optional hashes costs no tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElementHashes {
     h1: u64,
-    h2: u64,
+    h2: NonZeroU64,
 }
+
+const _: () = assert!(std::mem::size_of::<Option<ElementHashes>>() == 16);
 
 impl ElementHashes {
     /// Hashes an arbitrary byte string.
     pub fn of_bytes(data: &[u8]) -> Self {
-        // 128-bit FNV-1a split into two 64-bit lanes with different offsets,
-        // then finalised with a SplitMix64-style avalanche so short keywords
-        // still spread over the whole range.
-        let mut a: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut b: u64 = 0x6c62_272e_07bb_0142;
+        let mut hasher = ElementHasher::default();
         for &byte in data {
-            a ^= u64::from(byte);
-            a = a.wrapping_mul(0x0000_0100_0000_01B3);
-            b ^= u64::from(byte).rotate_left(17);
-            b = b.wrapping_mul(0x0000_0100_0000_01B3);
+            hasher.write_byte(byte);
         }
-        ElementHashes {
-            h1: avalanche(a),
-            h2: avalanche(b) | 1, // force h2 odd so it is coprime with power-of-two m
-        }
+        hasher.finish()
     }
 
     /// Hashes a string element (the common case: a keyword).
@@ -42,7 +39,7 @@ impl ElementHashes {
     /// The `i`-th probe position for a filter of `m` bits.
     pub fn position(&self, i: usize, m: usize) -> usize {
         debug_assert!(m > 0, "filter must have at least one bit");
-        let combined = self.h1.wrapping_add(self.h2.wrapping_mul(i as u64));
+        let combined = self.h1.wrapping_add(self.h2.get().wrapping_mul(i as u64));
         (combined % m as u64) as usize
     }
 
@@ -56,6 +53,47 @@ impl ElementHashes {
     /// mask bit set in its [`crate::BloomFilter::fold`].
     pub fn fold_mask(&self, k: usize, m: usize) -> u64 {
         self.positions(k, m).fold(0, |mask, pos| mask | 1 << (pos % 64))
+    }
+}
+
+/// The digest behind [`ElementHashes::of_bytes`], fed one byte at a time:
+/// writing an element's bytes in order and finishing gives exactly its
+/// `of_bytes` hashes, so an element can be hashed as it is produced, without
+/// materialising it.
+#[derive(Debug, Clone, Copy)]
+pub struct ElementHasher {
+    a: u64,
+    b: u64,
+}
+
+impl Default for ElementHasher {
+    /// A digest of no bytes yet.
+    fn default() -> Self {
+        // 128-bit FNV-1a split into two 64-bit lanes with different offsets,
+        // finalised with a SplitMix64-style avalanche so short keywords
+        // still spread over the whole range.
+        ElementHasher {
+            a: 0xcbf2_9ce4_8422_2325,
+            b: 0x6c62_272e_07bb_0142,
+        }
+    }
+}
+
+impl ElementHasher {
+    /// Feeds the element's next byte.
+    #[inline]
+    pub fn write_byte(&mut self, byte: u8) {
+        self.a ^= u64::from(byte);
+        self.a = self.a.wrapping_mul(0x0000_0100_0000_01B3);
+        self.b ^= u64::from(byte).rotate_left(17);
+        self.b = self.b.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+
+    /// The hashes of the bytes written so far.
+    pub fn finish(self) -> ElementHashes {
+        // Force h2 odd so it is coprime with power-of-two m.
+        let h2 = NonZeroU64::MIN | avalanche(self.b);
+        ElementHashes { h1: avalanche(self.a), h2 }
     }
 }
 

@@ -37,7 +37,7 @@ pub mod hashing;
 pub use counting::CountingBloomFilter;
 pub use delta::BloomDelta;
 pub use filter::{BloomFilter, BloomParams};
-pub use hashing::ElementHashes;
+pub use hashing::{ElementHasher, ElementHashes};
 
 /// The paper's Bloom-filter size in bits (§5.1): sized for an "enlarged
 /// response index with 50 filenames of 3 keywords".

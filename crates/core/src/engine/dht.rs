@@ -932,7 +932,7 @@ mod tests {
         let state = &mut shards[0];
         place_record(state, &shared, now, PeerId(5), u32::MAX, 7, provider);
         assert_eq!(record(state, 5, u32::MAX, now), [(7, provider)]);
-        assert_eq!(state.tallies.background_messages, 0);
+        assert_eq!(state.tallies.background_messages(), 0);
         assert!(state.queue.peek_key().is_none());
         // A remote target costs one store message and holds nothing until it lands.
         place_record(state, &shared, now, PeerId(6), u32::MAX, 7, provider);

@@ -533,13 +533,12 @@ impl ShardState {
     /// Sends `message`, charging it to what it names: a message of a query
     /// ([`Message::query_id`]) is that query's traffic and obligation, and
     /// its escape when it leaves the shard; any other — a Bloom update, a
-    /// record store — is background traffic.
+    /// record store — is background traffic, counted by its kind alone.
     pub(super) fn send(&mut self, shared: &RunShared<'_>, now: SimTime, from: PeerId, to: PeerId, message: Message) {
         self.tallies.message_counts[message.kind() as usize] += 1;
         let charged = message.query_id().map(query_index);
-        match charged {
-            Some(index) => self.ledger.charge_message(index),
-            None => self.tallies.background_messages += 1,
+        if let Some(index) = charged {
+            self.ledger.charge_message(index);
         }
         let escaped = self.route(shared, now, from, to, message);
         if let (true, Some(index)) = (escaped, charged) {
@@ -696,14 +695,14 @@ mod tests {
         assert_eq!(rows.each_ref().map(|(message, _)| message.kind()), MessageKind::ALL);
         for (message, charged) in rows {
             let kind = message.kind();
-            let before = (state.ledger.outstanding(), state.tallies.background_messages);
+            let before = (state.ledger.outstanding(), state.tallies.background_messages());
             state.send(&shared, at, from, to, message);
-            let after = (state.ledger.outstanding(), state.tallies.background_messages);
+            let after = (state.ledger.outstanding(), state.tallies.background_messages());
             let expected = if charged { (before.0 + 1, before.1) } else { (before.0, before.1 + 1) };
             assert_eq!(after, expected, "{kind:?}");
         }
         assert_eq!((state.ledger.outstanding(), state.ledger.messages(0)), (4, 4));
-        assert_eq!(state.tallies.background_messages, 3);
+        assert_eq!(state.tallies.background_messages(), 3);
         assert_eq!(state.tallies.message_counts, [1; 7]);
     }
 

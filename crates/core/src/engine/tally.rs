@@ -33,8 +33,6 @@ pub(super) struct Tallies {
     pub deliveries: [[u64; 3]; MessageKind::ALL.len()],
     /// Routing decisions by discriminant.
     pub decision_counts: [u64; ForwardDecision::ALL.len()],
-    /// Messages not attributable to a query (Bloom synchronisation traffic).
-    pub background_messages: u64,
     /// Messages dropped by the fault plan at send time (loss coin or active
     /// outage window), counted in the sending shard.
     pub messages_lost: u64,
@@ -62,7 +60,6 @@ impl Tallies {
             message_counts: [0; MessageKind::ALL.len()],
             deliveries: [[0; 3]; MessageKind::ALL.len()],
             decision_counts: [0; ForwardDecision::ALL.len()],
-            background_messages: 0,
             messages_lost: 0,
             dht_stores_lost: 0,
             query_timeouts: 0,
@@ -84,7 +81,6 @@ impl Tallies {
         for (mine, theirs) in self.decision_counts.iter_mut().zip(&other.decision_counts) {
             *mine += theirs;
         }
-        self.background_messages += other.background_messages;
         self.messages_lost += other.messages_lost;
         self.dht_stores_lost += other.dht_stores_lost;
         self.query_timeouts += other.query_timeouts;
@@ -92,6 +88,16 @@ impl Tallies {
         self.dht_step_timeouts += other.dht_step_timeouts;
         self.storage_walks += other.storage_walks;
         self.storage_skips += other.storage_skips;
+    }
+
+    /// Messages not attributable to a query (Bloom synchronisation and DHT
+    /// store traffic): the sends of every kind that names none.
+    pub(super) fn background_messages(&self) -> u64 {
+        MessageKind::ALL
+            .into_iter()
+            .filter(|kind| !kind.names_query())
+            .map(|kind| self.message_counts[kind as usize])
+            .sum()
     }
 
     /// Message conservation over a run's merged totals: every run drains its
@@ -150,7 +156,6 @@ mod tests {
         let mut a = Tallies::new();
         a.message_counts[0] = 3;
         a.decision_counts[4] = 1;
-        a.background_messages = 2;
         a.messages_lost = 4;
         a.query_timeouts = 2;
         let mut b = Tallies::new();
@@ -167,7 +172,6 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab.message_counts, ba.message_counts);
         assert_eq!(ab.decision_counts, ba.decision_counts);
-        assert_eq!(ab.background_messages, ba.background_messages);
         assert_eq!(ab.messages_lost, 5);
         assert_eq!(ab.query_timeouts, ba.query_timeouts);
         assert_eq!(ab.query_retransmits, 3);

@@ -552,10 +552,7 @@ mod tests {
 
     #[test]
     fn stored_files_are_advertised_again_after_a_reset() {
-        let filenames = vec![
-            locaware_workload::Filename::new(kws(&[1, 2, 3])),
-            locaware_workload::Filename::new(kws(&[4, 5, 6])),
-        ];
+        let filenames = vec![kws(&[1, 2, 3]), kws(&[4, 5, 6])];
         let catalog = Catalog::from_filenames(locaware_workload::KeywordPool::new(8), filenames);
         let mut p = peer(1);
         p.share_file(FileId(1), catalog.filename(FileId(1)).keywords());

@@ -291,7 +291,7 @@ pub(crate) mod test_support {
 
     use super::*;
     use locaware_bloom::BloomParams;
-    use locaware_workload::{Filename, KeywordHashes, KeywordPool};
+    use locaware_workload::{KeywordHashes, KeywordPool};
 
     /// An owned backing store for a [`QueryContext`]: the keywords, their
     /// hashes and the hashes' fold mask, from which [`QueryBuffer::context`]
@@ -367,17 +367,17 @@ pub(crate) mod test_support {
     impl Fixture {
         pub fn new(modulus: u32) -> Self {
             let filenames = vec![
-                Filename::new(vec![KeywordId(0), KeywordId(1), KeywordId(2)]),
-                Filename::new(vec![KeywordId(3), KeywordId(4), KeywordId(5)]),
-                Filename::new(vec![KeywordId(0), KeywordId(6), KeywordId(7)]),
-                Filename::new(vec![KeywordId(8), KeywordId(9), KeywordId(10)]),
+                vec![KeywordId(0), KeywordId(1), KeywordId(2)],
+                vec![KeywordId(3), KeywordId(4), KeywordId(5)],
+                vec![KeywordId(0), KeywordId(6), KeywordId(7)],
+                vec![KeywordId(8), KeywordId(9), KeywordId(10)],
             ];
             Self::with_filenames(modulus, 12, filenames)
         }
 
         /// The same overlay and peers over a catalog of the caller's
         /// `filenames`, drawn from a pool of `keywords` keyword ids.
-        pub fn with_filenames(modulus: u32, keywords: usize, filenames: Vec<Filename>) -> Self {
+        pub fn with_filenames(modulus: u32, keywords: usize, filenames: Vec<Vec<KeywordId>>) -> Self {
             let mut graph = OverlayGraph::new(5);
             for n in 1..5u32 {
                 graph.add_edge(PeerId(0), PeerId(n));
@@ -441,7 +441,6 @@ mod tests {
     use super::test_support::Fixture;
     use super::*;
     use crate::config::SimulationConfig;
-    use locaware_workload::Filename;
 
     #[test]
     fn all_neighbors_except_filters_the_sender() {
@@ -514,7 +513,7 @@ mod tests {
             let universe = colliding_keywords();
             let pool = universe.iter().map(|kw| kw.0 as usize + 1).max().unwrap_or(0);
             let pick = |ids: &[usize]| ids.iter().map(|&i| universe[i]).collect::<Vec<_>>();
-            let filenames = files.iter().map(|ids| Filename::new(pick(ids))).collect();
+            let filenames = files.iter().map(|ids| pick(ids)).collect();
             let mut fx = Fixture::with_filenames(4, pool, filenames);
             for share in shares {
                 fx.share(0, FileId((share % files.len()) as u32));

@@ -12,8 +12,10 @@
 //! sit in one id-sorted run of a single `(peer, latency)` vector, found
 //! through an offsets vector, so a lookup loads two adjacent offsets and
 //! binary-searches a short run (the average overlay degree is ~4) with no
-//! per-node row header in between. The arena is built by one sort of the
-//! directed link list. Pairs outside the cached link set (churn-added edges,
+//! per-node row header in between. The arena is built by counting each
+//! node's links, placing every directed link at its row's next slot and
+//! sorting each short row, with no sort of the whole directed link list.
+//! Pairs outside the cached link set (churn-added edges,
 //! requestor→provider download distances, RTT probes to arbitrary providers)
 //! fall back to computing from the topology, so a cached lookup **always**
 //! returns exactly `topology.latency(a, b)` and substituting the cache can
@@ -53,33 +55,53 @@ impl LinkLatencyCache {
     /// topology nodes.
     ///
     /// # Panics
-    /// Panics if the cache would hold `u32::MAX` directed links or more.
+    /// Panics if `edges` lists `u32::MAX / 2` links or more besides
+    /// self-edges.
     pub fn build(
         topology: &PhysicalTopology,
         edges: impl IntoIterator<Item = (NodeId, NodeId)>,
     ) -> Self {
-        let mut directed: Vec<(u32, u32, Duration)> = Vec::new();
-        for (a, b) in edges {
-            if a != b {
-                let latency = topology.latency(a, b);
-                directed.push((a.0, b.0, latency));
-                directed.push((b.0, a.0, latency));
-            }
-        }
-        // Latency is a function of the pair alone, so which duplicate the
-        // unstable sort keeps does not matter.
-        directed.sort_unstable_by_key(|&(from, to, _)| (from, to));
-        directed.dedup_by_key(|&mut (from, to, _)| (from, to));
-        assert!(directed.len() < u32::MAX as usize, "too many links for u32 offsets");
+        let edges: Vec<(NodeId, NodeId)> = edges.into_iter().filter(|(a, b)| a != b).collect();
+        assert!(edges.len() < (u32::MAX / 2) as usize, "too many links for u32 offsets");
+        // Count each node's directed links; the prefix sum makes the counts
+        // each row's start.
         let mut offsets = vec![0u32; topology.len() + 1];
-        for &(from, ..) in &directed {
-            offsets[from as usize + 1] += 1;
+        for &(a, b) in &edges {
+            offsets[a.index() + 1] += 1;
+            offsets[b.index() + 1] += 1;
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
-        // Same size and alignment as the triple, so this reuses its buffer.
-        let mut links: Vec<(u32, Duration)> = directed.into_iter().map(|(_, to, latency)| (to, latency)).collect();
+        // Place both orientations of every link at its rows' next free slot.
+        let mut next = offsets.clone();
+        let mut links = vec![(0u32, Duration::ZERO); 2 * edges.len()];
+        for (a, b) in edges {
+            let latency = topology.latency(a, b);
+            for (from, to) in [(a, b), (b, a)] {
+                let slot = &mut next[from.index()];
+                links[*slot as usize] = (to.0, latency);
+                *slot += 1;
+            }
+        }
+        // Sort each short row and drop its repeats, compacting the arena
+        // leftwards. Latency is a function of the pair alone, so which repeat
+        // the unstable sort keeps does not matter.
+        let mut kept = 0;
+        for node in 0..topology.len() {
+            let (start, end) = (offsets[node] as usize, offsets[node + 1] as usize);
+            let row = &mut links[start..end];
+            row.sort_unstable_by_key(|&(to, _)| to);
+            offsets[node] = kept as u32;
+            for i in start..end {
+                if i == start || links[i].0 != links[i - 1].0 {
+                    links[kept] = links[i];
+                    kept += 1;
+                }
+            }
+        }
+        offsets[topology.len()] = kept as u32;
+        links.truncate(kept);
         links.shrink_to_fit();
         LinkLatencyCache { offsets, links }
     }
@@ -292,6 +314,65 @@ mod tests {
             }
             let assignment = &raw_cells[..nodes];
             prop_assert_eq!(cache.channel_mins(assignment, cells), model.channel_mins(assignment, cells));
+        }
+    }
+
+    /// The build the counted arena replaced: both orientations of every
+    /// link in one list, sorted by `(from, to)` and deduplicated.
+    fn sorted_directed_list(topology: &PhysicalTopology, edges: &[(NodeId, NodeId)]) -> Vec<(NodeId, NodeId, Duration)> {
+        let mut directed = Vec::new();
+        for &(a, b) in edges {
+            if a != b {
+                let latency = topology.latency(a, b);
+                directed.extend([(a, b, latency), (b, a, latency)]);
+            }
+        }
+        directed.sort_unstable_by_key(|&(from, to, _)| (from, to));
+        directed.dedup_by_key(|&mut (from, to, _)| (from, to));
+        directed
+    }
+
+    proptest! {
+        /// Whether an edge list names a link once, in both orientations or
+        /// twice, and wherever self-edges sit in it, the counted arena holds
+        /// exactly the sorted directed list: the same `links()` sequence,
+        /// and the same `latency()` for every node pair, cached or not.
+        #[test]
+        fn counted_csr_matches_the_sorted_directed_list(
+            nodes in 1usize..48,
+            seed in any::<u64>(),
+            links in proptest::collection::vec((0u32..48, 0u32..48, 0u8..4), 0..80),
+            self_edges in proptest::collection::vec((0u32..48, 0usize..160), 0..8),
+        ) {
+            let topo = topology_of(nodes, seed);
+            let n = nodes as u32;
+            let mut edges = Vec::new();
+            for &(a, b, form) in &links {
+                let (a, b) = (NodeId(a % n), NodeId(b % n));
+                match form {
+                    0 => edges.push((a, b)),
+                    1 => edges.extend([(a, b), (b, a)]),
+                    2 => edges.extend([(a, b), (a, b)]),
+                    _ => edges.extend([(b, a), (a, b), (b, a), (a, b)]),
+                }
+            }
+            for &(node, at) in &self_edges {
+                let node = NodeId(node % n);
+                edges.insert(at % (edges.len() + 1), (node, node));
+            }
+            let cache = LinkLatencyCache::build(&topo, edges.iter().copied());
+            let model = sorted_directed_list(&topo, &edges);
+
+            prop_assert_eq!(cache.links().collect::<Vec<_>>(), model.clone());
+            for a in topo.nodes() {
+                for b in topo.nodes() {
+                    let expected = match model.binary_search_by_key(&(a, b), |&(from, to, _)| (from, to)) {
+                        Ok(pos) => model[pos].2,
+                        Err(_) => topo.latency(a, b),
+                    };
+                    prop_assert_eq!(cache.latency(&topo, a, b), expected, "{:?}→{:?}", a, b);
+                }
+            }
         }
     }
 

@@ -86,6 +86,15 @@ impl MessageKind {
             MessageKind::DhtStore => "dht-store",
         }
     }
+
+    /// True for the kinds whose messages name a query
+    /// ([`Message::query_id`]); the others are background traffic.
+    pub fn names_query(self) -> bool {
+        matches!(
+            self,
+            MessageKind::Query | MessageKind::QueryResponse | MessageKind::DhtLookup | MessageKind::DhtLookupReply
+        )
+    }
 }
 
 /// An overlay message.
@@ -278,6 +287,29 @@ mod tests {
         }
         let labels: std::collections::BTreeSet<_> = MessageKind::ALL.map(MessageKind::label).into();
         assert_eq!(labels.len(), MessageKind::ALL.len());
+    }
+
+    /// `names_query` is a fact of the kind that every message of it agrees
+    /// with: one message of each kind, in `ALL` order, names a query exactly
+    /// when its kind says so.
+    #[test]
+    fn names_query_agrees_with_query_id_for_every_kind() {
+        let filter = BloomFilter::paper_default();
+        let query = QueryId(3);
+        let entry = ProviderEntry { provider: PeerId(5), loc_id: LocId(1) };
+        let messages = [
+            Message::Query { query, target_filename: None, ttl: 1 },
+            Message::QueryResponse { query, file: FileId(0), providers: vec![entry] },
+            Message::BloomFull { filter: Arc::new(filter.clone()) },
+            Message::BloomDelta { delta: BloomDelta::between(&filter, &filter) },
+            Message::DhtLookup { query, hop: 1 },
+            Message::DhtLookupReply { query, hop: 1, entries: Vec::new(), closer: Vec::new() },
+            Message::DhtStore { keyword: 0, file: 0, provider: entry },
+        ];
+        assert_eq!(messages.each_ref().map(Message::kind), MessageKind::ALL);
+        for message in &messages {
+            assert_eq!(message.kind().names_query(), message.query_id().is_some(), "{:?}", message.kind());
+        }
     }
 
     #[test]

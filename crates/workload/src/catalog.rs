@@ -10,7 +10,6 @@
 
 use std::sync::Arc;
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::keywords::{KeywordHashes, KeywordId, KeywordPool};
@@ -32,26 +31,17 @@ impl std::fmt::Display for FileId {
     }
 }
 
-/// A filename: the ordered list of keywords composing it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Filename {
-    keywords: Box<[KeywordId]>,
+/// A filename: the ordered list of keywords composing it, borrowed from the
+/// catalog's keyword arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Filename<'a> {
+    keywords: &'a [KeywordId],
 }
 
-impl Filename {
-    /// Creates a filename from its keywords.
-    ///
-    /// # Panics
-    /// Panics if the keyword list is empty.
-    pub fn new(keywords: impl Into<Box<[KeywordId]>>) -> Self {
-        let keywords = keywords.into();
-        assert!(!keywords.is_empty(), "a filename needs at least one keyword");
-        Filename { keywords }
-    }
-
+impl<'a> Filename<'a> {
     /// The keywords of this filename, in order.
-    pub fn keywords(&self) -> &[KeywordId] {
-        &self.keywords
+    pub fn keywords(&self) -> &'a [KeywordId] {
+        self.keywords
     }
 
     /// Number of keywords (the paper's `K`).
@@ -102,15 +92,25 @@ impl Default for CatalogConfig {
 #[derive(Debug, Clone)]
 pub struct Catalog {
     pool: KeywordPool,
-    filenames: Vec<Filename>,
-    /// Bloom hashes interned once per pool keyword (shared with peer state so
-    /// the routing and cache-maintenance hot paths never re-hash a keyword).
+    /// Every filename's keywords, file by file, in one arena.
+    keywords: Vec<KeywordId>,
+    /// File `f`'s keywords are `keywords[offsets[f]..offsets[f + 1]]`;
+    /// one entry more than there are files, the first 0.
+    offsets: Vec<u32>,
+    /// Bloom hashes interned once per filename keyword (shared with peer
+    /// state so the routing and cache-maintenance hot paths never re-hash a
+    /// keyword).
     keyword_hashes: Arc<KeywordHashes>,
 }
 
 impl Catalog {
     /// Generates a catalog according to `config`, drawing from `rng`
     /// (typically the `StreamId::Catalog` stream).
+    ///
+    /// Each filename's keywords are a partial Fisher–Yates shuffle of the
+    /// pool, drawn straight into the arena: the same `gen_range(i..pool)`
+    /// sequence, and the same keywords, as `choose_multiple` over a slice of
+    /// every pool id.
     ///
     /// # Panics
     /// Panics if the configuration is inconsistent (zero files, or more
@@ -122,34 +122,65 @@ impl Catalog {
             "keywords per file must be in 1..=pool size"
         );
         let pool = KeywordPool::new(config.keywords);
-        let all_keywords: Vec<KeywordId> = pool.iter().collect();
-        let filenames = (0..config.files)
-            .map(|_| {
-                let draw = all_keywords.choose_multiple(rng, config.keywords_per_file);
-                Filename::new(draw.copied().collect::<Box<[KeywordId]>>())
-            })
-            .collect();
-        Self::from_filenames(pool, filenames)
+        let per_file = config.keywords_per_file;
+        let mut keywords = Vec::with_capacity(config.files * per_file);
+        // The shuffle's positions that differ from the identity, as
+        // (position, keyword now there); the latest entry for a position wins.
+        let mut moved: Vec<(usize, KeywordId)> = Vec::with_capacity(per_file);
+        for _ in 0..config.files {
+            moved.clear();
+            for i in 0..per_file {
+                let j = rng.gen_range(i..pool.len());
+                let at = |position: usize| {
+                    moved
+                        .iter()
+                        .rev()
+                        .find(|&&(p, _)| p == position)
+                        .map_or(KeywordId(position as u32), |&(_, kw)| kw)
+                };
+                let (picked, displaced) = (at(j), at(i));
+                keywords.push(picked);
+                moved.push((j, displaced));
+            }
+        }
+        let offsets = (0..=config.files).map(|f| (f * per_file) as u32).collect();
+        Self::from_arena(pool, keywords, offsets)
     }
 
-    /// Builds a catalog from explicit filenames.
-    pub fn from_filenames(pool: KeywordPool, filenames: Vec<Filename>) -> Self {
-        let keyword_hashes = Arc::new(KeywordHashes::for_pool(&pool));
+    /// Builds a catalog from explicit filenames, each a list of keywords.
+    ///
+    /// # Panics
+    /// Panics if a filename is empty.
+    pub fn from_filenames(pool: KeywordPool, filenames: Vec<Vec<KeywordId>>) -> Self {
+        let mut keywords = Vec::new();
+        let mut offsets = vec![0];
+        for filename in filenames {
+            assert!(!filename.is_empty(), "a filename needs at least one keyword");
+            keywords.extend(filename);
+            offsets.push(keywords.len() as u32);
+        }
+        Self::from_arena(pool, keywords, offsets)
+    }
+
+    fn from_arena(pool: KeywordPool, keywords: Vec<KeywordId>, offsets: Vec<u32>) -> Self {
+        assert!(keywords.len() <= u32::MAX as usize, "too many filename keywords for u32 offsets");
+        let keyword_hashes = Arc::new(KeywordHashes::for_keywords(&pool, &keywords));
         Catalog {
             pool,
-            filenames,
+            keywords,
+            offsets,
             keyword_hashes,
         }
     }
 
     /// Number of files in the catalog.
     pub fn len(&self) -> usize {
-        self.filenames.len()
+        self.offsets.len() - 1
     }
 
     /// True if the catalog holds no files.
     pub fn is_empty(&self) -> bool {
-        self.filenames.is_empty()
+        self.len() == 0
     }
 
     /// The keyword pool the catalog draws from.
@@ -157,8 +188,8 @@ impl Catalog {
         &self.pool
     }
 
-    /// The interned Bloom hashes of every pool keyword, built once with the
-    /// catalog and shared (via `Arc`) with every peer of a simulation.
+    /// The interned Bloom hashes of every filename keyword, built once with
+    /// the catalog and shared (via `Arc`) with every peer of a simulation.
     pub fn keyword_hashes(&self) -> &Arc<KeywordHashes> {
         &self.keyword_hashes
     }
@@ -167,13 +198,16 @@ impl Catalog {
     ///
     /// # Panics
     /// Panics if the file id is out of range.
-    pub fn filename(&self, file: FileId) -> &Filename {
-        &self.filenames[file.index()]
+    pub fn filename(&self, file: FileId) -> Filename<'_> {
+        let (start, end) = (self.offsets[file.index()], self.offsets[file.index() + 1]);
+        Filename {
+            keywords: &self.keywords[start as usize..end as usize],
+        }
     }
 
     /// Iterator over all file ids.
     pub fn files(&self) -> impl Iterator<Item = FileId> {
-        (0..self.filenames.len() as u32).map(FileId)
+        (0..self.len() as u32).map(FileId)
     }
 
     /// True if `file` satisfies the query (contains **all** its keywords):
@@ -195,9 +229,9 @@ mod tests {
         Catalog::from_filenames(
             pool,
             vec![
-                Filename::new(vec![KeywordId(0), KeywordId(1), KeywordId(2)]),
-                Filename::new(vec![KeywordId(2), KeywordId(3), KeywordId(4)]),
-                Filename::new(vec![KeywordId(0), KeywordId(2), KeywordId(4)]),
+                vec![KeywordId(0), KeywordId(1), KeywordId(2)],
+                vec![KeywordId(2), KeywordId(3), KeywordId(4)],
+                vec![KeywordId(0), KeywordId(2), KeywordId(4)],
             ],
         )
     }
@@ -215,6 +249,30 @@ mod tests {
             kws.sort_unstable();
             kws.dedup();
             assert_eq!(kws.len(), 3);
+        }
+    }
+
+    /// The arena's draws are `choose_multiple`'s: at sizes no golden pins,
+    /// every filename equals what `choose_multiple` over a slice of the pool
+    /// draws from the same seed, and both take the same number of draws.
+    /// The second size draws 6 of 8, so most draws land on a position an
+    /// earlier one displaced.
+    #[test]
+    fn arena_draws_match_choose_multiple() {
+        use rand::seq::SliceRandom;
+
+        for (files, keywords, keywords_per_file) in [(500, 700, 4), (200, 8, 6)] {
+            let config = CatalogConfig { files, keywords, keywords_per_file };
+            let mut drawn = StdRng::seed_from_u64(9);
+            let catalog = Catalog::generate(config, &mut drawn);
+            let all: Vec<KeywordId> = catalog.keyword_pool().iter().collect();
+            let mut chosen = StdRng::seed_from_u64(9);
+            assert_eq!(catalog.len(), files);
+            for f in catalog.files() {
+                let expected: Vec<KeywordId> = all.choose_multiple(&mut chosen, keywords_per_file).copied().collect();
+                assert_eq!(catalog.filename(f).keywords(), expected, "{f} of {config:?}");
+            }
+            assert_eq!(drawn.gen::<u64>(), chosen.gen::<u64>(), "{config:?}");
         }
     }
 
@@ -313,8 +371,8 @@ mod tests {
 
     #[test]
     fn filename_display_is_readable() {
-        let f = Filename::new(vec![KeywordId(1), KeywordId(2)]);
-        let s = f.display();
+        let c = Catalog::from_filenames(KeywordPool::new(3), vec![vec![KeywordId(1), KeywordId(2)]]);
+        let s = c.filename(FileId(0)).display();
         assert!(s.ends_with(".mp3"));
         assert!(s.contains(' '));
     }
@@ -322,7 +380,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one keyword")]
     fn empty_filename_is_rejected() {
-        let _ = Filename::new(vec![]);
+        let _ = Catalog::from_filenames(KeywordPool::new(3), vec![vec![KeywordId(0)], vec![]]);
     }
 
     #[test]

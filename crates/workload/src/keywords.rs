@@ -7,7 +7,7 @@
 
 use std::fmt::Write;
 
-use locaware_bloom::ElementHashes;
+use locaware_bloom::{ElementHasher, ElementHashes};
 
 /// Identifies a keyword in the global pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -77,68 +77,96 @@ impl KeywordPool {
     ///
     /// Ids map to distinct strings (the id is appended), with a
     /// syllable-generated prefix so lengths and character distributions look
-    /// like real search terms.
+    /// like real search terms. This is the reference spelling; interning
+    /// hashes the same bytes without building the `String`.
     pub fn spell(kw: KeywordId) -> String {
         let mut word = String::new();
-        Self::spell_into(kw, &mut word);
-        word
-    }
-
-    /// [`KeywordPool::spell`] into a caller's buffer: clears `word`, then
-    /// appends the same bytes, so one buffer serves a whole pool.
-    pub fn spell_into(kw: KeywordId, word: &mut String) {
-        const ONSETS: [&str; 12] = [
-            "b", "d", "f", "g", "k", "l", "m", "n", "r", "s", "t", "v",
-        ];
-        const NUCLEI: [&str; 6] = ["a", "e", "i", "o", "u", "y"];
-        const CODAS: [&str; 8] = ["", "n", "r", "s", "l", "m", "x", "t"];
-        word.clear();
-        let mut state = kw.0 as u64 + 1;
-        let syllables = 2 + (kw.0 % 3) as usize;
-        for _ in 0..syllables {
-            // Simple multiplicative scrambling to vary syllables across ids.
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let onset = ONSETS[(state >> 33) as usize % ONSETS.len()];
-            let nucleus = NUCLEI[(state >> 21) as usize % NUCLEI.len()];
-            let coda = CODAS[(state >> 11) as usize % CODAS.len()];
-            word.push_str(onset);
-            word.push_str(nucleus);
-            word.push_str(coda);
-        }
+        for_each_letter(kw, |letter| word.push(char::from(letter)));
         // The numeric suffix guarantees global uniqueness of spellings;
         // writing into a `String` cannot fail.
         let _ = write!(word, "{}", kw.0);
+        word
     }
 }
 
-/// Bloom hashes interned once per keyword of a pool.
+const ONSETS: &[u8; 12] = b"bdfgklmnrstv";
+const NUCLEI: &[u8; 6] = b"aeiouy";
+const CODAS: [Option<u8>; 8] = [None, Some(b'n'), Some(b'r'), Some(b's'), Some(b'l'), Some(b'm'), Some(b'x'), Some(b't')];
+
+/// The digits of the largest id, `u32::MAX`.
+const MAX_DIGITS: usize = 10;
+
+/// Hands `emit` the letters of `kw`'s spelling in order: two to four
+/// syllables, each an onset, a nucleus and an optional coda.
+fn for_each_letter(kw: KeywordId, mut emit: impl FnMut(u8)) {
+    let mut state = kw.0 as u64 + 1;
+    for _ in 0..2 + kw.0 % 3 {
+        // Simple multiplicative scrambling to vary syllables across ids.
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        emit(ONSETS[(state >> 33) as usize % ONSETS.len()]);
+        emit(NUCLEI[(state >> 21) as usize % NUCLEI.len()]);
+        if let Some(coda) = CODAS[(state >> 11) as usize % CODAS.len()] {
+            emit(coda);
+        }
+    }
+}
+
+/// The Bloom hashes of `kw`'s spelling, fed to the hasher byte by byte:
+/// exactly the bytes [`KeywordPool::spell`] writes, the syllables' letters
+/// and then the id's decimal digits (staged in a stack buffer, as they come
+/// out least significant first), with no `String` in between.
+fn hash_spelling(kw: KeywordId) -> ElementHashes {
+    let mut hasher = ElementHasher::default();
+    for_each_letter(kw, |letter| hasher.write_byte(letter));
+    let mut digits = [0u8; MAX_DIGITS];
+    let mut first = MAX_DIGITS;
+    let mut rest = kw.0;
+    loop {
+        first -= 1;
+        digits[first] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    for &digit in &digits[first..] {
+        hasher.write_byte(digit);
+    }
+    hasher.finish()
+}
+
+/// Bloom hashes interned once per keyword a catalog's filenames hold.
 ///
 /// Every Bloom-filter operation on a keyword starts by hashing its canonical
 /// spelling; on the routing hot path the *same* keywords are hashed over and
 /// over (once per neighbour per hop). Interning the [`ElementHashes`] of every
-/// pool keyword at substrate-build time turns each of those hashes into an
-/// array load. Keywords outside the interned pool (only constructed by tests)
-/// fall back to hashing on the fly, so lookups are total and always agree with
+/// filename keyword at substrate-build time turns each of those hashes into
+/// an array load. A query's keywords come from its target's filename, so a
+/// run only looks up interned keywords; any other (a pool keyword no filename
+/// holds, or one outside the pool) falls back to hashing on the fly, so
+/// lookups are total and always agree with
 /// `ElementHashes::of_str(&kw.canonical())`.
 #[derive(Debug, Clone, Default)]
 pub struct KeywordHashes {
-    hashes: Vec<ElementHashes>,
+    /// Indexed by keyword id over the pool; `None` where nothing was interned.
+    hashes: Vec<Option<ElementHashes>>,
 }
 
 impl KeywordHashes {
-    /// Interns the hashes of every keyword in `pool`, spelling each one into
-    /// a single reused buffer.
-    pub fn for_pool(pool: &KeywordPool) -> Self {
-        let mut word = String::new();
-        KeywordHashes {
-            hashes: pool
-                .iter()
-                .map(|kw| {
-                    KeywordPool::spell_into(kw, &mut word);
-                    ElementHashes::of_str(&word)
-                })
-                .collect(),
+    /// Interns the hashes of every distinct keyword of `held` that lies in
+    /// `pool`, each hashed once.
+    pub fn for_keywords(pool: &KeywordPool, held: &[KeywordId]) -> Self {
+        // Mark the held ids first, then hash them in id order, so the table
+        // is written front to back instead of at random.
+        let mut marked = vec![0u64; pool.len().div_ceil(64)];
+        for kw in held.iter().filter(|kw| pool.contains(**kw)) {
+            marked[kw.index() / 64] |= 1 << (kw.index() % 64);
         }
+        let hashes = pool
+            .iter()
+            .map(|kw| (marked[kw.index() / 64] >> (kw.index() % 64) & 1 == 1).then(|| hash_spelling(kw)))
+            .collect();
+        KeywordHashes { hashes }
     }
 
     /// An empty table: every lookup falls back to hashing on the fly.
@@ -148,20 +176,20 @@ impl KeywordHashes {
 
     /// Number of interned keywords.
     pub fn len(&self) -> usize {
-        self.hashes.len()
+        self.hashes.iter().flatten().count()
     }
 
     /// True if nothing is interned (all lookups hash on the fly).
     pub fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
+        self.len() == 0
     }
 
-    /// The Bloom hashes of `kw`: an array load for pool keywords, a fresh
-    /// hash of the canonical spelling otherwise.
+    /// The Bloom hashes of `kw`: an array load for interned keywords, a
+    /// fresh hash of the spelling otherwise.
     pub fn of(&self, kw: KeywordId) -> ElementHashes {
         match self.hashes.get(kw.index()) {
-            Some(&h) => h,
-            None => ElementHashes::of_str(&kw.canonical()),
+            Some(&Some(h)) => h,
+            _ => hash_spelling(kw),
         }
     }
 }
@@ -211,21 +239,33 @@ mod tests {
 
     #[test]
     fn interned_hashes_match_on_the_fly_hashing() {
-        // 10 001 keywords: ids of 1 to 5 digits and all three syllable
-        // counts, so a reused spelling buffer is overwritten by both shorter
-        // and longer words.
-        let pool = KeywordPool::new(10_001);
-        let interned = KeywordHashes::for_pool(&pool);
-        assert_eq!(interned.len(), 10_001);
-        for kw in pool.iter() {
-            assert_eq!(interned.of(kw), ElementHashes::of_str(&kw.canonical()));
-        }
-        // Out-of-pool keywords fall back to hashing on the fly.
-        let outside = KeywordId(19_999);
-        assert_eq!(
-            interned.of(outside),
-            ElementHashes::of_str(&outside.canonical())
+        use crate::catalog::{Catalog, CatalogConfig};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        // The 10⁴-peer tier's catalog: ids of 1 to 5 digits and all three
+        // syllable counts, about a third of the pool held by no filename.
+        let catalog = Catalog::generate(
+            CatalogConfig {
+                files: 30_000,
+                keywords: 90_000,
+                keywords_per_file: 3,
+            },
+            &mut StdRng::seed_from_u64(42),
         );
+        let pool = catalog.keyword_pool();
+        let interned = catalog.keyword_hashes();
+        let held = interned.len();
+        assert!(held > 50_000 && held < pool.len(), "{held} of {} interned", pool.len());
+        for kw in pool.iter() {
+            assert_eq!(interned.of(kw), ElementHashes::of_str(&kw.canonical()), "{kw:?}");
+        }
+        // Past the pool: six digits, seven digits, and the longest spelling
+        // (four syllables, ten digits).
+        for id in [99_999, 100_000, u32::MAX - 1] {
+            let kw = KeywordId(id);
+            assert_eq!(interned.of(kw), ElementHashes::of_str(&kw.canonical()), "{kw:?}");
+        }
         // The empty table is a pure fallback.
         let empty = KeywordHashes::empty();
         assert!(empty.is_empty());
