@@ -41,7 +41,8 @@ use crate::peer::PeerState;
 use crate::results::DhtRunStats;
 
 use super::lifecycle::HitMark;
-use super::shard::{query_index, Search, ShardState, TimeoutKind};
+use super::exchange::TimeoutKind;
+use super::shard::{query_index, Search, ShardState};
 use super::tally::Tallies;
 use super::{peer_mut, RunShared};
 

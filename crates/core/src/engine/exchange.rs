@@ -6,18 +6,21 @@
 //! The sharded engine's determinism contract — same seed ⇒ bit-identical
 //! reports for *every* shard count — rests on a total event order that is a
 //! pure function of each event's identity, never of which queue it sat in or
-//! when it was scheduled. The encoding into [`EventKey`]'s
-//! `(time, class, a, b)`:
+//! when it was scheduled. The key *is* that identity: an issue's arrival
+//! index, a delivery's receiver and sender, a deadline's query and kind are
+//! read back from it by the decoder beside each encoder below, and only a
+//! delivered message rides beside it in the queue. The encoding into
+//! [`EventKey`]'s `(time, class, a, b)`:
 //!
-//! | event            | class | `a`                         | `b`            |
-//! |------------------|-------|-----------------------------|----------------|
-//! | query issue      | 0     | arrival index               | 0              |
-//! | Bloom sync round | 1     | round index                 | 0              |
-//! | churn transition | 2     | schedule index              | 0              |
-//! | message delivery | 3     | `(to << 32) \| from`        | sender seq     |
-//! | query completion | 4     | arrival index               | 0              |
-//! | DHT republish    | 5     | round index                 | 0              |
-//! | fault timeout    | 6     | arrival index               | discriminator  |
+//! | event            | class | `a`                  | `b`             |
+//! |------------------|-------|----------------------|-----------------|
+//! | query issue      | 0     | arrival index        | 0               |
+//! | Bloom sync round | 1     | round index          | 0               |
+//! | churn transition | 2     | schedule index       | 0               |
+//! | delivery or loss | 3     | `(to << 32) \| from` | sender seq      |
+//! | query completion | 4     | arrival index        | 0               |
+//! | DHT republish    | 5     | round index          | 0               |
+//! | fault timeout    | 6     | arrival index        | [`TimeoutKind`] |
 //!
 //! At equal times the class ranks order arrivals, then maintenance, then
 //! churn, then in-flight deliveries, then the completions they cause, then
@@ -84,18 +87,51 @@ pub(crate) fn issue_key(at: SimTime, index: usize) -> EventKey {
     EventKey::new(at, CLASS_ISSUE, index as u64, 0)
 }
 
+/// The arrival index an [`issue_key`] names.
+pub(crate) fn issue_index(key: EventKey) -> usize {
+    key.a as usize
+}
+
 /// The canonical key of query `index`'s completion, synthesized at the time
 /// of the delivery that consumed its last in-flight message.
 pub(crate) fn completion_key(at: SimTime, index: usize) -> EventKey {
     EventKey::new(at, CLASS_COMPLETE, index as u64, 0)
 }
 
-/// The canonical key of a fault-plan timeout for query `index`:
-/// `discriminator` distinguishes simultaneous timers of one query (retry
-/// attempt number for retransmit deadlines, awaited peer id for DHT step
-/// deadlines).
-pub(crate) fn timeout_key(at: SimTime, index: usize, discriminator: u64) -> EventKey {
+/// Which fault-plan deadline a timeout key names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TimeoutKind {
+    /// The retransmit deadline of a flooded query's 0-based `attempt`.
+    Retransmit {
+        /// The attempt whose deadline this is.
+        attempt: u32,
+    },
+    /// The deadline of a DHT lookup step awaiting `peer`'s reply.
+    DhtStep {
+        /// The index node the step was sent to.
+        peer: PeerId,
+    },
+}
+
+/// The canonical key of a fault-plan deadline of kind `kind` for query
+/// `index`. The kind distinguishes simultaneous timers of one query: a
+/// retransmit deadline is its attempt number, a DHT step deadline its
+/// awaited peer id with bit 32 set.
+pub(crate) fn timeout_key(at: SimTime, index: usize, kind: TimeoutKind) -> EventKey {
+    let discriminator = match kind {
+        TimeoutKind::Retransmit { attempt } => u64::from(attempt),
+        TimeoutKind::DhtStep { peer } => (1u64 << 32) | u64::from(peer.0),
+    };
     EventKey::new(at, CLASS_TIMEOUT, index as u64, discriminator)
+}
+
+/// The query index and the deadline kind a [`timeout_key`] names.
+pub(crate) fn timeout_of(key: EventKey) -> (usize, TimeoutKind) {
+    let kind = match key.b >> 32 {
+        0 => TimeoutKind::Retransmit { attempt: key.b as u32 },
+        _ => TimeoutKind::DhtStep { peer: PeerId(key.b as u32) },
+    };
+    (key.a as usize, kind)
 }
 
 /// The canonical key of a message delivery: `seq` is the sender-side send
@@ -109,6 +145,11 @@ pub(crate) fn deliver_key(at: SimTime, to: PeerId, from: PeerId, seq: u64) -> Ev
         (u64::from(to.0) << 32) | u64::from(from.0),
         seq,
     )
+}
+
+/// The receiver and the sender, `(to, from)`, a [`deliver_key`] names.
+pub(crate) fn deliver_peers(key: EventKey) -> (PeerId, PeerId) {
+    (PeerId((key.a >> 32) as u32), PeerId(key.a as u32))
 }
 
 /// Peer ids sorted by `(locId, id)` — the canonical locality rank order
@@ -186,16 +227,6 @@ impl PeerPartition {
     }
 }
 
-/// Tags the `from` peer of a delivery the fault plan dropped at send time.
-/// The message still travels to the destination queue (its canonical key —
-/// which always carries the *untagged* sender — fixes *when* the loss is
-/// observed) but is consumed there without being processed. A tag bit
-/// instead of a separate `bool` keeps the delivery payload within the 96
-/// bytes the event queue's slab slots are sized to; peer ids
-/// stay far below it (the partition tables index per-peer `Vec`s, so a real
-/// id this large could never have built a substrate).
-pub(crate) const LOST_BIT: u32 = 1 << 31;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,17 +294,19 @@ mod tests {
     #[test]
     fn timeouts_order_after_every_other_class_at_equal_times() {
         let t = SimTime::from_millis(5);
-        let timeout = timeout_key(t, 3, 0);
+        let first = TimeoutKind::Retransmit { attempt: 0 };
+        let timeout = timeout_key(t, 3, first);
         assert!(
             deliver_key(t, PeerId(u32::MAX), PeerId(u32::MAX), u64::MAX) < timeout,
             "a reply delivered exactly at the deadline beats the timeout"
         );
         assert!(completion_key(t, 3) < timeout, "completions precede timeouts");
         assert!(
-            timeout_key(t, 3, 0) < timeout_key(t, 3, 1),
-            "discriminator breaks same-query ties"
+            timeout < timeout_key(t, 3, TimeoutKind::Retransmit { attempt: 1 }),
+            "the kind breaks same-query ties"
         );
-        assert!(timeout_key(t, 3, 9) < timeout_key(t, 4, 0), "query index dominates");
+        let step = TimeoutKind::DhtStep { peer: PeerId(u32::MAX) };
+        assert!(timeout_key(t, 3, step) < timeout_key(t, 4, first), "query index dominates");
         let later = t + Duration::from_micros(1);
         assert!(timeout < issue_key(later, 0), "time dominates class");
     }
@@ -290,5 +323,29 @@ mod tests {
         let later = t + Duration::from_micros(1);
         assert!(complete < issue_key(later, 0), "time dominates class");
         assert!(completion_key(t, 3) < completion_key(t, 4), "arrival order ties");
+    }
+
+    proptest::proptest! {
+        /// Every key reads back what its encoder put in, over the whole
+        /// peer range and both deadline kinds.
+        #[test]
+        fn keys_decode_to_what_they_encode(
+            micros in 0u64..u64::MAX / 2,
+            index in 0u32..u32::MAX,
+            to in 0u32..=u32::MAX,
+            from in 0u32..=u32::MAX,
+            seq in 0u64..u64::MAX,
+            attempt in 0u32..=u32::MAX,
+        ) {
+            let at = SimTime::from_micros(micros);
+            let index = index as usize;
+            proptest::prop_assert_eq!(issue_index(issue_key(at, index)), index);
+            for (to, from) in [(to, from), (u32::MAX, 0), (0, u32::MAX)].map(|(t, f)| (PeerId(t), PeerId(f))) {
+                proptest::prop_assert_eq!(deliver_peers(deliver_key(at, to, from, seq)), (to, from));
+                for kind in [TimeoutKind::Retransmit { attempt }, TimeoutKind::DhtStep { peer: to }] {
+                    proptest::prop_assert_eq!(timeout_of(timeout_key(at, index, kind)), (index, kind));
+                }
+            }
+        }
     }
 }

@@ -85,7 +85,7 @@
 //! This file owns the run's set-up and report, the executor, window planning
 //! and the barriers, and reaches each protocol family only through its entry
 //! points. `shard` owns the per-shard event loop and transport (canonical
-//! keys, fault marking, outboxes), the issue's workload draw and tracking.
+//! keys, fault verdicts, outboxes), the issue's workload draw and tracking.
 //! Each family is one file of plain functions over a shard: `unstructured`
 //! (flooding, responses, retransmits, Bloom sync, neighbour exchanges) and
 //! `dht` (directory, lookups, record placement, republish, table upkeep).
@@ -453,7 +453,7 @@ fn prepare(
         let origin = PeerId(arrival.peer as u32);
         shards[shared.partition.shard(origin)]
             .queue
-            .push(issue_key(arrival.at, index), ShardEvent::Issue(index as u32));
+            .push(issue_key(arrival.at, index), ShardEvent::Issue);
     }
     (shared, shards)
 }
@@ -521,8 +521,8 @@ fn finalize(
         "one new replica per satisfied query"
     );
     let faults = (!shared.config.faults.is_disabled()).then_some(FaultRunStats {
-        messages_lost: totals.messages_lost,
-        dht_stores_lost: totals.dht_stores_lost,
+        messages_lost: MessageKind::ALL.into_iter().map(|kind| totals.lost(kind)).sum(),
+        dht_stores_lost: totals.lost(MessageKind::DhtStore),
         query_timeouts: totals.query_timeouts,
         query_retransmits: totals.query_retransmits,
         dht_step_timeouts: totals.dht_step_timeouts,
@@ -911,9 +911,10 @@ fn assert_adjacency(shards: &[ShardState], graph: &OverlayGraph) {
 fn assert_obligations(shards: &[ShardState]) {
     let outstanding: i64 = shards.iter().map(|shard| shard.ledger.outstanding()).sum();
     let queued = shards.iter().flat_map(|shard| shard.queue.payloads()).filter(|event| match event {
-        ShardEvent::Deliver { message, .. } => message.query_id().is_some(),
-        ShardEvent::Timeout { .. } => true,
-        ShardEvent::Issue(_) => false,
+        ShardEvent::Deliver(message) => message.query_id().is_some(),
+        ShardEvent::Lost { query, .. } => query.is_some(),
+        ShardEvent::Timeout => true,
+        ShardEvent::Issue => false,
     });
     assert_eq!(outstanding, queued.count() as i64, "outstanding obligations differ from the queued ones");
 }
@@ -1091,7 +1092,7 @@ mod tests {
         let mut shards: Vec<ShardState> =
             (0..3).map(|index| ShardState::new(index, 3, Vec::new(), 1)).collect();
         for shard in &mut shards {
-            shard.queue.push(issue_key(SimTime::ZERO, 0), ShardEvent::Issue(0));
+            shard.queue.push(issue_key(SimTime::ZERO, 0), ShardEvent::Issue);
         }
         drain_window(&mut shards, true, |shard| {
             assert_ne!(shard.shard, 2, "shard {} failed", shard.shard);

@@ -30,8 +30,6 @@
 
 use std::collections::HashMap;
 
-use rand::rngs::StdRng;
-
 use locaware_bloom::ElementHashes;
 use locaware_overlay::{Message, MessageKind, OverlayGraph, PeerId, ProviderEntry, QueryId, QueryRoutes};
 use locaware_sim::{EventKey, ShardQueue, SimTime, StreamId};
@@ -42,41 +40,37 @@ use crate::provider::select_provider;
 use crate::results::{QueryOutcome, QueryRecord};
 
 use super::dht::{self, DhtLookupState, DirectoryScratch};
-use super::exchange::{deliver_key, timeout_key, LOST_BIT};
+use super::exchange::{deliver_key, deliver_peers, issue_index, timeout_key, timeout_of, TimeoutKind};
 use super::lifecycle::QueryLedger;
 use super::tally::{Tallies, LOST, OFFLINE, PROCESSED};
 use super::{unstructured, RunShared};
 
-/// A shard-local event. Periodic maintenance (Bloom sync) and churn are
-/// global transitions handled serially at window barriers by the coordinator,
-/// so they never appear in shard queues.
+/// A shard-local event: what its canonical key does not say. The key names
+/// the event — an issue's arrival index, a delivery's receiver and sender, a
+/// deadline's query and kind ([`super::exchange`] decodes each) — so only a
+/// delivered message rides beside it. Periodic maintenance (Bloom sync) and
+/// churn are global transitions handled serially at window barriers by the
+/// coordinator, so they never appear in shard queues.
 #[derive(Debug, Clone)]
 pub(super) enum ShardEvent {
-    /// The `i`-th pre-generated arrival fires: its peer issues a query.
-    Issue(u32),
-    /// A message arrives at `to`, having been sent by `from`.
-    ///
-    /// A message the fault plan dropped at send time still travels, marked
-    /// by [`LOST_BIT`](super::exchange::LOST_BIT) in `from`, and is consumed
-    /// at its canonical delivery position without being processed.
-    Deliver {
-        /// Sending peer, possibly tagged with `LOST_BIT`.
-        from: PeerId,
-        /// Receiving peer.
-        to: PeerId,
-        /// The message.
-        message: Message,
+    /// The arrival the key names fires: its peer issues a query.
+    Issue,
+    /// A message arrives at the receiver the key names.
+    Deliver(Message),
+    /// A message the fault plan dropped at send time: its payload was freed
+    /// there, and it is consumed at its canonical delivery position without
+    /// being processed, retiring the query it names.
+    Lost {
+        /// The dropped message's kind.
+        kind: MessageKind,
+        /// The query the dropped message named, if any.
+        query: Option<QueryId>,
     },
-    /// A fault-plan deadline fires for query `index`. Timers live in the
+    /// The fault-plan deadline the key names fires. Timers live in the
     /// waiting peer's own shard queue (origin-local, never cross-shard) and
     /// are charged into the query's lifecycle like in-flight messages, so
     /// completions stay exact while a deadline is armed.
-    Timeout {
-        /// The query's arrival index.
-        index: u32,
-        /// Which deadline fired.
-        kind: TimeoutKind,
-    },
+    Timeout,
 }
 
 // A queued event is written into its queue's payload slab once and moved out
@@ -84,23 +78,9 @@ pub(super) enum ShardEvent {
 // longer multiplies sift cost — it is the slab's footprint per pending event
 // at the deepest burst, and the copy every message of every run still pays.
 // No message carries a keyword list, so the largest is the DHT lookup reply
-// (two `Vec`s), and the event is 72 bytes.
-const _: () = assert!(std::mem::size_of::<ShardEvent>() <= 72, "ShardEvent grew past 72 bytes");
-
-/// Which fault-plan deadline a [`ShardEvent::Timeout`] represents.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum TimeoutKind {
-    /// The retransmit deadline of a flooded query's 0-based `attempt`.
-    Retransmit {
-        /// The attempt whose deadline this is.
-        attempt: u32,
-    },
-    /// The deadline of a DHT lookup step awaiting `peer`'s reply.
-    DhtStep {
-        /// The index node the step was sent to.
-        peer: PeerId,
-    },
-}
+// (two `Vec`s), and the event is the message: 64 bytes, and an outbox entry
+// `(EventKey, ShardEvent)` 96.
+const _: () = assert!(std::mem::size_of::<ShardEvent>() <= 64, "ShardEvent grew past 64 bytes");
 
 /// Recovers the arrival index from a query id: the low 32 bits (the
 /// unstructured family counts retransmit attempts in the high bits, so every
@@ -119,10 +99,6 @@ pub(super) struct QueryTracking {
     /// The Zipf target the query searches for; keys the `issued` entry that
     /// the completion prunes.
     pub target: FileId,
-    /// Provider-selection randomness, one independent stream per query so the
-    /// draw sequence is a pure function of (seed, arrival index, response
-    /// arrival order at the origin) — never of shard layout.
-    pub selection_rng: StdRng,
     /// The family the query resolves through, and what it keeps here.
     pub search: Search,
 }
@@ -144,7 +120,6 @@ impl QueryTracking {
                 completion_time_ms: None,
             },
             target,
-            selection_rng: shared.rng_factory.indexed_stream(StreamId::ProtocolTieBreak, index as u64),
             search,
         }
     }
@@ -188,8 +163,8 @@ pub(super) struct ShardState {
     pub outboxes: Vec<Vec<(EventKey, ShardEvent)>>,
     /// Arrival index → origin-local tracking, for queries issued by this
     /// shard's peers. A map rather than an arrivals-sized slab: each entry
-    /// exists in exactly one shard (the origin's), and `QueryTracking` is fat
-    /// (it inlines the per-query selection RNG), so slab-per-shard would cost
+    /// exists in exactly one shard (the origin's), and `QueryTracking` holds
+    /// the query's whole report record, so slab-per-shard would cost
     /// O(shards × arrivals) memory for (shards−1)/shards empty slots. The
     /// `ledger` below stays dense: it is genuinely written by every shard
     /// and merged commutatively, and its entries are small.
@@ -274,16 +249,14 @@ impl ShardState {
             debug_assert!(Some(key) > self.last_key, "{key:?} after {:?}", self.last_key);
             self.last_key = Some(key);
             match event {
-                ShardEvent::Issue(index) => {
-                    self.handle_issue(shared, graph, key, index as usize)
-                }
-                ShardEvent::Deliver { from, to, message } => {
+                ShardEvent::Issue => self.handle_issue(shared, graph, key, issue_index(key)),
+                ShardEvent::Deliver(message) => {
+                    let (to, from) = deliver_peers(key);
                     debug_assert_eq!(shared.partition.shard(to), self.shard as usize);
                     // Lifecycle accounting brackets the handler: a
                     // query-charged delivery is *retired* by being
                     // dispatched, whatever then happens to it — offline
-                    // receiver, duplicate suppression, TTL exhaustion and
-                    // fault-plan loss all end this message's flight.
+                    // receiver, duplicate suppression or TTL exhaustion.
                     let retired = message.query_id().map(query_index);
                     if let Some(index) = retired {
                         self.ledger.retire(index, key.time);
@@ -291,13 +264,7 @@ impl ShardState {
                     // The window's graph, not a per-peer flag: an offline
                     // receiver ends here without loading a `PeerState` line.
                     let kind = message.kind();
-                    let fate = if from.0 & LOST_BIT != 0 {
-                        LOST
-                    } else if graph.is_active(to) {
-                        PROCESSED
-                    } else {
-                        OFFLINE
-                    };
+                    let fate = if graph.is_active(to) { PROCESSED } else { OFFLINE };
                     self.tallies.deliveries[kind as usize][fate] += 1;
                     if fate == PROCESSED {
                         match kind {
@@ -311,8 +278,15 @@ impl ShardState {
                         self.complete_if_drained(shared, index, key.time);
                     }
                 }
-                ShardEvent::Timeout { index, kind } => {
-                    let index = index as usize;
+                ShardEvent::Lost { kind, query } => {
+                    self.tallies.deliveries[kind as usize][LOST] += 1;
+                    if let Some(index) = query.map(query_index) {
+                        self.ledger.retire(index, key.time);
+                        self.complete_if_drained(shared, index, key.time);
+                    }
+                }
+                ShardEvent::Timeout => {
+                    let (index, kind) = timeout_of(key);
                     self.ledger.retire(index, key.time);
                     match kind {
                         TimeoutKind::Retransmit { attempt } => {
@@ -454,7 +428,10 @@ impl ShardState {
             origin,
             shared.loc_ids[origin.index()],
             &online_providers,
-            &mut tracking.selection_rng,
+            // One stream per query, drawn at most once — a drawn pick always
+            // satisfies — so the pick is a pure function of (seed, arrival
+            // index, the offer), never of shard layout.
+            &mut shared.rng_factory.indexed_stream(StreamId::ProtocolTieBreak, index as u64),
         );
         let Some(selected) = selection else {
             return false;
@@ -519,13 +496,8 @@ impl ShardState {
         &mut self, shared: &RunShared<'_>, at: SimTime, index: usize, kind: TimeoutKind,
     ) {
         debug_assert!(at <= shared.event_bound, "deadline {at:?} past the run's {:?}", shared.event_bound);
-        let discriminator = match kind {
-            TimeoutKind::Retransmit { attempt } => u64::from(attempt),
-            TimeoutKind::DhtStep { peer } => (1u64 << 32) | u64::from(peer.0),
-        };
         self.ledger.charge(index);
-        let event = ShardEvent::Timeout { index: index as u32, kind };
-        self.queue.push(timeout_key(at, index, discriminator), event);
+        self.queue.push(timeout_key(at, index, kind), ShardEvent::Timeout);
     }
 
     // --- sending ------------------------------------------------------------
@@ -561,24 +533,18 @@ impl ShardState {
         self.send_seq[sender_slot] += 1;
         // The loss verdict is decided at send time in the sending shard, from
         // shard-invariant message identity (the send sequence is monotone in
-        // the sender's deterministic event order). A lost message still
-        // travels: its delivery occupies the same canonical position and is
-        // consumed there, it just carries no payload effect — so the query
-        // lifecycle, and therefore every completion time, stays exact.
-        debug_assert_eq!(from.0 & LOST_BIT, 0, "peer ids must stay below the lost tag");
+        // the sender's deterministic event order). A lost message's payload
+        // goes here, but its `Lost` event occupies the same canonical position
+        // and is consumed there — so the query lifecycle, and therefore every
+        // completion time, stays exact.
         let lost = shared.faults.as_ref().is_some_and(|plan| plan.lose(now, from, to, seq));
         let key = deliver_key(at, to, from, seq);
-        let from = if lost {
-            self.tallies.messages_lost += 1;
-            if message.kind() == MessageKind::DhtStore {
-                self.tallies.dht_stores_lost += 1;
-            }
-            PeerId(from.0 | LOST_BIT)
+        let event = if lost {
+            ShardEvent::Lost { kind: message.kind(), query: message.query_id() }
         } else {
-            from
+            ShardEvent::Deliver(message)
         };
         let destination = shared.partition.shard(to);
-        let event = ShardEvent::Deliver { from, to, message };
         if destination == self.shard as usize {
             self.queue.push(key, event);
             false
@@ -704,6 +670,34 @@ mod tests {
         assert_eq!((state.ledger.outstanding(), state.ledger.messages(0)), (4, 4));
         assert_eq!(state.tallies.background_messages(), 3);
         assert_eq!(state.tallies.message_counts, [1; 7]);
+    }
+
+    /// A message the fault plan drops is recorded once, by the `Lost` event
+    /// that takes its delivery's place: its payload is freed at send, and
+    /// the dispatch counts it lost without handing it to the receiver.
+    #[test]
+    fn a_lost_message_frees_its_payload_at_send_and_is_counted_at_dispatch() {
+        use locaware_bloom::BloomFilter;
+        use std::sync::Arc;
+
+        let mut config = SimulationConfig::small(40);
+        config.faults.message_loss = 1.0;
+        let sim = Simulation::try_build(config).expect("full loss validates");
+        let (shared, mut shards) = prepare(&sim, ProtocolKind::Locaware, sim.arrivals(1), true);
+        let state = &mut shards[0];
+        // Only the delivery sent below is to be dispatched.
+        while state.queue.pop_before(EventKey::MAX).is_some() {}
+        let from = PeerId(0);
+        let to = sim.overlay().neighbors(from)[0];
+        let receiver = shared.partition.slot(to);
+        let views = format!("{:?}", state.peers[receiver].bloom_views());
+        let filter = Arc::new(BloomFilter::paper_default());
+        state.send(&shared, SimTime::ZERO, from, to, Message::BloomFull { filter: Arc::clone(&filter) });
+        assert_eq!(Arc::strong_count(&filter), 1, "the queued event holds no payload");
+        state.drain(&shared, sim.overlay());
+        assert_eq!(state.dispatched, 1);
+        assert_eq!(state.tallies.deliveries[MessageKind::BloomFull as usize], [0, 1, 0]);
+        assert_eq!(format!("{:?}", state.peers[receiver].bloom_views()), views, "nothing was delivered");
     }
 
     /// The coordinator's graph is the only record of who is online: a

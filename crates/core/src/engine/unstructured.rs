@@ -31,7 +31,8 @@ use crate::peer::keyword_signature;
 use crate::protocol::{self, PeerView, QueryContext, ResponseContext};
 
 use super::lifecycle::HitMark;
-use super::shard::{query_index, ShardState, TimeoutKind};
+use super::exchange::TimeoutKind;
+use super::shard::{query_index, ShardState};
 use super::{peer_mut, RunShared};
 
 /// The 0-based attempt a query id belongs to.

@@ -448,12 +448,10 @@ impl DhtRecordStore {
     }
 }
 
-/// A peer's complete DHT-side state: its node id, routing table and record
-/// store.
+/// A peer's complete DHT-side state: its routing table, which holds the
+/// node's id ([`RoutingTable::local`]), and its record store.
 #[derive(Debug, Clone)]
 pub struct DhtNode {
-    /// This node's 160-bit id.
-    pub id: DhtId,
     /// The k-bucket routing table.
     pub table: RoutingTable,
     /// The keyword→providers records this node stores.
@@ -464,7 +462,6 @@ impl DhtNode {
     /// Creates a node with an empty table and store.
     pub fn new(id: DhtId, k: usize, max_record_bytes: usize) -> Self {
         DhtNode {
-            id,
             table: RoutingTable::new(id, k),
             store: DhtRecordStore::new(max_record_bytes),
         }

@@ -241,3 +241,26 @@ fn ablations_bracket_the_full_protocol() {
         "locality match rate should drop without locality-aware selection"
     );
 }
+
+/// At 100% loss every send is dropped, and each drop is counted once: the
+/// report's lost messages are all its sends, and its lost stores all its
+/// `dht-store` sends.
+#[test]
+fn at_full_loss_every_send_is_counted_lost_once() {
+    let at = |shards| {
+        let mut config = SimulationConfig { shards, ..SimulationConfig::small(40) };
+        config.faults.message_loss = 1.0;
+        Simulation::try_build(config).expect("full loss validates")
+    };
+    let simulation = Sharded { one: at(1), four: at(4) };
+    for protocol in [ProtocolKind::Flooding, ProtocolKind::DhtIndex] {
+        let report = simulation.run(protocol, 30);
+        let faults = report.faults.expect("an armed fault plan reports its stats");
+        let sends = report.message_counters.total();
+        assert!(sends > 0, "{protocol}: the run must send");
+        assert_eq!(faults.messages_lost, sends, "{protocol}: lost vs sent");
+        let stores = report.message_counters.get(&"dht-store".to_string());
+        assert_eq!(stores > 0, protocol == ProtocolKind::DhtIndex, "{protocol}: only the DHT stores");
+        assert_eq!(faults.dht_stores_lost, stores, "{protocol}: stores lost vs stores sent");
+    }
+}
