@@ -242,6 +242,28 @@ fn ablations_bracket_the_full_protocol() {
     );
 }
 
+/// A dense workload whose peers issue again while their earlier queries are
+/// still in flight: at four shards the coordinator must cap windows at such
+/// issues, or their duplicate-query guard reads a stale answer and the report
+/// differs from the single queue's. The assert on `capped_windows` keeps the
+/// rule exercised here.
+#[test]
+fn capped_windows_keep_four_shards_equal_to_one() {
+    let at = |shards| {
+        let mut config = SimulationConfig { shards, seed: 1, ..SimulationConfig::small(60) };
+        config.query_rate_per_peer = 0.5;
+        config.zipf_exponent = 2.0;
+        Simulation::try_build(config).expect("a dense small config validates")
+    };
+    let (one, four) = (at(1), at(4));
+    for protocol in [ProtocolKind::Flooding, ProtocolKind::Locaware, ProtocolKind::DicasKeys] {
+        let (single, _) = one.run_profiled(protocol, 300);
+        let (sharded, profile) = four.run_profiled(protocol, 300);
+        assert_eq!(single.fingerprint(), sharded.fingerprint(), "{protocol}: 1 vs 4 shards");
+        assert!(profile.capped_windows > 0, "{protocol}: no window was capped");
+    }
+}
+
 /// At 100% loss every send is dropped, and each drop is counted once: the
 /// report's lost messages are all its sends, and its lost stores all its
 /// `dht-store` sends.
