@@ -27,14 +27,21 @@
 //!   that made them, so a zero sum is a true global zero, at the latest
 //!   retirement time over the shards.
 //!
+//! Whether a query is live is never recorded a second time. It is live while
+//! its origin peer's `issued` guard holds it — from issue to
+//! `complete_locally` — and its issue is pending while its key is above its
+//! origin shard's last dispatched key. The fold keeps neither fact; the
+//! coordinator reads both from the shards when it plans a window.
+//!
 //! Duplicate suppression keys on actual completion, which adds one cross-shard
 //! read the channel lookahead cannot protect: whether a peer's earlier query
 //! is still in flight at a *pending* issue's position may depend on deliveries
 //! another shard has not folded yet. [`LifecycleFold::cap_bounds`] therefore
 //! holds such an issue back until the global frontier reaches it, and a
 //! fold-detected completion is applied only once the frontier has passed its
-//! key ([`LifecycleFold::take_ready_prunes`]). Both are pure scheduling: they
-//! delay when an issue runs, never what it observes.
+//! key ([`LifecycleFold::take_ready_prunes`]) — until then the origin guard
+//! holds the query, so a same-peer issue stays capped. Both are pure
+//! scheduling: they delay when an issue runs, never what it observes.
 
 use locaware_sim::{EventKey, SimTime};
 use locaware_workload::Arrival;
@@ -147,13 +154,6 @@ impl QueryLedger {
         entry.outstanding == 0 && !entry.escaped
     }
 
-    /// The query's issue event was dispatched here — skipped arrival or not,
-    /// the next fold retires it from the pending scan of
-    /// [`LifecycleFold::cap_bounds`].
-    pub(super) fn issue_dispatched(&mut self, index: usize) {
-        self.touch(index);
-    }
-
     /// Records a local match; the first one of a shard stands.
     pub(super) fn record_hit(&mut self, index: usize, hit: HitMark) {
         self.entries[index].hit.get_or_insert(hit);
@@ -177,46 +177,15 @@ impl QueryLedger {
     }
 }
 
-/// Where a query is in its lifecycle, as the barrier folds see it.
-/// Transitions: `Idle → Open` when the folded count first goes positive;
-/// `Idle → Closed` when the issue was skipped, or issued and fully retired
-/// between two barriers (only possible inside one shard — a cross-shard hop
-/// lands at least one window later — so the origin completed it inline);
-/// `Open → PendingPrune` when the count returns to zero for a query that
-/// escaped its origin shard; `Open → Closed` directly for a never-escaped one
-/// (completed inline by its origin shard); `PendingPrune → Closed` when the
-/// deferred completion is applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueryPhase {
-    Idle,
-    Open,
-    PendingPrune,
-    Closed,
-}
-
-/// What the fold keeps per arrival: the issue's identity and its phase.
-#[derive(Debug, Clone, Copy)]
-struct Folded {
-    at: SimTime,
-    peer: u32,
-    /// The origin peer's shard.
-    shard: u32,
-    phase: QueryPhase,
-}
-
 /// The coordinator's half of the lifecycle, for runs with several shards:
-/// phases, the window-cap scan and the deferred completions. It sees the
-/// shards only as their ledgers and keeps no count of its own.
+/// the deferred completions and the window-cap scan. It keeps no count — a
+/// query's count is the sum of the ledgers — and no record of which queries
+/// are live: [`LifecycleFold::cap_bounds`] reads that from the shards.
 #[derive(Debug)]
 pub(super) struct LifecycleFold {
-    queries: Vec<Folded>,
-    /// First arrival whose issue is not known dispatched (its phase is still
-    /// `Idle`); all below it are settled.
+    /// First arrival whose issue was not dispatched at the last cap scan; all
+    /// below it are settled.
     cursor: usize,
-    /// Peer index → number of its queries that are open or pending a prune.
-    /// A pending issue by such a peer must not run ahead of the global
-    /// frontier: its duplicate-suppression read is not yet exact.
-    inflight_by_peer: Vec<u32>,
     /// Epoch-stamped "peer has an earlier pending issue in this cap scan"
     /// marker (`peer_seen[p] == cap_epoch`); avoids clearing per window.
     peer_seen: Vec<u32>,
@@ -225,102 +194,79 @@ pub(super) struct LifecycleFold {
     /// pass their canonical (class 4) key: until then a lagging shard may
     /// still hold a same-peer issue that must observe the query as in flight.
     pending_prunes: Vec<(EventKey, u32)>,
-    /// Scratch: arrival indexes touched by the current fold.
-    touched: Vec<u32>,
 }
 
 impl LifecycleFold {
-    pub(super) fn new(arrivals: &[Arrival], partition: &PeerPartition) -> Self {
-        let peers = partition.shard_of.len();
+    pub(super) fn new(peers: usize) -> Self {
         LifecycleFold {
-            queries: arrivals
-                .iter()
-                .map(|arrival| Folded {
-                    at: arrival.at,
-                    peer: arrival.peer as u32,
-                    shard: partition.shard_of[arrival.peer],
-                    phase: QueryPhase::Idle,
-                })
-                .collect(),
             cursor: 0,
-            inflight_by_peer: vec![0; peers],
             peer_seen: vec![0; peers],
             cap_epoch: 0,
             pending_prunes: Vec::new(),
-            touched: Vec::new(),
         }
     }
 
-    /// Reads every index a ledger touched since the last fold and moves its
-    /// phase. The global count is the sum of the ledgers' counts — any
-    /// not-yet-charged send would have to come from a not-yet-dispatched
-    /// event, and everything below the barrier is dispatched — so a zero is
-    /// a true zero. Never-escaped queries were completed inline at the exact
-    /// canonical position; escaped ones wait in `pending_prunes`.
+    /// Reads every index a ledger touched since the last fold and defers the
+    /// completion of each escaped query whose count it finds at zero. The
+    /// global count is the sum of the ledgers' counts — any not-yet-charged
+    /// send would have to come from a not-yet-dispatched event, and
+    /// everything below the barrier is dispatched — so a zero is a true zero,
+    /// and no later event touches the query again: each is deferred once.
+    /// Never-escaped queries were completed inline at the exact canonical
+    /// position. A query escaped if any shard outboxed one of its messages:
+    /// no other shard sees it before its origin does.
     pub(super) fn fold(&mut self, ledgers: &mut [&mut QueryLedger]) {
-        let mut touched = std::mem::take(&mut self.touched);
-        for ledger in ledgers.iter_mut() {
-            let QueryLedger { entries, dirty } = &mut **ledger;
-            debug_assert!(dirty.is_some(), "a folded run's ledgers record what they touch");
-            for index in dirty.iter_mut().flat_map(|list| list.drain(..)) {
-                entries[index as usize].touched = false;
-                touched.push(index);
-            }
-        }
-        // An index touched in several shards appears once per shard; every
-        // transition is guarded by the phase, so repeats change nothing.
-        for &index in &touched {
-            let i = index as usize;
-            let entries = || ledgers.iter().map(|ledger| &ledger.entries[i]);
-            let outstanding: i64 = entries().map(|entry| entry.outstanding).sum();
-            debug_assert!(outstanding >= 0, "query {i}: a retirement folded before its charge");
-            let query = &mut self.queries[i];
-            match query.phase {
-                QueryPhase::Idle if outstanding > 0 => {
-                    query.phase = QueryPhase::Open;
-                    self.inflight_by_peer[query.peer as usize] += 1;
+        for shard in 0..ledgers.len() {
+            debug_assert!(ledgers[shard].dirty.is_some(), "a folded run lists what it touches");
+            let mut dirty = ledgers[shard].dirty.take().unwrap_or_default();
+            for &index in &dirty {
+                let i = index as usize;
+                // An index several shards touched is read once, by the first
+                // of them: reading it clears every shard's mark.
+                if !ledgers[shard].entries[i].touched {
+                    continue;
                 }
-                QueryPhase::Idle => query.phase = QueryPhase::Closed,
-                QueryPhase::Open if outstanding == 0 => {
-                    if ledgers[query.shard as usize].entries[i].escaped {
-                        // A shard lagging behind the one that retired the
-                        // last obligation may still hold a same-peer issue
-                        // ordering before the completion: keep the query
-                        // counted in flight until the frontier passes it.
-                        let retired = entries().map(|entry| entry.last_retired);
-                        let last = retired.fold(SimTime::ZERO, Ord::max);
-                        query.phase = QueryPhase::PendingPrune;
-                        self.pending_prunes.push((completion_key(last, i), index));
-                    } else {
-                        query.phase = QueryPhase::Closed;
-                        self.inflight_by_peer[query.peer as usize] -= 1;
-                    }
+                let (mut outstanding, mut last, mut escaped) = (0, SimTime::ZERO, false);
+                for ledger in ledgers.iter_mut() {
+                    let entry = &mut ledger.entries[i];
+                    entry.touched = false;
+                    outstanding += entry.outstanding;
+                    last = last.max(entry.last_retired);
+                    escaped |= entry.escaped;
                 }
-                _ => {}
+                debug_assert!(
+                    outstanding >= 0,
+                    "query {i}: a retirement folded before its charge"
+                );
+                if outstanding == 0 && escaped {
+                    self.pending_prunes.push((completion_key(last, i), index));
+                }
             }
+            dirty.clear();
+            ledgers[shard].dirty = Some(dirty);
         }
-        touched.clear();
-        self.touched = touched;
     }
 
-    /// Hands `apply(index, origin shard, completion time)` every deferred
-    /// completion whose canonical key the global `frontier` has passed: all
-    /// events below the frontier are dispatched, so no issue can still
-    /// observe the query as in flight.
+    /// The queries whose completion waits for the frontier.
+    pub(super) fn pending(&self) -> impl Iterator<Item = usize> + '_ {
+        self.pending_prunes.iter().map(|&(_, index)| index as usize)
+    }
+
+    /// Hands `apply(index, completion time)` every deferred completion whose
+    /// canonical key the global `frontier` has passed: all events below the
+    /// frontier are dispatched, so no issue can still observe the query as in
+    /// flight.
     pub(super) fn take_ready_prunes(
         &mut self,
         frontier: EventKey,
-        mut apply: impl FnMut(usize, usize, SimTime),
+        mut apply: impl FnMut(usize, SimTime),
     ) {
         let mut i = 0;
         while i < self.pending_prunes.len() {
             let (key, index) = self.pending_prunes[i];
             if key < frontier {
                 self.pending_prunes.swap_remove(i);
-                let query = &mut self.queries[index as usize];
-                query.phase = QueryPhase::Closed;
-                self.inflight_by_peer[query.peer as usize] -= 1;
-                apply(index as usize, query.shard as usize, key.time);
+                apply(index as usize, key.time);
             } else {
                 i += 1;
             }
@@ -328,18 +274,33 @@ impl LifecycleFold {
     }
 
     /// Shortens the per-shard window `bounds` so no issue runs before its
-    /// duplicate-suppression read is exact, scanning pending arrivals in
-    /// canonical order. An issue needs deferring when its peer has an open
-    /// (or pending-prune) query — whose completion another shard may process
-    /// at a smaller canonical key than the issue's — or an earlier same-peer
-    /// pending issue (whose query's fate is equally unsettled). The arrival
-    /// at the global frontier `start` is exempt: everything below it is
-    /// dispatched and folded, so the lifecycle state is exact at its
-    /// position — which also guarantees every window admits at least its
-    /// frontier event. Returns whether any bound was shortened.
-    pub(super) fn cap_bounds(&mut self, bounds: &mut [EventKey], start: EventKey) -> bool {
-        let pending = |query: &Folded| query.phase == QueryPhase::Idle;
-        while self.queries.get(self.cursor).is_some_and(|query| !pending(query)) {
+    /// duplicate-suppression read is exact, scanning the pending `arrivals`
+    /// in canonical order. `dispatched(shard, key)` says whether `shard` has
+    /// dispatched the event at `key`, and `live(peer)` whether the peer has a
+    /// query in flight or pending its completion — the origin guard. An issue
+    /// needs deferring when its peer has a live query — whose completion
+    /// another shard may process at a smaller canonical key than the issue's
+    /// — or an earlier same-peer pending issue (whose query's fate is equally
+    /// unsettled). The arrival at the global frontier `start` is exempt:
+    /// everything below it is dispatched and folded, so the lifecycle state
+    /// is exact at its position — which also guarantees every window admits
+    /// at least its frontier event. Returns whether any bound was shortened.
+    pub(super) fn cap_bounds(
+        &mut self,
+        bounds: &mut [EventKey],
+        start: EventKey,
+        arrivals: &[Arrival],
+        partition: &PeerPartition,
+        live: impl Fn(usize) -> bool,
+        dispatched: impl Fn(usize, EventKey) -> bool,
+    ) -> bool {
+        // A pending arrival's issue key, origin peer and origin shard.
+        let pending = |idx: usize| {
+            let Arrival { at, peer } = arrivals[idx];
+            let (key, shard) = (issue_key(at, idx), partition.shard_of[peer] as usize);
+            (!dispatched(shard, key)).then_some((key, peer, shard))
+        };
+        while self.cursor < arrivals.len() && pending(self.cursor).is_none() {
             self.cursor += 1;
         }
         self.cap_epoch = self.cap_epoch.wrapping_add(1);
@@ -351,22 +312,20 @@ impl LifecycleFold {
         // run this window either.
         let furthest = |b: &[EventKey]| b.iter().copied().max().unwrap_or(EventKey::MAX);
         let mut max_bound = furthest(bounds);
-        for (idx, query) in self.queries.iter().enumerate().skip(self.cursor) {
-            if !pending(query) {
+        for idx in self.cursor..arrivals.len() {
+            let Some((key, peer, shard)) = pending(idx) else {
                 continue;
-            }
-            let key = issue_key(query.at, idx);
+            };
             if key >= max_bound {
                 break;
             }
-            let (peer, shard) = (query.peer as usize, query.shard as usize);
             if key >= bounds[shard] {
                 // Not runnable this window (natural horizon or an earlier
                 // cap already excludes it) — and neither is any later
                 // same-peer arrival, so it needs no marking either.
                 continue;
             }
-            if key > start && (self.inflight_by_peer[peer] > 0 || self.peer_seen[peer] == epoch) {
+            if key > start && (live(peer) || self.peer_seen[peer] == epoch) {
                 bounds[shard] = key;
                 capped = true;
                 max_bound = furthest(bounds);
@@ -381,6 +340,7 @@ impl LifecycleFold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::exchange::issue_index;
     use locaware_net::LocId;
     use proptest::prelude::*;
 
@@ -395,52 +355,62 @@ mod tests {
         PeerPartition::locality(&loc_ids, shards)
     }
 
-    /// A fold over `arrivals` (`(time in µs, peer)`) of four peers in two
-    /// shards — peers 0 and 2 in shard 0, 1 and 3 in shard 1 — and its ledgers.
-    fn two_shards(arrivals: &[(u64, usize)]) -> (LifecycleFold, Vec<QueryLedger>) {
+    /// Arrivals `(time in µs, peer)` of four peers in two shards — peers 0
+    /// and 2 in shard 0, 1 and 3 in shard 1 —, a fold and the two ledgers.
+    fn two_shards(arrivals: &[(u64, usize)]) -> (Vec<Arrival>, LifecycleFold, Vec<QueryLedger>) {
         let arrivals: Vec<Arrival> =
             arrivals.iter().map(|&(us, peer)| Arrival { at: at(us), peer }).collect();
         let ledgers = (0..2).map(|_| QueryLedger::new(arrivals.len(), true)).collect();
-        (LifecycleFold::new(&arrivals, &partition(4, 2)), ledgers)
+        (arrivals, LifecycleFold::new(4), ledgers)
     }
 
     fn fold(lifecycle: &mut LifecycleFold, ledgers: &mut [QueryLedger]) {
         lifecycle.fold(&mut ledgers.iter_mut().collect::<Vec<_>>());
     }
 
-    fn prunes(lifecycle: &mut LifecycleFold, frontier: EventKey) -> Vec<(usize, usize, SimTime)> {
+    fn prunes(lifecycle: &mut LifecycleFold, frontier: EventKey) -> Vec<(usize, SimTime)> {
         let mut taken = Vec::new();
-        lifecycle.take_ready_prunes(frontier, |index, shard, at| taken.push((index, shard, at)));
+        lifecycle.take_ready_prunes(frontier, |index, at| taken.push((index, at)));
         taken
+    }
+
+    fn pending(lifecycle: &LifecycleFold) -> Vec<usize> {
+        lifecycle.pending().collect()
+    }
+
+    /// A cap scan of the two-shard layout with fake shards: `live` lists the
+    /// peers whose origin guard holds a query, `last` each shard's last
+    /// dispatched key.
+    fn cap(
+        lifecycle: &mut LifecycleFold, arrivals: &[Arrival], bounds: &mut [EventKey], start: EventKey,
+        live: &[usize], last: [Option<EventKey>; 2],
+    ) -> bool {
+        let live = |peer| live.contains(&peer);
+        let dispatched = |shard: usize, key| last[shard] >= Some(key);
+        lifecycle.cap_bounds(bounds, start, arrivals, &partition(4, 2), live, dispatched)
     }
 
     /// Query `q` is issued in `ledger`'s shard and sends one copy out of it.
     fn issue_and_escape(ledger: &mut QueryLedger, q: usize) {
-        ledger.issue_dispatched(q);
         ledger.charge_message(q);
         ledger.escape(q);
     }
 
-    fn phases(lifecycle: &LifecycleFold) -> Vec<QueryPhase> {
-        lifecycle.queries.iter().map(|query| query.phase).collect()
-    }
-
     #[test]
     fn escaped_query_completes_once_the_frontier_passes_it() {
-        let (mut lifecycle, mut ledgers) = two_shards(&[(10, 0), (500, 0)]);
-        let capped =
-            |l: &mut LifecycleFold, frontier| l.cap_bounds(&mut [EventKey::MAX; 2], frontier);
+        let (arrivals, mut lifecycle, mut ledgers) = two_shards(&[(10, 0), (500, 0)]);
         // Query 0 floods two copies from shard 0, one of them into shard 1.
-        ledgers[0].issue_dispatched(0);
         ledgers[0].charge_message(0);
         ledgers[0].charge_message(0);
         ledgers[0].escape(0);
         assert!(!ledgers[0].drained_locally(0));
         fold(&mut lifecycle, &mut ledgers);
-        assert_eq!(phases(&lifecycle), [QueryPhase::Open, QueryPhase::Idle]);
-        // Meanwhile its peer's next issue may not run ahead of the frontier.
+        assert_eq!(pending(&lifecycle), [] as [usize; 0]);
+        // Meanwhile its peer's next issue may not run ahead of the frontier:
+        // the origin guard holds query 0.
+        let last = [Some(issue_key(at(10), 0)), None];
         let (mut bounds, frontier) = ([EventKey::MAX; 2], issue_key(at(20), 9));
-        assert!(lifecycle.cap_bounds(&mut bounds, frontier));
+        assert!(cap(&mut lifecycle, &arrivals, &mut bounds, frontier, &[0], last));
         assert_eq!(bounds, [issue_key(at(500), 1), EventKey::MAX]);
 
         // Shard 1 retires its copy and answers; shard 0 retires the rest.
@@ -449,47 +419,45 @@ mod tests {
         ledgers[1].charge_message(0);
         ledgers[1].escape(0);
         fold(&mut lifecycle, &mut ledgers);
-        assert_eq!(lifecycle.queries[0].phase, QueryPhase::Open, "the response is in flight");
+        assert_eq!(pending(&lifecycle), [] as [usize; 0], "the response is in flight");
         ledgers[0].retire(0, at(120));
         assert!(!ledgers[0].drained_locally(0), "an escaped query is never concluded inline");
         fold(&mut lifecycle, &mut ledgers);
-        assert_eq!(lifecycle.queries[0].phase, QueryPhase::PendingPrune);
+        assert_eq!(pending(&lifecycle), [0]);
         assert_eq!((ledgers[0].messages(0), ledgers[1].messages(0)), (2, 1));
 
         // A frontier *at* the completion key has not passed it: a lagging
         // shard may still hold an event ordering before the completion.
         assert_eq!(prunes(&mut lifecycle, completion_key(at(120), 0)), []);
-        assert!(capped(&mut lifecycle, frontier), "still counted in flight");
         let past = issue_key(at(121), 0);
-        assert_eq!(prunes(&mut lifecycle, past), [(0, 0, at(120))], "at the latest retirement");
+        assert_eq!(prunes(&mut lifecycle, past), [(0, at(120))], "at the latest retirement");
         assert_eq!(prunes(&mut lifecycle, past), [], "exactly once");
-        assert_eq!(lifecycle.queries[0].phase, QueryPhase::Closed);
-        assert!(!capped(&mut lifecycle, frontier));
-        assert_eq!(lifecycle.inflight_by_peer, [0; 4]);
+        fold(&mut lifecycle, &mut ledgers);
+        assert_eq!(pending(&lifecycle), [] as [usize; 0], "a fold with nothing touched defers nothing");
+        // Applied, the completion releases the origin guard: nothing caps.
+        let mut bounds = [EventKey::MAX; 2];
+        assert!(!cap(&mut lifecycle, &arrivals, &mut bounds, frontier, &[], last));
+        assert_eq!(bounds, [EventKey::MAX; 2]);
     }
 
     #[test]
     fn a_never_escaped_query_is_closed_by_the_fold_with_no_prune() {
-        let (mut lifecycle, mut ledgers) = two_shards(&[(10, 1), (20, 3), (30, 1)]);
-        // Query 0 stays inside shard 1; query 1's issue is skipped; query 2
-        // is issued and fully retired between two barriers.
-        ledgers[1].issue_dispatched(0);
+        let (_, mut lifecycle, mut ledgers) = two_shards(&[(10, 1), (20, 3), (30, 1)]);
+        // Query 0 stays inside shard 1; query 1's issue is skipped (it leaves
+        // no trace in any ledger); query 2 is issued and fully retired
+        // between two barriers.
         ledgers[1].charge_message(0);
         ledgers[1].charge(0);
-        ledgers[1].issue_dispatched(1);
         fold(&mut lifecycle, &mut ledgers);
-        assert_eq!(phases(&lifecycle), [QueryPhase::Open, QueryPhase::Closed, QueryPhase::Idle]);
-        assert_eq!(lifecycle.inflight_by_peer, [0, 1, 0, 0]);
         ledgers[1].retire(0, at(40));
         assert!(!ledgers[1].drained_locally(0), "the deadline is still armed");
         ledgers[1].retire(0, at(90));
         assert!(ledgers[1].drained_locally(0), "the origin shard concludes inline");
-        ledgers[1].issue_dispatched(2);
         ledgers[1].charge_message(2);
         ledgers[1].retire(2, at(95));
+        assert!(ledgers[1].drained_locally(2));
         fold(&mut lifecycle, &mut ledgers);
-        assert_eq!(phases(&lifecycle), [QueryPhase::Closed; 3]);
-        assert_eq!(lifecycle.inflight_by_peer, [0; 4]);
+        assert_eq!(pending(&lifecycle), [] as [usize; 0]);
         assert_eq!(prunes(&mut lifecycle, EventKey::MAX), []);
     }
 
@@ -499,7 +467,7 @@ mod tests {
         // shards in either order: counts sum and retirement times max.
         type Step = Box<dyn Fn(&mut [QueryLedger])>;
         let record = |swap: bool| {
-            let (mut lifecycle, mut ledgers) = two_shards(&[(10, 0), (20, 1), (30, 2)]);
+            let (_, mut lifecycle, mut ledgers) = two_shards(&[(10, 0), (20, 1), (30, 2)]);
             let windows: [Vec<Step>; 3] = [
                 vec![
                     Box::new(|l| issue_and_escape(&mut l[0], 0)),
@@ -512,6 +480,13 @@ mod tests {
                         l[1].escape(0);
                     }),
                     Box::new(|l| l[0].retire(1, at(55))),
+                    // Query 1's origin arms and fires a deadline in the window
+                    // its count reaches zero: both shards list it, and it is
+                    // deferred once.
+                    Box::new(|l| {
+                        l[1].charge(1);
+                        l[1].retire(1, at(40));
+                    }),
                 ],
                 vec![Box::new(|l| l[0].retire(0, at(90)))],
             ];
@@ -529,36 +504,33 @@ mod tests {
         let state = |l: &LifecycleFold| {
             let mut pending = l.pending_prunes.clone();
             pending.sort_unstable();
-            (phases(l), l.inflight_by_peer.clone(), pending)
+            pending
         };
         assert_eq!(state(&lifecycle), state(&swapped));
         let pending = vec![(completion_key(at(55), 1), 1), (completion_key(at(90), 0), 0)];
-        assert_eq!(state(&lifecycle).2, pending, "the latest retirement over the shards");
+        assert_eq!(state(&lifecycle), pending, "once each, at the latest retirement over the shards");
 
         // A fold drains the dirty lists and resets the marks, so a second
         // fold has nothing to read — and new activity is listed again.
-        let before = state(&lifecycle);
         assert!(ledgers.iter().all(|l| l.dirty.as_ref().is_some_and(Vec::is_empty)));
         assert!(ledgers.iter().all(|l| l.entries.iter().all(|entry| !entry.touched)));
         fold(&mut lifecycle, &mut ledgers);
-        assert_eq!(state(&lifecycle), before);
-        ledgers[0].issue_dispatched(2);
+        assert_eq!(state(&lifecycle), pending);
         ledgers[0].charge_message(2);
+        ledgers[0].charge_message(2);
+        ledgers[0].retire(2, at(95));
         assert_eq!(ledgers[0].dirty, Some(vec![2]));
         fold(&mut lifecycle, &mut ledgers);
-        assert_eq!(lifecycle.queries[2].phase, QueryPhase::Open);
+        assert_eq!(state(&lifecycle), pending, "query 2 still has a message in flight");
     }
 
     #[test]
     fn caps_defer_issues_whose_duplicate_read_is_not_yet_exact() {
         let marked = |l: &LifecycleFold, peer: usize| l.peer_seen[peer] == l.cap_epoch;
         // Peer 0 has a query in flight; everything else is pending.
-        let arrivals = [(10, 0), (100, 0), (150, 2), (200, 2), (250, 0), (300, 1), (400, 3)];
-        let (mut lifecycle, mut ledgers) = two_shards(&arrivals);
-        ledgers[0].issue_dispatched(0);
-        ledgers[0].charge_message(0);
-        fold(&mut lifecycle, &mut ledgers);
-        let key = |idx: usize| issue_key(at(arrivals[idx].0), idx);
+        let times = [(10, 0), (100, 0), (150, 2), (200, 2), (250, 0), (300, 1), (400, 3)];
+        let (arrivals, mut lifecycle, _) = two_shards(&times);
+        let key = |idx: usize| issue_key(arrivals[idx].at, idx);
 
         // Arrival 1 is the frontier: exempt although its peer has a query in
         // flight. Arrival 3 is capped by arrival 2, an earlier pending issue
@@ -566,30 +538,31 @@ mod tests {
         // neither capped (peer 0 *is* in flight) nor marked. Shard 1 keeps
         // its natural horizon, which admits arrival 5 but not arrival 6.
         let mut bounds = [EventKey::MAX, EventKey::before_time(at(350))];
-        assert!(lifecycle.cap_bounds(&mut bounds, key(1)));
+        let last = [Some(key(0)), None];
+        assert!(cap(&mut lifecycle, &arrivals, &mut bounds, key(1), &[0], last));
         assert_eq!(bounds, [key(3), EventKey::before_time(at(350))]);
         assert!(marked(&lifecycle, 0) && marked(&lifecycle, 2) && marked(&lifecycle, 1));
         assert!(!marked(&lifecycle, 3), "the scan stops at the furthest bound");
         assert_eq!(lifecycle.cursor, 1, "settled arrivals leave the scan");
 
         // One arrival later the frontier is arrival 2: arrival 1 ran, so its
-        // peer now has two queries in flight and arrival 4 is what caps.
-        ledgers[0].issue_dispatched(1);
-        ledgers[0].charge_message(1);
-        fold(&mut lifecycle, &mut ledgers);
+        // peer still has a query in flight and arrival 4 is what caps.
         let mut bounds = [EventKey::MAX, EventKey::before_time(at(120))];
-        assert!(lifecycle.cap_bounds(&mut bounds, key(2)));
+        let last = [Some(key(1)), None];
+        assert!(cap(&mut lifecycle, &arrivals, &mut bounds, key(2), &[0], last));
         assert_eq!(bounds, [key(3), EventKey::before_time(at(120))]);
-        assert!(!marked(&lifecycle, 1), "arrival 5 is past its shard's horizon");
         // Nothing to cap: no bound moves.
         let mut bounds = [key(3), EventKey::before_time(at(120))];
-        assert!(!lifecycle.cap_bounds(&mut bounds, key(2)));
+        assert!(!cap(&mut lifecycle, &arrivals, &mut bounds, key(2), &[0], last));
         assert_eq!(bounds, [key(3), EventKey::before_time(at(120))]);
+        assert!(!marked(&lifecycle, 1), "arrival 5 is past its shard's horizon");
+        assert_eq!(lifecycle.cursor, 2);
     }
 
     /// The one-counter model of a query: what a single global queue would know.
     #[derive(Debug, Clone, Default)]
     struct Model {
+        dispatched: bool,
         issued: bool,
         count: i64,
         last: SimTime,
@@ -598,6 +571,13 @@ mod tests {
         waiting: [i64; 4],
         outboxed: [i64; 4],
         completed: Option<SimTime>,
+    }
+
+    impl Model {
+        /// Issued and not yet completed: what the origin guard holds.
+        fn live(&self) -> bool {
+            self.issued && self.completed.is_none()
+        }
     }
 
     fn complete(model: &mut Model, time: SimTime) {
@@ -612,8 +592,10 @@ mod tests {
         /// folds under a frontier that lags by a random amount, over 2–4
         /// ledgers: every issued query completes exactly once — inline or by
         /// a taken prune, never both —, never while the model still counts an
-        /// obligation, at the model's last retirement time, and the fold's
-        /// per-peer in-flight counts say exactly which queries it holds open.
+        /// obligation, at the model's last retirement time; and the cap scan,
+        /// fed the model's live set and dispatched issues, shortens each
+        /// shard's window at its first pending issue past the scan's start
+        /// whose peer has a live query or an earlier pending issue.
         #[test]
         fn lifecycle_matches_the_one_counter_model(
             shards in 2usize..5,
@@ -624,8 +606,9 @@ mod tests {
         ) {
             let arrivals: Vec<Arrival> =
                 (0..6).map(|q| Arrival { at: at(q as u64), peer: q % 4 }).collect();
+            let layout = partition(8, shards);
             let origin = |q: usize| (q % 4) % shards;
-            let mut lifecycle = LifecycleFold::new(&arrivals, &partition(8, shards));
+            let mut lifecycle = LifecycleFold::new(8);
             let mut ledgers: Vec<_> = (0..shards).map(|_| QueryLedger::new(6, true)).collect();
             let mut model = vec![Model::default(); 6];
             let mut now = 100u64;
@@ -659,37 +642,57 @@ mod tests {
                 event(ledgers, model, now, q, shard, sends, first);
             };
             let barrier = |lifecycle: &mut LifecycleFold, ledgers: &mut [QueryLedger],
-                           model: &mut [Model], frontier: EventKey| {
+                           model: &mut [Model], frontier: EventKey, start: EventKey| {
                 for (q, shard) in cells() {
                     model[q].waiting[shard] += std::mem::take(&mut model[q].outboxed[shard]);
                 }
                 fold(lifecycle, ledgers);
-                for (index, shard, time) in prunes(lifecycle, frontier) {
-                    prop_assert_eq!(shard, origin(index));
+                for (index, time) in prunes(lifecycle, frontier) {
                     prop_assert!(completion_key(time, index) < frontier);
                     complete(&mut model[index], time);
                 }
-                let mut held = vec![0u32; 8];
-                for (q, query) in lifecycle.queries.iter().enumerate() {
-                    let live = model[q].issued && model[q].completed.is_none();
-                    let open = matches!(query.phase, QueryPhase::Open | QueryPhase::PendingPrune);
-                    prop_assert_eq!(open, live, "query {}: {:?} vs {:?}", q, query.phase, model[q]);
-                    held[q % 4] += u32::from(open);
+                for index in lifecycle.pending() {
+                    prop_assert!(model[index].live(), "query {} deferred but {:?}", index, model[index]);
                 }
-                prop_assert_eq!(&lifecycle.inflight_by_peer, &held);
+
+                // The cap scan against the model's answer. Same-peer arrivals
+                // share a shard, so each shard's bound is settled on its own.
+                let live = |peer: usize| (peer..6).step_by(4).any(|q| model[q].live());
+                let dispatched = |_: usize, key| model[issue_index(key)].dispatched;
+                let mut bounds = vec![EventKey::MAX; shards];
+                let capped =
+                    lifecycle.cap_bounds(&mut bounds, start, &arrivals, &layout, live, dispatched);
+                let mut expected = vec![EventKey::MAX; shards];
+                let mut seen = [false; 4];
+                for q in (0..6).filter(|&q| !model[q].dispatched) {
+                    let (key, peer) = (issue_key(at(q as u64), q), q % 4);
+                    if expected[origin(q)] < EventKey::MAX {
+                        continue;
+                    }
+                    if key > start && (live(peer) || seen[peer]) {
+                        expected[origin(q)] = key;
+                    } else {
+                        seen[peer] = true;
+                    }
+                }
+                prop_assert_eq!(capped, expected.iter().any(|&bound| bound < EventKey::MAX));
+                prop_assert_eq!(bounds, expected);
             };
 
             for (kind, (q, first), sends, lag) in ops {
                 let shard = first % shards;
                 match kind {
                     0 => {
+                        // The model's arrivals sit at 0–5 µs, before every
+                        // other event: the scan's start is drawn among them.
                         let frontier = issue_key(at(now + 1 - lag), 0);
-                        barrier(&mut lifecycle, &mut ledgers, &mut model, frontier);
+                        let start = issue_key(at(lag), 0);
+                        barrier(&mut lifecycle, &mut ledgers, &mut model, frontier, start);
                     }
-                    1 | 2 if !model[q].issued && model[q].last == SimTime::ZERO => {
+                    1 | 2 if !model[q].dispatched => {
                         now += 1;
-                        ledgers[origin(q)].issue_dispatched(q);
-                        model[q].last = at(now); // Dispatched, whatever follows.
+                        model[q].dispatched = true;
+                        model[q].last = at(now);
                         if lag == 5 {
                             continue; // A skipped arrival: no query comes of it.
                         }
@@ -717,11 +720,10 @@ mod tests {
                         deliver(&mut ledgers, &mut model[q], now, q, shard, 0, 0);
                     }
                 }
-                barrier(&mut lifecycle, &mut ledgers, &mut model, EventKey::MAX);
+                barrier(&mut lifecycle, &mut ledgers, &mut model, EventKey::MAX, EventKey::MAX);
             }
             prop_assert!(lifecycle.pending_prunes.is_empty());
             prop_assert!(model.iter().all(|m| m.completed.is_some() == m.issued));
-            prop_assert_eq!(&lifecycle.inflight_by_peer, &vec![0; 8]);
         }
     }
 }

@@ -90,9 +90,13 @@
 //! (flooding, responses, retransmits, Bloom sync, neighbour exchanges) and
 //! `dht` (directory, lookups, record placement, republish, table upkeep).
 //! `lifecycle` owns what is counted per query and every conclusion drawn from
-//! it. `exchange` fixes the canonical event order and the partition, `faults`
-//! compiles the fault plan, `tally` holds the commutative statistics. Every
-//! shard count, `shards = 1` included, runs this same code path.
+//! it; whether a query is still live it reads from the shards, never from a
+//! copy: the origin peer's `issued` guard holds the query until its
+//! completion is applied, and an issue is pending until its origin shard's
+//! last dispatched key passes it. `exchange` fixes the canonical event order
+//! and the partition, `faults` compiles the fault plan, `tally` holds the
+//! commutative statistics. Every shard count, `shards = 1` included, runs
+//! this same code path.
 //!
 //! [`QueryRecord`]: crate::results::QueryRecord
 //! [`LinkLatencyCache::incoming_channel_mins`]:
@@ -661,7 +665,7 @@ impl<'c> Coordinator<'c> {
             controls_dispatched: 0,
             control_end_time: SimTime::ZERO,
             lifecycle: (shard_count > 1)
-                .then(|| LifecycleFold::new(&shared.arrivals, &shared.partition)),
+                .then(|| LifecycleFold::new(shared.partition.shard_of.len())),
             bounds: vec![EventKey::MAX; shard_count],
             profile: RunProfile {
                 shards: shard_count,
@@ -704,10 +708,14 @@ impl<'c> Coordinator<'c> {
                 let mut ledgers: Vec<_> = shards.iter_mut().map(|s| &mut s.ledger).collect();
                 lifecycle.fold(&mut ledgers);
                 let frontier = next_event.unwrap_or(EventKey::MAX);
-                lifecycle.take_ready_prunes(frontier, |index, origin_shard, at| {
-                    shards[origin_shard].complete_locally(shared, index, at);
+                lifecycle.take_ready_prunes(frontier, |index, at| {
+                    let origin = PeerId(shared.arrivals[index].peer as u32);
+                    shards[shared.partition.shard(origin)].complete_locally(shared, index, at);
                     shards.iter_mut().for_each(|shard| shard.routes.complete(index));
                 });
+                if cfg!(debug_assertions) {
+                    assert_pending_completions(shared, shards, lifecycle);
+                }
             }
 
             match (next_event, next_control) {
@@ -729,8 +737,16 @@ impl<'c> Coordinator<'c> {
                         };
                         *bound = control.map_or(horizon, |c| c.min(horizon));
                     }
-                    let lifecycle = self.lifecycle.as_mut();
-                    let capped = lifecycle.is_some_and(|l| l.cap_bounds(&mut self.bounds, event));
+                    let partition = &shared.partition;
+                    let live = |peer: usize| {
+                        let peer = PeerId(peer as u32);
+                        !shards[partition.shard(peer)].issued[partition.slot(peer)].is_empty()
+                    };
+                    let dispatched = |shard: usize, key| shards[shard].last_key >= Some(key);
+                    let arrivals = &shared.arrivals;
+                    let capped = self.lifecycle.as_mut().is_some_and(|l| {
+                        l.cap_bounds(&mut self.bounds, event, arrivals, partition, live, dispatched)
+                    });
                     for (shard, &bound) in shards.iter_mut().zip(&self.bounds) {
                         shard.window_bound = bound;
                     }
@@ -917,6 +933,26 @@ fn assert_obligations(shards: &[ShardState]) {
         ShardEvent::Issue => false,
     });
     assert_eq!(outstanding, queued.count() as i64, "outstanding obligations differ from the queued ones");
+}
+
+/// Debug-build barrier invariant, after the prunes: every completion the fold
+/// still holds back names a query that has not completed — its origin's
+/// `issued` guard still holds it and its record has no completion time.
+fn assert_pending_completions(
+    shared: &RunShared<'_>,
+    shards: &[ShardState],
+    lifecycle: &LifecycleFold,
+) {
+    for index in lifecycle.pending() {
+        let origin = PeerId(shared.arrivals[index].peer as u32);
+        let shard = &shards[shared.partition.shard(origin)];
+        let Some(tracking) = shard.tracking.get(&(index as u32)) else {
+            panic!("query {index}: pending without tracking");
+        };
+        assert_eq!(tracking.record.completion_time_ms, None, "query {index}: pending but complete");
+        let guard = shard.issued[shared.partition.slot(origin)].get(&tracking.target);
+        assert_eq!(guard, Some(&(index as u32)), "query {index}: pending but unguarded");
+    }
 }
 
 /// The state of `peer`, wherever the partition put it.

@@ -315,8 +315,6 @@ impl ShardState {
     fn handle_issue(&mut self, shared: &RunShared<'_>, graph: &OverlayGraph, key: EventKey, index: usize) {
         let origin = PeerId(shared.arrivals[index].peer as u32);
         debug_assert_eq!(shared.partition.shard(origin), self.shard as usize);
-        // Before any skip below: a skipped arrival is settled too.
-        self.ledger.issue_dispatched(index);
         if !graph.is_active(origin) {
             return;
         }
