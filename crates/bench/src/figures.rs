@@ -5,11 +5,12 @@
 use std::collections::BTreeMap;
 
 use locaware::{
-    ExperimentOutcome, ExperimentPlan, ProtocolKind, Scenario, SimulationConfig, SimulationReport,
+    ExperimentOutcome, ExperimentPlan, ExperimentPoint, ProtocolKind, Scenario, SimulationConfig,
+    SimulationReport,
 };
 use locaware_metrics::{mean, Figure, SeriesPoint, Table};
 
-use crate::{execute, flags, preset};
+use crate::{execute, flags, preset, render};
 
 /// Which metric a figure plots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,6 +45,15 @@ impl MetricKind {
         }
     }
 
+    /// The per-run metric the figure plots.
+    pub(crate) fn of(self) -> fn(&SimulationReport) -> f64 {
+        match self {
+            MetricKind::DownloadDistance => SimulationReport::avg_download_distance_ms,
+            MetricKind::SearchTraffic => SimulationReport::avg_messages_per_query,
+            MetricKind::SuccessRate => SimulationReport::success_rate,
+        }
+    }
+
     /// Figure title, e.g. `"Figure 2: comparison of download distance"`.
     pub(crate) fn title(self) -> String {
         let name = match self {
@@ -55,21 +65,30 @@ impl MetricKind {
     }
 }
 
+/// The outcome's reports grouped by `key`, groups in key order and each
+/// group's reports in plan order.
+fn grouped<K: Ord>(
+    outcome: &ExperimentOutcome,
+    key: impl Fn(&ExperimentPoint) -> K,
+) -> BTreeMap<K, Vec<&SimulationReport>> {
+    let mut groups: BTreeMap<K, Vec<&SimulationReport>> = BTreeMap::new();
+    for point in &outcome.points {
+        groups.entry(key(point)).or_default().push(&point.report);
+    }
+    groups
+}
+
+/// The mean of `metric` over `reports`.
+fn mean_of(reports: &[&SimulationReport], metric: fn(&SimulationReport) -> f64) -> f64 {
+    mean(&reports.iter().map(|report| metric(report)).collect::<Vec<_>>())
+}
+
 /// Builds the figure for `metric`: one curve per protocol, repetitions
 /// averaged per (protocol, query count).
 pub(crate) fn figure(outcome: &ExperimentOutcome, metric: MetricKind) -> Figure {
-    let mut grouped: BTreeMap<(&str, u64), Vec<f64>> = BTreeMap::new();
-    for point in &outcome.points {
-        let value = match metric {
-            MetricKind::DownloadDistance => point.report.avg_download_distance_ms(),
-            MetricKind::SearchTraffic => point.report.avg_messages_per_query(),
-            MetricKind::SuccessRate => point.report.success_rate(),
-        };
-        grouped.entry((point.protocol.label(), point.queries as u64)).or_default().push(value);
-    }
-    let mut figure = Figure::new(metric.title(), metric.label());
-    for ((label, queries), values) in grouped {
-        figure.push(label, SeriesPoint { queries, value: mean(&values) });
+    let mut figure = Figure::new("queries");
+    for ((label, x), reports) in grouped(outcome, |point| (point.protocol.label(), point.queries as u64)) {
+        figure.push(label, SeriesPoint { x, value: mean_of(&reports, metric.of()) });
     }
     figure
 }
@@ -86,14 +105,8 @@ pub(crate) fn headline_table(outcome: &ExperimentOutcome) -> Table {
         "locality match",
         "cache hit share",
     ]);
-    let mut by_protocol: BTreeMap<&str, Vec<&SimulationReport>> = BTreeMap::new();
-    for point in &outcome.points {
-        by_protocol.entry(point.protocol.label()).or_default().push(&point.report);
-    }
-    for (label, reports) in by_protocol {
-        let mean_of = |metric: fn(&SimulationReport) -> f64| {
-            mean(&reports.iter().map(|report| metric(report)).collect::<Vec<_>>())
-        };
+    for (label, reports) in grouped(outcome, |point| point.protocol.label()) {
+        let mean_of = |metric| mean_of(&reports, metric);
         table.push_row([
             label.to_string(),
             format!("{:.2}", mean_of(SimulationReport::avg_download_distance_ms)),
@@ -146,13 +159,19 @@ pub(crate) fn paper_claims(outcome: &ExperimentOutcome) -> PaperClaims {
             }
         }
     }
+    // Locaware's mean relative success gain over `baseline`,
+    // `mean((locaware - baseline) / baseline)`: the negated reduction, as
+    // `0 - reduction` so that an exact tie stays +0.
+    let gain_over = |baseline| {
+        fig4.relative_reduction("locaware", baseline).map_or(f64::NAN, |reduction| 0.0 - reduction)
+    };
     PaperClaims {
         distance_reduction_vs_baselines: mean_or_nan(reductions),
         traffic_reduction_vs_flooding: fig3
             .relative_reduction("locaware", "flooding")
             .unwrap_or(f64::NAN),
-        success_gain_vs_dicas: relative_gain(&fig4, "locaware", "dicas"),
-        success_gain_vs_dicas_keys: relative_gain(&fig4, "locaware", "dicas-keys"),
+        success_gain_vs_dicas: gain_over("dicas"),
+        success_gain_vs_dicas_keys: gain_over("dicas-keys"),
     }
 }
 
@@ -162,20 +181,6 @@ fn mean_or_nan(values: Vec<f64>) -> f64 {
     } else {
         mean(&values)
     }
-}
-
-/// Relative gain of curve `a` over curve `b` averaged over common x values:
-/// `mean((a - b) / b)`. Positive means `a` is higher (better for success rate).
-fn relative_gain(figure: &Figure, a: &str, b: &str) -> f64 {
-    let mut gains = Vec::new();
-    for x in figure.x_values() {
-        if let (Some(va), Some(vb)) = (figure.value_at(a, x), figure.value_at(b, x)) {
-            if vb != 0.0 {
-                gains.push((va - vb) / vb);
-            }
-        }
-    }
-    mean_or_nan(gains)
 }
 
 impl PaperClaims {
@@ -274,32 +279,17 @@ pub(crate) fn run(
         plan.repetition_count(),
     );
     let outcome = execute(&plan, threads)?;
-    let claims = || paper_claims(&outcome).table().render();
-    let mut out = String::new();
-    match only {
-        Some(metric) if csv => out.push_str(&figure(&outcome, metric).to_csv()),
-        Some(metric) => {
-            out.push_str(&figure(&outcome, metric).to_table());
-            out.push('\n');
-            out.push_str(&claims());
-        }
-        None => {
-            for metric in MetricKind::ALL {
-                if csv {
-                    out.push_str(&format!("# {}\n", metric.title()));
-                    out.push_str(&figure(&outcome, metric).to_csv());
-                } else {
-                    out.push_str(&figure(&outcome, metric).to_table());
-                }
-                out.push('\n');
-            }
-            out.push_str("# Per-protocol averages over the whole sweep\n");
-            out.push_str(&headline_table(&outcome).render());
-            out.push_str("\n# Paper headline claims vs. this reproduction\n");
-            out.push_str(&claims());
-        }
+    let metrics = only.as_ref().map_or(&MetricKind::ALL[..], std::slice::from_ref);
+    let figure_section = |&metric: &MetricKind| {
+        let title = format!("{}\nmetric: {}", metric.title(), metric.label());
+        (title, figure(&outcome, metric).table())
+    };
+    let mut sections: Vec<(String, Table)> = metrics.iter().map(figure_section).collect();
+    if only.is_none() {
+        sections.push(("Per-protocol averages over the whole sweep".into(), headline_table(&outcome)));
     }
-    Ok(out)
+    sections.push(("Paper headline claims vs. this reproduction".into(), paper_claims(&outcome).table()));
+    Ok(render(&sections, csv))
 }
 
 #[cfg(test)]

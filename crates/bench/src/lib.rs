@@ -17,8 +17,10 @@
 //! the [`ExperimentOutcome`] holds. Every run measures all three figure
 //! metrics, so `fig2` / `fig3` / `fig4` / `run_all` are one routine with a
 //! filter; `ablation`, `inspect`, `degradation` and `regimes` are the studies
-//! behind EXPERIMENTS.md; `scale` measures the 10⁵-peer build tier. [`run`] is
-//! the only code path: the binary prints what it returns.
+//! behind EXPERIMENTS.md; `scale` measures the 10⁵-peer build tier. Every
+//! subcommand but `inspect` prints its results as titled [`Table`]s, as
+//! aligned text or, where `--csv` is accepted, as CSV. [`run`] is the only
+//! code path: the binary prints what it returns.
 //!
 //! Speed is measured elsewhere: `BENCHMARK.json` and `perfbench/` are the
 //! repository's one benchmark (it reads its own JSON through [`trajectory`]).
@@ -26,6 +28,7 @@
 #![warn(missing_docs)]
 
 use locaware::{ExperimentOutcome, ExperimentPlan, ProtocolKind, Runner, Scenario, SimulationConfig};
+use locaware_metrics::Table;
 
 mod figures;
 mod scale;
@@ -82,6 +85,17 @@ fn preset(name: &str, peers: usize) -> Result<Scenario, String> {
     Scenario::preset(name, peers).ok_or_else(|| {
         format!("unknown scenario {name}; presets: {}", Scenario::PRESET_NAMES.join(", "))
     })
+}
+
+/// What a subcommand prints: each `(title, table)` section as its title's
+/// lines, each a `# ` comment, then the table as aligned text or (`csv`) as
+/// CSV; sections are separated by a blank line.
+fn render<S: AsRef<str>>(sections: &[(S, Table)], csv: bool) -> String {
+    let section = |(title, table): &(S, Table)| {
+        let comments: String = title.as_ref().lines().map(|line| format!("# {line}\n")).collect();
+        comments + &if csv { table.csv() } else { table.render() }
+    };
+    sections.iter().map(section).collect::<Vec<_>>().join("\n")
 }
 
 /// Runs `plan` on the shared runner (`threads` workers, or one per core).
@@ -507,6 +521,21 @@ mod tests {
             for other in ["fig2", "fig4"] {
                 assert!(!run_with(other).contains(block), "{other} printed Figure 3");
             }
+        }
+    }
+
+    /// Both degradation curves are indexed by the loss level: their x
+    /// column is headed `loss (%)` and holds the `--losses` values.
+    #[test]
+    fn degradation_curves_are_indexed_by_loss() {
+        let out = run(["degradation", "--peers", "40", "--queries", "40", "--losses", "0,5"]).unwrap();
+        let curves: Vec<&str> = out.split("\n\n").filter(|b| b.starts_with("# Degradation:")).collect();
+        assert_eq!(curves.len(), 2, "{out}");
+        for curve in curves {
+            let mut lines = curve.lines().skip_while(|line| line.starts_with('#'));
+            assert!(lines.next().unwrap().starts_with("loss (%)  "), "{curve}");
+            let xs: Vec<&str> = lines.skip(1).filter_map(|row| row.split_whitespace().next()).collect();
+            assert_eq!(xs, ["0", "5"], "{curve}");
         }
     }
 

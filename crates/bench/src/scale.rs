@@ -15,12 +15,12 @@
 //! a cumulative maximum; if the reset is unavailable the row is marked
 //! cumulative.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use locaware::ProtocolKind;
+use locaware_metrics::Table;
 
-use crate::{flags, preset};
+use crate::{flags, preset, render};
 
 /// Peak resident set size in kB (`VmHWM` from `/proc/self/status`), or
 /// `None` off Linux.
@@ -65,34 +65,37 @@ pub(crate) fn run(args: impl IntoIterator<Item = String>) -> Result<String, Stri
         .map(|&peers| preset("large-10k", peers))
         .collect::<Result<Vec<_>, _>>()?;
 
-    let mut out = format!(
-        "# scale_frontier: peers={peer_counts:?} queries={queries} \
-         run_max_peers={run_max_peers} protocol={protocol}\n"
+    let title = format!(
+        "scale_frontier: peers={peer_counts:?} queries={queries} \
+         run_max_peers={run_max_peers} protocol={protocol}"
     );
+    let mut table = Table::new(["peers", "build_ms", "run_ms", "events", "peak_rss_mb", "per_peer_bytes"]);
     for (peers, scenario) in peer_counts.into_iter().zip(scenarios) {
         let scoped = reset_peak_rss();
         let started = Instant::now();
         let substrate = scenario.substrate();
         let build_ms = started.elapsed().as_secs_f64() * 1000.0;
 
-        let run = if peers <= run_max_peers {
+        let (run_ms, events) = if peers <= run_max_peers {
             let started = Instant::now();
             let report = substrate.run(protocol, queries);
             let run_ms = started.elapsed().as_secs_f64() * 1000.0;
-            format!("run_ms={run_ms:.1} events={}", report.dispatched_events)
+            (format!("{run_ms:.1}"), report.dispatched_events.to_string())
         } else {
-            "run_ms=skipped".to_string()
+            ("skipped".to_string(), "-".to_string())
         };
 
         let rss_kb = peak_rss_kb().unwrap_or(0);
         let per_peer_bytes = rss_kb.saturating_mul(1024) / peers as u64;
         let rss_note = if scoped { "" } else { " (cumulative)" };
-        let _ = writeln!(
-            out,
-            "peers={peers} build_ms={build_ms:.1} {run} \
-             peak_rss_mb={:.1}{rss_note} per_peer_bytes={per_peer_bytes}",
-            rss_kb as f64 / 1024.0
-        );
+        table.push_row([
+            peers.to_string(),
+            format!("{build_ms:.1}"),
+            run_ms,
+            events,
+            format!("{:.1}{rss_note}", rss_kb as f64 / 1024.0),
+            per_peer_bytes.to_string(),
+        ]);
     }
-    Ok(out)
+    Ok(render(&[(title, table)], false))
 }

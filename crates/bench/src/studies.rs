@@ -13,7 +13,7 @@ use locaware::{
 use locaware_metrics::{Figure, SeriesPoint, Table};
 use locaware_workload::{FaultConfig, TimeoutPolicy};
 
-use crate::{execute, flags, preset};
+use crate::{execute, flags, preset, render};
 
 /// `ablation [--quick]`: which Locaware mechanism buys which share of the
 /// gains — the full protocol, its two ablated variants and the two Dicas
@@ -64,11 +64,9 @@ pub(crate) fn ablation(args: impl IntoIterator<Item = String>) -> Result<String,
             format!("{:.4}", point.report.cache_hit_share()),
         ]);
     }
-    Ok(format!(
-        "# Mechanism ablation\n{}\n# Response-index capacity sweep (Locaware)\n{}\n",
-        table.render(),
-        capacity_table.render()
-    ))
+    let sections =
+        [("Mechanism ablation", table), ("Response-index capacity sweep (Locaware)", capacity_table)];
+    Ok(render(&sections, false))
 }
 
 /// The ablation's base scenario (`quick`: 200 peers, else the paper's
@@ -263,52 +261,57 @@ pub(crate) fn degradation(args: impl IntoIterator<Item = String>) -> Result<Stri
     let mut next_pair = || pairs.next().ok_or("the plan ran fewer scenarios than it listed")?;
     let unarmed = "a run with a fault axis armed must report fault statistics";
 
-    let mut out = format!(
-        "# degradation: peers={peers} queries={queries} losses(%)={losses_pct:?}\n"
-    );
-    let mut success = Figure::degradation("message loss", "success rate");
-    let mut traffic = Figure::degradation("message loss", "messages per query");
+    let title = format!("degradation: peers={peers} queries={queries} losses(%)={losses_pct:?}");
+    let mut runs = Table::new([
+        "loss (%)", "protocol", "success", "msgs_per_query", "lost", "timeouts", "retransmits",
+        "step_timeouts",
+    ]);
+    let (mut success, mut traffic) = (Figure::new("loss (%)"), Figure::new("loss (%)"));
     for &loss_pct in &losses_pct {
         for (protocol, report) in FAMILIES.iter().zip(next_pair()?) {
             let stats = report.faults.ok_or(unarmed)?;
-            let _ = writeln!(
-                out,
-                "loss={loss_pct}% {protocol} success={:.3} msgs_per_query={:.1} lost={} \
-                 timeouts={} retransmits={} step_timeouts={}",
-                report.success_rate(),
-                report.avg_messages_per_query(),
-                stats.messages_lost,
-                stats.query_timeouts,
-                stats.query_retransmits,
-                stats.dht_step_timeouts,
-            );
+            let (rate, per_query) = (report.success_rate(), report.avg_messages_per_query());
+            runs.push_row([
+                loss_pct.to_string(),
+                protocol.to_string(),
+                format!("{rate:.3}"),
+                format!("{per_query:.1}"),
+                stats.messages_lost.to_string(),
+                stats.query_timeouts.to_string(),
+                stats.query_retransmits.to_string(),
+                stats.dht_step_timeouts.to_string(),
+            ]);
             let x = loss_pct as u64;
-            success.push(protocol.label(), SeriesPoint { queries: x, value: report.success_rate() });
-            traffic.push(
-                protocol.label(),
-                SeriesPoint { queries: x, value: report.avg_messages_per_query() },
-            );
+            success.push(protocol.label(), SeriesPoint { x, value: rate });
+            traffic.push(protocol.label(), SeriesPoint { x, value: per_query });
         }
     }
-    let _ = write!(out, "\n{}\n{}\n", success.to_table(), traffic.to_table());
 
-    out.push_str("# churn-storm: graceful vs crash-stop departures\n");
+    let mut churn = Table::new([
+        "protocol", "graceful_success", "crash_success", "graceful_msgs", "crash_msgs",
+        "crash_departures", "step_timeouts",
+    ]);
     let (graceful, crashed) = (next_pair()?, next_pair()?);
     for ((protocol, graceful), crashed) in FAMILIES.iter().zip(graceful).zip(crashed) {
         let stats = crashed.faults.ok_or(unarmed)?;
-        let _ = writeln!(
-            out,
-            "{protocol} graceful_success={:.3} crash_success={:.3} \
-             graceful_msgs={:.1} crash_msgs={:.1} crash_departures={} step_timeouts={}",
-            graceful.success_rate(),
-            crashed.success_rate(),
-            graceful.avg_messages_per_query(),
-            crashed.avg_messages_per_query(),
-            stats.crash_departures,
-            stats.dht_step_timeouts,
-        );
+        churn.push_row([
+            protocol.to_string(),
+            format!("{:.3}", graceful.success_rate()),
+            format!("{:.3}", crashed.success_rate()),
+            format!("{:.1}", graceful.avg_messages_per_query()),
+            format!("{:.1}", crashed.avg_messages_per_query()),
+            stats.crash_departures.to_string(),
+            stats.dht_step_timeouts.to_string(),
+        ]);
     }
-    Ok(out)
+    let curve = |metric: &str| format!("Degradation: {metric} vs message loss (%)\nmetric: {metric}");
+    let sections = [
+        (title, runs),
+        (curve("success rate"), success.table()),
+        (curve("messages per query"), traffic.table()),
+        ("churn-storm: graceful vs crash-stop departures".to_string(), churn),
+    ];
+    Ok(render(&sections, false))
 }
 
 /// `regimes [--peers N] [--queries N] [--scenarios a,b,c]`: the headline
@@ -333,19 +336,53 @@ pub(crate) fn regimes(args: impl IntoIterator<Item = String>) -> Result<String, 
     for name in scenarios.split(',') {
         plan = plan.scenario(preset(name.trim(), peers)?);
     }
-    let mut out = format!("# workload_regimes: peers={peers} queries={queries}\n");
-    for ExperimentPoint { scenario, protocol, report, .. } in &execute(&plan, None)?.points {
-        let _ = writeln!(
-            out,
-            "{scenario} {protocol} events={} success={:.3} msgs_per_query={:.1} \
-             locality_match={:.3} sim_span_s={:.0} fingerprint={:#018x}",
-            report.dispatched_events,
-            report.success_rate(),
-            report.avg_messages_per_query(),
-            report.locality_match_rate(),
-            report.simulated_end_time_secs,
-            report.fingerprint(),
-        );
+    let title = format!("workload_regimes: peers={peers} queries={queries}");
+    Ok(render(&[(title, regimes_table(&execute(&plan, None)?.points))], false))
+}
+
+/// One row per point: its scenario, protocol, headline metrics and report
+/// fingerprint.
+fn regimes_table(points: &[ExperimentPoint]) -> Table {
+    let mut table = Table::new([
+        "scenario", "protocol", "events", "success", "msgs_per_query", "locality_match", "sim_span_s",
+        "fingerprint",
+    ]);
+    for ExperimentPoint { scenario, protocol, report, .. } in points {
+        table.push_row([
+            scenario.clone(),
+            protocol.to_string(),
+            report.dispatched_events.to_string(),
+            format!("{:.3}", report.success_rate()),
+            format!("{:.1}", report.avg_messages_per_query()),
+            format!("{:.3}", report.locality_match_rate()),
+            format!("{:.0}", report.simulated_end_time_secs),
+            format!("{:#018x}", report.fingerprint()),
+        ]);
     }
-    Ok(out)
+    table
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every `regimes` row names its point and carries that point's report
+    /// fingerprint, read back from the cell.
+    #[test]
+    fn regimes_rows_carry_their_points_fingerprints() {
+        let plan = ExperimentPlan::new()
+            .protocols([ProtocolKind::Locaware, ProtocolKind::Flooding])
+            .query_count(40)
+            .scenario(preset("small", 40).unwrap())
+            .scenario(preset("churn-storm", 40).unwrap());
+        let points = execute(&plan, Some(2)).unwrap().points;
+        let table = regimes_table(&points);
+        assert_eq!(table.len(), 4);
+        let column = table.headers().iter().position(|h| h == "fingerprint").unwrap();
+        for (row, point) in table.rows().iter().zip(&points) {
+            assert_eq!(row[..2], [point.scenario.clone(), point.protocol.label().to_string()]);
+            let hex = row[column].strip_prefix("0x").unwrap();
+            assert_eq!(u64::from_str_radix(hex, 16), Ok(point.report.fingerprint()), "{row:?}");
+        }
+    }
 }

@@ -7,9 +7,8 @@
 //! bits. Thus, the information to be sent is limited by I = 12 · 11 bits =
 //! 0.132 Kb."*
 //!
-//! [`BloomDelta`] captures exactly that encoding: the positions whose bit value
-//! flipped between two filter snapshots, plus the cost accounting (11 bits per
-//! position for a 1200-bit filter, `ceil(log2 m)` in general).
+//! [`BloomDelta`] captures exactly that: the positions whose bit value flipped
+//! between two filter snapshots.
 
 use crate::filter::BloomFilter;
 
@@ -18,7 +17,7 @@ use crate::filter::BloomFilter;
 pub struct BloomDelta {
     /// Flipped bit positions, in increasing order.
     positions: Vec<u32>,
-    /// Number of bits in the underlying filter (needed to size the encoding).
+    /// Number of bits in the underlying filter ([`BloomDelta::apply`] checks it).
     filter_bits: u32,
 }
 
@@ -84,29 +83,6 @@ impl BloomDelta {
             }
         }
     }
-
-    /// Bits needed to encode a single position: `ceil(log2(filter_bits))`.
-    ///
-    /// For the paper's 1200-bit filter this is 11 bits.
-    pub fn bits_per_position(&self) -> u32 {
-        if self.filter_bits <= 1 {
-            1
-        } else {
-            32 - (self.filter_bits - 1).leading_zeros()
-        }
-    }
-
-    /// Total encoded size of this delta in bits (positions only, as the paper
-    /// counts it).
-    pub fn encoded_bits(&self) -> u64 {
-        self.positions.len() as u64 * u64::from(self.bits_per_position())
-    }
-
-    /// Total encoded size in bytes, rounded up (what a real wire format would
-    /// occupy at minimum).
-    pub fn encoded_bytes(&self) -> u64 {
-        self.encoded_bits().div_ceil(8)
-    }
 }
 
 #[cfg(test)]
@@ -149,15 +125,13 @@ mod tests {
         let f = BloomFilter::paper_default();
         let delta = BloomDelta::between(&f, &f.clone());
         assert!(delta.is_empty());
-        assert_eq!(delta.encoded_bits(), 0);
     }
 
     #[test]
     fn paper_footnote_size_bound_holds() {
         // Adding one filename (3 keywords × 5 probes) flips at most 15 bits;
-        // the paper's bound of 12 assumes its own k; what we verify here is the
-        // 11-bits-per-position claim and that a single-filename update stays in
-        // the tens-of-bits range, i.e. negligible vs. a full 1200-bit push.
+        // the paper's bound of 12 assumes its own k; what we verify here is
+        // that a single-filename update touches a handful of the 1200 bits.
         let mut old = BloomFilter::paper_default();
         for i in 0..49 {
             old.insert(&format!("kw-a-{i}"));
@@ -169,27 +143,13 @@ mod tests {
         new.insert("fresh-two");
         new.insert("fresh-three");
         let delta = BloomDelta::between(&old, &new);
-        assert_eq!(delta.bits_per_position(), 11, "1200-bit filter needs 11 bits/position");
         assert!(delta.len() <= 15, "at most k × keywords bits can flip, got {}", delta.len());
-        assert!(delta.encoded_bits() <= 15 * 11);
-        assert!(delta.encoded_bits() < 1200, "delta must beat retransmitting the filter");
-    }
-
-    #[test]
-    fn bits_per_position_general_formula() {
-        let d = BloomDelta::from_positions(vec![], 1200);
-        assert_eq!(d.bits_per_position(), 11);
-        assert_eq!(BloomDelta::from_positions(vec![], 1024).bits_per_position(), 10);
-        assert_eq!(BloomDelta::from_positions(vec![], 1025).bits_per_position(), 11);
-        assert_eq!(BloomDelta::from_positions(vec![], 2).bits_per_position(), 1);
-        assert_eq!(BloomDelta::from_positions(vec![], 1).bits_per_position(), 1);
     }
 
     #[test]
     fn from_positions_sorts_and_dedups() {
         let d = BloomDelta::from_positions(vec![9, 3, 9, 1], 100);
         assert_eq!(d.positions(), &[1, 3, 9]);
-        assert_eq!(d.encoded_bytes(), (3u64 * 7).div_ceil(8));
     }
 
     #[test]

@@ -32,44 +32,25 @@ impl BloomParams {
         BloomParams { bits, hashes }
     }
 
-    /// The theoretically optimal number of hashes for an expected population of
-    /// `n` elements: `k = (m / n) · ln 2`, clamped to at least 1.
-    pub fn optimal_hashes(bits: usize, expected_elements: usize) -> usize {
-        if expected_elements == 0 {
-            return 1;
-        }
-        let k = (bits as f64 / expected_elements as f64) * std::f64::consts::LN_2;
-        (k.round() as usize).max(1)
-    }
-
     /// The OR of every element's [`ElementHashes::fold_mask`] under this
     /// geometry: a filter of this geometry holding all the elements has
     /// every bit of it set in its [`BloomFilter::fold`]. 0 for no elements.
     pub fn fold_mask(&self, elements: &[ElementHashes]) -> u64 {
         elements.iter().fold(0, |mask, h| mask | h.fold_mask(self.hashes, self.bits))
     }
-
-    /// Expected false-positive probability with `n` inserted elements.
-    pub fn false_positive_rate(&self, n: usize) -> f64 {
-        let m = self.bits as f64;
-        let k = self.hashes as f64;
-        let exponent = -k * n as f64 / m;
-        (1.0 - exponent.exp()).powf(k)
-    }
 }
 
-/// A fixed-size Bloom filter over string elements (keywords).
-#[derive(Debug)]
+/// A fixed-size Bloom filter over string elements (keywords). Two filters
+/// are equal when they have the same parameters and the same bit pattern.
+#[derive(Debug, PartialEq, Eq)]
 pub struct BloomFilter {
     params: BloomParams,
     words: Vec<u64>,
-    /// Number of `insert` calls (not distinct elements); diagnostic only.
-    insertions: u64,
 }
 
 impl Clone for BloomFilter {
     fn clone(&self) -> Self {
-        BloomFilter { params: self.params, words: self.words.clone(), insertions: self.insertions }
+        BloomFilter { params: self.params, words: self.words.clone() }
     }
 
     /// Copies into the words already allocated, so re-exporting a filter
@@ -77,20 +58,8 @@ impl Clone for BloomFilter {
     fn clone_from(&mut self, source: &Self) {
         self.params = source.params;
         self.words.clone_from(&source.words);
-        self.insertions = source.insertions;
     }
 }
-
-/// Two filters are equal when they have the same parameters and the same bit
-/// pattern; the diagnostic insertion counter is deliberately ignored so that a
-/// filter reconstructed from deltas compares equal to the original.
-impl PartialEq for BloomFilter {
-    fn eq(&self, other: &Self) -> bool {
-        self.params == other.params && self.words == other.words
-    }
-}
-
-impl Eq for BloomFilter {}
 
 impl Default for BloomFilter {
     fn default() -> Self {
@@ -101,12 +70,7 @@ impl Default for BloomFilter {
 impl BloomFilter {
     /// Creates an empty filter with the given parameters.
     pub fn new(params: BloomParams) -> Self {
-        let words = vec![0u64; params.bits.div_ceil(64)];
-        BloomFilter {
-            params,
-            words,
-            insertions: 0,
-        }
+        BloomFilter { params, words: vec![0u64; params.bits.div_ceil(64)] }
     }
 
     /// Creates an empty filter with the paper's 1200-bit configuration.
@@ -134,7 +98,6 @@ impl BloomFilter {
         for pos in hashes.positions(self.params.hashes, self.params.bits) {
             self.set_bit(pos);
         }
-        self.insertions += 1;
     }
 
     /// Membership test for a string element. May return false positives but
@@ -208,20 +171,9 @@ impl BloomFilter {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Fraction of set bits (the filter's load factor).
-    pub fn fill_ratio(&self) -> f64 {
-        self.count_ones() as f64 / self.params.bits as f64
-    }
-
-    /// Number of `insert` calls so far.
-    pub fn insertions(&self) -> u64 {
-        self.insertions
-    }
-
     /// Resets the filter to empty.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
-        self.insertions = 0;
     }
 
     /// True if no bit is set.
@@ -306,9 +258,6 @@ mod tests {
             .count();
         let rate = false_positives as f64 / trials as f64;
         assert!(rate < 0.10, "false positive rate too high: {rate}");
-        // And the analytic estimate should be in the same ballpark.
-        let predicted = f.params().false_positive_rate(150);
-        assert!(predicted < 0.10, "analytic rate unexpectedly high: {predicted}");
     }
 
     #[test]
@@ -411,28 +360,7 @@ mod tests {
         assert!(!f.is_empty());
         f.clear();
         assert!(f.is_empty());
-        assert_eq!(f.insertions(), 0);
         assert!(!f.contains("x"));
-    }
-
-    #[test]
-    fn optimal_hashes_formula() {
-        // m=1200, n=150 → (8)·ln2 ≈ 5.5 → 6 after rounding; but never 0.
-        let k = BloomParams::optimal_hashes(1200, 150);
-        assert!((5..=6).contains(&k));
-        assert_eq!(BloomParams::optimal_hashes(1200, 0), 1);
-        assert_eq!(BloomParams::optimal_hashes(8, 10_000), 1);
-    }
-
-    #[test]
-    fn fill_ratio_grows_with_insertions() {
-        let mut f = BloomFilter::paper_default();
-        let before = f.fill_ratio();
-        for i in 0..50 {
-            f.insert(&format!("kw{i}"));
-        }
-        assert!(f.fill_ratio() > before);
-        assert!(f.fill_ratio() <= 1.0);
     }
 
     #[test]

@@ -851,8 +851,9 @@ impl RunHorizon {
 
     /// The latest time a run of a validated configuration whose last arrival
     /// is at `last_arrival` can put anything on the clock:
-    /// `max(start, last_arrival) + tail`. Saturates only when the last
-    /// arrival is itself past [`HORIZON_LIMIT`], which nothing checks yet.
+    /// `max(start, last_arrival) + tail`. Both terms fit [`HORIZON_LIMIT`]
+    /// (`validate` holds `start + tail` to it, `Simulation::arrivals` the
+    /// last arrival), so the sum fits the clock and never saturates.
     pub(crate) fn event_bound(self, last_arrival: SimTime) -> SimTime {
         let start = SimTime::ZERO + Duration::from_secs_f64(self.start_secs);
         start.max(last_arrival).saturating_add(Duration::from_secs_f64(self.tail_secs))

@@ -33,8 +33,6 @@ pub struct SelectedProvider {
     pub loc_id: LocId,
     /// True if the provider shares the requestor's locId.
     pub locality_match: bool,
-    /// Number of RTT probes spent making the decision.
-    pub probes: usize,
 }
 
 /// Selects a provider among `offered` for a requestor at `requestor` with
@@ -63,7 +61,6 @@ pub fn select_provider<R: Rng + ?Sized>(
                 provider: pick.provider,
                 loc_id: pick.loc_id,
                 locality_match: pick.loc_id == requestor_loc,
-                probes: 0,
             })
         }
         SelectionPolicy::LocalityThenRtt => {
@@ -78,7 +75,6 @@ pub fn select_provider<R: Rng + ?Sized>(
                     provider: local.provider,
                     loc_id: local.loc_id,
                     locality_match: true,
-                    probes: 0,
                 });
             }
             // 2. Fallback of §5.1: probe every offered provider and take the
@@ -101,7 +97,6 @@ pub fn select_provider<R: Rng + ?Sized>(
                 provider: entry.provider,
                 loc_id: entry.loc_id,
                 locality_match: false,
-                probes: offered.len(),
             })
         }
     }
@@ -184,7 +179,6 @@ mod tests {
         .unwrap();
         assert_eq!(sel.provider, same);
         assert!(sel.locality_match);
-        assert_eq!(sel.probes, 0);
     }
 
     #[test]
@@ -215,7 +209,6 @@ mod tests {
         )
         .unwrap();
         assert!(!sel.locality_match);
-        assert_eq!(sel.probes, offered.len());
         // It must indeed be the minimum-RTT candidate.
         let best_rtt = offered
             .iter()
@@ -248,7 +241,6 @@ mod tests {
                 &mut rng,
             )
             .unwrap();
-            assert_eq!(sel.probes, 0);
             chosen.insert(sel.provider);
         }
         assert_eq!(chosen.len(), 4, "random selection should hit every offer eventually");

@@ -17,7 +17,7 @@ use locaware_workload::{
     Arrival, ArrivalProcess, Catalog, CatalogConfig, FileId, InitialPlacement, PlacementConfig,
 };
 
-use crate::config::{ConfigError, ProtocolKind, SimulationConfig};
+use crate::config::{ConfigError, ProtocolKind, SimulationConfig, HORIZON_LIMIT};
 use crate::experiment::Scenario;
 use crate::group::{GroupId, GroupScheme};
 use crate::results::{RunProfile, SimulationReport};
@@ -207,10 +207,22 @@ impl Simulation {
     /// reproduces legacy runs bit-for-bit); under weighted clusters, each
     /// sampled cluster slot is mapped onto the peer of that locality rank.
     ///
+    ///
+    /// # Panics
+    /// Panics, naming the rate and `num_queries`, when the last arrival falls
+    /// past the arrivals' half of the clock (`HORIZON_LIMIT`): a query
+    /// count `validate` never sees that the rate cannot fit.
+    ///
     /// [`ArrivalSchedule::Steady`]: locaware_workload::ArrivalSchedule::Steady
     pub fn arrivals(&self, num_queries: usize) -> Vec<Arrival> {
         let mut arrivals = (self.arrivals)
             .generate_count(num_queries, &mut self.rng_factory.stream(StreamId::Arrivals));
+        let fits = arrivals.last().is_none_or(|last| last.at <= SimTime::ZERO + HORIZON_LIMIT);
+        assert!(
+            fits,
+            "{num_queries} queries at {} queries/s per peer do not fit the simulation clock",
+            self.config.query_rate_per_peer
+        );
         if let Some(order) = &self.origin_order {
             for arrival in &mut arrivals {
                 arrival.peer = order[arrival.peer] as usize;
@@ -337,6 +349,29 @@ mod tests {
         let sim = small_sim();
         let arrivals = sim.arrivals(10);
         assert!(sim.churn_schedule(&arrivals).is_empty());
+    }
+
+    /// A rate this sparse validates, but 20 of its arrivals run past the
+    /// clock: `arrivals` refuses them in every build, naming the rate and
+    /// the count, instead of wrapping (release) or overflowing (debug).
+    #[test]
+    #[should_panic(expected = "20 queries at 0.000000000000001 queries/s per peer do not fit the simulation clock")]
+    fn arrivals_past_the_clock_panic_naming_rate_and_count() {
+        let config = SimulationConfig { query_rate_per_peer: 1e-15, ..SimulationConfig::small(40) };
+        let sim = Simulation::try_build(config).unwrap();
+        sim.arrivals(20);
+    }
+
+    /// At 1e-12 queries/s per peer the 20th arrival lands near 5.8·10¹¹ s,
+    /// inside the clock: the arrivals are time-sorted and a run reports.
+    #[test]
+    fn sparse_arrivals_inside_the_clock_stay_sorted_and_run() {
+        let config = SimulationConfig { query_rate_per_peer: 1e-12, ..SimulationConfig::small(40) };
+        let sim = Simulation::try_build(config).unwrap();
+        let arrivals = sim.arrivals(20);
+        assert!(arrivals.windows(2).all(|pair| pair[0].at <= pair[1].at));
+        assert!(arrivals[19].at.as_secs_f64() > 1e11, "{:?}", arrivals[19].at);
+        assert_eq!(sim.run(ProtocolKind::Flooding, 20).metrics.len(), 20);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`aggregate`] — means and percentiles,
 //! * [`series`] — (x, y) series keyed by protocol label, the exact shape of the
 //!   paper's figures,
-//! * [`report`] — fixed-width text tables used by the experiment binaries
-//!   and EXPERIMENTS.md.
+//! * [`report`] — the one [`Table`] every result is printed as, rendered as
+//!   aligned text (the terminal and EXPERIMENTS.md) or CSV.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]

@@ -1,11 +1,11 @@
-//! Plain-text tables.
+//! Tables: the one shape the experiment binaries print.
 //!
-//! The experiment binaries print their results as aligned tables (for the
-//! terminal and EXPERIMENTS.md); figures render their own CSV. [`Table`]
-//! is a tiny column-aligned table builder used for anything that is not a
-//! per-figure series (parameter listings, summary comparisons, ablations).
+//! Every result — a figure's series ([`Figure::table`](crate::Figure::table)),
+//! a summary comparison, an ablation, a sweep — is a [`Table`] of
+//! pre-formatted cells, rendered as aligned text (for the terminal and
+//! EXPERIMENTS.md) or as CSV from the same cells.
 
-/// A simple column-aligned table.
+/// Column headers over rows of pre-formatted cells.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     headers: Vec<String>,
@@ -60,6 +60,18 @@ impl Table {
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         format_table(&self.headers, &self.rows)
+    }
+
+    /// Renders the table as CSV: the header line, then one line per row,
+    /// holding the same cells as [`Table::render`]. A cell holding a comma,
+    /// a double quote or a line break is quoted, its quotes doubled.
+    pub fn csv(&self) -> String {
+        let field = |cell: &String| {
+            let quoted = cell.contains([',', '"', '\n', '\r']);
+            if quoted { format!("\"{}\"", cell.replace('"', "\"\"")) } else { cell.clone() }
+        };
+        let line = |cells: &Vec<String>| cells.iter().map(field).collect::<Vec<_>>().join(",") + "\n";
+        std::iter::once(&self.headers).chain(&self.rows).map(line).collect()
     }
 }
 
@@ -127,6 +139,36 @@ mod tests {
         let offset = lines[0].find("success rate").unwrap();
         assert_eq!(lines[2].find("0.82").unwrap(), offset);
         assert_eq!(lines[3].find("0.97").unwrap(), offset);
+    }
+
+    /// The CSV holds exactly the headers and cells `render` aligns, one
+    /// line each, in the same order.
+    #[test]
+    fn csv_lists_the_cells_render_aligns() {
+        let table = sample();
+        let (csv, rendered) = (table.csv(), table.render());
+        let aligned: Vec<&str> = rendered.lines().filter(|line| !line.starts_with('-')).collect();
+        let lines: Vec<&Vec<String>> = std::iter::once(&table.headers).chain(&table.rows).collect();
+        assert_eq!(csv.lines().count(), lines.len());
+        assert_eq!(aligned.len(), lines.len());
+        for ((csv_line, aligned_line), cells) in csv.lines().zip(aligned).zip(lines) {
+            assert_eq!(csv_line, cells.join(","));
+            let words: Vec<&str> =
+                aligned_line.split("  ").map(str::trim).filter(|w| !w.is_empty()).collect();
+            assert_eq!(words, *cells);
+        }
+    }
+
+    #[test]
+    fn csv_quotes_cells_holding_a_separator() {
+        let mut t = Table::new(["claim", "value"]);
+        t.push_row(["traffic, search only", "85.4%"]);
+        t.push_row(["the \"paper\" says", "line\nbreak"]);
+        assert_eq!(
+            t.csv(),
+            "claim,value\n\"traffic, search only\",85.4%\n\"the \"\"paper\"\" says\",\"line\nbreak\"\n"
+        );
+        assert_eq!(Table::new(["x"]).csv(), "x\n");
     }
 
     #[test]

@@ -1,63 +1,46 @@
-//! Figure series: metric values as a function of the number of queries, one
-//! curve per protocol.
+//! Figure series: metric values as a function of one x-axis, one curve per
+//! protocol.
 //!
 //! Every figure in the paper plots one metric on the y-axis against "number of
 //! queries" on the x-axis, with one curve per compared approach (Locaware,
-//! Flooding, Dicas, Dicas-Keys). [`Figure`] is exactly that shape, and knows
-//! how to render itself as an aligned text table or CSV so the experiment
-//! binaries can print the same rows the paper plots.
+//! Flooding, Dicas, Dicas-Keys); the degradation study plots against a fault
+//! level instead. [`Figure`] is exactly that shape: it holds the numbers, and
+//! [`Figure::table`] lays them out as the [`Table`] the experiment binaries
+//! print.
 
 use std::collections::BTreeMap;
+
+use crate::Table;
 
 /// One (x, y) point of a curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {
-    /// Number of queries issued (the x-axis of every figure).
-    pub queries: u64,
+    /// The x-axis value (a query count, a loss level in percent, …).
+    pub x: u64,
     /// The metric value at that point.
     pub value: f64,
 }
 
-/// A figure: a named metric with one curve per protocol label.
+/// A figure: one curve per protocol label over a named x-axis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Figure {
-    /// Figure title, e.g. `"Figure 2: download distance (ms)"`.
-    pub title: String,
-    /// Name of the y-axis metric, e.g. `"avg download distance (ms)"`.
-    pub metric: String,
+    /// The x-axis name, which heads the first column of [`Figure::table`].
+    x_axis: String,
     /// Curves keyed by protocol label, each a list of points in x order.
     curves: BTreeMap<String, Vec<SeriesPoint>>,
 }
 
 impl Figure {
-    /// Creates an empty figure.
-    pub fn new(title: impl Into<String>, metric: impl Into<String>) -> Self {
-        Figure {
-            title: title.into(),
-            metric: metric.into(),
-            curves: BTreeMap::new(),
-        }
-    }
-
-    /// Creates an empty *degradation* figure: the metric as a function of a
-    /// fault level instead of the query count. The x-axis reuses
-    /// [`SeriesPoint::queries`] to carry the level in percent (0–100) — e.g.
-    /// message-loss rate — so every lookup, reduction and rendering helper
-    /// works unchanged; the title records the reinterpretation.
-    pub fn degradation(fault_axis: &str, metric: impl Into<String>) -> Self {
-        let metric = metric.into();
-        Figure {
-            title: format!("Degradation: {metric} vs {fault_axis} (%)"),
-            metric,
-            curves: BTreeMap::new(),
-        }
+    /// Creates an empty figure over the x-axis named `x_axis`.
+    pub fn new(x_axis: impl Into<String>) -> Self {
+        Figure { x_axis: x_axis.into(), curves: BTreeMap::new() }
     }
 
     /// Appends a point to the curve of `label`, keeping x order.
     pub fn push(&mut self, label: impl Into<String>, point: SeriesPoint) {
         let curve = self.curves.entry(label.into()).or_default();
         curve.push(point);
-        curve.sort_by_key(|p| p.queries);
+        curve.sort_by_key(|p| p.x);
     }
 
     /// The labels present, in sorted order.
@@ -72,23 +55,16 @@ impl Figure {
 
     /// All distinct x values across curves, sorted.
     pub fn x_values(&self) -> Vec<u64> {
-        let mut xs: Vec<u64> = self
-            .curves
-            .values()
-            .flat_map(|c| c.iter().map(|p| p.queries))
-            .collect();
+        let mut xs: Vec<u64> =
+            self.curves.values().flat_map(|c| c.iter().map(|p| p.x)).collect();
         xs.sort_unstable();
         xs.dedup();
         xs
     }
 
-    /// The y value of `label` at exactly `queries`, if recorded.
-    pub fn value_at(&self, label: &str, queries: u64) -> Option<f64> {
-        self.curves
-            .get(label)?
-            .iter()
-            .find(|p| p.queries == queries)
-            .map(|p| p.value)
+    /// The y value of `label` at exactly `x`, if recorded.
+    pub fn value_at(&self, label: &str, x: u64) -> Option<f64> {
+        self.curves.get(label)?.iter().find(|p| p.x == x).map(|p| p.value)
     }
 
     /// Relative improvement of `a` over `b` averaged across common x values:
@@ -110,51 +86,19 @@ impl Figure {
         }
     }
 
-    /// Renders the figure as an aligned text table: one row per x value, one
-    /// column per protocol.
-    pub fn to_table(&self) -> String {
+    /// The figure as a table: the x-axis column, then one column per label;
+    /// one row per x value, each value to four decimals and `-` where a
+    /// curve has no point.
+    pub fn table(&self) -> Table {
         let labels = self.labels();
-        let mut out = String::new();
-        out.push_str(&format!("# {}\n", self.title));
-        out.push_str(&format!("# metric: {}\n", self.metric));
-        out.push_str(&format!("{:>10}", "queries"));
-        for l in &labels {
-            out.push_str(&format!(" {:>16}", l));
-        }
-        out.push('\n');
+        let mut table = Table::new(std::iter::once(self.x_axis.as_str()).chain(labels.iter().copied()));
         for x in self.x_values() {
-            out.push_str(&format!("{x:>10}"));
-            for l in &labels {
-                match self.value_at(l, x) {
-                    Some(v) => out.push_str(&format!(" {v:>16.4}")),
-                    None => out.push_str(&format!(" {:>16}", "-")),
-                }
-            }
-            out.push('\n');
+            let values = labels
+                .iter()
+                .map(|label| self.value_at(label, x).map_or("-".to_string(), |v| format!("{v:.4}")));
+            table.push_row(std::iter::once(x.to_string()).chain(values));
         }
-        out
-    }
-
-    /// Renders the figure as CSV with a `queries` column followed by one column
-    /// per protocol.
-    pub fn to_csv(&self) -> String {
-        let labels = self.labels();
-        let mut out = String::new();
-        out.push_str("queries");
-        for l in &labels {
-            out.push(',');
-            out.push_str(l);
-        }
-        out.push('\n');
-        for x in self.x_values() {
-            out.push_str(&x.to_string());
-            for l in &labels {
-                out.push(',');
-                if let Some(v) = self.value_at(l, x) { out.push_str(&format!("{v:.6}")) }
-            }
-            out.push('\n');
-        }
-        out
+        table
     }
 }
 
@@ -163,21 +107,21 @@ mod tests {
     use super::*;
 
     fn sample_figure() -> Figure {
-        let mut fig = Figure::new("Figure 3: search traffic", "messages per query");
-        for (q, flood, loca) in [(1000u64, 800.0, 15.0), (2000, 810.0, 14.0), (3000, 805.0, 13.0)] {
-            fig.push("flooding", SeriesPoint { queries: q, value: flood });
-            fig.push("locaware", SeriesPoint { queries: q, value: loca });
+        let mut fig = Figure::new("queries");
+        for (x, flood, loca) in [(1000u64, 800.0, 15.0), (2000, 810.0, 14.0), (3000, 805.0, 13.0)] {
+            fig.push("flooding", SeriesPoint { x, value: flood });
+            fig.push("locaware", SeriesPoint { x, value: loca });
         }
         fig
     }
 
     #[test]
     fn points_are_kept_in_x_order() {
-        let mut fig = Figure::new("t", "m");
-        fig.push("a", SeriesPoint { queries: 300, value: 3.0 });
-        fig.push("a", SeriesPoint { queries: 100, value: 1.0 });
-        fig.push("a", SeriesPoint { queries: 200, value: 2.0 });
-        let xs: Vec<u64> = fig.curve("a").unwrap().iter().map(|p| p.queries).collect();
+        let mut fig = Figure::new("x");
+        fig.push("a", SeriesPoint { x: 300, value: 3.0 });
+        fig.push("a", SeriesPoint { x: 100, value: 1.0 });
+        fig.push("a", SeriesPoint { x: 200, value: 2.0 });
+        let xs: Vec<u64> = fig.curve("a").unwrap().iter().map(|p| p.x).collect();
         assert_eq!(xs, vec![100, 200, 300]);
         assert_eq!(fig.x_values(), vec![100, 200, 300]);
     }
@@ -202,31 +146,36 @@ mod tests {
         assert_eq!(fig.relative_reduction("locaware", "absent"), None);
     }
 
+    /// The figure's table holds every point at four decimals, in both of
+    /// `Table`'s renderings, and a curve with no point at some x shows `-`.
     #[test]
     fn table_and_csv_render_every_point() {
-        let fig = sample_figure();
-        let table = fig.to_table();
-        assert!(table.contains("Figure 3"));
-        assert!(table.contains("flooding"));
-        assert!(table.contains("locaware"));
-        assert!(table.lines().count() >= 3 + 3);
-        let csv = fig.to_csv();
-        assert_eq!(csv.lines().next().unwrap(), "queries,flooding,locaware");
+        let mut fig = sample_figure();
+        fig.push("dicas", SeriesPoint { x: 2000, value: 1.0 / 3.0 });
+        let table = fig.table();
+        assert_eq!(table.headers(), ["queries", "dicas", "flooding", "locaware"]);
+        assert_eq!(table.len(), 3);
+        assert_eq!(table.rows()[1], ["2000", "0.3333", "810.0000", "14.0000"]);
+        assert_eq!(table.rows()[0][1], "-");
+        assert_eq!(table.render().lines().nth(3), Some("2000     0.3333  810.0000  14.0000"));
+        let csv = table.csv();
+        assert_eq!(csv.lines().next().unwrap(), "queries,dicas,flooding,locaware");
         assert_eq!(csv.lines().count(), 4);
-        assert!(csv.contains("2000,810.000000,14.000000"));
+        assert!(csv.contains("\n2000,0.3333,810.0000,14.0000\n"), "{csv}");
     }
 
+    /// A figure over a fault level instead of the query count is the same
+    /// machinery with another axis name, which heads its table.
     #[test]
     fn degradation_figures_reuse_the_series_machinery() {
-        let mut fig = Figure::degradation("message loss", "success rate");
-        assert!(fig.title.contains("message loss"));
-        assert!(fig.title.contains("success rate"));
+        let mut fig = Figure::new("loss (%)");
         for (loss_pct, flood, loca) in [(0u64, 0.95, 0.97), (5, 0.80, 0.90), (10, 0.60, 0.82)] {
-            fig.push("flooding", SeriesPoint { queries: loss_pct, value: flood });
-            fig.push("locaware", SeriesPoint { queries: loss_pct, value: loca });
+            fig.push("flooding", SeriesPoint { x: loss_pct, value: flood });
+            fig.push("locaware", SeriesPoint { x: loss_pct, value: loca });
         }
         assert_eq!(fig.x_values(), vec![0, 5, 10]);
         assert_eq!(fig.value_at("locaware", 5), Some(0.90));
+        assert_eq!(fig.table().headers(), ["loss (%)", "flooding", "locaware"]);
         // Success is a benefit, not a cost: locaware retaining more of it
         // shows up as a *negative* reduction relative to flooding.
         assert!(fig.relative_reduction("locaware", "flooding").unwrap() < 0.0);
@@ -234,9 +183,9 @@ mod tests {
 
     #[test]
     fn labels_are_sorted() {
-        let mut fig = Figure::new("t", "m");
-        fig.push("zeta", SeriesPoint { queries: 1, value: 0.0 });
-        fig.push("alpha", SeriesPoint { queries: 1, value: 0.0 });
+        let mut fig = Figure::new("x");
+        fig.push("zeta", SeriesPoint { x: 1, value: 0.0 });
+        fig.push("alpha", SeriesPoint { x: 1, value: 0.0 });
         assert_eq!(fig.labels(), vec!["alpha", "zeta"]);
     }
 }

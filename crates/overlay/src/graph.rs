@@ -6,7 +6,7 @@
 //!
 //! Storage is CSR (one offsets vector into one shared edge arena, built once
 //! from the generator's rows) with a copy-on-write overlay for rows mutated
-//! after that: a quiescent graph costs 4 bytes per peer plus 4 bytes per directed edge,
+//! after that: a quiescent graph costs 8 bytes per peer plus 4 bytes per directed edge,
 //! instead of a heap-allocated `Vec` per peer, and cloning it — which every
 //! protocol run does once — is two `memcpy`s. The first mutation (churn
 //! rewiring) gives the overlay one slot per peer, and each mutation lifts
@@ -25,7 +25,7 @@ const _: () = assert!(std::mem::size_of::<PeerId>() == 4, "CSR edge record grew"
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OverlayGraph {
     /// CSR row offsets: peer `p`'s base row is `arena[offsets[p]..offsets[p+1]]`.
-    offsets: Vec<u32>,
+    offsets: Vec<usize>,
     /// All base neighbour lists, concatenated; each row sorted, duplicate-free.
     arena: Vec<PeerId>,
     /// Copy-on-write rows mutated since the CSR base was built, by peer
@@ -50,14 +50,10 @@ impl OverlayGraph {
     pub(crate) fn from_rows(rows: &[Vec<PeerId>]) -> Self {
         let mut offsets = Vec::with_capacity(rows.len() + 1);
         let mut arena = Vec::with_capacity(rows.iter().map(Vec::len).sum());
-        offsets.push(0u32);
+        offsets.push(0);
         for row in rows {
             arena.extend_from_slice(row);
-            #[expect(
-                clippy::expect_used,
-                reason = "u32 offsets by design: 2^32 directed edges is a 16 GiB arena"
-            )]
-            offsets.push(u32::try_from(arena.len()).expect("edge arena exceeds u32 offsets"));
+            offsets.push(arena.len());
         }
         let mut online = vec![u64::MAX; rows.len().div_ceil(64)];
         if let Some(last) = online.last_mut() {
@@ -86,7 +82,7 @@ impl OverlayGraph {
     fn row(&self, i: usize) -> &[PeerId] {
         match self.lifted.get(i) {
             Some(Some(row)) => row,
-            _ => &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize],
+            _ => &self.arena[self.offsets[i]..self.offsets[i + 1]],
         }
     }
 
@@ -96,7 +92,7 @@ impl OverlayGraph {
         if self.lifted.is_empty() {
             self.lifted.resize(self.len(), None);
         }
-        let base = &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize];
+        let base = &self.arena[self.offsets[i]..self.offsets[i + 1]];
         self.lifted[i].get_or_insert_with(|| base.to_vec())
     }
 

@@ -9,14 +9,10 @@
 //! copy to copy (a query's TTL, a lookup step's hop, a response's providers).
 //! What every copy of one query would carry alike — its originator and the
 //! originator's locId, its keywords — the simulator keeps once per query and
-//! reads by the id; [`Message::wire_size`] still prices it, as a real node
-//! would send it.
+//! reads by the id.
 //!
 //! The evaluation counts *messages* (as the paper does for Figure 3), keyed by
-//! [`MessageKind`]. [`Message::wire_size`] additionally states what each
-//! message would occupy in a compact binary encoding — the size model behind
-//! the footnote-1 claim that incremental Bloom updates are negligible next to
-//! full filters; no run metric reads it.
+//! [`MessageKind`].
 
 use std::sync::Arc;
 
@@ -108,7 +104,7 @@ pub enum Message {
     /// filename). None is a field: every copy would carry the same values, so
     /// each hop reads them by the query id — the originator from the query's
     /// arrival, the keywords from the record published at issue — and a
-    /// forwarded copy is a plain copy. [`Message::wire_size`] prices them.
+    /// forwarded copy is a plain copy.
     Query {
         /// The query's global id (stable across forwards).
         query: QueryId,
@@ -126,7 +122,6 @@ pub enum Message {
     /// records as a *new* provider at caching peers along the path (§4.1.2).
     /// None is a field: the simulator reads the file's keywords from the
     /// catalog, and the query's keywords and its originator by the query id.
-    /// [`Message::wire_size`] prices all three.
     QueryResponse {
         /// The query this responds to.
         query: QueryId,
@@ -151,8 +146,8 @@ pub enum Message {
     /// One step of an iterative Kademlia-style lookup: the query's *origin*
     /// asks the receiver for the providers it stores under the record key of
     /// the query's first keyword, plus the contacts it knows closer to that
-    /// key. The keyword is read by the query id, like a flooded query's; a
-    /// real step carries it, and [`Message::wire_size`] prices it.
+    /// key. The keyword is read by the query id, like a flooded query's (a
+    /// real step carries it).
     /// Query-charged traffic: every step pays real link latency and counts
     /// against the issuing query, exactly like a forwarded unstructured query.
     DhtLookup {
@@ -162,7 +157,7 @@ pub enum Message {
         hop: u32,
     },
     /// The receiver's answer to a [`Message::DhtLookup`] step (a real reply
-    /// echoes the keyword too, and [`Message::wire_size`] prices it).
+    /// echoes the keyword too).
     DhtLookupReply {
         /// The query this lookup resolves.
         query: QueryId,
@@ -177,7 +172,7 @@ pub enum Message {
     },
     /// A record store/republish: upsert `(file, provider)` into the
     /// receiver's record for `keyword`. Background maintenance traffic —
-    /// never query-charged, but counted and priced like Bloom sync traffic.
+    /// never query-charged, but counted like Bloom sync traffic.
     DhtStore {
         /// The keyword whose record is updated.
         keyword: u32,
@@ -199,47 +194,6 @@ impl Message {
             Message::DhtLookup { .. } => MessageKind::DhtLookup,
             Message::DhtLookupReply { .. } => MessageKind::DhtLookupReply,
             Message::DhtStore { .. } => MessageKind::DhtStore,
-        }
-    }
-
-    /// The message's size in bytes under a compact binary encoding: a one-byte
-    /// tag, fixed-width integers (`u64` query ids, `u32` peer, location, file
-    /// and keyword ids, one-byte TTL/hop) and length-prefixed lists.
-    ///
-    /// The fields every copy of a query shares are priced at their fixed
-    /// widths though the message does not store them (see [`Message::Query`]).
-    /// The keyword lists a query and a response put on the wire have no fixed
-    /// width, so the caller supplies their lengths: `query_keywords` for the
-    /// query's list, `file_keywords` for the answered file's. Other messages
-    /// carry no keyword list and ignore both.
-    pub fn wire_size(&self, query_keywords: usize, file_keywords: usize) -> usize {
-        match self {
-            Message::Query { target_filename, .. } => {
-                // tag, query, origin, origin_loc, keyword count + keywords,
-                // filename flag (+ filename), ttl.
-                let filename = if target_filename.is_some() { 4 } else { 0 };
-                1 + 8 + 4 + 4 + 1 + 4 * query_keywords + 1 + filename + 1
-            }
-            Message::QueryResponse { providers, .. } => {
-                // tag, query, file, two counted keyword lists, u16-counted
-                // provider entries, requestor entry.
-                let keyword_lists = 1 + 4 * file_keywords + 1 + 4 * query_keywords;
-                1 + 8 + 4 + keyword_lists + 2 + 8 * providers.len() + 8
-            }
-            // tag, bit count, filter words.
-            Message::BloomFull { filter } => 1 + 4 + 8 * filter.words().len(),
-            // tag, position count, positions packed in ceil(log2(m)) bits each
-            // with the whole payload rounded up to whole bytes.
-            Message::BloomDelta { delta } => 1 + 2 + delta.encoded_bytes() as usize,
-            // tag, query, keyword, hop.
-            Message::DhtLookup { .. } => 1 + 8 + 4 + 1,
-            // tag, query, keyword, hop, u16-counted (file, provider, loc)
-            // entries, u8-counted closer contacts.
-            Message::DhtLookupReply { entries, closer, .. } => {
-                1 + 8 + 4 + 1 + 2 + 12 * entries.len() + 1 + 4 * closer.len()
-            }
-            // tag, keyword, file, provider entry.
-            Message::DhtStore { .. } => 1 + 4 + 4 + 8,
         }
     }
 
@@ -323,92 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn query_encoding_has_reasonable_size() {
-        // Three keywords: 1 + 8 + 4 + 4 + 1 + 3*4 + 1 + 1 = 32 bytes.
-        let size = sample_query().wire_size(3, 0);
-        assert_eq!(size, 32);
-    }
-
-    #[test]
-    fn response_encoding_grows_with_providers() {
-        let small = Message::QueryResponse {
-            query: QueryId(1),
-            file: FileId(5),
-            providers: vec![ProviderEntry {
-                provider: PeerId(9),
-                loc_id: LocId(0),
-            }],
-        };
-        let large = Message::QueryResponse {
-            query: QueryId(1),
-            file: FileId(5),
-            providers: (0..10)
-                .map(|i| ProviderEntry {
-                    provider: PeerId(i),
-                    loc_id: LocId(0),
-                })
-                .collect(),
-        };
-        assert!(large.wire_size(1, 3) > small.wire_size(1, 3));
-    }
-
-    #[test]
-    fn response_size_is_pinned() {
-        let response = Message::QueryResponse {
-            query: QueryId(1),
-            file: FileId(5),
-            providers: (0..3)
-                .map(|i| ProviderEntry {
-                    provider: PeerId(i),
-                    loc_id: LocId(0),
-                })
-                .collect(),
-        };
-        // A one-keyword query answered with a two-keyword file:
-        // 1 + 8 + 4 + 1 + 2*4 + 1 + 1*4 + 2 + 3*8 + 8.
-        assert_eq!(response.wire_size(1, 2), 61);
-    }
-
-    #[test]
-    fn bloom_sizes_are_pinned() {
-        let mut filter = BloomFilter::paper_default();
-        filter.insert("some");
-        let words = filter.words().len();
-        let full = Message::BloomFull {
-            filter: Arc::new(filter.clone()),
-        };
-        assert_eq!(full.wire_size(0, 0), 1 + 4 + 8 * words);
-
-        let mut newer = filter.clone();
-        newer.insert("fresh");
-        let delta = BloomDelta::between(&filter, &newer);
-        assert!(!delta.is_empty());
-        let payload = delta.encoded_bytes() as usize;
-        assert_eq!(Message::BloomDelta { delta }.wire_size(0, 0), 1 + 2 + payload);
-    }
-
-    #[test]
-    fn bloom_delta_is_much_smaller_than_full_filter() {
-        let mut filter = BloomFilter::paper_default();
-        filter.insert("some");
-        filter.insert("keywords");
-        let full = Message::BloomFull {
-            filter: Arc::new(filter.clone()),
-        };
-        let mut newer = filter.clone();
-        newer.insert("fresh");
-        let delta = Message::BloomDelta {
-            delta: BloomDelta::between(&filter, &newer),
-        };
-        assert!(
-            delta.wire_size(0, 0) * 5 < full.wire_size(0, 0),
-            "delta {} bytes vs full {} bytes",
-            delta.wire_size(0, 0),
-            full.wire_size(0, 0)
-        );
-    }
-
-    #[test]
     fn dht_messages_classify_encode_and_charge_queries() {
         let lookup = Message::DhtLookup {
             query: QueryId(9),
@@ -416,8 +284,6 @@ mod tests {
         };
         assert_eq!(lookup.kind(), MessageKind::DhtLookup);
         assert_eq!(lookup.query_id(), Some(QueryId(9)));
-        // 1 + 8 + 4 + 1.
-        assert_eq!(lookup.wire_size(0, 0), 14);
 
         let reply = Message::DhtLookupReply {
             query: QueryId(9),
@@ -427,8 +293,6 @@ mod tests {
         };
         assert_eq!(reply.kind(), MessageKind::DhtLookupReply);
         assert_eq!(reply.query_id(), Some(QueryId(9)));
-        // 1 + 8 + 4 + 1 + 2 + 12 + 1 + 8.
-        assert_eq!(reply.wire_size(0, 0), 37);
 
         let store = Message::DhtStore {
             keyword: 42,
@@ -437,18 +301,5 @@ mod tests {
         };
         assert_eq!(store.kind(), MessageKind::DhtStore);
         assert_eq!(store.query_id(), None, "stores are background traffic");
-        // 1 + 4 + 4 + 8.
-        assert_eq!(store.wire_size(0, 0), 17);
-    }
-
-    #[test]
-    fn dicas_query_carries_the_filename() {
-        let q = Message::Query {
-            query: QueryId(3),
-            target_filename: Some(FileId(77)),
-            ttl: 7,
-        };
-        // 4 bytes more than the keyword-only variant (flag byte already counted).
-        assert_eq!(q.wire_size(3, 0), sample_query().wire_size(3, 0) + 4);
     }
 }

@@ -107,13 +107,27 @@ impl Duration {
     /// and reject the configuration instead of simulating with a saturated
     /// span. Negative inputs still clamp to zero: "no time" is representable.
     pub fn try_from_millis_f64(ms: f64) -> Option<Self> {
-        if ms.is_nan() {
+        Self::try_from_micros_f64(ms * 1_000.0)
+    }
+
+    /// Checked variant of [`Duration::from_secs_f64`], `None` on the same
+    /// inputs as [`Duration::try_from_millis_f64`]; where it is `Some`, it
+    /// holds exactly what the unchecked constructor returns.
+    pub fn try_from_secs_f64(s: f64) -> Option<Self> {
+        Self::try_from_micros_f64(s * 1_000_000.0)
+    }
+
+    /// Fractional microseconds rounded to the nearest, `None` for NaN and
+    /// for anything the `f64 → u64` cast would saturate; negative clamps to
+    /// zero.
+    fn try_from_micros_f64(us: f64) -> Option<Self> {
+        if us.is_nan() {
             return None;
         }
-        if ms <= 0.0 {
+        if us <= 0.0 {
             return Some(Duration(0));
         }
-        let us = (ms * 1_000.0).round();
+        let us = us.round();
         // 2^64 exactly; any finite f64 strictly below it casts without
         // saturating. `is_finite` rejects +inf before the comparison.
         if !us.is_finite() || us >= 18_446_744_073_709_551_616.0 {

@@ -196,13 +196,21 @@ impl ArrivalProcess {
     /// operation-for-operation so legacy schedules replay bit-identically;
     /// a burst maps the identical unit exponential draws through the inverse
     /// cumulative hazard of its compiled segments.
+    ///
+    /// # Panics
+    /// Panics, naming the rate and `count`, when the arrivals run past the
+    /// end of the microsecond clock.
     pub fn generate_count<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<Arrival> {
         let rate = self.config.aggregate_rate();
         let mut out = Vec::with_capacity(count);
         if self.config.schedule.is_steady() {
             let mut now = SimTime::ZERO;
             for _ in 0..count {
-                now += Duration::from_secs_f64(exponential(rng, 1.0 / rate));
+                let gap = Duration::try_from_secs_f64(exponential(rng, 1.0 / rate));
+                let Some(next) = gap.and_then(|gap| now.checked_add(gap)) else {
+                    self.past_the_clock(count)
+                };
+                now = next;
                 let peer = self.sample_origin(rng);
                 out.push(Arrival { at: now, peer });
             }
@@ -213,11 +221,21 @@ impl ArrivalProcess {
         for _ in 0..count {
             let hazard = exponential(rng, 1.0);
             t_secs = self.invert_hazard(t_secs, hazard, rate, &mut segment_index);
-            let now = SimTime::ZERO + Duration::from_secs_f64(t_secs);
+            let Some(since_start) = Duration::try_from_secs_f64(t_secs) else {
+                self.past_the_clock(count)
+            };
             let peer = self.sample_origin(rng);
-            out.push(Arrival { at: now, peer });
+            out.push(Arrival { at: SimTime::ZERO + since_start, peer });
         }
         out
+    }
+
+    /// The panic of a `count`-arrival schedule past the end of the clock.
+    fn past_the_clock(&self, count: usize) -> ! {
+        panic!(
+            "{count} queries at {} queries/s per peer do not fit the simulation clock",
+            self.config.rate_per_peer
+        )
     }
 
     /// Advances from `t_secs` until `hazard` units of cumulative hazard have
@@ -474,5 +492,22 @@ mod tests {
         // Weighted attribution stays deterministic per seed.
         let again = p.generate_count(10_000, &mut StdRng::seed_from_u64(10));
         assert_eq!(arrivals, again);
+    }
+
+    /// At 1e-15 queries/s per peer on 40 peers the mean gap (2.5·10¹³ s)
+    /// is past the microsecond clock: both the steady and the burst path
+    /// refuse 20 arrivals with one message naming the rate and the count.
+    #[test]
+    fn both_paths_refuse_arrivals_past_the_clock() {
+        let burst = ArrivalSchedule::Burst { multiplier: 2.0, start_secs: 0.0, duration_secs: 60.0 };
+        for schedule in [ArrivalSchedule::Steady, burst] {
+            let p = ArrivalProcess::new(ArrivalConfig { schedule, ..steady_config(40, 1e-15) });
+            let refused = std::panic::catch_unwind(|| p.generate_count(20, &mut StdRng::seed_from_u64(1)));
+            let message = refused.unwrap_err().downcast::<String>().unwrap();
+            assert_eq!(
+                *message,
+                "20 queries at 0.000000000000001 queries/s per peer do not fit the simulation clock"
+            );
+        }
     }
 }

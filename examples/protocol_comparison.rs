@@ -29,29 +29,23 @@ fn main() {
         outcome.len()
     );
 
-    let mut fig2 = Figure::new("Download distance vs queries", "avg download distance (ms)");
-    let mut fig3 = Figure::new("Search traffic vs queries", "messages per query");
-    let mut fig4 = Figure::new("Success rate vs queries", "success rate");
+    let mut fig2 = Figure::new("queries");
+    let mut fig3 = Figure::new("queries");
+    let mut fig4 = Figure::new("queries");
 
     for point in &outcome.points {
         let x = point.queries as u64;
         fig2.push(
             point.protocol.label(),
-            SeriesPoint { queries: x, value: point.report.avg_download_distance_ms() },
+            SeriesPoint { x, value: point.report.avg_download_distance_ms() },
         );
-        fig3.push(
-            point.protocol.label(),
-            SeriesPoint { queries: x, value: point.report.avg_messages_per_query() },
-        );
-        fig4.push(
-            point.protocol.label(),
-            SeriesPoint { queries: x, value: point.report.success_rate() },
-        );
+        fig3.push(point.protocol.label(), SeriesPoint { x, value: point.report.avg_messages_per_query() });
+        fig4.push(point.protocol.label(), SeriesPoint { x, value: point.report.success_rate() });
     }
 
-    println!("{}", fig2.to_table());
-    println!("{}", fig3.to_table());
-    println!("{}", fig4.to_table());
+    println!("# Download distance vs queries (ms)\n{}", fig2.table().render());
+    println!("# Search traffic vs queries (messages per query)\n{}", fig3.table().render());
+    println!("# Success rate vs queries\n{}", fig4.table().render());
 
     // Headline comparisons at the largest query count.
     let x = *query_counts.last().unwrap() as u64;
