@@ -18,8 +18,8 @@
 //! metrics, so `fig2` / `fig3` / `fig4` / `run_all` are one routine with a
 //! filter; `ablation`, `inspect`, `degradation` and `regimes` are the studies
 //! behind EXPERIMENTS.md; `scale` measures the 10⁵-peer build tier. Every
-//! subcommand but `inspect` prints its results as titled [`Table`]s, as
-//! aligned text or, where `--csv` is accepted, as CSV. [`run`] is the only
+//! subcommand prints its results as titled [`Table`]s, as aligned text or,
+//! where `--csv` is accepted, as CSV. [`run`] is the only
 //! code path: the binary prints what it returns.
 //!
 //! Speed is measured elsewhere: `BENCHMARK.json` and `perfbench/` are the

@@ -1,14 +1,15 @@
 //! The studies behind EXPERIMENTS.md beyond Figures 2–4: `ablation`,
 //! `inspect`, `degradation` and `regimes`. Each one but `inspect` builds an
 //! [`ExperimentPlan`], runs it through the shared runner and prints the
-//! outcome's points in plan order; `inspect` is one run on one substrate.
+//! outcome's points in plan order; `inspect` is one run on one substrate,
+//! printed as tables like the rest.
 
-use std::fmt::Write as _;
-
-use locaware::results::{avg_download_distance_ms, success_rate};
+use locaware::results::{
+    avg_download_distance_ms, cache_hit_share, locality_match_rate, success_rate,
+};
 use locaware::{
-    ExperimentPlan, ExperimentPoint, ProtocolKind, Scenario, Simulation, SimulationConfig,
-    SimulationReport,
+    CounterSet, ExperimentPlan, ExperimentPoint, ProtocolKind, Scenario, Simulation,
+    SimulationConfig, SimulationReport,
 };
 use locaware_metrics::{Figure, SeriesPoint, Table};
 use locaware_workload::{FaultConfig, TimeoutPolicy};
@@ -88,10 +89,10 @@ pub(crate) fn mechanism_plan(quick: bool) -> (Scenario, usize, ExperimentPlan) {
 }
 
 /// `inspect <protocol> [scenario] [peers] [queries] [seed] [--shards N]`:
-/// one protocol, one run, the full report — summary metrics, message
-/// counters by kind, routing-decision counts and the warm-up effect — on
-/// stdout, and the run's [`RunProfile`](locaware::RunProfile) line on
-/// stderr. `scenario` is any preset name and defaults to the paper's setup
+/// one protocol, one run, the full report as tables — summary metrics,
+/// message counters by kind, routing-decision counts and the per-quarter
+/// warm-up — on stdout, and the run's [`RunProfile`](locaware::RunProfile)
+/// line on stderr. `scenario` is any preset name and defaults to the paper's setup
 /// (`paper-defaults` at 1000 peers, `small` otherwise); `peers` and
 /// `queries` default to 1000, `--shards` to 1. The report does not depend
 /// on the shard count; the profile does.
@@ -145,34 +146,46 @@ pub(crate) fn inspect(args: impl IntoIterator<Item = String>) -> Result<String, 
     let (report, profile) = substrate.run_profiled(protocol, queries);
     eprintln!("{profile}");
 
-    let mut out = format!("{}\n# message counters\n", report.summary_table().render());
-    for (kind, count) in report.message_counters.iter() {
-        let _ = writeln!(out, "  {kind:<16} {count}");
-    }
-    out.push_str("# routing decisions\n");
-    for (decision, count) in report.routing_decisions.iter() {
-        let _ = writeln!(out, "  {decision:<16} {count}");
-    }
-    let _ = writeln!(
-        out,
-        "# simulated time: {:.1}s, events: {}",
+    let summary = format!(
+        "summary: simulated time {:.1}s, events {}",
         report.simulated_end_time_secs, report.dispatched_events
     );
-    // Success over the last quarter of the run vs the first quarter: shows the
-    // warm-up effect the paper's Figure 2 discussion highlights.
-    let (n, records) = (report.metrics.len(), &report.metrics);
+    let mut sections = vec![
+        (summary, report.summary_table()),
+        ("message counters".to_string(), counter_table("kind", &report.message_counters)),
+        ("routing decisions".to_string(), counter_table("decision", &report.routing_decisions)),
+    ];
+    // Four quarters of ⌊n/4⌋ queries, Q1 and Q2 from the first, Q3 and Q4 up
+    // to the last: Q1 against Q4 is the warm-up effect the paper's Figure 2
+    // discussion highlights.
+    let (records, n) = (&report.metrics, report.metrics.len());
+    let q = n / 4;
     if n >= 8 {
-        let (first, last) = (&records[..n / 4], &records[n - n / 4..]);
-        let _ = writeln!(
-            out,
-            "# warm-up: first-quarter success {:.3} / distance {:.1}ms  ->  last-quarter success {:.3} / distance {:.1}ms",
-            success_rate(first),
-            avg_download_distance_ms(first),
-            success_rate(last),
-            avg_download_distance_ms(last)
-        );
+        let mut warm_up = Table::new([
+            "quarter", "success", "download distance (ms)", "locality match", "cache hit share",
+        ]);
+        for (i, range) in [0..q, q..2 * q, n - 2 * q..n - q, n - q..n].into_iter().enumerate() {
+            let slice = &records[range];
+            warm_up.push_row([
+                format!("Q{}", i + 1),
+                format!("{:.3}", success_rate(slice)),
+                format!("{:.1}", avg_download_distance_ms(slice)),
+                format!("{:.3}", locality_match_rate(slice)),
+                format!("{:.3}", cache_hit_share(slice)),
+            ]);
+        }
+        sections.push((format!("warm-up: {n} queries in quarters of {q}"), warm_up));
     }
-    Ok(out)
+    Ok(render(&sections, false))
+}
+
+/// One row per counter key, in key order.
+fn counter_table<K: Ord + std::fmt::Display>(key: &str, counters: &CounterSet<K>) -> Table {
+    let mut table = Table::new([key, "count"]);
+    for (k, count) in counters.iter() {
+        table.push_row([k.to_string(), count.to_string()]);
+    }
+    table
 }
 
 /// The four families EXPERIMENTS.md compares under degradation.
@@ -365,6 +378,72 @@ fn regimes_table(points: &[ExperimentPoint]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run;
+
+    /// `inspect locaware small 60 <queries>`'s stdout, and the report of the
+    /// same run, built without the front end.
+    fn inspected(queries: usize) -> (String, SimulationReport) {
+        let args = ["inspect", "locaware", "small", "60", &queries.to_string()].map(String::from);
+        let out = run(args).unwrap();
+        let report = preset("small", 60).unwrap().substrate().run(ProtocolKind::Locaware, queries);
+        (out, report)
+    }
+
+    /// The body rows, split at whitespace, of the section whose title line
+    /// starts with `# {title}`.
+    fn section_rows(out: &str, title: &str) -> Option<Vec<Vec<String>>> {
+        let block = out.split("\n\n").find(|b| b.starts_with(&format!("# {title}")))?;
+        let body = block.lines().skip_while(|line| line.starts_with('#')).skip(2);
+        Some(body.map(|row| row.split_whitespace().map(String::from).collect()).collect())
+    }
+
+    /// Every warm-up cell is its metric over that quarter's slice of the
+    /// records, at the printed precision: ⌊n/4⌋ records from the start for
+    /// Q1 and Q2, up to the end for Q3 and Q4, here with n = 4·⌊n/4⌋ + 2.
+    #[test]
+    fn warm_up_cells_are_their_quarters_metrics() {
+        let (out, report) = inspected(90);
+        let (records, q) = (&report.metrics, 22);
+        assert_eq!(records.len(), 90);
+        let rows = section_rows(&out, "warm-up: 90 queries in quarters of 22").expect(&out);
+        let quarters =
+            [&records[..q], &records[q..2 * q], &records[90 - 2 * q..90 - q], &records[90 - q..]];
+        assert_eq!(rows.len(), quarters.len(), "{out}");
+        for (i, (row, slice)) in rows.iter().zip(quarters).enumerate() {
+            let expected = [
+                format!("Q{}", i + 1),
+                format!("{:.3}", success_rate(slice)),
+                format!("{:.1}", avg_download_distance_ms(slice)),
+                format!("{:.3}", locality_match_rate(slice)),
+                format!("{:.3}", cache_hit_share(slice)),
+            ];
+            assert_eq!(row[..], expected, "{out}");
+        }
+        assert!(section_rows(&inspected(7).0, "warm-up").is_none(), "under 8 queries there is none");
+    }
+
+    /// The counter tables and the summary title parse back to the report's
+    /// counters, end time and event count.
+    #[test]
+    fn inspect_counters_and_title_carry_the_reports_values() {
+        let (out, report) = inspected(90);
+        let parsed = |title| -> Vec<(String, u64)> {
+            let rows = section_rows(&out, title).expect(&out);
+            rows.iter().map(|row| (row[0].clone(), row[1].parse().unwrap())).collect()
+        };
+        let messages: Vec<_> =
+            report.message_counters.iter().map(|(k, n)| (k.to_string(), n)).collect();
+        let decisions: Vec<_> =
+            report.routing_decisions.iter().map(|(k, n)| (k.to_string(), n)).collect();
+        assert!(!messages.is_empty() && !decisions.is_empty());
+        assert_eq!(parsed("message counters"), messages);
+        assert_eq!(parsed("routing decisions"), decisions);
+        let title = out.lines().next().unwrap();
+        let rest = title.strip_prefix("# summary: simulated time ").expect(title);
+        let (secs, events) = rest.split_once("s, events ").expect(title);
+        assert_eq!(secs, format!("{:.1}", report.simulated_end_time_secs));
+        assert_eq!(events.parse(), Ok(report.dispatched_events));
+    }
 
     /// Every `regimes` row names its point and carries that point's report
     /// fingerprint, read back from the cell.

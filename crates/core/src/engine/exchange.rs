@@ -186,7 +186,7 @@ impl PeerPartition {
     ///
     /// # Panics
     /// Panics if `shards` is zero or exceeds the peer count.
-    pub fn locality(loc_ids: &[LocId], shards: usize) -> Self {
+    pub(crate) fn locality(loc_ids: &[LocId], shards: usize) -> Self {
         let peers = loc_ids.len();
         assert!(shards >= 1, "at least one shard");
         assert!(shards <= peers, "at most one shard per peer");
@@ -217,12 +217,12 @@ impl PeerPartition {
     }
 
     /// The shard owning `peer`.
-    pub fn shard(&self, peer: PeerId) -> usize {
+    pub(crate) fn shard(&self, peer: PeerId) -> usize {
         self.shard_of[peer.index()] as usize
     }
 
     /// `peer`'s slot within its owning shard.
-    pub fn slot(&self, peer: PeerId) -> usize {
+    pub(crate) fn slot(&self, peer: PeerId) -> usize {
         self.slot_of[peer.index()] as usize
     }
 }

@@ -122,12 +122,6 @@ impl Runner {
         self
     }
 
-    /// The worker-thread count this runner will use (before the per-plan
-    /// shard budget of [`Runner::planned_workers`] is applied).
-    pub fn threads(&self) -> usize {
-        self.threads.unwrap_or_else(Self::default_thread_count)
-    }
-
     /// The plan-level worker count after budgeting for nested parallelism:
     /// each run may itself fan out over up to `config.shards` engine threads,
     /// so a machine-sized runner divides its cores by the plan's largest

@@ -45,18 +45,18 @@ pub const REGIONAL_HOTSPOT_WEIGHTS: [f64; 3] = [6.0, 1.0, 1.0];
 /// The independent per-message loss rate of [`Scenario::faulty_network`]:
 /// 5% — lossy enough that multi-hop query trees shed branches, mild enough
 /// that retransmits recover most of them.
-pub const FAULTY_NETWORK_LOSS: f64 = 0.05;
+const FAULTY_NETWORK_LOSS: f64 = 0.05;
 
 /// When the [`Scenario::faulty_network`] outage window opens (simulated
 /// seconds): deep inside the workload, after caches and indexes have formed.
-pub const FAULTY_NETWORK_OUTAGE_START_SECS: f64 = 300.0;
+const FAULTY_NETWORK_OUTAGE_START_SECS: f64 = 300.0;
 
 /// How long the [`Scenario::faulty_network`] outage lasts.
-pub const FAULTY_NETWORK_OUTAGE_DURATION_SECS: f64 = 120.0;
+const FAULTY_NETWORK_OUTAGE_DURATION_SECS: f64 = 120.0;
 
 /// The fraction of links the [`Scenario::faulty_network`] outage silences
 /// while the window is open.
-pub const FAULTY_NETWORK_OUTAGE_FRACTION: f64 = 0.3;
+const FAULTY_NETWORK_OUTAGE_FRACTION: f64 = 0.3;
 
 /// A named, validated simulation configuration.
 ///

@@ -46,11 +46,6 @@ impl GroupScheme {
         GroupScheme { modulus }
     }
 
-    /// The modulus `M`.
-    pub fn modulus(&self) -> u32 {
-        self.modulus
-    }
-
     /// Draws a uniformly random group id for a joining peer.
     pub fn random_gid<R: Rng + ?Sized>(&self, rng: &mut R) -> GroupId {
         GroupId(rng.gen_range(0..self.modulus))

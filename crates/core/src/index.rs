@@ -278,7 +278,7 @@ mod naive {
     /// The model: same behaviour as [`super::ResponseIndex`], each entry
     /// stamped with the clock tick of its last touch.
     #[derive(Debug, Clone)]
-    pub struct NaiveResponseIndex {
+    pub(crate) struct NaiveResponseIndex {
         entries: BTreeMap<FileId, (u64, IndexEntry)>,
         capacity: usize,
         max_providers: usize,
@@ -290,7 +290,7 @@ mod naive {
         ///
         /// # Panics
         /// Panics if either capacity is zero.
-        pub fn new(capacity: usize, max_providers: usize) -> Self {
+        pub(crate) fn new(capacity: usize, max_providers: usize) -> Self {
             assert!(capacity > 0, "response index capacity must be positive");
             assert!(max_providers > 0, "provider capacity must be positive");
             NaiveResponseIndex {
@@ -302,18 +302,18 @@ mod naive {
         }
 
         /// Number of cached filenames.
-        pub fn len(&self) -> usize {
+        pub(crate) fn len(&self) -> usize {
             self.entries.len()
         }
 
         /// The entry for `file`, if cached.
-        pub fn entry(&self, file: FileId) -> Option<&IndexEntry> {
+        pub(crate) fn entry(&self, file: FileId) -> Option<&IndexEntry> {
             self.entries.get(&file).map(|(_, entry)| entry)
         }
 
         /// The cached files ordered by `(last touch, file)`: the order
         /// [`super::ResponseIndex::entries`] must follow, oldest first.
-        pub fn recency_order(&self) -> Vec<FileId> {
+        pub(crate) fn recency_order(&self) -> Vec<FileId> {
             let mut stamped: Vec<(u64, FileId)> =
                 self.entries.iter().map(|(&file, &(touched, _))| (touched, file)).collect();
             stamped.sort_unstable();
@@ -322,7 +322,7 @@ mod naive {
 
         /// Full-scan keyword lookup (the model for
         /// [`super::ResponseIndex::lookup_by_keywords`]).
-        pub fn lookup_by_keywords(&self, query: &[KeywordId]) -> Vec<FileId> {
+        pub(crate) fn lookup_by_keywords(&self, query: &[KeywordId]) -> Vec<FileId> {
             self.entries
                 .values()
                 .filter(|(_, e)| e.matches(query))
@@ -332,7 +332,7 @@ mod naive {
 
         /// Insert with min-scan eviction (the model for
         /// [`super::ResponseIndex::insert`]).
-        pub fn insert(
+        pub(crate) fn insert(
             &mut self,
             file: FileId,
             keywords: &[KeywordId],
@@ -382,7 +382,7 @@ mod naive {
 
         /// Provider removal (the model for
         /// [`super::ResponseIndex::remove_provider`]).
-        pub fn remove_provider(&mut self, peer: PeerId) -> Vec<Eviction> {
+        pub(crate) fn remove_provider(&mut self, peer: PeerId) -> Vec<Eviction> {
             let mut evictions = Vec::new();
             // In file-id order, the map's.
             let emptied: Vec<FileId> = self
@@ -409,7 +409,7 @@ mod naive {
         }
 
         /// Drops everything (the model for [`super::ResponseIndex::clear`]).
-        pub fn clear(&mut self) {
+        pub(crate) fn clear(&mut self) {
             self.entries.clear();
         }
 

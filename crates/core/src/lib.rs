@@ -87,7 +87,6 @@ pub use experiment::{
 pub use group::{GroupId, GroupScheme};
 pub use index::{IndexEntry, ProviderRecord, ResponseIndex};
 pub use peer::PeerState;
-pub use protocol::{LocalMatch, PeerView, QueryContext, ResponseContext};
 pub use provider::{select_provider, SelectedProvider, SelectionPolicy};
 pub use results::{CounterSet, QueryOutcome, QueryRecord, RunProfile, SimulationReport};
 pub use simulation::Simulation;

@@ -48,20 +48,20 @@ use crate::peer::{keyword_signature, PeerState};
 /// A read-only view of everything a protocol may consult when making a
 /// decision at one peer.
 #[derive(Debug, Clone, Copy)]
-pub struct PeerView<'a> {
+pub(crate) struct PeerView<'a> {
     /// The deciding peer's state.
-    pub state: &'a PeerState,
+    pub(crate) state: &'a PeerState,
     /// The overlay graph (for neighbour lists and degrees). Its rows hold
     /// only online peers: a departure removes every edge of the peer.
-    pub graph: &'a OverlayGraph,
+    pub(crate) graph: &'a OverlayGraph,
     /// Every peer's group id, by peer index (for the group-id rules).
-    pub group_ids: &'a [GroupId],
+    pub(crate) group_ids: &'a [GroupId],
     /// The group scheme in force.
-    pub scheme: &'a GroupScheme,
+    pub(crate) scheme: &'a GroupScheme,
     /// The global catalog (for filename keyword lookups).
-    pub catalog: &'a Catalog,
+    pub(crate) catalog: &'a Catalog,
     /// The run's cap on provider entries in one response.
-    pub max_providers_per_response: usize,
+    pub(crate) max_providers_per_response: usize,
 }
 
 /// The protocol-relevant content of a query.
@@ -76,32 +76,32 @@ pub struct PeerView<'a> {
 /// that routes by Bloom filter ([`ProtocolKind::routes_by_bloom`]); every
 /// other context gets an empty slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryContext<'a> {
+pub(crate) struct QueryContext<'a> {
     /// The originator's location id.
-    pub origin_loc: LocId,
+    pub(crate) origin_loc: LocId,
     /// The query keywords.
-    pub keywords: &'a [KeywordId],
+    pub(crate) keywords: &'a [KeywordId],
     /// The pre-computed Bloom hashes of `keywords`, index-aligned; empty
     /// where no rule reads them (see above).
-    pub keyword_hashes: &'a [ElementHashes],
+    pub(crate) keyword_hashes: &'a [ElementHashes],
     /// [`BloomParams::fold_mask`](locaware_bloom::BloomParams::fold_mask) of
     /// `keyword_hashes` under the run's filter geometry, the one-word test in
     /// front of each neighbour probe; 0 wherever `keyword_hashes` is empty.
-    pub keyword_fold_mask: u64,
+    pub(crate) keyword_fold_mask: u64,
     /// For filename-search protocols (Dicas): the exact file searched.
-    pub target_filename: Option<FileId>,
+    pub(crate) target_filename: Option<FileId>,
 }
 
 /// A local hit: the answering peer found a satisfying file either in its own
 /// storage or in its response index.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LocalMatch {
+pub(crate) struct LocalMatch {
     /// The satisfying file.
-    pub file: FileId,
+    pub(crate) file: FileId,
     /// Provider entries to return to the requestor (at least one).
-    pub providers: Vec<ProviderEntry>,
+    pub(crate) providers: Vec<ProviderEntry>,
     /// True if the hit came from the response index rather than file storage.
-    pub from_cache: bool,
+    pub(crate) from_cache: bool,
 }
 
 /// The protocol-relevant content of a response being cached at an intermediate
@@ -109,19 +109,19 @@ pub struct LocalMatch {
 /// published keywords, neither of which the response message carries, so
 /// building a context allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResponseContext<'a> {
+pub(crate) struct ResponseContext<'a> {
     /// The file the response is about.
-    pub file: FileId,
+    pub(crate) file: FileId,
     /// The full keyword list of the file's filename.
-    pub file_keywords: &'a [KeywordId],
+    pub(crate) file_keywords: &'a [KeywordId],
     /// The keywords the original query was expressed with (a subset of
     /// `file_keywords`). Dicas-Keys keys its cache on these, which is exactly
     /// the source of the duplication/mismatch the paper criticises.
-    pub query_keywords: &'a [KeywordId],
+    pub(crate) query_keywords: &'a [KeywordId],
     /// The providers advertised by the response.
-    pub providers: &'a [ProviderEntry],
+    pub(crate) providers: &'a [ProviderEntry],
     /// The original requestor (Locaware records it as a new provider, §4.1.2).
-    pub requestor: ProviderEntry,
+    pub(crate) requestor: ProviderEntry,
 }
 
 /// Appends the neighbours `view.state` forwards `query` to under `kind`'s
@@ -296,7 +296,7 @@ pub(crate) mod test_support {
     /// An owned backing store for a [`QueryContext`]: the keywords, their
     /// hashes and the hashes' fold mask, from which [`QueryBuffer::context`]
     /// lends a view the way the engine does from its published record.
-    pub struct QueryBuffer {
+    pub(crate) struct QueryBuffer {
         pub origin_loc: LocId,
         pub target_filename: Option<FileId>,
         pub keywords: Vec<KeywordId>,
@@ -307,7 +307,7 @@ pub(crate) mod test_support {
     impl QueryBuffer {
         /// A query with its keyword hashes, and their fold mask under the
         /// filter geometry `bloom`, computed up front.
-        pub fn new(
+        pub(crate) fn new(
             origin_loc: LocId,
             keywords: Vec<KeywordId>,
             target_filename: Option<FileId>,
@@ -320,7 +320,7 @@ pub(crate) mod test_support {
         }
 
         /// The borrowed view the rules consume.
-        pub fn context(&self) -> QueryContext<'_> {
+        pub(crate) fn context(&self) -> QueryContext<'_> {
             QueryContext {
                 origin_loc: self.origin_loc,
                 keywords: &self.keywords,
@@ -334,7 +334,7 @@ pub(crate) mod test_support {
     /// A response about `file` as a relay sees it: the catalog's keywords for
     /// the file, the query's keywords and the offered providers all borrowed,
     /// requested by peer 4 at locality 1.
-    pub fn response<'a>(
+    pub(crate) fn response<'a>(
         catalog: &'a Catalog,
         file: FileId,
         query_keywords: &'a [KeywordId],
@@ -355,7 +355,7 @@ pub(crate) mod test_support {
     /// * catalog: 4 files over 12 keywords,
     /// * peer 0 is the deciding peer; its gid and locId are configurable,
     /// * a response carries at most 5 providers (the paper's setting).
-    pub struct Fixture {
+    pub(crate) struct Fixture {
         pub graph: OverlayGraph,
         pub catalog: Catalog,
         pub scheme: GroupScheme,
@@ -365,7 +365,7 @@ pub(crate) mod test_support {
     }
 
     impl Fixture {
-        pub fn new(modulus: u32) -> Self {
+        pub(crate) fn new(modulus: u32) -> Self {
             let filenames = vec![
                 vec![KeywordId(0), KeywordId(1), KeywordId(2)],
                 vec![KeywordId(3), KeywordId(4), KeywordId(5)],
@@ -377,7 +377,7 @@ pub(crate) mod test_support {
 
         /// The same overlay and peers over a catalog of the caller's
         /// `filenames`, drawn from a pool of `keywords` keyword ids.
-        pub fn with_filenames(modulus: u32, keywords: usize, filenames: Vec<Vec<KeywordId>>) -> Self {
+        pub(crate) fn with_filenames(modulus: u32, keywords: usize, filenames: Vec<Vec<KeywordId>>) -> Self {
             let mut graph = OverlayGraph::new(5);
             for n in 1..5u32 {
                 graph.add_edge(PeerId(0), PeerId(n));
@@ -412,11 +412,11 @@ pub(crate) mod test_support {
         }
 
         /// Peer `peer` stores `file` under its catalog filename.
-        pub fn share(&mut self, peer: usize, file: FileId) {
+        pub(crate) fn share(&mut self, peer: usize, file: FileId) {
             self.peers[peer].share_file(file, self.catalog.filename(file).keywords());
         }
 
-        pub fn view(&self, peer: usize) -> PeerView<'_> {
+        pub(crate) fn view(&self, peer: usize) -> PeerView<'_> {
             PeerView {
                 state: &self.peers[peer],
                 graph: &self.graph,
@@ -429,7 +429,7 @@ pub(crate) mod test_support {
 
         /// A query for `keywords` (and, for Dicas, the file `target`) from
         /// locality 1.
-        pub fn query(&self, keywords: &[u32], target: Option<u32>) -> QueryBuffer {
+        pub(crate) fn query(&self, keywords: &[u32], target: Option<u32>) -> QueryBuffer {
             let keywords = keywords.iter().map(|&k| KeywordId(k)).collect();
             QueryBuffer::new(LocId(1), keywords, target.map(FileId), BloomParams::default())
         }

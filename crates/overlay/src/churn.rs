@@ -5,7 +5,7 @@
 //! that cached indexes must be short-lived because providers disappear. The
 //! paper's evaluation itself runs on a static 1000-peer overlay, so churn is
 //! **off by default** in the reproduction; the churn model here powers the
-//! robustness example (`churn_resilience`) and the stale-index tests.
+//! `churn-storm` preset and the stale-index tests.
 //!
 //! The model is the standard exponential on/off session model: each peer stays
 //! online for an exponentially distributed session, goes offline for an

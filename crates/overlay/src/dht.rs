@@ -145,11 +145,6 @@ impl RoutingTable {
         }
     }
 
-    /// The local node's id.
-    pub fn local(&self) -> DhtId {
-        self.local
-    }
-
     /// The bucket capacity `k`.
     pub fn k(&self) -> usize {
         self.k
@@ -333,11 +328,6 @@ impl DhtRecordStore {
         }
     }
 
-    /// The per-record byte cap.
-    pub fn max_record_bytes(&self) -> usize {
-        self.max_record_bytes
-    }
-
     /// The index range of `keyword`'s record in `entries`.
     fn record(&self, keyword: u32) -> Range<usize> {
         let start = self.entries.partition_point(|e| e.key.0 < keyword);
@@ -449,7 +439,7 @@ impl DhtRecordStore {
 }
 
 /// A peer's complete DHT-side state: its routing table, which holds the
-/// node's id ([`RoutingTable::local`]), and its record store.
+/// node's id, and its record store.
 #[derive(Debug, Clone)]
 pub struct DhtNode {
     /// The k-bucket routing table.

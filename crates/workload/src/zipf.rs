@@ -17,7 +17,6 @@ use rand::Rng;
 pub struct ZipfDistribution {
     /// Cumulative probabilities, `cdf[i]` = P(rank ≤ i). Last entry is 1.0.
     cdf: Vec<f64>,
-    exponent: f64,
 }
 
 impl ZipfDistribution {
@@ -43,7 +42,7 @@ impl ZipfDistribution {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        ZipfDistribution { cdf, exponent }
+        ZipfDistribution { cdf }
     }
 
     /// Number of ranks.
@@ -54,11 +53,6 @@ impl ZipfDistribution {
     /// True if the distribution is over zero ranks (never, by construction).
     pub fn is_empty(&self) -> bool {
         self.cdf.is_empty()
-    }
-
-    /// The skew exponent α.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
     }
 
     /// Probability mass of `rank`.

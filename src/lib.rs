@@ -32,8 +32,6 @@ pub mod prelude {
         ConfigError, ExperimentOutcome, ExperimentPlan, ExperimentPoint, PlanError, ProtocolKind,
         Runner, Scenario, Simulation, SimulationConfig, SimulationReport,
     };
-    pub use locaware_metrics::{Figure, SeriesPoint, Table};
-    pub use locaware_overlay::ChurnConfig;
 }
 
 #[cfg(test)]
