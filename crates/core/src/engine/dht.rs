@@ -780,7 +780,7 @@ fn refill(
 /// is canonical for every shard count. (Entries are still filtered against
 /// *all* keywords.) `None` for a query without keywords, which never walks.
 fn lookup_keyword(shared: &RunShared<'_>, index: usize) -> Option<KeywordId> {
-    shared.query_keywords(index).first().copied()
+    shared.digest(index).keywords().first().copied()
 }
 
 /// Query `index`'s DHT search at its origin — the deepest replied hop and the
@@ -816,7 +816,7 @@ fn try_satisfy(
     entries: &[(u32, ProviderEntry)],
     hops: u32,
 ) -> bool {
-    let keywords = shared.query_keywords(index);
+    let keywords = shared.digest(index).keywords();
     let origin = &state.peers[shared.partition.slot(PeerId(shared.arrivals[index].peer as u32))];
     let replica = ProviderEntry {
         provider: origin.id,
@@ -976,7 +976,7 @@ mod tests {
         let mut tracking = QueryTracking::new(&shared, 0, FileId(0), Search::Dht { depth: 0, walk: None });
         tracking.record.outcome = QueryOutcome::Satisfied;
         state.tracking.insert(0, tracking);
-        shared.publish_keywords(0, vec![KeywordId(0)]);
+        shared.publish_digest(0, vec![KeywordId(0)], FileId(0));
         issue(state, &shared, directory, graph, key, 0);
         let walk = |state: &ShardState| match &state.tracking[&0].search {
             Search::Dht { walk, .. } => walk.as_ref().map(|lookup| lookup.awaiting.clone()),

@@ -72,13 +72,14 @@
 //! ordinary field: it mutates it in the churn transition, which takes
 //! `&mut self`, and lends it shared to the window drains, so a write during
 //! a window does not compile. Everything else shards share is `RunShared`,
-//! immutable but for one write-once cell per arrival: the keywords of its
-//! query, set for every issued query, flooded or DHT-resolved. Only the
-//! query's origin shard sets the cell, once, at issue; any other shard reads
-//! it only when a copy of the query, a response to it or one of its lookup
-//! steps arrives, which is in a later window, after the barrier that joined
-//! the issuing drain. So no two sets can race and no read finds the cell
-//! empty. At a barrier the coordinator holds `&mut [ShardState]` and may
+//! immutable but for one write-once cell per arrival: the digest of its
+//! query — its keywords, their signature, their Bloom fold mask and the
+//! groups its Gid rule tests — set for every issued query, flooded or
+//! DHT-resolved. Only the query's origin shard sets the cell, once, at
+//! issue; any other shard reads it only when a copy of the query, a response
+//! to it or one of its lookup steps arrives, which is in a later window,
+//! after the barrier that joined the issuing drain. So no two sets can race
+//! and no read finds the cell empty. At a barrier the coordinator holds `&mut [ShardState]` and may
 //! touch any peer of any shard; during a window each `&mut ShardState` is
 //! handed to exactly one drain.
 //!
@@ -120,11 +121,12 @@ use locaware_net::{LinkLatencyCache, LocId, PhysicalTopology};
 use locaware_overlay::churn::ChurnEvent;
 use locaware_overlay::{ChurnEventKind, ForwardDecision, MessageKind, OverlayGraph, PeerId};
 use locaware_sim::{Duration, EventKey, RngFactory, SimTime, StreamId};
-use locaware_workload::{Arrival, Catalog, FileId, KeywordHashes, KeywordId, QueryGenerator, PAPER_KEYWORDS_PER_FILE};
+use locaware_workload::{Arrival, Catalog, FileId, KeywordHashes, KeywordId, QueryGenerator};
 
 use crate::config::{ProtocolKind, SimulationConfig, CONTROL_DRAIN};
 use crate::group::{GroupId, GroupScheme};
 use crate::peer::PeerState;
+use crate::protocol::QueryDigest;
 use crate::results::{FaultRunStats, RunProfile, SimulationReport};
 use crate::simulation::Simulation;
 
@@ -138,8 +140,8 @@ use shard::{Search, ShardEvent, ShardState};
 use tally::{labelled_counters, Tallies};
 
 /// Read-only context shared by every shard and the coordinator during a run:
-/// nothing in it changes after [`prepare`] but the write-once keyword record
-/// of each issued query ([`RunShared::publish_keywords`]). The state that
+/// nothing in it changes after [`prepare`] but the write-once digest of each
+/// issued query ([`RunShared::publish_digest`]). The state that
 /// crosses shard boundaries and *does* change — the overlay graph — belongs
 /// to the [`Coordinator`].
 pub(crate) struct RunShared<'a> {
@@ -159,11 +161,12 @@ pub(crate) struct RunShared<'a> {
     pub(crate) bloom: BloomParams,
     pub(crate) scheme: GroupScheme,
     pub(crate) arrivals: Vec<Arrival>,
-    /// Arrival index → the keywords of its query, set once by the origin
-    /// shard at issue and read by every later hop, relayed response, lookup
-    /// step and retransmit, so no message carries them. Empty exactly for an
-    /// arrival that was skipped.
-    published_keywords: Vec<OnceLock<PublishedKeywords>>,
+    /// Arrival index → the digest of its query, set once by the origin shard
+    /// at issue and read by every later hop, relayed response, lookup step
+    /// and retransmit, so no message carries the keywords and no hop derives
+    /// anything from them again. Empty exactly for an arrival that was
+    /// skipped.
+    digests: Vec<OnceLock<QueryDigest>>,
     pub(crate) query_generator: QueryGenerator,
     pub(crate) rng_factory: RngFactory,
     pub(crate) partition: PeerPartition,
@@ -198,57 +201,31 @@ impl RunShared<'_> {
         self.kind.dht_resolves_rank(rank, self.catalog.len(), self.config.dht.hybrid_head_fraction)
     }
 
-    /// Publishes the keywords of arrival `index`'s query. Called once, by the
-    /// origin shard at issue; see "Who owns what" in the module docs for why
-    /// no read can race it.
-    pub(crate) fn publish_keywords(&self, index: usize, keywords: Vec<KeywordId>) {
-        let fresh = self.published_keywords[index].set(PublishedKeywords::new(keywords)).is_ok();
-        assert!(fresh, "query {index}'s keywords were published twice");
+    /// Publishes the digest of arrival `index`'s query for `keywords`,
+    /// searching for `target`. Called once, by the origin shard at issue;
+    /// see "Who owns what" in the module docs for why no read can race it.
+    pub(crate) fn publish_digest(&self, index: usize, keywords: Vec<KeywordId>, target: FileId) {
+        let filename = self.kind.searches_by_filename().then_some(target);
+        let digest = QueryDigest::new(keywords, filename, &self.scheme, self.bloom, &self.keyword_hashes);
+        let fresh = self.digests[index].set(digest).is_ok();
+        assert!(fresh, "query {index}'s digest was published twice");
     }
 
-    /// The keywords query `index` was issued with.
-    pub(crate) fn query_keywords(&self, index: usize) -> &[KeywordId] {
-        match self.published_keywords[index].get() {
-            Some(keywords) => keywords.as_slice(),
-            None => unreachable!("query {index} travels, so its issue published its keywords"),
+    /// The digest query `index`'s issue published.
+    pub(crate) fn digest(&self, index: usize) -> &QueryDigest {
+        match self.digests[index].get() {
+            Some(digest) => digest,
+            None => unreachable!("query {index} travels, so its issue published its digest"),
         }
     }
 }
 
-/// A query's keywords as published at issue: inline when there are
-/// at most [`PAPER_KEYWORDS_PER_FILE`] of them, as in every paper query, and
-/// boxed only beyond that. A record lives until the run ends, so its size
-/// is paid once per arrival: with a box per query, 8000 arrivals raised
-/// `cache-warm-1k`'s peak RSS by about 1 MB, and with a 32-byte cell by
-/// about 0.5 MB. The list is a boxed `Vec`, which keeps its pointer thin
-/// and the cell at 24 bytes.
-enum PublishedKeywords {
-    Inline(u8, [KeywordId; PAPER_KEYWORDS_PER_FILE]),
-    #[expect(clippy::box_collection, reason = "a thin pointer keeps the write-once cell at 24 bytes")]
-    Boxed(Box<Vec<KeywordId>>),
-}
-
-const _: () = assert!(std::mem::size_of::<OnceLock<PublishedKeywords>>() <= 24, "keyword cell grew");
-
-impl PublishedKeywords {
-    fn new(keywords: Vec<KeywordId>) -> Self {
-        let mut inline = [KeywordId(0); PAPER_KEYWORDS_PER_FILE];
-        match inline.get_mut(..keywords.len()) {
-            Some(prefix) => {
-                prefix.copy_from_slice(&keywords);
-                PublishedKeywords::Inline(keywords.len() as u8, inline)
-            }
-            None => PublishedKeywords::Boxed(Box::new(keywords)),
-        }
-    }
-
-    fn as_slice(&self) -> &[KeywordId] {
-        match self {
-            PublishedKeywords::Inline(len, ids) => &ids[..usize::from(*len)],
-            PublishedKeywords::Boxed(ids) => ids,
-        }
-    }
-}
+// A digest lives until the run ends, so its cell is paid once per arrival,
+// in live bytes: 56 a cell, 32 more than the keywords-only cell it replaced,
+// are 256 KB more over `cache-warm-1k`'s 8000 arrivals. (A step in peak RSS
+// much larger than the live bytes comes from where the allocator's sliding
+// mmap threshold put the run's big buffers, not from the cells.)
+const _: () = assert!(std::mem::size_of::<OnceLock<QueryDigest>>() <= 56, "digest cell grew");
 
 /// Minimum number of events the previous window dispatched *outside* its
 /// busiest shard — the work scoped threads would have taken off the critical
@@ -409,7 +386,7 @@ fn prepare(
         channel_lookahead,
         faults: FaultPlan::new(&config.faults, sim.rng_factory()),
         event_bound: config.horizon().event_bound(arrivals.last().map_or(SimTime::ZERO, |a| a.at)),
-        published_keywords: arrivals.iter().map(|_| OnceLock::new()).collect(),
+        digests: arrivals.iter().map(|_| OnceLock::new()).collect(),
         initial_file_replicas: 0,
         arrivals,
         kind,
@@ -493,12 +470,12 @@ fn finalize(
     for (index, arrival) in shared.arrivals.iter().enumerate() {
         let origin_shard = shared.partition.shard(PeerId(arrival.peer as u32));
         let tracking = shards[origin_shard].tracking.remove(&(index as u32));
-        // A keyword record exists exactly for the issued queries: those with
-        // a tracking entry, whatever their family.
+        // A digest exists exactly for the issued queries: those with a
+        // tracking entry, whatever their family.
         debug_assert_eq!(
-            shared.published_keywords[index].get().is_some(),
+            shared.digests[index].get().is_some(),
             tracking.is_some(),
-            "arrival {index}: keyword record vs tracking"
+            "arrival {index}: digest vs tracking"
         );
         let Some(tracking) = tracking else {
             continue;
@@ -1108,16 +1085,20 @@ mod tests {
         }
     }
 
-    /// Up to the paper's three keywords are held inline, a longer list
-    /// boxed; either way the record reads back as it was published.
+    /// Up to the paper's three keywords are held inline in the digest, a
+    /// longer list boxed; either way the keywords read back as published.
     #[test]
     fn published_keywords_read_back_inline_or_boxed() {
+        use locaware_workload::PAPER_KEYWORDS_PER_FILE;
+        let scheme = GroupScheme::new(4);
         for len in 0..=PAPER_KEYWORDS_PER_FILE + 2 {
             let keywords: Vec<KeywordId> = (0..len as u32).map(|k| KeywordId(10 + k)).collect();
-            let published = PublishedKeywords::new(keywords.clone());
-            let inline = matches!(published, PublishedKeywords::Inline(..));
+            let digest = QueryDigest::new(keywords.clone(), None, &scheme, BloomParams::default(), &KeywordHashes::empty());
+            let cell = std::ptr::from_ref(&digest).cast::<u8>();
+            let own_bytes = cell..cell.wrapping_add(std::mem::size_of::<QueryDigest>());
+            let inline = own_bytes.contains(&digest.keywords().as_ptr().cast::<u8>());
             assert_eq!(inline, len <= PAPER_KEYWORDS_PER_FILE, "{len} keywords");
-            assert_eq!(published.as_slice(), &keywords[..]);
+            assert_eq!(digest.keywords(), &keywords[..]);
         }
     }
 

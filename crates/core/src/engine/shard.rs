@@ -30,7 +30,6 @@
 
 use std::collections::HashMap;
 
-use locaware_bloom::ElementHashes;
 use locaware_overlay::{Message, MessageKind, OverlayGraph, PeerId, ProviderEntry, QueryId, QueryRoutes};
 use locaware_sim::{EventKey, ShardQueue, SimTime, StreamId};
 use locaware_workload::FileId;
@@ -199,10 +198,8 @@ pub(super) struct ShardState {
     /// Key of the last event this shard dispatched.
     pub last_key: Option<EventKey>,
     // Scratch reused across events so neither family's hot path allocates:
-    // the forward path's targets and, for Bloom-routing protocols, keyword
-    // hashes, and the publish path's trie-search buffers and resolved store
-    // targets.
-    pub(super) scratch_hashes: Vec<ElementHashes>,
+    // the forward path's targets, and the publish path's trie-search buffers
+    // and resolved store targets.
     pub(super) scratch_targets: Vec<PeerId>,
     pub(super) scratch_directory: DirectoryScratch,
     pub(super) scratch_publish_targets: Vec<PeerId>,
@@ -225,7 +222,6 @@ impl ShardState {
             tallies: Tallies::new(),
             dispatched: 0,
             last_key: None,
-            scratch_hashes: Vec::new(),
             scratch_targets: Vec::new(),
             scratch_directory: DirectoryScratch::default(),
             scratch_publish_targets: Vec::new(),
@@ -367,8 +363,9 @@ impl ShardState {
         };
         self.tracking.insert(index as u32, QueryTracking::new(shared, index, query.target, search));
         // Every later hop, relayed response, lookup step and retransmit reads
-        // the query's keywords here, by arrival index.
-        shared.publish_keywords(index, query.keywords);
+        // the query's keywords, and what its rules derive from them, here, by
+        // arrival index.
+        shared.publish_digest(index, query.keywords, query.target);
         if let Some(directory) = structured {
             // Structured resolution: the query never touches the overlay —
             // it walks the keyword DHT instead (no forward decision either;
@@ -595,7 +592,7 @@ mod tests {
     /// Whether `peer` stores no file that matches the keywords arrival 0's
     /// issue published: a copy of that query is not answered there.
     fn cannot_answer(sim: &Simulation, shared: &RunShared<'_>, peer: PeerId) -> bool {
-        let keywords = shared.query_keywords(0);
+        let keywords = shared.digest(0).keywords();
         !sim.initial_shares()[peer.index()].iter().any(|&f| sim.catalog().file_matches(f, keywords))
     }
 
@@ -650,7 +647,7 @@ mod tests {
         let rows = [
             (Message::Query { query, target_filename: None, ttl: 1 }, true),
             (Message::QueryResponse { query, file: FileId(0), providers: vec![entry] }, true),
-            (Message::BloomFull { filter: Arc::new(filter.clone()) }, false),
+            (Message::BloomFull { filter: Arc::new(filter.clone()), fold: 0 }, false),
             (Message::BloomDelta { delta: BloomDelta::between(&filter, &filter) }, false),
             (Message::DhtLookup { query, hop: 1 }, true),
             (Message::DhtLookupReply { query, hop: 1, entries: Vec::new(), closer: Vec::new() }, true),
@@ -690,7 +687,7 @@ mod tests {
         let receiver = shared.partition.slot(to);
         let views = format!("{:?}", state.peers[receiver].bloom_views());
         let filter = Arc::new(BloomFilter::paper_default());
-        state.send(&shared, SimTime::ZERO, from, to, Message::BloomFull { filter: Arc::clone(&filter) });
+        state.send(&shared, SimTime::ZERO, from, to, Message::BloomFull { filter: Arc::clone(&filter), fold: 0 });
         assert_eq!(Arc::strong_count(&filter), 1, "the queued event holds no payload");
         state.drain(&shared, sim.overlay());
         assert_eq!(state.dispatched, 1);

@@ -9,8 +9,9 @@
 //! from the coordinator's barriers. The shard supplies the lifecycle and the
 //! transport; the family keeps nothing per query beyond its route tables
 //! and the tracking entry's mark, [`Search::Flood`](super::shard::Search::Flood):
-//! a query's keywords are the record its issue publishes in [`RunShared`],
-//! and its originator is its arrival's peer.
+//! a query's keywords, and what its rules derive from them, are the digest
+//! its issue publishes in [`RunShared`], and its originator is its arrival's
+//! peer.
 //!
 //! A query floods as numbered *attempts*: the issue is attempt 0, every
 //! retransmit the next. The attempt rides in the high 32 bits of the query
@@ -21,13 +22,11 @@
 
 use std::sync::Arc;
 
-use locaware_bloom::ElementHashes;
 use locaware_overlay::routing::decrement_ttl;
 use locaware_overlay::{Message, OverlayGraph, PeerId, ProviderEntry, QueryId};
 use locaware_sim::{Duration, EventKey, SimTime};
 use locaware_workload::FileId;
 
-use crate::peer::keyword_signature;
 use crate::protocol::{self, PeerView, QueryContext, ResponseContext};
 
 use super::lifecycle::HitMark;
@@ -52,15 +51,16 @@ fn attempt_id(index: usize, attempt: u32) -> QueryId {
 /// exchange their group Ids as well as their Bloom filters", §4.2), modelled
 /// as already done at simulation start: every peer exports its filter, which
 /// covers the files it stores, once and whole, no delta left pending, and
-/// each of its neighbours' views of it shares that one export until a delta
-/// changes the view.
+/// each of its neighbours' views of it shares that one export, and its fold,
+/// until a delta changes the view.
 pub(super) fn bootstrap(shared: &RunShared<'_>, graph: &OverlayGraph, shards: &mut [ShardState]) {
     let all_peers = || (0..shared.config.peers as u32).map(PeerId);
     let exports: Vec<_> = all_peers().map(|id| peer_mut(shared, shards, id).export_bloom()).collect();
     for id in all_peers() {
         let peer = peer_mut(shared, shards, id);
         for &n in graph.neighbors(id) {
-            peer.set_neighbor_bloom(n, Arc::clone(&exports[n.index()]));
+            let (filter, fold) = &exports[n.index()];
+            peer.set_neighbor_bloom(n, Arc::clone(filter), *fold);
         }
     }
 }
@@ -93,12 +93,13 @@ pub(super) fn on_join(
     }
     let state = peer_mut(shared, shards, peer);
     state.advertise_stored_files(shared.catalog);
-    let export = state.export_bloom();
+    let (export, export_fold) = state.export_bloom();
     for &n in graph.neighbors(peer) {
-        let theirs = Arc::clone(peer_mut(shared, shards, n).exported_bloom());
-        for (from, to, filter) in [(peer, n, Arc::clone(&export)), (n, peer, theirs)] {
+        let neighbor = peer_mut(shared, shards, n);
+        let theirs = (Arc::clone(neighbor.exported_bloom()), neighbor.exported_fold());
+        for (from, to, (filter, fold)) in [(peer, n, (Arc::clone(&export), export_fold)), (n, peer, theirs)] {
             let shard = &mut shards[shared.partition.shard(from)];
-            shard.send(shared, now, from, to, Message::BloomFull { filter });
+            shard.send(shared, now, from, to, Message::BloomFull { filter, fold });
         }
     }
 }
@@ -137,18 +138,16 @@ pub(super) fn deliver(
             if !state.routes.on_query(index, slot as u32, attempt, Some(from)) {
                 return; // A duplicate: already seen along another path.
             }
-            let keywords = shared.query_keywords(index);
             // Does the receiver's storage signature let the shared-file walk
             // happen at all? (Observability only: the protocol's matching
             // rule applies the same test for itself.)
-            if state.peers[slot].may_store(keyword_signature(keywords)) {
+            if state.peers[slot].may_store(shared.digest(index).signature()) {
                 state.tallies.storage_walks += 1;
             } else {
                 state.tallies.storage_skips += 1;
             }
             let local_match = {
-                // No local-match rule reads Bloom hashes, so none are computed.
-                let qctx = query_context(shared, &message, &[], 0);
+                let qctx = query_context(shared, &message);
                 protocol::local_match(shared.kind, &view(state, graph, shared, slot), &qctx)
             };
 
@@ -200,7 +199,7 @@ pub(super) fn deliver(
         }
         // A filter that arrives after its link has gone creates no view.
         Message::BloomFull { .. } | Message::BloomDelta { .. } if !graph.are_neighbors(to, from) => {}
-        Message::BloomFull { filter } => state.peers[slot].set_neighbor_bloom(from, filter),
+        Message::BloomFull { filter, fold } => state.peers[slot].set_neighbor_bloom(from, filter, fold),
         Message::BloomDelta { delta } => state.peers[slot].apply_neighbor_bloom_delta(from, &delta),
         _ => unreachable!("only unstructured messages are delivered to the unstructured family"),
     }
@@ -275,11 +274,9 @@ fn flood_attempt(
 /// Forwards the query `message` from peer `at` — the origin at issue or
 /// retransmit time (`exclude` is `None`: there is no upstream), a relay
 /// otherwise (`exclude` is the neighbour it arrived from): the protocol picks
-/// the forward targets, the decision is tallied and every target is sent one
-/// copy. Only a protocol that routes by Bloom filter gets the Bloom hashes of
-/// the query's keywords, computed here into `scratch_hashes`, and their fold
-/// mask under the run's filter geometry, so the routing test reads no
-/// geometry from the forwarding peer. Returns whether anything was sent.
+/// the forward targets from the query's published digest, the decision is
+/// tallied and every target is sent one copy. Returns whether anything was
+/// sent.
 fn forward_query(
     state: &mut ShardState,
     shared: &RunShared<'_>,
@@ -289,19 +286,9 @@ fn forward_query(
     exclude: Option<PeerId>,
     message: &Message,
 ) -> bool {
-    let Message::Query { query, .. } = message else {
-        unreachable!("only queries are forwarded");
-    };
-    let index = query_index(*query);
-    state.scratch_hashes.clear();
-    if shared.kind.routes_by_bloom() {
-        let keywords = shared.query_keywords(index);
-        state.scratch_hashes.extend(keywords.iter().map(|&kw| shared.keyword_hashes.of(kw)));
-    }
-    let fold_mask = shared.bloom.fold_mask(&state.scratch_hashes);
     let mut targets = std::mem::take(&mut state.scratch_targets);
     let decision = {
-        let qctx = query_context(shared, message, &state.scratch_hashes, fold_mask);
+        let qctx = query_context(shared, message);
         let view = view(state, graph, shared, shared.partition.slot(at));
         protocol::forward_targets_into(shared.kind, &view, &qctx, exclude, &mut targets)
     };
@@ -319,32 +306,26 @@ fn forward_query(
     sent
 }
 
-/// The rules' view of the query `message`: its keywords are the record its
-/// issue published in `shared` and its origin's locId the arrival peer's,
-/// both read by arrival index; `keyword_hashes` are the keywords' Bloom
-/// hashes and `keyword_fold_mask` the hashes' fold mask (empty and 0 where
-/// no rule reads them). With [`response_context`], the one place the family
-/// builds a rule's context, so every hop of every attempt reads the one
-/// published slice.
-fn query_context<'s>(
-    shared: &'s RunShared<'_>, message: &Message, keyword_hashes: &'s [ElementHashes], keyword_fold_mask: u64,
-) -> QueryContext<'s> {
+/// The rules' view of the query `message`: the digest its issue published
+/// in `shared` and its origin's locId the arrival peer's, both read by
+/// arrival index, and the copy's own target. With [`response_context`], the
+/// one place the family builds a rule's context, so every hop of every
+/// attempt reads the one published digest.
+fn query_context<'s>(shared: &'s RunShared<'_>, message: &Message) -> QueryContext<'s> {
     let Message::Query { query, target_filename, .. } = message else {
         unreachable!("only queries have a query context");
     };
     let index = query_index(*query);
     QueryContext {
         origin_loc: shared.loc_ids[shared.arrivals[index].peer],
-        keywords: shared.query_keywords(index),
-        keyword_hashes,
-        keyword_fold_mask,
+        digest: shared.digest(index),
         target_filename: *target_filename,
     }
 }
 
 /// The rules' view of a response about `file` to query `index`, offering
 /// `providers`: the file's keywords are the catalog's, the query's its
-/// published record and the requestor its arrival's peer, so none rides in
+/// published digest's and the requestor its arrival's peer, so none rides in
 /// the response.
 fn response_context<'s>(
     shared: &'s RunShared<'_>, index: usize, file: FileId, providers: &'s [ProviderEntry],
@@ -353,7 +334,7 @@ fn response_context<'s>(
     ResponseContext {
         file,
         file_keywords: shared.catalog.filename(file).keywords(),
-        query_keywords: shared.query_keywords(index),
+        query_keywords: shared.digest(index).keywords(),
         providers,
         requestor: ProviderEntry { provider: PeerId(origin as u32), loc_id: shared.loc_ids[origin] },
     }
@@ -367,7 +348,6 @@ fn view<'v>(
         state: &state.peers[slot],
         graph,
         group_ids: shared.group_ids,
-        scheme: &shared.scheme,
         catalog: shared.catalog,
         max_providers_per_response: shared.config.max_providers_per_response,
     }
@@ -412,7 +392,7 @@ mod tests {
         let now = shared.arrivals[0].at;
         let tracking = QueryTracking::new(shared, 0, FileId(0), Search::Flood);
         state.tracking.insert(0, tracking);
-        shared.publish_keywords(0, keywords);
+        shared.publish_digest(0, keywords, FileId(0));
         issue(&mut state, shared, graph, now, 0, FileId(0));
         state.drain(shared, graph);
         (state, now)
@@ -463,10 +443,10 @@ mod tests {
         assert!(state.ledger.drained_locally(0), "so the issue is born complete");
     }
 
-    /// A query's keywords exist once, published at its issue, and its
+    /// A query's digest exists once, published at its issue, and its
     /// originator is its arrival's peer: the two constructors through which
     /// every hop, response and relay gets its rule's context lend that one
-    /// slice at every attempt, not an equal copy, and read the originator's
+    /// digest at every attempt, not an equal copy, and read the originator's
     /// locId by arrival; a response's file keywords are the catalog's own.
     #[test]
     fn every_hop_and_relay_reads_the_published_keywords() {
@@ -474,15 +454,15 @@ mod tests {
         let (shared, _) = prepare(&sim, ProtocolKind::Flooding, sim.arrivals(1), true);
         let file = FileId(0);
         let filename = sim.catalog().filename(file).keywords();
-        shared.publish_keywords(0, filename.to_vec());
-        let record = shared.query_keywords(0);
+        shared.publish_digest(0, filename.to_vec(), file);
+        let (digest, record) = (shared.digest(0), shared.digest(0).keywords());
         let origin = PeerId(shared.arrivals[0].peer as u32);
         let origin_loc = shared.loc_ids[origin.index()];
         for attempt in 0..3 {
             let query = attempt_id(0, attempt);
             let message = Message::Query { query, target_filename: None, ttl: 1 };
-            let context = query_context(&shared, &message, &[], 0);
-            assert!(std::ptr::eq(context.keywords, record), "attempt {attempt} read a copy");
+            let context = query_context(&shared, &message);
+            assert!(std::ptr::eq(context.digest, digest), "attempt {attempt} read a copy");
             assert_eq!(context.origin_loc, origin_loc, "attempt {attempt}");
         }
         let offered = [ProviderEntry { provider: PeerId(1), loc_id: origin_loc }];
@@ -624,8 +604,8 @@ mod tests {
             .expect("two peers without a link");
         let key = EventKey::before_time(SimTime::ZERO);
         let filter = Arc::clone(peer_mut(&shared, &mut shards, from).exported_bloom());
-        let delta = BloomDelta::from_positions(vec![3], filter.bits() as u32);
-        deliver(&mut shards[0], &shared, graph, key, from, to, Message::BloomFull { filter });
+        let (delta, fold) = (BloomDelta::from_positions(vec![3], filter.bits() as u32), filter.fold());
+        deliver(&mut shards[0], &shared, graph, key, from, to, Message::BloomFull { filter, fold });
         deliver(&mut shards[0], &shared, graph, key, from, to, Message::BloomDelta { delta });
         assert!(view_of(&shared, &mut shards, to, from).is_none());
     }

@@ -152,7 +152,12 @@ impl ResponseIndex {
     /// file-id order. Entries whose signature does not cover the query's are
     /// skipped without comparing keywords.
     pub fn lookup_by_keywords(&self, query: &[KeywordId]) -> Vec<FileId> {
-        let wanted = keyword_signature(query);
+        self.lookup_signed(query, keyword_signature(query))
+    }
+
+    /// [`ResponseIndex::lookup_by_keywords`] for a query whose
+    /// [`keyword_signature`] is already known: `wanted`, from its digest.
+    pub(crate) fn lookup_signed(&self, query: &[KeywordId], wanted: u64) -> Vec<FileId> {
         let mut hits: Vec<FileId> = self
             .entries
             .iter()

@@ -12,7 +12,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use locaware_bloom::{BloomDelta, BloomFilter, BloomParams, CountingBloomFilter, ElementHashes};
+use locaware_bloom::{BloomDelta, BloomFilter, BloomParams, CountingBloomFilter};
 use locaware_net::LocId;
 use locaware_overlay::PeerId;
 use locaware_workload::{Catalog, FileId, KeywordHashes, KeywordId};
@@ -38,15 +38,16 @@ pub(crate) fn keyword_signature(keywords: &[KeywordId]) -> u64 {
 #[derive(Debug, Clone)]
 pub struct BloomView {
     neighbor: PeerId,
-    /// Always `bloom.fold()`: recomputed on every write, since a delta can
-    /// clear bits.
+    /// Always `bloom.fold()`: the pushed export's own on a full push,
+    /// recomputed on a delta, since a delta can clear bits.
     fold: u64,
     bloom: Arc<BloomFilter>,
 }
 
 impl BloomView {
-    fn new(neighbor: PeerId, bloom: Arc<BloomFilter>) -> Self {
-        BloomView { neighbor, fold: bloom.fold(), bloom }
+    fn new(neighbor: PeerId, bloom: Arc<BloomFilter>, fold: u64) -> Self {
+        debug_assert_eq!(fold, bloom.fold(), "{neighbor:?}'s filter arrived with a stale fold");
+        BloomView { neighbor, fold, bloom }
     }
 
     /// The neighbour whose filter this is.
@@ -105,6 +106,9 @@ pub struct PeerState {
     /// The last filter version pushed to neighbours; the initial exchange
     /// shares it with every neighbour's view.
     exported_bloom: Arc<BloomFilter>,
+    /// `exported_bloom.fold()`, recomputed wherever the export changes, so a
+    /// full push carries it and no receiving view computes it.
+    exported_fold: u64,
     /// The peer's DHT half — XOR-metric routing table plus keyword record
     /// store. `Some` only when the run's protocol uses the structured index
     /// (the engine installs it at setup); the six unstructured protocols
@@ -154,6 +158,7 @@ impl PeerState {
             shared_files: BTreeSet::new(),
             counting_bloom: CountingBloomFilter::new(bloom_params),
             exported_bloom: Arc::new(BloomFilter::new(bloom_params)),
+            exported_fold: 0,
             dht: None,
             keyword_hashes,
             bloom_dirty: false,
@@ -263,15 +268,21 @@ impl PeerState {
         &self.exported_bloom
     }
 
+    /// The [`BloomFilter::fold`] of [`PeerState::exported_bloom`].
+    pub fn exported_fold(&self) -> u64 {
+        self.exported_fold
+    }
+
     /// Exports the current filter whole, as the initial exchange hands it to
-    /// every neighbour, and returns it to be shared; no delta is left
-    /// pending.
-    pub fn export_bloom(&mut self) -> Arc<BloomFilter> {
+    /// every neighbour, and returns it to be shared, with its fold; no delta
+    /// is left pending.
+    pub fn export_bloom(&mut self) -> (Arc<BloomFilter>, u64) {
         if self.bloom_dirty {
             Arc::make_mut(&mut self.exported_bloom).clone_from(self.counting_bloom.bloom());
+            self.exported_fold = self.exported_bloom.fold();
             self.bloom_dirty = false;
         }
-        Arc::clone(&self.exported_bloom)
+        (Arc::clone(&self.exported_bloom), self.exported_fold)
     }
 
     /// True if the exported filter is stale.
@@ -293,6 +304,7 @@ impl PeerState {
         }
         // A copy only while neighbours' views still share the old export.
         delta.apply(Arc::make_mut(&mut self.exported_bloom));
+        self.exported_fold = self.exported_bloom.fold();
         Some(delta)
     }
 
@@ -302,6 +314,7 @@ impl PeerState {
         self.response_index.clear();
         self.counting_bloom.clear();
         Arc::make_mut(&mut self.exported_bloom).clear();
+        self.exported_fold = 0;
         self.bloom_dirty = false;
         self.bloom_views.clear();
         // The DHT half is volatile too: a rejoining node has lost its stored
@@ -324,9 +337,10 @@ impl PeerState {
         self.bloom_views.binary_search_by_key(&neighbor, |view| view.neighbor)
     }
 
-    /// Replaces the stored copy of a neighbour's filter (full push).
-    pub fn set_neighbor_bloom(&mut self, neighbor: PeerId, bloom: Arc<BloomFilter>) {
-        let view = BloomView::new(neighbor, bloom);
+    /// Replaces the stored copy of a neighbour's filter (full push); `fold`
+    /// is the filter's [`BloomFilter::fold`], computed once by its exporter.
+    pub fn set_neighbor_bloom(&mut self, neighbor: PeerId, bloom: Arc<BloomFilter>, fold: u64) {
+        let view = BloomView::new(neighbor, bloom, fold);
         match self.view_position(neighbor) {
             Ok(pos) => self.bloom_views[pos] = view,
             Err(pos) => self.bloom_views.insert(pos, view),
@@ -344,7 +358,7 @@ impl PeerState {
             Ok(pos) => pos,
             Err(pos) => {
                 let empty = Arc::new(BloomFilter::new(self.exported_bloom.params()));
-                self.bloom_views.insert(pos, BloomView::new(neighbor, empty));
+                self.bloom_views.insert(pos, BloomView::new(neighbor, empty, 0));
                 pos
             }
         };
@@ -362,23 +376,24 @@ impl PeerState {
 
     /// The §4.2 routing test: appends (in id order) every neighbour in the
     /// id-sorted `row` other than `exclude` whose stored filter contains all
-    /// pre-hashed query keywords. Views are walked in step with the row, and
-    /// a neighbour with no view matches nothing, like the empty filter. A
-    /// view whose fold lacks a bit of `fold_mask` — the keywords'
+    /// query `keywords`. Views are walked in step with the row, and a
+    /// neighbour with no view matches nothing, like the empty filter. A view
+    /// whose fold lacks a bit of `fold_mask` — the keywords'
     /// [`BloomParams::fold_mask`] under the run's filter geometry, which
-    /// every peer shares — cannot contain them, so its filter is probed only
-    /// when the fold passes. An empty hash slice matches nothing (empty
-    /// queries are never routed). The caller's buffer is appended to, not
-    /// cleared, so it can be reused across events.
+    /// every peer shares — cannot contain them, so only a filter whose fold
+    /// passes is probed, and only then are the keywords' interned hashes
+    /// read. No keywords match nothing (empty queries are never routed). The
+    /// caller's buffer is appended to, not cleared, so it can be reused
+    /// across events.
     pub fn neighbors_matching_bloom_into(
         &self,
         row: &[PeerId],
-        query_hashes: &[ElementHashes],
+        keywords: &[KeywordId],
         fold_mask: u64,
         exclude: Option<PeerId>,
         out: &mut Vec<PeerId>,
     ) {
-        if query_hashes.is_empty() {
+        if keywords.is_empty() {
             return;
         }
         let mut views = self.bloom_views.iter().peekable();
@@ -389,7 +404,7 @@ impl PeerState {
             };
             if Some(n) != exclude
                 && view.fold & fold_mask == fold_mask
-                && view.bloom.contains_all_hashes(query_hashes)
+                && keywords.iter().all(|&kw| view.bloom.contains_hashes(&self.keyword_hashes.of(kw)))
             {
                 out.push(n);
             }
@@ -400,6 +415,7 @@ impl PeerState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locaware_bloom::ElementHashes;
 
     fn peer(id: u32) -> PeerState {
         PeerState::new(
@@ -424,7 +440,7 @@ mod tests {
         let run_mask = BloomParams::default().fold_mask(&hashes);
         assert_eq!(run_mask, p.counting_bloom.params().fold_mask(&hashes), "one geometry per run");
         let mut out = Vec::new();
-        p.neighbors_matching_bloom_into(&[PeerId(2), PeerId(3)], &hashes, run_mask, None, &mut out);
+        p.neighbors_matching_bloom_into(&[PeerId(2), PeerId(3)], keywords, run_mask, None, &mut out);
         out
     }
 
@@ -464,11 +480,13 @@ mod tests {
         let mut p = peer(1);
         p.cache_index(FileId(5), &kws(&[1, 2]), [(PeerId(9), LocId(2))]);
         let before = Arc::as_ptr(p.exported_bloom());
-        let first = p.export_bloom();
+        let (first, fold) = p.export_bloom();
+        assert_eq!(fold, first.fold(), "the export carries its own fold");
         assert_eq!(Arc::as_ptr(&first), before, "unshared: rewritten in place");
         assert_eq!(first.as_ref(), p.current_bloom());
         p.cache_index(FileId(6), &kws(&[3]), [(PeerId(9), LocId(2))]);
-        let second = p.export_bloom();
+        let (second, fold) = p.export_bloom();
+        assert_eq!(fold, second.fold());
         assert!(!Arc::ptr_eq(&first, &second), "shared: copied");
         assert_eq!(second.as_ref(), p.current_bloom());
         assert!(!first.contains(&KeywordId(3).canonical()), "the held view keeps its bits");
@@ -518,7 +536,8 @@ mod tests {
         let mut remote = BloomFilter::default();
         remote.insert(&KeywordId(7).canonical());
         remote.insert(&KeywordId(8).canonical());
-        p.set_neighbor_bloom(PeerId(2), Arc::new(remote));
+        let fold = remote.fold();
+        p.set_neighbor_bloom(PeerId(2), Arc::new(remote), fold);
 
         assert_eq!(bloom_matches(&p, &kws(&[7])), vec![PeerId(2)]);
         assert_eq!(bloom_matches(&p, &kws(&[7, 8])), vec![PeerId(2)]);
@@ -528,7 +547,8 @@ mod tests {
         // A view outside the row is never a target.
         let mut off_row = BloomFilter::default();
         off_row.insert(&KeywordId(7).canonical());
-        p.set_neighbor_bloom(PeerId(5), Arc::new(off_row));
+        let fold = off_row.fold();
+        p.set_neighbor_bloom(PeerId(5), Arc::new(off_row), fold);
         assert_eq!(bloom_matches(&p, &kws(&[7])), vec![PeerId(2)]);
 
         p.drop_neighbor_bloom(PeerId(2));
@@ -572,7 +592,7 @@ mod tests {
         let mut p = peer(1);
         p.share_file(FileId(3), &kws(&[7]));
         p.cache_index(FileId(5), &kws(&[1, 2]), [(PeerId(9), LocId(2))]);
-        p.set_neighbor_bloom(PeerId(2), Arc::new(BloomFilter::default()));
+        p.set_neighbor_bloom(PeerId(2), Arc::new(BloomFilter::default()), 0);
         p.reset_volatile_state();
         assert!(p.has_file(FileId(3)) && p.may_store(keyword_signature(&kws(&[7]))));
         assert!(p.response_index.is_empty());

@@ -21,8 +21,8 @@ use crate::group::{GroupId, GroupScheme};
 use crate::peer::PeerState;
 
 use super::{
-    cached_hit, first_storage_match, high_degree_fallback_into, neighbors_matching_gid_into,
-    stored_hit, LocalMatch, PeerView, QueryContext, ResponseContext,
+    cached_hit, dicas_keys, first_storage_match, high_degree_fallback_into, stored_hit, LocalMatch,
+    PeerView, QueryContext, ResponseContext,
 };
 
 /// Dicas' routing rule.
@@ -33,18 +33,15 @@ pub(super) fn forward_targets_into(
     out: &mut Vec<PeerId>,
 ) -> ForwardDecision {
     // Filename search: the query names the exact file, so route towards
-    // neighbours whose Gid matches hash(f) mod M. Without a filename Dicas
-    // cannot compute the routing hash; fall back to the high-degree
+    // neighbours whose Gid matches hash(f) mod M, the one group the digest
+    // of a filename search holds, and failing that to the high-degree
+    // neighbour: the Dicas-Keys rule over that group. Without a filename
+    // Dicas cannot compute the routing hash; fall back to the high-degree
     // neighbour so the query is not dropped.
-    let Some(target) = query.target_filename else {
+    if query.target_filename.is_none() {
         return high_degree_fallback_into(view, exclude, out);
-    };
-    let wanted = view.scheme.group_of_file(target);
-    neighbors_matching_gid_into(view, |gid| gid == wanted, exclude, out);
-    if !out.is_empty() {
-        return ForwardDecision::GidMatch;
     }
-    high_degree_fallback_into(view, exclude, out)
+    dicas_keys::forward_targets_into(view, query, exclude, out)
 }
 
 /// Dicas' matching rule.
@@ -57,7 +54,7 @@ pub(super) fn local_match(view: &PeerView<'_>, query: &QueryContext<'_>) -> Opti
         // Keyword query reaching a Dicas peer: it can still serve a file it
         // physically stores, but its index is keyed by filename and cannot
         // be searched by keyword.
-        None => first_storage_match(view, query.keywords).map(|file| stored_hit(view, file)),
+        None => first_storage_match(view, query.digest).map(|file| stored_hit(view, file)),
     }
 }
 

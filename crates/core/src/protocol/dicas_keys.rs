@@ -25,16 +25,16 @@ use super::{
 };
 
 /// Dicas-Keys' routing rule, which Locaware falls back on when no
-/// neighbour's Bloom filter matches (and `LocawareNoBloom` routes by alone).
+/// neighbour's Bloom filter matches (and `LocawareNoBloom` routes by alone):
+/// the neighbours whose Gid is one of the query digest's groups, else the
+/// high-degree neighbour.
 pub(super) fn forward_targets_into(
     view: &PeerView<'_>,
     query: &QueryContext<'_>,
     exclude: Option<PeerId>,
     out: &mut Vec<PeerId>,
 ) -> ForwardDecision {
-    let scheme = view.scheme;
-    let matches = |gid| scheme.gid_matches_any_keyword(gid, query.keywords);
-    neighbors_matching_gid_into(view, matches, exclude, out);
+    neighbors_matching_gid_into(view, query.digest.groups(), exclude, out);
     if !out.is_empty() {
         return ForwardDecision::GidMatch;
     }
@@ -44,10 +44,10 @@ pub(super) fn forward_targets_into(
 /// Dicas-Keys' matching rule: own storage first, then cached indexes matched
 /// by keywords.
 pub(super) fn local_match(view: &PeerView<'_>, query: &QueryContext<'_>) -> Option<LocalMatch> {
-    if let Some(file) = first_storage_match(view, query.keywords) {
+    if let Some(file) = first_storage_match(view, query.digest) {
         return Some(stored_hit(view, file));
     }
-    let file = view.state.response_index.lookup_by_keywords(query.keywords).into_iter().next()?;
+    let file = view.state.response_index.lookup_signed(query.digest.keywords(), query.digest.signature()).into_iter().next()?;
     cached_hit(view, file)
 }
 
@@ -97,7 +97,7 @@ mod tests {
             ForwardDecision::GidMatch => {
                 for t in &targets {
                     let gid = fx.group_ids[t.index()];
-                    assert!(fx.scheme.gid_matches_any_keyword(gid, &query.keywords));
+                    assert!(fx.scheme.gid_matches_any_keyword(gid, query.digest.keywords()));
                 }
             }
             ForwardDecision::HighDegree => {

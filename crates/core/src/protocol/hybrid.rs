@@ -59,7 +59,7 @@ mod tests {
             let mut targets = Vec::new();
             let decision = forward_targets_into(kind, &fx.view(0), &query.context(), Some(PeerId(1)), &mut targets);
             let scheme = fx.scheme;
-            let response = response(&fx.catalog, file, &query.keywords, &offered);
+            let response = response(&fx.catalog, file, query.digest.keywords(), &offered);
             cache_response(kind, &mut fx.peers[2], scheme.group_of_file(file), &scheme, &response);
             let hit = local_match(kind, &fx.view(2), &query.context());
             (decision, targets, hit)

@@ -75,18 +75,12 @@ pub(super) fn forward_targets_into(
     exclude: Option<PeerId>,
     out: &mut Vec<PeerId>,
 ) -> ForwardDecision {
-    // 1. Neighbours whose Bloom filter matches every query keyword. The
-    //    query's keywords are hashed once (at the catalog) and probed
-    //    against each neighbour's filter words directly.
-    debug_assert_eq!(query.keyword_hashes.len(), query.keywords.len(), "Bloom routing needs the hashes");
+    // 1. Neighbours whose Bloom filter matches every query keyword: the
+    //    digest's fold mask screens each neighbour's filter, and only a
+    //    filter that passes is probed.
     let row = view.graph.neighbors(view.state.id);
-    view.state.neighbors_matching_bloom_into(
-        row,
-        query.keyword_hashes,
-        query.keyword_fold_mask,
-        exclude,
-        out,
-    );
+    let digest = query.digest;
+    view.state.neighbors_matching_bloom_into(row, digest.keywords(), digest.fold_mask(), exclude, out);
     if !out.is_empty() {
         return ForwardDecision::BloomMatch;
     }
@@ -100,7 +94,7 @@ pub(super) fn local_match(view: &PeerView<'_>, query: &QueryContext<'_>) -> Opti
     let cap = view.max_providers_per_response;
     // 1. The peer's own storage: it is itself a provider; enrich with any
     //    additional providers it has cached for the same file.
-    if let Some(file) = first_storage_match(view, query.keywords) {
+    if let Some(file) = first_storage_match(view, query.digest) {
         let own = ProviderEntry {
             provider: view.state.id,
             loc_id: view.state.loc_id,
@@ -119,7 +113,7 @@ pub(super) fn local_match(view: &PeerView<'_>, query: &QueryContext<'_>) -> Opti
     }
     // 2. The response index, matched by keywords. Prefer the cached file
     //    that can offer a provider in the originator's locality.
-    let candidates = view.state.response_index.lookup_by_keywords(query.keywords);
+    let candidates = view.state.response_index.lookup_signed(query.digest.keywords(), query.digest.signature());
     let best = candidates
         .iter()
         .copied()
@@ -190,7 +184,8 @@ mod tests {
         let mut bloom = BloomFilter::default();
         bloom.insert(&KeywordId(0).canonical());
         bloom.insert(&KeywordId(1).canonical());
-        fx.peers[0].set_neighbor_bloom(PeerId(3), Arc::new(bloom));
+        let fold = bloom.fold();
+        fx.peers[0].set_neighbor_bloom(PeerId(3), Arc::new(bloom), fold);
 
         let mut targets = Vec::new();
         let decision =
@@ -221,7 +216,8 @@ mod tests {
         let mut bloom = BloomFilter::default();
         bloom.insert(&KeywordId(0).canonical());
         bloom.insert(&KeywordId(1).canonical());
-        fx.peers[0].set_neighbor_bloom(PeerId(3), Arc::new(bloom));
+        let fold = bloom.fold();
+        fx.peers[0].set_neighbor_bloom(PeerId(3), Arc::new(bloom), fold);
 
         let (kind, view) = (ProtocolKind::LocawareNoBloom, fx.view(0));
         let decision = super::super::forward_targets_into(kind, &view, &query.context(), None, &mut Vec::new());

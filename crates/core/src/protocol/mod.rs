@@ -36,10 +36,10 @@ mod flooding;
 mod hybrid;
 mod locaware;
 
-use locaware_bloom::ElementHashes;
+use locaware_bloom::BloomParams;
 use locaware_net::LocId;
 use locaware_overlay::{ForwardDecision, OverlayGraph, PeerId, ProviderEntry};
-use locaware_workload::{Catalog, FileId, KeywordId};
+use locaware_workload::{Catalog, FileId, KeywordHashes, KeywordId, PAPER_KEYWORDS_PER_FILE};
 
 use crate::config::ProtocolKind;
 use crate::group::{GroupId, GroupScheme};
@@ -56,38 +56,112 @@ pub(crate) struct PeerView<'a> {
     pub(crate) graph: &'a OverlayGraph,
     /// Every peer's group id, by peer index (for the group-id rules).
     pub(crate) group_ids: &'a [GroupId],
-    /// The group scheme in force.
-    pub(crate) scheme: &'a GroupScheme,
     /// The global catalog (for filename keyword lookups).
     pub(crate) catalog: &'a Catalog,
     /// The run's cap on provider entries in one response.
     pub(crate) max_providers_per_response: usize,
 }
 
-/// The protocol-relevant content of a query.
+/// What every routing and matching rule reads of a query's keywords, derived
+/// once, when the query is issued, and shared by every hop, relay and
+/// retransmit of it: the keywords themselves, their [`keyword_signature`],
+/// their Bloom fold mask under the run's filter geometry, and the group ids
+/// a Gid rule tests a neighbour's against. A filename search (Dicas) tests
+/// the one group of the file it names, `hash(f) mod M`; every other search
+/// the group of each keyword, `hash(kw) mod M`.
 ///
-/// Keywords come in two parallel views: the ids themselves and their
-/// pre-computed Bloom hashes (`keyword_hashes[i]` hashes `keywords[i]`), so
-/// the §4.2 routing test probes neighbour filters without re-hashing a keyword
-/// per neighbour. Both slices borrow from the caller — the engine lends the
-/// query's keywords as published at its issue and a per-shard hash scratch
-/// buffer, so building a context allocates nothing. The engine computes the
-/// hashes only where a rule reads them: for the forwarding rule of a kind
-/// that routes by Bloom filter ([`ProtocolKind::routes_by_bloom`]); every
-/// other context gets an empty slice.
+/// Up to [`PAPER_KEYWORDS_PER_FILE`] keywords, as in every paper query, are
+/// held inline with their groups; a longer list is boxed.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct QueryDigest {
+    signature: u64,
+    fold_mask: u64,
+    terms: Terms,
+}
+
+/// A digest's keywords and the groups its Gid rule tests.
+#[derive(Debug, PartialEq, Eq)]
+enum Terms {
+    Inline {
+        keywords: u8,
+        groups: u8,
+        keyword_ids: [KeywordId; PAPER_KEYWORDS_PER_FILE],
+        group_ids: [GroupId; PAPER_KEYWORDS_PER_FILE],
+    },
+    Boxed(Box<(Vec<KeywordId>, Vec<GroupId>)>),
+}
+
+impl QueryDigest {
+    /// The digest of a query for `keywords`, naming the file `filename` if
+    /// it is a filename search, under the run's group `scheme` and filter
+    /// geometry `bloom`; `hashes` gives each keyword's Bloom hashes.
+    pub(crate) fn new(
+        keywords: Vec<KeywordId>,
+        filename: Option<FileId>,
+        scheme: &GroupScheme,
+        bloom: BloomParams,
+        hashes: &KeywordHashes,
+    ) -> Self {
+        let signature = keyword_signature(&keywords);
+        let fold_mask = (keywords.iter())
+            .fold(0, |mask, &kw| mask | hashes.of(kw).fold_mask(bloom.hashes, bloom.bits));
+        let groups = if filename.is_some() { 1 } else { keywords.len() };
+        let group = |i: usize| match filename {
+            Some(file) => scheme.group_of_file(file),
+            None => scheme.group_of_keyword(keywords[i]),
+        };
+        let terms = if keywords.len() <= PAPER_KEYWORDS_PER_FILE {
+            let mut keyword_ids = [KeywordId(0); PAPER_KEYWORDS_PER_FILE];
+            let mut group_ids = [GroupId(0); PAPER_KEYWORDS_PER_FILE];
+            keyword_ids[..keywords.len()].copy_from_slice(&keywords);
+            for (i, id) in group_ids[..groups].iter_mut().enumerate() {
+                *id = group(i);
+            }
+            Terms::Inline { keywords: keywords.len() as u8, groups: groups as u8, keyword_ids, group_ids }
+        } else {
+            let group_ids = (0..groups).map(group).collect();
+            Terms::Boxed(Box::new((keywords, group_ids)))
+        };
+        QueryDigest { signature, fold_mask, terms }
+    }
+
+    /// The query's keywords, as generated.
+    pub(crate) fn keywords(&self) -> &[KeywordId] {
+        match &self.terms {
+            Terms::Inline { keywords, keyword_ids, .. } => &keyword_ids[..usize::from(*keywords)],
+            Terms::Boxed(terms) => &terms.0,
+        }
+    }
+
+    /// The groups a neighbour's Gid must be one of to match the query.
+    pub(crate) fn groups(&self) -> &[GroupId] {
+        match &self.terms {
+            Terms::Inline { groups, group_ids, .. } => &group_ids[..usize::from(*groups)],
+            Terms::Boxed(terms) => &terms.1,
+        }
+    }
+
+    /// [`keyword_signature`] of the keywords.
+    pub(crate) fn signature(&self) -> u64 {
+        self.signature
+    }
+
+    /// The keywords' Bloom fold mask under the run's filter geometry, the
+    /// one-word test in front of each neighbour filter probe.
+    pub(crate) fn fold_mask(&self) -> u64 {
+        self.fold_mask
+    }
+}
+
+/// The protocol-relevant content of a query: the digest its issue published
+/// and the copy's own fields. The engine lends the digest, so building a
+/// context allocates and derives nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct QueryContext<'a> {
     /// The originator's location id.
     pub(crate) origin_loc: LocId,
-    /// The query keywords.
-    pub(crate) keywords: &'a [KeywordId],
-    /// The pre-computed Bloom hashes of `keywords`, index-aligned; empty
-    /// where no rule reads them (see above).
-    pub(crate) keyword_hashes: &'a [ElementHashes],
-    /// [`BloomParams::fold_mask`](locaware_bloom::BloomParams::fold_mask) of
-    /// `keyword_hashes` under the run's filter geometry, the one-word test in
-    /// front of each neighbour probe; 0 wherever `keyword_hashes` is empty.
-    pub(crate) keyword_fold_mask: u64,
+    /// The query's keywords and what the rules derive from them.
+    pub(crate) digest: &'a QueryDigest,
     /// For filename-search protocols (Dicas): the exact file searched.
     pub(crate) target_filename: Option<FileId>,
 }
@@ -161,7 +235,7 @@ pub(crate) fn local_match(
     match kind {
         // Flooding caches nothing: only the peer's own storage answers.
         ProtocolKind::Flooding => {
-            first_storage_match(view, query.keywords).map(|file| stored_hit(view, file))
+            first_storage_match(view, query.digest).map(|file| stored_hit(view, file))
         }
         ProtocolKind::Dicas => dicas::local_match(view, query),
         ProtocolKind::DicasKeys => dicas_keys::local_match(view, query),
@@ -206,15 +280,15 @@ pub(crate) fn all_neighbors_except_into(
 }
 
 /// Shared helper: appends (in id order) every neighbour except `exclude`
-/// whose group id satisfies `predicate`.
+/// whose group id is one of `groups`.
 pub(crate) fn neighbors_matching_gid_into(
     view: &PeerView<'_>,
-    predicate: impl Fn(GroupId) -> bool,
+    groups: &[GroupId],
     exclude: Option<PeerId>,
     out: &mut Vec<PeerId>,
 ) {
     for &n in view.graph.neighbors(view.state.id) {
-        if Some(n) != exclude && predicate(view.group_ids[n.index()]) {
+        if Some(n) != exclude && groups.contains(&view.group_ids[n.index()]) {
             out.push(n);
         }
     }
@@ -276,8 +350,9 @@ pub(crate) fn storage_matches(view: &PeerView<'_>, keywords: &[KeywordId]) -> Ve
 /// filename matches instead of materialising the full list, and without
 /// looking at the files at all when the peer's storage signature rules a
 /// match out (most first sightings: the typical peer stores a few files).
-pub(crate) fn first_storage_match(view: &PeerView<'_>, keywords: &[KeywordId]) -> Option<FileId> {
-    if keywords.is_empty() || !view.state.may_store(keyword_signature(keywords)) {
+pub(crate) fn first_storage_match(view: &PeerView<'_>, query: &QueryDigest) -> Option<FileId> {
+    let keywords = query.keywords();
+    if keywords.is_empty() || !view.state.may_store(query.signature()) {
         return None;
     }
     view.state
@@ -290,45 +365,28 @@ pub(crate) mod test_support {
     //! Small fixtures shared by the protocol unit tests.
 
     use super::*;
-    use locaware_bloom::BloomParams;
-    use locaware_workload::{KeywordHashes, KeywordPool};
+    use locaware_workload::KeywordPool;
 
-    /// An owned backing store for a [`QueryContext`]: the keywords, their
-    /// hashes and the hashes' fold mask, from which [`QueryBuffer::context`]
-    /// lends a view the way the engine does from its published record.
+    /// An owned query, from which [`QueryBuffer::context`] lends a view the
+    /// way the engine does from its published digest.
     pub(crate) struct QueryBuffer {
         pub origin_loc: LocId,
         pub target_filename: Option<FileId>,
-        pub keywords: Vec<KeywordId>,
-        keyword_hashes: Vec<ElementHashes>,
-        keyword_fold_mask: u64,
+        pub digest: QueryDigest,
     }
 
     impl QueryBuffer {
-        /// A query with its keyword hashes, and their fold mask under the
-        /// filter geometry `bloom`, computed up front.
-        pub(crate) fn new(
-            origin_loc: LocId,
-            keywords: Vec<KeywordId>,
-            target_filename: Option<FileId>,
-            bloom: BloomParams,
-        ) -> Self {
-            let hasher = KeywordHashes::empty();
-            let keyword_hashes: Vec<ElementHashes> = keywords.iter().map(|&kw| hasher.of(kw)).collect();
-            let keyword_fold_mask = bloom.fold_mask(&keyword_hashes);
-            QueryBuffer { origin_loc, target_filename, keywords, keyword_hashes, keyword_fold_mask }
-        }
-
         /// The borrowed view the rules consume.
         pub(crate) fn context(&self) -> QueryContext<'_> {
-            QueryContext {
-                origin_loc: self.origin_loc,
-                keywords: &self.keywords,
-                keyword_hashes: &self.keyword_hashes,
-                keyword_fold_mask: self.keyword_fold_mask,
-                target_filename: self.target_filename,
-            }
+            QueryContext { origin_loc: self.origin_loc, digest: &self.digest, target_filename: self.target_filename }
         }
+    }
+
+    /// The digest of a query for `keywords` (a filename search for `target`
+    /// if there is one) under `scheme` and the default filter geometry,
+    /// hashing on the fly.
+    pub(crate) fn digest(keywords: Vec<KeywordId>, target: Option<FileId>, scheme: &GroupScheme) -> QueryDigest {
+        QueryDigest::new(keywords, target, scheme, BloomParams::default(), &KeywordHashes::empty())
     }
 
     /// A response about `file` as a relay sees it: the catalog's keywords for
@@ -421,24 +479,25 @@ pub(crate) mod test_support {
                 state: &self.peers[peer],
                 graph: &self.graph,
                 group_ids: &self.group_ids,
-                scheme: &self.scheme,
                 catalog: &self.catalog,
                 max_providers_per_response: self.max_providers_per_response,
             }
         }
 
         /// A query for `keywords` (and, for Dicas, the file `target`) from
-        /// locality 1.
+        /// locality 1, under the fixture's group scheme.
         pub(crate) fn query(&self, keywords: &[u32], target: Option<u32>) -> QueryBuffer {
             let keywords = keywords.iter().map(|&k| KeywordId(k)).collect();
-            QueryBuffer::new(LocId(1), keywords, target.map(FileId), BloomParams::default())
+            let target_filename = target.map(FileId);
+            let digest = digest(keywords, target_filename, &self.scheme);
+            QueryBuffer { origin_loc: LocId(1), target_filename, digest }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::Fixture;
+    use super::test_support::{digest, Fixture};
     use super::*;
     use crate::config::SimulationConfig;
 
@@ -461,10 +520,10 @@ mod tests {
         let mut fx = Fixture::new(4);
         fx.group_ids[2] = GroupId(3);
         let mut out = Vec::new();
-        neighbors_matching_gid_into(&fx.view(0), |gid| gid == GroupId(3), None, &mut out);
+        neighbors_matching_gid_into(&fx.view(0), &[GroupId(3)], None, &mut out);
         assert_eq!(out, vec![PeerId(2), PeerId(3)]);
         out.clear();
-        neighbors_matching_gid_into(&fx.view(0), |gid| gid == GroupId(3), Some(PeerId(2)), &mut out);
+        neighbors_matching_gid_into(&fx.view(0), &[GroupId(3)], Some(PeerId(2)), &mut out);
         assert_eq!(out, vec![PeerId(3)]);
     }
 
@@ -525,10 +584,139 @@ mod tests {
             let view = fx.view(0);
             for query in queries.iter().map(|ids| pick(ids)) {
                 proptest::prop_assert_eq!(
-                    first_storage_match(&view, &query),
+                    first_storage_match(&view, &digest(query.clone(), None, &fx.scheme)),
                     storage_matches(&view, &query).first().copied(),
                     "query {:?}", query
                 );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The query digest against the per-hop derivation it replaced, kept
+        /// here as the model. Over 0–6 keywords (past the three held
+        /// inline), group counts on both sides of one 64-bit word and far
+        /// past it, filter geometries of 1–4096 bits and 1–8 hashes, random
+        /// neighbour gids, views and senders, and every kind: the digest's
+        /// fields equal their derivation, every Gid test decides as
+        /// `gid_matches_any_keyword` / `group_of_file` do, the Bloom test
+        /// that reads keyword hashes only behind a passing fold picks the
+        /// neighbours the eagerly hashed test picks, and every kind forwards
+        /// to the targets, for the reason, the derivation gives.
+        #[test]
+        fn query_digest_decides_as_the_per_hop_derivation(
+            keywords in proptest::collection::vec(0u32..12, 0..=6),
+            modulus in proptest::prop_oneof![
+                proptest::strategy::Just(1u32),
+                proptest::strategy::Just(4u32),
+                proptest::strategy::Just(64u32),
+                proptest::strategy::Just(65u32),
+                proptest::strategy::Just(1000u32),
+                1u32..=u32::MAX,
+            ],
+            target in 0u32..4,
+            // A third of the filters fit one word, where the fold is the
+            // filter; a third are a few words, where folds fill up.
+            geometry in (proptest::prop_oneof![1usize..=64, 65usize..=512, 1usize..=4096], 1usize..=8),
+            gids in proptest::collection::vec((0u32..3, 0u32..12, proptest::strategy::any::<u32>()), 5),
+            views in proptest::collection::vec(
+                proptest::option::of((proptest::strategy::any::<u8>(), proptest::collection::vec(0u32..12, 0..=8))),
+                4,
+            ),
+            exclude in proptest::option::of(1u32..=4),
+        ) {
+            use locaware_bloom::{BloomFilter, ElementHashes};
+            use std::sync::Arc;
+
+            let keywords: Vec<KeywordId> = keywords.into_iter().map(KeywordId).collect();
+            let (bloom, exclude) = (BloomParams::new(geometry.0, geometry.1), exclude.map(PeerId));
+            let mut fx = Fixture::new(modulus);
+            let scheme = fx.scheme;
+            // A gid is a keyword's group, a file's group or any group.
+            fx.group_ids = (gids.iter())
+                .map(|&(pick, id, any)| match pick {
+                    0 => scheme.group_of_keyword(KeywordId(id)),
+                    1 => scheme.group_of_file(FileId(id % 4)),
+                    _ => GroupId(any % modulus),
+                })
+                .collect();
+            // Peer 0's neighbours 1–4, each with no view or a view holding
+            // the query keywords its mask picks (all of them now and then,
+            // most of them often) and a few others.
+            let hashes_of = KeywordHashes::empty();
+            for (n, held) in (1..).map(PeerId).zip(&views) {
+                let Some((picked, others)) = held else { continue };
+                let picked = keywords.iter().enumerate().filter(|&(i, _)| picked >> i & 1 == 1).map(|(_, &kw)| kw);
+                let mut filter = BloomFilter::new(bloom);
+                for kw in picked.chain(others.iter().map(|&kw| KeywordId(kw))) {
+                    filter.insert_hashes(&hashes_of.of(kw));
+                }
+                let fold = filter.fold();
+                fx.peers[0].set_neighbor_bloom(n, Arc::new(filter), fold);
+            }
+            let row = fx.graph.neighbors(PeerId(0)).to_vec();
+            let others: Vec<PeerId> = row.iter().copied().filter(|&n| Some(n) != exclude).collect();
+
+            // The per-hop derivation.
+            let hashes: Vec<ElementHashes> = keywords.iter().map(|&kw| hashes_of.of(kw)).collect();
+            let mask = bloom.fold_mask(&hashes);
+            let eager: Vec<PeerId> = if hashes.is_empty() {
+                Vec::new()
+            } else {
+                let views = fx.peers[0].bloom_views();
+                let holds = |n: PeerId| {
+                    let view = views.iter().find(|view| view.neighbor() == n);
+                    view.is_some_and(|v| v.fold() & mask == mask && v.bloom().contains_all_hashes(&hashes))
+                };
+                others.iter().copied().filter(|&n| holds(n)).collect()
+            };
+            let hub = others.iter().copied().max_by_key(|&n| (fx.graph.degree(n), std::cmp::Reverse(n.0)));
+            let by_gid = |matches: &dyn Fn(GroupId) -> bool| {
+                let targets: Vec<PeerId> =
+                    others.iter().copied().filter(|n| matches(fx.group_ids[n.index()])).collect();
+                match (targets.is_empty(), hub) {
+                    (false, _) => (ForwardDecision::GidMatch, targets),
+                    (true, Some(hub)) => (ForwardDecision::HighDegree, vec![hub]),
+                    (true, None) => (ForwardDecision::NotForwarded, Vec::new()),
+                }
+            };
+            let by_keyword = |gid| scheme.gid_matches_any_keyword(gid, &keywords);
+
+            for kind in ProtocolKind::ALL {
+                let filename = kind.searches_by_filename().then_some(FileId(target));
+                let digest = QueryDigest::new(keywords.clone(), filename, &scheme, bloom, fx.catalog.keyword_hashes());
+                proptest::prop_assert_eq!(digest.keywords(), &keywords[..]);
+                proptest::prop_assert_eq!(digest.signature(), keyword_signature(&keywords));
+                proptest::prop_assert_eq!(digest.fold_mask(), mask);
+                let gid_model = |gid: GroupId| match filename {
+                    Some(file) => gid == scheme.group_of_file(file),
+                    None => by_keyword(gid),
+                };
+                let spread = (0..modulus.min(70)).map(GroupId);
+                for gid in fx.group_ids.iter().chain(digest.groups()).copied().chain(spread) {
+                    proptest::prop_assert_eq!(digest.groups().contains(&gid), gid_model(gid), "{} {:?}", kind, gid);
+                }
+
+                let mut lazy = Vec::new();
+                fx.peers[0].neighbors_matching_bloom_into(&row, digest.keywords(), digest.fold_mask(), exclude, &mut lazy);
+                proptest::prop_assert_eq!(&lazy, &eager, "{}", kind);
+
+                let expected = match kind {
+                    ProtocolKind::Flooding if others.is_empty() => (ForwardDecision::NotForwarded, Vec::new()),
+                    ProtocolKind::Flooding => (ForwardDecision::Flood, others.clone()),
+                    ProtocolKind::Dicas => by_gid(&|gid| gid == scheme.group_of_file(FileId(target))),
+                    ProtocolKind::DicasKeys | ProtocolKind::LocawareNoBloom => by_gid(&by_keyword),
+                    ProtocolKind::Locaware | ProtocolKind::LocawareNoLocality | ProtocolKind::Hybrid
+                        if !eager.is_empty() => (ForwardDecision::BloomMatch, eager.clone()),
+                    ProtocolKind::Locaware | ProtocolKind::LocawareNoLocality | ProtocolKind::Hybrid => {
+                        by_gid(&by_keyword)
+                    }
+                    ProtocolKind::DhtIndex => (ForwardDecision::NotForwarded, Vec::new()),
+                };
+                let context = QueryContext { origin_loc: LocId(1), digest: &digest, target_filename: filename };
+                let mut targets = Vec::new();
+                let decision = forward_targets_into(kind, &fx.view(0), &context, exclude, &mut targets);
+                proptest::prop_assert_eq!((decision, targets), expected, "{}", kind);
             }
         }
     }

@@ -137,6 +137,9 @@ pub enum Message {
         /// The sender's complete filter, shared with its export and with
         /// every other copy sent of it.
         filter: Arc<BloomFilter>,
+        /// The filter's [`BloomFilter::fold`], computed once by the sender
+        /// when its export changed, so no receiver computes it again.
+        fold: u64,
     },
     /// Incremental Bloom update: positions of changed bits (§4.2 footnote).
     BloomDelta {
@@ -228,7 +231,7 @@ mod tests {
         assert_eq!(sample_query().kind(), MessageKind::Query);
         let filter = BloomFilter::paper_default();
         let delta = BloomDelta::between(&filter, &filter);
-        assert_eq!(Message::BloomFull { filter: Arc::new(filter) }.kind(), MessageKind::BloomFull);
+        assert_eq!(Message::BloomFull { filter: Arc::new(filter), fold: 0 }.kind(), MessageKind::BloomFull);
         assert_eq!(Message::BloomDelta { delta }.kind(), MessageKind::BloomDelta);
     }
 
@@ -254,7 +257,7 @@ mod tests {
         let messages = [
             Message::Query { query, target_filename: None, ttl: 1 },
             Message::QueryResponse { query, file: FileId(0), providers: vec![entry] },
-            Message::BloomFull { filter: Arc::new(filter.clone()) },
+            Message::BloomFull { filter: Arc::new(filter.clone()), fold: 0 },
             Message::BloomDelta { delta: BloomDelta::between(&filter, &filter) },
             Message::DhtLookup { query, hop: 1 },
             Message::DhtLookupReply { query, hop: 1, entries: Vec::new(), closer: Vec::new() },
@@ -272,6 +275,7 @@ mod tests {
         assert_eq!(q.query_id(), Some(QueryId(42)));
         let bloom = Message::BloomFull {
             filter: Arc::new(BloomFilter::paper_default()),
+            fold: 0,
         };
         assert_eq!(bloom.query_id(), None);
     }

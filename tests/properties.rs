@@ -765,7 +765,7 @@ proptest! {
             match kind {
                 0..=2 => {
                     let bloom = filter_of(set);
-                    state.set_neighbor_bloom(neighbor, Arc::new(bloom.clone()));
+                    state.set_neighbor_bloom(neighbor, Arc::new(bloom.clone()), bloom.fold());
                     model.insert(neighbor, bloom);
                 }
                 3..=5 => {
@@ -810,7 +810,7 @@ proptest! {
             // peer's own filter has.
             let run_mask = params.fold_mask(&hashes);
             prop_assert_eq!(run_mask, state.current_bloom().params().fold_mask(&hashes));
-            state.neighbors_matching_bloom_into(&row, &hashes, run_mask, Some(neighbor), &mut out);
+            state.neighbors_matching_bloom_into(&row, &query, run_mask, Some(neighbor), &mut out);
             let mut expected = vec![kept];
             expected.extend(row.iter().copied().filter(|&n| {
                 n != neighbor
